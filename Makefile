@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-workers bench-rollout bench-replay bench-serve cluster-smoke chaos-smoke trace-smoke serve-smoke examples experiments-small experiments-full clean
+.PHONY: all build test vet race bench bench-check bench-kernels bench-workers bench-rollout bench-replay bench-serve cluster-smoke chaos-smoke trace-smoke serve-smoke examples experiments-small experiments-full clean
 
 all: build vet test
 
@@ -19,6 +19,17 @@ race:
 # One testing.B benchmark per paper table/figure, plus substrate benches.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench/ is its own module (the repository benchmark, see BENCHMARK.json), so
+# `go build ./... && go test ./...` never compiles it: this is what notices
+# an internal/ API change that breaks it.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The three matrix-product kernels at the critic and acting shapes, in
+# GFLOP/s: the one-line before/after for a kernel change.
+bench-kernels:
+	$(GO) test -run '^$$' -bench '^BenchmarkKernels$$' -cpu 1 ./internal/tensor
 
 # Worker-pool scaling sweep; writes the grid to BENCH_update.json.
 bench-workers:

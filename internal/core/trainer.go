@@ -742,7 +742,8 @@ func (t *Trainer) updateCritics(s *updateScratch, i int, weights []float64) {
 	}
 	t.tdMeans[i] = tdSum / float64(len(s.tdAbs))
 	ag.critic1.ZeroGrads()
-	ag.critic1.Backward(s.qGrad)
+	// The critic's input is replay data: nobody reads its gradient.
+	ag.critic1.BackwardParams(s.qGrad)
 	ag.critic1.ClipGradients(t.cfg.ClipNorm)
 	ag.critic1Opt.Step()
 
@@ -750,7 +751,7 @@ func (t *Trainer) updateCritics(s *updateScratch, i int, weights []float64) {
 		q2 := ag.critic2.Forward(s.jointCur)
 		nn.WeightedMSELoss(s.qGrad, q2, s.yTarget, weights, nil)
 		ag.critic2.ZeroGrads()
-		ag.critic2.Backward(s.qGrad)
+		ag.critic2.BackwardParams(s.qGrad)
 		ag.critic2.ClipGradients(t.cfg.ClipNorm)
 		ag.critic2Opt.Step()
 	}
@@ -771,8 +772,9 @@ func (t *Trainer) updateActor(s *updateScratch, i int) {
 	ag.critic1.Forward(s.jointCur)
 	// dPLoss/dQ = -1/B for pLoss = -mean(Q).
 	s.qGrad.Fill(-1 / float64(b))
-	ag.critic1.ZeroGrads()
-	gradIn := ag.critic1.Backward(s.qGrad)
+	// Only ∂Q/∂(joint input) is read here; the critic is not trained in
+	// this step, so its parameter gradients are neither computed nor touched.
+	gradIn := ag.critic1.BackwardInput(s.qGrad)
 	tensor.SliceCols(s.gradProbs, gradIn, t.actOffsets[i], t.actOffsets[i]+t.actDim)
 	nn.SoftmaxBackwardRows(s.gradLogits, s.probsBuf, s.gradProbs)
 	// Logit regularizer: +1e-3 · mean(logits²).
@@ -781,10 +783,7 @@ func (t *Trainer) updateActor(s *updateScratch, i int) {
 		s.gradLogits.Data[k] += regScale * logits.Data[k]
 	}
 	ag.actor.ZeroGrads()
-	ag.actor.Backward(s.gradLogits)
+	ag.actor.BackwardParams(s.gradLogits)
 	ag.actor.ClipGradients(t.cfg.ClipNorm)
 	ag.actorOpt.Step()
-	// The critic's parameter gradients from this pass are discarded; clear
-	// them so nothing leaks into the next critic step.
-	ag.critic1.ZeroGrads()
 }

@@ -6,6 +6,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"marlperf/internal/tensor"
@@ -15,9 +16,15 @@ import (
 // batch×in matrix and produces batch×out; Backward consumes the gradient of
 // the loss with respect to the layer output and returns the gradient with
 // respect to the layer input, accumulating parameter gradients internally.
+// BackwardInput and BackwardParams are the two halves of Backward for
+// callers that read only one of them: the first returns exactly the matrix
+// Backward would and leaves the parameter gradients alone, the second
+// accumulates exactly what Backward would and computes no input gradient.
 type Layer interface {
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	Backward(grad *tensor.Matrix) *tensor.Matrix
+	BackwardInput(grad *tensor.Matrix) *tensor.Matrix
+	BackwardParams(grad *tensor.Matrix)
 	Params() []*tensor.Matrix
 	Grads() []*tensor.Matrix
 	// SharedClone returns a layer that aliases this layer's parameter
@@ -63,26 +70,39 @@ func (d *Dense) Out() int { return d.W.Cols }
 
 // Forward computes y = x·W + b, retaining x for the backward pass.
 func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
+	d.retain(x)
+	// Reshape reuses the output backing across varying batch sizes; the
+	// matmul overwrites every element, so stale contents are fine.
+	d.out = tensor.Reshape(d.out, x.Rows, d.W.Cols)
+	return tensor.MatMulBiasParallel(d.out, x, d.W, d.B.Data, false)
+}
+
+// forwardReLU is d.Forward followed by r.Forward, bit for bit, as one pass:
+// bias and activation are applied to each output row while the product has
+// it in L1, and the pre-activation matrix, which no backward reads, is never
+// written. Both layers retain what their backward needs.
+func (d *Dense) forwardReLU(x *tensor.Matrix, r *ReLU) *tensor.Matrix {
+	d.retain(x)
+	r.out = tensor.Reshape(r.out, x.Rows, d.W.Cols)
+	return tensor.MatMulBiasParallel(r.out, x, d.W, d.B.Data, true)
+}
+
+func (d *Dense) retain(x *tensor.Matrix) {
 	if x.Cols != d.W.Rows {
 		panic(fmt.Sprintf("nn: Dense forward got width %d, want %d", x.Cols, d.W.Rows))
 	}
 	d.lastX = x
-	// Reshape reuses the output backing across varying batch sizes; the
-	// matmul overwrites every element, so stale contents are fine.
-	d.out = tensor.Reshape(d.out, x.Rows, d.W.Cols)
-	tensor.MatMulParallel(d.out, x, d.W)
-	d.out.AddRowVector(d.B.Data)
-	return d.out
 }
 
 // Backward accumulates ∂L/∂W and ∂L/∂b and returns ∂L/∂x.
 func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if d.lastX == nil {
-		panic("nn: Dense backward before forward")
-	}
-	if grad.Rows != d.lastX.Rows || grad.Cols != d.W.Cols {
-		panic(fmt.Sprintf("nn: Dense backward grad %dx%d, want %dx%d", grad.Rows, grad.Cols, d.lastX.Rows, d.W.Cols))
-	}
+	d.BackwardParams(grad)
+	return d.BackwardInput(grad)
+}
+
+// BackwardParams accumulates ∂L/∂W and ∂L/∂b only.
+func (d *Dense) BackwardParams(grad *tensor.Matrix) {
+	d.checkBackward(grad)
 	// gradW += xᵀ·grad  (accumulated; ZeroGrads clears between steps)
 	if d.gwScratch == nil {
 		d.gwScratch = tensor.New(d.W.Rows, d.W.Cols)
@@ -92,10 +112,23 @@ func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	// gradB += column sums of grad
 	d.sumScratch = grad.SumRows(d.sumScratch)
 	tensor.AXPY(d.gradB.Data, 1, d.sumScratch)
-	// gradIn = grad·Wᵀ
+}
+
+// BackwardInput returns ∂L/∂x = grad·Wᵀ only.
+func (d *Dense) BackwardInput(grad *tensor.Matrix) *tensor.Matrix {
+	d.checkBackward(grad)
 	d.gradIn = tensor.Reshape(d.gradIn, grad.Rows, d.W.Rows)
 	tensor.MatMulTransBParallel(d.gradIn, grad, d.W)
 	return d.gradIn
+}
+
+func (d *Dense) checkBackward(grad *tensor.Matrix) {
+	if d.lastX == nil {
+		panic("nn: Dense backward before forward")
+	}
+	if grad.Rows != d.lastX.Rows || grad.Cols != d.W.Cols {
+		panic(fmt.Sprintf("nn: Dense backward grad %dx%d, want %dx%d", grad.Rows, grad.Cols, d.lastX.Rows, d.W.Cols))
+	}
 }
 
 // Params returns the trainable tensors (weights then bias).
@@ -116,9 +149,11 @@ func (d *Dense) SharedClone() Layer {
 	}
 }
 
-// ReLU is the rectified-linear activation layer.
+// ReLU is the rectified-linear activation layer. The output it retains
+// between Forward and Backward doubles as the mask — an element was active
+// exactly where the output is non-zero — so the output must not be modified
+// in between (Dense retains its input under the same rule).
 type ReLU struct {
-	mask   []bool // true where the input was positive
 	out    *tensor.Matrix
 	gradIn *tensor.Matrix
 }
@@ -126,41 +161,37 @@ type ReLU struct {
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward computes max(x, 0), remembering the active mask.
+// Forward computes max(x, 0), branch-free on the data (see tensor.ReLU).
 func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
-	n := len(x.Data)
 	r.out = tensor.Reshape(r.out, x.Rows, x.Cols)
-	if cap(r.mask) < n {
-		r.mask = make([]bool, n)
-	}
-	r.mask = r.mask[:n]
+	out := r.out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			r.out.Data[i] = v
-			r.mask[i] = true
-		} else {
-			r.out.Data[i] = 0
-			r.mask[i] = false
-		}
+		out[i] = tensor.ReLU(v)
 	}
 	return r.out
 }
 
-// Backward zeroes the gradient where the forward input was non-positive.
+// Backward zeroes the gradient where the forward input was non-positive,
+// i.e. where the retained output is +0, again with a mask instead of a
+// branch: -bits is negative exactly when the output's bits are non-zero.
 func (r *ReLU) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if r.mask == nil || len(grad.Data) != len(r.mask) {
+	if r.out == nil || grad.Rows != r.out.Rows || grad.Cols != r.out.Cols {
 		panic("nn: ReLU backward shape does not match forward")
 	}
 	r.gradIn = tensor.Reshape(r.gradIn, grad.Rows, grad.Cols)
+	out, gradIn := r.out.Data[:len(grad.Data)], r.gradIn.Data[:len(grad.Data)]
 	for i, g := range grad.Data {
-		if r.mask[i] {
-			r.gradIn.Data[i] = g
-		} else {
-			r.gradIn.Data[i] = 0
-		}
+		active := uint64(-int64(math.Float64bits(out[i])) >> 63)
+		gradIn[i] = math.Float64frombits(math.Float64bits(g) & active)
 	}
 	return r.gradIn
 }
+
+// BackwardInput is Backward: ReLU has no parameters.
+func (r *ReLU) BackwardInput(grad *tensor.Matrix) *tensor.Matrix { return r.Backward(grad) }
+
+// BackwardParams does nothing: ReLU has no parameters.
+func (r *ReLU) BackwardParams(*tensor.Matrix) {}
 
 // Params returns nil; ReLU has no trainable parameters.
 func (r *ReLU) Params() []*tensor.Matrix { return nil }
@@ -169,5 +200,5 @@ func (r *ReLU) Params() []*tensor.Matrix { return nil }
 func (r *ReLU) Grads() []*tensor.Matrix { return nil }
 
 // SharedClone implements Layer; ReLU has no parameters, so the clone is a
-// fresh layer with its own mask and scratch.
+// fresh layer with its own scratch.
 func (r *ReLU) SharedClone() Layer { return NewReLU() }

@@ -288,3 +288,115 @@ func TestDenseGradAccumulatesAcrossBackward(t *testing.T) {
 		}
 	}
 }
+
+// TestReLUMatchesBranchingDefinition compares the mask-based ReLU with the
+// definition it replaced (out = v if v > 0 else +0; gradIn = g where v > 0
+// else +0), bit for bit, over signed zeros, denormals, infinities and random
+// values. NaN inputs are excluded: the old code mapped them to 0, the mask
+// keeps a NaN whose sign bit is clear.
+func TestReLUMatchesBranchingDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	xs := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64}
+	for len(xs) < 256 {
+		xs = append(xs, rng.NormFloat64())
+	}
+	gs := make([]float64, len(xs))
+	for i := range gs {
+		gs[i] = rng.NormFloat64()
+	}
+	gs[8], gs[9], gs[10] = math.Inf(-1), math.NaN(), math.Copysign(0, -1)
+	r := NewReLU()
+	out := r.Forward(tensor.FromSlice(4, len(xs)/4, xs))
+	gradIn := r.BackwardInput(tensor.FromSlice(4, len(xs)/4, gs))
+	for i, v := range xs {
+		wantOut, wantGrad := 0.0, 0.0
+		if v > 0 {
+			wantOut, wantGrad = v, gs[i]
+		}
+		if math.Float64bits(out.Data[i]) != math.Float64bits(wantOut) {
+			t.Fatalf("ReLU(%v) = %v (%x), want %v", v, out.Data[i], math.Float64bits(out.Data[i]), wantOut)
+		}
+		if math.Float64bits(gradIn.Data[i]) != math.Float64bits(wantGrad) {
+			t.Fatalf("ReLU'(%v)·%v = %v (%x), want %v", v, gs[i], gradIn.Data[i], math.Float64bits(gradIn.Data[i]), wantGrad)
+		}
+	}
+}
+
+// requireSameBits fails unless got and want have one shape and the same bits.
+func requireSameBits(t *testing.T, what string, got, want *tensor.Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: element %d = %v, want %v", what, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestSelectiveBackwardMatchesBackward: BackwardInput returns the bits
+// Backward returns and touches no parameter gradient; BackwardParams
+// accumulates the bits Backward accumulates, on top of whatever was there.
+func TestSelectiveBackwardMatchesBackward(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	ref := NewMLP(rng, 7, 9, 6, 3)
+	x, grad := tensor.New(5, 7), tensor.New(5, 3)
+	x.RandNormal(rng, 0, 1)
+	grad.RandNormal(rng, 0, 1)
+	// Non-zero starting gradients: accumulation, not overwrite, is the contract.
+	seedGrads := func(net *Network) {
+		for pi, g := range net.Grads() {
+			for j := range g.Data {
+				g.Data[j] = float64(pi+1) + 0.25*float64(j)
+			}
+		}
+	}
+
+	seedGrads(ref)
+	ref.Forward(x)
+	wantIn := ref.Backward(grad).Clone()
+
+	inOnly := ref.SharedClone()
+	seedGrads(inOnly)
+	before := make([]*tensor.Matrix, len(inOnly.Grads()))
+	for i, g := range inOnly.Grads() {
+		before[i] = g.Clone()
+	}
+	inOnly.Forward(x)
+	requireSameBits(t, "BackwardInput result", inOnly.BackwardInput(grad), wantIn)
+	for i, g := range inOnly.Grads() {
+		requireSameBits(t, "parameter gradient after BackwardInput", g, before[i])
+	}
+
+	paramsOnly := ref.SharedClone()
+	seedGrads(paramsOnly)
+	paramsOnly.Forward(x)
+	paramsOnly.BackwardParams(grad)
+	for i, g := range paramsOnly.Grads() {
+		requireSameBits(t, "BackwardParams gradient", g, ref.Grads()[i])
+	}
+}
+
+// TestFusedForwardMatchesLayerByLayer: Network.Forward runs Dense+ReLU pairs
+// as one pass; the result, and everything a following backward computes from
+// the state the fused pass retains, must equal calling each layer in turn.
+func TestFusedForwardMatchesLayerByLayer(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	fused := NewMLP(rng, 7, 9, 6, 3)
+	plain := fused.SharedClone()
+	x, grad := tensor.New(5, 7), tensor.New(5, 3)
+	x.RandNormal(rng, 0, 1)
+	grad.RandNormal(rng, 0, 1)
+
+	want := x
+	for _, l := range plain.Layers {
+		want = l.Forward(want)
+	}
+	got := fused.Forward(x)
+	requireSameBits(t, "fused output", got, want)
+	requireSameBits(t, "input gradient after fused forward", fused.Backward(grad), plain.Backward(grad))
+	for i, g := range fused.Grads() {
+		requireSameBits(t, "parameter gradient after fused forward", g, plain.Grads()[i])
+	}
+}

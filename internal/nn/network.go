@@ -38,10 +38,18 @@ func NewMLP(rng *rand.Rand, widths ...int) *Network {
 
 // Forward runs the batch through every layer and returns the output.
 // The returned matrix is owned by the final layer and is overwritten by the
-// next Forward call.
+// next Forward call. A Dense layer directly followed by a ReLU runs as one
+// fused pass with the same result as the two Forward calls.
 func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {
-	for _, l := range n.Layers {
-		x = l.Forward(x)
+	for i := 0; i < len(n.Layers); i++ {
+		if d, ok := n.Layers[i].(*Dense); ok && i+1 < len(n.Layers) {
+			if r, ok := n.Layers[i+1].(*ReLU); ok {
+				x = d.forwardReLU(x, r)
+				i++
+				continue
+			}
+		}
+		x = n.Layers[i].Forward(x)
 	}
 	return x
 }
@@ -53,6 +61,30 @@ func (n *Network) Backward(grad *tensor.Matrix) *tensor.Matrix {
 		grad = n.Layers[i].Backward(grad)
 	}
 	return grad
+}
+
+// BackwardInput returns the same input gradient as Backward and leaves every
+// parameter gradient untouched: no xᵀ·grad product is computed. It is for
+// differentiating through a network whose own parameters are not being
+// trained in this step (the critic, during the actor update).
+func (n *Network) BackwardInput(grad *tensor.Matrix) *tensor.Matrix {
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		grad = n.Layers[i].BackwardInput(grad)
+	}
+	return grad
+}
+
+// BackwardParams accumulates the same parameter gradients as Backward and
+// returns nothing: the first layer's grad·Wᵀ, which only the (discarded)
+// input gradient needs, is not computed. It is for a network at the bottom
+// of the graph, whose input is data.
+func (n *Network) BackwardParams(grad *tensor.Matrix) {
+	for i := len(n.Layers) - 1; i > 0; i-- {
+		grad = n.Layers[i].Backward(grad)
+	}
+	if len(n.Layers) > 0 {
+		n.Layers[0].BackwardParams(grad)
+	}
 }
 
 // Params returns all trainable tensors in layer order. The slice is cached

@@ -115,82 +115,55 @@ func (m *Matrix) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 }
 
 // MatMul computes dst = a × b. dst must be a.Rows×b.Cols and must not alias
-// a or b. It returns dst for chaining.
+// a or b. It returns dst for chaining. kernels.go states the rounding and
+// zero-skip contract of all three products.
 func MatMul(dst, a, b *Matrix) *Matrix {
+	checkMatMul(dst, a, b)
+	matMulRows(dst, a, b, nil, false, 0, dst.Rows)
+	return dst
+}
+
+func checkMatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-	dst.Zero()
-	// ikj loop order keeps the inner loop streaming over contiguous rows of
-	// b and dst, which matters for the large joint-observation critics.
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range brow {
-				drow[j] += av * brow[j]
-			}
-		}
-	}
-	return dst
 }
 
 // MatMulTransA computes dst = aᵀ × b where a is stored untransposed.
-// dst must be a.Cols×b.Cols.
+// dst must be a.Cols×b.Cols and must not alias a or b.
 func MatMulTransA(dst, a, b *Matrix) *Matrix {
+	checkMatMulTransA(dst, a, b)
+	matMulTransARows(dst, a, b, 0, dst.Rows)
+	return dst
+}
+
+func checkMatMulTransA(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransA outer mismatch %dx%d ᵀ× %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransA dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
-	dst.Zero()
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			drow := dst.Row(i)
-			for j := range brow {
-				drow[j] += av * brow[j]
-			}
-		}
-	}
-	return dst
 }
 
 // MatMulTransB computes dst = a × bᵀ where b is stored untransposed.
-// dst must be a.Rows×b.Rows.
+// dst must be a.Rows×b.Rows and must not alias a or b.
 func MatMulTransB(dst, a, b *Matrix) *Matrix {
+	checkMatMulTransB(dst, a, b)
+	matMulTransBRows(dst, a, b, 0, dst.Rows)
+	return dst
+}
+
+func checkMatMulTransB(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner mismatch %dx%d × %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransB dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var sum float64
-			for k, av := range arow {
-				sum += av * brow[k]
-			}
-			drow[j] = sum
-		}
-	}
-	return dst
 }
 
 // Add computes dst = a + b elementwise. dst may alias a or b.

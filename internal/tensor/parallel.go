@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -74,78 +75,36 @@ func parallelRows(rows, flops int, fn func(lo, hi int)) {
 // MatMulParallel computes dst = a × b like MatMul, fanning row blocks out
 // across cores for large inputs. dst must not alias a or b.
 func MatMulParallel(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		// Delegate to MatMul for its precise panic messages.
-		return MatMul(dst, a, b)
+	checkMatMul(dst, a, b)
+	parallelRows(dst.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) { matMulRows(dst, a, b, nil, false, lo, hi) })
+	return dst
+}
+
+// MatMulBiasParallel computes dst = a × b + bias like MatMulParallel followed
+// by AddRowVector, and with relu dst = max(a × b + bias, 0) like ReLU after
+// that, bit for bit — but in one pass, finishing each row while it is in L1.
+// It is a dense layer's forward, with or without its activation.
+func MatMulBiasParallel(dst, a, b *Matrix, bias []float64, relu bool) *Matrix {
+	checkMatMul(dst, a, b)
+	if len(bias) != dst.Cols {
+		panic(fmt.Sprintf("tensor: MatMulBiasParallel bias len %d want %d", len(bias), dst.Cols))
 	}
-	parallelRows(a.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			drow := dst.Row(i)
-			for j := range drow {
-				drow[j] = 0
-			}
-			for k := 0; k < a.Cols; k++ {
-				av := arow[k]
-				if av == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j := range brow {
-					drow[j] += av * brow[j]
-				}
-			}
-		}
-	})
+	parallelRows(dst.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) { matMulRows(dst, a, b, bias, relu, lo, hi) })
 	return dst
 }
 
 // MatMulTransBParallel computes dst = a × bᵀ like MatMulTransB with row
 // parallelism for large inputs.
 func MatMulTransBParallel(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		return MatMulTransB(dst, a, b)
-	}
-	parallelRows(a.Rows, a.Rows*a.Cols*b.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			drow := dst.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				brow := b.Row(j)
-				var sum float64
-				for k, av := range arow {
-					sum += av * brow[k]
-				}
-				drow[j] = sum
-			}
-		}
-	})
+	checkMatMulTransB(dst, a, b)
+	parallelRows(dst.Rows, a.Rows*a.Cols*b.Rows, func(lo, hi int) { matMulTransBRows(dst, a, b, lo, hi) })
 	return dst
 }
 
 // MatMulTransAParallel computes dst = aᵀ × b like MatMulTransA,
 // parallelized over dst rows (columns of a) for large inputs.
 func MatMulTransAParallel(dst, a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		return MatMulTransA(dst, a, b)
-	}
-	parallelRows(a.Cols, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			drow := dst.Row(i)
-			for j := range drow {
-				drow[j] = 0
-			}
-			for k := 0; k < a.Rows; k++ {
-				av := a.Data[k*a.Cols+i]
-				if av == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j := range brow {
-					drow[j] += av * brow[j]
-				}
-			}
-		}
-	})
+	checkMatMulTransA(dst, a, b)
+	parallelRows(dst.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) { matMulTransARows(dst, a, b, lo, hi) })
 	return dst
 }

@@ -27,6 +27,14 @@ func AXPY(dst []float64, s float64, src []float64) {
 	}
 }
 
+// ReLU returns max(v, 0) without branching on v: an arithmetic shift smears
+// the sign bit into a mask that clears negative values (and -0) to +0 and
+// keeps everything else, +Inf and a NaN with a clear sign bit included.
+func ReLU(v float64) float64 {
+	b := math.Float64bits(v)
+	return math.Float64frombits(b &^ uint64(int64(b)>>63))
+}
+
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	var s float64
