@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-check bench-kernels bench-workers bench-rollout bench-replay bench-serve cluster-smoke chaos-smoke trace-smoke serve-smoke examples experiments-small experiments-full clean
+.PHONY: all build test vet race bench bench-check bench-kernels bench-workers bench-rollout bench-replay bench-serve cluster-smoke chaos-smoke serve-smoke examples experiments-small experiments-full clean
 
 all: build vet test
 
@@ -51,15 +51,11 @@ bench-serve:
 	$(GO) test -run '^$$' -bench '^BenchmarkServe$$' -benchtime 30000x -count 3 .
 
 # Five-process full-loop smoke: replayd + policyd + two actors + learner,
-# race-instrumented, asserting ≥2 policy hot-swaps per actor.
-cluster-smoke:
-	bash scripts/cluster_smoke.sh
-
-# Tracing-focused alias of the cluster smoke: the same five-process run
+# race-instrumented, asserting ≥2 policy hot-swaps per actor. The same run
 # captures /tracez from every process, merges them with marl-trace, and
 # gates on ≥1 trace spanning ≥4 processes plus the learner span/profiler
 # reconciliation within 5%.
-trace-smoke:
+cluster-smoke:
 	bash scripts/cluster_smoke.sh
 
 # Five-process chaos smoke: seeded kills, a policyd partition and a 10%

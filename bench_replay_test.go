@@ -2,9 +2,10 @@ package marlperf
 
 // Experience-service benchmark: the cost of drawing a mini-batch through
 // the replay path, local (in-process expstore sampling) versus remote
-// (the full expserve HTTP round trip with server-side sampling), swept
-// across batch sizes for both plan-able strategies. Remote cells run in
-// two configurations: a single-connection synchronous client (the
+// (the full expserve HTTP round trip with server-side sampling through a
+// one-group fabric, what a plain -replay-addr builds), swept across batch
+// sizes for both plan-able strategies. Remote cells run in two
+// configurations: a single-connection synchronous client (the
 // worst-case serial path) and a striped pipelined client that overlaps
 // several prefetched sample RPCs (what -sample-conns/-prefetch give a
 // learner). The grid is written to BENCH_replay.json with the same
@@ -53,18 +54,56 @@ func benchReplaySpec() replay.Spec {
 	}
 }
 
-// benchReplayFill packs rows rows of synthetic transitions into the ring.
-func benchReplayFill(b *testing.B, ring *expstore.Ring, rows int) {
+// benchReplayFill ships rows synthetic transitions into the fabric from a
+// single producer, so the fabric view is balanced (the production shape).
+func benchReplayFill(b *testing.B, fabric *expserve.Fabric, spec replay.Spec, rows int) {
 	b.Helper()
-	layout := ring.Layout()
-	rng := rand.New(rand.NewSource(11))
-	row := make([]float64, layout.Stride())
-	for i := 0; i < rows; i++ {
-		for j := range row {
-			row[j] = rng.Float64()
-		}
-		ring.Append(row)
+	filler, err := expserve.NewShardedSink(fabric, "filler", spec)
+	if err != nil {
+		b.Fatal(err)
 	}
+	filler.SetMaxBatchRows(4096)
+	obs, act, rew, nxt, done := benchShardRow(spec, rand.New(rand.NewSource(5)))
+	for i := 0; i < rows; i++ {
+		if err := filler.Add(obs, act, rew, nxt, done); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := filler.Flush(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchOneGroupFabric routes to the server at url the way a plain
+// -replay-addr does — one group, one member — with the member client
+// striped over conns connections.
+func benchOneGroupFabric(b *testing.B, url string, conns int) *expserve.Fabric {
+	b.Helper()
+	groups, err := expshard.ParseSpec(url)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fabric, err := expserve.NewFabric(groups, expserve.FabricOptions{
+		Client: expserve.ClientOptions{Timeout: 30 * time.Second, Attempts: 1, JitterSeed: 1, Conns: conns},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fabric
+}
+
+// benchOneGroupSource returns a source over benchOneGroupFabric with its
+// stream view already frozen.
+func benchOneGroupSource(b *testing.B, url string, spec replay.Spec, plan replay.SamplePlan, conns int) *expserve.ShardedSource {
+	b.Helper()
+	src, err := expserve.NewShardedSource(benchOneGroupFabric(b, url, conns), spec, plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := src.Len(); err != nil {
+		b.Fatal(err)
+	}
+	return src
 }
 
 // newBenchFabric builds shards in-process replayd servers at R=1 behind
@@ -124,8 +163,6 @@ const pipeDepth = 4
 func BenchmarkExpServeSample(b *testing.B) {
 	spec := benchReplaySpec()
 	ring := expstore.NewRing(spec)
-	benchReplayFill(b, ring, spec.Capacity)
-
 	srv, err := expserve.NewServer(expserve.ServerConfig{Provider: ring, Spec: spec})
 	if err != nil {
 		b.Fatal(err)
@@ -133,6 +170,7 @@ func BenchmarkExpServeSample(b *testing.B) {
 	defer srv.Close()
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
+	benchReplayFill(b, benchOneGroupFabric(b, hs.URL, 1), spec, spec.Capacity)
 
 	plans := []struct {
 		name string
@@ -162,13 +200,7 @@ func BenchmarkExpServeSample(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			syncClient := expserve.NewClient(hs.URL, expserve.ClientOptions{
-				Timeout: 30 * time.Second, Attempts: 1, JitterSeed: 1,
-			})
-			syncSrc, err := expserve.NewRemoteSource(syncClient, spec, p.plan)
-			if err != nil {
-				b.Fatal(err)
-			}
+			syncSrc := benchOneGroupSource(b, hs.URL, spec, p.plan, 1)
 
 			for _, mode := range []struct {
 				name string
@@ -204,14 +236,7 @@ func BenchmarkExpServeSample(b *testing.B) {
 			// learner's -sample-conns/-prefetch configuration. One measured
 			// op covers pipeDepth batches, so ns_per_op is normalized per
 			// batch to stay comparable with the synchronous cells.
-			pipeClient := expserve.NewClient(hs.URL, expserve.ClientOptions{
-				Timeout: 30 * time.Second, Attempts: 1, JitterSeed: 1, Conns: pipeDepth,
-			})
-			pipeSrc, err := expserve.NewRemoteSource(pipeClient, spec, p.plan)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pf := expserve.NewPrefetchSource(pipeSrc, pipeDepth, nil)
+			pf := expserve.NewPrefetchSource(benchOneGroupSource(b, hs.URL, spec, p.plan, pipeDepth), pipeDepth, nil)
 			name := p.name + "/" + benchName("batch", batch) + "/remote-pipelined"
 			b.Run(name, func(b *testing.B) {
 				seeds := make([]int64, pipeDepth)
@@ -240,13 +265,12 @@ func BenchmarkExpServeSample(b *testing.B) {
 			})
 		}
 	}
-	// Sharded-fabric dimension: the same draw fanned in across shards∈
-	// {1,2,4} replay shards (R=1), and aggregate replicated ingest under
-	// GOMAXPROCS concurrent producers. The shards=1 sample cell isolates
-	// the shard-wire overhead (view shipped per request, slot merge)
-	// against the plain remote path; the ingest cells carry the scaling
-	// gate — 2-shard aggregate ingest must beat single-shard on multi-core
-	// because each shard applies its sub-stream independently.
+	// Sharded-fabric dimension: aggregate replicated ingest under
+	// GOMAXPROCS concurrent producers across shards ∈ {1,2,4} (R=1), and
+	// the same draw fanned in across shards ∈ {2,4} (the one-shard draw is
+	// the "remote" cells above). The ingest cells carry the scaling gate —
+	// 2-shard aggregate ingest must beat single-shard on multi-core because
+	// each shard applies its sub-stream independently.
 	for _, shards := range []int{1, 2, 4} {
 		fabric := newBenchFabric(b, spec, shards)
 
@@ -290,23 +314,13 @@ func BenchmarkExpServeSample(b *testing.B) {
 			})
 		})
 
-		// Sample cells draw from a fresh single-producer fill so the
-		// fabric view is balanced (the production shape).
+		if shards == 1 {
+			continue
+		}
+		// Sample cells draw from a fresh fill: the ingest cells' concurrent
+		// producers leave an unbalanced view.
 		sampleFabric := newBenchFabric(b, spec, shards)
-		filler, err := expserve.NewShardedSink(sampleFabric, "filler", spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		filler.SetMaxBatchRows(4096)
-		obs, act, rew, nxt, done := benchShardRow(spec, rand.New(rand.NewSource(5)))
-		for i := 0; i < spec.Capacity/2; i++ {
-			if err := filler.Add(obs, act, rew, nxt, done); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := filler.Flush(); err != nil {
-			b.Fatal(err)
-		}
+		benchReplayFill(b, sampleFabric, spec, spec.Capacity/2)
 		for _, p := range plans {
 			src, err := expserve.NewShardedSource(sampleFabric, spec, p.plan)
 			if err != nil {

@@ -49,21 +49,11 @@ const (
 	exitInterrupted = 3
 )
 
-// experienceSink is what the rollout loop needs from either sink shape:
-// a single replayd (expserve.RemoteSink) or a sharded fabric
-// (expserve.ShardedSink).
-type experienceSink interface {
-	replay.TransitionSink
-	EnableSpool(expserve.SpoolOptions) error
-	SpoolLen() int
-	DrainSpool() error
-}
-
 func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		replayAddr  = flag.String("replay-addr", "127.0.0.1:9300", "experience service address (marl-replayd), or a sharded fabric spec like \"h1:9300|h1:9301,h2:9300\" (comma-separated shard groups of pipe-separated replicas)")
+		replayAddr  = flag.String("replay-addr", "127.0.0.1:9300", "replay fabric spec (marl-replayd addresses): comma-separated shard groups, each a pipe-separated replica list (\"h:9300\" is one shard, \"h1:9300|h1:9301,h2:9300\" two shards, the first at R=2)")
 		policyAddr  = flag.String("policy-addr", "", "policy service address (marl-policyd); empty acts with the -load/fresh policy forever")
 		actorID     = flag.String("actor-id", "actor-0", "unique id for this actor's idempotent append stream")
 		envName     = flag.String("env", "cn", "environment: pp, cn or pd (must match the service)")
@@ -84,7 +74,7 @@ func run() int {
 		traceSample = flag.Int("trace-sample", 64, "with -trace: trace every Nth engine step")
 		traceBuf    = flag.Int("trace-buf", trace.DefaultCapacity, "with -trace: span ring-buffer capacity in records")
 		traceOut    = flag.String("trace-out", "", "with -trace: write the recorded spans as Chrome trace JSON to this file at exit")
-		spoolDir    = flag.String("spool-dir", "", "spool experience batches here while the experience service is unreachable; drained in order on recovery (empty: outages fail the actor)")
+		spoolDir    = flag.String("spool-dir", "", "spool experience batches here (one subdirectory per fabric member) while the experience service is unreachable; drained in order on recovery (empty: outages fail the actor)")
 		spoolMaxMB  = flag.Int("spool-max-mb", 1024, "spool size cap in MiB; a full spool stops collection instead of filling the disk")
 		maxStale    = flag.Duration("max-staleness", 0, "pause collection when the policy service has been silent this long (0: act on the last snapshot indefinitely)")
 		chaosSeed   = flag.Int64("chaos-seed", 1, "seed for the deterministic fault injector (-chaos-replay/-chaos-policy)")
@@ -217,91 +207,52 @@ Flags:
 	onDrain := func(batches int) {
 		fmt.Fprintf(os.Stderr, "spool: drained %d batch(es) to the service\n", batches)
 	}
-	var sink experienceSink
-	if expshard.IsSharded(*replayAddr) {
-		// Sharded fabric: replicated appends fan out across shard groups,
-		// routed by each row's global stream index.
-		groups, err := expshard.ParseSpec(*replayAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "-replay-addr:", err)
-			return exitUsage
-		}
-		fabric, err := expserve.NewFabric(groups, expserve.FabricOptions{
-			Client: expserve.ClientOptions{
-				Registry:  registry,
-				Transport: replayTransport,
-				Tracer:    tracer,
-			},
-			Registry: registry,
-			Tracer:   tracer,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitError
-		}
-		ssink, err := expserve.NewShardedSink(fabric, *actorID, spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitError
-		}
-		ssink.SetMaxBatchRows(*batchRows)
-		ssink.OnSpool, ssink.OnDrain = onSpool, onDrain
-		// Validate the shape against the first reachable member and fast-
-		// forward each member's append cursor. With a spool armed an
-		// unreachable fabric is survivable.
-		if sp, err := fabric.FetchSpec(); err != nil {
-			if *spoolDir == "" {
-				fmt.Fprintln(os.Stderr, "experience fabric unreachable:", err)
-				return exitError
-			}
-			fmt.Fprintln(os.Stderr, "experience fabric unreachable; spooling until it recovers:", err)
-		} else {
-			if sp.NumAgents != spec.NumAgents || sp.ActDim != spec.ActDim {
-				fmt.Fprintf(os.Stderr, "fabric shape mismatch: it stores %d agents × %d actions, this env has %d × %d\n",
-					sp.NumAgents, sp.ActDim, spec.NumAgents, spec.ActDim)
-				return exitUsage
-			}
-			ssink.ResumeCursors()
-		}
-		fmt.Printf("experience fabric: %s\n", expshard.FormatTopology(fabric.Snapshot()))
-		sink = ssink
-	} else {
-		client := expserve.NewClient(*replayAddr, expserve.ClientOptions{
+	// Replicated appends fan out across shard groups, routed by each row's
+	// global stream index.
+	groups, err := expshard.ParseSpec(*replayAddr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "-replay-addr:", err)
+		return exitUsage
+	}
+	fabric, err := expserve.NewFabric(groups, expserve.FabricOptions{
+		Client: expserve.ClientOptions{
 			Registry:  registry,
 			Transport: replayTransport,
 			Tracer:    tracer,
-		})
-		rsink, err := expserve.NewRemoteSink(client, *actorID, spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		},
+		Registry: registry,
+		Tracer:   tracer,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return exitError
+	}
+	sink, err := expserve.NewShardedSink(fabric, *actorID, spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return exitError
+	}
+	sink.SetMaxBatchRows(*batchRows)
+	sink.OnSpool, sink.OnDrain = onSpool, onDrain
+	// Validate the shape against the first reachable member and fast-
+	// forward each member's append cursor, so a restart under the same
+	// -actor-id does not replay sequence numbers the servers will silently
+	// dedup. With a spool armed an unreachable fabric is survivable.
+	if sp, err := fabric.FetchSpec(); err != nil {
+		if *spoolDir == "" {
+			fmt.Fprintln(os.Stderr, "experience fabric unreachable:", err)
 			return exitError
 		}
-		rsink.MaxBatchRows = *batchRows
-		rsink.OnSpool, rsink.OnDrain = onSpool, onDrain
-		// Validate the shape before collecting anything, and pick up this
-		// actor's applied-append cursor so a restart under the same -actor-id
-		// does not replay sequence numbers the server will silently dedup.
-		// With a spool armed, an unreachable service is survivable: warn and
-		// start collecting into the spool.
-		if st, err := client.ServiceStats(); err != nil {
-			if *spoolDir == "" {
-				fmt.Fprintln(os.Stderr, "experience service unreachable:", err)
-				return exitError
-			}
-			fmt.Fprintln(os.Stderr, "experience service unreachable; spooling until it recovers:", err)
-		} else {
-			if st.Spec.NumAgents != spec.NumAgents || st.Spec.ActDim != spec.ActDim {
-				fmt.Fprintf(os.Stderr, "service shape mismatch: it stores %d agents × %d actions, this env has %d × %d\n",
-					st.Spec.NumAgents, st.Spec.ActDim, spec.NumAgents, spec.ActDim)
-				return exitUsage
-			}
-			if cursor, ok := st.Actors[*actorID]; ok {
-				rsink.SkipTo(cursor)
-				fmt.Printf("resuming append stream %q at seq %d\n", *actorID, cursor+1)
-			}
+		fmt.Fprintln(os.Stderr, "experience fabric unreachable; spooling until it recovers:", err)
+	} else {
+		if sp.NumAgents != spec.NumAgents || sp.ActDim != spec.ActDim {
+			fmt.Fprintf(os.Stderr, "fabric shape mismatch: it stores %d agents × %d actions, this env has %d × %d\n",
+				sp.NumAgents, sp.ActDim, spec.NumAgents, spec.ActDim)
+			return exitUsage
 		}
-		sink = rsink
+		sink.ResumeCursors()
 	}
+	fmt.Printf("experience fabric: %s\n", expshard.FormatTopology(fabric.Snapshot()))
 	if *spoolDir != "" {
 		if err := sink.EnableSpool(expserve.SpoolOptions{
 			Dir:      *spoolDir,

@@ -72,13 +72,13 @@ func run() int {
 
 Serves the experience service for a networked actor/learner split:
 POST /v1/append ingests CRC-framed transition batches (idempotent per
-actor sequence number, bounded queue, 429 backpressure), POST /v1/sample
-executes seeded uniform or locality sampling server-side over the packed
-rows — binary request frames are answered zero-copy from the row store
-(JSON requests still work for hand-testing), with response volume on
-marl_exp_sample_bytes_total. GET /v1/stats reports the spec and
-occupancy. /metrics exposes the marl_exp_* series; /healthz reports
-liveness.
+actor sequence number, bounded queue, 429 backpressure), POST
+/v1/shard-sample executes this store's slice of a seeded uniform or
+locality draw server-side over the packed rows — the request carries the
+client's frozen fabric view, the reply is gathered zero-copy from the
+row store — with response volume on marl_exp_sample_bytes_total. GET
+/v1/stats reports the spec and occupancy. /metrics exposes the
+marl_exp_* series; /healthz reports liveness.
 
 Every acknowledged append is flushed to the store first, so with -dir a
 kill -9 loses nothing an actor saw acknowledged.
@@ -249,7 +249,7 @@ Flags:
 	}
 	fmt.Printf("experience service: %s agents=%d stride=%d capacity=%d%s\n",
 		env.Name(), spec.NumAgents, replay.NewRowLayout(spec).Stride(), spec.Capacity, shardNote)
-	fmt.Printf("serving /v1/append /v1/sample /v1/stats /metrics on http://%s\n", *addr)
+	fmt.Printf("serving /v1/append /v1/shard-sample /v1/stats /metrics on http://%s\n", *addr)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

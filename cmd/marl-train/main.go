@@ -76,7 +76,7 @@ func run() int {
 		traceOut    = flag.String("trace-out", "", "with -trace: write the recorded spans as Chrome trace JSON to this file at exit")
 		profileJSON = flag.String("profile-json", "", "write the final phase profile as JSON to this file at exit")
 
-		replayAddr  = flag.String("replay-addr", "", "use a remote experience service (marl-replayd) instead of the in-process buffer: one address, or a sharded fabric spec like \"h1:9300|h1:9301,h2:9300|h2:9301\" (comma-separated shard groups of pipe-separated replicas)")
+		replayAddr  = flag.String("replay-addr", "", "use a remote experience service (marl-replayd) instead of the in-process buffer: a replay fabric spec of comma-separated shard groups, each a pipe-separated replica list (\"h:9300\" is one shard, \"h1:9300|h1:9301,h2:9300|h2:9301\" two shards at R=2)")
 		actorID     = flag.String("actor-id", "learner-0", "append-stream id for experience this learner collects itself (with -replay-addr)")
 		replayRetry = flag.Duration("replay-retry", 2*time.Minute, "ride out an experience-service outage this long (retries with backoff) before failing the run")
 		sampleConns = flag.Int("sample-conns", 4, "persistent connections striping sample/append traffic to the experience service (with -replay-addr)")
@@ -106,15 +106,15 @@ single learner and a fixed seed this trains bit-identically to the local
 run, because sampling is a pure function of (plan, length, seed) on
 either side.
 
-A -replay-addr containing "," "|" or "=" is a sharded fabric spec:
-comma-separated shard groups, each a pipe-separated list of replica
-replayd addresses ("h1:9300|h1:9301,h2:9300|h2:9301" is 2 shards at
-R=2). Experience is time-striped across groups by a consistent-hash
-ring, appends replicate to every member of the owning group, and each
-draw executes server-side on all shards and merges deterministically —
-at R=1 with all shards live, training stays bit-identical to a single
-replayd. A down member is served from its replicas; a fully down group
-is skipped with the draw reweighted (counted, never silent).
+-replay-addr is a replay fabric spec: comma-separated shard groups, each
+a pipe-separated list of replica replayd addresses ("h:9300" is one
+shard, "h1:9300|h1:9301,h2:9300|h2:9301" is 2 shards at R=2).
+Experience is time-striped across groups by a consistent-hash ring,
+appends replicate to every member of the owning group, and each draw
+executes server-side on all shards and merges deterministically — at
+R=1 with all shards live, training stays bit-identical to the local run
+at any shard count. A down member is served from its replicas; a fully
+down group is skipped with the draw reweighted (counted, never silent).
 
 With -policy-publish-addr the learner closes the actor half of the
 distributed loop: after every -policy-publish-every update stages (and once
@@ -245,13 +245,8 @@ Flags:
 			fmt.Fprintln(os.Stderr, err)
 			return exitError
 		}
-		if fabric != nil {
-			fmt.Printf("experience fabric: %s (plan=%s, actor-id=%s, conns=%d, prefetch=%v)\n",
-				expshard.FormatTopology(fabric.Snapshot()), *sampler, *actorID, *sampleConns, *prefetch)
-		} else {
-			fmt.Printf("experience service: sampling and publishing via %s (plan=%s, actor-id=%s, conns=%d, prefetch=%v)\n",
-				*replayAddr, *sampler, *actorID, *sampleConns, *prefetch)
-		}
+		fmt.Printf("experience fabric: %s (plan=%s, actor-id=%s, conns=%d, prefetch=%v)\n",
+			expshard.FormatTopology(fabric.Snapshot()), *sampler, *actorID, *sampleConns, *prefetch)
 	}
 	if *loadPath != "" {
 		f, err := os.Open(*loadPath)
@@ -390,13 +385,11 @@ Flags:
 	}
 	// Push any experience still buffered in the sink before reporting: the
 	// service must end the run holding every row this process collected.
-	if *replayAddr != "" {
+	if fabric != nil {
 		if err := tr.FlushExperience(); err != nil {
 			fmt.Fprintln(os.Stderr, "final experience flush:", err)
 			return exitError
 		}
-	}
-	if fabric != nil {
 		// One greppable line for the smoke harnesses: how often the fabric
 		// left the happy path.
 		fmt.Printf("shard fabric: replica_reads=%d degraded_draws=%d\n",
@@ -491,64 +484,28 @@ func wireExperienceService(tr *marlperf.Trainer, cfg marlperf.Config, env marlpe
 		Capacity:  cfg.BufferCapacity,
 	}
 
-	if expshard.IsSharded(addr) {
-		// Sharded fabric: the sampler fans one draw in across every shard
-		// group and the sink fans replicated appends out. Each member gets
-		// a short per-request deadline so a dead replica fails over fast;
-		// -replay-retry bounds how long a draw rides a whole-fabric outage.
-		groups, err := expshard.ParseSpec(addr)
-		if err != nil {
-			return nil, err
-		}
-		fabric, err := expserve.NewFabric(groups, expserve.FabricOptions{
-			Client: expserve.ClientOptions{
-				Registry: reg,
-				Conns:    conns,
-				Tracer:   tracer,
-			},
-			RetryFor: retryFor,
-			Registry: reg,
-			Tracer:   tracer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		src, err := expserve.NewShardedSource(fabric, spec, plan)
-		if err != nil {
-			return nil, err
-		}
-		var source replay.TransitionSource = src
-		if prefetch {
-			source = expserve.NewPrefetchSource(src, conns, reg)
-		}
-		sink, err := expserve.NewShardedSink(fabric, actorID, spec)
-		if err != nil {
-			return nil, err
-		}
-		if spoolDir != "" {
-			if err := sink.EnableSpool(expserve.SpoolOptions{
-				Dir:      spoolDir,
-				MaxBytes: 1 << 30,
-				Registry: reg,
-			}); err != nil {
-				return nil, err
-			}
-		}
-		sink.ResumeCursors()
-		return fabric, tr.SetExperienceService(source, sink)
+	// The sampler fans one draw in across every shard group and the sink
+	// fans replicated appends out. Each member gets a short per-request
+	// deadline so a dead replica fails over fast; -replay-retry bounds how
+	// long a draw or an unspooled append rides a whole-group outage.
+	groups, err := expshard.ParseSpec(addr)
+	if err != nil {
+		return nil, err
 	}
-
-	// The learner would rather ride a replayd restart out than die mid-run:
-	// generous attempts, with -replay-retry as the real bound on how long
-	// one request may keep trying.
-	client := expserve.NewClient(addr, expserve.ClientOptions{
-		Attempts:      1000,
-		TotalDeadline: retryFor,
-		Registry:      reg,
-		Conns:         conns,
-		Tracer:        tracer,
+	fabric, err := expserve.NewFabric(groups, expserve.FabricOptions{
+		Client: expserve.ClientOptions{
+			Registry: reg,
+			Conns:    conns,
+			Tracer:   tracer,
+		},
+		RetryFor: retryFor,
+		Registry: reg,
+		Tracer:   tracer,
 	})
-	src, err := expserve.NewRemoteSource(client, spec, plan)
+	if err != nil {
+		return nil, err
+	}
+	src, err := expserve.NewShardedSource(fabric, spec, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -556,7 +513,7 @@ func wireExperienceService(tr *marlperf.Trainer, cfg marlperf.Config, env marlpe
 	if prefetch {
 		source = expserve.NewPrefetchSource(src, conns, reg)
 	}
-	sink, err := expserve.NewRemoteSink(client, actorID, spec)
+	sink, err := expserve.NewShardedSink(fabric, actorID, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -569,7 +526,8 @@ func wireExperienceService(tr *marlperf.Trainer, cfg marlperf.Config, env marlpe
 			return nil, err
 		}
 	}
-	return nil, tr.SetExperienceService(source, sink)
+	sink.ResumeCursors()
+	return fabric, tr.SetExperienceService(source, sink)
 }
 
 // policyPublisher pushes the learner's actor weights to a policy service at

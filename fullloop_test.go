@@ -8,6 +8,7 @@ import (
 
 	"marlperf"
 	"marlperf/internal/expserve"
+	"marlperf/internal/expshard"
 	"marlperf/internal/expstore"
 	"marlperf/internal/mpe"
 	"marlperf/internal/policysync"
@@ -72,9 +73,20 @@ func TestFullLoopActorLearnerPolicySync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	src, err := expserve.NewRemoteSource(
-		expserve.NewClient(expHTTP.URL, expserve.ClientOptions{}),
-		spec, replay.SamplePlan{Strategy: replay.PlanUniform})
+	// Learner and actor each route through their own one-group fabric,
+	// what a plain -replay-addr builds in their processes.
+	newFabric := func() (*expserve.Fabric, error) {
+		groups, err := expshard.ParseSpec(expHTTP.URL)
+		if err != nil {
+			return nil, err
+		}
+		return expserve.NewFabric(groups, expserve.FabricOptions{})
+	}
+	learnerFabric, err := newFabric()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := expserve.NewShardedSource(learnerFabric, spec, replay.SamplePlan{Strategy: replay.PlanUniform})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +110,15 @@ func TestFullLoopActorLearnerPolicySync(t *testing.T) {
 	actorErr := make(chan error, 1)
 	go func() {
 		actorErr <- func() error {
-			sink, err := expserve.NewRemoteSink(
-				expserve.NewClient(expHTTP.URL, expserve.ClientOptions{}), "actor-0", spec)
+			actorFabric, err := newFabric()
 			if err != nil {
 				return err
 			}
-			sink.MaxBatchRows = 16
+			sink, err := expserve.NewShardedSink(actorFabric, "actor-0", spec)
+			if err != nil {
+				return err
+			}
+			sink.SetMaxBatchRows(16)
 			eng, err := rollout.NewEngine(rollout.Config{
 				NewEnv:        func() mpe.Env { return mpe.NewPredatorPrey(agents) },
 				Envs:          actorEnvs,

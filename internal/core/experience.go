@@ -27,7 +27,7 @@ func (c Config) SamplePlan() (replay.SamplePlan, error) {
 //   - source, when non-nil, replaces the in-process sampler for the update
 //     stage — every mini-batch is drawn through it with one seed per batch
 //     from the requesting agent's RNG stream. The source may be local
-//     (expstore.Source) or remote (expserve.RemoteSource); because index
+//     (expstore.Source) or remote (expserve.ShardedSource); because index
 //     selection is a pure function of (plan, length, seed), the two produce
 //     bit-identical training for the same collected rows.
 //   - sink, when non-nil, additionally receives every collected transition

@@ -8,21 +8,20 @@ package core
 
 import (
 	"bytes"
-	"net/http/httptest"
 	"testing"
 	"time"
 
 	"marlperf/internal/expserve"
-	"marlperf/internal/expstore"
 	"marlperf/internal/faultnet"
 	"marlperf/internal/mpe"
 	"marlperf/internal/telemetry"
 )
 
-// runRemoteTrainer spins up a fresh in-memory experience server and trains
-// episodes against it, optionally through a fault injector and optionally
-// with the prefetch source wrapped in. Returns the checkpoint witness and
-// the prefetch registry (nil when prefetch is off).
+// runRemoteTrainer spins up a fresh in-memory experience server behind a
+// one-group fabric and trains episodes against it, optionally through a
+// fault injector and optionally with the prefetch source wrapped in.
+// Returns the checkpoint witness and the prefetch registry (nil when
+// prefetch is off).
 func runRemoteTrainer(t *testing.T, cfg Config, prefetch bool, inj *faultnet.Injector, episodes int) ([]byte, *telemetry.Registry) {
 	t.Helper()
 	env := mpe.NewCooperativeNavigation(2)
@@ -31,13 +30,6 @@ func runRemoteTrainer(t *testing.T, cfg Config, prefetch bool, inj *faultnet.Inj
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := expstore.NewRing(spec)
-	srv, err := expserve.NewServer(expserve.ServerConfig{Provider: store, Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv)
-	defer func() { hs.Close(); srv.Close() }()
 	opts := expserve.ClientOptions{
 		Timeout:          10 * time.Second,
 		Attempts:         12,
@@ -50,12 +42,12 @@ func runRemoteTrainer(t *testing.T, cfg Config, prefetch bool, inj *faultnet.Inj
 	if inj != nil {
 		opts.Transport = inj.RoundTripper("learner→replay", nil)
 	}
-	client := expserve.NewClient(hs.URL, opts)
-	src, err := expserve.NewRemoteSource(client, spec, plan)
+	fabric := newShardFabric(t, spec, shardFabric{client: opts})
+	src, err := expserve.NewShardedSource(fabric, spec, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink, err := expserve.NewRemoteSink(client, "actor-0", spec)
+	sink, err := expserve.NewShardedSink(fabric, "actor-0", spec)
 	if err != nil {
 		t.Fatal(err)
 	}

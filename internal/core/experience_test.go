@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -60,68 +59,6 @@ func runServiceTrainer(t *testing.T, cfg Config, src replay.TransitionSource, si
 		}
 	}
 	return checkpointBytes(t, tr), tr
-}
-
-// The single-actor fixed-seed determinism contract of the actor/learner
-// split: a trainer feeding and sampling a REMOTE experience service (real
-// HTTP server, segment-packed store on disk) must train bit-identically to
-// one wired to a local in-process store — same insertion order, same
-// per-batch seeds, same plan, therefore the same batches and the same
-// weights.
-func TestRemoteExperienceTrainingMatchesLocal(t *testing.T) {
-	for _, sampler := range []SamplerKind{SamplerUniform, SamplerLocality} {
-		t.Run(sampler.String(), func(t *testing.T) {
-			cfg := expConfig(sampler)
-			env := mpe.NewCooperativeNavigation(2)
-			spec := expSpec(cfg, env)
-			plan, err := cfg.SamplePlan()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Local: in-process ring store.
-			localSrc, err := expstore.NewSource(expstore.NewRing(spec), plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			localCkpt, localTr := runServiceTrainer(t, cfg, localSrc, localSrc, 4)
-			defer localTr.Close()
-
-			// Remote: persistent segment store behind a real HTTP server.
-			store, err := expstore.Open(t.TempDir(), spec, expstore.Options{SegmentRows: 128})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer store.Close()
-			srv, err := expserve.NewServer(expserve.ServerConfig{Provider: store, Spec: spec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hs := httptest.NewServer(srv)
-			defer func() { hs.Close(); srv.Close() }()
-			client := expserve.NewClient(hs.URL, expserve.ClientOptions{Timeout: 10 * time.Second, JitterSeed: 1})
-			remoteSrc, err := expserve.NewRemoteSource(client, spec, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			remoteSink, err := expserve.NewRemoteSink(client, "actor-0", spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			remoteCkpt, remoteTr := runServiceTrainer(t, cfg, remoteSrc, remoteSink, 4)
-			defer remoteTr.Close()
-
-			if localTr.UpdateCount() == 0 {
-				t.Fatal("no updates ran; the determinism check is vacuous")
-			}
-			if localTr.UpdateCount() != remoteTr.UpdateCount() {
-				t.Fatalf("update counts diverge: local %d, remote %d", localTr.UpdateCount(), remoteTr.UpdateCount())
-			}
-			if !bytes.Equal(localCkpt, remoteCkpt) {
-				t.Fatalf("remote-fed training diverged from local: checkpoints differ (%d vs %d bytes)", len(localCkpt), len(remoteCkpt))
-			}
-		})
-	}
 }
 
 // The determinism contract must hold across the parallel update engine too:
@@ -257,13 +194,6 @@ func TestRemoteTrainingBitIdenticalUnderInjectedFaults(t *testing.T) {
 
 	run := func(inj *faultnet.Injector) []byte {
 		t.Helper()
-		store := expstore.NewRing(spec)
-		srv, err := expserve.NewServer(expserve.ServerConfig{Provider: store, Spec: spec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := httptest.NewServer(srv)
-		defer func() { hs.Close(); srv.Close() }()
 		opts := expserve.ClientOptions{
 			Timeout:    10 * time.Second,
 			Attempts:   12,
@@ -276,12 +206,12 @@ func TestRemoteTrainingBitIdenticalUnderInjectedFaults(t *testing.T) {
 		if inj != nil {
 			opts.Transport = inj.RoundTripper("actor→replay", nil)
 		}
-		client := expserve.NewClient(hs.URL, opts)
-		src, err := expserve.NewRemoteSource(client, spec, plan)
+		fabric := newShardFabric(t, spec, shardFabric{client: opts})
+		src, err := expserve.NewShardedSource(fabric, spec, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink, err := expserve.NewRemoteSink(client, "actor-0", spec)
+		sink, err := expserve.NewShardedSink(fabric, "actor-0", spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,13 +8,10 @@ package core
 
 import (
 	"bytes"
-	"net/http/httptest"
 	"runtime"
 	"testing"
-	"time"
 
 	"marlperf/internal/expserve"
-	"marlperf/internal/expstore"
 	"marlperf/internal/mpe"
 	"marlperf/internal/replay"
 	"marlperf/internal/trace"
@@ -97,27 +94,16 @@ func TestTracingBitIdenticalRemotePrefetch(t *testing.T) {
 		if traced {
 			serverTracer = traceTestTracer("replayd")
 		}
-		srv, err := expserve.NewServer(expserve.ServerConfig{
-			Provider: expstore.NewRing(spec), Spec: spec, Tracer: serverTracer,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := httptest.NewServer(srv)
-		defer func() { hs.Close(); srv.Close() }()
-
 		var learnerTracer *trace.Tracer
 		if traced {
 			learnerTracer = traceTestTracer("learner")
 		}
-		client := expserve.NewClient(hs.URL, expserve.ClientOptions{
-			Timeout: 10 * time.Second, JitterSeed: 1, Tracer: learnerTracer,
-		})
-		src, err := expserve.NewRemoteSource(client, spec, plan)
+		fabric := newShardFabric(t, spec, shardFabric{tracer: learnerTracer, serverTracer: serverTracer})
+		src, err := expserve.NewShardedSource(fabric, spec, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink, err := expserve.NewRemoteSink(client, "actor-0", spec)
+		sink, err := expserve.NewShardedSink(fabric, "actor-0", spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +150,7 @@ func TestTracingBitIdenticalRemotePrefetch(t *testing.T) {
 	// must appear again in the server's records.
 	learnerTraces := make(map[uint64]bool)
 	for _, rec := range learnerTracer.Snapshot() {
-		if rec.Name == "sample-rpc" || rec.Name == "append-rpc" {
+		if rec.Name == "shard-sample-rpc" || rec.Name == "append-rpc" {
 			learnerTraces[rec.TraceID] = true
 		}
 	}

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
-	"marlperf/internal/f64le"
 	"marlperf/internal/netretry"
 	"marlperf/internal/replay"
 	"marlperf/internal/telemetry"
@@ -210,175 +208,6 @@ func (c *Client) Stats() (replay.Spec, int, uint64, error) {
 	return st.Spec, st.Rows, st.Total, nil
 }
 
-// RemoteSource samples mini-batches from an experience server, implementing
-// replay.TransitionSource. Because the server executes the same pure
-// (plan, length, seed) index selection a local expstore.Source would, a
-// learner wired to a RemoteSource trains bit-identically to one holding the
-// rows in process.
-//
-// Len and SampleBatch are safe for concurrent use across update workers
-// with no internal serialization: each call checks a pooled scratch set out
-// and requests ride the client's striped transport, so a pool of workers
-// keeps several samples in flight at once. Draw order cannot affect results
-// — every batch is a pure function of its own (n, seed).
-type RemoteSource struct {
-	c      *Client
-	plan   replay.SamplePlan
-	layout replay.RowLayout
-
-	scratch sync.Pool // of *clientScratch
-}
-
-// clientScratch is one in-flight sample's worth of recycled buffers: the
-// encoded request frame, the reply body (netretry reads straight into it),
-// the decoded index vector and — only on hosts where the zero-copy float
-// view is unavailable — a row decode buffer.
-type clientScratch struct {
-	req  []byte
-	body []byte
-	idx  []int
-	rows []float64 // decode fallback; unused when f64le views apply
-	view []float64 // the sampled rows, aliasing body or rows
-	n    int
-}
-
-func (s *RemoteSource) acquire() *clientScratch {
-	if sc, ok := s.scratch.Get().(*clientScratch); ok {
-		return sc
-	}
-	return &clientScratch{}
-}
-
-func (s *RemoteSource) release(sc *clientScratch) {
-	sc.view = nil
-	sc.n = 0
-	s.scratch.Put(sc)
-}
-
-// fetch runs one sample RPC and decodes the reply into sc: afterwards
-// sc.idx[:n] holds the server's row indices and sc.view the n*stride
-// sampled floats. The float view aliases the reply body directly when the
-// host is little-endian and the buffer landed 8-aligned (the common case:
-// zero copies between socket and tensor split); otherwise rows are decoded
-// once into sc.rows.
-func (s *RemoteSource) fetch(n int, seed int64, sc *clientScratch) error {
-	req, err := encodeSampleRequest(sc.req[:0], sampleRequest{N: n, Seed: seed, Plan: s.plan})
-	if err != nil {
-		return err
-	}
-	sc.req = req
-	stride := s.layout.Stride()
-	if want := sampleReplySize(n, stride); cap(sc.body) < want {
-		sc.body = make([]byte, want)
-	}
-	// One client span per sample RPC, joined to the tracer's active
-	// context (the learner's per-update root). Prefetched fetches run on
-	// background goroutines but read the same context the pre-draw
-	// published, so they attribute to the update that consumes them.
-	var sp trace.Span
-	var hdr http.Header
-	if tr := s.c.tracer; tr.Enabled() {
-		if parent := tr.Active(); parent.Valid() {
-			sp = tr.StartSpan(parent, "sample-rpc")
-			hdr = http.Header{trace.HeaderName: []string{trace.FormatHeader(sp.Context())}}
-		}
-	}
-	data, err := s.c.doScratch(http.MethodPost, PathSample, "application/octet-stream", req, false, sc.body[:cap(sc.body)], hdr)
-	if err != nil {
-		sp.EndArg("error", 1)
-		return err
-	}
-	sp.EndArg("rows", int64(n))
-	if cap(data) > cap(sc.body) {
-		sc.body = data // keep the grown buffer for next time
-	}
-	if cap(sc.idx) < n {
-		sc.idx = make([]int, n)
-	}
-	rowBytes, err := decodeSampleReply(data, n, stride, sc.idx[:n])
-	if err != nil {
-		return err
-	}
-	if view := f64le.Floats(rowBytes); view != nil {
-		sc.view = view
-	} else {
-		if cap(sc.rows) < n*stride {
-			sc.rows = make([]float64, n*stride)
-		}
-		sc.rows = sc.rows[:n*stride]
-		f64le.Get(sc.rows, rowBytes)
-		sc.view = sc.rows
-	}
-	sc.n = n
-	return nil
-}
-
-// split scatters a fetched scratch's rows into per-agent tensors.
-func (s *RemoteSource) split(sc *clientScratch, dst []*replay.AgentBatch) {
-	s.layout.SplitRows(sc.view, sc.n, dst)
-}
-
-// NewRemoteSource validates the plan, fetches the server's spec, checks it
-// against the expected one, and returns a source.
-func NewRemoteSource(c *Client, want replay.Spec, plan replay.SamplePlan) (*RemoteSource, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	got, _, _, err := c.Stats()
-	if err != nil {
-		return nil, err
-	}
-	if got.NumAgents != want.NumAgents || got.ActDim != want.ActDim || len(got.ObsDims) != len(want.ObsDims) {
-		return nil, fmt.Errorf("expserve: server spec %+v does not match trainer spec %+v", got, want)
-	}
-	for a, od := range want.ObsDims {
-		if got.ObsDims[a] != od {
-			return nil, fmt.Errorf("expserve: server obs dim %d for agent %d, trainer wants %d", got.ObsDims[a], a, od)
-		}
-	}
-	return &RemoteSource{c: c, plan: plan, layout: replay.NewRowLayout(want)}, nil
-}
-
-// Plan returns the plan executed server-side on every SampleBatch.
-func (s *RemoteSource) Plan() replay.SamplePlan { return s.plan }
-
-// Len implements replay.TransitionSource via the stats endpoint.
-func (s *RemoteSource) Len() (int, error) {
-	_, rows, _, err := s.c.Stats()
-	return rows, err
-}
-
-// Prefetchable adapters: PrefetchSource drives the same pooled
-// fetch/split machinery SampleBatch uses, just split into phases.
-func (s *RemoteSource) acquireFetch() fetchState   { return s.acquire() }
-func (s *RemoteSource) releaseFetch(st fetchState) { s.release(st.(*clientScratch)) }
-func (s *RemoteSource) runFetch(n int, seed int64, st fetchState) error {
-	return s.fetch(n, seed, st.(*clientScratch))
-}
-func (s *RemoteSource) consumeFetch(st fetchState, n int, dst []*replay.AgentBatch) []int {
-	sc := st.(*clientScratch)
-	s.split(sc, dst)
-	idx := make([]int, n)
-	copy(idx, sc.idx[:n])
-	return idx
-}
-
-// SampleBatch implements replay.TransitionSource: one server-side plan
-// execution, decoded and split into per-agent tensors. The returned index
-// slice is freshly allocated (it cannot alias pooled scratch — concurrent
-// callers would race on it); dst is fully written before return.
-func (s *RemoteSource) SampleBatch(n int, seed int64, dst []*replay.AgentBatch) ([]int, error) {
-	sc := s.acquire()
-	defer s.release(sc)
-	if err := s.fetch(n, seed, sc); err != nil {
-		return nil, err
-	}
-	s.split(sc, dst)
-	idx := make([]int, n)
-	copy(idx, sc.idx[:n])
-	return idx, nil
-}
-
 // RemoteSink buffers transitions locally and ships them to the server in
 // batches, implementing replay.TransitionSink. Each shipped batch carries
 // the sink's actor ID and a monotonic sequence number, so a retried append
@@ -410,6 +239,7 @@ type RemoteSink struct {
 	buf      []float64
 	n        int
 	encBuf   []byte
+	framed   int // leading rows of buf that encBuf carries, shipped but not yet acknowledged
 
 	spool *spool
 }
@@ -491,7 +321,10 @@ func (s *RemoteSink) doAppend(frame []byte, failFast bool) (appendReply, error) 
 // idempotent append batch and wait for the server's ack (which implies the
 // store accepted and flushed them). With a spool armed, an outage diverts
 // the batch to disk instead of failing — order is preserved by spooling
-// every subsequent batch until the backlog drains.
+// every subsequent batch until the backlog drains. Without one, a failed
+// batch stays framed: the next Flush re-ships the identical bytes under the
+// same sequence number, so a batch that landed before its ack was lost is
+// acknowledged as a duplicate instead of being applied twice.
 func (s *RemoteSink) Flush() error {
 	if s.spool != nil && s.spool.len() > 0 {
 		// A backlog exists: drain it first so sequence order holds. While
@@ -503,45 +336,52 @@ func (s *RemoteSink) Flush() error {
 			return s.spoolPending(nil)
 		}
 	}
-	if s.n == 0 {
-		return nil
+	for s.n > 0 {
+		frame := s.pendingFrame()
+		// With a spool armed, fail fast while the breaker is open: the batch
+		// has a local home, so there is no reason to stall the rollout loop.
+		if _, err := s.doAppend(frame, s.spool != nil); err != nil {
+			if s.spool == nil || !isOutage(err) {
+				return err
+			}
+			if serr := s.spoolFrame(frame, s.batchSeq, s.framed, err); serr != nil {
+				return serr
+			}
+		}
+		s.settle()
 	}
-	s.batchSeq++
-	batch := appendBatch{ActorID: s.actorID, BatchSeq: s.batchSeq, Rows: s.buf, N: s.n}
-	s.encBuf = encodeAppend(s.encBuf[:0], batch, s.layout.Stride())
-	// With a spool armed, fail fast while the breaker is open: the batch
-	// has a local home, so there is no reason to stall the rollout loop.
-	_, err := s.doAppend(s.encBuf, s.spool != nil)
-	if err == nil {
-		s.n = 0
-		return nil
-	}
-	if s.spool == nil || !isOutage(err) {
-		return err
-	}
-	if serr := s.spoolFrame(s.encBuf, s.batchSeq, s.n, err); serr != nil {
-		return serr
-	}
-	s.n = 0
 	return nil
+}
+
+// pendingFrame returns the append frame for the buffered rows. A frame
+// that was shipped but never acknowledged is returned unchanged.
+func (s *RemoteSink) pendingFrame() []byte {
+	if s.framed == 0 {
+		s.batchSeq++
+		batch := appendBatch{ActorID: s.actorID, BatchSeq: s.batchSeq, Rows: s.buf, N: s.n}
+		s.encBuf = encodeAppend(s.encBuf[:0], batch, s.layout.Stride())
+		s.framed = s.n
+	}
+	return s.encBuf
+}
+
+// settle drops the rows the acknowledged (or spooled) frame carried.
+func (s *RemoteSink) settle() {
+	stride := s.layout.Stride()
+	copy(s.buf, s.buf[s.framed*stride:s.n*stride])
+	s.n -= s.framed
+	s.framed = 0
 }
 
 // spoolPending diverts the buffered-but-unshipped rows to the spool.
 func (s *RemoteSink) spoolPending(cause error) error {
-	if s.n == 0 {
-		return nil
+	for s.n > 0 {
+		if err := s.spoolFrame(s.pendingFrame(), s.batchSeq, s.framed, cause); err != nil {
+			return err
+		}
+		s.settle()
 	}
-	s.batchSeq++
-	batch := appendBatch{ActorID: s.actorID, BatchSeq: s.batchSeq, Rows: s.buf, N: s.n}
-	s.encBuf = encodeAppend(s.encBuf[:0], batch, s.layout.Stride())
-	if err := s.spoolFrame(s.encBuf, s.batchSeq, s.n, cause); err != nil {
-		return err
-	}
-	s.n = 0
 	return nil
 }
 
-var (
-	_ replay.TransitionSource = (*RemoteSource)(nil)
-	_ replay.TransitionSink   = (*RemoteSink)(nil)
-)
+var _ replay.TransitionSink = (*RemoteSink)(nil)

@@ -1,6 +1,7 @@
 package expserve
 
 import (
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"marlperf/internal/expshard"
 	"marlperf/internal/expstore"
 	"marlperf/internal/replay"
 	"marlperf/internal/telemetry"
@@ -48,162 +50,89 @@ func newTestServer(t *testing.T, spec replay.Spec, reg *telemetry.Registry) (*Se
 	return srv, hs
 }
 
-func fastClient(url string) *Client {
-	c := NewClient(url, ClientOptions{Timeout: 5 * time.Second, Attempts: 4, BaseDelay: time.Millisecond, JitterSeed: 1})
-	return c
-}
-
-// The central equivalence property: rows shipped through the sink and
-// sampled through the remote source must match, bit for bit, a local
-// expstore.Source fed the same rows in the same order with the same plan
-// and seed.
-func TestRemoteMatchesLocalBitForBit(t *testing.T) {
-	spec := testSpec(256)
-	for _, plan := range []replay.SamplePlan{
-		{Strategy: replay.PlanUniform},
-		{Strategy: replay.PlanLocality, Neighbors: 8, Refs: 4},
-	} {
-		_, hs := newTestServer(t, spec, nil)
-		c := fastClient(hs.URL)
-		sink, err := NewRemoteSink(c, "actor-0", spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		localRing := expstore.NewRing(spec)
-		local, err := expstore.NewSource(localRing, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		rngA := rand.New(rand.NewSource(3))
-		rngB := rand.New(rand.NewSource(3))
-		for i := 0; i < 300; i++ { // wraps the 256-row window
-			obs, act, rew, nxt, done := step(rngA)
-			if err := sink.Add(obs, act, rew, nxt, done); err != nil {
-				t.Fatal(err)
-			}
-			obs, act, rew, nxt, done = step(rngB)
-			if err := local.Add(obs, act, rew, nxt, done); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sink.Flush(); err != nil {
-			t.Fatal(err)
-		}
-
-		remote, err := NewRemoteSource(c, spec, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nRemote, err := remote.Len()
-		if err != nil {
-			t.Fatal(err)
-		}
-		nLocal, _ := local.Len()
-		if nRemote != nLocal || nRemote != 256 {
-			t.Fatalf("plan %v: remote Len %d, local Len %d, want 256", plan, nRemote, nLocal)
-		}
-
-		const batch = 32
-		for trial := 0; trial < 5; trial++ {
-			seed := int64(1000 + trial)
-			dstR := []*replay.AgentBatch{replay.NewAgentBatch(batch, 3, 2), replay.NewAgentBatch(batch, 4, 2)}
-			dstL := []*replay.AgentBatch{replay.NewAgentBatch(batch, 3, 2), replay.NewAgentBatch(batch, 4, 2)}
-			idxR, err := remote.SampleBatch(batch, seed, dstR)
-			if err != nil {
-				t.Fatal(err)
-			}
-			idxL, err := local.SampleBatch(batch, seed, dstL)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range idxR {
-				if idxR[i] != idxL[i] {
-					t.Fatalf("plan %v seed %d: index %d differs: remote %d local %d", plan, seed, i, idxR[i], idxL[i])
-				}
-			}
-			for a := 0; a < 2; a++ {
-				for i := range dstR[a].Obs.Data {
-					if dstR[a].Obs.Data[i] != dstL[a].Obs.Data[i] {
-						t.Fatalf("plan %v seed %d: agent %d obs diverges", plan, seed, a)
-					}
-				}
-				for i := range dstR[a].Rew.Data {
-					if dstR[a].Rew.Data[i] != dstL[a].Rew.Data[i] || dstR[a].Done.Data[i] != dstL[a].Done.Data[i] {
-						t.Fatalf("plan %v seed %d: agent %d scalars diverge", plan, seed, a)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestAppendIsIdempotentUnderRetry(t *testing.T) {
-	spec := testSpec(128)
-	reg := telemetry.NewRegistry()
-	_, hs := newTestServer(t, spec, reg)
-
-	// A flaky proxy: fails the first attempt of every append AFTER the
-	// server has applied it, forcing the client to retry a batch that
-	// already landed.
-	var flake atomic.Bool
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, PathAppend) && flake.CompareAndSwap(false, true) {
-			// Forward to the real server, then pretend the reply was lost.
-			req, _ := http.NewRequest(r.Method, hs.URL+r.URL.Path, r.Body)
-			req.Header = r.Header
-			resp, err := http.DefaultClient.Do(req)
-			if err == nil {
-				resp.Body.Close()
-			}
-			http.Error(w, "injected: ack lost", http.StatusBadGateway)
-			return
-		}
-		req, _ := http.NewRequest(r.Method, hs.URL+r.URL.Path, r.Body)
-		req.Header = r.Header
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		buf := make([]byte, 1<<20)
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				w.Write(buf[:n])
-			}
-			if err != nil {
-				return
-			}
-		}
-	}))
-	defer proxy.Close()
-
-	c := fastClient(proxy.URL)
-	sink, err := NewRemoteSink(c, "actor-0", spec)
+// oneGroupFabric is what a plain -replay-addr builds: one shard group with
+// one member, every member client configured from opts.
+func oneGroupFabric(t *testing.T, url string, opts ClientOptions) *Fabric {
+	t.Helper()
+	groups, err := expshard.ParseSpec(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 10; i++ {
-		obs, act, rew, nxt, done := step(rng)
-		if err := sink.Add(obs, act, rew, nxt, done); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Flush(); err != nil {
+	f, err := NewFabric(groups, FabricOptions{Client: opts})
+	if err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
 
-	// The batch went over the wire twice but must count once.
-	if got := reg.Counter("marl_exp_ingest_rows_total").Value(); got != 10 {
-		t.Fatalf("ingested %d rows after retried batch, want 10", got)
-	}
-	if got := reg.Counter("marl_exp_ingest_dup_batches_total").Value(); got != 1 {
-		t.Fatalf("dup batches = %d, want 1", got)
+// fastOpts retries quickly so fault tests stay short.
+var fastOpts = ClientOptions{Timeout: 5 * time.Second, Attempts: 4, BaseDelay: time.Millisecond, JitterSeed: 1}
+
+func fastClient(url string) *Client { return NewClient(url, fastOpts) }
+
+// A batch whose ack is lost must count once, whichever layer redelivers it:
+// the client's retry loop inside one Flush (attempts > 1), or — once that
+// loop has given up and Flush has failed — the next Flush, which must
+// re-ship the identical frame under the same sequence number.
+func TestAppendIsIdempotentUnderRetry(t *testing.T) {
+	for _, attempts := range []int{4, 1} {
+		spec := testSpec(128)
+		reg := telemetry.NewRegistry()
+		_, hs := newTestServer(t, spec, reg)
+
+		// A flaky proxy: fails the first attempt of every append AFTER the
+		// server has applied it, forcing a redelivery of a batch that
+		// already landed.
+		var flake atomic.Bool
+		proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			req, _ := http.NewRequest(r.Method, hs.URL+r.URL.Path, r.Body)
+			req.Header = r.Header
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadGateway)
+				return
+			}
+			defer resp.Body.Close()
+			if strings.HasPrefix(r.URL.Path, PathAppend) && flake.CompareAndSwap(false, true) {
+				http.Error(w, "injected: ack lost", http.StatusBadGateway)
+				return
+			}
+			w.WriteHeader(resp.StatusCode)
+			_, _ = io.Copy(w, resp.Body)
+		}))
+		defer proxy.Close()
+
+		opts := fastOpts
+		opts.Attempts = attempts
+		sink, err := NewRemoteSink(NewClient(proxy.URL, opts), "actor-0", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 10; i++ {
+			obs, act, rew, nxt, done := step(rng)
+			if err := sink.Add(obs, act, rew, nxt, done); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err = sink.Flush()
+		if attempts == 1 {
+			if err == nil {
+				t.Fatal("single-attempt flush through a lost ack succeeded")
+			}
+			err = sink.Flush()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// The batch went over the wire twice but must count once.
+		if got := reg.Counter("marl_exp_ingest_rows_total").Value(); got != 10 {
+			t.Fatalf("attempts=%d: ingested %d rows after redelivered batch, want 10", attempts, got)
+		}
+		if got := reg.Counter("marl_exp_ingest_dup_batches_total").Value(); got != 1 {
+			t.Fatalf("attempts=%d: dup batches = %d, want 1", attempts, got)
+		}
 	}
 }
 
@@ -298,26 +227,40 @@ func (p *blockingProvider) waitBusy(t *testing.T) {
 
 func (p *blockingProvider) release() { p.released.Do(func() { close(p.gate) }) }
 
+// Sampling an empty store fails instead of returning garbage, at both
+// ends: the source refuses to draw from an empty view, and a server handed
+// such a view anyway answers 409 (the learner polling before warmup, not a
+// server fault).
 func TestSampleBeforeWarmupIsConflict(t *testing.T) {
 	spec := testSpec(64)
 	_, hs := newTestServer(t, spec, nil)
-	c := NewClient(hs.URL, ClientOptions{Attempts: 1, Timeout: 5 * time.Second, JitterSeed: 1})
-	src, err := NewRemoteSource(c, spec, replay.SamplePlan{Strategy: replay.PlanUniform})
+	opts := ClientOptions{Attempts: 1, Timeout: 5 * time.Second, JitterSeed: 1}
+	plan := replay.SamplePlan{Strategy: replay.PlanUniform}
+	src, err := NewShardedSource(oneGroupFabric(t, hs.URL, opts), spec, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := []*replay.AgentBatch{replay.NewAgentBatch(4, 3, 2), replay.NewAgentBatch(4, 4, 2)}
-	if _, err := src.SampleBatch(4, 1, dst); err == nil || !strings.Contains(err.Error(), "409") {
-		t.Fatalf("sampling an empty store: err = %v, want a 409", err)
+	if _, err := src.SampleBatch(4, 1, dst); err == nil || !strings.Contains(err.Error(), "empty") {
+		t.Fatalf("sampling an empty store: err = %v, want an empty-stream error", err)
+	}
+	req, err := encodeShardSampleRequest(nil, shardSampleRequest{
+		N: 4, Seed: 1, Plan: plan, Partitions: 1, Part2Group: []int{0},
+		Stats: []expshard.GroupStat{{Live: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewClient(hs.URL, opts).do(http.MethodPost, PathShardSample, "application/octet-stream", req); err == nil || !strings.Contains(err.Error(), "409") {
+		t.Fatalf("shard-sample over an empty view: err = %v, want a 409", err)
 	}
 }
 
 func TestServerRejectsMismatchedSpec(t *testing.T) {
 	spec := testSpec(64)
 	_, hs := newTestServer(t, spec, nil)
-	c := fastClient(hs.URL)
 	other := replay.Spec{NumAgents: 2, ObsDims: []int{3, 9}, ActDim: 2, Capacity: 64}
-	if _, err := NewRemoteSource(c, other, replay.SamplePlan{Strategy: replay.PlanUniform}); err == nil {
+	if _, err := NewShardedSource(oneGroupFabric(t, hs.URL, fastOpts), other, replay.SamplePlan{Strategy: replay.PlanUniform}); err == nil {
 		t.Fatal("spec mismatch accepted")
 	}
 }

@@ -36,8 +36,8 @@ func TestRemoteBitIdenticalThroughFaultyTransport(t *testing.T) {
 		if inj != nil {
 			opts.Transport = inj.RoundTripper("actor→replay", nil)
 		}
-		c := NewClient(hs.URL, opts)
-		sink, err := NewRemoteSink(c, "actor-0", spec)
+		f := oneGroupFabric(t, hs.URL, opts)
+		sink, err := NewShardedSink(f, "actor-0", spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestRemoteBitIdenticalThroughFaultyTransport(t *testing.T) {
 		if err := sink.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		remote, err := NewRemoteSource(c, spec, plan)
+		remote, err := NewShardedSource(f, spec, plan)
 		if err != nil {
 			t.Fatal(err)
 		}

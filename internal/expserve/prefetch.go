@@ -8,25 +8,6 @@ import (
 	"marlperf/internal/telemetry"
 )
 
-// fetchState is one in-flight fetch's pooled scratch, opaque to the
-// prefetcher (RemoteSource uses *clientScratch, ShardedSource
-// *shardScratch).
-type fetchState any
-
-// Prefetchable is the contract PrefetchSource wraps: a source whose
-// fetch work can run ahead of consumption on pooled scratch. Both
-// RemoteSource (one server) and ShardedSource (fabric fan-in draw)
-// implement it, so prefetch overlap composes with either topology.
-type Prefetchable interface {
-	replay.TransitionSource
-	acquireFetch() fetchState
-	releaseFetch(fetchState)
-	runFetch(n int, seed int64, st fetchState) error
-	// consumeFetch splits a completed fetch into dst and returns a
-	// freshly allocated index slice.
-	consumeFetch(st fetchState, n int, dst []*replay.AgentBatch) []int
-}
-
 // PrefetchSource overlaps sample RPCs with learner compute. The trainer
 // announces the next update round's (n, seed) pairs via PrefetchBatch; this
 // source launches the RPCs immediately (bounded by the stripe count) so
@@ -43,7 +24,7 @@ type Prefetchable interface {
 // remains bit-identical with the feature on or off, across worker counts
 // and under injected network faults.
 type PrefetchSource struct {
-	Prefetchable
+	*ShardedSource
 
 	// SyncAfter caps how long SampleBatch waits for an announced in-flight
 	// prefetch before abandoning it and fetching synchronously. Zero means
@@ -71,7 +52,7 @@ type prefetchKey struct {
 // round; whoever loses the race owns returning sc to the pool.
 type prefetchEntry struct {
 	done      chan struct{}
-	sc        fetchState
+	sc        *shardScratch
 	err       error
 	gen       uint64
 	abandoned bool
@@ -82,14 +63,14 @@ type prefetchEntry struct {
 // fetches pipeline across all warm connections without queueing behind each
 // other); reg, when non-nil, receives marl_exp_prefetch_hit_total /
 // marl_exp_prefetch_miss_total.
-func NewPrefetchSource(src Prefetchable, stripes int, reg *telemetry.Registry) *PrefetchSource {
+func NewPrefetchSource(src *ShardedSource, stripes int, reg *telemetry.Registry) *PrefetchSource {
 	if stripes < 1 {
 		stripes = 1
 	}
 	p := &PrefetchSource{
-		Prefetchable: src,
-		slots:        make(chan struct{}, stripes),
-		pending:      make(map[prefetchKey]*prefetchEntry),
+		ShardedSource: src,
+		slots:         make(chan struct{}, stripes),
+		pending:       make(map[prefetchKey]*prefetchEntry),
 	}
 	if reg != nil {
 		reg.SetHelp("marl_exp_prefetch_hit_total", "Sample batches served from a completed prefetch.")
@@ -224,7 +205,7 @@ func (p *PrefetchSource) miss(n int, seed int64, dst []*replay.AgentBatch) ([]in
 	if p.misses != nil {
 		p.misses.Inc()
 	}
-	return p.Prefetchable.SampleBatch(n, seed, dst)
+	return p.ShardedSource.SampleBatch(n, seed, dst)
 }
 
 var (

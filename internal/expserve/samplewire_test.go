@@ -1,17 +1,11 @@
 package expserve
 
-// Tests for the binary sample wire path: the fixed 32-byte request frame,
-// the v2 zero-copy reply frame (length validated before any row copy), the
-// striped concurrent client, and the prefetch overlap source — which must
-// be a pure timing optimization, bit-invisible to training.
+// Tests for the sample path as a plain -replay-addr drives it — a one-group
+// fabric: the striped concurrent client and the prefetch overlap source,
+// which must be a pure timing optimization, bit-invisible to training.
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"math/rand"
-	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -20,192 +14,6 @@ import (
 	"marlperf/internal/replay"
 	"marlperf/internal/telemetry"
 )
-
-func TestSampleRequestRoundTrip(t *testing.T) {
-	for _, req := range []sampleRequest{
-		{N: 32, Seed: 4242, Plan: replay.SamplePlan{Strategy: replay.PlanUniform}},
-		{N: 4096, Seed: -7, Plan: replay.SamplePlan{Strategy: replay.PlanLocality, Neighbors: 16, Refs: 64}},
-	} {
-		frame, err := encodeSampleRequest(nil, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(frame) != sampleReqSize {
-			t.Fatalf("request frame is %d bytes, want %d", len(frame), sampleReqSize)
-		}
-		got, err := decodeSampleRequest(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.N != req.N || got.Seed != req.Seed || got.Plan != req.Plan {
-			t.Fatalf("round trip mangled request: %+v -> %+v", req, got)
-		}
-
-		// Any single flipped byte must be caught by the CRC (or the
-		// magic/version checks it protects).
-		for i := range frame {
-			bad := append([]byte(nil), frame...)
-			bad[i] ^= 0x40
-			if _, err := decodeSampleRequest(bad); err == nil {
-				t.Fatalf("corruption at byte %d went undetected", i)
-			}
-		}
-	}
-	if _, err := encodeSampleRequest(nil, sampleRequest{N: 1, Plan: replay.SamplePlan{Strategy: "made-up"}}); err == nil {
-		t.Fatal("unknown strategy must refuse to encode")
-	}
-}
-
-func TestSampleReplyRoundTrip(t *testing.T) {
-	const n, stride = 7, 5
-	rng := rand.New(rand.NewSource(11))
-	rows := make([]float64, n*stride)
-	for i := range rows {
-		rows[i] = rng.NormFloat64()
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = rng.Intn(1000)
-	}
-	frame := encodeSampleReply(nil, idx, rows, stride)
-	if len(frame) != sampleReplySize(n, stride) {
-		t.Fatalf("frame is %d bytes, want %d", len(frame), sampleReplySize(n, stride))
-	}
-
-	gotIdx := make([]int, n)
-	rowBytes, err := decodeSampleReply(frame, n, stride, gotIdx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range idx {
-		if gotIdx[i] != idx[i] {
-			t.Fatalf("index %d: got %d want %d", i, gotIdx[i], idx[i])
-		}
-	}
-	for i, want := range rows {
-		got := binary.LittleEndian.Uint64(rowBytes[8*i:])
-		if got != binary.LittleEndian.Uint64(frame[sampleReplyHdr+8*i:]) {
-			t.Fatalf("row payload does not alias the frame at %d", i)
-		}
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], got)
-		if !bytes.Equal(buf[:], frame[sampleReplyHdr+8*i:sampleReplyHdr+8*i+8]) {
-			t.Fatalf("row %d bytes diverge", i)
-		}
-		_ = want
-	}
-
-	// Truncation at every possible length must surface as ErrShortFrame —
-	// checked before any row copy, so idx stays untouched.
-	for cut := 0; cut < len(frame); cut++ {
-		probe := make([]int, n)
-		if _, err := decodeSampleReply(frame[:cut], n, stride, probe); !errors.Is(err, ErrShortFrame) {
-			t.Fatalf("truncation to %d bytes: got %v, want ErrShortFrame", cut, err)
-		}
-		for i, v := range probe {
-			if v != 0 {
-				t.Fatalf("truncated decode wrote idx[%d]=%d", i, v)
-			}
-		}
-	}
-
-	// Corrupting the header or index region must trip the matching CRC.
-	bad := append([]byte(nil), frame...)
-	bad[9] ^= 1 // claimed n
-	if _, err := decodeSampleReply(bad, n, stride, gotIdx); err == nil {
-		t.Fatal("header corruption went undetected")
-	}
-	bad = append(bad[:0], frame...)
-	bad[sampleReplyHdr+8*n*stride] ^= 1 // first index byte
-	if _, err := decodeSampleReply(bad, n, stride, gotIdx); err == nil {
-		t.Fatal("index corruption went undetected")
-	}
-	// Flipping a row byte is NOT detected: row integrity is delegated to
-	// the transport by design (see the v2 frame comment in wire.go).
-	bad = append(bad[:0], frame...)
-	bad[sampleReplyHdr] ^= 1
-	if _, err := decodeSampleReply(bad, n, stride, gotIdx); err != nil {
-		t.Fatalf("row bytes must not be checksummed, got %v", err)
-	}
-}
-
-func FuzzDecodeSampleReply(f *testing.F) {
-	const n, stride = 3, 4
-	rows := make([]float64, n*stride)
-	for i := range rows {
-		rows[i] = float64(i) * 0.5
-	}
-	valid := encodeSampleReply(nil, []int{5, 0, 9}, rows, stride)
-	f.Add(valid)
-	f.Add(valid[:len(valid)-1]) // truncated reply: the satellite seed
-	f.Add(valid[:sampleReplyHdr])
-	f.Add([]byte("MXSR"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		idx := make([]int, n)
-		rowBytes, err := decodeSampleReply(data, n, stride, idx)
-		if len(data) < sampleReplySize(n, stride) && !errors.Is(err, ErrShortFrame) {
-			t.Fatalf("short input (%d bytes) must be ErrShortFrame, got %v", len(data), err)
-		}
-		if err == nil && len(rowBytes) != 8*n*stride {
-			t.Fatalf("accepted frame but returned %d row bytes", len(rowBytes))
-		}
-	})
-}
-
-// The JSON request form stays accepted for hand-driven debugging and older
-// clients; it must select the same rows the binary frame does.
-func TestLegacyJSONSampleRequest(t *testing.T) {
-	spec := testSpec(128)
-	_, hs := newTestServer(t, spec, nil)
-	c := fastClient(hs.URL)
-	sink, err := NewRemoteSink(c, "actor-0", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 128; i++ {
-		obs, act, rew, nxt, done := step(rng)
-		if err := sink.Add(obs, act, rew, nxt, done); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	plan := replay.SamplePlan{Strategy: replay.PlanUniform}
-	const batch = 16
-	stride := replay.NewRowLayout(spec).Stride()
-
-	body, err := json.Marshal(sampleRequest{N: batch, Seed: 99, Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := c.do(http.MethodPost, PathSample, "application/json", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonIdx := make([]int, batch)
-	if _, err := decodeSampleReply(data, batch, stride, jsonIdx); err != nil {
-		t.Fatal(err)
-	}
-
-	remote, err := NewRemoteSource(c, spec, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := []*replay.AgentBatch{replay.NewAgentBatch(batch, 3, 2), replay.NewAgentBatch(batch, 4, 2)}
-	binIdx, err := remote.SampleBatch(batch, 99, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range binIdx {
-		if binIdx[i] != jsonIdx[i] {
-			t.Fatalf("index %d: JSON request selected %d, binary %d", i, jsonIdx[i], binIdx[i])
-		}
-	}
-}
 
 // sampleAll runs SampleBatch for every seed and flattens the results into
 // comparable per-seed snapshots.
@@ -234,11 +42,11 @@ func sampleAll(t *testing.T, src replay.TransitionSource, batch int, seeds []int
 	return out
 }
 
-// fillServer ships rows rows through a sink so the server has something to
+// fillServer ships rows rows through a sink so the fabric has something to
 // sample.
-func fillServer(t *testing.T, c *Client, spec replay.Spec, rows int) {
+func fillServer(t *testing.T, f *Fabric, spec replay.Spec, rows int) {
 	t.Helper()
-	sink, err := NewRemoteSink(c, "actor-0", spec)
+	sink, err := NewShardedSink(f, "actor-0", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +69,12 @@ func TestStripedClientConcurrentSamplers(t *testing.T) {
 	spec := testSpec(256)
 	plan := replay.SamplePlan{Strategy: replay.PlanLocality, Neighbors: 8, Refs: 4}
 	_, hs := newTestServer(t, spec, nil)
-	c := NewClient(hs.URL, ClientOptions{Timeout: 5 * time.Second, Attempts: 4, BaseDelay: time.Millisecond, JitterSeed: 1, Conns: 4})
-	fillServer(t, c, spec, 300)
+	opts := fastOpts
+	opts.Conns = 4
+	f := oneGroupFabric(t, hs.URL, opts)
+	fillServer(t, f, spec, 300)
 
-	remote, err := NewRemoteSource(c, spec, plan)
+	remote, err := NewShardedSource(f, spec, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,10 +148,10 @@ func TestPrefetchHitBitIdentical(t *testing.T) {
 	spec := testSpec(256)
 	plan := replay.SamplePlan{Strategy: replay.PlanUniform}
 	_, hs := newTestServer(t, spec, nil)
-	c := fastClient(hs.URL)
-	fillServer(t, c, spec, 300)
+	f := oneGroupFabric(t, hs.URL, fastOpts)
+	fillServer(t, f, spec, 300)
 
-	refSrc, err := NewRemoteSource(c, spec, plan)
+	refSrc, err := NewShardedSource(f, spec, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +160,7 @@ func TestPrefetchHitBitIdentical(t *testing.T) {
 	want := sampleAll(t, refSrc, batch, seeds)
 
 	reg := telemetry.NewRegistry()
-	src, err := NewRemoteSource(c, spec, plan)
+	src, err := NewShardedSource(f, spec, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,9 +207,9 @@ func TestPrefetchFallsBackUnderFaults(t *testing.T) {
 
 	// Fault-free reference.
 	_, cleanHS := newTestServer(t, spec, nil)
-	cleanC := fastClient(cleanHS.URL)
-	fillServer(t, cleanC, spec, 300)
-	refSrc, err := NewRemoteSource(cleanC, spec, plan)
+	cleanF := oneGroupFabric(t, cleanHS.URL, fastOpts)
+	fillServer(t, cleanF, spec, 300)
+	refSrc, err := NewShardedSource(cleanF, spec, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +222,7 @@ func TestPrefetchFallsBackUnderFaults(t *testing.T) {
 	if err := inj.SetRule("learner→replay", faultnet.Rule{Drop: 0.1, Error: 0.1, Delay: 2 * time.Millisecond, DelayProb: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(hs.URL, ClientOptions{
+	f := oneGroupFabric(t, hs.URL, ClientOptions{
 		Timeout:          5 * time.Second,
 		Attempts:         50,
 		BaseDelay:        time.Millisecond,
@@ -421,9 +231,9 @@ func TestPrefetchFallsBackUnderFaults(t *testing.T) {
 		JitterSeed:       1,
 		Transport:        inj.RoundTripper("learner→replay", nil),
 	})
-	fillServer(t, c, spec, 300)
+	fillServer(t, f, spec, 300)
 
-	src, err := NewRemoteSource(c, spec, plan)
+	src, err := NewShardedSource(f, spec, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 
 	"marlperf/internal/expshard"
 	"marlperf/internal/expstore"
-	"marlperf/internal/f64le"
 	"marlperf/internal/replay"
 	"marlperf/internal/telemetry"
 	"marlperf/internal/trace"
@@ -127,10 +126,7 @@ type Server struct {
 	sampleBytes    *telemetry.Counter
 	sampleErrors   *telemetry.Counter
 	sampleSeconds  *telemetry.Histogram
-	// Shard-sample metrics (fabric topologies only).
-	shardSampleRequests *telemetry.Counter
-	shardSampleRows     *telemetry.Counter
-	shardSampleMisaddr  *telemetry.Counter
+	sampleMisaddr  *telemetry.Counter
 	// End-to-end lag metrics.
 	sampleAgeRows *telemetry.Histogram // per sampled row: store rows − row index
 	appendVisible *telemetry.Histogram // append arrival → rows sampleable
@@ -169,11 +165,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		reg = telemetry.NewRegistry()
 	}
 	reg.SetHelp("marl_exp_ingest_rows_total", "Transition rows ingested into the experience store.")
-	reg.SetHelp("marl_exp_sample_requests_total", "Sample requests served by the experience store.")
+	reg.SetHelp("marl_exp_sample_requests_total", "Per-shard slices of fabric-wide sample draws served by this store.")
 	reg.SetHelp("marl_exp_sample_bytes_total", "Sample response bytes written to the wire.")
 	reg.SetHelp("marl_exp_sample_age_rows", "Age of each sampled row, in rows appended since it (store row count minus sampled index).")
 	reg.SetHelp("marl_exp_append_visible_seconds", "Latency from append arrival to the batch's rows being flushed and sampleable.")
-	reg.SetHelp("marl_exp_shard_sample_requests_total", "Per-shard slices of fabric-wide sample draws served by this shard.")
 	reg.SetHelp("marl_exp_shard_sample_misaddressed_total", "Shard-sample requests rejected because they were addressed to a different shard id.")
 	s := &Server{
 		cfg:     cfg,
@@ -194,10 +189,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		sampleBytes:    reg.Counter("marl_exp_sample_bytes_total"),
 		sampleErrors:   reg.Counter("marl_exp_sample_errors_total"),
 		sampleSeconds:  reg.Histogram("marl_exp_sample_seconds", nil),
-
-		shardSampleRequests: reg.Counter("marl_exp_shard_sample_requests_total"),
-		shardSampleRows:     reg.Counter("marl_exp_shard_sample_rows_total"),
-		shardSampleMisaddr:  reg.Counter("marl_exp_shard_sample_misaddressed_total"),
+		sampleMisaddr:  reg.Counter("marl_exp_shard_sample_misaddressed_total"),
 
 		sampleAgeRows: reg.Histogram("marl_exp_sample_age_rows", sampleAgeBuckets()),
 		appendVisible: reg.Histogram("marl_exp_append_visible_seconds", nil),
@@ -211,7 +203,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc(PathAppend, s.handleAppend)
-	s.mux.HandleFunc(PathSample, s.handleSample)
 	s.mux.HandleFunc(PathShardSample, s.handleShardSample)
 	s.mux.HandleFunc(PathStats, s.handleStats)
 	go s.ingestLoop()
@@ -584,129 +575,14 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(appendReply{Total: res.total, Rows: res.rows, Dup: res.dup})
 }
 
-// leGatherer is the zero-copy fast path contract: providers that can write
-// selected rows straight from their row storage into a response buffer as
-// little-endian bytes (expstore.Ring and expstore.Store both can). Others
-// fall back to SamplePacked plus an encode pass.
-type leGatherer interface {
-	GatherEncodeLE(indices []int, dst []byte)
-}
-
 // sampleScratch is one request's worth of recycled sample state.
 type sampleScratch struct {
-	idx  []int
-	buf  []byte    // full response frame
-	rows []float64 // fallback gather target (providers without GatherEncodeLE)
+	idx []int
+	buf []byte // full response frame
 
-	// Shard-sample path only: the owned subset of the draw.
+	// The owned subset of the draw.
 	slots  []int32
 	locals []int
-}
-
-// readSampleRequest parses either wire form of a sample request: the binary
-// frame (preferred — fixed-size, CRC-checked) or the legacy JSON body.
-func readSampleRequest(r *http.Request) (sampleRequest, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		return sampleRequest{}, err
-	}
-	if len(body) >= 4 && string(body[:4]) == sampleReqMagic {
-		return decodeSampleRequest(body)
-	}
-	var req sampleRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return sampleRequest{}, err
-	}
-	return req, nil
-}
-
-// handleSample executes one seeded plan server-side. Selection and gather
-// run under one provider read lock, so the learner's locality runs stay
-// contiguous even while actors append concurrently. The response frame is
-// assembled in pooled, pre-sized scratch — rows move ring storage → frame
-// buffer in one hop — and ships with a known Content-Length so the write
-// path never chunks.
-func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	req, err := readSampleRequest(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.N < 1 || req.N > s.cfg.MaxSampleRows {
-		http.Error(w, fmt.Sprintf("n %d outside [1,%d]", req.N, s.cfg.MaxSampleRows), http.StatusBadRequest)
-		return
-	}
-	if err := req.Plan.Validate(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	start := time.Now()
-	sp := s.requestSpan(r, "sample")
-	s.sampleRequests.Inc()
-	stride := s.layout.Stride()
-	total := sampleReplySize(req.N, stride)
-
-	sc, _ := s.samplePool.Get().(*sampleScratch)
-	if sc == nil {
-		sc = &sampleScratch{}
-	}
-	defer s.samplePool.Put(sc)
-	if cap(sc.idx) < req.N {
-		sc.idx = make([]int, req.N)
-	}
-	if cap(sc.buf) < total {
-		sc.buf = make([]byte, total)
-	}
-	idx := sc.idx[:req.N]
-	buf := sc.buf[:total]
-
-	s.provMu.RLock()
-	rowCount := s.cfg.Provider.RowCount()
-	enc, fast := s.cfg.Provider.(leGatherer)
-	if fast {
-		err = req.Plan.FillIndices(idx, rowCount, req.Seed)
-		if err == nil {
-			enc.GatherEncodeLE(idx, buf[sampleReplyHdr:])
-		}
-	} else {
-		if cap(sc.rows) < req.N*stride {
-			sc.rows = make([]float64, req.N*stride)
-		}
-		err = s.cfg.Provider.SamplePacked(req.Plan, req.N, req.Seed, idx, sc.rows[:req.N*stride])
-		if err == nil {
-			f64le.Put(buf[sampleReplyHdr:], sc.rows[:req.N*stride])
-		}
-	}
-	s.provMu.RUnlock()
-	if err != nil {
-		// An empty/underfilled store is the learner polling before warmup,
-		// not a server fault.
-		s.sampleErrors.Inc()
-		sp.EndArg("error", 1)
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	putSampleReplyHeader(buf, req.N, stride)
-	putSampleReplyIndex(buf, req.N, stride, idx)
-
-	// Experience age per sampled row, in rows appended since it: how far
-	// behind the head of the stream training data actually is — the lag
-	// no throughput aggregate can express.
-	for _, ix := range idx {
-		s.sampleAgeRows.Observe(float64(rowCount - ix))
-	}
-
-	s.sampleRows.Add(uint64(req.N))
-	s.sampleBytes.Add(uint64(total))
-	s.sampleSeconds.Observe(time.Since(start).Seconds())
-	sp.EndArg("rows", int64(req.N))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(total))
-	_, _ = w.Write(buf)
 }
 
 // handleShardSample executes this shard's slice of a fabric-wide draw.
@@ -733,7 +609,7 @@ func (s *Server) handleShardSample(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cfg.ShardID != "" && req.ShardID != "" && req.ShardID != s.cfg.ShardID {
-		s.shardSampleMisaddr.Inc()
+		s.sampleMisaddr.Inc()
 		http.Error(w, fmt.Sprintf("request addressed to shard %q, this is %q", req.ShardID, s.cfg.ShardID), http.StatusBadRequest)
 		return
 	}
@@ -763,7 +639,6 @@ func (s *Server) handleShardSample(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sp := s.requestSpan(r, "shard-sample")
 	s.sampleRequests.Inc()
-	s.shardSampleRequests.Inc()
 	stride := s.layout.Stride()
 
 	sc, _ := s.samplePool.Get().(*sampleScratch)
@@ -827,13 +702,8 @@ func (s *Server) handleShardSample(w http.ResponseWriter, r *http.Request) {
 		}
 		locals[i] = int(l)
 	}
-	enc, fast := s.cfg.Provider.(leGatherer)
 	if gatherErr == nil {
-		if !fast {
-			gatherErr = fmt.Errorf("provider cannot gather shard samples")
-		} else {
-			enc.GatherEncodeLE(locals, buf[shardReplyHdr:])
-		}
+		s.cfg.Provider.GatherEncodeLE(locals, buf[shardReplyHdr:])
 	}
 	s.provMu.RUnlock()
 	if gatherErr != nil {
@@ -848,7 +718,6 @@ func (s *Server) handleShardSample(w http.ResponseWriter, r *http.Request) {
 		s.sampleAgeRows.Observe(float64(rowCount - l))
 	}
 	s.sampleRows.Add(uint64(k))
-	s.shardSampleRows.Add(uint64(k))
 	s.sampleBytes.Add(uint64(total))
 	s.sampleSeconds.Observe(time.Since(start).Seconds())
 	sp.EndArg("rows", int64(k))

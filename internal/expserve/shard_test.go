@@ -3,6 +3,7 @@ package expserve
 import (
 	"math/rand"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -108,7 +109,13 @@ func TestShardedMatchesSingleStoreBitForBit(t *testing.T) {
 
 			rngA := rand.New(rand.NewSource(7))
 			rngB := rand.New(rand.NewSource(7))
-			const rows = 200 // below per-shard capacity: no trims anywhere
+			// Several shards hold shards×capacity rows between them, so stay
+			// below one shard's capacity: no trims anywhere. One shard has
+			// exactly the local store's capacity, so wrap its window.
+			rows, retained := 200, 200
+			if shards == 1 {
+				rows, retained = 300, 256
+			}
 			for i := 0; i < rows; i++ {
 				obs, act, rew, nxt, done := step(rngA)
 				if err := sink.Add(obs, act, rew, nxt, done); err != nil {
@@ -132,8 +139,8 @@ func TestShardedMatchesSingleStoreBitForBit(t *testing.T) {
 				t.Fatal(err)
 			}
 			nL, _ := local.Len()
-			if nF != nL || nF != rows {
-				t.Fatalf("shards=%d plan %v: fabric Len %d, local Len %d, want %d", shards, plan, nF, nL, rows)
+			if nF != nL || nF != retained {
+				t.Fatalf("shards=%d plan %v: fabric Len %d, local Len %d, want %d", shards, plan, nF, nL, retained)
 			}
 
 			const batch = 32
@@ -280,6 +287,106 @@ func TestShardedDegradedDrawSkipsDeadGroup(t *testing.T) {
 	}
 }
 
+// A plain -replay-addr is a one-group fabric whose member client gives up
+// after MemberDeadline, so a sink without a spool has only the fabric's
+// RetryFor budget between a replayd restart and a failed run. Stop a
+// durable server mid-stream, bring it back on the same address only after
+// the member client has given up, and every row must be stored exactly
+// once — none lost to the outage, none doubled by the redelivery.
+func TestOneGroupSinkRidesServerRestartWithoutSpool(t *testing.T) {
+	spec := testSpec(4096)
+	dir := t.TempDir()
+	// serve opens the store and its dedup log and binds addr, retrying
+	// while the previous listener's port is still being released.
+	serve := func(addr string) (string, func()) {
+		st, err := expstore.Open(filepath.Join(dir, "store"), spec, expstore.Options{SegmentRows: 64})
+		if err != nil {
+			t.Error(err)
+			return "", func() {}
+		}
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			srv, err := NewServer(ServerConfig{Provider: st, Spec: spec, DedupLogPath: filepath.Join(dir, "dedup.jsonl")})
+			if err != nil {
+				t.Error(err)
+				return "", func() {}
+			}
+			bound, shutdown, err := srv.ListenAndServe(addr)
+			if err == nil {
+				return bound, func() { _ = shutdown(); _ = st.Close() }
+			}
+			_ = srv.Close()
+			if time.Now().After(deadline) {
+				t.Errorf("could not bind %s: %v", addr, err)
+				return "", func() {}
+			}
+		}
+	}
+	addr, stop := serve("127.0.0.1:0")
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	groups, err := expshard.ParseSpec(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	f, err := NewFabric(groups, FabricOptions{
+		Client:         ClientOptions{Timeout: time.Second, Attempts: 2, BaseDelay: time.Millisecond, BreakerCooldown: 20 * time.Millisecond, JitterSeed: 1},
+		MemberDeadline: 50 * time.Millisecond,
+		RetryFor:       30 * time.Second,
+		Registry:       reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := NewShardedSink(f, "actor-restart", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.SetMaxBatchRows(8)
+	rng := rand.New(rand.NewSource(17))
+	addRows := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			obs, act, rew, nxt, done := step(rng)
+			if err := sink.Add(obs, act, rew, nxt, done); err != nil {
+				t.Fatalf("add: %v", err)
+			}
+		}
+	}
+
+	addRows(24) // three batches land and are acknowledged
+	stop()
+	restarted := make(chan func(), 1)
+	go func() {
+		// Longer than a member client's whole budget plus one fabric retry
+		// pause, so the outage outlives at least one failed Flush.
+		time.Sleep(2*fabricRetryDelay + 100*time.Millisecond)
+		_, stop := serve(addr)
+		restarted <- stop
+	}()
+	addRows(20) // auto-flushes hit the dead server and must ride it out
+	if err := sink.Flush(); err != nil {
+		t.Fatalf("flush across restart: %v", err)
+	}
+	defer (<-restarted)()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if reg.Counter("marl_retry_giveup_total", "edge", "replay-shard-0-m0").Value() == 0 {
+		t.Fatal("the member client never gave up: the restart was too quick to prove anything")
+	}
+
+	st, err := NewClient(addr, fastOpts).ServiceStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rows != 44 || st.Total != 44 {
+		t.Fatalf("store holds rows=%d total=%d after restart, want exactly 44 (no loss, no duplicates)", st.Rows, st.Total)
+	}
+}
+
 // Prefetch overlap composes with the fabric: a prefetched fabric draw
 // is bit-identical to the synchronous one.
 func TestShardedPrefetchMatchesSync(t *testing.T) {
@@ -339,27 +446,7 @@ func TestShardedPrefetchMatchesSync(t *testing.T) {
 // Wire sanity: the shard request survives an encode/decode round trip
 // and corruption of any byte is detected.
 func TestShardWireRoundTripAndCorruption(t *testing.T) {
-	req := shardSampleRequest{
-		N:          32,
-		Seed:       -12345,
-		Plan:       replay.SamplePlan{Strategy: replay.PlanLocality, Neighbors: 8, Refs: 4},
-		ShardID:    "shard-1",
-		MyGroup:    1,
-		Partitions: 64,
-		Offset:     0,
-		Part2Group: func() []int {
-			p := make([]int, 64)
-			for i := range p {
-				p[i] = i % 3
-			}
-			return p
-		}(),
-		Stats: []expshard.GroupStat{
-			{Rows: 100, Total: 100, Live: true},
-			{Rows: 90, Total: 120, Live: true},
-			{Rows: 0, Total: 0, Live: false},
-		},
-	}
+	req := wireTestRequest()
 	buf, err := encodeShardSampleRequest(nil, req)
 	if err != nil {
 		t.Fatal(err)

@@ -32,10 +32,10 @@ type FabricOptions struct {
 	// (stats probe, shard draw, append) before the fabric moves on.
 	// Defaults to 3s.
 	MemberDeadline time.Duration
-	// RetryFor keeps whole-fabric operations (view refresh, draws with
-	// every replica of a group down) retrying with backoff for this
-	// long before surfacing the failure — the ride-through budget for
-	// a full shard restart. Zero tries once.
+	// RetryFor keeps whole-fabric operations (view refresh, draws and
+	// unspooled appends with every replica of a group down) retrying
+	// with backoff for this long before surfacing the failure — the
+	// ride-through budget for a full shard restart. Zero tries once.
 	RetryFor time.Duration
 	// Registry receives marl_shard_* fabric metrics; nil keeps them
 	// private.
@@ -200,12 +200,12 @@ type fabricView struct {
 }
 
 // ShardedSource samples fabric-wide mini-batches, implementing
-// replay.TransitionSource and Prefetchable. Every draw executes the
-// same pure (plan, viewLen, seed) selection on all live shards
-// (server-side, next to the data) and merges the returned slices by
-// batch slot — a stable shard-ordered merge over disjoint slot sets —
-// so at R=1 with all shards live the batch is bit-identical to a
-// single replayd executing the same draw.
+// replay.TransitionSource. Every draw executes the same pure (plan,
+// viewLen, seed) selection on all live shards (server-side, next to
+// the data) and merges the returned slices by batch slot — a stable
+// shard-ordered merge over disjoint slot sets — so at R=1 with all
+// shards live the batch is bit-identical to a local store executing
+// the same draw, at any shard count.
 //
 // Degraded paths (counted, never silent): a down member fails over to
 // the next replica in its group; a group with every replica down is
@@ -337,23 +337,21 @@ func (s *ShardedSource) Len() (int, error) {
 	return int(fv.view.Len()), nil
 }
 
-func (s *ShardedSource) acquireFetch() fetchState {
+func (s *ShardedSource) acquireFetch() *shardScratch {
 	if sc, ok := s.scratch.Get().(*shardScratch); ok {
 		return sc
 	}
 	return &shardScratch{}
 }
 
-func (s *ShardedSource) releaseFetch(st fetchState) {
-	sc := st.(*shardScratch)
+func (s *ShardedSource) releaseFetch(sc *shardScratch) {
 	sc.n = 0
 	s.scratch.Put(sc)
 }
 
 // runFetch executes one fabric draw into sc, riding RetryFor through
 // transient whole-fabric failures.
-func (s *ShardedSource) runFetch(n int, seed int64, st fetchState) error {
-	sc := st.(*shardScratch)
+func (s *ShardedSource) runFetch(n int, seed int64, sc *shardScratch) error {
 	deadline := time.Now().Add(s.f.opts.RetryFor)
 	for {
 		err := s.tryDraw(n, seed, sc)
@@ -382,7 +380,7 @@ func (s *ShardedSource) tryDraw(n int, seed int64, sc *shardScratch) error {
 		}
 	}
 	stride := s.layout.Stride()
-	s.sizeScratch(sc, n, stride, len(fv.snap.Groups))
+	sc.grow(n, stride, len(fv.snap.Groups))
 	var lastErr error
 	for redo := 0; redo <= len(fv.snap.Groups); redo++ {
 		length := int(fv.view.Len())
@@ -445,7 +443,7 @@ func (s *ShardedSource) tryDraw(n int, seed int64, sc *shardScratch) error {
 	return lastErr
 }
 
-// sizeScratch grows sc for an n-row draw across groups.
+// grow sizes sc for an n-row draw across groups.
 func (sc *shardScratch) grow(n, stride, groups int) {
 	if cap(sc.idx) < n {
 		sc.idx = make([]int, n)
@@ -460,10 +458,6 @@ func (sc *shardScratch) grow(n, stride, groups int) {
 		sc.groups = make([]groupScratch, groups)
 	}
 	sc.n = n
-}
-
-func (s *ShardedSource) sizeScratch(sc *shardScratch, n, stride, groups int) {
-	sc.grow(n, stride, groups)
 }
 
 // groupFetch runs this group's slice of the draw against its preferred
@@ -578,8 +572,10 @@ func (s *ShardedSource) merge(sc *shardScratch, n, stride int) error {
 	return nil
 }
 
-func (s *ShardedSource) consumeFetch(st fetchState, n int, dst []*replay.AgentBatch) []int {
-	sc := st.(*shardScratch)
+// consumeFetch splits a completed fetch into dst and returns a freshly
+// allocated index slice (it cannot alias pooled scratch — concurrent
+// callers would race on it).
+func (s *ShardedSource) consumeFetch(sc *shardScratch, n int, dst []*replay.AgentBatch) []int {
 	s.layout.SplitRows(sc.merged[:n*s.layout.Stride()], n, dst)
 	idx := make([]int, n)
 	copy(idx, sc.idx[:n])
@@ -662,16 +658,37 @@ func (s *ShardedSink) Add(obs, act [][]float64, rew []float64, nextObs [][]float
 			firstErr = err
 		}
 	}
+	if s.f.opts.RetryFor > 0 && isOutage(firstErr) {
+		// The row is buffered; it was a member's auto-flush that failed.
+		return s.Flush()
+	}
 	return firstErr
 }
 
-// Flush implements replay.TransitionSink: flush every member sink,
-// fanning the frames out concurrently (each member is an independent
-// server; serializing the fan-out would make R and the group count a
-// latency multiplier). All sinks are flushed even when one fails (a
-// dead replica must not strand the live ones' rows); the first error
-// in group/member order is returned.
+// Flush implements replay.TransitionSink: flush every member sink. A
+// dead replica must not strand the live ones' rows, so one member's
+// failure is reported without retrying the rest. A group that loses
+// every member to an outage has nowhere to put its rows (an armed spool
+// would have absorbed the outage), so Flush rides the fabric's RetryFor
+// budget like draws and view refreshes do; each retry re-ships the
+// failed members' identical frames, which the servers deduplicate.
 func (s *ShardedSink) Flush() error {
+	deadline := time.Now().Add(s.f.opts.RetryFor)
+	for {
+		groupDown, err := s.flushMembers()
+		if err == nil || !groupDown || s.f.opts.RetryFor <= 0 || time.Now().After(deadline) {
+			return err
+		}
+		time.Sleep(fabricRetryDelay)
+	}
+}
+
+// flushMembers flushes every member sink once, fanning the frames out
+// concurrently (each member is an independent server; serializing the
+// fan-out would make R and the group count a latency multiplier). It
+// returns the first error in group/member order, and whether some group
+// lost every member to an outage.
+func (s *ShardedSink) flushMembers() (groupDown bool, first error) {
 	var wg sync.WaitGroup
 	errs := make([][]error, len(s.subs))
 	for gi, group := range s.subs {
@@ -686,13 +703,16 @@ func (s *ShardedSink) Flush() error {
 	}
 	wg.Wait()
 	for _, group := range errs {
+		down := true
 		for _, err := range group {
-			if err != nil {
-				return err
+			down = down && isOutage(err)
+			if err != nil && first == nil {
+				first = err
 			}
 		}
+		groupDown = groupDown || down
 	}
-	return nil
+	return groupDown, first
 }
 
 // EnableSpool arms per-member disk spooling under opts.Dir (one
@@ -767,6 +787,5 @@ func (s *ShardedSink) ResumeCursors() {
 
 var (
 	_ replay.TransitionSource = (*ShardedSource)(nil)
-	_ Prefetchable            = (*ShardedSource)(nil)
 	_ replay.TransitionSink   = (*ShardedSink)(nil)
 )

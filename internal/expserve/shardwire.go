@@ -30,11 +30,17 @@ const PathShardSample = "/v1/shard-sample"
 //	  | shardID | partitions×u8 part2group
 //	  | groups×(u64 rows | u64 total | u8 live) | u32 CRC
 //
-//	reply "MXHR" (header + slot-region CRCs, row payload delegated to
-//	the transport, same rationale as the sample reply):
+//	reply "MXHR":
 //	  magic | u32 ver | u32 k | u32 stride | u32 n | u32 headerCRC
 //	  | k·stride×f64 rows (LE, 8-aligned at offset 24)
 //	  | k×u32 slots | u32 slotCRC
+//
+// Unlike append frames (spooled to disk and replayed across restarts), a
+// reply lives for one RAM-to-RAM hop on a checksummed transport; CRC-ing
+// the multi-megabyte row payload on both ends would cost more than the
+// rest of the decode combined, so the frame checksums only what steers
+// decoding: the header and the slot region. Rows sit on an 8-byte
+// boundary so little-endian hosts reinterpret them in place.
 const (
 	shardReqMagic    = "MXHQ"
 	shardReplyMagic  = "MXHR"

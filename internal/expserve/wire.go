@@ -9,10 +9,11 @@
 // Wire formats: bulk row payloads travel as little-endian binary frames
 // (float64s bit-exact, same encoding as the segment files). Append frames
 // carry a CRC32-IEEE trailer over the whole frame — they get spooled to
-// disk and replayed, so they need at-rest integrity. Sample requests are
-// fixed 32-byte binary frames; sample replies checksum their header and
-// index regions and delegate row-payload integrity to the transport (see
-// the v2 frame comment below). Small control messages are JSON.
+// disk and replayed, so they need at-rest integrity. Sample requests and
+// replies are the shard frames in shardwire.go: the request is checksummed
+// whole, the reply checksums its header and slot regions and delegates
+// row-payload integrity to the transport. Small control messages (the
+// append ack, /v1/stats) are JSON.
 package expserve
 
 import (
@@ -23,27 +24,24 @@ import (
 	"math"
 
 	"marlperf/internal/expstore"
-	"marlperf/internal/f64le"
 	"marlperf/internal/replay"
 )
 
 // Endpoint paths served by Server and used by Client.
 const (
 	PathAppend = "/v1/append"
-	PathSample = "/v1/sample"
 	PathStats  = "/v1/stats"
 )
 
+// PathSample is unrouted: the server registers no handler for it and
+// answers 404. It survives only because the frozen bench/ module names it
+// beside PathShardSample as two keys of one map literal; delete it when
+// bench/ next opens.
+const PathSample = "/v1/sample"
+
 const (
-	appendMagic    = "MXAP"
-	sampleMagic    = "MXSR"
-	sampleReqMagic = "MXSQ"
-	wireVersion    = 1
-	// sampleWireVersion versions the sample request/reply frames
-	// independently of the append frame: append frames are spooled to disk
-	// and replayed byte-identically across process generations, so their
-	// version must not move with the (purely transient) sample wire path.
-	sampleWireVersion = 2
+	appendMagic = "MXAP"
+	wireVersion = 1
 
 	// maxWireRows bounds the row count any single frame may claim, so a
 	// hostile or corrupt header cannot demand an absurd allocation.
@@ -129,16 +127,7 @@ type appendReply struct {
 	Dup   bool   `json:"dup"`   // batch was a replay of an applied sequence
 }
 
-// sampleRequest asks the server to execute one seeded plan. On the wire it
-// travels as a fixed 32-byte binary frame (encodeSampleRequest); the JSON
-// form is kept for older clients and hand-driven debugging.
-type sampleRequest struct {
-	N    int               `json:"n"`
-	Seed int64             `json:"seed"`
-	Plan replay.SamplePlan `json:"plan"`
-}
-
-// Sample plan strategies as wire codes (binary request frame).
+// Sample plan strategies as wire codes (shard request frame).
 const (
 	planCodeUniform  = 1
 	planCodeLocality = 2
@@ -166,161 +155,11 @@ func codeToPlan(code uint32) (string, error) {
 	}
 }
 
-// sampleReqSize is the fixed size of a binary sample request frame:
-// magic | u32 version | u32 n | u64 seed | u32 strategy | u32 neighbors |
-// u32 refs | u32 CRC.
-const sampleReqSize = 4 + 4 + 4 + 8 + 4 + 4 + 4 + 4
-
-// encodeSampleRequest frames one seeded plan execution request.
-func encodeSampleRequest(dst []byte, req sampleRequest) ([]byte, error) {
-	code, err := planToCode(req.Plan.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	start := len(dst)
-	dst = append(dst, sampleReqMagic...)
-	dst = binary.LittleEndian.AppendUint32(dst, sampleWireVersion)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(req.N))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(req.Seed))
-	dst = binary.LittleEndian.AppendUint32(dst, code)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(req.Plan.Neighbors))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(req.Plan.Refs))
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
-}
-
-// decodeSampleRequest parses and verifies a binary sample request frame.
-func decodeSampleRequest(data []byte) (sampleRequest, error) {
-	var req sampleRequest
-	if len(data) != sampleReqSize {
-		return req, fmt.Errorf("expserve: sample request %d bytes, want %d", len(data), sampleReqSize)
-	}
-	if string(data[:4]) != sampleReqMagic {
-		return req, fmt.Errorf("expserve: bad sample request magic %q", data[:4])
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != sampleWireVersion {
-		return req, fmt.Errorf("expserve: sample request version %d, want %d", v, sampleWireVersion)
-	}
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(data[:len(data)-4]) != want {
-		return req, fmt.Errorf("expserve: sample request checksum mismatch")
-	}
-	req.N = int(int32(binary.LittleEndian.Uint32(data[8:])))
-	req.Seed = int64(binary.LittleEndian.Uint64(data[12:]))
-	strategy, err := codeToPlan(binary.LittleEndian.Uint32(data[20:]))
-	if err != nil {
-		return req, err
-	}
-	req.Plan = replay.SamplePlan{
-		Strategy:  strategy,
-		Neighbors: int(int32(binary.LittleEndian.Uint32(data[24:]))),
-		Refs:      int(int32(binary.LittleEndian.Uint32(data[28:]))),
-	}
-	return req, nil
-}
-
 // ErrShortFrame reports a sample reply shorter than the layout its header
 // (or the request it answers) declares — a truncated read, a torn proxy
 // body, or a hostile peer. It is detected from the frame length alone,
 // before any row decoding touches the payload.
 var ErrShortFrame = errors.New("expserve: sample reply frame truncated")
-
-// Sample reply frame v2, laid out so the row payload sits on an 8-byte
-// boundary (offset 24) and can be reinterpreted in place on little-endian
-// hosts:
-//
-//	magic "MXSR" | u32 version | u32 n | u32 stride | u32 flags
-//	| u32 headerCRC                    — CRC32-IEEE over bytes [0,20)
-//	| n·stride×f64 rows (LE)           — integrity delegated to TCP
-//	| n×u64 indices | u32 indexCRC     — CRC32-IEEE over the index region
-//
-// Unlike append frames (which are spooled to disk and replayed across
-// process restarts), a sample reply lives for exactly one RAM-to-RAM hop on
-// a checksummed transport; CRC-ing the multi-megabyte row payload on both
-// ends would cost more than the rest of the decode combined, so the frame
-// checksums only what steers decoding: the header and the index region.
-const (
-	sampleReplyHdr = 24 // fixed header size; rows start here, 8-aligned
-)
-
-// sampleReplySize returns the total v2 frame size for n rows of stride.
-func sampleReplySize(n, stride int) int {
-	return sampleReplyHdr + 8*n*stride + 8*n + 4
-}
-
-// putSampleReplyHeader writes the fixed header into buf[:sampleReplyHdr].
-func putSampleReplyHeader(buf []byte, n, stride int) {
-	copy(buf, sampleMagic)
-	binary.LittleEndian.PutUint32(buf[4:], sampleWireVersion)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(n))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(stride))
-	binary.LittleEndian.PutUint32(buf[16:], 0) // flags, reserved
-	binary.LittleEndian.PutUint32(buf[20:], crc32.ChecksumIEEE(buf[:20]))
-}
-
-// putSampleReplyIndex writes the index region and its CRC. The row payload
-// at [sampleReplyHdr, sampleReplyHdr+8·n·stride) must already be in place.
-func putSampleReplyIndex(buf []byte, n, stride int, idx []int) {
-	off := sampleReplyHdr + 8*n*stride
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(buf[off+8*i:], uint64(idx[i]))
-	}
-	binary.LittleEndian.PutUint32(buf[off+8*n:], crc32.ChecksumIEEE(buf[off:off+8*n]))
-}
-
-// encodeSampleReply builds a complete v2 frame from already-gathered rows —
-// the fallback for providers without a GatherEncodeLE fast path, and the
-// frame builder tests exercise.
-func encodeSampleReply(dst []byte, idx []int, rows []float64, stride int) []byte {
-	n := len(idx)
-	total := sampleReplySize(n, stride)
-	if cap(dst) < total {
-		dst = make([]byte, total)
-	}
-	dst = dst[:total]
-	putSampleReplyHeader(dst, n, stride)
-	f64le.Put(dst[sampleReplyHdr:], rows[:n*stride])
-	putSampleReplyIndex(dst, n, stride, idx)
-	return dst
-}
-
-// decodeSampleReply validates a v2 frame against the expected (n, stride),
-// fills idx with the selected insertion-order indices, and returns the raw
-// little-endian row payload region (aliasing data) for the caller to split
-// into tensors. The full frame length is validated before any copy loop
-// runs: a truncated frame returns ErrShortFrame and touches nothing.
-func decodeSampleReply(data []byte, n, stride int, idx []int) ([]byte, error) {
-	wantLen := sampleReplySize(n, stride)
-	if len(data) < wantLen {
-		return nil, fmt.Errorf("%w: %d bytes, frame layout for n=%d stride=%d needs %d",
-			ErrShortFrame, len(data), n, stride, wantLen)
-	}
-	if len(data) > wantLen {
-		return nil, fmt.Errorf("expserve: sample reply %d bytes, want %d", len(data), wantLen)
-	}
-	if string(data[:4]) != sampleMagic {
-		return nil, fmt.Errorf("expserve: bad sample magic %q", data[:4])
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != sampleWireVersion {
-		return nil, fmt.Errorf("expserve: sample reply version %d, want %d", v, sampleWireVersion)
-	}
-	if got := int(binary.LittleEndian.Uint32(data[8:])); got != n {
-		return nil, fmt.Errorf("expserve: sample reply carries %d rows, want %d", got, n)
-	}
-	if got := int(binary.LittleEndian.Uint32(data[12:])); got != stride {
-		return nil, fmt.Errorf("expserve: sample reply stride %d, want %d", got, stride)
-	}
-	if want := binary.LittleEndian.Uint32(data[20:]); crc32.ChecksumIEEE(data[:20]) != want {
-		return nil, fmt.Errorf("expserve: sample reply header checksum mismatch")
-	}
-	idxOff := sampleReplyHdr + 8*n*stride
-	if want := binary.LittleEndian.Uint32(data[idxOff+8*n:]); crc32.ChecksumIEEE(data[idxOff:idxOff+8*n]) != want {
-		return nil, fmt.Errorf("expserve: sample reply index checksum mismatch")
-	}
-	for i := 0; i < n; i++ {
-		idx[i] = int(binary.LittleEndian.Uint64(data[idxOff+8*i:]))
-	}
-	return data[sampleReplyHdr:idxOff], nil
-}
 
 // specWire is the JSON shape of a replay.Spec on the stats endpoint.
 type specWire struct {

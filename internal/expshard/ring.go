@@ -281,12 +281,6 @@ func ParseSpec(spec string) ([]Group, error) {
 	return groups, nil
 }
 
-// IsSharded reports whether a -replay-addr value names a multi-group
-// or multi-replica fabric rather than a single plain endpoint.
-func IsSharded(spec string) bool {
-	return strings.ContainsAny(spec, ",|=")
-}
-
 // FormatTopology renders a one-line human summary of the snapshot.
 func FormatTopology(s *Snapshot) string {
 	var b strings.Builder

@@ -208,14 +208,3 @@ func TestParseSpec(t *testing.T) {
 		}
 	}
 }
-
-func TestIsSharded(t *testing.T) {
-	if IsSharded("127.0.0.1:9300") {
-		t.Error("plain address detected as sharded")
-	}
-	for _, s := range []string{"a:1,b:2", "a:1|b:2", "east=a:1"} {
-		if !IsSharded(s) {
-			t.Errorf("%q not detected as sharded", s)
-		}
-	}
-}

@@ -22,6 +22,11 @@ type Provider interface {
 	// operation, filling idx (len n) with the chosen insertion-order
 	// indices and rows (n·stride floats) with the packed data.
 	SamplePacked(plan replay.SamplePlan, n int, seed int64, idx []int, rows []float64) error
+	// GatherEncodeLE writes the rows at the given insertion-order indices
+	// into dst as little-endian float64 bytes (len(indices)·Stride()·8 of
+	// them), straight from row storage — the experience server's sample
+	// reply path.
+	GatherEncodeLE(indices []int, dst []byte)
 }
 
 var (
