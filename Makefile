@@ -7,8 +7,10 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# The second line builds and vets internal/tensor's non-amd64 stub.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor/
 
 test:
 	$(GO) test ./...
@@ -26,8 +28,9 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The three matrix-product kernels at the critic and acting shapes, in
-# GFLOP/s: the one-line before/after for a kernel change.
+# The three matrix products at the critic and acting shapes, in GFLOP/s, on
+# each body of the multiply-add primitive this CPU can run (path=avx2 and
+# path=go side by side): the one-line before/after for a kernel change.
 bench-kernels:
 	$(GO) test -run '^$$' -bench '^BenchmarkKernels$$' -cpu 1 ./internal/tensor
 

@@ -13,12 +13,9 @@ package marlperf
 // machines and revisions stay comparable.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -392,21 +389,5 @@ func BenchmarkExpServeSample(b *testing.B) {
 		}
 	}
 
-	out := struct {
-		Benchmark  string           `json:"benchmark"`
-		GoVersion  string           `json:"go_version"`
-		GOMAXPROCS int              `json:"gomaxprocs"`
-		Commit     string           `json:"commit"`
-		Host       string           `json:"host"`
-		Unit       string           `json:"unit"`
-		Results    []replaySweepRow `json:"results"`
-	}{"ExpServeSample", runtime.Version(), runtime.GOMAXPROCS(0), benchCommit(), benchHost(), "ns/op", rows}
-	data, err := json.MarshalIndent(&out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_replay.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("wrote %d sweep rows to BENCH_replay.json", len(rows))
+	writeBenchFile(b, "BENCH_replay.json", "ExpServeSample", "ns/op", rows)
 }

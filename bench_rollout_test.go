@@ -9,10 +9,7 @@ package marlperf
 // provenance stamps as the other BENCH_*.json sweeps.
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
 
 	"marlperf/internal/mpe"
@@ -124,21 +121,5 @@ func BenchmarkRolloutVec(b *testing.B) {
 	for _, name := range order {
 		rows = append(rows, cells[name])
 	}
-	out := struct {
-		Benchmark  string            `json:"benchmark"`
-		GoVersion  string            `json:"go_version"`
-		GOMAXPROCS int               `json:"gomaxprocs"`
-		Commit     string            `json:"commit"`
-		Host       string            `json:"host"`
-		Unit       string            `json:"unit"`
-		Results    []rolloutSweepRow `json:"results"`
-	}{"RolloutVec", runtime.Version(), runtime.GOMAXPROCS(0), benchCommit(), benchHost(), "ns/env_step", rows}
-	data, err := json.MarshalIndent(&out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_rollout.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("wrote %d sweep rows to BENCH_rollout.json", len(rows))
+	writeBenchFile(b, "BENCH_rollout.json", "RolloutVec", "ns/env_step", rows)
 }

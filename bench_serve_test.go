@@ -12,10 +12,7 @@ package marlperf
 // batched QPS must be monotone non-decreasing from c=1 to c=16.
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -203,21 +200,5 @@ func BenchmarkServe(b *testing.B) {
 			ordered = append(ordered, row)
 		}
 	}
-	out := struct {
-		Benchmark  string          `json:"benchmark"`
-		GoVersion  string          `json:"go_version"`
-		GOMAXPROCS int             `json:"gomaxprocs"`
-		Commit     string          `json:"commit"`
-		Host       string          `json:"host"`
-		Unit       string          `json:"unit"`
-		Results    []serveSweepRow `json:"results"`
-	}{"Serve", runtime.Version(), runtime.GOMAXPROCS(0), benchCommit(), benchHost(), "qps", ordered}
-	data, err := json.MarshalIndent(&out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_serve.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("wrote %d sweep rows to BENCH_serve.json", len(ordered))
+	writeBenchFile(b, "BENCH_serve.json", "Serve", "qps", ordered)
 }

@@ -503,23 +503,32 @@ func BenchmarkUpdateWorkersSweep(b *testing.B) {
 	if len(rows) == 0 {
 		return
 	}
+	writeBenchFile(b, "BENCH_update.json", "UpdateWorkersSweep", "ns/op", rows)
+}
+
+// writeBenchFile writes one sweep's rows to a BENCH_*.json file under the
+// provenance stamp they all carry: what was measured, and the toolchain,
+// core count, kernel path (tensor.KernelPath: throughput depends on whether
+// the CPU has AVX2), source revision and host it was measured with.
+func writeBenchFile(b *testing.B, file, benchmark, unit string, rows any) {
 	out := struct {
-		Benchmark  string           `json:"benchmark"`
-		GoVersion  string           `json:"go_version"`
-		GOMAXPROCS int              `json:"gomaxprocs"`
-		Commit     string           `json:"commit"`
-		Host       string           `json:"host"`
-		Unit       string           `json:"unit"`
-		Results    []updateSweepRow `json:"results"`
-	}{"UpdateWorkersSweep", runtime.Version(), runtime.GOMAXPROCS(0), benchCommit(), benchHost(), "ns/op", rows}
+		Benchmark  string `json:"benchmark"`
+		GoVersion  string `json:"go_version"`
+		GOMAXPROCS int    `json:"gomaxprocs"`
+		Kernels    string `json:"kernels"`
+		Commit     string `json:"commit"`
+		Host       string `json:"host"`
+		Unit       string `json:"unit"`
+		Results    any    `json:"results"`
+	}{benchmark, runtime.Version(), runtime.GOMAXPROCS(0), tensor.KernelPath(), benchCommit(), benchHost(), unit, rows}
 	data, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_update.json", append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(file, append(data, '\n'), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	b.Logf("wrote %d sweep rows to BENCH_update.json", len(rows))
+	b.Logf("wrote %s", file)
 }
 
 // benchCommit identifies the source revision a sweep was produced from:

@@ -24,6 +24,7 @@ import (
 	"marlperf/internal/replay"
 	"marlperf/internal/simcache"
 	"marlperf/internal/telemetry"
+	"marlperf/internal/tensor"
 	"marlperf/internal/trace"
 )
 
@@ -42,6 +43,7 @@ type profileJSON struct {
 	Agents    int              `json:"agents"`
 	Episodes  int              `json:"episodes"`
 	Workers   int              `json:"workers"`
+	Kernels   string           `json:"kernels"` // tensor.KernelPath: timings depend on it
 	ElapsedMS int64            `json:"elapsed_ms"`
 	Profile   json.RawMessage  `json:"profile"`
 	Counters  samplingCounters `json:"sampling_counters"`
@@ -219,6 +221,7 @@ func main() {
 				Agents:    n,
 				Episodes:  *episodes,
 				Workers:   tr.UpdateWorkers(),
+				Kernels:   tensor.KernelPath(),
 				ElapsedMS: elapsed.Milliseconds(),
 				Profile:   profData,
 				Counters:  ctrs,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"marlperf/internal/mpe"
@@ -216,5 +217,30 @@ func TestUpdateWorkersValidation(t *testing.T) {
 	cfg.UpdateWorkers = 3
 	if got := cfg.ResolvedUpdateWorkers(); got != 3 {
 		t.Fatalf("ResolvedUpdateWorkers = %d, want 3", got)
+	}
+}
+
+// TestSerialUpdateDoesNotAllocate: once its scratch is warm, a whole
+// update-all-trainers stage at one worker and one core — sampling, gather,
+// every forward and backward including the transposed weights of grad·Wᵀ, the
+// optimizer steps — runs without touching the heap.
+func TestSerialUpdateDoesNotAllocate(t *testing.T) {
+	// At more than one core the large products fan out over goroutines,
+	// which allocate by design.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := DefaultConfig(MADDPG)
+	cfg.BatchSize = 256
+	cfg.BufferCapacity = 8192
+	cfg.WarmupSize = 256
+	cfg.UpdateWorkers = 1
+	tr, err := NewTrainer(cfg, mpe.NewPredatorPrey(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tr.Warmup(512)
+	tr.UpdateAllTrainers()
+	if allocs := testing.AllocsPerRun(5, tr.UpdateAllTrainers); allocs != 0 {
+		t.Fatalf("a warmed serial UpdateAllTrainers allocates %v times, want 0", allocs)
 	}
 }

@@ -116,7 +116,6 @@ type updateScratch struct {
 	yTarget     *tensor.Matrix
 	qGrad       *tensor.Matrix
 	probsBuf    *tensor.Matrix
-	gradProbs   *tensor.Matrix
 	gradLogits  *tensor.Matrix
 	tdAbs       []float64
 	prof        profiler.Profile
@@ -133,7 +132,6 @@ func (t *Trainer) newUpdateScratch() *updateScratch {
 		yTarget:     tensor.New(b, 1),
 		qGrad:       tensor.New(b, 1),
 		probsBuf:    tensor.New(b, t.actDim),
-		gradProbs:   tensor.New(b, t.actDim),
 		gradLogits:  tensor.New(b, t.actDim),
 		tdAbs:       make([]float64, b),
 	}
@@ -772,11 +770,11 @@ func (t *Trainer) updateActor(s *updateScratch, i int) {
 	ag.critic1.Forward(s.jointCur)
 	// dPLoss/dQ = -1/B for pLoss = -mean(Q).
 	s.qGrad.Fill(-1 / float64(b))
-	// Only ∂Q/∂(joint input) is read here; the critic is not trained in
-	// this step, so its parameter gradients are neither computed nor touched.
-	gradIn := ag.critic1.BackwardInput(s.qGrad)
-	tensor.SliceCols(s.gradProbs, gradIn, t.actOffsets[i], t.actOffsets[i]+t.actDim)
-	nn.SoftmaxBackwardRows(s.gradLogits, s.probsBuf, s.gradProbs)
+	// Only ∂Q/∂(this agent's action columns of the joint input) is read
+	// here; the critic is not trained in this step, so neither its parameter
+	// gradients nor the other input columns' are computed.
+	gradProbs := ag.critic1.BackwardInputCols(s.qGrad, t.actOffsets[i], t.actOffsets[i]+t.actDim)
+	nn.SoftmaxBackwardRows(s.gradLogits, s.probsBuf, gradProbs)
 	// Logit regularizer: +1e-3 · mean(logits²).
 	regScale := 1e-3 * 2 / float64(len(logits.Data))
 	for k := range s.gradLogits.Data {

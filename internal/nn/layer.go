@@ -45,6 +45,7 @@ type Dense struct {
 	lastX      *tensor.Matrix // retained input for backward
 	out        *tensor.Matrix // forward scratch, resized per batch
 	gradIn     *tensor.Matrix // backward scratch, resized per batch
+	wT         *tensor.Matrix // backward scratch for Wᵀ, rewritten per call: W moves every step
 	gwScratch  *tensor.Matrix // backward scratch for xᵀ·grad
 	sumScratch []float64      // backward scratch for column sums
 }
@@ -116,10 +117,18 @@ func (d *Dense) BackwardParams(grad *tensor.Matrix) {
 
 // BackwardInput returns ∂L/∂x = grad·Wᵀ only.
 func (d *Dense) BackwardInput(grad *tensor.Matrix) *tensor.Matrix {
+	return d.backwardInputCols(grad, 0, d.W.Rows)
+}
+
+// backwardInputCols returns columns [lo, hi) of ∂L/∂x: grad times the
+// transpose of rows [lo, hi) of W, as a batch×(hi-lo) matrix with the bits
+// of those columns of BackwardInput. The layer keeps the transposed weights
+// between calls, so a step allocates nothing.
+func (d *Dense) backwardInputCols(grad *tensor.Matrix, lo, hi int) *tensor.Matrix {
 	d.checkBackward(grad)
-	d.gradIn = tensor.Reshape(d.gradIn, grad.Rows, d.W.Rows)
-	tensor.MatMulTransBParallel(d.gradIn, grad, d.W)
-	return d.gradIn
+	d.wT = tensor.TransposeRows(d.wT, d.W, lo, hi)
+	d.gradIn = tensor.Reshape(d.gradIn, grad.Rows, hi-lo)
+	return tensor.MatMulParallel(d.gradIn, grad, d.wT)
 }
 
 func (d *Dense) checkBackward(grad *tensor.Matrix) {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -365,6 +366,13 @@ func TestSelectiveBackwardMatchesBackward(t *testing.T) {
 	}
 	inOnly.Forward(x)
 	requireSameBits(t, "BackwardInput result", inOnly.BackwardInput(grad), wantIn)
+	// A column range of the input gradient, computed alone, has the bits of
+	// that range of the whole: ranges at both edges, one inside, one empty.
+	for _, r := range [][2]int{{0, 7}, {0, 1}, {2, 5}, {6, 7}, {3, 3}} {
+		lo, hi := r[0], r[1]
+		want := tensor.SliceCols(tensor.New(5, hi-lo), wantIn, lo, hi)
+		requireSameBits(t, fmt.Sprintf("BackwardInputCols [%d,%d)", lo, hi), inOnly.BackwardInputCols(grad, lo, hi), want)
+	}
 	for i, g := range inOnly.Grads() {
 		requireSameBits(t, "parameter gradient after BackwardInput", g, before[i])
 	}

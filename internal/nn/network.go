@@ -74,6 +74,18 @@ func (n *Network) BackwardInput(grad *tensor.Matrix) *tensor.Matrix {
 	return grad
 }
 
+// BackwardInputCols returns columns [lo, hi) of what BackwardInput returns,
+// bit for bit, without computing the others: the first layer, which must be
+// a Dense, multiplies by those rows of its weights only. It is for a caller
+// that differentiates with respect to a slice of the input (one agent's
+// action inside the critic's joint input).
+func (n *Network) BackwardInputCols(grad *tensor.Matrix, lo, hi int) *tensor.Matrix {
+	for i := len(n.Layers) - 1; i > 0; i-- {
+		grad = n.Layers[i].BackwardInput(grad)
+	}
+	return n.Layers[0].(*Dense).backwardInputCols(grad, lo, hi)
+}
+
 // BackwardParams accumulates the same parameter gradients as Backward and
 // returns nothing: the first layer's grad·Wᵀ, which only the (discarded)
 // input gradient needs, is not computed. It is for a network at the bottom

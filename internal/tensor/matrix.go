@@ -150,10 +150,29 @@ func checkMatMulTransA(dst, a, b *Matrix) {
 }
 
 // MatMulTransB computes dst = a × bᵀ where b is stored untransposed.
-// dst must be a.Rows×b.Rows and must not alias a or b.
+// dst must be a.Rows×b.Rows and must not alias a or b. It is MatMul against
+// a freshly allocated transpose of b; a caller that runs it every step keeps
+// that transpose itself (TransposeRows, as nn.Dense does).
 func MatMulTransB(dst, a, b *Matrix) *Matrix {
 	checkMatMulTransB(dst, a, b)
-	matMulTransBRows(dst, a, b, 0, dst.Rows)
+	return MatMul(dst, a, TransposeRows(nil, b, 0, b.Rows))
+}
+
+// TransposeRows writes the transpose of rows [lo, hi) of src into dst, which
+// is reshaped to src.Cols×(hi-lo) as by Reshape, and returns it. With a × bᵀ
+// computed as a × (bᵀ), the row range of b is the column range of the result.
+func TransposeRows(dst, src *Matrix, lo, hi int) *Matrix {
+	if lo < 0 || hi > src.Rows || lo > hi {
+		panic(fmt.Sprintf("tensor: TransposeRows [%d,%d) of %d rows", lo, hi, src.Rows))
+	}
+	rows, cols := hi-lo, src.Cols
+	dst = Reshape(dst, cols, rows)
+	for i := 0; i < rows; i++ {
+		srow := src.Data[(lo+i)*cols : (lo+i+1)*cols]
+		for j, v := range srow {
+			dst.Data[j*rows+i] = v
+		}
+	}
 	return dst
 }
 

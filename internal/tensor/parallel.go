@@ -47,15 +47,19 @@ func maxWorkers(rows int) int {
 	return w
 }
 
+// serialRows reports whether a product of the given size runs on the calling
+// goroutine. The ...Parallel entry points ask before they build the closure
+// parallelRows needs, so a small product — every one-row acting forward, and
+// everything at one core — costs no allocation and no scheduler lock.
+func serialRows(rows, flops int) bool {
+	return flops < parallelThreshold || coarseDepth.Load() > 0 || maxWorkers(rows) == 1
+}
+
 // parallelRows runs fn over [0, rows) split into contiguous chunks, one per
 // worker. Each row is owned by exactly one worker, so results are
 // deterministic.
-func parallelRows(rows, flops int, fn func(lo, hi int)) {
+func parallelRows(rows int, fn func(lo, hi int)) {
 	workers := maxWorkers(rows)
-	if workers == 1 || flops < parallelThreshold || coarseDepth.Load() > 0 {
-		fn(0, rows)
-		return
-	}
 	var wg sync.WaitGroup
 	chunk := (rows + workers - 1) / workers
 	for lo := 0; lo < rows; lo += chunk {
@@ -76,7 +80,11 @@ func parallelRows(rows, flops int, fn func(lo, hi int)) {
 // across cores for large inputs. dst must not alias a or b.
 func MatMulParallel(dst, a, b *Matrix) *Matrix {
 	checkMatMul(dst, a, b)
-	parallelRows(dst.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) { matMulRows(dst, a, b, nil, false, lo, hi) })
+	if serialRows(dst.Rows, a.Rows*a.Cols*b.Cols) {
+		matMulRows(dst, a, b, nil, false, 0, dst.Rows)
+	} else {
+		parallelRows(dst.Rows, func(lo, hi int) { matMulRows(dst, a, b, nil, false, lo, hi) })
+	}
 	return dst
 }
 
@@ -89,15 +97,11 @@ func MatMulBiasParallel(dst, a, b *Matrix, bias []float64, relu bool) *Matrix {
 	if len(bias) != dst.Cols {
 		panic(fmt.Sprintf("tensor: MatMulBiasParallel bias len %d want %d", len(bias), dst.Cols))
 	}
-	parallelRows(dst.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) { matMulRows(dst, a, b, bias, relu, lo, hi) })
-	return dst
-}
-
-// MatMulTransBParallel computes dst = a × bᵀ like MatMulTransB with row
-// parallelism for large inputs.
-func MatMulTransBParallel(dst, a, b *Matrix) *Matrix {
-	checkMatMulTransB(dst, a, b)
-	parallelRows(dst.Rows, a.Rows*a.Cols*b.Rows, func(lo, hi int) { matMulTransBRows(dst, a, b, lo, hi) })
+	if serialRows(dst.Rows, a.Rows*a.Cols*b.Cols) {
+		matMulRows(dst, a, b, bias, relu, 0, dst.Rows)
+	} else {
+		parallelRows(dst.Rows, func(lo, hi int) { matMulRows(dst, a, b, bias, relu, lo, hi) })
+	}
 	return dst
 }
 
@@ -105,6 +109,10 @@ func MatMulTransBParallel(dst, a, b *Matrix) *Matrix {
 // parallelized over dst rows (columns of a) for large inputs.
 func MatMulTransAParallel(dst, a, b *Matrix) *Matrix {
 	checkMatMulTransA(dst, a, b)
-	parallelRows(dst.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) { matMulTransARows(dst, a, b, lo, hi) })
+	if serialRows(dst.Rows, a.Rows*a.Cols*b.Cols) {
+		matMulTransARows(dst, a, b, 0, dst.Rows)
+	} else {
+		parallelRows(dst.Rows, func(lo, hi int) { matMulTransARows(dst, a, b, lo, hi) })
+	}
 	return dst
 }

