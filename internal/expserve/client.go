@@ -130,23 +130,19 @@ func (e *StatusError) Error() string {
 }
 
 // do runs one request through the shared retry core, returning the
-// response body of the first success. failFast short-circuits while the
-// circuit breaker is open — the spool path uses it to shed load off a
-// dead server instead of stalling the actor.
+// response body of the first success.
 func (c *Client) do(method, path string, contentType string, body []byte) ([]byte, error) {
 	return c.doScratch(method, path, contentType, body, false, nil, nil)
 }
 
-func (c *Client) doMode(method, path string, contentType string, body []byte, failFast bool, hdr http.Header) ([]byte, error) {
-	return c.doScratch(method, path, contentType, body, failFast, nil, hdr)
-}
-
-// doScratch is do with a recycled response buffer: when scratch is non-nil
-// the reply body is read into it (netretry grows it at most once) and the
-// returned slice aliases it. The sample path threads pooled multi-megabyte
-// buffers through here so steady-state sampling allocates nothing per
-// request. hdr carries extra request headers (trace propagation); nil adds
-// none.
+// doScratch is do with the knobs the data plane uses. failFast
+// short-circuits while the circuit breaker is open — the spool path uses it
+// to shed load off a dead server instead of stalling the actor. A non-nil
+// scratch receives the reply body (netretry replaces it at most once) and
+// the returned slice aliases it: the sample path threads pooled
+// multi-megabyte buffers through here so steady-state sampling allocates
+// nothing per request. hdr carries extra request headers (trace
+// propagation); nil adds none.
 func (c *Client) doScratch(method, path string, contentType string, body []byte, failFast bool, scratch []byte, hdr http.Header) ([]byte, error) {
 	resp, err := c.core.Do(context.Background(), netretry.Request{
 		Method:      method,
@@ -304,7 +300,7 @@ func (s *RemoteSink) doAppend(frame []byte, failFast bool) (appendReply, error) 
 			hdr = http.Header{trace.HeaderName: []string{trace.FormatHeader(sp.Context())}}
 		}
 	}
-	data, err := s.c.doMode(http.MethodPost, PathAppend, "application/octet-stream", frame, failFast, hdr)
+	data, err := s.c.doScratch(http.MethodPost, PathAppend, "application/octet-stream", frame, failFast, nil, hdr)
 	if err != nil {
 		sp.EndArg("error", 1)
 		return appendReply{}, err

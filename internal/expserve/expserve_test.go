@@ -270,7 +270,7 @@ func TestWireAppendRejectsCorruption(t *testing.T) {
 	layout := replay.NewRowLayout(spec)
 	rows := make([]float64, 2*layout.Stride())
 	valid := encodeAppend(nil, appendBatch{ActorID: "a", BatchSeq: 1, Rows: rows, N: 2}, layout.Stride())
-	if _, err := decodeAppend(valid, layout.Stride()); err != nil {
+	if _, err := decodeAppend(valid, layout.Stride(), new([]float64)); err != nil {
 		t.Fatalf("valid frame rejected: %v", err)
 	}
 	for _, corrupt := range [][]byte{
@@ -278,13 +278,13 @@ func TestWireAppendRejectsCorruption(t *testing.T) {
 		valid[:len(valid)/2],
 		append(append([]byte(nil), valid[:len(valid)-1]...), valid[len(valid)-1]^1),
 	} {
-		if _, err := decodeAppend(corrupt, layout.Stride()); err == nil {
+		if _, err := decodeAppend(corrupt, layout.Stride(), new([]float64)); err == nil {
 			t.Fatalf("corrupt frame of %d bytes accepted", len(corrupt))
 		}
 	}
 	mid := append([]byte(nil), valid...)
 	mid[20] ^= 0x80
-	if _, err := decodeAppend(mid, layout.Stride()); err == nil {
+	if _, err := decodeAppend(mid, layout.Stride(), new([]float64)); err == nil {
 		t.Fatal("bit-flipped frame accepted")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"net"
 	"net/http"
@@ -15,6 +14,7 @@ import (
 
 	"marlperf/internal/expshard"
 	"marlperf/internal/expstore"
+	"marlperf/internal/netretry"
 	"marlperf/internal/replay"
 	"marlperf/internal/telemetry"
 	"marlperf/internal/trace"
@@ -131,11 +131,14 @@ type Server struct {
 	sampleAgeRows *telemetry.Histogram // per sampled row: store rows − row index
 	appendVisible *telemetry.Histogram // append arrival → rows sampleable
 
-	// samplePool recycles per-request sample scratch (index slice + response
-	// frame buffer) across requests. Response frames for a mid-size workload
-	// run to megabytes; re-allocating and re-growing them per request was
-	// the direct cause of remote throughput degrading with batch size.
+	// samplePool recycles per-request sample scratch (request body, index
+	// slice, response frame buffer) across requests. Response frames for a
+	// mid-size workload run to megabytes; re-allocating and re-growing them
+	// per request was the direct cause of remote throughput degrading with
+	// batch size.
 	samplePool sync.Pool
+	// appendPool does the same for append request bodies (*appendScratch).
+	appendPool sync.Pool
 	// Occupancy gauges.
 	storeRows     *telemetry.Gauge
 	storeSegments *telemetry.Gauge
@@ -190,6 +193,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		sampleErrors:   reg.Counter("marl_exp_sample_errors_total"),
 		sampleSeconds:  reg.Histogram("marl_exp_sample_seconds", nil),
 		sampleMisaddr:  reg.Counter("marl_exp_shard_sample_misaddressed_total"),
+
+		samplePool: sync.Pool{New: func() any { return new(sampleScratch) }},
+		appendPool: sync.Pool{New: func() any { return new(appendScratch) }},
 
 		sampleAgeRows: reg.Histogram("marl_exp_sample_age_rows", sampleAgeBuckets()),
 		appendVisible: reg.Histogram("marl_exp_append_visible_seconds", nil),
@@ -533,6 +539,14 @@ func (s *Server) updateGauges(rows int) {
 	}
 }
 
+// appendScratch is one append request's pooled buffers: the frame as read
+// off the wire, and the decoded rows for frames whose payload cannot be
+// viewed in place.
+type appendScratch struct {
+	body []byte
+	rows []float64
+}
+
 // handleAppend ingests one actor batch. A full queue answers 429 — the
 // backpressure signal the client's jittered retry loop respects.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
@@ -540,12 +554,18 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	sc := s.appendPool.Get().(*appendScratch)
+	// The batch's rows alias sc. Returning sc on handler exit is safe
+	// because the handler leaves only after the ingest writer has answered
+	// on job.done (or never saw the job).
+	defer s.appendPool.Put(sc)
+	body, err := netretry.ReadBody(r.Body, r.ContentLength, maxAppendBody, sc.body)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), netretry.BodyStatus(err))
 		return
 	}
-	batch, err := decodeAppend(body, s.layout.Stride())
+	sc.body = body
+	batch, err := decodeAppend(body, s.layout.Stride(), &sc.rows)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -577,12 +597,14 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 
 // sampleScratch is one request's worth of recycled sample state.
 type sampleScratch struct {
+	req []byte // request body
 	idx []int
 	buf []byte // full response frame
 
 	// The owned subset of the draw.
 	slots  []int32
 	locals []int
+	ages   []float64 // per gathered row, for the age histogram
 }
 
 // handleShardSample executes this shard's slice of a fabric-wide draw.
@@ -598,11 +620,14 @@ func (s *Server) handleShardSample(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	sc := s.samplePool.Get().(*sampleScratch)
+	defer s.samplePool.Put(sc)
+	body, err := netretry.ReadBody(r.Body, r.ContentLength, maxShardSampleBody, sc.req)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), netretry.BodyStatus(err))
 		return
 	}
+	sc.req = body
 	req, err := decodeShardSampleRequest(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -641,11 +666,6 @@ func (s *Server) handleShardSample(w http.ResponseWriter, r *http.Request) {
 	s.sampleRequests.Inc()
 	stride := s.layout.Stride()
 
-	sc, _ := s.samplePool.Get().(*sampleScratch)
-	if sc == nil {
-		sc = &sampleScratch{}
-	}
-	defer s.samplePool.Put(sc)
 	if cap(sc.idx) < req.N {
 		sc.idx = make([]int, req.N)
 	}
@@ -659,6 +679,7 @@ func (s *Server) handleShardSample(w http.ResponseWriter, r *http.Request) {
 	if cap(sc.slots) < req.N {
 		sc.slots = make([]int32, req.N)
 		sc.locals = make([]int, req.N)
+		sc.ages = make([]float64, req.N)
 	}
 	slots, locals := sc.slots[:0], sc.locals[:0]
 	for j, gi := range idx {
@@ -714,9 +735,11 @@ func (s *Server) handleShardSample(w http.ResponseWriter, r *http.Request) {
 	}
 	putShardReplyHeader(buf, k, stride, req.N)
 	putShardReplySlots(buf, k, stride, slots)
-	for _, l := range locals {
-		s.sampleAgeRows.Observe(float64(rowCount - l))
+	ages := sc.ages[:k]
+	for i, l := range locals {
+		ages[i] = float64(rowCount - l)
 	}
+	s.sampleAgeRows.ObserveAll(ages)
 	s.sampleRows.Add(uint64(k))
 	s.sampleBytes.Add(uint64(total))
 	s.sampleSeconds.Observe(time.Since(start).Seconds())

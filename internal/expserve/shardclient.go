@@ -235,10 +235,8 @@ type groupScratch struct {
 // shardScratch is one in-flight fabric draw's worth of pooled buffers.
 type shardScratch struct {
 	idx     []int
-	merged  []float64
 	covered []bool
 	groups  []groupScratch
-	n       int
 }
 
 // NewShardedSource validates the plan and the fabric's spec against
@@ -261,9 +259,6 @@ func NewShardedSource(f *Fabric, want replay.Spec, plan replay.SamplePlan) (*Sha
 	}
 	return &ShardedSource{f: f, plan: plan, layout: replay.NewRowLayout(want)}, nil
 }
-
-// Plan returns the plan executed server-side on every shard.
-func (s *ShardedSource) Plan() replay.SamplePlan { return s.plan }
 
 // tryRefresh performs one stats fan-out (members of each group probed
 // in order until one answers) and builds a fresh fabric view.
@@ -344,10 +339,7 @@ func (s *ShardedSource) acquireFetch() *shardScratch {
 	return &shardScratch{}
 }
 
-func (s *ShardedSource) releaseFetch(sc *shardScratch) {
-	sc.n = 0
-	s.scratch.Put(sc)
-}
+func (s *ShardedSource) releaseFetch(sc *shardScratch) { s.scratch.Put(sc) }
 
 // runFetch executes one fabric draw into sc, riding RetryFor through
 // transient whole-fabric failures.
@@ -380,7 +372,7 @@ func (s *ShardedSource) tryDraw(n int, seed int64, sc *shardScratch) error {
 		}
 	}
 	stride := s.layout.Stride()
-	sc.grow(n, stride, len(fv.snap.Groups))
+	sc.grow(n, len(fv.snap.Groups))
 	var lastErr error
 	for redo := 0; redo <= len(fv.snap.Groups); redo++ {
 		length := int(fv.view.Len())
@@ -435,7 +427,7 @@ func (s *ShardedSource) tryDraw(n int, seed int64, sc *shardScratch) error {
 			lastErr = fmt.Errorf("expserve: shard group(s) down, draw reweighted")
 			continue
 		}
-		return s.merge(sc, n, stride)
+		return s.merge(sc, n)
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("expserve: fabric draw did not converge")
@@ -444,12 +436,9 @@ func (s *ShardedSource) tryDraw(n int, seed int64, sc *shardScratch) error {
 }
 
 // grow sizes sc for an n-row draw across groups.
-func (sc *shardScratch) grow(n, stride, groups int) {
+func (sc *shardScratch) grow(n, groups int) {
 	if cap(sc.idx) < n {
 		sc.idx = make([]int, n)
-	}
-	if cap(sc.merged) < n*stride {
-		sc.merged = make([]float64, n*stride)
 	}
 	if cap(sc.covered) < n {
 		sc.covered = make([]bool, n)
@@ -457,7 +446,6 @@ func (sc *shardScratch) grow(n, stride, groups int) {
 	if len(sc.groups) < groups {
 		sc.groups = make([]groupScratch, groups)
 	}
-	sc.n = n
 }
 
 // groupFetch runs this group's slice of the draw against its preferred
@@ -520,16 +508,7 @@ func (s *ShardedSource) groupFetch(fv *fabricView, gi, n int, seed int64, stride
 		}
 		sp.EndArg("rows", int64(k))
 		gs.k = k
-		if view := f64le.Floats(rowBytes); view != nil {
-			gs.view = view
-		} else {
-			if cap(gs.rows) < k*stride {
-				gs.rows = make([]float64, k*stride)
-			}
-			gs.rows = gs.rows[:k*stride]
-			f64le.Get(gs.rows, rowBytes)
-			gs.view = gs.rows
-		}
+		gs.view = f64le.View(rowBytes, &gs.rows)
 		if mi != 0 {
 			// Member 0 is the group's primary; any other member serving
 			// the draw is a replica read.
@@ -540,30 +519,28 @@ func (s *ShardedSource) groupFetch(fv *fabricView, gi, n int, seed int64, stride
 	return fmt.Errorf("expserve: group %s: all %d members failed: %w", fv.snap.Groups[gi].ID, len(members), lastErr)
 }
 
-// merge reassembles the full batch from per-group slices by slot.
-// Ownership is disjoint by construction (each global index maps to
-// exactly one group), so the merge is a scatter; a gap or collision
-// means the shards disagreed about the view and the draw is invalid.
-func (s *ShardedSource) merge(sc *shardScratch, n, stride int) error {
+// merge checks that the per-group slices tile the batch. Ownership is
+// disjoint by construction (each global index maps to exactly one group);
+// a gap or collision means the shards disagreed about the view and the
+// draw is invalid. The rows themselves stay in the groups' reply bodies
+// until consumeFetch scatters them.
+func (s *ShardedSource) merge(sc *shardScratch, n int) error {
 	covered := sc.covered[:n]
 	for i := range covered {
 		covered[i] = false
 	}
-	merged := sc.merged[:n*stride]
 	filled := 0
 	for gi := range sc.groups {
 		gs := &sc.groups[gi]
 		if gs.dead {
 			continue
 		}
-		for i := 0; i < gs.k; i++ {
-			slot := int(gs.slots[i])
+		for _, slot := range gs.slots[:gs.k] {
 			if covered[slot] {
 				return fmt.Errorf("expserve: shards disagree: slot %d returned twice", slot)
 			}
 			covered[slot] = true
 			filled++
-			copy(merged[slot*stride:(slot+1)*stride], gs.view[i*stride:(i+1)*stride])
 		}
 	}
 	if filled != n {
@@ -572,11 +549,21 @@ func (s *ShardedSource) merge(sc *shardScratch, n, stride int) error {
 	return nil
 }
 
-// consumeFetch splits a completed fetch into dst and returns a freshly
-// allocated index slice (it cannot alias pooled scratch — concurrent
-// callers would race on it).
+// consumeFetch scatters a completed fetch's rows from each group's reply
+// straight into their batch slots in dst and returns a freshly allocated
+// index slice (it cannot alias pooled scratch — concurrent callers would
+// race on it).
 func (s *ShardedSource) consumeFetch(sc *shardScratch, n int, dst []*replay.AgentBatch) []int {
-	s.layout.SplitRows(sc.merged[:n*s.layout.Stride()], n, dst)
+	stride := s.layout.Stride()
+	for gi := range sc.groups {
+		gs := &sc.groups[gi]
+		if gs.dead {
+			continue
+		}
+		for i, slot := range gs.slots[:gs.k] {
+			s.layout.SplitRowInto(dst, int(slot), gs.view[i*stride:(i+1)*stride])
+		}
+	}
 	idx := make([]int, n)
 	copy(idx, sc.idx[:n])
 	return idx
@@ -641,10 +628,6 @@ func (s *ShardedSink) SetMaxBatchRows(n int) {
 		}
 	}
 }
-
-// StreamPos returns the global stream index of the next row — the
-// time key the placement function stripes on.
-func (s *ShardedSink) StreamPos() uint64 { return s.t }
 
 // Add implements replay.TransitionSink: route the row to its owning
 // group and append it to every replica member.

@@ -101,12 +101,13 @@ func (s *RemoteSink) EnableSpool(opts SpoolOptions) error {
 	}
 	sort.Strings(names)
 	stride := s.layout.Stride()
+	var rows []float64 // decode scratch; only the headers are kept
 	for _, path := range names {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("expserve: reading spooled batch: %w", err)
 		}
-		batch, err := decodeAppend(data, stride)
+		batch, err := decodeAppend(data, stride, &rows)
 		if err != nil {
 			// A torn spool file is a crash mid-spool: the batch was never
 			// acknowledged to the rollout engine, so dropping it is safe —
@@ -126,12 +127,8 @@ func (s *RemoteSink) EnableSpool(opts SpoolOptions) error {
 			return fmt.Errorf("expserve: spool sequence regressed: %s carries seq %d after %d",
 				filepath.Base(path), batch.BatchSeq, sp.entries[n-1].seq)
 		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			return fmt.Errorf("expserve: spooled batch: %w", err)
-		}
-		sp.entries = append(sp.entries, spoolEntry{seq: batch.BatchSeq, rows: batch.N, path: path, bytes: fi.Size()})
-		sp.bytes += fi.Size()
+		sp.entries = append(sp.entries, spoolEntry{seq: batch.BatchSeq, rows: batch.N, path: path, bytes: int64(len(data))})
+		sp.bytes += int64(len(data))
 	}
 	// Drop temp files from an interrupted spool write.
 	if tmps, _ := filepath.Glob(filepath.Join(opts.Dir, "*.tmp")); len(tmps) > 0 {
@@ -154,14 +151,6 @@ func (s *RemoteSink) SpoolLen() int {
 		return 0
 	}
 	return s.spool.len()
-}
-
-// SpoolBytes returns the spool's on-disk footprint.
-func (s *RemoteSink) SpoolBytes() int64 {
-	if s.spool == nil {
-		return 0
-	}
-	return s.spool.bytes
 }
 
 // spoolFrame persists one encoded append frame as the newest spool entry.

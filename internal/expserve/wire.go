@@ -21,9 +21,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
+	"slices"
 
 	"marlperf/internal/expstore"
+	"marlperf/internal/f64le"
 	"marlperf/internal/replay"
 )
 
@@ -46,6 +47,14 @@ const (
 	// maxWireRows bounds the row count any single frame may claim, so a
 	// hostile or corrupt header cannot demand an absurd allocation.
 	maxWireRows = 1 << 20
+	// Request body caps. Handlers refuse a longer body with 413.
+	maxAppendBody      = 64 << 20
+	maxShardSampleBody = 1 << 20
+
+	// appendFrameHdr is the append frame's fixed bytes ahead of the row
+	// payload, the actor ID aside: magic, version, actorLen | seq, rows,
+	// stride.
+	appendFrameHdr = 12 + 16
 )
 
 // appendBatch is one actor→server experience batch. ActorID plus the
@@ -60,9 +69,11 @@ type appendBatch struct {
 }
 
 // encodeAppend frames a batch: magic | u32 version | u32 actorLen | actor |
-// u64 batchSeq | u32 rowCount | u32 stride | rows | u32 CRC.
+// u64 batchSeq | u32 rowCount | u32 stride | rows | u32 CRC. dst grows at
+// most once and the rows go in as one bulk copy.
 func encodeAppend(dst []byte, b appendBatch, stride int) []byte {
 	start := len(dst)
+	dst = slices.Grow(dst, appendFrameHdr+len(b.ActorID)+8*b.N*stride+4)
 	dst = append(dst, appendMagic...)
 	dst = binary.LittleEndian.AppendUint32(dst, wireVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.ActorID)))
@@ -70,15 +81,15 @@ func encodeAppend(dst []byte, b appendBatch, stride int) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, b.BatchSeq)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.N))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(stride))
-	for _, v := range b.Rows[:b.N*stride] {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
+	dst = f64le.Append(dst, b.Rows[:b.N*stride])
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
 // decodeAppend parses and verifies an append frame against the expected
-// layout stride.
-func decodeAppend(data []byte, stride int) (appendBatch, error) {
+// layout stride. The returned Rows alias data when its row payload can be
+// viewed as floats in place and *scratch when it cannot — either way they
+// are valid only as long as the buffer they alias.
+func decodeAppend(data []byte, stride int, scratch *[]float64) (appendBatch, error) {
 	var b appendBatch
 	if len(data) < 4+4+4 {
 		return b, fmt.Errorf("expserve: append frame too short (%d bytes)", len(data))
@@ -90,7 +101,7 @@ func decodeAppend(data []byte, stride int) (appendBatch, error) {
 		return b, fmt.Errorf("expserve: append frame version %d, want %d", v, wireVersion)
 	}
 	actorLen := int(binary.LittleEndian.Uint32(data[8:]))
-	if actorLen < 1 || actorLen > 256 || len(data) < 12+actorLen+8+4+4+4 {
+	if actorLen < 1 || actorLen > 256 || len(data) < appendFrameHdr+actorLen+4 {
 		return b, fmt.Errorf("expserve: implausible append frame (actor %d bytes, frame %d)", actorLen, len(data))
 	}
 	off := 12
@@ -113,10 +124,7 @@ func decodeAppend(data []byte, stride int) (appendBatch, error) {
 		return b, fmt.Errorf("expserve: append frame checksum mismatch")
 	}
 	b.N = n
-	b.Rows = make([]float64, n*stride)
-	for i := range b.Rows {
-		b.Rows[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8*i:]))
-	}
+	b.Rows = f64le.View(data[off:len(data)-4], scratch)
 	return b, nil
 }
 

@@ -5,8 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
+	"slices"
 
+	"marlperf/internal/f64le"
 	"marlperf/internal/replay"
 )
 
@@ -73,11 +74,10 @@ func appendRecord(dst []byte, layout replay.RowLayout, seq uint64, row []float64
 		panic(fmt.Sprintf("expstore: appendRecord row of %d floats, want %d", len(row), layout.Stride()))
 	}
 	start := len(dst)
+	dst = slices.Grow(dst, recordSize(layout))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(recordPayloadLen(layout)))
 	dst = binary.LittleEndian.AppendUint64(dst, seq)
-	for _, v := range row {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
+	dst = f64le.Append(dst, row)
 	sum := crc32.ChecksumIEEE(dst[start:])
 	return binary.LittleEndian.AppendUint32(dst, sum)
 }
@@ -133,6 +133,7 @@ func parseSegment(data []byte, layout replay.RowLayout, tornOK bool) (baseSeq ui
 	frame := recordSize(layout)
 	payload := recordPayloadLen(layout)
 	off := hs
+	rows = make([]float64, 0, (len(data)-hs)/frame*stride)
 	for off < len(data) {
 		if len(data)-off < frame {
 			break // torn tail: partial frame
@@ -149,10 +150,8 @@ func parseSegment(data []byte, layout replay.RowLayout, tornOK bool) (baseSeq ui
 		if seq != baseSeq+uint64(n) {
 			return baseSeq, nil, 0, 0, fmt.Errorf("expstore: segment record %d carries seq %d, want %d", n, seq, baseSeq+uint64(n))
 		}
-		rows = append(rows, make([]float64, 0, stride)...)
-		for i := 0; i < stride; i++ {
-			rows = append(rows, math.Float64frombits(binary.LittleEndian.Uint64(rec[12+8*i:])))
-		}
+		rows = rows[:(n+1)*stride]
+		f64le.Get(rows[n*stride:], rec[12:])
 		n++
 		off += frame
 	}

@@ -15,7 +15,9 @@ package f64le
 
 import (
 	"encoding/binary"
+	"io"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -75,13 +77,87 @@ func Put(dst []byte, src []float64) {
 }
 
 // Get decodes 8·len(dst) little-endian bytes from src into dst. One
-// memmove on little-endian hosts.
+// memmove on little-endian hosts, wherever src sits: it is dst that is
+// viewed as bytes, and a []float64 is always aligned.
 func Get(dst []float64, src []byte) {
-	if f := Floats(src[:len(dst)*8]); f != nil {
-		copy(dst, f)
+	if b := Bytes(dst); b != nil {
+		copy(b, src[:len(b)])
 		return
 	}
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
+}
+
+// Append appends src's little-endian encoding to dst, growing dst as the
+// append built-in would.
+func Append(dst []byte, src []float64) []byte {
+	off := len(dst)
+	dst = slices.Grow(dst, 8*len(src))[:off+8*len(src)]
+	Put(dst[off:], src)
+	return dst
+}
+
+// View returns the floats encoded in src without copying when Floats can,
+// and otherwise decodes them into *scratch, which it grows when too small.
+// Either way the result is valid only as long as the buffer it aliases.
+func View(src []byte, scratch *[]float64) []float64 {
+	if view := Floats(src); view != nil {
+		return view
+	}
+	n := len(src) / 8
+	if cap(*scratch) < n {
+		*scratch = make([]float64, n)
+	}
+	rows := (*scratch)[:n]
+	Get(rows, src)
+	return rows
+}
+
+// chunkFloats is how many values the portable stream paths convert at a
+// time through their fixed stack buffer.
+const chunkFloats = 512
+
+// Write writes vs to w as little-endian bytes: the byte view itself where
+// the host permits one (no copy, no allocation), otherwise chunk by chunk
+// through a fixed buffer.
+func Write(w io.Writer, vs []float64) error {
+	if b := Bytes(vs); b != nil {
+		_, err := w.Write(b)
+		return err
+	}
+	var buf [8 * chunkFloats]byte
+	for len(vs) > 0 {
+		n := min(len(vs), chunkFloats)
+		Put(buf[:8*n], vs[:n])
+		if _, err := w.Write(buf[:8*n]); err != nil {
+			return err
+		}
+		vs = vs[n:]
+	}
+	return nil
+}
+
+// Read fills dst from 8·len(dst) little-endian bytes of r, reading straight
+// into dst's storage where the host permits. A short stream fails with
+// io.ErrUnexpectedEOF (io.EOF when not a byte arrived) and leaves dst
+// partly overwritten.
+func Read(r io.Reader, dst []float64) error {
+	if b := Bytes(dst); b != nil {
+		_, err := io.ReadFull(r, b)
+		return err
+	}
+	var buf [8 * chunkFloats]byte
+	for first := true; len(dst) > 0; first = false {
+		n := min(len(dst), chunkFloats)
+		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
+			if err == io.EOF && !first {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		Get(dst[:n], buf[:8*n])
+		dst = dst[n:]
+	}
+	return nil
 }

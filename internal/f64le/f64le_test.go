@@ -1,9 +1,13 @@
 package f64le
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"math"
 	"testing"
+	"unsafe"
 )
 
 func refBytes(f []float64) []byte {
@@ -72,5 +76,153 @@ func TestEmptySlices(t *testing.T) {
 		if f := Floats([]byte{}); f == nil {
 			t.Fatal("empty Floats view is nil on a little-endian host")
 		}
+	}
+}
+
+// forcePortable makes every function take its per-element fallback — the
+// path a big-endian host would run — for the length of one test.
+func forcePortable(t *testing.T) {
+	t.Helper()
+	was := Native
+	Native = false
+	t.Cleanup(func() { Native = was })
+}
+
+// manyVals is testVals repeated past one stream chunk, so the portable
+// Write/Read loops run more than once and end on a partial chunk.
+func manyVals() []float64 {
+	var f []float64
+	for len(f) < 2*chunkFloats+7 {
+		f = append(f, testVals()...)
+	}
+	return f
+}
+
+func sameBits(t *testing.T, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d values, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("element %d: %x, want %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// The portable loops are the only per-element float codec left in the
+// program; they must produce the bytes the memmove paths produce.
+func TestPortableFallbackMatchesNative(t *testing.T) {
+	f := manyVals()
+	want := refBytes(f)
+	forcePortable(t)
+	if Bytes(f) != nil || Floats(want) != nil {
+		t.Fatal("a view was handed out with Native off")
+	}
+	dst := make([]byte, len(want))
+	Put(dst, f)
+	if !bytes.Equal(dst, want) {
+		t.Fatal("portable Put differs from the reference encoding")
+	}
+	got := make([]float64, len(f))
+	Get(got, want)
+	sameBits(t, got, f)
+
+	var stream bytes.Buffer
+	if err := Write(&stream, f); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stream.Bytes(), want) {
+		t.Fatal("portable Write differs from the reference encoding")
+	}
+	got = make([]float64, len(f))
+	if err := Read(&stream, got); err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, got, f)
+}
+
+func TestWriteReadStream(t *testing.T) {
+	f := manyVals()
+	want := refBytes(f)
+	var stream bytes.Buffer
+	if err := Write(&stream, f); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stream.Bytes(), want) {
+		t.Fatal("Write differs from the reference encoding")
+	}
+	got := make([]float64, len(f))
+	if err := Read(&stream, got); err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, got, f)
+	if err := Write(&stream, nil); err != nil || stream.Len() != 0 {
+		t.Fatalf("empty Write: err %v, wrote %d bytes", err, stream.Len())
+	}
+	if err := Read(&stream, nil); err != nil {
+		t.Fatalf("empty Read: %v", err)
+	}
+}
+
+// A stream that ends early is an error on both paths, never a silent
+// partial decode: io.EOF only when not one byte arrived.
+func TestReadShortStream(t *testing.T) {
+	f := manyVals()
+	enc := refBytes(f)
+	for _, portable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("portable=%v", portable), func(t *testing.T) {
+			if portable {
+				forcePortable(t)
+			}
+			dst := make([]float64, len(f))
+			if err := Read(bytes.NewReader(nil), dst); err != io.EOF {
+				t.Fatalf("empty stream: %v, want io.EOF", err)
+			}
+			for _, cut := range []int{1, 8, 8 * chunkFloats, len(enc) - 1} {
+				if err := Read(bytes.NewReader(enc[:cut]), dst); err != io.ErrUnexpectedEOF {
+					t.Fatalf("stream cut at %d of %d bytes: %v, want io.ErrUnexpectedEOF", cut, len(enc), err)
+				}
+			}
+		})
+	}
+}
+
+// View aliases src when a view is legal and decodes into the caller's
+// scratch — reusing it, growing it once — when it is not.
+func TestViewAliasesOrDecodesIntoScratch(t *testing.T) {
+	f := testVals()
+	arena := make([]byte, 8*len(f)+8)
+	var scratch []float64
+	for shift := 0; shift < 8; shift++ {
+		src := arena[shift : shift+8*len(f)]
+		copy(src, refBytes(f))
+		got := View(src, &scratch)
+		sameBits(t, got, f)
+		aliased := len(got) > 0 && unsafe.Pointer(unsafe.SliceData(got)) == unsafe.Pointer(unsafe.SliceData(src))
+		if want := Native && aligned8(src); aliased != want {
+			t.Fatalf("shift %d: view aliases src = %v, want %v", shift, aliased, want)
+		}
+		if !aliased && unsafe.SliceData(got) != unsafe.SliceData(scratch) {
+			t.Fatalf("shift %d: decoded floats are not in the caller's scratch", shift)
+		}
+	}
+	before := unsafe.SliceData(scratch)
+	View(arena[1:1+8*len(f)], &scratch)
+	if unsafe.SliceData(scratch) != before {
+		t.Fatal("a scratch that was large enough was replaced")
+	}
+}
+
+func TestAppendExtendsDst(t *testing.T) {
+	f := testVals()
+	prefix := []byte("hdr")
+	got := Append(append([]byte(nil), prefix...), f)
+	if want := append(prefix, refBytes(f)...); !bytes.Equal(got, want) {
+		t.Fatal("Append did not produce prefix + reference encoding")
+	}
+	roomy := make([]byte, 3, 3+8*len(f))
+	if out := Append(roomy, f); unsafe.SliceData(out) != unsafe.SliceData(roomy) {
+		t.Fatal("Append reallocated a dst that had room")
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -118,12 +117,11 @@ type Request struct {
 	// peer without stalling.
 	FailFast bool
 	// Scratch, when non-nil, receives the response body in place of a
-	// fresh allocation whenever the server declares a Content-Length that
-	// fits (growing it once when it does not). The returned Response.Body
-	// then aliases Scratch (or its replacement), and the caller owns the
-	// buffer again the moment Do returns — the contract that lets the
-	// sample hot path recycle multi-megabyte reply buffers through a pool
-	// instead of re-growing them per request.
+	// fresh allocation (ReadBody replaces it once when it is too small).
+	// The returned Response.Body then aliases Scratch (or its replacement),
+	// and the caller owns the buffer again the moment Do returns — the
+	// contract that lets the sample hot path recycle multi-megabyte reply
+	// buffers through a pool instead of re-growing them per request.
 	Scratch []byte
 }
 
@@ -335,21 +333,9 @@ func (c *Client) attempt(ctx context.Context, req Request) (int, http.Header, []
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	// With a declared length and caller scratch, read straight into the
-	// recycled buffer: no ReadAll growth copies, one allocation only when
-	// the scratch has never been this large.
-	if n := resp.ContentLength; req.Scratch != nil && n >= 0 && n <= maxBodyBytes {
-		buf := req.Scratch
-		if int64(cap(buf)) < n {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(resp.Body, buf); err != nil {
-			return 0, nil, nil, fmt.Errorf("reading response: %w", err)
-		}
-		return resp.StatusCode, resp.Header, buf, nil
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	// One sized read into the caller's scratch (or one exact allocation):
+	// no growth copies whenever the server declared a length.
+	body, err := ReadBody(resp.Body, resp.ContentLength, maxBodyBytes, req.Scratch)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("reading response: %w", err)
 	}

@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
+	"marlperf/internal/f64le"
 	"marlperf/internal/tensor"
 )
 
@@ -51,10 +51,10 @@ func (n *Network) WriteTo(w io.Writer) (int64, error) {
 			if err := writeU32(cw, uint32(layer.Out())); err != nil {
 				return cw.n, err
 			}
-			if err := writeF64s(cw, layer.W.Data); err != nil {
+			if err := f64le.Write(cw, layer.W.Data); err != nil {
 				return cw.n, err
 			}
-			if err := writeF64s(cw, layer.B.Data); err != nil {
+			if err := f64le.Write(cw, layer.B.Data); err != nil {
 				return cw.n, err
 			}
 		case *ReLU:
@@ -121,10 +121,10 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 				gradW: tensor.New(int(in), int(out)),
 				gradB: tensor.New(1, int(out)),
 			}
-			if err := readF64s(r, d.W.Data); err != nil {
+			if err := f64le.Read(r, d.W.Data); err != nil {
 				return nil, err
 			}
-			if err := readF64s(r, d.B.Data); err != nil {
+			if err := f64le.Read(r, d.B.Data); err != nil {
 				return nil, err
 			}
 			net.Layers = append(net.Layers, d)
@@ -145,10 +145,8 @@ func (a *Adam) WriteTo(w io.Writer) (int64, error) {
 	if _, err := cw.Write([]byte(adamMagic)); err != nil {
 		return cw.n, err
 	}
-	for _, v := range []float64{a.LR, a.Beta1, a.Beta2, a.Eps} {
-		if err := writeF64(cw, v); err != nil {
-			return cw.n, err
-		}
+	if err := f64le.Write(cw, []float64{a.LR, a.Beta1, a.Beta2, a.Eps}); err != nil {
+		return cw.n, err
 	}
 	if err := writeU64(cw, uint64(a.t)); err != nil {
 		return cw.n, err
@@ -160,10 +158,10 @@ func (a *Adam) WriteTo(w io.Writer) (int64, error) {
 		if err := writeU32(cw, uint32(len(a.m[i]))); err != nil {
 			return cw.n, err
 		}
-		if err := writeF64s(cw, a.m[i]); err != nil {
+		if err := f64le.Write(cw, a.m[i]); err != nil {
 			return cw.n, err
 		}
-		if err := writeF64s(cw, a.v[i]); err != nil {
+		if err := f64le.Write(cw, a.v[i]); err != nil {
 			return cw.n, err
 		}
 	}
@@ -180,15 +178,11 @@ func (a *Adam) ReadInto(r io.Reader) error {
 	if string(magic[:]) != adamMagic {
 		return fmt.Errorf("nn: bad adam magic %q", magic)
 	}
-	vals := make([]float64, 4)
-	for i := range vals {
-		v, err := readF64(r)
-		if err != nil {
-			return err
-		}
-		vals[i] = v
+	var hyper [4]float64
+	if err := f64le.Read(r, hyper[:]); err != nil {
+		return err
 	}
-	a.LR, a.Beta1, a.Beta2, a.Eps = vals[0], vals[1], vals[2], vals[3]
+	a.LR, a.Beta1, a.Beta2, a.Eps = hyper[0], hyper[1], hyper[2], hyper[3]
 	t, err := readU64(r)
 	if err != nil {
 		return err
@@ -209,10 +203,10 @@ func (a *Adam) ReadInto(r io.Reader) error {
 		if int(n) != len(a.m[i]) {
 			return fmt.Errorf("nn: checkpoint param %d has %d values, optimizer has %d", i, n, len(a.m[i]))
 		}
-		if err := readF64s(r, a.m[i]); err != nil {
+		if err := f64le.Read(r, a.m[i]); err != nil {
 			return err
 		}
-		if err := readF64s(r, a.v[i]); err != nil {
+		if err := f64le.Read(r, a.v[i]); err != nil {
 			return err
 		}
 	}
@@ -267,33 +261,4 @@ func readU64(r io.Reader) (uint64, error) {
 	var b [8]byte
 	_, err := io.ReadFull(r, b[:])
 	return binary.LittleEndian.Uint64(b[:]), err
-}
-
-func writeF64(w io.Writer, v float64) error {
-	return writeU64(w, math.Float64bits(v))
-}
-
-func readF64(r io.Reader) (float64, error) {
-	u, err := readU64(r)
-	return math.Float64frombits(u), err
-}
-
-func writeF64s(w io.Writer, vs []float64) error {
-	buf := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-func readF64s(r io.Reader, dst []float64) error {
-	buf := make([]byte, 8*len(dst))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return nil
 }

@@ -81,18 +81,22 @@ func EncodeSnapshot(dst []byte, updates uint64, agents []*nn.Network) ([]byte, e
 	dst = binary.LittleEndian.AppendUint32(dst, wireVersion)
 	dst = binary.LittleEndian.AppendUint64(dst, updates)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(agents)))
-	var netBuf bytes.Buffer
+	// Each network serializes straight into the frame, behind a length
+	// prefix patched in once its size is known.
+	frame := bytes.NewBuffer(dst)
 	for i, net := range agents {
-		netBuf.Reset()
-		if _, err := net.WriteTo(&netBuf); err != nil {
+		lenAt := frame.Len()
+		frame.Write([]byte{0, 0, 0, 0})
+		n, err := net.WriteTo(frame)
+		if err != nil {
 			return nil, fmt.Errorf("policysync: serializing agent %d actor: %w", i, err)
 		}
-		if netBuf.Len() > maxWireNetBytes {
-			return nil, fmt.Errorf("policysync: agent %d actor serializes to %d bytes (cap %d)", i, netBuf.Len(), maxWireNetBytes)
+		if n > maxWireNetBytes {
+			return nil, fmt.Errorf("policysync: agent %d actor serializes to %d bytes (cap %d)", i, n, maxWireNetBytes)
 		}
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(netBuf.Len()))
-		dst = append(dst, netBuf.Bytes()...)
+		binary.LittleEndian.PutUint32(frame.Bytes()[lenAt:], uint32(n))
 	}
+	dst = frame.Bytes()
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
 }
 

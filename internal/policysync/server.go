@@ -3,13 +3,13 @@ package policysync
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
+	"marlperf/internal/netretry"
 	"marlperf/internal/telemetry"
 	"marlperf/internal/trace"
 )
@@ -201,13 +201,11 @@ func (s *Server) handlePinnedFetch(w http.ResponseWriter, version uint64) {
 }
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxFrameBytes+1))
+	// The store keeps the frame by reference, so the body gets its own
+	// exact-size allocation rather than a pooled buffer.
+	body, err := netretry.ReadBody(r.Body, r.ContentLength, s.cfg.MaxFrameBytes, nil)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxFrameBytes {
-		http.Error(w, fmt.Sprintf("frame exceeds %d bytes", s.cfg.MaxFrameBytes), http.StatusRequestEntityTooLarge)
+		http.Error(w, err.Error(), netretry.BodyStatus(err))
 		return
 	}
 	// A traced publish hands its context down: the server span (when this

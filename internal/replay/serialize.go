@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
+	"marlperf/internal/f64le"
 	"marlperf/internal/resilience"
 )
 
@@ -56,7 +56,7 @@ func (b *Buffer) WriteTo(w io.Writer) (int64, error) {
 			b.nextObs[a][:b.length*od],
 			b.done[a][:b.length],
 		} {
-			if err := putF64s(cw, field); err != nil {
+			if err := f64le.Write(cw, field); err != nil {
 				return cw.n, err
 			}
 		}
@@ -152,7 +152,7 @@ func ReadBuffer(src io.Reader) (*Buffer, error) {
 			buf.nextObs[a][:buf.length*od],
 			buf.done[a][:buf.length],
 		} {
-			if err := getF64s(r, field); err != nil {
+			if err := f64le.Read(r, field); err != nil {
 				return nil, err
 			}
 		}
@@ -187,24 +187,4 @@ func getU32(r io.Reader) (uint32, error) {
 	var b [4]byte
 	_, err := io.ReadFull(r, b[:])
 	return binary.LittleEndian.Uint32(b[:]), err
-}
-
-func putF64s(w io.Writer, vs []float64) error {
-	buf := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-func getF64s(r io.Reader, dst []float64) error {
-	buf := make([]byte, 8*len(dst))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return nil
 }

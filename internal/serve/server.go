@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -13,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"marlperf/internal/netretry"
 	"marlperf/internal/trace"
 )
 
@@ -112,13 +112,11 @@ func (s *Server) handleAct(w http.ResponseWriter, r *http.Request) {
 		version = v
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxActBody+1))
+	// Observation frames are a few hundred bytes: one exact-size buffer per
+	// request, nothing worth pooling.
+	body, err := netretry.ReadBody(r.Body, r.ContentLength, maxActBody, nil)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(body) > maxActBody {
-		http.Error(w, fmt.Sprintf("request exceeds %d bytes", maxActBody), http.StatusRequestEntityTooLarge)
+		http.Error(w, err.Error(), netretry.BodyStatus(err))
 		return
 	}
 

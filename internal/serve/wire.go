@@ -3,7 +3,8 @@ package serve
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
+
+	"marlperf/internal/f64le"
 )
 
 // Binary /act wire format, for clients that want the zero-parse path:
@@ -24,15 +25,14 @@ const actReplyMagic = "MACT"
 // EncodeObsFrame appends the observations as the binary request body.
 func EncodeObsFrame(dst []byte, obs [][]float64) []byte {
 	for _, row := range obs {
-		for _, v := range row {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
+		dst = f64le.Append(dst, row)
 	}
 	return dst
 }
 
 // DecodeObsFrame splits a binary request body against the serving widths.
-// The returned rows alias freshly allocated storage, not the input.
+// The returned rows alias one freshly allocated backing array, not the
+// input, so the caller may recycle body at once.
 func DecodeObsFrame(body []byte, obsDims []int) ([][]float64, error) {
 	total := 0
 	for _, w := range obsDims {
@@ -41,15 +41,11 @@ func DecodeObsFrame(body []byte, obsDims []int) ([][]float64, error) {
 	if len(body) != total*8 {
 		return nil, fmt.Errorf("serve: binary obs frame is %d bytes, serving shape needs %d (%d f64 values)", len(body), total*8, total)
 	}
+	vals := make([]float64, total)
+	f64le.Get(vals, body)
 	obs := make([][]float64, len(obsDims))
-	off := 0
 	for i, w := range obsDims {
-		row := make([]float64, w)
-		for j := range row {
-			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
-			off += 8
-		}
-		obs[i] = row
+		obs[i], vals = vals[:w:w], vals[w:]
 	}
 	return obs, nil
 }

@@ -51,18 +51,54 @@ func NewHistogram(bounds []float64) *Histogram {
 	}
 }
 
+// bucketOf returns the index of the bucket counting v: the first bound
+// that is not < v, or the +Inf bucket.
+func (h *Histogram) bucketOf(v float64) int {
+	return sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= v })
+}
+
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	// sort.SearchFloat64s finds the first bound ≥ v is not quite what we
-	// want (bucket is v ≤ bound), so search for the first bound that is
-	// not < v.
-	i := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= v })
-	h.buckets[i].Add(1)
+	h.buckets[h.bucketOf(v)].Add(1)
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+// ObserveAll records every value of vs, leaving the histogram exactly as
+// len(vs) Observe calls in slice order would — the sum is accumulated in
+// that order, so it is the same float bit for bit — but publishing once:
+// bucket counts are folded locally and the sum word takes one CAS, not one
+// per value. For per-row observations on a request path.
+func (h *Histogram) ObserveAll(vs []float64) {
+	if len(vs) == 0 {
+		return
+	}
+	var stack [32]uint64
+	local := stack[:]
+	if len(h.buckets) > len(stack) {
+		local = make([]uint64, len(h.buckets))
+	}
+	for _, v := range vs {
+		local[h.bucketOf(v)]++
+	}
+	for i := range h.buckets {
+		if local[i] != 0 {
+			h.buckets[i].Add(local[i])
+		}
+	}
+	h.count.Add(uint64(len(vs)))
+	h.addSum(vs...)
+}
+
+// addSum adds vs to the running sum, left to right, in one CAS.
+func (h *Histogram) addSum(vs ...float64) {
 	for {
 		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
+		sum := math.Float64frombits(old)
+		for _, v := range vs {
+			sum += v
+		}
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(sum)) {
 			return
 		}
 	}

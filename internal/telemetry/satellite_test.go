@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"regexp"
 	"strconv"
 	"strings"
@@ -230,4 +232,89 @@ func leOf(labels string) string {
 		return ""
 	}
 	return rest[:j]
+}
+
+// ObserveAll is a cheaper way to make the same observations, never a
+// different histogram: for a fixed sequence of batches, /metrics must be
+// byte-identical to what per-value Observe calls produce — count, sum
+// (accumulated in the same order, so the same float) and every bucket.
+func TestObserveAllMatchesObserveOnMetricsText(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var batches [][]float64
+	for b := 0; b < 40; b++ {
+		vs := make([]float64, rng.Intn(300))
+		for i := range vs {
+			switch rng.Intn(3) {
+			case 0: // row ages: integers over the whole bucket ladder
+				vs[i] = float64(rng.Intn(1 << 21))
+			case 1: // values whose sum depends on the order of addition
+				vs[i] = rng.ExpFloat64() * 1e3
+			default: // exactly on a bound
+				vs[i] = []float64{64, 1024, 1048576}[rng.Intn(3)]
+			}
+		}
+		batches = append(batches, vs)
+	}
+	bounds := []float64{64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}
+	text := func(observe func(h *Histogram, vs []float64)) string {
+		reg := NewRegistry()
+		reg.SetHelp("age_rows", "test")
+		narrow := reg.Histogram("age_rows", bounds)
+		wide := reg.Histogram("age_wide", wideBounds()) // more buckets than ObserveAll's stack array
+		for _, vs := range batches {
+			observe(narrow, vs)
+			observe(wide, vs)
+		}
+		var buf bytes.Buffer
+		if err := reg.WriteExposition(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	one := text(func(h *Histogram, vs []float64) {
+		for _, v := range vs {
+			h.Observe(v)
+		}
+	})
+	bulk := text(func(h *Histogram, vs []float64) { h.ObserveAll(vs) })
+	if one != bulk {
+		t.Fatalf("/metrics text differs between Observe and ObserveAll:\n--- Observe\n%s\n--- ObserveAll\n%s", one, bulk)
+	}
+	if !strings.Contains(one, "age_rows_count") {
+		t.Fatalf("exposition lacks the histogram:\n%s", one)
+	}
+}
+
+func wideBounds() []float64 {
+	var b []float64
+	for v := 1.0; len(b) < 40; v *= 1.5 {
+		b = append(b, v)
+	}
+	return b
+}
+
+// Concurrent bulk and single observers lose nothing: integer values keep
+// the float sum exact whatever the interleaving.
+func TestObserveAllConcurrent(t *testing.T) {
+	h := NewHistogram([]float64{10, 100})
+	batch := []float64{1, 20, 300, 4}
+	const workers, rounds = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				h.ObserveAll(batch)
+				h.Observe(7)
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := h.Count(), uint64(workers*rounds*(len(batch)+1)); got != want {
+		t.Fatalf("count %d, want %d", got, want)
+	}
+	if got, want := h.Sum(), float64(workers*rounds*(325+7)); got != want {
+		t.Fatalf("sum %v, want %v", got, want)
+	}
 }
