@@ -1,16 +1,19 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-check bench-kernels bench-workers bench-rollout bench-replay bench-serve cluster-smoke chaos-smoke serve-smoke examples experiments-small experiments-full clean
+.PHONY: all build test vet race bench bench-check bench-kernels bench-gather bench-workers bench-rollout bench-replay bench-serve cluster-smoke chaos-smoke serve-smoke examples experiments-small experiments-full clean
 
 all: build vet test
 
 build:
 	$(GO) build ./...
 
-# The second line builds and vets internal/tensor's non-amd64 stub.
+# The second line builds and vets internal/tensor's non-amd64 stub; the
+# third vets internal/rowmem's files for a platform with neither transparent
+# huge pages nor the prefetch assembly, and the ring built on them.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor/
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/rowmem/ ./internal/expstore/
 
 test:
 	$(GO) test ./...
@@ -33,6 +36,14 @@ bench-check:
 # path=go side by side): the one-line before/after for a kernel change.
 bench-kernels:
 	$(GO) test -run '^$$' -bench '^BenchmarkKernels$$' -cpu 1 ./internal/tensor
+
+# Uniform 1024-row gathers from a 245 MB ring, in ns/row, on base pages and
+# on the huge-page mapping, by the naive loop and by the prefetching gather
+# (taking turns draw by draw, so host drift hits both), beside simcache's
+# dTLB miss rate for the same index trace at each page size. Compare the
+# medians of the ten counts (EXPERIMENTS.md, "Row memory").
+bench-gather:
+	$(GO) test -run '^$$' -bench '^BenchmarkRingGather$$' -cpu 1 -benchtime 1000x -count 10 ./internal/expstore
 
 # Worker-pool scaling sweep; writes the grid to BENCH_update.json.
 bench-workers:

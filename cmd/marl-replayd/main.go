@@ -16,6 +16,12 @@
 //
 // The same address also serves /metrics (Prometheus text exposition of
 // the marl_exp_* ingest/sample/occupancy series) and /healthz.
+//
+// Sizing: the retained window lives outside the Go heap, on transparent
+// huge pages where the host grants them, so resident memory is about
+// -capacity × row bytes (stride × 8) plus a few MB of heap; /metrics says
+// how much is mapped (marl_exp_store_arena_bytes) and how much of the
+// process is on huge pages (marl_exp_store_hugepage_bytes).
 package main
 
 import (
@@ -112,6 +118,11 @@ Flags:
 		return exitUsage
 	}
 
+	// forced is set when the drain gives up on in-flight requests. Their
+	// handlers may still be gathering from a bare ring, which has no lock
+	// to make a late reader panic instead of fault, so its rows then stay
+	// mapped until the process exits.
+	forced := false
 	var provider expstore.Provider
 	if *dir != "" {
 		store, err := expstore.Open(*dir, spec, expstore.Options{SegmentRows: *segRows})
@@ -124,7 +135,13 @@ Flags:
 		fmt.Printf("store: %s (recovered %d rows, %d total ever appended)\n",
 			*dir, store.RowCount(), store.Total())
 	} else {
-		provider = expstore.NewRing(spec)
+		ring := expstore.NewRing(spec)
+		defer func() {
+			if !forced {
+				ring.Close()
+			}
+		}()
+		provider = ring
 		fmt.Println("store: volatile in-memory ring (no -dir)")
 	}
 
@@ -272,11 +289,13 @@ Flags:
 			}
 		}()
 		if err := hs.Shutdown(ctx); err != nil {
+			forced = true
 			hs.Close()
 		}
 		cancel()
 		srv.Close() // blocks until the ingest queue is applied and flushed
-		fmt.Fprintln(os.Stderr, "drained; exiting")
+		fmt.Fprintf(os.Stderr, "drained; arena_bytes=%.0f hugepage_bytes=%.0f; exiting\n",
+			registry.Gauge("marl_exp_store_arena_bytes").Value(), registry.Gauge("marl_exp_store_hugepage_bytes").Value())
 		return exitOK
 	case err := <-errCh:
 		if err != nil && err != http.ErrServerClosed {

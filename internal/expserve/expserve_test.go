@@ -1,10 +1,13 @@
 package expserve
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +17,7 @@ import (
 	"marlperf/internal/expshard"
 	"marlperf/internal/expstore"
 	"marlperf/internal/replay"
+	"marlperf/internal/rowmem"
 	"marlperf/internal/telemetry"
 )
 
@@ -286,5 +290,59 @@ func TestWireAppendRejectsCorruption(t *testing.T) {
 	mid[20] ^= 0x80
 	if _, err := decodeAppend(mid, layout.Stride(), new([]float64)); err == nil {
 		t.Fatal("bit-flipped frame accepted")
+	}
+}
+
+// An operator sees where the rows live: /v1/stats and /metrics report the
+// bytes mapped outside the Go heap — all of a ring of at least one huge
+// page, none of a smaller one — and the process's huge-page-backed bytes,
+// for a bare ring and for a store alike.
+func TestStatsAndMetricsReportArena(t *testing.T) {
+	// 144-byte rows: 16384 of them are 2.25 MiB, 64 of them 9 KiB.
+	for _, capacity := range []int{64, 16384} {
+		spec := testSpec(capacity)
+		ring := expstore.NewRing(spec)
+		store, err := expstore.Open(t.TempDir(), spec, expstore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ring.Close(); store.Close() })
+		for name, prov := range map[string]expstore.Provider{"ring": ring, "store": store} {
+			want := ring.ArenaBytes()
+			if want != store.ArenaBytes() || (want > 0) != (capacity == 16384 && runtime.GOOS == "linux") {
+				t.Fatalf("capacity %d: ring maps %d bytes, store %d", capacity, want, store.ArenaBytes())
+			}
+			reg := telemetry.NewRegistry()
+			srv, err := NewServer(ServerConfig{Provider: prov, Spec: spec, Registry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := httptest.NewServer(srv)
+			resp, err := http.Get(hs.URL + PathStats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reply statsReply
+			err = json.NewDecoder(resp.Body).Decode(&reply)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply.Store.ArenaBytes != want || reply.Store.HugePageBytes < 0 || reply.Store.HugePageBytes%rowmem.HugePage != 0 {
+				t.Fatalf("%s, capacity %d: /v1/stats arena_bytes %d (want %d), hugepage_bytes %d", name, capacity, reply.Store.ArenaBytes, want, reply.Store.HugePageBytes)
+			}
+			var expo strings.Builder
+			if err := reg.WriteExposition(&expo); err != nil {
+				t.Fatal(err)
+			}
+			if line := fmt.Sprintf("\nmarl_exp_store_arena_bytes %v\n", float64(want)); !strings.Contains(expo.String(), line) {
+				t.Fatalf("%s, capacity %d: /metrics lacks %q", name, capacity, line)
+			}
+			if !strings.Contains(expo.String(), "\nmarl_exp_store_hugepage_bytes ") {
+				t.Fatalf("%s, capacity %d: /metrics lacks marl_exp_store_hugepage_bytes", name, capacity)
+			}
+			hs.Close()
+			srv.Close()
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"marlperf/internal/expstore"
 	"marlperf/internal/netretry"
 	"marlperf/internal/replay"
+	"marlperf/internal/rowmem"
 	"marlperf/internal/telemetry"
 	"marlperf/internal/trace"
 )
@@ -24,6 +25,15 @@ import (
 // (expstore.Store does); others get a synthesized view from RowCount.
 type statser interface {
 	Stats() expstore.Stats
+}
+
+// arenaBytes returns how much of p's row storage is mapped outside the Go
+// heap (expstore.Ring and Store say; 0 for a provider that does not).
+func arenaBytes(p expstore.Provider) int64 {
+	if a, ok := p.(interface{ ArenaBytes() int64 }); ok {
+		return a.ArenaBytes()
+	}
+	return 0
 }
 
 // ServerConfig wires an experience server.
@@ -142,6 +152,24 @@ type Server struct {
 	// Occupancy gauges.
 	storeRows     *telemetry.Gauge
 	storeSegments *telemetry.Gauge
+
+	// The process's huge-page-backed bytes, as last read (hugePageBytes).
+	hugeMu    sync.Mutex
+	hugeAt    time.Time
+	hugeBytes int64
+}
+
+// hugePageBytes returns rowmem.AnonHugePageBytes, read at most once a
+// second: the kernel walks the process's page tables to answer, and
+// /v1/stats is not only an operator's endpoint — the learner fetches it from
+// every shard for each frozen view.
+func (s *Server) hugePageBytes() int64 {
+	s.hugeMu.Lock()
+	defer s.hugeMu.Unlock()
+	if now := time.Now(); s.hugeAt.IsZero() || now.Sub(s.hugeAt) >= time.Second {
+		s.hugeBytes, s.hugeAt = rowmem.AnonHugePageBytes(), now
+	}
+	return s.hugeBytes
 }
 
 // NewServer validates cfg, registers metrics, and starts the ingest writer.
@@ -173,6 +201,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	reg.SetHelp("marl_exp_sample_age_rows", "Age of each sampled row, in rows appended since it (store row count minus sampled index).")
 	reg.SetHelp("marl_exp_append_visible_seconds", "Latency from append arrival to the batch's rows being flushed and sampleable.")
 	reg.SetHelp("marl_exp_shard_sample_misaddressed_total", "Shard-sample requests rejected because they were addressed to a different shard id.")
+	reg.SetHelp("marl_exp_store_arena_bytes", "Row storage mapped outside the Go heap, in bytes (0: the ring is smaller than a huge page and lives on the heap).")
+	reg.SetHelp("marl_exp_store_hugepage_bytes", "Anonymous memory of this process on transparent huge pages, in bytes (AnonHugePages; 0 where the kernel does not report it).")
 	s := &Server{
 		cfg:     cfg,
 		layout:  layout,
@@ -202,6 +232,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		storeRows:     reg.Gauge("marl_exp_store_rows"),
 		storeSegments: reg.Gauge("marl_exp_store_segments"),
 	}
+	reg.Gauge("marl_exp_store_arena_bytes").SetFunc(func() float64 { return float64(arenaBytes(cfg.Provider)) })
+	reg.Gauge("marl_exp_store_hugepage_bytes").SetFunc(func() float64 { return float64(s.hugePageBytes()) })
 	if cfg.DedupLogPath != "" {
 		if err := s.openDedupLog(cfg.DedupLogPath); err != nil {
 			return nil, err
@@ -761,6 +793,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.Rows = s.cfg.Provider.RowCount()
 		st.Total = s.ingestRows.Value()
 		st.Stride = s.layout.Stride()
+		st.ArenaBytes = arenaBytes(s.cfg.Provider)
 	}
 	st.Shard = s.cfg.ShardID
 	actors := make(map[string]uint64, len(s.lastSeq))
@@ -769,6 +802,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.updateGauges(st.Rows)
 	s.provMu.RUnlock()
+	st.HugePageBytes = s.hugePageBytes()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(statsReply{Spec: specToWire(s.cfg.Spec), Store: st, Actors: actors})
 }

@@ -34,10 +34,17 @@ type View struct {
 	Stats      []GroupStat
 
 	// Derived at construction.
-	owned    [][]int64 // per group: sorted residues a=(p-Offset) mod P for owned p
-	length   int64     // Σ live Rows
-	balanced bool      // exact fast path: all live, no trims, stats match striping
-	maxT     int64     // exclusive upper bound on live t values (general path)
+	//
+	// before is the per-group prefix table over residues a=(p-Offset) mod P
+	// of owned partitions p: before[g·(P+1)+r] is how many of group g's
+	// residues are below r, for r in [0, P], so the last entry of a group's
+	// row is how many partitions it owns. It makes ownedCountBefore two
+	// loads, where a search over the sorted residues cost a bisection per
+	// call — 1024 times per draw, on the client and on every shard.
+	before   []int32
+	length   int64 // Σ live Rows
+	balanced bool  // exact fast path: all live, no trims, stats match striping
+	maxT     int64 // exclusive upper bound on live t values (general path)
 }
 
 // NewView validates and precomputes a view. It is deterministic: the
@@ -58,18 +65,20 @@ func NewView(partitions int, offset uint64, part2group []int, stats []GroupStat)
 		Part2Group: part2group,
 		Stats:      stats,
 	}
-	v.owned = make([][]int64, len(stats))
+	row := partitions + 1
+	v.before = make([]int32, len(stats)*row)
 	for p, g := range part2group {
 		if g < 0 || g >= len(stats) {
 			return nil, fmt.Errorf("expshard: partition %d maps to invalid group %d", p, g)
 		}
-		a := (int64(p) - int64(v.Offset) + int64(partitions)) % int64(partitions)
-		v.owned[g] = append(v.owned[g], a)
+		a := (p - int(v.Offset) + partitions) % partitions
+		v.before[g*row+a+1] = 1
 	}
-	for g := range v.owned {
-		// Residues were appended in ascending p order; with a fixed
-		// offset shift they may wrap, so sort to restore order.
-		insertionSortInt64(v.owned[g])
+	for g := range stats {
+		counts := v.before[g*row : (g+1)*row]
+		for r := 1; r < row; r++ {
+			counts[r] += counts[r-1]
+		}
 	}
 	allLive, trimsZero := true, true
 	for g, st := range stats {
@@ -100,14 +109,6 @@ func NewView(partitions int, offset uint64, part2group []int, stats []GroupStat)
 	return v, nil
 }
 
-func insertionSortInt64(a []int64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
-}
-
 // Len returns the number of live sampleable rows: the length argument
 // every shard passes to SamplePlan.FillIndices.
 func (v *View) Len() int64 { return v.length }
@@ -130,6 +131,13 @@ func (v *View) NumLive() int {
 // placement mismatches (see Map).
 func (v *View) Balanced() bool { return v.balanced }
 
+// residuesBelow returns group g's row of the prefix table: entry r counts
+// its owned residues below r, entry Partitions all of them.
+func (v *View) residuesBelow(g int) []int32 {
+	row := v.Partitions + 1
+	return v.before[g*row : (g+1)*row]
+}
+
 // ownedCountBefore counts owned stream indices t' < t for group g:
 // t' ≡ a (mod P) for each owned residue a. Closed form: q full stripe
 // cycles contribute q·k, plus the residues below t mod P.
@@ -137,46 +145,46 @@ func (v *View) ownedCountBefore(t int64, g int) int64 {
 	if t <= 0 {
 		return 0
 	}
-	res := v.owned[g]
-	if len(res) == 0 {
-		return 0
-	}
+	below := v.residuesBelow(g)
 	p := int64(v.Partitions)
-	q, r := t/p, t%p
-	n := q * int64(len(res))
-	// res is sorted: count entries < r.
-	lo, hi := 0, len(res)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if res[mid] < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return n + int64(lo)
+	return t/p*int64(below[p]) + int64(below[t%p])
 }
 
 // tUpper returns an exclusive upper bound on stream indices held by
 // group g: the t of its (Total-1)-th owned slot, plus one.
 func (v *View) tUpper(g int) int64 {
 	total := int64(v.Stats[g].Total)
-	if total == 0 || len(v.owned[g]) == 0 {
+	below := v.residuesBelow(g)
+	k := int64(below[v.Partitions])
+	if total == 0 || k == 0 {
 		return 0
 	}
-	k := int64(len(v.owned[g]))
-	q, r := (total-1)/k, (total-1)%k
-	return q*int64(v.Partitions) + v.owned[g][r] + 1
+	q, r := (total-1)/k, int32((total-1)%k)
+	// The r-th owned residue is the first one with r+1 residues below its
+	// successor. Once per live group per view: a scan is enough.
+	a := 0
+	for below[a+1] <= r {
+		a++
+	}
+	return q*int64(v.Partitions) + int64(a) + 1
 }
 
-// rank counts live retained rows with stream index < t.
+// rank counts live retained rows with stream index < t: ownedCountBefore
+// for every live group, sharing its one division, clipped to what the
+// group holds.
 func (v *View) rank(t int64) int64 {
+	if t <= 0 {
+		return 0
+	}
+	p := int64(v.Partitions)
+	q, r := t/p, t%p
 	var n int64
 	for g, st := range v.Stats {
 		if !st.Live {
 			continue
 		}
-		c := v.ownedCountBefore(t, g)
+		below := v.residuesBelow(g)
+		c := q*int64(below[p]) + int64(below[r])
 		if tot := int64(st.Total); c > tot {
 			c = tot
 		}
@@ -196,10 +204,18 @@ func (v *View) rank(t int64) int64 {
 // documented approximation outside the balanced regime.
 func (v *View) Map(i int64) (group int, local int64, clamped bool) {
 	if v.balanced {
-		// Exact: the live stream is contiguous, t = i.
-		p := (int64(v.Offset) + i) % int64(v.Partitions)
+		// Exact: the live stream is contiguous, t = i. One division gives
+		// the stripe cycle and the residue; the partition is the residue
+		// shifted by the offset, and both are below Partitions.
+		parts := int64(v.Partitions)
+		q, r := i/parts, i%parts
+		p := int64(v.Offset) + r
+		if p >= parts {
+			p -= parts
+		}
 		g := v.Part2Group[p]
-		return g, v.ownedCountBefore(i, g), false
+		below := v.residuesBelow(g)
+		return g, q*int64(below[parts]) + int64(below[r]), false
 	}
 	// General path: binary search the smallest t whose cumulative live
 	// retained count reaches i+1; that t is live-owned by construction.

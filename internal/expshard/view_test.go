@@ -2,6 +2,7 @@ package expshard
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -241,5 +242,273 @@ func TestViewErrors(t *testing.T) {
 	p2gBad[3] = 9
 	if _, err := NewView(16, 0, p2gBad, good); err == nil {
 		t.Error("out-of-range group index accepted")
+	}
+}
+
+// refView is the mapping as it was computed before the prefix table: per
+// group, the sorted residues of its partitions, and a binary search over
+// them on every count. The table is tested against it.
+type refView struct {
+	partitions int
+	offset     uint64
+	part2group []int
+	stats      []GroupStat
+	owned      [][]int64
+	length     int64
+	balanced   bool
+	maxT       int64
+}
+
+func newRefView(partitions int, offset uint64, part2group []int, stats []GroupStat) *refView {
+	v := &refView{partitions: partitions, offset: offset % uint64(partitions), part2group: part2group, stats: stats}
+	v.owned = make([][]int64, len(stats))
+	for p, g := range part2group {
+		a := (int64(p) - int64(v.offset) + int64(partitions)) % int64(partitions)
+		v.owned[g] = append(v.owned[g], a)
+	}
+	for g := range v.owned {
+		sort.Slice(v.owned[g], func(i, j int) bool { return v.owned[g][i] < v.owned[g][j] })
+	}
+	allLive, trimsZero := true, true
+	for g, st := range stats {
+		if !st.Live {
+			allLive = false
+			continue
+		}
+		v.length += int64(st.Rows)
+		if st.Rows != st.Total {
+			trimsZero = false
+		}
+		if tu := v.tUpper(g); tu > v.maxT {
+			v.maxT = tu
+		}
+	}
+	if allLive && trimsZero {
+		v.balanced = true
+		for g, st := range stats {
+			if v.ownedCountBefore(v.length, g) != int64(st.Total) {
+				v.balanced = false
+				break
+			}
+		}
+	}
+	return v
+}
+
+func (v *refView) ownedCountBefore(t int64, g int) int64 {
+	if t <= 0 {
+		return 0
+	}
+	res := v.owned[g]
+	if len(res) == 0 {
+		return 0
+	}
+	p := int64(v.partitions)
+	q, r := t/p, t%p
+	lo, hi := 0, len(res)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if res[mid] < r {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return q*int64(len(res)) + int64(lo)
+}
+
+func (v *refView) tUpper(g int) int64 {
+	total := int64(v.stats[g].Total)
+	if total == 0 || len(v.owned[g]) == 0 {
+		return 0
+	}
+	k := int64(len(v.owned[g]))
+	q, r := (total-1)/k, (total-1)%k
+	return q*int64(v.partitions) + v.owned[g][r] + 1
+}
+
+func (v *refView) rank(t int64) int64 {
+	var n int64
+	for g, st := range v.stats {
+		if !st.Live {
+			continue
+		}
+		c := v.ownedCountBefore(t, g)
+		if tot := int64(st.Total); c > tot {
+			c = tot
+		}
+		c -= int64(st.Total) - int64(st.Rows)
+		if c > 0 {
+			n += c
+		}
+	}
+	return n
+}
+
+func (v *refView) Map(i int64) (group int, local int64, clamped bool) {
+	if v.balanced {
+		p := (int64(v.offset) + i) % int64(v.partitions)
+		g := v.part2group[p]
+		return g, v.ownedCountBefore(i, g), false
+	}
+	lo, hi := int64(0), v.maxT
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if v.rank(mid+1) >= i+1 {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	t := lo
+	p := (int64(v.offset) + t) % int64(v.partitions)
+	g := v.part2group[p]
+	st := v.stats[g]
+	local = v.ownedCountBefore(t, g) - (int64(st.Total) - int64(st.Rows))
+	if local < 0 {
+		local, clamped = 0, true
+	}
+	if rows := int64(st.Rows); local >= rows && rows > 0 {
+		local, clamped = local%rows, true
+	}
+	return g, local, clamped
+}
+
+// compareWithRef checks the view against the reference: the derived
+// state, every count the general path can ask for, and Map over the
+// whole index range (every index when it is short, a stride otherwise).
+func compareWithRef(t testing.TB, partitions int, offset uint64, part2group []int, stats []GroupStat) {
+	t.Helper()
+	v, err := NewView(partitions, offset, part2group, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefView(partitions, offset, part2group, stats)
+	if v.Len() != ref.length || v.Balanced() != ref.balanced || v.maxT != ref.maxT {
+		t.Fatalf("P=%d offset=%d: view (len %d, balanced %v, maxT %d), reference (len %d, balanced %v, maxT %d)",
+			partitions, offset, v.Len(), v.Balanced(), v.maxT, ref.length, ref.balanced, ref.maxT)
+	}
+	for g := range stats {
+		for _, tt := range []int64{-1, 0, 1, int64(partitions) - 1, int64(partitions), int64(partitions) + 1, 3*int64(partitions) + 2, ref.maxT} {
+			if got, want := v.ownedCountBefore(tt, g), ref.ownedCountBefore(tt, g); got != want {
+				t.Fatalf("P=%d offset=%d: ownedCountBefore(%d, %d) = %d, reference %d", partitions, offset, tt, g, got, want)
+			}
+		}
+	}
+	step := int64(1)
+	if v.Len() > 4096 {
+		step = v.Len()/4096 + 1
+	}
+	for i := int64(0); i < v.Len(); i += step {
+		g, local, clamped := v.Map(i)
+		rg, rlocal, rclamped := ref.Map(i)
+		if g != rg || local != rlocal || clamped != rclamped {
+			t.Fatalf("P=%d offset=%d stats=%v: Map(%d) = (%d, %d, %v), reference (%d, %d, %v)",
+				partitions, offset, stats, i, g, local, clamped, rg, rlocal, rclamped)
+		}
+	}
+	if n := v.Len(); n > 0 {
+		g, local, clamped := v.Map(n - 1)
+		rg, rlocal, rclamped := ref.Map(n - 1)
+		if g != rg || local != rlocal || clamped != rclamped {
+			t.Fatalf("P=%d offset=%d: Map(last) = (%d, %d, %v), reference (%d, %d, %v)", partitions, offset, g, local, clamped, rg, rlocal, rclamped)
+		}
+	}
+}
+
+// striped returns the per-group totals of a stream of rows striped over
+// part2group from offset.
+func striped(part2group []int, groups int, offset uint64, rows int64) []uint64 {
+	totals := make([]uint64, groups)
+	p := int64(len(part2group))
+	for g := range totals {
+		for a := int64(0); a < p; a++ {
+			if part2group[(int64(offset%uint64(p))+a)%p] == g {
+				totals[g] += uint64(rows / p)
+				if a < rows%p {
+					totals[g]++
+				}
+			}
+		}
+	}
+	return totals
+}
+
+// The prefix table must agree with the binary search it replaced on
+// every shape the wire format admits: partition counts from 1 to the
+// maximum, any offset, one group or many (some owning nothing), balanced
+// streams, trims, dead groups and totals that contradict the striping.
+func TestViewTableMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, partitions := range []int{1, 2, 3, 64, 1024} {
+		for _, groups := range []int{1, 2, 3, 7} {
+			for _, offset := range []uint64{0, 1, uint64(partitions) - 1, uint64(partitions) + 5} {
+				p2g := make([]int, partitions)
+				for p := range p2g {
+					p2g[p] = rng.Intn(groups)
+				}
+				rows := int64(rng.Intn(5 * partitions))
+				totals := striped(p2g, groups, offset, rows)
+
+				balanced := make([]GroupStat, groups)
+				trimmed := make([]GroupStat, groups)
+				dead := make([]GroupStat, groups)
+				skewed := make([]GroupStat, groups)
+				for g, tot := range totals {
+					balanced[g] = GroupStat{Rows: tot, Total: tot, Live: true}
+					trimmed[g] = GroupStat{Rows: tot - uint64(rng.Int63n(int64(tot)+1)), Total: tot, Live: true}
+					dead[g] = GroupStat{Rows: trimmed[g].Rows, Total: tot, Live: g != groups-1 || groups == 1}
+					skew := uint64(rng.Intn(40))
+					skewed[g] = GroupStat{Rows: skew, Total: skew + uint64(rng.Intn(3)), Live: rng.Intn(5) != 0}
+				}
+				for _, stats := range [][]GroupStat{balanced, trimmed, dead, skewed} {
+					compareWithRef(t, partitions, offset, p2g, stats)
+				}
+			}
+		}
+	}
+}
+
+func TestViewBalancedStripingIsBalanced(t *testing.T) {
+	p2g := buildMap(t, 2, 64)
+	totals := striped(p2g, 2, 9, 131072)
+	stats := []GroupStat{{Rows: totals[0], Total: totals[0], Live: true}, {Rows: totals[1], Total: totals[1], Live: true}}
+	v, err := NewView(64, 9, p2g, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Balanced() {
+		t.Fatal("a striped stream's view is not balanced")
+	}
+	compareWithRef(t, 64, 9, p2g, stats)
+}
+
+var sinkLocal int64
+
+// BenchmarkViewMap is the floor under expshard.view_map_ns: Map over a
+// balanced two-group view of 131 072 rows (fabric-sample's) and over the
+// same view with one group trimmed (the general path a wrapped ring takes).
+func BenchmarkViewMap(b *testing.B) {
+	p2g := make([]int, 64)
+	for p := range p2g {
+		p2g[p] = (p * 7 / 3) % 2
+	}
+	totals := striped(p2g, 2, 0, 131072)
+	shapes := map[string][]GroupStat{
+		"balanced": {{Rows: totals[0], Total: totals[0], Live: true}, {Rows: totals[1], Total: totals[1], Live: true}},
+		"trimmed":  {{Rows: totals[0] - 1000, Total: totals[0], Live: true}, {Rows: totals[1], Total: totals[1], Live: true}},
+	}
+	for name, stats := range shapes {
+		v, err := NewView(64, 0, p2g, stats)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			n := v.Len()
+			for i := 0; i < b.N; i++ {
+				_, local, _ := v.Map(int64(i) * 7919 % n)
+				sinkLocal += local
+			}
+		})
 	}
 }

@@ -86,6 +86,7 @@ func Open(dir string, spec replay.Spec, opts Options) (*Store, error) {
 		ring:   NewRing(spec),
 	}
 	if err := s.recover(); err != nil {
+		s.ring.Close()
 		return nil, err
 	}
 	return s, nil
@@ -353,11 +354,13 @@ func (s *Store) Sync() error {
 	return s.active.Sync()
 }
 
-// Close flushes and closes the active segment. The store must not be used
-// afterwards.
+// Close flushes and closes the active segment, then releases the ring. It
+// is idempotent; the store must not be used afterwards (a sample or append
+// panics in the closed ring).
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.ring.Close()
 	if s.active == nil {
 		return nil
 	}
@@ -368,6 +371,14 @@ func (s *Store) Close() error {
 	s.active = nil
 	s.activeBuf = nil
 	return err
+}
+
+// ArenaBytes returns how many bytes of the ring's row storage live outside
+// the Go heap (see Ring.ArenaBytes).
+func (s *Store) ArenaBytes() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.ring.ArenaBytes()
 }
 
 // SamplePacked selects and gathers n rows under one read lock, so index
@@ -397,6 +408,12 @@ type Stats struct {
 	Stride   int    `json:"stride"`          // float64s per row
 	DiskRows int    `json:"disk_rows"`       // rows currently held by on-disk segments
 	Shard    string `json:"shard,omitempty"` // shard id when serving inside a replay fabric
+
+	ArenaBytes int64 `json:"arena_bytes"` // row storage mapped outside the Go heap
+	// HugePageBytes is a figure of the process, not the store, filled by
+	// the experience server: anonymous memory on transparent huge pages,
+	// i.e. whether rowmem's advice took.
+	HugePageBytes int64 `json:"hugepage_bytes"`
 }
 
 // Stats returns current occupancy counters.
@@ -408,6 +425,8 @@ func (s *Store) Stats() Stats {
 		Total:  s.nextSeq,
 		Base:   s.ring.Base(),
 		Stride: s.layout.Stride(),
+
+		ArenaBytes: s.ring.ArenaBytes(),
 	}
 	for _, seg := range s.sealed {
 		st.Segments++

@@ -41,7 +41,14 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // Gauge is a float64 metric that can go up and down.
 type Gauge struct {
 	bits atomic.Uint64
+	read atomic.Pointer[func() float64]
 }
+
+// SetFunc makes the gauge report read() from now on, called once per Value
+// and per registry snapshot — for a figure the operating system keeps, which
+// is cheaper to ask for at scrape time than to track. read must be safe for
+// concurrent use.
+func (g *Gauge) SetFunc(read func() float64) { g.read.Store(&read) }
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
@@ -58,7 +65,12 @@ func (g *Gauge) Add(delta float64) {
 }
 
 // Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 {
+	if read := g.read.Load(); read != nil {
+		return (*read)()
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // Label is one name=value metric dimension.
 type Label struct {
@@ -229,22 +241,28 @@ type Snapshot struct {
 
 // Snapshot captures the current value of every metric.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	var s Snapshot
+	var gauges []*Gauge
+	r.mu.RLock()
 	for key, c := range r.counters {
 		m := r.meta[key]
 		s.Counters = append(s.Counters, CounterSnapshot{Name: m.name, Labels: m.labels, Value: c.Value()})
 	}
 	for key, g := range r.gauges {
 		m := r.meta[key]
-		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: m.name, Labels: m.labels, Value: g.Value()})
+		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: m.name, Labels: m.labels})
+		gauges = append(gauges, g)
 	}
 	for key, h := range r.hists {
 		m := r.meta[key]
 		hs := h.Snapshot()
 		hs.Name, hs.Labels = m.name, m.labels
 		s.Histograms = append(s.Histograms, hs)
+	}
+	r.mu.RUnlock()
+	// Outside the lock: a gauge's SetFunc reader is the caller's code.
+	for i, g := range gauges {
+		s.Gauges[i].Value = g.Value()
 	}
 	sort.Slice(s.Counters, func(i, j int) bool {
 		return seriesLess(s.Counters[i].Name, s.Counters[i].Labels, s.Counters[j].Name, s.Counters[j].Labels)

@@ -129,3 +129,26 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 		t.Fatalf("histogram snapshot: %+v", s.Histograms[0])
 	}
 }
+
+// A SetFunc gauge is read at every snapshot, outside the registry lock: its
+// reader may itself use the registry.
+func TestGaugeFuncReadAtSnapshot(t *testing.T) {
+	reg := NewRegistry()
+	reads := 0.0
+	reg.Gauge("test_os_bytes").SetFunc(func() float64 {
+		reg.Counter("test_reads_total").Inc() // would deadlock under the snapshot's lock
+		reads++
+		return reads * 10
+	})
+	reg.Gauge("test_plain").Set(3)
+	for want := 10.0; want <= 30; want += 10 {
+		snap := reg.Snapshot()
+		got := map[string]float64{}
+		for _, g := range snap.Gauges {
+			got[g.Name] = g.Value
+		}
+		if got["test_os_bytes"] != want || got["test_plain"] != 3 {
+			t.Fatalf("snapshot gauges %v, want test_os_bytes=%v test_plain=3", got, want)
+		}
+	}
+}
