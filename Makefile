@@ -9,11 +9,14 @@ build:
 
 # The second line builds and vets internal/tensor's non-amd64 stub; the
 # third vets internal/rowmem's files for a platform with neither transparent
-# huge pages nor the prefetch assembly, and the ring built on them.
+# huge pages nor the prefetch assembly, and the ring built on them; the
+# fourth keeps fused multiply-adds, which round once per pair and would
+# change every checkpoint, out of the kernels.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor/
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/rowmem/ ./internal/expstore/
+	! grep -n VFMADD internal/tensor/*.s internal/tensor/*.h
 
 test:
 	$(GO) test ./...
@@ -31,11 +34,13 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The three matrix products at the critic and acting shapes, in GFLOP/s, on
-# each body of the multiply-add primitive this CPU can run (path=avx2 and
-# path=go side by side): the one-line before/after for a kernel change.
+# The three matrix products in GFLOP/s on each body this CPU can run (go,
+# avx2, avx512 — one column each) at the shapes an update, a rollout step and
+# a gateway micro-batch run them at. The bodies take turns rep by rep on the
+# same operands, so host drift hits all alike; ten counts, reported as
+# q1 / median / q3 per body: the one-line before/after for a kernel change.
 bench-kernels:
-	$(GO) test -run '^$$' -bench '^BenchmarkKernels$$' -cpu 1 ./internal/tensor
+	$(GO) test -run '^$$' -bench '^BenchmarkKernels$$' -cpu 1 -benchtime 300x -count 10 ./internal/tensor | python3 scripts/bench_quartiles.py
 
 # Uniform 1024-row gathers from a 245 MB ring, in ns/row, on base pages and
 # on the huge-page mapping, by the naive loop and by the prefetching gather

@@ -533,7 +533,11 @@ func writeBenchFile(b *testing.B, file, benchmark, unit string, rows any) {
 
 // benchCommit identifies the source revision a sweep was produced from:
 // the VCS stamp when the test binary carries one, else the checkout's
-// HEAD, else "unknown".
+// HEAD, else "unknown". Either way a tree with uncommitted changes is
+// marked "-dirty": test binaries carry no stamp, and a sweep regenerated
+// inside a change would otherwise claim the hash of the parent it was not
+// measured on. The sweeps' own output files do not count: the first sweep of
+// a run rewrites one, and the rest would call a clean commit dirty.
 func benchCommit() string {
 	if info, ok := debug.ReadBuildInfo(); ok {
 		rev, dirty := "", false
@@ -554,6 +558,9 @@ func benchCommit() string {
 	}
 	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
 		if rev := strings.TrimSpace(string(out)); rev != "" {
+			if status, err := exec.Command("git", "status", "--porcelain", "--", ".", ":!BENCH_*.json").Output(); err == nil && len(status) > 0 {
+				rev += "-dirty"
+			}
 			return rev
 		}
 	}

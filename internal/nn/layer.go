@@ -6,7 +6,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"marlperf/internal/tensor"
@@ -182,17 +181,13 @@ func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward zeroes the gradient where the forward input was non-positive,
 // i.e. where the retained output is +0, again with a mask instead of a
-// branch: -bits is negative exactly when the output's bits are non-zero.
+// branch (tensor.ReLUGrad).
 func (r *ReLU) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	if r.out == nil || grad.Rows != r.out.Rows || grad.Cols != r.out.Cols {
 		panic("nn: ReLU backward shape does not match forward")
 	}
 	r.gradIn = tensor.Reshape(r.gradIn, grad.Rows, grad.Cols)
-	out, gradIn := r.out.Data[:len(grad.Data)], r.gradIn.Data[:len(grad.Data)]
-	for i, g := range grad.Data {
-		active := uint64(-int64(math.Float64bits(out[i])) >> 63)
-		gradIn[i] = math.Float64frombits(math.Float64bits(g) & active)
-	}
+	tensor.ReLUGrad(r.gradIn.Data, grad.Data, r.out.Data)
 	return r.gradIn
 }
 

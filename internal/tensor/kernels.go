@@ -3,15 +3,21 @@ package tensor
 import "math"
 
 // The matrix-product kernels. There are two loop nests, matMulRows (a × b)
-// and matMulTransARows (aᵀ × b), both over one multiply-add primitive,
-// axpy4Blocks; a × bᵀ is a × b against a transposed copy of b (TransposeRows),
-// so it has no nest of its own. Each nest computes a contiguous range of dst
-// rows: the serial entry points (matrix.go) run it over every row and
-// parallelRows (parallel.go) over one chunk per worker. There is no other
-// product loop in the package.
+// and matMulTransARows (aᵀ × b); a × bᵀ is a × b against a transposed copy of
+// b (TransposeRows), so it has no nest of its own. Each nest computes a
+// contiguous range of dst rows: the serial entry points (matrix.go) run it
+// over every row and parallelRows (parallel.go) over one chunk per worker.
+// There is no other product loop in the package.
+//
+// Both nests are rows of one shape — a dst row is a sum of rows of b, each
+// times one multiplier from a — and have one body per vector width the CPU
+// offers (vectorLanes): the Go loops below, over the four-deep multiply-add
+// step axpy4Blocks, are the portable body and the reference; on amd64 with
+// AVX2 or AVX-512 residentRows hands the same rows to assembly that keeps a
+// dst row in registers for its whole sum (rows_amd64.s).
 //
 // Contract, shared by all three products and pinned by kernels_test.go
-// against the scalar loops they replaced, on both bodies of the primitive:
+// against the scalar loops they replaced, on every body:
 //
 //   - Every dst element is the sum over the inner index k, in ascending k,
 //     starting from +0, of a·b products; each multiply and each add is
@@ -27,22 +33,35 @@ import "math"
 //   - For finite operands a zero multiplier contributes ±0, which leaves a
 //     sum that started at +0 unchanged, so all three products may skip work
 //     for zeros — but only for a whole block of four multipliers that are all
-//     exactly zero (either sign). For non-finite operands that is visible:
+//     exactly zero (either sign), counted from k = 0, and one by one for the
+//     one to three multipliers past the last whole block. For non-finite
+//     operands that is visible:
 //     0·Inf and 0·NaN are NaN, and they reach the sum unless all four
-//     multipliers of their block are zero. MatMulTransB's multipliers are
+//     multipliers of their block are zero (past the last block: unless their
+//     own multiplier is). MatMulTransB's multipliers are
 //     the elements of a, as MatMul's are. No caller relies on zeros masking
 //     non-finite values. Where a result is NaN it is NaN on every path, but
 //     which NaN — the payload, when two different ones meet in a multiply —
 //     follows the operand order of whichever instruction ran, and neither
 //     the Go compiler nor this contract fixes that.
 
-// matMulRows computes rows [lo, hi) of dst = a × b. The k loop runs four deep
-// (axpy4Blocks), so a dst row is loaded and stored once per four rows of b.
-// A non-nil bias (one value per dst column) is added to each finished row —
-// after the whole k sum, as a separate pass over the matrix would — and with
-// relu the row then goes through ReLU, all while it is still in L1.
+// matMulRows computes rows [lo, hi) of dst = a × b. A non-nil bias (one value
+// per dst column) is added to each finished row — after the whole k sum, as
+// a separate pass over the matrix would — and with relu the row then goes
+// through ReLU. The resident bodies do both in the registers that hold the
+// row; the Go body, which runs k four deep (axpy4Blocks) so that a row is
+// loaded and stored once per four rows of b, does them while the row is
+// still in L1.
 func matMulRows(dst, a, b *Matrix, bias []float64, relu bool, lo, hi int) {
 	inner, n := a.Cols, b.Cols
+	if lanes := vectorLanes; lanes != 0 && lo < hi && inner > 0 && n > 0 {
+		p := rowArgs{rows: hi - lo, dStep: n, aStep: inner, aStride: 1, k: inner, ldb: n}
+		if relu {
+			p.flags = flagReLU
+		}
+		residentRows(lanes, dst.Data[lo*n:hi*n], a.Data[lo*inner:hi*inner], b.Data, bias, n, p)
+		return
+	}
 	blocks := inner / 4
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*inner : (i+1)*inner]
@@ -70,13 +89,32 @@ func matMulRows(dst, a, b *Matrix, bias []float64, relu bool, lo, hi int) {
 	}
 }
 
+// transAChunkFloats is how much of b the resident aᵀ × b walks per pass over
+// the dst rows: 16 KiB, so that the chunk and the same rows of a stay in L1
+// while the dst rows stream past them.
+const transAChunkFloats = 2048
+
 // matMulTransARows computes rows [lo, hi) of dst = aᵀ × b, i.e. the products
-// of columns [lo, hi) of a with b. The shared row index k runs outermost,
-// four rows at a time: the small dst block stays in L1 across the whole
-// batch and a is read along its rows instead of down a column.
+// of columns [lo, hi) of a with b. The shared row index k runs outermost: in
+// the Go body four rows at a time, so that the small dst block stays in L1
+// across the whole batch and a is read along its rows instead of down a
+// column; in the resident bodies a chunk of rows at a time — a multiple of
+// four, so that the blocks of four start where the Go body starts them —
+// with each dst row held in registers across the chunk.
 func matMulTransARows(dst, a, b *Matrix, lo, hi int) {
 	outer, ac, n := a.Rows, a.Cols, b.Cols
 	drows := dst.Data[lo*n : hi*n]
+	if lanes := vectorLanes; lanes != 0 && lo < hi && outer > 0 && n > 0 {
+		chunk := max(4, transAChunkFloats/n&^3)
+		for k := 0; k < outer; k += chunk {
+			p := rowArgs{rows: hi - lo, dStep: n, aStep: 1, aStride: ac, k: min(chunk, outer-k), ldb: n}
+			if k > 0 {
+				p.flags = flagAccumulate
+			}
+			residentRows(lanes, drows, a.Data[k*ac+lo:], b.Data[k*n:], nil, n, p)
+		}
+		return
+	}
 	clear(drows)
 	k := 0
 	for ; k+4 <= outer; k += 4 {
@@ -93,22 +131,82 @@ func matMulTransARows(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// useAVX2 selects axpy4Blocks' assembly body. It is set once, from what the
-// CPU and the OS report (cpuHasAVX2), and only the tests ever change it: both
-// bodies produce the same bits, so there is nothing for a user to choose.
-var useAVX2 = cpuHasAVX2()
+// vectorLanes selects the body of both nests: the float64 lanes of the
+// resident assembly's vectors, 8 (AVX-512) or 4 (AVX2), or 0 for the Go
+// loops. It is set once, from what the CPU and the OS report
+// (cpuVectorLanes), and only the tests ever change it: every body produces
+// the same bits, so there is nothing for a user to choose.
+var vectorLanes = cpuVectorLanes()
 
-// KernelPath names the axpy4Blocks body this process runs, "avx2" or "go",
-// for benchmark provenance: throughput depends on it, results do not.
+// KernelPath names the body this process runs, "avx512", "avx2" or "go", for
+// benchmark provenance: throughput depends on it, results do not.
 func KernelPath() string {
-	if useAVX2 {
+	switch vectorLanes {
+	case 8:
+		return "avx512"
+	case 4:
 		return "avx2"
 	}
 	return "go"
 }
 
-// axpy4Blocks is the multiply-add primitive under both product kernels:
-// count steps of
+// rowArgs is what a resident row kernel (rows_amd64.s) is called with: for
+// r in [0, rows) and j in [0, w),
+//
+//	d[r·dStep+j] = [d[r·dStep+j] +] Σ a[r·aStep+k·aStride]·b[k·ldb+j] [+ bias[j]]
+//
+// summed over k in [0, k), ascending, in blocks of four from k = 0: a block
+// whose four multipliers are all ±0 is skipped, and so is each of the last
+// k mod 4 multipliers that is ±0. The sum starts from d with flagAccumulate
+// and from +0 without; bias may be nil; with flagReLU the biased sum goes
+// through ReLU. The assembly reads the fields at the offsets go_asm.h gives
+// it.
+type rowArgs struct {
+	d, a, b, bias *float64
+	rows          int
+	dStep, aStep  int // from one row to the next, in elements
+	aStride, ldb  int // from one k to the next, in elements
+	k, w          int
+	flags         int
+
+	// The kernel's own: the row it has reached. Not pointers, because they
+	// end one step beyond the operands.
+	aRow uintptr
+	left int
+}
+
+const (
+	flagAccumulate = 1 << iota
+	flagReLU
+)
+
+// residentRows runs the product p describes, n columns wide, on the resident
+// assembly of the given vector width: d, a, b and bias are the operands from
+// their first element on, and p carries everything but them and the width of
+// one call. The columns go to the kernels in panels (rowsPanel picks each
+// one's kernel and width): the wide kernel keeps eight vectors of one row in
+// registers, the narrow kernel has one accumulator per row and interleaves
+// four rows. No panel reads or writes a column outside itself, so the split
+// is invisible in the result.
+func residentRows(lanes int, d, a, b, bias []float64, n int, p rowArgs) {
+	// The assembly checks nothing: the reach of the last row, the last k and
+	// the last column is checked here.
+	_, _, _ = d[(p.rows-1)*p.dStep+n-1], a[(p.rows-1)*p.aStep+(p.k-1)*p.aStride], b[(p.k-1)*p.ldb+n-1]
+	if bias != nil {
+		_ = bias[n-1]
+	}
+	p.a = &a[0]
+	for j := 0; j < n; {
+		p.d, p.b = &d[j], &b[j]
+		if bias != nil {
+			p.bias = &bias[j]
+		}
+		j += rowsPanel(&p, lanes, n-j)
+	}
+}
+
+// axpy4Blocks is the multiply-add step of the Go body, and the statement of
+// what a block of four is on every body: count steps of
 //
 //	d[j] = (((d[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) + a3·b3[j],  j in [0, n)
 //
@@ -117,18 +215,9 @@ func KernelPath() string {
 // multipliers are all ±0 is skipped. Between steps d, a and b move forward
 // by dStep, aStep and bStep elements: matMulRows keeps d and walks four
 // columns of a and four rows of b per step, matMulTransARows keeps b and
-// walks one row of d and one column of a. On amd64 with AVX2 the whole call
-// runs in axpy4_amd64.s, four columns j to a vector register — the same
-// operations on each element in the same order, so the same bits.
+// walks one row of d and one column of a.
 func axpy4Blocks(d []float64, n int, a []float64, aStride int, b []float64, count, dStep, aStep, bStep int) {
-	if count <= 0 || n == 0 {
-		return
-	}
-	if useAVX2 {
-		// The assembly checks nothing: the last step's reach is checked here.
-		last := count - 1
-		_, _, _ = d[last*dStep+n-1], a[last*aStep+3*aStride], b[last*bStep+4*n-1]
-		axpy4BlocksAVX2(&d[0], n, &a[0], aStride, &b[0], count, dStep, aStep, bStep)
+	if n == 0 {
 		return
 	}
 	for ; count > 0; count-- {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -102,33 +103,62 @@ var products = []product{
 	},
 }
 
-// kernelPaths lists the axpy4Blocks bodies this CPU can run, as values of
-// useAVX2: the Go loop always, the assembly where cpuHasAVX2. Tests of the
-// kernel contract run once per entry, so one binary holds both bodies to the
-// scalar reference; on a CPU without AVX2 the assembly leg is logged and left
+// kernelLanes maps the name of a body of the product nests, as KernelPath
+// reports it, to the value of vectorLanes that selects it.
+var kernelLanes = map[string]int{"go": 0, "avx2": 4, "avx512": 8}
+
+// kernelPaths lists the bodies this CPU can run, by name: the Go loops
+// always, the resident assembly up to the width cpuVectorLanes reports. Tests
+// of the kernel contract run once per entry, so one binary holds every body
+// to the scalar reference; a body the CPU or the OS lacks is logged and left
 // out.
-func kernelPaths(t testing.TB) []bool {
-	if !cpuHasAVX2() {
-		t.Log("assembly path not run: this CPU or OS lacks AVX2")
-		return []bool{false}
+func kernelPaths(t testing.TB) []string {
+	paths := []string{"go"}
+	for _, name := range []string{"avx2", "avx512"} {
+		if kernelLanes[name] <= cpuVectorLanes() {
+			paths = append(paths, name)
+		} else {
+			t.Logf("%s body not run: this CPU or OS lacks it", name)
+		}
 	}
-	return []bool{false, true}
+	return paths
 }
 
-// setKernelPath switches axpy4Blocks' body until the test ends.
-func setKernelPath(t testing.TB, avx2 bool) {
-	prev := useAVX2
-	t.Cleanup(func() { useAVX2 = prev })
-	useAVX2 = avx2
+// setKernelPath switches the nests' body until the test ends.
+func setKernelPath(t testing.TB, name string) {
+	lanes, ok := kernelLanes[name]
+	if !ok {
+		t.Fatalf("no kernel body named %q", name)
+	}
+	prev := vectorLanes
+	t.Cleanup(func() { vectorLanes = prev })
+	vectorLanes = lanes
+}
+
+// TestKernelPathsNamed: the names the tests select bodies by are the names
+// KernelPath stamps benchmark output with, and the body a fresh process runs
+// is the widest one listed.
+func TestKernelPathsNamed(t *testing.T) {
+	paths := kernelPaths(t)
+	if got, want := KernelPath(), paths[len(paths)-1]; got != want {
+		t.Fatalf("this process runs %q, the widest body listed is %q", got, want)
+	}
+	for _, name := range paths {
+		setKernelPath(t, name)
+		if got := KernelPath(); got != name {
+			t.Fatalf("KernelPath() = %q with the %q body selected", got, name)
+		}
+	}
+	t.Logf("bodies exercised on this runner: %v", paths)
 }
 
 // oddMatrix returns a rows×cols matrix whose first element sits 8 bytes past
-// a 32-byte boundary, the way a sub-slice at an odd offset does: every vector
+// a 64-byte boundary, the way a sub-slice at an odd offset does: every vector
 // load and store in the assembly is then unaligned.
 func oddMatrix(rows, cols int) *Matrix {
-	buf := make([]float64, rows*cols+4)
+	buf := make([]float64, rows*cols+8)
 	off := 0
-	for uintptr(unsafe.Pointer(&buf[off]))%32 != 8 {
+	for uintptr(unsafe.Pointer(&buf[off]))%64 != 8 {
 		off++
 	}
 	return FromSlice(rows, cols, buf[off:off+rows*cols])
@@ -168,9 +198,10 @@ func bitsEqual(a, b *Matrix) (int, bool) {
 }
 
 // checkProduct compares one product at one shape against the reference, bit
-// for bit: the serial and parallel entry points, and the row-range kernel
-// under every split of its row range into two calls.
-func checkProduct(t testing.TB, p product, m, k, n int, halfZero bool, seed int64, everySplit bool) {
+// for bit, on each of the given bodies: the serial and parallel entry points,
+// and the row-range kernel under every split of its row range into two calls.
+// The reference, the slow part, is computed once for all bodies.
+func checkProduct(t testing.TB, paths []string, p product, m, k, n int, halfZero bool, seed int64, everySplit bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ds, as, bs := p.shapes(m, k, n)
@@ -188,13 +219,9 @@ func checkProduct(t testing.TB, p product, m, k, n int, halfZero bool, seed int6
 				math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 		}
 	}
-	got := oddMatrix(ds[0], ds[1])
-	fail("serial entry", p.entry(poison(got), a, b))
-	fail("parallel entry", p.par(poison(got), a, b))
-
 	// Every split of a 1024-row range is a million kernel calls: beyond 64
-	// rows take the cuts near the start (every phase of the four-wide
-	// blocks) and a few far apart.
+	// rows take the cuts near the start (every phase of the four-wide blocks
+	// and of the narrow kernels' groups of four rows) and a few far apart.
 	rows := ds[0]
 	var cuts []int
 	for cut := 0; cut <= rows; cut++ {
@@ -202,35 +229,49 @@ func checkProduct(t testing.TB, p product, m, k, n int, halfZero bool, seed int6
 			cuts = append(cuts, cut)
 		}
 	}
-	for _, cut := range cuts {
-		poison(got)
-		p.rows(got, a, b, cut, rows) // upper part first: order must not matter either
-		p.rows(got, a, b, 0, cut)
-		fail(fmt.Sprintf("split at %d", cut), got)
+	got := oddMatrix(ds[0], ds[1])
+	defer func(prev int) { vectorLanes = prev }(vectorLanes)
+	for _, path := range paths {
+		vectorLanes = kernelLanes[path]
+		fail("serial entry", p.entry(poison(got), a, b))
+		fail("parallel entry", p.par(poison(got), a, b))
+		for _, cut := range cuts {
+			poison(got)
+			p.rows(got, a, b, cut, rows) // upper part first: order must not matter either
+			p.rows(got, a, b, 0, cut)
+			fail(fmt.Sprintf("split at %d", cut), got)
+		}
 	}
 }
 
 // TestKernelsMatchScalarReference is the contract test for the product
-// kernels, on each axpy4Blocks body: every shape in the table (k remainders of
-// every size against the four-deep blocks; output widths that exercise the
-// assembly's eight-wide body, its four-wide step and every tail length; the
-// one-row acting shape; the batch-1024 update shapes), dense and half-zero
-// operands at unaligned addresses, every way of splitting the row range.
+// kernels, on each body. Few rows (one — the acting shape —, two, three, the
+// gateway's eight): every k remainder against the four-deep blocks and every
+// output width that matters to some body — each tail length, one vector and
+// one more, the wide kernels' overlapping last vector (29-32 and 57-64
+// columns), a second panel of one column, of one vector, of a whole panel.
+// Batches (67 rows: three chunks of aᵀ × b and a remainder; 256; 1024): the
+// trainer's own k and n, and a k of three and of four. Dense and half-zero operands at unaligned addresses,
+// every way of splitting the row range.
 func TestKernelsMatchScalarReference(t *testing.T) {
-	for _, avx2 := range kernelPaths(t) {
-		setKernelPath(t, avx2)
-		for _, p := range products {
-			for _, m := range []int{1, 2, 3, 1024} {
-				widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65}
-				if m == 1024 {
-					widths = []int{1, 5, 63, 64} // what an update runs; the rest only adds minutes
-				}
-				for _, k := range []int{1, 3, 4, 5, 63, 64} {
-					for _, n := range widths {
-						for _, halfZero := range []bool{false, true} {
-							ds, _, _ := p.shapes(m, k, n)
-							checkProduct(t, p, m, k, n, halfZero, int64(m*1000+k*10+n), ds[0] <= 64)
-						}
+	paths := kernelPaths(t)
+	for _, p := range products {
+		for _, m := range []int{1, 2, 3, 8, 67, 256, 1024} {
+			ks := []int{1, 2, 3, 4, 5, 7, 16, 63, 64}
+			widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 29, 31, 32, 33, 57, 63, 64, 65, 72, 128}
+			if m > 8 {
+				// What an update runs; the rest only adds minutes.
+				ks, widths = []int{1, 3, 4, 5, 16, 63, 64}, []int{1, 5, 16, 63, 64}
+			}
+			if m == 67 {
+				// Several chunks of aᵀ × b times several panels.
+				widths = append(widths, 65, 72, 128)
+			}
+			for _, k := range ks {
+				for _, n := range widths {
+					for _, halfZero := range []bool{false, true} {
+						ds, _, _ := p.shapes(m, k, n)
+						checkProduct(t, paths, p, m, k, n, halfZero, int64(m*1000+k*10+n), ds[0] <= 64)
 					}
 				}
 			}
@@ -247,65 +288,77 @@ func FuzzKernels(f *testing.F) {
 		if m == 0 || k == 0 || n == 0 {
 			t.Skip()
 		}
-		for _, avx2 := range kernelPaths(t) {
-			setKernelPath(t, avx2)
-			for _, p := range products {
-				checkProduct(t, p, int(m)%48+1, int(k)%80+1, int(n)%80+1, halfZero, seed, true)
-			}
+		for _, p := range products {
+			checkProduct(t, kernelPaths(t), p, int(m)%48+1, int(k)%80+1, int(n)%80+1, halfZero, seed, true)
 		}
 	})
 }
 
-// TestAxpy4BlocksStaysInBounds calls the primitive directly, stepping the way
-// each kernel steps it, on slices cut out of the middle of larger buffers:
-// the words before and after d and the word after b must come back
-// untouched, and d must hold what the Go loop computes — an assembly body
-// that stored past column n, or that let a word beyond b into a sum, fails
-// one or the other.
+// TestAxpy4BlocksStaysInBounds runs both nests, on each body, on operands cut
+// out of the middle of larger buffers: the words before and after dst and
+// the word after b must come back untouched, and dst must hold what the Go
+// body computes — assembly that stored past a row's last column, or that let
+// a word beyond b into a sum, fails one or the other. Six rows are a group of
+// four for the narrow kernels and two on their own; seven k are a block and
+// a remainder of three, 70 three chunks of aᵀ × b; one block of multipliers
+// is all ±0. a × b runs with the bias and ReLU epilogue, whose loads of bias
+// are held to the same rule by NaNs next to it.
 func TestAxpy4BlocksStaysInBounds(t *testing.T) {
 	canary := math.Float64frombits(0x7ff8dead0000beef) // a NaN no arithmetic here produces
 	isCanary := func(v float64) bool { return math.Float64bits(v) == math.Float64bits(canary) }
 	rng := rand.New(rand.NewSource(14))
-	const count, aStride = 3, 5
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65} {
-		for _, walk := range []struct {
-			name                        string
-			dLen, aLen, bLen            int
-			stride, dStep, aStep, bStep int
-			zeroStep                    int // this step's multipliers are all ±0
-		}{
-			{"rows", n, 4 * count, 4 * n * count, 1, 0, 4, 4 * n, 1},
-			{"transA", n * count, 3*aStride + count, 4 * n, aStride, n, 1, 0, 2},
-		} {
-			dbuf, a, bbuf := make([]float64, walk.dLen+2), make([]float64, walk.aLen), make([]float64, walk.bLen+1)
-			for _, buf := range [][]float64{dbuf, a, bbuf} {
-				for i := range buf {
-					buf[i] = rng.NormFloat64()
+	// guarded returns a rows×cols matrix of N(0,1) values with a canary in
+	// the word before it and in the word after it, and those two words.
+	guarded := func(rows, cols int) (*Matrix, []*float64) {
+		buf := make([]float64, rows*cols+2)
+		for i := range buf {
+			buf[i] = rng.NormFloat64()
+		}
+		buf[0], buf[len(buf)-1] = canary, canary
+		return FromSlice(rows, cols, buf[1:len(buf)-1]), []*float64{&buf[0], &buf[len(buf)-1]}
+	}
+	const rows = 6
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 72} {
+		for _, k := range []int{7, 70} {
+			for _, nest := range []string{"rows", "transA"} {
+				dst, guards := guarded(rows, n)
+				b, bGuards := guarded(k, n)
+				bias, biasGuards := guarded(1, n)
+				guards = append(append(guards, bGuards...), biasGuards...)
+				var a *Matrix
+				if nest == "rows" {
+					a, _ = guarded(rows, k)
+					for c := 0; c < 4; c++ {
+						a.Set(1, c, math.Copysign(0, float64(c%2)-0.5))
+					}
+				} else {
+					a, _ = guarded(k, rows)
+					for r := 0; r < 4; r++ {
+						a.Set(r, 2, math.Copysign(0, float64(r%2)-0.5))
+					}
 				}
-			}
-			for r := 0; r < 4; r++ {
-				a[walk.zeroStep*walk.aStep+r*walk.stride] = math.Copysign(0, float64(r%2)-0.5)
-			}
-			dbuf[0], dbuf[walk.dLen+1], bbuf[walk.bLen] = canary, canary, canary
-
-			var want []float64
-			for _, avx2 := range kernelPaths(t) {
-				setKernelPath(t, avx2)
-				d := append([]float64(nil), dbuf...)
-				axpy4Blocks(d[1:walk.dLen+1], n, a, walk.stride, bbuf[:walk.bLen], count, walk.dStep, walk.aStep, walk.bStep)
-				if !isCanary(d[0]) || !isCanary(d[walk.dLen+1]) {
-					t.Fatalf("%s path=%s n=%d: a word next to d was overwritten", walk.name, KernelPath(), n)
-				}
-				if !isCanary(bbuf[walk.bLen]) {
-					t.Fatalf("%s path=%s n=%d: the word after b was overwritten", walk.name, KernelPath(), n)
-				}
-				if want == nil {
-					want = d // the Go loop runs first
-					continue
-				}
-				if j, ok := bitsEqual(FromSlice(1, len(d), d), FromSlice(1, len(d), want)); !ok {
-					t.Fatalf("%s path=%s n=%d: d[%d] = %x, Go loop %x", walk.name, KernelPath(), n, j-1,
-						math.Float64bits(d[j]), math.Float64bits(want[j]))
+				var want *Matrix
+				for _, path := range kernelPaths(t) {
+					setKernelPath(t, path)
+					poison(dst)
+					if nest == "rows" {
+						matMulRows(dst, a, b, bias.Data, true, 0, rows)
+					} else {
+						matMulTransARows(dst, a, b, 0, rows)
+					}
+					for _, g := range guards {
+						if !isCanary(*g) {
+							t.Fatalf("%s path=%s n=%d k=%d: a word next to dst, b or bias was overwritten", nest, path, n, k)
+						}
+					}
+					if want == nil {
+						want = dst.Clone() // the Go body runs first
+						continue
+					}
+					if i, ok := bitsEqual(dst, want); !ok {
+						t.Fatalf("%s path=%s n=%d k=%d: dst[%d] = %x, Go body %x", nest, path, n, k, i,
+							math.Float64bits(dst.Data[i]), math.Float64bits(want.Data[i]))
+					}
 				}
 			}
 		}
@@ -316,10 +369,10 @@ func TestAxpy4BlocksStaysInBounds(t *testing.T) {
 // product of row i. The rollout engine's "vectorized ≡ single env" and the
 // serving gateway's "batched ≡ per-request" contracts both rest on this.
 func TestKernelsBatchInvariant(t *testing.T) {
-	for _, avx2 := range kernelPaths(t) {
-		setKernelPath(t, avx2)
+	for _, path := range kernelPaths(t) {
+		setKernelPath(t, path)
 		rng := rand.New(rand.NewSource(11))
-		for _, shape := range [][3]int{{37, 18, 64}, {37, 64, 64}, {37, 64, 5}, {9, 69, 16}} {
+		for _, shape := range [][3]int{{37, 18, 64}, {37, 64, 64}, {37, 64, 5}, {9, 69, 16}, {8, 16, 64}, {8, 64, 1}} {
 			m, k, n := shape[0], shape[1], shape[2]
 			x, w := New(m, k), New(k, n)
 			fillOperand(x, rng, true)
@@ -334,7 +387,7 @@ func TestKernelsBatchInvariant(t *testing.T) {
 				} {
 					if j, ok := bitsEqual(pair[0], pair[1]); !ok {
 						t.Fatalf("%s path=%s %dx%dx%d: row %d alone differs from row %d of the batch at column %d",
-							name, KernelPath(), m, k, n, i, i, j)
+							name, path, m, k, n, i, i, j)
 					}
 				}
 			}
@@ -343,12 +396,17 @@ func TestKernelsBatchInvariant(t *testing.T) {
 }
 
 // TestMatMulBiasMatchesSeparatePasses: the fused dense forward equals the
-// reference product, then AddRowVector, then ReLU element by element.
+// reference product, then AddRowVector, then ReLU element by element — the
+// branching definition on ordinary values and tensor.ReLU's sign mask on the
+// rest: every shape also runs with rows of x that are all zero (sum +0),
+// biases that are -0, ±Inf and NaN of either sign, and a column of w negated
+// (negative sums), so that an epilogue that compared instead of masking, or
+// masked before it added, is caught on the bits.
 func TestMatMulBiasMatchesSeparatePasses(t *testing.T) {
-	for _, avx2 := range kernelPaths(t) {
-		setKernelPath(t, avx2)
+	for _, path := range kernelPaths(t) {
+		setKernelPath(t, path)
 		rng := rand.New(rand.NewSource(12))
-		for _, shape := range [][3]int{{1, 18, 64}, {33, 69, 16}, {1024, 63, 64}, {5, 64, 1}} {
+		for _, shape := range [][3]int{{1, 18, 64}, {33, 69, 16}, {1024, 63, 64}, {5, 64, 1}, {8, 64, 5}, {6, 7, 72}} {
 			m, k, n := shape[0], shape[1], shape[2]
 			x, w, bias := New(m, k), New(k, n), New(1, n)
 			fillOperand(x, rng, true)
@@ -359,7 +417,7 @@ func TestMatMulBiasMatchesSeparatePasses(t *testing.T) {
 			want.AddRowVector(bias.Data)
 			got := MatMulBiasParallel(poison(New(m, n)), x, w, bias.Data, false)
 			if i, ok := bitsEqual(got, want); !ok {
-				t.Fatalf("path=%s %dx%dx%d: biased element %d = %v, want %v", KernelPath(), m, k, n, i, got.Data[i], want.Data[i])
+				t.Fatalf("path=%s %dx%dx%d: biased element %d = %v, want %v", path, m, k, n, i, got.Data[i], want.Data[i])
 			}
 			for i, v := range want.Data {
 				if !(v > 0) {
@@ -368,86 +426,186 @@ func TestMatMulBiasMatchesSeparatePasses(t *testing.T) {
 			}
 			got = MatMulBiasParallel(poison(got), x, w, bias.Data, true)
 			if i, ok := bitsEqual(got, want); !ok {
-				t.Fatalf("path=%s %dx%dx%d: activated element %d = %v, want %v", KernelPath(), m, k, n, i, got.Data[i], want.Data[i])
+				t.Fatalf("path=%s %dx%dx%d: activated element %d = %v, want %v", path, m, k, n, i, got.Data[i], want.Data[i])
+			}
+
+			clear(x.Row(m / 2))
+			for r := 0; r < k; r++ {
+				w.Set(r, n/2, -math.Abs(w.At(r, n/2)))
+			}
+			specials := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(math.NaN(), -1), -1e-300}
+			for j := range bias.Data {
+				if j != n/2 {
+					bias.Data[j] = specials[j%len(specials)]
+				}
+			}
+			refMatMul(want, x, w)
+			want.AddRowVector(bias.Data)
+			for i, v := range want.Data {
+				want.Data[i] = ReLU(v)
+			}
+			got = MatMulBiasParallel(poison(got), x, w, bias.Data, true)
+			if i, ok := bitsEqual(got, want); !ok {
+				t.Fatalf("path=%s %dx%dx%d: special element %d = %x, want %x (bias %v)", path, m, k, n, i,
+					math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]), bias.Data[i%n])
 			}
 		}
 	}
 }
 
-// TestMatMulSkipsOnlyWholeZeroBlocks pins the non-finite contract: a zero
-// multiplier meets an infinity in b. Where the whole four-wide block of
-// multipliers is zero the block is skipped and the infinity is never
-// touched; where the block has any non-zero multiplier, 0·Inf = NaN reaches
-// the sum, as IEEE arithmetic says it should. a × bᵀ is a × (bᵀ) through the
-// same kernel, so it skips the same blocks.
+// TestMatMulSkipsOnlyWholeZeroBlocks pins the non-finite contract on each
+// body and each product, at a width for each kernel (a single column, a
+// vector of four and a column, a whole panel): a zero multiplier meets an
+// infinity in b. Where the whole four-wide block of multipliers is zero the
+// block is skipped and the infinity is never touched; where the block has
+// any non-zero multiplier, 0·Inf = NaN reaches the sum, as IEEE arithmetic
+// says it should. The one to three multipliers beyond the last block are
+// skipped one by one — a zero there (of either sign) hides an infinity even
+// next to a non-zero neighbour — and one that is itself infinite or NaN is
+// not a zero. a × bᵀ is a × (bᵀ) through the same kernel, so it skips the
+// same blocks.
 func TestMatMulSkipsOnlyWholeZeroBlocks(t *testing.T) {
-	inf := math.Inf(1)
-	a := FromSlice(1, 8, []float64{0, 0, 0, 0, 2, 0, 0, 0})
-	for name, mul := range map[string]func(a, col *Matrix) float64{
-		"MatMul":       func(a, col *Matrix) float64 { return MatMul(New(1, 1), a, col).Data[0] },
-		"MatMulTransB": func(a, col *Matrix) float64 { return MatMulTransB(New(1, 1), a, FromSlice(1, 8, col.Data)).Data[0] },
-	} {
-		b := New(8, 1)
-		b.Fill(1)
-		b.Data[1], b.Data[5] = inf, inf
-		if got := mul(a, b); !math.IsNaN(got) {
-			t.Fatalf("%s: 0·Inf inside a block with a non-zero multiplier gave %v, want NaN", name, got)
+	inf, negZero := math.Inf(1), math.Copysign(0, -1)
+	// Each product as dst[j] = Σ mult[k]·col[k] for every j in [0, n).
+	type sum func(mult, col []float64, n int) []float64
+	spread := func(col []float64, n int) *Matrix { // k×n, row k filled with col[k]
+		b := New(len(col), n)
+		for k, v := range col {
+			for j := 0; j < n; j++ {
+				b.Set(k, j, v)
+			}
 		}
-		b.Data[5] = 1
-		if got := mul(a, b); got != 2 {
-			t.Fatalf("%s: an all-zero block over an Inf gave %v, want it skipped (2)", name, got)
+		return b
+	}
+	sums := map[string]sum{
+		"MatMul": func(mult, col []float64, n int) []float64 {
+			return MatMul(New(1, n), FromSlice(1, len(mult), mult), spread(col, n)).Data
+		},
+		"MatMulTransB": func(mult, col []float64, n int) []float64 {
+			bt := TransposeRows(nil, spread(col, n), 0, len(col))
+			return MatMulTransB(New(1, n), FromSlice(1, len(mult), mult), bt).Data
+		},
+		"MatMulTransA": func(mult, col []float64, n int) []float64 {
+			return MatMulTransA(New(1, n), FromSlice(len(mult), 1, mult), spread(col, n)).Data
+		},
+	}
+	ones := func(k int, at map[int]float64) []float64 {
+		v := make([]float64, k)
+		for i := range v {
+			v[i] = 1
+		}
+		for i, x := range at {
+			v[i] = x
+		}
+		return v
+	}
+	cases := []struct {
+		what      string
+		mult, col []float64
+		want      float64 // NaN: any NaN
+	}{
+		{"0·Inf inside a block with a non-zero multiplier", []float64{0, 0, 0, 0, 2, 0, 0, 0}, ones(8, map[int]float64{1: inf, 5: inf}), math.NaN()},
+		{"an all-zero block over an Inf", []float64{0, negZero, 0, 0, 2, 0, 0, 0}, ones(8, map[int]float64{1: inf}), 2},
+		{"a remainder of one zero over an Inf", []float64{1, 1, 1, 1, negZero}, ones(5, map[int]float64{4: inf}), 4},
+		{"remainder zeros next to a non-zero multiplier", []float64{1, 1, 1, 1, 0, 3, negZero}, ones(7, map[int]float64{4: inf, 6: inf}), 7},
+		{"a remainder without a block", []float64{0, 5}, ones(2, map[int]float64{0: inf}), 5},
+		{"an infinite remainder multiplier over a zero", []float64{1, 1, 1, 1, 2, inf}, ones(6, map[int]float64{5: 0}), math.NaN()},
+		{"a NaN remainder multiplier", []float64{1, 1, 1, 1, math.NaN(), 2, 2}, ones(7, nil), math.NaN()},
+		{"a NaN multiplier in a block of zeros", []float64{0, 0, math.NaN(), 0, 1}, ones(5, nil), math.NaN()},
+	}
+	for _, path := range kernelPaths(t) {
+		setKernelPath(t, path)
+		for name, mul := range sums {
+			for _, n := range []int{1, 5, 64} {
+				for _, c := range cases {
+					for j, got := range mul(c.mult, c.col, n) {
+						if math.IsNaN(c.want) != math.IsNaN(got) || !math.IsNaN(got) && got != c.want {
+							t.Fatalf("%s path=%s n=%d: %s gave %v in column %d, want %v", name, path, n, c.what, got, j, c.want)
+						}
+					}
+				}
+			}
 		}
 	}
 }
 
 // TestMatMulBiasOneRowDoesNotAllocate: the acting forward — one observation
 // row through a dense layer — runs on the caller's goroutine without building
-// the closure the row-parallel path needs.
+// the closure the row-parallel path needs, on each body.
 func TestMatMulBiasOneRowDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	x, w, bias, dst := New(1, 18), New(18, 64), New(1, 64), New(1, 64)
 	fillOperand(x, rng, false)
 	fillOperand(w, rng, false)
-	if allocs := testing.AllocsPerRun(100, func() { MatMulBiasParallel(dst, x, w, bias.Data, true) }); allocs != 0 {
-		t.Fatalf("1x18x64 MatMulBiasParallel allocates %v times per call, want 0", allocs)
+	for _, path := range kernelPaths(t) {
+		setKernelPath(t, path)
+		if allocs := testing.AllocsPerRun(100, func() { MatMulBiasParallel(dst, x, w, bias.Data, true) }); allocs != 0 {
+			t.Fatalf("path=%s: 1x18x64 MatMulBiasParallel allocates %v times per call, want 0", path, allocs)
+		}
 	}
 }
 
 var kernelSink *Matrix
 
-// BenchmarkKernels times the three products at the shapes one MADDPG update
-// on 3-agent cooperative navigation runs them at (joint critic input 63,
-// hidden 64, batch 1024) and at the one-row acting shape, on each axpy4Blocks body
-// this CPU has, and reports GFLOP/s (two flops per multiply-add, skipped
-// zero blocks included). `make bench-kernels` runs it.
+// BenchmarkKernels times the three products on each body this CPU has and
+// reports GFLOP/s per body (two flops per multiply-add, skipped zero blocks
+// included): at the shapes one MADDPG update on 3-agent cooperative
+// navigation runs them at (joint critic input 63, hidden 64, batch 1024),
+// the thin heads of that update (one output, five outputs, and the k = 1
+// outer product the one-output head's backward is), a hidden width of 16
+// (where the AVX-512 body's narrow kernel works on vectors of eight and the
+// AVX2 body's on the vectors of four it would otherwise use), the one-row acting
+// shape, and the eight-row shapes the vectorized rollout and the gateway's
+// micro-batches act at. The bodies take turns rep by rep on the same
+// operands, each on its own clock: this host's speed drifts by tens of
+// percent within seconds, so a body measured after the other would measure
+// the drift. `make bench-kernels` runs it ten times; compare medians.
 func BenchmarkKernels(b *testing.B) {
-	for _, shape := range [][3]int{{1024, 63, 64}, {1024, 64, 64}, {1024, 64, 1}, {1, 18, 64}, {1, 64, 64}} {
+	shapes := [][3]int{
+		{1024, 63, 64}, {1024, 64, 64}, {1024, 16, 64},
+		{1024, 64, 1}, {1024, 64, 5}, {1024, 1, 64}, {1024, 64, 16},
+		{1, 18, 64}, {1, 64, 64},
+		{8, 16, 64}, {8, 64, 64}, {8, 64, 5},
+	}
+	paths := kernelPaths(b)
+	for _, shape := range shapes {
 		m, k, n := shape[0], shape[1], shape[2]
 		for _, p := range products {
 			for _, halfZero := range []bool{false, true} {
-				if halfZero && n == 1 {
+				if halfZero && (m < 1024 || n < 64 || k < 16) {
 					continue
 				}
-				for _, avx2 := range kernelPaths(b) {
-					setKernelPath(b, avx2)
-					name := fmt.Sprintf("%s/%dx%dx%d", p.name, m, k, n)
-					if halfZero {
-						name += "/halfzero"
-					}
-					b.Run(name+"/path="+KernelPath(), func(b *testing.B) {
-						rng := rand.New(rand.NewSource(5))
-						ds, as, bs := p.shapes(m, k, n)
-						dst, x, y := New(ds[0], ds[1]), New(as[0], as[1]), New(bs[0], bs[1])
-						fillOperand(x, rng, halfZero)
-						fillOperand(y, rng, false)
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							kernelSink = p.entry(dst, x, y)
-						}
-						flop := 2 * float64(m) * float64(k) * float64(n) * float64(b.N)
-						b.ReportMetric(flop/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-					})
+				name := fmt.Sprintf("%s/%dx%dx%d", p.name, m, k, n)
+				if halfZero {
+					name += "/halfzero"
 				}
+				b.Run(name, func(b *testing.B) {
+					rng := rand.New(rand.NewSource(5))
+					ds, as, bs := p.shapes(m, k, n)
+					dst, x, y := New(ds[0], ds[1]), New(as[0], as[1]), New(bs[0], bs[1])
+					fillOperand(x, rng, halfZero)
+					fillOperand(y, rng, false)
+					// One timed call of a small product is mostly clock: repeat it.
+					inner := max(1, 200000/(m*k*n))
+					spent := make([]time.Duration, len(paths))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for pi, path := range paths {
+							vectorLanes = kernelLanes[path]
+							t0 := time.Now()
+							for r := 0; r < inner; r++ {
+								kernelSink = p.entry(dst, x, y)
+							}
+							spent[pi] += time.Since(t0)
+						}
+					}
+					vectorLanes = cpuVectorLanes()
+					b.ReportMetric(0, "ns/op") // the sum over the bodies: no body's time
+					flop := 2 * float64(m) * float64(k) * float64(n) * float64(inner) * float64(b.N)
+					for pi, path := range paths {
+						b.ReportMetric(flop/spent[pi].Seconds()/1e9, path+"-GFLOP/s")
+					}
+				})
 			}
 		}
 	}

@@ -1,0 +1,58 @@
+package tensor
+
+// Implemented in rows_amd64.s.
+
+func cpuHasAVX2() bool
+
+func cpuHasAVX512() bool
+
+//go:noescape
+func rowsWide8(p *rowArgs)
+
+//go:noescape
+func rowsNarrow8(p *rowArgs)
+
+//go:noescape
+func rowsWide4(p *rowArgs)
+
+//go:noescape
+func rowsNarrow4(p *rowArgs)
+
+//go:noescape
+func rowsNarrow1(p *rowArgs)
+
+// cpuVectorLanes returns the widest resident body this CPU and OS can run.
+func cpuVectorLanes() int {
+	switch {
+	case !cpuHasAVX2():
+		return 0
+	case cpuHasAVX512():
+		return 8
+	}
+	return 4
+}
+
+// rowsPanel runs p on the next panel of a row that has left columns to go
+// and returns the panel's width: the wide kernel of the given width on more
+// than seven vectors (up to eight), else one unit of the narrow kernel — a
+// vector of eight where there is one, of four, a single column.
+func rowsPanel(p *rowArgs, lanes, left int) int {
+	switch {
+	case left > 7*lanes && lanes == 8:
+		p.w = min(left, 64)
+		rowsWide8(p)
+	case left > 7*lanes:
+		p.w = min(left, 32)
+		rowsWide4(p)
+	case left >= 8 && lanes == 8:
+		p.w = 8
+		rowsNarrow8(p)
+	case left >= 4:
+		p.w = 4
+		rowsNarrow4(p)
+	default:
+		p.w = 1
+		rowsNarrow1(p)
+	}
+	return p.w
+}

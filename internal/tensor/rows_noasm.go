@@ -1,0 +1,9 @@
+//go:build !amd64
+
+package tensor
+
+func cpuVectorLanes() int { return 0 }
+
+func rowsPanel(*rowArgs, int, int) int {
+	panic("tensor: no resident row kernels on this architecture")
+}

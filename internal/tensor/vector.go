@@ -35,6 +35,22 @@ func ReLU(v float64) float64 {
 	return math.Float64frombits(b &^ uint64(int64(b)>>63))
 }
 
+// ReLUGrad is the backward pass of ReLU over a run of elements: dst[i] is
+// grad[i] where out[i], the output the forward pass retained, was active and
+// +0 elsewhere. Active means non-zero bits: ReLU writes +0 for everything it
+// clears and keeps the bits of everything else, a NaN included. The slices
+// have one length; dst may be grad. The mask is the sign of minus the bits,
+// so the loop has no branch on data that is zero about half the time.
+func ReLUGrad(dst, grad, out []float64) {
+	if len(dst) != len(grad) || len(out) != len(grad) {
+		panic(fmt.Sprintf("tensor: ReLUGrad length mismatch %d, %d, %d", len(dst), len(grad), len(out)))
+	}
+	for i, o := range out {
+		active := uint64(-int64(math.Float64bits(o)) >> 63)
+		dst[i] = math.Float64frombits(math.Float64bits(grad[i]) & active)
+	}
+}
+
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	var s float64

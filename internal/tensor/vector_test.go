@@ -129,3 +129,43 @@ func TestClip(t *testing.T) {
 		}
 	}
 }
+
+// TestReLUGradMatchesReLU: at every short length ReLUGrad keeps the gradient
+// exactly where ReLU kept the input — where the retained output has any bit
+// set, a NaN and a denormal included — and writes +0 elsewhere, whatever the
+// gradient there was; words beyond the length stay as they were; dst may be
+// grad.
+func TestReLUGradMatchesReLU(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	inputs := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(math.NaN(), -1)}
+	grads := []float64{math.Inf(-1), math.NaN(), math.Copysign(0, -1), -3, 7}
+	for n := 0; n <= 19; n++ {
+		out, grad, dst := make([]float64, n), make([]float64, n), make([]float64, n+1)
+		for i := range out {
+			out[i] = ReLU(inputs[rng.Intn(len(inputs))])
+			if rng.Intn(3) == 0 {
+				out[i] = ReLU(rng.NormFloat64())
+			}
+			grad[i] = grads[rng.Intn(len(grads))]
+		}
+		dst[n] = 42
+		ReLUGrad(dst[:n], grad, out)
+		inPlace := append([]float64(nil), grad...)
+		ReLUGrad(inPlace, inPlace, out)
+		for i := range out {
+			var want uint64
+			if math.Float64bits(out[i]) != 0 {
+				want = math.Float64bits(grad[i])
+			}
+			if got := math.Float64bits(dst[i]); got != want {
+				t.Fatalf("n=%d: element %d (output %v, gradient %v) = %x, want %x", n, i, out[i], grad[i], got, want)
+			}
+			if got := math.Float64bits(inPlace[i]); got != want {
+				t.Fatalf("n=%d: in place, element %d = %x, want %x", n, i, got, want)
+			}
+		}
+		if dst[n] != 42 {
+			t.Fatalf("n=%d: the word after dst was overwritten", n)
+		}
+	}
+}
