@@ -18,7 +18,9 @@ vet:
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/rowmem/ ./internal/expstore/
 	! grep -n VFMADD internal/tensor/*.s internal/tensor/*.h
 
-test:
+# Tier-1 is `go build ./... && go test ./...`; bench/ is outside that module,
+# so the target adds its own vet and tests (bench-check) to it.
+test: bench-check
 	$(GO) test ./...
 
 race:
@@ -36,9 +38,12 @@ bench-check:
 
 # The three matrix products in GFLOP/s on each body this CPU can run (go,
 # avx2, avx512 — one column each) at the shapes an update, a rollout step and
-# a gateway micro-batch run them at. The bodies take turns rep by rep on the
-# same operands, so host drift hits all alike; ten counts, reported as
-# q1 / median / q3 per body: the one-line before/after for a kernel change.
+# a gateway micro-batch run them at, the output heads included; where the
+# multipliers are a hidden layer's output, dense (the plain name: what a
+# change to the zero-skip must not slow), /halfzero and /trained. The bodies
+# take turns rep by rep on the same operands, so host drift hits all alike;
+# ten counts, reported as q1 / median / q3 per body: the one-line
+# before/after for a kernel change.
 bench-kernels:
 	$(GO) test -run '^$$' -bench '^BenchmarkKernels$$' -cpu 1 -benchtime 300x -count 10 ./internal/tensor | python3 scripts/bench_quartiles.py
 

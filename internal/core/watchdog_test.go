@@ -24,6 +24,24 @@ func TestHealthyDetectsPoisonedParams(t *testing.T) {
 	}
 }
 
+// Healthy scans parameters, not products: an infinite weight that only zero
+// multipliers meet — tensor's products leave every such term out, so the
+// forward pass stays finite — is reported all the same.
+func TestHealthyReportsParamTheProductsSkip(t *testing.T) {
+	tr := trainedTrainer(t, MADDPG)
+	actor := tr.agents[0].actor
+	w := actor.Params()[0]
+	for j := range w.Row(0) {
+		w.Set(0, j, math.Inf(1))
+	}
+	if out := actor.Forward(tensor.New(1, w.Rows)); !finiteSlice(out.Data) {
+		t.Fatalf("an all-zero observation met the infinite weights: %v", out.Data)
+	}
+	if err := tr.Healthy(); err == nil || !strings.Contains(err.Error(), "agent 0 actor") {
+		t.Fatalf("Healthy = %v, want agent 0 actor complaint", err)
+	}
+}
+
 func TestHealthyDetectsNonFiniteTD(t *testing.T) {
 	tr := trainedTrainer(t, MADDPG)
 	tr.lastTDMean = math.Inf(1)

@@ -130,6 +130,20 @@ func (d *Dense) backwardInputCols(grad *tensor.Matrix, lo, hi int) *tensor.Matri
 	return tensor.MatMulParallel(d.gradIn, grad, d.wT)
 }
 
+// backwardInputReLU is r.Backward(d.BackwardInput(grad)), bit for bit, as one
+// pass: each row of grad·Wᵀ is cleared where r, the activation below d,
+// retained a zero, before it is stored — forwardReLU's twin. The ungated
+// input gradient, which nothing else reads, is never written.
+func (d *Dense) backwardInputReLU(grad *tensor.Matrix, r *ReLU) *tensor.Matrix {
+	d.checkBackward(grad)
+	if r.out == nil || r.out.Rows != grad.Rows || r.out.Cols != d.W.Rows {
+		panic("nn: ReLU backward shape does not match forward")
+	}
+	d.wT = tensor.TransposeRows(d.wT, d.W, 0, d.W.Rows)
+	r.gradIn = tensor.Reshape(r.gradIn, grad.Rows, d.W.Rows)
+	return tensor.MatMulGatedParallel(r.gradIn, grad, d.wT, r.out)
+}
+
 func (d *Dense) checkBackward(grad *tensor.Matrix) {
 	if d.lastX == nil {
 		panic("nn: Dense backward before forward")

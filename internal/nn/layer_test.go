@@ -336,13 +336,23 @@ func requireSameBits(t *testing.T, what string, got, want *tensor.Matrix) {
 	}
 }
 
-// TestSelectiveBackwardMatchesBackward: BackwardInput returns the bits
-// Backward returns and touches no parameter gradient; BackwardParams
-// accumulates the bits Backward accumulates, on top of whatever was there.
+// TestSelectiveBackwardMatchesBackward: Backward, which takes a Dense and the
+// ReLU below it in one gated product, returns and accumulates the bits of
+// the layers' own Backward calls one after the other; BackwardInput returns
+// the bits Backward returns and touches no parameter gradient;
+// BackwardParams accumulates the bits Backward accumulates, on top of
+// whatever was there. Five rows are single rows to the narrow kernel, twelve
+// a group of eight and four.
 func TestSelectiveBackwardMatchesBackward(t *testing.T) {
+	for _, rows := range []int{5, 12} {
+		testSelectiveBackward(t, rows)
+	}
+}
+
+func testSelectiveBackward(t *testing.T, rows int) {
 	rng := rand.New(rand.NewSource(22))
 	ref := NewMLP(rng, 7, 9, 6, 3)
-	x, grad := tensor.New(5, 7), tensor.New(5, 3)
+	x, grad := tensor.New(rows, 7), tensor.New(rows, 3)
 	x.RandNormal(rng, 0, 1)
 	grad.RandNormal(rng, 0, 1)
 	// Non-zero starting gradients: accumulation, not overwrite, is the contract.
@@ -354,9 +364,20 @@ func TestSelectiveBackwardMatchesBackward(t *testing.T) {
 		}
 	}
 
+	byLayer := ref.SharedClone()
+	seedGrads(byLayer)
+	byLayer.Forward(x)
+	wantIn := grad
+	for i := len(byLayer.Layers) - 1; i >= 0; i-- {
+		wantIn = byLayer.Layers[i].Backward(wantIn)
+	}
+
 	seedGrads(ref)
 	ref.Forward(x)
-	wantIn := ref.Backward(grad).Clone()
+	requireSameBits(t, "Backward result", ref.Backward(grad), wantIn)
+	for i, g := range ref.Grads() {
+		requireSameBits(t, "Backward gradient", g, byLayer.Grads()[i])
+	}
 
 	inOnly := ref.SharedClone()
 	seedGrads(inOnly)
@@ -370,7 +391,7 @@ func TestSelectiveBackwardMatchesBackward(t *testing.T) {
 	// that range of the whole: ranges at both edges, one inside, one empty.
 	for _, r := range [][2]int{{0, 7}, {0, 1}, {2, 5}, {6, 7}, {3, 3}} {
 		lo, hi := r[0], r[1]
-		want := tensor.SliceCols(tensor.New(5, hi-lo), wantIn, lo, hi)
+		want := tensor.SliceCols(tensor.New(rows, hi-lo), wantIn, lo, hi)
 		requireSameBits(t, fmt.Sprintf("BackwardInputCols [%d,%d)", lo, hi), inOnly.BackwardInputCols(grad, lo, hi), want)
 	}
 	for i, g := range inOnly.Grads() {

@@ -57,10 +57,25 @@ func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {
 // Backward propagates the output gradient through every layer in reverse and
 // returns the gradient with respect to the network input.
 func (n *Network) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(grad)
+	for i := len(n.Layers) - 1; i >= 0; {
+		n.Layers[i].BackwardParams(grad)
+		grad, i = n.backwardInput(i, grad)
 	}
 	return grad
+}
+
+// backwardInput takes grad, the gradient at the output of layer i, down
+// through that layer and returns it with the index of the layer it has
+// reached. A Dense directly after a ReLU takes both in one fused pass with
+// the same result as the two BackwardInput calls, as Forward does on the way
+// up.
+func (n *Network) backwardInput(i int, grad *tensor.Matrix) (*tensor.Matrix, int) {
+	if d, ok := n.Layers[i].(*Dense); ok && i > 0 {
+		if r, ok := n.Layers[i-1].(*ReLU); ok {
+			return d.backwardInputReLU(grad, r), i - 2
+		}
+	}
+	return n.Layers[i].BackwardInput(grad), i - 1
 }
 
 // BackwardInput returns the same input gradient as Backward and leaves every
@@ -68,8 +83,8 @@ func (n *Network) Backward(grad *tensor.Matrix) *tensor.Matrix {
 // differentiating through a network whose own parameters are not being
 // trained in this step (the critic, during the actor update).
 func (n *Network) BackwardInput(grad *tensor.Matrix) *tensor.Matrix {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].BackwardInput(grad)
+	for i := len(n.Layers) - 1; i >= 0; {
+		grad, i = n.backwardInput(i, grad)
 	}
 	return grad
 }
@@ -80,8 +95,8 @@ func (n *Network) BackwardInput(grad *tensor.Matrix) *tensor.Matrix {
 // that differentiates with respect to a slice of the input (one agent's
 // action inside the critic's joint input).
 func (n *Network) BackwardInputCols(grad *tensor.Matrix, lo, hi int) *tensor.Matrix {
-	for i := len(n.Layers) - 1; i > 0; i-- {
-		grad = n.Layers[i].BackwardInput(grad)
+	for i := len(n.Layers) - 1; i > 0; {
+		grad, i = n.backwardInput(i, grad)
 	}
 	return n.Layers[0].(*Dense).backwardInputCols(grad, lo, hi)
 }
@@ -91,10 +106,12 @@ func (n *Network) BackwardInputCols(grad *tensor.Matrix, lo, hi int) *tensor.Mat
 // input gradient needs, is not computed. It is for a network at the bottom
 // of the graph, whose input is data.
 func (n *Network) BackwardParams(grad *tensor.Matrix) {
-	for i := len(n.Layers) - 1; i > 0; i-- {
-		grad = n.Layers[i].Backward(grad)
+	i := len(n.Layers) - 1
+	for i > 0 {
+		n.Layers[i].BackwardParams(grad)
+		grad, i = n.backwardInput(i, grad)
 	}
-	if len(n.Layers) > 0 {
+	if i == 0 {
 		n.Layers[0].BackwardParams(grad)
 	}
 }

@@ -1,7 +1,5 @@
 package tensor
 
-import "math"
-
 // The matrix-product kernels. There are two loop nests, matMulRows (a × b)
 // and matMulTransARows (aᵀ × b); a × bᵀ is a × b against a transposed copy of
 // b (TransposeRows), so it has no nest of its own. Each nest computes a
@@ -12,9 +10,9 @@ import "math"
 // Both nests are rows of one shape — a dst row is a sum of rows of b, each
 // times one multiplier from a — and have one body per vector width the CPU
 // offers (vectorLanes): the Go loops below, over the four-deep multiply-add
-// step axpy4Blocks, are the portable body and the reference; on amd64 with
-// AVX2 or AVX-512 residentRows hands the same rows to assembly that keeps a
-// dst row in registers for its whole sum (rows_amd64.s).
+// step axpy4Blocks, are the portable body; on amd64 with AVX2 or AVX-512
+// residentRows hands the same rows to assembly that keeps a dst row in
+// registers for its whole sum (rows_amd64.s).
 //
 // Contract, shared by all three products and pinned by kernels_test.go
 // against the scalar loops they replaced, on every body:
@@ -30,36 +28,42 @@ import "math"
 //     m-row product has the bits of the one-row product of row i, any split
 //     of [lo, hi) across calls gives the same dst, and a × bᵀ against rows
 //     [lo, hi) of b is columns [lo, hi) of the whole product.
-//   - For finite operands a zero multiplier contributes ±0, which leaves a
-//     sum that started at +0 unchanged, so all three products may skip work
-//     for zeros — but only for a whole block of four multipliers that are all
-//     exactly zero (either sign), counted from k = 0, and one by one for the
-//     one to three multipliers past the last whole block. For non-finite
-//     operands that is visible:
-//     0·Inf and 0·NaN are NaN, and they reach the sum unless all four
-//     multipliers of their block are zero (past the last block: unless their
-//     own multiplier is). MatMulTransB's multipliers are
-//     the elements of a, as MatMul's are. No caller relies on zeros masking
-//     non-finite values. Where a result is NaN it is NaN on every path, but
-//     which NaN — the payload, when two different ones meet in a multiply —
-//     follows the operand order of whichever instruction ran, and neither
-//     the Go compiler nor this contract fixes that.
+//   - One rule about zeros: a product whose multiplier — the element of a,
+//     in all three products — is exactly zero, of either sign, is left out of
+//     the sum. Every such product and no other: a NaN or an infinite
+//     multiplier is not a zero. For finite operands the product left out is
+//     ±0, and adding ±0 to a sum that started at +0 (which is never -0) is
+//     the identity, so the rule cannot be seen in the bits: ReLU outputs and
+//     ReLU-masked gradients are zero about half the time, and this is what
+//     lets the kernels do only the other half. For non-finite operands it can
+//     be seen: 0·Inf and 0·NaN would be NaN and never reach the sum, so a
+//     zero multiplier hides whatever stands in its row of b. No caller relies
+//     on that either way (core's watchdog scans parameters, not products).
+//     Where a result is NaN it is NaN on every path, but which NaN — the
+//     payload, when two different ones meet in a multiply — follows the
+//     operand order of whichever instruction ran, and neither the Go compiler
+//     nor this contract fixes that.
 
 // matMulRows computes rows [lo, hi) of dst = a × b. A non-nil bias (one value
 // per dst column) is added to each finished row — after the whole k sum, as
 // a separate pass over the matrix would — and with relu the row then goes
-// through ReLU. The resident bodies do both in the registers that hold the
-// row; the Go body, which runs k four deep (axpy4Blocks) so that a row is
-// loaded and stored once per four rows of b, does them while the row is
-// still in L1.
-func matMulRows(dst, a, b *Matrix, bias []float64, relu bool, lo, hi int) {
+// through ReLU; a non-nil gate, of dst's shape, then clears the elements
+// whose gate has zero bits, as ReLUGrad against it would. The resident bodies
+// do all three in the registers that hold the row; the Go body, which runs k
+// four deep (axpy4Blocks) so that a row is loaded and stored once per four
+// rows of b, does them while the row is still in L1.
+func matMulRows(dst, a, b *Matrix, bias []float64, relu bool, gate *Matrix, lo, hi int) {
 	inner, n := a.Cols, b.Cols
 	if lanes := vectorLanes; lanes != 0 && lo < hi && inner > 0 && n > 0 {
 		p := rowArgs{rows: hi - lo, dStep: n, aStep: inner, aStride: 1, k: inner, ldb: n}
 		if relu {
 			p.flags = flagReLU
 		}
-		residentRows(lanes, dst.Data[lo*n:hi*n], a.Data[lo*inner:hi*inner], b.Data, bias, n, p)
+		var gated []float64
+		if gate != nil {
+			gated = gate.Data[lo*n : hi*n]
+		}
+		residentRows(lanes, dst.Data[lo*n:hi*n], a.Data[lo*inner:hi*inner], b.Data, bias, gated, n, p)
 		return
 	}
 	blocks := inner / 4
@@ -73,18 +77,20 @@ func matMulRows(dst, a, b *Matrix, bias []float64, relu bool, lo, hi int) {
 				AXPY(drow, av, b.Data[k*n:(k+1)*n])
 			}
 		}
-		if bias == nil {
-			continue
+		if bias != nil {
+			brow := bias[:len(drow)]
+			if relu {
+				for j, v := range drow {
+					drow[j] = ReLU(v + brow[j])
+				}
+			} else {
+				for j := range drow {
+					drow[j] += brow[j]
+				}
+			}
 		}
-		brow := bias[:len(drow)]
-		if relu {
-			for j, v := range drow {
-				drow[j] = ReLU(v + brow[j])
-			}
-		} else {
-			for j := range drow {
-				drow[j] += brow[j]
-			}
+		if gate != nil {
+			ReLUGrad(drow, drow, gate.Data[i*n:(i+1)*n])
 		}
 	}
 }
@@ -98,20 +104,19 @@ const transAChunkFloats = 2048
 // of columns [lo, hi) of a with b. The shared row index k runs outermost: in
 // the Go body four rows at a time, so that the small dst block stays in L1
 // across the whole batch and a is read along its rows instead of down a
-// column; in the resident bodies a chunk of rows at a time — a multiple of
-// four, so that the blocks of four start where the Go body starts them —
-// with each dst row held in registers across the chunk.
+// column; in the resident bodies a chunk of rows at a time, with each dst row
+// held in registers across the chunk.
 func matMulTransARows(dst, a, b *Matrix, lo, hi int) {
 	outer, ac, n := a.Rows, a.Cols, b.Cols
 	drows := dst.Data[lo*n : hi*n]
 	if lanes := vectorLanes; lanes != 0 && lo < hi && outer > 0 && n > 0 {
-		chunk := max(4, transAChunkFloats/n&^3)
+		chunk := max(1, transAChunkFloats/n)
 		for k := 0; k < outer; k += chunk {
 			p := rowArgs{rows: hi - lo, dStep: n, aStep: 1, aStride: ac, k: min(chunk, outer-k), ldb: n}
 			if k > 0 {
 				p.flags = flagAccumulate
 			}
-			residentRows(lanes, drows, a.Data[k*ac+lo:], b.Data[k*n:], nil, n, p)
+			residentRows(lanes, drows, a.Data[k*ac+lo:], b.Data[k*n:], nil, nil, n, p)
 		}
 		return
 	}
@@ -155,24 +160,27 @@ func KernelPath() string {
 //
 //	d[r·dStep+j] = [d[r·dStep+j] +] Σ a[r·aStep+k·aStride]·b[k·ldb+j] [+ bias[j]]
 //
-// summed over k in [0, k), ascending, in blocks of four from k = 0: a block
-// whose four multipliers are all ±0 is skipped, and so is each of the last
-// k mod 4 multipliers that is ±0. The sum starts from d with flagAccumulate
-// and from +0 without; bias may be nil; with flagReLU the biased sum goes
-// through ReLU. The assembly reads the fields at the offsets go_asm.h gives
+// summed over k in [0, k), ascending, without the products whose multiplier
+// (the element of a) is ±0. The sum starts from d with flagAccumulate and
+// from +0 without; bias may be nil; with flagReLU the biased sum goes through
+// ReLU; and where gate is not nil the element becomes +0 if gate[r·dStep+j]
+// has zero bits. The assembly reads the fields at the offsets go_asm.h gives
 // it.
 type rowArgs struct {
-	d, a, b, bias *float64
-	rows          int
-	dStep, aStep  int // from one row to the next, in elements
-	aStride, ldb  int // from one k to the next, in elements
-	k, w          int
-	flags         int
+	d, a, b, bias, gate *float64
+	rows                int
+	dStep, aStep        int // from one row to the next, in elements
+	aStride, ldb        int // from one k to the next, in elements
+	k, w                int
+	flags               int
 
-	// The kernel's own: the row it has reached. Not pointers, because they
-	// end one step beyond the operands.
-	aRow uintptr
-	left int
+	// The kernel's own: the byte offsets of eight consecutive multipliers
+	// from the first, where they are not contiguous; the row it has
+	// reached, not as pointers because they end one step beyond the
+	// operands; and whether it masks its adds.
+	aLanes       [8]int
+	dRow, aRow   uintptr
+	left, masked int
 }
 
 const (
@@ -181,58 +189,83 @@ const (
 )
 
 // residentRows runs the product p describes, n columns wide, on the resident
-// assembly of the given vector width: d, a, b and bias are the operands from
-// their first element on, and p carries everything but them and the width of
-// one call. The columns go to the kernels in panels (rowsPanel picks each
-// one's kernel and width): the wide kernel keeps eight vectors of one row in
-// registers, the narrow kernel has one accumulator per row and interleaves
-// four rows. No panel reads or writes a column outside itself, so the split
-// is invisible in the result.
-func residentRows(lanes int, d, a, b, bias []float64, n int, p rowArgs) {
+// assembly of the given vector width: d, a, b, bias and gate (the last two
+// may be nil; a gate is laid out as d is) are the operands from their first
+// element on, and p carries everything but them and the width of one call.
+// The columns go
+// to the kernels in panels (rowsPanel picks each one's kernel and width): the
+// wide kernel keeps eight vectors of one row in registers and steps only
+// through the multipliers that are not zero; the narrow kernel has one
+// vector, masked down to the panel's columns, per row and eight rows in
+// flight. No panel reads or writes a column outside itself, so the split is
+// invisible in the result.
+func residentRows(lanes int, d, a, b, bias, gate []float64, n int, p rowArgs) {
 	// The assembly checks nothing: the reach of the last row, the last k and
 	// the last column is checked here.
 	_, _, _ = d[(p.rows-1)*p.dStep+n-1], a[(p.rows-1)*p.aStep+(p.k-1)*p.aStride], b[(p.k-1)*p.ldb+n-1]
 	if bias != nil {
 		_ = bias[n-1]
 	}
+	if gate != nil {
+		_ = gate[(p.rows-1)*p.dStep+n-1]
+	}
 	p.a = &a[0]
+	if p.aStride != 1 {
+		for i := range p.aLanes {
+			p.aLanes[i] = 8 * i * p.aStride
+		}
+	}
 	for j := 0; j < n; {
 		p.d, p.b = &d[j], &b[j]
 		if bias != nil {
 			p.bias = &bias[j]
 		}
+		if gate != nil {
+			p.gate = &gate[j]
+		}
 		j += rowsPanel(&p, lanes, n-j)
 	}
 }
 
-// axpy4Blocks is the multiply-add step of the Go body, and the statement of
-// what a block of four is on every body: count steps of
+// axpy4Blocks is the multiply-add step of the Go body: count steps of
 //
 //	d[j] = (((d[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) + a3·b3[j],  j in [0, n)
 //
 // where a0..a3 = a[0], a[aStride], a[2·aStride], a[3·aStride] and b0..b3 are
-// the four consecutive n-wide rows at the front of b. A step whose four
-// multipliers are all ±0 is skipped. Between steps d, a and b move forward
-// by dStep, aStep and bStep elements: matMulRows keeps d and walks four
-// columns of a and four rows of b per step, matMulTransARows keeps b and
-// walks one row of d and one column of a.
+// the four consecutive n-wide rows at the front of b — without the terms
+// whose multiplier is ±0: a step that has all four runs d through them in one
+// pass, any other adds the terms it has one multiplier at a time. Between
+// steps d, a and b move forward by dStep, aStep and bStep elements:
+// matMulRows keeps d and walks four columns of a and four rows of b per step,
+// matMulTransARows keeps b and walks one row of d and one column of a.
 func axpy4Blocks(d []float64, n int, a []float64, aStride int, b []float64, count, dStep, aStep, bStep int) {
 	if n == 0 {
 		return
 	}
 	for ; count > 0; count-- {
 		a0, a1, a2, a3 := a[0], a[aStride], a[2*aStride], a[3*aStride]
-		// One test on the OR of the bits, signs shifted out: on a ReLU output
-		// or a masked gradient each multiplier is zero about half the time,
-		// and four comparisons would be four branches nobody can predict.
-		if (math.Float64bits(a0)|math.Float64bits(a1)|math.Float64bits(a2)|math.Float64bits(a3))<<1 != 0 {
-			dj, b0, b1, b2, b3 := d[:n], b[:n], b[n:][:n], b[2*n:][:n], b[3*n:][:n]
+		dj, b0, b1, b2, b3 := d[:n], b[:n], b[n:][:n], b[2*n:][:n], b[3*n:][:n]
+		// x != 0 is false for -0 and true for a NaN: exactly "not a zero".
+		if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
 			for j, dv := range dj {
 				dv += a0 * b0[j]
 				dv += a1 * b1[j]
 				dv += a2 * b2[j]
 				dv += a3 * b3[j]
 				dj[j] = dv
+			}
+		} else {
+			if a0 != 0 {
+				AXPY(dj, a0, b0)
+			}
+			if a1 != 0 {
+				AXPY(dj, a1, b1)
+			}
+			if a2 != 0 {
+				AXPY(dj, a2, b2)
+			}
+			if a3 != 0 {
+				AXPY(dj, a3, b3)
 			}
 		}
 		if count > 1 {

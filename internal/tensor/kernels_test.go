@@ -78,7 +78,7 @@ var products = []product{
 		shapes: func(m, k, n int) (dst, a, b [2]int) {
 			return [2]int{m, n}, [2]int{m, k}, [2]int{k, n}
 		},
-		rows: func(dst, a, b *Matrix, lo, hi int) { matMulRows(dst, a, b, nil, false, lo, hi) },
+		rows: func(dst, a, b *Matrix, lo, hi int) { matMulRows(dst, a, b, nil, false, nil, lo, hi) },
 		ref:  refMatMul, entry: MatMul, par: MatMulParallel,
 	},
 	{
@@ -87,7 +87,7 @@ var products = []product{
 			return [2]int{m, k}, [2]int{m, n}, [2]int{k, n}
 		},
 		rows: func(dst, a, b *Matrix, lo, hi int) {
-			matMulRows(dst, a, TransposeRows(nil, b, 0, b.Rows), nil, false, lo, hi)
+			matMulRows(dst, a, TransposeRows(nil, b, 0, b.Rows), nil, false, nil, lo, hi)
 		},
 		ref: refMatMulTransB, entry: MatMulTransB,
 		par: func(dst, a, b *Matrix) *Matrix { // what nn.Dense's backward runs
@@ -118,7 +118,7 @@ func kernelPaths(t testing.TB) []string {
 		if kernelLanes[name] <= cpuVectorLanes() {
 			paths = append(paths, name)
 		} else {
-			t.Logf("%s body not run: this CPU or OS lacks it", name)
+			t.Logf("%s body not run: this CPU or OS lacks it (both need AVX2 and BMI1)", name)
 		}
 	}
 	return paths
@@ -137,7 +137,9 @@ func setKernelPath(t testing.TB, name string) {
 
 // TestKernelPathsNamed: the names the tests select bodies by are the names
 // KernelPath stamps benchmark output with, and the body a fresh process runs
-// is the widest one listed.
+// is the widest one listed. Both assembly bodies walk their zero masks with
+// TZCNT and BLSR, so a CPU that has AVX2 but not BMI1 lists, and runs, only
+// the Go body: cpuHasAVX2 asks CPUID for both.
 func TestKernelPathsNamed(t *testing.T) {
 	paths := kernelPaths(t)
 	if got, want := KernelPath(), paths[len(paths)-1]; got != want {
@@ -164,20 +166,46 @@ func oddMatrix(rows, cols int) *Matrix {
 	return FromSlice(rows, cols, buf[off:off+rows*cols])
 }
 
-// fillOperand fills m with N(0,1) values; with halfZero, about half of them
-// (chosen independently) become exact zeros with either sign, the way a ReLU
-// output or a masked gradient looks.
-func fillOperand(m *Matrix, rng *rand.Rand, halfZero bool) {
+// zeros says which elements of an operand are exact zeros, of either sign.
+type zeros int
+
+const (
+	dense      zeros = iota // none
+	halfZeros               // each with probability 1/2, independently: a ReLU output, a masked gradient
+	mostlyZero              // each with probability 0.95
+	trained                 // correlated, as a trained layer's activations are: see fillOperand
+	zeroPatterns
+)
+
+func (z zeros) String() string {
+	return [...]string{"dense", "halfzero", "mostlyzero", "trained"}[z]
+}
+
+// fillOperand fills m with N(0,1) values and then makes the elements z names
+// exact zeros with either sign. The trained pattern is half zeros on top of
+// whole columns of them (a unit that never fires: one column in eight, the
+// first included) and whole rows (a sample nothing responds to: one row in
+// sixteen), so that a kernel sees multipliers that are zero for a whole word
+// of k, for every row at one k, and at random in between.
+func fillOperand(m *Matrix, rng *rand.Rand, z zeros) {
 	m.RandNormal(rng, 0, 1)
-	if !halfZero {
+	if z == dense {
 		return
 	}
-	for i := range m.Data {
-		switch rng.Intn(4) {
-		case 0:
-			m.Data[i] = 0
-		case 1:
-			m.Data[i] = math.Copysign(0, -1)
+	deadCol := make([]bool, m.Cols)
+	for j := range deadCol {
+		deadCol[j] = z == trained && (j == 0 || rng.Intn(8) == 0)
+	}
+	for i := 0; i < m.Rows; i++ {
+		deadRow := z == trained && rng.Intn(16) == 0
+		for j, dead := range deadCol {
+			p := 0.5
+			if z == mostlyZero {
+				p = 0.95
+			}
+			if dead || deadRow || rng.Float64() < p {
+				m.Data[i*m.Cols+j] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+			}
 		}
 	}
 }
@@ -201,31 +229,31 @@ func bitsEqual(a, b *Matrix) (int, bool) {
 // for bit, on each of the given bodies: the serial and parallel entry points,
 // and the row-range kernel under every split of its row range into two calls.
 // The reference, the slow part, is computed once for all bodies.
-func checkProduct(t testing.TB, paths []string, p product, m, k, n int, halfZero bool, seed int64, everySplit bool) {
+func checkProduct(t testing.TB, paths []string, p product, m, k, n int, z zeros, seed int64, everySplit bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ds, as, bs := p.shapes(m, k, n)
 	a, b := oddMatrix(as[0], as[1]), oddMatrix(bs[0], bs[1])
-	fillOperand(a, rng, halfZero)
-	fillOperand(b, rng, halfZero)
+	fillOperand(a, rng, z)
+	fillOperand(b, rng, z)
 	want := New(ds[0], ds[1])
 	p.ref(want, a, b)
 
 	fail := func(what string, got *Matrix) {
 		t.Helper()
 		if i, ok := bitsEqual(got, want); !ok {
-			t.Fatalf("%s path=%s m=%d k=%d n=%d halfZero=%v seed=%d: %s element %d = %x, reference %x",
-				p.name, KernelPath(), m, k, n, halfZero, seed, what, i,
+			t.Fatalf("%s path=%s m=%d k=%d n=%d zeros=%v seed=%d: %s element %d = %x, reference %x",
+				p.name, KernelPath(), m, k, n, z, seed, what, i,
 				math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 		}
 	}
 	// Every split of a 1024-row range is a million kernel calls: beyond 64
-	// rows take the cuts near the start (every phase of the four-wide blocks
-	// and of the narrow kernels' groups of four rows) and a few far apart.
+	// rows take the cuts near the start (every phase of the narrow kernel's
+	// groups of eight rows) and a few far apart.
 	rows := ds[0]
 	var cuts []int
 	for cut := 0; cut <= rows; cut++ {
-		if everySplit || cut < 9 || cut%(rows/8+1) == 0 || cut == rows {
+		if everySplit || cut < 10 || cut%(rows/8+1) == 0 || cut == rows {
 			cuts = append(cuts, cut)
 		}
 	}
@@ -245,23 +273,27 @@ func checkProduct(t testing.TB, paths []string, p product, m, k, n int, halfZero
 }
 
 // TestKernelsMatchScalarReference is the contract test for the product
-// kernels, on each body. Few rows (one — the acting shape —, two, three, the
-// gateway's eight): every k remainder against the four-deep blocks and every
-// output width that matters to some body — each tail length, one vector and
-// one more, the wide kernels' overlapping last vector (29-32 and 57-64
-// columns), a second panel of one column, of one vector, of a whole panel.
-// Batches (67 rows: three chunks of aᵀ × b and a remainder; 256; 1024): the
-// trainer's own k and n, and a k of three and of four. Dense and half-zero operands at unaligned addresses,
-// every way of splitting the row range.
+// kernels, on each body. Few rows (one — the acting shape —, three, the
+// gateway's eight, nine: a group of eight and one more for the narrow kernel):
+// every k remainder against the Go body's four-deep blocks and the vectors of
+// the mask compares, one word of 64 multipliers, one more, two words and two
+// more; every output width that matters to some body — each width of a masked
+// panel, one vector and one more, the wide kernels' overlapping last vector
+// (29-32 and 57-64 columns), a second panel of one column, of one vector, of
+// a whole panel. Batches (67 rows: three chunks of aᵀ × b and a remainder,
+// eight groups of eight rows and three; 256; 1024): the trainer's own k and
+// n, a k of three and of four, of 65 and of 130. Operands at unaligned
+// addresses, dense and with every pattern of zeros, every way of splitting
+// the row range.
 func TestKernelsMatchScalarReference(t *testing.T) {
 	paths := kernelPaths(t)
 	for _, p := range products {
-		for _, m := range []int{1, 2, 3, 8, 67, 256, 1024} {
-			ks := []int{1, 2, 3, 4, 5, 7, 16, 63, 64}
-			widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 29, 31, 32, 33, 57, 63, 64, 65, 72, 128}
-			if m > 8 {
+		for _, m := range []int{1, 3, 8, 9, 67, 256, 1024} {
+			ks := []int{1, 2, 3, 4, 5, 7, 16, 63, 64, 65, 130}
+			widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 29, 31, 32, 33, 57, 58, 59, 60, 61, 62, 63, 64, 65, 72, 128}
+			if m > 9 {
 				// What an update runs; the rest only adds minutes.
-				ks, widths = []int{1, 3, 4, 5, 16, 63, 64}, []int{1, 5, 16, 63, 64}
+				ks, widths = []int{1, 3, 4, 5, 16, 63, 64, 65, 130}, []int{1, 5, 16, 63, 64}
 			}
 			if m == 67 {
 				// Several chunks of aᵀ × b times several panels.
@@ -269,9 +301,15 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 			}
 			for _, k := range ks {
 				for _, n := range widths {
-					for _, halfZero := range []bool{false, true} {
+					// Dense, and the patterns of zeros turn by turn; the batches,
+					// the slow ones, take the pattern training has.
+					patterns := []zeros{dense, halfZeros + zeros((k+n)%3)}
+					if m > 67 {
+						patterns[1] = trained
+					}
+					for _, z := range patterns {
 						ds, _, _ := p.shapes(m, k, n)
-						checkProduct(t, paths, p, m, k, n, halfZero, int64(m*1000+k*10+n), ds[0] <= 64)
+						checkProduct(t, paths, p, m, k, n, z, int64(m*1000+k*10+n), ds[0] <= 64)
 					}
 				}
 			}
@@ -279,17 +317,20 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 	}
 }
 
-// FuzzKernels drives the same comparison from fuzzed shapes and seeds.
+// FuzzKernels drives the same comparison from fuzzed shapes, seeds and
+// patterns of zeros; k reaches into a third mask word.
 func FuzzKernels(f *testing.F) {
-	f.Add(uint8(1), uint8(18), uint8(64), int64(1), false)
-	f.Add(uint8(7), uint8(69), uint8(16), int64(2), true)
-	f.Add(uint8(33), uint8(4), uint8(1), int64(3), true)
-	f.Fuzz(func(t *testing.T, m, k, n uint8, seed int64, halfZero bool) {
+	f.Add(uint8(1), uint8(18), uint8(64), int64(1), uint8(dense))
+	f.Add(uint8(7), uint8(69), uint8(16), int64(2), uint8(halfZeros))
+	f.Add(uint8(33), uint8(4), uint8(1), int64(3), uint8(halfZeros))
+	f.Add(uint8(9), uint8(130), uint8(5), int64(4), uint8(mostlyZero))
+	f.Add(uint8(20), uint8(65), uint8(57), int64(5), uint8(trained))
+	f.Fuzz(func(t *testing.T, m, k, n uint8, seed int64, z uint8) {
 		if m == 0 || k == 0 || n == 0 {
 			t.Skip()
 		}
 		for _, p := range products {
-			checkProduct(t, kernelPaths(t), p, int(m)%48+1, int(k)%80+1, int(n)%80+1, halfZero, seed, true)
+			checkProduct(t, kernelPaths(t), p, int(m)%48+1, int(k)%140+1, int(n)%80+1, zeros(z)%zeroPatterns, seed, true)
 		}
 	})
 }
@@ -342,7 +383,7 @@ func TestAxpy4BlocksStaysInBounds(t *testing.T) {
 					setKernelPath(t, path)
 					poison(dst)
 					if nest == "rows" {
-						matMulRows(dst, a, b, bias.Data, true, 0, rows)
+						matMulRows(dst, a, b, bias.Data, true, nil, 0, rows)
 					} else {
 						matMulTransARows(dst, a, b, 0, rows)
 					}
@@ -375,8 +416,8 @@ func TestKernelsBatchInvariant(t *testing.T) {
 		for _, shape := range [][3]int{{37, 18, 64}, {37, 64, 64}, {37, 64, 5}, {9, 69, 16}, {8, 16, 64}, {8, 64, 1}} {
 			m, k, n := shape[0], shape[1], shape[2]
 			x, w := New(m, k), New(k, n)
-			fillOperand(x, rng, true)
-			fillOperand(w, rng, false)
+			fillOperand(x, rng, trained)
+			fillOperand(w, rng, dense)
 			wt := TransposeRows(nil, w, 0, k) // for x · wtᵀ
 			full, fullTB := MatMul(New(m, n), x, w), MatMulTransB(New(m, n), x, wt)
 			for i := 0; i < m; i++ {
@@ -409,9 +450,9 @@ func TestMatMulBiasMatchesSeparatePasses(t *testing.T) {
 		for _, shape := range [][3]int{{1, 18, 64}, {33, 69, 16}, {1024, 63, 64}, {5, 64, 1}, {8, 64, 5}, {6, 7, 72}} {
 			m, k, n := shape[0], shape[1], shape[2]
 			x, w, bias := New(m, k), New(k, n), New(1, n)
-			fillOperand(x, rng, true)
-			fillOperand(w, rng, false)
-			fillOperand(bias, rng, true)
+			fillOperand(x, rng, halfZeros)
+			fillOperand(w, rng, dense)
+			fillOperand(bias, rng, halfZeros)
 			want := New(m, n)
 			refMatMul(want, x, w)
 			want.AddRowVector(bias.Data)
@@ -453,21 +494,23 @@ func TestMatMulBiasMatchesSeparatePasses(t *testing.T) {
 	}
 }
 
-// TestMatMulSkipsOnlyWholeZeroBlocks pins the non-finite contract on each
-// body and each product, at a width for each kernel (a single column, a
-// vector of four and a column, a whole panel): a zero multiplier meets an
-// infinity in b. Where the whole four-wide block of multipliers is zero the
-// block is skipped and the infinity is never touched; where the block has
-// any non-zero multiplier, 0·Inf = NaN reaches the sum, as IEEE arithmetic
-// says it should. The one to three multipliers beyond the last block are
-// skipped one by one — a zero there (of either sign) hides an infinity even
-// next to a non-zero neighbour — and one that is itself infinite or NaN is
-// not a zero. a × bᵀ is a × (bᵀ) through the same kernel, so it skips the
-// same blocks.
-func TestMatMulSkipsOnlyWholeZeroBlocks(t *testing.T) {
+// TestMatMulSkipsEveryZeroMultiplier pins the one rule about zeros where it
+// can be seen, on each body and each product, at a width for each kernel (a
+// single column, five — one masked panel at eight lanes, a vector and a
+// column at four —, a whole wide panel): a zero multiplier meets an infinity
+// in b. The product is left out of the sum, whatever its neighbours are —
+// inside what used to be a block of four with a non-zero multiplier, in the
+// last k, in the 64th and 65th (the end of one mask word and the start of the
+// next) — and for either sign of the zero. A multiplier that is not zero
+// takes its infinity into the sum, and one that is itself infinite or NaN is
+// not a zero. a × bᵀ is a × (bᵀ) through the same kernel, so the rule is its
+// rule too.
+func TestMatMulSkipsEveryZeroMultiplier(t *testing.T) {
 	inf, negZero := math.Inf(1), math.Copysign(0, -1)
-	// Each product as dst[j] = Σ mult[k]·col[k] for every j in [0, n).
-	type sum func(mult, col []float64, n int) []float64
+	// Each product as dst[i][j] = Σ mult[k]·col[k] for every i in [0, rows)
+	// and j in [0, n): nine rows are a group of eight and a single one for the
+	// narrow kernel, whose groups treat a b that is not finite differently.
+	type sum func(mult, col []float64, rows, n int) []float64
 	spread := func(col []float64, n int) *Matrix { // k×n, row k filled with col[k]
 		b := New(len(col), n)
 		for k, v := range col {
@@ -478,15 +521,17 @@ func TestMatMulSkipsOnlyWholeZeroBlocks(t *testing.T) {
 		return b
 	}
 	sums := map[string]sum{
-		"MatMul": func(mult, col []float64, n int) []float64 {
-			return MatMul(New(1, n), FromSlice(1, len(mult), mult), spread(col, n)).Data
+		"MatMul": func(mult, col []float64, rows, n int) []float64 {
+			a := TransposeRows(nil, spread(mult, rows), 0, len(mult))
+			return MatMul(New(rows, n), a, spread(col, n)).Data
 		},
-		"MatMulTransB": func(mult, col []float64, n int) []float64 {
+		"MatMulTransB": func(mult, col []float64, rows, n int) []float64 {
+			a := TransposeRows(nil, spread(mult, rows), 0, len(mult))
 			bt := TransposeRows(nil, spread(col, n), 0, len(col))
-			return MatMulTransB(New(1, n), FromSlice(1, len(mult), mult), bt).Data
+			return MatMulTransB(New(rows, n), a, bt).Data
 		},
-		"MatMulTransA": func(mult, col []float64, n int) []float64 {
-			return MatMulTransA(New(1, n), FromSlice(len(mult), 1, mult), spread(col, n)).Data
+		"MatMulTransA": func(mult, col []float64, rows, n int) []float64 {
+			return MatMulTransA(New(rows, n), spread(mult, rows), spread(col, n)).Data
 		},
 	}
 	ones := func(k int, at map[int]float64) []float64 {
@@ -499,28 +544,37 @@ func TestMatMulSkipsOnlyWholeZeroBlocks(t *testing.T) {
 		}
 		return v
 	}
+	// 130 multipliers, zero over an infinity at the end of the first mask
+	// word, at the start and the end of the second and in the third.
+	long := ones(130, map[int]float64{0: 0, 63: negZero, 64: 0, 127: negZero, 129: 0})
 	cases := []struct {
 		what      string
 		mult, col []float64
 		want      float64 // NaN: any NaN
 	}{
-		{"0·Inf inside a block with a non-zero multiplier", []float64{0, 0, 0, 0, 2, 0, 0, 0}, ones(8, map[int]float64{1: inf, 5: inf}), math.NaN()},
-		{"an all-zero block over an Inf", []float64{0, negZero, 0, 0, 2, 0, 0, 0}, ones(8, map[int]float64{1: inf}), 2},
-		{"a remainder of one zero over an Inf", []float64{1, 1, 1, 1, negZero}, ones(5, map[int]float64{4: inf}), 4},
-		{"remainder zeros next to a non-zero multiplier", []float64{1, 1, 1, 1, 0, 3, negZero}, ones(7, map[int]float64{4: inf, 6: inf}), 7},
-		{"a remainder without a block", []float64{0, 5}, ones(2, map[int]float64{0: inf}), 5},
-		{"an infinite remainder multiplier over a zero", []float64{1, 1, 1, 1, 2, inf}, ones(6, map[int]float64{5: 0}), math.NaN()},
-		{"a NaN remainder multiplier", []float64{1, 1, 1, 1, math.NaN(), 2, 2}, ones(7, nil), math.NaN()},
-		{"a NaN multiplier in a block of zeros", []float64{0, 0, math.NaN(), 0, 1}, ones(5, nil), math.NaN()},
+		{"0·Inf between non-zero multipliers", []float64{3, 0, 1, negZero, 2, 0, 0, 0}, ones(8, map[int]float64{1: inf, 3: inf, 5: inf}), 6},
+		{"four zeros in a row over an Inf", []float64{0, negZero, 0, 0, 2, 0, 0, 0}, ones(8, map[int]float64{1: inf}), 2},
+		{"a last zero over an Inf", []float64{1, 1, 1, 1, negZero}, ones(5, map[int]float64{4: inf}), 4},
+		{"last zeros next to a non-zero multiplier", []float64{1, 1, 1, 1, 0, 3, negZero}, ones(7, map[int]float64{4: inf, 6: inf}), 7},
+		{"a first zero over an Inf", []float64{0, 5}, ones(2, map[int]float64{0: inf}), 5},
+		{"nothing but a zero over an Inf", []float64{negZero}, []float64{inf}, 0},
+		{"zeros at the edges of the mask words", long, ones(130, map[int]float64{0: inf, 63: inf, 64: inf, 127: inf, 129: inf}), 125},
+		{"a non-zero multiplier over an Inf", []float64{0, 2, 0}, ones(3, map[int]float64{1: inf}), inf},
+		{"an infinite multiplier over a zero", []float64{1, 1, 1, 1, 2, inf}, ones(6, map[int]float64{5: 0}), math.NaN()},
+		{"a NaN multiplier", []float64{1, 1, 1, 1, math.NaN(), 2, 2}, ones(7, nil), math.NaN()},
+		{"a NaN multiplier among zeros", []float64{0, 0, math.NaN(), 0, 1}, ones(5, nil), math.NaN()},
+		{"a NaN multiplier in the second mask word", ones(70, map[int]float64{66: math.NaN()}), ones(70, nil), math.NaN()},
 	}
 	for _, path := range kernelPaths(t) {
 		setKernelPath(t, path)
 		for name, mul := range sums {
-			for _, n := range []int{1, 5, 64} {
-				for _, c := range cases {
-					for j, got := range mul(c.mult, c.col, n) {
-						if math.IsNaN(c.want) != math.IsNaN(got) || !math.IsNaN(got) && got != c.want {
-							t.Fatalf("%s path=%s n=%d: %s gave %v in column %d, want %v", name, path, n, c.what, got, j, c.want)
+			for _, rows := range []int{1, 9} {
+				for _, n := range []int{1, 5, 64} {
+					for _, c := range cases {
+						for i, got := range mul(c.mult, c.col, rows, n) {
+							if math.IsNaN(c.want) != math.IsNaN(got) || !math.IsNaN(got) && got != c.want {
+								t.Fatalf("%s path=%s %d rows n=%d: %s gave %v in element %d, want %v", name, path, rows, n, c.what, got, i, c.want)
+							}
 						}
 					}
 				}
@@ -535,8 +589,8 @@ func TestMatMulSkipsOnlyWholeZeroBlocks(t *testing.T) {
 func TestMatMulBiasOneRowDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	x, w, bias, dst := New(1, 18), New(18, 64), New(1, 64), New(1, 64)
-	fillOperand(x, rng, false)
-	fillOperand(w, rng, false)
+	fillOperand(x, rng, dense)
+	fillOperand(w, rng, dense)
 	for _, path := range kernelPaths(t) {
 		setKernelPath(t, path)
 		if allocs := testing.AllocsPerRun(100, func() { MatMulBiasParallel(dst, x, w, bias.Data, true) }); allocs != 0 {
@@ -548,43 +602,46 @@ func TestMatMulBiasOneRowDoesNotAllocate(t *testing.T) {
 var kernelSink *Matrix
 
 // BenchmarkKernels times the three products on each body this CPU has and
-// reports GFLOP/s per body (two flops per multiply-add, skipped zero blocks
-// included): at the shapes one MADDPG update on 3-agent cooperative
-// navigation runs them at (joint critic input 63, hidden 64, batch 1024),
-// the thin heads of that update (one output, five outputs, and the k = 1
-// outer product the one-output head's backward is), a hidden width of 16
-// (where the AVX-512 body's narrow kernel works on vectors of eight and the
-// AVX2 body's on the vectors of four it would otherwise use), the one-row acting
-// shape, and the eight-row shapes the vectorized rollout and the gateway's
-// micro-batches act at. The bodies take turns rep by rep on the same
-// operands, each on its own clock: this host's speed drifts by tens of
-// percent within seconds, so a body measured after the other would measure
-// the drift. `make bench-kernels` runs it ten times; compare medians.
+// reports GFLOP/s per body (two flops per multiply-add, the ones a zero
+// multiplier skips included): at the shapes one MADDPG update on 3-agent
+// cooperative navigation runs them at (joint critic input 63, hidden 64,
+// batch 1024), the thin heads of that update (one output, five outputs, and
+// the k = 1 outer product the one-output head's backward is), a hidden width
+// of 16 (two masked panels of eight at eight lanes, four of four at four),
+// the one-row acting shapes, and the eight-row shapes the vectorized rollout
+// and the gateway's micro-batches act at. Where the multipliers are a hidden
+// layer's output in training — k of 16 or more, at batch 1024 or into a head
+// — each shape runs three times: dense (the name alone: the floor no change
+// to the zero-skip may lower), /halfzero and /trained (fillOperand). The
+// bodies take turns rep by rep on the same operands, each on its own clock:
+// this host's speed drifts by tens of percent within seconds, so a body
+// measured after the other would measure the drift. `make bench-kernels`
+// runs it ten times; compare medians.
 func BenchmarkKernels(b *testing.B) {
 	shapes := [][3]int{
 		{1024, 63, 64}, {1024, 64, 64}, {1024, 16, 64},
 		{1024, 64, 1}, {1024, 64, 5}, {1024, 1, 64}, {1024, 64, 16},
-		{1, 18, 64}, {1, 64, 64},
+		{1, 18, 64}, {1, 64, 64}, {1, 64, 5},
 		{8, 16, 64}, {8, 64, 64}, {8, 64, 5},
 	}
 	paths := kernelPaths(b)
 	for _, shape := range shapes {
 		m, k, n := shape[0], shape[1], shape[2]
 		for _, p := range products {
-			for _, halfZero := range []bool{false, true} {
-				if halfZero && (m < 1024 || n < 64 || k < 16) {
+			for _, z := range []zeros{dense, halfZeros, trained} {
+				if z != dense && (k < 16 || m < 1024 && n > 5) {
 					continue
 				}
 				name := fmt.Sprintf("%s/%dx%dx%d", p.name, m, k, n)
-				if halfZero {
-					name += "/halfzero"
+				if z != dense {
+					name += "/" + z.String()
 				}
 				b.Run(name, func(b *testing.B) {
 					rng := rand.New(rand.NewSource(5))
 					ds, as, bs := p.shapes(m, k, n)
 					dst, x, y := New(ds[0], ds[1]), New(as[0], as[1]), New(bs[0], bs[1])
-					fillOperand(x, rng, halfZero)
-					fillOperand(y, rng, false)
+					fillOperand(x, rng, z)
+					fillOperand(y, rng, dense)
 					// One timed call of a small product is mostly clock: repeat it.
 					inner := max(1, 200000/(m*k*n))
 					spent := make([]time.Duration, len(paths))

@@ -119,7 +119,7 @@ func (m *Matrix) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 // zero-skip contract of all three products.
 func MatMul(dst, a, b *Matrix) *Matrix {
 	checkMatMul(dst, a, b)
-	matMulRows(dst, a, b, nil, false, 0, dst.Rows)
+	matMulRows(dst, a, b, nil, false, nil, 0, dst.Rows)
 	return dst
 }
 
@@ -253,7 +253,10 @@ func Apply(dst, a *Matrix, f func(float64) float64) *Matrix {
 	return dst
 }
 
-// SumRows returns the 1×Cols column-wise sums of m (used for bias gradients).
+// SumRows returns the 1×Cols column-wise sums of m (used for bias gradients):
+// each the sum of its column from the first row down, starting from +0. On
+// the resident bodies that is the one-row product onesᵀ × m — 1·v is v, so
+// the bits are the loop's — with a single 1.0 as every multiplier.
 func (m *Matrix) SumRows(dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, m.Cols)
@@ -261,9 +264,12 @@ func (m *Matrix) SumRows(dst []float64) []float64 {
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("tensor: SumRows dst len %d want %d", len(dst), m.Cols))
 	}
-	for j := range dst {
-		dst[j] = 0
+	if lanes := vectorLanes; lanes != 0 && m.Rows > 0 && m.Cols > 0 {
+		p := rowArgs{rows: 1, dStep: m.Cols, k: m.Rows, ldb: m.Cols}
+		residentRows(lanes, dst, one[:], m.Data, nil, nil, m.Cols, p)
+		return dst
 	}
+	clear(dst)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j := range row {
@@ -272,6 +278,9 @@ func (m *Matrix) SumRows(dst []float64) []float64 {
 	}
 	return dst
 }
+
+// one is SumRows' only multiplier.
+var one = [1]float64{1}
 
 // Sum returns the sum over all elements.
 func (m *Matrix) Sum() float64 {

@@ -232,6 +232,50 @@ func TestSumRowsSumMean(t *testing.T) {
 	}
 }
 
+// TestSumRowsMatchesLoop: on each body SumRows has the bits of the loop it
+// replaced — every column summed from the first row down, starting from +0 —
+// at one row and at more than two mask words of them, at a width for every
+// kernel, with a column of -0 (whose sum is +0), a column with an infinity of
+// each sign (NaN from there on) and a column with a NaN in it.
+func TestSumRowsMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, path := range kernelPaths(t) {
+		setKernelPath(t, path)
+		for _, shape := range [][2]int{{1, 1}, {1, 64}, {3, 5}, {64, 1}, {65, 8}, {130, 63}, {1024, 64}, {200, 69}, {0, 4}} {
+			rows, cols := shape[0], shape[1]
+			m := oddMatrix(rows, cols)
+			fillOperand(m, rng, halfZeros)
+			for i := 0; i < rows; i++ {
+				m.Set(i, 0, math.Copysign(0, -1))
+				if cols > 2 {
+					m.Set(i, cols-1, []float64{1, math.Inf(1), math.Inf(-1), 2}[i%4])
+				}
+			}
+			if rows > 2 && cols > 1 {
+				m.Set(rows/2, 1, math.NaN())
+			}
+			want := make([]float64, cols)
+			for i := 0; i < rows; i++ {
+				for j, v := range m.Row(i) {
+					want[j] += v
+				}
+			}
+			got := make([]float64, cols+1)
+			got[cols] = 42
+			m.SumRows(got[:cols])
+			for j := range want {
+				w, g := want[j], got[j]
+				if math.IsNaN(w) != math.IsNaN(g) || !math.IsNaN(w) && math.Float64bits(w) != math.Float64bits(g) {
+					t.Fatalf("path=%s %dx%d: column %d sums to %x, the loop to %x", path, rows, cols, j, math.Float64bits(g), math.Float64bits(w))
+				}
+			}
+			if got[cols] != 42 {
+				t.Fatalf("path=%s %dx%d: the word after dst was overwritten", path, rows, cols)
+			}
+		}
+	}
+}
+
 func TestMeanEmpty(t *testing.T) {
 	if got := New(0, 0).Mean(); got != 0 {
 		t.Fatalf("empty Mean = %v, want 0", got)

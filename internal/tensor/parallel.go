@@ -81,9 +81,9 @@ func parallelRows(rows int, fn func(lo, hi int)) {
 func MatMulParallel(dst, a, b *Matrix) *Matrix {
 	checkMatMul(dst, a, b)
 	if serialRows(dst.Rows, a.Rows*a.Cols*b.Cols) {
-		matMulRows(dst, a, b, nil, false, 0, dst.Rows)
+		matMulRows(dst, a, b, nil, false, nil, 0, dst.Rows)
 	} else {
-		parallelRows(dst.Rows, func(lo, hi int) { matMulRows(dst, a, b, nil, false, lo, hi) })
+		parallelRows(dst.Rows, func(lo, hi int) { matMulRows(dst, a, b, nil, false, nil, lo, hi) })
 	}
 	return dst
 }
@@ -98,9 +98,26 @@ func MatMulBiasParallel(dst, a, b *Matrix, bias []float64, relu bool) *Matrix {
 		panic(fmt.Sprintf("tensor: MatMulBiasParallel bias len %d want %d", len(bias), dst.Cols))
 	}
 	if serialRows(dst.Rows, a.Rows*a.Cols*b.Cols) {
-		matMulRows(dst, a, b, bias, relu, 0, dst.Rows)
+		matMulRows(dst, a, b, bias, relu, nil, 0, dst.Rows)
 	} else {
-		parallelRows(dst.Rows, func(lo, hi int) { matMulRows(dst, a, b, bias, relu, lo, hi) })
+		parallelRows(dst.Rows, func(lo, hi int) { matMulRows(dst, a, b, bias, relu, nil, lo, hi) })
+	}
+	return dst
+}
+
+// MatMulGatedParallel computes dst = a × b like MatMulParallel and then
+// clears every element whose counterpart in gate, a matrix of dst's shape,
+// has zero bits — ReLUGrad(dst, dst, gate), bit for bit — but in one pass,
+// gating each row before it is stored. With gate the output a ReLU retained
+// and b the transposed weights of the layer above it, it is that layer's
+// input gradient taken back through the ReLU.
+func MatMulGatedParallel(dst, a, b, gate *Matrix) *Matrix {
+	checkMatMul(dst, a, b)
+	assertSameShape("MatMulGatedParallel gate", gate, dst)
+	if serialRows(dst.Rows, a.Rows*a.Cols*b.Cols) {
+		matMulRows(dst, a, b, nil, false, gate, 0, dst.Rows)
+	} else {
+		parallelRows(dst.Rows, func(lo, hi int) { matMulRows(dst, a, b, nil, false, gate, lo, hi) })
 	}
 	return dst
 }

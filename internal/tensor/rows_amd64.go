@@ -18,9 +18,6 @@ func rowsWide4(p *rowArgs)
 //go:noescape
 func rowsNarrow4(p *rowArgs)
 
-//go:noescape
-func rowsNarrow1(p *rowArgs)
-
 // cpuVectorLanes returns the widest resident body this CPU and OS can run.
 func cpuVectorLanes() int {
 	switch {
@@ -34,8 +31,10 @@ func cpuVectorLanes() int {
 
 // rowsPanel runs p on the next panel of a row that has left columns to go
 // and returns the panel's width: the wide kernel of the given width on more
-// than seven vectors (up to eight), else one unit of the narrow kernel — a
-// vector of eight where there is one, of four, a single column.
+// than seven vectors (up to eight), else the narrow kernel on one vector or
+// what is left of one. Four columns or fewer are a panel of the four-lane
+// narrow kernel at either width: its half-width operations have a port more
+// to run on than the eight-lane ones, and nothing to do in the other lanes.
 func rowsPanel(p *rowArgs, lanes, left int) int {
 	switch {
 	case left > 7*lanes && lanes == 8:
@@ -44,15 +43,12 @@ func rowsPanel(p *rowArgs, lanes, left int) int {
 	case left > 7*lanes:
 		p.w = min(left, 32)
 		rowsWide4(p)
-	case left >= 8 && lanes == 8:
-		p.w = 8
+	case left > 4 && lanes == 8:
+		p.w = min(left, 8)
 		rowsNarrow8(p)
-	case left >= 4:
-		p.w = 4
-		rowsNarrow4(p)
 	default:
-		p.w = 1
-		rowsNarrow1(p)
+		p.w = min(left, 4)
+		rowsNarrow4(p)
 	}
 	return p.w
 }

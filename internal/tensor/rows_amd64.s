@@ -11,13 +11,32 @@
 #define FLAG_ACCUMULATE const_flagAccumulate
 #define FLAG_RELU const_flagReLU
 
-// What the headers take from here: A0-A7, the accumulators (the wide kernel
-// has eight; the narrow one has four, one per row, and keeps the block's four
-// rows of b in B0-B3, the same registers as A4-A7); M0-M3, the multipliers;
-// T0-T3, the products; LANES columns to a vector and O1-O6, the byte offsets
-// of a row's vectors 1-6 (wide kernel only); MOVV, BCAST, MULV and ADDV, the
-// instructions that move, broadcast, multiply and add one unit (narrow kernel
-// only: the wide one is always packed); ZERO and RELU.
+// What the headers take from here. Registers: A0-A7, the accumulators (the
+// wide kernel's eight vectors of one row, the narrow kernel's eight rows of
+// one vector); B, the narrow kernel's row of b; M0-M1, multipliers; T0-T3,
+// products and scratch; ZR, which holds zero throughout. LANES columns to a
+// vector, and O1-O6, the byte offsets of a row's vectors 1-6. And what differs
+// between the widths beyond the registers' names:
+//
+//	ZERO(r)           r = +0
+//	RELU(r)           r = tensor.ReLU(r), lane by lane
+//	GATE(t, r)        r = +0 in the lanes where t has zero bits (ReLUGrad)
+//	ANYNAN(r, g)      g is not zero if a lane of r is a NaN; r is scratch
+//	NONZERO(mem, g)   g = one bit per lane of the vector at mem, set where the
+//	                  lane is not ±0 (a NaN is not)
+//	COLUMNS(g, t)     from here on LOADW and STOREW move the first g columns
+//	                  of a vector, g in [1, LANES]; t is scratch
+//	LOADW(mem, r)     r = those columns of the vector at mem, +0 in the rest;
+//	                  nothing beyond them is read
+//	STOREW(r, mem)    the reverse; nothing beyond them is written
+//	MADD(p, a, m, t, k)
+//	                  a += (p)·B in every lane, unless the multiplier at p is
+//	                  ±0: then a stays as it is. m, t and the opmask k are
+//	                  scratch.
+//	GATHER(p, r)      r = the LANES multipliers at p plus the byte offsets in
+//	                  B's lanes (rowArgs.aLanes); T2 or K2 is scratch
+//	LANESHIFT         log2 of LANES
+//	NEXTWORD          the symbol of the wide kernel's mask subroutine
 
 // Eight lanes: AVX-512.
 #define A0 Z0
@@ -28,14 +47,10 @@
 #define A5 Z5
 #define A6 Z6
 #define A7 Z7
-#define B0 Z4
-#define B1 Z5
-#define B2 Z6
-#define B3 Z7
-#define M0 Z8
-#define M1 Z9
-#define M2 Z10
-#define M3 Z11
+#define B Z8
+#define ZR Z9
+#define M0 Z10
+#define M1 Z11
 #define T0 Z12
 #define T1 Z13
 #define T2 Z14
@@ -47,14 +62,23 @@
 #define O4 256
 #define O5 320
 #define O6 384
-#define MOVV VMOVUPD
-#define BCAST VBROADCASTSD
-#define MULV VMULPD
-#define ADDV VADDPD
 #define ZERO(r) VPXORQ r, r, r
 // The sign bit smeared over the lane clears what tensor.ReLU clears:
 // negative values, -0 and NaNs with the sign set.
 #define RELU(r) VPSRAQ $63, r, T0; VPANDNQ r, T0, r
+#define GATE(t, r) VPTESTMQ t, t, K1; VMOVAPD.Z r, K1, r
+// Predicate 4 is "not equal, or unordered", 3 is "unordered".
+#define NONZERO(mem, g) VCMPPD $4, mem, ZR, K1; KMOVW K1, g
+#define ANYNAN(r, g) VCMPPD $3, r, r, K1; KMOVW K1, g
+// The columns are opmask K7.
+#define COLUMNS(g, t) MOVQ g, CX; MOVL $1, t; SHLQ CX, t; DECQ t; KMOVW t, K7
+#define LOADW(mem, r) VMOVUPD.Z mem, K7, r
+#define STOREW(r, mem) VMOVUPD r, K7, mem
+#define MADD(p, a, m, t, k) \
+	VBROADCASTSD (p), m; VCMPPD $4, ZR, m, k; VMULPD B, m, t; VADDPD t, a, k, a
+#define GATHER(p, r) KXNORW K2, K2, K2; VGATHERQPD (p)(B*1), K2, r
+#define LANESHIFT 3
+#define NEXTWORD nextWord8<>(SB)
 
 // func rowsWide8(p *rowArgs)
 TEXT ·rowsWide8(SB), NOSPLIT, $0-8
@@ -74,14 +98,10 @@ TEXT ·rowsNarrow8(SB), NOSPLIT, $0-8
 #undef A5
 #undef A6
 #undef A7
-#undef B0
-#undef B1
-#undef B2
-#undef B3
+#undef B
+#undef ZR
 #undef M0
 #undef M1
-#undef M2
-#undef M3
 #undef T0
 #undef T1
 #undef T2
@@ -95,6 +115,16 @@ TEXT ·rowsNarrow8(SB), NOSPLIT, $0-8
 #undef O6
 #undef ZERO
 #undef RELU
+#undef GATE
+#undef NONZERO
+#undef ANYNAN
+#undef COLUMNS
+#undef LOADW
+#undef STOREW
+#undef MADD
+#undef NEXTWORD
+#undef GATHER
+#undef LANESHIFT
 
 // Four lanes: AVX2.
 #define A0 Y0
@@ -105,14 +135,10 @@ TEXT ·rowsNarrow8(SB), NOSPLIT, $0-8
 #define A5 Y5
 #define A6 Y6
 #define A7 Y7
-#define B0 Y4
-#define B1 Y5
-#define B2 Y6
-#define B3 Y7
-#define M0 Y8
-#define M1 Y9
-#define M2 Y10
-#define M3 Y11
+#define B Y8
+#define ZR Y9
+#define M0 Y10
+#define M1 Y11
 #define T0 Y12
 #define T1 Y13
 #define T2 Y14
@@ -125,8 +151,33 @@ TEXT ·rowsNarrow8(SB), NOSPLIT, $0-8
 #define O5 160
 #define O6 192
 #define ZERO(r) VPXOR r, r, r
-// AVX2 has no 64-bit arithmetic shift: compare with the zero in M0 instead.
-#define RELU(r) VPCMPGTQ r, M0, T0; VPANDN r, T0, r
+// AVX2 has no 64-bit arithmetic shift: compare with zero instead.
+#define RELU(r) VPCMPGTQ r, ZR, T0; VPANDN r, T0, r
+#define GATE(t, r) VPCMPEQQ t, ZR, t; VPANDN r, t, r
+#define NONZERO(mem, g) VCMPPD $4, mem, ZR, T0; VMOVMSKPD T0, g
+#define ANYNAN(r, g) VCMPPD $3, r, r, r; VMOVMSKPD r, g
+// The columns are a vector mask in T3, cut out of four set lanes followed by
+// four clear ones.
+#define COLUMNS(g, t) MOVQ g, CX; NEGQ CX; LEAQ columns4<>+32(SB), t; VMOVDQU (t)(CX*8), T3
+#define LOADW(mem, r) VMASKMOVPD mem, T3, r
+#define STOREW(r, mem) VMASKMOVPD r, T3, mem
+// No masked add either: add, then keep the sum where the multiplier was not
+// zero.
+#define MADD(p, a, m, t, k) \
+	VBROADCASTSD (p), m; VMULPD B, m, t; VCMPPD $4, ZR, m, m; VADDPD t, a, t; VBLENDVPD m, t, a, a
+#define GATHER(p, r) VPCMPEQQ T2, T2, T2; VGATHERQPD T2, (p)(B*1), r
+#define LANESHIFT 2
+#define NEXTWORD nextWord4<>(SB)
+
+DATA columns4<>+0(SB)/8, $-1
+DATA columns4<>+8(SB)/8, $-1
+DATA columns4<>+16(SB)/8, $-1
+DATA columns4<>+24(SB)/8, $-1
+DATA columns4<>+32(SB)/8, $0
+DATA columns4<>+40(SB)/8, $0
+DATA columns4<>+48(SB)/8, $0
+DATA columns4<>+56(SB)/8, $0
+GLOBL columns4<>(SB), RODATA|NOPTR, $64
 
 // func rowsWide4(p *rowArgs)
 TEXT ·rowsWide4(SB), NOSPLIT, $0-8
@@ -138,71 +189,12 @@ TEXT ·rowsNarrow4(SB), NOSPLIT, $0-8
 	MOVQ p+0(FP), DX
 #include "rows_narrow_amd64.h"
 
-#undef A0
-#undef A1
-#undef A2
-#undef A3
-#undef A4
-#undef A5
-#undef A6
-#undef A7
-#undef B0
-#undef B1
-#undef B2
-#undef B3
-#undef M0
-#undef M1
-#undef M2
-#undef M3
-#undef T0
-#undef T1
-#undef T2
-#undef T3
-#undef LANES
-#undef O1
-#undef O2
-#undef O3
-#undef O4
-#undef O5
-#undef O6
-#undef MOVV
-#undef BCAST
-#undef MULV
-#undef ADDV
-
-// One lane: scalar AVX, with the four-lane ZERO and RELU on the XMM registers
-// (what they leave in the upper lane is never stored).
-#define A0 X0
-#define A1 X1
-#define A2 X2
-#define A3 X3
-#define B0 X4
-#define B1 X5
-#define B2 X6
-#define B3 X7
-#define M0 X8
-#define M1 X9
-#define M2 X10
-#define M3 X11
-#define T0 X12
-#define T1 X13
-#define T2 X14
-#define T3 X15
-#define MOVV VMOVSD
-#define BCAST VMOVSD
-#define MULV VMULSD
-#define ADDV VADDSD
-
-// func rowsNarrow1(p *rowArgs)
-TEXT ·rowsNarrow1(SB), NOSPLIT, $0-8
-	MOVQ p+0(FP), DX
-#include "rows_narrow_amd64.h"
-
 // func cpuHasAVX2() bool
 //
-// AVX2 is usable when CPUID reports it (leaf 7, EBX bit 5), reports AVX and
-// OSXSAVE (leaf 1, ECX bits 28 and 27), and XCR0 says the OS saves and
-// restores both the XMM and the YMM halves of the registers (bits 1 and 2).
+// The four-lane body is usable when CPUID reports AVX2 and BMI1 — the bit-mask
+// walk is TZCNT and BLSR — (leaf 7, EBX bits 5 and 3), reports AVX and OSXSAVE
+// (leaf 1, ECX bits 28 and 27), and XCR0 says the OS saves and restores both
+// the XMM and the YMM halves of the registers (bits 1 and 2).
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVB $0, ret+0(FP)
 	XORL AX, AX
@@ -223,8 +215,9 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
-	BTL  $5, BX
-	JCC  done
+	ANDL $0x28, BX
+	CMPL BX, $0x28
+	JNE  done
 	MOVB $1, ret+0(FP)
 
 done:

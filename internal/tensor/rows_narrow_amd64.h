@@ -1,183 +1,153 @@
-// The narrow resident row kernel, included once per unit by rows_amd64.s,
-// which defines the unit: the registers (A0-A3 accumulators, one per dst row;
-// B0-B3 the block's four rows of b; M0-M3 multipliers; T0-T3 products), the
-// instructions that move, broadcast, multiply and add one unit (a ZMM, a YMM
-// or a scalar) and ZERO/RELU for it. On entry DX holds the *rowArgs
-// (kernels.go states what the fields mean); args.w is the unit's width and
-// is not read.
+// The narrow resident row kernel, included once per vector width by
+// rows_amd64.s, which defines the registers (A0-A7 accumulators, one per dst
+// row; B the row of b; M0-M1 and T0-T2 scratch; ZR zero) and COLUMNS, LOADW,
+// STOREW, MADD, ZERO, RELU, GATE and ANYNAN for that width. On entry DX holds the
+// *rowArgs (kernels.go states what the fields mean).
 //
-// One unit of columns has one accumulator per row and so one chain of
-// dependent adds: a row alone runs at the latency of an add. Four rows at a
-// time take turns block by block instead, four independent chains in flight
-// sharing one load of the block's rows of b, and what is left of the row
-// count goes one by one. The arithmetic of a row is the wide kernel's:
-// accumulator loaded or zeroed, blocks of four k with the whole-block ±0
-// skip, the 1-3 left over with the per-multiplier skip, bias, ReLU
-// sign-mask, one store; multiply then add, never fused.
+// One panel of args.w columns, 1 <= w <= LANES, as one vector whose other
+// lanes are masked off every load and store: nothing at or beyond column w is
+// read or written. A panel has one accumulator per row and so one chain of
+// dependent adds: a row alone runs at the latency of an add. Eight rows at a
+// time take turns k by k instead, eight independent chains in flight sharing
+// one load of b's row, and what is left of the row count goes one by one.
+// The arithmetic of a row is the wide kernel's — accumulator loaded or
+// zeroed, the k sum without the multipliers that are ±0, bias, ReLU
+// sign-mask, gate, one store; multiply then add, never fused — but a zero
+// multiplier is not walked around here. Its product is ±0, and adding that
+// changes nothing, unless what it multiplies is not finite: so the kernel
+// first looks through the panel of b, and only if an infinity or a NaN is in
+// it do the groups of eight take the steps whose add is masked off by the
+// multiplier's own compare with zero (MADD), which leaves the sum as
+// untouched as no step at all. Single rows always take those: they wait for
+// the add before and have the compare for free.
 
-// ALLZERO sets ZF when the four multipliers of row ar's block are all ±0.
-#define ALLZERO(ar) \
-	MOVQ (ar), AX; ORQ (ar)(R12*1), AX; ORQ (ar)(R12*2), AX; ORQ (ar)(R13*1), AX; SHLQ $1, AX
+// PLAINMADD is MADD without the compare: for a b that is all finite.
+#define PLAINMADD(p, a, m, t, k) \
+	VBROADCASTSD (p), m; VMULPD B, m, t; VADDPD t, a, a
 
-// LOADB loads the block's four rows of b, which every row of the group
-// multiplies.
-#define LOADB \
-	MOVV (SI), B0; MOVV (SI)(R14*1), B1; MOVV (SI)(R14*2), B2; MOVV (SI)(R15*1), B3
+// EIGHT is op on each row's accumulator in turn. LOADROW, GATEROW and STOREROW
+// are such ops on the row of d at AX, or its gate at SI, moving on to the
+// next row, BX bytes further; BIASROW adds the bias in T1.
+#define EIGHT(op) op(A0); op(A1); op(A2); op(A3); op(A4); op(A5); op(A6); op(A7)
+#define LOADROW(acc) LOADW((AX), acc); ADDQ BX, AX
+#define BIASROW(acc) VADDPD T1, acc, acc
+#define GATEROW(acc) LOADW((SI), T0); GATE(T0, acc); ADDQ BX, SI
+#define STOREROW(acc) STOREW(acc, (AX)); ADDQ BX, AX
 
-#define MULADD4(ar, acc) \
-	BCAST (ar), M0; BCAST (ar)(R12*1), M1; BCAST (ar)(R12*2), M2; BCAST (ar)(R13*1), M3; \
-	MULV B0, M0, T0; ADDV T0, acc, acc; \
-	MULV B1, M1, T1; ADDV T1, acc, acc; \
-	MULV B2, M2, T2; ADDV T2, acc, acc; \
-	MULV B3, M3, T3; ADDV T3, acc, acc
+// SUM8 is the k sum of eight rows, BX multipliers each.
+#define SUM8(loop, madd) \
+loop: \
+	LOADW((SI), B); \
+	madd(R8, A0, M0, T0, K1); \
+	madd(R9, A1, M1, T1, K2); \
+	madd(R10, A2, M0, T0, K1); \
+	madd(R11, A3, M1, T1, K2); \
+	madd(R12, A4, M0, T0, K1); \
+	madd(R13, A5, M1, T1, K2); \
+	madd(R14, A6, M0, T0, K1); \
+	madd(R15, A7, M1, T1, K2); \
+	ADDQ CX, R8; \
+	ADDQ CX, R9; \
+	ADDQ CX, R10; \
+	ADDQ CX, R11; \
+	ADDQ CX, R12; \
+	ADDQ CX, R13; \
+	ADDQ CX, R14; \
+	ADDQ CX, R15; \
+	ADDQ DI, SI; \
+	DECQ BX; \
+	JNZ  loop
 
-// ZERO1 sets ZF when row ar's next multiplier is ±0.
-#define ZERO1(ar) \
-	MOVQ (ar), AX; SHLQ $1, AX
-
-#define MULADD1(ar, acc, t) \
-	BCAST (ar), M0; MULV B0, M0, t; ADDV t, acc, acc
-
-// DROWS leaves the byte offsets of dst rows 1 and 3 of the group in AX and
-// CX; row 2 is at twice AX.
-#define DROWS \
-	MOVQ rowArgs_dStep(DX), AX; SHLQ $3, AX; LEAQ (AX)(AX*2), CX
-
-	MOVQ rowArgs_d(DX), DI
+	MOVQ rowArgs_d(DX), AX
+	MOVQ AX, rowArgs_dRow(DX)
 	MOVQ rowArgs_a(DX), AX
 	MOVQ AX, rowArgs_aRow(DX)
 	MOVQ rowArgs_rows(DX), AX
 	MOVQ AX, rowArgs_left(DX)
-	MOVQ rowArgs_aStride(DX), R12
-	SHLQ $3, R12               // strides in bytes from here on
-	LEAQ (R12)(R12*2), R13
-	MOVQ rowArgs_ldb(DX), R14
-	SHLQ $3, R14
-	LEAQ (R14)(R14*2), R15
-	CMPQ rowArgs_left(DX), $4
+	COLUMNS(rowArgs_w(DX), AX)
+	MOVQ rowArgs_aStride(DX), CX
+	SHLQ $3, CX                // strides in bytes from here on
+	MOVQ rowArgs_ldb(DX), DI
+	SHLQ $3, DI
+	ZERO(ZR)
+	CMPQ rowArgs_left(DX), $8
 	JB   single
+	MOVQ rowArgs_b(DX), SI
+	MOVQ rowArgs_k(DX), BX
+	ZERO(T2)
 
-quad:
-	MOVQ  rowArgs_aRow(DX), R8 // the four rows' multipliers
-	MOVQ  rowArgs_aStep(DX), AX
-	LEAQ  (R8)(AX*8), R9
-	LEAQ  (R9)(AX*8), R10
-	LEAQ  (R10)(AX*8), R11
-	LEAQ  (R11)(AX*8), CX
-	MOVQ  CX, rowArgs_aRow(DX) // the next group's first row
-	MOVQ  rowArgs_b(DX), SI
+finite:
+	LOADW((SI), B)
+	VMULPD B, ZR, T0           // NaN where b is not finite
+	VADDPD T0, T2, T2
+	ADDQ DI, SI
+	DECQ BX
+	JNZ  finite
+	ANYNAN(T2, AX)
+	MOVQ AX, rowArgs_masked(DX)
+
+eight:
+	CMPQ rowArgs_left(DX), $8
+	JB   single
+	MOVQ rowArgs_aRow(DX), R8  // the eight rows' multipliers
+	MOVQ rowArgs_aStep(DX), AX
+	LEAQ (R8)(AX*8), R9
+	LEAQ (R9)(AX*8), R10
+	LEAQ (R10)(AX*8), R11
+	LEAQ (R11)(AX*8), R12
+	LEAQ (R12)(AX*8), R13
+	LEAQ (R13)(AX*8), R14
+	LEAQ (R14)(AX*8), R15
+	LEAQ (R15)(AX*8), AX
+	MOVQ AX, rowArgs_aRow(DX)  // the next group's first row
+	MOVQ rowArgs_b(DX), SI
 	TESTQ $FLAG_ACCUMULATE, rowArgs_flags(DX)
-	JZ    quadfresh
-	DROWS
-	MOVV  (DI), A0
-	MOVV  (DI)(AX*1), A1
-	MOVV  (DI)(AX*2), A2
-	MOVV  (DI)(CX*1), A3
-	JMP   quadblocks
+	JZ    eightfresh
+	MOVQ  rowArgs_dRow(DX), AX
+	MOVQ  rowArgs_dStep(DX), BX
+	SHLQ  $3, BX
+	EIGHT(LOADROW)
+	JMP   eightsum
 
-quadfresh:
-	ZERO(A0)
-	ZERO(A1)
-	ZERO(A2)
-	ZERO(A3)
+eightfresh:
+	EIGHT(ZERO)
 
-quadblocks:
+eightsum:
 	MOVQ rowArgs_k(DX), BX
-	SHRQ $2, BX
-	JZ   quadrest
+	CMPQ rowArgs_masked(DX), $0
+	JNE  eightmasked
+	SUM8(eightplain, PLAINMADD)
+	JMP  eightbias
 
-quadblock:
-	LOADB
-	ALLZERO(R8)
-	JZ   quadblock1
-	MULADD4(R8, A0)
+eightmasked:
+	SUM8(eightk, MADD)
 
-quadblock1:
-	ALLZERO(R9)
-	JZ   quadblock2
-	MULADD4(R9, A1)
-
-quadblock2:
-	ALLZERO(R10)
-	JZ   quadblock3
-	MULADD4(R10, A2)
-
-quadblock3:
-	ALLZERO(R11)
-	JZ   quadnext
-	MULADD4(R11, A3)
-
-quadnext:
-	LEAQ (R8)(R12*4), R8
-	LEAQ (R9)(R12*4), R9
-	LEAQ (R10)(R12*4), R10
-	LEAQ (R11)(R12*4), R11
-	LEAQ (SI)(R14*4), SI
-	DECQ BX
-	JNZ  quadblock
-
-quadrest:
-	MOVQ rowArgs_k(DX), BX
-	ANDQ $3, BX
-	JZ   quadfinish
-
-quadone:
-	MOVV (SI), B0
-	ZERO1(R8)
-	JZ   quadone1
-	MULADD1(R8, A0, T0)
-
-quadone1:
-	ZERO1(R9)
-	JZ   quadone2
-	MULADD1(R9, A1, T1)
-
-quadone2:
-	ZERO1(R10)
-	JZ   quadone3
-	MULADD1(R10, A2, T2)
-
-quadone3:
-	ZERO1(R11)
-	JZ   quadonenext
-	MULADD1(R11, A3, T3)
-
-quadonenext:
-	ADDQ R12, R8
-	ADDQ R12, R9
-	ADDQ R12, R10
-	ADDQ R12, R11
-	ADDQ R14, SI
-	DECQ BX
-	JNZ  quadone
-
-quadfinish:
-	MOVQ  rowArgs_bias(DX), CX
-	TESTQ CX, CX
-	JZ    quadstore
-	MOVV  (CX), T0
-	ADDV  T0, A0, A0
-	ADDV  T0, A1, A1
-	ADDV  T0, A2, A2
-	ADDV  T0, A3, A3
+eightbias:
+	MOVQ  rowArgs_bias(DX), AX
+	TESTQ AX, AX
+	JZ    eightstore
+	LOADW((AX), T1)
+	EIGHT(BIASROW)
 	TESTQ $FLAG_RELU, rowArgs_flags(DX)
-	JZ    quadstore
-	ZERO(M0)
-	RELU(A0)
-	RELU(A1)
-	RELU(A2)
-	RELU(A3)
+	JZ    eightstore
+	EIGHT(RELU)
 
-quadstore:
-	DROWS
-	MOVV A0, (DI)
-	MOVV A1, (DI)(AX*1)
-	MOVV A2, (DI)(AX*2)
-	MOVV A3, (DI)(CX*1)
-	LEAQ (DI)(AX*4), DI
-	SUBQ $4, rowArgs_left(DX)
-	CMPQ rowArgs_left(DX), $4
-	JAE  quad
+eightstore:
+	MOVQ  rowArgs_dRow(DX), AX
+	MOVQ  rowArgs_dStep(DX), BX
+	SHLQ  $3, BX
+	MOVQ  rowArgs_gate(DX), SI
+	TESTQ SI, SI
+	JZ    eightout
+	SUBQ  rowArgs_d(DX), SI    // from a dst element to its gate
+	ADDQ  AX, SI
+	EIGHT(GATEROW)
+
+eightout:
+	EIGHT(STOREROW)
+	MOVQ AX, rowArgs_dRow(DX)
+	SUBQ $8, rowArgs_left(DX)
+	JMP  eight
 
 single:
 	CMPQ rowArgs_left(DX), $0
@@ -186,67 +156,52 @@ single:
 row:
 	MOVQ  rowArgs_aRow(DX), R8
 	MOVQ  rowArgs_b(DX), SI
+	MOVQ  rowArgs_dRow(DX), AX
 	TESTQ $FLAG_ACCUMULATE, rowArgs_flags(DX)
 	JZ    fresh
-	MOVV  (DI), A0
-	JMP   blocks
+	LOADW((AX), A0)
+	JMP   sum
 
 fresh:
 	ZERO(A0)
 
-blocks:
+sum:
 	MOVQ rowArgs_k(DX), BX
-	SHRQ $2, BX
-	JZ   rest
 
-block:
-	ALLZERO(R8)
-	JZ   nextblock
-	LOADB
-	MULADD4(R8, A0)
-
-nextblock:
-	LEAQ (R8)(R12*4), R8
-	LEAQ (SI)(R14*4), SI
+onek:
+	LOADW((SI), B)
+	MADD(R8, A0, M0, T0, K1)
+	ADDQ CX, R8
+	ADDQ DI, SI
 	DECQ BX
-	JNZ  block
+	JNZ  onek
 
-rest:
-	MOVQ rowArgs_k(DX), BX
-	ANDQ $3, BX
-	JZ   finish
-
-one:
-	ZERO1(R8)
-	JZ   nextone
-	MOVV (SI), B0
-	MULADD1(R8, A0, T0)
-
-nextone:
-	ADDQ R12, R8
-	ADDQ R14, SI
-	DECQ BX
-	JNZ  one
-
-finish:
-	MOVQ  rowArgs_bias(DX), CX
-	TESTQ CX, CX
-	JZ    store
-	MOVV  (CX), T0
-	ADDV  T0, A0, A0
+	MOVQ  rowArgs_bias(DX), BX
+	TESTQ BX, BX
+	JZ    gate
+	LOADW((BX), T1)
+	VADDPD T1, A0, A0
 	TESTQ $FLAG_RELU, rowArgs_flags(DX)
-	JZ    store
-	ZERO(M0)
+	JZ    gate
 	RELU(A0)
 
+gate:
+	MOVQ  rowArgs_gate(DX), SI
+	TESTQ SI, SI
+	JZ    store
+	SUBQ  rowArgs_d(DX), SI
+	LOADW((AX)(SI*1), T1)
+	GATE(T1, A0)
+
 store:
-	MOVV A0, (DI)
-	MOVQ rowArgs_dStep(DX), AX
-	LEAQ (DI)(AX*8), DI
-	MOVQ rowArgs_aStep(DX), AX
-	MOVQ rowArgs_aRow(DX), CX
-	LEAQ (CX)(AX*8), CX
-	MOVQ CX, rowArgs_aRow(DX)
+	STOREW(A0, (AX))
+	MOVQ rowArgs_dStep(DX), BX
+	LEAQ (AX)(BX*8), AX
+	MOVQ AX, rowArgs_dRow(DX)
+	MOVQ rowArgs_aStep(DX), BX
+	MOVQ rowArgs_aRow(DX), AX
+	LEAQ (AX)(BX*8), AX
+	MOVQ AX, rowArgs_aRow(DX)
 	DECQ rowArgs_left(DX)
 	JNZ  row
 
@@ -254,9 +209,10 @@ done:
 	VZEROUPPER
 	RET
 
-#undef ALLZERO
-#undef LOADB
-#undef MULADD4
-#undef ZERO1
-#undef MULADD1
-#undef DROWS
+#undef PLAINMADD
+#undef EIGHT
+#undef LOADROW
+#undef BIASROW
+#undef GATEROW
+#undef STOREROW
+#undef SUM8

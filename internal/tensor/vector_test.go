@@ -134,7 +134,12 @@ func TestClip(t *testing.T) {
 // exactly where ReLU kept the input — where the retained output has any bit
 // set, a NaN and a denormal included — and writes +0 elsewhere, whatever the
 // gradient there was; words beyond the length stay as they were; dst may be
-// grad.
+// grad. And the fused form is the same pass: MatMulGatedParallel against a
+// retained output has the bits of the product followed by ReLUGrad, on each
+// body, over a width for every kernel (one masked panel, a wide panel whose
+// last vector overlaps, a wide panel and a masked one) and a row count that
+// leaves the narrow kernel single rows after its groups of eight, with NaN
+// and -0 products among the gated and the kept.
 func TestReLUGradMatchesReLU(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	inputs := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(math.NaN(), -1)}
@@ -166,6 +171,37 @@ func TestReLUGradMatchesReLU(t *testing.T) {
 		}
 		if dst[n] != 42 {
 			t.Fatalf("n=%d: the word after dst was overwritten", n)
+		}
+	}
+
+	for _, path := range kernelPaths(t) {
+		setKernelPath(t, path)
+		for _, shape := range [][3]int{{1, 5, 64}, {11, 64, 5}, {11, 7, 63}, {67, 64, 69}, {1024, 64, 64}} {
+			m, k, n := shape[0], shape[1], shape[2]
+			g, w, out := New(m, k), New(k, n), New(m, n)
+			fillOperand(g, rng, halfZeros)
+			fillOperand(w, rng, dense)
+			g.Set(m/2, k-1, math.NaN())           // a NaN row of products
+			w.Set(k-1, n/2, math.Copysign(0, -1)) // and a -0 among them
+			for i := range out.Data {
+				out.Data[i] = ReLU(inputs[rng.Intn(len(inputs))])
+				if rng.Intn(2) == 0 {
+					out.Data[i] = ReLU(rng.NormFloat64())
+				}
+			}
+			want := MatMul(New(m, n), g, w)
+			ReLUGrad(want.Data, want.Data, out.Data)
+			got := MatMulGatedParallel(poison(oddMatrix(m, n)), g, w, out)
+			if i, ok := bitsEqual(got, want); !ok {
+				t.Fatalf("path=%s %dx%dx%d: gated element %d (output %v) = %x, want %x", path, m, k, n, i, out.Data[i],
+					math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+			}
+			matMulRows(poison(got), g, w, nil, false, out, m/3, m) // any split of the rows
+			matMulRows(got, g, w, nil, false, out, 0, m/3)
+			if i, ok := bitsEqual(got, want); !ok {
+				t.Fatalf("path=%s %dx%dx%d: gated in two calls, element %d = %x, want %x", path, m, k, n, i,
+					math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+			}
 		}
 	}
 }
