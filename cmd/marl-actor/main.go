@@ -21,68 +21,25 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"marlperf"
+	"marlperf/internal/cli"
 	"marlperf/internal/expserve"
 	"marlperf/internal/expshard"
 	"marlperf/internal/faultnet"
 	"marlperf/internal/mpe"
 	"marlperf/internal/nn"
 	"marlperf/internal/policysync"
-	"marlperf/internal/replay"
 	"marlperf/internal/rollout"
-	"marlperf/internal/telemetry"
-	"marlperf/internal/trace"
 )
 
-const (
-	exitOK          = 0
-	exitError       = 1
-	exitUsage       = 2
-	exitInterrupted = 3
-)
-
-func main() { os.Exit(run()) }
-
-func run() int {
-	var (
-		replayAddr  = flag.String("replay-addr", "127.0.0.1:9300", "replay fabric spec (marl-replayd addresses): comma-separated shard groups, each a pipe-separated replica list (\"h:9300\" is one shard, \"h1:9300|h1:9301,h2:9300\" two shards, the first at R=2)")
-		policyAddr  = flag.String("policy-addr", "", "policy service address (marl-policyd); empty acts with the -load/fresh policy forever")
-		actorID     = flag.String("actor-id", "actor-0", "unique id for this actor's idempotent append stream")
-		envName     = flag.String("env", "cn", "environment: pp, cn or pd (must match the service)")
-		agents      = flag.Int("agents", 3, "number of trainable agents (must match the service)")
-		algoName    = flag.String("algo", "maddpg", "algorithm whose policy network acts: maddpg or matd3")
-		envs        = flag.Int("envs", 1, "environments stepped per engine step (vectorized acting)")
-		firstEnv    = flag.Int("first-env", 0, "global index of this actor's first env (give actor k of a fleet k*envs)")
-		syncEvery   = flag.Int("sync-every", 25, "engine steps between policy version checks")
-		policyWait  = flag.Duration("policy-wait", time.Minute, "how long to wait for the first published policy before acting with the local one")
-		episodes    = flag.Int("episodes", 100, "episodes to collect (0: run until signalled)")
-		seed        = flag.Int64("seed", 1, "RNG seed (per-env streams derive from it and -first-env)")
-		loadPath    = flag.String("load", "", "act with this policy checkpoint until the service publishes a newer one")
-		batchRows   = flag.Int("batch-rows", 512, "transitions per shipped append batch")
-		logEvery    = flag.Int("log-every", 20, "episodes between progress lines")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /tracez and /healthz here (empty: disabled)")
-		runlogPath  = flag.String("runlog", "", "append one JSONL record per completed episode to this file")
-		traceOn     = flag.Bool("trace", false, "record distributed-trace spans for sampled engine steps; costs nothing when off")
-		traceSample = flag.Int("trace-sample", 64, "with -trace: trace every Nth engine step")
-		traceBuf    = flag.Int("trace-buf", trace.DefaultCapacity, "with -trace: span ring-buffer capacity in records")
-		traceOut    = flag.String("trace-out", "", "with -trace: write the recorded spans as Chrome trace JSON to this file at exit")
-		spoolDir    = flag.String("spool-dir", "", "spool experience batches here (one subdirectory per fabric member) while the experience service is unreachable; drained in order on recovery (empty: outages fail the actor)")
-		spoolMaxMB  = flag.Int("spool-max-mb", 1024, "spool size cap in MiB; a full spool stops collection instead of filling the disk")
-		maxStale    = flag.Duration("max-staleness", 0, "pause collection when the policy service has been silent this long (0: act on the last snapshot indefinitely)")
-		chaosSeed   = flag.Int64("chaos-seed", 1, "seed for the deterministic fault injector (-chaos-replay/-chaos-policy)")
-		chaosReplay = flag.String("chaos-replay", "", `inject faults on the replay edge, e.g. "drop=0.1,delay=5ms,delayp=0.2" (testing)`)
-		chaosPolicy = flag.String("chaos-policy", "", "inject faults on the policy edge (same spec syntax; testing)")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), `Usage: marl-actor [flags]
+const usage = `Usage: marl-actor [flags]
 
 Steps a vector of environments under the newest published policy and
 streams every transition to an experience service. Appends are idempotent
@@ -96,76 +53,71 @@ Exit codes:
   1  runtime failure (environment, service unreachable after retries)
   2  bad command line
   3  interrupted by SIGINT/SIGTERM; buffered transitions were flushed
+`
 
-Flags:
-`)
-		flag.PrintDefaults()
+func main() { cli.Main(run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
+	fs := cli.NewFlagSet("marl-actor", usage, stderr)
+	var (
+		replayAddr  = fs.String("replay-addr", "127.0.0.1:9300", "replay fabric spec (marl-replayd addresses): comma-separated shard groups, each a pipe-separated replica list (\"h:9300\" is one shard, \"h1:9300|h1:9301,h2:9300\" two shards, the first at R=2)")
+		policyAddr  = fs.String("policy-addr", "", "policy service address (marl-policyd); empty acts with the -load/fresh policy forever")
+		actorID     = fs.String("actor-id", "actor-0", "unique id for this actor's idempotent append stream")
+		envName     = fs.String("env", "cn", "environment: pp, cn or pd (must match the service)")
+		agents      = fs.Int("agents", 3, "number of trainable agents (must match the service)")
+		algoName    = fs.String("algo", "maddpg", "algorithm whose policy network acts: maddpg or matd3")
+		envs        = fs.Int("envs", 1, "environments stepped per engine step (vectorized acting)")
+		firstEnv    = fs.Int("first-env", 0, "global index of this actor's first env (give actor k of a fleet k*envs)")
+		syncEvery   = fs.Int("sync-every", 25, "engine steps between policy version checks")
+		policyWait  = fs.Duration("policy-wait", time.Minute, "how long to wait for the first published policy before acting with the local one")
+		episodes    = fs.Int("episodes", 100, "episodes to collect (0: run until signalled)")
+		seed        = fs.Int64("seed", 1, "RNG seed (per-env streams derive from it and -first-env)")
+		loadPath    = fs.String("load", "", "act with this policy checkpoint until the service publishes a newer one")
+		batchRows   = fs.Int("batch-rows", 512, "transitions per shipped append batch")
+		logEvery    = fs.Int("log-every", 20, "episodes between progress lines")
+		spoolDir    = fs.String("spool-dir", "", "spool experience batches here (one subdirectory per fabric member) while the experience service is unreachable; drained in order on recovery (empty: outages fail the actor)")
+		spoolMaxMB  = fs.Int("spool-max-mb", 1024, "spool size cap in MiB; a full spool stops collection instead of filling the disk")
+		maxStale    = fs.Duration("max-staleness", 0, "pause collection when the policy service has been silent this long (0: act on the last snapshot indefinitely)")
+		chaosSeed   = fs.Int64("chaos-seed", 1, "seed for the deterministic fault injector (-chaos-replay/-chaos-policy)")
+		chaosReplay = fs.String("chaos-replay", "", `inject faults on the replay edge, e.g. "drop=0.1,delay=5ms,delayp=0.2" (testing)`)
+		chaosPolicy = fs.String("chaos-policy", "", "inject faults on the policy edge (same spec syntax; testing)")
+	)
+	obs := cli.Observe(fs, cli.Role{
+		Proc: "actor", SampleUnit: "engine steps", SampleDefault: 64,
+		RunLogRecord: "record per completed episode",
+	})
+	if code, done := cli.Parse(fs, args, false); done {
+		return code
 	}
-	flag.Parse()
 
-	newEnv, err := envFactory(*envName, *agents)
+	newEnv, err := cli.Env(*envName, *agents)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return exitUsage
+		fmt.Fprintln(stderr, err)
+		return cli.ExitUsage
 	}
-	algo := marlperf.MADDPG
-	if *algoName == "matd3" {
-		algo = marlperf.MATD3
-	} else if *algoName != "maddpg" {
-		fmt.Fprintf(os.Stderr, "unknown algo %q (want maddpg or matd3)\n", *algoName)
-		return exitUsage
+	algo, err := cli.Algo(*algoName)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return cli.ExitUsage
 	}
 	if *envs < 1 || *firstEnv < 0 || *syncEvery < 1 {
-		fmt.Fprintln(os.Stderr, "-envs and -sync-every must be ≥ 1, -first-env ≥ 0")
-		return exitUsage
+		fmt.Fprintln(stderr, "-envs and -sync-every must be ≥ 1, -first-env ≥ 0")
+		return cli.ExitUsage
 	}
 
 	probe := newEnv()
 	cfg := marlperf.DefaultConfig(algo)
 	cfg.Seed = *seed
-	spec := replay.Spec{
-		NumAgents: probe.NumAgents(),
-		ObsDims:   probe.ObsDims(),
-		ActDim:    probe.NumActions(),
-		Capacity:  cfg.BufferCapacity,
-	}
-
-	if *traceOut != "" && !*traceOn {
-		fmt.Fprintln(os.Stderr, "-trace-out requires -trace")
-		return exitUsage
-	}
-	if *traceSample < 1 {
-		fmt.Fprintf(os.Stderr, "-trace-sample %d: want ≥1\n", *traceSample)
-		return exitUsage
-	}
-
-	registry := telemetry.NewRegistry()
+	spec := cli.Spec(probe, cfg.BufferCapacity)
 
 	// The tracer's proc name is the actor ID so a merged multi-process
-	// trace attributes each span row to the right actor. Nil when off —
-	// every instrumented call site no-ops.
-	var tracer *trace.Tracer
-	if *traceOn {
-		tracer = trace.New(*actorID, *traceBuf)
-		tracer.SetSampleEvery(uint64(*traceSample))
-		tracer.SetEnabled(true)
-		fmt.Printf("tracing: sampling 1 in %d engine steps into a %d-record ring\n", *traceSample, *traceBuf)
+	// trace attributes each span row to the right actor.
+	obs.Proc = *actorID
+	if code := obs.Start(stdout, stderr); code != cli.ExitOK {
+		return code
 	}
-
-	var runLog *telemetry.RunLog
-	if *runlogPath != "" {
-		l, err := telemetry.CreateRunLog(*runlogPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitError
-		}
-		runLog = l
-		defer func() {
-			if err := runLog.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "warning: run log close:", err)
-			}
-		}()
-	}
+	defer func() { code = obs.Close(code) }()
+	registry, tracer := obs.Registry, obs.Tracer
 
 	// Optional deterministic fault injection on either network edge; the
 	// chaos harness uses it to prove the resilience paths under a fixed
@@ -177,42 +129,42 @@ Flags:
 		if *chaosReplay != "" {
 			rule, err := faultnet.ParseRule(*chaosReplay)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "-chaos-replay:", err)
-				return exitUsage
+				fmt.Fprintln(stderr, "-chaos-replay:", err)
+				return cli.ExitUsage
 			}
 			if err := chaos.SetRule("replay", rule); err != nil {
-				fmt.Fprintln(os.Stderr, "-chaos-replay:", err)
-				return exitUsage
+				fmt.Fprintln(stderr, "-chaos-replay:", err)
+				return cli.ExitUsage
 			}
 			replayTransport = chaos.RoundTripper("replay", nil)
 		}
 		if *chaosPolicy != "" {
 			rule, err := faultnet.ParseRule(*chaosPolicy)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "-chaos-policy:", err)
-				return exitUsage
+				fmt.Fprintln(stderr, "-chaos-policy:", err)
+				return cli.ExitUsage
 			}
 			if err := chaos.SetRule("policy", rule); err != nil {
-				fmt.Fprintln(os.Stderr, "-chaos-policy:", err)
-				return exitUsage
+				fmt.Fprintln(stderr, "-chaos-policy:", err)
+				return cli.ExitUsage
 			}
 			policyTransport = chaos.RoundTripper("policy", nil)
 		}
-		fmt.Printf("chaos: seed %d replay=%q policy=%q\n", *chaosSeed, *chaosReplay, *chaosPolicy)
+		fmt.Fprintf(stdout, "chaos: seed %d replay=%q policy=%q\n", *chaosSeed, *chaosReplay, *chaosPolicy)
 	}
 
 	onSpool := func(queued int, cause error) {
-		fmt.Fprintf(os.Stderr, "spool: diverted batch to disk (%d queued): %v\n", queued, cause)
+		fmt.Fprintf(stderr, "spool: diverted batch to disk (%d queued): %v\n", queued, cause)
 	}
 	onDrain := func(batches int) {
-		fmt.Fprintf(os.Stderr, "spool: drained %d batch(es) to the service\n", batches)
+		fmt.Fprintf(stderr, "spool: drained %d batch(es) to the service\n", batches)
 	}
 	// Replicated appends fan out across shard groups, routed by each row's
 	// global stream index.
 	groups, err := expshard.ParseSpec(*replayAddr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "-replay-addr:", err)
-		return exitUsage
+		fmt.Fprintln(stderr, "-replay-addr:", err)
+		return cli.ExitUsage
 	}
 	fabric, err := expserve.NewFabric(groups, expserve.FabricOptions{
 		Client: expserve.ClientOptions{
@@ -224,13 +176,13 @@ Flags:
 		Tracer:   tracer,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return exitError
+		fmt.Fprintln(stderr, err)
+		return cli.ExitError
 	}
 	sink, err := expserve.NewShardedSink(fabric, *actorID, spec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return exitError
+		fmt.Fprintln(stderr, err)
+		return cli.ExitError
 	}
 	sink.SetMaxBatchRows(*batchRows)
 	sink.OnSpool, sink.OnDrain = onSpool, onDrain
@@ -240,45 +192,31 @@ Flags:
 	// dedup. With a spool armed an unreachable fabric is survivable.
 	if sp, err := fabric.FetchSpec(); err != nil {
 		if *spoolDir == "" {
-			fmt.Fprintln(os.Stderr, "experience fabric unreachable:", err)
-			return exitError
+			fmt.Fprintln(stderr, "experience fabric unreachable:", err)
+			return cli.ExitError
 		}
-		fmt.Fprintln(os.Stderr, "experience fabric unreachable; spooling until it recovers:", err)
+		fmt.Fprintln(stderr, "experience fabric unreachable; spooling until it recovers:", err)
 	} else {
 		if sp.NumAgents != spec.NumAgents || sp.ActDim != spec.ActDim {
-			fmt.Fprintf(os.Stderr, "fabric shape mismatch: it stores %d agents × %d actions, this env has %d × %d\n",
+			fmt.Fprintf(stderr, "fabric shape mismatch: it stores %d agents × %d actions, this env has %d × %d\n",
 				sp.NumAgents, sp.ActDim, spec.NumAgents, spec.ActDim)
-			return exitUsage
+			return cli.ExitUsage
 		}
 		sink.ResumeCursors()
 	}
-	fmt.Printf("experience fabric: %s\n", expshard.FormatTopology(fabric.Snapshot()))
+	fmt.Fprintf(stdout, "experience fabric: %s\n", expshard.FormatTopology(fabric.Snapshot()))
 	if *spoolDir != "" {
 		if err := sink.EnableSpool(expserve.SpoolOptions{
 			Dir:      *spoolDir,
 			MaxBytes: int64(*spoolMaxMB) << 20,
 			Registry: registry,
 		}); err != nil {
-			fmt.Fprintln(os.Stderr, "enabling spool:", err)
-			return exitError
+			fmt.Fprintln(stderr, "enabling spool:", err)
+			return cli.ExitError
 		}
 		if n := sink.SpoolLen(); n > 0 {
-			fmt.Printf("spool: %d batch(es) left over in %s; draining with new traffic\n", n, *spoolDir)
+			fmt.Fprintf(stdout, "spool: %d batch(es) left over in %s; draining with new traffic\n", n, *spoolDir)
 		}
-	}
-
-	if *metricsAddr != "" {
-		srvCfg := telemetry.ServerConfig{Registry: registry}
-		if tracer != nil {
-			srvCfg.Tracez = tracer.Handler()
-		}
-		ms, err := telemetry.StartServer(*metricsAddr, srvCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitError
-		}
-		defer ms.Close()
-		fmt.Printf("metrics: http://%s/metrics\n", ms.Addr())
 	}
 
 	eng, err := rollout.NewEngine(rollout.Config{
@@ -293,8 +231,8 @@ Flags:
 		Tracer:        tracer,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return exitError
+		fmt.Fprintln(stderr, err)
+		return cli.ExitError
 	}
 
 	// Policy syncer: long-poll marl-policyd in the background, swap newest
@@ -307,23 +245,19 @@ Flags:
 			Tracer:    tracer,
 		})
 		syncer = policysync.NewSyncer(pc, 10*time.Second)
-		syncer.OnError = func(err error) { fmt.Fprintln(os.Stderr, "policy fetch:", err) }
+		syncer.OnError = func(err error) { fmt.Fprintln(stderr, "policy fetch:", err) }
 		syncer.Start()
 		defer syncer.Close()
 	}
 
 	// Initial policy: the service's newest snapshot if one arrives within
 	// -policy-wait, else the -load checkpoint, else fresh seeded networks.
-	if err := installInitialPolicy(eng, syncer, *policyWait, cfg, newEnv(), *loadPath); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return exitError
+	if err := installInitialPolicy(ctx, eng, syncer, *policyWait, cfg, newEnv(), *loadPath, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, err)
+		return cli.ExitError
 	}
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-
-	fmt.Printf("collecting on %s with %d agents × %d envs (global %d..%d) as %q -> %s\n",
+	fmt.Fprintf(stdout, "collecting on %s with %d agents × %d envs (global %d..%d) as %q -> %s\n",
 		probe.Name(), *agents, *envs, *firstEnv, *firstEnv+*envs-1, *actorID, *replayAddr)
 	start := time.Now()
 	completed := 0
@@ -343,12 +277,12 @@ Flags:
 				}
 				if !stalePaused {
 					stalePaused = true
-					fmt.Fprintf(os.Stderr, "policy staleness %v exceeds cap %v; pausing collection\n",
+					fmt.Fprintf(stderr, "policy staleness %v exceeds cap %v; pausing collection\n",
 						gap.Round(time.Second), *maxStale)
 				}
 				select {
-				case sig := <-sigCh:
-					fmt.Fprintf(os.Stderr, "\n%v: flushing and stopping\n", sig)
+				case <-ctx.Done():
+					fmt.Fprintln(stderr, "\nsignal: flushing and stopping")
 					interrupted = true
 				case <-time.After(200 * time.Millisecond):
 				}
@@ -358,7 +292,7 @@ Flags:
 			}
 			if stalePaused && !interrupted {
 				stalePaused = false
-				fmt.Fprintln(os.Stderr, "policy service back in contact; resuming collection")
+				fmt.Fprintln(stderr, "policy service back in contact; resuming collection")
 			}
 			if interrupted {
 				break
@@ -369,82 +303,65 @@ Flags:
 				eng.NoteKnownVersion(snap.Version)
 				if snap.Version > eng.PolicyVersion() {
 					if err := eng.InstallCtx(snap.Version, snap.Agents, snap.TraceCtx); err != nil {
-						fmt.Fprintln(os.Stderr, "installing policy:", err)
-						return exitError
+						fmt.Fprintln(stderr, "installing policy:", err)
+						return cli.ExitError
 					}
-					fmt.Printf("policy: installed v%d (learner updates %d)\n", snap.Version, snap.Updates)
+					fmt.Fprintf(stdout, "policy: installed v%d (learner updates %d)\n", snap.Version, snap.Updates)
 				}
 			}
 		}
 		n, err := eng.Step()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "publishing experience:", err)
-			return exitError
+			fmt.Fprintln(stderr, "publishing experience:", err)
+			return cli.ExitError
 		}
 		completed += n
-		if n > 0 && runLog != nil {
-			if err := runLog.Append(actorEpisodeRecord{
+		if n > 0 {
+			obs.Log(actorEpisodeRecord{
 				Event: "episode", Episodes: completed, Completed: n,
 				Steps: eng.TotalSteps(), Reward: eng.LastEpisodeReward(),
 				PolicyVersion: eng.PolicyVersion(),
 				ElapsedSec:    time.Since(start).Seconds(),
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, "warning: run log append failed:", err)
-				runLog = nil
-			}
+			})
 		}
 		if n > 0 && *logEvery > 0 && completed >= nextLog {
 			nextLog += *logEvery
-			fmt.Printf("episode %6d  reward %10.2f  steps %d  policy v%d  elapsed %v\n",
+			fmt.Fprintf(stdout, "episode %6d  reward %10.2f  steps %d  policy v%d  elapsed %v\n",
 				completed, eng.LastEpisodeReward(), eng.TotalSteps(), eng.PolicyVersion(),
 				time.Since(start).Round(time.Millisecond))
-			if runLog != nil {
-				if err := runLog.Flush(); err != nil {
-					fmt.Fprintln(os.Stderr, "warning: run log flush failed:", err)
-					runLog = nil
-				}
-			}
+			obs.FlushLog()
 		}
-		select {
-		case sig := <-sigCh:
-			fmt.Fprintf(os.Stderr, "\n%v: flushing and stopping\n", sig)
+		if ctx.Err() != nil {
+			fmt.Fprintln(stderr, "\nsignal: flushing and stopping")
 			interrupted = true
-		default:
 		}
 	}
 	if err := sink.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, "final flush:", err)
-		return exitError
+		fmt.Fprintln(stderr, "final flush:", err)
+		return cli.ExitError
 	}
 	// With a spool armed, the final flush may have diverted to disk (or a
 	// backlog may remain); give draining one last try so a clean shutdown
 	// leaves nothing behind when the service is up.
 	if *spoolDir != "" && sink.SpoolLen() > 0 {
 		if err := sink.DrainSpool(); err != nil {
-			fmt.Fprintf(os.Stderr, "spool: %d batch(es) remain in %s (service still unreachable: %v); they drain on the next run\n",
+			fmt.Fprintf(stderr, "spool: %d batch(es) remain in %s (service still unreachable: %v); they drain on the next run\n",
 				sink.SpoolLen(), *spoolDir, err)
 		}
 	}
 	if chaos != nil {
 		for _, edge := range chaos.Edges() {
 			c := chaos.Counts(edge)
-			fmt.Printf("chaos[%s]: %d requests, %d dropped, %d errored, %d delayed\n",
+			fmt.Fprintf(stdout, "chaos[%s]: %d requests, %d dropped, %d errored, %d delayed\n",
 				edge, c.Requests, c.Dropped, c.Errored, c.Delayed)
 		}
 	}
-	if tracer != nil && *traceOut != "" {
-		if err := writeTraceJSON(tracer, *traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "writing trace:", err)
-			return exitError
-		}
-		fmt.Printf("trace written to %s (%d spans, %d dropped)\n", *traceOut, tracer.Len(), tracer.Dropped())
-	}
-	fmt.Printf("done: %d episodes, %d transitions published, final policy v%d in %v\n",
+	fmt.Fprintf(stdout, "done: %d episodes, %d transitions published, final policy v%d in %v\n",
 		completed, eng.TotalSteps(), eng.PolicyVersion(), time.Since(start).Round(time.Millisecond))
 	if interrupted {
-		return exitInterrupted
+		return cli.ExitInterrupted
 	}
-	return exitOK
+	return cli.ExitOK
 }
 
 // actorEpisodeRecord is one -runlog line: emitted whenever an engine step
@@ -459,49 +376,26 @@ type actorEpisodeRecord struct {
 	ElapsedSec    float64 `json:"elapsed_sec"`
 }
 
-// writeTraceJSON dumps the span ring as Chrome trace JSON, the same
-// document /tracez serves.
-func writeTraceJSON(tracer *trace.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tracer.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// envFactory maps the -env flag to an independent-instance constructor.
-func envFactory(name string, agents int) (func() mpe.Env, error) {
-	switch name {
-	case "pp":
-		return func() mpe.Env { return marlperf.NewPredatorPrey(agents) }, nil
-	case "cn":
-		return func() mpe.Env { return marlperf.NewCooperativeNavigation(agents) }, nil
-	case "pd":
-		return func() mpe.Env { return marlperf.NewPhysicalDeception(agents) }, nil
-	default:
-		return nil, fmt.Errorf("unknown env %q (want pp, cn or pd)", name)
-	}
-}
-
 // installInitialPolicy gives the engine something to act with: the policy
 // service's first snapshot when one shows up in time, otherwise local
 // networks — the -load checkpoint's actors, or fresh seeded ones (matching
 // what a learner with the same seed starts from). The syncer keeps running
 // either way, so a late-starting policyd still takes over at the next sync.
-func installInitialPolicy(eng *rollout.Engine, syncer *policysync.Syncer, wait time.Duration, cfg marlperf.Config, env mpe.Env, loadPath string) error {
+func installInitialPolicy(ctx context.Context, eng *rollout.Engine, syncer *policysync.Syncer, wait time.Duration, cfg marlperf.Config, env mpe.Env, loadPath string, stdout, stderr io.Writer) error {
 	if syncer != nil {
-		if snap := syncer.WaitFirst(wait); snap != nil {
+		// In slices, so a signal during the wait is not held for all of it.
+		var snap *policysync.Snapshot
+		for deadline := time.Now().Add(wait); snap == nil && ctx.Err() == nil && time.Now().Before(deadline); {
+			snap = syncer.WaitFirst(200 * time.Millisecond)
+		}
+		if snap != nil {
 			if err := eng.InstallCtx(snap.Version, snap.Agents, snap.TraceCtx); err != nil {
 				return fmt.Errorf("installing served policy: %w", err)
 			}
-			fmt.Printf("policy: installed v%d (learner updates %d)\n", snap.Version, snap.Updates)
+			fmt.Fprintf(stdout, "policy: installed v%d (learner updates %d)\n", snap.Version, snap.Updates)
 			return nil
 		}
-		fmt.Fprintf(os.Stderr, "no policy published within %v; starting from the local one\n", wait)
+		fmt.Fprintf(stderr, "no policy published within %v; starting from the local one\n", wait)
 	}
 	nets, err := localActorNetworks(cfg, env, loadPath)
 	if err != nil {
@@ -511,7 +405,7 @@ func installInitialPolicy(eng *rollout.Engine, syncer *policysync.Syncer, wait t
 		return fmt.Errorf("installing local policy: %w", err)
 	}
 	if loadPath != "" {
-		fmt.Printf("acting with policy from %s\n", loadPath)
+		fmt.Fprintf(stdout, "acting with policy from %s\n", loadPath)
 	}
 	return nil
 }

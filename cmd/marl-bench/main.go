@@ -11,37 +11,56 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"time"
 
+	"marlperf/internal/cli"
 	"marlperf/internal/experiments"
-	"marlperf/internal/telemetry"
 )
 
-func main() {
+const usage = `Usage: marl-bench [flags]
+
+Regenerates the paper's tables and figures: each experiment prints the
+measured rows next to the paper's reference values. -list names them.
+
+Exit codes:
+  0  every requested experiment completed
+  1  runtime failure
+  2  bad command line
+  3  interrupted by SIGINT/SIGTERM; the experiment in flight was abandoned
+`
+
+func main() { cli.Main(run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
+	fs := cli.NewFlagSet("marl-bench", usage, stderr)
 	var (
-		exp         = flag.String("exp", "", "experiment ID (table1, fig2…fig14, ablation-*) or 'all'")
-		scale       = flag.String("scale", "small", "measurement scale: small or full")
-		list        = flag.Bool("list", false, "list available experiments and exit")
-		format      = flag.String("format", "text", "output format: text or md")
-		workers     = flag.Int("workers", 0, "update-stage worker pool size (0: keep the scale's serial default); results are seed-identical for any value")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address while experiments run")
-		runlogPath  = flag.String("runlog", "", "append one JSONL record per completed experiment to this file")
+		exp     = fs.String("exp", "", "experiment ID (table1, fig2…fig14, ablation-*) or 'all'")
+		scale   = fs.String("scale", "small", "measurement scale: small or full")
+		list    = fs.Bool("list", false, "list available experiments and exit")
+		format  = fs.String("format", "text", "output format: text or md")
+		workers = fs.Int("workers", 0, "update-stage worker pool size (0: keep the scale's serial default); results are seed-identical for any value")
 	)
-	flag.Parse()
+	// Opt-in live observability: experiment progress on /metrics, and —
+	// the main draw for long `full`-scale runs — CPU/heap profiles on
+	// /debug/pprof. No spans: the experiments build their own trainers.
+	obs := cli.Observe(fs, cli.Role{RunLogRecord: "record per completed experiment"})
+	if code, done := cli.Parse(fs, args, false); done {
+		return code
+	}
 
 	if *list || *exp == "" {
-		fmt.Println("available experiments:")
+		fmt.Fprintln(stdout, "available experiments:")
 		for _, r := range experiments.All() {
-			fmt.Printf("  %-20s %s\n", r.ID, r.Description)
+			fmt.Fprintf(stdout, "  %-20s %s\n", r.ID, r.Description)
 		}
 		if *exp == "" && !*list {
-			fmt.Println("\nrun one with: marl-bench -exp <id> [-scale small|full]")
+			fmt.Fprintln(stdout, "\nrun one with: marl-bench -exp <id> [-scale small|full]")
 		}
-		return
+		return cli.ExitOK
 	}
 
 	var s experiments.Scale
@@ -51,8 +70,8 @@ func main() {
 	case "full":
 		s = experiments.FullScale()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q (want small or full)\n", *scale)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown scale %q (want small or full)\n", *scale)
+		return cli.ExitUsage
 	}
 	if *workers > 0 {
 		s.UpdateWorkers = *workers
@@ -66,76 +85,56 @@ func main() {
 			id = strings.TrimSpace(id)
 			r := experiments.Get(id)
 			if r == nil {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", id)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "unknown experiment %q; use -list\n", id)
+				return cli.ExitUsage
 			}
 			runners = append(runners, r)
 		}
 	}
 
-	// Opt-in live observability: experiment progress on /metrics, and —
-	// the main draw for long `full`-scale runs — CPU/heap profiles on
-	// /debug/pprof.
-	var reg *telemetry.Registry
-	if *metricsAddr != "" {
-		reg = telemetry.NewRegistry()
-		reg.SetHelp("marl_bench_experiment_running", "1 while the labelled experiment runs, 0 once it finished.")
-		reg.SetHelp("marl_bench_experiments_completed_total", "Experiments finished by this process.")
-		reg.SetHelp("marl_bench_experiment_seconds", "Wall time per completed experiment.")
-		srv, err := telemetry.StartServer(*metricsAddr, telemetry.ServerConfig{Registry: reg})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics on http://%s (pprof at /debug/pprof)\n", srv.Addr())
+	if code := obs.Start(stderr, stderr); code != cli.ExitOK {
+		return code
 	}
-
-	var runLog *telemetry.RunLog
-	if *runlogPath != "" {
-		l, err := telemetry.CreateRunLog(*runlogPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		runLog = l
-		defer func() {
-			if err := runLog.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "warning: run log close:", err)
-			}
-		}()
-	}
+	defer func() { code = obs.Close(code) }()
+	reg := obs.Registry
+	reg.SetHelp("marl_bench_experiment_running", "1 while the labelled experiment runs, 0 once it finished.")
+	reg.SetHelp("marl_bench_experiments_completed_total", "Experiments finished by this process.")
+	reg.SetHelp("marl_bench_experiment_seconds", "Wall time per completed experiment.")
 
 	for _, r := range runners {
-		var running *telemetry.Gauge
-		if reg != nil {
-			running = reg.Gauge("marl_bench_experiment_running", "exp", r.ID)
-			running.Set(1)
-		}
+		running := reg.Gauge("marl_bench_experiment_running", "exp", r.ID)
+		running.Set(1)
 		start := time.Now()
-		res := r.Run(s)
+		// An experiment takes no context; run it beside the wait so a
+		// signal still closes the run log and exits.
+		done := make(chan *experiments.Result, 1)
+		go func() { done <- r.Run(s) }()
+		var res *experiments.Result
+		select {
+		case res = <-done:
+		case <-ctx.Done():
+			fmt.Fprintf(stderr, "\nsignal: abandoning %s\n", r.ID)
+			return cli.ExitInterrupted
+		}
 		elapsed := time.Since(start)
-		if reg != nil {
-			running.Set(0)
-			reg.Counter("marl_bench_experiments_completed_total").Inc()
-			reg.Histogram("marl_bench_experiment_seconds", nil).Observe(elapsed.Seconds())
-		}
-		if runLog != nil {
-			_ = runLog.Append(experimentRecord{
-				Event: "experiment", Time: time.Now(),
-				ID: r.ID, Scale: s.Name, ElapsedSec: elapsed.Seconds(),
-			})
-			_ = runLog.Flush()
-		}
+		running.Set(0)
+		reg.Counter("marl_bench_experiments_completed_total").Inc()
+		reg.Histogram("marl_bench_experiment_seconds", nil).Observe(elapsed.Seconds())
+		obs.Log(experimentRecord{
+			Event: "experiment", Time: time.Now(),
+			ID: r.ID, Scale: s.Name, ElapsedSec: elapsed.Seconds(),
+		})
+		obs.FlushLog()
 		if *format == "md" {
-			fmt.Printf("## %s — %s (scale=%s)\n\n", r.ID, r.Description, s.Name)
-			fmt.Println(res.Markdown())
+			fmt.Fprintf(stdout, "## %s — %s (scale=%s)\n\n", r.ID, r.Description, s.Name)
+			fmt.Fprintln(stdout, res.Markdown())
 		} else {
-			fmt.Printf("### %s — %s (scale=%s)\n", r.ID, r.Description, s.Name)
-			fmt.Println(res.String())
+			fmt.Fprintf(stdout, "### %s — %s (scale=%s)\n", r.ID, r.Description, s.Name)
+			fmt.Fprintln(stdout, res.String())
 		}
-		fmt.Printf("[%s completed in %v]\n\n", r.ID, elapsed.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", r.ID, elapsed.Round(time.Millisecond))
 	}
+	return cli.ExitOK
 }
 
 // experimentRecord is one -runlog line, emitted per completed experiment.

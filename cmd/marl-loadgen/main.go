@@ -21,8 +21,8 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"math/rand"
@@ -33,37 +33,13 @@ import (
 	"sync"
 	"time"
 
+	"marlperf/internal/cli"
 	"marlperf/internal/serve"
 	"marlperf/internal/telemetry"
 	"marlperf/internal/trace"
 )
 
-const (
-	exitOK    = 0
-	exitError = 1
-	exitUsage = 2
-)
-
-func main() { os.Exit(run()) }
-
-func run() int {
-	var (
-		addr        = flag.String("addr", "127.0.0.1:9500", "marl-serve address")
-		clients     = flag.Int("clients", 8, "concurrent closed-loop clients")
-		duration    = flag.Duration("duration", 10*time.Second, "how long to drive load")
-		encoding    = flag.String("encoding", "json", "request encoding: json or binary")
-		pinVersion  = flag.Uint64("pin-version", 0, "pin every request to this policy version (0: unpinned)")
-		seed        = flag.Int64("seed", 1, "observation-stream seed (per-client streams derive from it)")
-		timeout     = flag.Duration("timeout", 5*time.Second, "per-request HTTP timeout")
-		warmup      = flag.Duration("warmup", 0, "drive load this long before measuring (excluded from the report)")
-		reportPath  = flag.String("report", "", "write the JSON report here (empty: stdout only)")
-		traceOn     = flag.Bool("trace", false, "record a client span per response that carries trace context")
-		traceSample = flag.Int("trace-sample", 1, "with -trace: record every Nth traced response")
-		traceBuf    = flag.Int("trace-buf", trace.DefaultCapacity, "with -trace: span ring-buffer capacity in records")
-		traceOut    = flag.String("trace-out", "", "with -trace: write the recorded spans as Chrome trace JSON to this file at exit")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), `Usage: marl-loadgen [flags]
+const usage = `Usage: marl-loadgen [flags]
 
 Closed-loop load against a marl-serve /act endpoint: every client keeps
 exactly one request in flight, so concurrency is the -clients knob and
@@ -74,36 +50,45 @@ Exit codes:
   0  load completed
   1  runtime failure (gateway unreachable, every request failing)
   2  bad command line
+  3  interrupted by SIGINT/SIGTERM before the load completed
+`
 
-Flags:
-`)
-		flag.PrintDefaults()
+func main() { cli.Main(run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
+	fs := cli.NewFlagSet("marl-loadgen", usage, stderr)
+	var (
+		addr       = fs.String("addr", "127.0.0.1:9500", "marl-serve address")
+		clients    = fs.Int("clients", 8, "concurrent closed-loop clients")
+		duration   = fs.Duration("duration", 10*time.Second, "how long to drive load")
+		encoding   = fs.String("encoding", "json", "request encoding: json or binary")
+		pinVersion = fs.Uint64("pin-version", 0, "pin every request to this policy version (0: unpinned)")
+		seed       = fs.Int64("seed", 1, "observation-stream seed (per-client streams derive from it)")
+		timeout    = fs.Duration("timeout", 5*time.Second, "per-request HTTP timeout")
+		warmup     = fs.Duration("warmup", 0, "drive load this long before measuring (excluded from the report)")
+		reportPath = fs.String("report", "", "write the JSON report here (empty: stdout only)")
+	)
+	obs := cli.Observe(fs, cli.Role{
+		Proc: "marl-loadgen", SampleUnit: "responses that carry trace context", SampleDefault: 1,
+		NoMetricsAddr: true,
+	})
+	if code, done := cli.Parse(fs, args, false); done {
+		return code
 	}
-	flag.Parse()
 
 	if *clients < 1 || *duration <= 0 {
-		fmt.Fprintln(os.Stderr, "-clients must be ≥1 and -duration > 0")
-		return exitUsage
+		fmt.Fprintln(stderr, "-clients must be ≥1 and -duration > 0")
+		return cli.ExitUsage
 	}
 	if *encoding != "json" && *encoding != "binary" {
-		fmt.Fprintf(os.Stderr, "unknown encoding %q (want json or binary)\n", *encoding)
-		return exitUsage
+		fmt.Fprintf(stderr, "unknown encoding %q (want json or binary)\n", *encoding)
+		return cli.ExitUsage
 	}
-	if *traceOut != "" && !*traceOn {
-		fmt.Fprintln(os.Stderr, "-trace-out requires -trace")
-		return exitUsage
+	if code := obs.Start(stdout, stderr); code != cli.ExitOK {
+		return code
 	}
-	if *traceSample < 1 {
-		fmt.Fprintf(os.Stderr, "-trace-sample %d: want ≥1\n", *traceSample)
-		return exitUsage
-	}
-
-	var tracer *trace.Tracer
-	if *traceOn {
-		tracer = trace.New("marl-loadgen", *traceBuf)
-		tracer.SetSampleEvery(uint64(*traceSample))
-		tracer.SetEnabled(true)
-	}
+	defer func() { code = obs.Close(code) }()
+	tracer := obs.Tracer
 
 	base := "http://" + *addr
 	if len(*addr) > 7 && ((*addr)[:7] == "http://" || (len(*addr) > 8 && (*addr)[:8] == "https://")) {
@@ -114,14 +99,14 @@ Flags:
 	// flag and can never disagree with the policy about widths.
 	st, err := fetchStatz(base, *timeout)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fetching serving shape:", err)
-		return exitError
+		fmt.Fprintln(stderr, "fetching serving shape:", err)
+		return cli.ExitError
 	}
 	if !st.Ready {
-		fmt.Fprintln(os.Stderr, "gateway is not ready (no policy installed); start marl-serve against a publishing policyd first")
-		return exitError
+		fmt.Fprintln(stderr, "gateway is not ready (no policy installed); start marl-serve against a publishing policyd first")
+		return cli.ExitError
 	}
-	fmt.Printf("target %s: serving v%d (%d agents, obs %v → %d actions)\n", base, st.Version, st.Agents, st.ObsDims, st.ActDim)
+	fmt.Fprintf(stdout, "target %s: serving v%d (%d agents, obs %v → %d actions)\n", base, st.Version, st.Agents, st.ObsDims, st.ActDim)
 
 	actURL := base + serve.PathAct
 	if *pinVersion > 0 {
@@ -147,7 +132,7 @@ Flags:
 			for i, w := range st.ObsDims {
 				obs[i] = make([]float64, w)
 			}
-			for time.Now().Before(deadline) {
+			for time.Now().Before(deadline) && ctx.Err() == nil {
 				for _, row := range obs {
 					for j := range row {
 						row[j] = rng.NormFloat64()
@@ -174,10 +159,14 @@ Flags:
 		}(c)
 	}
 	wg.Wait()
+	if ctx.Err() != nil {
+		fmt.Fprintln(stderr, "\nsignal: load abandoned")
+		return cli.ExitInterrupted
+	}
 
 	if requests == 0 || errors == requests {
-		fmt.Fprintf(os.Stderr, "no successful requests (%d sent, %d errored)\n", requests, errors)
-		return exitError
+		fmt.Fprintf(stderr, "no successful requests (%d sent, %d errored)\n", requests, errors)
+		return cli.ExitError
 	}
 
 	snap := lat.Snapshot()
@@ -206,37 +195,20 @@ Flags:
 
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return exitError
+		fmt.Fprintln(stderr, err)
+		return cli.ExitError
 	}
-	fmt.Println(string(out))
+	fmt.Fprintln(stdout, string(out))
 	if *reportPath != "" {
 		if err := os.WriteFile(*reportPath, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "writing report:", err)
-			return exitError
+			fmt.Fprintln(stderr, "writing report:", err)
+			return cli.ExitError
 		}
 	}
 	for _, v := range versions {
-		fmt.Printf("version %d served %d requests (%.1f%%)\n", v, versionHits[v], 100*float64(versionHits[v])/float64(requests-errors))
+		fmt.Fprintf(stdout, "version %d served %d requests (%.1f%%)\n", v, versionHits[v], 100*float64(versionHits[v])/float64(requests-errors))
 	}
-	if tracer != nil && *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "writing trace:", err)
-			return exitError
-		}
-		if err := tracer.WriteChrome(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "writing trace:", err)
-			return exitError
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "writing trace:", err)
-			return exitError
-		}
-		fmt.Printf("trace written to %s (%d spans, %d dropped)\n", *traceOut, tracer.Len(), tracer.Dropped())
-	}
-	return exitOK
+	return cli.ExitOK
 }
 
 // report is the loadgen's JSON output document.

@@ -18,43 +18,16 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"net/http"
-	"os"
-	"os/signal"
-	"sync"
-	"syscall"
 	"time"
 
+	"marlperf/internal/cli"
 	"marlperf/internal/policysync"
-	"marlperf/internal/telemetry"
-	"marlperf/internal/trace"
 )
 
-const (
-	exitOK    = 0
-	exitError = 1
-	exitUsage = 2
-)
-
-func main() { os.Exit(run()) }
-
-func run() int {
-	var (
-		addr     = flag.String("addr", "127.0.0.1:9400", "address to serve the policy API, /metrics and /healthz on")
-		maxWait  = flag.Duration("max-wait", 30*time.Second, "cap on one long-poll hold")
-		maxFrame = flag.Int64("max-frame-bytes", 256<<20, "largest accepted policy snapshot")
-		quiet    = flag.Bool("quiet", false, "suppress the per-publish log line")
-		drain    = flag.Duration("drain-timeout", 5*time.Second, "grace period for in-flight responses on SIGINT/SIGTERM")
-
-		metricsAddr = flag.String("metrics-addr", "", "additionally serve /metrics, /tracez, /healthz and /debug/pprof on this separate address (the main -addr always serves /metrics)")
-		runlogPath  = flag.String("runlog", "", "append one JSONL record per accepted publish to this file")
-		traceOn     = flag.Bool("trace", false, "record server spans for traced publish/fetch requests (X-Marl-Trace header); costs nothing when off")
-		traceBuf    = flag.Int("trace-buf", trace.DefaultCapacity, "with -trace: span ring-buffer capacity in records")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), `Usage: marl-policyd [flags]
+const usage = `Usage: marl-policyd [flags]
 
 Serves versioned policy snapshots for a networked actor/learner split:
 POST /v1/policy publishes one CRC-framed per-agent weight snapshot (the
@@ -66,143 +39,74 @@ reports version/updates/bytes. /metrics exposes the marl_policy_* series;
 Corrupt publishes are rejected before they can reach any actor, and
 serving versions are assigned server-side, so learner restarts never
 stall subscribers.
+`
 
-Flags:
-`)
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
-		return exitUsage
-	}
+func main() { cli.Main(run) }
 
-	registry := telemetry.NewRegistry()
-	store := policysync.NewStore(registry)
-
-	var runLog *telemetry.RunLog
-	if *runlogPath != "" {
-		l, err := telemetry.CreateRunLog(*runlogPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitError
-		}
-		runLog = l
-		defer func() {
-			if err := runLog.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "warning: run log close:", err)
-			}
-		}()
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
+	fs := cli.NewFlagSet("marl-policyd", usage, stderr)
+	var (
+		addr     = fs.String("addr", "127.0.0.1:9400", "address to serve the policy API, /metrics, /tracez and /healthz on")
+		maxWait  = fs.Duration("max-wait", 30*time.Second, "cap on one long-poll hold")
+		maxFrame = fs.Int64("max-frame-bytes", 256<<20, "largest accepted policy snapshot")
+		quiet    = fs.Bool("quiet", false, "suppress the per-publish log line")
+		drain    = fs.Duration("drain-timeout", 5*time.Second, "grace period for in-flight responses on SIGINT/SIGTERM")
+	)
+	obs := cli.Observe(fs, cli.Role{Proc: "policyd", RunLogRecord: "record per accepted publish"})
+	if code, done := cli.Parse(fs, args, false); done {
+		return code
 	}
+	if code := obs.Start(stdout, stderr); code != cli.ExitOK {
+		return code
+	}
+	defer func() { code = obs.Close(code) }()
+
+	store := policysync.NewStore(obs.Registry)
 	// OnPublish runs outside the store lock on the publishing request's
-	// goroutine; the buffered run-log writer is not concurrency-safe, so
-	// concurrent publishes (possible, if unusual) serialize on logMu.
-	var logMu sync.Mutex
+	// goroutine; concurrent publishes are possible, if unusual.
 	store.OnPublish = func(version, updates uint64, bytes int) {
 		if !*quiet {
-			fmt.Printf("published v%d (learner updates %d, %d bytes)\n", version, updates, bytes)
+			fmt.Fprintf(stdout, "published v%d (learner updates %d, %d bytes)\n", version, updates, bytes)
 		}
-		if runLog != nil {
-			logMu.Lock()
-			_ = runLog.Append(publishRecord{
-				Event: "publish", Time: time.Now(),
-				Version: version, Updates: updates, Bytes: bytes,
-			})
-			_ = runLog.Flush()
-			logMu.Unlock()
-		}
-	}
-
-	var tracer *trace.Tracer
-	if *traceOn {
-		tracer = trace.New("policyd", *traceBuf)
-		tracer.SetEnabled(true)
-		fmt.Printf("tracing: recording spans for traced requests into a %d-record ring\n", *traceBuf)
+		obs.Log(publishRecord{
+			Event: "publish", Time: time.Now(),
+			Version: version, Updates: updates, Bytes: bytes,
+		})
+		obs.FlushLog()
 	}
 
 	srv, err := policysync.NewServer(policysync.ServerConfig{
 		Store:         store,
 		MaxWait:       *maxWait,
 		MaxFrameBytes: *maxFrame,
-		Registry:      registry,
-		Tracer:        tracer,
+		Registry:      obs.Registry,
+		Tracer:        obs.Tracer,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return exitError
+		fmt.Fprintln(stderr, err)
+		return cli.ExitError
 	}
-
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", srv.Handler())
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", telemetry.ExpositionContentType)
-		_ = registry.WriteExposition(w)
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/tracez", func(w http.ResponseWriter, r *http.Request) {
-		if tracer == nil {
-			http.Error(w, "tracing not enabled", http.StatusNotFound)
-			return
-		}
-		tracer.Handler().ServeHTTP(w, r)
-	})
+	obs.Mount(mux)
 
-	if *metricsAddr != "" {
-		srvCfg := telemetry.ServerConfig{Registry: registry}
-		if tracer != nil {
-			srvCfg.Tracez = tracer.Handler()
-		}
-		ms, err := telemetry.StartServer(*metricsAddr, srvCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitError
-		}
-		defer ms.Close()
-		fmt.Printf("metrics: http://%s/metrics\n", ms.Addr())
-	}
-
-	hs := &http.Server{Addr: *addr, Handler: mux}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
-
-	fmt.Printf("policy service: serving %s %s /metrics on http://%s (max-wait %v)\n",
-		policysync.PathPolicy, policysync.PathStats, *addr, *maxWait)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-
-	select {
-	case sig := <-sigCh:
-		// Graceful drain: release every parked long-poll immediately (each
-		// fetcher gets the current version and reconnects elsewhere or
-		// retries), then let in-flight responses finish writing.
-		fmt.Fprintf(os.Stderr, "\n%v: draining long-polls (timeout %v)\n", sig, *drain)
-		store.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		go func() {
-			select {
-			case sig := <-sigCh:
-				fmt.Fprintf(os.Stderr, "%v: forcing shutdown\n", sig)
-				cancel()
-			case <-ctx.Done():
-			}
-		}()
-		if err := hs.Shutdown(ctx); err != nil {
-			hs.Close()
-		}
-		cancel()
-		fmt.Fprintln(os.Stderr, "drained; exiting")
-		return exitOK
-	case err := <-errCh:
-		if err != nil && err != http.ErrServerClosed {
-			fmt.Fprintln(os.Stderr, err)
-			return exitError
-		}
-		return exitOK
-	}
+	return cli.Daemon{
+		Addr:    *addr,
+		Handler: mux,
+		Started: func(bound string) {
+			fmt.Fprintf(stdout, "policy service: serving %s %s /metrics on http://%s (max-wait %v)\n",
+				policysync.PathPolicy, policysync.PathStats, bound, *maxWait)
+		},
+		DrainTimeout: *drain,
+		// Release every parked long-poll first (each fetcher gets the
+		// current version and retries elsewhere), then let in-flight
+		// responses finish writing.
+		Drain: func(_ context.Context, shutdown func() error) {
+			store.Close()
+			_ = shutdown() // connections it had to close were given the timeout
+			fmt.Fprintln(stderr, "drained; exiting")
+		},
+	}.Run(ctx, stderr)
 }
 
 // publishRecord is one -runlog line, emitted per accepted publish.

@@ -10,22 +10,20 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"math/rand"
-	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"marlperf"
-	"marlperf/internal/core"
+	"marlperf/internal/cli"
 	"marlperf/internal/replay"
 	"marlperf/internal/simcache"
-	"marlperf/internal/telemetry"
 	"marlperf/internal/tensor"
-	"marlperf/internal/trace"
 )
 
 // samplingCounters is the simulated hardware-counter block of one config.
@@ -49,207 +47,154 @@ type profileJSON struct {
 	Counters  samplingCounters `json:"sampling_counters"`
 }
 
-func main() {
-	var (
-		envName     = flag.String("env", "pp", "environment: pp or cn")
-		algoName    = flag.String("algo", "maddpg", "algorithm: maddpg or matd3")
-		agentsCS    = flag.String("agents", "3,6", "comma-separated agent counts")
-		episodes    = flag.Int("episodes", 4, "episodes per configuration")
-		batch       = flag.Int("batch", 512, "mini-batch size")
-		fill        = flag.Int("fill", 20000, "buffer fill for the counter trace")
-		workers     = flag.Int("workers", 1, "update-stage worker pool size (0: GOMAXPROCS); phase times are per-pool, results are seed-identical")
-		jsonOut     = flag.Bool("json", false, "print one machine-readable JSON line per configuration instead of the text tables")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /profilez, /tracez, /healthz and /debug/pprof on this address while profiling")
-		runlogPath  = flag.String("runlog", "", "append one JSONL run-event record per update step to this file")
-		traceOn     = flag.Bool("trace", false, "record distributed-trace spans for sampled update stages; costs nothing when off")
-		traceSample = flag.Int("trace-sample", 1, "with -trace: trace every Nth update stage")
-		traceOut    = flag.String("trace-out", "", "with -trace: write the recorded spans as Chrome trace JSON to this file at exit")
-	)
-	flag.Parse()
+const usage = `Usage: marl-profile [flags]
 
-	algo := marlperf.MADDPG
-	if *algoName == "matd3" {
-		algo = marlperf.MATD3
+Runs the characterization sweep: for each agent count, a phase-time
+breakdown of a short training run plus the simulated hardware counters of
+one update's sampling phase. -json prints one JSON line per configuration
+instead of the text tables.
+
+Exit codes:
+  0  every configuration profiled
+  1  runtime failure
+  2  bad command line
+  3  interrupted by SIGINT/SIGTERM between configurations
+`
+
+func main() { cli.Main(run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
+	fs := cli.NewFlagSet("marl-profile", usage, stderr)
+	var (
+		envName  = fs.String("env", "pp", "environment: pp, cn or pd")
+		algoName = fs.String("algo", "maddpg", "algorithm: maddpg or matd3")
+		agentsCS = fs.String("agents", "3,6", "comma-separated agent counts")
+		episodes = fs.Int("episodes", 4, "episodes per configuration")
+		batch    = fs.Int("batch", 512, "mini-batch size")
+		fill     = fs.Int("fill", 20000, "buffer fill for the counter trace")
+		workers  = fs.Int("workers", 1, "update-stage worker pool size (0: GOMAXPROCS); phase times are per-pool, results are seed-identical")
+		jsonOut  = fs.Bool("json", false, "print one machine-readable JSON line per configuration instead of the text tables")
+	)
+	// The span tracer is distinct from the simulated-cache access tracer
+	// the counter section uses.
+	obs := cli.Observe(fs, cli.Role{
+		Proc: "profile", SampleUnit: "update stages", SampleDefault: 1,
+		RunLogRecord: "run-event record per update step",
+	})
+	if code, done := cli.Parse(fs, args, false); done {
+		return code
 	}
 
-	var counts []int
+	algo, err := cli.Algo(*algoName)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return cli.ExitUsage
+	}
+	var envs []func() marlperf.Env
 	for _, part := range strings.Split(*agentsCS, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "bad agent count %q\n", part)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "bad agent count %q\n", part)
+			return cli.ExitUsage
 		}
-		counts = append(counts, n)
+		newEnv, err := cli.Env(*envName, n)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return cli.ExitUsage
+		}
+		envs = append(envs, newEnv)
 	}
 
-	var (
-		reg      *telemetry.Registry
-		col      *telemetry.PhaseCollector
-		profSnap *telemetry.JSONSnapshot
-		runLog   *telemetry.RunLog
-	)
-	// spanTracer is the distributed-trace span recorder, distinct from the
-	// simulated-cache access tracer the counter section uses.
-	var spanTracer *trace.Tracer
-	if *traceOn {
-		if *traceSample < 1 {
-			fmt.Fprintf(os.Stderr, "-trace-sample %d: want ≥1\n", *traceSample)
-			os.Exit(2)
-		}
-		spanTracer = trace.New("profile", trace.DefaultCapacity)
-		spanTracer.SetSampleEvery(uint64(*traceSample))
-		spanTracer.SetEnabled(true)
-	} else if *traceOut != "" {
-		fmt.Fprintln(os.Stderr, "-trace-out requires -trace")
-		os.Exit(2)
+	// stdout may be the -json stream, so progress lines go to stderr.
+	if code := obs.Start(stderr, stderr); code != cli.ExitOK {
+		return code
 	}
-	if *metricsAddr != "" {
-		reg = telemetry.NewRegistry()
-		col = telemetry.NewPhaseCollector(reg)
-		profSnap = &telemetry.JSONSnapshot{}
-		srvCfg := telemetry.ServerConfig{Registry: reg, Profilez: profSnap}
-		if spanTracer != nil {
-			srvCfg.Tracez = spanTracer.Handler()
-		}
-		srv, err := telemetry.StartServer(*metricsAddr, srvCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics on http://%s\n", srv.Addr())
-	}
-	if *runlogPath != "" {
-		l, err := telemetry.CreateRunLog(*runlogPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer l.Close()
-		runLog = l
-	}
+	defer func() { code = obs.Close(code) }()
 
-	enc := json.NewEncoder(os.Stdout)
-	for _, n := range counts {
-		var env marlperf.Env
-		if *envName == "pp" {
-			env = marlperf.NewPredatorPrey(n)
-		} else {
-			env = marlperf.NewCooperativeNavigation(n)
+	cfg := marlperf.DefaultConfig(algo)
+	cfg.BatchSize = *batch
+	cfg.BufferCapacity = 8 * *batch
+	cfg.WarmupSize = *batch
+	cfg.UpdateWorkers = *workers
+	for _, newEnv := range envs {
+		if ctx.Err() != nil {
+			return cli.ExitInterrupted
 		}
-		cfg := marlperf.DefaultConfig(algo)
-		cfg.BatchSize = *batch
-		cfg.BufferCapacity = 8 * *batch
-		cfg.WarmupSize = *batch
-		cfg.UpdateWorkers = *workers
-		tr, err := marlperf.NewTrainer(cfg, env)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := profileOne(newEnv(), cfg, *algoName, *episodes, *fill, *jsonOut, obs, stdout); err != nil {
+			fmt.Fprintln(stderr, err)
+			return cli.ExitError
 		}
-		if col != nil {
-			tr.SetPhaseObserver(col)
-		}
-		tr.SetTracer(spanTracer)
-		if runLog != nil {
-			tr.SetUpdateListener(func(ev core.UpdateEvent) {
-				if err := runLog.Append(ev); err != nil {
-					fmt.Fprintln(os.Stderr, "warning: run log append failed:", err)
-				}
-			})
-		}
-		if !*jsonOut {
-			fmt.Printf("=== %s %s, %d agents ===\n", *algoName, env.Name(), n)
-		}
-		tr.Warmup(*batch)
-		start := time.Now()
-		tr.RunEpisodes(*episodes, nil)
-		elapsed := time.Since(start)
-		if !*jsonOut {
-			fmt.Printf("%d episodes in %v\n", *episodes, elapsed.Round(time.Millisecond))
-			fmt.Print(tr.Profile().Report())
-			fmt.Println()
-		}
-		if profSnap != nil {
-			if data, err := json.Marshal(tr.Profile()); err == nil {
-				profSnap.Set(data)
-			}
-		}
-		if runLog != nil {
-			if err := runLog.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "warning: run log flush failed:", err)
-			}
-		}
+	}
+	return cli.ExitOK
+}
 
-		// Simulated sampling-phase counters (perf substitute).
-		spec := replay.Spec{
-			NumAgents: env.NumAgents(),
-			ObsDims:   env.ObsDims(),
-			ActDim:    env.NumActions(),
-			Capacity:  *fill,
-		}
-		buf := replay.NewBuffer(spec)
-		rng := rand.New(rand.NewSource(1))
-		fillSynthetic(buf, spec, *fill, rng)
-		h := simcache.NewHierarchy(simcache.Ryzen3975WX())
-		buf.SetTracer(h)
-		sampler := replay.NewUniformSampler(buf)
-		batches := make([]*replay.AgentBatch, spec.NumAgents)
-		for a := range batches {
-			batches[a] = replay.NewAgentBatch(*batch, spec.ObsDims[a], spec.ActDim)
-		}
-		for trainer := 0; trainer < n; trainer++ {
-			s := sampler.Sample(*batch, rng)
-			buf.GatherAll(s.Indices, batches)
-		}
-		st := h.Stats()
-		ctrs := samplingCounters{
+// profileOne profiles one configuration: a short run for the phase
+// breakdown, then one update's worth of traced gathers for the counters.
+func profileOne(env marlperf.Env, cfg marlperf.Config, algoName string, episodes, fill int, jsonOut bool, obs *cli.Obs, stdout io.Writer) error {
+	n, batch := env.NumAgents(), cfg.BatchSize
+	tr, err := marlperf.NewTrainer(cfg, env)
+	if err != nil {
+		return err
+	}
+	defer tr.Close()
+	obs.AttachTrainer(tr)
+	if !jsonOut {
+		fmt.Fprintf(stdout, "=== %s %s, %d agents ===\n", algoName, env.Name(), n)
+	}
+	tr.Warmup(batch)
+	start := time.Now()
+	tr.RunEpisodes(episodes, nil)
+	elapsed := time.Since(start)
+	if !jsonOut {
+		fmt.Fprintf(stdout, "%d episodes in %v\n", episodes, elapsed.Round(time.Millisecond))
+		fmt.Fprint(stdout, tr.Profile().Report())
+		fmt.Fprintln(stdout)
+	}
+	obs.Refresh(tr)
+
+	// Simulated sampling-phase counters (perf substitute).
+	spec := cli.Spec(env, fill)
+	buf := replay.NewBuffer(spec)
+	rng := rand.New(rand.NewSource(1))
+	fillSynthetic(buf, spec, fill, rng)
+	h := simcache.NewHierarchy(simcache.Ryzen3975WX())
+	buf.SetTracer(h)
+	sampler := replay.NewUniformSampler(buf)
+	batches := make([]*replay.AgentBatch, spec.NumAgents)
+	for a := range batches {
+		batches[a] = replay.NewAgentBatch(batch, spec.ObsDims[a], spec.ActDim)
+	}
+	for trainer := 0; trainer < n; trainer++ {
+		s := sampler.Sample(batch, rng)
+		buf.GatherAll(s.Indices, batches)
+	}
+	st := h.Stats()
+	if !jsonOut {
+		fmt.Fprintf(stdout, "sampling-phase counters (1 update, simulated Ryzen/RTX-3090 host):\n")
+		fmt.Fprintf(stdout, "  accesses %d  L1 misses %d  LLC misses %d  dTLB misses %d\n\n",
+			st.Accesses, st.L1Misses, st.L3Misses, st.TLBMisses)
+		return nil
+	}
+	profData, err := json.Marshal(tr.Profile())
+	if err != nil {
+		return err
+	}
+	return json.NewEncoder(stdout).Encode(profileJSON{
+		Env:       env.Name(),
+		Algo:      algoName,
+		Agents:    n,
+		Episodes:  episodes,
+		Workers:   tr.UpdateWorkers(),
+		Kernels:   tensor.KernelPath(),
+		ElapsedMS: elapsed.Milliseconds(),
+		Profile:   profData,
+		Counters: samplingCounters{
 			Accesses:   st.Accesses,
 			L1Misses:   st.L1Misses,
 			LLCMisses:  st.L3Misses,
 			DTLBMisses: st.TLBMisses,
-		}
-		if *jsonOut {
-			profData, err := json.Marshal(tr.Profile())
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := enc.Encode(profileJSON{
-				Env:       env.Name(),
-				Algo:      *algoName,
-				Agents:    n,
-				Episodes:  *episodes,
-				Workers:   tr.UpdateWorkers(),
-				Kernels:   tensor.KernelPath(),
-				ElapsedMS: elapsed.Milliseconds(),
-				Profile:   profData,
-				Counters:  ctrs,
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		} else {
-			fmt.Printf("sampling-phase counters (1 update, simulated Ryzen/RTX-3090 host):\n")
-			fmt.Printf("  accesses %d  L1 misses %d  LLC misses %d  dTLB misses %d\n\n",
-				st.Accesses, st.L1Misses, st.L3Misses, st.TLBMisses)
-		}
-		tr.Close()
-	}
-	if spanTracer != nil && *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			err = spanTracer.WriteChrome(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "writing trace:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s (%d spans)\n", *traceOut, spanTracer.Len())
-	}
+		},
+	})
 }
 
 func fillSynthetic(buf *replay.Buffer, spec replay.Spec, n int, rng *rand.Rand) {

@@ -20,48 +20,16 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
+	"io"
 	"time"
 
+	"marlperf/internal/cli"
 	"marlperf/internal/policysync"
 	"marlperf/internal/serve"
-	"marlperf/internal/telemetry"
-	"marlperf/internal/trace"
 )
 
-const (
-	exitOK          = 0
-	exitError       = 1
-	exitUsage       = 2
-	exitInterrupted = 3
-)
-
-func main() { os.Exit(run()) }
-
-func run() int {
-	var (
-		addr          = flag.String("addr", "127.0.0.1:9500", "serve /act, /healthz and /statz here")
-		policyAddr    = flag.String("policy-addr", "127.0.0.1:9400", "policy service address (marl-policyd) to subscribe to")
-		policyWait    = flag.Duration("policy-wait", 0, "wait this long for the first snapshot before serving (0: start unready and let /healthz gate)")
-		batchWindow   = flag.Duration("batch-window", 2*time.Millisecond, "how long the batcher holds an incomplete batch open for more requests (0: batch only what is already queued)")
-		maxBatch      = flag.Int("max-batch", 64, "most requests coalesced into one forward")
-		queueDepth    = flag.Int("queue-depth", 0, "request queue bound; beyond it /act answers 429 (0: 4×max-batch)")
-		canaryPercent = flag.Int("canary-percent", 0, "route this % of unpinned requests to the newest snapshot, the rest to the previous one (0: all traffic serves the newest)")
-		canarySeed    = flag.Int64("canary-seed", 1, "seed for the deterministic canary split")
-		direct        = flag.Bool("direct", false, "disable micro-batching: one forward per request under a mutex (benchmark baseline)")
-		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
-		metricsAddr   = flag.String("metrics-addr", "", "serve /metrics, /tracez and /healthz here (empty: disabled)")
-		traceOn       = flag.Bool("trace", false, "record act-request/batch-forward spans for sampled requests; costs nothing when off")
-		traceSample   = flag.Int("trace-sample", 64, "with -trace: trace every Nth request")
-		traceBuf      = flag.Int("trace-buf", trace.DefaultCapacity, "with -trace: span ring-buffer capacity in records")
-		traceOut      = flag.String("trace-out", "", "with -trace: write the recorded spans as Chrome trace JSON to this file at exit")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), `Usage: marl-serve [flags]
+const usage = `Usage: marl-serve [flags]
 
 Serves actions from the newest published policy. POST /act takes one
 observation set — {"obs": [[...], ...]} as JSON, or raw f64le values as
@@ -74,34 +42,36 @@ Exit codes:
   0  drained and stopped cleanly after SIGINT/SIGTERM
   1  runtime failure
   2  bad command line
+`
 
-Flags:
-`)
-		flag.PrintDefaults()
+func main() { cli.Main(run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
+	fs := cli.NewFlagSet("marl-serve", usage, stderr)
+	var (
+		addr          = fs.String("addr", "127.0.0.1:9500", "serve /act, /healthz and /statz here")
+		policyAddr    = fs.String("policy-addr", "127.0.0.1:9400", "policy service address (marl-policyd) to subscribe to")
+		policyWait    = fs.Duration("policy-wait", 0, "wait this long for the first snapshot before serving (0: start unready and let /healthz gate)")
+		batchWindow   = fs.Duration("batch-window", 2*time.Millisecond, "how long the batcher holds an incomplete batch open for more requests (0: batch only what is already queued)")
+		maxBatch      = fs.Int("max-batch", 64, "most requests coalesced into one forward")
+		queueDepth    = fs.Int("queue-depth", 0, "request queue bound; beyond it /act answers 429 (0: 4×max-batch)")
+		canaryPercent = fs.Int("canary-percent", 0, "route this % of unpinned requests to the newest snapshot, the rest to the previous one (0: all traffic serves the newest)")
+		canarySeed    = fs.Int64("canary-seed", 1, "seed for the deterministic canary split")
+		direct        = fs.Bool("direct", false, "disable micro-batching: one forward per request under a mutex (benchmark baseline)")
+		drainTimeout  = fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
+	)
+	obs := cli.Observe(fs, cli.Role{Proc: "marl-serve", SampleUnit: "requests", SampleDefault: 64})
+	if code, done := cli.Parse(fs, args, false); done {
+		return code
 	}
-	flag.Parse()
-
 	if *maxBatch < 1 || *canaryPercent < 0 || *canaryPercent > 100 {
-		fmt.Fprintln(os.Stderr, "-max-batch must be ≥1 and -canary-percent in [0,100]")
-		return exitUsage
+		fmt.Fprintln(stderr, "-max-batch must be ≥1 and -canary-percent in [0,100]")
+		return cli.ExitUsage
 	}
-	if *traceOut != "" && !*traceOn {
-		fmt.Fprintln(os.Stderr, "-trace-out requires -trace")
-		return exitUsage
+	if code := obs.Start(stdout, stderr); code != cli.ExitOK {
+		return code
 	}
-	if *traceSample < 1 {
-		fmt.Fprintf(os.Stderr, "-trace-sample %d: want ≥1\n", *traceSample)
-		return exitUsage
-	}
-
-	registry := telemetry.NewRegistry()
-	var tracer *trace.Tracer
-	if *traceOn {
-		tracer = trace.New("marl-serve", *traceBuf)
-		tracer.SetSampleEvery(uint64(*traceSample))
-		tracer.SetEnabled(true)
-		fmt.Printf("tracing: sampling 1 in %d requests into a %d-record ring\n", *traceSample, *traceBuf)
-	}
+	defer func() { code = obs.Close(code) }()
 
 	gw := serve.NewGateway(serve.Config{
 		Window:        *batchWindow,
@@ -110,114 +80,79 @@ Flags:
 		CanaryPercent: *canaryPercent,
 		Seed:          *canarySeed,
 		Direct:        *direct,
-		Registry:      registry,
-		Tracer:        tracer,
+		Registry:      obs.Registry,
+		Tracer:        obs.Tracer,
 	})
 	srv, err := serve.NewServer(gw)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return exitError
+		fmt.Fprintln(stderr, err)
+		return cli.ExitError
 	}
 
 	// Policy subscription: every snapshot the syncer lands is hot-swapped
 	// in; the first one also backfills the stable canary arm from the
 	// service's previous retained version, so the split works immediately
 	// for a gateway that started late.
-	pc := policysync.NewClient(*policyAddr, policysync.ClientOptions{Registry: registry, Tracer: tracer})
+	pc := policysync.NewClient(*policyAddr, policysync.ClientOptions{Registry: obs.Registry, Tracer: obs.Tracer})
 	syncer := policysync.NewSyncer(pc, 10*time.Second)
-	syncer.OnError = func(err error) { fmt.Fprintln(os.Stderr, "policy fetch:", err) }
+	syncer.OnError = func(err error) { fmt.Fprintln(stderr, "policy fetch:", err) }
 	syncer.OnInstall = func(snap *policysync.Snapshot) {
 		backfill := !gw.Ready() && snap.Version >= 2
 		if err := gw.Install(snap.Version, snap.Updates, snap.Agents, snap.TraceCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "installing snapshot:", err)
+			fmt.Fprintln(stderr, "installing snapshot:", err)
 			return
 		}
-		fmt.Printf("policy: serving v%d (learner updates %d)\n", snap.Version, snap.Updates)
+		fmt.Fprintf(stdout, "policy: serving v%d (learner updates %d)\n", snap.Version, snap.Updates)
 		if backfill {
-			prev, err := pc.FetchVersion(context.Background(), snap.Version-1)
+			prev, err := pc.FetchVersion(ctx, snap.Version-1)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "backfilling previous version:", err)
+				fmt.Fprintln(stderr, "backfilling previous version:", err)
 				return
 			}
 			if prev != nil {
 				if err := gw.InstallPrevious(prev.Version, prev.Updates, prev.Agents, prev.TraceCtx); err != nil {
-					fmt.Fprintln(os.Stderr, "installing previous version:", err)
+					fmt.Fprintln(stderr, "installing previous version:", err)
 					return
 				}
-				fmt.Printf("policy: stable arm backfilled with v%d\n", prev.Version)
+				fmt.Fprintf(stdout, "policy: stable arm backfilled with v%d\n", prev.Version)
 			}
 		}
 	}
 	syncer.Start()
 	defer syncer.Close()
 
-	if *policyWait > 0 {
-		if snap := syncer.WaitFirst(*policyWait); snap == nil {
-			fmt.Fprintf(os.Stderr, "no policy published within %v; serving unready\n", *policyWait)
+	// In slices, so a signal during the wait is not held for all of it.
+	for deadline := time.Now().Add(*policyWait); ctx.Err() == nil && time.Now().Before(deadline); {
+		if syncer.WaitFirst(200*time.Millisecond) != nil {
+			break
 		}
 	}
-
-	if *metricsAddr != "" {
-		srvCfg := telemetry.ServerConfig{Registry: registry}
-		if tracer != nil {
-			srvCfg.Tracez = tracer.Handler()
-		}
-		ms, err := telemetry.StartServer(*metricsAddr, srvCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitError
-		}
-		defer ms.Close()
-		fmt.Printf("metrics: http://%s/metrics\n", ms.Addr())
+	if *policyWait > 0 && !gw.Ready() {
+		fmt.Fprintf(stderr, "no policy published within %v; serving unready\n", *policyWait)
 	}
 
-	bound, closeSrv, err := srv.ListenAndServe(*addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return exitError
-	}
-	mode := "micro-batching"
-	if *direct {
-		mode = "direct (per-request)"
-	}
-	fmt.Printf("serving actions on http://%s%s (%s, window %v, max batch %d, canary %d%%) from policy service %s\n",
-		bound, serve.PathAct, mode, *batchWindow, *maxBatch, *canaryPercent, *policyAddr)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-	sig := <-sigCh
-	fmt.Fprintf(os.Stderr, "\n%v: draining\n", sig)
-
-	// Drain before closing the listener: new /act requests answer 503 while
-	// accepted ones finish, matching replayd/policyd shutdown behavior.
-	if err := srv.BeginDrain(*drainTimeout); err != nil {
-		fmt.Fprintln(os.Stderr, "drain:", err)
-	}
-	_ = closeSrv()
-
-	if tracer != nil && *traceOut != "" {
-		if err := writeTraceJSON(tracer, *traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "writing trace:", err)
-			return exitError
-		}
-		fmt.Printf("trace written to %s (%d spans, %d dropped)\n", *traceOut, tracer.Len(), tracer.Dropped())
-	}
-	head, prev := gw.Versions()
-	fmt.Printf("stopped: head v%d, stable v%d\n", head, prev)
-	return exitOK
-}
-
-// writeTraceJSON dumps the span ring as Chrome trace JSON, the same
-// document /tracez serves.
-func writeTraceJSON(tracer *trace.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tracer.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cli.Daemon{
+		Addr:    *addr,
+		Handler: srv.Handler(),
+		Started: func(bound string) {
+			mode := "micro-batching"
+			if *direct {
+				mode = "direct (per-request)"
+			}
+			fmt.Fprintf(stdout, "serving actions on http://%s%s (%s, window %v, max batch %d, canary %d%%) from policy service %s\n",
+				bound, serve.PathAct, mode, *batchWindow, *maxBatch, *canaryPercent, *policyAddr)
+		},
+		DrainTimeout: *drainTimeout,
+		// Drain before closing the listener: new /act requests answer 503
+		// while accepted ones finish. BeginDrain takes the timeout, not the
+		// context, so a second signal does not shorten it.
+		Drain: func(_ context.Context, shutdown func() error) {
+			if err := srv.BeginDrain(*drainTimeout); err != nil {
+				fmt.Fprintln(stderr, "drain:", err)
+			}
+			_ = shutdown() // every accepted request has been answered
+			head, prev := gw.Versions()
+			fmt.Fprintf(stdout, "stopped: head v%d, stable v%d\n", head, prev)
+		},
+	}.Run(ctx, stderr)
 }

@@ -27,8 +27,8 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,52 +37,45 @@ import (
 	"strings"
 	"time"
 
+	"marlperf/internal/cli"
 	"marlperf/internal/trace"
 )
 
-const (
-	exitOK    = 0
-	exitError = 1
-	exitUsage = 2
-	exitGate  = 4
-)
-
-func main() { os.Exit(run()) }
-
-func run() int {
-	var (
-		out       = flag.String("o", "", "write the merged Chrome trace JSON here (opens in Perfetto)")
-		reqProcs  = flag.Int("require-procs", 0, "fail (exit 4) unless at least one trace spans this many distinct processes")
-		profilez  = flag.String("profilez", "", "learner /profilez URL or JSON file; reconcile phase-span sums against its phase totals")
-		tolerance = flag.Float64("tolerance", 0.05, "allowed relative deviation for the -profilez reconciliation")
-		timeout   = flag.Duration("timeout", 5*time.Second, "HTTP timeout per capture")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), `Usage: marl-trace [flags] <source>...
+const usage = `Usage: marl-trace [flags] <source>...
 
 Each source is a /tracez URL (http://host:port/tracez) or a Chrome-trace
 JSON file written by a -trace-out flag. Captures are merged by the
 trace/span IDs in event args; the report breaks down per-update critical
 paths and verifies cross-process stitching.
+`
 
-Flags:
-`)
-		flag.PrintDefaults()
+func main() { cli.Main(run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("marl-trace", usage, stderr)
+	var (
+		out       = fs.String("o", "", "write the merged Chrome trace JSON here (opens in Perfetto)")
+		reqProcs  = fs.Int("require-procs", 0, "fail (exit 4) unless at least one trace spans this many distinct processes")
+		profilez  = fs.String("profilez", "", "learner /profilez URL or JSON file; reconcile phase-span sums against its phase totals")
+		tolerance = fs.Float64("tolerance", 0.05, "allowed relative deviation for the -profilez reconciliation")
+		timeout   = fs.Duration("timeout", 5*time.Second, "HTTP timeout per capture")
+	)
+	if code, done := cli.Parse(fs, args, true); done {
+		return code
 	}
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "need at least one /tracez URL or trace file")
-		return exitUsage
+	if fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "need at least one /tracez URL or trace file")
+		return cli.ExitUsage
 	}
 
 	client := &http.Client{Timeout: *timeout}
 	var spans []span
 	merged := trace.ChromeTrace{DisplayTimeUnit: "ms"}
-	for i, src := range flag.Args() {
-		ct, err := loadSource(client, src)
+	for i, src := range fs.Args() {
+		ct, err := loadSource(ctx, client, src)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "capturing %s: %v\n", src, err)
-			return exitError
+			fmt.Fprintf(stderr, "capturing %s: %v\n", src, err)
+			return cli.ExitError
 		}
 		// Every source gets its own pid row in the merged view. The span
 		// identity lives in args, so the remap is display-only.
@@ -112,22 +105,22 @@ Flags:
 				Args: map[string]any{"name": src},
 			})
 		}
-		fmt.Printf("%-44s %6d spans\n", src, n)
+		fmt.Fprintf(stdout, "%-44s %6d spans\n", src, n)
 	}
 
 	if *out != "" {
 		if err := writeMerged(*out, merged); err != nil {
-			fmt.Fprintln(os.Stderr, "writing merged trace:", err)
-			return exitError
+			fmt.Fprintln(stderr, "writing merged trace:", err)
+			return cli.ExitError
 		}
-		fmt.Printf("merged trace written to %s (%d events)\n", *out, len(merged.TraceEvents))
+		fmt.Fprintf(stdout, "merged trace written to %s (%d events)\n", *out, len(merged.TraceEvents))
 	}
 
 	traces := groupTraces(spans)
-	reportStitching(traces)
-	reportBreakdown(traces)
+	reportStitching(stdout, traces)
+	reportBreakdown(stdout, traces)
 
-	code := exitOK
+	code := cli.ExitOK
 	if *reqProcs > 0 {
 		widest := 0
 		for _, tr := range traces {
@@ -136,20 +129,20 @@ Flags:
 			}
 		}
 		if widest < *reqProcs {
-			fmt.Fprintf(os.Stderr, "FAIL: no trace spans %d processes (widest: %d)\n", *reqProcs, widest)
-			code = exitGate
+			fmt.Fprintf(stderr, "FAIL: no trace spans %d processes (widest: %d)\n", *reqProcs, widest)
+			code = cli.ExitGate
 		} else {
-			fmt.Printf("OK: at least one trace spans ≥%d processes\n", *reqProcs)
+			fmt.Fprintf(stdout, "OK: at least one trace spans ≥%d processes\n", *reqProcs)
 		}
 	}
 	if *profilez != "" {
-		ok, err := reconcileProfile(client, *profilez, spans, *tolerance)
+		ok, err := reconcileProfile(ctx, stdout, client, *profilez, spans, *tolerance)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "profilez reconciliation:", err)
-			return exitError
+			fmt.Fprintln(stderr, "profilez reconciliation:", err)
+			return cli.ExitError
 		}
 		if !ok {
-			code = exitGate
+			code = cli.ExitGate
 		}
 	}
 	return code
@@ -185,28 +178,31 @@ func argID(args map[string]any, key string) (uint64, bool) {
 	return trace.ParseID(s)
 }
 
+// fetch reads one source: an http(s) URL or a file.
+func fetch(ctx context.Context, client *http.Client, src string) ([]byte, error) {
+	if !strings.HasPrefix(src, "http://") && !strings.HasPrefix(src, "https://") {
+		return os.ReadFile(src)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, src, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("server answered %d", resp.StatusCode)
+	}
+	return io.ReadAll(resp.Body)
+}
+
 // loadSource fetches one capture: a /tracez endpoint or a JSON file.
-func loadSource(client *http.Client, src string) (trace.ChromeTrace, error) {
-	var data []byte
-	if strings.HasPrefix(src, "http://") || strings.HasPrefix(src, "https://") {
-		resp, err := client.Get(src)
-		if err != nil {
-			return trace.ChromeTrace{}, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return trace.ChromeTrace{}, fmt.Errorf("server answered %d", resp.StatusCode)
-		}
-		data, err = io.ReadAll(resp.Body)
-		if err != nil {
-			return trace.ChromeTrace{}, err
-		}
-	} else {
-		var err error
-		data, err = os.ReadFile(src)
-		if err != nil {
-			return trace.ChromeTrace{}, err
-		}
+func loadSource(ctx context.Context, client *http.Client, src string) (trace.ChromeTrace, error) {
+	data, err := fetch(ctx, client, src)
+	if err != nil {
+		return trace.ChromeTrace{}, err
 	}
 	return trace.ParseChrome(data)
 }
@@ -271,9 +267,9 @@ func groupTraces(spans []span) []*traceGroup {
 }
 
 // reportStitching summarizes how widely traces stitched across processes.
-func reportStitching(traces []*traceGroup) {
+func reportStitching(stdout io.Writer, traces []*traceGroup) {
 	if len(traces) == 0 {
-		fmt.Println("\nno spans captured")
+		fmt.Fprintln(stdout, "\nno spans captured")
 		return
 	}
 	byWidth := make(map[int]int)
@@ -285,9 +281,9 @@ func reportStitching(traces []*traceGroup) {
 		widths = append(widths, w)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(widths)))
-	fmt.Printf("\n%d traces captured:\n", len(traces))
+	fmt.Fprintf(stdout, "\n%d traces captured:\n", len(traces))
 	for _, w := range widths {
-		fmt.Printf("  %4d spanning %d process(es)\n", byWidth[w], w)
+		fmt.Fprintf(stdout, "  %4d spanning %d process(es)\n", byWidth[w], w)
 	}
 	widest := traces[0] // sorted widest-first
 	procs := make([]string, 0, len(widest.procs))
@@ -299,13 +295,13 @@ func reportStitching(traces []*traceGroup) {
 	if widest.root != nil {
 		rootName = widest.root.name
 	}
-	fmt.Printf("widest trace %s: %d spans, root %q, processes: %s\n",
+	fmt.Fprintf(stdout, "widest trace %s: %d spans, root %q, processes: %s\n",
 		trace.FormatID(widest.id), len(widest.spans), rootName, strings.Join(procs, ", "))
 }
 
 // reportBreakdown prints the per-update critical-path table: for traces
 // rooted at an "update" span, how the loop's time splits per span name.
-func reportBreakdown(traces []*traceGroup) {
+func reportBreakdown(stdout io.Writer, traces []*traceGroup) {
 	type agg struct {
 		name  string
 		count int
@@ -331,7 +327,7 @@ func reportBreakdown(traces []*traceGroup) {
 		}
 	}
 	if updates == 0 {
-		fmt.Println("\nno update-rooted traces captured (learner not among the sources?)")
+		fmt.Fprintln(stdout, "\nno update-rooted traces captured (learner not among the sources?)")
 		return
 	}
 	rows := make([]*agg, 0, len(byName))
@@ -339,14 +335,14 @@ func reportBreakdown(traces []*traceGroup) {
 		rows = append(rows, a)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].total > rows[j].total })
-	fmt.Printf("\nper-update critical path over %d traced update(s) (total %.2f ms):\n", updates, rootTotal/1e3)
-	fmt.Printf("  %-24s %8s %12s %12s %7s\n", "span", "count", "total ms", "mean µs", "share")
+	fmt.Fprintf(stdout, "\nper-update critical path over %d traced update(s) (total %.2f ms):\n", updates, rootTotal/1e3)
+	fmt.Fprintf(stdout, "  %-24s %8s %12s %12s %7s\n", "span", "count", "total ms", "mean µs", "share")
 	for _, a := range rows {
 		share := 0.0
 		if rootTotal > 0 {
 			share = 100 * a.total / rootTotal
 		}
-		fmt.Printf("  %-24s %8d %12.2f %12.1f %6.1f%%\n",
+		fmt.Fprintf(stdout, "  %-24s %8d %12.2f %12.1f %6.1f%%\n",
 			a.name, a.count, a.total/1e3, a.total/float64(a.count), share)
 	}
 }
@@ -364,22 +360,8 @@ type profileDoc struct {
 // update (-trace-sample 1) with a ring large enough to hold the whole run;
 // spans sit inside the profiler's Start/Stop windows, so their sums
 // approximate the phase totals from below.
-func reconcileProfile(client *http.Client, src string, spans []span, tolerance float64) (bool, error) {
-	var data []byte
-	var err error
-	if strings.HasPrefix(src, "http://") || strings.HasPrefix(src, "https://") {
-		resp, gerr := client.Get(src)
-		if gerr != nil {
-			return false, gerr
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return false, fmt.Errorf("server answered %d", resp.StatusCode)
-		}
-		data, err = io.ReadAll(resp.Body)
-	} else {
-		data, err = os.ReadFile(src)
-	}
+func reconcileProfile(ctx context.Context, stdout io.Writer, client *http.Client, src string, spans []span, tolerance float64) (bool, error) {
+	data, err := fetch(ctx, client, src)
 	if err != nil {
 		return false, err
 	}
@@ -403,7 +385,7 @@ func reconcileProfile(client *http.Client, src string, spans []span, tolerance f
 
 	ok := true
 	checked := 0
-	fmt.Println("\nprofiler reconciliation (span sums vs /profilez phase totals):")
+	fmt.Fprintln(stdout, "\nprofiler reconciliation (span sums vs /profilez phase totals):")
 	for _, ph := range doc.Phases {
 		if !phaseNames[ph.Phase] || ph.Nanos == 0 {
 			continue
@@ -416,11 +398,11 @@ func reconcileProfile(client *http.Client, src string, spans []span, tolerance f
 			status = "FAIL"
 			ok = false
 		}
-		fmt.Printf("  %-24s spans %12.0f ns  profiler %12d ns  dev %+6.2f%%  %s\n",
+		fmt.Fprintf(stdout, "  %-24s spans %12.0f ns  profiler %12d ns  dev %+6.2f%%  %s\n",
 			ph.Phase, got, ph.Nanos, 100*dev, status)
 	}
 	if checked == 0 {
-		fmt.Println("  no overlapping phases found — nothing to reconcile")
+		fmt.Fprintln(stdout, "  no overlapping phases found — nothing to reconcile")
 		return false, fmt.Errorf("profile document has none of the instrumented phases")
 	}
 	return ok, nil

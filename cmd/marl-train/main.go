@@ -14,16 +14,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"marlperf"
+	"marlperf/internal/cli"
 	"marlperf/internal/core"
 	"marlperf/internal/expserve"
 	"marlperf/internal/expshard"
@@ -33,67 +33,9 @@ import (
 	"marlperf/internal/profiler"
 	"marlperf/internal/replay"
 	"marlperf/internal/resilience"
-	"marlperf/internal/telemetry"
-	"marlperf/internal/trace"
 )
 
-// Exit codes (documented in -h output).
-const (
-	exitOK          = 0 // training completed
-	exitError       = 1 // runtime failure
-	exitUsage       = 2 // bad command line
-	exitInterrupted = 3 // SIGINT/SIGTERM; final snapshot was written
-)
-
-func main() { os.Exit(run()) }
-
-func run() int {
-	var (
-		envName   = flag.String("env", "cn", "environment: pp (predator-prey), cn (cooperative navigation), pd (physical deception)")
-		algoName  = flag.String("algo", "maddpg", "algorithm: maddpg or matd3")
-		agents    = flag.Int("agents", 3, "number of trainable agents")
-		episodes  = flag.Int("episodes", 100, "episodes to train")
-		sampler   = flag.String("sampler", "uniform", "sampler: uniform, locality, per, ip")
-		neighbors = flag.Int("neighbors", 16, "locality sampler: neighbor run length")
-		refs      = flag.Int("refs", 64, "locality sampler: reference points")
-		batch     = flag.Int("batch", 1024, "mini-batch size")
-		buffer    = flag.Int("buffer", 100_000, "replay capacity")
-		kvLayout  = flag.Bool("kv", false, "enable key-value data-layout reorganization")
-		workers   = flag.Int("workers", 0, "update-stage worker pool size (0: GOMAXPROCS); any value is bit-identical for a fixed seed")
-		seed      = flag.Int64("seed", 1, "RNG seed")
-		logEvery  = flag.Int("log-every", 20, "episodes between progress lines")
-		savePath  = flag.String("save", "", "write a bare checkpoint here after training")
-		loadPath  = flag.String("load", "", "restore a bare checkpoint before training")
-		evalEps   = flag.Int("eval", 0, "greedy evaluation episodes after training")
-		render    = flag.Bool("render", false, "render the final world state as ASCII")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus), /profilez, /tracez, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
-		runlogPath  = flag.String("runlog", "", "append one JSONL run-event record per update step to this file")
-
-		traceOn     = flag.Bool("trace", false, "record distributed-trace spans for sampled update stages; costs nothing when off")
-		traceSample = flag.Int("trace-sample", 1, "with -trace: trace every Nth update stage")
-		traceBuf    = flag.Int("trace-buf", trace.DefaultCapacity, "with -trace: span ring-buffer capacity in records (oldest evicted first)")
-		traceOut    = flag.String("trace-out", "", "with -trace: write the recorded spans as Chrome trace JSON to this file at exit")
-		profileJSON = flag.String("profile-json", "", "write the final phase profile as JSON to this file at exit")
-
-		replayAddr  = flag.String("replay-addr", "", "use a remote experience service (marl-replayd) instead of the in-process buffer: a replay fabric spec of comma-separated shard groups, each a pipe-separated replica list (\"h:9300\" is one shard, \"h1:9300|h1:9301,h2:9300|h2:9301\" two shards at R=2)")
-		actorID     = flag.String("actor-id", "learner-0", "append-stream id for experience this learner collects itself (with -replay-addr)")
-		replayRetry = flag.Duration("replay-retry", 2*time.Minute, "ride out an experience-service outage this long (retries with backoff) before failing the run")
-		sampleConns = flag.Int("sample-conns", 4, "persistent connections striping sample/append traffic to the experience service (with -replay-addr)")
-		prefetch    = flag.Bool("prefetch", false, "overlap next-update sample RPCs with gradient compute (with -replay-addr); bit-identical on or off")
-		spoolDir    = flag.String("spool-dir", "", "spool self-collected experience here while the experience service (or a fabric member) is unreachable; drained in order on recovery (with -replay-addr)")
-
-		policyAddr  = flag.String("policy-publish-addr", "", "publish actor weights to a policy service (marl-policyd) at this address")
-		policyEvery = flag.Int("policy-publish-every", 1, "update stages between policy publishes (with -policy-publish-addr)")
-
-		checkpointDir   = flag.String("checkpoint-dir", "", "directory for crash-safe snapshot generations (enables resumable runs)")
-		checkpointEvery = flag.Int("checkpoint-every", 25, "episodes between periodic snapshots (0: only the final one)")
-		resume          = flag.Bool("resume", false, "resume from the newest intact snapshot in -checkpoint-dir")
-		retain          = flag.Int("retain", 3, "snapshot generations to keep")
-		watchdogOn      = flag.Bool("watchdog", true, "roll back to the last healthy state on NaN/Inf divergence or stalls")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), `Usage: marl-train [flags]
+const usage = `Usage: marl-train [flags]
 
 Trains one MARL configuration end to end and reports reward progress plus
 the phase-time breakdown. With -checkpoint-dir the run is resumable: it
@@ -142,32 +84,67 @@ Exit codes:
   1  runtime failure (environment, trainer, persistence, watchdog budget)
   2  bad command line
   3  interrupted by SIGINT/SIGTERM; the final snapshot was written first
+`
 
-Flags:
-`)
-		flag.PrintDefaults()
+func main() { cli.Main(run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
+	fs := cli.NewFlagSet("marl-train", usage, stderr)
+	var (
+		envName   = fs.String("env", "cn", "environment: pp (predator-prey), cn (cooperative navigation), pd (physical deception)")
+		algoName  = fs.String("algo", "maddpg", "algorithm: maddpg or matd3")
+		agents    = fs.Int("agents", 3, "number of trainable agents")
+		episodes  = fs.Int("episodes", 100, "episodes to train")
+		sampler   = fs.String("sampler", "uniform", "sampler: uniform, locality, per, ip")
+		neighbors = fs.Int("neighbors", 16, "locality sampler: neighbor run length")
+		refs      = fs.Int("refs", 64, "locality sampler: reference points")
+		batch     = fs.Int("batch", 1024, "mini-batch size")
+		buffer    = fs.Int("buffer", 100_000, "replay capacity")
+		kvLayout  = fs.Bool("kv", false, "enable key-value data-layout reorganization")
+		workers   = fs.Int("workers", 0, "update-stage worker pool size (0: GOMAXPROCS); any value is bit-identical for a fixed seed")
+		seed      = fs.Int64("seed", 1, "RNG seed")
+		logEvery  = fs.Int("log-every", 20, "episodes between progress lines")
+		savePath  = fs.String("save", "", "write a bare checkpoint here after training")
+		loadPath  = fs.String("load", "", "restore a bare checkpoint before training")
+		evalEps   = fs.Int("eval", 0, "greedy evaluation episodes after training")
+		render    = fs.Bool("render", false, "render the final world state as ASCII")
+
+		profileJSON = fs.String("profile-json", "", "write the final phase profile as JSON to this file at exit")
+
+		replayAddr  = fs.String("replay-addr", "", "use a remote experience service (marl-replayd) instead of the in-process buffer: a replay fabric spec of comma-separated shard groups, each a pipe-separated replica list (\"h:9300\" is one shard, \"h1:9300|h1:9301,h2:9300|h2:9301\" two shards at R=2)")
+		actorID     = fs.String("actor-id", "learner-0", "append-stream id for experience this learner collects itself (with -replay-addr)")
+		replayRetry = fs.Duration("replay-retry", 2*time.Minute, "ride out an experience-service outage this long (retries with backoff) before failing the run")
+		sampleConns = fs.Int("sample-conns", 4, "persistent connections striping sample/append traffic to the experience service (with -replay-addr)")
+		prefetch    = fs.Bool("prefetch", false, "overlap next-update sample RPCs with gradient compute (with -replay-addr); bit-identical on or off")
+		spoolDir    = fs.String("spool-dir", "", "spool self-collected experience here while the experience service (or a fabric member) is unreachable; drained in order on recovery (with -replay-addr)")
+
+		policyAddr  = fs.String("policy-publish-addr", "", "publish actor weights to a policy service (marl-policyd) at this address")
+		policyEvery = fs.Int("policy-publish-every", 1, "update stages between policy publishes (with -policy-publish-addr)")
+
+		checkpointDir   = fs.String("checkpoint-dir", "", "directory for crash-safe snapshot generations (enables resumable runs)")
+		checkpointEvery = fs.Int("checkpoint-every", 25, "episodes between periodic snapshots (0: only the final one)")
+		resume          = fs.Bool("resume", false, "resume from the newest intact snapshot in -checkpoint-dir")
+		retain          = fs.Int("retain", 3, "snapshot generations to keep")
+		watchdogOn      = fs.Bool("watchdog", true, "roll back to the last healthy state on NaN/Inf divergence or stalls")
+	)
+	obs := cli.Observe(fs, cli.Role{
+		Proc: "learner", SampleUnit: "update stages", SampleDefault: 1,
+		RunLogRecord: "run-event record per update step",
+	})
+	if code, done := cli.Parse(fs, args, false); done {
+		return code
 	}
-	flag.Parse()
 
-	var env marlperf.Env
-	switch *envName {
-	case "pp":
-		env = marlperf.NewPredatorPrey(*agents)
-	case "cn":
-		env = marlperf.NewCooperativeNavigation(*agents)
-	case "pd":
-		env = marlperf.NewPhysicalDeception(*agents)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown env %q (want pp, cn or pd)\n", *envName)
-		return exitUsage
+	newEnv, err := cli.Env(*envName, *agents)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return cli.ExitUsage
 	}
-
-	algo := marlperf.MADDPG
-	if *algoName == "matd3" {
-		algo = marlperf.MATD3
-	} else if *algoName != "maddpg" {
-		fmt.Fprintf(os.Stderr, "unknown algo %q (want maddpg or matd3)\n", *algoName)
-		return exitUsage
+	env := newEnv()
+	algo, err := cli.Algo(*algoName)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return cli.ExitUsage
 	}
 
 	cfg := marlperf.DefaultConfig(algo)
@@ -188,107 +165,81 @@ Flags:
 	case "ip":
 		cfg.Sampler = marlperf.SamplerIPLocality
 	default:
-		fmt.Fprintf(os.Stderr, "unknown sampler %q\n", *sampler)
-		return exitUsage
+		fmt.Fprintf(stderr, "unknown sampler %q\n", *sampler)
+		return cli.ExitUsage
 	}
 	if *resume && *checkpointDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint-dir")
-		return exitUsage
+		fmt.Fprintln(stderr, "-resume requires -checkpoint-dir")
+		return cli.ExitUsage
 	}
 	if *replayAddr != "" && (*resume || *loadPath != "") {
-		fmt.Fprintln(os.Stderr, "-replay-addr starts a fresh run; it cannot be combined with -resume or -load")
-		return exitUsage
+		fmt.Fprintln(stderr, "-replay-addr starts a fresh run; it cannot be combined with -resume or -load")
+		return cli.ExitUsage
 	}
 	if *checkpointDir != "" && *retain < 1 {
-		fmt.Fprintf(os.Stderr, "-retain %d: want ≥1\n", *retain)
-		return exitUsage
+		fmt.Fprintf(stderr, "-retain %d: want ≥1\n", *retain)
+		return cli.ExitUsage
 	}
 	if *policyEvery < 1 {
-		fmt.Fprintf(os.Stderr, "-policy-publish-every %d: want ≥1\n", *policyEvery)
-		return exitUsage
+		fmt.Fprintf(stderr, "-policy-publish-every %d: want ≥1\n", *policyEvery)
+		return cli.ExitUsage
 	}
-	if *traceOut != "" && !*traceOn {
-		fmt.Fprintln(os.Stderr, "-trace-out requires -trace")
-		return exitUsage
-	}
-	if *traceSample < 1 {
-		fmt.Fprintf(os.Stderr, "-trace-sample %d: want ≥1\n", *traceSample)
-		return exitUsage
-	}
-
 	// One registry for the whole process: trainer phase metrics, the two
 	// network clients' retry/circuit series, and the run-info gauge all
 	// land on the same /metrics page.
-	registry := telemetry.NewRegistry()
-
-	// The tracer exists only when asked for: a nil *trace.Tracer is inert
-	// (every method no-ops without allocating), so untraced runs pay nothing.
-	var tracer *trace.Tracer
-	if *traceOn {
-		tracer = trace.New("learner", *traceBuf)
-		tracer.SetSampleEvery(uint64(*traceSample))
-		tracer.SetEnabled(true)
-		fmt.Printf("tracing: sampling 1 in %d update stages into a %d-record ring\n", *traceSample, *traceBuf)
+	if code := obs.Start(stdout, stderr); code != cli.ExitOK {
+		return code
 	}
+	defer func() { code = obs.Close(code) }()
+	obs.Registry.SetHelp("marl_run_info", "Constant 1, labelled with the run's workload identity.")
+	obs.Registry.Gauge("marl_run_info", "algo", *algoName, "env", env.Name(), "sampler", *sampler).Set(1)
 
 	tr, err := marlperf.NewTrainer(cfg, env)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return exitError
+		fmt.Fprintln(stderr, err)
+		return cli.ExitError
 	}
 	defer tr.Close()
-	tr.SetTracer(tracer)
 	var fabric *expserve.Fabric
 	if *replayAddr != "" {
-		fabric, err = wireExperienceService(tr, cfg, env, *replayAddr, *actorID, *replayRetry, *sampleConns, *prefetch, *spoolDir, registry, tracer)
+		fabric, err = wireExperienceService(tr, cfg, env, *replayAddr, *actorID, *replayRetry, *sampleConns, *prefetch, *spoolDir, obs)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitError
+			fmt.Fprintln(stderr, err)
+			return cli.ExitError
 		}
-		fmt.Printf("experience fabric: %s (plan=%s, actor-id=%s, conns=%d, prefetch=%v)\n",
+		fmt.Fprintf(stdout, "experience fabric: %s (plan=%s, actor-id=%s, conns=%d, prefetch=%v)\n",
 			expshard.FormatTopology(fabric.Snapshot()), *sampler, *actorID, *sampleConns, *prefetch)
 	}
 	if *loadPath != "" {
 		f, err := os.Open(*loadPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitError
+			fmt.Fprintln(stderr, err)
+			return cli.ExitError
 		}
 		loadErr := tr.LoadCheckpoint(f)
 		f.Close()
 		if loadErr != nil {
-			fmt.Fprintln(os.Stderr, "loading checkpoint:", loadErr)
-			return exitError
+			fmt.Fprintln(stderr, "loading checkpoint:", loadErr)
+			return cli.ExitError
 		}
-		fmt.Printf("restored checkpoint from %s (%d steps, %d updates)\n", *loadPath, tr.TotalSteps(), tr.UpdateCount())
+		fmt.Fprintf(stdout, "restored checkpoint from %s (%d steps, %d updates)\n", *loadPath, tr.TotalSteps(), tr.UpdateCount())
 	}
-
-	tel, err := setupTelemetry(tr, registry, *metricsAddr, *runlogPath, tracer, telemetryInfo{
-		algo: *algoName, env: env.Name(), sampler: *sampler,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return exitError
-	}
-	defer tel.close()
-	if tel.server != nil {
-		fmt.Printf("telemetry: serving /metrics on http://%s\n", tel.server.Addr())
-	}
+	obs.AttachTrainer(tr)
 
 	var store *resilience.Store
 	if *checkpointDir != "" {
 		store, err = resilience.NewStore(*checkpointDir, *retain)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitError
+			fmt.Fprintln(stderr, err)
+			return cli.ExitError
 		}
 		store.Retry.OnRetry = func(attempt int, err error) {
 			tr.Profile().Event(profiler.EventCheckpointRetried, 1)
-			fmt.Fprintf(os.Stderr, "warning: snapshot write attempt %d failed, retrying: %v\n", attempt, err)
+			fmt.Fprintf(stderr, "warning: snapshot write attempt %d failed, retrying: %v\n", attempt, err)
 		}
 	}
 	if *resume {
-		if code := resumeFromStore(store, tr); code != exitOK {
+		if code := resumeFromStore(store, tr, stdout, stderr); code != cli.ExitOK {
 			return code
 		}
 	}
@@ -297,16 +248,16 @@ Flags:
 	// never see a staler policy than the learner is actually training.
 	var pub *policyPublisher
 	if *policyAddr != "" {
-		pub = newPolicyPublisher(*policyAddr, *policyEvery, registry, tracer)
+		pub = newPolicyPublisher(*policyAddr, *policyEvery, obs, stderr)
 		pub.onOutageEnd = func(w outageWindow) {
-			fmt.Fprintf(os.Stderr, "policy publish recovered after %v (%d updates ran unpublished)\n",
+			fmt.Fprintf(stderr, "policy publish recovered after %v (%d updates ran unpublished)\n",
 				w.End.Sub(w.Start).Round(time.Millisecond), w.Updates)
-			tel.recordOutage(w)
+			obs.Log(w)
 		}
 		if v, err := pub.publish(tr); err != nil {
-			fmt.Fprintln(os.Stderr, "warning: initial policy publish failed:", err)
+			fmt.Fprintln(stderr, "warning: initial policy publish failed:", err)
 		} else {
-			fmt.Printf("policy service: publishing to %s every %d updates (initial version v%d)\n",
+			fmt.Fprintf(stdout, "policy service: publishing to %s every %d updates (initial version v%d)\n",
 				*policyAddr, *policyEvery, v)
 		}
 	}
@@ -315,16 +266,12 @@ Flags:
 	if *watchdogOn {
 		wd, err = core.NewWatchdog(tr, core.WatchdogConfig{})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitError
+			fmt.Fprintln(stderr, err)
+			return cli.ExitError
 		}
 	}
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-
-	fmt.Printf("training %s on %s with %d agents, sampler=%s, batch=%d, %d episodes\n",
+	fmt.Fprintf(stdout, "training %s on %s with %d agents, sampler=%s, batch=%d, %d episodes\n",
 		*algoName, env.Name(), *agents, *sampler, *batch, *episodes)
 	start := time.Now()
 	var window float64
@@ -335,8 +282,8 @@ Flags:
 	for completed < *episodes && !interrupted {
 		done, err := tr.StepE()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experience service:", err)
-			return exitError
+			fmt.Fprintln(stderr, "experience service:", err)
+			return cli.ExitError
 		}
 		// Publish before the episode gate: update stages fire on step cadence,
 		// not episode cadence, so a publish check only at episode boundaries
@@ -354,115 +301,106 @@ Flags:
 		if ep%*logEvery == 0 {
 			mean := window / float64(count)
 			curve = append(curve, mean)
-			fmt.Printf("episode %6d  mean reward %10.2f  updates %d  elapsed %v\n",
+			fmt.Fprintf(stdout, "episode %6d  mean reward %10.2f  updates %d  elapsed %v\n",
 				ep, mean, tr.UpdateCount(), time.Since(start).Round(time.Millisecond))
 			window, count = 0, 0
 		}
-		tel.refresh(tr)
+		obs.Refresh(tr)
 		if wd != nil {
 			ev, err := wd.Observe()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "watchdog:", err)
-				return exitError
+				fmt.Fprintln(stderr, "watchdog:", err)
+				return cli.ExitError
 			}
 			if ev != nil {
-				fmt.Fprintf(os.Stderr, "watchdog: rolled back to episode %d: %v\n", ev.Episode, ev.Reason)
+				fmt.Fprintf(stderr, "watchdog: rolled back to episode %d: %v\n", ev.Episode, ev.Reason)
 			}
 		}
 		if store != nil && *checkpointEvery > 0 && completed%*checkpointEvery == 0 {
 			if err := saveSnapshot(store, tr); err != nil {
 				// The store already retried; a persistent failure should not
 				// kill a healthy training run, but it must be loud.
-				fmt.Fprintln(os.Stderr, "warning: periodic snapshot failed:", err)
+				fmt.Fprintln(stderr, "warning: periodic snapshot failed:", err)
 			}
 		}
-		select {
-		case sig := <-sigCh:
-			fmt.Fprintf(os.Stderr, "\n%v: episode finished, writing final snapshot\n", sig)
+		if ctx.Err() != nil {
+			fmt.Fprintln(stderr, "\nsignal: episode finished, writing final snapshot")
 			interrupted = true
-		default:
 		}
 	}
 	// Push any experience still buffered in the sink before reporting: the
 	// service must end the run holding every row this process collected.
 	if fabric != nil {
 		if err := tr.FlushExperience(); err != nil {
-			fmt.Fprintln(os.Stderr, "final experience flush:", err)
-			return exitError
+			fmt.Fprintln(stderr, "final experience flush:", err)
+			return cli.ExitError
 		}
 		// One greppable line for the smoke harnesses: how often the fabric
 		// left the happy path.
-		fmt.Printf("shard fabric: replica_reads=%d degraded_draws=%d\n",
+		fmt.Fprintf(stdout, "shard fabric: replica_reads=%d degraded_draws=%d\n",
 			fabric.ReplicaReads(), fabric.DegradedDraws())
 	}
 	if store != nil {
 		if err := saveSnapshot(store, tr); err != nil {
-			fmt.Fprintln(os.Stderr, "final snapshot:", err)
-			return exitError
+			fmt.Fprintln(stderr, "final snapshot:", err)
+			return cli.ExitError
 		}
-		fmt.Printf("snapshot generation %d written to %s\n", tr.EpisodeCount(), store.Dir())
+		fmt.Fprintf(stdout, "snapshot generation %d written to %s\n", tr.EpisodeCount(), store.Dir())
 	}
 	if pub != nil {
 		// Terminal publish: actors keep acting after the learner exits; they
 		// should do it on the final weights.
 		if v, err := pub.publish(tr); err != nil {
-			fmt.Fprintln(os.Stderr, "warning: final policy publish failed:", err)
+			fmt.Fprintln(stderr, "warning: final policy publish failed:", err)
 		} else {
-			fmt.Printf("policy: published final version v%d (%d updates)\n", v, tr.UpdateCount())
+			fmt.Fprintf(stdout, "policy: published final version v%d (%d updates)\n", v, tr.UpdateCount())
 		}
 		// An outage still open at exit never saw a recovery edge; surface
 		// the window as open-ended so the run log accounts for every gap.
 		if w, open := pub.openOutage(tr); open {
-			fmt.Fprintf(os.Stderr, "policy publish still failing at exit (outage began %v ago; %d updates unpublished)\n",
+			fmt.Fprintf(stderr, "policy publish still failing at exit (outage began %v ago; %d updates unpublished)\n",
 				time.Since(w.Start).Round(time.Millisecond), w.Updates)
-			tel.recordOutage(w)
+			obs.Log(w)
 		}
 	}
 
-	tel.refresh(tr)
+	obs.Refresh(tr)
 
-	fmt.Printf("\n%s after %v (%d env steps, %d updates, %d episodes total)\n\n",
+	fmt.Fprintf(stdout, "\n%s after %v (%d env steps, %d updates, %d episodes total)\n\n",
 		map[bool]string{false: "done", true: "interrupted"}[interrupted],
 		time.Since(start).Round(time.Millisecond), tr.TotalSteps(), tr.UpdateCount(), tr.EpisodeCount())
 	if len(curve) > 1 {
-		fmt.Printf("reward trend: %s\n\n", plot.Sparkline(curve))
+		fmt.Fprintf(stdout, "reward trend: %s\n\n", plot.Sparkline(curve))
 	}
-	fmt.Print(tr.Profile().Report())
+	fmt.Fprint(stdout, tr.Profile().Report())
 
 	if !interrupted && *evalEps > 0 {
-		fmt.Printf("\ngreedy evaluation over %d episodes: mean reward %.2f\n", *evalEps, tr.Evaluate(*evalEps))
+		fmt.Fprintf(stdout, "\ngreedy evaluation over %d episodes: mean reward %.2f\n", *evalEps, tr.Evaluate(*evalEps))
 	}
 	if *render {
 		if w, ok := env.(interface{ World() *mpe.World }); ok {
-			fmt.Println("\nfinal world state (P=predator/adversary, p=prey, A=agent, o=landmark):")
-			fmt.Print(mpe.RenderASCII(w.World(), 60, 1.5))
+			fmt.Fprintln(stdout, "\nfinal world state (P=predator/adversary, p=prey, A=agent, o=landmark):")
+			fmt.Fprint(stdout, mpe.RenderASCII(w.World(), 60, 1.5))
 		}
 	}
 	if *savePath != "" {
 		if err := writeBareCheckpoint(tr, *savePath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitError
+			fmt.Fprintln(stderr, err)
+			return cli.ExitError
 		}
-		fmt.Printf("checkpoint written to %s\n", *savePath)
+		fmt.Fprintf(stdout, "checkpoint written to %s\n", *savePath)
 	}
 	if *profileJSON != "" {
 		if err := writeProfileJSON(tr, *profileJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "writing profile JSON:", err)
-			return exitError
+			fmt.Fprintln(stderr, "writing profile JSON:", err)
+			return cli.ExitError
 		}
-		fmt.Printf("phase profile written to %s\n", *profileJSON)
-	}
-	if tracer != nil && *traceOut != "" {
-		if err := writeTraceJSON(tracer, *traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "writing trace:", err)
-			return exitError
-		}
-		fmt.Printf("trace written to %s (%d spans, %d dropped)\n", *traceOut, tracer.Len(), tracer.Dropped())
+		fmt.Fprintf(stdout, "phase profile written to %s\n", *profileJSON)
 	}
 	if interrupted {
-		return exitInterrupted
+		return cli.ExitInterrupted
 	}
-	return exitOK
+	return cli.ExitOK
 }
 
 // wireExperienceService connects the trainer to a remote experience
@@ -472,17 +410,13 @@ Flags:
 // everything this learner collects itself is published back under
 // actorID so the service's row count gates updates exactly as a local
 // buffer would.
-func wireExperienceService(tr *marlperf.Trainer, cfg marlperf.Config, env marlperf.Env, addr, actorID string, retryFor time.Duration, conns int, prefetch bool, spoolDir string, reg *telemetry.Registry, tracer *trace.Tracer) (*expserve.Fabric, error) {
+func wireExperienceService(tr *marlperf.Trainer, cfg marlperf.Config, env marlperf.Env, addr, actorID string, retryFor time.Duration, conns int, prefetch bool, spoolDir string, obs *cli.Obs) (*expserve.Fabric, error) {
+	reg, tracer := obs.Registry, obs.Tracer
 	plan, err := cfg.SamplePlan()
 	if err != nil {
 		return nil, err
 	}
-	spec := replay.Spec{
-		NumAgents: env.NumAgents(),
-		ObsDims:   env.ObsDims(),
-		ActDim:    env.NumActions(),
-		Capacity:  cfg.BufferCapacity,
-	}
+	spec := cli.Spec(env, cfg.BufferCapacity)
 
 	// The sampler fans one draw in across every shard group and the sink
 	// fans replicated appends out. Each member gets a short per-request
@@ -536,6 +470,7 @@ func wireExperienceService(tr *marlperf.Trainer, cfg marlperf.Config, env marlpe
 // acting on the last version they fetched.
 type policyPublisher struct {
 	client      *policysync.Client
+	stderr      io.Writer
 	every       int
 	publishedAt int  // UpdateCount at the last successful publish
 	failing     bool // suppress repeated warnings during an outage
@@ -575,9 +510,10 @@ type outageWindow struct {
 	Error   string    `json:"error,omitempty"`
 }
 
-func newPolicyPublisher(addr string, every int, reg *telemetry.Registry, tracer *trace.Tracer) *policyPublisher {
+func newPolicyPublisher(addr string, every int, obs *cli.Obs, stderr io.Writer) *policyPublisher {
 	return &policyPublisher{
-		client:      policysync.NewClient(addr, policysync.ClientOptions{Registry: reg, Tracer: tracer}),
+		client:      policysync.NewClient(addr, policysync.ClientOptions{Registry: obs.Registry, Tracer: obs.Tracer}),
+		stderr:      stderr,
 		every:       every,
 		publishedAt: -1,
 		results:     make(chan pubResult, 1),
@@ -641,7 +577,7 @@ func (p *policyPublisher) noteFailure(err error, quiet bool) {
 		p.failing = true
 		p.failingSince = time.Now()
 		if !quiet {
-			fmt.Fprintln(os.Stderr, "warning: policy publish failed (will keep retrying):", err)
+			fmt.Fprintln(p.stderr, "warning: policy publish failed (will keep retrying):", err)
 		}
 	}
 	p.lastErr = err
@@ -711,51 +647,51 @@ func (p *policyPublisher) openOutage(tr *marlperf.Trainer) (outageWindow, bool) 
 // missing directory or an empty store starts fresh; a store whose every
 // generation is corrupt is a hard error (the operator should look before
 // training blows the evidence away).
-func resumeFromStore(store *resilience.Store, tr *marlperf.Trainer) int {
+func resumeFromStore(store *resilience.Store, tr *marlperf.Trainer, stdout, stderr io.Writer) int {
 	snap, seq, skipped, err := store.LoadLatest()
 	for _, g := range skipped {
-		fmt.Fprintf(os.Stderr, "warning: skipping corrupt snapshot %v\n", g)
+		fmt.Fprintf(stderr, "warning: skipping corrupt snapshot %v\n", g)
 		tr.Profile().Event(profiler.EventResumeFallback, 1)
 	}
 	switch {
 	case err == nil:
 	case errors.Is(err, resilience.ErrNoSnapshot) && len(skipped) == 0:
-		fmt.Printf("no snapshot in %s; starting fresh\n", store.Dir())
-		return exitOK
+		fmt.Fprintf(stdout, "no snapshot in %s; starting fresh\n", store.Dir())
+		return cli.ExitOK
 	default:
-		fmt.Fprintln(os.Stderr, "resume:", err)
-		return exitError
+		fmt.Fprintln(stderr, "resume:", err)
+		return cli.ExitError
 	}
 
 	payload, ok := snap.Section(resilience.SectionTrainer)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "resume: generation %d has no trainer section\n", seq)
-		return exitError
+		fmt.Fprintf(stderr, "resume: generation %d has no trainer section\n", seq)
+		return cli.ExitError
 	}
 	if err := tr.LoadCheckpoint(bytes.NewReader(payload)); err != nil {
-		fmt.Fprintln(os.Stderr, "resume: trainer:", err)
-		return exitError
+		fmt.Fprintln(stderr, "resume: trainer:", err)
+		return cli.ExitError
 	}
 	if payload, ok = snap.Section(resilience.SectionReplay); ok {
 		buf, err := replay.ReadBuffer(bytes.NewReader(payload))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "resume: replay buffer:", err)
-			return exitError
+			fmt.Fprintln(stderr, "resume: replay buffer:", err)
+			return cli.ExitError
 		}
 		if err := tr.RestoreExperience(buf); err != nil {
-			fmt.Fprintln(os.Stderr, "resume:", err)
-			return exitError
+			fmt.Fprintln(stderr, "resume:", err)
+			return cli.ExitError
 		}
 	}
 	if payload, ok = snap.Section(resilience.SectionRunState); ok {
 		if err := tr.LoadRunState(bytes.NewReader(payload)); err != nil {
-			fmt.Fprintln(os.Stderr, "resume: run state:", err)
-			return exitError
+			fmt.Fprintln(stderr, "resume: run state:", err)
+			return cli.ExitError
 		}
 	}
-	fmt.Printf("resumed from generation %d (%d episodes, %d steps, %d updates, %d stored transitions)\n",
+	fmt.Fprintf(stdout, "resumed from generation %d (%d episodes, %d steps, %d updates, %d stored transitions)\n",
 		seq, tr.EpisodeCount(), tr.TotalSteps(), tr.UpdateCount(), tr.Buffer().Len())
-	return exitOK
+	return cli.ExitOK
 }
 
 // saveSnapshot bundles the trainer checkpoint, replay buffer and run state
@@ -782,130 +718,6 @@ func saveSnapshot(store *resilience.Store, tr *marlperf.Trainer) error {
 	return nil
 }
 
-// telemetryInfo labels the run-info gauge.
-type telemetryInfo struct {
-	algo, env, sampler string
-}
-
-// telemetryState bundles the optional live-observability wiring: the
-// metrics registry + HTTP server behind -metrics-addr and the JSONL run
-// log behind -runlog. The zero value (both flags empty) is inert.
-type telemetryState struct {
-	registry *telemetry.Registry
-	server   *telemetry.Server
-	profSnap *telemetry.JSONSnapshot
-	runLog   *telemetry.RunLog
-
-	runLogErrOnce bool
-}
-
-// setupTelemetry builds whatever the flags enable and attaches the phase
-// observer and per-update listener to the trainer. reg is the process-wide
-// registry (network clients already report into it); the /metrics server
-// only starts when metricsAddr is set.
-func setupTelemetry(tr *marlperf.Trainer, reg *telemetry.Registry, metricsAddr, runlogPath string, tracer *trace.Tracer, info telemetryInfo) (*telemetryState, error) {
-	tel := &telemetryState{}
-	if metricsAddr != "" {
-		tel.registry = reg
-		tr.SetPhaseObserver(telemetry.NewPhaseCollector(tel.registry))
-		tel.profSnap = &telemetry.JSONSnapshot{}
-		tel.registry.SetHelp("marl_run_info", "Constant 1, labelled with the run's workload identity.")
-		tel.registry.Gauge("marl_run_info",
-			"algo", info.algo, "env", info.env, "sampler", info.sampler).Set(1)
-		srvCfg := telemetry.ServerConfig{
-			Registry: tel.registry,
-			Profilez: tel.profSnap,
-		}
-		if tracer != nil {
-			srvCfg.Tracez = tracer.Handler()
-		}
-		srv, err := telemetry.StartServer(metricsAddr, srvCfg)
-		if err != nil {
-			return nil, err
-		}
-		tel.server = srv
-	}
-	if runlogPath != "" {
-		l, err := telemetry.CreateRunLog(runlogPath)
-		if err != nil {
-			if tel.server != nil {
-				tel.server.Close()
-			}
-			return nil, err
-		}
-		tel.runLog = l
-	}
-	if tel.registry == nil && tel.runLog == nil {
-		return tel, nil
-	}
-
-	var gSteps, gUpdates, gEpisodes, gReward, gTD *telemetry.Gauge
-	if tel.registry != nil {
-		gSteps = tel.registry.Gauge("marl_env_steps")
-		gUpdates = tel.registry.Gauge("marl_updates")
-		gEpisodes = tel.registry.Gauge("marl_episodes")
-		gReward = tel.registry.Gauge("marl_episode_reward")
-		gTD = tel.registry.Gauge("marl_td_mean")
-	}
-	tr.SetUpdateListener(func(ev core.UpdateEvent) {
-		if tel.runLog != nil {
-			if err := tel.runLog.Append(ev); err != nil && !tel.runLogErrOnce {
-				tel.runLogErrOnce = true
-				fmt.Fprintln(os.Stderr, "warning: run log append failed:", err)
-			}
-		}
-		if tel.registry != nil {
-			gSteps.Set(float64(ev.Step))
-			gUpdates.Set(float64(ev.Update))
-			gEpisodes.Set(float64(ev.Episode))
-			gReward.Set(ev.EpisodeReward)
-			gTD.Set(ev.TDMean)
-		}
-	})
-	return tel, nil
-}
-
-// recordOutage appends one publish-outage window to the run log (when one
-// is armed), so post-hoc analysis can align reward dips with distribution
-// gaps. Safe on the zero value.
-func (tel *telemetryState) recordOutage(w outageWindow) {
-	if tel.runLog == nil {
-		return
-	}
-	if err := tel.runLog.Append(w); err != nil && !tel.runLogErrOnce {
-		tel.runLogErrOnce = true
-		fmt.Fprintln(os.Stderr, "warning: run log append failed:", err)
-	}
-}
-
-// refresh republishes the /profilez snapshot and pushes buffered run-log
-// records to disk; called at episode boundaries (trainer quiescent).
-func (tel *telemetryState) refresh(tr *marlperf.Trainer) {
-	if tel.profSnap != nil {
-		if data, err := json.Marshal(tr.Profile()); err == nil {
-			tel.profSnap.Set(data)
-		}
-	}
-	if tel.runLog != nil {
-		if err := tel.runLog.Flush(); err != nil && !tel.runLogErrOnce {
-			tel.runLogErrOnce = true
-			fmt.Fprintln(os.Stderr, "warning: run log flush failed:", err)
-		}
-	}
-}
-
-// close tears the telemetry down; safe on the zero value.
-func (tel *telemetryState) close() {
-	if tel.runLog != nil {
-		if err := tel.runLog.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "warning: run log close:", err)
-		}
-	}
-	if tel.server != nil {
-		tel.server.Close()
-	}
-}
-
 // writeProfileJSON dumps the final phase profile in the same shape /profilez
 // serves, so marl-trace can reconcile span sums against it offline.
 func writeProfileJSON(tr *marlperf.Trainer, path string) error {
@@ -914,20 +726,6 @@ func writeProfileJSON(tr *marlperf.Trainer, path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeTraceJSON dumps the span ring as Chrome trace JSON, the same document
-// /tracez serves.
-func writeTraceJSON(tracer *trace.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tracer.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func writeBareCheckpoint(tr *marlperf.Trainer, path string) error {

@@ -1,0 +1,208 @@
+package main
+
+import (
+	"bufio"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+
+	"marlperf/internal/cli"
+	"marlperf/internal/cli/clitest"
+)
+
+func TestFlagSurface(t *testing.T) { clitest.Surface(t, run) }
+
+func TestUsageErrors(t *testing.T) {
+	clitest.UsageErrors(t, run,
+		[]string{"-no-such-flag"},
+		[]string{"episodes", "5"}, // used to train the default 100 episodes
+		[]string{"-env", "typo"},
+		[]string{"-algo", "typo"},
+		[]string{"-sampler", "typo"},
+		[]string{"-resume"},
+		[]string{"-replay-addr", "h:1", "-load", "x"},
+		[]string{"-checkpoint-dir", "d", "-retain", "0"},
+		[]string{"-policy-publish-every", "0"},
+		[]string{"-trace-out", "t.json"}, // without -trace
+		[]string{"-trace", "-trace-sample", "0"},
+	)
+	// marl-profile's test holds it to the same two messages.
+	for args, want := range map[string]string{
+		"-env typo":  `unknown env "typo" (want pp, cn or pd)`,
+		"-algo typo": `unknown algo "typo" (want maddpg or matd3)`,
+	} {
+		if _, _, stderr := clitest.Exec(t, run, strings.Fields(args)...); strings.TrimSpace(stderr) != want {
+			t.Errorf("%s: stderr %q, want %q", args, stderr, want)
+		}
+	}
+}
+
+// TestLiveTelemetry is the black-box telemetry smoke: a learner started
+// with -metrics-addr on a free port answers /healthz, serves phase
+// histograms and the run-info gauge, and — interrupted the way SIGTERM
+// does — finishes its episode, exits 3 and leaves run-log records behind.
+func TestLiveTelemetry(t *testing.T) {
+	runlog := filepath.Join(t.TempDir(), "run.jsonl")
+	p := clitest.Start(t, run, "-env", "pp", "-agents", "3", "-episodes", "100000", "-batch", "64", "-buffer", "5000",
+		"-log-every", "1000000", "-metrics-addr", "127.0.0.1:0", "-runlog", runlog)
+	base := "http://" + p.Await(t, `metrics: http://(\S+)/metrics`)[1]
+	if code, body := clitest.Get(t, base+"/healthz"); code != 200 || body != "ok\n" {
+		t.Fatalf("/healthz: %d %q", code, body)
+	}
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(10 * time.Millisecond) {
+		_, body := clitest.Get(t, base+"/metrics")
+		if regexp.MustCompile(`(?m)^marl_updates [1-9]`).MatchString(body) {
+			for _, series := range []string{"marl_phase_seconds_count", "marl_run_info{"} {
+				if !strings.Contains(body, "\n"+series) {
+					t.Errorf("/metrics has no %s", series)
+				}
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no update within a minute; /metrics:\n%s", body)
+		}
+	}
+	if code := p.Stop(t); code != cli.ExitInterrupted {
+		t.Fatalf("exit %d after cancel, want 3; stderr:\n%s", code, p.Stderr.String())
+	}
+	if len(clitest.RunLog(t, runlog)) == 0 {
+		t.Error("run log is empty")
+	}
+}
+
+// daemon is a sibling binary running as a child process. Go cannot import
+// another main package, so the loop test runs the learner in-process and
+// builds the three binaries around it; each binds port 0 and the address is
+// read from its "serving … on http://" line.
+type daemon struct {
+	cmd  *exec.Cmd
+	addr string
+}
+
+func buildBinary(t *testing.T, dir, name string) string {
+	t.Helper()
+	args := []string{"build", "-o", filepath.Join(dir, name)}
+	if raceEnabled {
+		args = append(args, "-race")
+	}
+	if out, err := exec.Command("go", append(args, "marlperf/cmd/"+name)...).CombinedOutput(); err != nil {
+		t.Fatalf("go build %s: %v\n%s", name, err, out)
+	}
+	return filepath.Join(dir, name)
+}
+
+func startDaemon(t *testing.T, bin string, args ...string) *daemon {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	d := &daemon{cmd: cmd}
+	t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
+	found := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(out)
+		re := regexp.MustCompile(`serving .* on http://(\S+)`)
+		for sc.Scan() { // to EOF, so the child never blocks on a full pipe
+			if m := re.FindStringSubmatch(sc.Text()); m != nil {
+				select {
+				case found <- m[1]:
+				default:
+				}
+			}
+		}
+	}()
+	select {
+	case d.addr = <-found:
+	case <-time.After(time.Minute):
+		t.Fatalf("%s printed no serving line", bin)
+	}
+	return d
+}
+
+// drain sends SIGTERM and wants the clean exit of a drained daemon.
+func (d *daemon) drain(t *testing.T) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.cmd.Wait(); err != nil {
+		t.Errorf("%s after SIGTERM: %v", d.cmd.Path, err)
+	}
+}
+
+func metricValue(t *testing.T, addr, name string) float64 {
+	t.Helper()
+	_, body := clitest.Get(t, "http://"+addr+"/metrics")
+	m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(body)
+	if m == nil {
+		t.Fatalf("%s has no %s", addr, name)
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestClosedLoop is the actor/learner smoke with the policy edge added:
+// replayd and policyd as real processes, an actor feeding the store, and
+// the learner — in this process — training off the service and publishing.
+// The store must have ingested and served rows, policyd must hold a
+// version, and the run log must hold one record per update.
+func TestClosedLoop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds three binaries")
+	}
+	dir := t.TempDir()
+	replayd := startDaemon(t, buildBinary(t, dir, "marl-replayd"), "-addr", "127.0.0.1:0", "-dir", filepath.Join(dir, "store"), "-env", "cn", "-agents", "2")
+	policyd := startDaemon(t, buildBinary(t, dir, "marl-policyd"), "-addr", "127.0.0.1:0")
+
+	actor := exec.Command(buildBinary(t, dir, "marl-actor"), "-replay-addr", replayd.addr, "-env", "cn", "-agents", "2",
+		"-actor-id", "actor-0", "-episodes", "4", "-seed", "7")
+	if out, err := actor.CombinedOutput(); err != nil {
+		t.Fatalf("marl-actor: %v\n%s", err, out)
+	}
+
+	runlog := filepath.Join(dir, "run.jsonl")
+	code, stdout, stderr := clitest.Exec(t, run, "-env", "cn", "-agents", "2", "-episodes", "12", "-batch", "32", "-sampler", "locality",
+		"-replay-addr", replayd.addr, "-policy-publish-addr", policyd.addr, "-runlog", runlog)
+	if code != cli.ExitOK {
+		t.Fatalf("learner exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	if !strings.Contains(stdout, "shard fabric: replica_reads=0 degraded_draws=0") {
+		t.Errorf("no fabric exit line:\n%s", stdout)
+	}
+	var updates int
+	if m := regexp.MustCompile(`, (\d+) updates, `).FindStringSubmatch(stdout); m != nil {
+		updates, _ = strconv.Atoi(m[1])
+	}
+	if n := len(clitest.RunLog(t, runlog)); updates == 0 || n != updates {
+		t.Errorf("run log holds %d records for %d updates", n, updates)
+	}
+	for _, name := range []string{"marl_exp_ingest_rows_total", "marl_exp_sample_requests_total"} {
+		if v := metricValue(t, replayd.addr, name); v <= 0 {
+			t.Errorf("%s = %v on the store", name, v)
+		}
+	}
+	if _, body := clitest.Get(t, "http://"+policyd.addr+"/v1/policy/stats"); !regexp.MustCompile(`"version":\s*[1-9]`).MatchString(body) {
+		t.Errorf("policyd holds no published version: %s", body)
+	}
+	replayd.drain(t)
+	policyd.drain(t)
+	if segs, _ := filepath.Glob(filepath.Join(dir, "store", "*.xpk")); len(segs) == 0 {
+		t.Error("no segment file in the store directory after the drain")
+	}
+}

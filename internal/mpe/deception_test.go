@@ -131,14 +131,13 @@ func TestPhysicalDeceptionPanicsOnZeroGood(t *testing.T) {
 func TestPhysicalDeceptionTrainsWithMARLInterface(t *testing.T) {
 	// The scenario must satisfy the Env contract end to end.
 	var env Env = NewPhysicalDeception(2)
-	rng := rand.New(rand.NewSource(6))
-	r := NewEpisodeRunner(env, 25, rng)
+	obs := env.Reset(rand.New(rand.NewSource(6)))
 	actions := make([]int, env.NumAgents())
-	done := false
-	for i := 0; i < 25; i++ {
-		_, _, done = r.Step(actions)
-	}
-	if !done {
-		t.Fatal("episode should end at step 25")
+	for i := 0; i < 25; i++ { // one episode at the paper's cap
+		var rewards []float64
+		obs, rewards = env.Step(actions)
+		if len(obs) != env.NumAgents() || len(rewards) != env.NumAgents() {
+			t.Fatalf("step %d: %d observations, %d rewards for %d agents", i, len(obs), len(rewards), env.NumAgents())
+		}
 	}
 }

@@ -21,37 +21,3 @@ type Env interface {
 	// Name identifies the scenario for reports.
 	Name() string
 }
-
-// EpisodeRunner drives an Env for fixed-length episodes (the paper caps
-// episodes at 25 steps).
-type EpisodeRunner struct {
-	Env       Env
-	MaxSteps  int
-	rng       *rand.Rand
-	obs       [][]float64
-	stepCount int
-}
-
-// NewEpisodeRunner returns a runner over env with the given episode cap.
-func NewEpisodeRunner(env Env, maxSteps int, rng *rand.Rand) *EpisodeRunner {
-	r := &EpisodeRunner{Env: env, MaxSteps: maxSteps, rng: rng}
-	r.obs = env.Reset(rng)
-	return r
-}
-
-// Obs returns the current observations.
-func (r *EpisodeRunner) Obs() [][]float64 { return r.obs }
-
-// Step applies actions; it returns rewards and whether the episode ended
-// (and auto-resets on episode end).
-func (r *EpisodeRunner) Step(actions []int) (next [][]float64, rewards []float64, done bool) {
-	next, rewards = r.Env.Step(actions)
-	r.stepCount++
-	if r.stepCount >= r.MaxSteps {
-		done = true
-		r.stepCount = 0
-		next = r.Env.Reset(r.rng)
-	}
-	r.obs = next
-	return next, rewards, done
-}

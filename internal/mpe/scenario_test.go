@@ -179,27 +179,6 @@ func TestPreyBoundaryBias(t *testing.T) {
 	}
 }
 
-func TestEpisodeRunnerResetsAtMaxSteps(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	env := NewCooperativeNavigation(2)
-	r := NewEpisodeRunner(env, 25, rng) // paper's max episode length
-	actions := []int{0, 0}
-	var doneAt int
-	for i := 1; i <= 30; i++ {
-		_, _, done := r.Step(actions)
-		if done {
-			doneAt = i
-			break
-		}
-	}
-	if doneAt != 25 {
-		t.Fatalf("episode ended at step %d, want 25", doneAt)
-	}
-	if len(r.Obs()) != 2 {
-		t.Fatal("runner should hold fresh observations after reset")
-	}
-}
-
 func TestNewPredatorPreyPanicsOnZeroAgents(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -324,46 +322,5 @@ func TestRetryMetricsExported(t *testing.T) {
 	}
 	if got := reg.Counter("marl_retry_giveup_total", "edge", "metrics").Value(); got != 1 {
 		t.Fatalf("marl_retry_giveup_total = %d, want 1", got)
-	}
-}
-
-func TestHealthProbes(t *testing.T) {
-	var healthy atomic.Bool
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/healthz" {
-			http.NotFound(w, r)
-			return
-		}
-		if !healthy.Load() {
-			http.Error(w, "starting", http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer srv.Close()
-
-	if err := ProbeHealth(srv.URL, time.Second); err == nil {
-		t.Fatal("probe should fail while unhealthy")
-	}
-	healthy.Store(true)
-	if err := ProbeHealth(srv.URL, time.Second); err != nil {
-		t.Fatalf("probe after recovery: %v", err)
-	}
-
-	healthy.Store(false)
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		healthy.Store(true)
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := WaitHealthy(ctx, srv.URL, 10*time.Millisecond, time.Second); err != nil {
-		t.Fatalf("WaitHealthy: %v", err)
-	}
-
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel2()
-	if err := WaitHealthy(ctx2, "127.0.0.1:1", 10*time.Millisecond, 20*time.Millisecond); err == nil {
-		t.Fatal("WaitHealthy against a dead address should time out")
 	}
 }

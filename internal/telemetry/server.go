@@ -43,6 +43,27 @@ type ServerConfig struct {
 	Tracez http.Handler
 }
 
+// Mount registers /metrics, /healthz and /tracez on mux: the three
+// endpoints a daemon serves on its own listener as well as on the
+// observability server, from one copy of the handlers.
+func (cfg ServerConfig) Mount(mux *http.ServeMux) {
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", ExpositionContentType)
+		_ = cfg.Registry.WriteExposition(w)
+	})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, "ok")
+	})
+	mux.HandleFunc("/tracez", func(w http.ResponseWriter, r *http.Request) {
+		if cfg.Tracez == nil {
+			http.Error(w, "tracing not enabled", http.StatusNotFound)
+			return
+		}
+		cfg.Tracez.ServeHTTP(w, r)
+	})
+}
+
 // Server is the opt-in observability HTTP server. Endpoints:
 //
 //	/metrics       Prometheus text exposition of the registry
@@ -66,14 +87,7 @@ func StartServer(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("telemetry: metrics listener: %w", err)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", ExpositionContentType)
-		_ = cfg.Registry.WriteExposition(w)
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
+	cfg.Mount(mux)
 	mux.HandleFunc("/profilez", func(w http.ResponseWriter, _ *http.Request) {
 		var data []byte
 		if cfg.Profilez != nil {
@@ -85,13 +99,6 @@ func StartServer(addr string, cfg ServerConfig) (*Server, error) {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(data)
-	})
-	mux.HandleFunc("/tracez", func(w http.ResponseWriter, r *http.Request) {
-		if cfg.Tracez == nil {
-			http.Error(w, "tracing not enabled", http.StatusNotFound)
-			return
-		}
-		cfg.Tracez.ServeHTTP(w, r)
 	})
 	// pprof registers on DefaultServeMux via its init; mount the handlers
 	// explicitly so this mux stays self-contained.

@@ -56,8 +56,6 @@ type (
 type (
 	// Env is the multi-agent environment interface trainers consume.
 	Env = mpe.Env
-	// EpisodeRunner drives an Env for fixed-length episodes.
-	EpisodeRunner = mpe.EpisodeRunner
 )
 
 // Replay types, re-exported for direct use of the sampling strategies.
