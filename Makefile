@@ -55,9 +55,10 @@ bench-kernels:
 bench-gather:
 	$(GO) test -run '^$$' -bench '^BenchmarkRingGather$$' -cpu 1 -benchtime 1000x -count 10 ./internal/expstore
 
-# Worker-pool scaling sweep; writes the grid to BENCH_update.json.
+# One worker against the per-agent pool at 3/6/12/24 agents, batch 1024: ten
+# alternating pairs of 0.5 s + 2 s windows (~5 min); rewrites BENCH_update.json.
 bench-workers:
-	$(GO) test -run '^$$' -bench UpdateWorkersSweep -benchtime 3x .
+	$(GO) test -run '^$$' -bench UpdateWorkersSweep -benchtime 10x -timeout 30m .
 
 # Vectorized-rollout sweep (env count × acting mode); writes BENCH_rollout.json.
 bench-rollout:

@@ -8,13 +8,16 @@ package marlperf
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"os"
 	"os/exec"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"marlperf/internal/core"
 	"marlperf/internal/mpe"
@@ -438,72 +441,145 @@ func BenchmarkAblationISBeta(b *testing.B) {
 
 // --- Parallel update engine ---
 
-// updateSweepRow is one (agents, workers) cell of the sweep, written to
-// BENCH_update.json for machine consumption.
-type updateSweepRow struct {
-	Agents   int     `json:"agents"`
-	Workers  int     `json:"workers"`
-	NsPerOp  float64 `json:"ns_per_op"`
-	Iters    int     `json:"iters"`
-	SpeedupX float64 `json:"speedup_vs_serial"`
+// quartiles is a column of window means, in the order they were taken, under
+// its first quartile, median and third quartile (interpolated between
+// neighbours).
+type quartiles struct {
+	Q1     float64   `json:"q1"`
+	Median float64   `json:"median"`
+	Q3     float64   `json:"q3"`
+	Runs   []float64 `json:"runs"`
 }
 
-// BenchmarkUpdateWorkersSweep measures one full update-all-trainers stage
-// across worker-pool sizes and agent counts, and writes the grid to
-// BENCH_update.json. Every cell trains identically for a fixed seed — the
-// sweep varies throughput only.
+// round3 keeps three decimals: a microsecond of a millisecond figure.
+func round3(v float64) float64 { return math.Round(v*1e3) / 1e3 }
+
+func quartilesOf(vs []float64) *quartiles {
+	sorted := append([]float64(nil), vs...)
+	sort.Float64s(sorted)
+	at := func(q float64) float64 {
+		pos := q * float64(len(sorted)-1)
+		lo := int(pos)
+		hi := min(lo+1, len(sorted)-1)
+		return round3(sorted[lo] + (pos-float64(lo))*(sorted[hi]-sorted[lo]))
+	}
+	return &quartiles{at(0.25), at(0.5), at(0.75), vs}
+}
+
+// updateSweepRow is one agent count of the paired sweep, written to
+// BENCH_update.json: milliseconds per UpdateAllTrainers on each side, how
+// often the pool's window beat the serial window it was paired with, and the
+// ratio of the two medians. At GOMAXPROCS = 1 the pool side is left out.
+type updateSweepRow struct {
+	Agents      int        `json:"agents"`
+	Batch       int        `json:"batch"`
+	PoolWorkers int        `json:"pool_workers"`
+	Pairs       int        `json:"pairs"`
+	WindowMs    int64      `json:"window_ms"`
+	SerialMs    *quartiles `json:"serial_ms"`
+	PoolMs      *quartiles `json:"pool_ms,omitempty"`
+	PoolWins    *int       `json:"pool_wins,omitempty"`
+	Ratio       float64    `json:"serial_over_pool,omitempty"`
+	Note        string     `json:"note,omitempty"`
+}
+
+// BenchmarkUpdateWorkersSweep is the evidence the update's one parallelism
+// mechanism rests on (DESIGN.md §7, EXPERIMENTS.md "tried and not kept"):
+// UpdateWorkers = 1 against the per-agent pool at min(GOMAXPROCS, agents)
+// workers, MADDPG predator-prey at batch 1024, as pairs of windows in one
+// process. This host's speed drifts by a third within minutes, so the two
+// sides alternate — serial first in even pairs, pool first in odd ones — and
+// a side is a column of per-window means, never one long run. A window is a
+// discarded warm-up (a quarter of its length, one update at least) and then
+// whole updates until its length has passed (one at least).
+//
+// -benchtime Nx sets both sizes: N pairs, of windows of N × 200 ms up to 2 s.
+// `make bench-workers` runs 10x — ten pairs of 0.5 s + 2 s windows, the
+// protocol of the recorded table — and rewrites BENCH_update.json; CI's 1x is
+// a smoke of one short pair. Every cell trains identically for a fixed seed:
+// the sweep varies throughput only.
 func BenchmarkUpdateWorkersSweep(b *testing.B) {
+	const batch = 1024
 	var rows []updateSweepRow
-	serialNs := map[int]float64{} // agents -> workers=1 ns/op
 	for _, agents := range []int{3, 6, 12, 24} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			name := benchName("agents", agents) + "/" + benchName("workers", workers)
-			b.Run(name, func(b *testing.B) {
-				cfg := core.DefaultConfig(core.MADDPG)
-				cfg.BatchSize = 256
-				cfg.BufferCapacity = 8192
-				cfg.WarmupSize = 256
-				cfg.UpdateWorkers = workers
-				tr, err := core.NewTrainer(cfg, mpe.NewPredatorPrey(agents))
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer tr.Close()
-				tr.Warmup(512)
-				tr.UpdateAllTrainers() // warm per-worker scratch arenas
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+		poolWorkers := min(runtime.GOMAXPROCS(0), agents)
+		newSide := func(workers int) *core.Trainer {
+			cfg := core.DefaultConfig(core.MADDPG)
+			cfg.BatchSize = batch
+			cfg.BufferCapacity = 2 * batch
+			cfg.WarmupSize = batch
+			cfg.UpdateWorkers = workers
+			tr, err := core.NewTrainer(cfg, mpe.NewPredatorPrey(agents))
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr.Warmup(2 * batch)
+			return tr
+		}
+		sides := []*core.Trainer{newSide(1)} // serial, then the pool if there is one
+		if poolWorkers > 1 {
+			sides = append(sides, newSide(poolWorkers))
+		}
+		b.Run(benchName("agents", agents), func(b *testing.B) {
+			length := min(time.Duration(b.N)*200*time.Millisecond, 2*time.Second)
+			window := func(tr *core.Trainer) float64 { // ms per update
+				for t0 := time.Now(); ; {
 					tr.UpdateAllTrainers()
+					if time.Since(t0) >= length/4 {
+						break
+					}
 				}
-				b.StopTimer()
-				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				if workers == 1 {
-					serialNs[agents] = ns
+				t0, updates := time.Now(), 0
+				for {
+					tr.UpdateAllTrainers()
+					updates++
+					if spent := time.Since(t0); spent >= length {
+						return round3(spent.Seconds() * 1e3 / float64(updates))
+					}
 				}
-				speedup := 0.0
-				if base := serialNs[agents]; base > 0 && ns > 0 {
-					speedup = base / ns
+			}
+			ms := make([][]float64, len(sides))
+			wins := 0
+			for pair := 0; pair < b.N; pair++ {
+				for k := range sides {
+					side := (k + pair) % len(sides)
+					ms[side] = append(ms[side], window(sides[side]))
 				}
-				row := updateSweepRow{
-					Agents: agents, Workers: workers,
-					NsPerOp: ns, Iters: b.N, SpeedupX: speedup,
+				if len(sides) == 2 && ms[1][pair] < ms[0][pair] {
+					wins++
 				}
-				// The testing package re-invokes each sub-benchmark while
-				// calibrating b.N (an iters=1 round first); keep only the
-				// final measurement per cell. A cell's invocations are
-				// consecutive, so its row is the last one if it exists.
-				if n := len(rows); n > 0 && rows[n-1].Agents == agents && rows[n-1].Workers == workers {
-					rows[n-1] = row
-				} else {
-					rows = append(rows, row)
-				}
-			})
+			}
+			row := updateSweepRow{
+				Agents: agents, Batch: batch, PoolWorkers: poolWorkers, Pairs: b.N,
+				WindowMs: length.Milliseconds(), SerialMs: quartilesOf(ms[0]),
+			}
+			b.ReportMetric(0, "ns/op") // two sides: no one time per op
+			b.ReportMetric(row.SerialMs.Median, "serial-ms")
+			if len(sides) == 2 {
+				row.PoolMs, row.PoolWins = quartilesOf(ms[1]), &wins
+				row.Ratio = round3(row.SerialMs.Median / row.PoolMs.Median)
+				b.ReportMetric(row.PoolMs.Median, "pool-ms")
+				b.ReportMetric(row.Ratio, "serial/pool")
+				b.ReportMetric(float64(wins), "pool-wins")
+			} else {
+				row.Note = "GOMAXPROCS=1: one worker is all the pool can have, it has nothing to show"
+			}
+			// The testing package runs each sub-benchmark at b.N = 1 before
+			// the requested count: keep the last measurement of a cell.
+			if n := len(rows); n > 0 && rows[n-1].Agents == agents {
+				rows[n-1] = row
+			} else {
+				rows = append(rows, row)
+			}
+		})
+		for _, tr := range sides {
+			tr.Close()
 		}
 	}
 	if len(rows) == 0 {
 		return
 	}
-	writeBenchFile(b, "BENCH_update.json", "UpdateWorkersSweep", "ns/op", rows)
+	writeBenchFile(b, "BENCH_update.json", "UpdateWorkersSweep", "ms/update", rows)
 }
 
 // writeBenchFile writes one sweep's rows to a BENCH_*.json file under the

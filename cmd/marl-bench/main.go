@@ -42,7 +42,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		scale   = fs.String("scale", "small", "measurement scale: small or full")
 		list    = fs.Bool("list", false, "list available experiments and exit")
 		format  = fs.String("format", "text", "output format: text or md")
-		workers = fs.Int("workers", 0, "update-stage worker pool size (0: keep the scale's serial default); results are seed-identical for any value")
+		workers = fs.Int("workers", 0, "update-stage worker pool size (1 = one core; 0: keep the scale's default, which is 1); results are seed-identical for any value")
 	)
 	// Opt-in live observability: experiment progress on /metrics, and —
 	// the main draw for long `full`-scale runs — CPU/heap profiles on

@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		episodes = fs.Int("episodes", 4, "episodes per configuration")
 		batch    = fs.Int("batch", 512, "mini-batch size")
 		fill     = fs.Int("fill", 20000, "buffer fill for the counter trace")
-		workers  = fs.Int("workers", 1, "update-stage worker pool size (0: GOMAXPROCS); phase times are per-pool, results are seed-identical")
+		workers  = fs.Int("workers", 1, "update-stage worker pool size (1 = one core, the serial pipeline the paper profiles; 0: GOMAXPROCS); phase times are per-pool, results are seed-identical")
 		jsonOut  = fs.Bool("json", false, "print one machine-readable JSON line per configuration instead of the text tables")
 	)
 	// The span tracer is distinct from the simulated-cache access tracer

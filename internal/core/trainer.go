@@ -536,16 +536,11 @@ func (t *Trainer) UpdateAllTrainers() {
 		s.prof.DrainInto(t.prof)
 	} else {
 		t.updDelayed = delayed
-		// Suspend nested row-parallelism inside the kernels: the cores are
-		// occupied one-matmul-per-agent, and row results are identical
-		// either way.
-		tensor.BeginCoarseParallel()
 		t.updWG.Add(t.n)
 		for i := 0; i < t.n; i++ {
 			t.workCh <- i
 		}
 		t.updWG.Wait()
-		tensor.EndCoarseParallel()
 		// Drain profiler shards in worker order so phase totals stay
 		// deterministic in structure (durations are wall-clock, counts are
 		// exact).

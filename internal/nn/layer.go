@@ -74,7 +74,7 @@ func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 	// Reshape reuses the output backing across varying batch sizes; the
 	// matmul overwrites every element, so stale contents are fine.
 	d.out = tensor.Reshape(d.out, x.Rows, d.W.Cols)
-	return tensor.MatMulBiasParallel(d.out, x, d.W, d.B.Data, false)
+	return tensor.MatMulBias(d.out, x, d.W, d.B.Data, false)
 }
 
 // forwardReLU is d.Forward followed by r.Forward, bit for bit, as one pass:
@@ -84,7 +84,7 @@ func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 func (d *Dense) forwardReLU(x *tensor.Matrix, r *ReLU) *tensor.Matrix {
 	d.retain(x)
 	r.out = tensor.Reshape(r.out, x.Rows, d.W.Cols)
-	return tensor.MatMulBiasParallel(r.out, x, d.W, d.B.Data, true)
+	return tensor.MatMulBias(r.out, x, d.W, d.B.Data, true)
 }
 
 func (d *Dense) retain(x *tensor.Matrix) {
@@ -107,7 +107,7 @@ func (d *Dense) BackwardParams(grad *tensor.Matrix) {
 	if d.gwScratch == nil {
 		d.gwScratch = tensor.New(d.W.Rows, d.W.Cols)
 	}
-	tensor.MatMulTransAParallel(d.gwScratch, d.lastX, grad)
+	tensor.MatMulTransA(d.gwScratch, d.lastX, grad)
 	tensor.Add(d.gradW, d.gradW, d.gwScratch)
 	// gradB += column sums of grad
 	d.sumScratch = grad.SumRows(d.sumScratch)
@@ -127,7 +127,7 @@ func (d *Dense) backwardInputCols(grad *tensor.Matrix, lo, hi int) *tensor.Matri
 	d.checkBackward(grad)
 	d.wT = tensor.TransposeRows(d.wT, d.W, lo, hi)
 	d.gradIn = tensor.Reshape(d.gradIn, grad.Rows, hi-lo)
-	return tensor.MatMulParallel(d.gradIn, grad, d.wT)
+	return tensor.MatMul(d.gradIn, grad, d.wT)
 }
 
 // backwardInputReLU is r.Backward(d.BackwardInput(grad)), bit for bit, as one
@@ -141,7 +141,7 @@ func (d *Dense) backwardInputReLU(grad *tensor.Matrix, r *ReLU) *tensor.Matrix {
 	}
 	d.wT = tensor.TransposeRows(d.wT, d.W, 0, d.W.Rows)
 	r.gradIn = tensor.Reshape(r.gradIn, grad.Rows, d.W.Rows)
-	return tensor.MatMulGatedParallel(r.gradIn, grad, d.wT, r.out)
+	return tensor.MatMulGated(r.gradIn, grad, d.wT, r.out)
 }
 
 func (d *Dense) checkBackward(grad *tensor.Matrix) {

@@ -3,7 +3,6 @@ package policysync
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -248,16 +247,4 @@ type statsReply struct {
 	Updates  uint64 `json:"updates"`
 	Bytes    int    `json:"bytes"`
 	Previous uint64 `json:"previous"`
-}
-
-// ListenAndServe binds addr (port 0 picks a free port), serves the handler
-// in the background, and returns the bound address plus a shutdown func.
-func (s *Server) ListenAndServe(addr string) (string, func() error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("policysync: listener: %w", err)
-	}
-	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), srv.Close, nil
 }

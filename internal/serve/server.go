@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -210,16 +209,4 @@ func (s *Server) BeginDrain(timeout time.Duration) error {
 	}
 	s.inflight.Wait()
 	return s.gw.Drain(timeout)
-}
-
-// ListenAndServe binds addr (port 0 picks a free port), serves the handler
-// in the background, and returns the bound address plus a shutdown func.
-func (s *Server) ListenAndServe(addr string) (string, func() error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("serve: listener: %w", err)
-	}
-	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), srv.Close, nil
 }

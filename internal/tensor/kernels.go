@@ -3,9 +3,10 @@ package tensor
 // The matrix-product kernels. There are two loop nests, matMulRows (a × b)
 // and matMulTransARows (aᵀ × b); a × bᵀ is a × b against a transposed copy of
 // b (TransposeRows), so it has no nest of its own. Each nest computes a
-// contiguous range of dst rows: the serial entry points (matrix.go) run it
-// over every row and parallelRows (parallel.go) over one chunk per worker.
-// There is no other product loop in the package.
+// contiguous range of dst rows, and the five entry points (matrix.go) run it
+// over every row on the calling goroutine. There is no other product loop in
+// the package, and no goroutine: parallelism in the update is the per-agent
+// pool in core, one level up.
 //
 // Both nests are rows of one shape — a dst row is a sum of rows of b, each
 // times one multiplier from a — and have one body per vector width the CPU

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -69,7 +70,6 @@ type product struct {
 	rows   func(dst, a, b *Matrix, lo, hi int)
 	ref    func(dst, a, b *Matrix)
 	entry  func(dst, a, b *Matrix) *Matrix
-	par    func(dst, a, b *Matrix) *Matrix
 }
 
 var products = []product{
@@ -79,7 +79,7 @@ var products = []product{
 			return [2]int{m, n}, [2]int{m, k}, [2]int{k, n}
 		},
 		rows: func(dst, a, b *Matrix, lo, hi int) { matMulRows(dst, a, b, nil, false, nil, lo, hi) },
-		ref:  refMatMul, entry: MatMul, par: MatMulParallel,
+		ref:  refMatMul, entry: MatMul,
 	},
 	{
 		name: "TransB", // gradIn(m×k) = grad(m×n) · W(k×n)ᵀ
@@ -90,16 +90,13 @@ var products = []product{
 			matMulRows(dst, a, TransposeRows(nil, b, 0, b.Rows), nil, false, nil, lo, hi)
 		},
 		ref: refMatMulTransB, entry: MatMulTransB,
-		par: func(dst, a, b *Matrix) *Matrix { // what nn.Dense's backward runs
-			return MatMulParallel(dst, a, TransposeRows(nil, b, 0, b.Rows))
-		},
 	},
 	{
 		name: "TransA", // gradW(k×n) = x(m×k)ᵀ · grad(m×n)
 		shapes: func(m, k, n int) (dst, a, b [2]int) {
 			return [2]int{k, n}, [2]int{m, k}, [2]int{m, n}
 		},
-		rows: matMulTransARows, ref: refMatMulTransA, entry: MatMulTransA, par: MatMulTransAParallel,
+		rows: matMulTransARows, ref: refMatMulTransA, entry: MatMulTransA,
 	},
 }
 
@@ -226,8 +223,8 @@ func bitsEqual(a, b *Matrix) (int, bool) {
 }
 
 // checkProduct compares one product at one shape against the reference, bit
-// for bit, on each of the given bodies: the serial and parallel entry points,
-// and the row-range kernel under every split of its row range into two calls.
+// for bit, on each of the given bodies: the entry point, and the row-range
+// kernel under every split of its row range into two calls.
 // The reference, the slow part, is computed once for all bodies.
 func checkProduct(t testing.TB, paths []string, p product, m, k, n int, z zeros, seed int64, everySplit bool) {
 	t.Helper()
@@ -261,8 +258,7 @@ func checkProduct(t testing.TB, paths []string, p product, m, k, n int, z zeros,
 	defer func(prev int) { vectorLanes = prev }(vectorLanes)
 	for _, path := range paths {
 		vectorLanes = kernelLanes[path]
-		fail("serial entry", p.entry(poison(got), a, b))
-		fail("parallel entry", p.par(poison(got), a, b))
+		fail("entry", p.entry(poison(got), a, b))
 		for _, cut := range cuts {
 			poison(got)
 			p.rows(got, a, b, cut, rows) // upper part first: order must not matter either
@@ -456,7 +452,7 @@ func TestMatMulBiasMatchesSeparatePasses(t *testing.T) {
 			want := New(m, n)
 			refMatMul(want, x, w)
 			want.AddRowVector(bias.Data)
-			got := MatMulBiasParallel(poison(New(m, n)), x, w, bias.Data, false)
+			got := MatMulBias(poison(New(m, n)), x, w, bias.Data, false)
 			if i, ok := bitsEqual(got, want); !ok {
 				t.Fatalf("path=%s %dx%dx%d: biased element %d = %v, want %v", path, m, k, n, i, got.Data[i], want.Data[i])
 			}
@@ -465,7 +461,7 @@ func TestMatMulBiasMatchesSeparatePasses(t *testing.T) {
 					want.Data[i] = 0
 				}
 			}
-			got = MatMulBiasParallel(poison(got), x, w, bias.Data, true)
+			got = MatMulBias(poison(got), x, w, bias.Data, true)
 			if i, ok := bitsEqual(got, want); !ok {
 				t.Fatalf("path=%s %dx%dx%d: activated element %d = %v, want %v", path, m, k, n, i, got.Data[i], want.Data[i])
 			}
@@ -485,7 +481,7 @@ func TestMatMulBiasMatchesSeparatePasses(t *testing.T) {
 			for i, v := range want.Data {
 				want.Data[i] = ReLU(v)
 			}
-			got = MatMulBiasParallel(poison(got), x, w, bias.Data, true)
+			got = MatMulBias(poison(got), x, w, bias.Data, true)
 			if i, ok := bitsEqual(got, want); !ok {
 				t.Fatalf("path=%s %dx%dx%d: special element %d = %x, want %x (bias %v)", path, m, k, n, i,
 					math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]), bias.Data[i%n])
@@ -583,18 +579,41 @@ func TestMatMulSkipsEveryZeroMultiplier(t *testing.T) {
 	}
 }
 
-// TestMatMulBiasOneRowDoesNotAllocate: the acting forward — one observation
-// row through a dense layer — runs on the caller's goroutine without building
-// the closure the row-parallel path needs, on each body.
+// mallocsAt returns the fewest heap allocations one call of f makes at the
+// given GOMAXPROCS, over a few trials after a warm-up call (a background
+// goroutine of the test binary may allocate during one trial, not during
+// all). testing.AllocsPerRun cannot ask the question: it runs f at
+// GOMAXPROCS = 1.
+func mallocsAt(procs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+	var before, after runtime.MemStats
+	fewest := ^uint64(0)
+	for trial := 0; trial < 5; trial++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
+// TestMatMulBiasOneRowDoesNotAllocate: a dense layer's forward runs on the
+// caller's goroutine and touches no heap, on each body and with a second core
+// to spare — for one observation row (the acting forward) and for the serving
+// gateway's 64-row micro-batch.
 func TestMatMulBiasOneRowDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	x, w, bias, dst := New(1, 18), New(18, 64), New(1, 64), New(1, 64)
-	fillOperand(x, rng, dense)
-	fillOperand(w, rng, dense)
-	for _, path := range kernelPaths(t) {
-		setKernelPath(t, path)
-		if allocs := testing.AllocsPerRun(100, func() { MatMulBiasParallel(dst, x, w, bias.Data, true) }); allocs != 0 {
-			t.Fatalf("path=%s: 1x18x64 MatMulBiasParallel allocates %v times per call, want 0", path, allocs)
+	for _, shape := range [][3]int{{1, 18, 64}, {64, 64, 64}} {
+		m, k, n := shape[0], shape[1], shape[2]
+		x, w, bias, dst := New(m, k), New(k, n), New(1, n), New(m, n)
+		fillOperand(x, rng, dense)
+		fillOperand(w, rng, dense)
+		for _, path := range kernelPaths(t) {
+			setKernelPath(t, path)
+			if allocs := mallocsAt(2, func() { MatMulBias(dst, x, w, bias.Data, true) }); allocs != 0 {
+				t.Fatalf("path=%s: %dx%dx%d MatMulBias allocates %d times per call at GOMAXPROCS=2, want 0", path, m, k, n, allocs)
+			}
 		}
 	}
 }

@@ -132,6 +132,32 @@ func checkMatMul(dst, a, b *Matrix) {
 	}
 }
 
+// MatMulBias computes dst = a × b + bias like MatMul followed by
+// AddRowVector, and with relu dst = max(a × b + bias, 0) like ReLU after
+// that, bit for bit — but in one pass, finishing each row while it is in L1.
+// It is a dense layer's forward, with or without its activation.
+func MatMulBias(dst, a, b *Matrix, bias []float64, relu bool) *Matrix {
+	checkMatMul(dst, a, b)
+	if len(bias) != dst.Cols {
+		panic(fmt.Sprintf("tensor: MatMulBias bias len %d want %d", len(bias), dst.Cols))
+	}
+	matMulRows(dst, a, b, bias, relu, nil, 0, dst.Rows)
+	return dst
+}
+
+// MatMulGated computes dst = a × b like MatMul and then clears every element
+// whose counterpart in gate, a matrix of dst's shape, has zero bits —
+// ReLUGrad(dst, dst, gate), bit for bit — but in one pass, gating each row
+// before it is stored. With gate the output a ReLU retained and b the
+// transposed weights of the layer above it, it is that layer's input
+// gradient taken back through the ReLU.
+func MatMulGated(dst, a, b, gate *Matrix) *Matrix {
+	checkMatMul(dst, a, b)
+	assertSameShape("MatMulGated gate", gate, dst)
+	matMulRows(dst, a, b, nil, false, gate, 0, dst.Rows)
+	return dst
+}
+
 // MatMulTransA computes dst = aᵀ × b where a is stored untransposed.
 // dst must be a.Cols×b.Cols and must not alias a or b.
 func MatMulTransA(dst, a, b *Matrix) *Matrix {

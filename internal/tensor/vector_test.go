@@ -134,7 +134,7 @@ func TestClip(t *testing.T) {
 // exactly where ReLU kept the input — where the retained output has any bit
 // set, a NaN and a denormal included — and writes +0 elsewhere, whatever the
 // gradient there was; words beyond the length stay as they were; dst may be
-// grad. And the fused form is the same pass: MatMulGatedParallel against a
+// grad. And the fused form is the same pass: MatMulGated against a
 // retained output has the bits of the product followed by ReLUGrad, on each
 // body, over a width for every kernel (one masked panel, a wide panel whose
 // last vector overlaps, a wide panel and a masked one) and a row count that
@@ -191,7 +191,7 @@ func TestReLUGradMatchesReLU(t *testing.T) {
 			}
 			want := MatMul(New(m, n), g, w)
 			ReLUGrad(want.Data, want.Data, out.Data)
-			got := MatMulGatedParallel(poison(oddMatrix(m, n)), g, w, out)
+			got := MatMulGated(poison(oddMatrix(m, n)), g, w, out)
 			if i, ok := bitsEqual(got, want); !ok {
 				t.Fatalf("path=%s %dx%dx%d: gated element %d (output %v) = %x, want %x", path, m, k, n, i, out.Data[i],
 					math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
