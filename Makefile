@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-check bench-kernels bench-gather bench-workers bench-rollout bench-replay bench-serve cluster-smoke chaos-smoke serve-smoke examples experiments-small experiments-full clean
+.PHONY: all build test vet race bench bench-check bench-kernels bench-step bench-gather bench-workers bench-rollout bench-replay bench-serve cluster-smoke chaos-smoke serve-smoke examples experiments-small experiments-full clean
 
 all: build vet test
 
@@ -46,6 +46,16 @@ bench-check:
 # before/after for a kernel change.
 bench-kernels:
 	$(GO) test -run '^$$' -bench '^BenchmarkKernels$$' -cpu 1 -benchtime 300x -count 10 ./internal/tensor | python3 scripts/bench_quartiles.py
+
+# One rollout.Engine.Step of the loop's actor (8 envs x 3 predators into a
+# packing sink) with its four terms alone — the batched forwards, one agent's
+# block of Gumbel draws, one env's physics step, one packed row — and
+# tensor.Log in ns per element on each body at 5, 40 and 1024 elements;
+# q1/median/q3 of ten counts each. For a before/after, build the parent's
+# test binary too and alternate the two (SKILL.md, "Comparing kernels").
+bench-step:
+	( $(GO) test -run '^$$' -bench '^BenchmarkEngineStep$$' -cpu 1 -benchtime 20000x -count 10 ./internal/rollout; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkLog$$' -cpu 1 -benchtime 300x -count 10 ./internal/tensor ) | python3 scripts/bench_quartiles.py
 
 # Uniform 1024-row gathers from a 245 MB ring, in ns/row, on base pages and
 # on the huge-page mapping, by the naive loop and by the prefetching gather

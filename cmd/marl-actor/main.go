@@ -26,6 +26,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"marlperf"
@@ -36,6 +37,7 @@ import (
 	"marlperf/internal/mpe"
 	"marlperf/internal/nn"
 	"marlperf/internal/policysync"
+	"marlperf/internal/profiler"
 	"marlperf/internal/rollout"
 )
 
@@ -356,12 +358,32 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 				edge, c.Requests, c.Dropped, c.Errored, c.Delayed)
 		}
 	}
-	fmt.Fprintf(stdout, "done: %d episodes, %d transitions published, final policy v%d in %v\n",
-		completed, eng.TotalSteps(), eng.PolicyVersion(), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "done: %d episodes, %d transitions published, final policy v%d in %v;%s\n",
+		completed, eng.TotalSteps(), eng.PolicyVersion(), time.Since(start).Round(time.Millisecond),
+		phaseTotals(eng.Profile()))
 	if interrupted {
 		return cli.ExitInterrupted
 	}
 	return cli.ExitOK
+}
+
+// phaseTotals renders the engine profile's three phases for the exit line:
+// what each cost in all, and its share of the three together.
+func phaseTotals(p *profiler.Profile) string {
+	phases := []profiler.Phase{profiler.PhaseActionSelection, profiler.PhaseEnvStep, profiler.PhaseReplayAdd}
+	var total time.Duration
+	for _, ph := range phases {
+		total += p.Duration(ph)
+	}
+	var b strings.Builder
+	for _, ph := range phases {
+		share := 0.0
+		if total > 0 {
+			share = 100 * float64(p.Duration(ph)) / float64(total)
+		}
+		fmt.Fprintf(&b, " %v %.1fms %.0f%%", ph, float64(p.Duration(ph))/float64(time.Millisecond), share)
+	}
+	return b.String()
 }
 
 // actorEpisodeRecord is one -runlog line: emitted whenever an engine step

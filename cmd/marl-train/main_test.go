@@ -172,8 +172,15 @@ func TestClosedLoop(t *testing.T) {
 
 	actor := exec.Command(buildBinary(t, dir, "marl-actor"), "-replay-addr", replayd.addr, "-env", "cn", "-agents", "2",
 		"-actor-id", "actor-0", "-episodes", "4", "-seed", "7")
-	if out, err := actor.CombinedOutput(); err != nil {
+	out, err := actor.CombinedOutput()
+	if err != nil {
 		t.Fatalf("marl-actor: %v\n%s", err, out)
+	}
+	// The exit line: the prefix chaos_smoke.sh reads the row count from,
+	// then the engine profile's three phases.
+	doneLine := regexp.MustCompile(`(?m)^done: 4 episodes, 100 transitions published.*; action-selection [\d.]+ms \d+% env-step [\d.]+ms \d+% replay-add [\d.]+ms \d+%$`)
+	if !doneLine.Match(out) {
+		t.Errorf("no done line with phase totals:\n%s", out)
 	}
 
 	runlog := filepath.Join(dir, "run.jsonl")

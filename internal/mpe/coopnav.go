@@ -16,6 +16,7 @@ type CooperativeNavigation struct {
 	world   *World
 	n       int
 	obsDims []int
+	buf     stepBuffers
 }
 
 // NewCooperativeNavigation builds a spread scenario with n agents and n
@@ -45,6 +46,7 @@ func NewCooperativeNavigation(n int) *CooperativeNavigation {
 		// self vel + self pos + landmark rel + other agents rel + comm.
 		c.obsDims[i] = 4 + 2*n + 2*(n-1) + 2*(n-1)
 	}
+	c.buf = newStepBuffers(c.obsDims)
 	return c
 }
 
@@ -99,7 +101,7 @@ func (c *CooperativeNavigation) rewards() []float64 {
 		}
 		shared -= minDist
 	}
-	rw := make([]float64, c.n)
+	rw := c.buf.rew
 	for i := range rw {
 		rw[i] = shared
 		for j, other := range c.world.Agents {
@@ -115,10 +117,10 @@ func (c *CooperativeNavigation) rewards() []float64 {
 // comm×(N-1)] per agent; the comm channel is zero as in the reference
 // simple_spread (agents are not given a learned communication medium).
 func (c *CooperativeNavigation) observations() [][]float64 {
-	obs := make([][]float64, c.n)
+	obs := c.buf.nextObs()
 	for i := 0; i < c.n; i++ {
 		self := c.world.Agents[i]
-		v := make([]float64, 0, c.obsDims[i])
+		v := obs[i][:0]
 		v = append(v, self.Vel.X, self.Vel.Y, self.Pos.X, self.Pos.Y)
 		for _, lm := range c.world.Landmarks {
 			rel := lm.Pos.Sub(self.Pos)

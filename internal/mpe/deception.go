@@ -20,6 +20,7 @@ type PhysicalDeception struct {
 	nGood   int
 	target  int // landmark index
 	obsDims []int
+	buf     stepBuffers
 }
 
 // NewPhysicalDeception builds the scenario with nGood cooperating agents,
@@ -59,6 +60,7 @@ func NewPhysicalDeception(nGood int) *PhysicalDeception {
 	}
 	// The adversary lacks the target-relative term.
 	p.obsDims[nGood] = 4 + 2*nGood + 2*(total-1)
+	p.buf = newStepBuffers(p.obsDims)
 	return p
 }
 
@@ -116,7 +118,7 @@ func (p *PhysicalDeception) rewards() []float64 {
 			minGood = d
 		}
 	}
-	rw := make([]float64, p.NumAgents())
+	rw := p.buf.rew
 	goodReward := advDist - minGood
 	for i := 0; i < p.nGood; i++ {
 		rw[i] = goodReward
@@ -127,11 +129,11 @@ func (p *PhysicalDeception) rewards() []float64 {
 
 func (p *PhysicalDeception) observations() [][]float64 {
 	total := p.NumAgents()
-	obs := make([][]float64, total)
+	obs := p.buf.nextObs()
 	target := p.world.Landmarks[p.target]
 	for i := 0; i < total; i++ {
 		self := p.world.Agents[i]
-		v := make([]float64, 0, p.obsDims[i])
+		v := obs[i][:0]
 		v = append(v, self.Vel.X, self.Vel.Y, self.Pos.X, self.Pos.Y)
 		if i < p.nGood {
 			rel := target.Pos.Sub(self.Pos)

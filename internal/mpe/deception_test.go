@@ -61,7 +61,7 @@ func TestPhysicalDeceptionRewardsAreZeroSumFlavored(t *testing.T) {
 	env.world.Agents[0].Pos = target.Pos
 	env.world.Agents[1].Pos = target.Pos.Add(Vec2{2, 2})
 	env.world.Agents[2].Pos = target.Pos.Add(Vec2{3, 3})
-	rw := env.rewards()
+	rw := append([]float64(nil), env.rewards()...) // valid until the next call only
 	if rw[0] != rw[1] {
 		t.Fatalf("good agents should share rewards: %v vs %v", rw[0], rw[1])
 	}

@@ -19,6 +19,7 @@ type PredatorPrey struct {
 	numLandmarks int
 	obsDims      []int
 	rng          *rand.Rand
+	buf          stepBuffers
 }
 
 // PreyCountFor returns the scaled prey count for n predators, following the
@@ -90,6 +91,7 @@ func NewPredatorPreyCustom(nPredators, nPrey, nLandmarks int) *PredatorPrey {
 		// self vel + self pos + landmark rel + other agents rel + prey vels.
 		p.obsDims[i] = 4 + 2*nLandmarks + 2*(total-1) + 2*nPrey
 	}
+	p.buf = newStepBuffers(p.obsDims)
 	return p
 }
 
@@ -190,17 +192,19 @@ func (p *PredatorPrey) preyPolicy(prey *Agent) int {
 // shaping term proportional to distance from the nearest prey (the standard
 // shaped simple_tag adversary reward).
 func (p *PredatorPrey) rewards() []float64 {
-	rw := make([]float64, p.numPredators)
+	rw := p.buf.rew
 	for i := 0; i < p.numPredators; i++ {
+		rw[i] = 0
 		pred := p.world.Agents[i]
 		minDist := math.Inf(1)
 		for pi := 0; pi < p.numPrey; pi++ {
 			prey := p.world.Agents[p.numPredators+pi]
+			// One distance serves both terms; the second is IsCollision.
 			d := pred.Pos.Sub(prey.Pos).Norm()
 			if d < minDist {
 				minDist = d
 			}
-			if IsCollision(&pred.Entity, &prey.Entity) {
+			if d < pred.Size+prey.Size {
 				rw[i] += 10
 			}
 		}
@@ -215,10 +219,10 @@ func (p *PredatorPrey) rewards() []float64 {
 // predator: [self_vel, self_pos, landmark_rel×L, other_rel×(T-1),
 // prey_vel×M].
 func (p *PredatorPrey) observations() [][]float64 {
-	obs := make([][]float64, p.numPredators)
+	obs := p.buf.nextObs()
 	for i := 0; i < p.numPredators; i++ {
 		self := p.world.Agents[i]
-		v := make([]float64, 0, p.obsDims[i])
+		v := obs[i][:0]
 		v = append(v, self.Vel.X, self.Vel.Y, self.Pos.X, self.Pos.Y)
 		for _, lm := range p.world.Landmarks {
 			rel := lm.Pos.Sub(self.Pos)

@@ -111,7 +111,7 @@ func TestCoopNavRewardImprovesWhenAgentsOnLandmarks(t *testing.T) {
 	for i, ag := range env.world.Agents {
 		ag.Pos = env.world.Landmarks[i].Pos
 	}
-	rwOn := env.rewards()
+	rwOn := append([]float64(nil), env.rewards()...) // valid until the next call only
 	for i, ag := range env.world.Agents {
 		ag.Pos = env.world.Landmarks[i].Pos.Add(Vec2{3, 3})
 	}

@@ -61,6 +61,8 @@ type Agent struct {
 type World struct {
 	Agents    []*Agent
 	Landmarks []*Entity
+
+	forces []Vec2 // Step's per-agent force sums, kept between steps
 }
 
 // actionForce converts a discrete action index into a 2D unit direction.
@@ -91,7 +93,10 @@ func (w *World) SetAction(i, action int) {
 // Step advances the world by one timestep: action forces plus pairwise
 // collision forces, damped Euler integration, and per-agent speed caps.
 func (w *World) Step() {
-	forces := make([]Vec2, len(w.Agents))
+	if len(w.forces) != len(w.Agents) {
+		w.forces = make([]Vec2, len(w.Agents))
+	}
+	forces := w.forces
 	for i, ag := range w.Agents {
 		forces[i] = ag.action
 	}

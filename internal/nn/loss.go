@@ -81,12 +81,16 @@ func SoftmaxBackwardRows(dst, probs, gradProbs *tensor.Matrix) *tensor.Matrix {
 	return dst
 }
 
-// SampleGumbel fills dst with Gumbel(0,1) noise: -log(-log(U)). The small
-// offsets keep the logs finite.
+// gumbel turns a uniform draw from [0, 1) into Gumbel(0,1) noise:
+// -log(-log(u)). The small offsets keep the logs finite.
+func gumbel(u float64) float64 {
+	return -math.Log(-math.Log(u+1e-20) + 1e-20)
+}
+
+// SampleGumbel fills dst with Gumbel(0,1) noise, one draw from rng each.
 func SampleGumbel(dst []float64, rng *rand.Rand) {
 	for i := range dst {
-		u := rng.Float64()
-		dst[i] = -math.Log(-math.Log(u+1e-20) + 1e-20)
+		dst[i] = gumbel(rng.Float64())
 	}
 }
 
@@ -101,10 +105,42 @@ func GumbelSoftmaxRow(dst, logits []float64, temperature float64, rng *rand.Rand
 	if temperature <= 0 {
 		panic("nn: GumbelSoftmaxRow temperature must be positive")
 	}
-	tmp := make([]float64, len(logits))
-	SampleGumbel(tmp, rng)
 	for i, l := range logits {
-		tmp[i] = (l + tmp[i]) / temperature
+		dst[i] = (l + gumbel(rng.Float64())) / temperature
 	}
-	tensor.Softmax(dst, tmp)
+	tensor.Softmax(dst, dst)
+}
+
+// GumbelSoftmaxRows is GumbelSoftmaxRow over every row of logits, row r
+// drawing from rngs[r] — the same draws in the same order from each stream,
+// and the same bits in dst, as that many row-wise calls — with the two
+// logarithms of the noise taken over the whole block at once (tensor.Log,
+// which is math.Log packed eight to a vector). The exponentials stay
+// row-wise and scalar (tensor.Softmax). dst holds the noise on the way and
+// must not alias logits.
+func GumbelSoftmaxRows(dst, logits *tensor.Matrix, temperature float64, rngs []*rand.Rand) {
+	if dst.Rows != logits.Rows || dst.Cols != logits.Cols || len(rngs) != logits.Rows {
+		panic(fmt.Sprintf("nn: GumbelSoftmaxRows got %dx%d probs, %dx%d logits, %d streams", dst.Rows, dst.Cols, logits.Rows, logits.Cols, len(rngs)))
+	}
+	if temperature <= 0 {
+		panic("nn: GumbelSoftmaxRows temperature must be positive")
+	}
+	noise, cols := dst.Data, dst.Cols
+	for r, rng := range rngs {
+		for c := r * cols; c < (r+1)*cols; c++ {
+			noise[c] = rng.Float64() + 1e-20
+		}
+	}
+	tensor.Log(noise, noise)
+	for i, v := range noise {
+		noise[i] = -v + 1e-20
+	}
+	tensor.Log(noise, noise)
+	for i, l := range logits.Data {
+		noise[i] = (l + -noise[i]) / temperature
+	}
+	for r := range rngs {
+		row := dst.Row(r)
+		tensor.Softmax(row, row)
+	}
 }

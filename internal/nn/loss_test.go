@@ -186,6 +186,68 @@ func TestGumbelSoftmaxPanicsOnBadTemperature(t *testing.T) {
 	GumbelSoftmaxRow(make([]float64, 2), []float64{1, 2}, 0, rand.New(rand.NewSource(1)))
 }
 
+// TestGumbelSoftmaxRowsMatchesRowByRow: the batched draw is the row-wise one
+// — the same probabilities, bit for bit, and every stream left in the state
+// that many row-wise calls leave it in — at block sizes with every vector
+// tail, logits with a NaN row included.
+func TestGumbelSoftmaxRowsMatchesRowByRow(t *testing.T) {
+	for rows := 1; rows <= 17; rows++ {
+		for cols := 1; cols <= 9; cols++ {
+			fill := rand.New(rand.NewSource(int64(100*rows + cols)))
+			logits := tensor.New(rows, cols)
+			logits.RandNormal(fill, 0, 3)
+			if rows > 2 {
+				logits.Row(1)[cols/2] = math.NaN()
+			}
+			tau := 0.5 + fill.Float64()
+			streams := func() []*rand.Rand {
+				rngs := make([]*rand.Rand, rows)
+				for r := range rngs {
+					rngs[r] = rand.New(rand.NewSource(int64(7*rows + r)))
+				}
+				return rngs
+			}
+
+			wantRngs, want := streams(), tensor.New(rows, cols)
+			for r := 0; r < rows; r++ {
+				GumbelSoftmaxRow(want.Row(r), logits.Row(r), tau, wantRngs[r])
+			}
+			gotRngs, got := streams(), tensor.New(rows, cols)
+			got.Fill(math.Inf(-1)) // whatever dst held must not matter
+			GumbelSoftmaxRows(got, logits, tau, gotRngs)
+
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%dx%d: element %d is %v batched, %v row by row", rows, cols, i, got.Data[i], want.Data[i])
+				}
+			}
+			for r := range wantRngs {
+				if gotRngs[r].Int63() != wantRngs[r].Int63() {
+					t.Fatalf("%dx%d: stream %d is in a different state after the batched draw", rows, cols, r)
+				}
+			}
+		}
+	}
+}
+
+func TestGumbelSoftmaxRowsPanicsOnBadShapes(t *testing.T) {
+	rngs := []*rand.Rand{rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))}
+	for name, fn := range map[string]func(){
+		"shape":       func() { GumbelSoftmaxRows(tensor.New(2, 3), tensor.New(2, 4), 1, rngs) },
+		"streams":     func() { GumbelSoftmaxRows(tensor.New(3, 3), tensor.New(3, 3), 1, rngs) },
+		"temperature": func() { GumbelSoftmaxRows(tensor.New(2, 3), tensor.New(2, 3), 0, rngs) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 // Property: gumbel-softmax sampling frequencies follow the softmax
 // distribution for moderate temperature (statistical smoke test), and MSE
 // loss is always non-negative.

@@ -27,6 +27,7 @@ type ActCore struct {
 	agents  []*nn.Network
 
 	rows    int
+	maxRows int
 	obsMats []*tensor.Matrix // per agent: rows×obsDims[i], capacity maxRows
 	logits  []*tensor.Matrix // per agent: rows×actDim copy of the forward output
 	obsFull [][]float64      // full-capacity backing for obsMats
@@ -37,12 +38,17 @@ type ActCore struct {
 // shared action width, able to batch up to maxRows observations per
 // forward. No networks are bound yet; Forward panics until SetAgents.
 func NewActCore(obsDims []int, actDim, maxRows int) *ActCore {
-	if len(obsDims) == 0 || actDim <= 0 || maxRows <= 0 {
+	bad := len(obsDims) == 0 || actDim <= 0 || maxRows <= 0
+	for _, w := range obsDims {
+		bad = bad || w < 1
+	}
+	if bad {
 		panic(fmt.Sprintf("rollout: NewActCore(%v, %d, %d): need ≥1 agent, positive widths and capacity", obsDims, actDim, maxRows))
 	}
 	c := &ActCore{
 		obsDims: append([]int(nil), obsDims...),
 		actDim:  actDim,
+		maxRows: maxRows,
 		obsMats: make([]*tensor.Matrix, len(obsDims)),
 		logits:  make([]*tensor.Matrix, len(obsDims)),
 		obsFull: make([][]float64, len(obsDims)),
@@ -68,7 +74,7 @@ func (c *ActCore) ObsDims() []int { return c.obsDims }
 func (c *ActCore) ActDim() int { return c.actDim }
 
 // MaxRows returns the batch capacity.
-func (c *ActCore) MaxRows() int { return len(c.obsFull[0]) / c.obsDims[0] }
+func (c *ActCore) MaxRows() int { return c.maxRows }
 
 // Agents returns the currently bound networks (nil before SetAgents).
 func (c *ActCore) Agents() []*nn.Network { return c.agents }
@@ -123,6 +129,10 @@ func (c *ActCore) Forward() {
 func (c *ActCore) Logits(agent, row int) []float64 {
 	return c.logits[agent].Row(row)
 }
+
+// AgentLogits returns one agent's logits from the last Forward, a row per
+// batch row. The matrix is core storage — read it before the next Begin.
+func (c *ActCore) AgentLogits(agent int) *tensor.Matrix { return c.logits[agent] }
 
 // NetworkDims derives the per-agent observation widths and the shared
 // action width from the networks themselves (first dense layer in, last

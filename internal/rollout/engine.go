@@ -6,17 +6,22 @@
 // Determinism contract: every environment owns an RNG stream derived from
 // the run seed and its global environment index (see EnvSeed), consumed in a
 // fixed per-env order — Gumbel exploration draws agent-by-agent, then the
-// environment's own internal draws during Step. Batched forwards never touch
-// an RNG and each output row of a dense layer is computed with the same
-// operation order at any batch size, so a B-env engine produces trajectories
-// bit-identical to B single-env engines running the same global indices —
-// the property TestVectorizedMatchesSingleEnv pins down.
+// environment's own internal draws during Step. The batched engine draws
+// agent-major (agent 0's noise for every env, then agent 1's, …), which no
+// stream can tell from env-major: each sees its own agents in order, and
+// nothing of another env's. Batched forwards never touch an RNG and each
+// output row of a dense layer is computed with the same operation order at
+// any batch size, so a B-env engine produces trajectories bit-identical to B
+// single-env engines running the same global indices — the property
+// TestVectorizedMatchesSingleEnv pins down, and TestRolloutGoldenTrajectories
+// holds to CRCs recorded before the draw was batched.
 package rollout
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"marlperf/internal/mpe"
 	"marlperf/internal/nn"
@@ -94,7 +99,12 @@ type Engine struct {
 	version  uint64
 	knownVer uint64 // newest policy version seen (installed or not)
 
+	// obs and nextObs are the envs' own storage (mpe.Env): the set a Reset
+	// or Step returned stays intact across exactly the next call on that
+	// env, which is as long as a step keeps it.
 	obs     [][][]float64 // [env][agent][obsDim]
+	nextObs [][][]float64 // [env], from this step's env.Step
+	rewards [][]float64   // [env][agent], likewise
 	epStep  []int
 	epRew   []float64
 	lastRew float64
@@ -106,11 +116,12 @@ type Engine struct {
 	stepCalls uint64 // Step invocations (trace sampling index)
 
 	// Acting scratch.
-	core      *ActCore       // batched per-agent forwards (shared with internal/serve)
-	obsRow    *tensor.Matrix // header rebound per (env, agent) in per-env mode
-	probs     [][][]float64  // [env][agent][actDim]
-	actionIdx [][]int        // [env][agent]
-	dones     [][]float64    // [env][agent]
+	core      *ActCore         // batched per-agent forwards (shared with internal/serve)
+	obsRow    *tensor.Matrix   // header rebound per (env, agent) in per-env mode
+	probsMat  []*tensor.Matrix // per agent: envs×actDim, one block of exploration draws
+	probs     [][][]float64    // [env][agent]: row env of probsMat[agent]
+	actionIdx [][]int          // [env][agent]
+	dones     [][]float64      // [env][agent]
 
 	stepsC    *telemetry.Counter
 	episodesC *telemetry.Counter
@@ -187,17 +198,23 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.obs[i] = env.Reset(e.rngs[i])
 	}
 
+	e.nextObs = make([][][]float64, b)
+	e.rewards = make([][]float64, b)
 	e.epStep = make([]int, b)
 	e.epRew = make([]float64, b)
 	e.core = NewActCore(e.obsDims, e.actDim, b)
 	e.obsRow = tensor.New(1, 0)
+	e.probsMat = make([]*tensor.Matrix, e.n)
+	for i := range e.probsMat {
+		e.probsMat[i] = tensor.New(b, e.actDim)
+	}
 	e.probs = make([][][]float64, b)
 	e.actionIdx = make([][]int, b)
 	e.dones = make([][]float64, b)
 	for env := 0; env < b; env++ {
 		e.probs[env] = make([][]float64, e.n)
 		for i := 0; i < e.n; i++ {
-			e.probs[env][i] = make([]float64, e.actDim)
+			e.probs[env][i] = e.probsMat[i].Row(env)
 		}
 		e.actionIdx[env] = make([]int, e.n)
 		e.dones[env] = make([]float64, e.n)
@@ -286,10 +303,13 @@ func finiteSlice(vs []float64) bool {
 	return true
 }
 
-// act fills probs/actionIdx for every (env, agent). Forward passes are
-// batched per agent (or per env in PerEnvForward mode); exploration draws
-// always run env-major then agent-minor, so each env's RNG stream sees the
-// exact sequence a single-env engine would produce.
+// act fills probs/actionIdx for every (env, agent). Batched, it runs agent
+// by agent: one forward over all envs' observations, one block of Gumbel
+// draws — row env from env's stream — whose logarithms go through
+// tensor.Log a vector at a time, then each row's action. PerEnvForward is
+// the row-wise, scalar oracle of the same thing, env-major: each stream sees
+// the same sequence either way (agent 0's draws, its sanitising Intn if any,
+// agent 1's draws, …), which is the sequence a single-env engine produces.
 func (e *Engine) act() {
 	b := e.cfg.Envs
 	if e.cfg.PerEnvForward {
@@ -298,7 +318,8 @@ func (e *Engine) act() {
 				row := e.obsRow
 				row.Rows, row.Cols, row.Data = 1, e.obsDims[i], e.obs[env][i]
 				out := e.agents[i].Forward(row)
-				e.drawAction(env, i, out.Row(0))
+				nn.GumbelSoftmaxRow(e.probs[env][i], out.Row(0), e.cfg.GumbelTau, e.rngs[env])
+				e.pickAction(env, i)
 			}
 		}
 		return
@@ -310,27 +331,26 @@ func (e *Engine) act() {
 		}
 	}
 	e.core.Forward()
-	for env := 0; env < b; env++ {
-		for i := 0; i < e.n; i++ {
-			e.drawAction(env, i, e.core.Logits(i, env))
+	for i := 0; i < e.n; i++ {
+		nn.GumbelSoftmaxRows(e.probsMat[i], e.core.AgentLogits(i), e.cfg.GumbelTau, e.rngs)
+		for env := 0; env < b; env++ {
+			e.pickAction(env, i)
 		}
 	}
 }
 
-// drawAction turns one agent's logits row into exploration action probs and
-// a discrete action, mirroring the trainer's interact: Gumbel-softmax
-// exploration with a uniform fallback when a diverged policy emits non-
-// finite values (a poisoned row must never reach the replay service).
-func (e *Engine) drawAction(env, agent int, logitsRow []float64) {
-	rng := e.rngs[env]
+// pickAction turns one agent's exploration probs into a discrete action,
+// mirroring the trainer's interact: the argmax, or a uniform fallback when a
+// diverged policy emitted non-finite values (a poisoned row must never reach
+// the replay service).
+func (e *Engine) pickAction(env, agent int) {
 	probs := e.probs[env][agent]
-	nn.GumbelSoftmaxRow(probs, logitsRow, e.cfg.GumbelTau, rng)
 	if !finiteSlice(probs) {
 		uniform := 1 / float64(e.actDim)
 		for k := range probs {
 			probs[k] = uniform
 		}
-		e.actionIdx[env][agent] = rng.Intn(e.actDim)
+		e.actionIdx[env][agent] = e.rngs[env].Intn(e.actDim)
 		e.prof.Event(profiler.EventActionSanitized, 1)
 		return
 	}
@@ -341,6 +361,14 @@ func (e *Engine) drawAction(env, agent int, logitsRow []float64) {
 // B environment transitions, B replay appends, episode bookkeeping. It
 // returns how many episodes completed on this step (0..Envs). A policy must
 // have been installed.
+//
+// The step runs as passes over the envs — act, step them all, add all their
+// rows in env order, then close episodes and reset — so each profiler phase
+// is timed once per call, between four clock reads, and a step allocates
+// nothing. The envs share no state and each draws from its own stream, so
+// the order of passes is invisible in the trajectories. A sink error ends
+// the call between passes — every env has stepped, no episode is closed —
+// and the engine is not stepped again: the actor exits on it.
 func (e *Engine) Step() (int, error) {
 	if e.agents == nil {
 		return 0, fmt.Errorf("rollout: Step before any policy was installed")
@@ -360,7 +388,6 @@ func (e *Engine) Step() (int, error) {
 	} else if e.tracer.Enabled() {
 		e.tracer.ClearActive()
 	}
-
 	// Act-time version lag: how far behind the newest-known policy this
 	// step's actions are drawn. Observed per Step call, not per env-step.
 	if lag := e.knownVer; lag > e.version {
@@ -369,58 +396,62 @@ func (e *Engine) Step() (int, error) {
 		e.actLagH.Observe(0)
 	}
 
-	e.prof.Start(profiler.PhaseActionSelection)
+	start := time.Now()
 	actSpan := e.tracer.StartSpan(stepSpan.Context(), "action-selection")
 	e.act()
 	actSpan.EndArg("envs", int64(b))
-	e.prof.Stop(profiler.PhaseActionSelection)
+	acted := time.Now()
+	e.prof.Add(profiler.PhaseActionSelection, acted.Sub(start))
 
-	completed := 0
 	for env := 0; env < b; env++ {
-		e.prof.Start(profiler.PhaseEnvStep)
+		// A child of an unsampled step is the inert zero Span: no clock read.
 		envSpan := e.tracer.StartSpan(stepSpan.Context(), "env-step")
-		nextObs, rewards := e.envs[env].Step(e.actionIdx[env])
+		e.nextObs[env], e.rewards[env] = e.envs[env].Step(e.actionIdx[env])
 		envSpan.EndArg("env", int64(e.cfg.FirstEnvIndex+env))
-		e.prof.Stop(profiler.PhaseEnvStep)
 
 		e.epStep[env]++
-		var meanRew float64
-		for _, r := range rewards {
-			meanRew += r
-		}
-		e.epRew[env] += meanRew / float64(e.n)
-
-		done := e.epStep[env] >= e.cfg.MaxEpisodeLen
 		flag := 0.0
-		if done {
+		if e.epStep[env] >= e.cfg.MaxEpisodeLen {
 			flag = 1
 		}
 		for i := range e.dones[env] {
 			e.dones[env][i] = flag
 		}
+	}
+	stepped := time.Now()
+	e.prof.Add(profiler.PhaseEnvStep, stepped.Sub(acted))
 
-		if e.cfg.Sink != nil {
-			e.prof.Start(profiler.PhaseReplayAdd)
+	if e.cfg.Sink != nil {
+		for env := 0; env < b; env++ {
 			addSpan := e.tracer.StartSpan(stepSpan.Context(), "replay-add")
-			err := e.cfg.Sink.Add(e.obs[env], e.probs[env], rewards, nextObs, e.dones[env])
+			err := e.cfg.Sink.Add(e.obs[env], e.probs[env], e.rewards[env], e.nextObs[env], e.dones[env])
 			addSpan.EndArg("env", int64(e.cfg.FirstEnvIndex+env))
-			e.prof.Stop(profiler.PhaseReplayAdd)
 			if err != nil {
-				return completed, fmt.Errorf("rollout: env %d replay add: %w", e.cfg.FirstEnvIndex+env, err)
+				return 0, fmt.Errorf("rollout: env %d replay add: %w", e.cfg.FirstEnvIndex+env, err)
 			}
 		}
+		e.prof.Add(profiler.PhaseReplayAdd, time.Since(stepped))
+	}
 
-		if done {
-			completed++
-			e.eps++
-			e.episodesC.Inc()
-			e.lastRew = e.epRew[env]
-			e.epRew[env] = 0
-			e.epStep[env] = 0
-			e.obs[env] = e.envs[env].Reset(e.rngs[env])
-		} else {
-			e.obs[env] = nextObs
+	completed := 0
+	for env := 0; env < b; env++ {
+		var meanRew float64
+		for _, r := range e.rewards[env] {
+			meanRew += r
 		}
+		e.epRew[env] += meanRew / float64(e.n)
+
+		if e.epStep[env] < e.cfg.MaxEpisodeLen {
+			e.obs[env] = e.nextObs[env]
+			continue
+		}
+		completed++
+		e.eps++
+		e.episodesC.Inc()
+		e.lastRew = e.epRew[env]
+		e.epRew[env] = 0
+		e.epStep[env] = 0
+		e.obs[env] = e.envs[env].Reset(e.rngs[env])
 	}
 	e.steps += uint64(b)
 	e.stepsC.Add(uint64(b))

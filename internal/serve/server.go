@@ -101,18 +101,23 @@ func (s *Server) handleAct(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 
+	// Query() parses into a fresh map on every call: only a request that
+	// has a query pays for one.
 	var version uint64
-	if q := r.URL.Query().Get("version"); q != "" {
-		v, err := strconv.ParseUint(q, 10, 64)
-		if err != nil || v == 0 {
-			http.Error(w, fmt.Sprintf("bad version %q", q), http.StatusBadRequest)
-			return
+	if r.URL.RawQuery != "" {
+		if q := r.URL.Query().Get("version"); q != "" {
+			v, err := strconv.ParseUint(q, 10, 64)
+			if err != nil || v == 0 {
+				http.Error(w, fmt.Sprintf("bad version %q", q), http.StatusBadRequest)
+				return
+			}
+			version = v
 		}
-		version = v
 	}
 
 	// Observation frames are a few hundred bytes: one exact-size buffer per
-	// request, nothing worth pooling.
+	// request, nothing worth pooling — and a binary frame's rows are views
+	// of it, so it lives until the gateway has answered.
 	body, err := netretry.ReadBody(r.Body, r.ContentLength, maxActBody, nil)
 	if err != nil {
 		http.Error(w, err.Error(), netretry.BodyStatus(err))

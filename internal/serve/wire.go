@@ -31,8 +31,9 @@ func EncodeObsFrame(dst []byte, obs [][]float64) []byte {
 }
 
 // DecodeObsFrame splits a binary request body against the serving widths.
-// The returned rows alias one freshly allocated backing array, not the
-// input, so the caller may recycle body at once.
+// Where the host allows it (little-endian, body 8-byte aligned) the returned
+// rows are a view of body itself, which the caller then keeps unmodified for
+// as long as it uses them; otherwise they are decoded into a fresh array.
 func DecodeObsFrame(body []byte, obsDims []int) ([][]float64, error) {
 	total := 0
 	for _, w := range obsDims {
@@ -41,8 +42,8 @@ func DecodeObsFrame(body []byte, obsDims []int) ([][]float64, error) {
 	if len(body) != total*8 {
 		return nil, fmt.Errorf("serve: binary obs frame is %d bytes, serving shape needs %d (%d f64 values)", len(body), total*8, total)
 	}
-	vals := make([]float64, total)
-	f64le.Get(vals, body)
+	var decoded []float64
+	vals := f64le.View(body, &decoded)
 	obs := make([][]float64, len(obsDims))
 	for i, w := range obsDims {
 		obs[i], vals = vals[:w:w], vals[w:]

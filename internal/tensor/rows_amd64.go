@@ -18,6 +18,24 @@ func rowsWide4(p *rowArgs)
 //go:noescape
 func rowsNarrow4(p *rowArgs)
 
+//go:noescape
+func logVectors8(dst, src *float64, n int) int
+
+//go:noescape
+func logVectors4(dst, src *float64, n int) int
+
+// logVectors runs the packed logarithm of the given width over the whole
+// vectors at the front of src, which holds at least one and dst as many
+// elements, until one holds a lane it does not compute, and returns the count
+// of elements written.
+func logVectors(lanes int, dst, src []float64) int {
+	_ = dst[len(src)-1]
+	if lanes == 8 {
+		return logVectors8(&dst[0], &src[0], len(src))
+	}
+	return logVectors4(&dst[0], &src[0], len(src))
+}
+
 // cpuVectorLanes returns the widest resident body this CPU and OS can run.
 func cpuVectorLanes() int {
 	switch {

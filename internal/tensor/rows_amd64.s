@@ -2,7 +2,8 @@
 #include "go_asm.h"
 
 // The resident row kernels under both matrix products (kernels.go): one wide
-// body and one narrow body, each a header expanded once per vector width.
+// body and one narrow body, each a header expanded once per vector width —
+// and, expanded beside them, the packed logarithm under Log (log.go).
 // Every body uses registers 0-15 of its width only and ends in VZEROUPPER:
 // the upper halves are clean on return, so the XSAVE a context switch or a
 // signal does keeps skipping them, and the ZMM16-31 block is never dirtied
@@ -37,6 +38,18 @@
 //	                  B's lanes (rowArgs.aLanes); T2 or K2 is scratch
 //	LANESHIFT         log2 of LANES
 //	NEXTWORD          the symbol of the wide kernel's mask subroutine
+//
+// And for the packed logarithm (log_amd64.h), which takes its registers from
+// the same sixteen:
+//
+//	AND(a, b, r)      r = a & b, bit for bit; OR likewise
+//	LOGGABLE(x, t, u, g)
+//	                  g = one bit per lane of x, set where the lane is
+//	                  positive, finite and not zero; t and u are scratch
+//	ALLLANES          g with every lane's bit set
+//	NLTONE(f, c, one, r)
+//	                  r = one in the lanes where c < f does not hold, +0 in
+//	                  the rest
 
 // Eight lanes: AVX-512.
 #define A0 Z0
@@ -79,6 +92,13 @@
 #define GATHER(p, r) KXNORW K2, K2, K2; VGATHERQPD (p)(B*1), K2, r
 #define LANESHIFT 3
 #define NEXTWORD nextWord8<>(SB)
+#define AND(a, b, r) VPANDQ a, b, r
+#define OR(a, b, r) VPORQ a, b, r
+// Predicate 0x1e is "greater, ordered", 0x11 "less, ordered", 5 "not less".
+#define LOGGABLE(x, t, u, g) \
+	VPXORQ t, t, t; VCMPPD $0x1e, t, x, K1; VBROADCASTSD logInf<>(SB), u; VCMPPD $0x11, u, x, K1, K2; KMOVW K2, g
+#define ALLLANES 0xff
+#define NLTONE(f, c, one, r) VCMPPD $5, f, c, K1; VMOVAPD.Z one, K1, r
 
 // func rowsWide8(p *rowArgs)
 TEXT ·rowsWide8(SB), NOSPLIT, $0-8
@@ -89,6 +109,13 @@ TEXT ·rowsWide8(SB), NOSPLIT, $0-8
 TEXT ·rowsNarrow8(SB), NOSPLIT, $0-8
 	MOVQ p+0(FP), DX
 #include "rows_narrow_amd64.h"
+
+// func logVectors8(dst, src *float64, n int) int
+TEXT ·logVectors8(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+#include "log_amd64.h"
 
 #undef A0
 #undef A1
@@ -125,6 +152,11 @@ TEXT ·rowsNarrow8(SB), NOSPLIT, $0-8
 #undef NEXTWORD
 #undef GATHER
 #undef LANESHIFT
+#undef AND
+#undef OR
+#undef LOGGABLE
+#undef ALLLANES
+#undef NLTONE
 
 // Four lanes: AVX2.
 #define A0 Y0
@@ -168,6 +200,12 @@ TEXT ·rowsNarrow8(SB), NOSPLIT, $0-8
 #define GATHER(p, r) VPCMPEQQ T2, T2, T2; VGATHERQPD T2, (p)(B*1), r
 #define LANESHIFT 2
 #define NEXTWORD nextWord4<>(SB)
+#define AND(a, b, r) VPAND a, b, r
+#define OR(a, b, r) VPOR a, b, r
+#define LOGGABLE(x, t, u, g) \
+	VPXOR t, t, t; VCMPPD $0x1e, t, x, t; VBROADCASTSD logInf<>(SB), u; VCMPPD $0x11, u, x, u; VANDPD t, u, t; VMOVMSKPD t, g
+#define ALLLANES 0xf
+#define NLTONE(f, c, one, r) VCMPPD $5, f, c, r; VANDPD one, r, r
 
 DATA columns4<>+0(SB)/8, $-1
 DATA columns4<>+8(SB)/8, $-1
@@ -188,6 +226,36 @@ TEXT ·rowsWide4(SB), NOSPLIT, $0-8
 TEXT ·rowsNarrow4(SB), NOSPLIT, $0-8
 	MOVQ p+0(FP), DX
 #include "rows_narrow_amd64.h"
+
+// func logVectors4(dst, src *float64, n int) int
+TEXT ·logVectors4(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+#include "log_amd64.h"
+
+// math.archLog's constants, by their bits, and what the exponent's trip from
+// integer to double needs: 2^52 and 2^52 + 1022.
+#define LOGCONST(name, bits) \
+	DATA name<>+0(SB)/8, $bits; \
+	GLOBL name<>(SB), RODATA|NOPTR, $8
+LOGCONST(logMantissa, 0x000fffffffffffff)
+LOGCONST(logHalf, 0x3fe0000000000000)
+LOGCONST(logOne, 0x3ff0000000000000)
+LOGCONST(logTwo, 0x4000000000000000)
+LOGCONST(logInf, 0x7ff0000000000000)
+LOGCONST(logTwo52, 0x4330000000000000)
+LOGCONST(logTwo52Bias, 0x43300000000003fe)
+LOGCONST(logHSqrt2, 0x3fe6a09e667f3bcd)
+LOGCONST(logLn2Hi, 0x3fe62e42fee00000)
+LOGCONST(logLn2Lo, 0x3dea39ef35793c76)
+LOGCONST(logL1, 0x3fe5555555555593)
+LOGCONST(logL2, 0x3fd999999997fa04)
+LOGCONST(logL3, 0x3fd2492494229359)
+LOGCONST(logL4, 0x3fcc71c51d8e78af)
+LOGCONST(logL5, 0x3fc7466496cb03de)
+LOGCONST(logL6, 0x3fc39a09d078c69f)
+LOGCONST(logL7, 0x3fc2f112df3e5244)
 
 // func cpuHasAVX2() bool
 //
