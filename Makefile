@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-check bench-kernels bench-step bench-gather bench-workers bench-rollout bench-replay bench-serve cluster-smoke chaos-smoke serve-smoke examples experiments-small experiments-full clean
+.PHONY: all build test vet race bench bench-check bench-kernels bench-step bench-draw bench-gather bench-workers bench-rollout bench-replay bench-serve cluster-smoke chaos-smoke serve-smoke examples experiments-small experiments-full clean
 
 all: build vet test
 
@@ -56,6 +56,14 @@ bench-kernels:
 bench-step:
 	( $(GO) test -run '^$$' -bench '^BenchmarkEngineStep$$' -cpu 1 -benchtime 20000x -count 10 ./internal/rollout; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkLog$$' -cpu 1 -benchtime 300x -count 10 ./internal/tensor ) | python3 scripts/bench_quartiles.py
+
+# A fabric draw's selection: one 1024-index uniform FillIndices over
+# fabric-sample's 131 072 rows against the math/rand expansion it reproduces
+# (ns and allocs per draw), and View.Map on a balanced and a trimmed
+# two-group view (ns per index); q1/median/q3 of ten counts each.
+bench-draw:
+	( $(GO) test -run '^$$' -bench '^BenchmarkFillIndices$$' -cpu 1 -count 10 ./internal/replay; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkViewMap$$' -cpu 1 -count 10 ./internal/expshard ) | python3 scripts/bench_quartiles.py
 
 # Uniform 1024-row gathers from a 245 MB ring, in ns/row, on base pages and
 # on the huge-page mapping, by the naive loop and by the prefetching gather

@@ -2,8 +2,9 @@ package marlperf
 
 // Experience-service benchmark: the cost of drawing a mini-batch through
 // the replay path, local (in-process expstore sampling) versus remote
-// (the full expserve HTTP round trip with server-side sampling through a
-// one-group fabric, what a plain -replay-addr builds), swept across batch
+// (the full expserve HTTP round trip, learner-side selection and a
+// server-side gather through a one-group fabric, what a plain -replay-addr
+// builds), swept across batch
 // sizes for both plan-able strategies. Remote cells run in two
 // configurations: a single-connection synchronous client (the
 // worst-case serial path) and a striped pipelined client that overlaps

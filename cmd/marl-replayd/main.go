@@ -44,10 +44,10 @@ const usage = `Usage: marl-replayd [flags]
 Serves the experience service for a networked actor/learner split:
 POST /v1/append ingests CRC-framed transition batches (idempotent per
 actor sequence number, bounded queue, 429 backpressure), POST
-/v1/shard-sample executes this store's slice of a seeded uniform or
-locality draw server-side over the packed rows — the request carries the
-client's frozen fabric view, the reply is gathered zero-copy from the
-row store — with response volume on marl_exp_sample_bytes_total. GET
+/v1/shard-sample gathers this store's share of a learner's uniform or
+locality draw — the request names the rows the learner selected here, the
+reply is gathered zero-copy from the row store — with response volume on
+marl_exp_sample_bytes_total. GET
 /v1/stats reports the spec and occupancy. /metrics exposes the
 marl_exp_* series; /healthz reports liveness.
 

@@ -52,10 +52,10 @@ either side.
 a pipe-separated list of replica replayd addresses ("h:9300" is one
 shard, "h1:9300|h1:9301,h2:9300|h2:9301" is 2 shards at R=2).
 Experience is time-striped across groups by a consistent-hash ring,
-appends replicate to every member of the owning group, and each draw
-executes server-side on all shards and merges deterministically — at
-R=1 with all shards live, training stays bit-identical to the local run
-at any shard count. A down member is served from its replicas; a fully
+appends replicate to every member of the owning group, and each draw is
+selected here once and gathered by the shards holding its rows — at R=1
+with all shards live, training stays bit-identical to the local run at
+any shard count. A down member is served from its replicas; a fully
 down group is skipped with the draw reweighted (counted, never silent).
 
 With -policy-publish-addr the learner closes the actor half of the
@@ -404,8 +404,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 }
 
 // wireExperienceService connects the trainer to a remote experience
-// service for both halves of the split: mini-batches are sampled
-// server-side with the trainer's per-batch seeds (bit-identical to the
+// service for both halves of the split: mini-batches are drawn with the
+// trainer's per-batch seeds and gathered by the shards (bit-identical to the
 // in-process sampler of the same name for the same collected rows), and
 // everything this learner collects itself is published back under
 // actorID so the service's row count gates updates exactly as a local

@@ -6,8 +6,8 @@ import (
 	"marlperf/internal/replay"
 )
 
-// SamplePlan maps the configured sampler to the pure-data plan the
-// experience service executes server-side. Only strategies whose index
+// SamplePlan maps the configured sampler to the pure-data plan a fabric
+// draw runs on the learner before the shards gather. Only strategies whose index
 // selection is a pure function of (length, seed) are serviceable — the
 // prioritized samplers carry client-side mutable state (sum trees, rank
 // heaps) that cannot be replayed remotely.

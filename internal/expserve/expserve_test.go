@@ -232,9 +232,9 @@ func (p *blockingProvider) waitBusy(t *testing.T) {
 func (p *blockingProvider) release() { p.released.Do(func() { close(p.gate) }) }
 
 // Sampling an empty store fails instead of returning garbage, at both
-// ends: the source refuses to draw from an empty view, and a server handed
-// such a view anyway answers 409 (the learner polling before warmup, not a
-// server fault).
+// ends: the source refuses to draw from an empty view, and a server asked
+// for rows anyway — by a view that saw them before the store lost them —
+// answers 409 (the learner polling before warmup, not a server fault).
 func TestSampleBeforeWarmupIsConflict(t *testing.T) {
 	spec := testSpec(64)
 	_, hs := newTestServer(t, spec, nil)
@@ -249,14 +249,13 @@ func TestSampleBeforeWarmupIsConflict(t *testing.T) {
 		t.Fatalf("sampling an empty store: err = %v, want an empty-stream error", err)
 	}
 	req, err := encodeShardSampleRequest(nil, shardSampleRequest{
-		N: 4, Seed: 1, Plan: plan, Partitions: 1, Part2Group: []int{0},
-		Stats: []expshard.GroupStat{{Live: true}},
+		Stat: expshard.GroupStat{Rows: 4, Total: 4}, Locals: []int{0, 1, 2, 3},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewClient(hs.URL, opts).do(http.MethodPost, PathShardSample, "application/octet-stream", req); err == nil || !strings.Contains(err.Error(), "409") {
-		t.Fatalf("shard-sample over an empty view: err = %v, want a 409", err)
+		t.Fatalf("shard-sample from an empty store: err = %v, want a 409", err)
 	}
 }
 

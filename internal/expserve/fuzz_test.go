@@ -7,32 +7,19 @@ package expserve
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"marlperf/internal/expshard"
-	"marlperf/internal/replay"
 )
 
-// wireTestRequest is a three-group request with a dead group, a trimmed
-// group and a named target shard: every field of the frame is non-trivial.
+// wireTestRequest is a trimmed group's share of a draw to a named target
+// shard: every field of the frame is non-trivial.
 func wireTestRequest() shardSampleRequest {
-	part2group := make([]int, 64)
-	for i := range part2group {
-		part2group[i] = i % 3
-	}
 	return shardSampleRequest{
-		N:          32,
-		Seed:       -12345,
-		Plan:       replay.SamplePlan{Strategy: replay.PlanLocality, Neighbors: 8, Refs: 4},
-		ShardID:    "shard-1",
-		MyGroup:    1,
-		Partitions: 64,
-		Part2Group: part2group,
-		Stats: []expshard.GroupStat{
-			{Rows: 100, Total: 100, Live: true},
-			{Rows: 90, Total: 120, Live: true},
-			{Rows: 0, Total: 0, Live: false},
-		},
+		ShardID: "shard-1",
+		Stat:    expshard.GroupStat{Rows: 90, Total: 120},
+		Locals:  []int{0, 89, 17, 17, 3, 64},
 	}
 }
 
@@ -50,33 +37,32 @@ func FuzzDecodeShardSampleRequest(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1])
-	f.Add(valid[:48])
-	f.Add(mutated(valid, func(b []byte) { b[13] ^= 0x41 }))                                // seed bit-flip: CRC
-	f.Add(mutated(valid, func(b []byte) { binary.LittleEndian.PutUint32(b[32:], 1<<31) })) // oversize partitions
-	f.Add(mutated(valid, func(b []byte) { b[44] = 0 }))                                    // no groups
-	f.Add(mutated(valid, func(b []byte) { b[44] = 255 }))                                  // more groups than the frame holds
-	f.Add(mutated(valid, func(b []byte) { b[45] = 3 }))                                    // myGroup outside groups
+	f.Add(valid[:shardReqHdr])
+	f.Add(mutated(valid, func(b []byte) { b[13] ^= 0x41 }))                               // rows bit-flip: CRC
+	f.Add(mutated(valid, func(b []byte) { binary.LittleEndian.PutUint32(b[8:], 1<<31) })) // oversize k
+	f.Add(mutated(valid, func(b []byte) { b[28] = 255 }))                                 // a shard ID longer than the frame
+	f.Add(mustEncode(f, shardSampleRequest{Stat: expshard.GroupStat{Rows: 1, Total: 1}})) // k = 0, no shard ID
+	locals := shardReqHdr + len(wireTestRequest().ShardID)
+	f.Add(resealed(mutated(valid, func(b []byte) { binary.LittleEndian.PutUint32(b[locals+4:], 90) }))) // local past the window, valid CRC
+	f.Add(resealed(mutated(valid, func(b []byte) { binary.LittleEndian.PutUint64(b[12:], 121) })))      // rows > total, valid CRC
 	f.Add([]byte(shardReqMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeShardSampleRequest(data)
+		req, err := decodeShardSampleRequest(data, nil)
 		if err != nil {
 			return
 		}
 		// Everything the decoder allocated is accounted for by bytes that
 		// were actually on the wire.
-		if want := shardReqSize(len(req.ShardID), req.Partitions, len(req.Stats)); len(data) != want {
+		if want := shardReqSize(len(req.ShardID), len(req.Locals)); len(data) != want {
 			t.Fatalf("accepted a %d-byte frame whose layout needs %d", len(data), want)
 		}
-		if len(req.Part2Group) != req.Partitions || req.Partitions > expshard.MaxPartitions {
-			t.Fatalf("accepted %d partitions with a %d-entry map", req.Partitions, len(req.Part2Group))
+		if req.Stat.Rows > req.Stat.Total {
+			t.Fatalf("accepted a view stat of %d rows over %d ever appended", req.Stat.Rows, req.Stat.Total)
 		}
-		if req.MyGroup < 0 || req.MyGroup >= len(req.Stats) {
-			t.Fatalf("accepted myGroup %d of %d groups", req.MyGroup, len(req.Stats))
-		}
-		for p, g := range req.Part2Group {
-			if g < 0 || g >= len(req.Stats) {
-				t.Fatalf("accepted partition %d -> group %d of %d", p, g, len(req.Stats))
+		for _, l := range req.Locals {
+			if l < 0 || uint64(l) >= req.Stat.Rows {
+				t.Fatalf("accepted local row %d of a %d-row window", l, req.Stat.Rows)
 			}
 		}
 		// An accepted request is one the encoder could have produced.
@@ -84,46 +70,55 @@ func FuzzDecodeShardSampleRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted a request that does not re-encode: %v", err)
 		}
-		if _, err := decodeShardSampleRequest(again); err != nil {
+		if _, err := decodeShardSampleRequest(again, nil); err != nil {
 			t.Fatalf("re-encoded request rejected: %v", err)
 		}
 	})
 }
 
+// resealed recomputes a request frame's trailing CRC after an edit.
+func resealed(frame []byte) []byte {
+	binary.LittleEndian.PutUint32(frame[len(frame)-4:], crc32.ChecksumIEEE(frame[:len(frame)-4]))
+	return frame
+}
+
+func mustEncode(f *testing.F, req shardSampleRequest) []byte {
+	frame, err := encodeShardSampleRequest(nil, req)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return frame
+}
+
 func FuzzDecodeShardReply(f *testing.F) {
-	const n, stride, k = 5, 4, 3
+	const k, stride, reqCRC = 3, 4, 0x5eed1234
 	valid := make([]byte, shardReplySize(k, stride))
 	for i := 0; i < k*stride; i++ {
 		binary.LittleEndian.PutUint64(valid[shardReplyHdr+8*i:], uint64(i)<<52)
 	}
-	putShardReplyHeader(valid, k, stride, n)
-	putShardReplySlots(valid, k, stride, []int32{4, 0, 2})
-	slotOff := shardReplyHdr + 8*k*stride
+	putShardReplyHeader(valid, k, stride, reqCRC)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1])
 	f.Add(valid[:shardReplyHdr])
-	f.Add(mutated(valid, func(b []byte) { b[9] ^= 1 }))                                          // k bit-flip: header CRC
-	f.Add(mutated(valid, func(b []byte) { putShardReplyHeader(b, n+1, stride, n) }))             // oversize k, valid CRC
-	f.Add(mutated(valid, func(b []byte) { b[slotOff] ^= 1 }))                                    // slot bit-flip: slot CRC
-	f.Add(mutated(valid, func(b []byte) { putShardReplySlots(b, k, stride, []int32{4, 0, n}) })) // slot outside the draw, valid CRC
+	f.Add(mutated(valid, func(b []byte) { b[9] ^= 1 }))                                   // k bit-flip: header CRC
+	f.Add(mutated(valid, func(b []byte) { putShardReplyHeader(b, k+1, stride, reqCRC) })) // more rows than asked, valid CRC
+	f.Add(mutated(valid, func(b []byte) { putShardReplyHeader(b, k, stride, reqCRC+1) })) // answers another request, valid CRC
+	f.Add(append(append([]byte(nil), valid...), 0))                                       // a byte too many
 	f.Add([]byte(shardReplyMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		slots := make([]int32, n)
-		got, rows, err := decodeShardReply(data, n, stride, slots)
+		rows, err := decodeShardReply(data, k, stride, reqCRC)
 		if err != nil {
-			if got != 0 || rows != nil {
-				t.Fatalf("rejected frame still returned k=%d and %d row bytes", got, len(rows))
+			if rows != nil {
+				t.Fatalf("rejected frame still returned %d row bytes", len(rows))
 			}
 			return
 		}
-		if got < 0 || got > n || len(data) != shardReplySize(got, stride) || len(rows) != 8*got*stride {
-			t.Fatalf("accepted a %d-byte frame as k=%d with %d row bytes", len(data), got, len(rows))
+		if len(data) != shardReplySize(k, stride) || len(rows) != 8*k*stride {
+			t.Fatalf("accepted a %d-byte frame with %d row bytes as the answer to k=%d", len(data), len(rows), k)
 		}
-		for _, s := range slots[:got] {
-			if s < 0 || int(s) >= n {
-				t.Fatalf("accepted slot %d outside a draw of %d", s, n)
-			}
+		if binary.LittleEndian.Uint32(data[16:]) != reqCRC {
+			t.Fatal("accepted the answer to another request")
 		}
 	})
 }

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"marlperf/internal/expshard"
 	"marlperf/internal/expstore"
 	"marlperf/internal/netretry"
 	"marlperf/internal/replay"
@@ -95,7 +94,7 @@ type ingestResult struct {
 // Server executes the experience service: bounded-queue ingestion with a
 // single writer (per-actor arrival order is preserved and every acknowledged
 // batch is flushed — durable against process kill before the actor sees the
-// ack), and server-side seeded sampling over the packed rows.
+// ack), and gathers of the packed rows a learner's draw selected.
 type Server struct {
 	cfg    ServerConfig
 	layout replay.RowLayout
@@ -141,8 +140,8 @@ type Server struct {
 	sampleAgeRows *telemetry.Histogram // per sampled row: store rows − row index
 	appendVisible *telemetry.Histogram // append arrival → rows sampleable
 
-	// samplePool recycles per-request sample scratch (request body, index
-	// slice, response frame buffer) across requests. Response frames for a
+	// samplePool recycles per-request sample scratch (request body, local
+	// indices, response frame buffer) across requests. Response frames for a
 	// mid-size workload run to megabytes; re-allocating and re-growing them
 	// per request was the direct cause of remote throughput degrading with
 	// batch size.
@@ -629,24 +628,17 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 
 // sampleScratch is one request's worth of recycled sample state.
 type sampleScratch struct {
-	req []byte // request body
-	idx []int
-	buf []byte // full response frame
-
-	// The owned subset of the draw.
-	slots  []int32
+	req    []byte // request body
 	locals []int
+	buf    []byte    // full response frame
 	ages   []float64 // per gathered row, for the age histogram
 }
 
-// handleShardSample executes this shard's slice of a fabric-wide draw.
-// The request carries the client's frozen stream view; every shard runs
-// the identical pure (plan, viewLen, seed) selection over it, maps each
-// global index through the time-striped placement arithmetic, and
-// gathers only the slots this shard's group owns. Because selection and
-// mapping are pure functions of the request bytes, all shards agree on
-// slot ownership without talking to each other, and the client's
-// slot-merge reconstructs the exact batch a single store would return.
+// handleShardSample gathers this shard's slice of a fabric-wide draw. The
+// learner has already selected: the request names the rows it wants by
+// their local index in the retained window its view saw, so the handler
+// only validates, shifts by the trim drift, gathers and replies, rows in
+// the order asked.
 func (s *Server) handleShardSample(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -660,69 +652,26 @@ func (s *Server) handleShardSample(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc.req = body
-	req, err := decodeShardSampleRequest(body)
+	req, err := decodeShardSampleRequest(body, sc.locals)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	sc.locals = req.Locals
 	if s.cfg.ShardID != "" && req.ShardID != "" && req.ShardID != s.cfg.ShardID {
 		s.sampleMisaddr.Inc()
 		http.Error(w, fmt.Sprintf("request addressed to shard %q, this is %q", req.ShardID, s.cfg.ShardID), http.StatusBadRequest)
 		return
 	}
-	if req.N < 1 || req.N > s.cfg.MaxSampleRows {
-		http.Error(w, fmt.Sprintf("n %d outside [1,%d]", req.N, s.cfg.MaxSampleRows), http.StatusBadRequest)
-		return
-	}
-	if err := req.Plan.Validate(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	view, err := expshard.NewView(req.Partitions, req.Offset, req.Part2Group, req.Stats)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !req.Stats[req.MyGroup].Live {
-		http.Error(w, "draw marks this shard's group dead", http.StatusBadRequest)
-		return
-	}
-	length := int(view.Len())
-	if length < 1 {
-		s.sampleErrors.Inc()
-		http.Error(w, "fabric view is empty", http.StatusConflict)
+	k := len(req.Locals)
+	if k < 1 || k > s.cfg.MaxSampleRows {
+		http.Error(w, fmt.Sprintf("k %d outside [1,%d]", k, s.cfg.MaxSampleRows), http.StatusBadRequest)
 		return
 	}
 	start := time.Now()
 	sp := s.requestSpan(r, "shard-sample")
 	s.sampleRequests.Inc()
 	stride := s.layout.Stride()
-
-	if cap(sc.idx) < req.N {
-		sc.idx = make([]int, req.N)
-	}
-	idx := sc.idx[:req.N]
-	if err := req.Plan.FillIndices(idx, length, req.Seed); err != nil {
-		s.sampleErrors.Inc()
-		sp.EndArg("error", 1)
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	if cap(sc.slots) < req.N {
-		sc.slots = make([]int32, req.N)
-		sc.locals = make([]int, req.N)
-		sc.ages = make([]float64, req.N)
-	}
-	slots, locals := sc.slots[:0], sc.locals[:0]
-	for j, gi := range idx {
-		g, local, _ := view.Map(int64(gi))
-		if g != req.MyGroup {
-			continue
-		}
-		slots = append(slots, int32(j))
-		locals = append(locals, int(local))
-	}
-	k := len(slots)
 	total := shardReplySize(k, stride)
 	if cap(sc.buf) < total {
 		sc.buf = make([]byte, total)
@@ -737,15 +686,15 @@ func (s *Server) handleShardSample(w http.ResponseWriter, r *http.Request) {
 	} else {
 		storeTotal = s.ingestRows.Value()
 	}
-	// The view's local indices are relative to the retained window the
-	// client observed; this store may have trimmed further (or, on a
-	// lagging replica, less) since. Shift by the trim drift, and refuse
-	// rather than mis-sample when a wanted row is gone or not yet here
-	// — the client treats the 409 as a degraded shard and fails over.
-	viewStat := req.Stats[req.MyGroup]
-	viewTrim := int64(viewStat.Total) - int64(viewStat.Rows)
+	// The local indices are relative to the retained window the client
+	// observed; this store may have trimmed further (or, on a lagging
+	// replica, less) since. Shift by the trim drift, and refuse rather than
+	// mis-sample when a wanted row is gone or not yet here — the client
+	// treats the 409 as a degraded shard and fails over.
+	viewTrim := int64(req.Stat.Total) - int64(req.Stat.Rows)
 	storeTrim := int64(storeTotal) - int64(rowCount)
 	drift := viewTrim - storeTrim
+	locals := req.Locals
 	var gatherErr error
 	for i := range locals {
 		l := int64(locals[i]) + drift
@@ -765,8 +714,10 @@ func (s *Server) handleShardSample(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, gatherErr.Error(), http.StatusConflict)
 		return
 	}
-	putShardReplyHeader(buf, k, stride, req.N)
-	putShardReplySlots(buf, k, stride, slots)
+	putShardReplyHeader(buf, k, stride, requestCRC(body))
+	if cap(sc.ages) < k {
+		sc.ages = make([]float64, k)
+	}
 	ages := sc.ages[:k]
 	for i, l := range locals {
 		ages[i] = float64(rowCount - l)

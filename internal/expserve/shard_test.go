@@ -1,9 +1,11 @@
 package expserve
 
 import (
+	"errors"
 	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -443,42 +445,130 @@ func TestShardedPrefetchMatchesSync(t *testing.T) {
 	}
 }
 
-// Wire sanity: the shard request survives an encode/decode round trip
-// and corruption of any byte is detected.
+// Wire sanity: the shard request survives an encode/decode round trip and
+// corruption of any byte is detected; so is corruption of any byte of a
+// reply's header, and a reply to another request.
 func TestShardWireRoundTripAndCorruption(t *testing.T) {
 	req := wireTestRequest()
 	buf, err := encodeShardSampleRequest(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeShardSampleRequest(buf)
+	if len(buf) != shardReqSize(len(req.ShardID), len(req.Locals)) {
+		t.Fatalf("encoded %d bytes, layout needs %d", len(buf), shardReqSize(len(req.ShardID), len(req.Locals)))
+	}
+	got, err := decodeShardSampleRequest(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N != req.N || got.Seed != req.Seed || got.ShardID != req.ShardID || got.MyGroup != req.MyGroup ||
-		got.Partitions != req.Partitions || got.Plan.Strategy != req.Plan.Strategy || got.Plan.Neighbors != req.Plan.Neighbors {
+	if got.ShardID != req.ShardID || got.Stat.Rows != req.Stat.Rows || got.Stat.Total != req.Stat.Total || !slices.Equal(got.Locals, req.Locals) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, req)
-	}
-	for i := range req.Part2Group {
-		if got.Part2Group[i] != req.Part2Group[i] {
-			t.Fatalf("part2group[%d] = %d, want %d", i, got.Part2Group[i], req.Part2Group[i])
-		}
-	}
-	for g := range req.Stats {
-		if got.Stats[g] != req.Stats[g] {
-			t.Fatalf("stats[%d] = %+v, want %+v", g, got.Stats[g], req.Stats[g])
-		}
 	}
 
 	for pos := 0; pos < len(buf); pos++ {
 		mut := make([]byte, len(buf))
 		copy(mut, buf)
 		mut[pos] ^= 0x41
-		if _, err := decodeShardSampleRequest(mut); err == nil {
+		if _, err := decodeShardSampleRequest(mut, nil); err == nil {
 			t.Fatalf("corruption at byte %d went undetected", pos)
 		}
 	}
-	if _, err := decodeShardSampleRequest(buf[:len(buf)-1]); err == nil {
+	if _, err := decodeShardSampleRequest(buf[:len(buf)-1], nil); err == nil {
 		t.Fatal("truncated request went undetected")
+	}
+	for _, bad := range []shardSampleRequest{
+		{Stat: expshard.GroupStat{Rows: 4, Total: 3}, Locals: []int{0}},
+		{Stat: expshard.GroupStat{Rows: 4, Total: 4}, Locals: []int{4}},
+		{Stat: expshard.GroupStat{Rows: 4, Total: 4}, Locals: []int{-1}},
+	} {
+		if _, err := encodeShardSampleRequest(nil, bad); err == nil {
+			t.Fatalf("encoded %+v", bad)
+		}
+	}
+
+	const k, stride = 2, 3
+	reply := make([]byte, shardReplySize(k, stride))
+	putShardReplyHeader(reply, k, stride, requestCRC(buf))
+	if rows, err := decodeShardReply(reply, k, stride, requestCRC(buf)); err != nil || len(rows) != 8*k*stride {
+		t.Fatalf("valid reply: %d row bytes, %v", len(rows), err)
+	}
+	for pos := 0; pos < shardReplyHdr; pos++ {
+		mut := append([]byte(nil), reply...)
+		mut[pos] ^= 0x41
+		if _, err := decodeShardReply(mut, k, stride, requestCRC(buf)); err == nil {
+			t.Fatalf("reply header corruption at byte %d went undetected", pos)
+		}
+	}
+	if _, err := decodeShardReply(reply, k, stride, requestCRC(buf)+1); err == nil {
+		t.Fatal("a reply to another request was accepted")
+	}
+	if _, err := decodeShardReply(reply[:len(reply)-1], k, stride, requestCRC(buf)); !errors.Is(err, ErrShortFrame) {
+		t.Fatalf("truncated reply: err = %v, want ErrShortFrame", err)
+	}
+}
+
+// A draw's pooled scratch outlives the topology it was sized for. After a
+// Rebuild shrinks the fabric from three groups to two, draws must route
+// over the two only: at 712ea23 the scratch of the last three-group draw
+// still held the dropped group's slots, and the next draw failed with
+// "shards disagree: slot N returned twice".
+func TestShardedDrawAfterRebuildShrinks(t *testing.T) {
+	spec := testSpec(256)
+	plan := replay.SamplePlan{Strategy: replay.PlanUniform}
+	cell := newFabricCell(t, spec, 3, 1, nil)
+	sink, err := NewShardedSink(cell.fabric, "actor-0", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 180; i++ {
+		obs, act, rew, nxt, done := step(rng)
+		if err := sink.Add(obs, act, rew, nxt, done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewShardedSource(cell.fabric, spec, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Len(); err != nil {
+		t.Fatal(err)
+	}
+	const batch = 32
+	batches := func() []*replay.AgentBatch {
+		return []*replay.AgentBatch{replay.NewAgentBatch(batch, 3, 2), replay.NewAgentBatch(batch, 4, 2)}
+	}
+	if _, err := src.SampleBatch(batch, 1, batches()); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := cell.fabric.Rebuild(cell.groups[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Len(); err != nil {
+		t.Fatal(err)
+	}
+	// A source that never saw three groups is the reference.
+	fresh, err := NewShardedSource(cell.fabric, spec, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Len(); err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(2); seed < 8; seed++ {
+		dst, want := batches(), batches()
+		idx, err := src.SampleBatch(batch, seed, dst)
+		if err != nil {
+			t.Fatalf("seed %d after the rebuild: %v", seed, err)
+		}
+		wantIdx, err := fresh.SampleBatch(batch, seed, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drawEqual(t, "pooled-vs-fresh", idx, wantIdx, dst, want)
 	}
 }

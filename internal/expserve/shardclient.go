@@ -200,12 +200,13 @@ type fabricView struct {
 }
 
 // ShardedSource samples fabric-wide mini-batches, implementing
-// replay.TransitionSource. Every draw executes the same pure (plan,
-// viewLen, seed) selection on all live shards (server-side, next to
-// the data) and merges the returned slices by batch slot — a stable
-// shard-ordered merge over disjoint slot sets — so at R=1 with all
-// shards live the batch is bit-identical to a local store executing
-// the same draw, at any shard count.
+// replay.TransitionSource. The learner selects and the shards gather: a
+// draw runs the pure (plan, viewLen, seed) selection once, here, maps every
+// index through the frozen view to its group and local row, and asks each
+// group for its own rows only, in batch-slot order. Each group's rows come
+// back in that order and go straight into the slots that asked for them,
+// so at R=1 with all shards live the batch is bit-identical to a local
+// store executing the same draw, at any shard count.
 //
 // Degraded paths (counted, never silent): a down member fails over to
 // the next replica in its group; a group with every replica down is
@@ -221,22 +222,22 @@ type ShardedSource struct {
 	scratch sync.Pool // of *shardScratch
 }
 
-// groupScratch is one group's slice of an in-flight draw.
+// groupScratch is one group's share of an in-flight draw: the batch slots
+// it fills and, in the same order, the local rows that fill them.
 type groupScratch struct {
-	req   []byte
-	body  []byte
-	slots []int32
-	rows  []float64 // decode fallback when the f64le view is unavailable
-	view  []float64 // k*stride gathered floats, aliasing body or rows
-	k     int
-	dead  bool
+	slots  []int
+	locals []int
+	req    []byte
+	body   []byte
+	rows   []float64 // decode fallback when the f64le view is unavailable
+	view   []float64 // len(slots)·stride gathered floats, aliasing body or rows
+	failed bool
 }
 
 // shardScratch is one in-flight fabric draw's worth of pooled buffers.
 type shardScratch struct {
-	idx     []int
-	covered []bool
-	groups  []groupScratch
+	idx    []int
+	groups []groupScratch // one per group of the draw's view
 }
 
 // NewShardedSource validates the plan and the fabric's spec against
@@ -383,20 +384,20 @@ func (s *ShardedSource) tryDraw(n int, seed int64, sc *shardScratch) error {
 		if err := s.plan.FillIndices(idx, length, seed); err != nil {
 			return err
 		}
+		sc.route(fv.view, idx)
 		var wg sync.WaitGroup
 		var failedAny atomic.Bool
-		for gi := range fv.snap.Groups {
+		for gi := range sc.groups {
 			gs := &sc.groups[gi]
-			gs.k, gs.dead = 0, false
-			if !fv.view.Stats[gi].Live {
-				gs.dead = true
-				continue
+			gs.failed = false
+			if len(gs.slots) == 0 {
+				continue // holds no row of this draw: every dead group, maybe more
 			}
 			wg.Add(1)
 			go func(gi int, gs *groupScratch) {
 				defer wg.Done()
-				if err := s.groupFetch(fv, gi, n, seed, stride, gs); err != nil {
-					gs.dead = true
+				if err := s.groupFetch(fv, gi, stride, gs); err != nil {
+					gs.failed = true
 					failedAny.Store(true)
 				}
 			}(gi, gs)
@@ -407,18 +408,14 @@ func (s *ShardedSource) tryDraw(n int, seed int64, sc *shardScratch) error {
 			// reweight the draw over the survivors.
 			view := fv.view
 			var err error
-			anyLive := false
 			for gi := range sc.groups {
-				if sc.groups[gi].dead && view.Stats[gi].Live {
+				if sc.groups[gi].failed {
 					if view, err = view.WithDead(gi); err != nil {
 						return err
 					}
 				}
 			}
-			for _, st := range view.Stats {
-				anyLive = anyLive || st.Live
-			}
-			if !anyLive {
+			if view.NumLive() == 0 {
 				return fmt.Errorf("expserve: every shard group is down")
 			}
 			s.f.degradedDraws.Inc()
@@ -427,7 +424,7 @@ func (s *ShardedSource) tryDraw(n int, seed int64, sc *shardScratch) error {
 			lastErr = fmt.Errorf("expserve: shard group(s) down, draw reweighted")
 			continue
 		}
-		return s.merge(sc, n)
+		return nil
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("expserve: fabric draw did not converge")
@@ -435,44 +432,51 @@ func (s *ShardedSource) tryDraw(n int, seed int64, sc *shardScratch) error {
 	return lastErr
 }
 
-// grow sizes sc for an n-row draw across groups.
+// grow sizes sc for an n-row draw across the groups of one view. Scratch
+// is pooled across topologies, so groups beyond the view's — left by a
+// wider topology before a Rebuild — are sliced away, not carried.
 func (sc *shardScratch) grow(n, groups int) {
 	if cap(sc.idx) < n {
 		sc.idx = make([]int, n)
 	}
-	if cap(sc.covered) < n {
-		sc.covered = make([]bool, n)
-	}
-	if len(sc.groups) < groups {
+	if cap(sc.groups) < groups {
 		sc.groups = make([]groupScratch, groups)
+	}
+	sc.groups = sc.groups[:groups]
+}
+
+// route maps every drawn index through view once, handing each group the
+// batch slots it fills and their local rows, in slot order.
+func (sc *shardScratch) route(view *expshard.View, idx []int) {
+	for gi := range sc.groups {
+		gs := &sc.groups[gi]
+		gs.slots, gs.locals = gs.slots[:0], gs.locals[:0]
+	}
+	for slot, i := range idx {
+		g, local, _ := view.Map(int64(i))
+		gs := &sc.groups[g]
+		gs.slots = append(gs.slots, slot)
+		gs.locals = append(gs.locals, int(local))
 	}
 }
 
-// groupFetch runs this group's slice of the draw against its preferred
+// groupFetch fetches this group's rows of the draw from its preferred
 // member, failing over through the replicas. Replies are decoded into
 // gs; any non-primary member (index > 0) serving the draw counts as a
 // replica read.
-func (s *ShardedSource) groupFetch(fv *fabricView, gi, n int, seed int64, stride int, gs *groupScratch) error {
+func (s *ShardedSource) groupFetch(fv *fabricView, gi, stride int, gs *groupScratch) error {
 	req, err := encodeShardSampleRequest(gs.req[:0], shardSampleRequest{
-		N:          n,
-		Seed:       seed,
-		Plan:       s.plan,
-		ShardID:    fv.snap.Groups[gi].ID,
-		MyGroup:    gi,
-		Partitions: fv.view.Partitions,
-		Offset:     fv.view.Offset,
-		Part2Group: fv.view.Part2Group,
-		Stats:      fv.view.Stats,
+		ShardID: fv.snap.Groups[gi].ID,
+		Stat:    fv.view.Stats[gi],
+		Locals:  gs.locals,
 	})
 	if err != nil {
 		return err
 	}
 	gs.req = req
-	if want := shardReplySize(n, stride); cap(gs.body) < want {
+	k, reqCRC := len(gs.locals), requestCRC(req)
+	if want := shardReplySize(k, stride); cap(gs.body) < want {
 		gs.body = make([]byte, want)
-	}
-	if cap(gs.slots) < n {
-		gs.slots = make([]int32, n)
 	}
 	members := fv.clients[gi]
 	pref := fv.pref[gi]
@@ -500,14 +504,13 @@ func (s *ShardedSource) groupFetch(fv *fabricView, gi, n int, seed int64, stride
 		if cap(body) > cap(gs.body) {
 			gs.body = body
 		}
-		k, rowBytes, err := decodeShardReply(body, n, stride, gs.slots[:n])
+		rowBytes, err := decodeShardReply(body, k, stride, reqCRC)
 		if err != nil {
 			sp.EndArg("error", 1)
 			lastErr = err
 			continue
 		}
 		sp.EndArg("rows", int64(k))
-		gs.k = k
 		gs.view = f64le.View(rowBytes, &gs.rows)
 		if mi != 0 {
 			// Member 0 is the group's primary; any other member serving
@@ -519,36 +522,6 @@ func (s *ShardedSource) groupFetch(fv *fabricView, gi, n int, seed int64, stride
 	return fmt.Errorf("expserve: group %s: all %d members failed: %w", fv.snap.Groups[gi].ID, len(members), lastErr)
 }
 
-// merge checks that the per-group slices tile the batch. Ownership is
-// disjoint by construction (each global index maps to exactly one group);
-// a gap or collision means the shards disagreed about the view and the
-// draw is invalid. The rows themselves stay in the groups' reply bodies
-// until consumeFetch scatters them.
-func (s *ShardedSource) merge(sc *shardScratch, n int) error {
-	covered := sc.covered[:n]
-	for i := range covered {
-		covered[i] = false
-	}
-	filled := 0
-	for gi := range sc.groups {
-		gs := &sc.groups[gi]
-		if gs.dead {
-			continue
-		}
-		for _, slot := range gs.slots[:gs.k] {
-			if covered[slot] {
-				return fmt.Errorf("expserve: shards disagree: slot %d returned twice", slot)
-			}
-			covered[slot] = true
-			filled++
-		}
-	}
-	if filled != n {
-		return fmt.Errorf("expserve: shards disagree: %d of %d slots returned", filled, n)
-	}
-	return nil
-}
-
 // consumeFetch scatters a completed fetch's rows from each group's reply
 // straight into their batch slots in dst and returns a freshly allocated
 // index slice (it cannot alias pooled scratch — concurrent callers would
@@ -557,11 +530,8 @@ func (s *ShardedSource) consumeFetch(sc *shardScratch, n int, dst []*replay.Agen
 	stride := s.layout.Stride()
 	for gi := range sc.groups {
 		gs := &sc.groups[gi]
-		if gs.dead {
-			continue
-		}
-		for i, slot := range gs.slots[:gs.k] {
-			s.layout.SplitRowInto(dst, int(slot), gs.view[i*stride:(i+1)*stride])
+		for i, slot := range gs.slots {
+			s.layout.SplitRowInto(dst, slot, gs.view[i*stride:(i+1)*stride])
 		}
 	}
 	idx := make([]int, n)

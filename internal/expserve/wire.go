@@ -1,19 +1,21 @@
 // Package expserve is the networked half of the experience service: a
 // stdlib-only HTTP transport that lets actor processes stream transitions
 // into a central segment-packed store and lets a learner sample mini-batches
-// out of it. Sampling executes server-side — the seeded plan runs next to
-// the data, so the paper's locality-aware selection still streams contiguous
-// rows — and index selection being a pure function of (plan, length, seed)
-// makes remote-fed training bit-reproducible against local training.
+// out of it. The learner selects and the shards gather: the seeded plan runs
+// once, on the learner, over a frozen view of the fabric — index selection
+// being a pure function of (plan, length, seed) is what makes remote-fed
+// training bit-reproducible against local training — and each shard is
+// sent only the local rows it holds, which it gathers next to the data, so
+// the paper's locality-aware selection still streams contiguous rows.
 //
 // Wire formats: bulk row payloads travel as little-endian binary frames
 // (float64s bit-exact, same encoding as the segment files). Append frames
 // carry a CRC32-IEEE trailer over the whole frame — they get spooled to
 // disk and replayed, so they need at-rest integrity. Sample requests and
 // replies are the shard frames in shardwire.go: the request is checksummed
-// whole, the reply checksums its header and slot regions and delegates
-// row-payload integrity to the transport. Small control messages (the
-// append ack, /v1/stats) are JSON.
+// whole, the reply checksums its header — which names the request it
+// answers — and delegates row-payload integrity to the transport. Small
+// control messages (the append ack, /v1/stats) are JSON.
 package expserve
 
 import (
@@ -133,34 +135,6 @@ type appendReply struct {
 	Total uint64 `json:"total"` // rows ever ingested after this batch
 	Rows  int    `json:"rows"`  // sampleable rows after this batch
 	Dup   bool   `json:"dup"`   // batch was a replay of an applied sequence
-}
-
-// Sample plan strategies as wire codes (shard request frame).
-const (
-	planCodeUniform  = 1
-	planCodeLocality = 2
-)
-
-func planToCode(strategy string) (uint32, error) {
-	switch strategy {
-	case replay.PlanUniform:
-		return planCodeUniform, nil
-	case replay.PlanLocality:
-		return planCodeLocality, nil
-	default:
-		return 0, fmt.Errorf("expserve: plan strategy %q has no wire code", strategy)
-	}
-}
-
-func codeToPlan(code uint32) (string, error) {
-	switch code {
-	case planCodeUniform:
-		return replay.PlanUniform, nil
-	case planCodeLocality:
-		return replay.PlanLocality, nil
-	default:
-		return "", fmt.Errorf("expserve: unknown plan wire code %d", code)
-	}
 }
 
 // ErrShortFrame reports a sample reply shorter than the layout its header

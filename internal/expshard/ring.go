@@ -25,8 +25,8 @@
 // Row placement is time-striped: the row with producer stream index t
 // lands in partition (offset+t) mod Partitions. That makes the global
 // index ↔ (group, local index) mapping closed-form arithmetic (see
-// view.go), which is what lets sample plans execute server-side per
-// shard and merge back bit-identically to a single store.
+// view.go), which is what lets a learner route each index of one draw to
+// the shard holding it and get back the batch a single store would give.
 package expshard
 
 import (

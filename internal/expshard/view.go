@@ -15,18 +15,19 @@ type GroupStat struct {
 // View is a frozen snapshot of the fabric's sampling state: the
 // placement function (partitions, stripe offset, partition→group map)
 // plus per-group row counts. The trainer builds one per update phase
-// and ships it verbatim inside every shard-sample request, so all
-// shards and the client execute the exact same pure mapping — that is
-// the determinism contract that makes the merged draw bit-identical
-// to a single store.
+// and maps every index of its draws through it, so each shard is asked
+// for exactly the rows a single store holding the same stream would
+// return — that is the determinism contract that makes a fabric draw
+// bit-identical to a single store's.
 //
 // Placement model: the row with producer stream index t lives in
 // partition (Offset+t) mod Partitions, owned by Part2Group[p]. Within
 // a group, rows appear in ascending t order, so the local index of row
 // t is the count of owned t' < t minus the group's trim. Both
 // directions are closed-form arithmetic; the inverse (global sample
-// index → t) needs a binary search only when trims or dead groups make
-// the live stream non-contiguous.
+// index → t) needs a search only when trims or dead groups make the live
+// stream non-contiguous, and past a wrapped ring's retired heads its
+// first guess is right.
 type View struct {
 	Partitions int
 	Offset     uint64
@@ -40,11 +41,15 @@ type View struct {
 	// residues are below r, for r in [0, P], so the last entry of a group's
 	// row is how many partitions it owns. It makes ownedCountBefore two
 	// loads, where a search over the sorted residues cost a bisection per
-	// call — 1024 times per draw, on the client and on every shard.
+	// call — 1024 times per draw.
 	before   []int32
 	length   int64 // Σ live Rows
 	balanced bool  // exact fast path: all live, no trims, stats match striping
 	maxT     int64 // exclusive upper bound on live t values (general path)
+	// trimmed is Σ(Total − Rows) when every group is live, else -1: past
+	// the retired heads, global index i sits at stream index i + trimmed,
+	// the general path's first guess.
+	trimmed int64
 }
 
 // NewView validates and precomputes a view. It is deterministic: the
@@ -90,12 +95,16 @@ func NewView(partitions int, offset uint64, part2group []int, stats []GroupStat)
 			continue
 		}
 		v.length += int64(st.Rows)
+		v.trimmed += int64(st.Total - st.Rows)
 		if st.Rows != st.Total {
 			trimsZero = false
 		}
 		if tu := v.tUpper(g); tu > v.maxT {
 			v.maxT = tu
 		}
+	}
+	if !allLive {
+		v.trimmed = -1
 	}
 	if allLive && trimsZero {
 		v.balanced = true
@@ -110,7 +119,7 @@ func NewView(partitions int, offset uint64, part2group []int, stats []GroupStat)
 }
 
 // Len returns the number of live sampleable rows: the length argument
-// every shard passes to SamplePlan.FillIndices.
+// a fabric draw passes to SamplePlan.FillIndices.
 func (v *View) Len() int64 { return v.length }
 
 // NumLive returns how many groups are marked live.
@@ -217,8 +226,14 @@ func (v *View) Map(i int64) (group int, local int64, clamped bool) {
 		below := v.residuesBelow(g)
 		return g, q*int64(below[parts]) + int64(below[r]), false
 	}
-	// General path: binary search the smallest t whose cumulative live
-	// retained count reaches i+1; that t is live-owned by construction.
+	// General path: the smallest t whose cumulative live retained count
+	// reaches i+1; that t is live-owned by construction. A guess t with
+	// rank(t) = i and rank(t+1) = i+1 is that t (rank never decreases), so
+	// it is exactly what the binary search below would find; past the
+	// retired heads of a wrapped ring, i + trimmed is such a t.
+	if t := i + v.trimmed; v.trimmed >= 0 && v.rank(t) == i && v.rank(t+1) == i+1 {
+		return v.at(t)
+	}
 	lo, hi := int64(0), v.maxT
 	for lo < hi {
 		mid := lo + (hi-lo)/2
@@ -228,7 +243,12 @@ func (v *View) Map(i int64) (group int, local int64, clamped bool) {
 			lo = mid + 1
 		}
 	}
-	t := lo
+	return v.at(lo)
+}
+
+// at resolves live-owned stream index t to its group and local index,
+// clamping as Map documents.
+func (v *View) at(t int64) (group int, local int64, clamped bool) {
 	p := (int64(v.Offset) + t) % int64(v.Partitions)
 	g := v.Part2Group[p]
 	st := v.Stats[g]

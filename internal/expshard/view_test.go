@@ -483,6 +483,63 @@ func TestViewBalancedStripingIsBalanced(t *testing.T) {
 	compareWithRef(t, 64, 9, p2g, stats)
 }
 
+// The general path's guessed first probe must answer what the bisection
+// answers, on every index: wrapped rings of one capacity, whose retired
+// heads end within a stripe of each other (the guess answers most indices
+// and misses near the seams); wrapped rings with windows far apart (it
+// answers few); the first with a group dead (it is never taken); and a live
+// view whose totals contradict the striping (clamped answers).
+func TestViewMapGuessMatchesBisection(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 40; trial++ {
+		groups := 2 + rng.Intn(3)
+		partitions := []int{16, 64, 1024}[rng.Intn(3)]
+		p2g := make([]int, partitions)
+		for p := range p2g {
+			p2g[p] = (p*7/3 + rng.Intn(2)) % groups
+		}
+		offset := uint64(rng.Intn(partitions))
+		rows := int64(5000 + rng.Intn(20000))
+		totals := striped(p2g, groups, offset, rows)
+		capacity := uint64(rows) / uint64(2*groups)
+		wrapped := make([]GroupStat, groups)
+		uneven := make([]GroupStat, groups)
+		for g, tot := range totals {
+			wrapped[g] = GroupStat{Rows: min(tot, capacity), Total: tot, Live: true}
+			uneven[g] = GroupStat{Rows: min(tot, uint64(500+rng.Intn(2000))), Total: tot, Live: true}
+		}
+		dead := append([]GroupStat(nil), wrapped...)
+		dead[rng.Intn(groups)].Live = false
+		skewed := append([]GroupStat(nil), wrapped...)
+		skewed[0].Total += uint64(1 + rng.Intn(50))
+		for name, stats := range map[string][]GroupStat{"wrapped": wrapped, "uneven": uneven, "dead": dead, "skewed": skewed} {
+			v, err := NewView(partitions, offset, p2g, stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefView(partitions, offset, p2g, stats)
+			guessed := int64(0)
+			for i := int64(0); i < v.Len(); i++ {
+				g, local, clamped := v.Map(i)
+				rg, rlocal, rclamped := ref.Map(i)
+				if g != rg || local != rlocal || clamped != rclamped {
+					t.Fatalf("trial %d %s P=%d offset=%d stats=%v: Map(%d) = (%d, %d, %v), bisection (%d, %d, %v)",
+						trial, name, partitions, offset, stats, i, g, local, clamped, rg, rlocal, rclamped)
+				}
+				if tt := i + v.trimmed; v.trimmed >= 0 && v.rank(tt) == i && v.rank(tt+1) == i+1 {
+					guessed++
+				}
+			}
+			if name == "wrapped" && 2*guessed < v.Len() {
+				t.Fatalf("trial %d: the guess answered %d of %d indices of a wrapped view", trial, guessed, v.Len())
+			}
+			if name == "dead" && guessed != 0 {
+				t.Fatalf("trial %d: a view with a dead group took the guess %d times", trial, guessed)
+			}
+		}
+	}
+}
+
 var sinkLocal int64
 
 // BenchmarkViewMap is the floor under expshard.view_map_ns: Map over a

@@ -2,8 +2,8 @@
 // append-only, crash-recoverable segment store for KV transition rows. One
 // record is one environment step — the key is the global time index, the
 // value is every agent's transition packed contiguously (replay.RowLayout),
-// preserving the paper's §IV-B2 data layout on disk so server-side
-// locality-aware sampling streams sequential rows.
+// preserving the paper's §IV-B2 data layout on disk so the gather of a
+// locality-aware draw streams sequential rows.
 //
 // The store keeps two views of the same experience:
 //

@@ -1,29 +1,26 @@
 package replay
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
-// Sample-plan strategies executable server-side by the experience service.
-// Only strategies whose index selection is a pure function of
-// (length, seed) qualify: prioritized samplers carry mutable client-side
-// state (sum trees, rank heaps) that cannot be replayed remotely.
+// Sample-plan strategies a sharded experience fabric can draw with. Only
+// strategies whose index selection is a pure function of (length, seed)
+// qualify: prioritized samplers carry mutable client-side state (sum
+// trees, rank heaps) that cannot be replayed against a frozen view.
 const (
 	// PlanUniform is baseline i.i.d. uniform index selection.
 	PlanUniform = "uniform"
 	// PlanLocality is the paper's Algorithm 1: uniform reference points
-	// expanded into contiguous neighbor runs, so the server-side gather
-	// streams sequentially over the segment rows.
+	// expanded into contiguous neighbor runs, so the gather streams
+	// sequentially over the segment rows.
 	PlanLocality = "locality"
 )
 
 // SamplePlan describes a mini-batch index selection as pure data, so the
-// same selection runs identically against a local buffer or inside the
-// remote experience service. The strategy is seeded per request: the
-// learner draws one seed from its RNG stream and both sides derive the
-// identical index set from it, which is what makes remote-fed training
-// bit-reproducible against local training.
+// same selection runs identically against a local buffer or over a
+// sharded fabric's frozen view. The strategy is seeded per draw: the
+// learner draws one seed from its RNG stream and derives the index set
+// from it, the same set a local store derives, which is what makes
+// remote-fed training bit-reproducible against local training.
 type SamplePlan struct {
 	Strategy  string `json:"strategy"`
 	Neighbors int    `json:"neighbors,omitempty"` // locality: run length
@@ -56,7 +53,8 @@ func (p SamplePlan) String() string {
 // FillIndices writes len(dst) transition indices over [0, length) into dst,
 // derived deterministically from seed. The index stream is identical on
 // every host for the same (plan, length, seed), which both sides of the
-// actor/learner split rely on.
+// actor/learner split rely on: it is rand.New(rand.NewSource(seed)).Intn,
+// drawn through indexStream, and it does not allocate.
 func (p SamplePlan) FillIndices(dst []int, length int, seed int64) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -64,16 +62,18 @@ func (p SamplePlan) FillIndices(dst []int, length int, seed int64) error {
 	if length < 1 {
 		return fmt.Errorf("replay: sample plan over empty store")
 	}
-	rng := rand.New(rand.NewSource(seed))
+	var rng indexStream
+	rng.seed(seed, seedCooked)
+	b := newBound(length)
 	switch p.Strategy {
 	case PlanUniform:
 		for i := range dst {
-			dst[i] = rng.Intn(length)
+			dst[i] = rng.intn(&b)
 		}
 	case PlanLocality:
 		filled := 0
 		for filled < len(dst) {
-			ref := rng.Intn(length)
+			ref := rng.intn(&b)
 			run := p.Neighbors
 			if rem := len(dst) - filled; run > rem {
 				run = rem

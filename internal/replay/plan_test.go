@@ -168,3 +168,24 @@ func equalFloats(a, b []float64) bool {
 	}
 	return true
 }
+
+// BenchmarkFillIndices is one 1024-index uniform draw over fabric-sample's
+// 131 072 rows: FillIndices against the math/rand expansion it reproduces.
+func BenchmarkFillIndices(b *testing.B) {
+	plan := SamplePlan{Strategy: PlanUniform}
+	dst := make([]int, 1024)
+	for _, impl := range []struct {
+		name string
+		fill func(seed int64)
+	}{
+		{"stream", func(seed int64) { _ = plan.FillIndices(dst, 131072, seed) }},
+		{"mathrand", func(seed int64) { mathRandFill(plan, dst, 131072, seed) }},
+	} {
+		b.Run(impl.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				impl.fill(int64(i))
+			}
+		})
+	}
+}
