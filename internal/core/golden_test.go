@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"marlperf/internal/expstore"
 	"marlperf/internal/mpe"
 )
 
@@ -28,12 +29,15 @@ func TestTrainerGoldenCheckpoints(t *testing.T) {
 		agents   int
 		episodes int
 		want     uint32
+		// service wires a local expstore.Source, running cfg's sampler as a
+		// plan, through SetExperienceService as both source and sink.
+		service bool
 	}{
 		// Hidden 16, batch 32, joint width 69: every kernel runs its
 		// remainder paths (k and n not multiples of four).
-		{"maddpg-small", func() Config { return smallConfig(MADDPG) }, 3, 30, 0xfa10cbf5},
+		{"maddpg-small", func() Config { return smallConfig(MADDPG) }, 3, 30, 0xfa10cbf5, false},
 		// Twin critics, delayed actor updates, target smoothing noise.
-		{"matd3-small", func() Config { return smallConfig(MATD3) }, 3, 30, 0x09e2a37e},
+		{"matd3-small", func() Config { return smallConfig(MATD3) }, 3, 30, 0x09e2a37e, false},
 		// The paper's 64-unit layers at a batch large enough to exercise the
 		// blocked main loops, and prioritized IS weights in the critic loss.
 		{"maddpg-wide-ip", func() Config {
@@ -42,16 +46,63 @@ func TestTrainerGoldenCheckpoints(t *testing.T) {
 			c.BatchSize = 128
 			c.Sampler = SamplerIPLocality
 			return c
-		}, 2, 16, 0xc42b454b},
+		}, 2, 16, 0xc42b454b, false},
+		// The cells below were recorded at 5ecbb6b, before the batches became
+		// column views of the critic's joint inputs: one for each path that
+		// writes sampled rows into them.
+		// The key-value table's row split (KVBuffer.GatherAll): the layout is
+		// invisible to training, so these are maddpg-small's bytes.
+		{"maddpg-kv", func() Config {
+			c := smallConfig(MADDPG)
+			c.UseKVLayout = true
+			return c
+		}, 3, 30, 0xfa10cbf5, false},
+		// Neighbour runs on the baseline Buffer (Buffer.GatherAll).
+		{"maddpg-locality", func() Config {
+			c := smallConfig(MADDPG)
+			c.Sampler = SamplerLocality
+			c.Neighbors, c.Refs = 8, 4
+			return c
+		}, 3, 30, 0x0a53d64b, false},
+		// A local experience source (RowLayout.SplitRows), under each plan.
+		{"maddpg-source-uniform", func() Config { return smallConfig(MADDPG) }, 3, 30, 0xea505e43, true},
+		{"maddpg-source-locality", func() Config {
+			c := smallConfig(MADDPG)
+			c.Sampler = SamplerLocality
+			c.Neighbors, c.Refs = 8, 4
+			return c
+		}, 3, 30, 0x019e70bd, true},
+		// Two scratches on the pool whatever GOMAXPROCS is, and the twin
+		// critic reading the joint input before the actor's probabilities
+		// replace agent i's actions: matd3-small's bytes.
+		{"matd3-workers2", func() Config {
+			c := smallConfig(MATD3)
+			c.UpdateWorkers = 2
+			return c
+		}, 3, 30, 0x09e2a37e, false},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			tr, err := NewTrainer(tc.cfg(), mpe.NewCooperativeNavigation(tc.agents))
+			cfg, env := tc.cfg(), mpe.NewCooperativeNavigation(tc.agents)
+			tr, err := NewTrainer(cfg, env)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer tr.Close()
+			if tc.service {
+				plan, err := cfg.SamplePlan()
+				if err != nil {
+					t.Fatal(err)
+				}
+				src, err := expstore.NewSource(expstore.NewRing(expSpec(cfg, env)), plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tr.SetExperienceService(src, src); err != nil {
+					t.Fatal(err)
+				}
+			}
 			tr.RunEpisodes(tc.episodes, nil)
 			if tr.UpdateCount() == 0 {
 				t.Fatal("no updates ran; the golden would pin only initialization")
