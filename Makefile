@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-check bench-kernels bench-step bench-draw bench-gather bench-workers bench-rollout bench-replay bench-serve cluster-smoke chaos-smoke serve-smoke examples experiments-small experiments-full clean
+.PHONY: all build test vet race bench bench-check bench-kernels bench-step bench-residue bench-draw bench-gather bench-workers bench-rollout bench-replay bench-serve cluster-smoke chaos-smoke serve-smoke examples experiments-small experiments-full clean
 
 all: build vet test
 
@@ -11,12 +11,14 @@ build:
 # third vets internal/rowmem's files for a platform with neither transparent
 # huge pages nor the prefetch assembly, and the ring built on them; the
 # fourth keeps fused multiply-adds, which round once per pair and would
-# change every checkpoint, out of the kernels.
+# change every checkpoint, out of the kernels — out of every file but the
+# packed exponential, which has them where math.Exp has them (DESIGN.md §7).
+FMA_FREE := $(filter-out internal/tensor/exp_amd64.h,$(wildcard internal/tensor/*.s internal/tensor/*.h))
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor/
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/rowmem/ ./internal/expstore/
-	! grep -n VFMADD internal/tensor/*.s internal/tensor/*.h
+	! grep -nE 'VFN?M(ADD|SUB)' $(FMA_FREE)
 
 # Tier-1 is `go build ./... && go test ./...`; bench/ is outside that module,
 # so the target adds its own vet and tests (bench-check) to it.
@@ -50,12 +52,22 @@ bench-kernels:
 # One rollout.Engine.Step of the loop's actor (8 envs x 3 predators into a
 # packing sink) with its four terms alone — the batched forwards, one agent's
 # block of Gumbel draws, one env's physics step, one packed row — and
-# tensor.Log in ns per element on each body at 5, 40 and 1024 elements;
-# q1/median/q3 of ten counts each. For a before/after, build the parent's
-# test binary too and alternate the two (SKILL.md, "Comparing kernels").
+# tensor.Log (at 5, 40 and 1024 elements) and tensor.Exp (at 5, 40 and 5120)
+# in ns per element on each body; q1/median/q3 of ten counts each. For a
+# before/after, build the parent's test binary too and alternate the two
+# (SKILL.md, "Comparing kernels").
 bench-step:
 	( $(GO) test -run '^$$' -bench '^BenchmarkEngineStep$$' -cpu 1 -benchtime 20000x -count 10 ./internal/rollout; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkLog$$' -cpu 1 -benchtime 300x -count 10 ./internal/tensor ) | python3 scripts/bench_quartiles.py
+	  $(GO) test -run '^$$' -bench '^Benchmark(Log|Exp)$$' -cpu 1 -benchtime 300x -count 10 ./internal/tensor ) | python3 scripts/bench_quartiles.py
+
+# What an update does besides its products: one agent's target softmax
+# (1024 rows of five logits into a view of the joint input) in ns per
+# element on each body, and one learn-local draw's baseline gather (three
+# agents' 1024 uniform rows from 65 536 into the joint inputs) in ns per
+# row; q1/median/q3 of ten counts each.
+bench-residue:
+	( $(GO) test -run '^$$' -bench '^BenchmarkSoftmaxRows$$' -cpu 1 -benchtime 300x -count 10 ./internal/tensor; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkBufferGatherAll$$' -cpu 1 -count 10 ./internal/replay ) | python3 scripts/bench_quartiles.py
 
 # A fabric draw's selection: one 1024-index uniform FillIndices over
 # fabric-sample's 131 072 rows against the math/rand expansion it reproduces

@@ -101,11 +101,16 @@ type Trainer struct {
 	obsRow      *tensor.Matrix
 }
 
-// updateScratch is one worker's private arena for the update stage: batch
-// tensors, joint-space assembly buffers, TD errors, a reusable sample, a
-// profiler shard, and shared-weight shadow clones of every agent's target
-// actor (the only networks every worker must forward — the N×(N-1)
-// cross-agent lookups of the CTDE target calculation).
+// updateScratch is one worker's private arena for the update stage: the
+// critics' joint inputs with the batch tensors that live inside them, TD
+// errors, a reusable sample, a profiler shard, and shared-weight shadow
+// clones of every agent's target actor (the only networks every worker must
+// forward — the N×(N-1) cross-agent lookups of the CTDE target calculation).
+//
+// The joint inputs are assembled where they are written: agent j's Obs and
+// Act are column views of jointCur's blocks, its NextObs and targetProbs[j]
+// of jointNext's, so a gather fills the critics' inputs directly and target
+// probabilities land in place. Only Rew and Done are matrices of their own.
 type updateScratch struct {
 	sample      replay.Sample
 	batches     []*replay.AgentBatch
@@ -115,7 +120,6 @@ type updateScratch struct {
 	jointNext   *tensor.Matrix
 	yTarget     *tensor.Matrix
 	qGrad       *tensor.Matrix
-	probsBuf    *tensor.Matrix
 	gradLogits  *tensor.Matrix
 	tdAbs       []float64
 	prof        profiler.Profile
@@ -131,13 +135,20 @@ func (t *Trainer) newUpdateScratch() *updateScratch {
 		jointNext:   tensor.New(b, t.jointDim),
 		yTarget:     tensor.New(b, 1),
 		qGrad:       tensor.New(b, 1),
-		probsBuf:    tensor.New(b, t.actDim),
 		gradLogits:  tensor.New(b, t.actDim),
 		tdAbs:       make([]float64, b),
 	}
 	for i := 0; i < t.n; i++ {
-		s.batches[i] = replay.NewAgentBatch(b, t.obsDims[i], t.actDim)
-		s.targetProbs[i] = tensor.New(b, t.actDim)
+		obs := t.obsOffsets[i] + t.obsDims[i]
+		act := t.actOffsets[i] + t.actDim
+		s.batches[i] = &replay.AgentBatch{
+			Obs:     s.jointCur.ColView(t.obsOffsets[i], obs),
+			Act:     s.jointCur.ColView(t.actOffsets[i], act),
+			Rew:     tensor.New(b, 1),
+			NextObs: s.jointNext.ColView(t.obsOffsets[i], obs),
+			Done:    tensor.New(b, 1),
+		}
+		s.targetProbs[i] = s.jointNext.ColView(t.actOffsets[i], act)
 		s.tActors[i] = t.agents[i].targetActor.SharedClone()
 	}
 	s.prof.SetObserver(t.phaseObs)
@@ -673,9 +684,9 @@ func (t *Trainer) updateAgent(s *updateScratch, i int, delayed bool) {
 // computeTargets fills s.yTarget for agent i: every agent's target actor
 // (through this worker's shadows) maps its next observation to target action
 // probabilities (with MATD3 target policy smoothing from agent i's RNG
-// stream), the joint next state-action is assembled, and the target
-// critic(s) produce y = r + γ(1-done)·Q'. This is the N×(N-1) cross-agent
-// policy lookup structure the paper describes.
+// stream), written into their blocks of the joint next state-action, and the
+// target critic(s) produce y = r + γ(1-done)·Q'. This is the N×(N-1)
+// cross-agent policy lookup structure the paper describes.
 func (t *Trainer) computeTargets(s *updateScratch, i int) {
 	b := t.cfg.BatchSize
 	rng := t.agentRNGs[i]
@@ -693,11 +704,7 @@ func (t *Trainer) computeTargets(s *updateScratch, i int) {
 				logits.Data[k] += noise
 			}
 		}
-		nn.SoftmaxRows(s.targetProbs[j], logits)
-	}
-	for j := 0; j < t.n; j++ {
-		tensor.SetCols(s.jointNext, s.batches[j].NextObs, t.obsOffsets[j])
-		tensor.SetCols(s.jointNext, s.targetProbs[j], t.actOffsets[j])
+		tensor.SoftmaxRows(s.targetProbs[j], logits)
 	}
 	q1 := t.agents[i].targetCritic1.Forward(s.jointNext)
 	qNext := q1
@@ -717,14 +724,10 @@ func (t *Trainer) computeTargets(s *updateScratch, i int) {
 	}
 }
 
-// updateCritics assembles the joint current state-action from the sampled
-// batch and applies one weighted-MSE Adam step to each critic of agent i,
-// recording absolute TD errors for prioritized samplers.
+// updateCritics applies one weighted-MSE Adam step to each critic of agent
+// i on the joint current state-action the gather wrote, recording absolute
+// TD errors for prioritized samplers.
 func (t *Trainer) updateCritics(s *updateScratch, i int, weights []float64) {
-	for j := 0; j < t.n; j++ {
-		tensor.SetCols(s.jointCur, s.batches[j].Obs, t.obsOffsets[j])
-		tensor.SetCols(s.jointCur, s.batches[j].Act, t.actOffsets[j])
-	}
 	ag := t.agents[i]
 
 	q := ag.critic1.Forward(s.jointCur)
@@ -754,13 +757,13 @@ func (t *Trainer) updateCritics(s *updateScratch, i int, weights []float64) {
 // actor's softmax action replaces its buffer action in the joint input,
 // the critic scores it, and -mean(Q) (plus the reference implementation's
 // 1e-3 logit regularizer) is minimized through the critic into the actor.
+// Both critics have read the buffer action by now.
 func (t *Trainer) updateActor(s *updateScratch, i int) {
 	ag := t.agents[i]
 	b := t.cfg.BatchSize
 
 	logits := ag.actor.Forward(s.batches[i].Obs)
-	nn.SoftmaxRows(s.probsBuf, logits)
-	tensor.SetCols(s.jointCur, s.probsBuf, t.actOffsets[i])
+	probs := tensor.SoftmaxRows(s.batches[i].Act, logits) // agent i's block of jointCur
 
 	ag.critic1.Forward(s.jointCur)
 	// dPLoss/dQ = -1/B for pLoss = -mean(Q).
@@ -769,7 +772,7 @@ func (t *Trainer) updateActor(s *updateScratch, i int) {
 	// here; the critic is not trained in this step, so neither its parameter
 	// gradients nor the other input columns' are computed.
 	gradProbs := ag.critic1.BackwardInputCols(s.qGrad, t.actOffsets[i], t.actOffsets[i]+t.actDim)
-	nn.SoftmaxBackwardRows(s.gradLogits, s.probsBuf, gradProbs)
+	nn.SoftmaxBackwardRows(s.gradLogits, probs, gradProbs)
 	// Logit regularizer: +1e-3 · mean(logits²).
 	regScale := 1e-3 * 2 / float64(len(logits.Data))
 	for k := range s.gradLogits.Data {

@@ -50,24 +50,16 @@ func WeightedMSELoss(grad, pred, target *tensor.Matrix, weights, tdAbs []float64
 	return loss / n
 }
 
-// SoftmaxRows applies a row-wise softmax of src into dst (shapes must match;
-// dst may alias src). Each row is treated as one agent's action logits.
-func SoftmaxRows(dst, src *tensor.Matrix) *tensor.Matrix {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("nn: SoftmaxRows shape mismatch %dx%d vs %dx%d", dst.Rows, dst.Cols, src.Rows, src.Cols))
-	}
-	for i := 0; i < src.Rows; i++ {
-		tensor.Softmax(dst.Row(i), src.Row(i))
-	}
-	return dst
-}
-
 // SoftmaxBackwardRows converts ∂L/∂probs into ∂L/∂logits for a row-wise
 // softmax: ∂L/∂z_j = p_j·(g_j − Σ_k p_k·g_k). probs must hold the forward
-// softmax output. dst may alias gradProbs.
+// softmax output and may be a column view. dst may be gradProbs, and must
+// not overlap either matrix otherwise.
 func SoftmaxBackwardRows(dst, probs, gradProbs *tensor.Matrix) *tensor.Matrix {
 	if dst.Rows != probs.Rows || dst.Cols != probs.Cols || gradProbs.Rows != probs.Rows || gradProbs.Cols != probs.Cols {
 		panic("nn: SoftmaxBackwardRows shape mismatch")
+	}
+	if tensor.Overlap(dst, probs) || dst != gradProbs && tensor.Overlap(dst, gradProbs) {
+		panic("nn: SoftmaxBackwardRows dst overlaps an operand")
 	}
 	for i := 0; i < probs.Rows; i++ {
 		p := probs.Row(i)
@@ -115,15 +107,21 @@ func GumbelSoftmaxRow(dst, logits []float64, temperature float64, rng *rand.Rand
 // drawing from rngs[r] — the same draws in the same order from each stream,
 // and the same bits in dst, as that many row-wise calls — with the two
 // logarithms of the noise taken over the whole block at once (tensor.Log,
-// which is math.Log packed eight to a vector). The exponentials stay
-// row-wise and scalar (tensor.Softmax). dst holds the noise on the way and
-// must not alias logits.
+// which is math.Log packed eight to a vector) and the softmax over the
+// whole block at once too (tensor.SoftmaxRows). dst holds the noise on the
+// way and must not overlap logits. Both are dense.
 func GumbelSoftmaxRows(dst, logits *tensor.Matrix, temperature float64, rngs []*rand.Rand) {
 	if dst.Rows != logits.Rows || dst.Cols != logits.Cols || len(rngs) != logits.Rows {
 		panic(fmt.Sprintf("nn: GumbelSoftmaxRows got %dx%d probs, %dx%d logits, %d streams", dst.Rows, dst.Cols, logits.Rows, logits.Cols, len(rngs)))
 	}
 	if temperature <= 0 {
 		panic("nn: GumbelSoftmaxRows temperature must be positive")
+	}
+	if tensor.Overlap(dst, logits) {
+		panic("nn: GumbelSoftmaxRows dst overlaps logits")
+	}
+	if dst.Pitch() != dst.Cols || logits.Pitch() != logits.Cols {
+		panic("nn: GumbelSoftmaxRows takes dense matrices only")
 	}
 	noise, cols := dst.Data, dst.Cols
 	for r, rng := range rngs {
@@ -139,8 +137,5 @@ func GumbelSoftmaxRows(dst, logits *tensor.Matrix, temperature float64, rngs []*
 	for i, l := range logits.Data {
 		noise[i] = (l + -noise[i]) / temperature
 	}
-	for r := range rngs {
-		row := dst.Row(r)
-		tensor.Softmax(row, row)
-	}
+	tensor.SoftmaxRows(dst, dst)
 }

@@ -79,7 +79,7 @@ func TestSoftmaxRowsEachRowSumsToOne(t *testing.T) {
 	src := tensor.New(6, 5)
 	src.RandNormal(rng, 0, 3)
 	dst := tensor.New(6, 5)
-	SoftmaxRows(dst, src)
+	tensor.SoftmaxRows(dst, src)
 	for i := 0; i < 6; i++ {
 		var sum float64
 		for _, v := range dst.Row(i) {
@@ -101,14 +101,14 @@ func TestSoftmaxBackwardRowsGradientCheck(t *testing.T) {
 	coef.RandNormal(rng, 0, 1)
 
 	probs := tensor.New(3, 5)
-	SoftmaxRows(probs, logits)
+	tensor.SoftmaxRows(probs, logits)
 	gradLogits := tensor.New(3, 5)
 	SoftmaxBackwardRows(gradLogits, probs, coef)
 
 	eps := 1e-6
 	lossAt := func() float64 {
 		p := tensor.New(3, 5)
-		SoftmaxRows(p, logits)
+		tensor.SoftmaxRows(p, logits)
 		var l float64
 		for i := range p.Data {
 			l += coef.Data[i] * p.Data[i]

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"marlperf/internal/rowmem"
 	"marlperf/internal/tensor"
 )
 
@@ -53,6 +54,10 @@ func (s Spec) Validate() error {
 }
 
 // AgentBatch holds one agent's gathered mini-batch, ready for the networks.
+// Every gather in this package and the row splits write Obs, Act and NextObs
+// row by row through their pitch, so they may be column views of wider
+// matrices (the trainer's are its critics' joint inputs); Rew and Done are
+// dense.
 type AgentBatch struct {
 	Obs     *tensor.Matrix // batch×obsDim
 	Act     *tensor.Matrix // batch×actDim
@@ -61,7 +66,8 @@ type AgentBatch struct {
 	Done    *tensor.Matrix // batch×1
 }
 
-// NewAgentBatch allocates a batch for an agent with the given obs width.
+// NewAgentBatch allocates a dense batch for an agent with the given obs
+// width.
 func NewAgentBatch(batch, obsDim, actDim int) *AgentBatch {
 	return &AgentBatch{
 		Obs:     tensor.New(batch, obsDim),
@@ -195,9 +201,27 @@ func (b *Buffer) trace(addr uint64, size int) {
 	}
 }
 
+// gatherLookahead is how many rows ahead of the one being copied a gather
+// starts loading, as expstore.Ring's gathers do: the rows of a draw are
+// scattered over the whole buffer, so each is a run of cache misses the
+// hardware prefetcher cannot predict.
+const gatherLookahead = 8
+
+// ahead returns indices[n+gatherLookahead], for a gather over a store of
+// length rows to prefetch, or -1 past the end of the list. An index outside
+// the store is skipped here and reported when its turn comes.
+func ahead(indices []int, n, length int) int {
+	if n += gatherLookahead; n < len(indices) && uint(indices[n]) < uint(length) {
+		return indices[n]
+	}
+	return -1
+}
+
 // Gather copies the transitions at the given indices from agent a's buffers
 // into dst. This is the per-agent leg of the paper's O(N·m) baseline
-// sampling loop; each index touches five scattered rows.
+// sampling loop; each index touches five scattered rows, which the loop
+// starts loading gatherLookahead indices ahead. Prefetches are not logical
+// accesses: the tracer sees the five reads of each row and nothing else.
 func (b *Buffer) Gather(a int, indices []int, dst *AgentBatch) {
 	od := b.spec.ObsDims[a]
 	ad := b.spec.ActDim
@@ -211,6 +235,13 @@ func (b *Buffer) Gather(a int, indices []int, dst *AgentBatch) {
 	for row, idx := range indices {
 		if idx < 0 || idx >= b.length {
 			panic(fmt.Sprintf("replay: Gather index %d outside [0,%d)", idx, b.length))
+		}
+		if next := ahead(indices, row, b.length); next >= 0 {
+			rowmem.Prefetch(obs[next*od : (next+1)*od])
+			rowmem.Prefetch(act[next*ad : (next+1)*ad])
+			rowmem.Prefetch(rew[next : next+1])
+			rowmem.Prefetch(nextObs[next*od : (next+1)*od])
+			rowmem.Prefetch(done[next : next+1])
 		}
 		copy(dst.Obs.Row(row), obs[idx*od:(idx+1)*od])
 		copy(dst.Act.Row(row), act[idx*ad:(idx+1)*ad])

@@ -2,6 +2,8 @@ package replay
 
 import (
 	"fmt"
+
+	"marlperf/internal/rowmem"
 )
 
 // KVBuffer is the paper's transition data-layout reorganization (§IV-B2):
@@ -128,8 +130,9 @@ func (k *KVBuffer) SplitRows(rows []float64, count int, dst []*AgentBatch) {
 
 // GatherAll copies the transitions at indices for every agent in a single
 // loop over rows — the O(m) sampling path with the per-agent split fused in
-// (the layout this repository's trainer uses). dst must hold one AgentBatch
-// per agent.
+// (the layout this repository's trainer uses), prefetching gatherLookahead
+// rows ahead without tracing it, as Buffer.Gather does. dst must hold one
+// AgentBatch per agent.
 func (k *KVBuffer) GatherAll(indices []int, dst []*AgentBatch) {
 	if len(dst) != k.spec.NumAgents {
 		panic(fmt.Sprintf("replay: KVBuffer.GatherAll got %d batches for %d agents", len(dst), k.spec.NumAgents))
@@ -138,6 +141,9 @@ func (k *KVBuffer) GatherAll(indices []int, dst []*AgentBatch) {
 	for rowN, idx := range indices {
 		if idx < 0 || idx >= k.length {
 			panic(fmt.Sprintf("replay: KVBuffer gather index %d outside [0,%d)", idx, k.length))
+		}
+		if next := ahead(indices, rowN, k.length); next >= 0 {
+			rowmem.Prefetch(k.data[next*stride : (next+1)*stride])
 		}
 		row := k.data[idx*stride : (idx+1)*stride]
 		if k.tracer != nil {

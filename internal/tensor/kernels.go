@@ -52,11 +52,12 @@ package tensor
 // whose gate has zero bits, as ReLUGrad against it would. The resident bodies
 // do all three in the registers that hold the row; the Go body, which runs k
 // four deep (axpy4Blocks) so that a row is loaded and stored once per four
-// rows of b, does them while the row is still in L1.
+// rows of b, does them while the row is still in L1. The rows of a are its
+// pitch apart: a may be a column view.
 func matMulRows(dst, a, b *Matrix, bias []float64, relu bool, gate *Matrix, lo, hi int) {
-	inner, n := a.Cols, b.Cols
+	inner, n, ap := a.Cols, b.Cols, a.Pitch()
 	if lanes := vectorLanes; lanes != 0 && lo < hi && inner > 0 && n > 0 {
-		p := rowArgs{rows: hi - lo, dStep: n, aStep: inner, aStride: 1, k: inner, ldb: n}
+		p := rowArgs{rows: hi - lo, dStep: n, aStep: ap, aStride: 1, k: inner, ldb: n}
 		if relu {
 			p.flags = flagReLU
 		}
@@ -64,12 +65,12 @@ func matMulRows(dst, a, b *Matrix, bias []float64, relu bool, gate *Matrix, lo, 
 		if gate != nil {
 			gated = gate.Data[lo*n : hi*n]
 		}
-		residentRows(lanes, dst.Data[lo*n:hi*n], a.Data[lo*inner:hi*inner], b.Data, bias, gated, n, p)
+		residentRows(lanes, dst.Data[lo*n:hi*n], a.Data[lo*ap:], b.Data, bias, gated, n, p)
 		return
 	}
 	blocks := inner / 4
 	for i := lo; i < hi; i++ {
-		arow := a.Data[i*inner : (i+1)*inner]
+		arow := a.Row(i)
 		drow := dst.Data[i*n : (i+1)*n]
 		clear(drow)
 		axpy4Blocks(drow, n, arow, 1, b.Data, blocks, 0, 4, 4*n)
@@ -106,28 +107,28 @@ const transAChunkFloats = 2048
 // the Go body four rows at a time, so that the small dst block stays in L1
 // across the whole batch and a is read along its rows instead of down a
 // column; in the resident bodies a chunk of rows at a time, with each dst row
-// held in registers across the chunk.
+// held in registers across the chunk. As in matMulRows, a may be a view.
 func matMulTransARows(dst, a, b *Matrix, lo, hi int) {
-	outer, ac, n := a.Rows, a.Cols, b.Cols
+	outer, ap, n := a.Rows, a.Pitch(), b.Cols
 	drows := dst.Data[lo*n : hi*n]
 	if lanes := vectorLanes; lanes != 0 && lo < hi && outer > 0 && n > 0 {
 		chunk := max(1, transAChunkFloats/n)
 		for k := 0; k < outer; k += chunk {
-			p := rowArgs{rows: hi - lo, dStep: n, aStep: 1, aStride: ac, k: min(chunk, outer-k), ldb: n}
+			p := rowArgs{rows: hi - lo, dStep: n, aStep: 1, aStride: ap, k: min(chunk, outer-k), ldb: n}
 			if k > 0 {
 				p.flags = flagAccumulate
 			}
-			residentRows(lanes, drows, a.Data[k*ac+lo:], b.Data[k*n:], nil, nil, n, p)
+			residentRows(lanes, drows, a.Data[k*ap+lo:], b.Data[k*n:], nil, nil, n, p)
 		}
 		return
 	}
 	clear(drows)
 	k := 0
 	for ; k+4 <= outer; k += 4 {
-		axpy4Blocks(drows, n, a.Data[k*ac+lo:(k+3)*ac+hi], ac, b.Data[k*n:(k+4)*n], hi-lo, n, 1, 0)
+		axpy4Blocks(drows, n, a.Data[k*ap+lo:(k+3)*ap+hi], ap, b.Data[k*n:(k+4)*n], hi-lo, n, 1, 0)
 	}
 	for ; k < outer; k++ {
-		arow := a.Data[k*ac : (k+1)*ac]
+		arow := a.Row(k)
 		brow := b.Data[k*n : (k+1)*n]
 		for i := lo; i < hi; i++ {
 			if av := arow[i]; av != 0 {

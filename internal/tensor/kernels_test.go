@@ -61,15 +61,37 @@ func refMatMulTransB(dst, a, b *Matrix) {
 	}
 }
 
-// product describes one of the three matrix products in terms of the forward
+// refBiasReLU is the reference for a dense layer's fused forward: the
+// product, then testBias(n) added to every row, then ReLU.
+func refBiasReLU(dst, a, b *Matrix) {
+	refMatMul(dst, a, b)
+	dst.AddRowVector(testBias(dst.Cols))
+	for i, v := range dst.Data {
+		dst.Data[i] = ReLU(v)
+	}
+}
+
+// testBias returns n biases of both signs, zeros among them, so that ReLU
+// clears some biased sums and keeps others.
+func testBias(n int) []float64 {
+	bias := make([]float64, n)
+	for j := range bias {
+		bias[j] = float64(j%7-3) / 4
+	}
+	return bias
+}
+
+// product describes one of the matrix products in terms of the forward
 // shape x(m×k)·W(k×n): which operand shapes it takes, the row-range kernel
-// under test and the scalar reference.
+// under test and the scalar reference. A pitched product also runs with a as
+// a column view (aPitches).
 type product struct {
-	name   string
-	shapes func(m, k, n int) (dst, a, b [2]int)
-	rows   func(dst, a, b *Matrix, lo, hi int)
-	ref    func(dst, a, b *Matrix)
-	entry  func(dst, a, b *Matrix) *Matrix
+	name    string
+	shapes  func(m, k, n int) (dst, a, b [2]int)
+	rows    func(dst, a, b *Matrix, lo, hi int)
+	ref     func(dst, a, b *Matrix)
+	entry   func(dst, a, b *Matrix) *Matrix
+	pitched bool
 }
 
 var products = []product{
@@ -79,7 +101,18 @@ var products = []product{
 			return [2]int{m, n}, [2]int{m, k}, [2]int{k, n}
 		},
 		rows: func(dst, a, b *Matrix, lo, hi int) { matMulRows(dst, a, b, nil, false, nil, lo, hi) },
-		ref:  refMatMul, entry: MatMul,
+		ref:  refMatMul, entry: MatMul, pitched: true,
+	},
+	{
+		name: "BiasReLU", // y(m×n) = ReLU(x(m×k) · W(k×n) + bias)
+		shapes: func(m, k, n int) (dst, a, b [2]int) {
+			return [2]int{m, n}, [2]int{m, k}, [2]int{k, n}
+		},
+		rows: func(dst, a, b *Matrix, lo, hi int) {
+			matMulRows(dst, a, b, testBias(b.Cols), true, nil, lo, hi)
+		},
+		ref: refBiasReLU, pitched: true,
+		entry: func(dst, a, b *Matrix) *Matrix { return MatMulBias(dst, a, b, testBias(b.Cols), true) },
 	},
 	{
 		name: "TransB", // gradIn(m×k) = grad(m×n) · W(k×n)ᵀ
@@ -96,7 +129,7 @@ var products = []product{
 		shapes: func(m, k, n int) (dst, a, b [2]int) {
 			return [2]int{k, n}, [2]int{m, k}, [2]int{m, n}
 		},
-		rows: matMulTransARows, ref: refMatMulTransA, entry: MatMulTransA,
+		rows: matMulTransARows, ref: refMatMulTransA, entry: MatMulTransA, pitched: true,
 	},
 }
 
@@ -163,6 +196,25 @@ func oddMatrix(rows, cols int) *Matrix {
 	return FromSlice(rows, cols, buf[off:off+rows*cols])
 }
 
+// aPitches are the row pitches a pitched product's a operand runs at, as the
+// columns its view adds to its width: none (a dense a, or a view of every
+// column, which is the same matrix), one, and 47.
+var aPitches = []int{0, 1, 47}
+
+// viewOf returns a copy of a as a column view of a wider matrix whose rows
+// are extra columns longer, a at an offset inside each and every other column
+// a NaN: a kernel that read past a row of the view would take one in.
+func viewOf(a *Matrix, extra int) *Matrix {
+	parent := oddMatrix(a.Rows, a.Cols+extra)
+	parent.Fill(math.NaN())
+	off := (extra + 1) / 2
+	v := parent.ColView(off, off+a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		copy(v.Row(i), a.Row(i))
+	}
+	return v
+}
+
 // zeros says which elements of an operand are exact zeros, of either sign.
 type zeros int
 
@@ -224,8 +276,10 @@ func bitsEqual(a, b *Matrix) (int, bool) {
 
 // checkProduct compares one product at one shape against the reference, bit
 // for bit, on each of the given bodies: the entry point, and the row-range
-// kernel under every split of its row range into two calls.
-// The reference, the slow part, is computed once for all bodies.
+// kernel under every split of its row range into two calls — for a pitched
+// product with a at each of aPitches, the splits at the dense pitch only and
+// four at the others.
+// The reference, the slow part, is computed once for all bodies and pitches.
 func checkProduct(t testing.TB, paths []string, p product, m, k, n int, z zeros, seed int64, everySplit bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -256,20 +310,31 @@ func checkProduct(t testing.TB, paths []string, p product, m, k, n int, z zeros,
 	}
 	got := oddMatrix(ds[0], ds[1])
 	defer func(prev int) { vectorLanes = prev }(vectorLanes)
-	for _, path := range paths {
-		vectorLanes = kernelLanes[path]
-		fail("entry", p.entry(poison(got), a, b))
-		for _, cut := range cuts {
-			poison(got)
-			p.rows(got, a, b, cut, rows) // upper part first: order must not matter either
-			p.rows(got, a, b, 0, cut)
-			fail(fmt.Sprintf("split at %d", cut), got)
+	pitches := aPitches[:1]
+	if p.pitched {
+		pitches = aPitches
+	}
+	for _, extra := range pitches {
+		av, splits := a, cuts
+		if extra > 0 {
+			av, splits = viewOf(a, extra), []int{0, 1, rows / 2, rows}
+		}
+		for _, path := range paths {
+			vectorLanes = kernelLanes[path]
+			fail(fmt.Sprintf("entry, pitch +%d", extra), p.entry(poison(got), av, b))
+			for _, cut := range splits {
+				poison(got)
+				p.rows(got, av, b, cut, rows) // upper part first: order must not matter either
+				p.rows(got, av, b, 0, cut)
+				fail(fmt.Sprintf("split at %d, pitch +%d", cut, extra), got)
+			}
 		}
 	}
 }
 
 // TestKernelsMatchScalarReference is the contract test for the product
-// kernels, on each body. Few rows (one — the acting shape —, three, the
+// kernels, on each body, with a dense and as a column view of two pitches
+// for a × b (alone and as a dense layer's forward) and aᵀ × b. Few rows (one — the acting shape —, three, the
 // gateway's eight, nine: a group of eight and one more for the narrow kernel):
 // every k remainder against the Go body's four-deep blocks and the vectors of
 // the mask compares, one word of 64 multipliers, one more, two words and two
@@ -314,7 +379,7 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 }
 
 // FuzzKernels drives the same comparison from fuzzed shapes, seeds and
-// patterns of zeros; k reaches into a third mask word.
+// patterns of zeros, at every pitch; k reaches into a third mask word.
 func FuzzKernels(f *testing.F) {
 	f.Add(uint8(1), uint8(18), uint8(64), int64(1), uint8(dense))
 	f.Add(uint8(7), uint8(69), uint8(16), int64(2), uint8(halfZeros))

@@ -16,10 +16,7 @@ import (
 // an infinity or a NaN, whose results are constants or the argument — is
 // handed back and goes lane by lane through math.Log, as does the tail
 // shorter than a vector. Exploration noise, the caller this exists for, has
-// no such lane.
-//
-// There is no Exp beside it: math.Exp's amd64 routine uses fused
-// multiply-adds, which this package's assembly may not (DESIGN.md §7).
+// no such lane. Exp (exp.go) is its twin for math.Exp.
 func Log(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: Log length mismatch %d vs %d", len(dst), len(src)))

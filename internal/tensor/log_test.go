@@ -53,17 +53,25 @@ func logInputs(kind string, n int, rng *rand.Rand) []float64 {
 
 var logKinds = []string{"uniform", "neglog", "normals", "subnormals", "sqrt2", "one", "extremes", "mixed"}
 
-// checkLog holds Log to math.Log over src on every body this CPU has, into a
-// separate dst and in place, both cut out of the middle of a larger buffer
-// whose other words must come back untouched.
+// checkLog holds Log to math.Log over src: checkElementwise.
 func checkLog(t *testing.T, label string, src []float64) {
 	t.Helper()
+	checkElementwise(t, "Log", Log, math.Log, label, src)
+}
+
+// checkElementwise holds f, one of the package's packed elementwise
+// functions, to ref, the math function it must equal bit for bit, over src
+// on every body this CPU has: into a separate dst and in place, both cut out
+// of the middle of a larger buffer whose other words must come back
+// untouched.
+func checkElementwise(t *testing.T, name string, f func(dst, src []float64), ref func(float64) float64, label string, src []float64) {
+	t.Helper()
 	const guard = 9
-	canary := math.Float64frombits(0x7ff8dead0000beef) // a NaN no logarithm produces
+	canary := math.Float64frombits(0x7ff8dead0000beef) // a NaN neither function produces
 	n := len(src)
 	want := make([]float64, n)
 	for i, x := range src {
-		want[i] = math.Log(x)
+		want[i] = ref(x)
 	}
 	for _, path := range kernelPaths(t) {
 		setKernelPath(t, path)
@@ -78,11 +86,11 @@ func checkLog(t *testing.T, label string, src []float64) {
 				copy(dst, src)
 				in = dst
 			}
-			Log(dst, in)
+			f(dst, in)
 			for i := range dst {
 				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s path=%s n=%d inPlace=%v: Log(%#016x) = %#016x at %d, math.Log gives %#016x",
-						label, path, n, inPlace, math.Float64bits(src[i]), math.Float64bits(dst[i]), i, math.Float64bits(want[i]))
+					t.Fatalf("%s path=%s n=%d inPlace=%v: %s(%#016x) = %#016x at %d, math.%s gives %#016x",
+						label, path, n, inPlace, name, math.Float64bits(src[i]), math.Float64bits(dst[i]), i, name, math.Float64bits(want[i]))
 				}
 			}
 			for i := range buf {

@@ -8,13 +8,24 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"unsafe"
 )
 
-// Matrix is a dense, row-major matrix of float64 values.
-// The zero value is an empty (0x0) matrix.
+// Matrix is a row-major matrix of float64 values: dense, its rows Cols
+// apart in Data, or a column view of a wider matrix (ColView), its rows
+// Pitch() apart. The zero value is an empty (0x0) dense matrix.
+//
+// A view is accepted only where DESIGN.md §7 says: At, Set, Row, Pitch,
+// ColView, Overlap and SoftmaxRows, and as the a operand of the products
+// (MatMul, MatMulBias, MatMulGated, MatMulTransA, MatMulTransB). Every other
+// function here panics on one, because it reads Data as Rows·Cols
+// consecutive elements.
 type Matrix struct {
 	Rows, Cols int
 	Data       []float64
+
+	// pitch is a view's row pitch, greater than Cols; 0 for a dense matrix.
+	pitch int
 }
 
 // New returns a zero-filled rows×cols matrix.
@@ -42,6 +53,9 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 // number of requests): after the high-water mark, forwards allocate nothing.
 func Reshape(m *Matrix, rows, cols int) *Matrix {
 	n := rows * cols
+	if m != nil {
+		m.dense("Reshape")
+	}
 	if m == nil || cap(m.Data) < n {
 		return New(rows, cols)
 	}
@@ -50,17 +64,72 @@ func Reshape(m *Matrix, rows, cols int) *Matrix {
 	return m
 }
 
+// Pitch returns the distance in Data from the start of one row to the start
+// of the next: Cols for a dense matrix.
+func (m *Matrix) Pitch() int {
+	if m.pitch != 0 {
+		return m.pitch
+	}
+	return m.Cols
+}
+
+// ColView returns columns [lo, hi) of m as a matrix that shares m's storage:
+// a write through either is seen by the other. It is dense when it takes
+// every column, and a view with m's pitch otherwise. m may itself be a view.
+func (m *Matrix) ColView(lo, hi int) *Matrix {
+	p := m.Pitch()
+	if lo < 0 || hi > m.Cols || lo > hi {
+		panic(fmt.Sprintf("tensor: ColView [%d,%d) of %d cols", lo, hi, m.Cols))
+	}
+	v := &Matrix{Rows: m.Rows, Cols: hi - lo}
+	if v.Cols != p {
+		v.pitch = p
+	}
+	if end := (m.Rows-1)*p + hi; m.Rows > 0 {
+		v.Data = m.Data[lo:end:end]
+	}
+	return v
+}
+
+// dense panics if m is a column view: op reads or writes Data as Rows·Cols
+// consecutive elements.
+func (m *Matrix) dense(op string) {
+	if m.pitch != 0 {
+		panic(fmt.Sprintf("tensor: %s of a column view (%d of every %d columns): dense matrices only", op, m.Cols, m.pitch))
+	}
+}
+
+// Overlap reports whether a and b share storage: whether the runs of memory
+// their Data span have an element in common. A view spans its parent's rows
+// from its first element to its last, so two column views of one matrix
+// overlap by this measure even where their columns do not.
+func Overlap(a, b *Matrix) bool {
+	return overlap(a.Data, b.Data)
+}
+
+func overlap(x, y []float64) bool {
+	if len(x) == 0 || len(y) == 0 {
+		return false
+	}
+	px, py := uintptr(unsafe.Pointer(&x[0])), uintptr(unsafe.Pointer(&y[0]))
+	return px < py+uintptr(len(y))*8 && py < px+uintptr(len(x))*8
+}
+
 // At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Pitch()+j] }
 
 // Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Pitch()+j] = v }
 
 // Row returns a view (shared storage) of row i.
-func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+func (m *Matrix) Row(i int) []float64 {
+	at := i * m.Pitch()
+	return m.Data[at : at+m.Cols]
+}
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
+	m.dense("Clone")
 	out := New(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
@@ -68,6 +137,8 @@ func (m *Matrix) Clone() *Matrix {
 
 // CopyFrom copies src into m; dimensions must match.
 func (m *Matrix) CopyFrom(src *Matrix) {
+	m.dense("CopyFrom")
+	src.dense("CopyFrom")
 	if m.Rows != src.Rows || m.Cols != src.Cols {
 		panic(fmt.Sprintf("tensor: CopyFrom shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, src.Rows, src.Cols))
 	}
@@ -76,6 +147,7 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 
 // Zero sets every element of m to 0.
 func (m *Matrix) Zero() {
+	m.dense("Zero")
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
@@ -83,6 +155,7 @@ func (m *Matrix) Zero() {
 
 // Fill sets every element of m to v.
 func (m *Matrix) Fill(v float64) {
+	m.dense("Fill")
 	for i := range m.Data {
 		m.Data[i] = v
 	}
@@ -90,11 +163,13 @@ func (m *Matrix) Fill(v float64) {
 
 // String renders small matrices for debugging.
 func (m *Matrix) String() string {
+	m.dense("String")
 	return fmt.Sprintf("Matrix(%dx%d)%v", m.Rows, m.Cols, m.Data)
 }
 
 // RandUniform fills m with samples from U[lo, hi).
 func (m *Matrix) RandUniform(rng *rand.Rand, lo, hi float64) {
+	m.dense("RandUniform")
 	for i := range m.Data {
 		m.Data[i] = lo + (hi-lo)*rng.Float64()
 	}
@@ -102,6 +177,7 @@ func (m *Matrix) RandUniform(rng *rand.Rand, lo, hi float64) {
 
 // RandNormal fills m with samples from N(mean, std²).
 func (m *Matrix) RandNormal(rng *rand.Rand, mean, std float64) {
+	m.dense("RandNormal")
 	for i := range m.Data {
 		m.Data[i] = mean + std*rng.NormFloat64()
 	}
@@ -114,9 +190,10 @@ func (m *Matrix) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 	m.RandUniform(rng, -limit, limit)
 }
 
-// MatMul computes dst = a × b. dst must be a.Rows×b.Cols and must not alias
-// a or b. It returns dst for chaining. kernels.go states the rounding and
-// zero-skip contract of all three products.
+// MatMul computes dst = a × b. dst must be a.Rows×b.Cols and must not
+// overlap a or b. It returns dst for chaining. kernels.go states the rounding
+// and zero-skip contract of all three products. In every product a may be a
+// column view; dst and b are dense.
 func MatMul(dst, a, b *Matrix) *Matrix {
 	checkMatMul(dst, a, b)
 	matMulRows(dst, a, b, nil, false, nil, 0, dst.Rows)
@@ -124,6 +201,7 @@ func MatMul(dst, a, b *Matrix) *Matrix {
 }
 
 func checkMatMul(dst, a, b *Matrix) {
+	checkOperands("MatMul", dst, a, b)
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -159,7 +237,7 @@ func MatMulGated(dst, a, b, gate *Matrix) *Matrix {
 }
 
 // MatMulTransA computes dst = aᵀ × b where a is stored untransposed.
-// dst must be a.Cols×b.Cols and must not alias a or b.
+// dst must be a.Cols×b.Cols and must not overlap a or b.
 func MatMulTransA(dst, a, b *Matrix) *Matrix {
 	checkMatMulTransA(dst, a, b)
 	matMulTransARows(dst, a, b, 0, dst.Rows)
@@ -167,6 +245,7 @@ func MatMulTransA(dst, a, b *Matrix) *Matrix {
 }
 
 func checkMatMulTransA(dst, a, b *Matrix) {
+	checkOperands("MatMulTransA", dst, a, b)
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransA outer mismatch %dx%d ᵀ× %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -176,7 +255,7 @@ func checkMatMulTransA(dst, a, b *Matrix) {
 }
 
 // MatMulTransB computes dst = a × bᵀ where b is stored untransposed.
-// dst must be a.Rows×b.Rows and must not alias a or b. It is MatMul against
+// dst must be a.Rows×b.Rows and must not overlap a or b. It is MatMul against
 // a freshly allocated transpose of b; a caller that runs it every step keeps
 // that transpose itself (TransposeRows, as nn.Dense does).
 func MatMulTransB(dst, a, b *Matrix) *Matrix {
@@ -188,6 +267,7 @@ func MatMulTransB(dst, a, b *Matrix) *Matrix {
 // is reshaped to src.Cols×(hi-lo) as by Reshape, and returns it. With a × bᵀ
 // computed as a × (bᵀ), the row range of b is the column range of the result.
 func TransposeRows(dst, src *Matrix, lo, hi int) *Matrix {
+	src.dense("TransposeRows")
 	if lo < 0 || hi > src.Rows || lo > hi {
 		panic(fmt.Sprintf("tensor: TransposeRows [%d,%d) of %d rows", lo, hi, src.Rows))
 	}
@@ -203,6 +283,7 @@ func TransposeRows(dst, src *Matrix, lo, hi int) *Matrix {
 }
 
 func checkMatMulTransB(dst, a, b *Matrix) {
+	checkOperands("MatMulTransB", dst, a, b)
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner mismatch %dx%d × %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -243,6 +324,7 @@ func Mul(dst, a, b *Matrix) *Matrix {
 
 // Scale multiplies every element of m by s in place.
 func (m *Matrix) Scale(s float64) {
+	m.dense("Scale")
 	for i := range m.Data {
 		m.Data[i] *= s
 	}
@@ -259,6 +341,7 @@ func (m *Matrix) AddScaled(other *Matrix, s float64) {
 // AddRowVector adds the 1×Cols row vector v to every row of m in place;
 // this is the bias-broadcast used by dense layers.
 func (m *Matrix) AddRowVector(v []float64) {
+	m.dense("AddRowVector")
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVector len %d want %d", len(v), m.Cols))
 	}
@@ -284,6 +367,7 @@ func Apply(dst, a *Matrix, f func(float64) float64) *Matrix {
 // the resident bodies that is the one-row product onesᵀ × m — 1·v is v, so
 // the bits are the loop's — with a single 1.0 as every multiplier.
 func (m *Matrix) SumRows(dst []float64) []float64 {
+	m.dense("SumRows")
 	if dst == nil {
 		dst = make([]float64, m.Cols)
 	}
@@ -310,6 +394,7 @@ var one = [1]float64{1}
 
 // Sum returns the sum over all elements.
 func (m *Matrix) Sum() float64 {
+	m.dense("Sum")
 	var s float64
 	for _, v := range m.Data {
 		s += v
@@ -327,6 +412,7 @@ func (m *Matrix) Mean() float64 {
 
 // MaxAbs returns the largest absolute element (0 for an empty matrix).
 func (m *Matrix) MaxAbs() float64 {
+	m.dense("MaxAbs")
 	var mx float64
 	for _, v := range m.Data {
 		if a := math.Abs(v); a > mx {
@@ -339,8 +425,10 @@ func (m *Matrix) MaxAbs() float64 {
 // HStack concatenates the given matrices left-to-right into dst. All inputs
 // must share the same row count and their column counts must sum to dst.Cols.
 func HStack(dst *Matrix, parts ...*Matrix) *Matrix {
+	dst.dense("HStack")
 	total := 0
 	for _, p := range parts {
+		p.dense("HStack")
 		if p.Rows != dst.Rows {
 			panic(fmt.Sprintf("tensor: HStack row mismatch %d vs %d", p.Rows, dst.Rows))
 		}
@@ -362,6 +450,8 @@ func HStack(dst *Matrix, parts ...*Matrix) *Matrix {
 
 // SliceCols copies columns [lo, hi) of src into dst (dst is src.Rows×(hi-lo)).
 func SliceCols(dst, src *Matrix, lo, hi int) *Matrix {
+	dst.dense("SliceCols")
+	src.dense("SliceCols")
 	if lo < 0 || hi > src.Cols || lo > hi {
 		panic(fmt.Sprintf("tensor: SliceCols [%d,%d) of %d cols", lo, hi, src.Cols))
 	}
@@ -374,23 +464,11 @@ func SliceCols(dst, src *Matrix, lo, hi int) *Matrix {
 	return dst
 }
 
-// SetCols copies src into columns [lo, lo+src.Cols) of dst.
-func SetCols(dst, src *Matrix, lo int) *Matrix {
-	if lo < 0 || lo+src.Cols > dst.Cols {
-		panic(fmt.Sprintf("tensor: SetCols [%d,%d) of %d cols", lo, lo+src.Cols, dst.Cols))
-	}
-	if dst.Rows != src.Rows {
-		panic(fmt.Sprintf("tensor: SetCols row mismatch %d vs %d", dst.Rows, src.Rows))
-	}
-	for i := 0; i < dst.Rows; i++ {
-		copy(dst.Row(i)[lo:lo+src.Cols], src.Row(i))
-	}
-	return dst
-}
-
 // ApproxEqual reports whether a and b have the same shape and all elements
 // are within tol of each other.
 func ApproxEqual(a, b *Matrix, tol float64) bool {
+	a.dense("ApproxEqual")
+	b.dense("ApproxEqual")
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
 	}
@@ -403,7 +481,19 @@ func ApproxEqual(a, b *Matrix, tol float64) bool {
 }
 
 func assertSameShape(op string, a, b *Matrix) {
+	a.dense(op)
+	b.dense(op)
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+}
+
+// checkOperands panics unless dst and b are dense and dst overlaps neither
+// operand: a product reads a and b after it has begun to write dst.
+func checkOperands(op string, dst, a, b *Matrix) {
+	dst.dense(op)
+	b.dense(op)
+	if Overlap(dst, a) || Overlap(dst, b) {
+		panic(fmt.Sprintf("tensor: %s dst overlaps an operand", op))
 	}
 }

@@ -304,20 +304,6 @@ func TestHStackAndSliceCols(t *testing.T) {
 	}
 }
 
-func TestSetColsRoundTripsSliceCols(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	full := New(3, 6)
-	full.RandNormal(rng, 0, 1)
-	part := SliceCols(New(3, 2), full, 2, 4)
-	out := full.Clone()
-	out.Zero()
-	SetCols(out, part, 2)
-	back := SliceCols(New(3, 2), out, 2, 4)
-	if !ApproxEqual(back, part, 0) {
-		t.Fatal("SetCols/SliceCols did not round-trip")
-	}
-}
-
 func TestXavierInitRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := New(10, 10)

@@ -6,6 +6,8 @@ func cpuHasAVX2() bool
 
 func cpuHasAVX512() bool
 
+func cpuHasFMA() bool
+
 //go:noescape
 func rowsWide8(p *rowArgs)
 
@@ -34,6 +36,55 @@ func logVectors(lanes int, dst, src []float64) int {
 		return logVectors8(&dst[0], &src[0], len(src))
 	}
 	return logVectors4(&dst[0], &src[0], len(src))
+}
+
+//go:noescape
+func expVectors8(dst, src *float64, n int) int
+
+//go:noescape
+func expVectors4(dst, src *float64, n int) int
+
+// expVectors is logVectors for the packed exponential.
+func expVectors(lanes int, dst, src []float64) int {
+	_ = dst[len(src)-1]
+	if lanes == 8 {
+		return expVectors8(&dst[0], &src[0], len(src))
+	}
+	return expVectors4(&dst[0], &src[0], len(src))
+}
+
+//go:noescape
+func softmaxShift8(p *softmaxArgs)
+
+//go:noescape
+func softmaxScale8(p *softmaxArgs)
+
+//go:noescape
+func softmaxShift4(p *softmaxArgs)
+
+//go:noescape
+func softmaxScale4(p *softmaxArgs)
+
+// softmaxPass runs the given pass of the packed row softmax (scale false:
+// the gather, fold and subtract; true: the sums, reciprocals and scatter) at
+// the given width over groups groups of lanes rows of x, pitch elements
+// apart, and the block of groups·lanes·cols elements.
+func softmaxPass(lanes int, scale bool, x []float64, pitch int, blk []float64, groups, cols int) {
+	_, _ = x[(groups*lanes-1)*pitch+cols-1], blk[groups*lanes*cols-1]
+	p := softmaxArgs{x: &x[0], blk: &blk[0], groups: groups, cols: cols, step: 8 * lanes * pitch, pitch: 8 * pitch}
+	for l := range p.lanes {
+		p.lanes[l] = 8 * l * pitch
+	}
+	switch {
+	case lanes == 8 && !scale:
+		softmaxShift8(&p)
+	case lanes == 8:
+		softmaxScale8(&p)
+	case !scale:
+		softmaxShift4(&p)
+	default:
+		softmaxScale4(&p)
+	}
 }
 
 // cpuVectorLanes returns the widest resident body this CPU and OS can run.

@@ -3,7 +3,9 @@
 
 // The resident row kernels under both matrix products (kernels.go): one wide
 // body and one narrow body, each a header expanded once per vector width —
-// and, expanded beside them, the packed logarithm under Log (log.go).
+// and, expanded beside them, the packed logarithm under Log (log.go), the
+// packed exponential under Exp (exp.go) and the two passes of the packed row
+// softmax under SoftmaxRows (softmax.go).
 // Every body uses registers 0-15 of its width only and ends in VZEROUPPER:
 // the upper halves are clean on return, so the XSAVE a context switch or a
 // signal does keeps skipping them, and the ZMM16-31 block is never dirtied
@@ -50,6 +52,21 @@
 //	NLTONE(f, c, one, r)
 //	                  r = one in the lanes where c < f does not hold, +0 in
 //	                  the rest
+//
+// And for the packed exponential (exp_amd64.h):
+//
+//	ROUND(r)          r rounded to an integer, to nearest even, lane by lane
+//	EXPABLE(k, t, u, g)
+//	                  g = one bit per lane of k, set where -1022 <= k <= 1023
+//	                  (so not where k is a NaN); t and u are scratch
+//
+// And for the packed row softmax (softmax_shift_amd64.h,
+// softmax_scale_amd64.h), with GATHER above, B holding the rows' offsets:
+//
+//	MAXSTEP(v, m, t)  m = v in the lanes where v > m, ordered; t is scratch
+//	SCATTERSETUP      from the *softmaxArgs in DX, what SCATTER needs
+//	SCATTER(p)        T0's lanes to p plus the offsets of the rows; T1 is
+//	                  scratch
 
 // Eight lanes: AVX-512.
 #define A0 Z0
@@ -99,6 +116,14 @@
 	VPXORQ t, t, t; VCMPPD $0x1e, t, x, K1; VBROADCASTSD logInf<>(SB), u; VCMPPD $0x11, u, x, K1, K2; KMOVW K2, g
 #define ALLLANES 0xff
 #define NLTONE(f, c, one, r) VCMPPD $5, f, c, K1; VMOVAPD.Z one, K1, r
+// Predicate 0x1d is "greater or equal, ordered", 0x12 "less or equal,
+// ordered".
+#define ROUND(r) VRNDSCALEPD $0, r, r
+#define EXPABLE(k, t, u, g) \
+	VBROADCASTSD expKMin<>(SB), t; VCMPPD $0x1d, t, k, K1; VBROADCASTSD expKMax<>(SB), u; VCMPPD $0x12, u, k, K1, K2; KMOVW K2, g
+#define MAXSTEP(v, m, t) VCMPPD $0x1e, m, v, K1; VMOVAPD v, K1, m
+#define SCATTERSETUP VMOVUPD softmaxArgs_lanes(DX), B
+#define SCATTER(p) KXNORW K2, K2, K2; VSCATTERQPD T0, K2, (p)(B*1)
 
 // func rowsWide8(p *rowArgs)
 TEXT ·rowsWide8(SB), NOSPLIT, $0-8
@@ -116,6 +141,23 @@ TEXT ·logVectors8(SB), NOSPLIT, $0-32
 	MOVQ src+8(FP), SI
 	MOVQ n+16(FP), CX
 #include "log_amd64.h"
+
+// func expVectors8(dst, src *float64, n int) int
+TEXT ·expVectors8(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+#include "exp_amd64.h"
+
+// func softmaxShift8(p *softmaxArgs)
+TEXT ·softmaxShift8(SB), NOSPLIT, $0-8
+	MOVQ p+0(FP), DX
+#include "softmax_shift_amd64.h"
+
+// func softmaxScale8(p *softmaxArgs)
+TEXT ·softmaxScale8(SB), NOSPLIT, $0-8
+	MOVQ p+0(FP), DX
+#include "softmax_scale_amd64.h"
 
 #undef A0
 #undef A1
@@ -157,6 +199,11 @@ TEXT ·logVectors8(SB), NOSPLIT, $0-32
 #undef LOGGABLE
 #undef ALLLANES
 #undef NLTONE
+#undef ROUND
+#undef EXPABLE
+#undef MAXSTEP
+#undef SCATTERSETUP
+#undef SCATTER
 
 // Four lanes: AVX2.
 #define A0 Y0
@@ -206,6 +253,15 @@ TEXT ·logVectors8(SB), NOSPLIT, $0-32
 	VPXOR t, t, t; VCMPPD $0x1e, t, x, t; VBROADCASTSD logInf<>(SB), u; VCMPPD $0x11, u, x, u; VANDPD t, u, t; VMOVMSKPD t, g
 #define ALLLANES 0xf
 #define NLTONE(f, c, one, r) VCMPPD $5, f, c, r; VANDPD one, r, r
+#define ROUND(r) VROUNDPD $0, r, r
+#define EXPABLE(k, t, u, g) \
+	VBROADCASTSD expKMin<>(SB), t; VCMPPD $0x1d, t, k, t; VBROADCASTSD expKMax<>(SB), u; VCMPPD $0x12, u, k, u; VANDPD t, u, t; VMOVMSKPD t, g
+#define MAXSTEP(v, m, t) VCMPPD $0x1e, m, v, t; VBLENDVPD t, v, m, m
+// No scatter before AVX-512: T0's halves go out a lane at a time, to rows
+// R12 bytes apart (R13 is three of them).
+#define SCATTERSETUP MOVQ softmaxArgs_pitch(DX), R12; LEAQ (R12)(R12*2), R13
+#define SCATTER(p) \
+	VMOVLPD X12, (p); VMOVHPD X12, (p)(R12*1); VEXTRACTF128 $1, Y12, X13; VMOVLPD X13, (p)(R12*2); VMOVHPD X13, (p)(R13*1)
 
 DATA columns4<>+0(SB)/8, $-1
 DATA columns4<>+8(SB)/8, $-1
@@ -234,6 +290,23 @@ TEXT ·logVectors4(SB), NOSPLIT, $0-32
 	MOVQ n+16(FP), CX
 #include "log_amd64.h"
 
+// func expVectors4(dst, src *float64, n int) int
+TEXT ·expVectors4(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+#include "exp_amd64.h"
+
+// func softmaxShift4(p *softmaxArgs)
+TEXT ·softmaxShift4(SB), NOSPLIT, $0-8
+	MOVQ p+0(FP), DX
+#include "softmax_shift_amd64.h"
+
+// func softmaxScale4(p *softmaxArgs)
+TEXT ·softmaxScale4(SB), NOSPLIT, $0-8
+	MOVQ p+0(FP), DX
+#include "softmax_scale_amd64.h"
+
 // math.archLog's constants, by their bits, and what the exponent's trip from
 // integer to double needs: 2^52 and 2^52 + 1022.
 #define LOGCONST(name, bits) \
@@ -256,6 +329,25 @@ LOGCONST(logL4, 0x3fcc71c51d8e78af)
 LOGCONST(logL5, 0x3fc7466496cb03de)
 LOGCONST(logL6, 0x3fc39a09d078c69f)
 LOGCONST(logL7, 0x3fc2f112df3e5244)
+
+// math.archExp's constants, by the bits its decimal literals round to, and
+// the bounds of k and the bias the scale is built with.
+LOGCONST(expLog2e, 0x3ff71547652b82fe)
+LOGCONST(expLn2Hi, 0x3fe62e42fefa3000)
+LOGCONST(expLn2Lo, 0x3d53de6af278ece6)
+LOGCONST(expSixteenth, 0x3fb0000000000000)
+LOGCONST(expT8, 0x3efa01a01a01a01a)
+LOGCONST(expT7, 0x3f2a01a01a01a01a)
+LOGCONST(expT6, 0x3f56c16c16c16c17)
+LOGCONST(expT5, 0x3f81111111111111)
+LOGCONST(expT4, 0x3fa5555555555555)
+LOGCONST(expT3, 0x3fc5555555555555)
+LOGCONST(expHalf, 0x3fe0000000000000)
+LOGCONST(expOne, 0x3ff0000000000000)
+LOGCONST(expTwo, 0x4000000000000000)
+LOGCONST(expTwo52Bias, 0x43300000000003ff)
+LOGCONST(expKMin, 0xc08ff00000000000)
+LOGCONST(expKMax, 0x408ff80000000000)
 
 // func cpuHasAVX2() bool
 //
@@ -308,6 +400,23 @@ TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
 	XORL CX, CX
 	CPUID
 	BTL  $16, BX
+	JCC  done
+	MOVB $1, ret+0(FP)
+
+done:
+	RET
+
+// func cpuHasFMA() bool
+//
+// On a CPU that passed cpuHasAVX2, which has checked AVX and the OS's saving
+// of the YMM halves: CPUID reports FMA (leaf 1, ECX bit 12). With both,
+// math.Exp takes its fused branch, the one Exp's packed body transcribes.
+TEXT ·cpuHasFMA(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	BTL  $12, CX
 	JCC  done
 	MOVB $1, ret+0(FP)
 

@@ -61,7 +61,9 @@ func Norm2(v []float64) float64 {
 }
 
 // Softmax writes the softmax of logits into dst (which may alias logits)
-// using the max-subtraction trick for numerical stability.
+// using the max-subtraction trick for numerical stability: the largest
+// logit, then every logit minus it, their exponentials in one Exp, their sum
+// from the first on, and each exponential times the sum's reciprocal.
 func Softmax(dst, logits []float64) {
 	if len(dst) != len(logits) {
 		panic(fmt.Sprintf("tensor: Softmax length mismatch %d vs %d", len(dst), len(logits)))
@@ -75,10 +77,12 @@ func Softmax(dst, logits []float64) {
 			mx = v
 		}
 	}
-	var sum float64
 	for i, v := range logits {
-		e := math.Exp(v - mx)
-		dst[i] = e
+		dst[i] = v - mx
+	}
+	Exp(dst, dst)
+	var sum float64
+	for _, e := range dst {
 		sum += e
 	}
 	inv := 1.0 / sum
