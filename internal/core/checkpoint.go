@@ -22,7 +22,7 @@ import (
 //
 // Version history: v1 had no integrity trailer; v2 appends the CRC32 so
 // truncated or bit-flipped checkpoints are rejected instead of partially
-// loaded. v1 files are still read (without verification).
+// loaded. Only v2 is read: a v1 file is refused with a version error.
 
 const (
 	checkpointMagic   = "MARL"
@@ -79,11 +79,10 @@ func (t *Trainer) SaveCheckpoint(dst io.Writer) error {
 }
 
 // LoadCheckpoint restores state written by SaveCheckpoint into a trainer
-// built with the same algorithm, agent count and network architecture. For
-// v2 checkpoints the CRC32 trailer is verified over the whole stream before
-// any trainer state is touched, so a truncated or bit-flipped file is
-// rejected outright rather than partially loaded; v1 files (no trailer) are
-// still accepted unverified.
+// built with the same algorithm, agent count and network architecture. The
+// CRC32 trailer is verified over the whole stream before any trainer state
+// is touched, so a truncated or bit-flipped file is rejected outright
+// rather than partially loaded.
 func (t *Trainer) LoadCheckpoint(r io.Reader) error {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -96,32 +95,27 @@ func (t *Trainer) LoadCheckpoint(r io.Reader) error {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return fmt.Errorf("core: reading checkpoint version: %w", err)
 	}
-	switch v := binary.LittleEndian.Uint32(hdr[:]); v {
-	case 1:
-		// Legacy trailer-less stream: parse directly.
-		return t.loadCheckpointBody(r)
-	case checkpointVersion:
-		// Hash the body, verify the trailer, then parse from memory — no
-		// trainer state changes before the checksum is known good.
-		body, err := io.ReadAll(r)
-		if err != nil {
-			return fmt.Errorf("core: reading checkpoint: %w", err)
-		}
-		if len(body) < 4 {
-			return fmt.Errorf("core: checkpoint truncated before checksum trailer")
-		}
-		trailer := binary.LittleEndian.Uint32(body[len(body)-4:])
-		body = body[:len(body)-4]
-		if got := checkpointCRC(magic[:], hdr[:], body); got != trailer {
-			return fmt.Errorf("core: checkpoint checksum mismatch %08x != %08x (corrupt or truncated)", got, trailer)
-		}
-		return t.loadCheckpointBody(bytes.NewReader(body))
-	default:
-		return fmt.Errorf("core: checkpoint version %d, want ≤%d", v, checkpointVersion)
+	if v := binary.LittleEndian.Uint32(hdr[:]); v != checkpointVersion {
+		return fmt.Errorf("core: checkpoint version %d, want %d", v, checkpointVersion)
 	}
+	// Hash the body, verify the trailer, then parse from memory — no
+	// trainer state changes before the checksum is known good.
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("core: reading checkpoint: %w", err)
+	}
+	if len(body) < 4 {
+		return fmt.Errorf("core: checkpoint truncated before checksum trailer")
+	}
+	trailer := binary.LittleEndian.Uint32(body[len(body)-4:])
+	body = body[:len(body)-4]
+	if got := checkpointCRC(magic[:], hdr[:], body); got != trailer {
+		return fmt.Errorf("core: checkpoint checksum mismatch %08x != %08x (corrupt or truncated)", got, trailer)
+	}
+	return t.loadCheckpointBody(bytes.NewReader(body))
 }
 
-// checkpointCRC recomputes the v2 trailer checksum over header and body.
+// checkpointCRC recomputes the trailer checksum over header and body.
 func checkpointCRC(magic, version, body []byte) uint32 {
 	crc := crc32.Update(0, crc32.IEEETable, magic)
 	crc = crc32.Update(crc, crc32.IEEETable, version)

@@ -11,7 +11,8 @@ import (
 )
 
 // Fault-injection coverage for the v2 MARL format: bit flips anywhere in
-// the stream, short writes, and legacy v1 (trailer-less) compatibility.
+// the stream, short writes, and the refusal of legacy v1 (trailer-less)
+// streams.
 
 func checkpointBytes(t *testing.T, src *Trainer) []byte {
 	t.Helper()
@@ -76,7 +77,9 @@ func TestSaveCheckpointPropagatesShortWrites(t *testing.T) {
 	}
 }
 
-func TestLoadCheckpointReadsV1(t *testing.T) {
+// A v1 stream — trailer-less, once read unverified — is refused with a
+// version error, and the trainer is left as it was.
+func TestLoadCheckpointRejectsV1(t *testing.T) {
 	src := trainedTrainer(t, MADDPG)
 	data := checkpointBytes(t, src)
 	// A v1 stream is the v2 stream with the version field rewound and the
@@ -84,16 +87,13 @@ func TestLoadCheckpointReadsV1(t *testing.T) {
 	v1 := append([]byte(nil), data[:len(data)-4]...)
 	v1[4] = 1
 	dst := freshTrainer(t, MADDPG)
-	if err := dst.LoadCheckpoint(bytes.NewReader(v1)); err != nil {
-		t.Fatalf("v1 checkpoint rejected: %v", err)
+	before := dst.agents[0].actor.Params()[0].Clone()
+	err := dst.LoadCheckpoint(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 checkpoint: err = %v, want a version error", err)
 	}
-	for pi, p := range src.agents[0].actor.Params() {
-		if !tensor.ApproxEqual(dst.agents[0].actor.Params()[pi], p, 0) {
-			t.Fatalf("v1 restore: actor param %d differs", pi)
-		}
-	}
-	if dst.TotalSteps() != src.TotalSteps() {
-		t.Fatal("v1 restore: counters differ")
+	if !tensor.ApproxEqual(dst.agents[0].actor.Params()[0], before, 0) || dst.TotalSteps() != 0 {
+		t.Fatal("rejected v1 checkpoint still mutated the trainer")
 	}
 }
 

@@ -1,8 +1,8 @@
 package expserve
 
-// Tests for the append path's buffer reuse: the handler reads each frame
-// into a pooled body, and decodeAppend hands the ingest writer rows that
-// alias that body (or pooled scratch) instead of a fresh slice.
+// Tests for the append path's buffers: the sink frames rows in its staging
+// buffer, the handler reads each frame into a pooled body, and decodeAppend
+// hands applyBatch rows that alias that body instead of a fresh slice.
 
 import (
 	"bytes"
@@ -11,13 +11,16 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"marlperf/internal/expstore"
 	"marlperf/internal/replay"
@@ -139,14 +142,39 @@ func ringRows(r *expstore.Ring) []float64 {
 	return out
 }
 
-// Two actors append through one server at once. Each batch's rows alias a
-// pooled request body while the single ingest writer applies them, so a
-// body recycled too early — or shared between two in-flight requests —
-// shows up as a row in the ring that nobody sent (and as a race under
-// -race). Rows are tagged (actor, batch, row) so every ring row can be
-// traced back to the frame that carried it.
+// addPacked hands one packed row to sink.Add, split into the per-agent
+// fields PackRow interleaves — so a test can choose every float's bits.
+func addPacked(sink *RemoteSink, row []float64) error {
+	spec := sink.layout.Spec()
+	n := spec.NumAgents
+	obs, act, nxt := make([][]float64, n), make([][]float64, n), make([][]float64, n)
+	rew, done := make([]float64, n), make([]float64, n)
+	take := func(k int) []float64 {
+		v := row[:k]
+		row = row[k:]
+		return v
+	}
+	for a := 0; a < n; a++ {
+		obs[a] = take(spec.ObsDims[a])
+		act[a] = take(spec.ActDim)
+		rew[a] = take(1)[0]
+		nxt[a] = take(spec.ObsDims[a])
+		done[a] = take(1)[0]
+	}
+	return sink.Add(obs, act, rew, nxt, done)
+}
+
+// Nine actors, with IDs of 1 to 9 bytes — every alignment the row payload
+// can have within a frame — append through one server at once, each through
+// a real sink. Each batch's rows alias the sink's staging on one side and a
+// pooled request body on the other, so a buffer recycled too early, or
+// shared between two in-flight requests, shows up as a row in the ring that
+// nobody sent (and as a race under -race). Rows are tagged (actor, batch,
+// row) so every ring row can be traced back to the frame that carried it.
+// The server reads every body so that its payload is 8-aligned: no pooled
+// scratch ever decodes a row.
 func TestConcurrentAppendersPooledBodies(t *testing.T) {
-	const actors, batches = 2, 150
+	const actors, batches = 9, 150
 	spec := testSpec(actors * batches * 16)
 	layout := replay.NewRowLayout(spec)
 	stride := layout.Stride()
@@ -155,12 +183,20 @@ func TestConcurrentAppendersPooledBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var scratchMu sync.Mutex
+	var scratches []*appendScratch
+	srv.appendPool.New = func() any {
+		sc := new(appendScratch)
+		scratchMu.Lock()
+		scratches = append(scratches, sc)
+		scratchMu.Unlock()
+		return sc
+	}
 	hs := httptest.NewServer(srv)
-	defer func() { hs.Close(); srv.Close() }()
+	defer srv.Close()
 
-	// Batch sizes cycle so pooled bodies are reused at other lengths, and
-	// the two actor IDs put the payload on different alignments.
-	ids := [actors]string{"act0", "actor-1"}
+	// Batch sizes cycle so staging and pooled bodies are reused at other
+	// lengths.
 	rowsIn := func(b int) int { return 1 + b%9 }
 	cell := func(a, b, r, k int) float64 { return float64(((a*batches+b)*16+r)*stride + k) }
 	var wg sync.WaitGroup
@@ -169,20 +205,23 @@ func TestConcurrentAppendersPooledBodies(t *testing.T) {
 		wg.Add(1)
 		go func(a int) {
 			defer wg.Done()
-			c := fastClient(hs.URL)
-			sink := &RemoteSink{c: c, actorID: ids[a], layout: layout}
-			var frame []byte
+			sink, err := NewRemoteSink(fastClient(hs.URL), "actor-xyz"[:a+1], spec)
+			if err != nil {
+				errs <- err
+				return
+			}
+			row := make([]float64, stride)
 			for b := 0; b < batches; b++ {
-				n := rowsIn(b)
-				rows := make([]float64, n*stride)
-				for r := 0; r < n; r++ {
-					for k := 0; k < stride; k++ {
-						rows[r*stride+k] = cell(a, b, r, k)
+				for r := 0; r < rowsIn(b); r++ {
+					for k := range row {
+						row[k] = cell(a, b, r, k)
+					}
+					if err := addPacked(sink, row); err != nil {
+						errs <- fmt.Errorf("actor %d batch %d: %w", a, b, err)
+						return
 					}
 				}
-				sink.batchSeq = uint64(b + 1)
-				frame = encodeAppend(frame[:0], appendBatch{ActorID: ids[a], BatchSeq: sink.batchSeq, Rows: rows, N: n}, stride)
-				if _, err := sink.doAppend(frame, false); err != nil {
+				if err := sink.Flush(); err != nil {
 					errs <- fmt.Errorf("actor %d batch %d: %w", a, b, err)
 					return
 				}
@@ -190,6 +229,7 @@ func TestConcurrentAppendersPooledBodies(t *testing.T) {
 		}(a)
 	}
 	wg.Wait()
+	hs.Close()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
@@ -199,7 +239,7 @@ func TestConcurrentAppendersPooledBodies(t *testing.T) {
 	// each actor's batches are in sequence: walk the ring and check every
 	// row against the batch its first cell names.
 	got := ringRows(ring)
-	next := [actors]int{}
+	var next, want [actors]int
 	for off := 0; off < len(got); {
 		tag := int(got[off]) / stride
 		a, b := tag/16/batches, tag/16%batches
@@ -208,16 +248,173 @@ func TestConcurrentAppendersPooledBodies(t *testing.T) {
 		}
 		for r := 0; r < rowsIn(b); r++ {
 			for k := 0; k < stride; k++ {
-				if off >= len(got) || got[off] != cell(a, b, r, k) {
-					t.Fatalf("actor %d batch %d row %d float %d: ring holds a value that batch never sent", a, b, r, k)
+				if off >= len(got) || math.Float64bits(got[off]) != math.Float64bits(cell(a, b, r, k)) {
+					t.Fatalf("actor %d batch %d row %d float %d: ring holds bits that batch never sent", a, b, r, k)
 				}
 				off++
 			}
 		}
 		next[a]++
 	}
-	if next != [actors]int{batches, batches} {
+	for a := range want {
+		want[a] = batches
+	}
+	if next != want {
 		t.Fatalf("ring holds %v batches per actor, want %d each", next, batches)
+	}
+	// Every scratch the pool ever handed out, not only the ones still in it.
+	for i, sc := range scratches {
+		if cap(sc.rows) != 0 {
+			t.Fatalf("pooled scratch %d of %d decoded rows (%d floats): some payload was not read 8-aligned", i, len(scratches), cap(sc.rows))
+		}
+	}
+}
+
+// The staging buffer holds at most one flush threshold of rows plus the
+// frame's header and CRC: a 4096-row batch at MaxBatchRows 4096 ships from
+// a buffer of that size, not of twice it, and takes no second copy.
+func TestSinkBufferStopsAtMaxBatchRows(t *testing.T) {
+	const rows = 4096
+	spec := testSpec(rows)
+	stride := replay.NewRowLayout(spec).Stride()
+	ring := expstore.NewRing(spec)
+	srv, err := NewServer(ServerConfig{Provider: ring, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer func() { hs.Close(); srv.Close() }()
+	const actor = "prefill"
+	sink, err := NewRemoteSink(fastClient(hs.URL), actor, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.MaxBatchRows = rows
+	rng := rand.New(rand.NewSource(41))
+	row := make([]float64, stride)
+	for i := 0; i < rows; i++ {
+		for k := range row {
+			row[k] = rng.NormFloat64()
+		}
+		if err := addPacked(sink, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ring.Len() != rows {
+		t.Fatalf("ring holds %d rows after the auto-flush, want %d", ring.Len(), rows)
+	}
+	// Header and CRC, each rounded up to whole floats.
+	limit := 8*rows*stride + (appendFrameHdr + len(actor) + 7) + 8
+	if got := 8 * cap(sink.buf); got > limit {
+		t.Fatalf("staging holds %d bytes after a %d-row batch; at most %d rows plus header and CRC is %d", got, rows, rows, limit)
+	}
+	if cap(sink.retained) != 0 {
+		t.Fatalf("a batch that shipped was copied into a %d-byte retained buffer", cap(sink.retained))
+	}
+}
+
+// The sink frames its staged rows in place, header and CRC around them, and
+// those frames equal encodeAppend's byte for byte: over random batches and
+// float bits, every actor-ID alignment, auto- and explicit flushes, and
+// frames the server refused — which the next Flush re-ships unchanged under
+// the same sequence number before it frames the rows staged since.
+func TestInPlaceFramesMatchEncodeAppend(t *testing.T) {
+	spec := testSpec(64)
+	stride := replay.NewRowLayout(spec).Stride()
+	bodies := make(chan []byte, 64) // more than any one Flush sends
+	var refuse atomic.Bool
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		bodies <- body
+		if refuse.Load() {
+			http.Error(w, "refused", http.StatusBadRequest)
+			return
+		}
+		fmt.Fprint(w, `{"total":0,"rows":0,"dup":false}`)
+	}))
+	defer hs.Close()
+	c := NewClient(hs.URL, ClientOptions{Attempts: 1, Timeout: 5 * time.Second, JitterSeed: 1})
+	rng := rand.New(rand.NewSource(17))
+	for actorLen := 1; actorLen <= 9; actorLen++ {
+		actor := "actor-xyz"[:actorLen]
+		sink, err := NewRemoteSink(c, actor, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink.MaxBatchRows = 1 + rng.Intn(12)
+		var seq uint64
+		var pending []float64 // rows staged in the sink
+		var retained []byte   // the frame the sink must re-ship first
+		expectBody := func(op int, want []byte) {
+			t.Helper()
+			select {
+			case got := <-bodies:
+				if !bytes.Equal(got, want) {
+					t.Fatalf("actor %q op %d: shipped frame (%d bytes) differs from encodeAppend's (%d bytes)", actor, op, len(got), len(want))
+				}
+			default:
+				t.Fatalf("actor %q op %d: no frame shipped, want one of %d bytes", actor, op, len(want))
+			}
+		}
+		// expectFlush checks one Flush — explicit or Add's automatic one —
+		// against the model: the retained frame first, then the staged rows
+		// under the next sequence number; a refusal stops it.
+		expectFlush := func(op int, refused bool, err error) {
+			t.Helper()
+			defer func() {
+				if extra := len(bodies); extra != 0 {
+					t.Fatalf("actor %q op %d: %d unexpected frames shipped", actor, op, extra)
+				}
+			}()
+			if sends := retained != nil || len(pending) > 0; (err != nil) != (refused && sends) {
+				t.Fatalf("actor %q op %d: refused=%v, frames to send %v, but flush err = %v", actor, op, refused, sends, err)
+			}
+			if retained != nil {
+				expectBody(op, retained)
+				if refused {
+					return
+				}
+				retained = nil
+			}
+			if len(pending) == 0 {
+				return
+			}
+			seq++
+			want := encodeAppend(nil, appendBatch{ActorID: actor, BatchSeq: seq, Rows: pending, N: len(pending) / stride}, stride)
+			pending = nil
+			expectBody(op, want)
+			if refused {
+				retained = want
+			}
+		}
+		row := make([]float64, stride)
+		for op := 0; op < 80; op++ {
+			refused := rng.Intn(4) == 0
+			refuse.Store(refused)
+			if rng.Intn(6) == 0 {
+				expectFlush(op, refused, sink.Flush())
+				continue
+			}
+			for k := range row {
+				row[k] = math.Float64frombits(rng.Uint64())
+			}
+			err := addPacked(sink, row)
+			pending = append(pending, row...)
+			if len(pending)/stride >= sink.MaxBatchRows {
+				expectFlush(op, refused, err)
+			} else if err != nil {
+				t.Fatalf("actor %q op %d: add without a flush failed: %v", actor, op, err)
+			}
+		}
+		refuse.Store(false)
+		expectFlush(-1, false, sink.Flush())
+		if sink.Seq() != seq {
+			t.Fatalf("actor %q: sink at seq %d, model at %d", actor, sink.Seq(), seq)
+		}
 	}
 }
 
@@ -237,6 +434,19 @@ func TestGoldenSpoolFrameAcrossCommits(t *testing.T) {
 
 	if ours := encodeAppend(nil, appendBatch{ActorID: "golden", BatchSeq: 3, Rows: want, N: 5}, layout.Stride()); !bytes.Equal(ours, golden) {
 		t.Fatal("encodeAppend no longer writes the parent commit's frame byte for byte")
+	}
+	framer, err := NewRemoteSink(nil, "golden", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	framer.SkipTo(2)
+	for r := 0; r < 5; r++ {
+		if err := addPacked(framer, want[r*layout.Stride():(r+1)*layout.Stride()]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ours := framer.frame(); !bytes.Equal(ours, golden) {
+		t.Fatal("the sink's in-place frame is not the parent commit's frame byte for byte")
 	}
 
 	dir := t.TempDir()

@@ -2,12 +2,15 @@ package expserve
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"strings"
 	"time"
 
+	"marlperf/internal/f64le"
 	"marlperf/internal/netretry"
 	"marlperf/internal/replay"
 	"marlperf/internal/telemetry"
@@ -232,10 +235,12 @@ type RemoteSink struct {
 	OnDrain func(batches int)
 
 	batchSeq uint64
-	buf      []float64
-	n        int
-	encBuf   []byte
-	framed   int // leading rows of buf that encBuf carries, shipped but not yet acknowledged
+	// buf stages a batch as its own frame: header room, n rows, CRC room.
+	buf []float64
+	n   int
+	// retained is the frame of batch batchSeq that was shipped but neither
+	// acknowledged nor spooled; empty when none.
+	retained []byte
 
 	spool *spool
 }
@@ -262,22 +267,49 @@ func (s *RemoteSink) SkipTo(seq uint64) {
 func (s *RemoteSink) Seq() uint64 { return s.batchSeq }
 
 // Add implements replay.TransitionSink: pack locally, auto-flushing at
-// MaxBatchRows.
+// MaxBatchRows. The row is staged even when that flush fails.
 func (s *RemoteSink) Add(obs, act [][]float64, rew []float64, nextObs [][]float64, done []float64) error {
-	stride := s.layout.Stride()
-	need := (s.n + 1) * stride
-	if cap(s.buf) < need {
-		grown := make([]float64, need*2)
-		copy(grown, s.buf[:s.n*stride])
+	hw, stride := s.headerWords(), s.layout.Stride()
+	at := hw + s.n*stride
+	if at+stride >= len(s.buf) {
+		// Full (the last float is the CRC's): double, but not past
+		// MaxBatchRows unless a failed flush left that many rows staged.
+		rows := max(2*s.n, 1)
+		if s.n < s.MaxBatchRows {
+			rows = min(rows, s.MaxBatchRows)
+		}
+		grown := make([]float64, hw+rows*stride+1)
+		copy(grown, s.buf)
 		s.buf = grown
 	}
-	s.buf = s.buf[:cap(s.buf)]
-	s.layout.PackRow(s.buf[s.n*stride:(s.n+1)*stride], obs, act, rew, nextObs, done)
+	s.layout.PackRow(s.buf[at:at+stride], obs, act, rew, nextObs, done)
 	s.n++
 	if s.n >= s.MaxBatchRows {
 		return s.Flush()
 	}
 	return nil
+}
+
+// headerWords is the floats of buf ahead of the rows: payloadPad, then the header.
+func (s *RemoteSink) headerWords() int {
+	return (payloadPad(len(s.actorID)) + appendFrameHdr + len(s.actorID)) / 8
+}
+
+// frame closes the staged rows, in place, into the append frame of the next
+// sequence number; a big-endian host (no byte view of floats) encodes a copy.
+func (s *RemoteSink) frame() []byte {
+	s.batchSeq++
+	n, hw, stride := s.n, s.headerWords(), s.layout.Stride()
+	s.n = 0
+	mem := f64le.Bytes(s.buf)
+	if mem == nil {
+		return encodeAppend(nil, appendBatch{ActorID: s.actorID, BatchSeq: s.batchSeq, Rows: s.buf[hw:], N: n}, stride)
+	}
+	frame := mem[payloadPad(len(s.actorID)) : 8*(hw+n*stride)+4]
+	putAppendHeader(frame, s.actorID, s.batchSeq, n, stride)
+	end := len(frame) - 4
+	binary.LittleEndian.PutUint32(frame[end:], crc32.ChecksumIEEE(frame[:end]))
+	return frame
 }
 
 // doAppend ships one encoded append frame and validates the ack. When
@@ -318,10 +350,11 @@ func (s *RemoteSink) doAppend(frame []byte, failFast bool) (appendReply, error) 
 // store accepted and flushed them). With a spool armed, an outage diverts
 // the batch to disk instead of failing — order is preserved by spooling
 // every subsequent batch until the backlog drains. Without one, a failed
-// batch stays framed: the next Flush re-ships the identical bytes under the
-// same sequence number, so a batch that landed before its ack was lost is
-// acknowledged as a duplicate instead of being applied twice.
+// batch is retained (its one copy): the next Flush re-ships those bytes under
+// the same sequence number first, so a batch that landed before its ack was
+// lost is acknowledged as a duplicate instead of being applied twice.
 func (s *RemoteSink) Flush() error {
+	divert := false
 	if s.spool != nil && s.spool.len() > 0 {
 		// A backlog exists: drain it first so sequence order holds. While
 		// the server is still down, the pending rows join the backlog.
@@ -329,55 +362,38 @@ func (s *RemoteSink) Flush() error {
 			if !isOutage(err) {
 				return err
 			}
-			return s.spoolPending(nil)
+			divert = true
 		}
 	}
-	for s.n > 0 {
-		frame := s.pendingFrame()
-		// With a spool armed, fail fast while the breaker is open: the batch
-		// has a local home, so there is no reason to stall the rollout loop.
-		if _, err := s.doAppend(frame, s.spool != nil); err != nil {
-			if s.spool == nil || !isOutage(err) {
-				return err
-			}
-			if serr := s.spoolFrame(frame, s.batchSeq, s.framed, err); serr != nil {
-				return serr
-			}
-		}
-		s.settle()
-	}
-	return nil
-}
-
-// pendingFrame returns the append frame for the buffered rows. A frame
-// that was shipped but never acknowledged is returned unchanged.
-func (s *RemoteSink) pendingFrame() []byte {
-	if s.framed == 0 {
-		s.batchSeq++
-		batch := appendBatch{ActorID: s.actorID, BatchSeq: s.batchSeq, Rows: s.buf, N: s.n}
-		s.encBuf = encodeAppend(s.encBuf[:0], batch, s.layout.Stride())
-		s.framed = s.n
-	}
-	return s.encBuf
-}
-
-// settle drops the rows the acknowledged (or spooled) frame carried.
-func (s *RemoteSink) settle() {
-	stride := s.layout.Stride()
-	copy(s.buf, s.buf[s.framed*stride:s.n*stride])
-	s.n -= s.framed
-	s.framed = 0
-}
-
-// spoolPending diverts the buffered-but-unshipped rows to the spool.
-func (s *RemoteSink) spoolPending(cause error) error {
-	for s.n > 0 {
-		if err := s.spoolFrame(s.pendingFrame(), s.batchSeq, s.framed, cause); err != nil {
+	if len(s.retained) > 0 {
+		if err := s.ship(s.retained, divert); err != nil {
 			return err
 		}
-		s.settle()
+		s.retained = s.retained[:0]
+	}
+	if s.n == 0 {
+		return nil
+	}
+	frame := s.frame()
+	if err := s.ship(frame, divert); err != nil {
+		s.retained = append(s.retained[:0], frame...)
+		return err
 	}
 	return nil
+}
+
+// ship sends one frame, or spools it unsent when divert is set. With a
+// spool armed it fails fast while the breaker is open (the batch has a local
+// home, no reason to stall the rollout loop) and diverts on an outage.
+func (s *RemoteSink) ship(frame []byte, divert bool) error {
+	var err error
+	if !divert {
+		_, err = s.doAppend(frame, s.spool != nil)
+		if err == nil || s.spool == nil || !isOutage(err) {
+			return err
+		}
+	}
+	return s.spoolFrame(frame, err)
 }
 
 var _ replay.TransitionSink = (*RemoteSink)(nil)

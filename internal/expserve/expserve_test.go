@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -157,27 +159,30 @@ func TestBackpressureAnswers429AndClientRetries(t *testing.T) {
 	defer blocked.release()
 
 	layout := replay.NewRowLayout(spec)
-	send := func(c *Client, seq uint64) error {
+	send := func(c *Client, actor string, seq uint64) error {
 		rows := make([]float64, layout.Stride())
-		body := encodeAppend(nil, appendBatch{ActorID: "a", BatchSeq: seq, Rows: rows, N: 1}, layout.Stride())
+		body := encodeAppend(nil, appendBatch{ActorID: actor, BatchSeq: seq, Rows: rows, N: 1}, layout.Stride())
 		_, err := c.do(http.MethodPost, PathAppend, "application/octet-stream", body)
 		return err
 	}
 
 	// Occupy the writer with a batch the provider blocks on, then fill the
-	// depth-1 queue directly: the next real append must be bounced with 429.
+	// depth-1 queue behind it with a second real append: the next one must
+	// be bounced with 429.
 	one := NewClient(hs.URL, ClientOptions{Attempts: 1, Timeout: 10 * time.Second, JitterSeed: 1})
-	errc := make(chan error, 1)
-	go func() { errc <- send(one, 1) }()
+	errc := make(chan error, 2)
+	go func() { errc <- send(one, "a", 1) }()
 	blocked.waitBusy(t)
-	parked := ingestJob{
-		batch: appendBatch{ActorID: "b", BatchSeq: 1, Rows: make([]float64, layout.Stride()), N: 1},
-		done:  make(chan ingestResult, 1),
+	go func() { errc <- send(one, "b", 1) }()
+	for deadline := time.Now().Add(5 * time.Second); len(srv.admit) < cap(srv.admit); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d admission slots taken; the second gated append was never admitted", len(srv.admit), cap(srv.admit))
+		}
+		time.Sleep(time.Millisecond)
 	}
-	srv.queue <- parked
 
 	noRetry := NewClient(hs.URL, ClientOptions{Attempts: 1, Timeout: 5 * time.Second, JitterSeed: 3})
-	if err := send(noRetry, 2); err == nil || !strings.Contains(err.Error(), "429") {
+	if err := send(noRetry, "a", 2); err == nil || !strings.Contains(err.Error(), "429") {
 		t.Fatalf("append against a full queue: err = %v, want a 429", err)
 	}
 	if got := reg.Counter("marl_exp_ingest_rejected_total").Value(); got != 1 {
@@ -188,16 +193,65 @@ func TestBackpressureAnswers429AndClientRetries(t *testing.T) {
 	// unblocks: the 429 is transient backpressure, not failure.
 	retrier := NewClient(hs.URL, ClientOptions{Attempts: 8, BaseDelay: 5 * time.Millisecond, Timeout: 10 * time.Second, JitterSeed: 4})
 	done := make(chan error, 1)
-	go func() { done <- send(retrier, 3) }()
+	go func() { done <- send(retrier, "a", 3) }()
 	time.Sleep(20 * time.Millisecond)
 	blocked.release()
 	if err := <-done; err != nil {
 		t.Fatalf("retrying append failed across backpressure: %v", err)
 	}
-	if err := <-errc; err != nil {
-		t.Fatalf("gated append failed after release: %v", err)
+	for range 2 {
+		if err := <-errc; err != nil {
+			t.Fatalf("gated append failed after release: %v", err)
+		}
 	}
-	<-parked.done
+}
+
+// Close waits for an admitted batch to be applied and acknowledged before
+// it closes the dedup log, and admits nothing after: a later append is
+// answered 429.
+func TestCloseDrainsAdmittedAppends(t *testing.T) {
+	spec := testSpec(128)
+	blocked := &blockingProvider{Ring: expstore.NewRing(spec), gate: make(chan struct{})}
+	dedup := filepath.Join(t.TempDir(), "dedup.log")
+	srv, err := NewServer(ServerConfig{Provider: blocked, Spec: spec, DedupLogPath: dedup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	defer blocked.release()
+
+	stride := replay.NewRowLayout(spec).Stride()
+	send := func(seq uint64) error {
+		body := encodeAppend(nil, appendBatch{ActorID: "a", BatchSeq: seq, Rows: make([]float64, stride), N: 1}, stride)
+		_, err := NewClient(hs.URL, ClientOptions{Attempts: 1, Timeout: 10 * time.Second, JitterSeed: 1}).
+			do(http.MethodPost, PathAppend, "application/octet-stream", body)
+		return err
+	}
+	acked := make(chan error, 1)
+	go func() { acked <- send(1) }()
+	blocked.waitBusy(t)
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an admitted batch was still applying")
+	case <-time.After(50 * time.Millisecond):
+	}
+	blocked.release()
+	if err := <-acked; err != nil {
+		t.Fatalf("admitted append failed across Close: %v", err)
+	}
+	<-closed
+	if blocked.Ring.Len() != 1 {
+		t.Fatalf("ring holds %d rows after the drain, want 1", blocked.Ring.Len())
+	}
+	if log, err := os.ReadFile(dedup); err != nil || !strings.Contains(string(log), `"actor":"a","seq":1`) {
+		t.Fatalf("dedup log after Close: %q, %v; want the admitted batch's intent", log, err)
+	}
+	if err := send(2); err == nil || !strings.Contains(err.Error(), "429") {
+		t.Fatalf("append after Close: err = %v, want a 429", err)
+	}
 }
 
 // blockingProvider stalls the first AppendRow until released, simulating a

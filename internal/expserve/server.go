@@ -1,9 +1,11 @@
 package expserve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"net"
 	"net/http"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"marlperf/internal/expstore"
+	"marlperf/internal/f64le"
 	"marlperf/internal/netretry"
 	"marlperf/internal/replay"
 	"marlperf/internal/rowmem"
@@ -41,9 +44,9 @@ type ServerConfig struct {
 	Provider expstore.Provider
 	// Spec is the transition shape; must match Provider's layout. Required.
 	Spec replay.Spec
-	// QueueDepth bounds the ingest queue in batches; a full queue rejects
-	// appends with 429 so actors back off instead of piling up unbounded
-	// memory. Defaults to 64.
+	// QueueDepth is how many appends may wait behind the one being applied;
+	// the next is answered 429, so actors back off instead of piling up
+	// unbounded memory. Defaults to 64.
 	QueueDepth int
 	// MaxSampleRows caps one sample request. Defaults to 4096.
 	MaxSampleRows int
@@ -73,26 +76,8 @@ type ServerConfig struct {
 	ShardID string
 }
 
-// ingestJob is one queued append batch; done carries the synchronous ack.
-// enq (set at handler enqueue time) feeds the append→sampleable latency
-// histogram: the ack only returns once the rows are flushed and visible
-// to samplers, so ack-time minus enq is exactly how long new experience
-// waited to become sampleable.
-type ingestJob struct {
-	batch appendBatch
-	enq   time.Time
-	done  chan ingestResult
-}
-
-type ingestResult struct {
-	total uint64
-	rows  int
-	dup   bool
-	err   error
-}
-
-// Server executes the experience service: bounded-queue ingestion with a
-// single writer (per-actor arrival order is preserved and every acknowledged
+// Server executes the experience service: bounded ingestion with one writer
+// at a time (per-actor arrival order is preserved and every acknowledged
 // batch is flushed — durable against process kill before the actor sees the
 // ack), and gathers of the packed rows a learner's draw selected.
 type Server struct {
@@ -100,20 +85,19 @@ type Server struct {
 	layout replay.RowLayout
 	mux    *http.ServeMux
 
-	// provMu serializes provider access between the single ingest writer and
-	// concurrent sample/stats readers. The durable expstore.Store carries its
-	// own lock, but the Provider contract does not require one (the volatile
-	// Ring deliberately has none), so the server guards the boundary itself.
+	// provMu makes the append handler applying a batch the one writer, and
+	// serializes it against sample/stats readers. The durable Store carries
+	// its own lock, but the Provider contract does not require one (the
+	// volatile Ring deliberately has none), so the server guards the boundary.
 	provMu sync.RWMutex
 
-	queue   chan ingestJob
-	stop    chan struct{}
-	drained chan struct{} // closed when the ingest writer has exited
-	closed  sync.Once
+	// admit bounds ingestion: QueueDepth+1 slots, one batch applying and
+	// QueueDepth waiting for provMu; a full semaphore answers 429.
+	admit  chan struct{}
+	closed sync.Once
 
-	// lastSeq is the per-actor idempotency cursor. Written only by the
-	// single ingest writer under provMu.Lock; read by handleStats under
-	// provMu.RLock.
+	// lastSeq is the per-actor idempotency cursor: written under
+	// provMu.Lock by applyBatch, read under provMu.RLock by handleStats.
 	lastSeq map[string]uint64
 	// partial records batches a kill tore mid-flush: the first `rows` rows
 	// of batch `seq` are already durable, so a redelivery must skip them.
@@ -138,7 +122,7 @@ type Server struct {
 	sampleMisaddr  *telemetry.Counter
 	// End-to-end lag metrics.
 	sampleAgeRows *telemetry.Histogram // per sampled row: store rows − row index
-	appendVisible *telemetry.Histogram // append arrival → rows sampleable
+	appendVisible *telemetry.Histogram // append admission → rows sampleable
 
 	// samplePool recycles per-request sample scratch (request body, local
 	// indices, response frame buffer) across requests. Response frames for a
@@ -171,8 +155,8 @@ func (s *Server) hugePageBytes() int64 {
 	return s.hugeBytes
 }
 
-// NewServer validates cfg, registers metrics, and starts the ingest writer.
-// Close must be called to stop it.
+// NewServer validates cfg and registers metrics. Close must be called to
+// drain ingestion and close the dedup log.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Provider == nil {
 		return nil, fmt.Errorf("expserve: NewServer needs a Provider")
@@ -198,16 +182,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	reg.SetHelp("marl_exp_sample_requests_total", "Per-shard slices of fabric-wide sample draws served by this store.")
 	reg.SetHelp("marl_exp_sample_bytes_total", "Sample response bytes written to the wire.")
 	reg.SetHelp("marl_exp_sample_age_rows", "Age of each sampled row, in rows appended since it (store row count minus sampled index).")
-	reg.SetHelp("marl_exp_append_visible_seconds", "Latency from append arrival to the batch's rows being flushed and sampleable.")
+	reg.SetHelp("marl_exp_append_visible_seconds", "Latency from append admission to the batch's rows being flushed and sampleable.")
 	reg.SetHelp("marl_exp_shard_sample_misaddressed_total", "Shard-sample requests rejected because they were addressed to a different shard id.")
 	reg.SetHelp("marl_exp_store_arena_bytes", "Row storage mapped outside the Go heap, in bytes (0: the ring is smaller than a huge page and lives on the heap).")
 	reg.SetHelp("marl_exp_store_hugepage_bytes", "Anonymous memory of this process on transparent huge pages, in bytes (AnonHugePages; 0 where the kernel does not report it).")
 	s := &Server{
 		cfg:     cfg,
 		layout:  layout,
-		queue:   make(chan ingestJob, cfg.QueueDepth),
-		stop:    make(chan struct{}),
-		drained: make(chan struct{}),
+		admit:   make(chan struct{}, cfg.QueueDepth+1),
 		lastSeq: make(map[string]uint64),
 		partial: make(map[string]partialApply),
 
@@ -242,7 +224,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.mux.HandleFunc(PathAppend, s.handleAppend)
 	s.mux.HandleFunc(PathShardSample, s.handleShardSample)
 	s.mux.HandleFunc(PathStats, s.handleStats)
-	go s.ingestLoop()
 	return s, nil
 }
 
@@ -362,7 +343,7 @@ func (s *Server) openDedupLog(path string) error {
 // total-base counts exactly how many of the batch's n rows survived.
 // Compaction runs before the append — never after — so the fresh intent is
 // not immediately rewritten into cursor form while its apply is still in
-// flight. Called by the single ingest writer under provMu.Lock.
+// flight. Called by applyBatch under provMu.Lock.
 func (s *Server) recordIntent(actor string, seq, base uint64, n int) error {
 	if s.dedupF == nil {
 		return nil
@@ -469,52 +450,34 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the ingest writer and waits for it to drain: in-flight jobs
-// are applied first so no acknowledged batch is lost, then the dedup log
-// (if any) is closed. Idempotent.
+// Close stops admitting appends (later ones get 429), waits for the admitted
+// ones to be applied, then closes the dedup log (if any). Idempotent.
 func (s *Server) Close() error {
-	s.closed.Do(func() { close(s.stop) })
-	<-s.drained
-	s.provMu.Lock()
-	defer s.provMu.Unlock()
-	if s.dedupF != nil {
-		s.dedupF.Close()
-		s.dedupF = nil
-	}
+	s.closed.Do(func() {
+		for range cap(s.admit) { // a blocked send gets a freed slot before any handler
+			s.admit <- struct{}{}
+		}
+		s.provMu.Lock()
+		defer s.provMu.Unlock()
+		if s.dedupF != nil {
+			s.dedupF.Close()
+			s.dedupF = nil
+		}
+	})
 	return nil
 }
 
-// ingestLoop is the single writer: batches apply in arrival order, each
-// acknowledged only after the store has accepted and flushed it. One writer
-// means per-actor order is trivially preserved and RowCount is exact the
-// moment an ack returns — the property the determinism contract needs.
-func (s *Server) ingestLoop() {
-	defer close(s.drained)
-	for {
-		select {
-		case job := <-s.queue:
-			job.done <- s.applyBatch(job.batch, job.enq)
-		case <-s.stop:
-			// Drain anything already queued, then exit.
-			for {
-				select {
-				case job := <-s.queue:
-					job.done <- s.applyBatch(job.batch, job.enq)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-func (s *Server) applyBatch(b appendBatch, enq time.Time) ingestResult {
-	start := time.Now()
+// applyBatch applies an admitted batch under provMu.Lock and returns its
+// ack once the store has flushed it: RowCount is exact the moment an ack
+// returns, the property the determinism contract needs.
+func (s *Server) applyBatch(b appendBatch) (appendReply, error) {
+	admitted := time.Now()
 	s.provMu.Lock()
 	defer s.provMu.Unlock()
+	start := time.Now()
 	if applied, ok := s.lastSeq[b.ActorID]; ok && b.BatchSeq <= applied {
 		s.ingestDups.Inc()
-		return ingestResult{rows: s.cfg.Provider.RowCount(), dup: true}
+		return appendReply{Rows: s.cfg.Provider.RowCount(), Dup: true}, nil
 	}
 	// A redelivery of a batch a kill tore mid-flush skips the prefix the
 	// truncated store already holds — the frame is byte-identical (the
@@ -533,34 +496,34 @@ func (s *Server) applyBatch(b appendBatch, enq time.Time) ingestResult {
 	}
 	if err := s.recordIntent(b.ActorID, b.BatchSeq, base, b.N); err != nil {
 		// Nothing was applied; fail the ack and let the client retry.
-		return ingestResult{err: err}
+		return appendReply{}, err
 	}
 	stride := s.layout.Stride()
 	for k := skip; k < b.N; k++ {
 		if err := s.cfg.Provider.AppendRow(b.Rows[k*stride : (k+1)*stride]); err != nil {
-			return ingestResult{err: err}
+			return appendReply{}, err
 		}
 	}
 	if err := s.cfg.Provider.Flush(); err != nil {
-		return ingestResult{err: err}
+		return appendReply{}, err
 	}
 	s.lastSeq[b.ActorID] = b.BatchSeq
 	delete(s.partial, b.ActorID)
 	s.ingestBatches.Inc()
 	s.ingestRows.Add(uint64(b.N - skip))
 	s.appendSeconds.Observe(time.Since(start).Seconds())
-	if !enq.IsZero() {
-		s.appendVisible.Observe(time.Since(enq).Seconds())
-	}
+	s.appendVisible.Observe(time.Since(admitted).Seconds())
 	rows := s.cfg.Provider.RowCount()
 	s.updateGauges(rows)
-	var total uint64
+	return appendReply{Total: s.storeTotal(), Rows: rows}, nil
+}
+
+// storeTotal is the rows ever appended: the provider's count if it keeps one.
+func (s *Server) storeTotal() uint64 {
 	if st, ok := s.cfg.Provider.(statser); ok {
-		total = st.Stats().Total
-	} else {
-		total = s.ingestRows.Value()
+		return st.Stats().Total
 	}
-	return ingestResult{total: total, rows: rows}
+	return s.ingestRows.Value()
 }
 
 func (s *Server) updateGauges(rows int) {
@@ -570,44 +533,62 @@ func (s *Server) updateGauges(rows int) {
 	}
 }
 
-// appendScratch is one append request's pooled buffers: the frame as read
-// off the wire, and the decoded rows for frames whose payload cannot be
-// viewed in place.
+// appendScratch is one append request's pooled body and decode scratch.
 type appendScratch struct {
-	body []byte
-	rows []float64
+	words []float64
+	rows  []float64
 }
 
-// handleAppend ingests one actor batch. A full queue answers 429 — the
-// backpressure signal the client's jittered retry loop respects.
+// read reads an append body into sc.words: the prefix, then the rest at the
+// offset (from the actor-ID length) that 8-aligns the rows for decodeAppend's
+// view. A chunked body, or any on a big-endian host, may need sc.rows.
+func (sc *appendScratch) read(r *http.Request) ([]byte, error) {
+	declared := r.ContentLength
+	alignable := f64le.Native && declared >= appendPrefix && declared <= maxAppendBody
+	if words := int(declared+7+7) / 8; alignable && cap(sc.words) < words { // ≤ 7 bytes of pad, then the body
+		sc.words = make([]float64, words)
+	}
+	mem := f64le.Bytes(sc.words[:cap(sc.words)])
+	if !alignable {
+		return netretry.ReadBody(r.Body, declared, maxAppendBody, mem[:0])
+	}
+	if _, err := io.ReadFull(r.Body, mem[:appendPrefix]); err != nil {
+		return nil, fmt.Errorf("append frame prefix: %w", err)
+	}
+	// Only the actor-ID length mod 8 matters here; decodeAppend judges it.
+	pad := payloadPad(int(binary.LittleEndian.Uint32(mem[8:]) % 8))
+	copy(mem[pad:], mem[:appendPrefix])
+	body := mem[pad : pad+int(declared)]
+	if _, err := netretry.ReadBody(r.Body, declared-appendPrefix, maxAppendBody, body[appendPrefix:]); err != nil {
+		return nil, err
+	}
+	return body, nil
+}
+
+// handleAppend ingests one actor batch. Past the admission bound it answers
+// 429 — the backpressure signal the client's jittered retry loop respects.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	sc := s.appendPool.Get().(*appendScratch)
-	// The batch's rows alias sc. Returning sc on handler exit is safe
-	// because the handler leaves only after the ingest writer has answered
-	// on job.done (or never saw the job).
-	defer s.appendPool.Put(sc)
-	body, err := netretry.ReadBody(r.Body, r.ContentLength, maxAppendBody, sc.body)
+	defer s.appendPool.Put(sc) // the batch's rows alias sc until applyBatch returns
+	body, err := sc.read(r)
 	if err != nil {
 		http.Error(w, err.Error(), netretry.BodyStatus(err))
 		return
 	}
-	sc.body = body
 	batch, err := decodeAppend(body, s.layout.Stride(), &sc.rows)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// The server span covers queue wait + apply + flush — the full
-	// "experience becomes sampleable" window the client's append-rpc span
-	// brackets from the other side of the wire.
+	// The server span covers lock wait + apply + flush — the "experience
+	// becomes sampleable" window the client's append-rpc span brackets.
 	sp := s.requestSpan(r, "ingest")
-	job := ingestJob{batch: batch, enq: time.Now(), done: make(chan ingestResult, 1)}
 	select {
-	case s.queue <- job:
+	case s.admit <- struct{}{}:
 	default:
 		s.ingestRejected.Inc()
 		sp.EndArg("rejected", 1)
@@ -615,15 +596,16 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "ingest queue full", http.StatusTooManyRequests)
 		return
 	}
-	res := <-job.done
-	if res.err != nil {
+	reply, err := s.applyBatch(batch)
+	<-s.admit
+	if err != nil {
 		sp.EndArg("error", 1)
-		http.Error(w, res.err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	sp.EndArg("rows", int64(batch.N))
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(appendReply{Total: res.total, Rows: res.rows, Dup: res.dup})
+	_ = json.NewEncoder(w).Encode(reply)
 }
 
 // sampleScratch is one request's worth of recycled sample state.
@@ -679,13 +661,7 @@ func (s *Server) handleShardSample(w http.ResponseWriter, r *http.Request) {
 	buf := sc.buf[:total]
 
 	s.provMu.RLock()
-	rowCount := s.cfg.Provider.RowCount()
-	var storeTotal uint64
-	if st, ok := s.cfg.Provider.(statser); ok {
-		storeTotal = st.Stats().Total
-	} else {
-		storeTotal = s.ingestRows.Value()
-	}
+	rowCount, storeTotal := s.cfg.Provider.RowCount(), s.storeTotal()
 	// The local indices are relative to the retained window the client
 	// observed; this store may have trimmed further (or, on a lagging
 	// replica, less) since. Shift by the trim drift, and refuse rather than

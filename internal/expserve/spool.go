@@ -153,10 +153,11 @@ func (s *RemoteSink) SpoolLen() int {
 	return s.spool.len()
 }
 
-// spoolFrame persists one encoded append frame as the newest spool entry.
+// spoolFrame persists batch batchSeq's frame as the newest spool entry.
 // cause, when non-nil, is the ship failure that forced the diversion.
-func (s *RemoteSink) spoolFrame(frame []byte, seq uint64, rows int, cause error) error {
-	sp := s.spool
+func (s *RemoteSink) spoolFrame(frame []byte, cause error) error {
+	sp, seq := s.spool, s.batchSeq
+	rows := (len(frame) - appendFrameHdr - len(s.actorID) - 4) / (8 * s.layout.Stride())
 	if sp.bytes+int64(len(frame)) > sp.maxBytes {
 		return fmt.Errorf("expserve: spool full (%d bytes + %d-byte batch exceeds %d); server still unreachable: %v",
 			sp.bytes, len(frame), sp.maxBytes, cause)

@@ -53,11 +53,15 @@ const (
 	maxAppendBody      = 64 << 20
 	maxShardSampleBody = 1 << 20
 
+	// appendPrefix is the append frame's magic, version and actorLen.
+	appendPrefix = 12
 	// appendFrameHdr is the append frame's fixed bytes ahead of the row
-	// payload, the actor ID aside: magic, version, actorLen | seq, rows,
-	// stride.
-	appendFrameHdr = 12 + 16
+	// payload, the actor ID aside: the prefix, then seq, rows, stride.
+	appendFrameHdr = appendPrefix + 16
 )
+
+// payloadPad is the bytes ahead of an append frame in 8-aligned memory that 8-align its rows.
+func payloadPad(actorLen int) int { return (8 - (appendFrameHdr+actorLen)%8) % 8 }
 
 // appendBatch is one actor→server experience batch. ActorID plus the
 // per-actor monotonic BatchSeq make retries idempotent: the server remembers
@@ -72,19 +76,25 @@ type appendBatch struct {
 
 // encodeAppend frames a batch: magic | u32 version | u32 actorLen | actor |
 // u64 batchSeq | u32 rowCount | u32 stride | rows | u32 CRC. dst grows at
-// most once and the rows go in as one bulk copy.
+// most once and the rows go in as one bulk copy. RemoteSink frames in place
+// instead; this copy is its big-endian path and its tests' reference.
 func encodeAppend(dst []byte, b appendBatch, stride int) []byte {
-	start := len(dst)
-	dst = slices.Grow(dst, appendFrameHdr+len(b.ActorID)+8*b.N*stride+4)
-	dst = append(dst, appendMagic...)
-	dst = binary.LittleEndian.AppendUint32(dst, wireVersion)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.ActorID)))
-	dst = append(dst, b.ActorID...)
-	dst = binary.LittleEndian.AppendUint64(dst, b.BatchSeq)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.N))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(stride))
+	start, hdr := len(dst), appendFrameHdr+len(b.ActorID)
+	dst = slices.Grow(dst, hdr+8*b.N*stride+4)[:start+hdr]
+	putAppendHeader(dst[start:], b.ActorID, b.BatchSeq, b.N, stride)
 	dst = f64le.Append(dst, b.Rows[:b.N*stride])
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// putAppendHeader writes an append frame's header, all ahead of its rows, into dst.
+func putAppendHeader(dst []byte, actorID string, seq uint64, n, stride int) {
+	copy(dst, appendMagic)
+	binary.LittleEndian.PutUint32(dst[4:], wireVersion)
+	binary.LittleEndian.PutUint32(dst[8:], uint32(len(actorID)))
+	off := appendPrefix + copy(dst[appendPrefix:], actorID)
+	binary.LittleEndian.PutUint64(dst[off:], seq)
+	binary.LittleEndian.PutUint32(dst[off+8:], uint32(n))
+	binary.LittleEndian.PutUint32(dst[off+12:], uint32(stride))
 }
 
 // decodeAppend parses and verifies an append frame against the expected
@@ -93,7 +103,7 @@ func encodeAppend(dst []byte, b appendBatch, stride int) []byte {
 // are valid only as long as the buffer they alias.
 func decodeAppend(data []byte, stride int, scratch *[]float64) (appendBatch, error) {
 	var b appendBatch
-	if len(data) < 4+4+4 {
+	if len(data) < appendPrefix {
 		return b, fmt.Errorf("expserve: append frame too short (%d bytes)", len(data))
 	}
 	if string(data[:4]) != appendMagic {
@@ -106,18 +116,14 @@ func decodeAppend(data []byte, stride int, scratch *[]float64) (appendBatch, err
 	if actorLen < 1 || actorLen > 256 || len(data) < appendFrameHdr+actorLen+4 {
 		return b, fmt.Errorf("expserve: implausible append frame (actor %d bytes, frame %d)", actorLen, len(data))
 	}
-	off := 12
-	b.ActorID = string(data[off : off+actorLen])
-	off += actorLen
+	off := appendPrefix + actorLen
+	b.ActorID = string(data[appendPrefix:off])
 	b.BatchSeq = binary.LittleEndian.Uint64(data[off:])
-	off += 8
-	n := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	gotStride := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	if gotStride != stride {
-		return b, fmt.Errorf("expserve: append stride %d, store expects %d", gotStride, stride)
+	n := int(binary.LittleEndian.Uint32(data[off+8:]))
+	if got := int(binary.LittleEndian.Uint32(data[off+12:])); got != stride {
+		return b, fmt.Errorf("expserve: append stride %d, store expects %d", got, stride)
 	}
+	off += 16
 	if n < 0 || n > maxWireRows || len(data) != off+8*n*stride+4 {
 		return b, fmt.Errorf("expserve: append frame claims %d rows but carries %d bytes", n, len(data))
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"marlperf/internal/f64le"
 	"marlperf/internal/tensor"
@@ -30,42 +32,62 @@ const (
 	kindReLU  = 1
 )
 
-// WriteTo serializes the network's architecture and parameters.
-func (n *Network) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
-	if _, err := cw.Write([]byte(netMagic)); err != nil {
-		return cw.n, err
+// EncodedLen returns the byte length of the network's serialized form — what
+// WriteTo writes and AppendBinary appends — computed from the layer shapes.
+// A layer that cannot be serialized counts its kind byte only.
+func (n *Network) EncodedLen() int {
+	size := len(netMagic) + 4
+	for _, l := range n.Layers {
+		size++
+		if d, ok := l.(*Dense); ok {
+			size += 4 + 4 + 8*(len(d.W.Data)+len(d.B.Data))
+		}
 	}
-	if err := writeU32(cw, uint32(len(n.Layers))); err != nil {
-		return cw.n, err
-	}
+	return size
+}
+
+// AppendBinary appends the network's serialized architecture and parameters
+// to dst, growing it at most once (by EncodedLen).
+func (n *Network) AppendBinary(dst []byte) ([]byte, error) {
+	dst = slices.Grow(dst, n.EncodedLen())
+	dst = append(dst, netMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(n.Layers)))
 	for i, l := range n.Layers {
 		switch layer := l.(type) {
 		case *Dense:
-			if err := writeU8(cw, kindDense); err != nil {
-				return cw.n, err
-			}
-			if err := writeU32(cw, uint32(layer.In())); err != nil {
-				return cw.n, err
-			}
-			if err := writeU32(cw, uint32(layer.Out())); err != nil {
-				return cw.n, err
-			}
-			if err := f64le.Write(cw, layer.W.Data); err != nil {
-				return cw.n, err
-			}
-			if err := f64le.Write(cw, layer.B.Data); err != nil {
-				return cw.n, err
-			}
+			dst = append(dst, kindDense)
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(layer.In()))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(layer.Out()))
+			dst = f64le.Append(dst, layer.W.Data)
+			dst = f64le.Append(dst, layer.B.Data)
 		case *ReLU:
-			if err := writeU8(cw, kindReLU); err != nil {
-				return cw.n, err
-			}
+			dst = append(dst, kindReLU)
 		default:
-			return cw.n, fmt.Errorf("nn: cannot serialize layer %d of type %T", i, l)
+			return nil, fmt.Errorf("nn: cannot serialize layer %d of type %T", i, l)
 		}
 	}
-	return cw.n, nil
+	return dst, nil
+}
+
+// writeBufs recycles WriteTo's buffers: a checkpoint writes every network
+// of every agent in a row, and a fresh buffer per network would leave the
+// checkpoint's whole size behind as garbage.
+var writeBufs sync.Pool
+
+// WriteTo serializes the network's architecture and parameters: the bytes
+// AppendBinary appends, in one write.
+func (n *Network) WriteTo(w io.Writer) (int64, error) {
+	buf, _ := writeBufs.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	defer writeBufs.Put(buf)
+	var err error
+	if *buf, err = n.AppendBinary((*buf)[:0]); err != nil {
+		return 0, err
+	}
+	wn, err := w.Write(*buf)
+	return int64(wn), err
 }
 
 // ReadNetwork deserializes a network written by WriteTo.
@@ -224,11 +246,6 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
-}
-
-func writeU8(w io.Writer, v uint8) error {
-	_, err := w.Write([]byte{v})
-	return err
 }
 
 func readU8(r io.Reader) (uint8, error) {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
@@ -35,6 +36,40 @@ func TestNetworkRoundTrip(t *testing.T) {
 	got := restored.Forward(x)
 	if !tensor.ApproxEqual(got, want, 0) {
 		t.Fatal("restored network output differs")
+	}
+}
+
+// EncodedLen is WriteTo's byte count, worked out from the layer shapes
+// alone, and AppendBinary appends exactly WriteTo's bytes — which are the
+// bytes the commit before AppendBinary wrote (CRC b93690b0 for the first
+// network, 3645 bytes).
+func TestEncodedLenMatchesWriteTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i, net := range []*Network{
+		NewMLP(rng, 7, 16, 16, 3),
+		NewMLP(rng, 1, 1),
+		NewMLP(rng, 54, 64, 64, 5),
+		{},
+	} {
+		var buf bytes.Buffer
+		n, err := net.WriteTo(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := net.EncodedLen(); got != int(n) || got != buf.Len() {
+			t.Fatalf("network %d: EncodedLen %d, WriteTo wrote %d bytes (reported %d)", i, got, buf.Len(), n)
+		}
+		prefix := []byte("prefix")
+		appended, err := net.AppendBinary(prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(appended[len(prefix):], buf.Bytes()) || string(appended[:len(prefix)]) != "prefix" {
+			t.Fatalf("network %d: AppendBinary's bytes differ from WriteTo's", i)
+		}
+		if i == 0 && (n != 3645 || crc32.ChecksumIEEE(buf.Bytes()) != 0xb93690b0) {
+			t.Fatalf("network 0 serializes to %d bytes, CRC %08x; want 3645, b93690b0", n, crc32.ChecksumIEEE(buf.Bytes()))
+		}
 	}
 }
 
@@ -99,7 +134,7 @@ func TestReadNetworkRejectsImplausibleDims(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString(netMagic)
 	writeU32(&buf, 1)
-	writeU8(&buf, kindDense)
+	buf.WriteByte(kindDense)
 	writeU32(&buf, 1<<30)
 	writeU32(&buf, 1<<30)
 	if _, err := ReadNetwork(&buf); err == nil {
@@ -113,7 +148,7 @@ func TestReadNetworkRejectsParamBudgetOverrun(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString(netMagic)
 	writeU32(&buf, 1)
-	writeU8(&buf, kindDense)
+	buf.WriteByte(kindDense)
 	writeU32(&buf, 1<<24)
 	writeU32(&buf, 1<<24)
 	if _, err := ReadNetwork(&buf); err == nil {

@@ -1,13 +1,8 @@
-// Package plot renders small terminal visualizations — sparklines and
-// horizontal bar charts — used by the CLI tools to show reward curves and
-// phase breakdowns without leaving the terminal.
+// Package plot renders a reward curve as a one-line terminal sparkline, for
+// marl-train's progress output.
 package plot
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "strings"
 
 // sparkLevels are the eighth-block characters from empty to full.
 var sparkLevels = []rune(" ▁▂▃▄▅▆▇█")
@@ -41,65 +36,6 @@ func Sparkline(vs []float64) string {
 			}
 		}
 		b.WriteRune(sparkLevels[level])
-	}
-	return b.String()
-}
-
-// Bar renders a labeled horizontal bar chart. Values must be non-negative;
-// bars are scaled so the largest spans width characters.
-func Bar(labels []string, values []float64, width int) string {
-	if len(labels) != len(values) {
-		panic(fmt.Sprintf("plot: %d labels for %d values", len(labels), len(values)))
-	}
-	if len(values) == 0 {
-		return ""
-	}
-	if width < 1 {
-		width = 40
-	}
-	maxV := 0.0
-	maxLabel := 0
-	for i, v := range values {
-		if v < 0 {
-			panic(fmt.Sprintf("plot: negative bar value %v", v))
-		}
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	var b strings.Builder
-	for i, v := range values {
-		n := 0
-		if maxV > 0 {
-			n = int(math.Round(v / maxV * float64(width)))
-		}
-		fmt.Fprintf(&b, "%-*s %s %.4g\n", maxLabel, labels[i], strings.Repeat("█", n), v)
-	}
-	return b.String()
-}
-
-// Series renders several aligned sparklines with labels and final values —
-// the compact reward-curve comparison the CLI tools print.
-func Series(labels []string, series [][]float64) string {
-	if len(labels) != len(series) {
-		panic(fmt.Sprintf("plot: %d labels for %d series", len(labels), len(series)))
-	}
-	maxLabel := 0
-	for _, l := range labels {
-		if len(l) > maxLabel {
-			maxLabel = len(l)
-		}
-	}
-	var b strings.Builder
-	for i, s := range series {
-		last := math.NaN()
-		if len(s) > 0 {
-			last = s[len(s)-1]
-		}
-		fmt.Fprintf(&b, "%-*s %s %.4g\n", maxLabel, labels[i], Sparkline(s), last)
 	}
 	return b.String()
 }

@@ -1,7 +1,6 @@
 package plot
 
 import (
-	"strings"
 	"testing"
 	"unicode/utf8"
 )
@@ -40,67 +39,4 @@ func TestSparklineHandlesNegatives(t *testing.T) {
 	if utf8.RuneCountInString(s) != 3 {
 		t.Fatalf("negative-range sparkline = %q", s)
 	}
-}
-
-func TestBarScalesToWidth(t *testing.T) {
-	out := Bar([]string{"a", "bb"}, []float64{1, 2}, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("bar lines = %d", len(lines))
-	}
-	if !strings.Contains(lines[1], strings.Repeat("█", 10)) {
-		t.Fatalf("max bar should span width: %q", lines[1])
-	}
-	if strings.Count(lines[0], "█") != 5 {
-		t.Fatalf("half bar should span 5: %q", lines[0])
-	}
-}
-
-func TestBarPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"mismatch": func() { Bar([]string{"a"}, []float64{1, 2}, 10) },
-		"negative": func() { Bar([]string{"a"}, []float64{-1}, 10) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestBarEmptyAndZeroValues(t *testing.T) {
-	if Bar(nil, nil, 10) != "" {
-		t.Fatal("empty bar should render empty")
-	}
-	out := Bar([]string{"z"}, []float64{0}, 10)
-	if strings.Contains(out, "█") {
-		t.Fatalf("zero value should render no bar: %q", out)
-	}
-}
-
-func TestSeriesRendersAllRows(t *testing.T) {
-	out := Series([]string{"base", "opt"}, [][]float64{{1, 2, 3}, {2, 2, 2}})
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("series lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "base") || !strings.HasPrefix(lines[1], "opt") {
-		t.Fatalf("labels missing: %q", out)
-	}
-	if !strings.Contains(lines[0], "3") {
-		t.Fatalf("final value missing: %q", lines[0])
-	}
-}
-
-func TestSeriesMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched series did not panic")
-		}
-	}()
-	Series([]string{"a"}, nil)
 }

@@ -46,6 +46,9 @@ const (
 const (
 	frameMagic  = "MPOL"
 	wireVersion = 1
+	// frameHeader is the frame's bytes ahead of the first agent: magic,
+	// version, updates, numAgents.
+	frameHeader = 4 + 4 + 8 + 4
 
 	// maxWireAgents bounds the per-frame agent count so a hostile header
 	// cannot demand an absurd allocation before the CRC is checked.
@@ -71,32 +74,39 @@ type Snapshot struct {
 
 // EncodeSnapshot frames the per-agent actor networks for publication,
 // appending to dst. The networks are serialized with the same MLPN format
-// checkpoints use, so weights round-trip bit-exactly.
+// checkpoints use, so weights round-trip bit-exactly. The frame is sized
+// from the networks' shapes first, so dst grows at most once.
 func EncodeSnapshot(dst []byte, updates uint64, agents []*nn.Network) ([]byte, error) {
 	if len(agents) == 0 || len(agents) > maxWireAgents {
 		return nil, fmt.Errorf("policysync: snapshot needs 1..%d agents, got %d", maxWireAgents, len(agents))
 	}
+	size := frameHeader + 4
+	for _, net := range agents {
+		size += 4 + net.EncodedLen()
+	}
 	start := len(dst)
+	if cap(dst)-start < size {
+		// Not slices.Grow: under -race its temporary is a second allocation.
+		dst = append(make([]byte, 0, start+size), dst...)
+	}
 	dst = append(dst, frameMagic...)
 	dst = binary.LittleEndian.AppendUint32(dst, wireVersion)
 	dst = binary.LittleEndian.AppendUint64(dst, updates)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(agents)))
 	// Each network serializes straight into the frame, behind a length
 	// prefix patched in once its size is known.
-	frame := bytes.NewBuffer(dst)
 	for i, net := range agents {
-		lenAt := frame.Len()
-		frame.Write([]byte{0, 0, 0, 0})
-		n, err := net.WriteTo(frame)
-		if err != nil {
+		lenAt := len(dst)
+		var err error
+		if dst, err = net.AppendBinary(append(dst, 0, 0, 0, 0)); err != nil {
 			return nil, fmt.Errorf("policysync: serializing agent %d actor: %w", i, err)
 		}
+		n := len(dst) - lenAt - 4
 		if n > maxWireNetBytes {
 			return nil, fmt.Errorf("policysync: agent %d actor serializes to %d bytes (cap %d)", i, n, maxWireNetBytes)
 		}
-		binary.LittleEndian.PutUint32(frame.Bytes()[lenAt:], uint32(n))
+		binary.LittleEndian.PutUint32(dst[lenAt:], uint32(n))
 	}
-	dst = frame.Bytes()
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
 }
 
@@ -107,8 +117,7 @@ func EncodeSnapshot(dst []byte, updates uint64, agents []*nn.Network) ([]byte, e
 // snapshot carries Version 0; the transport layer stamps the serving
 // version.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	const header = 4 + 4 + 8 + 4
-	if len(data) < header+4 {
+	if len(data) < frameHeader+4 {
 		return nil, fmt.Errorf("policysync: frame too short (%d bytes)", len(data))
 	}
 	if string(data[:4]) != frameMagic {
@@ -126,7 +135,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if numAgents < 1 || numAgents > maxWireAgents {
 		return nil, fmt.Errorf("policysync: implausible agent count %d", numAgents)
 	}
-	body := data[header : len(data)-4]
+	body := data[frameHeader : len(data)-4]
 	snap := &Snapshot{Updates: updates, Agents: make([]*nn.Network, 0, numAgents)}
 	for i := 0; i < numAgents; i++ {
 		if len(body) < 4 {

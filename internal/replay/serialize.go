@@ -21,8 +21,8 @@ import (
 //
 // Version history: v1 had no integrity trailer; v2 appends the CRC32 so a
 // truncated or bit-flipped buffer file is rejected with a descriptive error
-// instead of silently restoring damaged experience. v1 files are still
-// read (without verification).
+// instead of silently restoring damaged experience. Only v2 is read: a v1
+// file is refused with a version error.
 
 const (
 	bufMagic   = "MARB"
@@ -71,8 +71,8 @@ func (b *Buffer) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadBuffer deserializes a buffer written by WriteTo, allocating storage
-// for the recorded capacity. v2 streams are verified against their CRC32
-// trailer before the buffer is returned; v1 streams load unverified.
+// for the recorded capacity. The stream is verified against its CRC32
+// trailer before the buffer is returned.
 func ReadBuffer(src io.Reader) (*Buffer, error) {
 	crc := resilience.NewCRCReader(src)
 	var r io.Reader = crc
@@ -87,8 +87,8 @@ func ReadBuffer(src io.Reader) (*Buffer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != 1 && version != bufVersion {
-		return nil, fmt.Errorf("replay: buffer version %d, want ≤%d", version, bufVersion)
+	if version != bufVersion {
+		return nil, fmt.Errorf("replay: buffer version %d, want %d", version, bufVersion)
 	}
 	numAgents, err := getU32(r)
 	if err != nil {
@@ -157,10 +157,8 @@ func ReadBuffer(src io.Reader) (*Buffer, error) {
 			}
 		}
 	}
-	if version >= 2 {
-		if err := crc.VerifyTrailer("replay: buffer"); err != nil {
-			return nil, err
-		}
+	if err := crc.VerifyTrailer("replay: buffer"); err != nil {
+		return nil, err
 	}
 	return buf, nil
 }

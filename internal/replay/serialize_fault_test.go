@@ -2,13 +2,15 @@ package replay
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"marlperf/internal/resilience"
 )
 
 // Fault-injection coverage for the v2 MARB format: bit flips anywhere in
-// the stream, short writes, and legacy v1 (trailer-less) compatibility.
+// the stream, short writes, and the refusal of legacy v1 (trailer-less)
+// streams.
 
 func bufferBytes(t *testing.T) []byte {
 	t.Helper()
@@ -43,18 +45,22 @@ func TestWriteToPropagatesShortWrites(t *testing.T) {
 	}
 }
 
-func TestReadBufferReadsV1(t *testing.T) {
+// A v1 stream — trailer-less, once read unverified — is refused with a
+// version error as soon as its header is read: no storage is allocated and
+// no payload consumed.
+func TestReadBufferRejectsV1(t *testing.T) {
 	data := bufferBytes(t)
 	// A v1 stream is the v2 stream with the version field rewound and the
 	// CRC trailer stripped.
 	v1 := append([]byte(nil), data[:len(data)-4]...)
 	v1[4] = 1
-	restored, err := ReadBuffer(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 buffer rejected: %v", err)
+	r := bytes.NewReader(v1)
+	_, err := ReadBuffer(r)
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 buffer: err = %v, want a version error", err)
 	}
-	if restored.Len() != 6 || restored.Capacity() != 8 {
-		t.Fatalf("v1 restore: Len=%d Cap=%d", restored.Len(), restored.Capacity())
+	if read := len(v1) - r.Len(); read > 8 {
+		t.Fatalf("v1 buffer: %d bytes consumed before the version error, want at most magic and version", read)
 	}
 }
 
