@@ -372,28 +372,6 @@ func BenchmarkAblationIPThresholds(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEpisodeAware compares plain locality sampling against
-// the episode-boundary-aware variant.
-func BenchmarkAblationEpisodeAware(b *testing.B) {
-	buf, batches, batch := benchBuffer(b, 3, 20000)
-	rng := rand.New(rand.NewSource(15))
-	for _, v := range []struct {
-		name    string
-		sampler replay.Sampler
-	}{
-		{"plain", replay.NewLocalitySampler(buf, 16, batch/16)},
-		{"episode-aware", replay.NewEpisodeAwareLocalitySampler(buf, 16, batch/16)},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := v.sampler.Sample(batch, rng)
-				buf.GatherAll(s.Indices, batches)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationRankPER compares the two prioritized-replay variants'
 // sampling cost (sum-tree proportional vs sorted rank-based).
 func BenchmarkAblationRankPER(b *testing.B) {

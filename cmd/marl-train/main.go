@@ -728,14 +728,11 @@ func writeProfileJSON(tr *marlperf.Trainer, path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// writeBareCheckpoint replaces path atomically: a crash or a failed write
+// mid-save leaves the previous checkpoint there intact.
 func writeBareCheckpoint(tr *marlperf.Trainer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.SaveCheckpoint(f); err != nil {
-		f.Close()
+	if err := resilience.WriteFileAtomic(path, tr.SaveCheckpoint); err != nil {
 		return fmt.Errorf("saving checkpoint: %w", err)
 	}
-	return f.Close()
+	return nil
 }

@@ -77,6 +77,27 @@ func TestLiveTelemetry(t *testing.T) {
 	}
 }
 
+// TestSaveReplacesCheckpointAtomically: -save over an existing file
+// replaces it with a checkpoint that -load restores, and leaves no temp
+// file beside it.
+func TestSaveReplacesCheckpointAtomically(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "final.ckpt")
+	if err := os.WriteFile(path, []byte("previous checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-env", "cn", "-agents", "2", "-batch", "32", "-buffer", "2048", "-log-every", "1000"}
+	if code, _, stderr := clitest.Exec(t, run, append(args, "-episodes", "8", "-save", path)...); code != cli.ExitOK {
+		t.Fatalf("-save: exit %d; stderr:\n%s", code, stderr)
+	}
+	if tmps, _ := filepath.Glob(path + ".tmp-*"); len(tmps) > 0 {
+		t.Errorf("-save left temp files behind: %v", tmps)
+	}
+	code, stdout, stderr := clitest.Exec(t, run, append(args, "-episodes", "1", "-load", path)...)
+	if code != cli.ExitOK || !strings.Contains(stdout, "restored checkpoint from "+path+" (200 steps") {
+		t.Fatalf("-load of the saved file: exit %d; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+}
+
 // daemon is a sibling binary running as a child process. Go cannot import
 // another main package, so the loop test runs the learner in-process and
 // builds the three binaries around it; each binds port 0 and the address is

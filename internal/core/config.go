@@ -49,9 +49,6 @@ const (
 	// SamplerRankPER is rank-based prioritized replay (the second variant
 	// of Schaul et al.), provided as an additional prioritization baseline.
 	SamplerRankPER
-	// SamplerEpisodeLocality is cache-locality-aware sampling whose
-	// neighbor runs stop at episode boundaries.
-	SamplerEpisodeLocality
 )
 
 // String returns the sampler kind's report name.
@@ -67,8 +64,6 @@ func (s SamplerKind) String() string {
 		return "ip-locality"
 	case SamplerRankPER:
 		return "rank-per"
-	case SamplerEpisodeLocality:
-		return "ep-locality"
 	default:
 		return fmt.Sprintf("sampler(%d)", int(s))
 	}
@@ -178,7 +173,7 @@ func (c Config) Validate() error {
 	if c.UpdateEvery < 1 {
 		return fmt.Errorf("core: UpdateEvery = %d, want ≥1", c.UpdateEvery)
 	}
-	if (c.Sampler == SamplerLocality || c.Sampler == SamplerEpisodeLocality) && (c.Neighbors < 1 || c.Refs < 1) {
+	if c.Sampler == SamplerLocality && (c.Neighbors < 1 || c.Refs < 1) {
 		return fmt.Errorf("core: locality sampler needs Neighbors/Refs ≥1, got %d/%d", c.Neighbors, c.Refs)
 	}
 	if c.Algorithm == MATD3 && c.PolicyDelay < 1 {

@@ -71,12 +71,11 @@ func TestEnumStrings(t *testing.T) {
 		t.Fatal("unknown algorithm should still render")
 	}
 	for kind, want := range map[SamplerKind]string{
-		SamplerUniform:         "uniform",
-		SamplerLocality:        "locality",
-		SamplerPER:             "per",
-		SamplerIPLocality:      "ip-locality",
-		SamplerRankPER:         "rank-per",
-		SamplerEpisodeLocality: "ep-locality",
+		SamplerUniform:    "uniform",
+		SamplerLocality:   "locality",
+		SamplerPER:        "per",
+		SamplerIPLocality: "ip-locality",
+		SamplerRankPER:    "rank-per",
 	} {
 		if kind.String() != want {
 			t.Fatalf("sampler %d = %q, want %q", kind, kind.String(), want)

@@ -135,7 +135,6 @@ func TestConfigSamplePlanMapping(t *testing.T) {
 		{SamplerPER, false},
 		{SamplerIPLocality, false},
 		{SamplerRankPER, false},
-		{SamplerEpisodeLocality, false},
 	} {
 		cfg := expConfig(c.sampler)
 		plan, err := cfg.SamplePlan()

@@ -228,8 +228,6 @@ func NewTrainer(cfg Config, env mpe.Env) (*Trainer, error) {
 		t.sampler = replay.NewIPLocalitySampler(t.buf, cfg.ISBeta)
 	case SamplerRankPER:
 		t.sampler = replay.NewRankPERSampler(t.buf)
-	case SamplerEpisodeLocality:
-		t.sampler = replay.NewEpisodeAwareLocalitySampler(t.buf, cfg.Neighbors, cfg.Refs)
 	default:
 		return nil, fmt.Errorf("core: unknown sampler %v", cfg.Sampler)
 	}

@@ -21,7 +21,7 @@ func smallConfig(algo Algorithm) Config {
 }
 
 func TestNewTrainerAllSamplers(t *testing.T) {
-	for _, s := range []SamplerKind{SamplerUniform, SamplerLocality, SamplerPER, SamplerIPLocality, SamplerRankPER, SamplerEpisodeLocality} {
+	for _, s := range []SamplerKind{SamplerUniform, SamplerLocality, SamplerPER, SamplerIPLocality, SamplerRankPER} {
 		cfg := smallConfig(MADDPG)
 		cfg.Sampler = s
 		env := mpe.NewCooperativeNavigation(2)

@@ -36,114 +36,6 @@ func init() {
 		Description: "Ablation: AccMER-style transition reuse windows vs fresh sampling",
 		Run:         runAblationReuse,
 	})
-	register(&Runner{
-		ID:          "ablation-epaware",
-		Description: "Ablation: episode-boundary-aware neighbor runs vs plain locality sampling",
-		Run:         runAblationEpAware,
-	})
-}
-
-// runAblationEpAware compares plain Algorithm-1 locality sampling against
-// the episode-aware variant that truncates neighbor runs at done flags:
-// sampling cost, reference-point inflation, and the boundary-crossing
-// fraction the variant eliminates.
-func runAblationEpAware(scale Scale) *Result {
-	tab := &Table{
-		Title:   "Ablation: episode-aware neighbor runs (predator-prey, 25-step episodes)",
-		Headers: []string{"sampler", "sampling time", "refs/batch", "runs crossing episode boundary"},
-		Notes: []string{
-			"plain locality lets a neighbor run straddle episode boundaries; the aware variant stops at done flags",
-			"cost of awareness = slightly more reference points (shorter average runs)",
-		},
-	}
-	n := scale.AgentCounts[0]
-	fill := cappedFill(newSpec(envPredatorPrey, n, 1), scale.BufferFill)
-	spec := newSpec(envPredatorPrey, n, fill)
-	buf := replay.NewBuffer(spec)
-	fillSyntheticEpisodes(buf, fill, 25)
-	batches := newBatches(spec, scale.Batch)
-	rng := rand.New(rand.NewSource(65))
-
-	for _, v := range []struct {
-		label string
-		s     replay.Sampler
-	}{
-		{"locality n=16", replay.NewLocalitySampler(buf, 16, scale.Batch/16)},
-		{"ep-aware n=16", replay.NewEpisodeAwareLocalitySampler(buf, 16, scale.Batch/16)},
-	} {
-		var refs, crossings, runs int
-		start := time.Now()
-		for it := 0; it < scale.SamplingIters; it++ {
-			for trainer := 0; trainer < n; trainer++ {
-				sample := v.s.Sample(scale.Batch, rng)
-				buf.GatherAll(sample.Indices, batches)
-				refs += len(sample.Refs)
-				c, r := countBoundaryCrossings(buf, sample.Indices)
-				crossings += c
-				runs += r
-			}
-		}
-		wall := time.Since(start)
-		tab.Rows = append(tab.Rows, []string{
-			v.label,
-			wall.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.1f", float64(refs)/float64(scale.SamplingIters*n)),
-			fmt.Sprintf("%d/%d", crossings, runs),
-		})
-	}
-	return &Result{ID: "ablation-epaware", Tables: []*Table{tab}}
-}
-
-// fillSyntheticEpisodes fills buf with random transitions whose done flags
-// mark every epLen-th step as terminal.
-func fillSyntheticEpisodes(buf *replay.Buffer, n, epLen int) {
-	rng := rand.New(rand.NewSource(66))
-	spec := buf.Spec()
-	obs := make([][]float64, spec.NumAgents)
-	act := make([][]float64, spec.NumAgents)
-	rew := make([]float64, spec.NumAgents)
-	nextObs := make([][]float64, spec.NumAgents)
-	done := make([]float64, spec.NumAgents)
-	for a := 0; a < spec.NumAgents; a++ {
-		obs[a] = make([]float64, spec.ObsDims[a])
-		nextObs[a] = make([]float64, spec.ObsDims[a])
-		act[a] = make([]float64, spec.ActDim)
-	}
-	for t := 0; t < n; t++ {
-		flag := 0.0
-		if (t+1)%epLen == 0 {
-			flag = 1
-		}
-		for a := 0; a < spec.NumAgents; a++ {
-			for j := range obs[a] {
-				obs[a][j] = rng.Float64()
-			}
-			act[a][t%spec.ActDim] = 1
-			rew[a] = rng.NormFloat64()
-			done[a] = flag
-		}
-		buf.Add(obs, act, rew, nextObs, done)
-	}
-}
-
-// countBoundaryCrossings counts consecutive-index runs in a sample and how
-// many of them continue past a terminal transition.
-func countBoundaryCrossings(buf *replay.Buffer, indices []int) (crossings, runs int) {
-	if len(indices) == 0 {
-		return 0, 0
-	}
-	runs = 1
-	for i := 0; i+1 < len(indices); i++ {
-		cur, next := indices[i], indices[i+1]
-		if next == (cur+1)%buf.Len() {
-			if buf.DoneFlag(0, cur) != 0 {
-				crossings++
-			}
-		} else {
-			runs++
-		}
-	}
-	return crossings, runs
 }
 
 // runAblationReuse measures the sampling-cost savings of reusing a drawn

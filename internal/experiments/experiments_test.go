@@ -29,7 +29,7 @@ func TestRegistryContainsEveryPaperExperiment(t *testing.T) {
 	want := []string{
 		"table1", "fig2", "fig3", "fig4", "fig6", "fig8", "fig9",
 		"fig10", "fig11", "fig12", "fig13", "fig14",
-		"ablation-neighbors", "ablation-ip", "ablation-beta", "ablation-rankper", "ablation-reuse", "ablation-epaware",
+		"ablation-neighbors", "ablation-ip", "ablation-beta", "ablation-rankper", "ablation-reuse",
 	}
 	for _, id := range want {
 		if Get(id) == nil {
@@ -187,7 +187,6 @@ func TestRunAblationsTiny(t *testing.T) {
 	runAndCheck(t, "ablation-beta", "beta", "final reward")
 	runAndCheck(t, "ablation-rankper", "proportional", "rank-based", "outlier share")
 	runAndCheck(t, "ablation-reuse", "reuse w=2", "distinct batches")
-	runAndCheck(t, "ablation-epaware", "ep-aware", "crossing")
 }
 
 func TestTableMarkdownRendering(t *testing.T) {

@@ -1,6 +1,7 @@
 package expserve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -18,6 +20,7 @@ import (
 	"marlperf/internal/f64le"
 	"marlperf/internal/netretry"
 	"marlperf/internal/replay"
+	"marlperf/internal/resilience"
 	"marlperf/internal/rowmem"
 	"marlperf/internal/telemetry"
 	"marlperf/internal/trace"
@@ -324,6 +327,9 @@ func (s *Server) openDedupLog(path string) error {
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("expserve: dedup log: %w", err)
 	}
+	// A compaction interrupted before its rename leaves a temp file beside
+	// the intact log; sweeping it is best effort, a survivor only wastes space.
+	_, _ = resilience.RemoveStaleTemps(filepath.Dir(path), filepath.Base(path))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("expserve: dedup log: %w", err)
@@ -367,50 +373,25 @@ func (s *Server) recordIntent(actor string, seq, base uint64, n int) error {
 
 // compactDedupLog rewrites the append-only log to one cursor record per
 // actor — plus a partial record for any still-torn batch, so the skip
-// survives compaction — then renames over the original and reopens it.
+// survives compaction — replaces the original atomically and reopens it.
 func (s *Server) compactDedupLog() error {
-	tmp := s.dedupPath + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("expserve: compacting dedup log: %w", err)
-	}
-	writeRec := func(r dedupRecord) error {
-		line, err := json.Marshal(r)
-		if err == nil {
-			_, err = f.Write(append(line, '\n'))
-		}
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("expserve: compacting dedup log: %w", err)
-		}
-		return nil
-	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	for actor, seq := range s.lastSeq {
-		if err := writeRec(dedupRecord{Actor: actor, Seq: seq}); err != nil {
-			return err
+		if err := enc.Encode(dedupRecord{Actor: actor, Seq: seq}); err != nil {
+			return fmt.Errorf("expserve: compacting dedup log: %w", err)
 		}
 	}
 	for actor, p := range s.partial {
-		if err := writeRec(dedupRecord{Actor: actor, Seq: p.seq, PartialRows: p.rows}); err != nil {
-			return err
+		if err := enc.Encode(dedupRecord{Actor: actor, Seq: p.seq, PartialRows: p.rows}); err != nil {
+			return fmt.Errorf("expserve: compacting dedup log: %w", err)
 		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("expserve: compacting dedup log: %w", err)
-	}
-	size := int64(0)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("expserve: compacting dedup log: %w", err)
-	}
-	if err := os.Rename(tmp, s.dedupPath); err != nil {
-		os.Remove(tmp)
+	size := int64(buf.Len())
+	if err := resilience.WriteFileAtomic(s.dedupPath, func(w io.Writer) error {
+		_, err := buf.WriteTo(w)
+		return err
+	}); err != nil {
 		return fmt.Errorf("expserve: compacting dedup log: %w", err)
 	}
 	s.dedupF.Close()
@@ -734,9 +715,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(statsReply{Spec: specToWire(s.cfg.Spec), Store: st, Actors: actors})
 }
 
-// ListenAndServe is a convenience for tests and the replayd binary: bind
-// addr (port 0 picks a free port), serve the handler in the background, and
-// return the bound listener address plus a shutdown func.
+// ListenAndServe is a convenience for tests (marl-replayd serves through
+// cli.Daemon instead): bind addr (port 0 picks a free port), serve the
+// handler in the background, and return the bound listener address plus a
+// shutdown func.
 func (s *Server) ListenAndServe(addr string) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

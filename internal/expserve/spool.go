@@ -2,10 +2,12 @@ package expserve
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 
+	"marlperf/internal/resilience"
 	"marlperf/internal/telemetry"
 )
 
@@ -131,7 +133,7 @@ func (s *RemoteSink) EnableSpool(opts SpoolOptions) error {
 		sp.bytes += int64(len(data))
 	}
 	// Drop temp files from an interrupted spool write.
-	if tmps, _ := filepath.Glob(filepath.Join(opts.Dir, "*.tmp")); len(tmps) > 0 {
+	if tmps, _ := filepath.Glob(filepath.Join(opts.Dir, "*.tmp*")); len(tmps) > 0 {
 		for _, t := range tmps {
 			os.Remove(t)
 		}
@@ -163,12 +165,10 @@ func (s *RemoteSink) spoolFrame(frame []byte, cause error) error {
 			sp.bytes, len(frame), sp.maxBytes, cause)
 	}
 	path := filepath.Join(sp.dir, spoolName(seq))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, frame, 0o644); err != nil {
-		return fmt.Errorf("expserve: spooling batch %d: %w", seq, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := resilience.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(frame)
+		return err
+	}); err != nil {
 		return fmt.Errorf("expserve: spooling batch %d: %w", seq, err)
 	}
 	sp.entries = append(sp.entries, spoolEntry{seq: seq, rows: rows, path: path, bytes: int64(len(frame))})

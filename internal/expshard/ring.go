@@ -81,9 +81,6 @@ type Snapshot struct {
 	Part2Group []int
 }
 
-// NumGroups returns the shard-group count.
-func (s *Snapshot) NumGroups() int { return len(s.Groups) }
-
 // MaxReplicas returns the widest replication factor across groups.
 func (s *Snapshot) MaxReplicas() int {
 	r := 0

@@ -239,22 +239,6 @@ func (s *Store) AppendRow(row []float64) error {
 	return s.appendLocked(row)
 }
 
-// AppendPacked appends n rows packed back-to-back in rows.
-func (s *Store) AppendPacked(rows []float64, n int) error {
-	stride := s.layout.Stride()
-	if len(rows) < n*stride {
-		return fmt.Errorf("expstore: AppendPacked got %d floats for %d rows of %d", len(rows), n, stride)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k := 0; k < n; k++ {
-		if err := s.appendLocked(rows[k*stride : (k+1)*stride]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (s *Store) appendLocked(row []float64) error {
 	if s.active == nil {
 		if err := s.openSegmentLocked(); err != nil {

@@ -101,9 +101,6 @@ func (p *PredatorPrey) Name() string { return "predator-prey" }
 // NumAgents implements Env: only predators are trainable.
 func (p *PredatorPrey) NumAgents() int { return p.numPredators }
 
-// NumPrey returns the scripted prey count.
-func (p *PredatorPrey) NumPrey() int { return p.numPrey }
-
 // NumActions implements Env.
 func (p *PredatorPrey) NumActions() int { return NumActions }
 

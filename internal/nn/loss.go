@@ -79,13 +79,6 @@ func gumbel(u float64) float64 {
 	return -math.Log(-math.Log(u+1e-20) + 1e-20)
 }
 
-// SampleGumbel fills dst with Gumbel(0,1) noise, one draw from rng each.
-func SampleGumbel(dst []float64, rng *rand.Rand) {
-	for i := range dst {
-		dst[i] = gumbel(rng.Float64())
-	}
-}
-
 // GumbelSoftmaxRow produces a differentiable sample from a categorical
 // distribution: softmax((logits + gumbel)/temperature). The reference
 // MADDPG implementation uses this relaxation for its discrete particle-env

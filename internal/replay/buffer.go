@@ -315,14 +315,6 @@ func (b *Buffer) CopyTransition(idx int, obs, act [][]float64, rew []float64, ne
 	}
 }
 
-// DoneFlag returns agent a's stored done flag at slot idx.
-func (b *Buffer) DoneFlag(a, idx int) float64 {
-	if idx < 0 || idx >= b.length {
-		panic(fmt.Sprintf("replay: DoneFlag index %d outside [0,%d)", idx, b.length))
-	}
-	return b.done[a][idx]
-}
-
 // sampleUniformIndices fills dst with uniform random valid indices.
 func sampleUniformIndices(dst []int, length int, rng *rand.Rand) {
 	for i := range dst {

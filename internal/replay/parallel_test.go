@@ -15,7 +15,6 @@ func allSamplers(buf *Buffer) []Sampler {
 		NewPERSampler(buf),
 		NewIPLocalitySampler(buf, 1),
 		NewRankPERSampler(buf),
-		NewEpisodeAwareLocalitySampler(buf, 4, 8),
 		NewReuseSampler(NewUniformSampler(buf), 3),
 	}
 }

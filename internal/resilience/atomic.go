@@ -55,8 +55,8 @@ func WriteFileAtomic(path string, write func(w io.Writer) error) (err error) {
 }
 
 // RemoveStaleTemps deletes leftover temp files from interrupted atomic
-// writes of base inside dir, returning how many were removed. Safe to call
-// on every startup.
+// writes of base inside dir, returning how many were removed. base may be a
+// filepath.Match pattern ("snap-*.msnp"). Safe to call on every startup.
 func RemoveStaleTemps(dir, base string) (int, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, base+".tmp-*"))
 	if err != nil {

@@ -29,19 +29,13 @@ type FaultWriter struct {
 	Remaining int64 // bytes allowed before the fault fires
 	Short     bool
 	Err       error
-
-	faulted bool
 }
-
-// Faulted reports whether the fault has fired.
-func (f *FaultWriter) Faulted() bool { return f.faulted }
 
 func (f *FaultWriter) Write(p []byte) (int, error) {
 	if int64(len(p)) <= f.Remaining {
 		f.Remaining -= int64(len(p))
 		return f.W.Write(p)
 	}
-	f.faulted = true
 	fit := f.Remaining
 	f.Remaining = 0
 	if fit > 0 {

@@ -36,19 +36,13 @@ func NewStore(dir string, retain int) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resilience: creating snapshot dir: %w", err)
 	}
-	if matches, err := filepath.Glob(filepath.Join(dir, "snap-*.msnp.tmp-*")); err == nil {
-		for _, m := range matches {
-			os.Remove(m)
-		}
-	}
+	// Best effort: a temp file that survives only wastes space.
+	_, _ = RemoveStaleTemps(dir, "snap-*.msnp")
 	return &Store{dir: dir, retain: retain, Retry: DefaultRetryPolicy()}, nil
 }
 
 // Dir returns the snapshot directory.
 func (s *Store) Dir() string { return s.dir }
-
-// Retain returns the number of generations kept.
-func (s *Store) Retain() int { return s.retain }
 
 // Path returns the file path of generation seq.
 func (s *Store) Path(seq uint64) string {

@@ -22,7 +22,7 @@ func logInputs(kind string, n int, rng *rand.Rand) []float64 {
 	v := make([]float64, n)
 	for i := range v {
 		switch kind {
-		case "uniform": // what SampleGumbel takes the first logarithm of
+		case "uniform": // what the Gumbel noise takes the first logarithm of
 			v[i] = rng.Float64() + 1e-20
 		case "neglog": // and the second
 			v[i] = -math.Log(rng.Float64()+1e-20) + 1e-20

@@ -60,10 +60,6 @@ type (
 
 // Replay types, re-exported for direct use of the sampling strategies.
 type (
-	// ReplayBuffer is the baseline per-agent replay storage.
-	ReplayBuffer = replay.Buffer
-	// ReplaySpec describes the stored transition shapes.
-	ReplaySpec = replay.Spec
 	// KVBuffer is the reorganized key-value transition layout.
 	KVBuffer = replay.KVBuffer
 	// Sampler produces mini-batch index sets.
@@ -96,9 +92,6 @@ const (
 	// SamplerRankPER is rank-based prioritized replay (additional
 	// prioritization baseline).
 	SamplerRankPER = core.SamplerRankPER
-	// SamplerEpisodeLocality is locality-aware sampling whose neighbor runs
-	// stop at episode boundaries.
-	SamplerEpisodeLocality = core.SamplerEpisodeLocality
 )
 
 // DefaultConfig returns the paper's hyperparameters (§V) for the workload:

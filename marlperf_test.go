@@ -27,7 +27,7 @@ func TestPublicQuickstartPath(t *testing.T) {
 }
 
 func TestPublicSamplerConfiguration(t *testing.T) {
-	for _, s := range []SamplerKind{SamplerUniform, SamplerLocality, SamplerPER, SamplerIPLocality, SamplerRankPER, SamplerEpisodeLocality} {
+	for _, s := range []SamplerKind{SamplerUniform, SamplerLocality, SamplerPER, SamplerIPLocality, SamplerRankPER} {
 		cfg := DefaultConfig(MATD3)
 		cfg.Sampler = s
 		cfg.BatchSize = 16
