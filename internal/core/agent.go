@@ -49,6 +49,37 @@ func newAgentNets(cfg Config, obsDim, actDim, jointDim int, rng *rand.Rand) *age
 	return a
 }
 
+// namedNet is one of an agent's networks, or one with its optimizer, under
+// the name errors give it.
+type namedNet struct {
+	name string
+	net  *nn.Network
+	opt  **nn.Adam
+}
+
+// networks lists the agent's networks in checkpoint order: actor, target
+// actor, critic1, target critic1 and, for MATD3, critic2 and target critic2.
+func (a *agentNets) networks() []namedNet {
+	nets := []namedNet{
+		{name: "actor", net: a.actor}, {name: "target actor", net: a.targetActor},
+		{name: "critic1", net: a.critic1}, {name: "target critic1", net: a.targetCritic1},
+	}
+	if a.critic2 != nil {
+		nets = append(nets, namedNet{name: "critic2", net: a.critic2}, namedNet{name: "target critic2", net: a.targetCritic2})
+	}
+	return nets
+}
+
+// optimizers lists the agent's trained networks with their optimizers, in
+// checkpoint order: actor, critic1 and, for MATD3, critic2.
+func (a *agentNets) optimizers() []namedNet {
+	opts := []namedNet{{"actor", a.actor, &a.actorOpt}, {"critic1", a.critic1, &a.critic1Opt}}
+	if a.critic2 != nil {
+		opts = append(opts, namedNet{"critic2", a.critic2, &a.critic2Opt})
+	}
+	return opts
+}
+
 // softUpdateTargets applies the Polyak update to all target networks.
 func (a *agentNets) softUpdateTargets(tau float64) {
 	nn.SoftUpdate(a.targetActor, a.actor, tau)

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"slices"
 
+	"marlperf/internal/frame"
 	"marlperf/internal/nn"
-	"marlperf/internal/resilience"
 )
 
 // Checkpoint format: magic "MARL" | uint32 version | uint8 algorithm |
@@ -30,155 +29,103 @@ const (
 )
 
 // SaveCheckpoint writes the trainer's learned state (all networks,
-// optimizer moments, progress counters) followed by a CRC32 trailer.
-func (t *Trainer) SaveCheckpoint(dst io.Writer) error {
-	w := resilience.NewCRCWriter(dst)
-	if _, err := w.Write([]byte(checkpointMagic)); err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], checkpointVersion)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte{byte(t.cfg.Algorithm)}); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(hdr[:], uint32(t.n))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
+// optimizer moments, progress counters) followed by a CRC32 trailer. The
+// bytes are built in one buffer, sized up front, that the trainer keeps for
+// the next save.
+func (t *Trainer) SaveCheckpoint(w io.Writer) error {
+	size := 4 + 4 + 1 + 4 + 3*8 + 4 // header, algorithm, agents, counters, trailer
 	for _, ag := range t.agents {
-		nets := []*nn.Network{ag.actor, ag.targetActor, ag.critic1, ag.targetCritic1}
-		if ag.critic2 != nil {
-			nets = append(nets, ag.critic2, ag.targetCritic2)
+		for _, part := range ag.networks() {
+			size += part.net.EncodedLen()
 		}
-		for _, net := range nets {
-			if _, err := net.WriteTo(w); err != nil {
-				return err
-			}
-		}
-		opts := []*nn.Adam{ag.actorOpt, ag.critic1Opt}
-		if ag.critic2Opt != nil {
-			opts = append(opts, ag.critic2Opt)
-		}
-		for _, opt := range opts {
-			if _, err := opt.WriteTo(w); err != nil {
-				return err
-			}
+		for _, o := range ag.optimizers() {
+			size += (*o.opt).EncodedLen()
 		}
 	}
-	var cnt [8]byte
+	buf := frame.AppendHeader(slices.Grow(t.ckpt[:0], size), checkpointMagic, checkpointVersion)
+	buf = append(buf, byte(t.cfg.Algorithm))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.n))
+	for _, ag := range t.agents {
+		for _, part := range ag.networks() {
+			var err error
+			if buf, err = part.net.AppendBinary(buf); err != nil {
+				return err
+			}
+		}
+		for _, o := range ag.optimizers() {
+			buf = (*o.opt).AppendBinary(buf)
+		}
+	}
 	for _, v := range []uint64{uint64(t.totalSteps), uint64(t.updateCount), uint64(t.episodeCount)} {
-		binary.LittleEndian.PutUint64(cnt[:], v)
-		if _, err := w.Write(cnt[:]); err != nil {
-			return err
-		}
+		buf = binary.LittleEndian.AppendUint64(buf, v)
 	}
-	return w.WriteTrailer()
+	t.ckpt = frame.Seal(buf, 0)
+	_, err := w.Write(t.ckpt)
+	return err
 }
 
 // LoadCheckpoint restores state written by SaveCheckpoint into a trainer
-// built with the same algorithm, agent count and network architecture. The
-// CRC32 trailer is verified over the whole stream before any trainer state
-// is touched, so a truncated or bit-flipped file is rejected outright
-// rather than partially loaded.
+// built with the same algorithm, agent count and network architecture. It
+// is all or nothing: the CRC32 trailer is verified over the whole stream,
+// then every network and optimizer state is decoded, and only then is any
+// of it installed — a truncated, bit-flipped or mismatched checkpoint is
+// refused with the trainer untouched.
 func (t *Trainer) LoadCheckpoint(r io.Reader) error {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return fmt.Errorf("core: reading checkpoint magic: %w", err)
-	}
-	if string(magic[:]) != checkpointMagic {
-		return fmt.Errorf("core: bad checkpoint magic %q", magic)
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("core: reading checkpoint version: %w", err)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[:]); v != checkpointVersion {
-		return fmt.Errorf("core: checkpoint version %d, want %d", v, checkpointVersion)
-	}
-	// Hash the body, verify the trailer, then parse from memory — no
-	// trainer state changes before the checksum is known good.
-	body, err := io.ReadAll(r)
+	d, err := frame.Read(r, checkpointMagic, checkpointVersion)
 	if err != nil {
-		return fmt.Errorf("core: reading checkpoint: %w", err)
+		return fmt.Errorf("core: checkpoint: %w", err)
 	}
-	if len(body) < 4 {
-		return fmt.Errorf("core: checkpoint truncated before checksum trailer")
+	d.Unseal()
+	if algo := Algorithm(d.U8()); d.Err() == nil && algo != t.cfg.Algorithm {
+		d.Fail("algorithm %v, trainer has %v", algo, t.cfg.Algorithm)
 	}
-	trailer := binary.LittleEndian.Uint32(body[len(body)-4:])
-	body = body[:len(body)-4]
-	if got := checkpointCRC(magic[:], hdr[:], body); got != trailer {
-		return fmt.Errorf("core: checkpoint checksum mismatch %08x != %08x (corrupt or truncated)", got, trailer)
+	if n := d.U32(); d.Err() == nil && int(n) != t.n {
+		d.Fail("%d agents, trainer has %d", n, t.n)
 	}
-	return t.loadCheckpointBody(bytes.NewReader(body))
-}
-
-// checkpointCRC recomputes the trailer checksum over header and body.
-func checkpointCRC(magic, version, body []byte) uint32 {
-	crc := crc32.Update(0, crc32.IEEETable, magic)
-	crc = crc32.Update(crc, crc32.IEEETable, version)
-	return crc32.Update(crc, crc32.IEEETable, body)
-}
-
-// loadCheckpointBody parses everything after the magic and version fields.
-func (t *Trainer) loadCheckpointBody(r io.Reader) error {
-	var hdr [4]byte
-	var algo [1]byte
-	if _, err := io.ReadFull(r, algo[:]); err != nil {
-		return err
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("core: checkpoint: %w", err)
 	}
-	if Algorithm(algo[0]) != t.cfg.Algorithm {
-		return fmt.Errorf("core: checkpoint algorithm %v, trainer has %v", Algorithm(algo[0]), t.cfg.Algorithm)
-	}
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	if n := binary.LittleEndian.Uint32(hdr[:]); int(n) != t.n {
-		return fmt.Errorf("core: checkpoint has %d agents, trainer has %d", n, t.n)
-	}
-	for _, ag := range t.agents {
-		nets := []**nn.Network{&ag.actor, &ag.targetActor, &ag.critic1, &ag.targetCritic1}
-		if ag.critic2 != nil {
-			nets = append(nets, &ag.critic2, &ag.targetCritic2)
-		}
-		for _, slot := range nets {
-			restored, err := nn.ReadNetwork(r)
+	nets := make([][]*nn.Network, t.n)
+	opts := make([][]*nn.Adam, t.n)
+	for i, ag := range t.agents {
+		for _, part := range ag.networks() {
+			net, err := nn.ReadNetwork(&d)
+			if err == nil && net.NumParams() != part.net.NumParams() {
+				err = fmt.Errorf("%d params, trainer expects %d", net.NumParams(), part.net.NumParams())
+			}
 			if err != nil {
-				return err
+				return fmt.Errorf("core: checkpoint agent %d %s: %w", i, part.name, err)
 			}
-			if restored.NumParams() != (*slot).NumParams() {
-				return fmt.Errorf("core: checkpoint network has %d params, trainer expects %d",
-					restored.NumParams(), (*slot).NumParams())
-			}
-			nn.HardCopy(*slot, restored)
+			nets[i] = append(nets[i], net)
 		}
-		// Optimizers are re-bound to the in-place networks, then their
-		// moment state is overwritten from the checkpoint.
-		ag.actorOpt = nn.NewAdam(ag.actor, t.cfg.LR)
-		ag.critic1Opt = nn.NewAdam(ag.critic1, t.cfg.LR)
-		opts := []*nn.Adam{ag.actorOpt, ag.critic1Opt}
-		if ag.critic2 != nil {
-			ag.critic2Opt = nn.NewAdam(ag.critic2, t.cfg.LR)
-			opts = append(opts, ag.critic2Opt)
-		}
-		for _, opt := range opts {
-			if err := opt.ReadInto(r); err != nil {
-				return err
+		// Each optimizer is decoded into a fresh one bound to the in-place
+		// network, which installing the parameters below does not rebind.
+		for _, o := range ag.optimizers() {
+			opt := nn.NewAdam(o.net, t.cfg.LR)
+			if err := opt.ReadInto(&d); err != nil {
+				return fmt.Errorf("core: checkpoint agent %d %s optimizer: %w", i, o.name, err)
 			}
+			opts[i] = append(opts[i], opt)
 		}
 	}
-	var cnt [8]byte
-	vals := make([]uint64, 3)
-	for i := range vals {
-		if _, err := io.ReadFull(r, cnt[:]); err != nil {
-			return err
-		}
-		vals[i] = binary.LittleEndian.Uint64(cnt[:])
+	var counters [3]uint64
+	for i := range counters {
+		counters[i] = d.U64()
 	}
-	t.totalSteps = int(vals[0])
-	t.updateCount = int(vals[1])
-	t.episodeCount = int(vals[2])
+	if d.Err() == nil && d.Len() != 0 {
+		d.Fail("%d bytes after the progress counters", d.Len())
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("core: checkpoint counters: %w", err)
+	}
+	for i, ag := range t.agents {
+		for j, part := range ag.networks() {
+			nn.HardCopy(part.net, nets[i][j])
+		}
+		for j, o := range ag.optimizers() {
+			*o.opt = opts[i][j]
+		}
+	}
+	t.totalSteps, t.updateCount, t.episodeCount = int(counters[0]), int(counters[1]), int(counters[2])
 	return nil
 }

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -63,6 +66,40 @@ func TestLoadCheckpointChecksumFailureLeavesTrainerUntouched(t *testing.T) {
 	}
 	if !tensor.ApproxEqual(dst.agents[0].actor.Params()[0], before, 0) {
 		t.Fatal("rejected checkpoint still mutated the trainer")
+	}
+}
+
+// A body that passes its checksum but ends early — here a three-agent
+// checkpoint cut short and sealed again — is refused with an error naming
+// the agent and the part that did not decode, and leaves the trainer
+// exactly as it was: no agent's networks or optimizers are installed until
+// every one of them has decoded.
+func TestLoadCheckpointIsAllOrNothing(t *testing.T) {
+	newTrainer := func(seed int64) *Trainer {
+		cfg := smallConfig(MATD3)
+		cfg.Seed = seed
+		tr, err := NewTrainer(cfg, mpe.NewCooperativeNavigation(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(tr.Close)
+		return tr
+	}
+	data := checkpointBytes(t, newTrainer(1))
+	body := data[:len(data)-4]
+	named := regexp.MustCompile(`agent \d (target )?(actor|critic[12])( optimizer)?\b`)
+	for _, frac := range []int{1, 2, 3, 4, 5, 6} {
+		cut := body[:len(body)*frac/7]
+		resealed := binary.LittleEndian.AppendUint32(append([]byte(nil), cut...), crc32.ChecksumIEEE(cut))
+		dst := newTrainer(2)
+		before := checkpointBytes(t, dst)
+		err := dst.LoadCheckpoint(bytes.NewReader(resealed))
+		if err == nil || !named.MatchString(err.Error()) {
+			t.Fatalf("body cut at %d/7: err = %v, want one naming the agent and part", frac, err)
+		}
+		if !bytes.Equal(checkpointBytes(t, dst), before) {
+			t.Fatalf("body cut at %d/7: the refused checkpoint still changed the trainer (%v)", frac, err)
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"marlperf/internal/frame"
 )
 
 // Run state is the small non-checkpoint remainder a resumable run needs:
@@ -24,41 +26,22 @@ const (
 // seed from the live RNG stream (advancing it by one value), so every save
 // point yields a distinct, deterministic future.
 func (t *Trainer) SaveRunState(w io.Writer) error {
-	if _, err := w.Write([]byte(runStateMagic)); err != nil {
-		return err
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], runStateVersion)
-	if _, err := w.Write(b[:]); err != nil {
-		return err
-	}
-	var seed [8]byte
-	binary.LittleEndian.PutUint64(seed[:], uint64(t.rng.Int63()))
-	_, err := w.Write(seed[:])
+	buf := frame.AppendHeader(make([]byte, 0, 16), runStateMagic, runStateVersion)
+	_, err := w.Write(binary.LittleEndian.AppendUint64(buf, uint64(t.rng.Int63())))
 	return err
 }
 
 // LoadRunState restores the section written by SaveRunState, reseeding the
 // trainer's RNG with the recorded continuation seed.
 func (t *Trainer) LoadRunState(r io.Reader) error {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return fmt.Errorf("core: reading run-state magic: %w", err)
+	d, err := frame.Read(r, runStateMagic, runStateVersion)
+	if err != nil {
+		return fmt.Errorf("core: run state: %w", err)
 	}
-	if string(magic[:]) != runStateMagic {
-		return fmt.Errorf("core: bad run-state magic %q", magic)
+	seed := d.U64()
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("core: run state: %w", err)
 	}
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return fmt.Errorf("core: reading run-state version: %w", err)
-	}
-	if v := binary.LittleEndian.Uint32(b[:]); v != runStateVersion {
-		return fmt.Errorf("core: run-state version %d, want %d", v, runStateVersion)
-	}
-	var seed [8]byte
-	if _, err := io.ReadFull(r, seed[:]); err != nil {
-		return fmt.Errorf("core: reading run-state seed: %w", err)
-	}
-	t.ReseedRNG(int64(binary.LittleEndian.Uint64(seed[:])))
+	t.ReseedRNG(int64(seed))
 	return nil
 }

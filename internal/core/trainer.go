@@ -93,6 +93,8 @@ type Trainer struct {
 	tdMeans       []float64
 	updSeeds      []int64 // per-agent batch seeds, pre-drawn serially each update
 
+	ckpt []byte // SaveCheckpoint's buffer, reused by the next save
+
 	// Shared read-only and interaction scratch.
 	onesW       []float64
 	actionProbs [][]float64 // per-agent action vectors for the current step

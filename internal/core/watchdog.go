@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"marlperf/internal/nn"
 	"marlperf/internal/profiler"
 )
 
@@ -18,18 +17,7 @@ func (t *Trainer) Healthy() error {
 		return fmt.Errorf("core: mean |TD error| is %v after update %d", t.lastTDMean, t.updateCount)
 	}
 	for i, ag := range t.agents {
-		nets := []struct {
-			name string
-			net  *nn.Network
-		}{
-			{"actor", ag.actor}, {"target-actor", ag.targetActor},
-			{"critic1", ag.critic1}, {"target-critic1", ag.targetCritic1},
-			{"critic2", ag.critic2}, {"target-critic2", ag.targetCritic2},
-		}
-		for _, n := range nets {
-			if n.net == nil {
-				continue
-			}
+		for _, n := range ag.networks() {
 			for pi, p := range n.net.Params() {
 				for _, v := range p.Data {
 					if !isFinite(v) {

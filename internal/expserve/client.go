@@ -2,15 +2,14 @@ package expserve
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"net/http"
 	"strings"
 	"time"
 
 	"marlperf/internal/f64le"
+	"marlperf/internal/frame"
 	"marlperf/internal/netretry"
 	"marlperf/internal/replay"
 	"marlperf/internal/telemetry"
@@ -305,11 +304,11 @@ func (s *RemoteSink) frame() []byte {
 	if mem == nil {
 		return encodeAppend(nil, appendBatch{ActorID: s.actorID, BatchSeq: s.batchSeq, Rows: s.buf[hw:], N: n}, stride)
 	}
-	frame := mem[payloadPad(len(s.actorID)) : 8*(hw+n*stride)+4]
-	putAppendHeader(frame, s.actorID, s.batchSeq, n, stride)
-	end := len(frame) - 4
-	binary.LittleEndian.PutUint32(frame[end:], crc32.ChecksumIEEE(frame[:end]))
-	return frame
+	// The header is appended into the room ahead of the rows, and the
+	// trailer into the float reserved behind them.
+	f := mem[payloadPad(len(s.actorID)) : 8*(hw+n*stride)]
+	appendBatchHeader(f[:0], s.actorID, s.batchSeq, n, stride)
+	return frame.Seal(f, 0)
 }
 
 // doAppend ships one encoded append frame and validates the ack. When

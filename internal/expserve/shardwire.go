@@ -3,11 +3,11 @@ package expserve
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"slices"
 
 	"marlperf/internal/expshard"
+	"marlperf/internal/frame"
 )
 
 // PathShardSample serves one shard's slice of a fabric-wide draw.
@@ -70,8 +70,7 @@ func encodeShardSampleRequest(dst []byte, req shardSampleRequest) ([]byte, error
 	}
 	start := len(dst)
 	dst = slices.Grow(dst, shardReqSize(len(req.ShardID), k))
-	dst = append(dst, shardReqMagic...)
-	dst = binary.LittleEndian.AppendUint32(dst, shardWireVersion)
+	dst = frame.AppendHeader(dst, shardReqMagic, shardWireVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(k))
 	dst = binary.LittleEndian.AppendUint64(dst, req.Stat.Rows)
 	dst = binary.LittleEndian.AppendUint64(dst, req.Stat.Total)
@@ -84,47 +83,37 @@ func encodeShardSampleRequest(dst []byte, req shardSampleRequest) ([]byte, error
 		}
 		binary.LittleEndian.PutUint32(locals[4*i:], uint32(l))
 	}
-	dst = dst[:len(dst)+4*k]
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
+	return frame.Seal(dst[:len(dst)+4*k], start), nil
 }
 
 // decodeShardSampleRequest parses and verifies an MXHQ frame. req.Locals
 // reuses locals' storage when it is large enough.
 func decodeShardSampleRequest(data []byte, locals []int) (shardSampleRequest, error) {
 	var req shardSampleRequest
-	if len(data) < shardReqHdr+4 {
-		return req, fmt.Errorf("expserve: shard request too short (%d bytes)", len(data))
+	d := frame.NewDecoder(data)
+	d.Header(shardReqMagic, shardWireVersion)
+	k := int(d.U32())
+	req.Stat = expshard.GroupStat{Rows: d.U64(), Total: d.U64()}
+	idLen := int(d.U8())
+	d.Bytes(3) // reserved
+	if d.Err() == nil && (k > maxWireRows || len(data) != shardReqSize(idLen, k)) {
+		d.Fail("%d bytes do not hold k=%d", len(data), k)
 	}
-	if string(data[:4]) != shardReqMagic {
-		return req, fmt.Errorf("expserve: bad shard request magic %q", data[:4])
+	d.Unseal()
+	if d.Err() == nil && req.Stat.Rows > req.Stat.Total {
+		d.Fail("view stat rows %d > total %d", req.Stat.Rows, req.Stat.Total)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != shardWireVersion {
-		return req, fmt.Errorf("expserve: shard request version %d, want %d", v, shardWireVersion)
+	id := d.Bytes(idLen)
+	if err := d.Err(); err != nil {
+		return shardSampleRequest{}, fmt.Errorf("expserve: shard request: %w", err)
 	}
-	k := int(binary.LittleEndian.Uint32(data[8:]))
-	idLen := int(data[28])
-	if k > maxWireRows || len(data) != shardReqSize(idLen, k) {
-		return req, fmt.Errorf("expserve: shard request %d bytes does not hold k=%d", len(data), k)
-	}
-	if want := binary.LittleEndian.Uint32(data[len(data)-4:]); crc32.ChecksumIEEE(data[:len(data)-4]) != want {
-		return req, fmt.Errorf("expserve: shard request checksum mismatch")
-	}
-	req.Stat = expshard.GroupStat{
-		Rows:  binary.LittleEndian.Uint64(data[12:]),
-		Total: binary.LittleEndian.Uint64(data[20:]),
-	}
-	if req.Stat.Rows > req.Stat.Total {
-		return req, fmt.Errorf("expserve: shard request view stat rows %d > total %d", req.Stat.Rows, req.Stat.Total)
-	}
-	off := shardReqHdr
-	req.ShardID = string(data[off : off+idLen])
-	off += idLen
+	req.ShardID = string(id)
 	if cap(locals) < k {
 		locals = make([]int, k)
 	}
 	req.Locals = locals[:k]
 	for i := range req.Locals {
-		l := binary.LittleEndian.Uint32(data[off+4*i:])
+		l := d.U32()
 		if uint64(l) >= req.Stat.Rows {
 			return shardSampleRequest{}, fmt.Errorf("expserve: shard request local row %d outside the view's %d rows", l, req.Stat.Rows)
 		}
@@ -138,14 +127,13 @@ func shardReplySize(k, stride int) int {
 	return shardReplyHdr + 8*k*stride
 }
 
-// putShardReplyHeader writes the fixed header into buf[:shardReplyHdr].
+// putShardReplyHeader writes the fixed header, sealed, into buf[:shardReplyHdr].
 func putShardReplyHeader(buf []byte, k, stride int, reqCRC uint32) {
-	copy(buf, shardReplyMagic)
-	binary.LittleEndian.PutUint32(buf[4:], shardWireVersion)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(k))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(stride))
-	binary.LittleEndian.PutUint32(buf[16:], reqCRC)
-	binary.LittleEndian.PutUint32(buf[20:], crc32.ChecksumIEEE(buf[:20]))
+	hdr := frame.AppendHeader(buf[:0], shardReplyMagic, shardWireVersion)
+	for _, v := range []uint32{uint32(k), uint32(stride), reqCRC} {
+		hdr = binary.LittleEndian.AppendUint32(hdr, v)
+	}
+	frame.Seal(hdr, 0)
 }
 
 // requestCRC is the trailing checksum of an encoded MXHQ frame: the name a
@@ -161,23 +149,20 @@ func decodeShardReply(data []byte, k, stride int, reqCRC uint32) ([]byte, error)
 	if len(data) < shardReplyHdr {
 		return nil, fmt.Errorf("%w: shard reply %d bytes", ErrShortFrame, len(data))
 	}
-	if string(data[:4]) != shardReplyMagic {
-		return nil, fmt.Errorf("expserve: bad shard reply magic %q", data[:4])
+	d := frame.NewDecoder(data[:shardReplyHdr])
+	d.Header(shardReplyMagic, shardWireVersion)
+	d.Unseal()
+	if got := int(d.U32()); d.Err() == nil && got != k {
+		d.Fail("carries %d rows, the request asked for %d", got, k)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != shardWireVersion {
-		return nil, fmt.Errorf("expserve: shard reply version %d, want %d", v, shardWireVersion)
+	if got := int(d.U32()); d.Err() == nil && got != stride {
+		d.Fail("stride %d, want %d", got, stride)
 	}
-	if want := binary.LittleEndian.Uint32(data[20:]); crc32.ChecksumIEEE(data[:20]) != want {
-		return nil, fmt.Errorf("expserve: shard reply header checksum mismatch")
+	if got := d.U32(); d.Err() == nil && got != reqCRC {
+		d.Fail("answers request %#08x, not %#08x", got, reqCRC)
 	}
-	if got := int(binary.LittleEndian.Uint32(data[8:])); got != k {
-		return nil, fmt.Errorf("expserve: shard reply carries %d rows, the request asked for %d", got, k)
-	}
-	if got := int(binary.LittleEndian.Uint32(data[12:])); got != stride {
-		return nil, fmt.Errorf("expserve: shard reply stride %d, want %d", got, stride)
-	}
-	if got := binary.LittleEndian.Uint32(data[16:]); got != reqCRC {
-		return nil, fmt.Errorf("expserve: shard reply answers request %#08x, not %#08x", got, reqCRC)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("expserve: shard reply: %w", err)
 	}
 	if want := shardReplySize(k, stride); len(data) != want {
 		if len(data) < want {

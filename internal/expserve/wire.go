@@ -22,11 +22,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"slices"
 
 	"marlperf/internal/expstore"
 	"marlperf/internal/f64le"
+	"marlperf/internal/frame"
 	"marlperf/internal/replay"
 )
 
@@ -79,22 +79,21 @@ type appendBatch struct {
 // most once and the rows go in as one bulk copy. RemoteSink frames in place
 // instead; this copy is its big-endian path and its tests' reference.
 func encodeAppend(dst []byte, b appendBatch, stride int) []byte {
-	start, hdr := len(dst), appendFrameHdr+len(b.ActorID)
-	dst = slices.Grow(dst, hdr+8*b.N*stride+4)[:start+hdr]
-	putAppendHeader(dst[start:], b.ActorID, b.BatchSeq, b.N, stride)
+	start := len(dst)
+	dst = slices.Grow(dst, appendFrameHdr+len(b.ActorID)+8*b.N*stride+4)
+	dst = appendBatchHeader(dst, b.ActorID, b.BatchSeq, b.N, stride)
 	dst = f64le.Append(dst, b.Rows[:b.N*stride])
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	return frame.Seal(dst, start)
 }
 
-// putAppendHeader writes an append frame's header, all ahead of its rows, into dst.
-func putAppendHeader(dst []byte, actorID string, seq uint64, n, stride int) {
-	copy(dst, appendMagic)
-	binary.LittleEndian.PutUint32(dst[4:], wireVersion)
-	binary.LittleEndian.PutUint32(dst[8:], uint32(len(actorID)))
-	off := appendPrefix + copy(dst[appendPrefix:], actorID)
-	binary.LittleEndian.PutUint64(dst[off:], seq)
-	binary.LittleEndian.PutUint32(dst[off+8:], uint32(n))
-	binary.LittleEndian.PutUint32(dst[off+12:], uint32(stride))
+// appendBatchHeader appends an append frame's header, all that precedes its rows.
+func appendBatchHeader(dst []byte, actorID string, seq uint64, n, stride int) []byte {
+	dst = frame.AppendHeader(dst, appendMagic, wireVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(actorID)))
+	dst = append(dst, actorID...)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	return binary.LittleEndian.AppendUint32(dst, uint32(stride))
 }
 
 // decodeAppend parses and verifies an append frame against the expected
@@ -102,38 +101,27 @@ func putAppendHeader(dst []byte, actorID string, seq uint64, n, stride int) {
 // viewed as floats in place and *scratch when it cannot — either way they
 // are valid only as long as the buffer they alias.
 func decodeAppend(data []byte, stride int, scratch *[]float64) (appendBatch, error) {
-	var b appendBatch
-	if len(data) < appendPrefix {
-		return b, fmt.Errorf("expserve: append frame too short (%d bytes)", len(data))
+	d := frame.NewDecoder(data)
+	d.Header(appendMagic, wireVersion)
+	actorLen := int(d.U32())
+	if d.Err() == nil && (actorLen < 1 || actorLen > 256 || d.Len() < actorLen+16+4) {
+		d.Fail("implausible append frame (actor %d bytes, frame %d)", actorLen, len(data))
 	}
-	if string(data[:4]) != appendMagic {
-		return b, fmt.Errorf("expserve: bad append magic %q", data[:4])
+	actor := d.Bytes(actorLen)
+	seq := d.U64()
+	n := int(d.U32())
+	if got := int(d.U32()); d.Err() == nil && got != stride {
+		d.Fail("append stride %d, store expects %d", got, stride)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != wireVersion {
-		return b, fmt.Errorf("expserve: append frame version %d, want %d", v, wireVersion)
+	if d.Err() == nil && (n < 0 || n > maxWireRows || d.Len() != 8*n*stride+4) {
+		d.Fail("append frame claims %d rows but carries %d bytes", n, len(data))
 	}
-	actorLen := int(binary.LittleEndian.Uint32(data[8:]))
-	if actorLen < 1 || actorLen > 256 || len(data) < appendFrameHdr+actorLen+4 {
-		return b, fmt.Errorf("expserve: implausible append frame (actor %d bytes, frame %d)", actorLen, len(data))
+	d.Unseal()
+	rows := d.Bytes(8 * n * stride)
+	if err := d.Err(); err != nil {
+		return appendBatch{}, fmt.Errorf("expserve: append frame: %w", err)
 	}
-	off := appendPrefix + actorLen
-	b.ActorID = string(data[appendPrefix:off])
-	b.BatchSeq = binary.LittleEndian.Uint64(data[off:])
-	n := int(binary.LittleEndian.Uint32(data[off+8:]))
-	if got := int(binary.LittleEndian.Uint32(data[off+12:])); got != stride {
-		return b, fmt.Errorf("expserve: append stride %d, store expects %d", got, stride)
-	}
-	off += 16
-	if n < 0 || n > maxWireRows || len(data) != off+8*n*stride+4 {
-		return b, fmt.Errorf("expserve: append frame claims %d rows but carries %d bytes", n, len(data))
-	}
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(data[:len(data)-4]) != want {
-		return b, fmt.Errorf("expserve: append frame checksum mismatch")
-	}
-	b.N = n
-	b.Rows = f64le.View(data[off:len(data)-4], scratch)
-	return b, nil
+	return appendBatch{ActorID: string(actor), BatchSeq: seq, Rows: f64le.View(rows, scratch), N: n}, nil
 }
 
 // appendReply is the server's JSON acknowledgement of an append.

@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"slices"
 
 	"marlperf/internal/f64le"
+	"marlperf/internal/frame"
 	"marlperf/internal/replay"
 )
 
@@ -56,16 +56,14 @@ func recordPayloadLen(layout replay.RowLayout) int {
 func appendSegmentHeader(dst []byte, layout replay.RowLayout, baseSeq uint64) []byte {
 	start := len(dst)
 	spec := layout.Spec()
-	dst = append(dst, segMagic...)
-	dst = binary.LittleEndian.AppendUint32(dst, segVersion)
+	dst = frame.AppendHeader(dst, segMagic, segVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(spec.NumAgents))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(spec.ActDim))
 	for _, od := range spec.ObsDims {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(od))
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, baseSeq)
-	sum := crc32.ChecksumIEEE(dst[start:])
-	return binary.LittleEndian.AppendUint32(dst, sum)
+	return frame.Seal(dst, start)
 }
 
 // appendRecord encodes one CRC-framed record into dst.
@@ -78,8 +76,7 @@ func appendRecord(dst []byte, layout replay.RowLayout, seq uint64, row []float64
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(recordPayloadLen(layout)))
 	dst = binary.LittleEndian.AppendUint64(dst, seq)
 	dst = f64le.Append(dst, row)
-	sum := crc32.ChecksumIEEE(dst[start:])
-	return binary.LittleEndian.AppendUint32(dst, sum)
+	return frame.Seal(dst, start)
 }
 
 // parseSegment decodes a full segment image. It returns the header base
@@ -101,49 +98,44 @@ func parseSegment(data []byte, layout replay.RowLayout, tornOK bool) (baseSeq ui
 		}
 		return 0, nil, 0, 0, fmt.Errorf("expstore: segment shorter than header (%d < %d bytes)", len(data), hs)
 	}
-	hdr := data[:hs]
-	if string(hdr[:4]) != segMagic {
-		return 0, nil, 0, 0, fmt.Errorf("expstore: bad segment magic %q", hdr[:4])
+	d := frame.NewDecoder(data[:hs])
+	d.Header(segMagic, segVersion)
+	if got := d.U32(); d.Err() == nil && got != uint32(spec.NumAgents) {
+		d.Fail("for %d agents, store has %d", got, spec.NumAgents)
 	}
-	if got := binary.LittleEndian.Uint32(hdr[4:]); got != segVersion {
-		return 0, nil, 0, 0, fmt.Errorf("expstore: segment version %d, want %d", got, segVersion)
-	}
-	if got := binary.LittleEndian.Uint32(hdr[8:]); got != uint32(spec.NumAgents) {
-		return 0, nil, 0, 0, fmt.Errorf("expstore: segment for %d agents, store has %d", got, spec.NumAgents)
-	}
-	if got := binary.LittleEndian.Uint32(hdr[12:]); got != uint32(spec.ActDim) {
-		return 0, nil, 0, 0, fmt.Errorf("expstore: segment act dim %d, store has %d", got, spec.ActDim)
+	if got := d.U32(); d.Err() == nil && got != uint32(spec.ActDim) {
+		d.Fail("act dim %d, store has %d", got, spec.ActDim)
 	}
 	for a, od := range spec.ObsDims {
-		if got := binary.LittleEndian.Uint32(hdr[16+4*a:]); got != uint32(od) {
-			return 0, nil, 0, 0, fmt.Errorf("expstore: segment obs dim %d for agent %d, store has %d", got, a, od)
+		if got := d.U32(); d.Err() == nil && got != uint32(od) {
+			d.Fail("obs dim %d for agent %d, store has %d", got, a, od)
 		}
 	}
-	seqOff := 16 + 4*spec.NumAgents
-	baseSeq = binary.LittleEndian.Uint64(hdr[seqOff:])
-	wantSum := binary.LittleEndian.Uint32(hdr[hs-4:])
-	if crc32.ChecksumIEEE(hdr[:hs-4]) != wantSum {
+	baseSeq = d.U64()
+	if err := d.Err(); err != nil {
+		return 0, nil, 0, 0, fmt.Errorf("expstore: segment: %w", err)
+	}
+	if !d.Unseal() {
 		if tornOK {
 			return 0, nil, 0, 0, errTornHeader
 		}
-		return 0, nil, 0, 0, fmt.Errorf("expstore: segment header checksum mismatch")
+		return 0, nil, 0, 0, fmt.Errorf("expstore: segment header: %w", d.Err())
 	}
 
 	stride := layout.Stride()
-	frame := recordSize(layout)
+	size := recordSize(layout)
 	payload := recordPayloadLen(layout)
 	off := hs
-	rows = make([]float64, 0, (len(data)-hs)/frame*stride)
+	rows = make([]float64, 0, (len(data)-hs)/size*stride)
 	for off < len(data) {
-		if len(data)-off < frame {
+		if len(data)-off < size {
 			break // torn tail: partial frame
 		}
-		rec := data[off : off+frame]
+		rec := data[off : off+size]
 		if got := binary.LittleEndian.Uint32(rec); got != uint32(payload) {
 			break // torn or foreign frame
 		}
-		wantSum := binary.LittleEndian.Uint32(rec[frame-4:])
-		if crc32.ChecksumIEEE(rec[:frame-4]) != wantSum {
+		if _, err := frame.Unseal(rec, "record"); err != nil {
 			break // damaged frame
 		}
 		seq := binary.LittleEndian.Uint64(rec[4:])
@@ -153,7 +145,7 @@ func parseSegment(data []byte, layout replay.RowLayout, tornOK bool) (baseSeq ui
 		rows = rows[:(n+1)*stride]
 		f64le.Get(rows[n*stride:], rec[12:])
 		n++
-		off += frame
+		off += size
 	}
 	if off != len(data) && !tornOK {
 		return baseSeq, nil, 0, 0, fmt.Errorf("expstore: sealed segment damaged at byte %d of %d", off, len(data))

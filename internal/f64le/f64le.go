@@ -15,7 +15,6 @@ package f64le
 
 import (
 	"encoding/binary"
-	"io"
 	"math"
 	"slices"
 	"unsafe"
@@ -112,52 +111,4 @@ func View(src []byte, scratch *[]float64) []float64 {
 	rows := (*scratch)[:n]
 	Get(rows, src)
 	return rows
-}
-
-// chunkFloats is how many values the portable stream paths convert at a
-// time through their fixed stack buffer.
-const chunkFloats = 512
-
-// Write writes vs to w as little-endian bytes: the byte view itself where
-// the host permits one (no copy, no allocation), otherwise chunk by chunk
-// through a fixed buffer.
-func Write(w io.Writer, vs []float64) error {
-	if b := Bytes(vs); b != nil {
-		_, err := w.Write(b)
-		return err
-	}
-	var buf [8 * chunkFloats]byte
-	for len(vs) > 0 {
-		n := min(len(vs), chunkFloats)
-		Put(buf[:8*n], vs[:n])
-		if _, err := w.Write(buf[:8*n]); err != nil {
-			return err
-		}
-		vs = vs[n:]
-	}
-	return nil
-}
-
-// Read fills dst from 8·len(dst) little-endian bytes of r, reading straight
-// into dst's storage where the host permits. A short stream fails with
-// io.ErrUnexpectedEOF (io.EOF when not a byte arrived) and leaves dst
-// partly overwritten.
-func Read(r io.Reader, dst []float64) error {
-	if b := Bytes(dst); b != nil {
-		_, err := io.ReadFull(r, b)
-		return err
-	}
-	var buf [8 * chunkFloats]byte
-	for first := true; len(dst) > 0; first = false {
-		n := min(len(dst), chunkFloats)
-		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
-			if err == io.EOF && !first {
-				err = io.ErrUnexpectedEOF
-			}
-			return err
-		}
-		Get(dst[:n], buf[:8*n])
-		dst = dst[n:]
-	}
-	return nil
 }

@@ -3,8 +3,6 @@ package f64le
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
-	"io"
 	"math"
 	"testing"
 	"unsafe"
@@ -88,16 +86,6 @@ func forcePortable(t *testing.T) {
 	t.Cleanup(func() { Native = was })
 }
 
-// manyVals is testVals repeated past one stream chunk, so the portable
-// Write/Read loops run more than once and end on a partial chunk.
-func manyVals() []float64 {
-	var f []float64
-	for len(f) < 2*chunkFloats+7 {
-		f = append(f, testVals()...)
-	}
-	return f
-}
-
 func sameBits(t *testing.T, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -113,7 +101,7 @@ func sameBits(t *testing.T, got, want []float64) {
 // The portable loops are the only per-element float codec left in the
 // program; they must produce the bytes the memmove paths produce.
 func TestPortableFallbackMatchesNative(t *testing.T) {
-	f := manyVals()
+	f := testVals()
 	want := refBytes(f)
 	forcePortable(t)
 	if Bytes(f) != nil || Floats(want) != nil {
@@ -128,64 +116,6 @@ func TestPortableFallbackMatchesNative(t *testing.T) {
 	Get(got, want)
 	sameBits(t, got, f)
 
-	var stream bytes.Buffer
-	if err := Write(&stream, f); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(stream.Bytes(), want) {
-		t.Fatal("portable Write differs from the reference encoding")
-	}
-	got = make([]float64, len(f))
-	if err := Read(&stream, got); err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, got, f)
-}
-
-func TestWriteReadStream(t *testing.T) {
-	f := manyVals()
-	want := refBytes(f)
-	var stream bytes.Buffer
-	if err := Write(&stream, f); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(stream.Bytes(), want) {
-		t.Fatal("Write differs from the reference encoding")
-	}
-	got := make([]float64, len(f))
-	if err := Read(&stream, got); err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, got, f)
-	if err := Write(&stream, nil); err != nil || stream.Len() != 0 {
-		t.Fatalf("empty Write: err %v, wrote %d bytes", err, stream.Len())
-	}
-	if err := Read(&stream, nil); err != nil {
-		t.Fatalf("empty Read: %v", err)
-	}
-}
-
-// A stream that ends early is an error on both paths, never a silent
-// partial decode: io.EOF only when not one byte arrived.
-func TestReadShortStream(t *testing.T) {
-	f := manyVals()
-	enc := refBytes(f)
-	for _, portable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("portable=%v", portable), func(t *testing.T) {
-			if portable {
-				forcePortable(t)
-			}
-			dst := make([]float64, len(f))
-			if err := Read(bytes.NewReader(nil), dst); err != io.EOF {
-				t.Fatalf("empty stream: %v, want io.EOF", err)
-			}
-			for _, cut := range []int{1, 8, 8 * chunkFloats, len(enc) - 1} {
-				if err := Read(bytes.NewReader(enc[:cut]), dst); err != io.ErrUnexpectedEOF {
-					t.Fatalf("stream cut at %d of %d bytes: %v, want io.ErrUnexpectedEOF", cut, len(enc), err)
-				}
-			}
-		})
-	}
 }
 
 // View aliases src when a view is legal and decodes into the caller's

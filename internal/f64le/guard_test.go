@@ -10,16 +10,18 @@ import (
 	"testing"
 )
 
-// This package is the program's one float↔bytes codec and
-// netretry.ReadBody its one HTTP body reader. The guard parses every
-// non-test source file under internal/ and fails when a second one of
-// either grows back:
+// This package is the program's one float↔bytes codec, netretry.ReadBody
+// its one HTTP body reader and internal/frame its one checksummer. The
+// guard parses every non-test source file under internal/ and fails when a
+// second one of any grows back:
 //
 //   - a loop whose body both names binary.LittleEndian and calls
 //     math.Float64bits or math.Float64frombits — a per-float codec —
 //     anywhere outside this package;
 //   - io.ReadAll (or ioutil.ReadAll) over an expression that selects a
-//     .Body — an unsized, uncapped read of a request or response.
+//     .Body — an unsized, uncapped read of a request or response;
+//   - an import of hash/crc32 anywhere outside internal/frame — a
+//     hand-rolled seal or trailer check.
 
 // selectorIs reports whether n is the selector pkg.name.
 func selectorIs(n ast.Node, pkg, name string) bool {
@@ -43,16 +45,21 @@ func mentions(root ast.Node, match func(ast.Node) bool) bool {
 	return found
 }
 
-// violations returns one message per forbidden construct in file.
-func violations(fset *token.FileSet, file *ast.File, floatLoops bool) []string {
+// violations returns one message per forbidden construct in file, which
+// belongs to the package in directory pkg.
+func violations(fset *token.FileSet, file *ast.File, pkg string) []string {
 	var out []string
 	report := func(n ast.Node, msg string) {
 		out = append(out, fset.Position(n.Pos()).String()+": "+msg)
 	}
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.ImportSpec:
+			if n.Path.Value == `"hash/crc32"` && pkg != "frame" {
+				report(n, "hash/crc32 outside internal/frame: seal and unseal through frame")
+			}
 		case *ast.ForStmt, *ast.RangeStmt:
-			if !floatLoops {
+			if pkg == "f64le" {
 				break
 			}
 			var body *ast.BlockStmt
@@ -66,7 +73,7 @@ func violations(fset *token.FileSet, file *ast.File, floatLoops bool) []string {
 				return selectorIs(m, "math", "Float64bits") || selectorIs(m, "math", "Float64frombits")
 			})
 			if le && bits {
-				report(n, "per-float little-endian loop: use f64le.Put/Get/Floats/Bytes (or Write/Read)")
+				report(n, "per-float little-endian loop: use f64le.Put/Get/Floats/Bytes")
 				return false // one report per outermost loop
 			}
 		case *ast.CallExpr:
@@ -109,8 +116,7 @@ func TestNoSecondCodecOrBodyReader(t *testing.T) {
 			return err
 		}
 		files++
-		inF64le := filepath.Base(filepath.Dir(path)) == "f64le"
-		for _, v := range violations(fset, file, !inF64le) {
+		for _, v := range violations(fset, file, filepath.Base(filepath.Dir(path))) {
 			t.Error(v)
 		}
 		return nil
@@ -129,6 +135,7 @@ func TestGuardFlagsKnownViolations(t *testing.T) {
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"math"
 	"net/http"
@@ -151,6 +158,10 @@ func handler(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.ReadAll(io.LimitReader(r.Body, 1<<20))
 }
 
+func seal(b []byte) []byte {
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
 func fine(r io.Reader, b []byte) uint64 {
 	_, _ = io.ReadAll(r)
 	for range b {
@@ -164,11 +175,14 @@ func fine(r io.Reader, b []byte) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := violations(fset, file, true)
-	if len(got) != 3 {
-		t.Fatalf("guard found %d violations in the known-bad source, want 3 (two loops, one body read):\n%s", len(got), strings.Join(got, "\n"))
+	got := violations(fset, file, "p")
+	if len(got) != 4 {
+		t.Fatalf("guard found %d violations in the known-bad source, want 4 (two loops, one body read, one crc32 import):\n%s", len(got), strings.Join(got, "\n"))
 	}
-	if got := violations(fset, file, false); len(got) != 1 {
-		t.Fatalf("with float loops allowed (this package) the guard found %d violations, want the body read only", len(got))
+	if got := violations(fset, file, "f64le"); len(got) != 2 {
+		t.Fatalf("with float loops allowed (this package) the guard found %d violations, want the body read and the import", len(got))
+	}
+	if got := violations(fset, file, "frame"); len(got) != 3 {
+		t.Fatalf("with crc32 allowed (internal/frame) the guard found %d violations, want the loops and the body read", len(got))
 	}
 }

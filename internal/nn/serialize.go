@@ -3,11 +3,10 @@ package nn
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"slices"
-	"sync"
 
 	"marlperf/internal/f64le"
+	"marlperf/internal/frame"
 	"marlperf/internal/tensor"
 )
 
@@ -21,6 +20,9 @@ import (
 //	          uint32 paramCount | per param: uint32 len, len float64s (m),
 //	          len float64s (v)
 //
+// Neither has a version field or a trailer of its own: they travel inside
+// the checkpoint and policy frames, which seal them.
+//
 // RNG state is not serialized; a restored trainer continues from a fresh
 // exploration stream.
 
@@ -33,8 +35,8 @@ const (
 )
 
 // EncodedLen returns the byte length of the network's serialized form — what
-// WriteTo writes and AppendBinary appends — computed from the layer shapes.
-// A layer that cannot be serialized counts its kind byte only.
+// AppendBinary appends — computed from the layer shapes. A layer that cannot
+// be serialized counts its kind byte only.
 func (n *Network) EncodedLen() int {
 	size := len(netMagic) + 4
 	for _, l := range n.Layers {
@@ -50,7 +52,7 @@ func (n *Network) EncodedLen() int {
 // to dst, growing it at most once (by EncodedLen).
 func (n *Network) AppendBinary(dst []byte) ([]byte, error) {
 	dst = slices.Grow(dst, n.EncodedLen())
-	dst = append(dst, netMagic...)
+	dst = frame.AppendHeader(dst, netMagic, 0)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(n.Layers)))
 	for i, l := range n.Layers {
 		switch layer := l.(type) {
@@ -69,213 +71,108 @@ func (n *Network) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// writeBufs recycles WriteTo's buffers: a checkpoint writes every network
-// of every agent in a row, and a fresh buffer per network would leave the
-// checkpoint's whole size behind as garbage.
-var writeBufs sync.Pool
-
-// WriteTo serializes the network's architecture and parameters: the bytes
-// AppendBinary appends, in one write.
-func (n *Network) WriteTo(w io.Writer) (int64, error) {
-	buf, _ := writeBufs.Get().(*[]byte)
-	if buf == nil {
-		buf = new([]byte)
-	}
-	defer writeBufs.Put(buf)
-	var err error
-	if *buf, err = n.AppendBinary((*buf)[:0]); err != nil {
-		return 0, err
-	}
-	wn, err := w.Write(*buf)
-	return int64(wn), err
-}
-
-// ReadNetwork deserializes a network written by WriteTo.
-func ReadNetwork(r io.Reader) (*Network, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("nn: reading network magic: %w", err)
-	}
-	if string(magic[:]) != netMagic {
-		return nil, fmt.Errorf("nn: bad network magic %q", magic)
-	}
-	count, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	const maxLayers = 1 << 16
-	if count > maxLayers {
-		return nil, fmt.Errorf("nn: implausible layer count %d", count)
-	}
+// ReadNetwork decodes a network written by AppendBinary from d.
+func ReadNetwork(d *frame.Decoder) (*Network, error) {
+	const maxLayers, maxDim = 1 << 16, 1 << 24
 	// Untrusted inputs (policy frames, fuzzed checkpoints) must not be able
 	// to demand unbounded memory: beyond the per-dimension caps, the total
-	// parameter count across the whole network is budgeted, so a header
-	// claiming a 2^24×2^24 dense layer fails before any allocation.
+	// parameter count across the whole network is budgeted, and a layer's
+	// parameters must be there to read, so a header claiming a 2^24×2^24
+	// dense layer fails before any allocation.
 	const maxTotalParams = 1 << 26
+	d.Header(netMagic, 0)
+	count := d.U32()
+	if count > maxLayers {
+		d.Fail("implausible layer count %d", count)
+	}
 	var totalParams int64
 	net := &Network{}
-	for i := uint32(0); i < count; i++ {
-		kind, err := readU8(r)
-		if err != nil {
-			return nil, err
-		}
-		switch kind {
+	for i := uint32(0); i < count && d.Err() == nil; i++ {
+		switch kind := d.U8(); kind {
 		case kindDense:
-			in, err := readU32(r)
-			if err != nil {
-				return nil, err
-			}
-			out, err := readU32(r)
-			if err != nil {
-				return nil, err
-			}
-			const maxDim = 1 << 24
+			in, out := d.U32(), d.U32()
 			if in == 0 || out == 0 || in > maxDim || out > maxDim {
-				return nil, fmt.Errorf("nn: implausible dense dims %dx%d", in, out)
+				d.Fail("implausible dense dims %dx%d", in, out)
+				break
 			}
-			totalParams += int64(in)*int64(out) + int64(out)
-			if totalParams > maxTotalParams {
-				return nil, fmt.Errorf("nn: network exceeds %d-parameter budget at layer %d (%dx%d)", int64(maxTotalParams), i, in, out)
+			params := int64(in)*int64(out) + int64(out)
+			if totalParams += params; totalParams > maxTotalParams {
+				d.Fail("network exceeds %d-parameter budget at layer %d (%dx%d)", int64(maxTotalParams), i, in, out)
+				break
 			}
-			d := &Dense{
+			if 8*params > int64(d.Len()) {
+				d.Fail("dense layer %d (%dx%d) needs %d bytes, %d left", i, in, out, 8*params, d.Len())
+				break
+			}
+			dense := &Dense{
 				W:     tensor.New(int(in), int(out)),
 				B:     tensor.New(1, int(out)),
 				gradW: tensor.New(int(in), int(out)),
 				gradB: tensor.New(1, int(out)),
 			}
-			if err := f64le.Read(r, d.W.Data); err != nil {
-				return nil, err
-			}
-			if err := f64le.Read(r, d.B.Data); err != nil {
-				return nil, err
-			}
-			net.Layers = append(net.Layers, d)
+			d.F64s(dense.W.Data)
+			d.F64s(dense.B.Data)
+			net.Layers = append(net.Layers, dense)
 		case kindReLU:
 			net.Layers = append(net.Layers, NewReLU())
 		default:
-			return nil, fmt.Errorf("nn: unknown layer kind %d", kind)
+			d.Fail("unknown layer kind %d", kind)
 		}
+	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("nn: network: %w", err)
 	}
 	return net, nil
 }
 
-// WriteTo serializes the optimizer's hyperparameters and moment estimates.
-// The optimizer must be re-bound to its network with NewAdam before
-// ReadInto restores the state.
-func (a *Adam) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
-	if _, err := cw.Write([]byte(adamMagic)); err != nil {
-		return cw.n, err
+// EncodedLen returns the byte length of what the optimizer's AppendBinary
+// appends.
+func (a *Adam) EncodedLen() int {
+	size := len(adamMagic) + 4*8 + 8 + 4
+	for _, m := range a.m {
+		size += 4 + 16*len(m)
 	}
-	if err := f64le.Write(cw, []float64{a.LR, a.Beta1, a.Beta2, a.Eps}); err != nil {
-		return cw.n, err
-	}
-	if err := writeU64(cw, uint64(a.t)); err != nil {
-		return cw.n, err
-	}
-	if err := writeU32(cw, uint32(len(a.m))); err != nil {
-		return cw.n, err
-	}
-	for i := range a.m {
-		if err := writeU32(cw, uint32(len(a.m[i]))); err != nil {
-			return cw.n, err
-		}
-		if err := f64le.Write(cw, a.m[i]); err != nil {
-			return cw.n, err
-		}
-		if err := f64le.Write(cw, a.v[i]); err != nil {
-			return cw.n, err
-		}
-	}
-	return cw.n, nil
+	return size
 }
 
-// ReadInto restores optimizer state written by WriteTo. The receiver must
-// already be bound to a network of the same architecture.
-func (a *Adam) ReadInto(r io.Reader) error {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return fmt.Errorf("nn: reading adam magic: %w", err)
+// AppendBinary appends the optimizer's hyperparameters and moment
+// estimates to dst. The optimizer must be re-bound to its network with
+// NewAdam before ReadInto restores the state.
+func (a *Adam) AppendBinary(dst []byte) []byte {
+	dst = frame.AppendHeader(dst, adamMagic, 0)
+	dst = f64le.Append(dst, []float64{a.LR, a.Beta1, a.Beta2, a.Eps})
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(a.t))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(a.m)))
+	for i := range a.m {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(a.m[i])))
+		dst = f64le.Append(dst, a.m[i])
+		dst = f64le.Append(dst, a.v[i])
 	}
-	if string(magic[:]) != adamMagic {
-		return fmt.Errorf("nn: bad adam magic %q", magic)
-	}
+	return dst
+}
+
+// ReadInto restores optimizer state written by AppendBinary from d. The
+// receiver must already be bound to a network of the same architecture; on
+// an error its moments may be partly overwritten.
+func (a *Adam) ReadInto(d *frame.Decoder) error {
 	var hyper [4]float64
-	if err := f64le.Read(r, hyper[:]); err != nil {
-		return err
+	d.Header(adamMagic, 0)
+	d.F64s(hyper[:])
+	t := d.U64()
+	if count := d.U32(); d.Err() == nil && int(count) != len(a.m) {
+		d.Fail("checkpoint has %d params, optimizer has %d", count, len(a.m))
+	}
+	for i := 0; i < len(a.m) && d.Err() == nil; i++ {
+		if n := d.U32(); d.Err() == nil && int(n) != len(a.m[i]) {
+			d.Fail("checkpoint param %d has %d values, optimizer has %d", i, n, len(a.m[i]))
+		}
+		d.F64s(a.m[i])
+		d.F64s(a.v[i])
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("nn: adam: %w", err)
 	}
 	a.LR, a.Beta1, a.Beta2, a.Eps = hyper[0], hyper[1], hyper[2], hyper[3]
-	t, err := readU64(r)
-	if err != nil {
-		return err
-	}
 	a.t = int(t)
-	count, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	if int(count) != len(a.m) {
-		return fmt.Errorf("nn: checkpoint has %d params, optimizer has %d", count, len(a.m))
-	}
-	for i := uint32(0); i < count; i++ {
-		n, err := readU32(r)
-		if err != nil {
-			return err
-		}
-		if int(n) != len(a.m[i]) {
-			return fmt.Errorf("nn: checkpoint param %d has %d values, optimizer has %d", i, n, len(a.m[i]))
-		}
-		if err := f64le.Read(r, a.m[i]); err != nil {
-			return err
-		}
-		if err := f64le.Read(r, a.v[i]); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// --- encoding helpers ---
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func readU8(r io.Reader) (uint8, error) {
-	var b [1]byte
-	_, err := io.ReadFull(r, b[:])
-	return b[0], err
-}
-
-func writeU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	_, err := io.ReadFull(r, b[:])
-	return binary.LittleEndian.Uint32(b[:]), err
-}
-
-func writeU64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func readU64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	_, err := io.ReadFull(r, b[:])
-	return binary.LittleEndian.Uint64(b[:]), err
 }

@@ -2,22 +2,39 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
-	"strings"
 	"testing"
 
+	"marlperf/internal/frame"
 	"marlperf/internal/tensor"
 )
+
+func encodeNetwork(t testing.TB, net *Network) []byte {
+	t.Helper()
+	data, err := net.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// readNetwork decodes data as one network and nothing after it.
+func readNetwork(data []byte) (*Network, error) {
+	d := frame.NewDecoder(data)
+	return ReadNetwork(&d)
+}
+
+func readAdam(a *Adam, data []byte) error {
+	d := frame.NewDecoder(data)
+	return a.ReadInto(&d)
+}
 
 func TestNetworkRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net := NewMLP(rng, 7, 16, 16, 3)
-	var buf bytes.Buffer
-	if _, err := net.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadNetwork(&buf)
+	restored, err := readNetwork(encodeNetwork(t, net))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +56,11 @@ func TestNetworkRoundTrip(t *testing.T) {
 	}
 }
 
-// EncodedLen is WriteTo's byte count, worked out from the layer shapes
-// alone, and AppendBinary appends exactly WriteTo's bytes — which are the
-// bytes the commit before AppendBinary wrote (CRC b93690b0 for the first
-// network, 3645 bytes).
-func TestEncodedLenMatchesWriteTo(t *testing.T) {
+// EncodedLen is AppendBinary's byte count, worked out from the layer shapes
+// alone, and AppendBinary appends behind what dst holds the bytes the commit
+// before AppendBinary wrote (CRC b93690b0 for the first network, 3645
+// bytes).
+func TestEncodedLenMatchesAppendBinary(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i, net := range []*Network{
 		NewMLP(rng, 7, 16, 16, 3),
@@ -51,24 +68,20 @@ func TestEncodedLenMatchesWriteTo(t *testing.T) {
 		NewMLP(rng, 54, 64, 64, 5),
 		{},
 	} {
-		var buf bytes.Buffer
-		n, err := net.WriteTo(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := net.EncodedLen(); got != int(n) || got != buf.Len() {
-			t.Fatalf("network %d: EncodedLen %d, WriteTo wrote %d bytes (reported %d)", i, got, buf.Len(), n)
+		alone := encodeNetwork(t, net)
+		if got := net.EncodedLen(); got != len(alone) {
+			t.Fatalf("network %d: EncodedLen %d, AppendBinary appended %d bytes", i, got, len(alone))
 		}
 		prefix := []byte("prefix")
 		appended, err := net.AppendBinary(prefix)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(appended[len(prefix):], buf.Bytes()) || string(appended[:len(prefix)]) != "prefix" {
-			t.Fatalf("network %d: AppendBinary's bytes differ from WriteTo's", i)
+		if !bytes.Equal(appended[len(prefix):], alone) || string(appended[:len(prefix)]) != "prefix" {
+			t.Fatalf("network %d: AppendBinary's bytes depend on what dst held", i)
 		}
-		if i == 0 && (n != 3645 || crc32.ChecksumIEEE(buf.Bytes()) != 0xb93690b0) {
-			t.Fatalf("network 0 serializes to %d bytes, CRC %08x; want 3645, b93690b0", n, crc32.ChecksumIEEE(buf.Bytes()))
+		if i == 0 && (len(alone) != 3645 || crc32.ChecksumIEEE(alone) != 0xb93690b0) {
+			t.Fatalf("network 0 serializes to %d bytes, CRC %08x; want 3645, b93690b0", len(alone), crc32.ChecksumIEEE(alone))
 		}
 	}
 }
@@ -78,11 +91,7 @@ func TestNetworkRoundTripTrainable(t *testing.T) {
 	// must wire up.
 	rng := rand.New(rand.NewSource(2))
 	net := NewMLP(rng, 3, 8, 1)
-	var buf bytes.Buffer
-	if _, err := net.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadNetwork(&buf)
+	restored, err := readNetwork(encodeNetwork(t, net))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,21 +118,16 @@ func TestNetworkRoundTripTrainable(t *testing.T) {
 }
 
 func TestReadNetworkRejectsBadMagic(t *testing.T) {
-	if _, err := ReadNetwork(strings.NewReader("XXXX....")); err == nil {
+	if _, err := readNetwork([]byte("XXXX....")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
 
 func TestReadNetworkRejectsTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	net := NewMLP(rng, 4, 4, 1)
-	var buf bytes.Buffer
-	if _, err := net.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := encodeNetwork(t, NewMLP(rng, 4, 4, 1))
 	for _, cut := range []int{3, 5, 12, len(data) / 2, len(data) - 1} {
-		if _, err := ReadNetwork(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := readNetwork(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -131,13 +135,11 @@ func TestReadNetworkRejectsTruncated(t *testing.T) {
 
 func TestReadNetworkRejectsImplausibleDims(t *testing.T) {
 	// magic + 1 layer + dense kind + absurd dims.
-	var buf bytes.Buffer
-	buf.WriteString(netMagic)
-	writeU32(&buf, 1)
-	buf.WriteByte(kindDense)
-	writeU32(&buf, 1<<30)
-	writeU32(&buf, 1<<30)
-	if _, err := ReadNetwork(&buf); err == nil {
+	buf := binary.LittleEndian.AppendUint32([]byte(netMagic), 1)
+	buf = append(buf, kindDense)
+	buf = binary.LittleEndian.AppendUint32(buf, 1<<30)
+	buf = binary.LittleEndian.AppendUint32(buf, 1<<30)
+	if _, err := readNetwork(buf); err == nil {
 		t.Fatal("implausible dims accepted")
 	}
 }
@@ -145,13 +147,11 @@ func TestReadNetworkRejectsImplausibleDims(t *testing.T) {
 func TestReadNetworkRejectsParamBudgetOverrun(t *testing.T) {
 	// Each dimension alone passes the per-dim cap, but the product blows the
 	// total-parameter budget; the decoder must fail before allocating.
-	var buf bytes.Buffer
-	buf.WriteString(netMagic)
-	writeU32(&buf, 1)
-	buf.WriteByte(kindDense)
-	writeU32(&buf, 1<<24)
-	writeU32(&buf, 1<<24)
-	if _, err := ReadNetwork(&buf); err == nil {
+	buf := binary.LittleEndian.AppendUint32([]byte(netMagic), 1)
+	buf = append(buf, kindDense)
+	buf = binary.LittleEndian.AppendUint32(buf, 1<<24)
+	buf = binary.LittleEndian.AppendUint32(buf, 1<<24)
+	if _, err := readNetwork(buf); err == nil {
 		t.Fatal("param-budget overrun accepted")
 	}
 }
@@ -173,12 +173,12 @@ func TestAdamRoundTrip(t *testing.T) {
 		opt.Step()
 	}
 
-	var buf bytes.Buffer
-	if _, err := opt.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	enc := opt.AppendBinary(nil)
+	if len(enc) != opt.EncodedLen() {
+		t.Fatalf("AppendBinary appended %d bytes, EncodedLen says %d", len(enc), opt.EncodedLen())
 	}
 	opt2 := NewAdam(net, 0.5) // different lr, will be overwritten
-	if err := opt2.ReadInto(&buf); err != nil {
+	if err := readAdam(opt2, enc); err != nil {
 		t.Fatal(err)
 	}
 	if opt2.LR != 0.02 || opt2.StepCount() != 5 {
@@ -196,12 +196,8 @@ func TestAdamRoundTrip(t *testing.T) {
 func TestAdamReadIntoRejectsMismatchedArch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	src := NewAdam(NewMLP(rng, 3, 6, 1), 0.01)
-	var buf bytes.Buffer
-	if _, err := src.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
 	dst := NewAdam(NewMLP(rng, 3, 9, 1), 0.01) // different hidden width
-	if err := dst.ReadInto(&buf); err == nil {
+	if err := readAdam(dst, src.AppendBinary(nil)); err == nil {
 		t.Fatal("mismatched architecture accepted")
 	}
 }
@@ -209,7 +205,7 @@ func TestAdamReadIntoRejectsMismatchedArch(t *testing.T) {
 func TestAdamReadIntoRejectsBadMagic(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	opt := NewAdam(NewMLP(rng, 2, 2, 1), 0.01)
-	if err := opt.ReadInto(strings.NewReader("NOPE....")); err == nil {
+	if err := readAdam(opt, []byte("NOPE....")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }

@@ -19,7 +19,7 @@
 // expserve batches —
 //
 //	magic "MPOL" | u32 wireVersion | u64 learnerUpdates | u32 numAgents |
-//	per agent: u32 byteLen | MLPN network bytes (nn.Network.WriteTo) |
+//	per agent: u32 byteLen | MLPN network bytes (nn.Network.AppendBinary) |
 //	u32 CRC32-IEEE over every preceding byte
 //
 // The serving version is assigned by the store on publish (monotonic from
@@ -28,11 +28,10 @@
 package policysync
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
+	"marlperf/internal/frame"
 	"marlperf/internal/nn"
 	"marlperf/internal/trace"
 )
@@ -89,8 +88,7 @@ func EncodeSnapshot(dst []byte, updates uint64, agents []*nn.Network) ([]byte, e
 		// Not slices.Grow: under -race its temporary is a second allocation.
 		dst = append(make([]byte, 0, start+size), dst...)
 	}
-	dst = append(dst, frameMagic...)
-	dst = binary.LittleEndian.AppendUint32(dst, wireVersion)
+	dst = frame.AppendHeader(dst, frameMagic, wireVersion)
 	dst = binary.LittleEndian.AppendUint64(dst, updates)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(agents)))
 	// Each network serializes straight into the frame, behind a length
@@ -107,7 +105,7 @@ func EncodeSnapshot(dst []byte, updates uint64, agents []*nn.Network) ([]byte, e
 		}
 		binary.LittleEndian.PutUint32(dst[lenAt:], uint32(n))
 	}
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
+	return frame.Seal(dst, start), nil
 }
 
 // DecodeSnapshot parses and verifies one policy frame. The CRC trailer is
@@ -117,48 +115,38 @@ func EncodeSnapshot(dst []byte, updates uint64, agents []*nn.Network) ([]byte, e
 // snapshot carries Version 0; the transport layer stamps the serving
 // version.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	if len(data) < frameHeader+4 {
-		return nil, fmt.Errorf("policysync: frame too short (%d bytes)", len(data))
+	d := frame.NewDecoder(data)
+	d.Header(frameMagic, wireVersion)
+	d.Unseal()
+	updates := d.U64()
+	numAgents := int(d.U32())
+	if d.Err() == nil && (numAgents < 1 || numAgents > maxWireAgents) {
+		d.Fail("implausible agent count %d", numAgents)
 	}
-	if string(data[:4]) != frameMagic {
-		return nil, fmt.Errorf("policysync: bad frame magic %q", data[:4])
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("policysync: frame: %w", err)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != wireVersion {
-		return nil, fmt.Errorf("policysync: frame version %d, want %d", v, wireVersion)
-	}
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(data[:len(data)-4]) != want {
-		return nil, fmt.Errorf("policysync: frame checksum mismatch")
-	}
-	updates := binary.LittleEndian.Uint64(data[8:])
-	numAgents := int(binary.LittleEndian.Uint32(data[16:]))
-	if numAgents < 1 || numAgents > maxWireAgents {
-		return nil, fmt.Errorf("policysync: implausible agent count %d", numAgents)
-	}
-	body := data[frameHeader : len(data)-4]
 	snap := &Snapshot{Updates: updates, Agents: make([]*nn.Network, 0, numAgents)}
 	for i := 0; i < numAgents; i++ {
-		if len(body) < 4 {
-			return nil, fmt.Errorf("policysync: frame truncated before agent %d length", i)
+		n := int(d.U32())
+		if d.Err() == nil && (n < 1 || n > maxWireNetBytes || n > d.Len()) {
+			d.Fail("agent %d claims %d network bytes, %d remain", i, n, d.Len())
 		}
-		n := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		if n < 1 || n > maxWireNetBytes || n > len(body) {
-			return nil, fmt.Errorf("policysync: agent %d claims %d network bytes, %d remain", i, n, len(body))
+		nd := frame.NewDecoder(d.Bytes(n))
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("policysync: frame: %w", err)
 		}
-		r := bytes.NewReader(body[:n])
-		net, err := nn.ReadNetwork(r)
+		net, err := nn.ReadNetwork(&nd)
+		if err == nil && nd.Len() != 0 {
+			err = fmt.Errorf("%d undecoded bytes after it", nd.Len())
+		}
 		if err != nil {
 			return nil, fmt.Errorf("policysync: agent %d network: %w", i, err)
 		}
-		if r.Len() != 0 {
-			return nil, fmt.Errorf("policysync: agent %d network leaves %d undecoded bytes", i, r.Len())
-		}
 		snap.Agents = append(snap.Agents, net)
-		body = body[n:]
 	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("policysync: %d trailing bytes after %d agents", len(body), numAgents)
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("policysync: %d trailing bytes after %d agents", d.Len(), numAgents)
 	}
 	return snap, nil
 }

@@ -6,7 +6,7 @@ import (
 	"io"
 
 	"marlperf/internal/f64le"
-	"marlperf/internal/resilience"
+	"marlperf/internal/frame"
 )
 
 // Buffer persistence: collected experience can be saved and restored so
@@ -29,160 +29,91 @@ const (
 	bufVersion = 2
 )
 
-// WriteTo serializes the buffer's spec and stored transitions, appending a
-// CRC32 trailer.
+// fields returns agent a's stored rows, field by field, in file order.
+func (b *Buffer) fields(a int) [5][]float64 {
+	od, ad := b.spec.ObsDims[a], b.spec.ActDim
+	return [5][]float64{b.obs[a][:b.length*od], b.act[a][:b.length*ad], b.rew[a][:b.length], b.nextObs[a][:b.length*od], b.done[a][:b.length]}
+}
+
+// WriteTo serializes the buffer's spec and stored transitions with a CRC32
+// trailer, built in one slice and written in one write.
 func (b *Buffer) WriteTo(w io.Writer) (int64, error) {
-	crc := resilience.NewCRCWriter(w)
-	cw := &countingWriter{w: crc}
-	if _, err := cw.Write([]byte(bufMagic)); err != nil {
-		return cw.n, err
+	size := 4 * (8 + b.spec.NumAgents)
+	for _, od := range b.spec.ObsDims {
+		size += 8 * b.length * (2*od + b.spec.ActDim + 2)
 	}
-	header := []uint32{bufVersion, uint32(b.spec.NumAgents), uint32(b.spec.ActDim), uint32(b.spec.Capacity)}
-	for _, d := range b.spec.ObsDims {
-		header = append(header, uint32(d))
+	dst := frame.AppendHeader(make([]byte, 0, size), bufMagic, bufVersion)
+	for _, v := range []int{b.spec.NumAgents, b.spec.ActDim, b.spec.Capacity} {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	}
-	header = append(header, uint32(b.length), uint32(b.next))
-	for _, v := range header {
-		if err := putU32(cw, v); err != nil {
-			return cw.n, err
-		}
+	for _, od := range b.spec.ObsDims {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(od))
 	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.length))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.next))
 	for a := 0; a < b.spec.NumAgents; a++ {
-		od := b.spec.ObsDims[a]
-		for _, field := range [][]float64{
-			b.obs[a][:b.length*od],
-			b.act[a][:b.length*b.spec.ActDim],
-			b.rew[a][:b.length],
-			b.nextObs[a][:b.length*od],
-			b.done[a][:b.length],
-		} {
-			if err := f64le.Write(cw, field); err != nil {
-				return cw.n, err
-			}
+		for _, field := range b.fields(a) {
+			dst = f64le.Append(dst, field)
 		}
 	}
-	// The trailer is not part of its own checksum: write it to the
-	// underlying writer, counting its bytes by hand.
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc.Sum())
-	n, err := w.Write(trailer[:])
-	cw.n += int64(n)
-	return cw.n, err
+	n, err := w.Write(frame.Seal(dst, 0))
+	return int64(n), err
 }
 
 // ReadBuffer deserializes a buffer written by WriteTo, allocating storage
-// for the recorded capacity. The stream is verified against its CRC32
-// trailer before the buffer is returned.
-func ReadBuffer(src io.Reader) (*Buffer, error) {
-	crc := resilience.NewCRCReader(src)
-	var r io.Reader = crc
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("replay: reading buffer magic: %w", err)
-	}
-	if string(magic[:]) != bufMagic {
-		return nil, fmt.Errorf("replay: bad buffer magic %q", magic)
-	}
-	version, err := getU32(r)
+// for the recorded capacity. The header is judged before the rest of the
+// stream is read, and the CRC32 trailer before any field past it.
+func ReadBuffer(r io.Reader) (*Buffer, error) {
+	d, err := frame.Read(r, bufMagic, bufVersion)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("replay: buffer: %w", err)
 	}
-	if version != bufVersion {
-		return nil, fmt.Errorf("replay: buffer version %d, want %d", version, bufVersion)
-	}
-	numAgents, err := getU32(r)
-	if err != nil {
-		return nil, err
-	}
-	actDim, err := getU32(r)
-	if err != nil {
-		return nil, err
-	}
-	capacity, err := getU32(r)
-	if err != nil {
-		return nil, err
-	}
+	d.Unseal()
+	numAgents, actDim, capacity := d.U32(), d.U32(), d.U32()
 	const maxAgents, maxDim, maxCap = 1 << 12, 1 << 20, 1 << 28
-	if numAgents == 0 || numAgents > maxAgents || actDim == 0 || actDim > maxDim || capacity == 0 || capacity > maxCap {
-		return nil, fmt.Errorf("replay: implausible buffer header (%d agents, act %d, cap %d)", numAgents, actDim, capacity)
+	if d.Err() == nil && (numAgents == 0 || numAgents > maxAgents || actDim == 0 || actDim > maxDim || capacity == 0 || capacity > maxCap) {
+		d.Fail("implausible buffer header (%d agents, act %d, cap %d)", numAgents, actDim, capacity)
 	}
 	spec := Spec{NumAgents: int(numAgents), ActDim: int(actDim), Capacity: int(capacity)}
-	for a := uint32(0); a < numAgents; a++ {
-		od, err := getU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if od == 0 || od > maxDim {
-			return nil, fmt.Errorf("replay: implausible obs dim %d", od)
+	for a := uint32(0); a < numAgents && d.Err() == nil; a++ {
+		od := d.U32()
+		if d.Err() == nil && (od == 0 || od > maxDim) {
+			d.Fail("implausible obs dim %d", od)
 		}
 		spec.ObsDims = append(spec.ObsDims, int(od))
 	}
-	length, err := getU32(r)
-	if err != nil {
-		return nil, err
+	length, next := d.U32(), d.U32()
+	if d.Err() == nil && (length > capacity || next >= capacity) {
+		d.Fail("implausible length %d / next %d for capacity %d", length, next, capacity)
 	}
-	next, err := getU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if length > capacity || next >= capacity {
-		return nil, fmt.Errorf("replay: implausible length %d / next %d for capacity %d", length, next, capacity)
-	}
-	// Bound the total allocation a header can demand before a single
-	// payload byte arrives: a corrupt capacity/dim combination must fail
-	// with an error, not an out-of-memory crash. 2^28 floats (2 GiB) is an
-	// order of magnitude above the paper's largest configuration.
+	// Bound the total allocation a header can demand: a corrupt
+	// capacity/dim combination must fail with an error, not an
+	// out-of-memory crash. 2^28 floats (2 GiB) is an order of magnitude
+	// above the paper's largest configuration.
 	const maxTotalFloats = 1 << 28
 	var totalFloats uint64
 	for _, od := range spec.ObsDims {
 		totalFloats += uint64(capacity) * uint64(2*od+int(actDim)+2)
 	}
-	if totalFloats > maxTotalFloats {
-		return nil, fmt.Errorf("replay: implausible buffer storage %d floats (max %d)", totalFloats, uint64(maxTotalFloats))
+	if d.Err() == nil && totalFloats > maxTotalFloats {
+		d.Fail("implausible buffer storage %d floats (max %d)", totalFloats, uint64(maxTotalFloats))
+	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("replay: buffer: %w", err)
 	}
 	buf := NewBuffer(spec)
 	buf.length = int(length)
 	buf.next = int(next)
 	for a := 0; a < spec.NumAgents; a++ {
-		od := spec.ObsDims[a]
-		for _, field := range [][]float64{
-			buf.obs[a][:buf.length*od],
-			buf.act[a][:buf.length*spec.ActDim],
-			buf.rew[a][:buf.length],
-			buf.nextObs[a][:buf.length*od],
-			buf.done[a][:buf.length],
-		} {
-			if err := f64le.Read(r, field); err != nil {
-				return nil, err
-			}
+		for _, field := range buf.fields(a) {
+			d.F64s(field)
 		}
 	}
-	if err := crc.VerifyTrailer("replay: buffer"); err != nil {
-		return nil, err
+	if d.Err() == nil && d.Len() != 0 {
+		d.Fail("%d bytes after the stored transitions", d.Len())
+	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("replay: buffer: %w", err)
 	}
 	return buf, nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func putU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	_, err := io.ReadFull(r, b[:])
-	return binary.LittleEndian.Uint32(b[:]), err
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
+
+	"marlperf/internal/frame"
 )
 
 func TestBufferRoundTrip(t *testing.T) {
@@ -83,23 +85,21 @@ func TestReadBufferRejectsTruncated(t *testing.T) {
 	}
 }
 
+// Sealed, so that the header reaches the plausibility bound instead of
+// failing at the checksum.
 func TestReadBufferRejectsImplausibleHeader(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(bufMagic)
-	putU32(&buf, bufVersion)
-	putU32(&buf, 1<<20) // absurd agent count
-	putU32(&buf, 5)
-	putU32(&buf, 100)
-	if _, err := ReadBuffer(&buf); err == nil {
-		t.Fatal("implausible header accepted")
+	hdr := frame.AppendHeader(nil, bufMagic, bufVersion)
+	for _, v := range []uint32{1 << 20, 5, 100} { // absurd agent count
+		hdr = binary.LittleEndian.AppendUint32(hdr, v)
+	}
+	_, err := ReadBuffer(bytes.NewReader(frame.Seal(hdr, 0)))
+	if err == nil || !strings.Contains(err.Error(), "implausible buffer header") {
+		t.Fatalf("implausible header: err = %v, want the plausibility bound", err)
 	}
 }
 
 func TestReadBufferRejectsBadVersion(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(bufMagic)
-	putU32(&buf, 99)
-	if _, err := ReadBuffer(&buf); err == nil {
+	if _, err := ReadBuffer(bytes.NewReader(frame.AppendHeader(nil, bufMagic, 99))); err == nil {
 		t.Fatal("bad version accepted")
 	}
 }
@@ -120,10 +120,15 @@ func FuzzReadBuffer(f *testing.F) {
 	mutated[10] ^= 0xAA
 	f.Add(mutated)
 	// A header demanding a huge allocation (giant capacity) must be
-	// rejected by the plausibility bounds, not attempted.
-	huge := append([]byte(nil), valid[:16]...)
-	binary.LittleEndian.PutUint32(huge[12:], 1<<27)
+	// rejected by the plausibility bounds, not attempted. Sealed, so that
+	// it reaches them.
+	huge := append([]byte(nil), valid[:28+4*b.Spec().NumAgents]...)
+	binary.LittleEndian.PutUint32(huge[16:], 1<<27)
+	huge = frame.Seal(huge, 0)
 	f.Add(huge)
+	if _, err := ReadBuffer(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "implausible buffer storage") {
+		f.Fatalf("the huge-capacity seed does not reach the storage bound: %v", err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restored, err := ReadBuffer(bytes.NewReader(data))
 		if err != nil {

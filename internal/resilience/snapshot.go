@@ -3,8 +3,9 @@ package resilience
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"marlperf/internal/frame"
 )
 
 // Snapshot format: one file bundles every piece of run state that must stay
@@ -77,117 +78,59 @@ func (s *Snapshot) Section(kind SectionKind) ([]byte, bool) {
 }
 
 // WriteSnapshot serializes the sections with per-section and whole-file
-// CRC32 trailers.
+// CRC32 trailers, built in one slice and written in one write.
 func WriteSnapshot(w io.Writer, sections []Section) error {
-	cw := NewCRCWriter(w)
-	if _, err := cw.Write([]byte(snapshotMagic)); err != nil {
-		return err
-	}
-	if err := writeU32(cw, snapshotVersion); err != nil {
-		return err
-	}
-	if err := writeU32(cw, uint32(len(sections))); err != nil {
-		return err
-	}
+	size := 16
 	for _, sec := range sections {
-		if err := writeU32(cw, uint32(sec.Kind)); err != nil {
-			return err
-		}
-		if err := writeU64(cw, uint64(len(sec.Payload))); err != nil {
-			return err
-		}
-		if _, err := cw.Write(sec.Payload); err != nil {
-			return err
-		}
-		if err := writeU32(cw, crc32.ChecksumIEEE(sec.Payload)); err != nil {
-			return err
-		}
+		size += 16 + len(sec.Payload)
 	}
-	return cw.WriteTrailer()
+	dst := frame.AppendHeader(make([]byte, 0, size), snapshotMagic, snapshotVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(sections)))
+	for _, sec := range sections {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(sec.Kind))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(sec.Payload)))
+		start := len(dst)
+		dst = frame.Seal(append(dst, sec.Payload...), start)
+	}
+	_, err := w.Write(frame.Seal(dst, 0))
+	return err
 }
 
 // ReadSnapshot decodes and validates a snapshot, rejecting truncated or
-// bit-flipped input with an error naming the damaged part.
+// bit-flipped input with an error naming the damaged part: each section's
+// own checksum is checked as it is reached, the whole-file trailer last.
+// The returned payloads share one buffer.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	cr := NewCRCReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return nil, fmt.Errorf("resilience: reading snapshot magic: %w", err)
-	}
-	if string(magic[:]) != snapshotMagic {
-		return nil, fmt.Errorf("resilience: bad snapshot magic %q", magic)
-	}
-	version, err := readU32(cr)
+	d, err := frame.Read(r, snapshotMagic, snapshotVersion)
 	if err != nil {
-		return nil, fmt.Errorf("resilience: reading snapshot version: %w", err)
+		return nil, fmt.Errorf("resilience: snapshot: %w", err)
 	}
-	if version != snapshotVersion {
-		return nil, fmt.Errorf("resilience: snapshot version %d, want %d", version, snapshotVersion)
-	}
-	count, err := readU32(cr)
-	if err != nil {
-		return nil, fmt.Errorf("resilience: reading section count: %w", err)
-	}
-	if count > maxSections {
-		return nil, fmt.Errorf("resilience: implausible section count %d", count)
+	count := d.U32()
+	if d.Err() == nil && count > maxSections {
+		d.Fail("implausible section count %d", count)
 	}
 	snap := &Snapshot{}
-	for i := uint32(0); i < count; i++ {
-		kind, err := readU32(cr)
+	for i := uint32(0); i < count && d.Err() == nil; i++ {
+		kind, length := SectionKind(d.U32()), d.U64()
+		if d.Err() == nil && length > maxSectionLen {
+			d.Fail("section %d (%v) implausibly large: %d bytes", i, kind, length)
+		}
+		raw := d.Bytes(int(length) + 4)
+		if d.Err() != nil {
+			break
+		}
+		payload, err := frame.Unseal(raw, "payload")
 		if err != nil {
-			return nil, fmt.Errorf("resilience: reading section %d kind: %w", i, err)
+			d.Fail("section %d (%v): %w", i, kind, err)
 		}
-		length, err := readU64(cr)
-		if err != nil {
-			return nil, fmt.Errorf("resilience: reading section %d length: %w", i, err)
-		}
-		if length > maxSectionLen {
-			return nil, fmt.Errorf("resilience: section %d (%v) implausibly large: %d bytes", i, SectionKind(kind), length)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(cr, payload); err != nil {
-			return nil, fmt.Errorf("resilience: section %d (%v) truncated: %w", i, SectionKind(kind), err)
-		}
-		sum, err := readU32(cr)
-		if err != nil {
-			return nil, fmt.Errorf("resilience: reading section %d checksum: %w", i, err)
-		}
-		if got := crc32.ChecksumIEEE(payload); got != sum {
-			return nil, fmt.Errorf("resilience: section %d (%v) checksum mismatch: %08x != %08x",
-				i, SectionKind(kind), got, sum)
-		}
-		snap.Sections = append(snap.Sections, Section{Kind: SectionKind(kind), Payload: payload})
+		snap.Sections = append(snap.Sections, Section{Kind: kind, Payload: payload})
 	}
-	if err := cr.VerifyTrailer("resilience: snapshot"); err != nil {
-		return nil, err
+	d.Unseal()
+	if d.Err() == nil && d.Len() != 0 {
+		d.Fail("%d bytes after the last section", d.Len())
+	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("resilience: snapshot: %w", err)
 	}
 	return snap, nil
-}
-
-// --- encoding helpers ---
-
-func writeU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	_, err := io.ReadFull(r, b[:])
-	return binary.LittleEndian.Uint32(b[:]), err
-}
-
-func writeU64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func readU64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	_, err := io.ReadFull(r, b[:])
-	return binary.LittleEndian.Uint64(b[:]), err
 }

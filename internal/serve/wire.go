@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"marlperf/internal/f64le"
+	"marlperf/internal/frame"
 )
 
 // Binary /act wire format, for clients that want the zero-parse path:
@@ -53,7 +54,7 @@ func DecodeObsFrame(body []byte, obsDims []int) ([][]float64, error) {
 
 // EncodeActReply appends the binary reply frame.
 func EncodeActReply(dst []byte, version uint64, actions []int) []byte {
-	dst = append(dst, actReplyMagic...)
+	dst = frame.AppendHeader(dst, actReplyMagic, 0)
 	dst = binary.LittleEndian.AppendUint64(dst, version)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(actions)))
 	for _, a := range actions {
@@ -64,17 +65,19 @@ func EncodeActReply(dst []byte, version uint64, actions []int) []byte {
 
 // DecodeActReply parses a binary reply frame.
 func DecodeActReply(body []byte) (version uint64, actions []int, err error) {
-	if len(body) < len(actReplyMagic)+12 || string(body[:4]) != actReplyMagic {
-		return 0, nil, fmt.Errorf("serve: malformed action reply frame (%d bytes)", len(body))
+	d := frame.NewDecoder(body)
+	d.Header(actReplyMagic, 0)
+	version = d.U64()
+	n := int(d.U32())
+	if err := d.Err(); err != nil {
+		return 0, nil, fmt.Errorf("serve: malformed action reply frame (%d bytes): %w", len(body), err)
 	}
-	version = binary.LittleEndian.Uint64(body[4:])
-	n := int(binary.LittleEndian.Uint32(body[12:]))
-	if len(body) != 16+4*n {
+	if d.Len() != 4*n {
 		return 0, nil, fmt.Errorf("serve: action reply frame is %d bytes, header promises %d actions", len(body), n)
 	}
 	actions = make([]int, n)
 	for i := range actions {
-		actions[i] = int(binary.LittleEndian.Uint32(body[16+4*i:]))
+		actions[i] = int(d.U32())
 	}
 	return version, actions, nil
 }
