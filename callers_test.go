@@ -26,13 +26,6 @@ var callerless = map[string]string{
 	"internal/netretry.outageError.Unwrap":  "interface",
 	"internal/profiler.Profile.MarshalJSON": "interface",
 
-	"internal/tensor.Apply":         "next-pass",
-	"internal/tensor.Clip":          "next-pass",
-	"internal/tensor.HStack":        "next-pass",
-	"internal/tensor.Matrix.MaxAbs": "next-pass",
-	"internal/tensor.Mul":           "next-pass",
-	"internal/tensor.Norm2":         "next-pass",
-
 	"internal/core.Watchdog.Rollbacks":              "test",
 	"internal/expserve.Server.ListenAndServe":       "test",
 	"internal/expshard.Ring.Rebuilds":               "test",

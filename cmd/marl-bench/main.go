@@ -7,10 +7,12 @@
 //	marl-bench -list
 //	marl-bench -exp fig8 [-scale small|full]
 //	marl-bench -exp all  [-scale small|full]
+//	marl-bench -exp fig2,fig4 -format json     # one JSON line per table row
 //	marl-bench -exp all -metrics-addr :9090   # watch progress, grab pprof
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -25,6 +27,7 @@ const usage = `Usage: marl-bench [flags]
 
 Regenerates the paper's tables and figures: each experiment prints the
 measured rows next to the paper's reference values. -list names them.
+-format json prints one machine-readable line per table row instead.
 
 Exit codes:
   0  every requested experiment completed
@@ -41,7 +44,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		exp     = fs.String("exp", "", "experiment ID (table1, fig2…fig14, ablation-*) or 'all'")
 		scale   = fs.String("scale", "small", "measurement scale: small or full")
 		list    = fs.Bool("list", false, "list available experiments and exit")
-		format  = fs.String("format", "text", "output format: text or md")
+		format  = fs.String("format", "text", "output format: text, md or json (one line per table row)")
 		workers = fs.Int("workers", 0, "update-stage worker pool size (1 = one core; 0: keep the scale's default, which is 1); results are seed-identical for any value")
 	)
 	// Opt-in live observability: experiment progress on /metrics, and —
@@ -63,14 +66,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		return cli.ExitOK
 	}
 
-	var s experiments.Scale
-	switch *scale {
-	case "small":
-		s = experiments.SmallScale()
-	case "full":
-		s = experiments.FullScale()
-	default:
-		fmt.Fprintf(stderr, "unknown scale %q (want small or full)\n", *scale)
+	s, err := experiments.ScaleByName(*scale)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return cli.ExitUsage
+	}
+	if *format != "text" && *format != "md" && *format != "json" {
+		fmt.Fprintf(stderr, "unknown format %q (want text, md or json)\n", *format)
 		return cli.ExitUsage
 	}
 	if *workers > 0 {
@@ -125,14 +127,26 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 			ID: r.ID, Scale: s.Name, ElapsedSec: elapsed.Seconds(),
 		})
 		obs.FlushLog()
-		if *format == "md" {
-			fmt.Fprintf(stdout, "## %s — %s (scale=%s)\n\n", r.ID, r.Description, s.Name)
-			fmt.Fprintln(stdout, res.Markdown())
-		} else {
-			fmt.Fprintf(stdout, "### %s — %s (scale=%s)\n", r.ID, r.Description, s.Name)
-			fmt.Fprintln(stdout, res.String())
+		completed := fmt.Sprintf("[%s completed in %v]\n", r.ID, elapsed.Round(time.Millisecond))
+		var out bytes.Buffer
+		var err error
+		switch *format {
+		case "json":
+			err = res.WriteJSON(&out, s)
+			// stdout carries nothing but result lines.
+			fmt.Fprint(stderr, completed)
+		case "md":
+			fmt.Fprintf(&out, "## %s — %s (scale=%s)\n\n%s\n%s\n", r.ID, r.Description, s.Name, res.Markdown(), completed)
+		default:
+			fmt.Fprintf(&out, "### %s — %s (scale=%s)\n%s\n%s\n", r.ID, r.Description, s.Name, res.String(), completed)
 		}
-		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", r.ID, elapsed.Round(time.Millisecond))
+		if err == nil {
+			_, err = stdout.Write(out.Bytes())
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "writing %s: %v\n", r.ID, err)
+			return cli.ExitError
+		}
 	}
 	return cli.ExitOK
 }

@@ -32,7 +32,7 @@ func TestUsageErrors(t *testing.T) {
 		[]string{"-trace-out", "t.json"}, // without -trace
 		[]string{"-trace", "-trace-sample", "0"},
 	)
-	// marl-profile's test holds it to the same two messages.
+	// The two messages every binary taking -env/-algo prints (cli.Env, cli.Algo).
 	for args, want := range map[string]string{
 		"-env typo":  `unknown env "typo" (want pp, cn or pd)`,
 		"-algo typo": `unknown algo "typo" (want maddpg or matd3)`,

@@ -253,3 +253,20 @@ func TestSerialUpdateDoesNotAllocate(t *testing.T) {
 		t.Fatalf("a warmed UpdateWorkers=1 UpdateAllTrainers allocates %d times at GOMAXPROCS=2, want 0", fewest)
 	}
 }
+
+// Close right after a trainer's first parallel update used to race with
+// the pool goroutines not yet running: each read the workCh field as it
+// started, while Close wrote it. Run under -race.
+func TestCloseRightAfterFirstParallelUpdate(t *testing.T) {
+	for i := 0; i < 30; i++ {
+		cfg := smallConfig(MADDPG)
+		cfg.UpdateWorkers = 16
+		tr, err := NewTrainer(cfg, mpe.NewCooperativeNavigation(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Warmup(cfg.BatchSize)
+		tr.UpdateAllTrainers()
+		tr.Close()
+	}
+}

@@ -470,15 +470,17 @@ func (t *Trainer) ensureUpdateState(workers int) {
 	if workers > 1 && t.workCh == nil {
 		t.workCh = make(chan int)
 		for w := 0; w < workers; w++ {
-			go t.updateWorkerLoop(t.scratch[w])
+			go t.updateWorkerLoop(t.workCh, t.scratch[w])
 		}
 	}
 }
 
 // updateWorkerLoop is one pool goroutine: it owns scratch s for its entire
-// life and processes agent indices until the channel closes.
-func (t *Trainer) updateWorkerLoop(s *updateScratch) {
-	for i := range t.workCh {
+// life and processes agent indices until Close closes work. It takes the
+// channel as an argument because Close clears the field, possibly before a
+// goroutine that never got work has started.
+func (t *Trainer) updateWorkerLoop(work <-chan int, s *updateScratch) {
+	for i := range work {
 		t.updateAgent(s, i, t.updDelayed)
 		t.updWG.Done()
 	}

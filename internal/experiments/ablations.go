@@ -252,19 +252,14 @@ func runAblationIP(scale Scale) *Result {
 		}
 		wall := time.Since(start)
 
-		h := simcache.NewHierarchy(simcache.Ryzen3975WX())
-		buf.SetTracer(h)
-		for trainer := 0; trainer < n; trainer++ {
-			sample := s.Sample(scale.Batch, rng)
-			buf.GatherAll(sample.Indices, batches)
-		}
-		buf.SetTracer(nil)
+		st := traceDraws(buf, batches, simcache.Ryzen3975WX(), n,
+			func() []int { return s.Sample(scale.Batch, rng).Indices })
 
 		meanRun := float64(totalIdx) / float64(totalRefs)
 		tab.Rows = append(tab.Rows, []string{
 			pr.label,
 			wall.Round(time.Microsecond).String(),
-			fmt.Sprint(h.Stats().L3Misses),
+			fmt.Sprint(st.L3Misses),
 			f2(meanRun),
 		})
 	}

@@ -58,6 +58,8 @@ var fig6PaperTotalSec = map[int]float64{3: 3366, 6: 8505, 12: 23406, 24: 82768, 
 
 // charOutcome is one memoized characterization run.
 type charOutcome struct {
+	algo     core.Algorithm
+	kind     envKind
 	agents   int
 	episodes int
 	wall     time.Duration
@@ -96,6 +98,8 @@ func runCharacterization(algo core.Algorithm, kind envKind, agents int, scale Sc
 	tr.RunEpisodes(scale.CharEpisodes, nil)
 	tr.Close()
 	out := &charOutcome{
+		algo:     algo,
+		kind:     kind,
 		agents:   agents,
 		episodes: scale.CharEpisodes,
 		wall:     time.Since(start),
@@ -180,6 +184,7 @@ func runTable1(scale Scale) *Result {
 					f2(modeled / base),
 					f2(paper / paperBase),
 				})
+				tab.Runs = append(tab.Runs, c)
 			}
 		}
 	}
@@ -209,6 +214,7 @@ func runFig2(scale Scale) *Result {
 					pct(fig2PaperUpdatePct[kind][algo][n]),
 					pct(updatePct(c.prof)),
 				})
+				tab.Runs = append(tab.Runs, c)
 			}
 		}
 	}
@@ -237,6 +243,7 @@ func runFig3(scale Scale) *Result {
 					pct(fig3PaperSamplingPct[kind][algo][n]),
 					pct(c.prof.PercentOfUpdate(profiler.PhaseSampling)),
 				})
+				tab.Runs = append(tab.Runs, c)
 			}
 		}
 	}
@@ -274,6 +281,7 @@ func runFig6(scale Scale) *Result {
 			paperUpdStr,
 			paperTotStr,
 		})
+		tab.Runs = append(tab.Runs, c)
 	}
 	return &Result{ID: "fig6", Tables: []*Table{tab}}
 }

@@ -7,14 +7,19 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
 	"marlperf/internal/core"
 	"marlperf/internal/mpe"
+	"marlperf/internal/profiler"
 	"marlperf/internal/replay"
+	"marlperf/internal/tensor"
 )
 
 // Scale selects the measurement size. The paper's full runs take days on
@@ -85,12 +90,27 @@ func FullScale() Scale {
 	}
 }
 
+// ScaleByName returns the built-in scale called "small" or "full".
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "small":
+		return SmallScale(), nil
+	case "full":
+		return FullScale(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want small or full)", name)
+}
+
 // Table is a formatted result block.
 type Table struct {
 	Title   string
 	Headers []string
 	Rows    [][]string
 	Notes   []string
+
+	// Runs, when set, holds the training run each row was computed from
+	// (Runs[i] for Rows[i]); WriteJSON attaches it to the row as a run block.
+	Runs []*charOutcome
 }
 
 // String renders the table with aligned columns.
@@ -171,6 +191,79 @@ func (r *Result) Markdown() string {
 		parts = append(parts, t.Markdown())
 	}
 	return strings.Join(parts, "\n")
+}
+
+// rowJSON is one line of WriteJSON's output. Headers and cells are arrays
+// because a table may repeat a header (fig8's "reduction" and "paper").
+type rowJSON struct {
+	Experiment string   `json:"experiment"`
+	Scale      string   `json:"scale"`
+	Table      string   `json:"table"`
+	Headers    []string `json:"headers"`
+	Cells      []string `json:"cells"`
+	Kernels    string   `json:"kernels"` // tensor.KernelPath: timings depend on it
+	Workers    int      `json:"workers"`
+	Run        *runJSON `json:"run,omitempty"`
+}
+
+// runJSON is the training run behind a row: its phase profile and the
+// simulated sampling counters of the same (env, agents), which are fig4's
+// raw row for that configuration. Counters are left out for an agent count
+// fig4 does not sweep (fig6's largest): fig4 has no row for it, and its
+// unbounded fill would not fit in memory at 48 agents.
+type runJSON struct {
+	Env       string            `json:"env"`
+	Algo      string            `json:"algo"`
+	Agents    int               `json:"agents"`
+	Episodes  int               `json:"episodes"`
+	ElapsedMS int64             `json:"elapsed_ms"`
+	Profile   *profiler.Profile `json:"profile"`
+	Counters  *samplingCounters `json:"sampling_counters,omitempty"`
+}
+
+// samplingCounters is the simulated hardware-counter block of a run.
+type samplingCounters struct {
+	Accesses   uint64 `json:"accesses"`
+	L1Misses   uint64 `json:"l1_misses"`
+	LLCMisses  uint64 `json:"llc_misses"`
+	DTLBMisses uint64 `json:"dtlb_misses"`
+}
+
+// WriteJSON writes one JSON line per table row, each stamped with the
+// experiment, the scale it ran at, the kernel body and the update-worker
+// count. Rows computed from a training run carry it as a run block.
+func (r *Result) WriteJSON(w io.Writer, scale Scale) error {
+	enc := json.NewEncoder(w)
+	workers := core.Config{UpdateWorkers: scale.UpdateWorkers}.ResolvedUpdateWorkers()
+	for _, t := range r.Tables {
+		for i, row := range t.Rows {
+			line := rowJSON{
+				Experiment: r.ID, Scale: scale.Name, Table: t.Title,
+				Headers: t.Headers, Cells: row,
+				Kernels: tensor.KernelPath(), Workers: workers,
+			}
+			if i < len(t.Runs) {
+				c := t.Runs[i]
+				line.Run = &runJSON{
+					Env: c.kind.String(), Algo: c.algo.String(),
+					Agents: c.agents, Episodes: c.episodes,
+					ElapsedMS: c.wall.Milliseconds(),
+					Profile:   c.prof,
+				}
+				if slices.Contains(scale.AgentCounts, c.agents) {
+					st := sampleTraceStats(c.kind, c.agents, scale.BufferFill, scale.Batch)
+					line.Run.Counters = &samplingCounters{
+						Accesses: st.Accesses, L1Misses: st.L1Misses,
+						LLCMisses: st.L3Misses, DTLBMisses: st.TLBMisses,
+					}
+				}
+			}
+			if err := enc.Encode(line); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Runner executes one experiment at a scale.

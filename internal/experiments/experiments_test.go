@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -212,5 +215,61 @@ func TestFig4GrowthIsSuperLinear(t *testing.T) {
 	b := sampleTraceStats(envPredatorPrey, 4, 2000, 64)
 	if r := ratio(b.Accesses, a.Accesses); r <= 2 {
 		t.Fatalf("access growth %v for 2x agents, want super-linear (>2)", r)
+	}
+}
+
+// fig2 as JSON: one line per row, each with a run block whose profile is
+// the row's training run and whose sampling counters are fig4's raw row
+// for the same env and agent count.
+func TestJSONFormatCarriesFig4Counters(t *testing.T) {
+	scale := tinyScale()
+	fig4 := map[string]string{} // "PP 2" → "accesses L1 LLC dTLB"
+	for _, row := range Get("fig4").Run(scale).Tables[1].Rows {
+		fig4[row[0]+" "+row[1]] = strings.Join(row[2:], " ")
+	}
+	res := Get("fig2").Run(scale)
+	var out bytes.Buffer
+	if err := res.WriteJSON(&out, scale); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != len(res.Tables[0].Rows) {
+		t.Fatalf("%d JSON lines for %d rows:\n%s", len(lines), len(res.Tables[0].Rows), out.String())
+	}
+	short := map[string]string{}
+	for _, k := range []envKind{envPredatorPrey, envCoopNav} {
+		short[k.String()] = k.short()
+	}
+	for i, l := range lines {
+		var line struct {
+			Experiment, Scale, Kernels string
+			Workers                    int
+			Cells                      []string
+			Run                        *struct {
+				Env     string
+				Agents  int
+				Profile struct {
+					TotalNanos int64 `json:"total_nanos"`
+				}
+				Counters *samplingCounters `json:"sampling_counters"`
+			}
+		}
+		if err := json.Unmarshal([]byte(l), &line); err != nil {
+			t.Fatalf("line %d: %v: %s", i, err, l)
+		}
+		if line.Experiment != "fig2" || line.Scale != "tiny" || line.Kernels == "" || line.Workers < 1 {
+			t.Errorf("line %d stamps: %s", i, l)
+		}
+		if line.Run == nil || line.Run.Profile.TotalNanos <= 0 || line.Run.Counters == nil {
+			t.Fatalf("line %d has no run block with a profile and counters: %s", i, l)
+		}
+		c := line.Run.Counters
+		key := fmt.Sprintf("%s %d", short[line.Run.Env], line.Run.Agents)
+		if got := fmt.Sprint(c.Accesses, c.L1Misses, c.LLCMisses, c.DTLBMisses); got != fig4[key] {
+			t.Errorf("line %d (%s): sampling counters %s, fig4 raw row %q", i, key, got, fig4[key])
+		}
+		if strings.Join(line.Cells, "|") != strings.Join(res.Tables[0].Rows[i], "|") {
+			t.Errorf("line %d cells %q, row %q", i, line.Cells, res.Tables[0].Rows[i])
+		}
 	}
 }

@@ -151,17 +151,9 @@ func runFig8(scale Scale) *Result {
 // traceSamplerStats replays traceIters sampling phases through the Ryzen
 // hierarchy for the given sampler and returns the counters.
 func traceSamplerStats(buf *replay.Buffer, sampler replay.Sampler, batches []*replay.AgentBatch, agents, batch int) simcache.Stats {
-	h := simcache.NewHierarchy(simcache.Ryzen3975WX())
-	buf.SetTracer(h)
-	defer buf.SetTracer(nil)
 	rng := rand.New(rand.NewSource(31))
-	for it := 0; it < traceIters; it++ {
-		for trainer := 0; trainer < agents; trainer++ {
-			s := sampler.Sample(batch, rng)
-			buf.GatherAll(s.Indices, batches)
-		}
-	}
-	return h.Stats()
+	return traceDraws(buf, batches, simcache.Ryzen3975WX(), traceIters*agents,
+		func() []int { return sampler.Sample(batch, rng).Indices })
 }
 
 func runFig9(scale Scale) *Result {
@@ -251,17 +243,10 @@ func runCrossPlatform(id string, platform simcache.Platform, scale Scale) *Resul
 			{"uniform", func(b *replay.Buffer) replay.Sampler { return replay.NewUniformSampler(b) }},
 			{"n16r64", func(b *replay.Buffer) replay.Sampler { return replay.NewLocalitySampler(b, 16, 64) }},
 		} {
-			h := simcache.NewHierarchy(platform)
-			buf.SetTracer(h)
 			r2 := rand.New(rand.NewSource(42))
-			for it := 0; it < traceIters; it++ {
-				for trainer := 0; trainer < n; trainer++ {
-					s := v.mk(buf).Sample(scale.Batch, r2)
-					buf.GatherAll(s.Indices, batches)
-				}
-			}
-			buf.SetTracer(nil)
-			mbs[v.label] = platform.ModeledTimeNS(h.Stats(), 0)
+			st := traceDraws(buf, batches, platform, traceIters*n,
+				func() []int { return v.mk(buf).Sample(scale.Batch, r2).Indices })
+			mbs[v.label] = platform.ModeledTimeNS(st, 0)
 		}
 
 		// Non-sampling share of total time under the CPU-GPU platform

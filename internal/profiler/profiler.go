@@ -288,8 +288,8 @@ type phaseJSON struct {
 // MarshalJSON renders the profile as a machine-readable document: every
 // phase with accumulated time or calls, the derived update-all-trainers and
 // interaction stage totals with their shares of total time, and the event
-// counters. Shape is stable for downstream tooling (marl-profile -json,
-// the /profilez endpoint).
+// counters. Shape is stable for downstream tooling (the run blocks of
+// marl-bench -format json, the /profilez endpoint).
 func (pr *Profile) MarshalJSON() ([]byte, error) {
 	out := struct {
 		Phases              []phaseJSON       `json:"phases"`

@@ -312,16 +312,6 @@ func Sub(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// Mul computes dst = a ⊙ b (Hadamard product). dst may alias a or b.
-func Mul(dst, a, b *Matrix) *Matrix {
-	assertSameShape("Mul", a, b)
-	assertSameShape("Mul dst", dst, a)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return dst
-}
-
 // Scale multiplies every element of m by s in place.
 func (m *Matrix) Scale(s float64) {
 	m.dense("Scale")
@@ -351,15 +341,6 @@ func (m *Matrix) AddRowVector(v []float64) {
 			row[j] += v[j]
 		}
 	}
-}
-
-// Apply sets dst[i] = f(a[i]) for every element. dst may alias a.
-func Apply(dst, a *Matrix, f func(float64) float64) *Matrix {
-	assertSameShape("Apply", dst, a)
-	for i := range dst.Data {
-		dst.Data[i] = f(a.Data[i])
-	}
-	return dst
 }
 
 // SumRows returns the 1×Cols column-wise sums of m (used for bias gradients):
@@ -408,44 +389,6 @@ func (m *Matrix) Mean() float64 {
 		return 0
 	}
 	return m.Sum() / float64(len(m.Data))
-}
-
-// MaxAbs returns the largest absolute element (0 for an empty matrix).
-func (m *Matrix) MaxAbs() float64 {
-	m.dense("MaxAbs")
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// HStack concatenates the given matrices left-to-right into dst. All inputs
-// must share the same row count and their column counts must sum to dst.Cols.
-func HStack(dst *Matrix, parts ...*Matrix) *Matrix {
-	dst.dense("HStack")
-	total := 0
-	for _, p := range parts {
-		p.dense("HStack")
-		if p.Rows != dst.Rows {
-			panic(fmt.Sprintf("tensor: HStack row mismatch %d vs %d", p.Rows, dst.Rows))
-		}
-		total += p.Cols
-	}
-	if total != dst.Cols {
-		panic(fmt.Sprintf("tensor: HStack cols sum %d want %d", total, dst.Cols))
-	}
-	for i := 0; i < dst.Rows; i++ {
-		drow := dst.Row(i)
-		off := 0
-		for _, p := range parts {
-			copy(drow[off:off+p.Cols], p.Row(i))
-			off += p.Cols
-		}
-	}
-	return dst
 }
 
 // SliceCols copies columns [lo, hi) of src into dst (dst is src.Rows×(hi-lo)).

@@ -51,15 +51,6 @@ func ReLUGrad(dst, grad, out []float64) {
 	}
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // Softmax writes the softmax of logits into dst (which may alias logits)
 // using the max-subtraction trick for numerical stability: the largest
 // logit, then every logit minus it, their exponentials in one Exp, their sum
@@ -104,15 +95,4 @@ func ArgMax(v []float64) int {
 		}
 	}
 	return best
-}
-
-// Clip limits every element of v to [lo, hi] in place.
-func Clip(v []float64, lo, hi float64) {
-	for i, x := range v {
-		if x < lo {
-			v[i] = lo
-		} else if x > hi {
-			v[i] = hi
-		}
-	}
 }

@@ -33,15 +33,6 @@ func TestAXPY(t *testing.T) {
 	}
 }
 
-func TestNorm2(t *testing.T) {
-	if got := Norm2([]float64{3, 4}); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("Norm2 = %v, want 5", got)
-	}
-	if got := Norm2(nil); got != 0 {
-		t.Fatalf("Norm2(nil) = %v, want 0", got)
-	}
-}
-
 func TestSoftmaxSumsToOne(t *testing.T) {
 	logits := []float64{1, 2, 3, 4, 5}
 	out := make([]float64, 5)
@@ -116,17 +107,6 @@ func TestArgMax(t *testing.T) {
 	}
 	if got := ArgMax(nil); got != -1 {
 		t.Fatalf("ArgMax(nil) = %d, want -1", got)
-	}
-}
-
-func TestClip(t *testing.T) {
-	v := []float64{-2, 0.5, 3}
-	Clip(v, -1, 1)
-	want := []float64{-1, 0.5, 1}
-	for i := range want {
-		if v[i] != want[i] {
-			t.Fatalf("Clip = %v, want %v", v, want)
-		}
 	}
 }
 

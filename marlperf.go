@@ -128,27 +128,19 @@ func ExperimentDescription(id string) (string, error) {
 	return r.Description, nil
 }
 
-// RunExperiment executes one paper experiment at scale "small" or "full"
-// and returns its formatted tables.
+// RunExperiment executes one paper experiment at scale "small" ("" too) or
+// "full" and returns its formatted tables.
 func RunExperiment(id, scale string) (string, error) {
 	r := experiments.Get(id)
 	if r == nil {
 		return "", fmt.Errorf("marlperf: unknown experiment %q (known: %v)", id, experiments.IDs())
 	}
-	s, err := scaleByName(scale)
+	if scale == "" {
+		scale = "small"
+	}
+	s, err := experiments.ScaleByName(scale)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("marlperf: %w", err)
 	}
 	return r.Run(s).String(), nil
-}
-
-func scaleByName(name string) (experiments.Scale, error) {
-	switch name {
-	case "small", "":
-		return experiments.SmallScale(), nil
-	case "full":
-		return experiments.FullScale(), nil
-	default:
-		return experiments.Scale{}, fmt.Errorf("marlperf: unknown scale %q (want small or full)", name)
-	}
 }
