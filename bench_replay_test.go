@@ -8,8 +8,8 @@ package marlperf
 // sizes for both plan-able strategies. Remote cells run in two
 // configurations: a single-connection synchronous client (the
 // worst-case serial path) and a striped pipelined client that overlaps
-// several prefetched sample RPCs (what -sample-conns/-prefetch give a
-// learner). The grid is written to BENCH_replay.json with the same
+// several prefetched sample RPCs (what a remote learner runs, -sample-conns
+// wide). The grid is written to BENCH_replay.json with the same
 // provenance stamps as BENCH_update.json so sweeps from different
 // machines and revisions stay comparable.
 
@@ -231,7 +231,7 @@ func BenchmarkExpServeSample(b *testing.B) {
 
 			// Pipelined remote: a striped client with pipeDepth prefetched
 			// sample RPCs in flight, consumed in announcement order — the
-			// learner's -sample-conns/-prefetch configuration. One measured
+			// remote learner's configuration at -sample-conns pipeDepth. One measured
 			// op covers pipeDepth batches, so ns_per_op is normalized per
 			// batch to stay comparable with the synchronous cells.
 			pf := expserve.NewPrefetchSource(benchOneGroupSource(b, hs.URL, spec, p.plan, pipeDepth), pipeDepth, nil)

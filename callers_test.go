@@ -28,7 +28,6 @@ var callerless = map[string]string{
 
 	"internal/core.Watchdog.Rollbacks":              "test",
 	"internal/expserve.Server.ListenAndServe":       "test",
-	"internal/expshard.Ring.Rebuilds":               "test",
 	"internal/expshard.View.Balanced":               "test",
 	"internal/expstore.Source.Plan":                 "test",
 	"internal/faultnet.Injector.Partition":          "test",

@@ -174,8 +174,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 			Transport: replayTransport,
 			Tracer:    tracer,
 		},
-		Registry: registry,
-		Tracer:   tracer,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)

@@ -115,7 +115,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		actorID     = fs.String("actor-id", "learner-0", "append-stream id for experience this learner collects itself (with -replay-addr)")
 		replayRetry = fs.Duration("replay-retry", 2*time.Minute, "ride out an experience-service outage this long (retries with backoff) before failing the run")
 		sampleConns = fs.Int("sample-conns", 4, "persistent connections striping sample/append traffic to the experience service (with -replay-addr)")
-		prefetch    = fs.Bool("prefetch", false, "overlap next-update sample RPCs with gradient compute (with -replay-addr); bit-identical on or off")
 		spoolDir    = fs.String("spool-dir", "", "spool self-collected experience here while the experience service (or a fabric member) is unreachable; drained in order on recovery (with -replay-addr)")
 
 		policyAddr  = fs.String("policy-publish-addr", "", "publish actor weights to a policy service (marl-policyd) at this address")
@@ -202,13 +201,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	defer tr.Close()
 	var fabric *expserve.Fabric
 	if *replayAddr != "" {
-		fabric, err = wireExperienceService(tr, cfg, env, *replayAddr, *actorID, *replayRetry, *sampleConns, *prefetch, *spoolDir, obs)
+		fabric, err = wireExperienceService(tr, cfg, env, *replayAddr, *actorID, *replayRetry, *sampleConns, *spoolDir, obs)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return cli.ExitError
 		}
-		fmt.Fprintf(stdout, "experience fabric: %s (plan=%s, actor-id=%s, conns=%d, prefetch=%v)\n",
-			expshard.FormatTopology(fabric.Snapshot()), *sampler, *actorID, *sampleConns, *prefetch)
+		fmt.Fprintf(stdout, "experience fabric: %s (plan=%s, actor-id=%s, conns=%d)\n",
+			expshard.FormatTopology(fabric.Snapshot()), *sampler, *actorID, *sampleConns)
 	}
 	if *loadPath != "" {
 		f, err := os.Open(*loadPath)
@@ -317,7 +316,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 			}
 		}
 		if store != nil && *checkpointEvery > 0 && completed%*checkpointEvery == 0 {
-			if err := saveSnapshot(store, tr); err != nil {
+			if err := saveSnapshot(store, tr, fabric == nil); err != nil {
 				// The store already retried; a persistent failure should not
 				// kill a healthy training run, but it must be loud.
 				fmt.Fprintln(stderr, "warning: periodic snapshot failed:", err)
@@ -341,7 +340,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 			fabric.ReplicaReads(), fabric.DegradedDraws())
 	}
 	if store != nil {
-		if err := saveSnapshot(store, tr); err != nil {
+		if err := saveSnapshot(store, tr, fabric == nil); err != nil {
 			fmt.Fprintln(stderr, "final snapshot:", err)
 			return cli.ExitError
 		}
@@ -406,11 +405,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 // wireExperienceService connects the trainer to a remote experience
 // service for both halves of the split: mini-batches are drawn with the
 // trainer's per-batch seeds and gathered by the shards (bit-identical to the
-// in-process sampler of the same name for the same collected rows), and
+// in-process sampler of the same name for the same collected rows), the
+// next update's sample RPCs overlapping this update's gradient compute, and
 // everything this learner collects itself is published back under
 // actorID so the service's row count gates updates exactly as a local
 // buffer would.
-func wireExperienceService(tr *marlperf.Trainer, cfg marlperf.Config, env marlperf.Env, addr, actorID string, retryFor time.Duration, conns int, prefetch bool, spoolDir string, obs *cli.Obs) (*expserve.Fabric, error) {
+func wireExperienceService(tr *marlperf.Trainer, cfg marlperf.Config, env marlperf.Env, addr, actorID string, retryFor time.Duration, conns int, spoolDir string, obs *cli.Obs) (*expserve.Fabric, error) {
 	reg, tracer := obs.Registry, obs.Tracer
 	plan, err := cfg.SamplePlan()
 	if err != nil {
@@ -433,8 +433,6 @@ func wireExperienceService(tr *marlperf.Trainer, cfg marlperf.Config, env marlpe
 			Tracer:   tracer,
 		},
 		RetryFor: retryFor,
-		Registry: reg,
-		Tracer:   tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -442,10 +440,6 @@ func wireExperienceService(tr *marlperf.Trainer, cfg marlperf.Config, env marlpe
 	src, err := expserve.NewShardedSource(fabric, spec, plan)
 	if err != nil {
 		return nil, err
-	}
-	var source replay.TransitionSource = src
-	if prefetch {
-		source = expserve.NewPrefetchSource(src, conns, reg)
 	}
 	sink, err := expserve.NewShardedSink(fabric, actorID, spec)
 	if err != nil {
@@ -461,7 +455,7 @@ func wireExperienceService(tr *marlperf.Trainer, cfg marlperf.Config, env marlpe
 		}
 	}
 	sink.ResumeCursors()
-	return fabric, tr.SetExperienceService(source, sink)
+	return fabric, tr.SetExperienceService(expserve.NewPrefetchSource(src, conns, reg), sink)
 }
 
 // policyPublisher pushes the learner's actor weights to a policy service at
@@ -694,24 +688,27 @@ func resumeFromStore(store *resilience.Store, tr *marlperf.Trainer, stdout, stde
 	return cli.ExitOK
 }
 
-// saveSnapshot bundles the trainer checkpoint, replay buffer and run state
-// into one atomic, CRC-protected snapshot generation keyed by episode count.
-func saveSnapshot(store *resilience.Store, tr *marlperf.Trainer) error {
+// saveSnapshot bundles the trainer checkpoint, run state and — when the
+// trainer samples its own buffer (local) — the replay buffer into one
+// atomic, CRC-protected snapshot generation keyed by episode count. A
+// learner on an experience service keeps no buffer: its rows live there.
+func saveSnapshot(store *resilience.Store, tr *marlperf.Trainer, local bool) error {
 	var trainerBuf, replayBuf, runBuf bytes.Buffer
 	if err := tr.SaveCheckpoint(&trainerBuf); err != nil {
 		return err
 	}
-	if _, err := tr.Buffer().WriteTo(&replayBuf); err != nil {
-		return err
+	sections := []resilience.Section{{Kind: resilience.SectionTrainer, Payload: trainerBuf.Bytes()}}
+	if local {
+		if _, err := tr.Buffer().WriteTo(&replayBuf); err != nil {
+			return err
+		}
+		sections = append(sections, resilience.Section{Kind: resilience.SectionReplay, Payload: replayBuf.Bytes()})
 	}
 	if err := tr.SaveRunState(&runBuf); err != nil {
 		return err
 	}
-	if _, err := store.Save(uint64(tr.EpisodeCount()), []resilience.Section{
-		{Kind: resilience.SectionTrainer, Payload: trainerBuf.Bytes()},
-		{Kind: resilience.SectionReplay, Payload: replayBuf.Bytes()},
-		{Kind: resilience.SectionRunState, Payload: runBuf.Bytes()},
-	}); err != nil {
+	sections = append(sections, resilience.Section{Kind: resilience.SectionRunState, Payload: runBuf.Bytes()})
+	if _, err := store.Save(uint64(tr.EpisodeCount()), sections); err != nil {
 		return err
 	}
 	tr.Profile().Event(profiler.EventCheckpointWritten, 1)

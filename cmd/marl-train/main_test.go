@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,6 +15,10 @@ import (
 
 	"marlperf/internal/cli"
 	"marlperf/internal/cli/clitest"
+	"marlperf/internal/expserve"
+	"marlperf/internal/expstore"
+	"marlperf/internal/mpe"
+	"marlperf/internal/resilience"
 )
 
 func TestFlagSurface(t *testing.T) { clitest.Surface(t, run) }
@@ -95,6 +100,42 @@ func TestSaveReplacesCheckpointAtomically(t *testing.T) {
 	code, stdout, stderr := clitest.Exec(t, run, append(args, "-episodes", "1", "-load", path)...)
 	if code != cli.ExitOK || !strings.Contains(stdout, "restored checkpoint from "+path+" (200 steps") {
 		t.Fatalf("-load of the saved file: exit %d; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+}
+
+// A learner on an experience service keeps no local buffer, so its
+// snapshot generations hold the trainer and the run state but no replay
+// section — which no run could read back anyway, since -replay-addr
+// refuses -resume and -load.
+func TestRemoteRunSnapshotHasNoReplaySection(t *testing.T) {
+	spec := cli.Spec(mpe.NewCooperativeNavigation(2), 2048)
+	srv, err := expserve.NewServer(expserve.ServerConfig{Provider: expstore.NewRing(spec), Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	dir := t.TempDir()
+	code, _, stderr := clitest.Exec(t, run, "-env", "cn", "-agents", "2", "-episodes", "6", "-batch", "32", "-buffer", "2048",
+		"-log-every", "1000", "-replay-addr", hs.URL, "-checkpoint-dir", dir, "-checkpoint-every", "3")
+	if code != cli.ExitOK {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr)
+	}
+	store, err := resilience.NewStore(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, seq, _, err := store.LoadLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []resilience.SectionKind{resilience.SectionTrainer, resilience.SectionRunState} {
+		if _, ok := snap.Section(kind); !ok {
+			t.Errorf("generation %d has no section %v", seq, kind)
+		}
+	}
+	if payload, ok := snap.Section(resilience.SectionReplay); ok {
+		t.Errorf("generation %d of a remote run carries a %d-byte replay section", seq, len(payload))
 	}
 }
 

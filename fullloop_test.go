@@ -201,9 +201,9 @@ func TestFullLoopActorLearnerPolicySync(t *testing.T) {
 		t.Fatalf("learner did %d updates, want ≥ %d", tr.UpdateCount(), wantUpdates)
 	}
 	// The learner never appended: every sampled row was actor-fed.
-	if _, rows, _, err := expserve.NewClient(expHTTP.URL, expserve.ClientOptions{}).Stats(); err != nil {
+	if st, err := expserve.NewClient(expHTTP.URL, expserve.ClientOptions{}).ServiceStats(); err != nil {
 		t.Fatal(err)
-	} else if rows < cfg.WarmupSize {
-		t.Fatalf("experience service holds %d rows, want ≥ warmup %d", rows, cfg.WarmupSize)
+	} else if st.Rows < cfg.WarmupSize {
+		t.Fatalf("experience service holds %d rows, want ≥ warmup %d", st.Rows, cfg.WarmupSize)
 	}
 }

@@ -24,14 +24,15 @@ func (c Config) SamplePlan() (replay.SamplePlan, error) {
 
 // SetExperienceService rewires where the trainer's experience lives:
 //
-//   - source, when non-nil, replaces the in-process sampler for the update
-//     stage — every mini-batch is drawn through it with one seed per batch
-//     from the requesting agent's RNG stream. The source may be local
+//   - source, when non-nil, replaces the in-process sampler and its
+//     buffer for the update stage — every mini-batch is drawn through it
+//     with one seed per batch from the requesting agent's RNG stream, and
+//     the local buffer stays empty. The source may be local
 //     (expstore.Source) or remote (expserve.ShardedSource); because index
 //     selection is a pure function of (plan, length, seed), the two produce
 //     bit-identical training for the same collected rows.
-//   - sink, when non-nil, additionally receives every collected transition
-//     in collection order; it is flushed before each update-gate check so
+//   - sink, when non-nil, receives every collected transition in
+//     collection order; it is flushed before each update-gate check so
 //     source.Len reflects everything this process collected.
 //
 // Must be called before training starts. The configured sampler must be

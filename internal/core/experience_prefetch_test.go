@@ -1,10 +1,11 @@
 package core
 
-// Acceptance tests for the prefetch overlap path: -prefetch is a pure
-// timing optimization. A remote-fed training run with prefetching on must
-// produce checkpoints bit-identical to one with it off, for any update
-// worker count, and even when every HTTP exchange rides through injected
-// network faults that delay or drop (but never lose) committed data.
+// Acceptance tests for the prefetch overlap path every remote learner
+// runs: prefetching is a pure timing optimization. A remote-fed training
+// run with prefetching on must produce checkpoints bit-identical to one
+// with it off, for any update worker count, and even when every HTTP
+// exchange rides through injected network faults that delay or drop (but
+// never lose) committed data.
 
 import (
 	"bytes"

@@ -107,6 +107,33 @@ func TestSetExperienceServiceRejectsStatefulSamplers(t *testing.T) {
 	}
 }
 
+// A trainer drawing from an experience source keeps no local copy of what
+// it collects: every row goes to the sink, and neither the local buffer
+// nor the key-value table grows, across updates and episodes.
+func TestSetExperienceServiceKeepsNoLocalCopy(t *testing.T) {
+	cfg := expConfig(SamplerUniform)
+	cfg.UseKVLayout = true
+	env := mpe.NewCooperativeNavigation(2)
+	src, err := expstore.NewSource(expstore.NewRing(expSpec(cfg, env)), replay.SamplePlan{Strategy: replay.PlanUniform})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tr := runServiceTrainer(t, cfg, src, src, 6)
+	defer tr.Close()
+	if tr.UpdateCount() == 0 {
+		t.Fatal("no update ran")
+	}
+	if n, err := src.Len(); err != nil || n != 6*cfg.MaxEpisodeLen {
+		t.Fatalf("sink holds %d rows (%v), want %d", n, err, 6*cfg.MaxEpisodeLen)
+	}
+	if n := tr.Buffer().Len(); n != 0 {
+		t.Errorf("local buffer holds %d rows beside the source", n)
+	}
+	if n := tr.KVBuffer().Len(); n != 0 {
+		t.Errorf("key-value table holds %d rows beside the source", n)
+	}
+}
+
 func TestSetExperienceServiceRejectsMidRun(t *testing.T) {
 	cfg := expConfig(SamplerUniform)
 	tr, err := NewTrainer(cfg, mpe.NewCooperativeNavigation(2))

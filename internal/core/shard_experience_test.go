@@ -51,7 +51,8 @@ func newShardFabric(t *testing.T, spec replay.Spec, o shardFabric) *expserve.Fab
 		t.Cleanup(func() { hs.Close(); srv.Close() })
 		groups = append(groups, expshard.Group{ID: id, Members: []expshard.Member{{Addr: hs.URL}}})
 	}
-	fabric, err := expserve.NewFabric(groups, expserve.FabricOptions{Client: o.client, Tracer: o.tracer})
+	o.client.Tracer = o.tracer
+	fabric, err := expserve.NewFabric(groups, expserve.FabricOptions{Client: o.client})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,9 @@ type Trainer struct {
 	prof    *profiler.Profile
 
 	// Experience service wiring (see SetExperienceService). When expSource
-	// is set, mini-batches come from it instead of the in-process sampler;
-	// when expSink is set, every collected transition is also published.
+	// is set, mini-batches come from it instead of the in-process sampler
+	// and buf stays empty; when expSink is set, every collected transition
+	// is published to it.
 	expSource replay.TransitionSource
 	expSink   replay.TransitionSink
 	expErrMu  sync.Mutex
@@ -401,23 +402,27 @@ func (t *Trainer) interact(timed bool) bool {
 		t.dones[i] = doneFlag
 	}
 
-	if timed {
-		t.prof.Start(profiler.PhaseReplayAdd)
-	}
-	t.buf.Add(t.obs, t.actionProbs, rewards, nextObs, t.dones)
-	if timed {
-		t.prof.Stop(profiler.PhaseReplayAdd)
-	}
-	if t.kv != nil {
-		// The key-value table is maintained incrementally: every new
-		// transition is reshaped into its interleaved row as it arrives,
-		// which is the layout-reorganization cost in steady-state training.
+	if t.expSource == nil {
+		// The local buffers are read only by the in-process sampler: a
+		// trainer drawing from an experience source keeps no copy.
 		if timed {
-			t.prof.Start(profiler.PhaseLayoutReorg)
+			t.prof.Start(profiler.PhaseReplayAdd)
 		}
-		t.kv.Add(t.obs, t.actionProbs, rewards, nextObs, t.dones)
+		t.buf.Add(t.obs, t.actionProbs, rewards, nextObs, t.dones)
 		if timed {
-			t.prof.Stop(profiler.PhaseLayoutReorg)
+			t.prof.Stop(profiler.PhaseReplayAdd)
+		}
+		if t.kv != nil {
+			// The key-value table is maintained incrementally: every new
+			// transition is reshaped into its interleaved row as it arrives,
+			// which is the layout-reorganization cost in steady-state training.
+			if timed {
+				t.prof.Start(profiler.PhaseLayoutReorg)
+			}
+			t.kv.Add(t.obs, t.actionProbs, rewards, nextObs, t.dones)
+			if timed {
+				t.prof.Stop(profiler.PhaseLayoutReorg)
+			}
 		}
 	}
 	if t.expSink != nil {

@@ -6,66 +6,17 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"marlperf/internal/f64le"
 	"marlperf/internal/frame"
 	"marlperf/internal/netretry"
 	"marlperf/internal/replay"
-	"marlperf/internal/telemetry"
 	"marlperf/internal/trace"
 )
 
-// ClientOptions tune transport behaviour. Retry, backoff and circuit
-// breaking are delegated to the shared netretry core — the same resilience
-// implementation the policy client uses.
-type ClientOptions struct {
-	// Timeout bounds one HTTP round trip. Defaults to 10s.
-	Timeout time.Duration
-	// Attempts is the total tries per request (≥1). Defaults to 4.
-	Attempts int
-	// BaseDelay seeds the exponential backoff between tries; each retry
-	// doubles it and adds up to 50% random jitter so a fleet of actors
-	// bounced by a 429 does not re-arrive in lockstep. Defaults to 50ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff. Defaults to 2s.
-	MaxDelay time.Duration
-	// JitterSeed seeds the backoff jitter RNG (0 uses a time-derived seed).
-	// Jitter never influences payload bytes, only retry spacing.
-	JitterSeed int64
-	// TotalDeadline caps the cumulative time one request may spend across
-	// all attempts, backoff sleeps included. Zero leaves Attempts as the only
-	// bound. An actor riding out a replayd restart wants generous Attempts
-	// with a TotalDeadline matched to how long an outage it will tolerate
-	// before surfacing the failure.
-	TotalDeadline time.Duration
-	// BreakerThreshold opens the circuit after this many consecutive
-	// contact failures (0 = netretry default, negative disables).
-	BreakerThreshold int
-	// BreakerCooldown is the open → half-open probe interval (0 = MaxDelay).
-	BreakerCooldown time.Duration
-	// Edge labels this client's retry/circuit metrics; defaults to
-	// "replay".
-	Edge string
-	// Registry receives marl_retry_*/marl_circuit_* metrics; nil keeps
-	// them private.
-	Registry *telemetry.Registry
-	// Transport overrides the HTTP transport (fault injectors hook here).
-	// When set, Conns is ignored — the caller owns connection management.
-	Transport http.RoundTripper
-	// Conns stripes the client across this many persistent connections:
-	// the transport keeps Conns warm sockets to the server, so that many
-	// sample/append requests can be in flight at once without handshake or
-	// slow-start cost on any of them. The default transport keeps only 2
-	// idle conns per host, which silently serializes a wider worker pool.
-	// 0 or 1 means a single persistent connection.
-	Conns int
-	// Tracer, when set and enabled, emits a client span per sample/append
-	// RPC and propagates the tracer's active context to the server in the
-	// X-Marl-Trace header. Trace context never touches the wire frames
-	// themselves, so traced and untraced requests are byte-identical.
-	Tracer *trace.Tracer
-}
+// ClientOptions configure an experience client: the shared retry, breaker,
+// striping and tracing options. Edge defaults to "replay".
+type ClientOptions = netretry.Options
 
 // Client talks to an experience server. Requests may be issued from many
 // goroutines at once; with Conns > 1 they ride separate persistent
@@ -81,39 +32,7 @@ func NewClient(baseURL string, opts ClientOptions) *Client {
 	if opts.Edge == "" {
 		opts.Edge = "replay"
 	}
-	if opts.Transport == nil && opts.Conns > 1 {
-		opts.Transport = StripedTransport(opts.Conns)
-	}
-	core := netretry.New(baseURL, netretry.Options{
-		Timeout:          opts.Timeout,
-		Attempts:         opts.Attempts,
-		BaseDelay:        opts.BaseDelay,
-		MaxDelay:         opts.MaxDelay,
-		JitterSeed:       opts.JitterSeed,
-		TotalDeadline:    opts.TotalDeadline,
-		BreakerThreshold: opts.BreakerThreshold,
-		BreakerCooldown:  opts.BreakerCooldown,
-		Edge:             opts.Edge,
-		Registry:         opts.Registry,
-		Transport:        opts.Transport,
-	})
-	return &Client{core: core, tracer: opts.Tracer}
-}
-
-// StripedTransport builds an http.Transport keeping conns warm sockets to
-// the (single) replay host. The net/http default of 2 idle conns per host
-// closes every socket beyond the pair, so a pool of update workers pays a
-// TCP handshake + slow start on most concurrent samples; raising the idle
-// cap is what lets requests actually pipeline across stripes.
-func StripedTransport(conns int) *http.Transport {
-	if conns < 1 {
-		conns = 1
-	}
-	return &http.Transport{
-		MaxIdleConns:        2 * conns,
-		MaxIdleConnsPerHost: conns,
-		IdleConnTimeout:     90 * time.Second,
-	}
+	return &Client{core: netretry.New(baseURL, opts), tracer: opts.Tracer}
 }
 
 // Breaker exposes the client's circuit breaker state.
@@ -195,15 +114,6 @@ func (c *Client) ServiceStats() (ServiceStats, error) {
 		Total:  reply.Store.Total,
 		Actors: reply.Actors,
 	}, nil
-}
-
-// Stats fetches the server's spec and occupancy.
-func (c *Client) Stats() (replay.Spec, int, uint64, error) {
-	st, err := c.ServiceStats()
-	if err != nil {
-		return replay.Spec{}, 0, 0, err
-	}
-	return st.Spec, st.Rows, st.Total, nil
 }
 
 // RemoteSink buffers transitions locally and ships them to the server in

@@ -121,12 +121,12 @@ func TestServerRestartMidIngestNoDuplicates(t *testing.T) {
 	}
 
 	// Exactly-once accounting: 48 rows shipped, 48 rows stored.
-	_, rows, total, err := c.Stats()
+	stats, err := c.ServiceStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows != 48 || total != 48 {
-		t.Fatalf("store holds rows=%d total=%d after restart, want exactly 48 (no loss, no duplicates)", rows, total)
+	if stats.Rows != 48 || stats.Total != 48 {
+		t.Fatalf("store holds rows=%d total=%d after restart, want exactly 48 (no loss, no duplicates)", stats.Rows, stats.Total)
 	}
 }
 
@@ -149,10 +149,10 @@ func TestClientTotalDeadline(t *testing.T) {
 		TotalDeadline: 150 * time.Millisecond,
 	})
 	start := time.Now()
-	_, _, _, err := c.Stats()
+	_, err := c.ServiceStats()
 	elapsed := time.Since(start)
 	if err == nil {
-		t.Fatal("Stats against a 503-only server succeeded")
+		t.Fatal("ServiceStats against a 503-only server succeeded")
 	}
 	if !strings.Contains(err.Error(), "total retry deadline") || !strings.Contains(err.Error(), "503") {
 		t.Fatalf("error %q does not name the deadline and the underlying 503", err)
@@ -167,7 +167,7 @@ func TestClientTotalDeadline(t *testing.T) {
 	c2 := NewClient(down.URL, ClientOptions{
 		Timeout: time.Second, Attempts: 3, BaseDelay: time.Millisecond, JitterSeed: 7,
 	})
-	if _, _, _, err := c2.Stats(); err == nil || strings.Contains(err.Error(), "total retry deadline") {
+	if _, err := c2.ServiceStats(); err == nil || strings.Contains(err.Error(), "total retry deadline") {
 		t.Fatalf("attempts-bounded failure should not mention the deadline: %v", err)
 	}
 }

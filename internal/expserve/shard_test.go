@@ -1,11 +1,14 @@
 package expserve
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +16,7 @@ import (
 	"marlperf/internal/expstore"
 	"marlperf/internal/replay"
 	"marlperf/internal/telemetry"
+	"marlperf/internal/trace"
 )
 
 // fabricCell is one test topology: groups×replicas of real in-process
@@ -45,9 +49,8 @@ func newFabricCell(t *testing.T, spec replay.Spec, groups, replicas int, reg *te
 		cell.groups = append(cell.groups, g)
 	}
 	f, err := NewFabric(cell.groups, FabricOptions{
-		Client:         ClientOptions{Timeout: 5 * time.Second, Attempts: 2, BaseDelay: time.Millisecond, JitterSeed: 1},
+		Client:         ClientOptions{Timeout: 5 * time.Second, Attempts: 2, BaseDelay: time.Millisecond, JitterSeed: 1, Registry: reg},
 		MemberDeadline: 2 * time.Second,
-		Registry:       reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,10 +337,9 @@ func TestOneGroupSinkRidesServerRestartWithoutSpool(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	f, err := NewFabric(groups, FabricOptions{
-		Client:         ClientOptions{Timeout: time.Second, Attempts: 2, BaseDelay: time.Millisecond, BreakerCooldown: 20 * time.Millisecond, JitterSeed: 1},
+		Client:         ClientOptions{Timeout: time.Second, Attempts: 2, BaseDelay: time.Millisecond, BreakerCooldown: 20 * time.Millisecond, JitterSeed: 1, Registry: reg},
 		MemberDeadline: 50 * time.Millisecond,
 		RetryFor:       30 * time.Second,
-		Registry:       reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -507,68 +509,66 @@ func TestShardWireRoundTripAndCorruption(t *testing.T) {
 	}
 }
 
-// A draw's pooled scratch outlives the topology it was sized for. After a
-// Rebuild shrinks the fabric from three groups to two, draws must route
-// over the two only: at 712ea23 the scratch of the last three-group draw
-// still held the dropped group's slots, and the next draw failed with
-// "shards disagree: slot N returned twice".
-func TestShardedDrawAfterRebuildShrinks(t *testing.T) {
+// FabricOptions.Client is the one place a fabric takes its registry and
+// tracer from: every member's retry and circuit series land in the
+// template's Registry beside the fabric's own, and a traced draw records a
+// shard-sample span per group it reads on the template's Tracer.
+func TestFabricMembersUseClientRegistryAndTracer(t *testing.T) {
 	spec := testSpec(256)
-	plan := replay.SamplePlan{Strategy: replay.PlanUniform}
-	cell := newFabricCell(t, spec, 3, 1, nil)
-	sink, err := NewShardedSink(cell.fabric, "actor-0", spec)
+	cell := newFabricCell(t, spec, 2, 2, nil)
+	reg := telemetry.NewRegistry()
+	tr := trace.New("learner", 0)
+	tr.SetEnabled(true)
+	f, err := NewFabric(cell.groups, FabricOptions{
+		Client: ClientOptions{Timeout: 5 * time.Second, Attempts: 2, BaseDelay: time.Millisecond, JitterSeed: 1, Registry: reg, Tracer: tr},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(19))
-	for i := 0; i < 180; i++ {
-		obs, act, rew, nxt, done := step(rng)
-		if err := sink.Add(obs, act, rew, nxt, done); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewShardedSource(cell.fabric, spec, plan)
+	fillServer(t, f, spec, 120)
+	src, err := NewShardedSource(f, spec, replay.SamplePlan{Strategy: replay.PlanUniform})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := src.Len(); err != nil {
 		t.Fatal(err)
 	}
-	const batch = 32
-	batches := func() []*replay.AgentBatch {
-		return []*replay.AgentBatch{replay.NewAgentBatch(batch, 3, 2), replay.NewAgentBatch(batch, 4, 2)}
-	}
-	if _, err := src.SampleBatch(batch, 1, batches()); err != nil {
+	root := tr.StartTrace(1, "update")
+	tr.SetActive(root.Context())
+	dst := []*replay.AgentBatch{replay.NewAgentBatch(32, 3, 2), replay.NewAgentBatch(32, 4, 2)}
+	if _, err := src.SampleBatch(32, 7, dst); err != nil {
 		t.Fatal(err)
 	}
+	tr.ClearActive()
+	root.End()
 
-	if err := cell.fabric.Rebuild(cell.groups[:2]); err != nil {
+	var expo bytes.Buffer
+	if err := reg.WriteExposition(&expo); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Len(); err != nil {
-		t.Fatal(err)
-	}
-	// A source that never saw three groups is the reference.
-	fresh, err := NewShardedSource(cell.fabric, spec, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.Len(); err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(2); seed < 8; seed++ {
-		dst, want := batches(), batches()
-		idx, err := src.SampleBatch(batch, seed, dst)
-		if err != nil {
-			t.Fatalf("seed %d after the rebuild: %v", seed, err)
+	for _, g := range cell.groups {
+		for mi := range g.Members {
+			edge := fmt.Sprintf(`{edge="replay-%s-m%d"}`, g.ID, mi)
+			for _, series := range []string{"marl_circuit_state", "marl_circuit_open_total", "marl_retry_total", "marl_retry_giveup_total"} {
+				if !strings.Contains(expo.String(), "\n"+series+edge+" ") {
+					t.Errorf("registry has no %s%s", series, edge)
+				}
+			}
 		}
-		wantIdx, err := fresh.SampleBatch(batch, seed, want)
-		if err != nil {
-			t.Fatal(err)
+	}
+	if !strings.Contains(expo.String(), "\nmarl_shard_view_refreshes_total ") {
+		t.Error("registry has no fabric series")
+	}
+	spans := 0
+	for _, rec := range tr.Snapshot() {
+		if rec.Name == "shard-sample-rpc" {
+			spans++
+			if rec.TraceID != root.Context().TraceID {
+				t.Errorf("shard-sample-rpc span in trace %x, want the active %x", rec.TraceID, root.Context().TraceID)
+			}
 		}
-		drawEqual(t, "pooled-vs-fresh", idx, wantIdx, dst, want)
+	}
+	if spans != len(cell.groups) {
+		t.Errorf("%d shard-sample-rpc spans for a draw over %d groups", spans, len(cell.groups))
 	}
 }

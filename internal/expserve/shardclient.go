@@ -22,7 +22,9 @@ type FabricOptions struct {
 	// the member's group/replica position, and TotalDeadline is
 	// replaced by MemberDeadline (fabric routing owns ride-through —
 	// a member that does not answer within its bounded share fails
-	// over to a replica instead of stalling the draw).
+	// over to a replica instead of stalling the draw). Its Registry
+	// also receives the marl_shard_* fabric metrics (nil keeps them
+	// private), and its Tracer records the shard-sample spans.
 	Client ClientOptions
 	// Partitions sets the hash-ring partition count; 0 uses
 	// expshard.DefaultPartitions. Every process on the fabric must use
@@ -37,11 +39,6 @@ type FabricOptions struct {
 	// with backoff for this long before surfacing the failure — the
 	// ride-through budget for a full shard restart. Zero tries once.
 	RetryFor time.Duration
-	// Registry receives marl_shard_* fabric metrics; nil keeps them
-	// private.
-	Registry *telemetry.Registry
-	// Tracer propagates per-shard sample spans; see ClientOptions.
-	Tracer *trace.Tracer
 }
 
 // fabricRetryDelay paces the outer ride-through loop.
@@ -50,23 +47,16 @@ const fabricRetryDelay = 250 * time.Millisecond
 // Fabric is the client half of the sharded, replicated replay fabric:
 // one Client (own circuit breaker, own connection pool) per replayd
 // member, addressed through the consistent-hash ring. Sources fan
-// sample RPCs in across shards; sinks fan replicated appends out.
+// sample RPCs in across shards; sinks fan replicated appends out. The
+// topology is fixed when the fabric is built.
 type Fabric struct {
-	opts FabricOptions
-	ring *expshard.Ring
-
-	// mu guards the snapshot↔clients pairing across Rebuild.
-	mu      sync.RWMutex
+	opts    FabricOptions
 	snap    *expshard.Snapshot
 	clients [][]*Client // [group][member], aligned with snap.Groups
 
 	replicaReads  *telemetry.Counter
 	degradedDraws *telemetry.Counter
 	viewRefreshes *telemetry.Counter
-	rebuildsC     *telemetry.Counter
-	groupsG       *telemetry.Gauge
-	replicasG     *telemetry.Gauge
-	versionG      *telemetry.Gauge
 }
 
 // NewFabric builds the ring snapshot and one client per member.
@@ -74,89 +64,47 @@ func NewFabric(groups []expshard.Group, opts FabricOptions) (*Fabric, error) {
 	if opts.MemberDeadline <= 0 {
 		opts.MemberDeadline = 3 * time.Second
 	}
-	ring, err := expshard.NewRing(groups, opts.Partitions)
+	snap, err := expshard.BuildSnapshot(groups, opts.Partitions)
 	if err != nil {
 		return nil, err
 	}
-	reg := opts.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
+	if opts.Client.Registry == nil {
+		opts.Client.Registry = telemetry.NewRegistry()
 	}
+	reg := opts.Client.Registry
 	reg.SetHelp("marl_shard_replica_reads_total", "Fabric reads served by a non-preferred replica because the preferred member was down.")
 	reg.SetHelp("marl_shard_degraded_draws_total", "Sample draws recomputed with a shard group excluded (skip-and-reweight) because every replica was down.")
 	reg.SetHelp("marl_shard_view_refreshes_total", "Fabric stream-view refreshes (one stats fan-out each).")
-	reg.SetHelp("marl_shard_ring_rebuilds_total", "Consistent-hash ring rebuilds from membership changes.")
-	reg.SetHelp("marl_shard_groups", "Shard groups in the current ring snapshot.")
+	reg.SetHelp("marl_shard_groups", "Shard groups in the ring snapshot.")
 	reg.SetHelp("marl_shard_replicas", "Replication factor (widest member count across groups).")
-	reg.SetHelp("marl_shard_ring_version", "Version of the installed ring snapshot.")
-	f := &Fabric{
-		opts:          opts,
-		ring:          ring,
-		replicaReads:  reg.Counter("marl_shard_replica_reads_total"),
-		degradedDraws: reg.Counter("marl_shard_degraded_draws_total"),
-		viewRefreshes: reg.Counter("marl_shard_view_refreshes_total"),
-		rebuildsC:     reg.Counter("marl_shard_ring_rebuilds_total"),
-		groupsG:       reg.Gauge("marl_shard_groups"),
-		replicasG:     reg.Gauge("marl_shard_replicas"),
-		versionG:      reg.Gauge("marl_shard_ring_version"),
+	reg.Gauge("marl_shard_groups").Set(float64(len(snap.Groups)))
+	reg.Gauge("marl_shard_replicas").Set(float64(snap.MaxReplicas()))
+	edge := opts.Client.Edge
+	if edge == "" {
+		edge = "replay"
 	}
-	f.install(ring.Snapshot())
-	return f, nil
-}
-
-// install builds member clients for a snapshot and publishes the pair.
-func (f *Fabric) install(snap *expshard.Snapshot) {
 	clients := make([][]*Client, len(snap.Groups))
 	for gi, g := range snap.Groups {
 		clients[gi] = make([]*Client, len(g.Members))
 		for mi, m := range g.Members {
-			opts := f.opts.Client
-			edge := opts.Edge
-			if edge == "" {
-				edge = "replay"
-			}
-			opts.Edge = fmt.Sprintf("%s-%s-m%d", edge, g.ID, mi)
-			opts.TotalDeadline = f.opts.MemberDeadline
-			opts.Registry = f.opts.Registry
-			opts.Tracer = f.opts.Tracer
-			clients[gi][mi] = NewClient(m.Addr, opts)
+			member := opts.Client
+			member.Edge = fmt.Sprintf("%s-%s-m%d", edge, g.ID, mi)
+			member.TotalDeadline = opts.MemberDeadline
+			clients[gi][mi] = NewClient(m.Addr, member)
 		}
 	}
-	f.mu.Lock()
-	f.snap, f.clients = snap, clients
-	f.mu.Unlock()
-	f.groupsG.Set(float64(len(snap.Groups)))
-	f.replicasG.Set(float64(snap.MaxReplicas()))
-	f.versionG.Set(float64(snap.Version))
+	return &Fabric{
+		opts:          opts,
+		snap:          snap,
+		clients:       clients,
+		replicaReads:  reg.Counter("marl_shard_replica_reads_total"),
+		degradedDraws: reg.Counter("marl_shard_degraded_draws_total"),
+		viewRefreshes: reg.Counter("marl_shard_view_refreshes_total"),
+	}, nil
 }
 
-// Rebuild recomputes placement for a changed membership (consistent
-// hashing moves only the affected groups' partitions) and swaps in
-// fresh member clients. Sources pick the new topology up on their next
-// view refresh; sinks are bound to the topology they were built with.
-func (f *Fabric) Rebuild(groups []expshard.Group) error {
-	snap, err := f.ring.Rebuild(groups)
-	if err != nil {
-		return err
-	}
-	f.install(snap)
-	f.rebuildsC.Inc()
-	return nil
-}
-
-// Snapshot returns the current ring snapshot.
-func (f *Fabric) Snapshot() *expshard.Snapshot {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.snap
-}
-
-// topology returns the snapshot with its aligned client matrix.
-func (f *Fabric) topology() (*expshard.Snapshot, [][]*Client) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.snap, f.clients
-}
+// Snapshot returns the fabric's ring snapshot.
+func (f *Fabric) Snapshot() *expshard.Snapshot { return f.snap }
 
 // ReplicaReads reports fabric reads that failed over to a replica.
 func (f *Fabric) ReplicaReads() uint64 { return f.replicaReads.Value() }
@@ -165,15 +113,13 @@ func (f *Fabric) ReplicaReads() uint64 { return f.replicaReads.Value() }
 func (f *Fabric) DegradedDraws() uint64 { return f.degradedDraws.Value() }
 
 // FetchSpec returns the transition spec from the first reachable
-// member, riding the RetryFor budget — the fabric equivalent of
-// Client.Stats for startup validation.
+// member, riding the RetryFor budget, for startup validation.
 func (f *Fabric) FetchSpec() (replay.Spec, error) {
 	var lastErr error
 	deadline := time.Now().Add(f.opts.RetryFor)
 	for {
-		snap, clients := f.topology()
-		for gi := range snap.Groups {
-			for _, c := range clients[gi] {
+		for _, group := range f.clients {
+			for _, c := range group {
 				st, err := c.ServiceStats()
 				if err == nil {
 					return st.Spec, nil
@@ -188,15 +134,12 @@ func (f *Fabric) FetchSpec() (replay.Spec, error) {
 	}
 }
 
-// fabricView freezes one sampling topology: the ring snapshot, its
-// client matrix, the stream view built from a stats fan-out, and the
-// preferred (first live) member per group. Draws read it via one
-// atomic load; refreshes swap the whole thing.
+// fabricView freezes one sampling state: the stream view built from a
+// stats fan-out and the preferred (first live) member per group. Draws
+// read it via one atomic load; refreshes swap the whole thing.
 type fabricView struct {
-	snap    *expshard.Snapshot
-	clients [][]*Client
-	view    *expshard.View
-	pref    []int // preferred member index per group; -1 = none answered
+	view *expshard.View
+	pref []int // preferred member index per group; -1 = none answered
 }
 
 // ShardedSource samples fabric-wide mini-batches, implementing
@@ -264,7 +207,7 @@ func NewShardedSource(f *Fabric, want replay.Spec, plan replay.SamplePlan) (*Sha
 // tryRefresh performs one stats fan-out (members of each group probed
 // in order until one answers) and builds a fresh fabric view.
 func (s *ShardedSource) tryRefresh() (*fabricView, error) {
-	snap, clients := s.f.topology()
+	snap, clients := s.f.snap, s.f.clients
 	g := len(snap.Groups)
 	stats := make([]expshard.GroupStat, g)
 	pref := make([]int, g)
@@ -300,7 +243,7 @@ func (s *ShardedSource) tryRefresh() (*fabricView, error) {
 		return nil, err
 	}
 	s.f.viewRefreshes.Inc()
-	return &fabricView{snap: snap, clients: clients, view: view, pref: pref}, nil
+	return &fabricView{view: view, pref: pref}, nil
 }
 
 // refreshView swaps in a fresh view, riding the RetryFor budget
@@ -337,7 +280,7 @@ func (s *ShardedSource) acquireFetch() *shardScratch {
 	if sc, ok := s.scratch.Get().(*shardScratch); ok {
 		return sc
 	}
-	return &shardScratch{}
+	return &shardScratch{groups: make([]groupScratch, len(s.f.snap.Groups))}
 }
 
 func (s *ShardedSource) releaseFetch(sc *shardScratch) { s.scratch.Put(sc) }
@@ -373,9 +316,11 @@ func (s *ShardedSource) tryDraw(n int, seed int64, sc *shardScratch) error {
 		}
 	}
 	stride := s.layout.Stride()
-	sc.grow(n, len(fv.snap.Groups))
+	if cap(sc.idx) < n {
+		sc.idx = make([]int, n)
+	}
 	var lastErr error
-	for redo := 0; redo <= len(fv.snap.Groups); redo++ {
+	for redo := 0; redo <= len(sc.groups); redo++ {
 		length := int(fv.view.Len())
 		if length < 1 {
 			return fmt.Errorf("expserve: fabric stream is empty")
@@ -419,7 +364,7 @@ func (s *ShardedSource) tryDraw(n int, seed int64, sc *shardScratch) error {
 				return fmt.Errorf("expserve: every shard group is down")
 			}
 			s.f.degradedDraws.Inc()
-			fv = &fabricView{snap: fv.snap, clients: fv.clients, view: view, pref: fv.pref}
+			fv = &fabricView{view: view, pref: fv.pref}
 			s.view.Store(fv)
 			lastErr = fmt.Errorf("expserve: shard group(s) down, draw reweighted")
 			continue
@@ -430,19 +375,6 @@ func (s *ShardedSource) tryDraw(n int, seed int64, sc *shardScratch) error {
 		lastErr = fmt.Errorf("expserve: fabric draw did not converge")
 	}
 	return lastErr
-}
-
-// grow sizes sc for an n-row draw across the groups of one view. Scratch
-// is pooled across topologies, so groups beyond the view's — left by a
-// wider topology before a Rebuild — are sliced away, not carried.
-func (sc *shardScratch) grow(n, groups int) {
-	if cap(sc.idx) < n {
-		sc.idx = make([]int, n)
-	}
-	if cap(sc.groups) < groups {
-		sc.groups = make([]groupScratch, groups)
-	}
-	sc.groups = sc.groups[:groups]
 }
 
 // route maps every drawn index through view once, handing each group the
@@ -466,7 +398,7 @@ func (sc *shardScratch) route(view *expshard.View, idx []int) {
 // replica read.
 func (s *ShardedSource) groupFetch(fv *fabricView, gi, stride int, gs *groupScratch) error {
 	req, err := encodeShardSampleRequest(gs.req[:0], shardSampleRequest{
-		ShardID: fv.snap.Groups[gi].ID,
+		ShardID: s.f.snap.Groups[gi].ID,
 		Stat:    fv.view.Stats[gi],
 		Locals:  gs.locals,
 	})
@@ -478,7 +410,7 @@ func (s *ShardedSource) groupFetch(fv *fabricView, gi, stride int, gs *groupScra
 	if want := shardReplySize(k, stride); cap(gs.body) < want {
 		gs.body = make([]byte, want)
 	}
-	members := fv.clients[gi]
+	members := s.f.clients[gi]
 	pref := fv.pref[gi]
 	if pref < 0 || pref >= len(members) {
 		pref = 0
@@ -519,7 +451,7 @@ func (s *ShardedSource) groupFetch(fv *fabricView, gi, stride int, gs *groupScra
 		}
 		return nil
 	}
-	return fmt.Errorf("expserve: group %s: all %d members failed: %w", fv.snap.Groups[gi].ID, len(members), lastErr)
+	return fmt.Errorf("expserve: group %s: all %d members failed: %w", s.f.snap.Groups[gi].ID, len(members), lastErr)
 }
 
 // consumeFetch scatters a completed fetch's rows from each group's reply
@@ -561,8 +493,7 @@ type ShardedSink struct {
 	f       *Fabric
 	actorID string
 	layout  replay.RowLayout
-	snap    *expshard.Snapshot
-	subs    [][]*RemoteSink // aligned with snap.Groups
+	subs    [][]*RemoteSink // aligned with f.clients
 
 	// OnSpool/OnDrain observe spool diversions across all member
 	// sinks; set before EnableSpool.
@@ -575,11 +506,10 @@ type ShardedSink struct {
 // NewShardedSink builds one RemoteSink per fabric member, all
 // publishing as actorID.
 func NewShardedSink(f *Fabric, actorID string, spec replay.Spec) (*ShardedSink, error) {
-	snap, clients := f.topology()
-	subs := make([][]*RemoteSink, len(snap.Groups))
-	for gi := range snap.Groups {
-		subs[gi] = make([]*RemoteSink, len(clients[gi]))
-		for mi, c := range clients[gi] {
+	subs := make([][]*RemoteSink, len(f.clients))
+	for gi, group := range f.clients {
+		subs[gi] = make([]*RemoteSink, len(group))
+		for mi, c := range group {
 			sink, err := NewRemoteSink(c, actorID, spec)
 			if err != nil {
 				return nil, err
@@ -587,7 +517,7 @@ func NewShardedSink(f *Fabric, actorID string, spec replay.Spec) (*ShardedSink, 
 			subs[gi][mi] = sink
 		}
 	}
-	return &ShardedSink{f: f, actorID: actorID, layout: replay.NewRowLayout(spec), snap: snap, subs: subs}, nil
+	return &ShardedSink{f: f, actorID: actorID, layout: replay.NewRowLayout(spec), subs: subs}, nil
 }
 
 // SetMaxBatchRows sets the auto-flush threshold on every member sink.
@@ -602,8 +532,8 @@ func (s *ShardedSink) SetMaxBatchRows(n int) {
 // Add implements replay.TransitionSink: route the row to its owning
 // group and append it to every replica member.
 func (s *ShardedSink) Add(obs, act [][]float64, rew []float64, nextObs [][]float64, done []float64) error {
-	p := s.t % uint64(s.snap.Partitions)
-	gi := s.snap.Part2Group[p]
+	snap := s.f.snap
+	gi := snap.Part2Group[s.t%uint64(snap.Partitions)]
 	s.t++
 	var firstErr error
 	for _, sub := range s.subs[gi] {
@@ -678,7 +608,7 @@ func (s *ShardedSink) EnableSpool(opts SpoolOptions) error {
 			sub.OnSpool = s.OnSpool
 			sub.OnDrain = s.OnDrain
 			memberOpts := opts
-			memberOpts.Dir = filepath.Join(opts.Dir, fmt.Sprintf("%s-m%d", s.snap.Groups[gi].ID, mi))
+			memberOpts.Dir = filepath.Join(opts.Dir, fmt.Sprintf("%s-m%d", s.f.snap.Groups[gi].ID, mi))
 			if err := sub.EnableSpool(memberOpts); err != nil {
 				return err
 			}
@@ -718,16 +648,9 @@ func (s *ShardedSink) DrainSpool() error {
 // Unreachable members are skipped — their spool (if armed) preserves
 // ordering, and the dedup cursor check happens server-side anyway.
 func (s *ShardedSink) ResumeCursors() {
-	snap, clients := s.snap, func() [][]*Client {
-		_, c := s.f.topology()
-		return c
-	}()
-	for gi := range snap.Groups {
-		for mi, sub := range s.subs[gi] {
-			if gi >= len(clients) || mi >= len(clients[gi]) {
-				continue
-			}
-			st, err := clients[gi][mi].ServiceStats()
+	for _, group := range s.subs {
+		for _, sub := range group {
+			st, err := sub.c.ServiceStats()
 			if err != nil {
 				continue
 			}

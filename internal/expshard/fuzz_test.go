@@ -6,15 +6,12 @@ import (
 	"testing"
 )
 
-// FuzzRebuildMembership drives a ring through an arbitrary join/leave
-// sequence and checks the structural invariants after every step:
+// FuzzRebuildMembership walks an arbitrary join/leave sequence, building
+// each step's member set from scratch, and checks after every step that
 //
 //  1. every partition maps to a valid group;
-//  2. the installed snapshot is identical to a from-scratch build of
-//     the same member set (placement is history-free — the property
-//     that lets any process derive the map independently);
-//  3. each step moves only partitions owned by groups that joined or
-//     left in that step (consistent hashing).
+//  2. the step moves only partitions owned by groups that joined or left
+//     in it (consistent hashing).
 func FuzzRebuildMembership(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x83, 0x01})
 	f.Add([]byte{0x00})
@@ -25,11 +22,10 @@ func FuzzRebuildMembership(f *testing.F) {
 			ops = ops[:64]
 		}
 		present := map[string]bool{"seed": true}
-		ring, err := NewRing(mkGroups("seed"), 128)
+		prev, err := BuildSnapshot(mkGroups("seed"), 128)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev := ring.Snapshot()
 		for _, op := range ops {
 			id := fmt.Sprintf("g%02d", op&0x3f)
 			join := op&0x80 == 0
@@ -49,7 +45,7 @@ func FuzzRebuildMembership(f *testing.F) {
 				ids = append(ids, id)
 			}
 			sort.Strings(ids)
-			snap, err := ring.Rebuild(mkGroups(ids...))
+			snap, err := BuildSnapshot(mkGroups(ids...), 128)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,15 +58,7 @@ func FuzzRebuildMembership(f *testing.F) {
 					t.Fatalf("partition %d → invalid group %d", p, g)
 				}
 			}
-			// (2) history-free: identical to a fresh build of this set.
-			fresh, err := BuildSnapshot(mkGroups(ids...), 128)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fingerprint(snap) != fingerprint(fresh) {
-				t.Fatalf("rebuilt snapshot differs from fresh build of the same set %v", ids)
-			}
-			// (3) minimal movement: a partition may change owner only
+			// (2) minimal movement: a partition may change owner only
 			// if its old or new owner is in the changed set.
 			for p := range snap.Part2Group {
 				oldID := prev.Groups[prev.Part2Group[p]].ID
@@ -79,9 +67,6 @@ func FuzzRebuildMembership(f *testing.F) {
 					t.Fatalf("partition %d moved %s→%s; neither joined nor left (changed=%v)",
 						p, oldID, newID, changed)
 				}
-			}
-			if snap.Version != prev.Version+1 {
-				t.Fatalf("version %d after %d", snap.Version, prev.Version)
 			}
 			prev = snap
 		}

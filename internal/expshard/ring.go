@@ -12,11 +12,11 @@
 //     vnode clockwise. Virtual nodes keep ownership balanced, and the
 //     consistent-hashing property holds: when a group joins or leaves,
 //     only partitions adjacent to its vnodes change owner.
-//   - The full replica→partition→shard mapping is materialized into an
-//     immutable Snapshot (Part2Group table plus per-group member lists)
-//     held in an atomic.Pointer, so readers on the sample/append hot
-//     path take a single atomic load, never a lock. Rebuild swaps the
-//     whole snapshot and bumps a version counter.
+//   - The full replica→partition→shard mapping is materialized once
+//     into an immutable Snapshot (Part2Group table plus per-group member
+//     lists) that the sample/append hot paths read without a lock. A
+//     fabric's topology is fixed for its lifetime: a membership change
+//     is a restart with the new spec.
 //   - The placement is a pure function of the *set* of group IDs (the
 //     build sorts vnodes and resolves ties on the hash value by group
 //     ID), so every process that knows the member set derives the
@@ -34,7 +34,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // DefaultPartitions is the default number of hash-ring partitions.
@@ -71,10 +70,8 @@ type Group struct {
 }
 
 // Snapshot is an immutable view of the ring: the replica→partition→
-// shard maps for one membership version. Built once, then shared
-// read-only via Ring's atomic pointer.
+// shard maps for one member set. Built once, then shared read-only.
 type Snapshot struct {
-	Version    uint64
 	Partitions int
 	Groups     []Group
 	// Part2Group maps partition index → index into Groups.
@@ -190,47 +187,6 @@ func BuildSnapshot(groups []Group, partitions int) (*Snapshot, error) {
 	return &Snapshot{Partitions: partitions, Groups: sorted, Part2Group: part2group}, nil
 }
 
-// Ring holds the current snapshot behind an atomic pointer. Readers
-// call Snapshot() (one atomic load); membership changes go through
-// Rebuild, which constructs a fresh snapshot and swaps it in.
-type Ring struct {
-	cur      atomic.Pointer[Snapshot]
-	rebuilds atomic.Uint64
-}
-
-// NewRing builds the initial snapshot (version 1) for the groups.
-func NewRing(groups []Group, partitions int) (*Ring, error) {
-	snap, err := BuildSnapshot(groups, partitions)
-	if err != nil {
-		return nil, err
-	}
-	snap.Version = 1
-	r := &Ring{}
-	r.cur.Store(snap)
-	return r, nil
-}
-
-// Snapshot returns the current immutable ring snapshot.
-func (r *Ring) Snapshot() *Snapshot { return r.cur.Load() }
-
-// Rebuild recomputes placement for a changed membership and atomically
-// installs it with a bumped version. By the consistent-hashing
-// property only partitions owned by joining/leaving groups move.
-func (r *Ring) Rebuild(groups []Group) (*Snapshot, error) {
-	old := r.cur.Load()
-	snap, err := BuildSnapshot(groups, old.Partitions)
-	if err != nil {
-		return nil, err
-	}
-	snap.Version = old.Version + 1
-	r.cur.Store(snap)
-	r.rebuilds.Add(1)
-	return snap, nil
-}
-
-// Rebuilds returns how many times Rebuild has installed a new snapshot.
-func (r *Ring) Rebuilds() uint64 { return r.rebuilds.Load() }
-
 // ParseSpec parses a fabric topology string: comma-separated shard
 // groups, each a pipe-separated list of replica member addresses, with
 // an optional "id=" group-name prefix:
@@ -281,7 +237,7 @@ func ParseSpec(spec string) ([]Group, error) {
 // FormatTopology renders a one-line human summary of the snapshot.
 func FormatTopology(s *Snapshot) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "ring v%d: %d partitions over %d groups:", s.Version, s.Partitions, len(s.Groups))
+	fmt.Fprintf(&b, "ring: %d partitions over %d groups:", s.Partitions, len(s.Groups))
 	for gi, g := range s.Groups {
 		owned := 0
 		for _, og := range s.Part2Group {

@@ -132,28 +132,6 @@ func TestRebalanceMovesOnlyAffectedPartitions(t *testing.T) {
 	}
 }
 
-func TestRingRebuildVersions(t *testing.T) {
-	r, err := NewRing(mkGroups("a", "b"), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := r.Snapshot().Version; v != 1 {
-		t.Fatalf("initial version %d", v)
-	}
-	if _, err := r.Rebuild(mkGroups("a", "b", "c")); err != nil {
-		t.Fatal(err)
-	}
-	if v := r.Snapshot().Version; v != 2 {
-		t.Fatalf("version after rebuild %d", v)
-	}
-	if r.Rebuilds() != 1 {
-		t.Fatalf("rebuild count %d", r.Rebuilds())
-	}
-	if len(r.Snapshot().Groups) != 3 {
-		t.Fatalf("groups after rebuild %d", len(r.Snapshot().Groups))
-	}
-}
-
 func TestBuildSnapshotErrors(t *testing.T) {
 	if _, err := BuildSnapshot(nil, 64); err == nil {
 		t.Error("no groups accepted")

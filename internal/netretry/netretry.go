@@ -1,12 +1,13 @@
-// Package netretry is the single resilience layer shared by every
-// networked client in the system. It owns the retry loop that used to be
-// duplicated (with drift) in expserve.Client and policysync.Client:
-// jittered exponential backoff, a per-attempt timeout plus a total
-// retry-deadline budget, a three-state circuit breaker per edge, and
-// /healthz readiness probes. Retry and breaker activity is exported as
-// marl_retry_total / marl_retry_giveup_total / marl_circuit_state /
-// marl_circuit_open_total on a caller-supplied telemetry registry, so an
-// operator can see exactly which edge is flapping from /metrics.
+// Package netretry is the single resilience layer and the single option
+// set under every networked client in the system: expserve.ClientOptions
+// and policysync.ClientOptions are aliases of Options. It owns the retry
+// loop (jittered exponential backoff, a per-attempt timeout plus a total
+// retry-deadline budget), a three-state circuit breaker per edge and the
+// connection striping of the data-plane clients. Retry and breaker
+// activity is exported as marl_retry_total / marl_retry_giveup_total /
+// marl_circuit_state / marl_circuit_open_total on a caller-supplied
+// telemetry registry, so an operator can see exactly which edge is
+// flapping from /metrics.
 //
 // The jitter stream is seed-driven: the same JitterSeed yields the same
 // backoff schedule, which is what makes outage tests reproducible. Both
@@ -26,6 +27,7 @@ import (
 	"time"
 
 	"marlperf/internal/telemetry"
+	"marlperf/internal/trace"
 )
 
 // Defaults applied by New for zero Options fields.
@@ -42,21 +44,28 @@ const maxBodyBytes = 256 << 20
 
 // Options configures a resilient HTTP client for one edge.
 type Options struct {
-	// Timeout bounds each individual attempt.
+	// Timeout bounds each individual attempt (a long-poll's declared wait
+	// comes on top). Defaults to 10s.
 	Timeout time.Duration
 	// Attempts is the maximum number of tries per request (not counting
 	// waits for a circuit-breaker probe slot, which consume no attempt).
+	// Defaults to 4.
 	Attempts int
-	// BaseDelay is the first backoff delay; it doubles per retry up to
-	// MaxDelay, with +0..50% jitter drawn from JitterSeed.
+	// BaseDelay is the first backoff delay (default 50ms); it doubles per
+	// retry up to MaxDelay (default 2s), with +0..50% jitter drawn from
+	// JitterSeed so a fleet bounced by a 429 does not re-arrive in
+	// lockstep.
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential backoff.
 	MaxDelay time.Duration
 	// JitterSeed seeds the backoff jitter stream; 0 derives one from the
-	// clock. A fixed seed makes the retry schedule reproducible.
+	// clock. A fixed seed makes the retry schedule reproducible. Jitter
+	// never influences payload bytes, only retry spacing.
 	JitterSeed int64
 	// TotalDeadline, when positive, bounds the whole retry loop: a sleep
 	// that would overrun it is never started and the last error returns.
+	// An actor riding out a replayd restart wants generous Attempts with a
+	// TotalDeadline matched to the outage it will tolerate.
 	TotalDeadline time.Duration
 	// BreakerThreshold is how many consecutive contact failures open the
 	// circuit (0 = DefaultBreakerThreshold, negative disables the breaker).
@@ -71,7 +80,20 @@ type Options struct {
 	// Registry receives retry/circuit metrics; nil uses a private one.
 	Registry *telemetry.Registry
 	// Transport overrides the HTTP transport (fault injectors hook here).
+	// When set, Conns is ignored: the caller owns connection management.
 	Transport http.RoundTripper
+	// Conns stripes the client across this many persistent connections:
+	// the transport keeps Conns warm sockets to the server, so that many
+	// requests can be in flight at once without handshake or slow-start
+	// cost on any of them. The default transport keeps only 2 idle conns
+	// per host, which silently serializes a wider worker pool. 0 or 1
+	// means the default transport.
+	Conns int
+	// Tracer, when set and enabled, is the tracer the client's own span
+	// code records RPC spans on and propagates context from in the
+	// X-Marl-Trace header. Trace context never touches the payload, so
+	// traced and untraced requests are byte-identical.
+	Tracer *trace.Tracer
 }
 
 func (o *Options) fill() {
@@ -98,6 +120,17 @@ func (o *Options) fill() {
 	}
 	if o.Registry == nil {
 		o.Registry = telemetry.NewRegistry()
+	}
+	if o.Transport == nil && o.Conns > 1 {
+		// The net/http default of 2 idle conns per host closes every socket
+		// beyond the pair, so a pool of workers would pay a TCP handshake
+		// and slow start on most concurrent requests; raising the idle cap
+		// is what lets requests actually pipeline across stripes.
+		o.Transport = &http.Transport{
+			MaxIdleConns:        2 * o.Conns,
+			MaxIdleConnsPerHost: o.Conns,
+			IdleConnTimeout:     90 * time.Second,
+		}
 	}
 }
 

@@ -324,3 +324,25 @@ func TestRetryMetricsExported(t *testing.T) {
 		t.Fatalf("marl_retry_giveup_total = %d, want 1", got)
 	}
 }
+
+// Conns > 1 with no Transport stripes the client: its transport keeps Conns
+// idle connections to the one host instead of net/http's two. A caller's
+// Transport always wins, and Conns ≤ 1 keeps the default.
+func TestConnsStripeTheTransport(t *testing.T) {
+	tr, ok := New("h:1", Options{Conns: 4}).hc.Transport.(*http.Transport)
+	if !ok {
+		t.Fatal("Conns 4 built no *http.Transport")
+	}
+	if tr.MaxIdleConnsPerHost != 4 || tr.MaxIdleConns != 8 {
+		t.Errorf("Conns 4: MaxIdleConnsPerHost %d, MaxIdleConns %d; want 4 and 8", tr.MaxIdleConnsPerHost, tr.MaxIdleConns)
+	}
+	own := &scriptRT{script: []int{200}}
+	if got := New("h:1", Options{Conns: 4, Transport: own}).hc.Transport; got != own {
+		t.Errorf("Conns replaced the caller's transport: %T", got)
+	}
+	for _, conns := range []int{0, 1} {
+		if got := New("h:1", Options{Conns: conns}).hc.Transport; got != nil {
+			t.Errorf("Conns %d: transport %T, want the default", conns, got)
+		}
+	}
+}

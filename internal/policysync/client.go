@@ -11,51 +11,15 @@ import (
 
 	"marlperf/internal/netretry"
 	"marlperf/internal/nn"
-	"marlperf/internal/telemetry"
 	"marlperf/internal/trace"
 )
 
-// ClientOptions tune transport behaviour, mirroring expserve.ClientOptions.
-// Retry, backoff and circuit breaking are delegated to the shared netretry
-// core — the same resilience implementation the experience client uses.
-type ClientOptions struct {
-	// Timeout bounds one HTTP round trip on top of any requested long-poll
-	// wait (the request deadline is wait+Timeout). Defaults to 10s.
-	Timeout time.Duration
-	// Attempts is the total tries per request (≥1). Defaults to 4.
-	Attempts int
-	// BaseDelay seeds the exponential backoff between tries; each retry
-	// doubles it and adds up to 50% random jitter so a fleet of actors does
-	// not re-arrive in lockstep. Defaults to 50ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff. Defaults to 2s.
-	MaxDelay time.Duration
-	// JitterSeed seeds the backoff jitter RNG (0 uses a time-derived seed).
-	// Jitter never influences payload bytes, only retry spacing.
-	JitterSeed int64
-	// TotalDeadline caps the cumulative time one request may spend across
-	// all attempts, backoff sleeps included. Zero leaves Attempts as the
-	// only bound.
-	TotalDeadline time.Duration
-	// BreakerThreshold opens the circuit after this many consecutive
-	// contact failures (0 = netretry default, negative disables).
-	BreakerThreshold int
-	// BreakerCooldown is the open → half-open probe interval (0 = MaxDelay).
-	BreakerCooldown time.Duration
-	// Edge labels this client's retry/circuit metrics; defaults to
-	// "policy".
-	Edge string
-	// Registry receives marl_retry_*/marl_circuit_* metrics; nil keeps
-	// them private.
-	Registry *telemetry.Registry
-	// Transport overrides the HTTP transport (fault injectors hook here).
-	Transport http.RoundTripper
-	// Tracer, when set and enabled, emits a client span per publish
-	// (joined to the tracer's active context — the learner's per-update
-	// root) and per fetch that lands a traced snapshot, and propagates
-	// context via the X-Marl-Trace request/response headers.
-	Tracer *trace.Tracer
-}
+// ClientOptions configure a policy client: the shared retry, breaker and
+// tracing options. Edge defaults to "policy". Timeout bounds one round trip
+// on top of any long-poll wait; the Tracer records a span per publish
+// (joined to the tracer's active context — the learner's per-update root)
+// and per fetch that lands a traced snapshot.
+type ClientOptions = netretry.Options
 
 // Client talks to a policy distribution server. Safe for sequential use;
 // use one per goroutine for concurrency.
@@ -73,20 +37,7 @@ func NewClient(baseURL string, opts ClientOptions) *Client {
 	if opts.Edge == "" {
 		opts.Edge = "policy"
 	}
-	c := &Client{sleep: time.Sleep, tracer: opts.Tracer}
-	c.core = netretry.New(baseURL, netretry.Options{
-		Timeout:          opts.Timeout,
-		Attempts:         opts.Attempts,
-		BaseDelay:        opts.BaseDelay,
-		MaxDelay:         opts.MaxDelay,
-		JitterSeed:       opts.JitterSeed,
-		TotalDeadline:    opts.TotalDeadline,
-		BreakerThreshold: opts.BreakerThreshold,
-		BreakerCooldown:  opts.BreakerCooldown,
-		Edge:             opts.Edge,
-		Registry:         opts.Registry,
-		Transport:        opts.Transport,
-	})
+	c := &Client{core: netretry.New(baseURL, opts), sleep: time.Sleep, tracer: opts.Tracer}
 	// Forward through the field so tests that swap c.sleep after
 	// construction still intercept backoff sleeps.
 	c.core.SetClock(nil, func(d time.Duration) { c.sleep(d) })
