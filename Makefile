@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-check bench-kernels bench-step bench-residue bench-draw bench-gather bench-workers bench-rollout bench-replay bench-serve cluster-smoke chaos-smoke serve-smoke examples experiments-small experiments-full clean
+.PHONY: all build test vet race bench bench-check bench-kernels bench-step bench-residue bench-draw bench-gather bench-workers bench-rollout bench-replay bench-serve cluster-smoke chaos-smoke serve-smoke experiments-small experiments-full clean
 
 all: build vet test
 
@@ -124,13 +124,6 @@ chaos-smoke:
 # canary arms, a clean SIGTERM drain, and a ≥4-process trace stitch.
 serve-smoke:
 	bash scripts/serve_smoke.sh
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/predator_prey
-	$(GO) run ./examples/prioritized
-	$(GO) run ./examples/layout_reorg
-	$(GO) run ./examples/deception
 
 # Regenerate every paper table/figure (see EXPERIMENTS.md).
 experiments-small:

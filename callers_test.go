@@ -14,15 +14,11 @@ import (
 // callerless lists the exported identifiers TestEveryExportHasACaller lets
 // stand without a caller in non-test code, each with the reason it stays:
 // "test" (an oracle, fixture or accessor the tests use), "interface" (called
-// through an interface the standard library defines), "facade" (the root
-// package's public API) or "next-pass" (callerless, to be deleted with its
-// tests). The list only shrinks: an entry that gains a caller or is deleted
-// fails the test until it is removed here.
+// through an interface the standard library defines) or "next-pass"
+// (callerless, to be deleted with its tests). The list only shrinks: an
+// entry that gains a caller or is deleted fails the test until it is removed
+// here.
 var callerless = map[string]string{
-	"marlperf.ExperimentDescription": "facade",
-	"marlperf.ExperimentIDs":         "facade",
-	"marlperf.RunExperiment":         "facade",
-
 	"internal/netretry.outageError.Unwrap":  "interface",
 	"internal/profiler.Profile.MarshalJSON": "interface",
 
@@ -88,9 +84,8 @@ func TestEveryExportHasACaller(t *testing.T) {
 
 // scanExports parses every .go file under root. declared maps each exported
 // declaration of a library package ("internal/tensor.FromSlice", methods as
-// "internal/resilience.Store.Dir", the root package as "marlperf.X") to its
-// bare name; referenced holds every identifier name that non-test files use
-// other than to declare something.
+// "internal/resilience.Store.Dir") to its bare name; referenced holds every
+// identifier name that non-test files use other than to declare something.
 func scanExports(t *testing.T, root string) (declared map[string]string, referenced map[string]bool) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -144,9 +139,6 @@ func scanExports(t *testing.T, root string) (declared map[string]string, referen
 			continue
 		}
 		prefix := dir + "."
-		if dir == "." {
-			prefix = "marlperf."
-		}
 		add := func(id *ast.Ident, recv string) {
 			if id.IsExported() {
 				declared[prefix+recv+id.Name] = id.Name

@@ -29,8 +29,8 @@ import (
 	"strings"
 	"time"
 
-	"marlperf"
 	"marlperf/internal/cli"
+	"marlperf/internal/core"
 	"marlperf/internal/expserve"
 	"marlperf/internal/expshard"
 	"marlperf/internal/faultnet"
@@ -108,7 +108,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	}
 
 	probe := newEnv()
-	cfg := marlperf.DefaultConfig(algo)
+	cfg := core.DefaultConfig(algo)
 	cfg.Seed = *seed
 	spec := cli.Spec(probe, cfg.BufferCapacity)
 
@@ -401,7 +401,7 @@ type actorEpisodeRecord struct {
 // networks — the -load checkpoint's actors, or fresh seeded ones (matching
 // what a learner with the same seed starts from). The syncer keeps running
 // either way, so a late-starting policyd still takes over at the next sync.
-func installInitialPolicy(ctx context.Context, eng *rollout.Engine, syncer *policysync.Syncer, wait time.Duration, cfg marlperf.Config, env mpe.Env, loadPath string, stdout, stderr io.Writer) error {
+func installInitialPolicy(ctx context.Context, eng *rollout.Engine, syncer *policysync.Syncer, wait time.Duration, cfg core.Config, env mpe.Env, loadPath string, stdout, stderr io.Writer) error {
 	if syncer != nil {
 		// In slices, so a signal during the wait is not held for all of it.
 		var snap *policysync.Snapshot
@@ -433,9 +433,9 @@ func installInitialPolicy(ctx context.Context, eng *rollout.Engine, syncer *poli
 // localActorNetworks builds the acting networks without a policy service: a
 // throwaway trainer (tiny replay allocation) constructs the full agent
 // stack, optionally restores loadPath, and hands over its actors.
-func localActorNetworks(cfg marlperf.Config, env mpe.Env, loadPath string) ([]*nn.Network, error) {
+func localActorNetworks(cfg core.Config, env mpe.Env, loadPath string) ([]*nn.Network, error) {
 	cfg.BufferCapacity = cfg.BatchSize // never filled; keep the allocation small
-	tr, err := marlperf.NewTrainer(cfg, env)
+	tr, err := core.NewTrainer(cfg, env)
 	if err != nil {
 		return nil, err
 	}

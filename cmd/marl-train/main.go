@@ -22,7 +22,6 @@ import (
 	"os"
 	"time"
 
-	"marlperf"
 	"marlperf/internal/cli"
 	"marlperf/internal/core"
 	"marlperf/internal/expserve"
@@ -146,7 +145,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		return cli.ExitUsage
 	}
 
-	cfg := marlperf.DefaultConfig(algo)
+	cfg := core.DefaultConfig(algo)
 	cfg.BatchSize = *batch
 	cfg.BufferCapacity = *buffer
 	cfg.UseKVLayout = *kvLayout
@@ -156,13 +155,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	cfg.Refs = *refs
 	switch *sampler {
 	case "uniform":
-		cfg.Sampler = marlperf.SamplerUniform
+		cfg.Sampler = core.SamplerUniform
 	case "locality":
-		cfg.Sampler = marlperf.SamplerLocality
+		cfg.Sampler = core.SamplerLocality
 	case "per":
-		cfg.Sampler = marlperf.SamplerPER
+		cfg.Sampler = core.SamplerPER
 	case "ip":
-		cfg.Sampler = marlperf.SamplerIPLocality
+		cfg.Sampler = core.SamplerIPLocality
 	default:
 		fmt.Fprintf(stderr, "unknown sampler %q\n", *sampler)
 		return cli.ExitUsage
@@ -173,6 +172,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	}
 	if *replayAddr != "" && (*resume || *loadPath != "") {
 		fmt.Fprintln(stderr, "-replay-addr starts a fresh run; it cannot be combined with -resume or -load")
+		return cli.ExitUsage
+	}
+	// A fabric draws by sample plan from rows that are already key-value
+	// packed: a stateful sampler cannot run there and -kv would do nothing.
+	plan, planErr := cfg.SamplePlan()
+	if *replayAddr != "" && planErr != nil {
+		fmt.Fprintf(stderr, "-replay-addr takes -sampler uniform or locality, not %q\n", *sampler)
+		return cli.ExitUsage
+	}
+	if *replayAddr != "" && *kvLayout {
+		fmt.Fprintln(stderr, "-replay-addr cannot be combined with -kv: fabric rows are already key-value packed")
 		return cli.ExitUsage
 	}
 	if *checkpointDir != "" && *retain < 1 {
@@ -193,7 +203,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	obs.Registry.SetHelp("marl_run_info", "Constant 1, labelled with the run's workload identity.")
 	obs.Registry.Gauge("marl_run_info", "algo", *algoName, "env", env.Name(), "sampler", *sampler).Set(1)
 
-	tr, err := marlperf.NewTrainer(cfg, env)
+	tr, err := core.NewTrainer(cfg, env)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return cli.ExitError
@@ -201,7 +211,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	defer tr.Close()
 	var fabric *expserve.Fabric
 	if *replayAddr != "" {
-		fabric, err = wireExperienceService(tr, cfg, env, *replayAddr, *actorID, *replayRetry, *sampleConns, *spoolDir, obs)
+		fabric, err = wireExperienceService(tr, cfg, plan, env, *replayAddr, *actorID, *replayRetry, *sampleConns, *spoolDir, obs)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return cli.ExitError
@@ -410,12 +420,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 // everything this learner collects itself is published back under
 // actorID so the service's row count gates updates exactly as a local
 // buffer would.
-func wireExperienceService(tr *marlperf.Trainer, cfg marlperf.Config, env marlperf.Env, addr, actorID string, retryFor time.Duration, conns int, spoolDir string, obs *cli.Obs) (*expserve.Fabric, error) {
+func wireExperienceService(tr *core.Trainer, cfg core.Config, plan replay.SamplePlan, env mpe.Env, addr, actorID string, retryFor time.Duration, conns int, spoolDir string, obs *cli.Obs) (*expserve.Fabric, error) {
 	reg, tracer := obs.Registry, obs.Tracer
-	plan, err := cfg.SamplePlan()
-	if err != nil {
-		return nil, err
-	}
 	spec := cli.Spec(env, cfg.BufferCapacity)
 
 	// The sampler fans one draw in across every shard group and the sink
@@ -517,7 +523,7 @@ func newPolicyPublisher(addr string, every int, obs *cli.Obs, stderr io.Writer) 
 // maybePublish starts a background publish when at least `every` update
 // stages ran since the last successful one and no ship is already in
 // flight. It never blocks the training loop.
-func (p *policyPublisher) maybePublish(tr *marlperf.Trainer) {
+func (p *policyPublisher) maybePublish(tr *core.Trainer) {
 	p.reap(false)
 	if p.busy {
 		return
@@ -600,7 +606,7 @@ func (p *policyPublisher) noteSuccess(updates int) {
 // returning the serving version the policy service assigned. Used for the
 // initial and final publishes, where blocking is the point; any in-flight
 // background ship is drained first so versions reach the service in order.
-func (p *policyPublisher) publish(tr *marlperf.Trainer) (uint64, error) {
+func (p *policyPublisher) publish(tr *core.Trainer) (uint64, error) {
 	p.reap(true)
 	updates := tr.UpdateCount()
 	frame, err := policysync.EncodeSnapshot(p.frame[:0], uint64(updates), tr.ActorNetworks())
@@ -620,7 +626,7 @@ func (p *policyPublisher) publish(tr *marlperf.Trainer) (uint64, error) {
 }
 
 // openOutage reports the still-failing window at exit, if any.
-func (p *policyPublisher) openOutage(tr *marlperf.Trainer) (outageWindow, bool) {
+func (p *policyPublisher) openOutage(tr *core.Trainer) (outageWindow, bool) {
 	if !p.failing {
 		return outageWindow{}, false
 	}
@@ -641,7 +647,7 @@ func (p *policyPublisher) openOutage(tr *marlperf.Trainer) (outageWindow, bool) 
 // missing directory or an empty store starts fresh; a store whose every
 // generation is corrupt is a hard error (the operator should look before
 // training blows the evidence away).
-func resumeFromStore(store *resilience.Store, tr *marlperf.Trainer, stdout, stderr io.Writer) int {
+func resumeFromStore(store *resilience.Store, tr *core.Trainer, stdout, stderr io.Writer) int {
 	snap, seq, skipped, err := store.LoadLatest()
 	for _, g := range skipped {
 		fmt.Fprintf(stderr, "warning: skipping corrupt snapshot %v\n", g)
@@ -692,7 +698,7 @@ func resumeFromStore(store *resilience.Store, tr *marlperf.Trainer, stdout, stde
 // trainer samples its own buffer (local) — the replay buffer into one
 // atomic, CRC-protected snapshot generation keyed by episode count. A
 // learner on an experience service keeps no buffer: its rows live there.
-func saveSnapshot(store *resilience.Store, tr *marlperf.Trainer, local bool) error {
+func saveSnapshot(store *resilience.Store, tr *core.Trainer, local bool) error {
 	var trainerBuf, replayBuf, runBuf bytes.Buffer
 	if err := tr.SaveCheckpoint(&trainerBuf); err != nil {
 		return err
@@ -717,7 +723,7 @@ func saveSnapshot(store *resilience.Store, tr *marlperf.Trainer, local bool) err
 
 // writeProfileJSON dumps the final phase profile in the same shape /profilez
 // serves, so marl-trace can reconcile span sums against it offline.
-func writeProfileJSON(tr *marlperf.Trainer, path string) error {
+func writeProfileJSON(tr *core.Trainer, path string) error {
 	data, err := json.Marshal(tr.Profile())
 	if err != nil {
 		return err
@@ -727,7 +733,7 @@ func writeProfileJSON(tr *marlperf.Trainer, path string) error {
 
 // writeBareCheckpoint replaces path atomically: a crash or a failed write
 // mid-save leaves the previous checkpoint there intact.
-func writeBareCheckpoint(tr *marlperf.Trainer, path string) error {
+func writeBareCheckpoint(tr *core.Trainer, path string) error {
 	if err := resilience.WriteFileAtomic(path, tr.SaveCheckpoint); err != nil {
 		return fmt.Errorf("saving checkpoint: %w", err)
 	}

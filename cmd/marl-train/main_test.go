@@ -32,6 +32,10 @@ func TestUsageErrors(t *testing.T) {
 		[]string{"-sampler", "typo"},
 		[]string{"-resume"},
 		[]string{"-replay-addr", "h:1", "-load", "x"},
+		[]string{"-replay-addr", "127.0.0.1:1", "-sampler", "per"},
+		[]string{"-replay-addr", "127.0.0.1:1", "-sampler", "ip"},
+		// A short -replay-retry bounds the run if -kv were accepted.
+		[]string{"-replay-addr", "127.0.0.1:1", "-replay-retry", "100ms", "-kv"},
 		[]string{"-checkpoint-dir", "d", "-retain", "0"},
 		[]string{"-policy-publish-every", "0"},
 		[]string{"-trace-out", "t.json"}, // without -trace

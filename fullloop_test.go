@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"marlperf"
+	"marlperf/internal/core"
 	"marlperf/internal/expserve"
 	"marlperf/internal/expshard"
 	"marlperf/internal/expstore"
@@ -35,13 +35,13 @@ func TestFullLoopActorLearnerPolicySync(t *testing.T) {
 		wantUpdates  = 5
 		wantInstalls = 2
 	)
-	cfg := marlperf.DefaultConfig(marlperf.MADDPG)
+	cfg := core.DefaultConfig(core.MADDPG)
 	cfg.BatchSize = 32
 	cfg.BufferCapacity = 4096
 	cfg.WarmupSize = 64
 	cfg.UpdateEvery = 10
 
-	env := marlperf.NewPredatorPrey(agents)
+	env := mpe.NewPredatorPrey(agents)
 	spec := replay.Spec{
 		NumAgents: env.NumAgents(),
 		ObsDims:   env.ObsDims(),
@@ -68,7 +68,7 @@ func TestFullLoopActorLearnerPolicySync(t *testing.T) {
 
 	// Learner: samples from the experience service only (nil sink keeps its
 	// own env interactions out of the shared store).
-	tr, err := marlperf.NewTrainer(cfg, env)
+	tr, err := core.NewTrainer(cfg, env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"marlperf"
+	"marlperf/internal/core"
+	"marlperf/internal/mpe"
 	"marlperf/internal/profiler"
 	"marlperf/internal/telemetry"
 )
@@ -65,13 +66,13 @@ func scrapeMetrics(t *testing.T, baseURL string) map[string]float64 {
 // with the trainer's own profiler.Profile, and the run log must hold
 // exactly one valid JSONL record per update step.
 func TestLiveMetricsMatchProfiler(t *testing.T) {
-	cfg := marlperf.DefaultConfig(marlperf.MADDPG)
+	cfg := core.DefaultConfig(core.MADDPG)
 	cfg.BatchSize = 32
 	cfg.BufferCapacity = 4096
 	cfg.WarmupSize = 32
 	cfg.UpdateEvery = 10
 	cfg.UpdateWorkers = 2
-	tr, err := marlperf.NewTrainer(cfg, marlperf.NewPredatorPrey(3))
+	tr, err := core.NewTrainer(cfg, mpe.NewPredatorPrey(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestLiveMetricsMatchProfiler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer runLog.Close()
-	tr.SetUpdateListener(func(ev marlperf.UpdateEvent) {
+	tr.SetUpdateListener(func(ev core.UpdateEvent) {
 		if err := runLog.Append(ev); err != nil {
 			t.Errorf("run log append: %v", err)
 		}
@@ -190,9 +191,9 @@ func TestLiveMetricsMatchProfiler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var events []marlperf.UpdateEvent
+	var events []core.UpdateEvent
 	n, err := telemetry.ScanRunLog(f, func(line json.RawMessage) error {
-		var ev marlperf.UpdateEvent
+		var ev core.UpdateEvent
 		if err := json.Unmarshal(line, &ev); err != nil {
 			return err
 		}

@@ -35,8 +35,12 @@ func TestRegistryContainsEveryPaperExperiment(t *testing.T) {
 		"ablation-neighbors", "ablation-ip", "ablation-beta", "ablation-rankper", "ablation-reuse",
 	}
 	for _, id := range want {
-		if Get(id) == nil {
+		r := Get(id)
+		if r == nil {
 			t.Fatalf("experiment %q not registered", id)
+		}
+		if r.Description == "" {
+			t.Errorf("experiment %q has no description (marl-bench -list prints it)", id)
 		}
 	}
 	if len(IDs()) != len(want) {
