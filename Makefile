@@ -10,15 +10,15 @@ build:
 # The second line builds and vets internal/tensor's non-amd64 stub; the
 # third vets internal/rowmem's files for a platform with neither transparent
 # huge pages nor the prefetch assembly, and the ring built on them; the
-# fourth keeps fused multiply-adds, which round once per pair and would
-# change every checkpoint, out of the kernels — out of every file but the
-# packed exponential, which has them where math.Exp has them (DESIGN.md §7).
-FMA_FREE := $(filter-out internal/tensor/exp_amd64.h,$(wildcard internal/tensor/*.s internal/tensor/*.h))
+# fourth holds the kernels' assembly to one arithmetic per operation: the
+# product step macros fused and nothing else fused but the packed
+# exponential, which has them where math.Exp has them (scripts/fma_guard.sh,
+# DESIGN.md §7).
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor/
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/rowmem/ ./internal/expstore/
-	! grep -nE 'VFN?M(ADD|SUB)' $(FMA_FREE)
+	bash scripts/fma_guard.sh
 
 # Tier-1 is `go build ./... && go test ./...`; bench/ is outside that module,
 # so the target adds its own vet and tests (bench-check) to it.
@@ -45,9 +45,12 @@ bench-check:
 # change to the zero-skip must not slow), /halfzero and /trained. The bodies
 # take turns rep by rep on the same operands, so host drift hits all alike;
 # ten counts, reported as q1 / median / q3 per body: the one-line
-# before/after for a kernel change.
+# before/after for a kernel change. Then, dense only, the 24-agent critic's
+# first layer (1024 x 2472 x 64), five counts of five calls: 300 would take
+# minutes on the Go body.
 bench-kernels:
-	$(GO) test -run '^$$' -bench '^BenchmarkKernels$$' -cpu 1 -benchtime 300x -count 10 ./internal/tensor | python3 scripts/bench_quartiles.py
+	( $(GO) test -run '^$$' -bench '^BenchmarkKernels$$' -cpu 1 -benchtime 300x -count 10 ./internal/tensor; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkKernelsN24$$' -cpu 1 -benchtime 5x -count 5 ./internal/tensor ) | python3 scripts/bench_quartiles.py
 
 # One rollout.Engine.Step of the loop's actor (8 envs x 3 predators into a
 # packing sink) with its four terms alone — the batched forwards, one agent's

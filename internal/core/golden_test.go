@@ -10,16 +10,19 @@ import (
 )
 
 // TestTrainerGoldenCheckpoints pins the checkpoint bytes of a few short,
-// fixed-seed training runs. The constants were recorded at the commit before
-// the blocked kernels and the selective backward passes landed (PR 12,
-// 51ea08d), with the scalar ikj loops still in place, so a kernel or backward
-// change that alters even one rounding anywhere in acting, target
-// computation, either loss or the optimizer step fails here. Every
-// distributed ≡ local / batched ≡ single test compares two runs of the same
-// build; this is the one that compares a build with its predecessors.
+// fixed-seed training runs, so a kernel or backward change that alters even
+// one rounding anywhere in acting, target computation, either loss or the
+// optimizer step fails here. The constants were recorded on amd64 when every
+// product step became one fused multiply-add (d = fma(a, b, d), the kernels'
+// contract in internal/tensor): each one read the same with the process
+// forced onto each of the three product bodies (Go, AVX2, AVX-512). The
+// values they replaced were recorded with every multiply and every add of a
+// product rounded on its own. Every distributed ≡ local / batched ≡ single test compares two runs of the
+// same build; this is the one that compares a build with its predecessors.
 func TestTrainerGoldenCheckpoints(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		// arm64 (and others) may fuse x*y+z into one rounding, so their
+		// The products round alike everywhere, but arm64 (and others) may
+		// fuse an x*y+z elsewhere — a loss, the optimizer — so their
 		// checkpoints legitimately differ from the amd64 constants.
 		t.Skipf("golden CRCs were recorded on amd64, not %s", runtime.GOARCH)
 	}
@@ -35,9 +38,9 @@ func TestTrainerGoldenCheckpoints(t *testing.T) {
 	}{
 		// Hidden 16, batch 32, joint width 69: every kernel runs its
 		// remainder paths (k and n not multiples of four).
-		{"maddpg-small", func() Config { return smallConfig(MADDPG) }, 3, 30, 0xfa10cbf5, false},
+		{"maddpg-small", func() Config { return smallConfig(MADDPG) }, 3, 30, 0xb667807c, false},
 		// Twin critics, delayed actor updates, target smoothing noise.
-		{"matd3-small", func() Config { return smallConfig(MATD3) }, 3, 30, 0x09e2a37e, false},
+		{"matd3-small", func() Config { return smallConfig(MATD3) }, 3, 30, 0xe9941dd8, false},
 		// The paper's 64-unit layers at a batch large enough to exercise the
 		// blocked main loops, and prioritized IS weights in the critic loss.
 		{"maddpg-wide-ip", func() Config {
@@ -46,32 +49,31 @@ func TestTrainerGoldenCheckpoints(t *testing.T) {
 			c.BatchSize = 128
 			c.Sampler = SamplerIPLocality
 			return c
-		}, 2, 16, 0xc42b454b, false},
-		// The cells below were recorded at 5ecbb6b, before the batches became
-		// column views of the critic's joint inputs: one for each path that
-		// writes sampled rows into them.
+		}, 2, 16, 0xee0c60b5, false},
+		// One cell for each path that writes sampled rows into the critic's
+		// joint inputs (added before the batches became column views of them).
 		// The key-value table's row split (KVBuffer.GatherAll): the layout is
 		// invisible to training, so these are maddpg-small's bytes.
 		{"maddpg-kv", func() Config {
 			c := smallConfig(MADDPG)
 			c.UseKVLayout = true
 			return c
-		}, 3, 30, 0xfa10cbf5, false},
+		}, 3, 30, 0xb667807c, false},
 		// Neighbour runs on the baseline Buffer (Buffer.GatherAll).
 		{"maddpg-locality", func() Config {
 			c := smallConfig(MADDPG)
 			c.Sampler = SamplerLocality
 			c.Neighbors, c.Refs = 8, 4
 			return c
-		}, 3, 30, 0x0a53d64b, false},
+		}, 3, 30, 0x15475337, false},
 		// A local experience source (RowLayout.SplitRows), under each plan.
-		{"maddpg-source-uniform", func() Config { return smallConfig(MADDPG) }, 3, 30, 0xea505e43, true},
+		{"maddpg-source-uniform", func() Config { return smallConfig(MADDPG) }, 3, 30, 0x759ec4fd, true},
 		{"maddpg-source-locality", func() Config {
 			c := smallConfig(MADDPG)
 			c.Sampler = SamplerLocality
 			c.Neighbors, c.Refs = 8, 4
 			return c
-		}, 3, 30, 0x019e70bd, true},
+		}, 3, 30, 0xb572183a, true},
 		// Two scratches on the pool whatever GOMAXPROCS is, and the twin
 		// critic reading the joint input before the actor's probabilities
 		// replace agent i's actions: matd3-small's bytes.
@@ -79,7 +81,7 @@ func TestTrainerGoldenCheckpoints(t *testing.T) {
 			c := smallConfig(MATD3)
 			c.UpdateWorkers = 2
 			return c
-		}, 3, 30, 0x09e2a37e, false},
+		}, 3, 30, 0xe9941dd8, false},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -38,9 +38,11 @@ func (s *crcSink) Add(obs, act [][]float64, rew []float64, nextObs [][]float64, 
 
 func (s *crcSink) Flush() error { return nil }
 
-// goldenRollouts are the trajectories of the engine as it stood before the
-// acting tier was touched (commit 9088428): CRCs computed there, never edited
-// since. Both acting modes must produce each one.
+// goldenRollouts are the trajectories of the engine, as CRCs. They were first
+// computed before the acting tier was touched and edited once since, when
+// every product step became one fused multiply-add: the new values read the
+// same with the process forced onto each of the three product bodies (Go,
+// AVX2, AVX-512). Both acting modes must produce each one.
 var goldenRollouts = []struct {
 	name   string
 	newEnv func() mpe.Env
@@ -48,26 +50,25 @@ var goldenRollouts = []struct {
 	nanFor int // agent whose head emits NaN logits; -1 for none
 	crc    uint32
 }{
-	{"predator-prey-3", func() mpe.Env { return mpe.NewPredatorPrey(3) }, 1, -1, 0x6d833ef6},
-	{"predator-prey-3", func() mpe.Env { return mpe.NewPredatorPrey(3) }, 8, -1, 0xbabd653b},
-	{"predator-prey-6", func() mpe.Env { return mpe.NewPredatorPrey(6) }, 1, -1, 0xe1f077a6},
-	{"predator-prey-6", func() mpe.Env { return mpe.NewPredatorPrey(6) }, 8, -1, 0x87c34e13},
-	{"coop-nav-3", func() mpe.Env { return mpe.NewCooperativeNavigation(3) }, 1, -1, 0x23871715},
-	{"coop-nav-3", func() mpe.Env { return mpe.NewCooperativeNavigation(3) }, 8, -1, 0x4aaf4381},
-	{"deception-2", func() mpe.Env { return mpe.NewPhysicalDeception(2) }, 1, -1, 0xbfa50d7d},
-	{"deception-2", func() mpe.Env { return mpe.NewPhysicalDeception(2) }, 8, -1, 0x25129030},
+	{"predator-prey-3", func() mpe.Env { return mpe.NewPredatorPrey(3) }, 1, -1, 0x842a3921},
+	{"predator-prey-3", func() mpe.Env { return mpe.NewPredatorPrey(3) }, 8, -1, 0xd1812347},
+	{"predator-prey-6", func() mpe.Env { return mpe.NewPredatorPrey(6) }, 1, -1, 0x8c8e3151},
+	{"predator-prey-6", func() mpe.Env { return mpe.NewPredatorPrey(6) }, 8, -1, 0x856765c5},
+	{"coop-nav-3", func() mpe.Env { return mpe.NewCooperativeNavigation(3) }, 1, -1, 0x6ef4795f},
+	{"coop-nav-3", func() mpe.Env { return mpe.NewCooperativeNavigation(3) }, 8, -1, 0x55b5df47},
+	{"deception-2", func() mpe.Env { return mpe.NewPhysicalDeception(2) }, 1, -1, 0xf24a6b5d},
+	{"deception-2", func() mpe.Env { return mpe.NewPhysicalDeception(2) }, 8, -1, 0x206e4903},
 	// A diverged head: agent 1's logits are NaN on every step, so its probs
 	// are the uniform fallback and its action the sanitising rng.Intn, drawn
 	// between agent 0's and agent 2's Gumbel noise on each env's stream.
-	{"predator-prey-3", func() mpe.Env { return mpe.NewPredatorPrey(3) }, 1, 1, 0xfd717af2},
-	{"predator-prey-3", func() mpe.Env { return mpe.NewPredatorPrey(3) }, 8, 1, 0x3ffc2e96},
+	{"predator-prey-3", func() mpe.Env { return mpe.NewPredatorPrey(3) }, 1, 1, 0xc2f381f9},
+	{"predator-prey-3", func() mpe.Env { return mpe.NewPredatorPrey(3) }, 8, 1, 0xb5566a67},
 }
 
 // TestRolloutGoldenTrajectories pins what an actor ships, bit for bit: for
 // every scenario, vector width and acting mode, 60 steps under a fixed
 // policy and seed — two episode boundaries per env, so resets are inside the
-// stream — must pack to the CRC recorded at the parent of the PR that made
-// the acting tier allocation-free.
+// stream — must pack to the recorded CRC.
 func TestRolloutGoldenTrajectories(t *testing.T) {
 	const (
 		steps = 60

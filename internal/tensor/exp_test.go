@@ -69,9 +69,6 @@ func checkExp(t *testing.T, label string, src []float64) {
 // overflow edge near 709.78, and every input it does not compute, planted at
 // each lane position of a vector.
 func TestExpMatchesMathExp(t *testing.T) {
-	if !fusedExp {
-		t.Log("no FMA: every body runs the math.Exp loop")
-	}
 	rng := rand.New(rand.NewSource(27))
 	lengths := []int{1024}
 	for n := 0; n <= 33; n++ {

@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // The matrix-product kernels. There are two loop nests, matMulRows (a × b)
 // and matMulTransARows (aᵀ × b); a × bᵀ is a × b against a transposed copy of
 // b (TransposeRows), so it has no nest of its own. Each nest computes a
@@ -11,19 +13,21 @@ package tensor
 // Both nests are rows of one shape — a dst row is a sum of rows of b, each
 // times one multiplier from a — and have one body per vector width the CPU
 // offers (vectorLanes): the Go loops below, over the four-deep multiply-add
-// step axpy4Blocks, are the portable body; on amd64 with AVX2 or AVX-512
-// residentRows hands the same rows to assembly that keeps a dst row in
+// step axpy4Blocks, are the portable body; on amd64 with AVX2 or AVX-512, and
+// FMA, residentRows hands the same rows to assembly that keeps a dst row in
 // registers for its whole sum (rows_amd64.s).
 //
 // Contract, shared by all three products and pinned by kernels_test.go
 // against the scalar loops they replaced, on every body:
 //
 //   - Every dst element is the sum over the inner index k, in ascending k,
-//     starting from +0, of a·b products; each multiply and each add is
-//     rounded once (no fused multiply-add on amd64, in Go or in assembly; see
-//     DESIGN.md §7 for arm64). Blocking and vector lanes only change which
-//     elements are in flight together, never the order of additions into one
-//     element.
+//     starting from +0, of a·b products, each step d = fma(a, b, d): the
+//     product and the add rounded once, together, as math.FMA rounds them —
+//     in Go (math.FMA, one instruction where the CPU has FMA, exact software
+//     where it does not) and in assembly (VFMADD231PD) alike, so the bits do
+//     not depend on the body or the architecture. Blocking and vector lanes
+//     only change which elements are in flight together, never the order of
+//     the steps into one element.
 //   - An element therefore depends on its own row of a (column, for
 //     TransA) and its own column of b (row, for TransB) only: row i of an
 //     m-row product has the bits of the one-row product of row i, any split
@@ -231,7 +235,7 @@ func residentRows(lanes int, d, a, b, bias, gate []float64, n int, p rowArgs) {
 
 // axpy4Blocks is the multiply-add step of the Go body: count steps of
 //
-//	d[j] = (((d[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) + a3·b3[j],  j in [0, n)
+//	d[j] = fma(a3, b3[j], fma(a2, b2[j], fma(a1, b1[j], fma(a0, b0[j], d[j])))),  j in [0, n)
 //
 // where a0..a3 = a[0], a[aStride], a[2·aStride], a[3·aStride] and b0..b3 are
 // the four consecutive n-wide rows at the front of b — without the terms
@@ -250,10 +254,10 @@ func axpy4Blocks(d []float64, n int, a []float64, aStride int, b []float64, coun
 		// x != 0 is false for -0 and true for a NaN: exactly "not a zero".
 		if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
 			for j, dv := range dj {
-				dv += a0 * b0[j]
-				dv += a1 * b1[j]
-				dv += a2 * b2[j]
-				dv += a3 * b3[j]
+				dv = math.FMA(a0, b0[j], dv)
+				dv = math.FMA(a1, b1[j], dv)
+				dv = math.FMA(a2, b2[j], dv)
+				dv = math.FMA(a3, b3[j], dv)
 				dj[j] = dv
 			}
 		} else {

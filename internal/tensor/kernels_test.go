@@ -10,10 +10,10 @@ import (
 	"unsafe"
 )
 
-// The scalar loops the blocked kernels replaced, kept as the bit-level
-// reference: one multiply and one add, each rounded once, per (element, k),
-// summed over k in ascending order from +0, skipping a multiplier that is
-// exactly zero.
+// The scalar loops the blocked kernels replaced, with each step a fused
+// multiply-add, kept as the bit-level reference: one math.FMA, rounded once,
+// per (element, k), summed over k in ascending order from +0, skipping a
+// multiplier that is exactly zero.
 
 func refMatMul(dst, a, b *Matrix) {
 	dst.Zero()
@@ -25,7 +25,7 @@ func refMatMul(dst, a, b *Matrix) {
 			}
 			brow := b.Row(k)
 			for j := range brow {
-				drow[j] += av * brow[j]
+				drow[j] = math.FMA(av, brow[j], drow[j])
 			}
 		}
 	}
@@ -41,7 +41,7 @@ func refMatMulTransA(dst, a, b *Matrix) {
 			}
 			drow := dst.Row(i)
 			for j := range brow {
-				drow[j] += av * brow[j]
+				drow[j] = math.FMA(av, brow[j], drow[j])
 			}
 		}
 	}
@@ -54,7 +54,7 @@ func refMatMulTransB(dst, a, b *Matrix) {
 			brow := b.Row(j)
 			var sum float64
 			for k, av := range arow {
-				sum += av * brow[k]
+				sum = math.FMA(av, brow[k], sum)
 			}
 			drow[j] = sum
 		}
@@ -148,7 +148,7 @@ func kernelPaths(t testing.TB) []string {
 		if kernelLanes[name] <= cpuVectorLanes() {
 			paths = append(paths, name)
 		} else {
-			t.Logf("%s body not run: this CPU or OS lacks it (both need AVX2 and BMI1)", name)
+			t.Logf("%s body not run: this CPU or OS lacks it (both need AVX2, BMI1 and FMA)", name)
 		}
 	}
 	return paths
@@ -168,8 +168,9 @@ func setKernelPath(t testing.TB, name string) {
 // TestKernelPathsNamed: the names the tests select bodies by are the names
 // KernelPath stamps benchmark output with, and the body a fresh process runs
 // is the widest one listed. Both assembly bodies walk their zero masks with
-// TZCNT and BLSR, so a CPU that has AVX2 but not BMI1 lists, and runs, only
-// the Go body: cpuHasAVX2 asks CPUID for both.
+// TZCNT and BLSR and step with VFMADD231PD, so a CPU that has AVX2 but not
+// BMI1, or not FMA, lists, and runs, only the Go body: cpuHasAVX2 asks CPUID
+// for the first two, cpuHasFMA for the third.
 func TestKernelPathsNamed(t *testing.T) {
 	paths := kernelPaths(t)
 	if got, want := KernelPath(), paths[len(paths)-1]; got != want {
@@ -386,6 +387,10 @@ func FuzzKernels(f *testing.F) {
 	f.Add(uint8(33), uint8(4), uint8(1), int64(3), uint8(halfZeros))
 	f.Add(uint8(9), uint8(130), uint8(5), int64(4), uint8(mostlyZero))
 	f.Add(uint8(20), uint8(65), uint8(57), int64(5), uint8(trained))
+	// Fused-sensitive: at these a kernel that rounded each product before
+	// its add fails every product, k of two and three included.
+	f.Add(uint8(7), uint8(1), uint8(4), int64(11), uint8(halfZeros))
+	f.Add(uint8(2), uint8(2), uint8(63), int64(6), uint8(trained))
 	f.Fuzz(func(t *testing.T, m, k, n uint8, seed int64, z uint8) {
 		if m == 0 || k == 0 || n == 0 {
 			t.Skip()
@@ -555,6 +560,36 @@ func TestMatMulBiasMatchesSeparatePasses(t *testing.T) {
 	}
 }
 
+// spread returns the len(col)×n matrix whose row k is col[k] throughout.
+func spread(col []float64, n int) *Matrix {
+	b := New(len(col), n)
+	for k, v := range col {
+		for j := 0; j < n; j++ {
+			b.Set(k, j, v)
+		}
+	}
+	return b
+}
+
+// columnSums runs each product as dst[i][j] = Σ mult[k]·col[k] for every i
+// in [0, rows) and j in [0, n): nine rows are a group of eight and a single
+// one for the narrow kernel, whose groups treat a b that is not finite
+// differently.
+var columnSums = map[string]func(mult, col []float64, rows, n int) []float64{
+	"MatMul": func(mult, col []float64, rows, n int) []float64 {
+		a := TransposeRows(nil, spread(mult, rows), 0, len(mult))
+		return MatMul(New(rows, n), a, spread(col, n)).Data
+	},
+	"MatMulTransB": func(mult, col []float64, rows, n int) []float64 {
+		a := TransposeRows(nil, spread(mult, rows), 0, len(mult))
+		bt := TransposeRows(nil, spread(col, n), 0, len(col))
+		return MatMulTransB(New(rows, n), a, bt).Data
+	},
+	"MatMulTransA": func(mult, col []float64, rows, n int) []float64 {
+		return MatMulTransA(New(rows, n), spread(mult, rows), spread(col, n)).Data
+	},
+}
+
 // TestMatMulSkipsEveryZeroMultiplier pins the one rule about zeros where it
 // can be seen, on each body and each product, at a width for each kernel (a
 // single column, five — one masked panel at eight lanes, a vector and a
@@ -565,36 +600,11 @@ func TestMatMulBiasMatchesSeparatePasses(t *testing.T) {
 // next) — and for either sign of the zero. A multiplier that is not zero
 // takes its infinity into the sum, and one that is itself infinite or NaN is
 // not a zero. a × bᵀ is a × (bᵀ) through the same kernel, so the rule is its
-// rule too.
+// rule too. And a skipped zero stays invisible under fusion: the sum starts
+// at +0, and neither a skipped zero nor a step whose product is -0 ever
+// makes it -0 (the results are compared bit for bit, sign included).
 func TestMatMulSkipsEveryZeroMultiplier(t *testing.T) {
 	inf, negZero := math.Inf(1), math.Copysign(0, -1)
-	// Each product as dst[i][j] = Σ mult[k]·col[k] for every i in [0, rows)
-	// and j in [0, n): nine rows are a group of eight and a single one for the
-	// narrow kernel, whose groups treat a b that is not finite differently.
-	type sum func(mult, col []float64, rows, n int) []float64
-	spread := func(col []float64, n int) *Matrix { // k×n, row k filled with col[k]
-		b := New(len(col), n)
-		for k, v := range col {
-			for j := 0; j < n; j++ {
-				b.Set(k, j, v)
-			}
-		}
-		return b
-	}
-	sums := map[string]sum{
-		"MatMul": func(mult, col []float64, rows, n int) []float64 {
-			a := TransposeRows(nil, spread(mult, rows), 0, len(mult))
-			return MatMul(New(rows, n), a, spread(col, n)).Data
-		},
-		"MatMulTransB": func(mult, col []float64, rows, n int) []float64 {
-			a := TransposeRows(nil, spread(mult, rows), 0, len(mult))
-			bt := TransposeRows(nil, spread(col, n), 0, len(col))
-			return MatMulTransB(New(rows, n), a, bt).Data
-		},
-		"MatMulTransA": func(mult, col []float64, rows, n int) []float64 {
-			return MatMulTransA(New(rows, n), spread(mult, rows), spread(col, n)).Data
-		},
-	}
 	ones := func(k int, at map[int]float64) []float64 {
 		v := make([]float64, k)
 		for i := range v {
@@ -625,16 +635,93 @@ func TestMatMulSkipsEveryZeroMultiplier(t *testing.T) {
 		{"a NaN multiplier", []float64{1, 1, 1, 1, math.NaN(), 2, 2}, ones(7, nil), math.NaN()},
 		{"a NaN multiplier among zeros", []float64{0, 0, math.NaN(), 0, 1}, ones(5, nil), math.NaN()},
 		{"a NaN multiplier in the second mask word", ones(70, map[int]float64{66: math.NaN()}), ones(70, nil), math.NaN()},
+		{"nothing but zeros of either sign", []float64{negZero, 0, negZero, negZero, negZero}, ones(5, map[int]float64{0: -1, 2: inf}), 0},
+		{"products that are -0", []float64{2, negZero, 3, 1, negZero, 0}, []float64{negZero, 1, negZero, negZero, -1, inf}, 0},
 	}
 	for _, path := range kernelPaths(t) {
 		setKernelPath(t, path)
-		for name, mul := range sums {
+		for name, mul := range columnSums {
 			for _, rows := range []int{1, 9} {
 				for _, n := range []int{1, 5, 64} {
 					for _, c := range cases {
 						for i, got := range mul(c.mult, c.col, rows, n) {
-							if math.IsNaN(c.want) != math.IsNaN(got) || !math.IsNaN(got) && got != c.want {
+							if math.IsNaN(c.want) != math.IsNaN(got) || !math.IsNaN(got) && math.Float64bits(got) != math.Float64bits(c.want) {
 								t.Fatalf("%s path=%s %d rows n=%d: %s gave %v in element %d, want %v", name, path, rows, n, c.what, got, i, c.want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestProductsRoundOncePerMultiplyAdd pins the step itself on each body:
+// d = fma(a, b, d), the product and the add rounded once, together. After a
+// step that leaves -1 in every element, a = b = 1+2⁻³⁰ tells the two
+// arithmetics apart: a·b is 1+2⁻²⁹+2⁻⁶⁰, which one rounding keeps whole in
+// the sum (2⁻²⁹+2⁻⁶⁰) and a product rounded on its own loses the 2⁻⁶⁰ of
+// (2⁻²⁹). The pair runs in every product — alone, as a dense layer's forward
+// with a bias of -2⁻²⁹ and ReLU (2⁻⁶⁰, or +0 unfused), and gated — at the
+// widths of TestMatMulSkipsEveryZeroMultiplier, among steps of 1·(+0), which
+// change nothing, before and after it: enough to put it in the Go body's
+// tail, at each place of a full block of four and in a block with a zero,
+// and across the boundary of two chunks of the resident aᵀ × b, whose second
+// accumulates into what the first stored; with and without a last zero
+// multiplier over an infinity, which sends the wide kernel through its mask
+// walk and the narrow one's groups through their masked steps.
+func TestProductsRoundOncePerMultiplyAdd(t *testing.T) {
+	x := 1 + math.Ldexp(1, -30)
+	fused := math.Ldexp(1, -29) + math.Ldexp(1, -60)
+	if fused == math.Ldexp(1, -29) || float64(x*x)-1 != math.Ldexp(1, -29) {
+		t.Fatal("the operands do not tell the arithmetics apart")
+	}
+	sums := map[string]func(mult, col []float64, rows, n int) []float64{
+		"MatMulBias": func(mult, col []float64, rows, n int) []float64 {
+			a := TransposeRows(nil, spread(mult, rows), 0, len(mult))
+			bias := spread([]float64{-math.Ldexp(1, -29)}, n).Data
+			return MatMulBias(New(rows, n), a, spread(col, n), bias, true).Data
+		},
+		"MatMulGated": func(mult, col []float64, rows, n int) []float64 {
+			a := TransposeRows(nil, spread(mult, rows), 0, len(mult))
+			gate := New(rows, n)
+			gate.Fill(1)
+			return MatMulGated(New(rows, n), a, spread(col, n), gate).Data
+		},
+	}
+	for name, sum := range columnSums {
+		sums[name] = sum
+	}
+	for _, path := range kernelPaths(t) {
+		setKernelPath(t, path)
+		for name, sum := range sums {
+			want := fused
+			if name == "MatMulBias" {
+				want = math.Ldexp(1, -60)
+			}
+			for _, rows := range []int{1, 9} {
+				for _, n := range []int{1, 5, 64} {
+					chunk := max(1, transAChunkFloats/n)
+					for _, lead := range []int{0, 1, 2, 3, 4, chunk - 1} {
+						for _, zeroLast := range []bool{false, true} {
+							for _, trail := range []int{0, 3} {
+								mult, col := make([]float64, lead), make([]float64, lead)
+								mult, col = append(mult, 1, x), append(col, -1, x)
+								mult, col = append(mult, make([]float64, trail)...), append(col, make([]float64, trail)...)
+								for k := range mult {
+									if k < lead || k >= lead+2 {
+										mult[k] = 1
+									}
+								}
+								if zeroLast {
+									mult, col = append(mult, 0), append(col, math.Inf(1))
+								}
+								for i, got := range sum(mult, col, rows, n) {
+									if math.Float64bits(got) != math.Float64bits(want) {
+										t.Fatalf("%s path=%s %d rows n=%d k=%d at %d, zero last %v: element %d = %x, want %x (one rounding per step)",
+											name, path, rows, n, len(mult), lead, zeroLast, i, math.Float64bits(got), math.Float64bits(want))
+									}
+								}
 							}
 						}
 					}
@@ -720,34 +807,51 @@ func BenchmarkKernels(b *testing.B) {
 				if z != dense {
 					name += "/" + z.String()
 				}
-				b.Run(name, func(b *testing.B) {
-					rng := rand.New(rand.NewSource(5))
-					ds, as, bs := p.shapes(m, k, n)
-					dst, x, y := New(ds[0], ds[1]), New(as[0], as[1]), New(bs[0], bs[1])
-					fillOperand(x, rng, z)
-					fillOperand(y, rng, dense)
-					// One timed call of a small product is mostly clock: repeat it.
-					inner := max(1, 200000/(m*k*n))
-					spent := make([]time.Duration, len(paths))
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						for pi, path := range paths {
-							vectorLanes = kernelLanes[path]
-							t0 := time.Now()
-							for r := 0; r < inner; r++ {
-								kernelSink = p.entry(dst, x, y)
-							}
-							spent[pi] += time.Since(t0)
-						}
-					}
-					vectorLanes = cpuVectorLanes()
-					b.ReportMetric(0, "ns/op") // the sum over the bodies: no body's time
-					flop := 2 * float64(m) * float64(k) * float64(n) * float64(inner) * float64(b.N)
-					for pi, path := range paths {
-						b.ReportMetric(flop/spent[pi].Seconds()/1e9, path+"-GFLOP/s")
-					}
-				})
+				b.Run(name, func(b *testing.B) { benchProduct(b, paths, p, m, k, n, z) })
 			}
 		}
+	}
+}
+
+// BenchmarkKernelsN24 is BenchmarkKernels, dense only, at the largest shape
+// an update runs: the first layer of a critic on 24-agent predator-prey
+// (joint input 2472, hidden 64, batch 1024), where the resident kernel
+// streams all of b (1.27 MB) from L2 once per dst row. One call is a third
+// of a GFLOP: `make bench-kernels` runs it at 5x.
+func BenchmarkKernelsN24(b *testing.B) {
+	const m, k, n = 1024, 2472, 64
+	paths := kernelPaths(b)
+	for _, p := range products {
+		b.Run(fmt.Sprintf("%s/%dx%dx%d", p.name, m, k, n), func(b *testing.B) { benchProduct(b, paths, p, m, k, n, dense) })
+	}
+}
+
+// benchProduct times one product at one shape on each of the given bodies,
+// taking turns rep by rep, and reports GFLOP/s per body.
+func benchProduct(b *testing.B, paths []string, p product, m, k, n int, z zeros) {
+	rng := rand.New(rand.NewSource(5))
+	ds, as, bs := p.shapes(m, k, n)
+	dst, x, y := New(ds[0], ds[1]), New(as[0], as[1]), New(bs[0], bs[1])
+	fillOperand(x, rng, z)
+	fillOperand(y, rng, dense)
+	// One timed call of a small product is mostly clock: repeat it.
+	inner := max(1, 200000/(m*k*n))
+	spent := make([]time.Duration, len(paths))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for pi, path := range paths {
+			vectorLanes = kernelLanes[path]
+			t0 := time.Now()
+			for r := 0; r < inner; r++ {
+				kernelSink = p.entry(dst, x, y)
+			}
+			spent[pi] += time.Since(t0)
+		}
+	}
+	vectorLanes = cpuVectorLanes()
+	b.ReportMetric(0, "ns/op") // the sum over the bodies: no body's time
+	flop := 2 * float64(m) * float64(k) * float64(n) * float64(inner) * float64(b.N)
+	for pi, path := range paths {
+		b.ReportMetric(flop/spent[pi].Seconds()/1e9, path+"-GFLOP/s")
 	}
 }

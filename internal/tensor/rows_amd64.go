@@ -88,9 +88,10 @@ func softmaxPass(lanes int, scale bool, x []float64, pitch int, blk []float64, g
 }
 
 // cpuVectorLanes returns the widest resident body this CPU and OS can run.
+// Both need FMA: every product step is a fused multiply-add.
 func cpuVectorLanes() int {
 	switch {
-	case !cpuHasAVX2():
+	case !cpuHasAVX2() || !cpuHasFMA():
 		return 0
 	case cpuHasAVX512():
 		return 8

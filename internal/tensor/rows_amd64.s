@@ -17,7 +17,7 @@
 // What the headers take from here. Registers: A0-A7, the accumulators (the
 // wide kernel's eight vectors of one row, the narrow kernel's eight rows of
 // one vector); B, the narrow kernel's row of b; M0-M1, multipliers; T0-T3,
-// products and scratch; ZR, which holds zero throughout. LANES columns to a
+// scratch; ZR, which holds zero throughout. LANES columns to a
 // vector, and O1-O6, the byte offsets of a row's vectors 1-6. And what differs
 // between the widths beyond the registers' names:
 //
@@ -33,9 +33,9 @@
 //	                  nothing beyond them is read
 //	STOREW(r, mem)    the reverse; nothing beyond them is written
 //	MADD(p, a, m, t, k)
-//	                  a += (p)·B in every lane, unless the multiplier at p is
-//	                  ±0: then a stays as it is. m, t and the opmask k are
-//	                  scratch.
+//	                  a = (p)·B + a, one fused multiply-add, in every lane,
+//	                  unless the multiplier at p is ±0: then a stays as it
+//	                  is. m, t and the opmask k are scratch.
 //	GATHER(p, r)      r = the LANES multipliers at p plus the byte offsets in
 //	                  B's lanes (rowArgs.aLanes); T2 or K2 is scratch
 //	LANESHIFT         log2 of LANES
@@ -105,7 +105,7 @@
 #define LOADW(mem, r) VMOVUPD.Z mem, K7, r
 #define STOREW(r, mem) VMOVUPD r, K7, mem
 #define MADD(p, a, m, t, k) \
-	VBROADCASTSD (p), m; VCMPPD $4, ZR, m, k; VMULPD B, m, t; VADDPD t, a, k, a
+	VBROADCASTSD (p), m; VCMPPD $4, ZR, m, k; VFMADD231PD B, m, k, a
 #define GATHER(p, r) KXNORW K2, K2, K2; VGATHERQPD (p)(B*1), K2, r
 #define LANESHIFT 3
 #define NEXTWORD nextWord8<>(SB)
@@ -240,10 +240,10 @@ TEXT ·softmaxScale8(SB), NOSPLIT, $0-8
 #define COLUMNS(g, t) MOVQ g, CX; NEGQ CX; LEAQ columns4<>+32(SB), t; VMOVDQU (t)(CX*8), T3
 #define LOADW(mem, r) VMASKMOVPD mem, T3, r
 #define STOREW(r, mem) VMASKMOVPD r, T3, mem
-// No masked add either: add, then keep the sum where the multiplier was not
-// zero.
+// No masked multiply-add either: fuse into a copy of a, then keep the sum
+// where the multiplier was not zero.
 #define MADD(p, a, m, t, k) \
-	VBROADCASTSD (p), m; VMULPD B, m, t; VCMPPD $4, ZR, m, m; VADDPD t, a, t; VBLENDVPD m, t, a, a
+	VBROADCASTSD (p), m; VMOVAPD a, t; VFMADD231PD B, m, t; VCMPPD $4, ZR, m, m; VBLENDVPD m, t, a, a
 #define GATHER(p, r) VPCMPEQQ T2, T2, T2; VGATHERQPD T2, (p)(B*1), r
 #define LANESHIFT 2
 #define NEXTWORD nextWord4<>(SB)
@@ -409,7 +409,8 @@ done:
 // func cpuHasFMA() bool
 //
 // On a CPU that passed cpuHasAVX2, which has checked AVX and the OS's saving
-// of the YMM halves: CPUID reports FMA (leaf 1, ECX bit 12). With both,
+// of the YMM halves: CPUID reports FMA (leaf 1, ECX bit 12). Every resident
+// body needs it — each product step is a VFMADD231PD — and with AVX and FMA
 // math.Exp takes its fused branch, the one Exp's packed body transcribes.
 TEXT ·cpuHasFMA(SB), NOSPLIT, $0-1
 	MOVB $0, ret+0(FP)

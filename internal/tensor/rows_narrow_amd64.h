@@ -7,23 +7,24 @@
 // One panel of args.w columns, 1 <= w <= LANES, as one vector whose other
 // lanes are masked off every load and store: nothing at or beyond column w is
 // read or written. A panel has one accumulator per row and so one chain of
-// dependent adds: a row alone runs at the latency of an add. Eight rows at a
-// time take turns k by k instead, eight independent chains in flight sharing
-// one load of b's row, and what is left of the row count goes one by one.
+// dependent steps: a row alone runs at the latency of a fused multiply-add.
+// Eight rows at a time take turns k by k instead, eight independent chains in
+// flight sharing one load of b's row, and what is left of the row count goes
+// one by one.
 // The arithmetic of a row is the wide kernel's — accumulator loaded or
 // zeroed, the k sum without the multipliers that are ±0, bias, ReLU
-// sign-mask, gate, one store; multiply then add, never fused — but a zero
+// sign-mask, gate, one store; each step one fused multiply-add — but a zero
 // multiplier is not walked around here. Its product is ±0, and adding that
 // changes nothing, unless what it multiplies is not finite: so the kernel
 // first looks through the panel of b, and only if an infinity or a NaN is in
-// it do the groups of eight take the steps whose add is masked off by the
-// multiplier's own compare with zero (MADD), which leaves the sum as
-// untouched as no step at all. Single rows always take those: they wait for
-// the add before and have the compare for free.
+// it do the groups of eight take the steps that the multiplier's own compare
+// with zero masks off (MADD), which leaves the sum as untouched as no step at
+// all. Single rows always take those: they wait for the step before and have
+// the compare for free.
 
 // PLAINMADD is MADD without the compare: for a b that is all finite.
 #define PLAINMADD(p, a, m, t, k) \
-	VBROADCASTSD (p), m; VMULPD B, m, t; VADDPD t, a, a
+	VBROADCASTSD (p), m; VFMADD231PD B, m, a
 
 // EIGHT is op on each row's accumulator in turn. LOADROW, GATEROW and STOREROW
 // are such ops on the row of d at AX, or its gate at SI, moving on to the

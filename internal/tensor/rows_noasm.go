@@ -4,8 +4,6 @@ package tensor
 
 func cpuVectorLanes() int { return 0 }
 
-func cpuHasFMA() bool { return false }
-
 func rowsPanel(*rowArgs, int, int) int {
 	panic("tensor: no resident row kernels on this architecture")
 }

@@ -1,6 +1,6 @@
 // The wide resident row kernel, included once per vector width by
 // rows_amd64.s, which defines the registers (A0-A7 accumulators, M0 the
-// multiplier, T0-T3 products, ZR zero), the vector size (LANES columns, O1-O6
+// multiplier, T0-T3 scratch, ZR zero), the vector size (LANES columns, O1-O6
 // byte offsets of vectors 1-6) and ZERO/RELU/GATE/NONZERO/GATHER for that
 // width. On entry DX holds the *rowArgs (kernels.go states what the fields
 // mean).
@@ -25,8 +25,8 @@
 // word ahead — the next row's first while a row's last is summed — so that
 // what waits for the compares is never a step.
 //
-// Per lane a step is VMULPD then VADDPD — a fused multiply-add would round
-// once per pair and change the bits.
+// Per lane a step is one VFMADD231PD, b's row its memory operand: the
+// product and the add are rounded once, together, as math.FMA rounds them.
 
 // PLAIN is the step of the multiplier at a and the row of b at r, and moves
 // both on to the next k.
@@ -34,14 +34,14 @@
 	VBROADCASTSD (a), M0; STEP(M0, r); ADDQ R12, a; ADDQ R14, r
 
 #define STEP(m, r) \
-	VMULPD (r), m, T0; VADDPD T0, A0, A0; \
-	VMULPD O1(r), m, T1; VADDPD T1, A1, A1; \
-	VMULPD O2(r), m, T2; VADDPD T2, A2, A2; \
-	VMULPD O3(r), m, T3; VADDPD T3, A3, A3; \
-	VMULPD O4(r), m, T0; VADDPD T0, A4, A4; \
-	VMULPD O5(r), m, T1; VADDPD T1, A5, A5; \
-	VMULPD O6(r), m, T2; VADDPD T2, A6, A6; \
-	VMULPD (r)(R15*1), m, T3; VADDPD T3, A7, A7
+	VFMADD231PD (r), m, A0; \
+	VFMADD231PD O1(r), m, A1; \
+	VFMADD231PD O2(r), m, A2; \
+	VFMADD231PD O3(r), m, A3; \
+	VFMADD231PD O4(r), m, A4; \
+	VFMADD231PD O5(r), m, A5; \
+	VFMADD231PD O6(r), m, A6; \
+	VFMADD231PD (r)(R15*1), m, A7
 
 	MOVQ rowArgs_d(DX), DI
 	MOVQ rowArgs_rows(DX), AX

@@ -17,13 +17,15 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// AXPY performs dst += s·src elementwise on equal-length slices.
+// AXPY performs dst += s·src elementwise on equal-length slices, each
+// element one fused multiply-add, math.FMA(s, src[i], dst[i]): the Go
+// product body's step (kernels.go). With s = 1 it is a plain add.
 func AXPY(dst []float64, s float64, src []float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: AXPY length mismatch %d vs %d", len(dst), len(src)))
 	}
 	for i, v := range src {
-		dst[i] += s * v
+		dst[i] = math.FMA(s, v, dst[i])
 	}
 }
 
