@@ -4,10 +4,10 @@
 // Design constraints, in order:
 //
 //  1. Off means free. Tracing is disabled by default; every hot-path
-//     entry point (StartSpan, End, Active, SetActive) collapses to a
-//     single atomic load and performs zero heap allocations when the
-//     tracer is disabled or nil. Span is a value type so the compiler
-//     keeps the disabled path entirely on the stack.
+//     entry point (StartSpan, RecordSpan, End, Active, SetActive)
+//     collapses to a single atomic load and performs zero heap
+//     allocations when the tracer is disabled or nil. Span is a value
+//     type so the compiler keeps the disabled path entirely on the stack.
 //  2. Deterministic trace identity. A trace ID is a pure function of
 //     (run seed, kind, index) — learner update u of a seeded run hashes
 //     to the same trace ID on every machine, every run. That is what
@@ -237,6 +237,22 @@ func (s Span) EndArg(argName string, arg int64) {
 	if s.t == nil {
 		return
 	}
+	s.record(time.Now().UnixNano()-s.start, argName, arg)
+}
+
+// RecordSpan records a span under parent from the caller's own two clock
+// reads: it starts at start and lasts end.Sub(start), the monotonic
+// duration. A profiler phase timed from the same two reads therefore holds
+// the same nanoseconds as its span. An invalid parent records nothing, as
+// with StartSpan.
+func (t *Tracer) RecordSpan(parent Context, name string, start, end time.Time, argName string, arg int64) {
+	if !t.Enabled() || !parent.Valid() {
+		return
+	}
+	t.startAt(parent, name, start).record(int64(end.Sub(start)), argName, arg)
+}
+
+func (s Span) record(dur int64, argName string, arg int64) {
 	s.t.append(Record{
 		TraceID:  s.ctx.TraceID,
 		SpanID:   s.ctx.SpanID,
@@ -244,7 +260,7 @@ func (s Span) EndArg(argName string, arg int64) {
 		Name:     s.name,
 		Proc:     s.t.proc,
 		Start:    s.start,
-		Dur:      time.Now().UnixNano() - s.start,
+		Dur:      dur,
 		ArgName:  argName,
 		Arg:      arg,
 	})
