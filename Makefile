@@ -111,8 +111,7 @@ bench-serve:
 # Five-process full-loop smoke: replayd + policyd + two actors + learner,
 # race-instrumented, asserting ≥2 policy hot-swaps per actor. The same run
 # captures /tracez from every process, merges them with marl-trace, and
-# gates on ≥1 trace spanning ≥4 processes plus the learner span/profiler
-# reconciliation within 5%.
+# gates on ≥1 trace spanning ≥4 processes.
 cluster-smoke:
 	bash scripts/cluster_smoke.sh
 

@@ -15,15 +15,14 @@
 // source becomes one process row). The report prints how many traces span
 // how many processes, the widest trace's process chain, and a per-update
 // critical-path breakdown (per span name: count, total, mean, share of
-// update time). -require-procs gates CI on cross-process stitching;
-// -profilez reconciles learner phase-span sums against the profiler.
+// update time). -require-procs gates CI on cross-process stitching.
 //
 // Exit codes:
 //
 //	0  report produced (and all requested gates passed)
 //	1  runtime failure (unreachable source, unparseable capture)
 //	2  bad command line
-//	4  a gate failed (-require-procs or -profilez reconciliation)
+//	4  the -require-procs gate failed
 package main
 
 import (
@@ -54,11 +53,9 @@ func main() { cli.Main(run) }
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := cli.NewFlagSet("marl-trace", usage, stderr)
 	var (
-		out       = fs.String("o", "", "write the merged Chrome trace JSON here (opens in Perfetto)")
-		reqProcs  = fs.Int("require-procs", 0, "fail (exit 4) unless at least one trace spans this many distinct processes")
-		profilez  = fs.String("profilez", "", "learner /profilez URL or JSON file; reconcile phase-span sums against its phase totals")
-		tolerance = fs.Float64("tolerance", 0.05, "allowed relative deviation for the -profilez reconciliation")
-		timeout   = fs.Duration("timeout", 5*time.Second, "HTTP timeout per capture")
+		out      = fs.String("o", "", "write the merged Chrome trace JSON here (opens in Perfetto)")
+		reqProcs = fs.Int("require-procs", 0, "fail (exit 4) unless at least one trace spans this many distinct processes")
+		timeout  = fs.Duration("timeout", 5*time.Second, "HTTP timeout per capture")
 	)
 	if code, done := cli.Parse(fs, args, true); done {
 		return code
@@ -120,7 +117,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	reportStitching(stdout, traces)
 	reportBreakdown(stdout, traces)
 
-	code := cli.ExitOK
 	if *reqProcs > 0 {
 		widest := 0
 		for _, tr := range traces {
@@ -130,22 +126,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		if widest < *reqProcs {
 			fmt.Fprintf(stderr, "FAIL: no trace spans %d processes (widest: %d)\n", *reqProcs, widest)
-			code = cli.ExitGate
-		} else {
-			fmt.Fprintf(stdout, "OK: at least one trace spans ≥%d processes\n", *reqProcs)
+			return cli.ExitGate
 		}
+		fmt.Fprintf(stdout, "OK: at least one trace spans ≥%d processes\n", *reqProcs)
 	}
-	if *profilez != "" {
-		ok, err := reconcileProfile(ctx, stdout, client, *profilez, spans, *tolerance)
-		if err != nil {
-			fmt.Fprintln(stderr, "profilez reconciliation:", err)
-			return cli.ExitError
-		}
-		if !ok {
-			code = cli.ExitGate
-		}
-	}
-	return code
+	return cli.ExitOK
 }
 
 // span is one parsed ph "X" event.
@@ -345,65 +330,4 @@ func reportBreakdown(stdout io.Writer, traces []*traceGroup) {
 		fmt.Fprintf(stdout, "  %-24s %8d %12.2f %12.1f %6.1f%%\n",
 			a.name, a.count, a.total/1e3, a.total/float64(a.count), share)
 	}
-}
-
-// profileDoc is the slice of the /profilez document reconciliation needs.
-type profileDoc struct {
-	Phases []struct {
-		Phase string `json:"phase"`
-		Nanos int64  `json:"nanos"`
-	} `json:"phases"`
-}
-
-// reconcileProfile checks that per-phase span sums match the profiler's
-// totals within tolerance. It only applies when the learner traced every
-// update (-trace-sample 1) with a ring large enough to hold the whole run;
-// spans sit inside the profiler's Start/Stop windows, so their sums
-// approximate the phase totals from below.
-func reconcileProfile(ctx context.Context, stdout io.Writer, client *http.Client, src string, spans []span, tolerance float64) (bool, error) {
-	data, err := fetch(ctx, client, src)
-	if err != nil {
-		return false, err
-	}
-	var doc profileDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return false, err
-	}
-
-	// Phases instrumented with same-named spans on the learner.
-	phaseNames := map[string]bool{
-		"mini-batch-sampling": true,
-		"target-q":            true,
-		"q-loss-p-loss":       true,
-	}
-	spanNanos := make(map[string]float64)
-	for _, sp := range spans {
-		if phaseNames[sp.name] {
-			spanNanos[sp.name] += sp.dur * 1e3 // µs → ns
-		}
-	}
-
-	ok := true
-	checked := 0
-	fmt.Fprintln(stdout, "\nprofiler reconciliation (span sums vs /profilez phase totals):")
-	for _, ph := range doc.Phases {
-		if !phaseNames[ph.Phase] || ph.Nanos == 0 {
-			continue
-		}
-		checked++
-		got := spanNanos[ph.Phase]
-		dev := (got - float64(ph.Nanos)) / float64(ph.Nanos)
-		status := "ok"
-		if dev < -tolerance || dev > tolerance {
-			status = "FAIL"
-			ok = false
-		}
-		fmt.Fprintf(stdout, "  %-24s spans %12.0f ns  profiler %12d ns  dev %+6.2f%%  %s\n",
-			ph.Phase, got, ph.Nanos, 100*dev, status)
-	}
-	if checked == 0 {
-		fmt.Fprintln(stdout, "  no overlapping phases found — nothing to reconcile")
-		return false, fmt.Errorf("profile document has none of the instrumented phases")
-	}
-	return ok, nil
 }

@@ -64,7 +64,7 @@ func NumPhases() int { return int(numPhases) }
 // runs one Profile shard per worker, all pointed at the same observer —
 // implementations must therefore be safe for concurrent use. Merge and
 // DrainInto do NOT re-notify: an observation is delivered exactly once, at
-// the Stop/Add/Event call that records it.
+// the Add or Event call that records it.
 type Observer interface {
 	ObservePhase(p Phase, d time.Duration)
 	ObserveEvent(name string, n uint64)
@@ -76,16 +76,14 @@ type Observer interface {
 type Profile struct {
 	durations [numPhases]time.Duration
 	counts    [numPhases]uint64
-	started   [numPhases]time.Time
-	running   [numPhases]bool
 
 	events map[string]uint64
 
 	obs Observer
 }
 
-// SetObserver attaches o to the profile; every subsequent Stop, Add and
-// Event call is mirrored to it. A nil o detaches. The observer survives
+// SetObserver attaches o to the profile; every subsequent Add and Event
+// call is mirrored to it. A nil o detaches. The observer survives
 // Reset (it is configuration, not accumulated data).
 func (pr *Profile) SetObserver(o Observer) { pr.obs = o }
 
@@ -126,30 +124,9 @@ func (pr *Profile) Events() []string {
 	return names
 }
 
-// Start begins timing phase p; nested starts of the same phase panic.
-func (pr *Profile) Start(p Phase) {
-	if pr.running[p] {
-		panic(fmt.Sprintf("profiler: phase %v started twice", p))
-	}
-	pr.running[p] = true
-	pr.started[p] = time.Now()
-}
-
-// Stop ends timing phase p, accumulating the elapsed wall time.
-func (pr *Profile) Stop(p Phase) {
-	if !pr.running[p] {
-		panic(fmt.Sprintf("profiler: phase %v stopped without start", p))
-	}
-	d := time.Since(pr.started[p])
-	pr.durations[p] += d
-	pr.counts[p]++
-	pr.running[p] = false
-	if pr.obs != nil {
-		pr.obs.ObservePhase(p, d)
-	}
-}
-
-// Add directly accumulates a duration (for externally timed work).
+// Add records one run of phase p that lasted d. Callers time a phase
+// between two clock reads, its edges, and pass t1.Sub(t0); a span of the
+// phase recorded from the same two reads then lasts exactly d.
 func (pr *Profile) Add(p Phase, d time.Duration) {
 	pr.durations[p] += d
 	pr.counts[p]++
@@ -213,8 +190,6 @@ func (pr *Profile) Reset() {
 	for i := range pr.durations {
 		pr.durations[i] = 0
 		pr.counts[i] = 0
-		pr.started[i] = time.Time{}
-		pr.running[i] = false
 	}
 	for name := range pr.events {
 		delete(pr.events, name)
@@ -239,19 +214,12 @@ func (pr *Profile) Merge(other *Profile) {
 
 // DrainInto merges pr into dst and resets pr, keeping pr's allocated event
 // map for reuse. The parallel update engine gives each worker a private
-// Profile shard (Start/Stop stay single-threaded within a worker) and drains
-// the shards into the main profile after the join barrier, in worker order,
-// so phase totals are race-free and deterministic.
+// Profile shard (each shard is written by one worker only) and drains the
+// shards into the main profile after the join barrier, in worker order, so
+// phase totals are race-free and deterministic.
 func (pr *Profile) DrainInto(dst *Profile) {
 	dst.Merge(pr)
-	for i := range pr.durations {
-		pr.durations[i] = 0
-		pr.counts[i] = 0
-		pr.running[i] = false
-	}
-	for name := range pr.events {
-		delete(pr.events, name)
-	}
+	pr.Reset()
 }
 
 // Report renders a human-readable per-phase table.

@@ -7,38 +7,24 @@ import (
 	"time"
 )
 
-func TestStartStopAccumulates(t *testing.T) {
+// TestAddAccumulates: each Add is one run of its phase, timed between two
+// clock reads; durations sum exactly and every call counts once.
+func TestAddAccumulates(t *testing.T) {
 	var p Profile
-	p.Start(PhaseSampling)
+	t0 := time.Now()
 	time.Sleep(2 * time.Millisecond)
-	p.Stop(PhaseSampling)
-	if p.Duration(PhaseSampling) < time.Millisecond {
-		t.Fatalf("duration = %v, want ≥1ms", p.Duration(PhaseSampling))
+	t1 := time.Now()
+	p.Add(PhaseSampling, t1.Sub(t0))
+	p.Add(PhaseSampling, 3*time.Millisecond)
+	if got, want := p.Duration(PhaseSampling), t1.Sub(t0)+3*time.Millisecond; got != want {
+		t.Fatalf("duration = %v, want %v", got, want)
 	}
-	if p.Count(PhaseSampling) != 1 {
-		t.Fatalf("count = %d, want 1", p.Count(PhaseSampling))
+	if p.Count(PhaseSampling) != 2 {
+		t.Fatalf("count = %d, want 2", p.Count(PhaseSampling))
 	}
-}
-
-func TestDoubleStartPanics(t *testing.T) {
-	var p Profile
-	p.Start(PhaseTargetQ)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double Start did not panic")
-		}
-	}()
-	p.Start(PhaseTargetQ)
-}
-
-func TestStopWithoutStartPanics(t *testing.T) {
-	var p Profile
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Stop without Start did not panic")
-		}
-	}()
-	p.Stop(PhaseQPLoss)
+	if p.Count(PhaseTargetQ) != 0 {
+		t.Fatalf("target-q count = %d, want 0", p.Count(PhaseTargetQ))
+	}
 }
 
 func TestAddAndTotals(t *testing.T) {
@@ -154,10 +140,15 @@ func TestResetKeepsEventMap(t *testing.T) {
 	if got := p.EventCount(EventCheckpointWritten); got != 1 {
 		t.Fatalf("EventCount after Reset = %d, want 1", got)
 	}
-	p.Start(PhaseSampling)
+	p.Add(PhaseSampling, time.Millisecond)
 	p.Reset()
-	p.Start(PhaseSampling) // must not panic: Reset cleared the running flag
-	p.Stop(PhaseSampling)
+	if p.Count(PhaseSampling) != 0 || p.Duration(PhaseSampling) != 0 {
+		t.Fatalf("Reset left count %d, duration %v", p.Count(PhaseSampling), p.Duration(PhaseSampling))
+	}
+	p.Add(PhaseSampling, time.Millisecond)
+	if p.Count(PhaseSampling) != 1 {
+		t.Fatalf("count after Reset and Add = %d, want 1", p.Count(PhaseSampling))
+	}
 }
 
 // recordingObserver captures observer callbacks for the tests below. It
@@ -183,14 +174,14 @@ func (o *recordingObserver) ObservePhase(p Phase, d time.Duration) {
 
 func (o *recordingObserver) ObserveEvent(name string, n uint64) { o.events[name] += n }
 
-func TestObserverMirrorsStopAddEvent(t *testing.T) {
+func TestObserverMirrorsAddEvent(t *testing.T) {
 	obs := newRecordingObserver()
 	var p Profile
 	p.SetObserver(obs)
 	p.Add(PhaseSampling, 10*time.Millisecond)
 	p.Add(PhaseSampling, 5*time.Millisecond)
-	p.Start(PhaseEnvStep)
-	p.Stop(PhaseEnvStep)
+	t0 := time.Now()
+	p.Add(PhaseEnvStep, time.Since(t0))
 	p.Event(EventWatchdogRollback, 2)
 
 	if got := obs.phases[PhaseSampling]; got != 15*time.Millisecond {
@@ -225,8 +216,11 @@ func TestMergeDoesNotRenotify(t *testing.T) {
 	if got := obs.events[EventPriorityClamped]; got != 4 {
 		t.Fatalf("observed clamp events = %d after drain, want 4", got)
 	}
-	if main.Duration(PhaseTargetQ) != time.Second || main.EventCount(EventPriorityClamped) != 4 {
+	if main.Duration(PhaseTargetQ) != time.Second || main.Count(PhaseTargetQ) != 1 || main.EventCount(EventPriorityClamped) != 4 {
 		t.Fatal("drain lost data")
+	}
+	if shard.Duration(PhaseTargetQ) != 0 || shard.Count(PhaseTargetQ) != 0 || shard.EventCount(EventPriorityClamped) != 0 {
+		t.Fatal("drain left data in the shard")
 	}
 }
 

@@ -11,8 +11,7 @@
 #     off service-fed replay);
 #   - the distributed traces stitch: /tracez captures from all five
 #     processes merge (via marl-trace) into ≥1 trace spanning ≥4 distinct
-#     processes, and the learner's phase-span sums reconcile with its
-#     /profilez totals within 5%;
+#     processes;
 #   - no process tripped the race detector.
 #
 # Ports/dirs are overridable via REPLAY_PORT / POLICY_PORT / ACTOR0_METRICS_PORT /
@@ -173,14 +172,14 @@ done
 # Merge all the captures into one Chrome trace and gate on the loop's
 # end-to-end observability: at least one trace must stitch across
 # ≥REQUIRE_PROCS processes (learner update → per-shard replayd sample →
-# policyd publish → actor hot-swap), and the learner's phase-span sums
-# must agree with its profiler totals within 5% (full-rate sampling
-# makes that exact enough).
+# policyd publish → actor hot-swap). That phase spans agree with the
+# profile needs no gate here: a phase's span and its profile entry come
+# from the same two clock reads, and TestPhaseSpansEqualProfile
+# (internal/core) checks they sum to the same nanoseconds.
 capture_files=("$OUT/learner-trace.json")
 for cap in "${caps[@]}"; do capture_files+=("$OUT/${cap%%:*}-tracez.json"); done
 echo "merging traces"
 "$BIN/marl-trace" -o "$OUT/merged-trace.json" -require-procs "$REQUIRE_PROCS" \
-  -profilez "$OUT/learner-profile.json" -tolerance 0.05 \
   "${capture_files[@]}" \
   | tee "$OUT/trace-report.txt" || fail "trace merge/gates (see $OUT/trace-report.txt)"
 [ -s "$OUT/merged-trace.json" ] || fail "merged trace JSON is empty"
