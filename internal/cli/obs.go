@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -9,7 +8,6 @@ import (
 	"os"
 	"sync"
 
-	"marlperf/internal/core"
 	"marlperf/internal/telemetry"
 	"marlperf/internal/trace"
 )
@@ -46,6 +44,9 @@ type Obs struct {
 	// Tracer is nil without -trace; a nil tracer's methods no-op without
 	// allocating, so untraced runs pay nothing.
 	Tracer *trace.Tracer
+	// Profilez backs the -metrics-addr server's /profilez; a binary with a
+	// phase profile sets it where its producer is quiescent.
+	Profilez telemetry.JSONSnapshot
 
 	metricsAddr, runlogPath, traceOut string
 	traceOn                           bool
@@ -55,8 +56,6 @@ type Obs struct {
 	server       *telemetry.Server
 	runLog       *telemetry.RunLog
 	logWarn      sync.Once
-	profilez     telemetry.JSONSnapshot
-	collector    *telemetry.PhaseCollector
 }
 
 // Observe registers the role's observability flags on fs.
@@ -116,7 +115,7 @@ func (o *Obs) Start(info, stderr io.Writer) int {
 	}
 	if o.metricsAddr != "" {
 		cfg := o.serverConfig()
-		cfg.Profilez = &o.profilez
+		cfg.Profilez = &o.Profilez
 		srv, err := telemetry.StartServer(o.metricsAddr, cfg)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -146,6 +145,9 @@ func (o *Obs) Mount(mux *http.ServeMux) { o.serverConfig().Mount(mux) }
 // Logging reports whether -runlog was given.
 func (o *Obs) Logging() bool { return o.runLog != nil }
 
+// Serving reports whether -metrics-addr started a server.
+func (o *Obs) Serving() bool { return o.server != nil }
+
 // Log appends one record to the run log; without -runlog it does nothing.
 // Safe for concurrent use. The first failure warns, later ones are silent:
 // a full disk must not bury the run's own output.
@@ -166,48 +168,6 @@ func (o *Obs) warnLog(err error) {
 	if err != nil {
 		o.logWarn.Do(func() { fmt.Fprintln(o.stderr, "warning: run log write failed:", err) })
 	}
-}
-
-// AttachTrainer points a trainer at whatever the flags enabled: the tracer,
-// the phase histograms behind /metrics, and a listener that logs each update
-// event and mirrors it into the run gauges.
-func (o *Obs) AttachTrainer(tr *core.Trainer) {
-	tr.SetTracer(o.Tracer)
-	if o.server == nil && o.runLog == nil {
-		return
-	}
-	if o.server != nil {
-		if o.collector == nil {
-			o.collector = telemetry.NewPhaseCollector(o.Registry)
-		}
-		tr.SetPhaseObserver(o.collector)
-	}
-	var (
-		steps    = o.Registry.Gauge("marl_env_steps")
-		updates  = o.Registry.Gauge("marl_updates")
-		episodes = o.Registry.Gauge("marl_episodes")
-		reward   = o.Registry.Gauge("marl_episode_reward")
-		td       = o.Registry.Gauge("marl_td_mean")
-	)
-	tr.SetUpdateListener(func(ev core.UpdateEvent) {
-		o.Log(ev)
-		steps.Set(float64(ev.Step))
-		updates.Set(float64(ev.Update))
-		episodes.Set(float64(ev.Episode))
-		reward.Set(ev.EpisodeReward)
-		td.Set(ev.TDMean)
-	})
-}
-
-// Refresh republishes /profilez from the trainer's profile and flushes the
-// run log. Call where the trainer is quiescent (an episode boundary).
-func (o *Obs) Refresh(tr *core.Trainer) {
-	if o.server != nil {
-		if data, err := json.Marshal(tr.Profile()); err == nil {
-			o.profilez.Set(data)
-		}
-	}
-	o.FlushLog()
 }
 
 // Close writes -trace-out, closes the run log and stops the server. Defer
