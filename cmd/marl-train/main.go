@@ -44,9 +44,12 @@ from the newest intact one, skipping truncated or corrupt generations.
 
 With -replay-addr the learner samples from (and publishes to) a remote
 experience service (marl-replayd) instead of its in-process buffer. For a
-single learner and a fixed seed this trains bit-identically to the local
-run, because sampling is a pure function of (plan, length, seed) on
-either side.
+single learner and a fixed seed the run is bit-identical across shard
+counts, -workers, prefetch and -trace, and to the same plan over an
+in-process experience store, because sampling is a pure function of
+(plan, length, seed) on either side. It does not match a run without
+-replay-addr: the in-process sampler draws a batch's indices from the
+agent's RNG stream, the fabric one seed per batch.
 
 -replay-addr is a replay fabric spec: comma-separated shard groups, each
 a pipe-separated list of replica replayd addresses ("h:9300" is one
@@ -54,9 +57,9 @@ shard, "h1:9300|h1:9301,h2:9300|h2:9301" is 2 shards at R=2).
 Experience is time-striped across groups by a consistent-hash ring,
 appends replicate to every member of the owning group, and each draw is
 selected here once and gathered by the shards holding its rows — at R=1
-with all shards live, training stays bit-identical to the local run at
-any shard count. A down member is served from its replicas; a fully
-down group is skipped with the draw reweighted (counted, never silent).
+with all shards live, training is bit-identical at any shard count. A
+down member is served from its replicas; a fully down group is skipped
+with the draw reweighted (counted, never silent).
 
 With -policy-publish-addr the learner closes the actor half of the
 distributed loop: after every -policy-publish-every update stages (and once
@@ -415,12 +418,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 
 // wireExperienceService connects the trainer to a remote experience
 // service for both halves of the split: mini-batches are drawn with the
-// trainer's per-batch seeds and gathered by the shards (bit-identical to the
-// in-process sampler of the same name for the same collected rows), the
-// next update's sample RPCs overlapping this update's gradient compute, and
-// everything this learner collects itself is published back under
-// actorID so the service's row count gates updates exactly as a local
-// buffer would.
+// trainer's per-batch seeds and gathered by the shards (bit-identical to an
+// in-process expstore.Source running the same plan over the same collected
+// rows, not to the trainer's own sampler), the next update's sample RPCs
+// overlapping this update's gradient compute, and everything this learner
+// collects itself is published back under actorID so the service's row
+// count gates updates exactly as a local buffer would.
 func wireExperienceService(tr *core.Trainer, cfg core.Config, plan replay.SamplePlan, env mpe.Env, addr, actorID string, retryFor time.Duration, conns int, spoolDir string, obs *cli.Obs) (*expserve.Fabric, error) {
 	reg, tracer := obs.Registry, obs.Tracer
 	spec := cli.Spec(env, cfg.BufferCapacity)

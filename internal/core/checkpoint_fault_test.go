@@ -17,15 +17,6 @@ import (
 // the stream, short writes, and the refusal of legacy v1 (trailer-less)
 // streams.
 
-func checkpointBytes(t *testing.T, src *Trainer) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := src.SaveCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func freshTrainer(t *testing.T, algo Algorithm) *Trainer {
 	t.Helper()
 	tr, err := NewTrainer(smallConfig(algo), mpe.NewCooperativeNavigation(2))
@@ -37,7 +28,7 @@ func freshTrainer(t *testing.T, algo Algorithm) *Trainer {
 
 func TestLoadCheckpointRejectsBitFlips(t *testing.T) {
 	src := trainedTrainer(t, MADDPG)
-	data := checkpointBytes(t, src)
+	data := trainerStateBytes(t, src)
 	// Sampled offsets across the whole stream plus both edges: header,
 	// network parameters, optimizer moments, counters, trailer.
 	offsets := []int{0, 1, 4, 5, 8, len(data) - 1, len(data) - 4, len(data) - 12}
@@ -55,7 +46,7 @@ func TestLoadCheckpointRejectsBitFlips(t *testing.T) {
 
 func TestLoadCheckpointChecksumFailureLeavesTrainerUntouched(t *testing.T) {
 	src := trainedTrainer(t, MADDPG)
-	data := checkpointBytes(t, src)
+	data := trainerStateBytes(t, src)
 	dst := freshTrainer(t, MADDPG)
 	before := dst.agents[0].actor.Params()[0].Clone()
 	// Corrupt a byte deep in the parameter section: the CRC check must
@@ -85,19 +76,19 @@ func TestLoadCheckpointIsAllOrNothing(t *testing.T) {
 		t.Cleanup(tr.Close)
 		return tr
 	}
-	data := checkpointBytes(t, newTrainer(1))
+	data := trainerStateBytes(t, newTrainer(1))
 	body := data[:len(data)-4]
 	named := regexp.MustCompile(`agent \d (target )?(actor|critic[12])( optimizer)?\b`)
 	for _, frac := range []int{1, 2, 3, 4, 5, 6} {
 		cut := body[:len(body)*frac/7]
 		resealed := binary.LittleEndian.AppendUint32(append([]byte(nil), cut...), crc32.ChecksumIEEE(cut))
 		dst := newTrainer(2)
-		before := checkpointBytes(t, dst)
+		before := trainerStateBytes(t, dst)
 		err := dst.LoadCheckpoint(bytes.NewReader(resealed))
 		if err == nil || !named.MatchString(err.Error()) {
 			t.Fatalf("body cut at %d/7: err = %v, want one naming the agent and part", frac, err)
 		}
-		if !bytes.Equal(checkpointBytes(t, dst), before) {
+		if !bytes.Equal(trainerStateBytes(t, dst), before) {
 			t.Fatalf("body cut at %d/7: the refused checkpoint still changed the trainer (%v)", frac, err)
 		}
 	}
@@ -105,7 +96,7 @@ func TestLoadCheckpointIsAllOrNothing(t *testing.T) {
 
 func TestSaveCheckpointPropagatesShortWrites(t *testing.T) {
 	src := trainedTrainer(t, MADDPG)
-	full := int64(len(checkpointBytes(t, src)))
+	full := int64(len(trainerStateBytes(t, src)))
 	for _, allow := range []int64{0, 3, 100, full / 2, full - 2} {
 		fw := &resilience.FaultWriter{W: &bytes.Buffer{}, Remaining: allow, Short: true}
 		if err := src.SaveCheckpoint(fw); err == nil {
@@ -118,7 +109,7 @@ func TestSaveCheckpointPropagatesShortWrites(t *testing.T) {
 // version error, and the trainer is left as it was.
 func TestLoadCheckpointRejectsV1(t *testing.T) {
 	src := trainedTrainer(t, MADDPG)
-	data := checkpointBytes(t, src)
+	data := trainerStateBytes(t, src)
 	// A v1 stream is the v2 stream with the version field rewound and the
 	// CRC trailer stripped.
 	v1 := append([]byte(nil), data[:len(data)-4]...)
@@ -136,7 +127,7 @@ func TestLoadCheckpointRejectsV1(t *testing.T) {
 
 func TestLoadCheckpointRejectsFutureVersion(t *testing.T) {
 	src := trainedTrainer(t, MADDPG)
-	data := checkpointBytes(t, src)
+	data := trainerStateBytes(t, src)
 	data[4] = 99
 	dst := freshTrainer(t, MADDPG)
 	err := dst.LoadCheckpoint(bytes.NewReader(data))

@@ -46,9 +46,6 @@ const (
 	// SamplerIPLocality is information-prioritized locality-aware sampling
 	// (§IV-B1).
 	SamplerIPLocality
-	// SamplerRankPER is rank-based prioritized replay (the second variant
-	// of Schaul et al.), provided as an additional prioritization baseline.
-	SamplerRankPER
 )
 
 // String returns the sampler kind's report name.
@@ -62,8 +59,6 @@ func (s SamplerKind) String() string {
 		return "per"
 	case SamplerIPLocality:
 		return "ip-locality"
-	case SamplerRankPER:
-		return "rank-per"
 	default:
 		return fmt.Sprintf("sampler(%d)", int(s))
 	}

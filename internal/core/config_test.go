@@ -75,7 +75,6 @@ func TestEnumStrings(t *testing.T) {
 		SamplerLocality:   "locality",
 		SamplerPER:        "per",
 		SamplerIPLocality: "ip-locality",
-		SamplerRankPER:    "rank-per",
 	} {
 		if kind.String() != want {
 			t.Fatalf("sampler %d = %q, want %q", kind, kind.String(), want)

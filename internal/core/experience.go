@@ -9,8 +9,8 @@ import (
 // SamplePlan maps the configured sampler to the pure-data plan a fabric
 // draw runs on the learner before the shards gather. Only strategies whose index
 // selection is a pure function of (length, seed) are serviceable — the
-// prioritized samplers carry client-side mutable state (sum trees, rank
-// heaps) that cannot be replayed remotely.
+// prioritized samplers carry client-side mutable state (sum trees) that
+// cannot be replayed remotely.
 func (c Config) SamplePlan() (replay.SamplePlan, error) {
 	switch c.Sampler {
 	case SamplerUniform:

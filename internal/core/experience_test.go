@@ -1,14 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
-	"time"
 
-	"marlperf/internal/expserve"
 	"marlperf/internal/expstore"
-	"marlperf/internal/faultnet"
 	"marlperf/internal/mpe"
 	"marlperf/internal/replay"
 )
@@ -34,58 +30,6 @@ func expSpec(cfg Config, env mpe.Env) replay.Spec {
 		ObsDims:   env.ObsDims(),
 		ActDim:    env.NumActions(),
 		Capacity:  cfg.BufferCapacity,
-	}
-}
-
-// runServiceTrainer trains episodes episodes against the given experience
-// source/sink and returns the final checkpoint bytes (weights, optimizer
-// state, RNG streams — the full bit-identity witness).
-func runServiceTrainer(t *testing.T, cfg Config, src replay.TransitionSource, sink replay.TransitionSink, episodes int) ([]byte, *Trainer) {
-	t.Helper()
-	tr, err := NewTrainer(cfg, mpe.NewCooperativeNavigation(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetExperienceService(src, sink); err != nil {
-		t.Fatal(err)
-	}
-	for completed := 0; completed < episodes; {
-		done, err := tr.StepE()
-		if err != nil {
-			t.Fatalf("StepE: %v", err)
-		}
-		if done {
-			completed++
-		}
-	}
-	return checkpointBytes(t, tr), tr
-}
-
-// The determinism contract must hold across the parallel update engine too:
-// worker count is a pure throughput knob in service mode exactly as it is
-// locally.
-func TestRemoteExperienceDeterministicAcrossWorkers(t *testing.T) {
-	cfg := expConfig(SamplerLocality)
-	env := mpe.NewCooperativeNavigation(2)
-	spec := expSpec(cfg, env)
-	plan, err := cfg.SamplePlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ckpts [][]byte
-	for _, workers := range []int{1, 3} {
-		c := cfg
-		c.UpdateWorkers = workers
-		src, err := expstore.NewSource(expstore.NewRing(spec), plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ckpt, tr := runServiceTrainer(t, c, src, src, 3)
-		tr.Close()
-		ckpts = append(ckpts, ckpt)
-	}
-	if !bytes.Equal(ckpts[0], ckpts[1]) {
-		t.Fatal("experience-service training differs across UpdateWorkers")
 	}
 }
 
@@ -118,8 +62,15 @@ func TestSetExperienceServiceKeepsNoLocalCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tr := runServiceTrainer(t, cfg, src, src, 6)
+	tr, err := NewTrainer(cfg, env)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer tr.Close()
+	if err := tr.SetExperienceService(src, src); err != nil {
+		t.Fatal(err)
+	}
+	tr.RunEpisodes(6, nil)
 	if tr.UpdateCount() == 0 {
 		t.Fatal("no update ran")
 	}
@@ -161,7 +112,6 @@ func TestConfigSamplePlanMapping(t *testing.T) {
 		{SamplerLocality, true},
 		{SamplerPER, false},
 		{SamplerIPLocality, false},
-		{SamplerRankPER, false},
 	} {
 		cfg := expConfig(c.sampler)
 		plan, err := cfg.SamplePlan()
@@ -202,62 +152,4 @@ type brokenSource struct{}
 func (brokenSource) Len() (int, error) { return 0, fmt.Errorf("service unreachable") }
 func (brokenSource) SampleBatch(int, int64, []*replay.AgentBatch) ([]int, error) {
 	return nil, fmt.Errorf("service unreachable")
-}
-
-// The chaos-mode acceptance criterion, proven in-process: a full training
-// run whose every HTTP exchange with the experience service rides through
-// injected drops, 5xx answers and delays must produce a checkpoint
-// bit-identical to the fault-free run. Faults that only delay (never lose)
-// committed data cost wall-clock, never bits.
-func TestRemoteTrainingBitIdenticalUnderInjectedFaults(t *testing.T) {
-	cfg := expConfig(SamplerLocality)
-	env := mpe.NewCooperativeNavigation(2)
-	spec := expSpec(cfg, env)
-	plan, err := cfg.SamplePlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(inj *faultnet.Injector) []byte {
-		t.Helper()
-		opts := expserve.ClientOptions{
-			Timeout:    10 * time.Second,
-			Attempts:   12,
-			BaseDelay:  time.Millisecond,
-			MaxDelay:   5 * time.Millisecond,
-			JitterSeed: 1,
-			// Never fail fast: the run must ride every injected fault out.
-			BreakerThreshold: -1,
-		}
-		if inj != nil {
-			opts.Transport = inj.RoundTripper("actor→replay", nil)
-		}
-		fabric := newShardFabric(t, spec, shardFabric{client: opts})
-		src, err := expserve.NewShardedSource(fabric, spec, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink, err := expserve.NewShardedSink(fabric, "actor-0", spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ckpt, tr := runServiceTrainer(t, cfg, src, sink, 3)
-		tr.Close()
-		return ckpt
-	}
-
-	clean := run(nil)
-
-	inj := faultnet.New(99)
-	if err := inj.SetRule("actor→replay", faultnet.Rule{Drop: 0.08, Error: 0.08, Delay: 200 * time.Microsecond, DelayProb: 0.25}); err != nil {
-		t.Fatal(err)
-	}
-	faulted := run(inj)
-
-	if c := inj.Counts("actor→replay"); c.Dropped == 0 && c.Errored == 0 {
-		t.Fatalf("fault injection never fired (%+v); the run proved nothing", c)
-	}
-	if !bytes.Equal(clean, faulted) {
-		t.Fatalf("training through a faulty transport diverged: checkpoints differ (%d vs %d bytes)", len(clean), len(faulted))
-	}
 }

@@ -1,155 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"runtime"
 	"testing"
 
 	"marlperf/internal/mpe"
 	"marlperf/internal/profiler"
 )
-
-// runEpisodesCollect trains tr for episodes full episodes and returns each
-// completed episode's mean reward.
-func runEpisodesCollect(t *testing.T, tr *Trainer, episodes int) []float64 {
-	t.Helper()
-	rewards := make([]float64, 0, episodes)
-	tr.RunEpisodes(episodes, func(_ int, r float64) {
-		rewards = append(rewards, r)
-	})
-	return rewards
-}
-
-// trainerStateBytes serializes tr's full state for bit-level comparison.
-func trainerStateBytes(t *testing.T, tr *Trainer) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := tr.SaveCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestSerialParallelDeterminism is the headline guarantee of the parallel
-// update engine: the same seed trained with UpdateWorkers=1 and
-// UpdateWorkers=8 produces bit-identical network parameters and episode
-// rewards after 50 episodes on cooperative navigation with 3 agents.
-func TestSerialParallelDeterminism(t *testing.T) {
-	const episodes = 50
-	run := func(workers int) ([]float64, []byte) {
-		cfg := smallConfig(MADDPG)
-		cfg.UpdateWorkers = workers
-		tr, err := NewTrainer(cfg, mpe.NewCooperativeNavigation(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		rewards := runEpisodesCollect(t, tr, episodes)
-		return rewards, trainerStateBytes(t, tr)
-	}
-
-	serialRewards, serialState := run(1)
-	parallelRewards, parallelState := run(8)
-
-	if len(serialRewards) != episodes || len(parallelRewards) != episodes {
-		t.Fatalf("got %d/%d episode rewards, want %d", len(serialRewards), len(parallelRewards), episodes)
-	}
-	for i := range serialRewards {
-		if serialRewards[i] != parallelRewards[i] {
-			t.Fatalf("episode %d reward diverged: serial %v, parallel %v", i, serialRewards[i], parallelRewards[i])
-		}
-	}
-	if !bytes.Equal(serialState, parallelState) {
-		t.Fatal("serial and parallel checkpoints are not bit-identical")
-	}
-}
-
-// TestSerialParallelDeterminismMATD3 covers the MATD3-specific parallel
-// surfaces: target policy smoothing noise (drawn from per-agent RNG
-// streams), the twin critics, and the policy-delay flag shared with the
-// worker pool.
-func TestSerialParallelDeterminismMATD3(t *testing.T) {
-	const episodes = 20
-	run := func(workers int) ([]float64, []byte) {
-		cfg := smallConfig(MATD3)
-		cfg.UpdateWorkers = workers
-		tr, err := NewTrainer(cfg, mpe.NewCooperativeNavigation(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		rewards := runEpisodesCollect(t, tr, episodes)
-		return rewards, trainerStateBytes(t, tr)
-	}
-	serialRewards, serialState := run(1)
-	parallelRewards, parallelState := run(8)
-	for i := range serialRewards {
-		if serialRewards[i] != parallelRewards[i] {
-			t.Fatalf("episode %d reward diverged: serial %v, parallel %v", i, serialRewards[i], parallelRewards[i])
-		}
-	}
-	if !bytes.Equal(serialState, parallelState) {
-		t.Fatal("serial and parallel MATD3 checkpoints are not bit-identical")
-	}
-}
-
-// TestParallelPriorityFeedbackDeterminism exercises the batched
-// priority-feedback path for every prioritized sampler: concurrent workers
-// sample from the shared priority state while TD errors are parked
-// per-agent, and the post-join application must leave the sampler in the
-// same state as a serial run. Under -race this doubles as the concurrent
-// priority-feedback race test.
-func TestParallelPriorityFeedbackDeterminism(t *testing.T) {
-	for _, kind := range []SamplerKind{SamplerPER, SamplerIPLocality, SamplerRankPER} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			const episodes = 12
-			run := func(workers int) ([]float64, []byte) {
-				cfg := smallConfig(MADDPG)
-				cfg.Sampler = kind
-				cfg.UpdateWorkers = workers
-				tr, err := NewTrainer(cfg, mpe.NewCooperativeNavigation(3))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer tr.Close()
-				rewards := runEpisodesCollect(t, tr, episodes)
-				return rewards, trainerStateBytes(t, tr)
-			}
-			serialRewards, serialState := run(1)
-			parallelRewards, parallelState := run(4)
-			for i := range serialRewards {
-				if serialRewards[i] != parallelRewards[i] {
-					t.Fatalf("episode %d reward diverged: serial %v, parallel %v", i, serialRewards[i], parallelRewards[i])
-				}
-			}
-			if !bytes.Equal(serialState, parallelState) {
-				t.Fatalf("%v: serial and parallel checkpoints differ", kind)
-			}
-		})
-	}
-}
-
-// TestParallelKVLayoutMatchesSerial checks the fused key-value gather path
-// under the worker pool.
-func TestParallelKVLayoutMatchesSerial(t *testing.T) {
-	const episodes = 12
-	run := func(workers int) []byte {
-		cfg := smallConfig(MADDPG)
-		cfg.UseKVLayout = true
-		cfg.UpdateWorkers = workers
-		tr, err := NewTrainer(cfg, mpe.NewCooperativeNavigation(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		tr.RunEpisodes(episodes, nil)
-		return trainerStateBytes(t, tr)
-	}
-	if !bytes.Equal(run(1), run(4)) {
-		t.Fatal("KV-layout serial and parallel checkpoints differ")
-	}
-}
 
 // TestParallelUpdatePreservesProfileCounts ensures the per-worker profiler
 // shards merge into the same phase call counts the serial loop records.

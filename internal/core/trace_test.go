@@ -1,19 +1,17 @@
 package core
 
 // Acceptance tests for the distributed tracer's core guarantees on the
-// learner: span emission never changes training bytes (tracing on vs off,
-// serial vs parallel, local vs remote, prefetch on vs off — one
-// checkpoint), the disabled path is free (no additional allocations on the
-// update hot path), and phase spans equal the profile exactly.
+// learner: the disabled path is free (no additional allocations on the
+// update hot path), and phase spans equal the profile exactly. That span
+// emission never changes training bytes is TestDeterminismMatrix's trace
+// axis.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
-	"marlperf/internal/expserve"
 	"marlperf/internal/expstore"
 	"marlperf/internal/mpe"
 	"marlperf/internal/nn"
@@ -22,158 +20,6 @@ import (
 	"marlperf/internal/rollout"
 	"marlperf/internal/trace"
 )
-
-// traceTestTracer returns a tracer recording every update stage.
-func traceTestTracer(proc string) *trace.Tracer {
-	tr := trace.New(proc, 1<<14)
-	tr.SetSampleEvery(1)
-	tr.SetEnabled(true)
-	return tr
-}
-
-// TestTracingBitIdenticalAcrossWorkers: tracing draws no randomness and
-// writes no training state, so enabling it — at full sampling — must leave
-// checkpoints bit-identical to an untraced run, for serial and parallel
-// update engines alike.
-func TestTracingBitIdenticalAcrossWorkers(t *testing.T) {
-	const episodes = 6
-	run := func(workers int, traced bool) ([]byte, *trace.Tracer) {
-		cfg := smallConfig(MADDPG)
-		cfg.UpdateWorkers = workers
-		tr, err := NewTrainer(cfg, mpe.NewCooperativeNavigation(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		var tracer *trace.Tracer
-		if traced {
-			tracer = traceTestTracer("learner")
-			tr.SetTracer(tracer)
-		}
-		tr.RunEpisodes(episodes, nil)
-		return trainerStateBytes(t, tr), tracer
-	}
-
-	baseline, _ := run(1, false)
-	for _, tc := range []struct {
-		workers int
-		traced  bool
-	}{{1, true}, {4, false}, {4, true}} {
-		ckpt, tracer := run(tc.workers, tc.traced)
-		if !bytes.Equal(baseline, ckpt) {
-			t.Fatalf("workers=%d traced=%v: checkpoint diverged from untraced serial baseline",
-				tc.workers, tc.traced)
-		}
-		if tc.traced {
-			if tracer.Len() == 0 {
-				t.Fatalf("workers=%d: traced run recorded no spans; the check is vacuous", tc.workers)
-			}
-			updates := 0
-			for _, rec := range tracer.Snapshot() {
-				if rec.Name == "update" {
-					updates++
-				}
-			}
-			if updates == 0 {
-				t.Fatalf("workers=%d: no update root spans recorded", tc.workers)
-			}
-		}
-	}
-}
-
-// TestTracingBitIdenticalRemotePrefetch covers the remote leg: a learner
-// sampling a real HTTP experience service with client+server tracers and
-// full-rate sampling must checkpoint identically to the untraced run, with
-// and without the prefetch source in between — and the traces must
-// actually stitch, i.e. the server records spans under the same trace IDs
-// the learner started.
-func TestTracingBitIdenticalRemotePrefetch(t *testing.T) {
-	cfg := expConfig(SamplerLocality)
-	run := func(prefetch, traced bool) ([]byte, *trace.Tracer, *trace.Tracer) {
-		env := mpe.NewCooperativeNavigation(2)
-		spec := expSpec(cfg, env)
-		plan, err := cfg.SamplePlan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var serverTracer *trace.Tracer
-		if traced {
-			serverTracer = traceTestTracer("replayd")
-		}
-		var learnerTracer *trace.Tracer
-		if traced {
-			learnerTracer = traceTestTracer("learner")
-		}
-		fabric := newShardFabric(t, spec, shardFabric{tracer: learnerTracer, serverTracer: serverTracer})
-		src, err := expserve.NewShardedSource(fabric, spec, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink, err := expserve.NewShardedSink(fabric, "actor-0", spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var source = replay.TransitionSource(src)
-		if prefetch {
-			// Prefetched sample RPCs run on the prefetcher's goroutine; they
-			// must not perturb training either way.
-			source = expserve.NewPrefetchSource(src, 4, nil)
-		}
-		tr, err := NewTrainer(cfg, mpe.NewCooperativeNavigation(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		if traced {
-			tr.SetTracer(learnerTracer)
-		}
-		if err := tr.SetExperienceService(source, sink); err != nil {
-			t.Fatal(err)
-		}
-		for completed := 0; completed < 3; {
-			done, err := tr.StepE()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if done {
-				completed++
-			}
-		}
-		return checkpointBytes(t, tr), learnerTracer, serverTracer
-	}
-
-	baseline, _, _ := run(false, false)
-	ckpt, learnerTracer, serverTracer := run(false, true)
-	if !bytes.Equal(baseline, ckpt) {
-		t.Fatal("traced remote run diverged from untraced baseline")
-	}
-	pfCkpt, _, _ := run(true, true)
-	if !bytes.Equal(baseline, pfCkpt) {
-		t.Fatal("traced prefetch run diverged from untraced baseline")
-	}
-
-	// Cross-process stitching: every learner trace ID that reached the wire
-	// must appear again in the server's records.
-	learnerTraces := make(map[uint64]bool)
-	for _, rec := range learnerTracer.Snapshot() {
-		if rec.Name == "shard-sample-rpc" || rec.Name == "append-rpc" {
-			learnerTraces[rec.TraceID] = true
-		}
-	}
-	if len(learnerTraces) == 0 {
-		t.Fatal("learner recorded no RPC client spans")
-	}
-	stitched := 0
-	for _, rec := range serverTracer.Snapshot() {
-		if learnerTraces[rec.TraceID] {
-			stitched++
-		}
-	}
-	if stitched == 0 {
-		t.Fatalf("server recorded %d spans but none share a trace ID with the learner's %d RPC spans",
-			serverTracer.Len(), len(learnerTraces))
-	}
-}
 
 // TestDisabledTracerAddsNoAllocs: attaching a tracer that is present but
 // disabled must not add a single allocation to the update/sample hot path

@@ -229,8 +229,6 @@ func NewTrainer(cfg Config, env mpe.Env) (*Trainer, error) {
 		t.sampler = replay.NewPERSampler(t.buf)
 	case SamplerIPLocality:
 		t.sampler = replay.NewIPLocalitySampler(t.buf, cfg.ISBeta)
-	case SamplerRankPER:
-		t.sampler = replay.NewRankPERSampler(t.buf)
 	default:
 		return nil, fmt.Errorf("core: unknown sampler %v", cfg.Sampler)
 	}

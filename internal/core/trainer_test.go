@@ -21,7 +21,7 @@ func smallConfig(algo Algorithm) Config {
 }
 
 func TestNewTrainerAllSamplers(t *testing.T) {
-	for _, s := range []SamplerKind{SamplerUniform, SamplerLocality, SamplerPER, SamplerIPLocality, SamplerRankPER} {
+	for _, s := range []SamplerKind{SamplerUniform, SamplerLocality, SamplerPER, SamplerIPLocality} {
 		cfg := smallConfig(MADDPG)
 		cfg.Sampler = s
 		env := mpe.NewCooperativeNavigation(2)
@@ -269,72 +269,6 @@ func TestPERPrioritiesEvolveDuringTraining(t *testing.T) {
 	}
 	if uniform {
 		t.Fatal("PER priorities did not differentiate after an update")
-	}
-}
-
-func TestRankPERTrainerUpdatesPriorities(t *testing.T) {
-	cfg := smallConfig(MADDPG)
-	cfg.Sampler = SamplerRankPER
-	tr, err := NewTrainer(cfg, mpe.NewCooperativeNavigation(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Warmup(40)
-	tr.UpdateAllTrainers()
-	// After the TD-error refresh, sampling should prefer some transitions
-	// over others; just assert the full update path ran without panic and
-	// a second update still works.
-	tr.UpdateAllTrainers()
-	if tr.UpdateCount() != 2 {
-		t.Fatalf("UpdateCount = %d, want 2", tr.UpdateCount())
-	}
-}
-
-func TestKVLayoutTrainingMatchesBaseline(t *testing.T) {
-	// The KV layout is purely a storage transformation: with the same seed
-	// the training trajectory must be identical to the baseline layout.
-	mk := func(useKV bool) *Trainer {
-		cfg := smallConfig(MADDPG)
-		cfg.UseKVLayout = useKV
-		tr, err := NewTrainer(cfg, mpe.NewCooperativeNavigation(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	a := mk(false)
-	b := mk(true)
-	for i := 0; i < 80; i++ {
-		a.Step()
-		b.Step()
-	}
-	if a.UpdateCount() == 0 {
-		t.Fatal("no updates happened; test is vacuous")
-	}
-	pa := a.agents[0].actor.Params()[0]
-	pb := b.agents[0].actor.Params()[0]
-	for i := range pa.Data {
-		if pa.Data[i] != pb.Data[i] {
-			t.Fatalf("KV layout diverged from baseline at param %d: %v vs %v", i, pa.Data[i], pb.Data[i])
-		}
-	}
-	if b.Profile().Duration(profiler.PhaseLayoutReorg) == 0 {
-		t.Fatal("KV trainer did not record layout-reorg time")
-	}
-}
-
-func TestDeterminismAcrossRuns(t *testing.T) {
-	run := func() float64 {
-		cfg := smallConfig(MADDPG)
-		tr, err := NewTrainer(cfg, mpe.NewPredatorPrey(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr.RunEpisodes(3, nil)
-		return tr.LastEpisodeReward()
-	}
-	if r1, r2 := run(), run(); r1 != r2 {
-		t.Fatalf("same seed produced different rewards: %v vs %v", r1, r2)
 	}
 }
 

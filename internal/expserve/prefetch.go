@@ -2,7 +2,6 @@ package expserve
 
 import (
 	"sync"
-	"time"
 
 	"marlperf/internal/replay"
 	"marlperf/internal/telemetry"
@@ -18,19 +17,13 @@ import (
 // Correctness does not depend on the prefetcher at all: batch content is a
 // pure function of (plan, length, seed), so a prefetched reply is
 // byte-identical to the one a synchronous call would have fetched. Every
-// SampleBatch whose seed was not announced, whose prefetch errored, or
-// whose prefetch is still in flight past SyncAfter simply falls back to a
-// synchronous fetch. Prefetching therefore changes timing only — training
-// remains bit-identical with the feature on or off, across worker counts
-// and under injected network faults.
+// SampleBatch whose seed was not announced or whose prefetch errored simply
+// falls back to a synchronous fetch; an announced prefetch still in flight is
+// awaited, its retries bounded by the client's own deadline. Prefetching
+// therefore changes timing only — training remains bit-identical with the
+// feature on or off, across worker counts and under injected network faults.
 type PrefetchSource struct {
 	*ShardedSource
-
-	// SyncAfter caps how long SampleBatch waits for an announced in-flight
-	// prefetch before abandoning it and fetching synchronously. Zero means
-	// wait for the prefetch to settle (its retries are bounded by the
-	// client's own deadline, so this cannot hang past an outage verdict).
-	SyncAfter time.Duration
 
 	slots chan struct{} // bounds concurrent prefetch RPCs to the stripe count
 
@@ -48,8 +41,8 @@ type prefetchKey struct {
 }
 
 // prefetchEntry is one announced fetch. done closes once sc/err are set.
-// abandoned flags a consumer that gave up (timeout) or a pruned stale
-// round; whoever loses the race owns returning sc to the pool.
+// abandoned flags a pruned stale round; whoever loses the race owns
+// returning sc to the pool.
 type prefetchEntry struct {
 	done      chan struct{}
 	sc        *shardScratch
@@ -156,8 +149,10 @@ func (p *PrefetchSource) reap(e *prefetchEntry) {
 
 // SampleBatch implements replay.TransitionSource. A completed prefetch for
 // (n, seed) is consumed without touching the network; anything else — not
-// announced, errored, or still in flight past SyncAfter — falls back to the
-// wrapped source's synchronous path, which returns the exact same bytes.
+// announced or errored — falls back to the wrapped source's synchronous
+// path, which returns the exact same bytes. An announced prefetch still in
+// flight is awaited: its retries are bounded by the client's own deadline,
+// so this cannot hang past an outage verdict.
 func (p *PrefetchSource) SampleBatch(n int, seed int64, dst []*replay.AgentBatch) ([]int, error) {
 	key := prefetchKey{n: n, seed: seed}
 	p.mu.Lock()
@@ -169,22 +164,7 @@ func (p *PrefetchSource) SampleBatch(n int, seed int64, dst []*replay.AgentBatch
 	if e == nil {
 		return p.miss(n, seed, dst)
 	}
-	if p.SyncAfter > 0 {
-		select {
-		case <-e.done:
-		case <-time.After(p.SyncAfter):
-			// The prefetch is stuck behind a slow link. Abandon it (run/reap
-			// return its buffers once the RPC settles) and fetch now — a
-			// duplicate RPC costs latency, never correctness.
-			p.mu.Lock()
-			e.abandoned = true
-			p.mu.Unlock()
-			go p.reap(e)
-			return p.miss(n, seed, dst)
-		}
-	} else {
-		<-e.done
-	}
+	<-e.done
 	p.mu.Lock()
 	sc, err := e.sc, e.err
 	e.sc = nil

@@ -194,11 +194,9 @@ func TestPrefetchHitBitIdentical(t *testing.T) {
 	}
 }
 
-// Satellite: under an injected slow/lossy link, a prefetch stuck in
-// retries must not stall the learner — SampleBatch falls back to the
-// synchronous path after SyncAfter — and every batch, hit or fallback,
-// stays bit-identical to the fault-free reference. No seed is trained
-// twice or skipped: sampleAll consumes each seed exactly once.
+// Under an injected slow/lossy link every batch, hit or fallback, stays
+// bit-identical to the fault-free reference. No seed is trained twice or
+// skipped: sampleAll consumes each seed exactly once.
 func TestPrefetchFallsBackUnderFaults(t *testing.T) {
 	spec := testSpec(256)
 	plan := replay.SamplePlan{Strategy: replay.PlanLocality, Neighbors: 8, Refs: 4}
@@ -239,7 +237,6 @@ func TestPrefetchFallsBackUnderFaults(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	pf := NewPrefetchSource(src, 4, reg)
-	pf.SyncAfter = time.Millisecond // aggressive: force fallbacks under delay
 	pf.PrefetchBatch(batch, seeds)
 	got := sampleAll(t, pf, batch, seeds)
 

@@ -68,9 +68,6 @@ type Config struct {
 	PerEnvForward bool
 	// Sink, when non-nil, receives every transition in (step, env) order.
 	Sink replay.TransitionSink
-	// Prof, when non-nil, receives phase timings (action selection, env
-	// step, replay add); nil keeps an internal profile.
-	Prof *profiler.Profile
 	// Registry, when non-nil, receives marl_rollout_* and marl_policy_*
 	// actor-side metrics.
 	Registry *telemetry.Registry
@@ -164,7 +161,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:       cfg,
-		prof:      cfg.Prof,
+		prof:      &profiler.Profile{},
 		tracer:    cfg.Tracer,
 		stepsC:    reg.Counter("marl_rollout_env_steps_total"),
 		episodesC: reg.Counter("marl_rollout_episodes_total"),
@@ -172,9 +169,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		actingG:   reg.Gauge("marl_policy_acting_version"),
 		staleG:    reg.Gauge("marl_policy_staleness_versions"),
 		actLagH:   reg.Histogram("marl_policy_act_lag_versions", actLagBuckets()),
-	}
-	if e.prof == nil {
-		e.prof = &profiler.Profile{}
 	}
 	reg.SetHelp("marl_rollout_env_steps_total", "Environment steps taken across all vectorized envs.")
 	reg.SetHelp("marl_policy_staleness_versions", "Versions the acting policy lags the newest one this actor has seen.")
