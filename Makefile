@@ -115,9 +115,10 @@ bench-serve:
 cluster-smoke:
 	bash scripts/cluster_smoke.sh
 
-# Five-process chaos smoke: seeded kills, a policyd partition and a 10%
-# drop rule on the replay edge; asserts the loop completes with zero
-# experience loss and both daemons drain cleanly on SIGTERM.
+# Three-process chaos smoke: replayd SIGKILLed under a spooling actor and a
+# learner, then restarted; asserts the learner completes with zero experience
+# loss, empty spools and a clean SIGTERM drain. The fault schedules behind it
+# run in process: go test -run FaultSchedules .
 chaos-smoke:
 	bash scripts/chaos_smoke.sh
 

@@ -26,7 +26,6 @@ var callerless = map[string]string{
 	"internal/expserve.Server.ListenAndServe":       "test",
 	"internal/expshard.View.Balanced":               "test",
 	"internal/expstore.Source.Plan":                 "test",
-	"internal/faultnet.Injector.Partition":          "test",
 	"internal/mpe.PhysicalDeception.TargetLandmark": "test",
 	"internal/netretry.Breaker.State":               "test",
 	"internal/nn.Adam.StepCount":                    "test",

@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -33,7 +32,6 @@ import (
 	"marlperf/internal/core"
 	"marlperf/internal/expserve"
 	"marlperf/internal/expshard"
-	"marlperf/internal/faultnet"
 	"marlperf/internal/mpe"
 	"marlperf/internal/nn"
 	"marlperf/internal/policysync"
@@ -62,27 +60,24 @@ func main() { cli.Main(run) }
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
 	fs := cli.NewFlagSet("marl-actor", usage, stderr)
 	var (
-		replayAddr  = fs.String("replay-addr", "127.0.0.1:9300", "replay fabric spec (marl-replayd addresses): comma-separated shard groups, each a pipe-separated replica list (\"h:9300\" is one shard, \"h1:9300|h1:9301,h2:9300\" two shards, the first at R=2)")
-		policyAddr  = fs.String("policy-addr", "", "policy service address (marl-policyd); empty acts with the -load/fresh policy forever")
-		actorID     = fs.String("actor-id", "actor-0", "unique id for this actor's idempotent append stream")
-		envName     = fs.String("env", "cn", "environment: pp, cn or pd (must match the service)")
-		agents      = fs.Int("agents", 3, "number of trainable agents (must match the service)")
-		algoName    = fs.String("algo", "maddpg", "algorithm whose policy network acts: maddpg or matd3")
-		envs        = fs.Int("envs", 1, "environments stepped per engine step (vectorized acting)")
-		firstEnv    = fs.Int("first-env", 0, "global index of this actor's first env (give actor k of a fleet k*envs)")
-		syncEvery   = fs.Int("sync-every", 25, "engine steps between policy version checks")
-		policyWait  = fs.Duration("policy-wait", time.Minute, "how long to wait for the first published policy before acting with the local one")
-		episodes    = fs.Int("episodes", 100, "episodes to collect (0: run until signalled)")
-		seed        = fs.Int64("seed", 1, "RNG seed (per-env streams derive from it and -first-env)")
-		loadPath    = fs.String("load", "", "act with this policy checkpoint until the service publishes a newer one")
-		batchRows   = fs.Int("batch-rows", 512, "transitions per shipped append batch")
-		logEvery    = fs.Int("log-every", 20, "episodes between progress lines")
-		spoolDir    = fs.String("spool-dir", "", "spool experience batches here (one subdirectory per fabric member) while the experience service is unreachable; drained in order on recovery (empty: outages fail the actor)")
-		spoolMaxMB  = fs.Int("spool-max-mb", 1024, "spool size cap in MiB; a full spool stops collection instead of filling the disk")
-		maxStale    = fs.Duration("max-staleness", 0, "pause collection when the policy service has been silent this long (0: act on the last snapshot indefinitely)")
-		chaosSeed   = fs.Int64("chaos-seed", 1, "seed for the deterministic fault injector (-chaos-replay/-chaos-policy)")
-		chaosReplay = fs.String("chaos-replay", "", `inject faults on the replay edge, e.g. "drop=0.1,delay=5ms,delayp=0.2" (testing)`)
-		chaosPolicy = fs.String("chaos-policy", "", "inject faults on the policy edge (same spec syntax; testing)")
+		replayAddr = fs.String("replay-addr", "127.0.0.1:9300", "replay fabric spec (marl-replayd addresses): comma-separated shard groups, each a pipe-separated replica list (\"h:9300\" is one shard, \"h1:9300|h1:9301,h2:9300\" two shards, the first at R=2)")
+		policyAddr = fs.String("policy-addr", "", "policy service address (marl-policyd); empty acts with the -load/fresh policy forever")
+		actorID    = fs.String("actor-id", "actor-0", "unique id for this actor's idempotent append stream")
+		envName    = fs.String("env", "cn", "environment: pp, cn or pd (must match the service)")
+		agents     = fs.Int("agents", 3, "number of trainable agents (must match the service)")
+		algoName   = fs.String("algo", "maddpg", "algorithm whose policy network acts: maddpg or matd3")
+		envs       = fs.Int("envs", 1, "environments stepped per engine step (vectorized acting)")
+		firstEnv   = fs.Int("first-env", 0, "global index of this actor's first env (give actor k of a fleet k*envs)")
+		syncEvery  = fs.Int("sync-every", 25, "engine steps between policy version checks")
+		policyWait = fs.Duration("policy-wait", time.Minute, "how long to wait for the first published policy before acting with the local one")
+		episodes   = fs.Int("episodes", 100, "episodes to collect (0: run until signalled)")
+		seed       = fs.Int64("seed", 1, "RNG seed (per-env streams derive from it and -first-env)")
+		loadPath   = fs.String("load", "", "act with this policy checkpoint until the service publishes a newer one")
+		batchRows  = fs.Int("batch-rows", 512, "transitions per shipped append batch")
+		logEvery   = fs.Int("log-every", 20, "episodes between progress lines")
+		spoolDir   = fs.String("spool-dir", "", "spool experience batches here (one subdirectory per fabric member) while the experience service is unreachable; drained in order on recovery (empty: outages fail the actor)")
+		spoolMaxMB = fs.Int("spool-max-mb", 1024, "spool size cap in MiB; a full spool stops collection instead of filling the disk")
+		maxStale   = fs.Duration("max-staleness", 0, "pause collection when the policy service has been silent this long (0: act on the last snapshot indefinitely)")
 	)
 	obs := cli.Observe(fs, cli.Role{
 		Proc: "actor", SampleUnit: "engine steps", SampleDefault: 64,
@@ -121,40 +116,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	defer func() { code = obs.Close(code) }()
 	registry, tracer := obs.Registry, obs.Tracer
 
-	// Optional deterministic fault injection on either network edge; the
-	// chaos harness uses it to prove the resilience paths under a fixed
-	// seed. Counts are reported at exit.
-	var chaos *faultnet.Injector
-	var replayTransport, policyTransport http.RoundTripper
-	if *chaosReplay != "" || *chaosPolicy != "" {
-		chaos = faultnet.New(*chaosSeed)
-		if *chaosReplay != "" {
-			rule, err := faultnet.ParseRule(*chaosReplay)
-			if err != nil {
-				fmt.Fprintln(stderr, "-chaos-replay:", err)
-				return cli.ExitUsage
-			}
-			if err := chaos.SetRule("replay", rule); err != nil {
-				fmt.Fprintln(stderr, "-chaos-replay:", err)
-				return cli.ExitUsage
-			}
-			replayTransport = chaos.RoundTripper("replay", nil)
-		}
-		if *chaosPolicy != "" {
-			rule, err := faultnet.ParseRule(*chaosPolicy)
-			if err != nil {
-				fmt.Fprintln(stderr, "-chaos-policy:", err)
-				return cli.ExitUsage
-			}
-			if err := chaos.SetRule("policy", rule); err != nil {
-				fmt.Fprintln(stderr, "-chaos-policy:", err)
-				return cli.ExitUsage
-			}
-			policyTransport = chaos.RoundTripper("policy", nil)
-		}
-		fmt.Fprintf(stdout, "chaos: seed %d replay=%q policy=%q\n", *chaosSeed, *chaosReplay, *chaosPolicy)
-	}
-
 	onSpool := func(queued int, cause error) {
 		fmt.Fprintf(stderr, "spool: diverted batch to disk (%d queued): %v\n", queued, cause)
 	}
@@ -170,9 +131,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	}
 	fabric, err := expserve.NewFabric(groups, expserve.FabricOptions{
 		Client: expserve.ClientOptions{
-			Registry:  registry,
-			Transport: replayTransport,
-			Tracer:    tracer,
+			Registry: registry,
+			Tracer:   tracer,
 		},
 	})
 	if err != nil {
@@ -240,9 +200,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	var syncer *policysync.Syncer
 	if *policyAddr != "" {
 		pc := policysync.NewClient(*policyAddr, policysync.ClientOptions{
-			Registry:  registry,
-			Transport: policyTransport,
-			Tracer:    tracer,
+			Registry: registry,
+			Tracer:   tracer,
 		})
 		syncer = policysync.NewSyncer(pc, 10*time.Second)
 		syncer.OnError = func(err error) { fmt.Fprintln(stderr, "policy fetch:", err) }
@@ -347,13 +306,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		if err := sink.DrainSpool(); err != nil {
 			fmt.Fprintf(stderr, "spool: %d batch(es) remain in %s (service still unreachable: %v); they drain on the next run\n",
 				sink.SpoolLen(), *spoolDir, err)
-		}
-	}
-	if chaos != nil {
-		for _, edge := range chaos.Edges() {
-			c := chaos.Counts(edge)
-			fmt.Fprintf(stdout, "chaos[%s]: %d requests, %d dropped, %d errored, %d delayed\n",
-				edge, c.Requests, c.Dropped, c.Errored, c.Delayed)
 		}
 	}
 	fmt.Fprintf(stdout, "done: %d episodes, %d transitions published, final policy v%d in %v;%s\n",

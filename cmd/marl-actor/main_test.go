@@ -15,7 +15,6 @@ func TestUsageErrors(t *testing.T) {
 		[]string{"-env", "typo"},
 		[]string{"-algo", "typo"},
 		[]string{"-envs", "0"},
-		[]string{"-chaos-replay", "drop=2"},
 		[]string{"-replay-addr", ""},
 		[]string{"-trace-out", "t.json"}, // without -trace
 		[]string{"-trace", "-trace-sample", "0"},

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -289,105 +288,6 @@ func TestShardedDegradedDrawSkipsDeadGroup(t *testing.T) {
 	}
 	if n < 1 || n > 160 {
 		t.Fatalf("degraded Len %d outside (0,160]", n)
-	}
-}
-
-// A plain -replay-addr is a one-group fabric whose member client gives up
-// after MemberDeadline, so a sink without a spool has only the fabric's
-// RetryFor budget between a replayd restart and a failed run. Stop a
-// durable server mid-stream, bring it back on the same address only after
-// the member client has given up, and every row must be stored exactly
-// once — none lost to the outage, none doubled by the redelivery.
-func TestOneGroupSinkRidesServerRestartWithoutSpool(t *testing.T) {
-	spec := testSpec(4096)
-	dir := t.TempDir()
-	// serve opens the store and its dedup log and binds addr, retrying
-	// while the previous listener's port is still being released.
-	serve := func(addr string) (string, func()) {
-		st, err := expstore.Open(filepath.Join(dir, "store"), spec, expstore.Options{SegmentRows: 64})
-		if err != nil {
-			t.Error(err)
-			return "", func() {}
-		}
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-			srv, err := NewServer(ServerConfig{Provider: st, Spec: spec, DedupLogPath: filepath.Join(dir, "dedup.jsonl")})
-			if err != nil {
-				t.Error(err)
-				return "", func() {}
-			}
-			bound, shutdown, err := srv.ListenAndServe(addr)
-			if err == nil {
-				return bound, func() { _ = shutdown(); _ = st.Close() }
-			}
-			_ = srv.Close()
-			if time.Now().After(deadline) {
-				t.Errorf("could not bind %s: %v", addr, err)
-				return "", func() {}
-			}
-		}
-	}
-	addr, stop := serve("127.0.0.1:0")
-	if t.Failed() {
-		t.FailNow()
-	}
-
-	groups, err := expshard.ParseSpec(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	f, err := NewFabric(groups, FabricOptions{
-		Client:         ClientOptions{Timeout: time.Second, Attempts: 2, BaseDelay: time.Millisecond, BreakerCooldown: 20 * time.Millisecond, JitterSeed: 1, Registry: reg},
-		MemberDeadline: 50 * time.Millisecond,
-		RetryFor:       30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink, err := NewShardedSink(f, "actor-restart", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink.SetMaxBatchRows(8)
-	rng := rand.New(rand.NewSource(17))
-	addRows := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			obs, act, rew, nxt, done := step(rng)
-			if err := sink.Add(obs, act, rew, nxt, done); err != nil {
-				t.Fatalf("add: %v", err)
-			}
-		}
-	}
-
-	addRows(24) // three batches land and are acknowledged
-	stop()
-	restarted := make(chan func(), 1)
-	go func() {
-		// Longer than a member client's whole budget plus one fabric retry
-		// pause, so the outage outlives at least one failed Flush.
-		time.Sleep(2*fabricRetryDelay + 100*time.Millisecond)
-		_, stop := serve(addr)
-		restarted <- stop
-	}()
-	addRows(20) // auto-flushes hit the dead server and must ride it out
-	if err := sink.Flush(); err != nil {
-		t.Fatalf("flush across restart: %v", err)
-	}
-	defer (<-restarted)()
-	if t.Failed() {
-		t.FailNow()
-	}
-	if reg.Counter("marl_retry_giveup_total", "edge", "replay-shard-0-m0").Value() == 0 {
-		t.Fatal("the member client never gave up: the restart was too quick to prove anything")
-	}
-
-	st, err := NewClient(addr, fastOpts).ServiceStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Rows != 44 || st.Total != 44 {
-		t.Fatalf("store holds rows=%d total=%d after restart, want exactly 44 (no loss, no duplicates)", st.Rows, st.Total)
 	}
 }
 

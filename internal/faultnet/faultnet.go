@@ -1,26 +1,22 @@
-// Package faultnet is a deterministic, seed-driven network fault
-// injector. It wraps http.RoundTripper (client side) and http.Handler
-// (server side) to drop, delay, error or partition traffic per named
-// edge, with schedules that are a pure function of (seed, edge name,
-// request order) — the same seed replays the same fault pattern, which is
-// what lets the chaos smoke and the full-loop race test assert exact
-// outcomes under injected failures.
-//
-// Each edge owns an independent RNG stream seeded with seed ^ fnv64(edge),
-// so adding an edge or reordering traffic on one edge never perturbs the
-// schedule of another. Every request draws the same number of variates
-// regardless of the rule in force, so toggling (say) delays on and off
-// does not shift the drop schedule.
+// Package faultnet injects network faults deterministically and explores
+// seeded fault schedules; it is test support (it imports testing) that no
+// binary links. An Injector wraps http.RoundTripper and http.Handler per
+// named edge. A Rule drops, errors or delays requests by probability, from
+// a stream that is a pure function of (seed, edge name, request order):
+// each edge draws from its own RNG seeded with seed ^ fnv64(edge), the same
+// number of variates per request whatever the rule, so no edge or rule
+// change perturbs another edge's schedule. Events (schedule.go) fire faults
+// and actions on chosen request ordinals, and Explore shrinks a failing
+// seed's schedule to its shortest failing prefix.
 package faultnet
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -65,11 +61,10 @@ func (r Rule) validate() error {
 
 // Counts is a snapshot of one edge's traffic and injected faults.
 type Counts struct {
-	Requests    uint64 // total requests seen
-	Dropped     uint64 // blackholed by probability
-	Errored     uint64 // answered with a synthesized error status
-	Delayed     uint64 // stalled before forwarding
-	Partitioned uint64 // blackholed by an active partition
+	Requests uint64 // total requests seen
+	Dropped  uint64 // blackholed by probability
+	Errored  uint64 // answered with a synthesized error status
+	Delayed  uint64 // stalled before forwarding
 }
 
 type fate int
@@ -81,12 +76,11 @@ const (
 )
 
 type edge struct {
-	mu          sync.Mutex
-	name        string
-	rule        Rule
-	rng         *rand.Rand
-	partitioned bool
-	counts      Counts
+	mu     sync.Mutex
+	name   string
+	rule   Rule
+	rng    *rand.Rand
+	counts Counts
 }
 
 // decide draws this request's fate. All three variates are always drawn
@@ -96,10 +90,6 @@ func (e *edge) decide() (fate, int, time.Duration) {
 	defer e.mu.Unlock()
 	e.counts.Requests++
 	uDrop, uErr, uDelay := e.rng.Float64(), e.rng.Float64(), e.rng.Float64()
-	if e.partitioned {
-		e.counts.Partitioned++
-		return fateDrop, 0, 0
-	}
 	r := e.rule
 	if uDrop < r.Drop {
 		e.counts.Dropped++
@@ -127,22 +117,25 @@ func (e *edge) decide() (fate, int, time.Duration) {
 }
 
 // Injector holds per-edge fault state. One injector is typically shared
-// by every wrapped transport/handler of a process so a test or the chaos
-// harness can steer all edges from one place.
+// by every wrapped transport/handler of a test so it can steer all edges
+// from one place.
 type Injector struct {
 	seed int64
 
 	mu    sync.Mutex
 	edges map[string]*edge
+	// The armed schedule (schedule.go), empty for none, and the requests
+	// each edge has carried through the round trippers.
+	events []*scheduled
+	seen   map[string]uint64
+	act    func(action string) error
+	err    error
 }
 
 // New builds an injector whose per-edge schedules derive from seed.
 func New(seed int64) *Injector {
-	return &Injector{seed: seed, edges: make(map[string]*edge)}
+	return &Injector{seed: seed, edges: make(map[string]*edge), seen: make(map[string]uint64)}
 }
-
-// Seed returns the injector's root seed.
-func (in *Injector) Seed() int64 { return in.seed }
 
 func (in *Injector) edgeFor(name string) *edge {
 	in.mu.Lock()
@@ -169,15 +162,6 @@ func (in *Injector) SetRule(name string, r Rule) error {
 	return nil
 }
 
-// Partition blackholes (on=true) or heals (on=false) an edge,
-// independently of its probabilistic rule.
-func (in *Injector) Partition(name string, on bool) {
-	e := in.edgeFor(name)
-	e.mu.Lock()
-	e.partitioned = on
-	e.mu.Unlock()
-}
-
 // Counts returns a snapshot of an edge's traffic counters.
 func (in *Injector) Counts(name string) Counts {
 	e := in.edgeFor(name)
@@ -186,40 +170,50 @@ func (in *Injector) Counts(name string) Counts {
 	return e.counts
 }
 
-// Edges returns the names of all edges seen so far.
-func (in *Injector) Edges() []string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	names := make([]string, 0, len(in.edges))
-	for n := range in.edges {
-		names = append(names, n)
-	}
-	return names
-}
-
 type roundTripper struct {
-	edge *edge
+	in   *Injector
+	edge func(*http.Request) string
 	base http.RoundTripper
 }
 
 // RoundTripper wraps base (nil = http.DefaultTransport) with the edge's
-// fault rule. Dropped requests surface as transport errors wrapping
+// faults. Dropped requests surface as transport errors wrapping
 // ErrInjected — exactly what an unreachable peer looks like to a client.
 func (in *Injector) RoundTripper(name string, base http.RoundTripper) http.RoundTripper {
+	return in.Route(func(*http.Request) string { return name }, base)
+}
+
+// Route is RoundTripper with each request's edge named by edge(req), so one
+// client's traffic can count on one edge per server and request kind.
+func (in *Injector) Route(edge func(*http.Request) string, base http.RoundTripper) http.RoundTripper {
 	if base == nil {
 		base = http.DefaultTransport
 	}
-	return &roundTripper{edge: in.edgeFor(name), base: base}
+	return &roundTripper{in: in, edge: edge, base: base}
 }
 
 func (rt *roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
-	f, status, delay := rt.edge.decide()
+	e := rt.in.edgeFor(rt.edge(req))
+	f, status, delay := e.decide()
+	fault, before, after := rt.in.step(e.name)
+	if f == fateForward {
+		switch fault {
+		case Drop, Partition:
+			f = fateDrop
+		case Error:
+			f, status = fateError, http.StatusServiceUnavailable
+		case Delay:
+			delay += time.Millisecond
+		}
+	}
+	rt.in.run(before)
+	defer rt.in.run(after)
 	switch f {
 	case fateDrop:
 		if req.Body != nil {
 			req.Body.Close()
 		}
-		return nil, fmt.Errorf("%w: request dropped on edge %q", ErrInjected, rt.edge.name)
+		return nil, fmt.Errorf("%w: request dropped on edge %q", ErrInjected, e.name)
 	case fateError:
 		if req.Body != nil {
 			req.Body.Close()
@@ -240,7 +234,15 @@ func (rt *roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 		case <-time.After(delay):
 		}
 	}
-	return rt.base.RoundTrip(req)
+	resp, err := rt.base.RoundTrip(req)
+	if fault != LoseReply {
+		return resp, err
+	}
+	if err == nil {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	return nil, fmt.Errorf("%w: reply lost on edge %q", ErrInjected, e.name)
 }
 
 // Handler wraps h with the edge's fault rule on the server side. Dropped
@@ -266,40 +268,4 @@ func (in *Injector) Handler(name string, h http.Handler) http.Handler {
 		}
 		h.ServeHTTP(w, r)
 	})
-}
-
-// ParseRule parses a comma-separated "k=v" fault spec, e.g.
-// "drop=0.1,delay=5ms,delayp=0.2,error=0.05,status=502". Unknown keys are
-// errors; an empty spec is the zero Rule.
-func ParseRule(spec string) (Rule, error) {
-	var r Rule
-	if strings.TrimSpace(spec) == "" {
-		return r, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return r, fmt.Errorf("faultnet: bad rule term %q (want k=v)", part)
-		}
-		k, v := strings.TrimSpace(kv[0]), strings.TrimSpace(kv[1])
-		var err error
-		switch k {
-		case "drop":
-			r.Drop, err = strconv.ParseFloat(v, 64)
-		case "error", "err":
-			r.Error, err = strconv.ParseFloat(v, 64)
-		case "delayp":
-			r.DelayProb, err = strconv.ParseFloat(v, 64)
-		case "delay":
-			r.Delay, err = time.ParseDuration(v)
-		case "status":
-			r.Status, err = strconv.Atoi(v)
-		default:
-			return r, fmt.Errorf("faultnet: unknown rule key %q", k)
-		}
-		if err != nil {
-			return r, fmt.Errorf("faultnet: rule term %q: %w", part, err)
-		}
-	}
-	return r, r.validate()
 }

@@ -104,20 +104,17 @@ func TestRuleChangeKeepsStreamAligned(t *testing.T) {
 
 func TestPartitionOverridesAndHeals(t *testing.T) {
 	in := New(1)
-	e := in.edgeFor("p")
-	in.Partition("p", true)
+	in.Play([]Event{{Edge: "p", Nth: 1, Fault: Partition, Until: "p", Span: 10}}, func(string) error { return nil })
 	for i := 0; i < 10; i++ {
-		if f, _, _ := e.decide(); f != fateDrop {
+		if f, _, _ := in.step("p"); f != Partition && f != Drop {
 			t.Fatalf("request %d passed through an active partition", i)
 		}
 	}
-	in.Partition("p", false)
-	if f, _, _ := e.decide(); f != fateForward {
+	if f, _, _ := in.step("p"); f != Pass {
 		t.Fatal("healed partition still dropping")
 	}
-	c := in.Counts("p")
-	if c.Partitioned != 10 || c.Requests != 11 {
-		t.Fatalf("counts = %+v, want 10 partitioned of 11", c)
+	if open, done := in.State(); len(open) != 0 || !done {
+		t.Fatalf("open windows %v, done %v after the partition healed", open, done)
 	}
 }
 
@@ -128,12 +125,11 @@ func TestRoundTripperInjectsFaults(t *testing.T) {
 	defer srv.Close()
 
 	in := New(5)
-	in.Partition("cl", true)
+	in.SetRule("cl", Rule{Drop: 1})
 	hc := &http.Client{Transport: in.RoundTripper("cl", nil)}
 	if _, err := hc.Get(srv.URL); err == nil || !errors.Is(err, ErrInjected) {
-		t.Fatalf("partitioned edge: err = %v, want wrapped ErrInjected", err)
+		t.Fatalf("dropping edge: err = %v, want wrapped ErrInjected", err)
 	}
-	in.Partition("cl", false)
 
 	in.SetRule("cl", Rule{Error: 1, Status: 502})
 	resp, err := hc.Get(srv.URL)
@@ -175,11 +171,10 @@ func TestHandlerInjectsFaults(t *testing.T) {
 		t.Fatalf("status = %d, want default 503", resp.StatusCode)
 	}
 
-	in.Partition("sv", true)
+	in.SetRule("sv", Rule{Drop: 1})
 	if _, err := http.Get(srv.URL); err == nil {
 		t.Fatal("server-side drop should abort the connection")
 	}
-	in.Partition("sv", false)
 
 	in.SetRule("sv", Rule{})
 	resp, err = http.Get(srv.URL)
@@ -223,40 +218,6 @@ func TestConcurrentTrafficIsSafe(t *testing.T) {
 	c := in.Counts("hot")
 	if c.Requests == 0 {
 		t.Fatal("no traffic recorded")
-	}
-}
-
-func TestParseRule(t *testing.T) {
-	cases := []struct {
-		spec    string
-		want    Rule
-		wantErr bool
-	}{
-		{"", Rule{}, false},
-		{"drop=0.1", Rule{Drop: 0.1}, false},
-		{"drop=0.1,error=0.05,status=502,delay=5ms,delayp=0.2",
-			Rule{Drop: 0.1, Error: 0.05, Status: 502, Delay: 5 * time.Millisecond, DelayProb: 0.2}, false},
-		{"err=0.5", Rule{Error: 0.5}, false},
-		{"drop=1.5", Rule{}, true},
-		{"bogus=1", Rule{}, true},
-		{"drop", Rule{}, true},
-		{"delay=-1ms", Rule{}, true},
-	}
-	for _, tc := range cases {
-		got, err := ParseRule(tc.spec)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("ParseRule(%q): want error, got %+v", tc.spec, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParseRule(%q): %v", tc.spec, err)
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("ParseRule(%q) = %+v, want %+v", tc.spec, got, tc.want)
-		}
 	}
 }
 
