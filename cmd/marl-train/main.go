@@ -44,12 +44,13 @@ from the newest intact one, skipping truncated or corrupt generations.
 
 With -replay-addr the learner samples from (and publishes to) a remote
 experience service (marl-replayd) instead of its in-process buffer. For a
-single learner and a fixed seed the run is bit-identical across shard
-counts, -workers, prefetch and -trace, and to the same plan over an
-in-process experience store, because sampling is a pure function of
-(plan, length, seed) on either side. It does not match a run without
--replay-addr: the in-process sampler draws a batch's indices from the
-agent's RNG stream, the fabric one seed per batch.
+single learner and a fixed seed the run is bit-identical across -workers,
+prefetch and -trace; it is bit-identical across shard counts and to the
+same run without -replay-addr while the fabric retains the rows -buffer
+would (one shard whose -capacity equals -buffer, or any fabric before it
+wraps: k shards retain k × -capacity rows). Every topology takes a batch
+as one seed from the agent's RNG stream, expanded by the same -sampler
+plan over the rows in insertion order.
 
 -replay-addr is a replay fabric spec: comma-separated shard groups, each
 a pipe-separated list of replica replayd addresses ("h:9300" is one
@@ -57,7 +58,8 @@ shard, "h1:9300|h1:9301,h2:9300|h2:9301" is 2 shards at R=2).
 Experience is time-striped across groups by a consistent-hash ring,
 appends replicate to every member of the owning group, and each draw is
 selected here once and gathered by the shards holding its rows — at R=1
-with all shards live, training is bit-identical at any shard count. A
+with all shards live, training is bit-identical at any shard count until
+the rings wrap. A
 down member is served from its replicas; a fully down group is skipped
 with the draw reweighted (counted, never silent).
 

@@ -2,11 +2,12 @@ package core
 
 // The determinism oracle. Every knob an operator can turn without changing
 // what is learned — the worker count, the transition layout, tracing,
-// telemetry, the replay fabric's topology, the learner's prefetch, a lossy
-// wire — must leave training bit for bit the same. One test proves it for
-// all of them: each cell of a swept matrix trains once and compares its full
-// witness (checkpoint bytes, per-episode rewards, update count) with the
-// oracle run of its class, and checks that the knobs it turned did something.
+// telemetry, where experience lives (the trainer's own buffer or any replay
+// fabric topology), the learner's prefetch, a lossy wire — must leave
+// training bit for bit the same. One test proves it for all of them: each
+// cell of a swept matrix trains once and compares its full witness
+// (checkpoint bytes, per-episode rewards, update count) with the oracle run
+// of its class, and checks that the knobs it turned did something.
 
 import (
 	"bytes"
@@ -36,19 +37,18 @@ const matrixEpisodes = 4
 type topology int
 
 const (
-	inProcess   topology = iota // the trainer's own buffer and sampler
-	localSource                 // an expstore.Source over a Ring: the fabric family's oracle
-	oneRing                     // one replayd over a volatile ring: a plain -replay-addr
-	oneDurable                  // one replayd over a segment-packed store on disk
-	twoRings                    // two shards at R=1
-	threeRings                  // three shards at R=1
+	inProcess  topology = iota // the trainer's own buffer and sampler
+	oneRing                    // one replayd over a volatile ring: a plain -replay-addr
+	oneDurable                 // one replayd over a segment-packed store on disk
+	twoRings                   // two shards at R=1
+	threeRings                 // three shards at R=1
 )
 
 func (tp topology) String() string {
-	return [...]string{"inprocess", "source", "1ring", "1durable", "2rings", "3rings"}[tp]
+	return [...]string{"inprocess", "1ring", "1durable", "2rings", "3rings"}[tp]
 }
 
-func (tp topology) shards() int { return [...]int{0, 0, 1, 1, 2, 3}[tp] }
+func (tp topology) shards() int { return [...]int{0, 1, 1, 2, 3}[tp] }
 
 // matrixCell is one run. algo, sampler and env are its class: what is
 // trained. The rest are knobs that must not change a byte; their zero values
@@ -74,7 +74,7 @@ func (c matrixCell) class() string {
 // knobs names the cell's settings away from the oracle's, "oracle" if none.
 func (c matrixCell) knobs() string {
 	var parts []string
-	if c.topo > localSource {
+	if c.topo != inProcess {
 		parts = append(parts, c.topo.String())
 	}
 	if c.workers > 1 {
@@ -94,13 +94,10 @@ func (c matrixCell) knobs() string {
 	return strings.Join(parts, "-")
 }
 
-// oracle is the run every cell of c's class must match.
+// oracle is the run every cell of c's class must match: the class trained
+// in-process on one worker, whatever topology c draws from.
 func (c matrixCell) oracle() matrixCell {
-	o := matrixCell{algo: c.algo, sampler: c.sampler, env: c.env, workers: 1}
-	if c.topo != inProcess {
-		o.topo = localSource
-	}
-	return o
+	return matrixCell{algo: c.algo, sampler: c.sampler, env: c.env, workers: 1}
 }
 
 var (
@@ -239,7 +236,8 @@ func allPairs(must, candidates []matrixCell) []matrixCell {
 }
 
 // TestDeterminismMatrix runs every cell of both families against its class's
-// oracle. Sub-tests are TestDeterminismMatrix/<family>/<class>/<knobs>, where
+// one oracle, the in-process run on one worker: a fabric draw expands the
+// seed the in-process sampler would take, over the same rows. Sub-tests are TestDeterminismMatrix/<family>/<class>/<knobs>, where
 // family is inprocess or fabric and knobs names the settings away from the
 // oracle's (w4, kv, trace, telemetry; 1ring … 3rings, w3, prefetch, faults),
 // so a -run pattern can pick an axis. The all-oracle cell reruns the oracle:
@@ -395,25 +393,14 @@ func hasSpan(tracer *trace.Tracer, name string) bool {
 	return false
 }
 
-// wireExperience points tr at c's experience store — an in-process
-// expstore.Source or a fabric of replayd HTTP servers — and returns the
-// checks that the fabric's knobs took effect.
+// wireExperience points tr at c's fabric of replayd HTTP servers and
+// returns the checks that the fabric's knobs took effect.
 func wireExperience(t *testing.T, tr *Trainer, cfg Config, env mpe.Env, c matrixCell, learner *trace.Tracer) func() {
 	t.Helper()
 	spec := expSpec(cfg, env)
 	plan, err := cfg.SamplePlan()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.topo == localSource {
-		src, err := expstore.NewSource(expstore.NewRing(spec), plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.SetExperienceService(src, src); err != nil {
-			t.Fatal(err)
-		}
-		return nil
 	}
 
 	const edge = "learner→replay"

@@ -7,10 +7,12 @@ import (
 )
 
 // SamplePlan maps the configured sampler to the pure-data plan a fabric
-// draw runs on the learner before the shards gather. Only strategies whose index
-// selection is a pure function of (length, seed) are serviceable — the
-// prioritized samplers carry client-side mutable state (sum trees) that
-// cannot be replayed remotely.
+// draw runs on the learner before the shards gather — the plan the
+// in-process sampler of the same name runs, so the two are bit-identical
+// over the same rows. Only strategies whose index selection is a pure
+// function of (length, seed) are serviceable — the prioritized samplers
+// carry client-side mutable state (sum trees) that cannot be replayed
+// remotely.
 func (c Config) SamplePlan() (replay.SamplePlan, error) {
 	switch c.Sampler {
 	case SamplerUniform:
@@ -36,8 +38,9 @@ func (c Config) SamplePlan() (replay.SamplePlan, error) {
 //     source.Len reflects everything this process collected.
 //
 // Must be called before training starts. The configured sampler must be
-// plan-expressible (see Config.SamplePlan) when a source is set, so runs
-// stay comparable with the local strategy of the same name.
+// plan-expressible (see Config.SamplePlan) when a source is set; a source
+// retaining the rows the in-process buffer would then trains bit-identical
+// to the in-process sampler of the same name.
 func (t *Trainer) SetExperienceService(source replay.TransitionSource, sink replay.TransitionSink) error {
 	if t.totalSteps > 0 || t.updateCount > 0 {
 		return fmt.Errorf("core: SetExperienceService after training started")

@@ -283,7 +283,13 @@ func TestLocalityTrainerUsesContiguousGathers(t *testing.T) {
 	}
 	tr.Warmup(100)
 	sample := tr.Sampler().Sample(32, tr.rng)
-	if len(sample.Refs) != 4 {
-		t.Fatalf("locality trainer refs = %d, want 4", len(sample.Refs))
+	if len(sample.Indices) != 32 {
+		t.Fatalf("locality trainer drew %d indices, want 32", len(sample.Indices))
+	}
+	// Four runs of eight consecutive slots (mod the buffer's length).
+	for i := 1; i < len(sample.Indices); i++ {
+		if i%8 != 0 && sample.Indices[i] != (sample.Indices[i-1]+1)%tr.Buffer().Len() {
+			t.Fatalf("run breaks at index %d: slot %d after %d", i, sample.Indices[i], sample.Indices[i-1])
+		}
 	}
 }

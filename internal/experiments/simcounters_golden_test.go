@@ -55,8 +55,10 @@ func columns(t *testing.T, tab *Table, names ...string) *Table {
 
 // TestSimulatedCountersGolden pins the simulated counters against
 // testdata/simcounters.golden, written by the commit before the counter
-// loops were folded into one helper. The cache model and the traced
-// address streams are deterministic, so any difference is a changed
+// loops were folded into one helper, and re-pinned once when the uniform
+// and locality samplers began drawing their indices through the sample
+// plan (every table but the IP predictor's moved). The cache model and the
+// traced address streams are deterministic, so any difference is a changed
 // access stream or a changed model.
 func TestSimulatedCountersGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/simcounters.golden")

@@ -11,7 +11,6 @@ package replay
 
 import (
 	"fmt"
-	"math/rand"
 
 	"marlperf/internal/rowmem"
 	"marlperf/internal/tensor"
@@ -270,10 +269,9 @@ func (b *Buffer) GatherAll(indices []int, dst []*AgentBatch) {
 	}
 }
 
-// InsertionOrder returns the stored slot indices ordered oldest-first. When
-// the ring has wrapped, the oldest transition sits at the write cursor; a
-// restore that re-Adds in this order reproduces the original recency layout
-// (which the locality samplers' neighbor runs depend on).
+// InsertionOrder returns the stored slot indices ordered oldest-first. A
+// restore that re-Adds in this order keeps the insertion order the plan
+// samplers draw over.
 func (b *Buffer) InsertionOrder() []int {
 	return b.InsertionOrderInto(nil)
 }
@@ -287,14 +285,20 @@ func (b *Buffer) InsertionOrderInto(dst []int) []int {
 		dst = make([]int, b.length)
 	}
 	dst = dst[:b.length]
-	start := 0
-	if b.length == b.spec.Capacity {
-		start = b.next
-	}
+	start := b.oldest()
 	for i := range dst {
 		dst[i] = (start + i) % b.spec.Capacity
 	}
 	return dst
+}
+
+// oldest returns the slot of the oldest stored transition: 0 until the ring
+// fills, then the write cursor.
+func (b *Buffer) oldest() int {
+	if b.length == b.spec.Capacity {
+		return b.next
+	}
+	return 0
 }
 
 // CopyTransition copies slot idx into the supplied per-agent rows, each
@@ -312,12 +316,5 @@ func (b *Buffer) CopyTransition(idx int, obs, act [][]float64, rew []float64, ne
 		rew[a] = b.rew[a][idx]
 		copy(nextObs[a], b.nextObs[a][idx*od:(idx+1)*od])
 		done[a] = b.done[a][idx]
-	}
-}
-
-// sampleUniformIndices fills dst with uniform random valid indices.
-func sampleUniformIndices(dst []int, length int, rng *rand.Rand) {
-	for i := range dst {
-		dst[i] = rng.Intn(length)
 	}
 }

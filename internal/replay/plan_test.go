@@ -61,24 +61,32 @@ func TestSamplePlanDeterministic(t *testing.T) {
 	}
 }
 
-// The locality plan must produce the same contiguous-run structure as the
-// in-process LocalitySampler: full runs of Neighbors consecutive indices
-// (mod length), with only the final run truncated.
+// The locality plan fills a batch with full runs of Neighbors consecutive
+// indices (mod length), only the final run truncated: 64 full runs of 16,
+// and 100 = 64 + 36 rows as one full run and one cut short.
 func TestSamplePlanLocalityRuns(t *testing.T) {
-	plan := SamplePlan{Strategy: PlanLocality, Neighbors: 16, Refs: 4}
-	const length, n = 500, 100
-	idx := make([]int, n)
-	if err := plan.FillIndices(idx, length, 9); err != nil {
-		t.Fatal(err)
-	}
-	for start := 0; start < n; start += plan.Neighbors {
-		end := start + plan.Neighbors
-		if end > n {
-			end = n
+	for _, tc := range []struct {
+		neighbors, length, n int
+		seed                 int64
+	}{
+		{16, 500, 100, 9},
+		{16, 2000, 1024, 2},
+		{64, 200, 100, 3},
+	} {
+		plan := SamplePlan{Strategy: PlanLocality, Neighbors: tc.neighbors, Refs: 4}
+		idx := make([]int, tc.n)
+		if err := plan.FillIndices(idx, tc.length, tc.seed); err != nil {
+			t.Fatal(err)
 		}
-		for k := start + 1; k < end; k++ {
-			if idx[k] != (idx[k-1]+1)%length {
-				t.Fatalf("run starting at %d breaks at %d: %d then %d", start, k, idx[k-1], idx[k])
+		for start := 0; start < tc.n; start += plan.Neighbors {
+			end := start + plan.Neighbors
+			if end > tc.n {
+				end = tc.n
+			}
+			for k := start + 1; k < end; k++ {
+				if idx[k] != (idx[k-1]+1)%tc.length {
+					t.Fatalf("%+v: run starting at %d breaks at %d: %d then %d", tc, start, k, idx[k-1], idx[k])
+				}
 			}
 		}
 	}

@@ -12,8 +12,8 @@ type Sample struct {
 	// the largest is 1. A nil or empty slice means uniform (all-ones)
 	// weights.
 	Weights []float64
-	// Refs records the reference points locality-aware samplers expanded,
-	// for diagnostics and tests; nil for non-locality samplers.
+	// Refs records the reference points IPLocalitySampler expanded, for
+	// diagnostics and tests; nil for every other sampler.
 	Refs []int
 }
 
@@ -85,87 +85,61 @@ func sampled(s Sampler, n int, rng *rand.Rand) Sample {
 	return dst
 }
 
-// UniformSampler is the MARL baseline: every index is drawn i.i.d. uniform
-// over the buffer, producing the irregular access pattern the paper
-// profiles.
-type UniformSampler struct {
-	buf *Buffer
+// PlanSampler runs a stateless SamplePlan over a Buffer's insertion order:
+// each draw takes one seed from rng, expands it with SamplePlan.FillIndices
+// into insertion-order indices, and maps each to its slot. A fabric draw or
+// an experience source expands the same seed over the same rows with the
+// same plan, so an in-process run trains on the batches a fabric run does.
+type PlanSampler struct {
+	buf  *Buffer
+	plan SamplePlan
 }
 
-// NewUniformSampler returns the baseline sampler over buf.
-func NewUniformSampler(buf *Buffer) *UniformSampler {
-	return &UniformSampler{buf: buf}
+// NewUniformSampler returns the MARL baseline over buf: every index is drawn
+// i.i.d. uniform, producing the irregular access pattern the paper profiles.
+func NewUniformSampler(buf *Buffer) *PlanSampler {
+	return &PlanSampler{buf: buf, plan: SamplePlan{Strategy: PlanUniform}}
 }
 
-// Name implements Sampler.
-func (s *UniformSampler) Name() string { return "uniform" }
-
-// Sample implements Sampler.
-func (s *UniformSampler) Sample(n int, rng *rand.Rand) Sample {
-	return sampled(s, n, rng)
-}
-
-// SampleInto implements Sampler.
-func (s *UniformSampler) SampleInto(dst *Sample, n int, rng *rand.Rand) {
-	length := s.buf.Len()
-	if length == 0 {
-		panic("replay: sampling from empty buffer")
-	}
-	dst.Reset(n)
-	for i := 0; i < n; i++ {
-		dst.Indices = append(dst.Indices, rng.Intn(length))
-	}
-}
-
-// LocalitySampler implements the paper's Algorithm 1: draw Refs uniform
-// reference points and expand each into Neighbors consecutive transitions,
-// so the gather stream becomes sequential runs a hardware prefetcher can
-// follow. The paper evaluates (Neighbors=16, Refs=64) and (Neighbors=64,
-// Refs=16), both covering the batch size 1024.
-type LocalitySampler struct {
-	buf       *Buffer
-	Neighbors int
-	Refs      int
-}
-
-// NewLocalitySampler returns a cache-locality-aware sampler with the given
-// neighbor run length and reference-point count.
-func NewLocalitySampler(buf *Buffer, neighbors, refs int) *LocalitySampler {
+// NewLocalitySampler returns the paper's Algorithm 1 over buf: uniform
+// reference points each expanded into neighbors consecutive transitions, so
+// the gather stream becomes sequential runs a hardware prefetcher can
+// follow. A batch of n holds ⌈n/neighbors⌉ runs, the last truncated; refs is
+// the nominal run count the name reports. The paper evaluates (16, 64) and
+// (64, 16), both covering the batch size 1024.
+func NewLocalitySampler(buf *Buffer, neighbors, refs int) *PlanSampler {
 	if neighbors < 1 || refs < 1 {
 		panic(fmt.Sprintf("replay: locality sampler needs positive neighbors/refs, got %d/%d", neighbors, refs))
 	}
-	return &LocalitySampler{buf: buf, Neighbors: neighbors, Refs: refs}
+	return &PlanSampler{buf: buf, plan: SamplePlan{Strategy: PlanLocality, Neighbors: neighbors, Refs: refs}}
 }
 
 // Name implements Sampler.
-func (s *LocalitySampler) Name() string {
-	return fmt.Sprintf("locality(n=%d,ref=%d)", s.Neighbors, s.Refs)
-}
+func (s *PlanSampler) Name() string { return s.plan.String() }
 
-// Sample implements Sampler. If refs·neighbors < n the remainder is filled
-// from additional reference points; if refs·neighbors > n the final run is
-// truncated, so exactly n indices are always returned.
-func (s *LocalitySampler) Sample(n int, rng *rand.Rand) Sample {
+// Sample implements Sampler.
+func (s *PlanSampler) Sample(n int, rng *rand.Rand) Sample {
 	return sampled(s, n, rng)
 }
 
-// SampleInto implements Sampler.
-func (s *LocalitySampler) SampleInto(dst *Sample, n int, rng *rand.Rand) {
+// SampleInto implements Sampler. Its one rng.Int63 is the seed a trainer
+// wired to an experience source draws from the same stream.
+func (s *PlanSampler) SampleInto(dst *Sample, n int, rng *rand.Rand) {
 	length := s.buf.Len()
 	if length == 0 {
 		panic("replay: sampling from empty buffer")
 	}
 	dst.Reset(n)
-	dst.growRefs((n + s.Neighbors - 1) / s.Neighbors)
-	for len(dst.Indices) < n {
-		ref := rng.Intn(length)
-		dst.Refs = append(dst.Refs, ref)
-		run := s.Neighbors
-		if rem := n - len(dst.Indices); run > rem {
-			run = rem
+	dst.Indices = dst.Indices[:n]
+	if err := s.plan.FillIndices(dst.Indices, length, rng.Int63()); err != nil {
+		panic(err) // the constructors build only valid plans
+	}
+	oldest, capacity := s.buf.oldest(), s.buf.spec.Capacity
+	for i, k := range dst.Indices {
+		slot := oldest + k // k < Len ≤ capacity: one subtraction wraps it
+		if slot >= capacity {
+			slot -= capacity
 		}
-		for k := 0; k < run; k++ {
-			dst.Indices = append(dst.Indices, (ref+k)%length)
-		}
+		dst.Indices[i] = slot
 	}
 }
