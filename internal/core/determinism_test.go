@@ -30,8 +30,13 @@ import (
 
 // matrixEpisodes is how long every cell trains: at smallConfig's cadence,
 // enough updates for MATD3's delayed actor steps and for priority feedback
-// to move the prioritized samplers' trees.
-const matrixEpisodes = 4
+// to move the prioritized samplers' trees. A wrap cell trains wrapEpisodes,
+// 750 steps into smallConfig's 512-row buffer and rings, so its last draws
+// run past the ring wrap.
+const (
+	matrixEpisodes = 4
+	wrapEpisodes   = 30
+)
 
 // topology is where a run's experience lives and how it is drawn.
 type topology int
@@ -65,6 +70,7 @@ type matrixCell struct {
 	telemetry bool // a phase observer and an update listener: -metrics-addr and -runlog
 	prefetch  bool // the learner's PrefetchSource, as marl-train always wires it
 	faults    bool // faultnet drops, errors and delays on the learner→replay edge
+	wrap      bool // train wrapEpisodes, past the ring wrap; the oracle trains as long
 }
 
 func (c matrixCell) class() string {
@@ -83,7 +89,7 @@ func (c matrixCell) knobs() string {
 	for _, k := range []struct {
 		on   bool
 		name string
-	}{{c.kv, "kv"}, {c.trace, "trace"}, {c.telemetry, "telemetry"}, {c.prefetch, "prefetch"}, {c.faults, "faults"}} {
+	}{{c.kv, "kv"}, {c.trace, "trace"}, {c.telemetry, "telemetry"}, {c.prefetch, "prefetch"}, {c.faults, "faults"}, {c.wrap, "wrap"}} {
 		if k.on {
 			parts = append(parts, k.name)
 		}
@@ -94,10 +100,18 @@ func (c matrixCell) knobs() string {
 	return strings.Join(parts, "-")
 }
 
-// oracle is the run every cell of c's class must match: the class trained
-// in-process on one worker, whatever topology c draws from.
+// oracle is the run every cell of c's class and length must match: the
+// class trained in-process on one worker for as many episodes, whatever
+// topology c draws from.
 func (c matrixCell) oracle() matrixCell {
-	return matrixCell{algo: c.algo, sampler: c.sampler, env: c.env, workers: 1}
+	return matrixCell{algo: c.algo, sampler: c.sampler, env: c.env, workers: 1, wrap: c.wrap}
+}
+
+func (c matrixCell) episodes() int {
+	if c.wrap {
+		return wrapEpisodes
+	}
+	return matrixEpisodes
 }
 
 var (
@@ -180,10 +194,32 @@ func fabricCells() []matrixCell {
 			workers: []int{1, 3}[v[3]], prefetch: offOn[v[4]], trace: offOn[v[5]], faults: offOn[v[6]],
 		})
 	}, len(matrixAlgos), len(matrixPlans), len(matrixTopos), 2, 2, 2, 2)
-	cells := allPairs(must, full)
+	cells := append(allPairs(must, full), wrapCells()...)
 	for i := range cells {
 		cells[i].env = "cn"
 	}
+	return cells
+}
+
+// wrapCells train past the ring wrap on every single-shard topology: algo ×
+// plan × {1ring, 1durable}. One shard whose ring holds as many rows as the
+// in-process buffer retains the rows that buffer does, so the identity holds
+// past the wrap there. k shards retain k rings' rows, so past the wrap a
+// multi-shard draw covers rows the buffer has dropped and trains other
+// bytes; no cell asserts it.
+func wrapCells() []matrixCell {
+	var single []topology
+	for _, tp := range matrixTopos {
+		if tp.shards() == 1 {
+			single = append(single, tp)
+		}
+	}
+	var cells []matrixCell
+	product(func(v []int) {
+		cells = append(cells, matrixCell{
+			algo: matrixAlgos[v[0]], sampler: matrixPlans[v[1]], topo: single[v[2]], workers: 1, wrap: true,
+		})
+	}, len(matrixAlgos), len(matrixPlans), len(single))
 	return cells
 }
 
@@ -236,12 +272,13 @@ func allPairs(must, candidates []matrixCell) []matrixCell {
 }
 
 // TestDeterminismMatrix runs every cell of both families against its class's
-// one oracle, the in-process run on one worker: a fabric draw expands the
-// seed the in-process sampler would take, over the same rows. Sub-tests are TestDeterminismMatrix/<family>/<class>/<knobs>, where
+// oracle, the in-process run on one worker for as many episodes: a fabric
+// draw expands the seed the in-process sampler would take, over the same
+// rows. Sub-tests are TestDeterminismMatrix/<family>/<class>/<knobs>, where
 // family is inprocess or fabric and knobs names the settings away from the
-// oracle's (w4, kv, trace, telemetry; 1ring … 3rings, w3, prefetch, faults),
-// so a -run pattern can pick an axis. The all-oracle cell reruns the oracle:
-// the same seed trains the same bytes twice.
+// oracle's (w4, kv, trace, telemetry; 1ring … 3rings, w3, prefetch, faults,
+// wrap), so a -run pattern can pick an axis. The all-oracle cell reruns the
+// oracle: the same seed trains the same bytes twice.
 func TestDeterminismMatrix(t *testing.T) {
 	for _, family := range []struct {
 		name  string
@@ -260,14 +297,15 @@ func TestDeterminismMatrix(t *testing.T) {
 				cells := byClass[class]
 				t.Run(class, func(t *testing.T) {
 					t.Parallel()
-					var want *witness
+					wants := make(map[matrixCell]witness)
 					for _, c := range cells {
 						t.Run(c.knobs(), func(t *testing.T) {
-							if want == nil {
-								w := runCell(t, c.oracle())
-								want = &w
+							want, ok := wants[c.oracle()]
+							if !ok {
+								want = runCell(t, c.oracle())
+								wants[c.oracle()] = want
 							}
-							sameWitness(t, runCell(t, c), *want)
+							sameWitness(t, runCell(t, c), want)
 						})
 					}
 				})
@@ -317,7 +355,7 @@ func traceTestTracer(proc string) *trace.Tracer {
 	return tr
 }
 
-// runCell trains c for matrixEpisodes episodes, checks that each knob it
+// runCell trains c for c.episodes() episodes, checks that each knob it
 // turned took effect, and returns its witness.
 func runCell(t *testing.T, c matrixCell) witness {
 	t.Helper()
@@ -352,7 +390,7 @@ func runCell(t *testing.T, c matrixCell) witness {
 	}
 
 	var w witness
-	for len(w.rewards) < matrixEpisodes {
+	for len(w.rewards) < c.episodes() {
 		done, err := tr.StepE()
 		if err != nil {
 			t.Fatalf("StepE: %v", err)
@@ -365,6 +403,9 @@ func runCell(t *testing.T, c matrixCell) witness {
 
 	if w.updates == 0 {
 		t.Fatal("no update ran; the comparison is vacuous")
+	}
+	if c.wrap && tr.TotalSteps() <= cfg.BufferCapacity {
+		t.Fatalf("%d steps never wrapped the %d-row buffer", tr.TotalSteps(), cfg.BufferCapacity)
 	}
 	if err := tr.Healthy(); err != nil {
 		t.Fatalf("trained to an unhealthy state: %v", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -108,6 +109,60 @@ func TestSerialUpdateDoesNotAllocate(t *testing.T) {
 	}
 	if fewest != 0 {
 		t.Fatalf("a warmed UpdateWorkers=1 UpdateAllTrainers allocates %d times at GOMAXPROCS=2, want 0", fewest)
+	}
+}
+
+// TestFirstUpdateAllocationScalesWithJointInputs: the bytes the first
+// update-all-trainers stage allocates at one worker, where every lazy buffer
+// of the update is made, grow with the agent count only by what the worker
+// holds per agent — the two joint inputs and each agent's Rew and Done
+// columns. Batch-sized scratch is per network shape, not per network, so the
+// remainder stays flat; it may grow by the critic workspace's weight-shaped
+// backward scratch (xᵀ·grad and the transposed weights), which is as wide as
+// the joint input. Per-network scratch would add megabytes per agent.
+func TestFirstUpdateAllocationScalesWithJointInputs(t *testing.T) {
+	const batch = 1024
+	type row struct {
+		agents, jointDim int
+		alloc, joint     int64
+	}
+	var rows []row
+	for _, n := range []int{3, 6, 12} {
+		r := row{agents: n, alloc: math.MaxInt64}
+		for trial := 0; trial < 2; trial++ { // a background goroutine may allocate during one trial, not both
+			cfg := DefaultConfig(MADDPG)
+			cfg.BatchSize, cfg.BufferCapacity, cfg.WarmupSize = batch, batch, batch
+			cfg.UpdateWorkers = 1
+			tr, err := NewTrainer(cfg, mpe.NewPredatorPrey(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.Warmup(batch)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tr.UpdateAllTrainers()
+			runtime.ReadMemStats(&after)
+			tr.Close()
+			r.alloc = min(r.alloc, int64(after.TotalAlloc-before.TotalAlloc))
+			r.jointDim = tr.JointDim()
+		}
+		r.joint = 8 * batch * int64(2*r.jointDim+2*n)
+		rows = append(rows, r)
+	}
+	const mb = 1e6
+	t.Logf("first update at batch %d, one worker (MB): agents, joint width, allocated, joint inputs with Rew/Done, remainder", batch)
+	for _, r := range rows {
+		t.Logf("%2d %4d %6.1f %6.1f %6.1f", r.agents, r.jointDim, float64(r.alloc)/mb, float64(r.joint)/mb, float64(r.alloc-r.joint)/mb)
+	}
+	hidden := int64(DefaultConfig(MADDPG).HiddenSize)
+	base := rows[0]
+	for _, r := range rows[1:] {
+		grown := (r.alloc - r.joint) - (base.alloc - base.joint)
+		allowed := 2*8*hidden*int64(r.jointDim-base.jointDim) + 1<<20
+		if grown > allowed {
+			t.Errorf("at %d agents the first update allocates %.1f MB beyond the joint inputs, %.1f MB more than at %d agents (allowed %.1f MB): scratch grows per network",
+				r.agents, float64(r.alloc-r.joint)/mb, float64(grown)/mb, base.agents, float64(allowed)/mb)
+		}
 	}
 }
 

@@ -106,19 +106,32 @@ type Trainer struct {
 
 // updateScratch is one worker's private arena for the update stage: the
 // critics' joint inputs with the batch tensors that live inside them, TD
-// errors, a reusable sample, a profiler shard, and shared-weight shadow
-// clones of every agent's target actor (the only networks every worker must
-// forward — the N×(N-1) cross-agent lookups of the CTDE target calculation).
+// errors, a reusable sample, a profiler shard, and the workspaces every
+// batch pass of the update runs on.
 //
 // The joint inputs are assembled where they are written: agent j's Obs and
 // Act are column views of jointCur's blocks, its NextObs and targetProbs[j]
 // of jointNext's, so a gather fills the critics' inputs directly and target
 // probabilities land in place. Only Rew and Done are matrices of their own.
+//
+// A workspace (nn.Network.Bind) reads an agent's weights and accumulates
+// into its gradients through its own batch-sized scratch, so a worker holds
+// one set of scratch per network shape instead of one per network: an actor
+// and a target-actor workspace per distinct observation width (actors[i]
+// and tActors[i] are agent i's), one critic workspace for the critic updates
+// and the actor's pass through critic1, and one target-critic workspace per
+// twin, because MATD3's q1 is read after q2's forward. Each use binds the
+// workspace afresh, so no binding outlives the call that made it and
+// nothing that writes an agent's networks — a checkpoint restore, a
+// watchdog rollback — needs to know about workspaces.
 type updateScratch struct {
 	sample      replay.Sample
 	batches     []*replay.AgentBatch
 	targetProbs []*tensor.Matrix
-	tActors     []*nn.Network // shadows aliasing agents[j].targetActor weights
+	actors      []*nn.Network // shared by agents of one observation width
+	tActors     []*nn.Network // likewise, for the target actors
+	critic      nn.Network
+	tCritics    [2]nn.Network
 	jointCur    *tensor.Matrix
 	jointNext   *tensor.Matrix
 	yTarget     *tensor.Matrix
@@ -133,6 +146,7 @@ func (t *Trainer) newUpdateScratch() *updateScratch {
 	s := &updateScratch{
 		batches:     make([]*replay.AgentBatch, t.n),
 		targetProbs: make([]*tensor.Matrix, t.n),
+		actors:      make([]*nn.Network, t.n),
 		tActors:     make([]*nn.Network, t.n),
 		jointCur:    tensor.New(b, t.jointDim),
 		jointNext:   tensor.New(b, t.jointDim),
@@ -152,7 +166,13 @@ func (t *Trainer) newUpdateScratch() *updateScratch {
 			Done:    tensor.New(b, 1),
 		}
 		s.targetProbs[i] = s.jointNext.ColView(t.actOffsets[i], act)
-		s.tActors[i] = t.agents[i].targetActor.SharedClone()
+		s.actors[i], s.tActors[i] = &nn.Network{}, &nn.Network{}
+		for j := 0; j < i; j++ {
+			if t.obsDims[j] == t.obsDims[i] {
+				s.actors[i], s.tActors[i] = s.actors[j], s.tActors[j]
+				break
+			}
+		}
 	}
 	s.prof.SetObserver(t.phaseObs)
 	return s
@@ -617,9 +637,9 @@ func (t *Trainer) UpdateAllTrainers() {
 // deterministic:
 //   - RNG draws (sampling, MATD3 target noise) come from agentRNGs[i] only.
 //   - Writes touch only agent i's own networks/optimizers and s.
-//   - Cross-agent target-actor forwards go through s.tActors shadows, which
-//     alias weights (frozen until the post-join soft updates) but own their
-//     forward scratch.
+//   - Every batch pass runs on s's workspaces, bound to agent i's networks
+//     or, for the cross-agent target-actor forwards, to agent j's target
+//     actor, whose weights stay frozen until the post-join soft updates.
 //   - Replay reads (SampleInto, GatherAll, sum-tree lookups) are concurrent
 //     reads; priority writes are parked in pendingIdx/pendingTD[i] and
 //     applied after the join.
@@ -687,16 +707,16 @@ func (t *Trainer) updateAgent(s *updateScratch, i int, delayed bool) {
 }
 
 // computeTargets fills s.yTarget for agent i: every agent's target actor
-// (through this worker's shadows) maps its next observation to target action
-// probabilities (with MATD3 target policy smoothing from agent i's RNG
-// stream), written into their blocks of the joint next state-action, and the
-// target critic(s) produce y = r + γ(1-done)·Q'. This is the N×(N-1)
+// (through this worker's workspaces) maps its next observation to target
+// action probabilities (with MATD3 target policy smoothing from agent i's
+// RNG stream), written into their blocks of the joint next state-action, and
+// the target critic(s) produce y = r + γ(1-done)·Q'. This is the N×(N-1)
 // cross-agent policy lookup structure the paper describes.
 func (t *Trainer) computeTargets(s *updateScratch, i int) {
 	b := t.cfg.BatchSize
 	rng := t.agentRNGs[i]
 	for j := 0; j < t.n; j++ {
-		logits := s.tActors[j].Forward(s.batches[j].NextObs)
+		logits := s.tActors[j].Bind(t.agents[j].targetActor).Forward(s.batches[j].NextObs)
 		if t.cfg.Algorithm == MATD3 && t.cfg.TargetNoiseStd > 0 {
 			// Target policy smoothing: clipped Gaussian noise on logits.
 			for k := range logits.Data {
@@ -711,10 +731,11 @@ func (t *Trainer) computeTargets(s *updateScratch, i int) {
 		}
 		tensor.SoftmaxRows(s.targetProbs[j], logits)
 	}
-	q1 := t.agents[i].targetCritic1.Forward(s.jointNext)
+	ag := t.agents[i]
+	q1 := s.tCritics[0].Bind(ag.targetCritic1).Forward(s.jointNext)
 	qNext := q1
-	if t.agents[i].targetCritic2 != nil {
-		q2 := t.agents[i].targetCritic2.Forward(s.jointNext)
+	if ag.targetCritic2 != nil {
+		q2 := s.tCritics[1].Bind(ag.targetCritic2).Forward(s.jointNext)
 		// Twin target: elementwise min counters over-estimation bias.
 		for k := range q1.Data {
 			if q2.Data[k] < q1.Data[k] {
@@ -735,25 +756,27 @@ func (t *Trainer) computeTargets(s *updateScratch, i int) {
 func (t *Trainer) updateCritics(s *updateScratch, i int, weights []float64) {
 	ag := t.agents[i]
 
-	q := ag.critic1.Forward(s.jointCur)
+	critic := s.critic.Bind(ag.critic1)
+	q := critic.Forward(s.jointCur)
 	nn.WeightedMSELoss(s.qGrad, q, s.yTarget, weights, s.tdAbs)
 	var tdSum float64
 	for _, v := range s.tdAbs {
 		tdSum += v
 	}
 	t.tdMeans[i] = tdSum / float64(len(s.tdAbs))
-	ag.critic1.ZeroGrads()
+	critic.ZeroGrads()
 	// The critic's input is replay data: nobody reads its gradient.
-	ag.critic1.BackwardParams(s.qGrad)
-	ag.critic1.ClipGradients(t.cfg.ClipNorm)
+	critic.BackwardParams(s.qGrad)
+	critic.ClipGradients(t.cfg.ClipNorm)
 	ag.critic1Opt.Step()
 
 	if ag.critic2 != nil {
-		q2 := ag.critic2.Forward(s.jointCur)
+		critic = s.critic.Bind(ag.critic2)
+		q2 := critic.Forward(s.jointCur)
 		nn.WeightedMSELoss(s.qGrad, q2, s.yTarget, weights, nil)
-		ag.critic2.ZeroGrads()
-		ag.critic2.BackwardParams(s.qGrad)
-		ag.critic2.ClipGradients(t.cfg.ClipNorm)
+		critic.ZeroGrads()
+		critic.BackwardParams(s.qGrad)
+		critic.ClipGradients(t.cfg.ClipNorm)
 		ag.critic2Opt.Step()
 	}
 }
@@ -767,24 +790,26 @@ func (t *Trainer) updateActor(s *updateScratch, i int) {
 	ag := t.agents[i]
 	b := t.cfg.BatchSize
 
-	logits := ag.actor.Forward(s.batches[i].Obs)
+	actor := s.actors[i].Bind(ag.actor)
+	logits := actor.Forward(s.batches[i].Obs)
 	probs := tensor.SoftmaxRows(s.batches[i].Act, logits) // agent i's block of jointCur
 
-	ag.critic1.Forward(s.jointCur)
+	critic := s.critic.Bind(ag.critic1)
+	critic.Forward(s.jointCur)
 	// dPLoss/dQ = -1/B for pLoss = -mean(Q).
 	s.qGrad.Fill(-1 / float64(b))
 	// Only ∂Q/∂(this agent's action columns of the joint input) is read
 	// here; the critic is not trained in this step, so neither its parameter
 	// gradients nor the other input columns' are computed.
-	gradProbs := ag.critic1.BackwardInputCols(s.qGrad, t.actOffsets[i], t.actOffsets[i]+t.actDim)
+	gradProbs := critic.BackwardInputCols(s.qGrad, t.actOffsets[i], t.actOffsets[i]+t.actDim)
 	nn.SoftmaxBackwardRows(s.gradLogits, probs, gradProbs)
 	// Logit regularizer: +1e-3 · mean(logits²).
 	regScale := 1e-3 * 2 / float64(len(logits.Data))
 	for k := range s.gradLogits.Data {
 		s.gradLogits.Data[k] += regScale * logits.Data[k]
 	}
-	ag.actor.ZeroGrads()
-	ag.actor.BackwardParams(s.gradLogits)
-	ag.actor.ClipGradients(t.cfg.ClipNorm)
+	actor.ZeroGrads()
+	actor.BackwardParams(s.gradLogits)
+	actor.ClipGradients(t.cfg.ClipNorm)
 	ag.actorOpt.Step()
 }

@@ -26,11 +26,6 @@ type Layer interface {
 	BackwardParams(grad *tensor.Matrix)
 	Params() []*tensor.Matrix
 	Grads() []*tensor.Matrix
-	// SharedClone returns a layer that aliases this layer's parameter
-	// tensors but owns private gradient and scratch storage, so the clone
-	// can run Forward/Backward concurrently with the original as long as
-	// neither mutates the shared weights during the overlap.
-	SharedClone() Layer
 }
 
 // Dense is a fully connected layer computing y = x·W + b.
@@ -159,18 +154,6 @@ func (d *Dense) Params() []*tensor.Matrix { return []*tensor.Matrix{d.W, d.B} }
 // Grads returns the gradient tensors matching Params.
 func (d *Dense) Grads() []*tensor.Matrix { return []*tensor.Matrix{d.gradW, d.gradB} }
 
-// SharedClone implements Layer: the clone aliases W and B (in-place weight
-// updates like CopyFrom/SoftUpdate stay visible to it) while gradients and
-// forward/backward scratch are private.
-func (d *Dense) SharedClone() Layer {
-	return &Dense{
-		W:     d.W,
-		B:     d.B,
-		gradW: tensor.New(d.W.Rows, d.W.Cols),
-		gradB: tensor.New(1, d.W.Cols),
-	}
-}
-
 // ReLU is the rectified-linear activation layer. The output it retains
 // between Forward and Backward doubles as the mask — an element was active
 // exactly where the output is non-zero — so the output must not be modified
@@ -216,7 +199,3 @@ func (r *ReLU) Params() []*tensor.Matrix { return nil }
 
 // Grads returns nil; ReLU has no trainable parameters.
 func (r *ReLU) Grads() []*tensor.Matrix { return nil }
-
-// SharedClone implements Layer; ReLU has no parameters, so the clone is a
-// fresh layer with its own scratch.
-func (r *ReLU) SharedClone() Layer { return NewReLU() }

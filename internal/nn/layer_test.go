@@ -364,7 +364,7 @@ func testSelectiveBackward(t *testing.T, rows int) {
 		}
 	}
 
-	byLayer := ref.SharedClone()
+	byLayer := twin(ref, 7, 9, 6, 3)
 	seedGrads(byLayer)
 	byLayer.Forward(x)
 	wantIn := grad
@@ -379,7 +379,7 @@ func testSelectiveBackward(t *testing.T, rows int) {
 		requireSameBits(t, "Backward gradient", g, byLayer.Grads()[i])
 	}
 
-	inOnly := ref.SharedClone()
+	inOnly := twin(ref, 7, 9, 6, 3)
 	seedGrads(inOnly)
 	before := make([]*tensor.Matrix, len(inOnly.Grads()))
 	for i, g := range inOnly.Grads() {
@@ -398,7 +398,7 @@ func testSelectiveBackward(t *testing.T, rows int) {
 		requireSameBits(t, "parameter gradient after BackwardInput", g, before[i])
 	}
 
-	paramsOnly := ref.SharedClone()
+	paramsOnly := twin(ref, 7, 9, 6, 3)
 	seedGrads(paramsOnly)
 	paramsOnly.Forward(x)
 	paramsOnly.BackwardParams(grad)
@@ -413,7 +413,7 @@ func testSelectiveBackward(t *testing.T, rows int) {
 func TestFusedForwardMatchesLayerByLayer(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	fused := NewMLP(rng, 7, 9, 6, 3)
-	plain := fused.SharedClone()
+	plain := twin(fused, 7, 9, 6, 3)
 	x, grad := tensor.New(5, 7), tensor.New(5, 3)
 	x.RandNormal(rng, 0, 1)
 	grad.RandNormal(rng, 0, 1)

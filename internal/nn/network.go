@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -138,18 +139,53 @@ func (n *Network) Grads() []*tensor.Matrix {
 	return n.grads
 }
 
-// SharedClone returns a network whose layers alias this network's parameter
-// tensors but own private gradient and scratch storage. A clone can run
-// Forward concurrently with the original (and with other clones) as long as
-// the shared weights are not written during the overlap — the parallel
-// update engine uses clones as read-only shadows of the target actors, whose
-// weights only move in the post-join soft updates.
-func (n *Network) SharedClone() *Network {
-	c := &Network{Layers: make([]Layer, len(n.Layers))}
-	for i, l := range n.Layers {
-		c.Layers[i] = l.SharedClone()
+// Bind points n's parameters and gradients at src's and returns n. n keeps
+// its own forward and backward scratch, so it is a workspace: a pass through
+// it reads src's weights and accumulates into src's gradients, bit for bit
+// what src's own pass would, while src's scratch stays untouched. The update
+// engine gives each worker one workspace per network shape and rebinds it to
+// whichever agent's network it runs next, so batch-sized scratch grows with
+// the worker count, not with the number of networks.
+//
+// The first Bind of a zero Network builds its layer stack; later ones
+// allocate nothing. Scratch is allocated by the first pass that needs it, at
+// the shapes that pass uses. A workspace serves one architecture: Bind
+// panics if src's layers differ in kind or shape from those it was first
+// bound to. Binding reads src without writing it, so workspaces may bind the
+// same network and run forwards concurrently while its weights stay still.
+func (n *Network) Bind(src *Network) *Network {
+	build := n.Layers == nil
+	if build {
+		n.Layers = make([]Layer, len(src.Layers))
 	}
-	return c
+	if len(n.Layers) != len(src.Layers) {
+		panic(fmt.Sprintf("nn: Bind of a %d-layer network to a %d-layer workspace", len(src.Layers), len(n.Layers)))
+	}
+	n.params, n.grads = n.params[:0], n.grads[:0]
+	for i, l := range src.Layers {
+		matches := false
+		switch s := l.(type) {
+		case *Dense:
+			if build {
+				n.Layers[i] = &Dense{}
+			}
+			d, ok := n.Layers[i].(*Dense)
+			if matches = ok && (d.W == nil || d.W.Rows == s.W.Rows && d.W.Cols == s.W.Cols); matches {
+				d.W, d.B, d.gradW, d.gradB = s.W, s.B, s.gradW, s.gradB
+				n.params = append(n.params, d.W, d.B)
+				n.grads = append(n.grads, d.gradW, d.gradB)
+			}
+		case *ReLU:
+			if build {
+				n.Layers[i] = NewReLU()
+			}
+			_, matches = n.Layers[i].(*ReLU)
+		}
+		if !matches {
+			panic(fmt.Sprintf("nn: Bind: layer %d (%T) does not match the workspace's %T", i, l, n.Layers[i]))
+		}
+	}
+	return n
 }
 
 // ZeroGrads clears all accumulated gradients.

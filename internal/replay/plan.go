@@ -78,9 +78,13 @@ func (p SamplePlan) FillIndices(dst []int, length int, seed int64) error {
 			if rem := len(dst) - filled; run > rem {
 				run = rem
 			}
-			for k := 0; k < run; k++ {
-				dst[filled] = (ref + k) % length
-				filled++
+			// The neighbours of ref, wrapping to 0 at length: (ref+k) %
+			// length without a division per index.
+			for end := filled + run; filled < end; filled++ {
+				dst[filled] = ref
+				if ref++; ref == length {
+					ref = 0
+				}
 			}
 		}
 	}

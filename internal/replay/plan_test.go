@@ -177,10 +177,12 @@ func equalFloats(a, b []float64) bool {
 	return true
 }
 
-// BenchmarkFillIndices is one 1024-index uniform draw over fabric-sample's
-// 131 072 rows: FillIndices against the math/rand expansion it reproduces.
+// BenchmarkFillIndices is one 1024-index draw over fabric-sample's 131 072
+// rows: a uniform FillIndices against the math/rand expansion it
+// reproduces, and a locality FillIndices in runs of 16.
 func BenchmarkFillIndices(b *testing.B) {
 	plan := SamplePlan{Strategy: PlanUniform}
+	locality := SamplePlan{Strategy: PlanLocality, Neighbors: 16}
 	dst := make([]int, 1024)
 	for _, impl := range []struct {
 		name string
@@ -188,6 +190,7 @@ func BenchmarkFillIndices(b *testing.B) {
 	}{
 		{"stream", func(seed int64) { _ = plan.FillIndices(dst, 131072, seed) }},
 		{"mathrand", func(seed int64) { mathRandFill(plan, dst, 131072, seed) }},
+		{"locality", func(seed int64) { _ = locality.FillIndices(dst, 131072, seed) }},
 	} {
 		b.Run(impl.name, func(b *testing.B) {
 			b.ReportAllocs()
