@@ -32,11 +32,6 @@ var callerless = map[string]string{
 	"internal/nn.MSELoss":                           "test",
 	"internal/profiler.Profile.EventCount":          "test",
 	"internal/replay.IPLocalitySampler.PER":         "test",
-	"internal/resilience.BitFlipReader":             "test",
-	"internal/resilience.CrashPlan.Arm":             "test",
-	"internal/resilience.FlakyWriter":               "test",
-	"internal/resilience.FlipBitInFile":             "test",
-	"internal/resilience.TruncateFile":              "test",
 	"internal/telemetry.RunLog.Records":             "test",
 	"internal/tensor.ApproxEqual":                   "test",
 	"internal/tensor.FromSlice":                     "test",

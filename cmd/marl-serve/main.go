@@ -57,7 +57,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		queueDepth    = fs.Int("queue-depth", 0, "request queue bound; beyond it /act answers 429 (0: 4×max-batch)")
 		canaryPercent = fs.Int("canary-percent", 0, "route this % of unpinned requests to the newest snapshot, the rest to the previous one (0: all traffic serves the newest)")
 		canarySeed    = fs.Int64("canary-seed", 1, "seed for the deterministic canary split")
-		direct        = fs.Bool("direct", false, "disable micro-batching: one forward per request under a mutex (benchmark baseline)")
 		drainTimeout  = fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
 	)
 	obs := cli.Observe(fs, cli.Role{Proc: "marl-serve", SampleUnit: "requests", SampleDefault: 64})
@@ -79,7 +78,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		QueueDepth:    *queueDepth,
 		CanaryPercent: *canaryPercent,
 		Seed:          *canarySeed,
-		Direct:        *direct,
 		Registry:      obs.Registry,
 		Tracer:        obs.Tracer,
 	})
@@ -135,12 +133,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		Addr:    *addr,
 		Handler: srv.Handler(),
 		Started: func(bound string) {
-			mode := "micro-batching"
-			if *direct {
-				mode = "direct (per-request)"
-			}
-			fmt.Fprintf(stdout, "serving actions on http://%s%s (%s, window %v, max batch %d, canary %d%%) from policy service %s\n",
-				bound, serve.PathAct, mode, *batchWindow, *maxBatch, *canaryPercent, *policyAddr)
+			fmt.Fprintf(stdout, "serving actions on http://%s%s (micro-batching, window %v, max batch %d, canary %d%%) from policy service %s\n",
+				bound, serve.PathAct, *batchWindow, *maxBatch, *canaryPercent, *policyAddr)
 		},
 		DrainTimeout: *drainTimeout,
 		// Drain before closing the listener: new /act requests answer 503

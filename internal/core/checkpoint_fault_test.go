@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"marlperf/internal/faultnet"
 	"marlperf/internal/mpe"
-	"marlperf/internal/resilience"
 	"marlperf/internal/tensor"
 )
 
@@ -37,7 +37,7 @@ func TestLoadCheckpointRejectsBitFlips(t *testing.T) {
 	}
 	for _, off := range offsets {
 		dst := freshTrainer(t, MADDPG)
-		r := &resilience.BitFlipReader{R: bytes.NewReader(data), Offset: int64(off), Mask: 0x20}
+		r := &faultnet.BitFlipReader{R: bytes.NewReader(data), Offset: int64(off), Mask: 0x20}
 		if err := dst.LoadCheckpoint(r); err == nil {
 			t.Fatalf("bit flip at offset %d/%d accepted", off, len(data))
 		}
@@ -51,7 +51,7 @@ func TestLoadCheckpointChecksumFailureLeavesTrainerUntouched(t *testing.T) {
 	before := dst.agents[0].actor.Params()[0].Clone()
 	// Corrupt a byte deep in the parameter section: the CRC check must
 	// fire before any parameter is overwritten.
-	r := &resilience.BitFlipReader{R: bytes.NewReader(data), Offset: int64(len(data) / 2), Mask: 0x01}
+	r := &faultnet.BitFlipReader{R: bytes.NewReader(data), Offset: int64(len(data) / 2), Mask: 0x01}
 	if err := dst.LoadCheckpoint(r); err == nil {
 		t.Fatal("corrupt checkpoint accepted")
 	}
@@ -98,7 +98,7 @@ func TestSaveCheckpointPropagatesShortWrites(t *testing.T) {
 	src := trainedTrainer(t, MADDPG)
 	full := int64(len(trainerStateBytes(t, src)))
 	for _, allow := range []int64{0, 3, 100, full / 2, full - 2} {
-		fw := &resilience.FaultWriter{W: &bytes.Buffer{}, Remaining: allow, Short: true}
+		fw := &faultnet.FaultWriter{W: &bytes.Buffer{}, Remaining: allow, Short: true}
 		if err := src.SaveCheckpoint(fw); err == nil {
 			t.Fatalf("short write after %d bytes not reported", allow)
 		}

@@ -1,13 +1,16 @@
-// Package faultnet injects network faults deterministically and explores
-// seeded fault schedules; it is test support (it imports testing) that no
-// binary links. An Injector wraps http.RoundTripper and http.Handler per
-// named edge. A Rule drops, errors or delays requests by probability, from
-// a stream that is a pure function of (seed, edge name, request order):
-// each edge draws from its own RNG seeded with seed ^ fnv64(edge), the same
-// number of variates per request whatever the rule, so no edge or rule
-// change perturbs another edge's schedule. Events (schedule.go) fire faults
-// and actions on chosen request ordinals, and Explore shrinks a failing
-// seed's schedule to its shortest failing prefix.
+// Package faultnet injects network and I/O faults deterministically and
+// explores seeded fault schedules; it is test support (it imports testing)
+// that no binary links. The I/O faults (iofault.go) are a writer that fails
+// or tears, a reader that flips a bit, and in-place damage to a stored
+// file, for the tests of every reader and of snapshot recovery. An Injector
+// wraps http.RoundTripper and http.Handler per named edge. A Rule drops,
+// errors or delays requests by probability, from a stream that is a pure
+// function of (seed, edge name, request order): each edge draws from its
+// own RNG seeded with seed ^ fnv64(edge), the same number of variates per
+// request whatever the rule, so no edge or rule change perturbs another
+// edge's schedule. Events (schedule.go) fire faults and actions on chosen
+// request ordinals, and Explore shrinks a failing seed's schedule to its
+// shortest failing prefix.
 package faultnet
 
 import (

@@ -145,3 +145,66 @@ func TestBindRejectsOtherArchitectures(t *testing.T) {
 		}()
 	}
 }
+
+// hasGrads reports whether any dense layer of net holds gradient tensors.
+func hasGrads(net *Network) bool {
+	for _, l := range net.Layers {
+		if d, ok := l.(*Dense); ok && d.gradW != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// TestGradientsOnlyWhereTrained: a network gets gradients only when
+// something trains it — NewAdam or a parameter backward — so a network that
+// only forwards, built or decoded, carries none, and a workspace bound to
+// one panics on a parameter backward instead of accumulating into gradients
+// of its own.
+func TestGradientsOnlyWhereTrained(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	x, grad := tensor.New(4, 6), tensor.New(4, 3)
+	x.RandNormal(rng, 0, 1)
+	grad.RandNormal(rng, 0, 1)
+
+	target := NewMLP(rng, 6, 8, 3)
+	target.Forward(x)
+	var ws Network
+	ws.Bind(target).Forward(x)
+	for name, backward := range map[string]func(*tensor.Matrix) *tensor.Matrix{
+		"Backward":       ws.Backward,
+		"BackwardParams": func(g *tensor.Matrix) *tensor.Matrix { ws.BackwardParams(g); return nil },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s through a workspace bound to a network without gradients did not panic", name)
+				}
+			}()
+			backward(grad)
+		}()
+	}
+	if hasGrads(target) || hasGrads(&ws) {
+		t.Fatal("a forward-only network or its workspace carries gradients")
+	}
+	// An input-only backward needs no gradients.
+	ws.Forward(x)
+	ws.BackwardInput(grad)
+
+	decoded, err := readNetwork(encodeNetwork(t, target))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hasGrads(decoded) {
+		t.Fatal("a decoded network carries gradients")
+	}
+	NewAdam(decoded, 0.01)
+	if !hasGrads(decoded) {
+		t.Fatal("NewAdam left its network without gradients")
+	}
+	target.Forward(x)
+	target.Backward(grad)
+	if !hasGrads(target) {
+		t.Fatal("a parameter backward left its network without gradients")
+	}
+}

@@ -33,6 +33,8 @@ type Dense struct {
 	W *tensor.Matrix // in×out
 	B *tensor.Matrix // 1×out
 
+	// gradW and gradB are nil until Grads first runs: a layer that only
+	// forwards (a target network, an acting policy) carries none.
 	gradW *tensor.Matrix
 	gradB *tensor.Matrix
 
@@ -47,12 +49,7 @@ type Dense struct {
 // NewDense returns a Dense layer with Xavier-initialized weights and zero
 // biases, matching the paper's TF2 MLP initialization.
 func NewDense(in, out int, rng *rand.Rand) *Dense {
-	d := &Dense{
-		W:     tensor.New(in, out),
-		B:     tensor.New(1, out),
-		gradW: tensor.New(in, out),
-		gradB: tensor.New(1, out),
-	}
+	d := &Dense{W: tensor.New(in, out), B: tensor.New(1, out)}
 	d.W.XavierInit(rng, in, out)
 	return d
 }
@@ -95,9 +92,13 @@ func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	return d.BackwardInput(grad)
 }
 
-// BackwardParams accumulates ∂L/∂W and ∂L/∂b only.
+// BackwardParams accumulates ∂L/∂W and ∂L/∂b only. It panics on a layer
+// without gradients (see Grads).
 func (d *Dense) BackwardParams(grad *tensor.Matrix) {
 	d.checkBackward(grad)
+	if d.gradW == nil {
+		panic("nn: Dense parameter backward through a layer without gradients")
+	}
 	// gradW += xᵀ·grad  (accumulated; ZeroGrads clears between steps)
 	if d.gwScratch == nil {
 		d.gwScratch = tensor.New(d.W.Rows, d.W.Cols)
@@ -151,8 +152,14 @@ func (d *Dense) checkBackward(grad *tensor.Matrix) {
 // Params returns the trainable tensors (weights then bias).
 func (d *Dense) Params() []*tensor.Matrix { return []*tensor.Matrix{d.W, d.B} }
 
-// Grads returns the gradient tensors matching Params.
-func (d *Dense) Grads() []*tensor.Matrix { return []*tensor.Matrix{d.gradW, d.gradB} }
+// Grads returns the gradient tensors matching Params, allocating them (as
+// zeros) on the first call.
+func (d *Dense) Grads() []*tensor.Matrix {
+	if d.gradW == nil {
+		d.gradW, d.gradB = tensor.New(d.W.Rows, d.W.Cols), tensor.New(1, d.W.Cols)
+	}
+	return []*tensor.Matrix{d.gradW, d.gradB}
+}
 
 // ReLU is the rectified-linear activation layer. The output it retains
 // between Forward and Backward doubles as the mask — an element was active

@@ -275,6 +275,7 @@ func TestAdamReducesLossOnRegression(t *testing.T) {
 func TestDenseGradAccumulatesAcrossBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	d := NewDense(2, 1, rng)
+	d.Grads() // a layer gets gradients when something trains it
 	x := tensor.FromSlice(1, 2, []float64{1, 1})
 	g := tensor.FromSlice(1, 1, []float64{1})
 	d.Forward(x)

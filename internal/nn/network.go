@@ -58,6 +58,7 @@ func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {
 // Backward propagates the output gradient through every layer in reverse and
 // returns the gradient with respect to the network input.
 func (n *Network) Backward(grad *tensor.Matrix) *tensor.Matrix {
+	n.Grads()
 	for i := len(n.Layers) - 1; i >= 0; {
 		n.Layers[i].BackwardParams(grad)
 		grad, i = n.backwardInput(i, grad)
@@ -107,6 +108,7 @@ func (n *Network) BackwardInputCols(grad *tensor.Matrix, lo, hi int) *tensor.Mat
 // input gradient needs, is not computed. It is for a network at the bottom
 // of the graph, whose input is data.
 func (n *Network) BackwardParams(grad *tensor.Matrix) {
+	n.Grads()
 	i := len(n.Layers) - 1
 	for i > 0 {
 		n.Layers[i].BackwardParams(grad)
@@ -130,6 +132,11 @@ func (n *Network) Params() []*tensor.Matrix {
 
 // Grads returns all gradient tensors in the same order as Params. The slice
 // is cached across calls; callers must not append to or reorder it.
+//
+// A network gets gradients only when something trains it: the first call
+// allocates them, and NewAdam and every parameter backward make that call.
+// A network that only forwards (a target network, a decoded acting policy)
+// carries none. A workspace's gradients are its source's (see Bind).
 func (n *Network) Grads() []*tensor.Matrix {
 	if n.grads == nil {
 		for _, l := range n.Layers {
@@ -146,6 +153,9 @@ func (n *Network) Grads() []*tensor.Matrix {
 // engine gives each worker one workspace per network shape and rebinds it to
 // whichever agent's network it runs next, so batch-sized scratch grows with
 // the worker count, not with the number of networks.
+//
+// A source without gradients leaves n without any, so a parameter backward
+// through n panics rather than accumulate into gradients of n's own.
 //
 // The first Bind of a zero Network builds its layer stack; later ones
 // allocate nothing. Scratch is allocated by the first pass that needs it, at

@@ -104,12 +104,7 @@ func ReadNetwork(d *frame.Decoder) (*Network, error) {
 				d.Fail("dense layer %d (%dx%d) needs %d bytes, %d left", i, in, out, 8*params, d.Len())
 				break
 			}
-			dense := &Dense{
-				W:     tensor.New(int(in), int(out)),
-				B:     tensor.New(1, int(out)),
-				gradW: tensor.New(int(in), int(out)),
-				gradB: tensor.New(1, int(out)),
-			}
+			dense := &Dense{W: tensor.New(int(in), int(out)), B: tensor.New(1, int(out))}
 			d.F64s(dense.W.Data)
 			d.F64s(dense.B.Data)
 			net.Layers = append(net.Layers, dense)

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"marlperf/internal/resilience"
+	"marlperf/internal/faultnet"
 )
 
 // Fault-injection coverage for the v2 MARB format: bit flips anywhere in
@@ -26,7 +26,7 @@ func bufferBytes(t *testing.T) []byte {
 func TestReadBufferRejectsEveryBitFlip(t *testing.T) {
 	data := bufferBytes(t)
 	for off := 0; off < len(data); off++ {
-		r := &resilience.BitFlipReader{R: bytes.NewReader(data), Offset: int64(off), Mask: 0x08}
+		r := &faultnet.BitFlipReader{R: bytes.NewReader(data), Offset: int64(off), Mask: 0x08}
 		if _, err := ReadBuffer(r); err == nil {
 			t.Fatalf("bit flip at offset %d/%d accepted", off, len(data))
 		}
@@ -38,7 +38,7 @@ func TestWriteToPropagatesShortWrites(t *testing.T) {
 	fillBuffer(b, 6)
 	full := int64(len(bufferBytes(t)))
 	for _, allow := range []int64{0, 5, 30, full / 2, full - 1} {
-		fw := &resilience.FaultWriter{W: &bytes.Buffer{}, Remaining: allow, Short: true}
+		fw := &faultnet.FaultWriter{W: &bytes.Buffer{}, Remaining: allow, Short: true}
 		if _, err := b.WriteTo(fw); err == nil {
 			t.Fatalf("short write after %d bytes not reported", allow)
 		}

@@ -2,10 +2,9 @@
 // numerical divergence. It provides crash-safe file persistence (temp file →
 // fsync → rename), a CRC32-framed multi-section snapshot format that bundles
 // trainer checkpoint, replay buffer and run state into one recoverable unit,
-// a generation store with retention and newest-intact fallback, retry with
-// exponential backoff for persistence I/O, and a fault-injection harness
-// (failing/short writers, bit-flipping readers, crash points) that the tests
-// use to prove every recovery path.
+// a generation store with retention and newest-intact fallback, and retry
+// with exponential backoff for persistence I/O. The faults the tests inject
+// live in the test-support package internal/faultnet.
 package resilience
 
 import (

@@ -1,16 +1,18 @@
 package resilience_test
 
 // Kill-and-restart integration test: trains a real MADDPG trainer, writes
-// snapshot generations through the resilience store, kills a checkpoint
-// write mid-stream with an injected crash, bit-flips the newest durable
-// generation, and proves a "restarted process" resumes from the newest
-// intact generation with counters, experience and health preserved.
+// snapshot generations through the resilience store, leaves the truncated
+// temp file of a checkpoint write killed mid-stream, bit-flips the newest
+// durable generation, and proves a "restarted process" resumes from the
+// newest intact generation with counters, experience and health preserved.
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"marlperf/internal/core"
+	"marlperf/internal/faultnet"
 	"marlperf/internal/mpe"
 	"marlperf/internal/replay"
 	"marlperf/internal/resilience"
@@ -119,14 +121,14 @@ func TestKillAndRestartResumesFromIntactGeneration(t *testing.T) {
 		}
 	}
 
-	// The process dies mid-write of generation 8: the crash leaves a
-	// truncated temp file behind and must not publish a new generation.
+	// The process dies mid-write of generation 8: it leaves a truncated
+	// temp file behind and publishes no new generation.
 	tr.RunEpisodes(2, nil)
-	store.Crash = &resilience.CrashPlan{}
-	store.Crash.Arm(resilience.CrashDuringWrite, 1)
-	if _, err := store.Save(uint64(tr.EpisodeCount()), snapshotTrainer(t, tr)); err == nil {
-		t.Fatal("injected crash did not surface")
+	var partial bytes.Buffer
+	if err := resilience.WriteSnapshot(&partial, snapshotTrainer(t, tr)); err != nil {
+		t.Fatal(err)
 	}
+	resilience.LeaveTemp(t, store.Path(uint64(tr.EpisodeCount())), partial.Bytes()[:16])
 	gens, err := store.Generations()
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +138,7 @@ func TestKillAndRestartResumesFromIntactGeneration(t *testing.T) {
 	}
 
 	// Bit rot hits the newest durable generation while the process is down.
-	if err := resilience.FlipBitInFile(store.Path(6), 120, 0x40); err != nil {
+	if err := faultnet.FlipBitInFile(store.Path(6), 120, 0x40); err != nil {
 		t.Fatal(err)
 	}
 
@@ -156,6 +158,9 @@ func TestKillAndRestartResumesFromIntactGeneration(t *testing.T) {
 	}
 	if len(skipped) != 1 || skipped[0].Seq != 6 {
 		t.Fatalf("skipped = %v, want exactly generation 6", skipped)
+	}
+	if temps, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(temps) != 0 {
+		t.Fatalf("the crash's temp file survived the restart: %v", temps)
 	}
 
 	restored := restoreTrainer(t, snap)

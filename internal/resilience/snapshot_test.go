@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"marlperf/internal/faultnet"
 )
 
 func sampleSections() []Section {
@@ -70,7 +72,7 @@ func TestSnapshotRejectsEveryTruncation(t *testing.T) {
 func TestSnapshotRejectsEveryBitFlip(t *testing.T) {
 	data := encodeSnapshot(t, sampleSections())
 	for off := 0; off < len(data); off++ {
-		r := &BitFlipReader{R: bytes.NewReader(data), Offset: int64(off), Mask: 0x40}
+		r := &faultnet.BitFlipReader{R: bytes.NewReader(data), Offset: int64(off), Mask: 0x40}
 		if _, err := ReadSnapshot(r); err == nil {
 			t.Fatalf("bit flip at offset %d accepted", off)
 		}
@@ -96,7 +98,7 @@ func TestSnapshotErrorNamesDamagedSection(t *testing.T) {
 	// 4 magic + 4 version + 4 count, then per section 4 kind + 8 len +
 	// payload + 4 crc. Section 0 payload is 256 bytes.
 	off := 12 + (12 + 256 + 4) + 12 + 5
-	r := &BitFlipReader{R: bytes.NewReader(data), Offset: int64(off), Mask: 0x01}
+	r := &faultnet.BitFlipReader{R: bytes.NewReader(data), Offset: int64(off), Mask: 0x01}
 	_, err := ReadSnapshot(r)
 	if err == nil || !strings.Contains(err.Error(), "replay") {
 		t.Fatalf("error should name the replay section, got: %v", err)
@@ -108,7 +110,7 @@ func TestSnapshotWriteFaults(t *testing.T) {
 	full := int64(len(encodeSnapshot(t, sections)))
 	for _, short := range []bool{false, true} {
 		for _, allow := range []int64{0, 3, 17, full - 1} {
-			fw := &FaultWriter{W: io.Discard, Remaining: allow, Short: short}
+			fw := &faultnet.FaultWriter{W: io.Discard, Remaining: allow, Short: short}
 			if err := WriteSnapshot(fw, sections); err == nil {
 				t.Fatalf("write fault (allow=%d short=%v) not propagated", allow, short)
 			}

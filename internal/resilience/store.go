@@ -21,9 +21,6 @@ type Store struct {
 
 	// Retry governs how persistence I/O failures are retried.
 	Retry RetryPolicy
-	// Crash, when non-nil, arms simulated process deaths inside Save; the
-	// tests use it to prove crash recovery. Nil in production.
-	Crash *CrashPlan
 }
 
 // NewStore opens (creating if needed) a snapshot directory keeping the
@@ -66,72 +63,23 @@ func (s *Store) Generations() ([]uint64, error) {
 	return gens, nil
 }
 
-// Save writes generation seq atomically (with retries per s.Retry), then
-// prunes generations beyond the retention limit. On success it returns the
-// written path.
+// Save writes generation seq with WriteFileAtomic (retried per s.Retry),
+// then prunes generations beyond the retention limit. On success it returns
+// the written path. A process that dies inside Save leaves at most a stray
+// temp file, which the next NewStore sweeps, or a published generation that
+// was not yet rotated, which the next Save prunes.
 func (s *Store) Save(seq uint64, sections []Section) (string, error) {
 	path := s.Path(seq)
-	if err := s.Retry.Do(func() error { return s.saveOnce(path, sections) }); err != nil {
+	err := s.Retry.Do(func() error {
+		return WriteFileAtomic(path, func(w io.Writer) error { return WriteSnapshot(w, sections) })
+	})
+	if err != nil {
 		return "", err
-	}
-	if err := s.Crash.Hit(CrashAfterRename); err != nil {
-		// Simulated death after the rename: the generation is durable but
-		// rotation did not run. Recovery handles the extra generation.
-		return path, err
 	}
 	if err := s.rotate(); err != nil {
 		return path, err
 	}
 	return path, nil
-}
-
-// saveOnce performs one atomic write attempt, honoring armed crash points.
-// An injected crash leaves the partial state a real process death would
-// (stray temp files), instead of cleaning up.
-func (s *Store) saveOnce(path string, sections []Section) error {
-	if err := s.Crash.Hit(CrashBeforeWrite); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(s.dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("resilience: creating temp snapshot: %w", err)
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		if !errors.Is(err, ErrInjectedCrash) {
-			os.Remove(tmpName)
-		}
-		return err
-	}
-	var w io.Writer = tmp
-	if crashErr := s.Crash.Hit(CrashDuringWrite); crashErr != nil {
-		// Die mid-write: allow a few header bytes through so a truncated
-		// temp file is left behind, as a power cut would.
-		w = &FaultWriter{W: tmp, Remaining: 16, Err: crashErr}
-	}
-	if err := WriteSnapshot(w, sections); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("resilience: fsync snapshot: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("resilience: close snapshot: %w", err)
-	}
-	if err := s.Crash.Hit(CrashBeforeRename); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("resilience: publishing snapshot: %w", err)
-	}
-	if d, derr := os.Open(s.dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }
 
 // rotate deletes the oldest generations beyond the retention limit.

@@ -7,7 +7,13 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"marlperf/internal/faultnet"
 )
+
+// ErrInjectedFault is the error the retry tests below fail their attempts
+// with.
+var ErrInjectedFault = faultnet.ErrInjectedFault
 
 func fastRetry() RetryPolicy {
 	return RetryPolicy{Attempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
@@ -81,10 +87,10 @@ func TestStoreFallsBackPastCorruptNewest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := TruncateFile(st.Path(3), fi.Size()/2); err != nil {
+	if err := faultnet.TruncateFile(st.Path(3), fi.Size()/2); err != nil {
 		t.Fatal(err)
 	}
-	if err := FlipBitInFile(st.Path(2), 40, 0x10); err != nil {
+	if err := faultnet.FlipBitInFile(st.Path(2), 40, 0x10); err != nil {
 		t.Fatal(err)
 	}
 	snap, seq, skipped, err := st.LoadLatest()
@@ -108,7 +114,7 @@ func TestStoreAllCorruptReportsEveryGeneration(t *testing.T) {
 		if _, err := st.Save(seq, payloadFor(seq)); err != nil {
 			t.Fatal(err)
 		}
-		if err := TruncateFile(st.Path(seq), 8); err != nil {
+		if err := faultnet.TruncateFile(st.Path(seq), 8); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,59 +127,102 @@ func TestStoreAllCorruptReportsEveryGeneration(t *testing.T) {
 	}
 }
 
+// TestStoreCrashPointsLeaveRecoverableState builds on disk each state a
+// process death inside Save can leave for generation 3 — Save is
+// WriteFileAtomic (temp file, fsync, rename, directory fsync) followed by
+// rotate — and checks that a restarted store recovers the newest intact
+// generation, sweeps every temp file and accepts the next Save. Recovery
+// reads only the disk, so these are all the states a death can leave.
 func TestStoreCrashPointsLeaveRecoverableState(t *testing.T) {
+	const retain = 2
 	cases := []struct {
-		point     string
-		wantGen   uint64 // generation recovery should find after the crash
-		wantSaved bool   // whether the crashed Save's generation survives
+		point   string
+		leave   func(st *Store, snap []byte) // the state the death leaves
+		wantGen uint64                       // what recovery must find
 	}{
-		{CrashBeforeWrite, 1, false},
-		{CrashDuringWrite, 1, false},
-		{CrashBeforeRename, 1, false},
-		{CrashAfterRename, 2, true},
+		{"save:before-write", func(*Store, []byte) {}, 2},
+		{"save:during-write", func(st *Store, snap []byte) { LeaveTemp(t, st.Path(3), snap[:16]) }, 2},
+		{"save:before-rename", func(st *Store, snap []byte) { LeaveTemp(t, st.Path(3), snap) }, 2},
+		{"save:after-rename", func(st *Store, snap []byte) {
+			if err := os.WriteFile(st.Path(3), snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.point, func(t *testing.T) {
-			st := newTestStore(t, 3)
-			if _, err := st.Save(1, payloadFor(1)); err != nil {
+			st := newTestStore(t, retain)
+			for seq := uint64(1); seq <= 2; seq++ {
+				if _, err := st.Save(seq, payloadFor(seq)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var snap bytes.Buffer
+			if err := WriteSnapshot(&snap, payloadFor(3)); err != nil {
 				t.Fatal(err)
 			}
-			st.Crash = &CrashPlan{}
-			st.Crash.Arm(tc.point, 1)
-			_, err := st.Save(2, payloadFor(2))
-			if !errors.Is(err, ErrInjectedCrash) {
-				t.Fatalf("Save err = %v, want injected crash", err)
-			}
-			// "Restart": a fresh store over the same directory (clears stale
-			// temps) must recover the newest intact generation.
-			st2, err := NewStore(st.Dir(), 3)
+			tc.leave(st, snap.Bytes())
+
+			// "Restart": a fresh store over the same directory sweeps the
+			// temps and must recover the newest intact generation.
+			st2, err := NewStore(st.Dir(), retain)
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap, seq, _, err := st2.LoadLatest()
+			st2.Retry = fastRetry()
+			got, seq, skipped, err := st2.LoadLatest()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if seq != tc.wantGen {
-				t.Fatalf("recovered generation %d, want %d", seq, tc.wantGen)
+			if seq != tc.wantGen || len(skipped) != 0 {
+				t.Fatalf("recovered generation %d skipping %v, want %d skipping none", seq, skipped, tc.wantGen)
 			}
 			want := payloadFor(tc.wantGen)[0].Payload
-			if got, _ := snap.Section(SectionTrainer); !bytes.Equal(got, want) {
+			if p, _ := got.Section(SectionTrainer); !bytes.Equal(p, want) {
 				t.Fatal("recovered payload mismatch")
 			}
-			if _, err := os.Stat(st.Path(2)); tc.wantSaved != (err == nil) {
-				t.Fatalf("generation 2 present=%v, want %v", err == nil, tc.wantSaved)
-			}
-			// No temp litter after restart.
-			temps, _ := filepath.Glob(filepath.Join(st.Dir(), "*.tmp-*"))
-			if len(temps) != 0 {
+			if temps, _ := filepath.Glob(filepath.Join(st.Dir(), "*.tmp-*")); len(temps) != 0 {
 				t.Fatalf("stale temps survived restart: %v", temps)
 			}
-			// And the next save over the same directory works.
-			if _, err := st2.Save(3, payloadFor(3)); err != nil {
+			// The next Save publishes and rotates down to the newest retain
+			// generations, the unrotated one included.
+			if _, err := st2.Save(4, payloadFor(4)); err != nil {
 				t.Fatal(err)
 			}
+			gens, err := st2.Generations()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gens) != retain || gens[0] != tc.wantGen || gens[1] != 4 {
+				t.Fatalf("generations after the next Save = %v, want [%d 4]", gens, tc.wantGen)
+			}
 		})
+	}
+}
+
+// TestStoreSaveFailureLeavesNothing makes every attempt of a Save fail for
+// real, by removing the store's directory: Save must give up after
+// Retry.Attempts tries, reporting each failed one but the last to OnRetry,
+// and publish nothing.
+func TestStoreSaveFailureLeavesNothing(t *testing.T) {
+	st := newTestStore(t, 2)
+	retries := 0
+	st.Retry.OnRetry = func(int, error) { retries++ }
+	if err := os.RemoveAll(st.Dir()); err != nil {
+		t.Fatal(err)
+	}
+	path, err := st.Save(1, payloadFor(1))
+	if !errors.Is(err, os.ErrNotExist) || path != "" {
+		t.Fatalf("Save into a removed directory = %q, %v; want a not-exist error", path, err)
+	}
+	if retries != st.Retry.Attempts-1 {
+		t.Fatalf("OnRetry called %d times, want %d", retries, st.Retry.Attempts-1)
+	}
+	if _, err := os.Stat(st.Path(1)); !os.IsNotExist(err) {
+		t.Fatalf("generation 1 published: %v", err)
+	}
+	if temps, _ := filepath.Glob(filepath.Join(st.Dir(), "*.tmp-*")); len(temps) != 0 {
+		t.Fatalf("temps left: %v", temps)
 	}
 }
 
@@ -221,43 +270,5 @@ func TestRetryGivesUpAfterAttempts(t *testing.T) {
 	err := p.Do(func() error { calls++; return ErrInjectedFault })
 	if !errors.Is(err, ErrInjectedFault) || calls != 3 || retries != 2 {
 		t.Fatalf("err=%v calls=%d retries=%d", err, calls, retries)
-	}
-}
-
-func TestRetryDoesNotRetryInjectedCrash(t *testing.T) {
-	p := RetryPolicy{Attempts: 5, Sleep: func(time.Duration) {}}
-	calls := 0
-	err := p.Do(func() error { calls++; return ErrInjectedCrash })
-	if !errors.Is(err, ErrInjectedCrash) || calls != 1 {
-		t.Fatalf("err=%v calls=%d, crash must not be retried", err, calls)
-	}
-}
-
-func TestCrashPlanCountdown(t *testing.T) {
-	var plan *CrashPlan
-	if err := plan.Hit(CrashBeforeWrite); err != nil {
-		t.Fatal("nil plan must be inert")
-	}
-	plan = &CrashPlan{}
-	plan.Arm(CrashBeforeWrite, 3)
-	for i := 0; i < 2; i++ {
-		if err := plan.Hit(CrashBeforeWrite); err != nil {
-			t.Fatalf("hit %d fired early: %v", i+1, err)
-		}
-	}
-	if err := plan.Hit(CrashBeforeWrite); !errors.Is(err, ErrInjectedCrash) {
-		t.Fatalf("third hit = %v, want injected crash", err)
-	}
-	if err := plan.Hit(CrashBeforeWrite); err != nil {
-		t.Fatal("crash point must disarm after firing")
-	}
-
-	// An armed crash point on a countdown the run never reaches leaves
-	// saves untouched.
-	st := newTestStore(t, 2)
-	st.Crash = &CrashPlan{}
-	st.Crash.Arm(CrashBeforeWrite, 3)
-	if _, err := st.Save(1, payloadFor(1)); err != nil {
-		t.Fatal(err)
 	}
 }
