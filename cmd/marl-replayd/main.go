@@ -182,7 +182,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	obs.Mount(mux)
 
 	if obs.Logging() {
-		defer logStats(obs, *runlogEvery, provider)()
+		defer logStats(obs, *runlogEvery)()
 	}
 
 	return cli.Daemon{
@@ -224,8 +224,10 @@ type statsRecord struct {
 
 // logStats appends one statsRecord per period until the returned stop
 // function runs, which writes a final record so the log always ends with
-// the service's exit state.
-func logStats(obs *cli.Obs, every time.Duration, provider expstore.Provider) (stop func()) {
+// the service's exit state. Rows is the marl_exp_store_rows gauge, which
+// the server sets under its store lock: a volatile ring has no lock of
+// its own, so reading the provider here would race with appends.
+func logStats(obs *cli.Obs, every time.Duration) (stop func()) {
 	if every <= 0 {
 		every = 10 * time.Second
 	}
@@ -234,7 +236,7 @@ func logStats(obs *cli.Obs, every time.Duration, provider expstore.Provider) (st
 		return statsRecord{
 			Event:         "stats",
 			Time:          time.Now(),
-			Rows:          provider.RowCount(),
+			Rows:          int(reg.Gauge("marl_exp_store_rows").Value()),
 			IngestBatches: reg.Counter("marl_exp_ingest_batches_total").Value(),
 			IngestRows:    reg.Counter("marl_exp_ingest_rows_total").Value(),
 			SampleReqs:    reg.Counter("marl_exp_sample_requests_total").Value(),

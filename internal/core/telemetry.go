@@ -75,9 +75,6 @@ func (t *Trainer) SetUpdateListener(fn func(UpdateEvent)) {
 // path. Call before training.
 func (t *Trainer) SetTracer(tr *trace.Tracer) { t.tracer = tr }
 
-// Tracer returns the attached span tracer, or nil.
-func (t *Trainer) Tracer() *trace.Tracer { return t.tracer }
-
 // buildUpdateEvent snapshots the run state and the per-phase wall time
 // accumulated since the previous event.
 func (t *Trainer) buildUpdateEvent() UpdateEvent {

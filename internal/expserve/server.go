@@ -216,6 +216,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		storeRows:     reg.Gauge("marl_exp_store_rows"),
 		storeSegments: reg.Gauge("marl_exp_store_segments"),
 	}
+	s.updateGauges(cfg.Provider.RowCount()) // a recovered store's rows count from the start
 	reg.Gauge("marl_exp_store_arena_bytes").SetFunc(func() float64 { return float64(arenaBytes(cfg.Provider)) })
 	reg.Gauge("marl_exp_store_hugepage_bytes").SetFunc(func() float64 { return float64(s.hugePageBytes()) })
 	if cfg.DedupLogPath != "" {

@@ -26,10 +26,6 @@ type FabricOptions struct {
 	// also receives the marl_shard_* fabric metrics (nil keeps them
 	// private), and its Tracer records the shard-sample spans.
 	Client ClientOptions
-	// Partitions sets the hash-ring partition count; 0 uses
-	// expshard.DefaultPartitions. Every process on the fabric must use
-	// the same value.
-	Partitions int
 	// MemberDeadline bounds one member's share of a routing decision
 	// (stats probe, shard draw, append) before the fabric moves on.
 	// Defaults to 3s.
@@ -46,7 +42,7 @@ const fabricRetryDelay = 250 * time.Millisecond
 
 // Fabric is the client half of the sharded, replicated replay fabric:
 // one Client (own circuit breaker, own connection pool) per replayd
-// member, addressed through the consistent-hash ring. Sources fan
+// member, addressed through the expshard partition map. Sources fan
 // sample RPCs in across shards; sinks fan replicated appends out. The
 // topology is fixed when the fabric is built.
 type Fabric struct {
@@ -59,12 +55,13 @@ type Fabric struct {
 	viewRefreshes *telemetry.Counter
 }
 
-// NewFabric builds the ring snapshot and one client per member.
+// NewFabric builds the placement snapshot (expshard.DefaultPartitions
+// partitions) and one client per member.
 func NewFabric(groups []expshard.Group, opts FabricOptions) (*Fabric, error) {
 	if opts.MemberDeadline <= 0 {
 		opts.MemberDeadline = 3 * time.Second
 	}
-	snap, err := expshard.BuildSnapshot(groups, opts.Partitions)
+	snap, err := expshard.BuildSnapshot(groups, expshard.DefaultPartitions)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +100,7 @@ func NewFabric(groups []expshard.Group, opts FabricOptions) (*Fabric, error) {
 	}, nil
 }
 
-// Snapshot returns the fabric's ring snapshot.
+// Snapshot returns the fabric's placement snapshot.
 func (f *Fabric) Snapshot() *expshard.Snapshot { return f.snap }
 
 // ReplicaReads reports fabric reads that failed over to a replica.
@@ -112,26 +109,43 @@ func (f *Fabric) ReplicaReads() uint64 { return f.replicaReads.Value() }
 // DegradedDraws reports draws recomputed with a group excluded.
 func (f *Fabric) DegradedDraws() uint64 { return f.degradedDraws.Value() }
 
+// rideThrough calls try until it succeeds, reports a failure not worth
+// retrying (retry false), or the RetryFor budget is spent, sleeping
+// fabricRetryDelay between calls. Zero RetryFor tries once. It returns
+// try's last error.
+func (f *Fabric) rideThrough(try func() (retry bool, err error)) error {
+	deadline := time.Now().Add(f.opts.RetryFor)
+	for {
+		retry, err := try()
+		if err == nil || !retry || f.opts.RetryFor <= 0 || time.Now().After(deadline) {
+			return err
+		}
+		time.Sleep(fabricRetryDelay)
+	}
+}
+
 // FetchSpec returns the transition spec from the first reachable
 // member, riding the RetryFor budget, for startup validation.
 func (f *Fabric) FetchSpec() (replay.Spec, error) {
-	var lastErr error
-	deadline := time.Now().Add(f.opts.RetryFor)
-	for {
+	var spec replay.Spec
+	err := f.rideThrough(func() (bool, error) {
+		var lastErr error
 		for _, group := range f.clients {
 			for _, c := range group {
 				st, err := c.ServiceStats()
 				if err == nil {
-					return st.Spec, nil
+					spec = st.Spec
+					return false, nil
 				}
 				lastErr = err
 			}
 		}
-		if f.opts.RetryFor <= 0 || time.Now().After(deadline) {
-			return replay.Spec{}, fmt.Errorf("expserve: no fabric member reachable: %w", lastErr)
-		}
-		time.Sleep(fabricRetryDelay)
+		return true, lastErr
+	})
+	if err != nil {
+		return replay.Spec{}, fmt.Errorf("expserve: no fabric member reachable: %w", err)
 	}
+	return spec, nil
 }
 
 // fabricView freezes one sampling state: the stream view built from a
@@ -249,18 +263,17 @@ func (s *ShardedSource) tryRefresh() (*fabricView, error) {
 // refreshView swaps in a fresh view, riding the RetryFor budget
 // through a full-fabric outage.
 func (s *ShardedSource) refreshView() (*fabricView, error) {
-	deadline := time.Now().Add(s.f.opts.RetryFor)
-	for {
-		fv, err := s.tryRefresh()
-		if err == nil {
-			s.view.Store(fv)
-			return fv, nil
-		}
-		if s.f.opts.RetryFor <= 0 || time.Now().After(deadline) {
-			return nil, err
-		}
-		time.Sleep(fabricRetryDelay)
+	var fv *fabricView
+	err := s.f.rideThrough(func() (bool, error) {
+		var err error
+		fv, err = s.tryRefresh()
+		return true, err
+	})
+	if err != nil {
+		return nil, err
 	}
+	s.view.Store(fv)
+	return fv, nil
 }
 
 // Len implements replay.TransitionSource: the fabric-wide sampleable
@@ -286,22 +299,20 @@ func (s *ShardedSource) acquireFetch() *shardScratch {
 func (s *ShardedSource) releaseFetch(sc *shardScratch) { s.scratch.Put(sc) }
 
 // runFetch executes one fabric draw into sc, riding RetryFor through
-// transient whole-fabric failures.
+// transient whole-fabric failures. Each retry first refreshes the view;
+// a refresh that fails has spent its own RetryFor budget, which started
+// after this one's, so the draw gives up with it.
 func (s *ShardedSource) runFetch(n int, seed int64, sc *shardScratch) error {
-	deadline := time.Now().Add(s.f.opts.RetryFor)
-	for {
-		err := s.tryDraw(n, seed, sc)
-		if err == nil {
-			return nil
+	retrying := false
+	return s.f.rideThrough(func() (bool, error) {
+		if retrying {
+			if _, err := s.refreshView(); err != nil {
+				return false, err
+			}
 		}
-		if s.f.opts.RetryFor <= 0 || time.Now().After(deadline) {
-			return err
-		}
-		time.Sleep(fabricRetryDelay)
-		if _, rerr := s.refreshView(); rerr != nil && time.Now().After(deadline) {
-			return rerr
-		}
-	}
+		retrying = true
+		return true, s.tryDraw(n, seed, sc)
+	})
 }
 
 // tryDraw executes the draw against the current view, excluding groups
@@ -556,14 +567,7 @@ func (s *ShardedSink) Add(obs, act [][]float64, rew []float64, nextObs [][]float
 // budget like draws and view refreshes do; each retry re-ships the
 // failed members' identical frames, which the servers deduplicate.
 func (s *ShardedSink) Flush() error {
-	deadline := time.Now().Add(s.f.opts.RetryFor)
-	for {
-		groupDown, err := s.flushMembers()
-		if err == nil || !groupDown || s.f.opts.RetryFor <= 0 || time.Now().After(deadline) {
-			return err
-		}
-		time.Sleep(fabricRetryDelay)
-	}
+	return s.f.rideThrough(s.flushMembers)
 }
 
 // flushMembers flushes every member sink once, fanning the frames out

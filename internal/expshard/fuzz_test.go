@@ -1,77 +1,6 @@
 package expshard
 
-import (
-	"fmt"
-	"sort"
-	"testing"
-)
-
-// FuzzRebuildMembership walks an arbitrary join/leave sequence, building
-// each step's member set from scratch, and checks after every step that
-//
-//  1. every partition maps to a valid group;
-//  2. the step moves only partitions owned by groups that joined or left
-//     in it (consistent hashing).
-func FuzzRebuildMembership(f *testing.F) {
-	f.Add([]byte{0x01, 0x02, 0x83, 0x01})
-	f.Add([]byte{0x00})
-	f.Add([]byte{0x05, 0x85, 0x05, 0x85, 0x05})
-	f.Add([]byte{0x10, 0x11, 0x12, 0x13, 0x90, 0x91})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		if len(ops) > 64 {
-			ops = ops[:64]
-		}
-		present := map[string]bool{"seed": true}
-		prev, err := BuildSnapshot(mkGroups("seed"), 128)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, op := range ops {
-			id := fmt.Sprintf("g%02d", op&0x3f)
-			join := op&0x80 == 0
-			changed := map[string]bool{}
-			if join && !present[id] {
-				present[id] = true
-				changed[id] = true
-			} else if !join && present[id] && len(present) > 1 {
-				delete(present, id)
-				changed[id] = true
-			}
-			if len(changed) == 0 {
-				continue
-			}
-			ids := make([]string, 0, len(present))
-			for id := range present {
-				ids = append(ids, id)
-			}
-			sort.Strings(ids)
-			snap, err := BuildSnapshot(mkGroups(ids...), 128)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// (1) all partitions mapped.
-			if len(snap.Part2Group) != snap.Partitions {
-				t.Fatalf("part2group len %d != %d", len(snap.Part2Group), snap.Partitions)
-			}
-			for p, g := range snap.Part2Group {
-				if g < 0 || g >= len(snap.Groups) {
-					t.Fatalf("partition %d → invalid group %d", p, g)
-				}
-			}
-			// (2) minimal movement: a partition may change owner only
-			// if its old or new owner is in the changed set.
-			for p := range snap.Part2Group {
-				oldID := prev.Groups[prev.Part2Group[p]].ID
-				newID := snap.Groups[snap.Part2Group[p]].ID
-				if oldID != newID && !changed[oldID] && !changed[newID] {
-					t.Fatalf("partition %d moved %s→%s; neither joined nor left (changed=%v)",
-						p, oldID, newID, changed)
-				}
-			}
-			prev = snap
-		}
-	})
-}
+import "testing"
 
 // FuzzViewMap builds a view from arbitrary bytes — partition count,
 // offset, partition→group map, per-group rows/total/live — and checks

@@ -1,26 +1,18 @@
 // Package expshard implements the sharded, replicated replay fabric's
-// placement layer: a consistent-hash ring that assigns time-striped
+// placement layer: an arithmetic stripe that assigns the time-striped
 // partitions of the experience stream to N logical shard groups, each
 // backed by R replica marl-replayd processes.
 //
-// The ring design (described inline — there is no external reference
-// implementation in-tree):
-//
-//   - Each shard *group* is hashed onto a 64-bit circle at V virtual
-//     points (vnodes) using FNV-1a over "groupID#k". Partition p's
-//     point is a mixed hash of p; the partition is owned by the first
-//     vnode clockwise. Virtual nodes keep ownership balanced, and the
-//     consistent-hashing property holds: when a group joins or leaves,
-//     only partitions adjacent to its vnodes change owner.
+//   - Partition p belongs to group p mod N, counting groups in ID order,
+//     so every group owns ⌊P/N⌋ or ⌈P/N⌉ of the P partitions. The map is
+//     a pure function of the *set* of group IDs and P: every process that
+//     knows the member set derives the identical partition map, with no
+//     coordination service.
 //   - The full replica→partition→shard mapping is materialized once
 //     into an immutable Snapshot (Part2Group table plus per-group member
 //     lists) that the sample/append hot paths read without a lock. A
 //     fabric's topology is fixed for its lifetime: a membership change
 //     is a restart with the new spec.
-//   - The placement is a pure function of the *set* of group IDs (the
-//     build sorts vnodes and resolves ties on the hash value by group
-//     ID), so every process that knows the member set derives the
-//     identical partition map — no coordination service required.
 //
 // Row placement is time-striped: the row with producer stream index t
 // lands in partition (offset+t) mod Partitions. That makes the global
@@ -31,26 +23,20 @@ package expshard
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 )
 
-// DefaultPartitions is the default number of hash-ring partitions.
-// It bounds placement skew (≤ 1/Partitions per stripe cycle) and is
-// carried on the wire as a single byte per partition, so it must stay
-// small; 64 keeps the per-request view under 200 bytes.
+// DefaultPartitions is the partition count every fabric uses. Groups'
+// shares of it differ by at most one partition.
 const DefaultPartitions = 64
 
-// MaxPartitions bounds the wire encoding (one byte per partition slot).
+// MaxPartitions bounds a view's per-group prefix table (MaxGroups ×
+// (MaxPartitions+1) entries).
 const MaxPartitions = 1024
 
-// MaxGroups bounds group indices to a byte on the wire.
+// MaxGroups bounds the shard group count.
 const MaxGroups = 255
-
-// vnodesPerGroup is the virtual-node count per shard group. 64 vnodes
-// keeps the max/min partition-ownership ratio under ~2x for small N.
-const vnodesPerGroup = 64
 
 // Member is one replayd process backing a shard group.
 type Member struct {
@@ -62,15 +48,16 @@ type Member struct {
 // of the group's sub-stream. Appends fan out to every member; reads
 // prefer the first live member in order.
 type Group struct {
-	// ID names the group on the hash ring. Placement depends only on
-	// the set of IDs, never on member addresses, so replacing a dead
-	// replica does not move data.
+	// ID names the group. Placement depends only on the set of IDs,
+	// never on member addresses, so replacing a dead replica does not
+	// move data.
 	ID      string
 	Members []Member
 }
 
-// Snapshot is an immutable view of the ring: the replica→partition→
-// shard maps for one member set. Built once, then shared read-only.
+// Snapshot is an immutable view of the placement: the replica→
+// partition→shard maps for one member set. Built once, then shared
+// read-only.
 type Snapshot struct {
 	Partitions int
 	Groups     []Group
@@ -100,32 +87,13 @@ func (s *Snapshot) OwnedPartitions(g int) []int {
 	return owned
 }
 
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
-
-// mix64 is splitmix64's finalizer: spreads small integer partition
-// indices uniformly over the circle.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-type vnode struct {
-	point uint64
-	group int // index into the sorted-by-ID group slice
-	gid   string
-}
-
-// BuildSnapshot computes the partition map for the given groups. The
-// result is a pure function of the set of group IDs and the partition
-// count: group order in the input does not matter (groups are sorted
-// by ID), and no map iteration is involved, so two independent
-// processes always derive byte-identical placement.
+// BuildSnapshot computes the partition map for the given groups:
+// partition p belongs to the (p mod N)-th group in ID order. The result
+// is a pure function of the set of group IDs and the partition count
+// (0 means DefaultPartitions): group order in the input does not matter,
+// so two independent processes always derive byte-identical placement.
+// More groups than partitions is an error, since a group past the last
+// partition would never receive a row.
 func BuildSnapshot(groups []Group, partitions int) (*Snapshot, error) {
 	if partitions <= 0 {
 		partitions = DefaultPartitions
@@ -138,6 +106,9 @@ func BuildSnapshot(groups []Group, partitions int) (*Snapshot, error) {
 	}
 	if len(groups) > MaxGroups {
 		return nil, fmt.Errorf("expshard: %d groups exceeds max %d", len(groups), MaxGroups)
+	}
+	if len(groups) > partitions {
+		return nil, fmt.Errorf("expshard: %d groups exceeds %d partitions", len(groups), partitions)
 	}
 	sorted := make([]Group, len(groups))
 	copy(sorted, groups)
@@ -156,33 +127,9 @@ func BuildSnapshot(groups []Group, partitions int) (*Snapshot, error) {
 		}
 	}
 
-	vnodes := make([]vnode, 0, len(sorted)*vnodesPerGroup)
-	for gi, g := range sorted {
-		for k := 0; k < vnodesPerGroup; k++ {
-			// FNV-1a alone clusters badly on short similar strings;
-			// the splitmix finalizer spreads the arcs.
-			pt := mix64(hash64(fmt.Sprintf("%s#%d", g.ID, k)))
-			vnodes = append(vnodes, vnode{point: pt, group: gi, gid: g.ID})
-		}
-	}
-	sort.Slice(vnodes, func(i, j int) bool {
-		if vnodes[i].point != vnodes[j].point {
-			return vnodes[i].point < vnodes[j].point
-		}
-		// Tie-break on group ID so equal hash points (vanishingly
-		// rare, but possible) still resolve identically everywhere.
-		return vnodes[i].gid < vnodes[j].gid
-	})
-
 	part2group := make([]int, partitions)
-	for p := 0; p < partitions; p++ {
-		pt := mix64(uint64(p))
-		// First vnode clockwise from the partition's point.
-		i := sort.Search(len(vnodes), func(i int) bool { return vnodes[i].point >= pt })
-		if i == len(vnodes) {
-			i = 0
-		}
-		part2group[p] = vnodes[i].group
+	for p := range part2group {
+		part2group[p] = p % len(sorted)
 	}
 	return &Snapshot{Partitions: partitions, Groups: sorted, Part2Group: part2group}, nil
 }

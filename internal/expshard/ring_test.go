@@ -3,6 +3,7 @@ package expshard
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 )
 
@@ -29,8 +30,8 @@ func fingerprint(s *Snapshot) uint64 {
 // partition map across processes" rests on.
 func TestPlacementGoldenFingerprint(t *testing.T) {
 	golden := map[int]uint64{
-		2: 0x3ced6f209eb9a13c,
-		4: 0xf9732ac0ecfec274,
+		2: 0xa36c5a83913083a5,
+		4: 0x3381da9bd9087465,
 	}
 	for n, want := range golden {
 		var ids []string
@@ -66,68 +67,35 @@ func TestPlacementOrderIndependent(t *testing.T) {
 	}
 }
 
+// The stripe is exact: every partition maps to a valid group, and each
+// group owns ⌊P/G⌋ or ⌈P/G⌉ of them.
 func TestPlacementBalance(t *testing.T) {
-	for _, n := range []int{2, 3, 4, 8} {
-		var ids []string
-		for i := 0; i < n; i++ {
-			ids = append(ids, fmt.Sprintf("shard-%d", i))
-		}
-		s, err := BuildSnapshot(mkGroups(ids...), DefaultPartitions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts := make([]int, n)
-		for _, g := range s.Part2Group {
-			counts[g]++
-		}
-		for gi, c := range counts {
-			if c == 0 {
-				t.Errorf("n=%d: group %d owns zero partitions", n, gi)
+	for _, partitions := range []int{DefaultPartitions, MaxPartitions} {
+		for n := 1; n <= 8; n++ {
+			var ids []string
+			for i := 0; i < n; i++ {
+				ids = append(ids, fmt.Sprintf("shard-%d", i))
 			}
-			if c > 3*DefaultPartitions/n {
-				t.Errorf("n=%d: group %d owns %d/%d partitions (>3x fair share)", n, gi, c, DefaultPartitions)
+			s, err := BuildSnapshot(mkGroups(ids...), partitions)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-}
-
-// Consistent-hashing property: a join may only steal partitions (they
-// move to the joiner), and a leave may only reassign the leaver's
-// partitions — everything else stays put.
-func TestRebalanceMovesOnlyAffectedPartitions(t *testing.T) {
-	base := mkGroups("a", "b", "c")
-	before, err := BuildSnapshot(base, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := BuildSnapshot(mkGroups("a", "b", "c", "d"), 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := 0
-	for p := range before.Part2Group {
-		idBefore := before.Groups[before.Part2Group[p]].ID
-		idAfter := after.Groups[after.Part2Group[p]].ID
-		if idBefore != idAfter {
-			moved++
-			if idAfter != "d" {
-				t.Fatalf("join: partition %d moved %s→%s, not to the joiner", p, idBefore, idAfter)
+			if len(s.Part2Group) != partitions || s.Partitions != partitions {
+				t.Fatalf("P=%d n=%d: %d partitions mapped, snapshot says %d", partitions, n, len(s.Part2Group), s.Partitions)
 			}
-		}
-	}
-	if moved == 0 {
-		t.Fatal("join moved no partitions to the joiner")
-	}
-	// Leave: rebuild without "b"; only b's partitions may change owner.
-	left, err := BuildSnapshot(mkGroups("a", "c"), 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := range before.Part2Group {
-		idBefore := before.Groups[before.Part2Group[p]].ID
-		idLeft := left.Groups[left.Part2Group[p]].ID
-		if idBefore != "b" && idBefore != idLeft {
-			t.Fatalf("leave: partition %d moved %s→%s though b left", p, idBefore, idLeft)
+			counts := make([]int, n)
+			for p, g := range s.Part2Group {
+				if g < 0 || g >= n {
+					t.Fatalf("P=%d n=%d: partition %d → invalid group %d", partitions, n, p, g)
+				}
+				counts[g]++
+			}
+			lo, hi := partitions/n, (partitions+n-1)/n
+			for gi, c := range counts {
+				if c < lo || c > hi {
+					t.Errorf("P=%d n=%d: group %d owns %d partitions, want %d…%d", partitions, n, gi, c, lo, hi)
+				}
+			}
 		}
 	}
 }
@@ -147,6 +115,9 @@ func TestBuildSnapshotErrors(t *testing.T) {
 	}
 	if _, err := BuildSnapshot(mkGroups("a"), MaxPartitions+1); err == nil {
 		t.Error("oversized partition count accepted")
+	}
+	if _, err := BuildSnapshot(mkGroups("a", "b", "c"), 2); err == nil || !strings.Contains(err.Error(), "3 groups exceeds 2 partitions") {
+		t.Errorf("more groups than partitions: err %v", err)
 	}
 }
 

@@ -70,14 +70,8 @@ func (c *ActCore) NumAgents() int { return len(c.obsDims) }
 // ObsDims returns the per-agent observation widths.
 func (c *ActCore) ObsDims() []int { return c.obsDims }
 
-// ActDim returns the shared action width.
-func (c *ActCore) ActDim() int { return c.actDim }
-
 // MaxRows returns the batch capacity.
 func (c *ActCore) MaxRows() int { return c.maxRows }
-
-// Agents returns the currently bound networks (nil before SetAgents).
-func (c *ActCore) Agents() []*nn.Network { return c.agents }
 
 // SetAgents validates the networks' input/output widths against the core's
 // dims and binds them for subsequent Forwards. The networks are used by

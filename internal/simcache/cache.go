@@ -59,9 +59,6 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() CacheConfig { return c.cfg }
-
 // Access looks up the line containing addr, filling it on a miss (LRU
 // eviction). It returns true on a hit.
 func (c *Cache) Access(addr uint64) bool {
@@ -109,36 +106,6 @@ type Stats struct {
 	L3Misses   uint64 // trips to memory ("cache misses" in Figure 4)
 	TLBHits    uint64
 	TLBMisses  uint64 // dTLB load misses in Figure 4
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Accesses += other.Accesses
-	s.LineProbes += other.LineProbes
-	s.L1Hits += other.L1Hits
-	s.L1Misses += other.L1Misses
-	s.L2Hits += other.L2Hits
-	s.L2Misses += other.L2Misses
-	s.L3Hits += other.L3Hits
-	s.L3Misses += other.L3Misses
-	s.TLBHits += other.TLBHits
-	s.TLBMisses += other.TLBMisses
-}
-
-// Sub returns s - other (for interval measurements).
-func (s Stats) Sub(other Stats) Stats {
-	return Stats{
-		Accesses:   s.Accesses - other.Accesses,
-		LineProbes: s.LineProbes - other.LineProbes,
-		L1Hits:     s.L1Hits - other.L1Hits,
-		L1Misses:   s.L1Misses - other.L1Misses,
-		L2Hits:     s.L2Hits - other.L2Hits,
-		L2Misses:   s.L2Misses - other.L2Misses,
-		L3Hits:     s.L3Hits - other.L3Hits,
-		L3Misses:   s.L3Misses - other.L3Misses,
-		TLBHits:    s.TLBHits - other.TLBHits,
-		TLBMisses:  s.TLBMisses - other.TLBMisses,
-	}
 }
 
 // Hierarchy is a three-level cache plus dTLB, fed by Access. It implements

@@ -147,19 +147,6 @@ func TestHierarchyReset(t *testing.T) {
 	}
 }
 
-func TestStatsAddSub(t *testing.T) {
-	a := Stats{Accesses: 10, L1Hits: 5, L3Misses: 2, TLBMisses: 1}
-	b := Stats{Accesses: 4, L1Hits: 2, L3Misses: 1}
-	a.Add(b)
-	if a.Accesses != 14 || a.L1Hits != 7 || a.L3Misses != 3 {
-		t.Fatalf("Add = %+v", a)
-	}
-	d := a.Sub(b)
-	if d.Accesses != 10 || d.L1Hits != 5 || d.L3Misses != 2 || d.TLBMisses != 1 {
-		t.Fatalf("Sub = %+v", d)
-	}
-}
-
 func TestPlatformsValidate(t *testing.T) {
 	for _, p := range []Platform{Ryzen3975WX(), I79700K(), GTX1070()} {
 		for _, cfg := range []CacheConfig{p.L1, p.L2, p.L3, p.TLB} {
