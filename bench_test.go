@@ -153,9 +153,10 @@ func BenchmarkFig4Counters(b *testing.B) {
 	buf.SetTracer(h)
 	sampler := replay.NewUniformSampler(buf)
 	rng := rand.New(rand.NewSource(2))
+	var s replay.Sample
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := sampler.Sample(batch, rng)
+		sampler.SampleInto(&s, batch, rng)
 		buf.GatherAll(s.Indices, batches)
 	}
 }
@@ -189,10 +190,11 @@ func BenchmarkFig8SamplingReduction(b *testing.B) {
 		{"n64r16", replay.NewLocalitySampler(buf, 64, 16)},
 	} {
 		b.Run(v.name, func(b *testing.B) {
+			var s replay.Sample
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for trainer := 0; trainer < agents; trainer++ {
-					s := v.sampler.Sample(batch, rng)
+					v.sampler.SampleInto(&s, batch, rng)
 					buf.GatherAll(s.Indices, batches)
 				}
 			}
@@ -264,10 +266,11 @@ func BenchmarkFig11IPRewards(b *testing.B) {
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			seedPriorities(buf, v.sampler)
+			var s replay.Sample
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for trainer := 0; trainer < agents; trainer++ {
-					s := v.sampler.Sample(batch, rng)
+					v.sampler.SampleInto(&s, batch, rng)
 					buf.GatherAll(s.Indices, batches)
 					v.sampler.UpdatePriorities(s.Indices, td[:len(s.Indices)])
 				}
@@ -286,9 +289,10 @@ func benchPlatform(b *testing.B, p simcache.Platform) {
 	buf.SetTracer(h)
 	sampler := replay.NewLocalitySampler(buf, 16, 64)
 	rng := rand.New(rand.NewSource(5))
+	var s replay.Sample
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := sampler.Sample(batch, rng)
+		sampler.SampleInto(&s, batch, rng)
 		buf.GatherAll(s.Indices, batches)
 		_ = p.ModeledTimeNS(h.Stats(), 0)
 	}
@@ -303,7 +307,9 @@ func BenchmarkFig14LayoutReorg(b *testing.B) {
 	kv := replay.NewKVBuffer(buf.Spec())
 	kv.ReorganizeFrom(buf)
 	rng := rand.New(rand.NewSource(6))
-	indices := replay.NewUniformSampler(buf).Sample(batch, rng).Indices
+	var drawn replay.Sample
+	replay.NewUniformSampler(buf).SampleInto(&drawn, batch, rng)
+	indices := drawn.Indices
 	rows := make([]float64, batch*kv.RowStride())
 
 	b.Run("baseline-gather", func(b *testing.B) {
@@ -337,9 +343,10 @@ func BenchmarkAblationNeighborSweep(b *testing.B) {
 	for _, neigh := range []int{4, 16, 64, 256} {
 		b.Run(benchName("n", neigh), func(b *testing.B) {
 			s := replay.NewLocalitySampler(buf, neigh, batch/neigh)
+			var sample replay.Sample
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sample := s.Sample(batch, rng)
+				s.SampleInto(&sample, batch, rng)
 				buf.GatherAll(sample.Indices, batches)
 			}
 		})
@@ -363,9 +370,10 @@ func BenchmarkAblationIPThresholds(b *testing.B) {
 			s := replay.NewIPLocalitySampler(buf, 1)
 			s.Predictor = v.p
 			seedPriorities(buf, s)
+			var sample replay.Sample
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sample := s.Sample(batch, rng)
+				s.SampleInto(&sample, batch, rng)
 				buf.GatherAll(sample.Indices, batches)
 			}
 		})
@@ -390,9 +398,10 @@ func BenchmarkAblationRankPER(b *testing.B) {
 			for i := range td {
 				td[i] = rng.Float64()
 			}
+			var s replay.Sample
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := v.sampler.Sample(batch, rng)
+				v.sampler.SampleInto(&s, batch, rng)
 				buf.GatherAll(s.Indices, batches)
 				v.sampler.UpdatePriorities(s.Indices, td[:len(s.Indices)])
 			}
@@ -409,9 +418,10 @@ func BenchmarkAblationISBeta(b *testing.B) {
 		b.Run(benchName("beta", int(beta*10)), func(b *testing.B) {
 			s := replay.NewIPLocalitySampler(buf, beta)
 			seedPriorities(buf, s)
+			var sample replay.Sample
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = s.Sample(batch, rng)
+				s.SampleInto(&sample, batch, rng)
 			}
 		})
 	}

@@ -6,14 +6,14 @@
 //	marl-train -env pp -algo maddpg -agents 6 -episodes 200 -sampler locality -neighbors 16 -refs 64
 //
 // Long runs survive crashes and divergence: -checkpoint-dir enables periodic
-// crash-safe snapshots (trainer + replay buffer + RNG state, CRC-protected,
-// rotated), -resume restarts from the newest intact generation, and the
-// divergence watchdog (on by default) rolls back to the last healthy state
-// when training goes non-finite or stalls.
+// crash-safe snapshots (trainer checkpoint + replay buffer, CRC-protected,
+// rotated; saving one leaves the run's bytes unchanged), -resume restarts
+// from the newest intact generation with streams reseeded from -seed and the
+// restored step count, and the divergence watchdog (on by default) rolls
+// back to the last healthy state when training goes non-finite.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -279,7 +279,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 
 	var wd *core.Watchdog
 	if *watchdogOn {
-		wd, err = core.NewWatchdog(tr, core.WatchdogConfig{})
+		wd, err = core.NewWatchdog(tr)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return cli.ExitError
@@ -332,7 +332,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 			}
 		}
 		if store != nil && *checkpointEvery > 0 && completed%*checkpointEvery == 0 {
-			if err := saveSnapshot(store, tr, fabric == nil); err != nil {
+			if err := saveSnapshot(store, tr); err != nil {
 				// The store already retried; a persistent failure should not
 				// kill a healthy training run, but it must be loud.
 				fmt.Fprintln(stderr, "warning: periodic snapshot failed:", err)
@@ -356,7 +356,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 			fabric.ReplicaReads(), fabric.DegradedDraws())
 	}
 	if store != nil {
-		if err := saveSnapshot(store, tr, fabric == nil); err != nil {
+		if err := saveSnapshot(store, tr); err != nil {
 			fmt.Fprintln(stderr, "final snapshot:", err)
 			return cli.ExitError
 		}
@@ -648,7 +648,7 @@ func (p *policyPublisher) openOutage(tr *core.Trainer) (outageWindow, bool) {
 	return w, true
 }
 
-// resumeFromStore restores trainer, replay experience and RNG state from the
+// resumeFromStore restores the trainer and its replay experience from the
 // newest intact snapshot generation, falling back past corrupt ones. A
 // missing directory or an empty store starts fresh; a store whose every
 // generation is corrupt is a hard error (the operator should look before
@@ -668,58 +668,22 @@ func resumeFromStore(store *resilience.Store, tr *core.Trainer, stdout, stderr i
 		fmt.Fprintln(stderr, "resume:", err)
 		return cli.ExitError
 	}
-
-	payload, ok := snap.Section(resilience.SectionTrainer)
-	if !ok {
-		fmt.Fprintf(stderr, "resume: generation %d has no trainer section\n", seq)
+	if err := tr.RestoreSnapshot(snap); err != nil {
+		fmt.Fprintf(stderr, "resume: generation %d: %v\n", seq, err)
 		return cli.ExitError
-	}
-	if err := tr.LoadCheckpoint(bytes.NewReader(payload)); err != nil {
-		fmt.Fprintln(stderr, "resume: trainer:", err)
-		return cli.ExitError
-	}
-	if payload, ok = snap.Section(resilience.SectionReplay); ok {
-		buf, err := replay.ReadBuffer(bytes.NewReader(payload))
-		if err != nil {
-			fmt.Fprintln(stderr, "resume: replay buffer:", err)
-			return cli.ExitError
-		}
-		if err := tr.RestoreExperience(buf); err != nil {
-			fmt.Fprintln(stderr, "resume:", err)
-			return cli.ExitError
-		}
-	}
-	if payload, ok = snap.Section(resilience.SectionRunState); ok {
-		if err := tr.LoadRunState(bytes.NewReader(payload)); err != nil {
-			fmt.Fprintln(stderr, "resume: run state:", err)
-			return cli.ExitError
-		}
 	}
 	fmt.Fprintf(stdout, "resumed from generation %d (%d episodes, %d steps, %d updates, %d stored transitions)\n",
 		seq, tr.EpisodeCount(), tr.TotalSteps(), tr.UpdateCount(), tr.Buffer().Len())
 	return cli.ExitOK
 }
 
-// saveSnapshot bundles the trainer checkpoint, run state and — when the
-// trainer samples its own buffer (local) — the replay buffer into one
-// atomic, CRC-protected snapshot generation keyed by episode count. A
-// learner on an experience service keeps no buffer: its rows live there.
-func saveSnapshot(store *resilience.Store, tr *core.Trainer, local bool) error {
-	var trainerBuf, replayBuf, runBuf bytes.Buffer
-	if err := tr.SaveCheckpoint(&trainerBuf); err != nil {
+// saveSnapshot writes the trainer's snapshot as one atomic, CRC-protected
+// generation keyed by episode count.
+func saveSnapshot(store *resilience.Store, tr *core.Trainer) error {
+	sections, err := tr.SnapshotSections()
+	if err != nil {
 		return err
 	}
-	sections := []resilience.Section{{Kind: resilience.SectionTrainer, Payload: trainerBuf.Bytes()}}
-	if local {
-		if _, err := tr.Buffer().WriteTo(&replayBuf); err != nil {
-			return err
-		}
-		sections = append(sections, resilience.Section{Kind: resilience.SectionReplay, Payload: replayBuf.Bytes()})
-	}
-	if err := tr.SaveRunState(&runBuf); err != nil {
-		return err
-	}
-	sections = append(sections, resilience.Section{Kind: resilience.SectionRunState, Payload: runBuf.Bytes()})
 	if _, err := store.Save(uint64(tr.EpisodeCount()), sections); err != nil {
 		return err
 	}

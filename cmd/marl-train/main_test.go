@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -107,10 +108,58 @@ func TestSaveReplacesCheckpointAtomically(t *testing.T) {
 	}
 }
 
+// -resume restores the newest generation -checkpoint-dir holds and trains
+// on from it deterministically: two resumes from copies of one directory
+// log the same episode rewards and, after two updates, save byte-identical
+// checkpoints.
+func TestResumeFromCheckpointDirIsDeterministic(t *testing.T) {
+	args := []string{"-env", "cn", "-agents", "2", "-batch", "32", "-buffer", "2048", "-log-every", "1000"}
+	dir := filepath.Join(t.TempDir(), "snaps")
+	if code, _, stderr := clitest.Exec(t, run, append(args, "-episodes", "4", "-checkpoint-dir", dir, "-checkpoint-every", "2")...); code != cli.ExitOK {
+		t.Fatalf("training: exit %d; stderr:\n%s", code, stderr)
+	}
+	rewardLine := regexp.MustCompile(`episode +\d+  mean reward +\S+`)
+	resumed := func(name string) (ckpt []byte, rewards []string) {
+		t.Helper()
+		copyDir := t.TempDir()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err == nil {
+				err = os.WriteFile(filepath.Join(copyDir, e.Name()), data, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		save := filepath.Join(t.TempDir(), name+".ckpt")
+		code, stdout, stderr := clitest.Exec(t, run, append(args, "-episodes", "8", "-log-every", "1",
+			"-checkpoint-dir", copyDir, "-resume", "-save", save)...)
+		if code != cli.ExitOK || !strings.Contains(stdout, "resumed from generation 4 ") {
+			t.Fatalf("resume %s: exit %d; stdout:\n%s\nstderr:\n%s", name, code, stdout, stderr)
+		}
+		if ckpt, err = os.ReadFile(save); err != nil {
+			t.Fatal(err)
+		}
+		return ckpt, rewardLine.FindAllString(stdout, -1)
+	}
+	ckptA, rewardsA := resumed("a")
+	ckptB, rewardsB := resumed("b")
+	if len(rewardsA) != 8 || strings.Join(rewardsA, "\n") != strings.Join(rewardsB, "\n") {
+		t.Fatalf("two resumes from one generation logged different rewards:\n%q\n%q", rewardsA, rewardsB)
+	}
+	if !bytes.Equal(ckptA, ckptB) {
+		t.Fatal("two resumes from one generation saved different checkpoints")
+	}
+}
+
 // A learner on an experience service keeps no local buffer, so its
-// snapshot generations hold the trainer and the run state but no replay
-// section — which no run could read back anyway, since -replay-addr
-// refuses -resume and -load.
+// snapshot generations hold the trainer section alone: no replay section,
+// which no run could read back anyway, since -replay-addr refuses -resume
+// and -load.
 func TestRemoteRunSnapshotHasNoReplaySection(t *testing.T) {
 	spec := cli.Spec(mpe.NewCooperativeNavigation(2), 2048)
 	srv, err := expserve.NewServer(expserve.ServerConfig{Provider: expstore.NewRing(spec), Spec: spec})
@@ -133,13 +182,14 @@ func TestRemoteRunSnapshotHasNoReplaySection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []resilience.SectionKind{resilience.SectionTrainer, resilience.SectionRunState} {
-		if _, ok := snap.Section(kind); !ok {
-			t.Errorf("generation %d has no section %v", seq, kind)
-		}
+	if _, ok := snap.Section(resilience.SectionTrainer); !ok {
+		t.Errorf("generation %d has no trainer section", seq)
 	}
 	if payload, ok := snap.Section(resilience.SectionReplay); ok {
 		t.Errorf("generation %d of a remote run carries a %d-byte replay section", seq, len(payload))
+	}
+	if len(snap.Sections) != 1 {
+		t.Errorf("generation %d holds %d sections, want the trainer section alone", seq, len(snap.Sections))
 	}
 }
 

@@ -3,8 +3,8 @@ package core
 // The determinism oracle. Every knob an operator can turn without changing
 // what is learned — the worker count, the transition layout, tracing,
 // telemetry, where experience lives (the trainer's own buffer or any replay
-// fabric topology), the learner's prefetch, a lossy wire — must leave
-// training bit for bit the same. One test proves it for all of them: each
+// fabric topology), the learner's prefetch, a lossy wire, saving snapshots —
+// must leave training bit for bit the same. One test proves it for all of them: each
 // cell of a swept matrix trains once and compares its full witness
 // (checkpoint bytes, per-episode rewards, update count) with the oracle run
 // of its class, and checks that the knobs it turned did something.
@@ -24,6 +24,7 @@ import (
 	"marlperf/internal/mpe"
 	"marlperf/internal/profiler"
 	"marlperf/internal/replay"
+	"marlperf/internal/resilience"
 	"marlperf/internal/telemetry"
 	"marlperf/internal/trace"
 )
@@ -71,6 +72,7 @@ type matrixCell struct {
 	prefetch  bool // the learner's PrefetchSource, as marl-train always wires it
 	faults    bool // faultnet drops, errors and delays on the learner→replay edge
 	wrap      bool // train wrapEpisodes, past the ring wrap; the oracle trains as long
+	snapshots bool // save a snapshot after every episode: -checkpoint-dir -checkpoint-every 1
 }
 
 func (c matrixCell) class() string {
@@ -89,7 +91,7 @@ func (c matrixCell) knobs() string {
 	for _, k := range []struct {
 		on   bool
 		name string
-	}{{c.kv, "kv"}, {c.trace, "trace"}, {c.telemetry, "telemetry"}, {c.prefetch, "prefetch"}, {c.faults, "faults"}, {c.wrap, "wrap"}} {
+	}{{c.kv, "kv"}, {c.trace, "trace"}, {c.telemetry, "telemetry"}, {c.prefetch, "prefetch"}, {c.faults, "faults"}, {c.wrap, "wrap"}, {c.snapshots, "snapshots"}} {
 		if k.on {
 			parts = append(parts, k.name)
 		}
@@ -144,7 +146,8 @@ func product(f func(v []int), sizes ...int) {
 }
 
 // inProcessCells is the in-process sampler family's full product: algo ×
-// sampler × env × workers{1, 4} × layout × trace × telemetry.
+// sampler × env × workers{1, 4} × layout × trace × telemetry, then one
+// snapshots cell per class.
 func inProcessCells() []matrixCell {
 	var cells []matrixCell
 	product(func(v []int) {
@@ -153,6 +156,11 @@ func inProcessCells() []matrixCell {
 			workers: []int{1, 4}[v[3]], kv: offOn[v[4]], trace: offOn[v[5]], telemetry: offOn[v[6]],
 		})
 	}, len(matrixAlgos), len(matrixSamplers), len(matrixEnvs), 2, 2, 2, 2)
+	product(func(v []int) {
+		cells = append(cells, matrixCell{
+			algo: matrixAlgos[v[0]], sampler: matrixSamplers[v[1]], env: matrixEnvs[v[2]], workers: 1, snapshots: true,
+		})
+	}, len(matrixAlgos), len(matrixSamplers), len(matrixEnvs))
 	return cells
 }
 
@@ -186,6 +194,10 @@ func fabricCells() []matrixCell {
 		// MATD3 over shards, with workers and prefetch.
 		{algo: MATD3, sampler: loc, topo: twoRings, workers: 3, prefetch: true},
 		{algo: MATD3, sampler: uni, topo: threeRings, workers: 3, prefetch: true},
+		// Snapshots without a replay section, on one shard and across two.
+		// Their pairs are covered above, so the completion below is unmoved.
+		{algo: MADDPG, sampler: loc, topo: oneRing, workers: 1, snapshots: true},
+		{algo: MADDPG, sampler: loc, topo: twoRings, workers: 1, snapshots: true},
 	}
 	var full []matrixCell
 	product(func(v []int) {
@@ -277,7 +289,7 @@ func allPairs(must, candidates []matrixCell) []matrixCell {
 // rows. Sub-tests are TestDeterminismMatrix/<family>/<class>/<knobs>, where
 // family is inprocess or fabric and knobs names the settings away from the
 // oracle's (w4, kv, trace, telemetry; 1ring … 3rings, w3, prefetch, faults,
-// wrap), so a -run pattern can pick an axis. The all-oracle cell reruns the
+// wrap; snapshots in both), so a -run pattern can pick an axis. The all-oracle cell reruns the
 // oracle: the same seed trains the same bytes twice.
 func TestDeterminismMatrix(t *testing.T) {
 	for _, family := range []struct {
@@ -389,6 +401,13 @@ func runCell(t *testing.T, c matrixCell) witness {
 		wired = wireExperience(t, tr, cfg, env, c, learner)
 	}
 
+	var store *resilience.Store
+	if c.snapshots {
+		if store, err = resilience.NewStore(t.TempDir(), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	var w witness
 	for len(w.rewards) < c.episodes() {
 		done, err := tr.StepE()
@@ -397,6 +416,9 @@ func runCell(t *testing.T, c matrixCell) witness {
 		}
 		if done {
 			w.rewards = append(w.rewards, tr.LastEpisodeReward())
+			if store != nil {
+				saveEpisode(t, store, tr)
+			}
 		}
 	}
 	w.ckpt, w.updates = trainerStateBytes(t, tr), tr.UpdateCount()
@@ -419,10 +441,59 @@ func runCell(t *testing.T, c matrixCell) witness {
 	if c.trace && !hasSpan(learner, "update") {
 		t.Fatal("the learner recorded no update span")
 	}
+	if store != nil {
+		restoresNewest(t, store, cfg, env, c, w.ckpt)
+	}
 	if wired != nil {
 		wired()
 	}
 	return w
+}
+
+// saveEpisode saves tr's snapshot as marl-train does at an episode's end.
+func saveEpisode(t *testing.T, store *resilience.Store, tr *Trainer) {
+	t.Helper()
+	sections, err := tr.SnapshotSections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Save(uint64(tr.EpisodeCount()), sections); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// restoresNewest checks that the store kept the last two episodes'
+// generations and that the newest restores into a fresh trainer as the
+// run's final checkpoint, with the run's rows on the in-process buffer and
+// none from a fabric.
+func restoresNewest(t *testing.T, store *resilience.Store, cfg Config, env mpe.Env, c matrixCell, ckpt []byte) {
+	t.Helper()
+	n := uint64(c.episodes())
+	if gens, err := store.Generations(); err != nil || len(gens) != 2 || gens[0] != n-1 || gens[1] != n {
+		t.Fatalf("the store holds generations %v (%v), want [%d %d]", gens, err, n-1, n)
+	}
+	snap, seq, _, err := store.LoadLatest()
+	if err != nil || seq != n {
+		t.Fatalf("newest generation %d: %v", seq, err)
+	}
+	rows, hasRows := snap.Section(resilience.SectionReplay)
+	if hasRows != (c.topo == inProcess) {
+		t.Fatalf("the %v run's snapshot has a replay section: %v", c.topo, hasRows)
+	}
+	fresh, err := NewTrainer(cfg, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(trainerStateBytes(t, fresh), ckpt) {
+		t.Fatal("the newest generation restores to another checkpoint")
+	}
+	if hasRows && fresh.Buffer().Len() != int(n)*cfg.MaxEpisodeLen {
+		t.Fatalf("restored %d rows from a %d-byte replay section, want %d", fresh.Buffer().Len(), len(rows), int(n)*cfg.MaxEpisodeLen)
+	}
 }
 
 func hasSpan(tracer *trace.Tracer, name string) bool {

@@ -2,10 +2,11 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"marlperf/internal/mpe"
@@ -15,8 +16,8 @@ import (
 
 // goldenSnapshotPath is the MSNP file the parent of the frame codec wrote:
 // an untrained two-agent trainer's MARL checkpoint, a five-row synthetic
-// MARB buffer and the trainer's MRUN run state. FuzzReadSnapshot seeds from
-// it too.
+// MARB buffer and a run-state section (kind 3, an RNG continuation seed)
+// that snapshots no longer carry. FuzzReadSnapshot seeds from it too.
 var goldenSnapshotPath = filepath.Join("..", "resilience", "testdata", "snap-golden.msnp")
 
 // goldenSnapshotTrainer is the golden's fixed-seed, untrained trainer, kept
@@ -56,31 +57,10 @@ func goldenSnapshotBuffer() *replay.Buffer {
 	return buf
 }
 
-// goldenSnapshotSections encodes the three sections from the golden's inputs.
-func goldenSnapshotSections(t *testing.T) []resilience.Section {
-	t.Helper()
-	tr := goldenSnapshotTrainer(t)
-	var ckpt, rb, run bytes.Buffer
-	if err := tr.SaveCheckpoint(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := goldenSnapshotBuffer().WriteTo(&rb); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SaveRunState(&run); err != nil {
-		t.Fatal(err)
-	}
-	return []resilience.Section{
-		{Kind: resilience.SectionTrainer, Payload: ckpt.Bytes()},
-		{Kind: resilience.SectionReplay, Payload: rb.Bytes()},
-		{Kind: resilience.SectionRunState, Payload: run.Bytes()},
-	}
-}
-
-// A snapshot written by the parent of the frame codec reads here, and every
-// section re-encodes byte for byte from what was decoded; and this build's
-// writers produce that file byte for byte from the same inputs, so the
-// parent would read ours.
+// A snapshot written by the parent of the frame codec reads here, re-encodes
+// byte for byte and restores through RestoreSnapshot, its run-state section
+// skipped; and this build writes its trainer and replay sections byte for
+// byte from the same inputs, so that parent reads ours.
 func TestGoldenSnapshotAcrossCommits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("the golden checkpoint section was recorded on amd64, not %s", runtime.GOARCH)
@@ -89,15 +69,6 @@ func TestGoldenSnapshotAcrossCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var ours bytes.Buffer
-	if err := resilience.WriteSnapshot(&ours, goldenSnapshotSections(t)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ours.Bytes(), golden) {
-		t.Fatal("this build no longer writes the parent commit's snapshot byte for byte")
-	}
-
 	snap, err := resilience.ReadSnapshot(bytes.NewReader(golden))
 	if err != nil {
 		t.Fatalf("reading the parent-written snapshot: %v", err)
@@ -109,56 +80,53 @@ func TestGoldenSnapshotAcrossCommits(t *testing.T) {
 	if !bytes.Equal(again.Bytes(), golden) {
 		t.Fatal("re-encoding the decoded snapshot changed its bytes")
 	}
+	if len(snap.Sections) != 3 || snap.Sections[2].Kind != 3 || len(snap.Sections[2].Payload) != 16 {
+		t.Fatal("the golden no longer ends in its 16-byte run-state section")
+	}
 
-	section := func(kind resilience.SectionKind) []byte {
-		payload, ok := snap.Section(kind)
-		if !ok {
-			t.Fatalf("golden snapshot has no %v section", kind)
-		}
-		return payload
-	}
-	tr := goldenSnapshotTrainer(t)
-	tr.ReseedRNG(99) // the loaded state, not the constructor's, must be what re-encodes
-	if err := tr.LoadCheckpoint(bytes.NewReader(section(resilience.SectionTrainer))); err != nil {
-		t.Fatalf("loading the golden trainer section: %v", err)
-	}
-	var ckpt bytes.Buffer
-	if err := tr.SaveCheckpoint(&ckpt); err != nil {
+	ours, err := goldenSnapshotTrainer(t).SnapshotSections()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(ckpt.Bytes(), section(resilience.SectionTrainer)) {
-		t.Fatal("the loaded trainer section re-encodes to other bytes")
+	if !bytes.Equal(ours[0].Payload, section(t, snap, resilience.SectionTrainer)) {
+		t.Fatal("this build no longer writes the golden's trainer section byte for byte")
+	}
+	var rb bytes.Buffer
+	if _, err := goldenSnapshotBuffer().WriteTo(&rb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rb.Bytes(), section(t, snap, resilience.SectionReplay)) {
+		t.Fatal("this build no longer writes the golden's replay section byte for byte")
 	}
 
-	buf, err := replay.ReadBuffer(bytes.NewReader(section(resilience.SectionReplay)))
+	// The golden's replay rows are synthetic, three and four observations
+	// wide, and fit no trainer: the whole file is refused with nothing
+	// installed. Without them, the parent's trainer and run-state sections
+	// restore, and the restored trainer re-encodes its section.
+	tr := goldenSnapshotTrainer(t)
+	tr.ReseedRNG(99)
+	if err := tr.RestoreSnapshot(snap); err == nil || !strings.Contains(err.Error(), "restored buffer") {
+		t.Fatalf("restoring the synthetic rows: %v", err)
+	}
+	if tr.rng.Int63() != rand.New(rand.NewSource(99)).Int63() {
+		t.Fatal("a refused snapshot reseeded the trainer")
+	}
+	noRows := &resilience.Snapshot{Sections: []resilience.Section{snap.Sections[0], snap.Sections[2]}}
+	if err := tr.RestoreSnapshot(noRows); err != nil {
+		t.Fatalf("restoring the golden's trainer and run-state sections: %v", err)
+	}
+	if !bytes.Equal(trainerStateBytes(t, tr), section(t, snap, resilience.SectionTrainer)) {
+		t.Fatal("the restored trainer section re-encodes to other bytes")
+	}
+	buf, err := replay.ReadBuffer(bytes.NewReader(section(t, snap, resilience.SectionReplay)))
 	if err != nil {
 		t.Fatalf("reading the golden replay section: %v", err)
 	}
-	var rb bytes.Buffer
+	rb.Reset()
 	if _, err := buf.WriteTo(&rb); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(rb.Bytes(), section(resilience.SectionReplay)) {
+	if !bytes.Equal(rb.Bytes(), section(t, snap, resilience.SectionReplay)) {
 		t.Fatal("the decoded replay section re-encodes to other bytes")
-	}
-
-	// A run-state section is a continuation seed: loading it must leave the
-	// RNG where reseeding with the recorded value does, so both draw the
-	// same next section.
-	run := section(resilience.SectionRunState)
-	if err := tr.LoadRunState(bytes.NewReader(run)); err != nil {
-		t.Fatalf("loading the golden run-state section: %v", err)
-	}
-	ref := goldenSnapshotTrainer(t)
-	ref.ReseedRNG(int64(binary.LittleEndian.Uint64(run[8:])))
-	var got, want bytes.Buffer
-	if err := tr.SaveRunState(&got); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.SaveRunState(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) || len(run) != 16 {
-		t.Fatal("the decoded run-state section does not continue the recorded stream")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"marlperf/internal/mpe"
 	"marlperf/internal/profiler"
+	"marlperf/internal/replay"
 )
 
 // smallConfig returns a fast configuration for tests: tiny batch, buffer
@@ -282,7 +283,8 @@ func TestLocalityTrainerUsesContiguousGathers(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Warmup(100)
-	sample := tr.Sampler().Sample(32, tr.rng)
+	var sample replay.Sample
+	tr.Sampler().SampleInto(&sample, 32, tr.rng)
 	if len(sample.Indices) != 32 {
 		t.Fatalf("locality trainer drew %d indices, want 32", len(sample.Indices))
 	}

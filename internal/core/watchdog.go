@@ -35,7 +35,8 @@ func (t *Trainer) LastTDMean() float64 { return t.lastTDMean }
 
 // ReseedRNG replaces the trainer's RNG stream and the derived per-agent
 // update streams. The watchdog uses this after a rollback so a divergence
-// caused by an unlucky noise draw is not replayed deterministically.
+// caused by an unlucky noise draw is not replayed deterministically, and
+// RestoreSnapshot to give a restored run its save point's own future.
 func (t *Trainer) ReseedRNG(seed int64) {
 	t.rng.Seed(seed)
 	for i, rng := range t.agentRNGs {
@@ -54,68 +55,38 @@ func finiteSlice(vs []float64) bool {
 	return true
 }
 
-// WatchdogConfig tunes divergence detection and recovery.
-type WatchdogConfig struct {
-	// CheckEvery is how many healthy Observe calls pass between snapshot
-	// refreshes (default 1: every healthy observation becomes the new
-	// rollback target).
-	CheckEvery int
-	// StallSteps is how many env steps may pass without a completed
-	// episode before the run counts as stalled (default 10 episodes'
-	// worth of steps).
-	StallSteps int
-	// MaxRollbacks bounds recovery attempts; past it the watchdog reports
-	// an error instead of looping on a deterministic divergence (default 8).
-	MaxRollbacks int
-}
+// maxRollbacks bounds recovery attempts: past it the watchdog reports an
+// error instead of looping on a deterministic divergence.
+const maxRollbacks = 8
 
 // RecoveryEvent describes one watchdog intervention.
 type RecoveryEvent struct {
-	Reason  error // what Healthy (or the stall detector) found
+	Reason  error // what Healthy found
 	Episode int   // episode count restored by the rollback
 }
 
-// Watchdog guards a training run against numerical divergence and stalls.
-// The caller invokes Observe at episode boundaries; the watchdog keeps an
-// in-memory copy of the last known-good checkpoint and, when the trainer
-// goes non-finite or stops completing episodes, restores it — continuing
-// from the last good weights instead of training on poison. Recoveries are
-// counted through the trainer's profiler events.
+// Watchdog guards a training run against numerical divergence. The caller
+// invokes Observe at episode boundaries; the watchdog keeps an in-memory
+// copy of the last known-good checkpoint, refreshed at every healthy
+// observation, and, when the trainer goes non-finite, restores it —
+// continuing from the last good weights instead of training on poison.
+// Recoveries are counted through the trainer's profiler events.
 type Watchdog struct {
-	tr  *Trainer
-	cfg WatchdogConfig
+	tr *Trainer
 
 	good        []byte // serialized last-good checkpoint
 	goodEpisode int
-	healthySeen int
-
-	stepsAtEpisode int // totalSteps when episodeCount last advanced
-	lastEpisode    int
 
 	rollbacks int
 }
 
 // NewWatchdog builds a watchdog over tr, capturing the current (healthy)
 // state as the first rollback target.
-func NewWatchdog(tr *Trainer, cfg WatchdogConfig) (*Watchdog, error) {
-	if cfg.CheckEvery < 1 {
-		cfg.CheckEvery = 1
-	}
-	if cfg.StallSteps < 1 {
-		cfg.StallSteps = 10 * tr.cfg.MaxEpisodeLen
-	}
-	if cfg.MaxRollbacks < 1 {
-		cfg.MaxRollbacks = 8
-	}
-	w := &Watchdog{
-		tr:             tr,
-		cfg:            cfg,
-		lastEpisode:    tr.episodeCount,
-		stepsAtEpisode: tr.totalSteps,
-	}
+func NewWatchdog(tr *Trainer) (*Watchdog, error) {
 	if err := tr.Healthy(); err != nil {
 		return nil, fmt.Errorf("core: watchdog started on unhealthy trainer: %w", err)
 	}
+	w := &Watchdog{tr: tr}
 	if err := w.capture(); err != nil {
 		return nil, err
 	}
@@ -136,29 +107,16 @@ func (w *Watchdog) capture() error {
 	return nil
 }
 
-// Observe checks the trainer and recovers if it has diverged or stalled.
-// It returns a non-nil RecoveryEvent when a rollback happened, and an error
-// only when recovery itself is impossible (rollback budget exhausted, or
-// the restore failed).
+// Observe checks the trainer and recovers if it has diverged. It returns a
+// non-nil RecoveryEvent when a rollback happened, and an error only when
+// recovery itself is impossible (rollback budget exhausted, or the restore
+// failed).
 func (w *Watchdog) Observe() (*RecoveryEvent, error) {
 	unhealthy := w.tr.Healthy()
 	if unhealthy == nil {
-		if stalled := w.checkStall(); stalled != nil {
-			w.tr.prof.Event(profiler.EventWatchdogStall, 1)
-			unhealthy = stalled
-		}
+		return nil, w.capture()
 	}
-	if unhealthy == nil {
-		w.healthySeen++
-		if w.healthySeen >= w.cfg.CheckEvery {
-			w.healthySeen = 0
-			if err := w.capture(); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	}
-	if w.rollbacks >= w.cfg.MaxRollbacks {
+	if w.rollbacks >= maxRollbacks {
 		return nil, fmt.Errorf("core: watchdog exhausted %d rollbacks, run keeps diverging: %w",
 			w.rollbacks, unhealthy)
 	}
@@ -169,24 +127,6 @@ func (w *Watchdog) Observe() (*RecoveryEvent, error) {
 	// Perturb the exploration stream so an unlucky noise draw is not
 	// replayed into the same divergence.
 	w.tr.ReseedRNG(w.tr.cfg.Seed + int64(w.rollbacks)*7919)
-	w.lastEpisode = w.tr.episodeCount
-	w.stepsAtEpisode = w.tr.totalSteps
-	w.healthySeen = 0
 	w.tr.prof.Event(profiler.EventWatchdogRollback, 1)
 	return &RecoveryEvent{Reason: unhealthy, Episode: w.goodEpisode}, nil
-}
-
-// checkStall reports an error when env steps keep accumulating with no
-// completed episode.
-func (w *Watchdog) checkStall() error {
-	if w.tr.episodeCount > w.lastEpisode {
-		w.lastEpisode = w.tr.episodeCount
-		w.stepsAtEpisode = w.tr.totalSteps
-		return nil
-	}
-	if advanced := w.tr.totalSteps - w.stepsAtEpisode; advanced > w.cfg.StallSteps {
-		return fmt.Errorf("core: %d env steps without a completed episode (stall threshold %d)",
-			advanced, w.cfg.StallSteps)
-	}
-	return nil
 }

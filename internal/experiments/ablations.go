@@ -69,10 +69,11 @@ func runAblationReuse(scale Scale) *Result {
 	var base float64
 	for i, v := range variants {
 		seen := map[int]bool{}
+		var sample replay.Sample
 		start := time.Now()
 		for it := 0; it < scale.SamplingIters; it++ {
 			for trainer := 0; trainer < n; trainer++ {
-				sample := v.s.Sample(scale.Batch, rng)
+				v.s.SampleInto(&sample, scale.Batch, rng)
 				buf.GatherAll(sample.Indices, batches)
 				seen[sample.Indices[0]*1000003+sample.Indices[len(sample.Indices)-1]] = true
 			}
@@ -131,8 +132,9 @@ func runAblationRankPER(scale Scale) *Result {
 		outlier := 0
 		totalDrawn := 0
 		var minW, maxW float64 = 1, 0
+		var sample replay.Sample
 		for it := 0; it < scale.SamplingIters; it++ {
-			sample := s.Sample(scale.Batch, rng)
+			s.SampleInto(&sample, scale.Batch, rng)
 			buf.GatherAll(sample.Indices, batches)
 			for i, drawn := range sample.Indices {
 				if drawn == 42 {
@@ -242,9 +244,10 @@ func runAblationIP(scale Scale) *Result {
 		batches := newBatches(spec, scale.Batch)
 		start := time.Now()
 		var totalIdx, totalRefs int
+		var sample replay.Sample
 		for it := 0; it < scale.SamplingIters; it++ {
 			for trainer := 0; trainer < n; trainer++ {
-				sample := s.Sample(scale.Batch, rng)
+				s.SampleInto(&sample, scale.Batch, rng)
 				buf.GatherAll(sample.Indices, batches)
 				totalIdx += len(sample.Indices)
 				totalRefs += len(sample.Refs)
@@ -252,8 +255,7 @@ func runAblationIP(scale Scale) *Result {
 		}
 		wall := time.Since(start)
 
-		st := traceDraws(buf, batches, simcache.Ryzen3975WX(), n,
-			func() []int { return s.Sample(scale.Batch, rng).Indices })
+		st := traceDraws(buf, batches, simcache.Ryzen3975WX(), n, s, scale.Batch, rng)
 
 		meanRun := float64(totalIdx) / float64(totalRefs)
 		tab.Rows = append(tab.Rows, []string{

@@ -59,8 +59,7 @@ func sampleTraceStats(kind envKind, agents, fill, batch int) simcache.Stats {
 	rng := rand.New(rand.NewSource(11))
 	fillSynthetic(buf, fill, rng)
 	sampler := replay.NewUniformSampler(buf)
-	st := traceDraws(buf, newBatches(spec, batch), simcache.Ryzen3975WX(), traceIters*agents,
-		func() []int { return sampler.Sample(batch, rng).Indices })
+	st := traceDraws(buf, newBatches(spec, batch), simcache.Ryzen3975WX(), traceIters*agents, sampler, batch, rng)
 
 	traceMu.Lock()
 	traceCache[key] = st
@@ -70,14 +69,17 @@ func sampleTraceStats(kind envKind, agents, fill, batch int) simcache.Stats {
 
 // traceDraws replays draws sampling draws through a fresh hierarchy of the
 // platform: each draw's indices are gathered for every agent while the
-// hierarchy traces buf. The caller's draw function owns the rng and the
-// sampler, so each experiment keeps its own index stream.
-func traceDraws(buf *replay.Buffer, batches []*replay.AgentBatch, platform simcache.Platform, draws int, draw func() []int) simcache.Stats {
+// hierarchy traces buf. The caller owns the sampler and rng, so each
+// experiment keeps its own index stream; the draws reuse one Sample, as the
+// trainer's do.
+func traceDraws(buf *replay.Buffer, batches []*replay.AgentBatch, platform simcache.Platform, draws int, sampler replay.Sampler, batch int, rng *rand.Rand) simcache.Stats {
 	h := simcache.NewHierarchy(platform)
 	buf.SetTracer(h)
 	defer buf.SetTracer(nil)
+	var s replay.Sample
 	for i := 0; i < draws; i++ {
-		buf.GatherAll(draw(), batches)
+		sampler.SampleInto(&s, batch, rng)
+		buf.GatherAll(s.Indices, batches)
 	}
 	return h.Stats()
 }

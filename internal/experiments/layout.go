@@ -55,7 +55,9 @@ func measureLayout(kind envKind, agents int, scale Scale) layoutMeasurement {
 	// Pre-draw index sets so both layouts see identical index streams.
 	indexSets := make([][]int, iters*agents)
 	for i := range indexSets {
-		indexSets[i] = sampler.Sample(scale.Batch, rng).Indices
+		var s replay.Sample
+		sampler.SampleInto(&s, scale.Batch, rng)
+		indexSets[i] = s.Indices
 	}
 
 	var m layoutMeasurement
@@ -153,7 +155,9 @@ func traceLayoutStats(kind envKind, agents int, scale Scale) (simcache.Stats, si
 
 	indexSets := make([][]int, traceIters*agents)
 	for i := range indexSets {
-		indexSets[i] = sampler.Sample(scale.Batch, rng).Indices
+		var s replay.Sample
+		sampler.SampleInto(&s, scale.Batch, rng)
+		indexSets[i] = s.Indices
 	}
 
 	hBase := simcache.NewHierarchy(simcache.Ryzen3975WX())

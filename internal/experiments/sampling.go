@@ -78,10 +78,11 @@ func baselineAndLocalityVariants() []samplerVariant {
 // each drawing indices and gathering every agent's batch) and returns the
 // total wall time.
 func measureSamplingWall(buf *replay.Buffer, sampler replay.Sampler, batches []*replay.AgentBatch, agents, batch, iters int, rng *rand.Rand) time.Duration {
+	var s replay.Sample
 	start := time.Now()
 	for it := 0; it < iters; it++ {
 		for trainer := 0; trainer < agents; trainer++ {
-			s := sampler.Sample(batch, rng)
+			sampler.SampleInto(&s, batch, rng)
 			buf.GatherAll(s.Indices, batches)
 		}
 	}
@@ -152,8 +153,7 @@ func runFig8(scale Scale) *Result {
 // hierarchy for the given sampler and returns the counters.
 func traceSamplerStats(buf *replay.Buffer, sampler replay.Sampler, batches []*replay.AgentBatch, agents, batch int) simcache.Stats {
 	rng := rand.New(rand.NewSource(31))
-	return traceDraws(buf, batches, simcache.Ryzen3975WX(), traceIters*agents,
-		func() []int { return sampler.Sample(batch, rng).Indices })
+	return traceDraws(buf, batches, simcache.Ryzen3975WX(), traceIters*agents, sampler, batch, rng)
 }
 
 func runFig9(scale Scale) *Result {
@@ -244,8 +244,7 @@ func runCrossPlatform(id string, platform simcache.Platform, scale Scale) *Resul
 			{"n16r64", func(b *replay.Buffer) replay.Sampler { return replay.NewLocalitySampler(b, 16, 64) }},
 		} {
 			r2 := rand.New(rand.NewSource(42))
-			st := traceDraws(buf, batches, platform, traceIters*n,
-				func() []int { return v.mk(buf).Sample(scale.Batch, r2).Indices })
+			st := traceDraws(buf, batches, platform, traceIters*n, v.mk(buf), scale.Batch, r2)
 			mbs[v.label] = platform.ModeledTimeNS(st, 0)
 		}
 

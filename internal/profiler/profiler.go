@@ -90,7 +90,6 @@ func (pr *Profile) SetObserver(o Observer) { pr.obs = o }
 // Well-known event names recorded by the resilience machinery.
 const (
 	EventWatchdogRollback  = "watchdog-rollback"
-	EventWatchdogStall     = "watchdog-stall"
 	EventPriorityClamped   = "priority-clamped"
 	EventActionSanitized   = "action-sanitized"
 	EventCheckpointWritten = "checkpoint-written"

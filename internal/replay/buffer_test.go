@@ -207,7 +207,7 @@ func TestUniformSamplerInRangeAndCoverage(t *testing.T) {
 	fillBuffer(b, 50)
 	s := NewUniformSampler(b)
 	rng := rand.New(rand.NewSource(1))
-	sample := s.Sample(1024, rng)
+	sample := draw(s, 1024, rng)
 	if len(sample.Indices) != 1024 {
 		t.Fatalf("got %d indices", len(sample.Indices))
 	}
@@ -235,7 +235,7 @@ func TestUniformSamplerEmptyPanics(t *testing.T) {
 			t.Fatal("sampling empty buffer did not panic")
 		}
 	}()
-	s.Sample(4, rand.New(rand.NewSource(1)))
+	draw(s, 4, rand.New(rand.NewSource(1)))
 }
 
 // checkLocalityRuns fails unless idx is runs of neighbors consecutive slots
@@ -254,7 +254,7 @@ func TestLocalitySamplerContiguousRuns(t *testing.T) {
 	fillBuffer(b, 2000)
 	s := NewLocalitySampler(b, 16, 64)
 	rng := rand.New(rand.NewSource(2))
-	sample := s.Sample(1024, rng)
+	sample := draw(s, 1024, rng)
 	if len(sample.Indices) != 1024 {
 		t.Fatalf("got %d indices, want 1024", len(sample.Indices))
 	}
@@ -270,7 +270,7 @@ func TestLocalitySamplerTruncatesFinalRun(t *testing.T) {
 	b := NewBuffer(testSpec(256))
 	fillBuffer(b, 200)
 	s := NewLocalitySampler(b, 64, 16)
-	sample := s.Sample(100, rand.New(rand.NewSource(3))) // 100 = 64 + 36
+	sample := draw(s, 100, rand.New(rand.NewSource(3))) // 100 = 64 + 36
 	if len(sample.Indices) != 100 {
 		t.Fatalf("got %d indices, want exactly 100", len(sample.Indices))
 	}
@@ -295,7 +295,7 @@ func TestLocalitySamplerWrapsAroundBufferEnd(t *testing.T) {
 		for _, s := range []*PlanSampler{NewUniformSampler(b), NewLocalitySampler(b, 8, 4)} {
 			want := make([]int, 32)
 			for trial := int64(0); trial < 50; trial++ {
-				sample := s.Sample(len(want), rand.New(rand.NewSource(trial)))
+				sample := draw(s, len(want), rand.New(rand.NewSource(trial)))
 				if len(sample.Indices) != len(want) {
 					t.Fatalf("got %d indices, want %d", len(sample.Indices), len(want))
 				}

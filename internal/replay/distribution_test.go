@@ -28,7 +28,7 @@ func TestLocalitySamplerMarginalIsNearUniform(t *testing.T) {
 	counts := make([]int, fill)
 	total := 0
 	for r := 0; r < rounds; r++ {
-		sample := s.Sample(batch, rng)
+		sample := draw(s, batch, rng)
 		for _, idx := range sample.Indices {
 			counts[idx]++
 			total++
@@ -61,7 +61,7 @@ func TestUniformSamplerChiSquare(t *testing.T) {
 		if n > remaining {
 			n = remaining
 		}
-		sample := s.Sample(n, rng)
+		sample := draw(s, n, rng)
 		for _, idx := range sample.Indices {
 			counts[idx]++
 		}
@@ -91,7 +91,7 @@ func TestPERSamplingFrequenciesMatchPriorities(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	counts := make([]float64, 4)
 	for r := 0; r < 200; r++ {
-		sample := s.Sample(100, rng)
+		sample := draw(s, 100, rng)
 		for _, idx := range sample.Indices {
 			counts[idx]++
 		}
@@ -115,7 +115,7 @@ func TestIPLocalityUniformPrioritiesDegenerate(t *testing.T) {
 	s := NewIPLocalitySampler(b, 1)
 	fillBuffer(b, 200)
 	rng := rand.New(rand.NewSource(12))
-	sample := s.Sample(64, rng)
+	sample := draw(s, 64, rng)
 	// Fresh transitions all carry max priority → normalized ≈1 → 4
 	// neighbors per reference.
 	if len(sample.Refs) != 16 {

@@ -59,16 +59,11 @@ func NewIPLocalitySampler(buf *Buffer, beta float64) *IPLocalitySampler {
 // Name implements Sampler.
 func (s *IPLocalitySampler) Name() string { return "ip-locality" }
 
-// Sample implements Sampler: proportional reference selection, neighbor
-// expansion, Lemma-1 weights. Exactly n indices are returned; the last run
-// is truncated if needed.
-func (s *IPLocalitySampler) Sample(n int, rng *rand.Rand) Sample {
-	return sampled(s, n, rng)
-}
-
-// SampleInto implements Sampler. Like the PER core it only reads the sum
-// tree, so concurrent calls with distinct dst/rng are safe while priority
-// updates are deferred.
+// SampleInto implements Sampler: proportional reference selection, neighbor
+// expansion, Lemma-1 weights. Exactly n indices are drawn; the last run is
+// truncated if needed. Like the PER core it only reads the sum tree, so
+// concurrent calls with distinct dst/rng are safe while priority updates
+// are deferred.
 func (s *IPLocalitySampler) SampleInto(dst *Sample, n int, rng *rand.Rand) {
 	buf := s.per.buf
 	length := buf.Len()

@@ -31,7 +31,7 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 		rngB := rand.New(rand.NewSource(11))
 		var dst Sample
 		for round := 0; round < 4; round++ {
-			want := s.Sample(32, rngA)
+			want := draw(s, 32, rngA)
 			s.SampleInto(&dst, 32, rngB)
 			if len(dst.Indices) != len(want.Indices) {
 				t.Fatalf("%s: SampleInto %d indices, Sample %d", s.Name(), len(dst.Indices), len(want.Indices))

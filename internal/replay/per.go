@@ -62,14 +62,9 @@ func (s *PERSampler) onAdd(idx int) {
 	s.tree.Set(idx, math.Pow(s.maxPriority+s.Eps, s.Alpha))
 }
 
-// Sample implements Sampler: stratified proportional sampling with
-// importance weights.
-func (s *PERSampler) Sample(n int, rng *rand.Rand) Sample {
-	return sampled(s, n, rng)
-}
-
-// SampleInto implements Sampler. It only reads the sum tree, so concurrent
-// calls with distinct dst/rng are safe while priority updates are deferred.
+// SampleInto implements Sampler: stratified proportional sampling with
+// importance weights. It only reads the sum tree, so concurrent calls with
+// distinct dst/rng are safe while priority updates are deferred.
 func (s *PERSampler) SampleInto(dst *Sample, n int, rng *rand.Rand) {
 	if s.buf.Len() == 0 {
 		panic("replay: sampling from empty buffer")

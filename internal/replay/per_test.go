@@ -130,7 +130,7 @@ func TestPERSampleShapesAndRanges(t *testing.T) {
 	b := NewBuffer(testSpec(128))
 	s := NewPERSampler(b)
 	fillBuffer(b, 100)
-	sample := s.Sample(64, rand.New(rand.NewSource(1)))
+	sample := draw(s, 64, rand.New(rand.NewSource(1)))
 	if len(sample.Indices) != 64 || len(sample.Weights) != 64 {
 		t.Fatalf("sample sizes %d/%d", len(sample.Indices), len(sample.Weights))
 	}
@@ -167,7 +167,7 @@ func TestPERHighPriorityDominatesSampling(t *testing.T) {
 	s.UpdatePriorities(idx, td)
 	rng := rand.New(rand.NewSource(2))
 	count7 := 0
-	sample := s.Sample(1000, rng)
+	sample := draw(s, 1000, rng)
 	for _, i := range sample.Indices {
 		if i == 7 {
 			count7++
@@ -191,7 +191,7 @@ func TestPERWeightsCounteractPriority(t *testing.T) {
 	}
 	td[3] = 10 // much higher priority
 	s.UpdatePriorities(idx, td)
-	sample := s.Sample(256, rand.New(rand.NewSource(3)))
+	sample := draw(s, 256, rand.New(rand.NewSource(3)))
 	var w3, wOther float64
 	var n3, nOther int
 	for i, ix := range sample.Indices {
@@ -269,7 +269,7 @@ func TestIPLocalitySampleStructure(t *testing.T) {
 	b := NewBuffer(testSpec(512))
 	s := NewIPLocalitySampler(b, 1)
 	fillBuffer(b, 400)
-	sample := s.Sample(128, rand.New(rand.NewSource(4)))
+	sample := draw(s, 128, rand.New(rand.NewSource(4)))
 	if len(sample.Indices) != 128 || len(sample.Weights) != 128 {
 		t.Fatalf("sample sizes %d/%d", len(sample.Indices), len(sample.Weights))
 	}
@@ -307,7 +307,7 @@ func TestIPLocalityHighPriorityGetsLongerRuns(t *testing.T) {
 	}
 	td[50] = 10 // dominant priority → normalized ≈1 → 4 neighbors
 	s.UpdatePriorities(idx, td)
-	sample := s.Sample(64, rand.New(rand.NewSource(5)))
+	sample := draw(s, 64, rand.New(rand.NewSource(5)))
 	// Nearly all refs should be 50 and expand to runs 50,51,52,53.
 	hits := 0
 	for _, i := range sample.Indices {
@@ -337,7 +337,7 @@ func TestIPLocalityBetaZeroGivesUniformWeights(t *testing.T) {
 	s := NewIPLocalitySampler(b, 0) // β=0 → no compensation
 	fillBuffer(b, 100)
 	s.UpdatePriorities([]int{0, 1, 2}, []float64{9, 0.1, 3})
-	sample := s.Sample(64, rand.New(rand.NewSource(6)))
+	sample := draw(s, 64, rand.New(rand.NewSource(6)))
 	for _, w := range sample.Weights {
 		if math.Abs(w-1) > 1e-12 {
 			t.Fatalf("β=0 weight = %v, want 1", w)
@@ -365,7 +365,7 @@ func TestIPLocalityShapeProperty(t *testing.T) {
 			s.UpdatePriorities(idx, td)
 		}
 		want := 1 + r.Intn(64)
-		sample := s.Sample(want, r)
+		sample := draw(s, want, r)
 		if len(sample.Indices) != want || len(sample.Weights) != want {
 			return false
 		}

@@ -75,12 +75,7 @@ func (s *RankPERSampler) rebuild() {
 	s.dirty = false
 }
 
-// Sample implements Sampler with stratified rank-proportional draws.
-func (s *RankPERSampler) Sample(n int, rng *rand.Rand) Sample {
-	return sampled(s, n, rng)
-}
-
-// SampleInto implements Sampler.
+// SampleInto implements Sampler with stratified rank-proportional draws.
 func (s *RankPERSampler) SampleInto(dst *Sample, n int, rng *rand.Rand) {
 	length := s.buf.Len()
 	if length == 0 {

@@ -11,7 +11,7 @@ func TestRankPERSampleShapes(t *testing.T) {
 	b := NewBuffer(testSpec(128))
 	s := NewRankPERSampler(b)
 	fillBuffer(b, 100)
-	sample := s.Sample(64, rand.New(rand.NewSource(1)))
+	sample := draw(s, 64, rand.New(rand.NewSource(1)))
 	if len(sample.Indices) != 64 || len(sample.Weights) != 64 {
 		t.Fatalf("sample sizes %d/%d", len(sample.Indices), len(sample.Weights))
 	}
@@ -44,7 +44,7 @@ func TestRankPERTopRankDominates(t *testing.T) {
 	}
 	td[13] = 100 // rank 1
 	s.UpdatePriorities(idx, td)
-	sample := s.Sample(400, rand.New(rand.NewSource(2)))
+	sample := draw(s, 400, rand.New(rand.NewSource(2)))
 	count := 0
 	for _, i := range sample.Indices {
 		if i == 13 {
@@ -71,7 +71,7 @@ func TestRankPERLessSensitiveToOutliersThanProportional(t *testing.T) {
 		}
 		td[7] = 1e6
 		s.UpdatePriorities(idx, td)
-		sample := s.Sample(400, rand.New(rand.NewSource(3)))
+		sample := draw(s, 400, rand.New(rand.NewSource(3)))
 		c := 0
 		for _, i := range sample.Indices {
 			if i == 7 {
@@ -98,10 +98,10 @@ func TestRankPERRebuildAfterUpdates(t *testing.T) {
 	s := NewRankPERSampler(b)
 	fillBuffer(b, 10)
 	rng := rand.New(rand.NewSource(4))
-	s.Sample(8, rng) // builds order
+	draw(s, 8, rng) // builds order
 	// Promote index 9 to rank 1 and verify sampling notices.
 	s.UpdatePriorities([]int{9}, []float64{50})
-	sample := s.Sample(200, rng)
+	sample := draw(s, 200, rng)
 	count := 0
 	for _, i := range sample.Indices {
 		if i == 9 {
@@ -120,7 +120,7 @@ func TestRankPERPanics(t *testing.T) {
 	}{
 		{"empty sample", func() {
 			s := NewRankPERSampler(NewBuffer(testSpec(8)))
-			s.Sample(4, rand.New(rand.NewSource(1)))
+			draw(s, 4, rand.New(rand.NewSource(1)))
 		}},
 		{"length mismatch", func() {
 			b := NewBuffer(testSpec(8))
@@ -160,7 +160,7 @@ func TestRankPEROrderInvariantProperty(t *testing.T) {
 			td = append(td, r.Float64()*10)
 		}
 		s.UpdatePriorities(idx, td)
-		s.Sample(4, r) // force rebuild
+		draw(s, 4, r) // force rebuild
 		for i := 1; i < len(s.order); i++ {
 			if s.priorities[s.order[i-1]] < s.priorities[s.order[i]] {
 				return false

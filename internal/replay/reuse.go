@@ -36,14 +36,9 @@ func (s *ReuseSampler) Name() string {
 	return fmt.Sprintf("reuse(w=%d,%s)", s.Window, s.inner.Name())
 }
 
-// Sample implements Sampler: it returns the cached batch while the window
-// lasts, then refreshes from the inner sampler. A change in requested batch
-// size invalidates the cache.
-func (s *ReuseSampler) Sample(n int, rng *rand.Rand) Sample {
-	return sampled(s, n, rng)
-}
-
-// SampleInto implements Sampler. The cache is copied into dst rather than
+// SampleInto implements Sampler: it returns the cached batch while the
+// window lasts, then refreshes from the inner sampler. A change in requested
+// batch size invalidates the cache. The cache is copied into dst rather than
 // aliased, so concurrent callers (serialized on the refresh by the mutex)
 // each get independent storage.
 func (s *ReuseSampler) SampleInto(dst *Sample, n int, rng *rand.Rand) {

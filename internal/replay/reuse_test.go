@@ -10,15 +10,15 @@ func TestReuseSamplerReusesWithinWindow(t *testing.T) {
 	fillBuffer(b, 100)
 	s := NewReuseSampler(NewUniformSampler(b), 3)
 	rng := rand.New(rand.NewSource(1))
-	first := s.Sample(16, rng)
-	second := s.Sample(16, rng)
-	third := s.Sample(16, rng)
+	first := draw(s, 16, rng)
+	second := draw(s, 16, rng)
+	third := draw(s, 16, rng)
 	for i := range first.Indices {
 		if first.Indices[i] != second.Indices[i] || first.Indices[i] != third.Indices[i] {
 			t.Fatal("indices changed within the reuse window")
 		}
 	}
-	fourth := s.Sample(16, rng)
+	fourth := draw(s, 16, rng)
 	same := true
 	for i := range first.Indices {
 		if first.Indices[i] != fourth.Indices[i] {
@@ -36,8 +36,8 @@ func TestReuseSamplerWindowOneEqualsInner(t *testing.T) {
 	fillBuffer(b, 50)
 	s := NewReuseSampler(NewUniformSampler(b), 1)
 	rng := rand.New(rand.NewSource(2))
-	a := s.Sample(8, rng)
-	c := s.Sample(8, rng)
+	a := draw(s, 8, rng)
+	c := draw(s, 8, rng)
 	same := true
 	for i := range a.Indices {
 		if a.Indices[i] != c.Indices[i] {
@@ -55,8 +55,8 @@ func TestReuseSamplerBatchSizeChangeInvalidates(t *testing.T) {
 	fillBuffer(b, 50)
 	s := NewReuseSampler(NewUniformSampler(b), 5)
 	rng := rand.New(rand.NewSource(3))
-	s.Sample(8, rng)
-	bigger := s.Sample(16, rng)
+	draw(s, 8, rng)
+	bigger := draw(s, 16, rng)
 	if len(bigger.Indices) != 16 {
 		t.Fatalf("batch-size change returned %d indices, want 16", len(bigger.Indices))
 	}

@@ -49,9 +49,6 @@ func (s *Sample) growRefs(n int) {
 type Sampler interface {
 	// Name identifies the strategy in reports.
 	Name() string
-	// Sample returns n transition indices (with optional IS weights) in
-	// freshly allocated slices.
-	Sample(n int, rng *rand.Rand) Sample
 	// SampleInto fills dst with n transition indices (and optional IS
 	// weights), reusing dst's storage; steady-state calls do not allocate.
 	// Concurrent SampleInto calls with distinct dst and rng are safe as
@@ -69,20 +66,6 @@ type PrioritySampler interface {
 	// on another goroutine; callers running parallel updates must batch
 	// TD errors per worker and apply them after the join.
 	UpdatePriorities(indices []int, tdAbs []float64)
-}
-
-// sampled adapts a SampleInto implementation to the value-returning Sample
-// API, preserving its historical nil-slice conventions.
-func sampled(s Sampler, n int, rng *rand.Rand) Sample {
-	var dst Sample
-	s.SampleInto(&dst, n, rng)
-	if len(dst.Weights) == 0 {
-		dst.Weights = nil
-	}
-	if len(dst.Refs) == 0 {
-		dst.Refs = nil
-	}
-	return dst
 }
 
 // PlanSampler runs a stateless SamplePlan over a Buffer's insertion order:
@@ -116,11 +99,6 @@ func NewLocalitySampler(buf *Buffer, neighbors, refs int) *PlanSampler {
 
 // Name implements Sampler.
 func (s *PlanSampler) Name() string { return s.plan.String() }
-
-// Sample implements Sampler.
-func (s *PlanSampler) Sample(n int, rng *rand.Rand) Sample {
-	return sampled(s, n, rng)
-}
 
 // SampleInto implements Sampler. Its one rng.Int63 is the seed a trainer
 // wired to an experience source draws from the same stream.

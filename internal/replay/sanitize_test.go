@@ -27,7 +27,7 @@ func TestPERSanitizesPoisonedPriorities(t *testing.T) {
 	}
 	// Sampling must still work and produce finite weights.
 	rng := rand.New(rand.NewSource(3))
-	sample := s.Sample(8, rng)
+	sample := draw(s, 8, rng)
 	for i, w := range sample.Weights {
 		if math.IsNaN(w) || math.IsInf(w, 0) {
 			t.Fatalf("weight %d = %v after sanitization", i, w)
@@ -57,7 +57,7 @@ func TestRankPERSanitizesPoisonedPriorities(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(3))
-	sample := s.Sample(8, rng)
+	sample := draw(s, 8, rng)
 	for i, w := range sample.Weights {
 		if math.IsNaN(w) || math.IsInf(w, 0) {
 			t.Fatalf("weight %d = %v after sanitization", i, w)

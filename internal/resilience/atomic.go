@@ -1,10 +1,12 @@
-// Package resilience makes long training runs survive crashes, bit rot and
-// numerical divergence. It provides crash-safe file persistence (temp file →
-// fsync → rename), a CRC32-framed multi-section snapshot format that bundles
-// trainer checkpoint, replay buffer and run state into one recoverable unit,
-// a generation store with retention and newest-intact fallback, and retry
-// with exponential backoff for persistence I/O. The faults the tests inject
-// live in the test-support package internal/faultnet.
+// Package resilience makes long training runs survive crashes and bit rot.
+// It provides crash-safe file persistence (temp file → fsync → rename), a
+// CRC32-framed multi-section snapshot format that bundles sections which
+// must stay mutually consistent into one recoverable unit, a generation
+// store with retention and newest-intact fallback, and retry with
+// exponential backoff for persistence I/O. What goes into a training
+// snapshot is internal/core's to say (Trainer.SnapshotSections and
+// RestoreSnapshot). The faults the tests inject live in the test-support
+// package internal/faultnet.
 package resilience
 
 import (

@@ -14,7 +14,6 @@ import (
 	"marlperf/internal/core"
 	"marlperf/internal/faultnet"
 	"marlperf/internal/mpe"
-	"marlperf/internal/replay"
 	"marlperf/internal/resilience"
 )
 
@@ -42,24 +41,14 @@ func progressOf(tr *core.Trainer) runProgress {
 	}
 }
 
-// snapshotTrainer bundles the three sections exactly as cmd/marl-train does.
+// snapshotTrainer takes the snapshot cmd/marl-train saves.
 func snapshotTrainer(t *testing.T, tr *core.Trainer) []resilience.Section {
 	t.Helper()
-	var trainerBuf, replayBuf, runBuf bytes.Buffer
-	if err := tr.SaveCheckpoint(&trainerBuf); err != nil {
+	sections, err := tr.SnapshotSections()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Buffer().WriteTo(&replayBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SaveRunState(&runBuf); err != nil {
-		t.Fatal(err)
-	}
-	return []resilience.Section{
-		{Kind: resilience.SectionTrainer, Payload: trainerBuf.Bytes()},
-		{Kind: resilience.SectionReplay, Payload: replayBuf.Bytes()},
-		{Kind: resilience.SectionRunState, Payload: runBuf.Bytes()},
-	}
+	return sections
 }
 
 // restoreTrainer plays the part of a freshly restarted process: a brand-new
@@ -70,29 +59,7 @@ func restoreTrainer(t *testing.T, snap *resilience.Snapshot) *core.Trainer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, ok := snap.Section(resilience.SectionTrainer)
-	if !ok {
-		t.Fatal("snapshot has no trainer section")
-	}
-	if err := tr.LoadCheckpoint(bytes.NewReader(payload)); err != nil {
-		t.Fatal(err)
-	}
-	payload, ok = snap.Section(resilience.SectionReplay)
-	if !ok {
-		t.Fatal("snapshot has no replay section")
-	}
-	buf, err := replay.ReadBuffer(bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.RestoreExperience(buf); err != nil {
-		t.Fatal(err)
-	}
-	payload, ok = snap.Section(resilience.SectionRunState)
-	if !ok {
-		t.Fatal("snapshot has no run-state section")
-	}
-	if err := tr.LoadRunState(bytes.NewReader(payload)); err != nil {
+	if err := tr.RestoreSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
 	return tr

@@ -9,8 +9,8 @@ import (
 )
 
 // Snapshot format: one file bundles every piece of run state that must stay
-// mutually consistent (trainer checkpoint, replay buffer, RNG/progress
-// state). Layout (little-endian):
+// mutually consistent (a training run's trainer checkpoint and replay
+// buffer). Layout (little-endian):
 //
 //	magic "MSNP" | uint32 version | uint32 sectionCount |
 //	per section: uint32 kind | uint64 payloadLen | payload |
@@ -35,11 +35,12 @@ const (
 // SectionKind identifies what a snapshot section holds.
 type SectionKind uint32
 
-// Section kinds bundled by the training runtime.
+// Section kinds bundled by the training runtime. Kind 3 was a run-state
+// section (an RNG continuation seed) that older snapshots still carry; a
+// reader skips it like any other kind it does not know.
 const (
-	SectionTrainer  SectionKind = 1 // MARL core checkpoint
-	SectionReplay   SectionKind = 2 // MARB replay buffer
-	SectionRunState SectionKind = 3 // RNG seed + progress metadata
+	SectionTrainer SectionKind = 1 // MARL core checkpoint
+	SectionReplay  SectionKind = 2 // MARB replay buffer
 )
 
 // String returns the kind's report name.
@@ -49,8 +50,6 @@ func (k SectionKind) String() string {
 		return "trainer"
 	case SectionReplay:
 		return "replay"
-	case SectionRunState:
-		return "run-state"
 	default:
 		return fmt.Sprintf("section(%d)", uint32(k))
 	}
