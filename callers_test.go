@@ -22,26 +22,14 @@ var callerless = map[string]string{
 	"internal/netretry.outageError.Unwrap":  "interface",
 	"internal/profiler.Profile.MarshalJSON": "interface",
 
-	"internal/core.Watchdog.Rollbacks":              "test",
-	"internal/expserve.Server.ListenAndServe":       "test",
-	"internal/expshard.View.Balanced":               "test",
-	"internal/expstore.Source.Plan":                 "test",
-	"internal/mpe.PhysicalDeception.TargetLandmark": "test",
-	"internal/netretry.Breaker.State":               "test",
-	"internal/nn.Adam.StepCount":                    "test",
-	"internal/nn.MSELoss":                           "test",
-	"internal/profiler.Profile.EventCount":          "test",
-	"internal/replay.IPLocalitySampler.PER":         "test",
-	"internal/telemetry.RunLog.Records":             "test",
-	"internal/tensor.ApproxEqual":                   "test",
-	"internal/tensor.FromSlice":                     "test",
-	"internal/tensor.Matrix.AddRowVector":           "test",
-	"internal/tensor.Matrix.AddScaled":              "test",
-	"internal/tensor.Matrix.At":                     "test",
-	"internal/tensor.Matrix.Clone":                  "test",
-	"internal/tensor.Matrix.Mean":                   "test",
-	"internal/tensor.Matrix.RandNormal":             "test",
-	"internal/tensor.SliceCols":                     "test",
+	"internal/expstore.Source.Plan":        "test",
+	"internal/profiler.Profile.EventCount": "test",
+	"internal/tensor.ApproxEqual":          "test",
+	"internal/tensor.FromSlice":            "test",
+	"internal/tensor.Matrix.At":            "test",
+	"internal/tensor.Matrix.Clone":         "test",
+	"internal/tensor.Matrix.RandNormal":    "test",
+	"internal/tensor.SliceCols":            "test",
 }
 
 // TestEveryExportHasACaller is a ratchet against code nothing runs: every

@@ -420,9 +420,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 
 // wireExperienceService connects the trainer to a remote experience
 // service for both halves of the split: mini-batches are drawn with the
-// trainer's per-batch seeds and gathered by the shards (bit-identical to an
-// in-process expstore.Source running the same plan over the same collected
-// rows, not to the trainer's own sampler), the next update's sample RPCs
+// trainer's per-batch seeds and gathered by the shards (for uniform and
+// locality plans, bit-identical to the trainer's own sampler and to an
+// in-process expstore.Source while the fabric retains the same rows the
+// local buffer would), the next update's sample RPCs
 // overlapping this update's gradient compute, and everything this learner
 // collects itself is published back under actorID so the service's row
 // count gates updates exactly as a local buffer would.

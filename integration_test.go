@@ -211,7 +211,7 @@ func TestLiveMetricsMatchProfiler(t *testing.T) {
 		if ev.Update != i+1 {
 			t.Fatalf("record %d has update index %d", i, ev.Update)
 		}
-		if ev.Workers != tr.UpdateWorkers() || ev.Sampler == "" {
+		if ev.Workers != cfg.ResolvedUpdateWorkers() || ev.Sampler == "" {
 			t.Fatalf("record %d metadata: workers=%d sampler=%q", i, ev.Workers, ev.Sampler)
 		}
 		if ev.TimeUnixNano <= 0 || ev.TimeUnixNano > now {

@@ -145,7 +145,7 @@ func TestObsStartLogMountClose(t *testing.T) {
 		t.Errorf("tracer proc %q", o.Tracer.Proc())
 	}
 	o.Registry.Counter("up_total").Inc()
-	o.Tracer.StartTrace(7, "work").End()
+	o.Tracer.StartTrace(7, "work").EndArg("", 0)
 
 	// The daemon's own mux answers from the same registry and ring.
 	mux := http.NewServeMux()

@@ -80,7 +80,7 @@ func TestSetExperienceServiceKeepsNoLocalCopy(t *testing.T) {
 	if n := tr.Buffer().Len(); n != 0 {
 		t.Errorf("local buffer holds %d rows beside the source", n)
 	}
-	if n := tr.KVBuffer().Len(); n != 0 {
+	if n := tr.kv.Len(); n != 0 {
 		t.Errorf("key-value table holds %d rows beside the source", n)
 	}
 }

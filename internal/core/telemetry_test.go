@@ -125,8 +125,8 @@ func TestUpdateListenerEmitsPerUpdate(t *testing.T) {
 		if ev.Sampler != "uniform" {
 			t.Fatalf("sampler = %q", ev.Sampler)
 		}
-		if ev.Workers != tr.UpdateWorkers() {
-			t.Fatalf("workers = %d, want %d", ev.Workers, tr.UpdateWorkers())
+		if ev.Workers != tr.updateWorkers {
+			t.Fatalf("workers = %d, want %d", ev.Workers, tr.updateWorkers)
 		}
 		if ev.TimeUnixNano == 0 {
 			t.Fatal("missing timestamp")

@@ -285,13 +285,6 @@ func (t *Trainer) Profile() *profiler.Profile { return t.prof }
 // Buffer returns the baseline replay buffer.
 func (t *Trainer) Buffer() *replay.Buffer { return t.buf }
 
-// KVBuffer returns the key-value table, or nil when the layout
-// reorganization is disabled.
-func (t *Trainer) KVBuffer() *replay.KVBuffer { return t.kv }
-
-// Sampler returns the active sampling strategy.
-func (t *Trainer) Sampler() replay.Sampler { return t.sampler }
-
 // TotalSteps returns the number of environment steps taken.
 func (t *Trainer) TotalSteps() int { return t.totalSteps }
 
@@ -307,10 +300,6 @@ func (t *Trainer) LastEpisodeReward() float64 { return t.lastEpReward }
 
 // JointDim returns the centralized critic's input width.
 func (t *Trainer) JointDim() int { return t.jointDim }
-
-// UpdateWorkers returns the resolved worker-pool size (before the per-update
-// cap at the agent count).
-func (t *Trainer) UpdateWorkers() int { return t.updateWorkers }
 
 // Close shuts down the update worker pool. The trainer must not be updated
 // afterwards; Close is idempotent and safe on trainers that never went

@@ -30,7 +30,7 @@ func TestNewTrainerAllSamplers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sampler %v: %v", s, err)
 		}
-		if tr.Sampler() == nil {
+		if tr.sampler == nil {
 			t.Fatalf("sampler %v: nil sampler", s)
 		}
 	}
@@ -259,7 +259,7 @@ func TestPERPrioritiesEvolveDuringTraining(t *testing.T) {
 	tr.UpdateAllTrainers()
 	// After one update the priority distribution should no longer be
 	// uniform (fresh max priority everywhere).
-	sampler := tr.Sampler().(interface{ NormalizedPriority(int) float64 })
+	sampler := tr.sampler.(interface{ NormalizedPriority(int) float64 })
 	uniform := true
 	first := sampler.NormalizedPriority(0)
 	for i := 1; i < tr.Buffer().Len(); i++ {
@@ -284,7 +284,7 @@ func TestLocalityTrainerUsesContiguousGathers(t *testing.T) {
 	}
 	tr.Warmup(100)
 	var sample replay.Sample
-	tr.Sampler().SampleInto(&sample, 32, tr.rng)
+	tr.sampler.SampleInto(&sample, 32, tr.rng)
 	if len(sample.Indices) != 32 {
 		t.Fatalf("locality trainer drew %d indices, want 32", len(sample.Indices))
 	}

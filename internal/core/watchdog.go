@@ -93,13 +93,13 @@ func NewWatchdog(tr *Trainer) (*Watchdog, error) {
 	return w, nil
 }
 
-// Rollbacks returns how many times the watchdog has restored a snapshot.
-func (w *Watchdog) Rollbacks() int { return w.rollbacks }
-
-// capture refreshes the in-memory rollback target from the live trainer.
+// capture refreshes the in-memory rollback target from the live trainer,
+// in the storage of the last one: a healthy episode copies one checkpoint
+// and allocates none. SaveCheckpoint writes only once it has encoded
+// everything, so a failed capture leaves the last target whole.
 func (w *Watchdog) capture() error {
-	var buf bytes.Buffer
-	if err := w.tr.SaveCheckpoint(&buf); err != nil {
+	buf := bytes.NewBuffer(w.good[:0])
+	if err := w.tr.SaveCheckpoint(buf); err != nil {
 		return fmt.Errorf("core: watchdog snapshot: %w", err)
 	}
 	w.good = buf.Bytes()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -77,8 +78,8 @@ func TestWatchdogRollsBackOnNaN(t *testing.T) {
 	if ev == nil || ev.Reason == nil {
 		t.Fatal("divergence not recovered")
 	}
-	if wd.Rollbacks() != 1 {
-		t.Fatalf("Rollbacks = %d, want 1", wd.Rollbacks())
+	if wd.rollbacks != 1 {
+		t.Fatalf("Rollbacks = %d, want 1", wd.rollbacks)
 	}
 	if !tensor.ApproxEqual(tr.agents[0].actor.Params()[0], goodParam, 0) {
 		t.Fatal("rollback did not restore the last good parameters")
@@ -157,8 +158,37 @@ func TestWatchdogExhaustsRollbackBudget(t *testing.T) {
 		}
 	}
 	tr.agents[0].actor.Params()[0].Data[0] = math.NaN()
-	if _, err := wd.Observe(); err == nil || wd.Rollbacks() != 8 {
-		t.Fatalf("divergence %d past the budget of 8: %v", wd.Rollbacks()+1, err)
+	if _, err := wd.Observe(); err == nil || wd.rollbacks != 8 {
+		t.Fatalf("divergence %d past the budget of 8: %v", wd.rollbacks+1, err)
+	}
+}
+
+// TestWatchdogCaptureReusesItsCopy: a healthy Observe refreshes the rollback
+// copy in the storage the previous capture left, so after the first one it
+// allocates far less than one checkpoint. Encoding into a fresh buffer at
+// every episode cost a whole checkpoint each time (≈ 4.6 MB at six
+// predator-prey agents, growing with the square of the agent count).
+func TestWatchdogCaptureReusesItsCopy(t *testing.T) {
+	tr := trainedTrainer(t, MADDPG)
+	wd, err := NewWatchdog(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wd.Observe(); err != nil {
+		t.Fatal(err)
+	}
+	const n = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, err := wd.Observe(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perObserve := (after.TotalAlloc - before.TotalAlloc) / n
+	if limit := uint64(len(wd.good)) / 10; perObserve > limit {
+		t.Fatalf("a healthy Observe allocated %d bytes, want at most %d (a tenth of the %d-byte checkpoint)", perObserve, limit, len(wd.good))
 	}
 }
 

@@ -412,8 +412,8 @@ func TestInPlaceFramesMatchEncodeAppend(t *testing.T) {
 		}
 		refuse.Store(false)
 		expectFlush(-1, false, sink.Flush())
-		if sink.Seq() != seq {
-			t.Fatalf("actor %q: sink at seq %d, model at %d", actor, sink.Seq(), seq)
+		if sink.batchSeq != seq {
+			t.Fatalf("actor %q: sink at seq %d, model at %d", actor, sink.batchSeq, seq)
 		}
 	}
 }
@@ -467,8 +467,8 @@ func TestGoldenSpoolFrameAcrossCommits(t *testing.T) {
 	if err := sink.EnableSpool(SpoolOptions{Dir: dir}); err != nil {
 		t.Fatalf("adopting the parent-written spool: %v", err)
 	}
-	if sink.SpoolLen() != 1 || sink.Seq() != 3 {
-		t.Fatalf("adopted spool=%d seq=%d, want 1/3", sink.SpoolLen(), sink.Seq())
+	if sink.SpoolLen() != 1 || sink.batchSeq != 3 {
+		t.Fatalf("adopted spool=%d seq=%d, want 1/3", sink.SpoolLen(), sink.batchSeq)
 	}
 	if err := sink.DrainSpool(); err != nil {
 		t.Fatal(err)

@@ -35,9 +35,6 @@ func NewClient(baseURL string, opts ClientOptions) *Client {
 	return &Client{core: netretry.New(baseURL, opts), tracer: opts.Tracer}
 }
 
-// Breaker exposes the client's circuit breaker state.
-func (c *Client) Breaker() *netretry.Breaker { return c.core.Breaker() }
-
 // StatusError is a definitive non-OK server answer (4xx that is not
 // backpressure) — a rejection, not an outage.
 type StatusError struct {
@@ -171,9 +168,6 @@ func (s *RemoteSink) SkipTo(seq uint64) {
 		s.batchSeq = seq
 	}
 }
-
-// Seq returns the last assigned batch sequence number.
-func (s *RemoteSink) Seq() uint64 { return s.batchSeq }
 
 // Add implements replay.TransitionSink: pack locally, auto-flushing at
 // MaxBatchRows. The row is staged even when that flush fails.

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -714,24 +713,4 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.HugePageBytes = s.hugePageBytes()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(statsReply{Spec: specToWire(s.cfg.Spec), Store: st, Actors: actors})
-}
-
-// ListenAndServe is a convenience for tests (marl-replayd serves through
-// cli.Daemon instead): bind addr (port 0 picks a free port), serve the
-// handler in the background, and return the bound listener address plus a
-// shutdown func.
-func (s *Server) ListenAndServe(addr string) (string, func() error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("expserve: listener: %w", err)
-	}
-	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), func() error {
-		err := srv.Close()
-		if cerr := s.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}, nil
 }

@@ -440,7 +440,7 @@ func TestFabricMembersUseClientRegistryAndTracer(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.ClearActive()
-	root.End()
+	root.EndArg("", 0)
 
 	var expo bytes.Buffer
 	if err := reg.WriteExposition(&expo); err != nil {

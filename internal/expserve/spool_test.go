@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -56,7 +58,9 @@ func spoolKillChildMain(dir, addr string) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, _, err = srv.ListenAndServe(addr); err == nil {
+		var ln net.Listener
+		if ln, err = net.Listen("tcp", addr); err == nil {
+			go func() { _ = http.Serve(ln, srv) }()
 			break
 		}
 		if time.Now().After(deadline) {
@@ -208,8 +212,8 @@ func TestSpoolDrainAcrossServerSIGKILL(t *testing.T) {
 	if st.Rows != 56 || st.Total != 56 {
 		t.Fatalf("store holds rows=%d total=%d, want exactly 56 (no loss, no duplicates)", st.Rows, st.Total)
 	}
-	if st.Actors["actor-kill"] != sink.Seq() {
-		t.Fatalf("server cursor %d != sink seq %d", st.Actors["actor-kill"], sink.Seq())
+	if st.Actors["actor-kill"] != sink.batchSeq {
+		t.Fatalf("server cursor %d != sink seq %d", st.Actors["actor-kill"], sink.batchSeq)
 	}
 
 	// Spool-file leftovers should be gone.
@@ -238,8 +242,8 @@ func TestSpoolAdoptionAcrossSinkRestart(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	addRows(t, sink1, rng, 12) // 3 batches, all spooled
-	if sink1.SpoolLen() != 3 || sink1.Seq() != 3 {
-		t.Fatalf("incarnation 1: spool=%d seq=%d, want 3/3", sink1.SpoolLen(), sink1.Seq())
+	if sink1.SpoolLen() != 3 || sink1.batchSeq != 3 {
+		t.Fatalf("incarnation 1: spool=%d seq=%d, want 3/3", sink1.SpoolLen(), sink1.batchSeq)
 	}
 
 	// Incarnation 2 starts fresh over the same spool dir, now with a live
@@ -253,13 +257,11 @@ func TestSpoolAdoptionAcrossSinkRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, shutdown, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
+	hs := httptest.NewServer(srv)
+	defer srv.Close()
+	defer hs.Close()
 
-	c := spoolClient(addr, nil)
+	c := spoolClient(hs.URL, nil)
 	sink2, err := NewRemoteSink(c, "actor-adopt", spec)
 	if err != nil {
 		t.Fatal(err)
@@ -268,8 +270,8 @@ func TestSpoolAdoptionAcrossSinkRestart(t *testing.T) {
 	if err := sink2.EnableSpool(SpoolOptions{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	if sink2.Seq() != 3 {
-		t.Fatalf("adoption should fast-forward seq to 3, got %d", sink2.Seq())
+	if sink2.batchSeq != 3 {
+		t.Fatalf("adoption should fast-forward seq to 3, got %d", sink2.batchSeq)
 	}
 
 	// New data flushes drain the backlog first, then ship seq 4.
@@ -353,11 +355,8 @@ func TestDedupLogSurvivesRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		addr, shutdown, err := srv.ListenAndServe("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fastClient(addr), func() { shutdown(); st.Close() }
+		hs := httptest.NewServer(srv)
+		return fastClient(hs.URL), func() { hs.Close(); srv.Close(); st.Close() }
 	}
 
 	c1, stop1 := serve()
@@ -432,11 +431,8 @@ func TestTornBatchRedeliveryAppliesOnlyMissingRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		addr, shutdown, err := srv.ListenAndServe("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fastClient(addr), func() { shutdown(); st.Close() }
+		hs := httptest.NewServer(srv)
+		return fastClient(hs.URL), func() { hs.Close(); srv.Close(); st.Close() }
 	}
 
 	// Batch 1 (seq 1, 8 rows) lands normally through a real server.

@@ -133,13 +133,6 @@ func (v *View) NumLive() int {
 	return n
 }
 
-// Balanced reports whether the exact fast path holds: every group
-// live, no trims, and per-group totals exactly matching time-striped
-// placement of a single contiguous stream. This is the regime of the
-// bit-identity proof; outside it sampling stays correct but clamps
-// placement mismatches (see Map).
-func (v *View) Balanced() bool { return v.balanced }
-
 // residuesBelow returns group g's row of the prefix table: entry r counts
 // its owned residues below r, entry Partitions all of them.
 func (v *View) residuesBelow(g int) []int32 {

@@ -66,8 +66,8 @@ func checkViewAgainstSim(t *testing.T, partitions int, offset uint64, part2group
 	if v.Len() != int64(len(flat)) {
 		t.Fatalf("Len()=%d, sim has %d live rows", v.Len(), len(flat))
 	}
-	if v.Balanced() != wantBalanced {
-		t.Fatalf("Balanced()=%v, want %v", v.Balanced(), wantBalanced)
+	if v.balanced != wantBalanced {
+		t.Fatalf("balanced=%v, want %v", v.balanced, wantBalanced)
 	}
 	for i, want := range flat {
 		g, local, clamped := v.Map(int64(i))
@@ -184,7 +184,7 @@ func TestViewMapClampsOnPlacementMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Balanced() {
+	if v.balanced {
 		t.Fatal("mismatched stats reported balanced")
 	}
 	for i := int64(0); i < v.Len(); i++ {
@@ -384,9 +384,9 @@ func compareWithRef(t testing.TB, partitions int, offset uint64, part2group []in
 		t.Fatal(err)
 	}
 	ref := newRefView(partitions, offset, part2group, stats)
-	if v.Len() != ref.length || v.Balanced() != ref.balanced || v.maxT != ref.maxT {
+	if v.Len() != ref.length || v.balanced != ref.balanced || v.maxT != ref.maxT {
 		t.Fatalf("P=%d offset=%d: view (len %d, balanced %v, maxT %d), reference (len %d, balanced %v, maxT %d)",
-			partitions, offset, v.Len(), v.Balanced(), v.maxT, ref.length, ref.balanced, ref.maxT)
+			partitions, offset, v.Len(), v.balanced, v.maxT, ref.length, ref.balanced, ref.maxT)
 	}
 	for g := range stats {
 		for _, tt := range []int64{-1, 0, 1, int64(partitions) - 1, int64(partitions), int64(partitions) + 1, 3*int64(partitions) + 2, ref.maxT} {
@@ -477,7 +477,7 @@ func TestViewBalancedStripingIsBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Balanced() {
+	if !v.balanced {
 		t.Fatal("a striped stream's view is not balanced")
 	}
 	compareWithRef(t, 64, 9, p2g, stats)

@@ -132,14 +132,14 @@ func TestSIGKILLRecoveryKeepsFlushedPrefix(t *testing.T) {
 	t.Logf("SIGKILL at ≥%d durable rows; recovered %d (torn tail dropped: unflushed only)", durable, recovered)
 
 	// Every recovered row is intact and in sequence.
-	verifyWindow(t, s, s.Base(), s.RowCount())
+	verifyWindow(t, s, s.Stats().Base, s.RowCount())
 
 	// The reopened store appends exactly where the intact prefix ends.
 	appendSeqs(t, s, recovered, recovered+100)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	verifyWindow(t, s, s.Base(), s.RowCount())
+	verifyWindow(t, s, s.Stats().Base, s.RowCount())
 	if s.Total() != recovered+100 {
 		t.Fatalf("Total = %d after 100 post-recovery appends, want %d", s.Total(), recovered+100)
 	}

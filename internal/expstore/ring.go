@@ -239,9 +239,7 @@ func (r *Ring) GatherEncodeLE(indices []int, dst []byte) {
 
 // SamplePacked selects n rows with plan seeded by seed and copies them into
 // rows (n·Stride() floats), recording the chosen insertion-order indices in
-// idx (length n). This is the one-call sampling path the experience server
-// executes under a single read lock, so index selection and gather see a
-// consistent store.
+// idx (length n): a local Source's whole draw in one call.
 func (r *Ring) SamplePacked(plan replay.SamplePlan, n int, seed int64, idx []int, rows []float64) error {
 	if len(idx) != n {
 		return fmt.Errorf("expstore: SamplePacked idx len %d, want %d", len(idx), n)

@@ -6,10 +6,10 @@ import (
 	"marlperf/internal/replay"
 )
 
-// Provider is the packed-row store contract shared by the in-memory Ring
-// and the persistent Store: insertion-order row addressing, single-call
-// seeded sampling. The experience server and the local Source adapter both
-// program against it.
+// Provider is the packed-row store contract the experience server serves
+// from, met by the in-memory Ring and the persistent Store: insertion-order
+// row addressing, appends, and the gather of rows whose indices the learner
+// drew (SamplePlan.FillIndices over RowCount) straight into a reply.
 type Provider interface {
 	Layout() replay.RowLayout
 	// RowCount returns the number of sampleable rows.
@@ -18,10 +18,6 @@ type Provider interface {
 	AppendRow(row []float64) error
 	// Flush publishes buffered rows (durability barrier for stores).
 	Flush() error
-	// SamplePacked selects n rows with plan seeded by seed as one atomic
-	// operation, filling idx (len n) with the chosen insertion-order
-	// indices and rows (n·stride floats) with the packed data.
-	SamplePacked(plan replay.SamplePlan, n int, seed int64, idx []int, rows []float64) error
 	// GatherEncodeLE writes the rows at the given insertion-order indices
 	// into dst as little-endian float64 bytes (len(indices)·Stride()·8 of
 	// them), straight from row storage — the experience server's sample
@@ -34,12 +30,12 @@ var (
 	_ Provider = (*Store)(nil)
 )
 
-// Source adapts a Provider plus a SamplePlan to the trainer-facing
+// Source adapts a Ring plus a SamplePlan to the trainer-facing
 // replay.TransitionSource and replay.TransitionSink interfaces. It is the
 // local half of the actor/learner split: a trainer wired to a Source backed
 // by the same rows in the same order as a remote service draws bit-identical
-// batches, because both reduce to Provider.SamplePacked with the same
-// (plan, length, seed).
+// batches, because both expand the same (plan, length, seed) with
+// SamplePlan.FillIndices.
 //
 // SampleBatch is safe for concurrent use across update workers: draws
 // serialize on an internal lock around the shared scratch, which costs
@@ -47,7 +43,7 @@ var (
 // (n, seed, dst) regardless of draw order. Add/Flush belong to the single
 // collection goroutine.
 type Source struct {
-	p    Provider
+	r    *Ring
 	plan replay.SamplePlan
 
 	mu         sync.Mutex
@@ -56,28 +52,28 @@ type Source struct {
 	packRow    []float64
 }
 
-// NewSource wraps p with plan. The plan must validate.
-func NewSource(p Provider, plan replay.SamplePlan) (*Source, error) {
+// NewSource wraps r with plan. The plan must validate.
+func NewSource(r *Ring, plan replay.SamplePlan) (*Source, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	return &Source{p: p, plan: plan}, nil
+	return &Source{r: r, plan: plan}, nil
 }
 
 // Plan returns the sampling plan executed on every SampleBatch.
 func (s *Source) Plan() replay.SamplePlan { return s.plan }
 
 // Len implements replay.TransitionSource.
-func (s *Source) Len() (int, error) { return s.p.RowCount(), nil }
+func (s *Source) Len() (int, error) { return s.r.RowCount(), nil }
 
 // SampleBatch implements replay.TransitionSource: one seeded plan execution
-// against the provider, split into per-agent tensors. The returned index
+// against the ring, split into per-agent tensors. The returned index
 // slice aliases internal scratch and is valid only until the next
 // SampleBatch on this Source; dst is fully written before return.
 func (s *Source) SampleBatch(n int, seed int64, dst []*replay.AgentBatch) ([]int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	layout := s.p.Layout()
+	layout := s.r.Layout()
 	stride := layout.Stride()
 	if cap(s.idxScratch) < n {
 		s.idxScratch = make([]int, n)
@@ -85,7 +81,7 @@ func (s *Source) SampleBatch(n int, seed int64, dst []*replay.AgentBatch) ([]int
 	}
 	idx := s.idxScratch[:n]
 	rows := s.rowScratch[:n*stride]
-	if err := s.p.SamplePacked(s.plan, n, seed, idx, rows); err != nil {
+	if err := s.r.SamplePacked(s.plan, n, seed, idx, rows); err != nil {
 		return nil, err
 	}
 	layout.SplitRows(rows, n, dst)
@@ -95,16 +91,16 @@ func (s *Source) SampleBatch(n int, seed int64, dst []*replay.AgentBatch) ([]int
 // Add implements replay.TransitionSink: pack one environment step and
 // append it.
 func (s *Source) Add(obs, act [][]float64, rew []float64, nextObs [][]float64, done []float64) error {
-	layout := s.p.Layout()
+	layout := s.r.Layout()
 	if s.packRow == nil {
 		s.packRow = make([]float64, layout.Stride())
 	}
 	layout.PackRow(s.packRow, obs, act, rew, nextObs, done)
-	return s.p.AppendRow(s.packRow)
+	return s.r.AppendRow(s.packRow)
 }
 
 // Flush implements replay.TransitionSink.
-func (s *Source) Flush() error { return s.p.Flush() }
+func (s *Source) Flush() error { return s.r.Flush() }
 
 var (
 	_ replay.TransitionSource = (*Source)(nil)

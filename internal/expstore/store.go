@@ -199,9 +199,6 @@ func (s *Store) recover() error {
 // Layout returns the shared interleaved row layout.
 func (s *Store) Layout() replay.RowLayout { return s.layout }
 
-// Spec returns the transition shape the store was opened with.
-func (s *Store) Spec() replay.Spec { return s.spec }
-
 // RowCount returns the number of sampleable (ring-resident) rows.
 func (s *Store) RowCount() int {
 	s.mu.RLock()
@@ -214,13 +211,6 @@ func (s *Store) Total() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.nextSeq
-}
-
-// Base returns the global sequence number of sampleable index 0.
-func (s *Store) Base() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ring.Base()
 }
 
 // SetTracer installs (or clears) the ring's address tracer.
@@ -363,15 +353,6 @@ func (s *Store) ArenaBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.ring.ArenaBytes()
-}
-
-// SamplePacked selects and gathers n rows under one read lock, so index
-// selection and the gather see the same store state — the contiguity of a
-// locality plan's runs is preserved even with concurrent appenders.
-func (s *Store) SamplePacked(plan replay.SamplePlan, n int, seed int64, idx []int, rows []float64) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ring.SamplePacked(plan, n, seed, idx, rows)
 }
 
 // GatherEncodeLE copies the rows at the given insertion-order indices into

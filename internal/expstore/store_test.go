@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"marlperf/internal/f64le"
 	"marlperf/internal/replay"
 )
 
@@ -41,7 +42,7 @@ func verifyWindow(t *testing.T, s *Store, wantBase uint64, wantLen int) {
 	if got := s.RowCount(); got != wantLen {
 		t.Fatalf("RowCount = %d, want %d", got, wantLen)
 	}
-	if got := s.Base(); got != wantBase {
+	if got := s.Stats().Base; got != wantBase {
 		t.Fatalf("Base = %d, want %d", got, wantBase)
 	}
 	stride := s.Layout().Stride()
@@ -74,14 +75,10 @@ func TestStoreAppendSampleRoundTrip(t *testing.T) {
 	appendSeqs(t, s, 0, 40)
 	verifyWindow(t, s, 0, 40)
 
-	// SamplePacked returns rows matching their indices.
+	// A uniform draw over the window, gathered as the server replies,
+	// returns rows matching their indices.
 	plan := replay.SamplePlan{Strategy: replay.PlanUniform}
-	n := 10
-	idx := make([]int, n)
-	rows := make([]float64, n*s.Layout().Stride())
-	if err := s.SamplePacked(plan, n, 7, idx, rows); err != nil {
-		t.Fatal(err)
-	}
+	idx, rows := drawServed(t, s, plan, 10, 7)
 	stride := s.Layout().Stride()
 	for k, i := range idx {
 		want := rowForSeq(s.Layout(), uint64(i))
@@ -274,9 +271,24 @@ func (tr *traceRecorder) Access(addr uint64, size int) {
 	tr.sizes = append(tr.sizes, size)
 }
 
-// Server-side locality sampling must emit contiguous address runs: the whole
-// point of executing the plan next to the data is that neighbor runs stream
-// sequential rows.
+// drawServed draws n indices over s's window with plan and seed, and gathers
+// their rows as marl-replayd serves a sample: SamplePlan.FillIndices, then
+// Store.GatherEncodeLE. It returns the indices and the decoded rows.
+func drawServed(t *testing.T, s *Store, plan replay.SamplePlan, n int, seed int64) ([]int, []float64) {
+	t.Helper()
+	idx := make([]int, n)
+	if err := plan.FillIndices(idx, s.RowCount(), seed); err != nil {
+		t.Fatal(err)
+	}
+	encoded := make([]byte, n*s.Layout().Stride()*8)
+	s.GatherEncodeLE(idx, encoded)
+	rows := make([]float64, n*s.Layout().Stride())
+	f64le.Get(rows, encoded)
+	return idx, rows
+}
+
+// Served locality sampling must emit contiguous address runs: the whole
+// point of a locality plan is that neighbor runs stream sequential rows.
 func TestStoreLocalitySamplingTraceIsContiguous(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(256)
@@ -291,11 +303,7 @@ func TestStoreLocalitySamplingTraceIsContiguous(t *testing.T) {
 	s.SetTracer(rec)
 	plan := replay.SamplePlan{Strategy: replay.PlanLocality, Neighbors: 16, Refs: 4}
 	n := 64
-	idx := make([]int, n)
-	rows := make([]float64, n*s.Layout().Stride())
-	if err := s.SamplePacked(plan, n, 3, idx, rows); err != nil {
-		t.Fatal(err)
-	}
+	drawServed(t, s, plan, n, 3)
 	if len(rec.addrs) != n {
 		t.Fatalf("trace has %d accesses, want %d", len(rec.addrs), n)
 	}

@@ -76,9 +76,6 @@ func (p *PhysicalDeception) NumActions() int { return NumActions }
 // ObsDims implements Env.
 func (p *PhysicalDeception) ObsDims() []int { return p.obsDims }
 
-// TargetLandmark returns the current secret target index (for tests).
-func (p *PhysicalDeception) TargetLandmark() int { return p.target }
-
 // Reset implements Env, re-randomizing positions and the secret target.
 func (p *PhysicalDeception) Reset(rng *rand.Rand) [][]float64 {
 	for _, ag := range p.world.Agents {

@@ -112,7 +112,7 @@ func TestPhysicalDeceptionTargetRerandomizedOnReset(t *testing.T) {
 	seen := map[int]bool{}
 	for i := 0; i < 50; i++ {
 		env.Reset(rng)
-		seen[env.TargetLandmark()] = true
+		seen[env.target] = true
 	}
 	if len(seen) < 2 {
 		t.Fatalf("target landmark never varied across resets: %v", seen)

@@ -154,16 +154,6 @@ func (b *Breaker) Failure() {
 	}
 }
 
-// State returns the current breaker state.
-func (b *Breaker) State() BreakerState {
-	if b.disabled() {
-		return BreakerClosed
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 func (b *Breaker) setState(s BreakerState) {
 	b.state = s
 	b.stateG.Set(float64(s))

@@ -237,12 +237,6 @@ func New(baseURL string, opts Options) *Client {
 	return c
 }
 
-// Base returns the normalized base URL.
-func (c *Client) Base() string { return c.base }
-
-// Breaker exposes the edge's circuit breaker (for state inspection).
-func (c *Client) Breaker() *Breaker { return c.breaker }
-
 // SetClock injects a clock and/or sleep function for tests; nil arguments
 // leave the current function in place. The breaker shares the clock.
 func (c *Client) SetClock(now func() time.Time, sleep func(time.Duration)) {

@@ -220,7 +220,7 @@ func TestBreakerOpensFailsFastAndRecovers(t *testing.T) {
 	if _, err := c.Do(context.Background(), Request{Path: "/x"}); err == nil {
 		t.Fatal("expected failure")
 	}
-	if got := c.Breaker().State(); got != BreakerOpen {
+	if got := c.breaker.state; got != BreakerOpen {
 		t.Fatalf("after 3 consecutive failures breaker = %v, want open", got)
 	}
 	if g := reg.Gauge("marl_circuit_state", "edge", "test").Value(); g != float64(BreakerOpen) {
@@ -247,7 +247,7 @@ func TestBreakerOpensFailsFastAndRecovers(t *testing.T) {
 	if err != nil || resp.Status != 200 {
 		t.Fatalf("ride-through after recovery: resp=%+v err=%v", resp, err)
 	}
-	if got := c.Breaker().State(); got != BreakerClosed {
+	if got := c.breaker.state; got != BreakerClosed {
 		t.Fatalf("after successful probe breaker = %v, want closed", got)
 	}
 	var waited time.Duration
@@ -268,8 +268,8 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	b.setClock(clk.now)
 	b.Failure()
 	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %v, want open", b.State())
+	if b.state != BreakerOpen {
+		t.Fatalf("state = %v, want open", b.state)
 	}
 	if _, ok := b.Allow(); ok {
 		t.Fatal("open breaker within cooldown should not allow")
@@ -278,23 +278,23 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	if _, ok := b.Allow(); !ok {
 		t.Fatal("cooldown elapsed: probe slot should open")
 	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
+	if b.state != BreakerHalfOpen {
+		t.Fatalf("state = %v, want half-open", b.state)
 	}
 	if _, ok := b.Allow(); ok {
 		t.Fatal("half-open admits exactly one probe")
 	}
 	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatalf("probe failure should reopen, state = %v", b.State())
+	if b.state != BreakerOpen {
+		t.Fatalf("probe failure should reopen, state = %v", b.state)
 	}
 	clk.t = clk.t.Add(51 * time.Millisecond)
 	if _, ok := b.Allow(); !ok {
 		t.Fatal("second probe slot should open after re-armed cooldown")
 	}
 	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatalf("probe success should close, state = %v", b.State())
+	if b.state != BreakerClosed {
+		t.Fatalf("probe success should close, state = %v", b.state)
 	}
 }
 
@@ -305,7 +305,7 @@ func Test429CountsAsContactNotOutage(t *testing.T) {
 	if _, err := c.Do(context.Background(), Request{Path: "/x"}); err == nil {
 		t.Fatal("expected exhausted-retries failure against an all-429 server")
 	}
-	if got := c.Breaker().State(); got != BreakerClosed {
+	if got := c.breaker.state; got != BreakerClosed {
 		t.Fatalf("429s tripped the breaker (state %v); backpressure is not an outage", got)
 	}
 }

@@ -12,16 +12,14 @@ import (
 )
 
 // Layer is one differentiable stage of a network. Forward consumes a
-// batch×in matrix and produces batch×out; Backward consumes the gradient of
-// the loss with respect to the layer output and returns the gradient with
-// respect to the layer input, accumulating parameter gradients internally.
-// BackwardInput and BackwardParams are the two halves of Backward for
-// callers that read only one of them: the first returns exactly the matrix
-// Backward would and leaves the parameter gradients alone, the second
-// accumulates exactly what Backward would and computes no input gradient.
+// batch×in matrix and produces batch×out. The backward pass comes in two
+// halves, both consuming the gradient of the loss with respect to the layer
+// output: BackwardInput returns the gradient with respect to the layer input
+// and leaves the parameter gradients alone, BackwardParams accumulates the
+// parameter gradients and computes no input gradient. Network.Backward runs
+// both.
 type Layer interface {
 	Forward(x *tensor.Matrix) *tensor.Matrix
-	Backward(grad *tensor.Matrix) *tensor.Matrix
 	BackwardInput(grad *tensor.Matrix) *tensor.Matrix
 	BackwardParams(grad *tensor.Matrix)
 	Params() []*tensor.Matrix
@@ -86,12 +84,6 @@ func (d *Dense) retain(x *tensor.Matrix) {
 	d.lastX = x
 }
 
-// Backward accumulates ∂L/∂W and ∂L/∂b and returns ∂L/∂x.
-func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	d.BackwardParams(grad)
-	return d.BackwardInput(grad)
-}
-
 // BackwardParams accumulates ∂L/∂W and ∂L/∂b only. It panics on a layer
 // without gradients (see Grads).
 func (d *Dense) BackwardParams(grad *tensor.Matrix) {
@@ -126,9 +118,9 @@ func (d *Dense) backwardInputCols(grad *tensor.Matrix, lo, hi int) *tensor.Matri
 	return tensor.MatMul(d.gradIn, grad, d.wT)
 }
 
-// backwardInputReLU is r.Backward(d.BackwardInput(grad)), bit for bit, as one
-// pass: each row of grad·Wᵀ is cleared where r, the activation below d,
-// retained a zero, before it is stored — forwardReLU's twin. The ungated
+// backwardInputReLU is r.BackwardInput(d.BackwardInput(grad)), bit for bit,
+// as one pass: each row of grad·Wᵀ is cleared where r, the activation below
+// d, retained a zero, before it is stored — forwardReLU's twin. The ungated
 // input gradient, which nothing else reads, is never written.
 func (d *Dense) backwardInputReLU(grad *tensor.Matrix, r *ReLU) *tensor.Matrix {
 	d.checkBackward(grad)
@@ -183,10 +175,10 @@ func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return r.out
 }
 
-// Backward zeroes the gradient where the forward input was non-positive,
-// i.e. where the retained output is +0, again with a mask instead of a
-// branch (tensor.ReLUGrad).
-func (r *ReLU) Backward(grad *tensor.Matrix) *tensor.Matrix {
+// BackwardInput zeroes the gradient where the forward input was
+// non-positive, i.e. where the retained output is +0, again with a mask
+// instead of a branch (tensor.ReLUGrad).
+func (r *ReLU) BackwardInput(grad *tensor.Matrix) *tensor.Matrix {
 	if r.out == nil || grad.Rows != r.out.Rows || grad.Cols != r.out.Cols {
 		panic("nn: ReLU backward shape does not match forward")
 	}
@@ -194,9 +186,6 @@ func (r *ReLU) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	tensor.ReLUGrad(r.gradIn.Data, grad.Data, r.out.Data)
 	return r.gradIn
 }
-
-// BackwardInput is Backward: ReLU has no parameters.
-func (r *ReLU) BackwardInput(grad *tensor.Matrix) *tensor.Matrix { return r.Backward(grad) }
 
 // BackwardParams does nothing: ReLU has no parameters.
 func (r *ReLU) BackwardParams(*tensor.Matrix) {}

@@ -41,7 +41,7 @@ func TestDenseBackwardBeforeForwardPanics(t *testing.T) {
 			t.Fatal("Dense backward before forward did not panic")
 		}
 	}()
-	d.Backward(tensor.New(1, 2))
+	d.BackwardInput(tensor.New(1, 2))
 }
 
 func TestReLUForwardBackward(t *testing.T) {
@@ -52,7 +52,7 @@ func TestReLUForwardBackward(t *testing.T) {
 	if !tensor.ApproxEqual(y, want, 0) {
 		t.Fatalf("ReLU forward = %v", y.Data)
 	}
-	g := r.Backward(tensor.FromSlice(1, 4, []float64{5, 5, 5, 5}))
+	g := r.BackwardInput(tensor.FromSlice(1, 4, []float64{5, 5, 5, 5}))
 	wantG := tensor.FromSlice(1, 4, []float64{0, 0, 5, 0})
 	if !tensor.ApproxEqual(g, wantG, 0) {
 		t.Fatalf("ReLU backward = %v", g.Data)
@@ -72,7 +72,7 @@ func numericalGrad(net *Network, x, target *tensor.Matrix, eps float64) [][]floa
 	lossAt := func() float64 {
 		out := net.Forward(x)
 		g := tensor.New(out.Rows, out.Cols)
-		return MSELoss(g, out, target)
+		return mse(g, out, target)
 	}
 	params := net.Params()
 	grads := make([][]float64, len(params))
@@ -101,7 +101,7 @@ func TestMLPGradientCheck(t *testing.T) {
 
 	out := net.Forward(x)
 	gradOut := tensor.New(out.Rows, out.Cols)
-	MSELoss(gradOut, out, target)
+	mse(gradOut, out, target)
 	net.ZeroGrads()
 	net.Backward(gradOut)
 	analytic := net.Grads()
@@ -128,7 +128,7 @@ func TestMLPBackwardInputGradient(t *testing.T) {
 
 	out := net.Forward(x)
 	gradOut := tensor.New(out.Rows, out.Cols)
-	MSELoss(gradOut, out, target)
+	mse(gradOut, out, target)
 	net.ZeroGrads()
 	gin := net.Backward(gradOut)
 
@@ -139,10 +139,10 @@ func TestMLPBackwardInputGradient(t *testing.T) {
 		x.Data[i] = orig + eps
 		o1 := net.Forward(x)
 		g1 := tensor.New(o1.Rows, o1.Cols)
-		up := MSELoss(g1, o1, target)
+		up := mse(g1, o1, target)
 		x.Data[i] = orig - eps
 		o2 := net.Forward(x)
-		down := MSELoss(g1, o2, target)
+		down := mse(g1, o2, target)
 		x.Data[i] = orig
 		num := (up - down) / (2 * eps)
 		if math.Abs(gin.Data[i]-num) > 1e-4*(1+math.Abs(num)) {
@@ -253,12 +253,12 @@ func TestAdamReducesLossOnRegression(t *testing.T) {
 
 	lossAt := func() float64 {
 		out := net.Forward(x)
-		return MSELoss(gradOut, out, target)
+		return mse(gradOut, out, target)
 	}
 	first := lossAt()
 	for step := 0; step < 300; step++ {
 		out := net.Forward(x)
-		MSELoss(gradOut, out, target)
+		mse(gradOut, out, target)
 		net.ZeroGrads()
 		net.Backward(gradOut)
 		opt.Step()
@@ -267,8 +267,8 @@ func TestAdamReducesLossOnRegression(t *testing.T) {
 	if last > first/10 {
 		t.Fatalf("Adam failed to learn: first loss %v, last loss %v", first, last)
 	}
-	if opt.StepCount() != 300 {
-		t.Fatalf("StepCount = %d, want 300", opt.StepCount())
+	if opt.t != 300 {
+		t.Fatalf("StepCount = %d, want 300", opt.t)
 	}
 }
 
@@ -279,10 +279,10 @@ func TestDenseGradAccumulatesAcrossBackward(t *testing.T) {
 	x := tensor.FromSlice(1, 2, []float64{1, 1})
 	g := tensor.FromSlice(1, 1, []float64{1})
 	d.Forward(x)
-	d.Backward(g)
+	d.BackwardParams(g)
 	once := d.gradW.Clone()
 	d.Forward(x)
-	d.Backward(g)
+	d.BackwardParams(g)
 	twice := d.gradW
 	for i := range once.Data {
 		if math.Abs(twice.Data[i]-2*once.Data[i]) > 1e-12 {
@@ -339,7 +339,8 @@ func requireSameBits(t *testing.T, what string, got, want *tensor.Matrix) {
 
 // TestSelectiveBackwardMatchesBackward: Backward, which takes a Dense and the
 // ReLU below it in one gated product, returns and accumulates the bits of
-// the layers' own Backward calls one after the other; BackwardInput returns
+// the layers' own BackwardParams and BackwardInput calls one after the
+// other; BackwardInput returns
 // the bits Backward returns and touches no parameter gradient;
 // BackwardParams accumulates the bits Backward accumulates, on top of
 // whatever was there. Five rows are single rows to the narrow kernel, twelve
@@ -370,7 +371,8 @@ func testSelectiveBackward(t *testing.T, rows int) {
 	byLayer.Forward(x)
 	wantIn := grad
 	for i := len(byLayer.Layers) - 1; i >= 0; i-- {
-		wantIn = byLayer.Layers[i].Backward(wantIn)
+		byLayer.Layers[i].BackwardParams(wantIn)
+		wantIn = byLayer.Layers[i].BackwardInput(wantIn)
 	}
 
 	seedGrads(ref)

@@ -8,26 +8,11 @@ import (
 	"marlperf/internal/tensor"
 )
 
-// MSELoss computes the mean-squared-error loss between pred and target
-// (both batch×1 for the critics) and writes ∂L/∂pred into grad.
-// It returns the scalar loss.
-func MSELoss(grad, pred, target *tensor.Matrix) float64 {
-	if pred.Rows != target.Rows || pred.Cols != target.Cols {
-		panic(fmt.Sprintf("nn: MSELoss shape mismatch %dx%d vs %dx%d", pred.Rows, pred.Cols, target.Rows, target.Cols))
-	}
-	n := float64(len(pred.Data))
-	var loss float64
-	for i := range pred.Data {
-		d := pred.Data[i] - target.Data[i]
-		loss += d * d
-		grad.Data[i] = 2 * d / n
-	}
-	return loss / n
-}
-
-// WeightedMSELoss is MSELoss with a per-sample importance weight w[i]
-// (PER / Lemma-1 compensation). pred and target are batch×1; weights has
-// one entry per row. It also writes the raw TD errors |pred-target| into
+// WeightedMSELoss computes the mean-squared-error loss between pred and
+// target with a per-sample importance weight w[i] (PER / Lemma-1
+// compensation; all ones for uniform sampling), writes ∂L/∂pred into grad
+// and returns the scalar loss. pred and target are batch×1; weights has one
+// entry per row. It also writes the raw TD errors |pred-target| into
 // tdAbs when non-nil, which the PER sampler uses to refresh priorities.
 func WeightedMSELoss(grad, pred, target *tensor.Matrix, weights, tdAbs []float64) float64 {
 	if pred.Cols != 1 || target.Cols != 1 {

@@ -9,11 +9,21 @@ import (
 	"marlperf/internal/tensor"
 )
 
+// mse is the critics' loss under uniform sampling: WeightedMSELoss with
+// every weight 1.
+func mse(grad, pred, target *tensor.Matrix) float64 {
+	ones := make([]float64, pred.Rows)
+	for i := range ones {
+		ones[i] = 1
+	}
+	return WeightedMSELoss(grad, pred, target, ones, nil)
+}
+
 func TestMSELossKnownValues(t *testing.T) {
 	pred := tensor.FromSlice(2, 1, []float64{1, 3})
 	target := tensor.FromSlice(2, 1, []float64{0, 1})
 	grad := tensor.New(2, 1)
-	loss := MSELoss(grad, pred, target)
+	loss := mse(grad, pred, target)
 	if math.Abs(loss-2.5) > 1e-12 { // (1 + 4) / 2
 		t.Fatalf("MSE loss = %v, want 2.5", loss)
 	}
@@ -26,29 +36,31 @@ func TestMSELossKnownValues(t *testing.T) {
 func TestMSELossZeroWhenEqual(t *testing.T) {
 	pred := tensor.FromSlice(3, 1, []float64{1, 2, 3})
 	grad := tensor.New(3, 1)
-	if loss := MSELoss(grad, pred, pred.Clone()); loss != 0 {
+	if loss := mse(grad, pred, pred.Clone()); loss != 0 {
 		t.Fatalf("MSE of identical tensors = %v, want 0", loss)
 	}
 }
 
+// TestWeightedMSEMatchesUnweightedWithUnitWeights holds unit weights to the
+// plain mean of squares, Σd²/n, and its gradient 2d/n.
 func TestWeightedMSEMatchesUnweightedWithUnitWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pred := tensor.New(8, 1)
 	pred.RandNormal(rng, 0, 1)
 	target := tensor.New(8, 1)
 	target.RandNormal(rng, 0, 1)
-	weights := make([]float64, 8)
-	for i := range weights {
-		weights[i] = 1
+	var want float64
+	wantGrad := tensor.New(8, 1)
+	for i := range pred.Data {
+		d := pred.Data[i] - target.Data[i]
+		want += d * d / 8
+		wantGrad.Data[i] = 2 * d / 8
 	}
-	g1 := tensor.New(8, 1)
-	g2 := tensor.New(8, 1)
-	l1 := MSELoss(g1, pred, target)
-	l2 := WeightedMSELoss(g2, pred, target, weights, nil)
-	if math.Abs(l1-l2) > 1e-12 {
-		t.Fatalf("weighted(1) loss %v != unweighted %v", l2, l1)
+	grad := tensor.New(8, 1)
+	if got := mse(grad, pred, target); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("weighted(1) loss %v != unweighted %v", got, want)
 	}
-	if !tensor.ApproxEqual(g1, g2, 1e-12) {
+	if !tensor.ApproxEqual(grad, wantGrad, 1e-12) {
 		t.Fatal("weighted(1) grad differs from unweighted")
 	}
 }
@@ -242,7 +254,7 @@ func TestMSENonNegativeProperty(t *testing.T) {
 		target := tensor.New(n, 1)
 		target.RandNormal(r, 0, 5)
 		grad := tensor.New(n, 1)
-		return MSELoss(grad, pred, target) >= 0
+		return mse(grad, pred, target) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -63,6 +63,3 @@ func (a *Adam) Step() {
 		}
 	}
 }
-
-// StepCount returns how many Step calls have been applied.
-func (a *Adam) StepCount() int { return a.t }

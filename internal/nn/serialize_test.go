@@ -102,16 +102,16 @@ func TestNetworkRoundTripTrainable(t *testing.T) {
 	target.Fill(1)
 	grad := tensor.New(8, 1)
 	out := restored.Forward(x)
-	first := MSELoss(grad, out, target)
+	first := mse(grad, out, target)
 	for i := 0; i < 100; i++ {
 		out := restored.Forward(x)
-		MSELoss(grad, out, target)
+		mse(grad, out, target)
 		restored.ZeroGrads()
 		restored.Backward(grad)
 		opt.Step()
 	}
 	out = restored.Forward(x)
-	last := MSELoss(grad, out, target)
+	last := mse(grad, out, target)
 	if last >= first {
 		t.Fatalf("restored network did not train: %v -> %v", first, last)
 	}
@@ -167,7 +167,7 @@ func TestAdamRoundTrip(t *testing.T) {
 	grad := tensor.New(4, 1)
 	for i := 0; i < 5; i++ {
 		out := net.Forward(x)
-		MSELoss(grad, out, target)
+		mse(grad, out, target)
 		net.ZeroGrads()
 		net.Backward(grad)
 		opt.Step()
@@ -181,8 +181,8 @@ func TestAdamRoundTrip(t *testing.T) {
 	if err := readAdam(opt2, enc); err != nil {
 		t.Fatal(err)
 	}
-	if opt2.LR != 0.02 || opt2.StepCount() != 5 {
-		t.Fatalf("restored lr=%v t=%d", opt2.LR, opt2.StepCount())
+	if opt2.LR != 0.02 || opt2.t != 5 {
+		t.Fatalf("restored lr=%v t=%d", opt2.LR, opt2.t)
 	}
 	for i := range opt.m {
 		for j := range opt.m[i] {

@@ -44,9 +44,6 @@ func NewClient(baseURL string, opts ClientOptions) *Client {
 	return c
 }
 
-// Breaker exposes the client's circuit breaker state.
-func (c *Client) Breaker() *netretry.Breaker { return c.core.Breaker() }
-
 // doResp runs one request through the shared retry core and returns the
 // first non-retryable response (body fully read). extra widens the
 // per-attempt deadline beyond Timeout — the long-poll hold time.
@@ -192,21 +189,4 @@ func (c *Client) FetchVersion(ctx context.Context, version uint64) (*Snapshot, e
 	default:
 		return nil, fmt.Errorf("policysync: fetch version %d: server answered %d: %s", version, status, strings.TrimSpace(string(data)))
 	}
-}
-
-// Stats fetches the server's current version, learner update count, and
-// frame size.
-func (c *Client) Stats() (version, updates uint64, bytes int, err error) {
-	status, _, data, err := c.doResp(context.Background(), http.MethodGet, PathStats, "", nil, 0, nil)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if status != http.StatusOK {
-		return 0, 0, 0, fmt.Errorf("policysync: stats: server answered %d: %s", status, strings.TrimSpace(string(data)))
-	}
-	var reply statsReply
-	if err := json.Unmarshal(data, &reply); err != nil {
-		return 0, 0, 0, fmt.Errorf("policysync: decoding stats: %w", err)
-	}
-	return reply.Version, reply.Updates, reply.Bytes, nil
 }

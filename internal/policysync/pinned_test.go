@@ -21,9 +21,7 @@ func TestStorePreviousRetention(t *testing.T) {
 	netsA := testNets(t, 10, 2)
 	netsB := testNets(t, 11, 2)
 	netsC := testNets(t, 12, 2)
-	if _, err := s.PublishNetworks(100, netsA); err != nil {
-		t.Fatal(err)
-	}
+	publishNets(t, s, 100, netsA)
 	// One publish: no previous yet, pinned(1) hits the head.
 	if pv, _, _ := s.Previous(); pv != 0 {
 		t.Fatalf("previous after one publish: version %d, want 0", pv)
@@ -32,12 +30,8 @@ func TestStorePreviousRetention(t *testing.T) {
 		t.Fatalf("pinned(1): updates %d ok %v", up, ok)
 	}
 
-	if _, err := s.PublishNetworks(200, netsB); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.PublishNetworks(300, netsC); err != nil {
-		t.Fatal(err)
-	}
+	publishNets(t, s, 200, netsB)
+	publishNets(t, s, 300, netsC)
 
 	// Three publishes: head is v3, previous is v2, v1 is evicted.
 	pv, pu, pf := s.Previous()

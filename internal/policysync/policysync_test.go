@@ -3,6 +3,7 @@ package policysync
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"marlperf/internal/nn"
+	"marlperf/internal/trace"
 )
 
 func testNets(t testing.TB, seed int64, n int) []*nn.Network {
@@ -116,10 +118,7 @@ func TestStoreVersionsAndWait(t *testing.T) {
 	}
 
 	nets := testNets(t, 3, 2)
-	v1, err := s.PublishNetworks(10, nets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1 := publishNets(t, s, 10, nets)
 	if v1 != 1 {
 		t.Fatalf("first publish version %d, want 1", v1)
 	}
@@ -134,10 +133,7 @@ func TestStoreVersionsAndWait(t *testing.T) {
 		got.Store(v)
 	}()
 	time.Sleep(20 * time.Millisecond)
-	v2, err := s.PublishNetworks(20, nets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2 := publishNets(t, s, 20, nets)
 	wg.Wait()
 	if got.Load() != v2 {
 		t.Fatalf("waiter saw version %d, want %d", got.Load(), v2)
@@ -153,18 +149,19 @@ func TestStoreVersionsAndWait(t *testing.T) {
 		t.Fatal("wait returned before its timeout with nothing new")
 	}
 
-	snap, err := s.Decode()
+	version, _, frame := s.Latest()
+	snap, err := DecodeSnapshot(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != v2 || snap.Updates != 20 {
-		t.Fatalf("decode: version %d updates %d", snap.Version, snap.Updates)
+	if version != v2 || snap.Updates != 20 {
+		t.Fatalf("decode: version %d updates %d", version, snap.Updates)
 	}
 }
 
 func TestStoreRejectsCorruptPublish(t *testing.T) {
 	s := NewStore(nil)
-	if _, err := s.Publish([]byte("not a policy frame")); err == nil {
+	if _, err := s.PublishCtx([]byte("not a policy frame"), trace.Context{}); err == nil {
 		t.Fatal("corrupt publish accepted")
 	}
 	if v, _, _ := s.Latest(); v != 0 {
@@ -204,8 +201,8 @@ func TestServerFetchPublishCycle(t *testing.T) {
 	if err != nil || snap != nil {
 		t.Fatalf("pre-publish fetch: snap %v err %v", snap, err)
 	}
-	if v, _, _, err := c.Stats(); err != nil || v != 0 {
-		t.Fatalf("pre-publish stats: version %d err %v", v, err)
+	if st := getStats(t, ts.URL); st.Version != 0 {
+		t.Fatalf("pre-publish stats: version %d", st.Version)
 	}
 
 	nets := testNets(t, 4, 3)
@@ -254,13 +251,39 @@ func TestServerFetchPublishCycle(t *testing.T) {
 		t.Fatalf("long-poll fetch: %+v", r.snap)
 	}
 
-	version, updates, bytes, err := c.Stats()
+	if st := getStats(t, ts.URL); st.Version != 2 || st.Updates != 9 || st.Bytes == 0 {
+		t.Fatalf("stats: version %d updates %d bytes %d", st.Version, st.Updates, st.Bytes)
+	}
+}
+
+// getStats reads the document marl-policyd serves at PathStats.
+func getStats(t *testing.T, base string) statsReply {
+	t.Helper()
+	resp, err := http.Get(base + PathStats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version != 2 || updates != 9 || bytes == 0 {
-		t.Fatalf("stats: version %d updates %d bytes %d", version, updates, bytes)
+	defer resp.Body.Close()
+	var st statsReply
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats: status %d, %v", resp.StatusCode, err)
 	}
+	return st
+}
+
+// publishNets encodes nets at updates and publishes the frame on s, the
+// store call behind marl-policyd's publish endpoint.
+func publishNets(t *testing.T, s *Store, updates uint64, nets []*nn.Network) uint64 {
+	t.Helper()
+	frame, err := EncodeSnapshot(nil, updates, nets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.PublishCtx(frame, trace.Context{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 func c2(url string) *Client {
@@ -295,9 +318,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	}))
 	defer flaky.Close()
 
-	if _, err := store.PublishNetworks(1, testNets(t, 5, 2)); err != nil {
-		t.Fatal(err)
-	}
+	publishNets(t, store, 1, testNets(t, 5, 2))
 	c := fastClient(flaky.URL)
 	var slept int
 	c.sleep = func(time.Duration) { slept++ }
@@ -327,9 +348,7 @@ func TestSyncerHotSwap(t *testing.T) {
 
 	nets := testNets(t, 6, 2)
 	for i := 1; i <= 3; i++ {
-		if _, err := store.PublishNetworks(uint64(i*10), nets); err != nil {
-			t.Fatal(err)
-		}
+		publishNets(t, store, uint64(i*10), nets)
 		select {
 		case v := <-installed:
 			if v != uint64(i) {
@@ -372,9 +391,7 @@ func TestSyncerSurvivesServerOutage(t *testing.T) {
 	defer sy.Close()
 
 	nets := testNets(t, 7, 2)
-	if _, err := store.PublishNetworks(1, nets); err != nil {
-		t.Fatal(err)
-	}
+	publishNets(t, store, 1, nets)
 	select {
 	case <-installed:
 	case <-time.After(5 * time.Second):
@@ -383,9 +400,7 @@ func TestSyncerSurvivesServerOutage(t *testing.T) {
 
 	down.Store(true)
 	time.Sleep(100 * time.Millisecond) // several failed polls
-	if _, err := store.PublishNetworks(2, nets); err != nil {
-		t.Fatal(err)
-	}
+	publishNets(t, store, 2, nets)
 	down.Store(false)
 
 	select {

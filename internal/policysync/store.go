@@ -1,11 +1,9 @@
 package policysync
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
-	"marlperf/internal/nn"
 	"marlperf/internal/telemetry"
 	"marlperf/internal/trace"
 )
@@ -64,16 +62,12 @@ func NewStore(reg *telemetry.Registry) *Store {
 	}
 }
 
-// Publish validates frame and, if intact, makes it the newest version.
-// The frame is retained by reference; callers must not mutate it afterwards.
-func (s *Store) Publish(frame []byte) (uint64, error) {
-	return s.PublishCtx(frame, trace.Context{})
-}
-
-// PublishCtx is Publish carrying the publisher's trace position, recorded
-// alongside the version so fetch responses can relay it to subscribers —
-// the link that stitches learner update → policyd publish → actor
-// hot-swap into one trace. The context never enters the frame bytes.
+// PublishCtx validates frame and, if intact, makes it the newest version,
+// recording the publisher's trace position alongside it so fetch responses
+// can relay it to subscribers — the link that stitches learner update →
+// policyd publish → actor hot-swap into one trace. The context never enters
+// the frame bytes. The frame is retained by reference; callers must not
+// mutate it afterwards.
 func (s *Store) PublishCtx(frame []byte, tctx trace.Context) (uint64, error) {
 	snap, err := DecodeSnapshot(frame)
 	if err != nil {
@@ -81,17 +75,6 @@ func (s *Store) PublishCtx(frame []byte, tctx trace.Context) (uint64, error) {
 		return 0, err
 	}
 	return s.install(frame, snap.Updates, tctx), nil
-}
-
-// PublishNetworks encodes and publishes the per-agent actor networks; the
-// embedded path learners and tests use (no HTTP hop, same validation).
-func (s *Store) PublishNetworks(updates uint64, agents []*nn.Network) (uint64, error) {
-	frame, err := EncodeSnapshot(nil, updates, agents)
-	if err != nil {
-		s.rejected.Inc()
-		return 0, err
-	}
-	return s.install(frame, updates, trace.Context{}), nil
 }
 
 func (s *Store) install(frame []byte, updates uint64, tctx trace.Context) uint64 {
@@ -209,20 +192,4 @@ func (s *Store) Close() {
 	}
 	s.closed = true
 	close(s.notify)
-}
-
-// Decode returns the newest snapshot, fully decoded and stamped with its
-// serving version, or an error if nothing has been published yet. Each call
-// returns freshly built networks, safe to hand to a rollout engine.
-func (s *Store) Decode() (*Snapshot, error) {
-	version, _, frame := s.Latest()
-	if version == 0 {
-		return nil, fmt.Errorf("policysync: no policy published yet")
-	}
-	snap, err := DecodeSnapshot(frame)
-	if err != nil {
-		return nil, err
-	}
-	snap.Version = version
-	return snap, nil
 }

@@ -120,6 +120,3 @@ func (s *IPLocalitySampler) UpdatePriorities(indices []int, tdAbs []float64) {
 
 // SanitizedCount returns how many TD errors the shared PER core clamped.
 func (s *IPLocalitySampler) SanitizedCount() uint64 { return s.per.SanitizedCount() }
-
-// PER exposes the underlying proportional core (for tests and ablations).
-func (s *IPLocalitySampler) PER() *PERSampler { return s.per }

@@ -86,9 +86,6 @@ func (k *KVBuffer) Add(obs, act [][]float64, rew []float64, nextObs [][]float64,
 // Len returns the number of stored transitions.
 func (k *KVBuffer) Len() int { return k.length }
 
-// Spec returns the table's shape description.
-func (k *KVBuffer) Spec() Spec { return k.spec }
-
 // Layout returns the shared interleaved row layout.
 func (k *KVBuffer) Layout() RowLayout { return k.layout }
 

@@ -159,7 +159,7 @@ func TestConcurrentSampleWithGatherIsSafe(t *testing.T) {
 
 // fillKVBuffer mirrors fillBuffer for the key-value layout.
 func fillKVBuffer(k *KVBuffer, n int) {
-	spec := k.Spec()
+	spec := k.spec
 	for t := 0; t < n; t++ {
 		obs := make([][]float64, spec.NumAgents)
 		act := make([][]float64, spec.NumAgents)

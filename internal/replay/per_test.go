@@ -324,9 +324,9 @@ func TestIPLocalityUpdateFeedsSharedTree(t *testing.T) {
 	b := NewBuffer(testSpec(64))
 	s := NewIPLocalitySampler(b, 1)
 	fillBuffer(b, 10)
-	before := s.PER().tree.Get(3)
+	before := s.per.tree.Get(3)
 	s.UpdatePriorities([]int{3}, []float64{42})
-	after := s.PER().tree.Get(3)
+	after := s.per.tree.Get(3)
 	if after <= before {
 		t.Fatalf("priority did not increase: %v -> %v", before, after)
 	}

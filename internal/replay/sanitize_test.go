@@ -73,7 +73,7 @@ func TestIPLocalitySanitizesThroughSharedCore(t *testing.T) {
 	if got := s.SanitizedCount(); got != 1 {
 		t.Fatalf("SanitizedCount = %d, want 1", got)
 	}
-	if total := s.PER().tree.Total(); math.IsNaN(total) || math.IsInf(total, 0) {
+	if total := s.per.tree.Total(); math.IsNaN(total) || math.IsInf(total, 0) {
 		t.Fatalf("shared tree total poisoned: %v", total)
 	}
 }

@@ -159,31 +159,25 @@ func NetworkDims(agents []*nn.Network) (obsDims []int, actDim int, err error) {
 	return obsDims, actDim, nil
 }
 
-// CheckAgents verifies the networks' input/output widths against the given
-// per-agent observation widths and action width — the validation both the
-// rollout engine and the serving gateway run before installing a policy.
+// CheckAgents verifies the networks' input/output widths, as NetworkDims
+// reads them, against the given per-agent observation widths and action
+// width — the validation both the rollout engine and the serving gateway
+// run before installing a policy.
 func CheckAgents(agents []*nn.Network, obsDims []int, actDim int) error {
 	if len(agents) != len(obsDims) {
 		return fmt.Errorf("rollout: policy has %d agents, want %d", len(agents), len(obsDims))
 	}
-	for i, net := range agents {
-		if net == nil || len(net.Layers) == 0 {
-			return fmt.Errorf("rollout: agent %d network is empty", i)
+	got, gotAct, err := NetworkDims(agents)
+	if err != nil {
+		return err
+	}
+	for i, d := range got {
+		if d != obsDims[i] {
+			return fmt.Errorf("rollout: agent %d network wants %d-dim obs, caller gives %d", i, d, obsDims[i])
 		}
-		first, ok := net.Layers[0].(*nn.Dense)
-		if !ok {
-			return fmt.Errorf("rollout: agent %d network does not start with a dense layer", i)
-		}
-		if first.In() != obsDims[i] {
-			return fmt.Errorf("rollout: agent %d network wants %d-dim obs, caller gives %d", i, first.In(), obsDims[i])
-		}
-		last, ok := net.Layers[len(net.Layers)-1].(*nn.Dense)
-		if !ok {
-			return fmt.Errorf("rollout: agent %d network does not end with a dense head", i)
-		}
-		if last.Out() != actDim {
-			return fmt.Errorf("rollout: agent %d network emits %d actions, caller wants %d", i, last.Out(), actDim)
-		}
+	}
+	if gotAct != actDim {
+		return fmt.Errorf("rollout: policy emits %d actions, caller wants %d", gotAct, actDim)
 	}
 	return nil
 }

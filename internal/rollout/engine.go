@@ -106,7 +106,6 @@ type Engine struct {
 	epRew   []float64
 	lastRew float64
 	steps   uint64
-	eps     uint64
 
 	prof      *profiler.Profile
 	tracer    *trace.Tracer
@@ -269,9 +268,6 @@ func (e *Engine) PolicyVersion() uint64 { return e.version }
 // call advances Envs of them).
 func (e *Engine) TotalSteps() uint64 { return e.steps }
 
-// Episodes returns completed episodes across the vector.
-func (e *Engine) Episodes() uint64 { return e.eps }
-
 // LastEpisodeReward returns the mean-over-agents summed reward of the most
 // recently completed episode (any env).
 func (e *Engine) LastEpisodeReward() float64 { return e.lastRew }
@@ -281,12 +277,6 @@ func (e *Engine) Profile() *profiler.Profile { return e.prof }
 
 // NumAgents returns the trainable-agent count of the wrapped envs.
 func (e *Engine) NumAgents() int { return e.n }
-
-// Spec returns the replay spec matching this engine's transitions, with the
-// given buffer capacity.
-func (e *Engine) Spec(capacity int) replay.Spec {
-	return replay.Spec{NumAgents: e.n, ObsDims: e.obsDims, ActDim: e.actDim, Capacity: capacity}
-}
 
 func finiteSlice(vs []float64) bool {
 	for _, v := range vs {
@@ -462,7 +452,6 @@ func (e *Engine) Step() (int, error) {
 			continue
 		}
 		completed++
-		e.eps++
 		e.episodesC.Inc()
 		e.lastRew = e.epRew[env]
 		e.epRew[env] = 0

@@ -2,11 +2,13 @@ package rollout
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"marlperf/internal/mpe"
 	"marlperf/internal/nn"
 	"marlperf/internal/policysync"
+	"marlperf/internal/trace"
 )
 
 // recordingSink captures every transition by deep copy, so trajectories can
@@ -190,32 +192,38 @@ func TestStalenessBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.PublishNetworks(0, policy); err != nil {
-		t.Fatal(err)
+	// publish is the learner's side, pull the actor's: the newest frame,
+	// decoded and installed unless the engine already acts on it.
+	publish := func(updates uint64) {
+		frame, err := policysync.EncodeSnapshot(nil, updates, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.PublishCtx(frame, trace.Context{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	snap, err := store.Decode()
-	if err != nil {
-		t.Fatal(err)
+	pull := func() {
+		version, _, frame := store.Latest()
+		if version <= eng.PolicyVersion() {
+			return
+		}
+		snap, err := policysync.DecodeSnapshot(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Install(version, snap.Agents); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := eng.Install(snap.Version, snap.Agents); err != nil {
-		t.Fatal(err)
-	}
+	publish(0)
+	pull()
 
 	for s := 1; s <= steps; s++ {
 		// The learner races ahead: one new version per actor step.
-		if _, err := store.PublishNetworks(uint64(s), policy); err != nil {
-			t.Fatal(err)
-		}
+		publish(uint64(s))
 		if s%syncEvery == 0 {
-			snap, err := store.Decode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if snap.Version > eng.PolicyVersion() {
-				if err := eng.Install(snap.Version, snap.Agents); err != nil {
-					t.Fatal(err)
-				}
-			}
+			pull()
 		}
 		latest, _, _ := store.Latest()
 		eng.NoteKnownVersion(latest)
@@ -248,8 +256,17 @@ func TestInstallRejectsMismatchedPolicy(t *testing.T) {
 	bad := []*nn.Network{
 		nn.NewMLP(rng, 3, 8, 5), nn.NewMLP(rng, 3, 8, 5), nn.NewMLP(rng, 3, 8, 5),
 	}
-	if err := eng.Install(1, bad); err == nil {
-		t.Fatal("mismatched policy installed")
+	if err := eng.Install(1, bad); err == nil || !strings.Contains(err.Error(), "-dim obs") {
+		t.Fatalf("policy of the wrong obs width: %v", err)
+	}
+	// Right obs widths, one action too few.
+	env := mpe.NewPredatorPrey(3)
+	narrow := make([]*nn.Network, env.NumAgents())
+	for i, d := range env.ObsDims() {
+		narrow[i] = nn.NewMLP(rng, d, 8, env.NumActions()-1)
+	}
+	if err := eng.Install(1, narrow); err == nil || !strings.Contains(err.Error(), "actions") {
+		t.Fatalf("policy of the wrong action width: %v", err)
 	}
 	// Wrong agent count.
 	if err := eng.Install(1, bad[:2]); err == nil {
@@ -276,7 +293,7 @@ func TestEpisodeBookkeeping(t *testing.T) {
 		total += n
 	}
 	// 10 steps at cap 5 → every env completes exactly 2 episodes.
-	if total != 6 || eng.Episodes() != 6 {
-		t.Fatalf("completed %d episodes (engine says %d), want 6", total, eng.Episodes())
+	if total != 6 {
+		t.Fatalf("completed %d episodes, want 6", total)
 	}
 }

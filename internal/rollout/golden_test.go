@@ -97,21 +97,24 @@ func TestRolloutGoldenTrajectories(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sink := newCRCSink(eng.Spec(1))
+				sink := newCRCSink(engineSpec(eng))
 				eng.cfg.Sink = sink
 				if err := eng.Install(1, policy); err != nil {
 					t.Fatal(err)
 				}
+				episodes := 0
 				for s := 0; s < steps; s++ {
-					if _, err := eng.Step(); err != nil {
+					n, err := eng.Step()
+					if err != nil {
 						t.Fatal(err)
 					}
+					episodes += n
 				}
 				if sink.rows != steps*g.envs {
 					t.Fatalf("%d rows, want %d", sink.rows, steps*g.envs)
 				}
-				if want := uint64(2 * g.envs); eng.Episodes() != want {
-					t.Fatalf("%d episodes, want %d", eng.Episodes(), want)
+				if want := 2 * g.envs; episodes != want {
+					t.Fatalf("%d episodes, want %d", episodes, want)
 				}
 				sanitised := eng.Profile().EventCount(profiler.EventActionSanitized)
 				if want := uint64(steps * g.envs); g.nanFor >= 0 && sanitised != want {

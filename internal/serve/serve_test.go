@@ -639,7 +639,7 @@ func TestActSpansJoinInstallTrace(t *testing.T) {
 	if res.TraceCtx.TraceID != 777 {
 		t.Fatalf("result trace ID %d, want 777", res.TraceCtx.TraceID)
 	}
-	root.End()
+	root.EndArg("", 0)
 	names := map[string]bool{}
 	for _, r := range tr.Snapshot() {
 		if r.TraceID != 777 {

@@ -110,9 +110,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the running sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Bounds returns the bucket upper bounds (without the implicit +Inf).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // Quantile estimates the q-quantile (q in [0,1]) by linear interpolation
 // inside the containing bucket. Observations beyond the last finite bound
 // clamp to that bound. Returns 0 for an empty histogram.

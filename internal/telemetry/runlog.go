@@ -18,10 +18,9 @@ import (
 // closed — a crash can therefore lose the buffered tail or truncate the
 // last line, which is why ScanRunLog tolerates a torn final record.
 type RunLog struct {
-	mu      sync.Mutex
-	f       *os.File
-	bw      *bufio.Writer
-	records uint64
+	mu sync.Mutex
+	f  *os.File
+	bw *bufio.Writer
 }
 
 // CreateRunLog opens (appending, creating if absent) the JSONL run log at
@@ -51,15 +50,7 @@ func (l *RunLog) Append(rec any) error {
 	if err := l.bw.WriteByte('\n'); err != nil {
 		return err
 	}
-	l.records++
 	return nil
-}
-
-// Records returns how many records have been appended through this log.
-func (l *RunLog) Records() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.records
 }
 
 // Flush pushes buffered records to the file.

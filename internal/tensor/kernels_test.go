@@ -65,9 +65,19 @@ func refMatMulTransB(dst, a, b *Matrix) {
 // product, then testBias(n) added to every row, then ReLU.
 func refBiasReLU(dst, a, b *Matrix) {
 	refMatMul(dst, a, b)
-	dst.AddRowVector(testBias(dst.Cols))
+	addBias(dst, testBias(dst.Cols))
 	for i, v := range dst.Data {
 		dst.Data[i] = ReLU(v)
+	}
+}
+
+// addBias adds the bias vector v to every row of m, one plain addition per
+// element: the bias pass the fused product replaces.
+func addBias(m *Matrix, v []float64) {
+	for i := 0; i < m.Rows; i++ {
+		for j, b := range v {
+			m.Row(i)[j] += b
+		}
 	}
 }
 
@@ -503,7 +513,7 @@ func TestKernelsBatchInvariant(t *testing.T) {
 }
 
 // TestMatMulBiasMatchesSeparatePasses: the fused dense forward equals the
-// reference product, then AddRowVector, then ReLU element by element — the
+// reference product, then addBias, then ReLU element by element — the
 // branching definition on ordinary values and tensor.ReLU's sign mask on the
 // rest: every shape also runs with rows of x that are all zero (sum +0),
 // biases that are -0, ±Inf and NaN of either sign, and a column of w negated
@@ -521,7 +531,7 @@ func TestMatMulBiasMatchesSeparatePasses(t *testing.T) {
 			fillOperand(bias, rng, halfZeros)
 			want := New(m, n)
 			refMatMul(want, x, w)
-			want.AddRowVector(bias.Data)
+			addBias(want, bias.Data)
 			got := MatMulBias(poison(New(m, n)), x, w, bias.Data, false)
 			if i, ok := bitsEqual(got, want); !ok {
 				t.Fatalf("path=%s %dx%dx%d: biased element %d = %v, want %v", path, m, k, n, i, got.Data[i], want.Data[i])
@@ -547,7 +557,7 @@ func TestMatMulBiasMatchesSeparatePasses(t *testing.T) {
 				}
 			}
 			refMatMul(want, x, w)
-			want.AddRowVector(bias.Data)
+			addBias(want, bias.Data)
 			for i, v := range want.Data {
 				want.Data[i] = ReLU(v)
 			}

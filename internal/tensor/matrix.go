@@ -210,8 +210,8 @@ func checkMatMul(dst, a, b *Matrix) {
 	}
 }
 
-// MatMulBias computes dst = a × b + bias like MatMul followed by
-// AddRowVector, and with relu dst = max(a × b + bias, 0) like ReLU after
+// MatMulBias computes dst = a × b + bias like MatMul followed by adding
+// bias to every row, and with relu dst = max(a × b + bias, 0) like ReLU after
 // that, bit for bit — but in one pass, finishing each row while it is in L1.
 // It is a dense layer's forward, with or without its activation.
 func MatMulBias(dst, a, b *Matrix, bias []float64, relu bool) *Matrix {
@@ -302,44 +302,11 @@ func Add(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// Sub computes dst = a - b elementwise. dst may alias a or b.
-func Sub(dst, a, b *Matrix) *Matrix {
-	assertSameShape("Sub", a, b)
-	assertSameShape("Sub dst", dst, a)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return dst
-}
-
 // Scale multiplies every element of m by s in place.
 func (m *Matrix) Scale(s float64) {
 	m.dense("Scale")
 	for i := range m.Data {
 		m.Data[i] *= s
-	}
-}
-
-// AddScaled performs m += s·other in place.
-func (m *Matrix) AddScaled(other *Matrix, s float64) {
-	assertSameShape("AddScaled", m, other)
-	for i := range m.Data {
-		m.Data[i] += s * other.Data[i]
-	}
-}
-
-// AddRowVector adds the 1×Cols row vector v to every row of m in place;
-// this is the bias-broadcast used by dense layers.
-func (m *Matrix) AddRowVector(v []float64) {
-	m.dense("AddRowVector")
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("tensor: AddRowVector len %d want %d", len(v), m.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] += v[j]
-		}
 	}
 }
 
@@ -372,24 +339,6 @@ func (m *Matrix) SumRows(dst []float64) []float64 {
 
 // one is SumRows' only multiplier.
 var one = [1]float64{1}
-
-// Sum returns the sum over all elements.
-func (m *Matrix) Sum() float64 {
-	m.dense("Sum")
-	var s float64
-	for _, v := range m.Data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the mean over all elements (0 for an empty matrix).
-func (m *Matrix) Mean() float64 {
-	if len(m.Data) == 0 {
-		return 0
-	}
-	return m.Sum() / float64(len(m.Data))
-}
 
 // SliceCols copies columns [lo, hi) of src into dst (dst is src.Rows×(hi-lo)).
 func SliceCols(dst, src *Matrix, lo, hi int) *Matrix {

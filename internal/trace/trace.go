@@ -229,10 +229,8 @@ func (s Span) Valid() bool { return s.t != nil }
 // (including across processes via FormatHeader).
 func (s Span) Context() Context { return s.ctx }
 
-// End closes the span and appends its record.
-func (s Span) End() { s.EndArg("", 0) }
-
-// EndArg closes the span with one numeric payload (e.g. "rows", n).
+// EndArg closes the span and appends its record, with one numeric payload
+// (e.g. "rows", n; "" and 0 for none).
 func (s Span) EndArg(argName string, arg int64) {
 	if s.t == nil {
 		return

@@ -73,7 +73,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		_ = tr.Active()
 		_ = tr.Sampled(3)
 		root := tr.StartTrace(9, "y")
-		root.End()
+		root.EndArg("", 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracer path allocated %.1f times per op, want 0", allocs)
@@ -81,7 +81,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	var nilTr *Tracer
 	allocs = testing.AllocsPerRun(1000, func() {
 		sp := nilTr.StartSpan(ctx, "x")
-		sp.End()
+		sp.EndArg("", 0)
 		_ = nilTr.Active()
 	})
 	if allocs != 0 {
@@ -134,7 +134,7 @@ func TestSpanRecordingAndHierarchy(t *testing.T) {
 	// Spans parented on an invalid context never record — this is how
 	// unsampled updates suppress their whole subtree.
 	dead := tr.StartSpan(Context{}, "x")
-	dead.End()
+	dead.EndArg("", 0)
 	if tr.Len() != 2 {
 		t.Fatal("span with invalid parent recorded")
 	}
@@ -210,7 +210,7 @@ func TestConcurrentEmissionRaceFree(t *testing.T) {
 				sp := tr.StartTrace(DeriveTraceID(uint64(g), KindStep, uint64(i)), "s")
 				tr.SetActive(sp.Context())
 				_ = tr.Active()
-				sp.End()
+				sp.EndArg("", 0)
 			}
 		}(g)
 	}
@@ -290,7 +290,7 @@ func BenchmarkDisabledStartSpanEnd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sp := tr.StartSpan(ctx, "x")
-		sp.End()
+		sp.EndArg("", 0)
 	}
 }
 
@@ -301,6 +301,6 @@ func BenchmarkEnabledStartSpanEnd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sp := tr.StartSpan(ctx, "x")
-		sp.End()
+		sp.EndArg("", 0)
 	}
 }
