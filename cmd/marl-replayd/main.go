@@ -100,7 +100,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 			fmt.Fprintln(stderr, "-ring:", err)
 			return cli.ExitUsage
 		}
-		snap, err := expshard.BuildSnapshot(groups, expshard.DefaultPartitions)
+		snap, err := expshard.BuildSnapshot(groups, 0)
 		if err != nil {
 			fmt.Fprintln(stderr, "-ring:", err)
 			return cli.ExitUsage

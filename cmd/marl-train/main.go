@@ -55,8 +55,8 @@ plan over the rows in insertion order.
 -replay-addr is a replay fabric spec: comma-separated shard groups, each
 a pipe-separated list of replica replayd addresses ("h:9300" is one
 shard, "h1:9300|h1:9301,h2:9300|h2:9301" is 2 shards at R=2).
-Experience is time-striped over 64 partitions, partition p owned by
-group p mod G in group-ID order; appends replicate to every member of the owning group, and each draw is
+Experience is time-striped over the groups, row t to group t mod G in
+group-ID order; appends replicate to every member of that group, and each draw is
 selected here once and gathered by the shards holding its rows — at R=1
 with all shards live, training is bit-identical at any shard count until
 the rings wrap. A

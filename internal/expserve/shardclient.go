@@ -42,7 +42,7 @@ const fabricRetryDelay = 250 * time.Millisecond
 
 // Fabric is the client half of the sharded, replicated replay fabric:
 // one Client (own circuit breaker, own connection pool) per replayd
-// member, addressed through the expshard partition map. Sources fan
+// member, addressed through the expshard stripe. Sources fan
 // sample RPCs in across shards; sinks fan replicated appends out. The
 // topology is fixed when the fabric is built.
 type Fabric struct {
@@ -55,13 +55,12 @@ type Fabric struct {
 	viewRefreshes *telemetry.Counter
 }
 
-// NewFabric builds the placement snapshot (expshard.DefaultPartitions
-// partitions) and one client per member.
+// NewFabric builds the placement snapshot and one client per member.
 func NewFabric(groups []expshard.Group, opts FabricOptions) (*Fabric, error) {
 	if opts.MemberDeadline <= 0 {
 		opts.MemberDeadline = 3 * time.Second
 	}
-	snap, err := expshard.BuildSnapshot(groups, expshard.DefaultPartitions)
+	snap, err := expshard.BuildSnapshot(groups, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -540,11 +539,10 @@ func (s *ShardedSink) SetMaxBatchRows(n int) {
 	}
 }
 
-// Add implements replay.TransitionSink: route the row to its owning
-// group and append it to every replica member.
+// Add implements replay.TransitionSink: route row t to group t mod G
+// and append it to every replica member.
 func (s *ShardedSink) Add(obs, act [][]float64, rew []float64, nextObs [][]float64, done []float64) error {
-	snap := s.f.snap
-	gi := snap.Part2Group[s.t%uint64(snap.Partitions)]
+	gi := s.t % uint64(len(s.subs))
 	s.t++
 	var firstErr error
 	for _, sub := range s.subs[gi] {

@@ -1,39 +1,31 @@
 // Package expshard implements the sharded, replicated replay fabric's
-// placement layer: an arithmetic stripe that assigns the time-striped
-// partitions of the experience stream to N logical shard groups, each
-// backed by R replica marl-replayd processes.
+// placement layer: an arithmetic stripe of the experience stream over N
+// logical shard groups, each backed by R replica marl-replayd processes.
 //
-//   - Partition p belongs to group p mod N, counting groups in ID order,
-//     so every group owns ⌊P/N⌋ or ⌈P/N⌉ of the P partitions. The map is
-//     a pure function of the *set* of group IDs and P: every process that
-//     knows the member set derives the identical partition map, with no
-//     coordination service.
-//   - The full replica→partition→shard mapping is materialized once
-//     into an immutable Snapshot (Part2Group table plus per-group member
-//     lists) that the sample/append hot paths read without a lock. A
-//     fabric's topology is fixed for its lifetime: a membership change
-//     is a restart with the new spec.
+//   - The row with producer stream index t goes to the (t mod N)-th
+//     group in ID order, so every N consecutive rows give each group one
+//     and any stream prefix gives each group ⌊T/N⌋ or ⌈T/N⌉ rows. The
+//     placement is a pure function of the *set* of group IDs: every
+//     process that knows the member set derives it, with no coordination
+//     service.
+//   - The groups and their member lists are materialized once into an
+//     immutable Snapshot that the sample/append hot paths read without a
+//     lock. A fabric's topology is fixed for its lifetime: a membership
+//     change is a restart with the new spec.
 //
-// Row placement is time-striped: the row with producer stream index t
-// lands in partition (offset+t) mod Partitions. That makes the global
-// index ↔ (group, local index) mapping closed-form arithmetic (see
-// view.go), which is what lets a learner route each index of one draw to
-// the shard holding it and get back the batch a single store would give.
+// The stripe makes the global index ↔ (group, local index) mapping
+// closed-form arithmetic (see view.go), which is what lets a learner
+// route each index of one draw to the shard holding it and get back the
+// batch a single store would give.
 package expshard
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"marlperf/internal/netretry"
 )
-
-// DefaultPartitions is the partition count every fabric uses. Groups'
-// shares of it differ by at most one partition.
-const DefaultPartitions = 64
-
-// MaxPartitions bounds a view's per-group prefix table (MaxGroups ×
-// (MaxPartitions+1) entries).
-const MaxPartitions = 1024
 
 // MaxGroups bounds the shard group count.
 const MaxGroups = 255
@@ -55,13 +47,14 @@ type Group struct {
 	Members []Member
 }
 
-// Snapshot is an immutable view of the placement: the replica→
-// partition→shard maps for one member set. Built once, then shared
-// read-only.
+// Snapshot is an immutable view of the placement for one member set.
+// Built once, then shared read-only.
 type Snapshot struct {
+	// Partitions and Part2Group state the stripe as a partition map:
+	// one partition per group, Part2Group[p] = p, so row t goes to
+	// group Part2Group[t mod Partitions].
 	Partitions int
 	Groups     []Group
-	// Part2Group maps partition index → index into Groups.
 	Part2Group []int
 }
 
@@ -76,39 +69,24 @@ func (s *Snapshot) MaxReplicas() int {
 	return r
 }
 
-// OwnedPartitions returns the sorted partition indices owned by group g.
-func (s *Snapshot) OwnedPartitions(g int) []int {
-	var owned []int
-	for p, og := range s.Part2Group {
-		if og == g {
-			owned = append(owned, p)
-		}
-	}
-	return owned
-}
+// OwnedPartitions returns the partitions owned by group g: just g.
+func (s *Snapshot) OwnedPartitions(g int) []int { return []int{g} }
 
-// BuildSnapshot computes the partition map for the given groups:
-// partition p belongs to the (p mod N)-th group in ID order. The result
-// is a pure function of the set of group IDs and the partition count
-// (0 means DefaultPartitions): group order in the input does not matter,
-// so two independent processes always derive byte-identical placement.
-// More groups than partitions is an error, since a group past the last
-// partition would never receive a row.
+// BuildSnapshot sorts the groups by ID; row t then belongs to the
+// (t mod N)-th of them. The result is a pure function of the set of
+// group IDs: group order in the input does not matter, so two
+// independent processes always derive byte-identical placement.
+// partitions must be 0 or len(groups): the stripe has one partition per
+// group.
 func BuildSnapshot(groups []Group, partitions int) (*Snapshot, error) {
-	if partitions <= 0 {
-		partitions = DefaultPartitions
-	}
-	if partitions > MaxPartitions {
-		return nil, fmt.Errorf("expshard: %d partitions exceeds max %d", partitions, MaxPartitions)
-	}
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("expshard: no shard groups")
 	}
 	if len(groups) > MaxGroups {
 		return nil, fmt.Errorf("expshard: %d groups exceeds max %d", len(groups), MaxGroups)
 	}
-	if len(groups) > partitions {
-		return nil, fmt.Errorf("expshard: %d groups exceeds %d partitions", len(groups), partitions)
+	if partitions != 0 && partitions != len(groups) {
+		return nil, fmt.Errorf("expshard: %d partitions for %d groups: the stripe has one per group", partitions, len(groups))
 	}
 	sorted := make([]Group, len(groups))
 	copy(sorted, groups)
@@ -126,12 +104,27 @@ func BuildSnapshot(groups []Group, partitions int) (*Snapshot, error) {
 			return nil, fmt.Errorf("expshard: group %q has no members", g.ID)
 		}
 	}
+	return &Snapshot{Partitions: len(sorted), Groups: sorted, Part2Group: identity(len(sorted))}, nil
+}
 
-	part2group := make([]int, partitions)
-	for p := range part2group {
-		part2group[p] = p % len(sorted)
+// identity returns [0, 1, …, n-1].
+func identity(n int) []int {
+	m := make([]int, n)
+	for i := range m {
+		m[i] = i
 	}
-	return &Snapshot{Partitions: partitions, Groups: sorted, Part2Group: part2group}, nil
+	return m
+}
+
+// plainName reports whether id may name a group: the ID names the
+// group's spool subdirectories, so it must stay one path element.
+func plainName(id string) bool {
+	for _, c := range id {
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return id != "" && id != "." && id != ".."
 }
 
 // ParseSpec parses a fabric topology string: comma-separated shard
@@ -145,16 +138,17 @@ func BuildSnapshot(groups []Group, partitions int) (*Snapshot, error) {
 //
 // Unnamed groups get stable IDs "shard-0", "shard-1", … by position.
 // Naming groups explicitly keeps placement stable when the list is
-// reordered or a replica address changes.
-// DefaultGroupID is the stable ID assigned to the i-th unnamed group.
-func DefaultGroupID(i int) string { return fmt.Sprintf("shard-%d", i) }
-
+// reordered or a replica address changes. An ID is a plain name
+// ([A-Za-z0-9._-]+, neither "." nor ".."), and no address may appear
+// twice: two member sinks on one server would share its dedup cursor,
+// and one's batches would be dropped as the other's duplicates.
 func ParseSpec(spec string) ([]Group, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return nil, fmt.Errorf("expshard: empty fabric spec")
 	}
 	var groups []Group
+	seen := make(map[string]bool)
 	for i, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -164,8 +158,8 @@ func ParseSpec(spec string) ([]Group, error) {
 		if eq := strings.IndexByte(part, '='); eq >= 0 {
 			id = strings.TrimSpace(part[:eq])
 			part = part[eq+1:]
-			if id == "" {
-				return nil, fmt.Errorf("expshard: empty group id at position %d", i)
+			if !plainName(id) {
+				return nil, fmt.Errorf("expshard: group id %q at position %d is not a plain name", id, i)
 			}
 		}
 		var members []Member
@@ -174,6 +168,11 @@ func ParseSpec(spec string) ([]Group, error) {
 			if addr == "" {
 				return nil, fmt.Errorf("expshard: empty member address in group %q", id)
 			}
+			base := netretry.NormalizeBase(addr)
+			if seen[base] {
+				return nil, fmt.Errorf("expshard: member address %q appears twice", addr)
+			}
+			seen[base] = true
 			members = append(members, Member{Addr: addr})
 		}
 		groups = append(groups, Group{ID: id, Members: members})
@@ -181,18 +180,15 @@ func ParseSpec(spec string) ([]Group, error) {
 	return groups, nil
 }
 
+// DefaultGroupID is the stable ID assigned to the i-th unnamed group.
+func DefaultGroupID(i int) string { return fmt.Sprintf("shard-%d", i) }
+
 // FormatTopology renders a one-line human summary of the snapshot.
 func FormatTopology(s *Snapshot) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "ring: %d partitions over %d groups:", s.Partitions, len(s.Groups))
-	for gi, g := range s.Groups {
-		owned := 0
-		for _, og := range s.Part2Group {
-			if og == gi {
-				owned++
-			}
-		}
-		fmt.Fprintf(&b, " %s[R=%d,parts=%d]", g.ID, len(g.Members), owned)
+	fmt.Fprintf(&b, "stripe over %d groups:", len(s.Groups))
+	for _, g := range s.Groups {
+		fmt.Fprintf(&b, " %s[R=%d]", g.ID, len(g.Members))
 	}
 	return b.String()
 }

@@ -15,10 +15,11 @@ func mkGroups(ids ...string) []Group {
 	return gs
 }
 
+// fingerprint hashes the owning group's ID of stream rows 0…63.
 func fingerprint(s *Snapshot) uint64 {
 	h := fnv.New64a()
-	for _, g := range s.Part2Group {
-		h.Write([]byte(s.Groups[g].ID))
+	for t := 0; t < 64; t++ {
+		h.Write([]byte(s.Groups[s.Part2Group[t%s.Partitions]].ID))
 		h.Write([]byte{0})
 	}
 	return h.Sum64()
@@ -27,10 +28,11 @@ func fingerprint(s *Snapshot) uint64 {
 // Placement must be a pure function of the member-ID set: the golden
 // fingerprints below were computed once and must hold in every process
 // on every platform — this is what "same member set ⇒ identical
-// partition map across processes" rests on.
+// placement across processes" rests on.
 func TestPlacementGoldenFingerprint(t *testing.T) {
 	golden := map[int]uint64{
 		2: 0xa36c5a83913083a5,
+		3: 0x6e0158c155f0f942,
 		4: 0x3381da9bd9087465,
 	}
 	for n, want := range golden {
@@ -38,7 +40,7 @@ func TestPlacementGoldenFingerprint(t *testing.T) {
 		for i := 0; i < n; i++ {
 			ids = append(ids, fmt.Sprintf("shard-%d", i))
 		}
-		s, err := BuildSnapshot(mkGroups(ids...), 64)
+		s, err := BuildSnapshot(mkGroups(ids...), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,11 +51,11 @@ func TestPlacementGoldenFingerprint(t *testing.T) {
 }
 
 func TestPlacementOrderIndependent(t *testing.T) {
-	a, err := BuildSnapshot(mkGroups("east", "west", "north"), 64)
+	a, err := BuildSnapshot(mkGroups("east", "west", "north"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildSnapshot(mkGroups("north", "east", "west"), 64)
+	b, err := BuildSnapshot(mkGroups("north", "east", "west"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,33 +69,37 @@ func TestPlacementOrderIndependent(t *testing.T) {
 	}
 }
 
-// The stripe is exact: every partition maps to a valid group, and each
-// group owns ⌊P/G⌋ or ⌈P/G⌉ of them.
+// The stripe is exact: each group owns one partition, itself, and N
+// stream rows give each group ⌊N/G⌋ or ⌈N/G⌉ of them.
 func TestPlacementBalance(t *testing.T) {
-	for _, partitions := range []int{DefaultPartitions, MaxPartitions} {
-		for n := 1; n <= 8; n++ {
-			var ids []string
-			for i := 0; i < n; i++ {
-				ids = append(ids, fmt.Sprintf("shard-%d", i))
+	for n := 1; n <= 8; n++ {
+		var ids []string
+		for i := 0; i < n; i++ {
+			ids = append(ids, fmt.Sprintf("shard-%d", i))
+		}
+		s, err := BuildSnapshot(mkGroups(ids...), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Partitions != n || len(s.Part2Group) != n {
+			t.Fatalf("G=%d: %d partitions, %d mapped", n, s.Partitions, len(s.Part2Group))
+		}
+		for g := 0; g < n; g++ {
+			if s.Part2Group[g] != g {
+				t.Fatalf("G=%d: partition %d → group %d", n, g, s.Part2Group[g])
 			}
-			s, err := BuildSnapshot(mkGroups(ids...), partitions)
-			if err != nil {
-				t.Fatal(err)
+			if owned := s.OwnedPartitions(g); len(owned) != 1 || owned[0] != g {
+				t.Fatalf("G=%d: group %d owns %v", n, g, owned)
 			}
-			if len(s.Part2Group) != partitions || s.Partitions != partitions {
-				t.Fatalf("P=%d n=%d: %d partitions mapped, snapshot says %d", partitions, n, len(s.Part2Group), s.Partitions)
-			}
+		}
+		for _, rows := range []int{0, 1, n - 1, n, n + 1, 1000, 1001} {
 			counts := make([]int, n)
-			for p, g := range s.Part2Group {
-				if g < 0 || g >= n {
-					t.Fatalf("P=%d n=%d: partition %d → invalid group %d", partitions, n, p, g)
-				}
-				counts[g]++
+			for row := 0; row < rows; row++ {
+				counts[s.Part2Group[row%s.Partitions]]++
 			}
-			lo, hi := partitions/n, (partitions+n-1)/n
-			for gi, c := range counts {
-				if c < lo || c > hi {
-					t.Errorf("P=%d n=%d: group %d owns %d partitions, want %d…%d", partitions, n, gi, c, lo, hi)
+			for g, c := range counts {
+				if c != rows/n && c != (rows+n-1)/n {
+					t.Errorf("G=%d N=%d: group %d holds %d rows, want %d or %d", n, rows, g, c, rows/n, (rows+n-1)/n)
 				}
 			}
 		}
@@ -101,23 +107,43 @@ func TestPlacementBalance(t *testing.T) {
 }
 
 func TestBuildSnapshotErrors(t *testing.T) {
-	if _, err := BuildSnapshot(nil, 64); err == nil {
+	if _, err := BuildSnapshot(nil, 0); err == nil {
 		t.Error("no groups accepted")
 	}
-	if _, err := BuildSnapshot(mkGroups("a", "a"), 64); err == nil {
+	if _, err := BuildSnapshot(mkGroups("a", "a"), 0); err == nil {
 		t.Error("duplicate group id accepted")
 	}
-	if _, err := BuildSnapshot(mkGroups(""), 64); err == nil {
+	if _, err := BuildSnapshot(mkGroups(""), 0); err == nil {
 		t.Error("empty group id accepted")
 	}
-	if _, err := BuildSnapshot([]Group{{ID: "a"}}, 64); err == nil {
+	if _, err := BuildSnapshot([]Group{{ID: "a"}}, 0); err == nil {
 		t.Error("memberless group accepted")
 	}
-	if _, err := BuildSnapshot(mkGroups("a"), MaxPartitions+1); err == nil {
-		t.Error("oversized partition count accepted")
+	many := make([]string, MaxGroups+1)
+	for i := range many {
+		many[i] = DefaultGroupID(i)
 	}
-	if _, err := BuildSnapshot(mkGroups("a", "b", "c"), 2); err == nil || !strings.Contains(err.Error(), "3 groups exceeds 2 partitions") {
-		t.Errorf("more groups than partitions: err %v", err)
+	if _, err := BuildSnapshot(mkGroups(many...), 0); err == nil {
+		t.Error("more than MaxGroups groups accepted")
+	}
+	for _, partitions := range []int{-1, 1, 2, 4, 64} {
+		if _, err := BuildSnapshot(mkGroups("a", "b", "c"), partitions); err == nil || !strings.Contains(err.Error(), "one per group") {
+			t.Errorf("%d partitions for 3 groups: err %v", partitions, err)
+		}
+	}
+}
+
+func TestFormatTopology(t *testing.T) {
+	groups, err := ParseSpec("h1:9300|h1:9301,h2:9300")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := BuildSnapshot(groups, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := FormatTopology(s), "stripe over 2 groups: shard-0[R=2] shard-1[R=1]"; got != want {
+		t.Fatalf("FormatTopology = %q, want %q", got, want)
 	}
 }
 
@@ -133,6 +159,7 @@ func TestParseSpec(t *testing.T) {
 		{"h1:9300|h1:9301,h2:9300|h2:9301", 2, []int{2, 2}, []string{"shard-0", "shard-1"}},
 		{"east=h1:9300|h2:9300,west=h3:9300", 2, []int{2, 1}, []string{"east", "west"}},
 		{" h1:9300 , h2:9300 ", 2, []int{1, 1}, []string{"shard-0", "shard-1"}},
+		{"a.b-c_9=h1:9300,..x=h2:9300", 2, []int{1, 1}, []string{"a.b-c_9", "..x"}},
 	}
 	for _, c := range cases {
 		gs, err := ParseSpec(c.spec)
@@ -154,6 +181,42 @@ func TestParseSpec(t *testing.T) {
 	for _, bad := range []string{"", ",", "a,", "|", "x=|", "=h1:9300"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
+		}
+	}
+}
+
+// Two member sinks on one server share its dedup cursor (same actor ID,
+// each with its own sequence from 1), so the second one's batches would
+// be acknowledged as duplicates and dropped.
+func TestParseSpecRefusesRepeatedAddress(t *testing.T) {
+	for _, spec := range []string{
+		"h1:9300,h1:9300",
+		"h1:9300|h1:9300",
+		"h1:9300|h2:9300,h3:9300|h2:9300",
+		"a=h1:9300,b=http://h1:9300/",
+		"http://h1:9300,h1:9300",
+	} {
+		if _, err := ParseSpec(spec); err == nil || !strings.Contains(err.Error(), "appears twice") {
+			t.Errorf("ParseSpec(%q): err %v, want a repeated-address refusal", spec, err)
+		}
+	}
+}
+
+// A group ID names its spool subdirectory, so it must be one plain path
+// element.
+func TestParseSpecRefusesUnsafeGroupID(t *testing.T) {
+	for _, spec := range []string{
+		"../x=h1:9300",
+		"..=h1:9300",
+		".=h1:9300",
+		"a/b=h1:9300",
+		`a\b=h1:9300`,
+		"a b=h1:9300",
+		"/abs=h1:9300",
+		"ok=h1:9300,x:y=h2:9300",
+	} {
+		if _, err := ParseSpec(spec); err == nil || !strings.Contains(err.Error(), "not a plain name") {
+			t.Errorf("ParseSpec(%q): err %v, want a plain-name refusal", spec, err)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package expshard
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // GroupStat is one shard group's contribution to a stream view: how
 // many rows its (preferred live) member retains and how many it has
@@ -12,37 +15,24 @@ type GroupStat struct {
 	Live  bool
 }
 
-// View is a frozen snapshot of the fabric's sampling state: the
-// placement function (partitions, stripe offset, partition→group map)
-// plus per-group row counts. The trainer builds one per update phase
+// View is a frozen snapshot of the fabric's sampling state: per-group
+// row counts over the stripe. The trainer builds one per update phase
 // and maps every index of its draws through it, so each shard is asked
 // for exactly the rows a single store holding the same stream would
 // return — that is the determinism contract that makes a fabric draw
 // bit-identical to a single store's.
 //
-// Placement model: the row with producer stream index t lives in
-// partition (Offset+t) mod Partitions, owned by Part2Group[p]. Within
-// a group, rows appear in ascending t order, so the local index of row
-// t is the count of owned t' < t minus the group's trim. Both
-// directions are closed-form arithmetic; the inverse (global sample
+// Placement model: the row with producer stream index t lives in group
+// t mod G, G = len(Stats), at position t div G of the group's
+// sub-stream; its local index is that position minus the group's trim.
+// Both directions are closed-form arithmetic; the inverse (global sample
 // index → t) needs a search only when trims or dead groups make the live
 // stream non-contiguous, and past a wrapped ring's retired heads its
 // first guess is right.
 type View struct {
-	Partitions int
-	Offset     uint64
-	Part2Group []int
-	Stats      []GroupStat
+	Stats []GroupStat
 
 	// Derived at construction.
-	//
-	// before is the per-group prefix table over residues a=(p-Offset) mod P
-	// of owned partitions p: before[g·(P+1)+r] is how many of group g's
-	// residues are below r, for r in [0, P], so the last entry of a group's
-	// row is how many partitions it owns. It makes ownedCountBefore two
-	// loads, where a search over the sorted residues cost a bisection per
-	// call — 1024 times per draw.
-	before   []int32
 	length   int64 // Σ live Rows
 	balanced bool  // exact fast path: all live, no trims, stats match striping
 	maxT     int64 // exclusive upper bound on live t values (general path)
@@ -52,40 +42,22 @@ type View struct {
 	trimmed int64
 }
 
-// NewView validates and precomputes a view. It is deterministic: the
-// same inputs yield the same mapping in every process.
+// NewView validates and precomputes a view. partitions, offset and
+// part2group must state the stripe over len(stats) groups, as
+// Snapshot.Partitions and Snapshot.Part2Group do, with offset 0.
 func NewView(partitions int, offset uint64, part2group []int, stats []GroupStat) (*View, error) {
-	if partitions <= 0 || partitions > MaxPartitions {
-		return nil, fmt.Errorf("expshard: bad partition count %d", partitions)
+	if partitions != len(stats) || offset != 0 || !slices.Equal(part2group, identity(partitions)) {
+		return nil, fmt.Errorf("expshard: %d partitions, offset %d, part2group %v: want the stripe over %d groups", partitions, offset, part2group, len(stats))
 	}
-	if len(part2group) != partitions {
-		return nil, fmt.Errorf("expshard: part2group len %d != partitions %d", len(part2group), partitions)
-	}
+	return newView(stats)
+}
+
+func newView(stats []GroupStat) (*View, error) {
 	if len(stats) == 0 || len(stats) > MaxGroups {
 		return nil, fmt.Errorf("expshard: bad group count %d", len(stats))
 	}
-	v := &View{
-		Partitions: partitions,
-		Offset:     offset % uint64(partitions),
-		Part2Group: part2group,
-		Stats:      stats,
-	}
-	row := partitions + 1
-	v.before = make([]int32, len(stats)*row)
-	for p, g := range part2group {
-		if g < 0 || g >= len(stats) {
-			return nil, fmt.Errorf("expshard: partition %d maps to invalid group %d", p, g)
-		}
-		a := (p - int(v.Offset) + partitions) % partitions
-		v.before[g*row+a+1] = 1
-	}
-	for g := range stats {
-		counts := v.before[g*row : (g+1)*row]
-		for r := 1; r < row; r++ {
-			counts[r] += counts[r-1]
-		}
-	}
-	allLive, trimsZero := true, true
+	v := &View{Stats: stats}
+	allLive := true
 	for g, st := range stats {
 		if st.Rows > st.Total {
 			return nil, fmt.Errorf("expshard: group %d rows %d > total %d", g, st.Rows, st.Total)
@@ -96,9 +68,6 @@ func NewView(partitions int, offset uint64, part2group []int, stats []GroupStat)
 		}
 		v.length += int64(st.Rows)
 		v.trimmed += int64(st.Total - st.Rows)
-		if st.Rows != st.Total {
-			trimsZero = false
-		}
 		if tu := v.tUpper(g); tu > v.maxT {
 			v.maxT = tu
 		}
@@ -106,14 +75,11 @@ func NewView(partitions int, offset uint64, part2group []int, stats []GroupStat)
 	if !allLive {
 		v.trimmed = -1
 	}
-	if allLive && trimsZero {
-		v.balanced = true
-		for g, st := range stats {
-			if v.ownedCountBefore(v.length, g) != int64(st.Total) {
-				v.balanced = false
-				break
-			}
-		}
+	// Balanced: every group live and untrimmed, holding what a stream of
+	// Len rows gives it.
+	v.balanced = v.trimmed == 0
+	for g, st := range stats {
+		v.balanced = v.balanced && v.ownedCountBefore(v.length, g) == int64(st.Total)
 	}
 	return v, nil
 }
@@ -133,42 +99,23 @@ func (v *View) NumLive() int {
 	return n
 }
 
-// residuesBelow returns group g's row of the prefix table: entry r counts
-// its owned residues below r, entry Partitions all of them.
-func (v *View) residuesBelow(g int) []int32 {
-	row := v.Partitions + 1
-	return v.before[g*row : (g+1)*row]
-}
-
-// ownedCountBefore counts owned stream indices t' < t for group g:
-// t' ≡ a (mod P) for each owned residue a. Closed form: q full stripe
-// cycles contribute q·k, plus the residues below t mod P.
+// ownedCountBefore counts group g's stream indices t' < t, those with
+// t' ≡ g (mod G).
 func (v *View) ownedCountBefore(t int64, g int) int64 {
 	if t <= 0 {
 		return 0
 	}
-	below := v.residuesBelow(g)
-	p := int64(v.Partitions)
-	return t/p*int64(below[p]) + int64(below[t%p])
+	return (t + int64(len(v.Stats)-1-g)) / int64(len(v.Stats))
 }
 
 // tUpper returns an exclusive upper bound on stream indices held by
-// group g: the t of its (Total-1)-th owned slot, plus one.
+// group g: the t of its (Total-1)-th row, plus one.
 func (v *View) tUpper(g int) int64 {
 	total := int64(v.Stats[g].Total)
-	below := v.residuesBelow(g)
-	k := int64(below[v.Partitions])
-	if total == 0 || k == 0 {
+	if total == 0 {
 		return 0
 	}
-	q, r := (total-1)/k, int32((total-1)%k)
-	// The r-th owned residue is the first one with r+1 residues below its
-	// successor. Once per live group per view: a scan is enough.
-	a := 0
-	for below[a+1] <= r {
-		a++
-	}
-	return q*int64(v.Partitions) + int64(a) + 1
+	return (total-1)*int64(len(v.Stats)) + int64(g) + 1
 }
 
 // rank counts live retained rows with stream index < t: ownedCountBefore
@@ -178,15 +125,16 @@ func (v *View) rank(t int64) int64 {
 	if t <= 0 {
 		return 0
 	}
-	p := int64(v.Partitions)
-	q, r := t/p, t%p
+	q, r := t/int64(len(v.Stats)), int(t%int64(len(v.Stats)))
 	var n int64
 	for g, st := range v.Stats {
 		if !st.Live {
 			continue
 		}
-		below := v.residuesBelow(g)
-		c := q*int64(below[p]) + int64(below[r])
+		c := q
+		if g < r {
+			c++
+		}
 		if tot := int64(st.Total); c > tot {
 			c = tot
 		}
@@ -206,18 +154,9 @@ func (v *View) rank(t int64) int64 {
 // documented approximation outside the balanced regime.
 func (v *View) Map(i int64) (group int, local int64, clamped bool) {
 	if v.balanced {
-		// Exact: the live stream is contiguous, t = i. One division gives
-		// the stripe cycle and the residue; the partition is the residue
-		// shifted by the offset, and both are below Partitions.
-		parts := int64(v.Partitions)
-		q, r := i/parts, i%parts
-		p := int64(v.Offset) + r
-		if p >= parts {
-			p -= parts
-		}
-		g := v.Part2Group[p]
-		below := v.residuesBelow(g)
-		return g, q*int64(below[parts]) + int64(below[r]), false
+		// Exact: the live stream is contiguous, t = i.
+		groups := int64(len(v.Stats))
+		return int(i % groups), i / groups, false
 	}
 	// General path: the smallest t whose cumulative live retained count
 	// reaches i+1; that t is live-owned by construction. A guess t with
@@ -242,10 +181,10 @@ func (v *View) Map(i int64) (group int, local int64, clamped bool) {
 // at resolves live-owned stream index t to its group and local index,
 // clamping as Map documents.
 func (v *View) at(t int64) (group int, local int64, clamped bool) {
-	p := (int64(v.Offset) + t) % int64(v.Partitions)
-	g := v.Part2Group[p]
+	groups := int64(len(v.Stats))
+	g := int(t % groups)
 	st := v.Stats[g]
-	local = v.ownedCountBefore(t, g) - (int64(st.Total) - int64(st.Rows))
+	local = t/groups - (int64(st.Total) - int64(st.Rows))
 	if local < 0 {
 		local, clamped = 0, true
 	}
@@ -266,5 +205,5 @@ func (v *View) WithDead(g int) (*View, error) {
 	stats := make([]GroupStat, len(v.Stats))
 	copy(stats, v.Stats)
 	stats[g].Live = false
-	return NewView(v.Partitions, v.Offset, v.Part2Group, stats)
+	return newView(stats)
 }

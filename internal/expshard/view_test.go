@@ -13,17 +13,16 @@ type simGroup struct {
 	trim int64
 }
 
-// simulate streams T rows through the placement function and applies
-// per-group trims, returning the per-group retained substreams plus
-// the flat (t, group, local) triples of all live retained rows in
-// ascending t order — exactly what Map must reproduce.
-func simulate(part2group []int, partitions int, offset uint64, T int64, trims []int64, live []bool) ([]GroupStat, []simGroup, [][3]int64) {
+// simulate streams T rows through the stripe (row t to group t mod G,
+// G = len(trims)) and applies per-group trims, returning the per-group
+// retained substreams plus the flat (t, group, local) triples of all live
+// retained rows in ascending t order — exactly what Map must reproduce.
+func simulate(T int64, trims []int64, live []bool) ([]GroupStat, []simGroup, [][3]int64) {
 	groups := len(trims)
 	sims := make([]simGroup, groups)
 	totals := make([]int64, groups)
 	for t := int64(0); t < T; t++ {
-		p := (int64(offset) + t) % int64(partitions)
-		g := part2group[p]
+		g := t % int64(groups)
 		sims[g].ts = append(sims[g].ts, t)
 		totals[g]++
 	}
@@ -45,24 +44,27 @@ func simulate(part2group []int, partitions int, offset uint64, T int64, trims []
 			rows = append(rows, row{t, int64(g), int64(i)})
 		}
 	}
-	// Sort by t (insertion: small sizes).
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && rows[j-1].t > rows[j].t; j-- {
-			rows[j-1], rows[j] = rows[j], rows[j-1]
-		}
-	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].t < rows[j].t })
 	for _, r := range rows {
 		flat = append(flat, [3]int64{r.t, r.g, r.local})
 	}
 	return stats, sims, flat
 }
 
-func checkViewAgainstSim(t *testing.T, partitions int, offset uint64, part2group []int, stats []GroupStat, flat [][3]int64, wantBalanced bool) {
+// stripeView builds the view of stats over the stripe, the arguments a
+// fabric passes from its Snapshot.
+func stripeView(t testing.TB, stats []GroupStat) *View {
 	t.Helper()
-	v, err := NewView(partitions, offset, part2group, stats)
+	v, err := NewView(len(stats), 0, identity(len(stats)), stats)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return v
+}
+
+func checkViewAgainstSim(t *testing.T, stats []GroupStat, flat [][3]int64, wantBalanced bool) {
+	t.Helper()
+	v := stripeView(t, stats)
 	if v.Len() != int64(len(flat)) {
 		t.Fatalf("Len()=%d, sim has %d live rows", v.Len(), len(flat))
 	}
@@ -81,58 +83,35 @@ func checkViewAgainstSim(t *testing.T, partitions int, offset uint64, part2group
 	}
 }
 
-func buildMap(t *testing.T, n, partitions int) []int {
-	t.Helper()
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = "shard-" + string(rune('a'+i))
+func allLive(n int) []bool {
+	live := make([]bool, n)
+	for i := range live {
+		live[i] = true
 	}
-	s, err := BuildSnapshot(mkGroups(ids...), partitions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s.Part2Group
+	return live
 }
 
 func TestViewMapBalanced(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4} {
-		for _, offset := range []uint64{0, 7} {
-			p2g := buildMap(t, n, 32)
-			trims := make([]int64, n)
-			live := make([]bool, n)
-			for i := range live {
-				live[i] = true
-			}
-			stats, _, flat := simulate(p2g, 32, offset, 229, trims, live)
-			checkViewAgainstSim(t, 32, offset, p2g, stats, flat, true)
-		}
+	for n := 1; n <= 8; n++ {
+		stats, _, flat := simulate(229, make([]int64, n), allLive(n))
+		checkViewAgainstSim(t, stats, flat, true)
 	}
 }
 
 func TestViewMapWithTrims(t *testing.T) {
-	n := 3
-	p2g := buildMap(t, n, 32)
-	live := []bool{true, true, true}
-	trims := []int64{5, 0, 11}
-	stats, _, flat := simulate(p2g, 32, 0, 300, trims, live)
-	checkViewAgainstSim(t, 32, 0, p2g, stats, flat, false)
+	stats, _, flat := simulate(300, []int64{5, 0, 11}, allLive(3))
+	checkViewAgainstSim(t, stats, flat, false)
 }
 
 func TestViewMapWithDeadGroup(t *testing.T) {
-	n := 4
-	p2g := buildMap(t, n, 64)
-	live := []bool{true, false, true, true}
-	trims := make([]int64, n)
-	stats, _, flat := simulate(p2g, 64, 0, 500, trims, live)
-	checkViewAgainstSim(t, 64, 0, p2g, stats, flat, false)
+	stats, _, flat := simulate(500, make([]int64, 4), []bool{true, false, true, true})
+	checkViewAgainstSim(t, stats, flat, false)
 }
 
 func TestViewMapTrimsAndDead(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(4)
-		partitions := []int{16, 32, 64}[rng.Intn(3)]
-		p2g := buildMap(t, n, partitions)
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(8)
 		T := int64(50 + rng.Intn(400))
 		trims := make([]int64, n)
 		live := make([]bool, n)
@@ -140,34 +119,23 @@ func TestViewMapTrimsAndDead(t *testing.T) {
 		for g := 0; g < n; g++ {
 			live[g] = rng.Intn(4) != 0
 			anyLive = anyLive || live[g]
-			trims[g] = int64(rng.Intn(10))
+			// Never past the group's total, which would make the sim
+			// slice out of range.
+			trims[g] = min(int64(rng.Intn(10)), (T-int64(g)+int64(n)-1)/int64(n))
 		}
 		if !anyLive {
 			live[0] = true
 		}
-		offset := uint64(rng.Intn(partitions))
-		allLive, allZero := true, true
+		allOn, allZero := true, true
 		for g := 0; g < n; g++ {
-			allLive = allLive && live[g]
+			allOn = allOn && live[g]
 			allZero = allZero && trims[g] == 0
 		}
-		// Trims larger than a group's total would make the sim slice
-		// out of range; skip those draws.
-		probe, _, _ := simulate(p2g, partitions, offset, T, make([]int64, n), live)
-		ok := true
-		for g := range probe {
-			if trims[g] > int64(probe[g].Total) {
-				ok = false
-			}
-		}
-		if !ok {
-			continue
-		}
-		stats, _, flat := simulate(p2g, partitions, offset, T, trims, live)
+		stats, _, flat := simulate(T, trims, live)
 		if len(flat) == 0 {
 			continue
 		}
-		checkViewAgainstSim(t, partitions, offset, p2g, stats, flat, allLive && allZero)
+		checkViewAgainstSim(t, stats, flat, allOn && allZero)
 	}
 }
 
@@ -175,15 +143,11 @@ func TestViewMapTrimsAndDead(t *testing.T) {
 // producer whose counter restarted) must degrade to clamping, never
 // out-of-range locals or panics.
 func TestViewMapClampsOnPlacementMismatch(t *testing.T) {
-	p2g := buildMap(t, 2, 16)
 	stats := []GroupStat{
 		{Rows: 100, Total: 100, Live: true},
 		{Rows: 3, Total: 3, Live: true}, // far fewer than striping implies
 	}
-	v, err := NewView(16, 0, p2g, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := stripeView(t, stats)
 	if v.balanced {
 		t.Fatal("mismatched stats reported balanced")
 	}
@@ -196,13 +160,8 @@ func TestViewMapClampsOnPlacementMismatch(t *testing.T) {
 }
 
 func TestViewWithDead(t *testing.T) {
-	p2g := buildMap(t, 3, 32)
-	live := []bool{true, true, true}
-	stats, _, _ := simulate(p2g, 32, 0, 200, make([]int64, 3), live)
-	v, err := NewView(32, 0, p2g, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats, _, _ := simulate(200, make([]int64, 3), allLive(3))
+	v := stripeView(t, stats)
 	dead, err := v.WithDead(1)
 	if err != nil {
 		t.Fatal(err)
@@ -220,59 +179,66 @@ func TestViewWithDead(t *testing.T) {
 			t.Fatalf("Map(%d) resolved to dead group", i)
 		}
 	}
+	if _, err := v.WithDead(3); err == nil {
+		t.Error("WithDead of a group past the last accepted")
+	}
 }
 
+// NewView takes only the stripe over len(stats) groups: the partition
+// count, offset and partition→group map a Snapshot states for it.
 func TestViewErrors(t *testing.T) {
-	p2g := buildMap(t, 2, 16)
 	good := []GroupStat{{Rows: 1, Total: 1, Live: true}, {Rows: 1, Total: 1, Live: true}}
-	if _, err := NewView(0, 0, nil, good); err == nil {
-		t.Error("zero partitions accepted")
+	for _, c := range []struct {
+		name       string
+		partitions int
+		offset     uint64
+		part2group []int
+		stats      []GroupStat
+	}{
+		{"zero partitions", 0, 0, nil, good},
+		{"more partitions than groups", 64, 0, identity(64), good},
+		{"fewer partitions than groups", 1, 0, identity(1), good},
+		{"nonzero offset", 2, 1, identity(2), good},
+		{"offset of a whole stripe", 2, 2, identity(2), good},
+		{"short part2group", 2, 0, identity(1), good},
+		{"long part2group", 2, 0, identity(3), good},
+		{"swapped part2group", 2, 0, []int{1, 0}, good},
+		{"out-of-range group", 2, 0, []int{0, 9}, good},
+		{"no groups", 0, 0, nil, nil},
+		{"too many groups", MaxGroups + 1, 0, identity(MaxGroups + 1), make([]GroupStat, MaxGroups+1)},
+		{"rows > total", 2, 0, identity(2), []GroupStat{{Rows: 5, Total: 3, Live: true}, {Rows: 1, Total: 1, Live: true}}},
+	} {
+		if _, err := NewView(c.partitions, c.offset, c.part2group, c.stats); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if _, err := NewView(16, 0, p2g[:8], good); err == nil {
-		t.Error("short part2group accepted")
-	}
-	if _, err := NewView(16, 0, p2g, nil); err == nil {
-		t.Error("no groups accepted")
-	}
-	bad := []GroupStat{{Rows: 5, Total: 3, Live: true}, {Rows: 1, Total: 1, Live: true}}
-	if _, err := NewView(16, 0, p2g, bad); err == nil {
-		t.Error("rows > total accepted")
-	}
-	p2gBad := make([]int, 16)
-	p2gBad[3] = 9
-	if _, err := NewView(16, 0, p2gBad, good); err == nil {
-		t.Error("out-of-range group index accepted")
+	if _, err := NewView(2, 0, identity(2), good); err != nil {
+		t.Errorf("the stripe refused: %v", err)
 	}
 }
 
-// refView is the mapping as it was computed before the prefix table: per
-// group, the sorted residues of its partitions, and a binary search over
-// them on every count. The table is tested against it.
+// refView maps the way the view did before the closed form: per group,
+// the sorted residues of the partitions it owns (the stripe gives each
+// one partition, itself), and a binary search over them on every count.
+// The closed form is tested against it.
 type refView struct {
-	partitions int
-	offset     uint64
-	part2group []int
-	stats      []GroupStat
-	owned      [][]int64
-	length     int64
-	balanced   bool
-	maxT       int64
+	stats    []GroupStat
+	owned    [][]int64
+	length   int64
+	balanced bool
+	maxT     int64
 }
 
-func newRefView(partitions int, offset uint64, part2group []int, stats []GroupStat) *refView {
-	v := &refView{partitions: partitions, offset: offset % uint64(partitions), part2group: part2group, stats: stats}
+func newRefView(stats []GroupStat) *refView {
+	v := &refView{stats: stats}
 	v.owned = make([][]int64, len(stats))
-	for p, g := range part2group {
-		a := (int64(p) - int64(v.offset) + int64(partitions)) % int64(partitions)
-		v.owned[g] = append(v.owned[g], a)
+	for p := range stats {
+		v.owned[p] = append(v.owned[p], int64(p))
 	}
-	for g := range v.owned {
-		sort.Slice(v.owned[g], func(i, j int) bool { return v.owned[g][i] < v.owned[g][j] })
-	}
-	allLive, trimsZero := true, true
+	allOn, trimsZero := true, true
 	for g, st := range stats {
 		if !st.Live {
-			allLive = false
+			allOn = false
 			continue
 		}
 		v.length += int64(st.Rows)
@@ -283,7 +249,7 @@ func newRefView(partitions int, offset uint64, part2group []int, stats []GroupSt
 			v.maxT = tu
 		}
 	}
-	if allLive && trimsZero {
+	if allOn && trimsZero {
 		v.balanced = true
 		for g, st := range stats {
 			if v.ownedCountBefore(v.length, g) != int64(st.Total) {
@@ -300,10 +266,7 @@ func (v *refView) ownedCountBefore(t int64, g int) int64 {
 		return 0
 	}
 	res := v.owned[g]
-	if len(res) == 0 {
-		return 0
-	}
-	p := int64(v.partitions)
+	p := int64(len(v.stats))
 	q, r := t/p, t%p
 	lo, hi := 0, len(res)
 	for lo < hi {
@@ -319,12 +282,12 @@ func (v *refView) ownedCountBefore(t int64, g int) int64 {
 
 func (v *refView) tUpper(g int) int64 {
 	total := int64(v.stats[g].Total)
-	if total == 0 || len(v.owned[g]) == 0 {
+	if total == 0 {
 		return 0
 	}
 	k := int64(len(v.owned[g]))
 	q, r := (total-1)/k, (total-1)%k
-	return q*int64(v.partitions) + v.owned[g][r] + 1
+	return q*int64(len(v.stats)) + v.owned[g][r] + 1
 }
 
 func (v *refView) rank(t int64) int64 {
@@ -347,8 +310,7 @@ func (v *refView) rank(t int64) int64 {
 
 func (v *refView) Map(i int64) (group int, local int64, clamped bool) {
 	if v.balanced {
-		p := (int64(v.offset) + i) % int64(v.partitions)
-		g := v.part2group[p]
+		g := int(i % int64(len(v.stats)))
 		return g, v.ownedCountBefore(i, g), false
 	}
 	lo, hi := int64(0), v.maxT
@@ -361,8 +323,7 @@ func (v *refView) Map(i int64) (group int, local int64, clamped bool) {
 		}
 	}
 	t := lo
-	p := (int64(v.offset) + t) % int64(v.partitions)
-	g := v.part2group[p]
+	g := int(t % int64(len(v.stats)))
 	st := v.stats[g]
 	local = v.ownedCountBefore(t, g) - (int64(st.Total) - int64(st.Rows))
 	if local < 0 {
@@ -377,21 +338,19 @@ func (v *refView) Map(i int64) (group int, local int64, clamped bool) {
 // compareWithRef checks the view against the reference: the derived
 // state, every count the general path can ask for, and Map over the
 // whole index range (every index when it is short, a stride otherwise).
-func compareWithRef(t testing.TB, partitions int, offset uint64, part2group []int, stats []GroupStat) {
+func compareWithRef(t testing.TB, stats []GroupStat) {
 	t.Helper()
-	v, err := NewView(partitions, offset, part2group, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := newRefView(partitions, offset, part2group, stats)
+	v := stripeView(t, stats)
+	ref := newRefView(stats)
+	G := int64(len(stats))
 	if v.Len() != ref.length || v.balanced != ref.balanced || v.maxT != ref.maxT {
-		t.Fatalf("P=%d offset=%d: view (len %d, balanced %v, maxT %d), reference (len %d, balanced %v, maxT %d)",
-			partitions, offset, v.Len(), v.balanced, v.maxT, ref.length, ref.balanced, ref.maxT)
+		t.Fatalf("G=%d: view (len %d, balanced %v, maxT %d), reference (len %d, balanced %v, maxT %d)",
+			G, v.Len(), v.balanced, v.maxT, ref.length, ref.balanced, ref.maxT)
 	}
 	for g := range stats {
-		for _, tt := range []int64{-1, 0, 1, int64(partitions) - 1, int64(partitions), int64(partitions) + 1, 3*int64(partitions) + 2, ref.maxT} {
+		for _, tt := range []int64{-1, 0, 1, G - 1, G, G + 1, 3*G + 2, ref.maxT} {
 			if got, want := v.ownedCountBefore(tt, g), ref.ownedCountBefore(tt, g); got != want {
-				t.Fatalf("P=%d offset=%d: ownedCountBefore(%d, %d) = %d, reference %d", partitions, offset, tt, g, got, want)
+				t.Fatalf("G=%d: ownedCountBefore(%d, %d) = %d, reference %d", G, tt, g, got, want)
 			}
 		}
 	}
@@ -403,84 +362,72 @@ func compareWithRef(t testing.TB, partitions int, offset uint64, part2group []in
 		g, local, clamped := v.Map(i)
 		rg, rlocal, rclamped := ref.Map(i)
 		if g != rg || local != rlocal || clamped != rclamped {
-			t.Fatalf("P=%d offset=%d stats=%v: Map(%d) = (%d, %d, %v), reference (%d, %d, %v)",
-				partitions, offset, stats, i, g, local, clamped, rg, rlocal, rclamped)
+			t.Fatalf("G=%d stats=%v: Map(%d) = (%d, %d, %v), reference (%d, %d, %v)",
+				G, stats, i, g, local, clamped, rg, rlocal, rclamped)
 		}
 	}
 	if n := v.Len(); n > 0 {
 		g, local, clamped := v.Map(n - 1)
 		rg, rlocal, rclamped := ref.Map(n - 1)
 		if g != rg || local != rlocal || clamped != rclamped {
-			t.Fatalf("P=%d offset=%d: Map(last) = (%d, %d, %v), reference (%d, %d, %v)", partitions, offset, g, local, clamped, rg, rlocal, rclamped)
+			t.Fatalf("G=%d: Map(last) = (%d, %d, %v), reference (%d, %d, %v)", G, g, local, clamped, rg, rlocal, rclamped)
 		}
 	}
 }
 
 // striped returns the per-group totals of a stream of rows striped over
-// part2group from offset.
-func striped(part2group []int, groups int, offset uint64, rows int64) []uint64 {
+// the given number of groups.
+func striped(groups int, rows int64) []uint64 {
 	totals := make([]uint64, groups)
-	p := int64(len(part2group))
 	for g := range totals {
-		for a := int64(0); a < p; a++ {
-			if part2group[(int64(offset%uint64(p))+a)%p] == g {
-				totals[g] += uint64(rows / p)
-				if a < rows%p {
-					totals[g]++
-				}
-			}
+		totals[g] = uint64(rows / int64(groups))
+		if int64(g) < rows%int64(groups) {
+			totals[g]++
 		}
 	}
 	return totals
 }
 
-// The prefix table must agree with the binary search it replaced on
-// every shape the wire format admits: partition counts from 1 to the
-// maximum, any offset, one group or many (some owning nothing), balanced
-// streams, trims, dead groups and totals that contradict the striping.
+// The closed form must agree with the residue bisection on every group
+// count from 1 to 8 and every shape of stats: balanced streams, trims,
+// dead groups and totals that contradict the striping.
 func TestViewTableMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	for _, partitions := range []int{1, 2, 3, 64, 1024} {
-		for _, groups := range []int{1, 2, 3, 7} {
-			for _, offset := range []uint64{0, 1, uint64(partitions) - 1, uint64(partitions) + 5} {
-				p2g := make([]int, partitions)
-				for p := range p2g {
-					p2g[p] = rng.Intn(groups)
-				}
-				rows := int64(rng.Intn(5 * partitions))
-				totals := striped(p2g, groups, offset, rows)
+	for groups := 1; groups <= 8; groups++ {
+		for trial := 0; trial < 4; trial++ {
+			rows := int64(rng.Intn(5 * 64 * groups))
+			totals := striped(groups, rows)
 
-				balanced := make([]GroupStat, groups)
-				trimmed := make([]GroupStat, groups)
-				dead := make([]GroupStat, groups)
-				skewed := make([]GroupStat, groups)
-				for g, tot := range totals {
-					balanced[g] = GroupStat{Rows: tot, Total: tot, Live: true}
-					trimmed[g] = GroupStat{Rows: tot - uint64(rng.Int63n(int64(tot)+1)), Total: tot, Live: true}
-					dead[g] = GroupStat{Rows: trimmed[g].Rows, Total: tot, Live: g != groups-1 || groups == 1}
-					skew := uint64(rng.Intn(40))
-					skewed[g] = GroupStat{Rows: skew, Total: skew + uint64(rng.Intn(3)), Live: rng.Intn(5) != 0}
-				}
-				for _, stats := range [][]GroupStat{balanced, trimmed, dead, skewed} {
-					compareWithRef(t, partitions, offset, p2g, stats)
-				}
+			balanced := make([]GroupStat, groups)
+			trimmed := make([]GroupStat, groups)
+			dead := make([]GroupStat, groups)
+			skewed := make([]GroupStat, groups)
+			for g, tot := range totals {
+				balanced[g] = GroupStat{Rows: tot, Total: tot, Live: true}
+				trimmed[g] = GroupStat{Rows: tot - uint64(rng.Int63n(int64(tot)+1)), Total: tot, Live: true}
+				dead[g] = GroupStat{Rows: trimmed[g].Rows, Total: tot, Live: g != groups-1 || groups == 1}
+				skew := uint64(rng.Intn(40))
+				skewed[g] = GroupStat{Rows: skew, Total: skew + uint64(rng.Intn(3)), Live: rng.Intn(5) != 0}
+			}
+			for _, stats := range [][]GroupStat{balanced, trimmed, dead, skewed} {
+				compareWithRef(t, stats)
 			}
 		}
 	}
 }
 
 func TestViewBalancedStripingIsBalanced(t *testing.T) {
-	p2g := buildMap(t, 2, 64)
-	totals := striped(p2g, 2, 9, 131072)
-	stats := []GroupStat{{Rows: totals[0], Total: totals[0], Live: true}, {Rows: totals[1], Total: totals[1], Live: true}}
-	v, err := NewView(64, 9, p2g, stats)
-	if err != nil {
-		t.Fatal(err)
+	for groups := 1; groups <= 8; groups++ {
+		totals := striped(groups, 131071)
+		stats := make([]GroupStat, groups)
+		for g, tot := range totals {
+			stats[g] = GroupStat{Rows: tot, Total: tot, Live: true}
+		}
+		if !stripeView(t, stats).balanced {
+			t.Fatalf("G=%d: a striped stream's view is not balanced", groups)
+		}
+		compareWithRef(t, stats)
 	}
-	if !v.balanced {
-		t.Fatal("a striped stream's view is not balanced")
-	}
-	compareWithRef(t, 64, 9, p2g, stats)
 }
 
 // The general path's guessed first probe must answer what the bisection
@@ -492,15 +439,9 @@ func TestViewBalancedStripingIsBalanced(t *testing.T) {
 func TestViewMapGuessMatchesBisection(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for trial := 0; trial < 40; trial++ {
-		groups := 2 + rng.Intn(3)
-		partitions := []int{16, 64, 1024}[rng.Intn(3)]
-		p2g := make([]int, partitions)
-		for p := range p2g {
-			p2g[p] = (p*7/3 + rng.Intn(2)) % groups
-		}
-		offset := uint64(rng.Intn(partitions))
+		groups := 2 + rng.Intn(7)
 		rows := int64(5000 + rng.Intn(20000))
-		totals := striped(p2g, groups, offset, rows)
+		totals := striped(groups, rows)
 		capacity := uint64(rows) / uint64(2*groups)
 		wrapped := make([]GroupStat, groups)
 		uneven := make([]GroupStat, groups)
@@ -513,18 +454,15 @@ func TestViewMapGuessMatchesBisection(t *testing.T) {
 		skewed := append([]GroupStat(nil), wrapped...)
 		skewed[0].Total += uint64(1 + rng.Intn(50))
 		for name, stats := range map[string][]GroupStat{"wrapped": wrapped, "uneven": uneven, "dead": dead, "skewed": skewed} {
-			v, err := NewView(partitions, offset, p2g, stats)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := newRefView(partitions, offset, p2g, stats)
+			v := stripeView(t, stats)
+			ref := newRefView(stats)
 			guessed := int64(0)
 			for i := int64(0); i < v.Len(); i++ {
 				g, local, clamped := v.Map(i)
 				rg, rlocal, rclamped := ref.Map(i)
 				if g != rg || local != rlocal || clamped != rclamped {
-					t.Fatalf("trial %d %s P=%d offset=%d stats=%v: Map(%d) = (%d, %d, %v), bisection (%d, %d, %v)",
-						trial, name, partitions, offset, stats, i, g, local, clamped, rg, rlocal, rclamped)
+					t.Fatalf("trial %d %s G=%d stats=%v: Map(%d) = (%d, %d, %v), bisection (%d, %d, %v)",
+						trial, name, groups, stats, i, g, local, clamped, rg, rlocal, rclamped)
 				}
 				if tt := i + v.trimmed; v.trimmed >= 0 && v.rank(tt) == i && v.rank(tt+1) == i+1 {
 					guessed++
@@ -546,20 +484,13 @@ var sinkLocal int64
 // balanced two-group view of 131 072 rows (fabric-sample's) and over the
 // same view with one group trimmed (the general path a wrapped ring takes).
 func BenchmarkViewMap(b *testing.B) {
-	p2g := make([]int, 64)
-	for p := range p2g {
-		p2g[p] = (p * 7 / 3) % 2
-	}
-	totals := striped(p2g, 2, 0, 131072)
+	totals := striped(2, 131072)
 	shapes := map[string][]GroupStat{
 		"balanced": {{Rows: totals[0], Total: totals[0], Live: true}, {Rows: totals[1], Total: totals[1], Live: true}},
 		"trimmed":  {{Rows: totals[0] - 1000, Total: totals[0], Live: true}, {Rows: totals[1], Total: totals[1], Live: true}},
 	}
 	for name, stats := range shapes {
-		v, err := NewView(64, 0, p2g, stats)
-		if err != nil {
-			b.Fatal(err)
-		}
+		v := stripeView(b, stats)
 		b.Run(name, func(b *testing.B) {
 			n := v.Len()
 			for i := 0; i < b.N; i++ {
