@@ -22,6 +22,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -149,8 +150,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	// Validate the shape against the first reachable member and fast-
 	// forward each member's append cursor, so a restart under the same
 	// -actor-id does not replay sequence numbers the servers will silently
-	// dedup. With a spool armed an unreachable fabric is survivable.
+	// dedup. With a spool armed an unreachable fabric is survivable; one
+	// replayd named twice is not.
 	if sp, err := fabric.FetchSpec(); err != nil {
+		if errors.Is(err, expserve.ErrSameReplayd) {
+			fmt.Fprintln(stderr, err)
+			return cli.ExitUsage
+		}
 		if *spoolDir == "" {
 			fmt.Fprintln(stderr, "experience fabric unreachable:", err)
 			return cli.ExitError

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"time"
 
 	"marlperf/internal/cli"
@@ -155,19 +154,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		fmt.Fprintln(stdout, "store: volatile in-memory ring (no -dir)")
 	}
 
-	// With a durable store the dedup sidecar lives beside the segments, so
-	// the exactly-once cursor survives the same crashes the rows do.
-	dedupPath := ""
-	if *dir != "" {
-		dedupPath = filepath.Join(*dir, "dedup.log")
-	}
 	srv, err := expserve.NewServer(expserve.ServerConfig{
 		Provider:      provider,
 		Spec:          spec,
 		QueueDepth:    *queue,
 		MaxSampleRows: *maxRows,
 		Registry:      obs.Registry,
-		DedupLogPath:  dedupPath,
 		Tracer:        obs.Tracer,
 		ShardID:       *shardID,
 	})

@@ -108,7 +108,7 @@ func planFaults(seed int64) faultPlan {
 
 // faultMember is one replayd. Killing it abandons its server and store
 // unclosed, as a SIGKILL would, and aborts every later connection;
-// restarting it reopens both from its directory and dedup log.
+// restarting it reopens both from its directory.
 type faultMember struct {
 	name, shard, dir string
 	spec             replay.Spec
@@ -127,7 +127,7 @@ func (m *faultMember) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (m *faultMember) start() (err error) {
 	if m.store, err = expstore.Open(filepath.Join(m.dir, "store"), m.spec, expstore.Options{SegmentRows: 64}); err == nil {
 		var srv *expserve.Server
-		srv, err = expserve.NewServer(expserve.ServerConfig{Provider: m.store, Spec: m.spec, ShardID: m.shard, DedupLogPath: filepath.Join(m.dir, "dedup.jsonl")})
+		srv, err = expserve.NewServer(expserve.ServerConfig{Provider: m.store, Spec: m.spec, ShardID: m.shard})
 		m.srv.Store(srv)
 	}
 	return err

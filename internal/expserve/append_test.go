@@ -1,7 +1,7 @@
 package expserve
 
 // Tests for the append path's buffers: the sink frames rows in its staging
-// buffer, the handler reads each frame into a pooled body, and decodeAppend
+// buffer, the handler reads each frame into a pooled body, and DecodeAppend
 // hands applyBatch rows that alias that body instead of a fresh slice.
 
 import (
@@ -29,9 +29,9 @@ import (
 // refDecodeAppend is the decoder the append frame had before its payload
 // went through f64le: one math.Float64frombits per value into a fresh
 // slice, no aliasing. FuzzDecodeAppend compares the real decoder with it.
-func refDecodeAppend(data []byte, stride int) (appendBatch, error) {
-	var b appendBatch
-	if len(data) < 12 || string(data[:4]) != appendMagic || binary.LittleEndian.Uint32(data[4:]) != wireVersion {
+func refDecodeAppend(data []byte, stride int) (expstore.Batch, error) {
+	var b expstore.Batch
+	if len(data) < 12 || string(data[:4]) != "MXAP" || binary.LittleEndian.Uint32(data[4:]) != 1 {
 		return b, fmt.Errorf("bad prefix")
 	}
 	actorLen := int(binary.LittleEndian.Uint32(data[8:]))
@@ -45,7 +45,7 @@ func refDecodeAppend(data []byte, stride int) (appendBatch, error) {
 	n := int(binary.LittleEndian.Uint32(data[off+8:]))
 	gotStride := int(binary.LittleEndian.Uint32(data[off+12:]))
 	off += 16
-	if gotStride != stride || n < 0 || n > maxWireRows || len(data) != off+8*n*stride+4 {
+	if gotStride != stride || n < 0 || n > 1<<20 || len(data) != off+8*n*stride+4 {
 		return b, fmt.Errorf("bad shape")
 	}
 	if crc32.ChecksumIEEE(data[:len(data)-4]) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
@@ -95,15 +95,15 @@ func FuzzDecodeAppend(f *testing.F) {
 	rows := goldenRows(4, stride)
 	for actorLen := 1; actorLen <= 9; actorLen++ {
 		actor := "actor-xyz"[:actorLen]
-		f.Add(encodeAppend(nil, appendBatch{ActorID: actor, BatchSeq: uint64(actorLen), Rows: rows, N: 4}, stride))
+		f.Add(expstore.EncodeAppend(nil, expstore.Batch{ActorID: actor, BatchSeq: uint64(actorLen), Rows: rows, N: 4}, stride))
 	}
-	valid := encodeAppend(nil, appendBatch{ActorID: "a", BatchSeq: 1, Rows: rows, N: 4}, stride)
-	f.Add(encodeAppend(nil, appendBatch{ActorID: "empty", BatchSeq: 2, N: 0}, stride))
+	valid := expstore.EncodeAppend(nil, expstore.Batch{ActorID: "a", BatchSeq: 1, Rows: rows, N: 4}, stride)
+	f.Add(expstore.EncodeAppend(nil, expstore.Batch{ActorID: "empty", BatchSeq: 2, N: 0}, stride))
 	f.Add(valid[:len(valid)-1])
 	f.Add(mutated(valid, func(b []byte) { b[len(b)/2] ^= 0x10 }))
 	f.Add(mutated(valid, func(b []byte) { binary.LittleEndian.PutUint32(b[8:], 1<<30) }))
 	f.Add(mutated(valid, func(b []byte) { binary.LittleEndian.PutUint32(b[21:], 1<<19) }))
-	f.Add([]byte(appendMagic))
+	f.Add([]byte("MXAP"))
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		want, wantErr := refDecodeAppend(frame, stride)
@@ -112,9 +112,9 @@ func FuzzDecodeAppend(f *testing.F) {
 		for shift := 0; shift < 8; shift++ {
 			data := arena[shift : shift+len(frame)]
 			copy(data, frame)
-			got, err := decodeAppend(data, stride, &scratch)
+			got, err := expstore.DecodeAppend(data, stride, &scratch)
 			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("shift %d: decodeAppend err %v, reference err %v", shift, err, wantErr)
+				t.Fatalf("shift %d: DecodeAppend err %v, reference err %v", shift, err, wantErr)
 			}
 			if err != nil {
 				continue
@@ -126,7 +126,7 @@ func FuzzDecodeAppend(f *testing.F) {
 			sameRowBits(t, fmt.Sprintf("shift %d", shift), got.Rows, want.Rows)
 			// Re-encoding what was decoded gives the frame back: the two
 			// codecs are inverses on every accepted input.
-			if again := encodeAppend(nil, got, stride); !bytes.Equal(again, frame) {
+			if again := expstore.EncodeAppend(nil, got, stride); !bytes.Equal(again, frame) {
 				t.Fatalf("shift %d: re-encoded frame differs from the input", shift)
 			}
 		}
@@ -135,10 +135,12 @@ func FuzzDecodeAppend(f *testing.F) {
 
 // ringRows copies a ring's retained rows, oldest first.
 func ringRows(r *expstore.Ring) []float64 {
-	var out []float64
-	for i := 0; i < r.Len(); i++ {
-		out = append(out, r.Row(i)...)
+	idx := make([]int, r.Len())
+	for i := range idx {
+		idx[i] = i
 	}
+	out := make([]float64, len(idx)*r.Layout().Stride())
+	r.GatherPacked(idx, out)
 	return out
 }
 
@@ -304,7 +306,7 @@ func TestSinkBufferStopsAtMaxBatchRows(t *testing.T) {
 		t.Fatalf("ring holds %d rows after the auto-flush, want %d", ring.Len(), rows)
 	}
 	// Header and CRC, each rounded up to whole floats.
-	limit := 8*rows*stride + (appendFrameHdr + len(actor) + 7) + 8
+	limit := 8*rows*stride + (expstore.AppendHeaderLen(len(actor)) + 7) + 8
 	if got := 8 * cap(sink.buf); got > limit {
 		t.Fatalf("staging holds %d bytes after a %d-row batch; at most %d rows plus header and CRC is %d", got, rows, rows, limit)
 	}
@@ -384,7 +386,7 @@ func TestInPlaceFramesMatchEncodeAppend(t *testing.T) {
 				return
 			}
 			seq++
-			want := encodeAppend(nil, appendBatch{ActorID: actor, BatchSeq: seq, Rows: pending, N: len(pending) / stride}, stride)
+			want := expstore.EncodeAppend(nil, expstore.Batch{ActorID: actor, BatchSeq: seq, Rows: pending, N: len(pending) / stride}, stride)
 			pending = nil
 			expectBody(op, want)
 			if refused {
@@ -432,7 +434,7 @@ func TestGoldenSpoolFrameAcrossCommits(t *testing.T) {
 	layout := replay.NewRowLayout(spec)
 	want := goldenRows(5, layout.Stride())
 
-	if ours := encodeAppend(nil, appendBatch{ActorID: "golden", BatchSeq: 3, Rows: want, N: 5}, layout.Stride()); !bytes.Equal(ours, golden) {
+	if ours := expstore.EncodeAppend(nil, expstore.Batch{ActorID: "golden", BatchSeq: 3, Rows: want, N: 5}, layout.Stride()); !bytes.Equal(ours, golden) {
 		t.Fatal("encodeAppend no longer writes the parent commit's frame byte for byte")
 	}
 	framer, err := NewRemoteSink(nil, "golden", spec)
@@ -497,7 +499,7 @@ func TestAppendAllocBudgetIndependentOfRows(t *testing.T) {
 		var frame []byte
 		trip := func() {
 			sink.batchSeq++
-			frame = encodeAppend(frame[:0], appendBatch{ActorID: actor, BatchSeq: sink.batchSeq, Rows: payload, N: rows}, stride)
+			frame = expstore.EncodeAppend(frame[:0], expstore.Batch{ActorID: actor, BatchSeq: sink.batchSeq, Rows: payload, N: rows}, stride)
 			if _, err := sink.doAppend(frame, false); err != nil {
 				t.Fatal(err)
 			}
@@ -554,7 +556,7 @@ func TestBodyLimits(t *testing.T) {
 	spec := testSpec(256)
 	stride := replay.NewRowLayout(spec).Stride()
 	srv, _ := newTestServer(t, spec, nil)
-	appendFrame := encodeAppend(nil, appendBatch{ActorID: "a", BatchSeq: 1, Rows: make([]float64, 2*stride), N: 2}, stride)
+	appendFrame := expstore.EncodeAppend(nil, expstore.Batch{ActorID: "a", BatchSeq: 1, Rows: make([]float64, 2*stride), N: 2}, stride)
 	sampleFrame, err := encodeShardSampleRequest(nil, wireTestRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -607,7 +609,7 @@ func TestBodyLimits(t *testing.T) {
 		t.Fatalf("valid append: status %d (%s)", rec.Code, bytes.TrimSpace(rec.Body.Bytes()))
 	}
 	chunked := httptest.NewRequest(http.MethodPost, PathAppend, bytes.NewReader(
-		encodeAppend(nil, appendBatch{ActorID: "a", BatchSeq: 2, Rows: make([]float64, stride), N: 1}, stride)))
+		expstore.EncodeAppend(nil, expstore.Batch{ActorID: "a", BatchSeq: 2, Rows: make([]float64, stride), N: 1}, stride)))
 	chunked.ContentLength = -1
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, chunked)

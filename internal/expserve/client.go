@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 
+	"marlperf/internal/expstore"
 	"marlperf/internal/f64le"
 	"marlperf/internal/frame"
 	"marlperf/internal/netretry"
@@ -85,13 +86,14 @@ func (c *Client) doScratch(method, path string, contentType string, body []byte,
 // rejection.
 func isOutage(err error) bool { return netretry.Outage(err) }
 
-// ServiceStats is the server's /v1/stats document: spec, occupancy, and
-// the newest applied append sequence per actor.
+// ServiceStats is the server's /v1/stats document: its instance ID, spec,
+// occupancy, and the newest applied append sequence per actor.
 type ServiceStats struct {
-	Spec   replay.Spec
-	Rows   int
-	Total  uint64
-	Actors map[string]uint64
+	Instance string
+	Spec     replay.Spec
+	Rows     int
+	Total    uint64
+	Actors   map[string]uint64
 }
 
 // ServiceStats fetches the server's spec, occupancy and per-actor append
@@ -106,10 +108,11 @@ func (c *Client) ServiceStats() (ServiceStats, error) {
 		return ServiceStats{}, fmt.Errorf("expserve: decoding stats: %w", err)
 	}
 	return ServiceStats{
-		Spec:   reply.Spec.spec(),
-		Rows:   reply.Store.Rows,
-		Total:  reply.Store.Total,
-		Actors: reply.Actors,
+		Instance: reply.Instance,
+		Spec:     reply.Spec.spec(),
+		Rows:     reply.Store.Rows,
+		Total:    reply.Store.Total,
+		Actors:   reply.Actors,
 	}, nil
 }
 
@@ -193,9 +196,9 @@ func (s *RemoteSink) Add(obs, act [][]float64, rew []float64, nextObs [][]float6
 	return nil
 }
 
-// headerWords is the floats of buf ahead of the rows: payloadPad, then the header.
+// headerWords is the floats of buf ahead of the rows: the pad, then the header.
 func (s *RemoteSink) headerWords() int {
-	return (payloadPad(len(s.actorID)) + appendFrameHdr + len(s.actorID)) / 8
+	return (expstore.AppendPad(len(s.actorID)) + expstore.AppendHeaderLen(len(s.actorID))) / 8
 }
 
 // frame closes the staged rows, in place, into the append frame of the next
@@ -206,12 +209,12 @@ func (s *RemoteSink) frame() []byte {
 	s.n = 0
 	mem := f64le.Bytes(s.buf)
 	if mem == nil {
-		return encodeAppend(nil, appendBatch{ActorID: s.actorID, BatchSeq: s.batchSeq, Rows: s.buf[hw:], N: n}, stride)
+		return expstore.EncodeAppend(nil, expstore.Batch{ActorID: s.actorID, BatchSeq: s.batchSeq, Rows: s.buf[hw:], N: n}, stride)
 	}
 	// The header is appended into the room ahead of the rows, and the
 	// trailer into the float reserved behind them.
-	f := mem[payloadPad(len(s.actorID)) : 8*(hw+n*stride)]
-	appendBatchHeader(f[:0], s.actorID, s.batchSeq, n, stride)
+	f := mem[expstore.AppendPad(len(s.actorID)) : 8*(hw+n*stride)]
+	expstore.AppendBatchHeader(f[:0], s.actorID, s.batchSeq, n, stride)
 	return frame.Seal(f, 0)
 }
 

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -161,7 +159,7 @@ func TestBackpressureAnswers429AndClientRetries(t *testing.T) {
 	layout := replay.NewRowLayout(spec)
 	send := func(c *Client, actor string, seq uint64) error {
 		rows := make([]float64, layout.Stride())
-		body := encodeAppend(nil, appendBatch{ActorID: actor, BatchSeq: seq, Rows: rows, N: 1}, layout.Stride())
+		body := expstore.EncodeAppend(nil, expstore.Batch{ActorID: actor, BatchSeq: seq, Rows: rows, N: 1}, layout.Stride())
 		_, err := c.do(http.MethodPost, PathAppend, "application/octet-stream", body)
 		return err
 	}
@@ -206,14 +204,13 @@ func TestBackpressureAnswers429AndClientRetries(t *testing.T) {
 	}
 }
 
-// Close waits for an admitted batch to be applied and acknowledged before
-// it closes the dedup log, and admits nothing after: a later append is
-// answered 429.
+// Close waits for an admitted batch to be applied and acknowledged, its
+// cursor advanced, before it returns, and admits nothing after: a later
+// append is answered 429.
 func TestCloseDrainsAdmittedAppends(t *testing.T) {
 	spec := testSpec(128)
 	blocked := &blockingProvider{Ring: expstore.NewRing(spec), gate: make(chan struct{})}
-	dedup := filepath.Join(t.TempDir(), "dedup.log")
-	srv, err := NewServer(ServerConfig{Provider: blocked, Spec: spec, DedupLogPath: dedup})
+	srv, err := NewServer(ServerConfig{Provider: blocked, Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +220,7 @@ func TestCloseDrainsAdmittedAppends(t *testing.T) {
 
 	stride := replay.NewRowLayout(spec).Stride()
 	send := func(seq uint64) error {
-		body := encodeAppend(nil, appendBatch{ActorID: "a", BatchSeq: seq, Rows: make([]float64, stride), N: 1}, stride)
+		body := expstore.EncodeAppend(nil, expstore.Batch{ActorID: "a", BatchSeq: seq, Rows: make([]float64, stride), N: 1}, stride)
 		_, err := NewClient(hs.URL, ClientOptions{Attempts: 1, Timeout: 10 * time.Second, JitterSeed: 1}).
 			do(http.MethodPost, PathAppend, "application/octet-stream", body)
 		return err
@@ -246,8 +243,8 @@ func TestCloseDrainsAdmittedAppends(t *testing.T) {
 	if blocked.Ring.Len() != 1 {
 		t.Fatalf("ring holds %d rows after the drain, want 1", blocked.Ring.Len())
 	}
-	if log, err := os.ReadFile(dedup); err != nil || !strings.Contains(string(log), `"actor":"a","seq":1`) {
-		t.Fatalf("dedup log after Close: %q, %v; want the admitted batch's intent", log, err)
+	if st, err := fastClient(hs.URL).ServiceStats(); err != nil || st.Actors["a"] != 1 {
+		t.Fatalf("stats after Close: cursors %v, %v; want the admitted batch's seq 1 for actor a", st.Actors, err)
 	}
 	if err := send(2); err == nil || !strings.Contains(err.Error(), "429") {
 		t.Fatalf("append after Close: err = %v, want a 429", err)
@@ -326,8 +323,8 @@ func TestWireAppendRejectsCorruption(t *testing.T) {
 	spec := testSpec(16)
 	layout := replay.NewRowLayout(spec)
 	rows := make([]float64, 2*layout.Stride())
-	valid := encodeAppend(nil, appendBatch{ActorID: "a", BatchSeq: 1, Rows: rows, N: 2}, layout.Stride())
-	if _, err := decodeAppend(valid, layout.Stride(), new([]float64)); err != nil {
+	valid := expstore.EncodeAppend(nil, expstore.Batch{ActorID: "a", BatchSeq: 1, Rows: rows, N: 2}, layout.Stride())
+	if _, err := expstore.DecodeAppend(valid, layout.Stride(), new([]float64)); err != nil {
 		t.Fatalf("valid frame rejected: %v", err)
 	}
 	for _, corrupt := range [][]byte{
@@ -335,13 +332,13 @@ func TestWireAppendRejectsCorruption(t *testing.T) {
 		valid[:len(valid)/2],
 		append(append([]byte(nil), valid[:len(valid)-1]...), valid[len(valid)-1]^1),
 	} {
-		if _, err := decodeAppend(corrupt, layout.Stride(), new([]float64)); err == nil {
+		if _, err := expstore.DecodeAppend(corrupt, layout.Stride(), new([]float64)); err == nil {
 			t.Fatalf("corrupt frame of %d bytes accepted", len(corrupt))
 		}
 	}
 	mid := append([]byte(nil), valid...)
 	mid[20] ^= 0x80
-	if _, err := decodeAppend(mid, layout.Stride(), new([]float64)); err == nil {
+	if _, err := expstore.DecodeAppend(mid, layout.Stride(), new([]float64)); err == nil {
 		t.Fatal("bit-flipped frame accepted")
 	}
 }

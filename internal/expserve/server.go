@@ -1,16 +1,13 @@
 package expserve
 
 import (
-	"bytes"
+	"crypto/rand"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -19,17 +16,10 @@ import (
 	"marlperf/internal/f64le"
 	"marlperf/internal/netretry"
 	"marlperf/internal/replay"
-	"marlperf/internal/resilience"
 	"marlperf/internal/rowmem"
 	"marlperf/internal/telemetry"
 	"marlperf/internal/trace"
 )
-
-// statser is implemented by providers that expose occupancy counters
-// (expstore.Store does); others get a synthesized view from RowCount.
-type statser interface {
-	Stats() expstore.Stats
-}
 
 // arenaBytes returns how much of p's row storage is mapped outside the Go
 // heap (expstore.Ring and Store say; 0 for a provider that does not).
@@ -42,7 +32,10 @@ func arenaBytes(p expstore.Provider) int64 {
 
 // ServerConfig wires an experience server.
 type ServerConfig struct {
-	// Provider backs all endpoints. Required.
+	// Provider backs all endpoints. Required. A *expstore.Store takes each
+	// batch whole, as its append frame, and recovers the idempotency
+	// cursors with the rows; any other provider must append rows
+	// (rowAppender) and keeps the cursors in memory only.
 	Provider expstore.Provider
 	// Spec is the transition shape; must match Provider's layout. Required.
 	Spec replay.Spec
@@ -54,17 +47,6 @@ type ServerConfig struct {
 	MaxSampleRows int
 	// Registry receives service metrics; nil creates a private registry.
 	Registry *telemetry.Registry
-	// DedupLogPath, when set, makes the per-(actor,seq) idempotency cursor
-	// durable and exact to the row: before a batch touches the store, one
-	// JSONL intent record {actor, seq, base, n} is appended, where base is
-	// the store's pre-apply row total. A restarted server replays the log
-	// against the recovered total to classify each batch as fully applied
-	// (cursor advances — redelivery is acknowledged as a duplicate),
-	// untouched (redelivery applies normally), or torn mid-flush by the
-	// kill (redelivery applies only the rows the truncated tail lost, so
-	// the surviving prefix is never doubled). Meaningful with a durable
-	// provider; empty keeps the cursor in memory only.
-	DedupLogPath string
 	// Tracer, when set and enabled, records a server span per append and
 	// sample request that arrives with an X-Marl-Trace header, joining
 	// the client's trace. Nil or disabled costs one atomic load per
@@ -78,14 +60,29 @@ type ServerConfig struct {
 	ShardID string
 }
 
+// rowAppender is the volatile write path: an expstore.Ring, or a test or
+// benchmark wrapper around one.
+type rowAppender interface {
+	AppendRow(row []float64) error
+	Flush() error
+}
+
 // Server executes the experience service: bounded ingestion with one writer
-// at a time (per-actor arrival order is preserved and every acknowledged
-// batch is flushed — durable against process kill before the actor sees the
-// ack), and gathers of the packed rows a learner's draw selected.
+// at a time (per-actor arrival order is preserved and, on a durable store,
+// every acknowledged batch is flushed — durable against process kill before
+// the actor sees the ack), and gathers of the packed rows a learner's draw
+// selected.
 type Server struct {
-	cfg    ServerConfig
-	layout replay.RowLayout
-	mux    *http.ServeMux
+	cfg      ServerConfig
+	layout   replay.RowLayout
+	mux      *http.ServeMux
+	instance string // reported on /v1/stats; see statsReply
+
+	// Exactly one write path is set: store for a durable provider, which
+	// also keeps the occupancy counters /v1/stats reports, rows for a
+	// volatile one.
+	store *expstore.Store
+	rows  rowAppender
 
 	// provMu makes the append handler applying a batch the one writer, and
 	// serializes it against sample/stats readers. The durable Store carries
@@ -98,16 +95,10 @@ type Server struct {
 	admit  chan struct{}
 	closed sync.Once
 
-	// lastSeq is the per-actor idempotency cursor: written under
-	// provMu.Lock by applyBatch, read under provMu.RLock by handleStats.
+	// lastSeq is the per-actor idempotency cursor, seeded from a durable
+	// store's recovered cursors: written under provMu.Lock by applyBatch,
+	// read under provMu.RLock by handleStats.
 	lastSeq map[string]uint64
-	// partial records batches a kill tore mid-flush: the first `rows` rows
-	// of batch `seq` are already durable, so a redelivery must skip them.
-	// Populated from the dedup log on recovery, cleared on redelivery.
-	partial    map[string]partialApply
-	dedupPath  string
-	dedupF     *os.File
-	dedupBytes int64
 
 	// Ingest metrics.
 	ingestRows     *telemetry.Counter
@@ -158,7 +149,7 @@ func (s *Server) hugePageBytes() int64 {
 }
 
 // NewServer validates cfg and registers metrics. Close must be called to
-// drain ingestion and close the dedup log.
+// drain ingestion.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Provider == nil {
 		return nil, fmt.Errorf("expserve: NewServer needs a Provider")
@@ -188,12 +179,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	reg.SetHelp("marl_exp_shard_sample_misaddressed_total", "Shard-sample requests rejected because they were addressed to a different shard id.")
 	reg.SetHelp("marl_exp_store_arena_bytes", "Row storage mapped outside the Go heap, in bytes (0: the ring is smaller than a huge page and lives on the heap).")
 	reg.SetHelp("marl_exp_store_hugepage_bytes", "Anonymous memory of this process on transparent huge pages, in bytes (AnonHugePages; 0 where the kernel does not report it).")
+	var id [8]byte
+	if _, err := rand.Read(id[:]); err != nil {
+		return nil, fmt.Errorf("expserve: drawing an instance ID: %w", err)
+	}
 	s := &Server{
-		cfg:     cfg,
-		layout:  layout,
-		admit:   make(chan struct{}, cfg.QueueDepth+1),
-		lastSeq: make(map[string]uint64),
-		partial: make(map[string]partialApply),
+		cfg:      cfg,
+		layout:   layout,
+		instance: hex.EncodeToString(id[:]),
+		admit:    make(chan struct{}, cfg.QueueDepth+1),
+		lastSeq:  make(map[string]uint64),
 
 		ingestRows:     reg.Counter("marl_exp_ingest_rows_total"),
 		ingestBatches:  reg.Counter("marl_exp_ingest_batches_total"),
@@ -218,190 +213,19 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.updateGauges(cfg.Provider.RowCount()) // a recovered store's rows count from the start
 	reg.Gauge("marl_exp_store_arena_bytes").SetFunc(func() float64 { return float64(arenaBytes(cfg.Provider)) })
 	reg.Gauge("marl_exp_store_hugepage_bytes").SetFunc(func() float64 { return float64(s.hugePageBytes()) })
-	if cfg.DedupLogPath != "" {
-		if err := s.openDedupLog(cfg.DedupLogPath); err != nil {
-			return nil, err
-		}
+	switch p := cfg.Provider.(type) {
+	case *expstore.Store:
+		s.store, s.lastSeq = p, p.Cursors()
+	case rowAppender:
+		s.rows = p
+	default:
+		return nil, fmt.Errorf("expserve: provider %T can append neither batches nor rows", p)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc(PathAppend, s.handleAppend)
 	s.mux.HandleFunc(PathShardSample, s.handleShardSample)
 	s.mux.HandleFunc(PathStats, s.handleStats)
 	return s, nil
-}
-
-// dedupRecord is one line of the durable idempotency log. Three forms share
-// it: an *intent* (N > 0) written before a batch's rows move, carrying the
-// store's pre-apply row total in Base; a *cursor* (N == 0, PartialRows == 0)
-// written by compaction — and the only form pre-intent logs contain — which
-// asserts seq fully applied; and a *partial* (PartialRows > 0), compaction's
-// way of persisting a torn batch whose first PartialRows rows are durable.
-type dedupRecord struct {
-	Actor       string `json:"actor"`
-	Seq         uint64 `json:"seq"`
-	Base        uint64 `json:"base,omitempty"`
-	N           int    `json:"n,omitempty"`
-	PartialRows int    `json:"partial_rows,omitempty"`
-}
-
-// partialApply is recovered torn-batch state: the first rows rows of batch
-// seq are already in the store, so a redelivery must apply only the rest.
-type partialApply struct {
-	seq  uint64
-	rows int
-}
-
-// dedupCompactBytes triggers a rewrite of the dedup log to one record per
-// actor once the append-only file grows past it.
-const dedupCompactBytes = 4 << 20
-
-// openDedupLog loads the durable idempotency state and opens the log for
-// appending. Each intent is classified against the provider's recovered row
-// total: fully applied (total covers base+n), torn mid-flush (total strictly
-// inside the batch — the truncated store kept a row-aligned prefix), or
-// untouched. Ingest is strictly serial — intent k+1 is appended only after
-// batch k was applied, flushed and acked — so only an actor's last record
-// can be torn or untouched; every earlier one is provably applied. The log
-// shares RunLog's JSONL framing, so a tail torn by a kill mid-append is
-// tolerated: the batch it described was never acknowledged, and redelivery
-// applies it from scratch.
-func (s *Server) openDedupLog(path string) error {
-	var total uint64
-	hasTotal := false
-	if st, ok := s.cfg.Provider.(statser); ok {
-		total, hasTotal = st.Stats().Total, true
-	}
-	if f, err := os.Open(path); err == nil {
-		_, serr := telemetry.ScanRunLog(f, func(line json.RawMessage) error {
-			var r dedupRecord
-			if err := json.Unmarshal(line, &r); err != nil {
-				return err
-			}
-			if r.Seq == 0 {
-				// Client seqs start at 1; 0 would underflow the seq-1
-				// cursor math below.
-				return nil
-			}
-			// Any record above an actor's partial seq proves that batch
-			// finished after all: serial ingest writes nothing about seq
-			// k+1 until k is fully applied.
-			if p, ok := s.partial[r.Actor]; ok && p.seq < r.Seq {
-				if p.seq > s.lastSeq[r.Actor] {
-					s.lastSeq[r.Actor] = p.seq
-				}
-				delete(s.partial, r.Actor)
-			}
-			cursorTo := func(seq uint64) {
-				if seq > s.lastSeq[r.Actor] {
-					s.lastSeq[r.Actor] = seq
-				}
-			}
-			switch {
-			case r.PartialRows > 0:
-				s.partial[r.Actor] = partialApply{seq: r.Seq, rows: r.PartialRows}
-				cursorTo(r.Seq - 1)
-			case r.N == 0:
-				cursorTo(r.Seq)
-				if p, ok := s.partial[r.Actor]; ok && p.seq <= r.Seq {
-					delete(s.partial, r.Actor)
-				}
-			case hasTotal && total >= r.Base+uint64(r.N):
-				cursorTo(r.Seq)
-				if p, ok := s.partial[r.Actor]; ok && p.seq <= r.Seq {
-					delete(s.partial, r.Actor)
-				}
-			case hasTotal && total > r.Base:
-				s.partial[r.Actor] = partialApply{seq: r.Seq, rows: int(total - r.Base)}
-				cursorTo(r.Seq - 1)
-			default:
-				// Untouched — or the provider recovers no rows (volatile
-				// Ring), in which case re-applying is exactly right.
-				cursorTo(r.Seq - 1)
-			}
-			return nil
-		})
-		f.Close()
-		if serr != nil {
-			return fmt.Errorf("expserve: dedup log %s: %w", path, serr)
-		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("expserve: dedup log: %w", err)
-	}
-	// A compaction interrupted before its rename leaves a temp file beside
-	// the intact log; sweeping it is best effort, a survivor only wastes space.
-	_, _ = resilience.RemoveStaleTemps(filepath.Dir(path), filepath.Base(path))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("expserve: dedup log: %w", err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("expserve: dedup log: %w", err)
-	}
-	s.dedupPath, s.dedupF, s.dedupBytes = path, f, fi.Size()
-	return nil
-}
-
-// recordIntent makes a batch durable as an intent *before* its rows move:
-// base is the store total as-if the batch had zero rows applied (a partial
-// redelivery subtracts its already-durable prefix), so on recovery
-// total-base counts exactly how many of the batch's n rows survived.
-// Compaction runs before the append — never after — so the fresh intent is
-// not immediately rewritten into cursor form while its apply is still in
-// flight. Called by applyBatch under provMu.Lock.
-func (s *Server) recordIntent(actor string, seq, base uint64, n int) error {
-	if s.dedupF == nil {
-		return nil
-	}
-	if s.dedupBytes > dedupCompactBytes {
-		if err := s.compactDedupLog(); err != nil {
-			return err
-		}
-	}
-	line, err := json.Marshal(dedupRecord{Actor: actor, Seq: seq, Base: base, N: n})
-	if err != nil {
-		return err
-	}
-	wn, werr := s.dedupF.Write(append(line, '\n'))
-	s.dedupBytes += int64(wn)
-	if werr != nil {
-		return fmt.Errorf("expserve: dedup log: %w", werr)
-	}
-	return nil
-}
-
-// compactDedupLog rewrites the append-only log to one cursor record per
-// actor — plus a partial record for any still-torn batch, so the skip
-// survives compaction — replaces the original atomically and reopens it.
-func (s *Server) compactDedupLog() error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for actor, seq := range s.lastSeq {
-		if err := enc.Encode(dedupRecord{Actor: actor, Seq: seq}); err != nil {
-			return fmt.Errorf("expserve: compacting dedup log: %w", err)
-		}
-	}
-	for actor, p := range s.partial {
-		if err := enc.Encode(dedupRecord{Actor: actor, Seq: p.seq, PartialRows: p.rows}); err != nil {
-			return fmt.Errorf("expserve: compacting dedup log: %w", err)
-		}
-	}
-	size := int64(buf.Len())
-	if err := resilience.WriteFileAtomic(s.dedupPath, func(w io.Writer) error {
-		_, err := buf.WriteTo(w)
-		return err
-	}); err != nil {
-		return fmt.Errorf("expserve: compacting dedup log: %w", err)
-	}
-	s.dedupF.Close()
-	nf, err := os.OpenFile(s.dedupPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		s.dedupF = nil
-		return fmt.Errorf("expserve: reopening dedup log: %w", err)
-	}
-	s.dedupF, s.dedupBytes = nf, size
-	return nil
 }
 
 // sampleAgeBuckets spans row ages from a warm small buffer (hundreds of
@@ -431,27 +255,22 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops admitting appends (later ones get 429), waits for the admitted
-// ones to be applied, then closes the dedup log (if any). Idempotent.
+// Close stops admitting appends (later ones get 429) and waits for the
+// admitted ones to be applied and acknowledged. Idempotent.
 func (s *Server) Close() error {
 	s.closed.Do(func() {
 		for range cap(s.admit) { // a blocked send gets a freed slot before any handler
 			s.admit <- struct{}{}
 		}
-		s.provMu.Lock()
-		defer s.provMu.Unlock()
-		if s.dedupF != nil {
-			s.dedupF.Close()
-			s.dedupF = nil
-		}
 	})
 	return nil
 }
 
-// applyBatch applies an admitted batch under provMu.Lock and returns its
-// ack once the store has flushed it: RowCount is exact the moment an ack
-// returns, the property the determinism contract needs.
-func (s *Server) applyBatch(b appendBatch) (appendReply, error) {
+// applyBatch applies an admitted batch, decoded from frame, under
+// provMu.Lock and returns its ack once the store has it: on a durable store
+// its record is flushed, and RowCount is exact the moment an ack returns,
+// the property the determinism contract needs.
+func (s *Server) applyBatch(b expstore.Batch, frame []byte) (appendReply, error) {
 	admitted := time.Now()
 	s.provMu.Lock()
 	defer s.provMu.Unlock()
@@ -460,38 +279,12 @@ func (s *Server) applyBatch(b appendBatch) (appendReply, error) {
 		s.ingestDups.Inc()
 		return appendReply{Rows: s.cfg.Provider.RowCount(), Dup: true}, nil
 	}
-	// A redelivery of a batch a kill tore mid-flush skips the prefix the
-	// truncated store already holds — the frame is byte-identical (the
-	// actor replays the exact CRC-framed payload from its spool), so the
-	// suffix lines up row for row.
-	skip := 0
-	if p, ok := s.partial[b.ActorID]; ok && p.seq == b.BatchSeq && p.rows > 0 && p.rows < b.N {
-		skip = p.rows
-	}
-	// The intent goes durable before any row does. Its base is backdated
-	// past the already-durable prefix so a recovery scan sees total-base
-	// as this batch's full durable row count, whichever attempt wrote it.
-	var base uint64
-	if st, ok := s.cfg.Provider.(statser); ok {
-		base = st.Stats().Total - uint64(skip)
-	}
-	if err := s.recordIntent(b.ActorID, b.BatchSeq, base, b.N); err != nil {
-		// Nothing was applied; fail the ack and let the client retry.
-		return appendReply{}, err
-	}
-	stride := s.layout.Stride()
-	for k := skip; k < b.N; k++ {
-		if err := s.cfg.Provider.AppendRow(b.Rows[k*stride : (k+1)*stride]); err != nil {
-			return appendReply{}, err
-		}
-	}
-	if err := s.cfg.Provider.Flush(); err != nil {
+	if err := s.write(b, frame); err != nil {
 		return appendReply{}, err
 	}
 	s.lastSeq[b.ActorID] = b.BatchSeq
-	delete(s.partial, b.ActorID)
 	s.ingestBatches.Inc()
-	s.ingestRows.Add(uint64(b.N - skip))
+	s.ingestRows.Add(uint64(b.N))
 	s.appendSeconds.Observe(time.Since(start).Seconds())
 	s.appendVisible.Observe(time.Since(admitted).Seconds())
 	rows := s.cfg.Provider.RowCount()
@@ -499,18 +292,33 @@ func (s *Server) applyBatch(b appendBatch) (appendReply, error) {
 	return appendReply{Total: s.storeTotal(), Rows: rows}, nil
 }
 
+// write hands b to the provider: whole, as its frame, to a durable store;
+// row by row to a volatile one.
+func (s *Server) write(b expstore.Batch, frame []byte) error {
+	if s.store != nil {
+		return s.store.Append(b, frame)
+	}
+	stride := s.layout.Stride()
+	for k := 0; k < b.N; k++ {
+		if err := s.rows.AppendRow(b.Rows[k*stride : (k+1)*stride]); err != nil {
+			return err
+		}
+	}
+	return s.rows.Flush()
+}
+
 // storeTotal is the rows ever appended: the provider's count if it keeps one.
 func (s *Server) storeTotal() uint64 {
-	if st, ok := s.cfg.Provider.(statser); ok {
-		return st.Stats().Total
+	if s.store != nil {
+		return s.store.Total()
 	}
 	return s.ingestRows.Value()
 }
 
 func (s *Server) updateGauges(rows int) {
 	s.storeRows.Set(float64(rows))
-	if st, ok := s.cfg.Provider.(statser); ok {
-		s.storeSegments.Set(float64(st.Stats().Segments))
+	if s.store != nil {
+		s.storeSegments.Set(float64(s.store.Stats().Segments))
 	}
 }
 
@@ -521,11 +329,11 @@ type appendScratch struct {
 }
 
 // read reads an append body into sc.words: the prefix, then the rest at the
-// offset (from the actor-ID length) that 8-aligns the rows for decodeAppend's
+// offset (from the actor-ID length) that 8-aligns the rows for DecodeAppend's
 // view. A chunked body, or any on a big-endian host, may need sc.rows.
 func (sc *appendScratch) read(r *http.Request) ([]byte, error) {
 	declared := r.ContentLength
-	alignable := f64le.Native && declared >= appendPrefix && declared <= maxAppendBody
+	alignable := f64le.Native && declared >= expstore.AppendPrefix && declared <= maxAppendBody
 	if words := int(declared+7+7) / 8; alignable && cap(sc.words) < words { // ≤ 7 bytes of pad, then the body
 		sc.words = make([]float64, words)
 	}
@@ -533,14 +341,14 @@ func (sc *appendScratch) read(r *http.Request) ([]byte, error) {
 	if !alignable {
 		return netretry.ReadBody(r.Body, declared, maxAppendBody, mem[:0])
 	}
-	if _, err := io.ReadFull(r.Body, mem[:appendPrefix]); err != nil {
+	if _, err := io.ReadFull(r.Body, mem[:expstore.AppendPrefix]); err != nil {
 		return nil, fmt.Errorf("append frame prefix: %w", err)
 	}
-	// Only the actor-ID length mod 8 matters here; decodeAppend judges it.
-	pad := payloadPad(int(binary.LittleEndian.Uint32(mem[8:]) % 8))
-	copy(mem[pad:], mem[:appendPrefix])
+	// Only the actor-ID length mod 8 matters here; DecodeAppend judges it.
+	pad := expstore.AppendPad(int(binary.LittleEndian.Uint32(mem[8:]) % 8))
+	copy(mem[pad:], mem[:expstore.AppendPrefix])
 	body := mem[pad : pad+int(declared)]
-	if _, err := netretry.ReadBody(r.Body, declared-appendPrefix, maxAppendBody, body[appendPrefix:]); err != nil {
+	if _, err := netretry.ReadBody(r.Body, declared-expstore.AppendPrefix, maxAppendBody, body[expstore.AppendPrefix:]); err != nil {
 		return nil, err
 	}
 	return body, nil
@@ -554,13 +362,13 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc := s.appendPool.Get().(*appendScratch)
-	defer s.appendPool.Put(sc) // the batch's rows alias sc until applyBatch returns
+	defer s.appendPool.Put(sc) // the body and the batch's rows alias sc until applyBatch returns
 	body, err := sc.read(r)
 	if err != nil {
 		http.Error(w, err.Error(), netretry.BodyStatus(err))
 		return
 	}
-	batch, err := decodeAppend(body, s.layout.Stride(), &sc.rows)
+	batch, err := expstore.DecodeAppend(body, s.layout.Stride(), &sc.rows)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -577,7 +385,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "ingest queue full", http.StatusTooManyRequests)
 		return
 	}
-	reply, err := s.applyBatch(batch)
+	reply, err := s.applyBatch(batch, body)
 	<-s.admit
 	if err != nil {
 		sp.EndArg("error", 1)
@@ -695,8 +503,8 @@ func (s *Server) handleShardSample(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var st expstore.Stats
 	s.provMu.RLock()
-	if withStats, ok := s.cfg.Provider.(statser); ok {
-		st = withStats.Stats()
+	if s.store != nil {
+		st = s.store.Stats()
 	} else {
 		st.Rows = s.cfg.Provider.RowCount()
 		st.Total = s.ingestRows.Value()
@@ -712,5 +520,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.provMu.RUnlock()
 	st.HugePageBytes = s.hugePageBytes()
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(statsReply{Spec: specToWire(s.cfg.Spec), Store: st, Actors: actors})
+	_ = json.NewEncoder(w).Encode(statsReply{Instance: s.instance, Spec: specToWire(s.cfg.Spec), Store: st, Actors: actors})
 }

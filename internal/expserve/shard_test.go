@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http/httptest"
 	"slices"
 	"strings"
@@ -470,5 +471,55 @@ func TestFabricMembersUseClientRegistryAndTracer(t *testing.T) {
 	}
 	if spans != len(cell.groups) {
 		t.Errorf("%d shard-sample-rpc spans for a draw over %d groups", spans, len(cell.groups))
+	}
+}
+
+// One replayd named twice, under two spellings of its address, passes
+// ParseSpec. Its two member sinks would send as one actor with their own
+// sequence counters, so the server would answer one group's batches as
+// duplicates of the other's: a flush of 64 rows would leave 32. FetchSpec
+// sees one instance answer for both members and refuses the fabric, and so
+// does the learner's NewShardedSource, which calls it.
+func TestFetchSpecRefusesOneReplaydNamedTwice(t *testing.T) {
+	spec := testSpec(4096)
+	ring := expstore.NewRing(spec)
+	defer ring.Close()
+	srv, err := NewServer(ServerConfig{Provider: ring, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	defer srv.Close()
+	port := hs.Listener.Addr().(*net.TCPAddr).Port
+	groups, err := expshard.ParseSpec(fmt.Sprintf("127.0.0.1:%d,localhost:%d", port, port))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric, err := NewFabric(groups, FabricOptions{Client: fastOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fabric.FetchSpec(); err == nil {
+		sink, err := NewShardedSink(fabric, "actor-0", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 64; i++ {
+			obs, act, rew, nxt, done := step(rng)
+			if err := sink.Add(obs, act, rew, nxt, done); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("FetchSpec accepted one replayd named twice; of 64 rows flushed it holds %d", ring.Len())
+	} else if !errors.Is(err, ErrSameReplayd) || !strings.Contains(err.Error(), "localhost") {
+		t.Fatalf("FetchSpec: %v, want ErrSameReplayd naming both members", err)
+	}
+	if _, err := NewShardedSource(fabric, spec, replay.SamplePlan{Strategy: replay.PlanUniform}); !errors.Is(err, ErrSameReplayd) {
+		t.Fatalf("NewShardedSource: %v, want ErrSameReplayd", err)
 	}
 }

@@ -1,6 +1,7 @@
 package expserve
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -123,24 +124,46 @@ func (f *Fabric) rideThrough(try func() (retry bool, err error)) error {
 	}
 }
 
-// FetchSpec returns the transition spec from the first reachable
-// member, riding the RetryFor budget, for startup validation.
+// ErrSameReplayd reports a fabric spec that names one replayd twice, under
+// two spellings of its address: its member sinks would share the server's
+// dedup cursors, so one would see the other's batches acknowledged as
+// duplicates and dropped.
+var ErrSameReplayd = errors.New("expserve: two fabric members are one replayd")
+
+// FetchSpec probes every member, riding the RetryFor budget until one
+// answers, and returns the transition spec of the first that does, for
+// startup validation. Two members that report the same instance fail it
+// with ErrSameReplayd.
 func (f *Fabric) FetchSpec() (replay.Spec, error) {
 	var spec replay.Spec
 	err := f.rideThrough(func() (bool, error) {
 		var lastErr error
-		for _, group := range f.clients {
-			for _, c := range group {
+		seen := make(map[string]string) // instance → member address
+		for gi, group := range f.clients {
+			for mi, c := range group {
 				st, err := c.ServiceStats()
-				if err == nil {
-					spec = st.Spec
-					return false, nil
+				if err != nil {
+					lastErr = err
+					continue
 				}
-				lastErr = err
+				addr := f.snap.Groups[gi].Members[mi].Addr
+				if other, ok := seen[st.Instance]; ok {
+					return false, fmt.Errorf("%w: %s and %s (instance %s)", ErrSameReplayd, other, addr, st.Instance)
+				}
+				if len(seen) == 0 {
+					spec = st.Spec
+				}
+				seen[st.Instance] = addr
 			}
+		}
+		if len(seen) > 0 {
+			return false, nil
 		}
 		return true, lastErr
 	})
+	if errors.Is(err, ErrSameReplayd) {
+		return replay.Spec{}, err
+	}
 	if err != nil {
 		return replay.Spec{}, fmt.Errorf("expserve: no fabric member reachable: %w", err)
 	}

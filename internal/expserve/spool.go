@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"marlperf/internal/expstore"
 	"marlperf/internal/resilience"
 	"marlperf/internal/telemetry"
 )
@@ -109,7 +110,7 @@ func (s *RemoteSink) EnableSpool(opts SpoolOptions) error {
 		if err != nil {
 			return fmt.Errorf("expserve: reading spooled batch: %w", err)
 		}
-		batch, err := decodeAppend(data, stride, &rows)
+		batch, err := expstore.DecodeAppend(data, stride, &rows)
 		if err != nil {
 			// A torn spool file is a crash mid-spool: the batch was never
 			// acknowledged to the rollout engine, so dropping it is safe —
@@ -159,7 +160,7 @@ func (s *RemoteSink) SpoolLen() int {
 // cause, when non-nil, is the ship failure that forced the diversion.
 func (s *RemoteSink) spoolFrame(frame []byte, cause error) error {
 	sp, seq := s.spool, s.batchSeq
-	rows := (len(frame) - appendFrameHdr - len(s.actorID) - 4) / (8 * s.layout.Stride())
+	rows := (len(frame) - expstore.AppendHeaderLen(len(s.actorID)) - 4) / (8 * s.layout.Stride())
 	if sp.bytes+int64(len(frame)) > sp.maxBytes {
 		return fmt.Errorf("expserve: spool full (%d bytes + %d-byte batch exceeds %d); server still unreachable: %v",
 			sp.bytes, len(frame), sp.maxBytes, cause)

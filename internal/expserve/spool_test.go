@@ -1,6 +1,6 @@
 package expserve
 
-// Actor-side spool and durable-dedup coverage, including a real-signal
+// Actor-side spool and durable-cursor coverage, including a real-signal
 // drain test: a child process (this test binary re-executed with an env
 // guard) serves the experience service until the parent SIGKILLs it
 // mid-ingest; the actor sink rides out the outage by spooling to disk,
@@ -22,6 +22,8 @@ import (
 	"time"
 
 	"marlperf/internal/expstore"
+	"marlperf/internal/f64le"
+	"marlperf/internal/replay"
 	"marlperf/internal/telemetry"
 )
 
@@ -38,8 +40,8 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// spoolKillChildMain serves the experience service over a durable store
-// with a durable dedup log until killed. Binding retries briefly so a
+// spoolKillChildMain serves the experience service over a durable store,
+// which keeps the dedup cursors with the rows, until killed. Binding retries briefly so a
 // restarted child can win the port back from a freshly killed sibling.
 func spoolKillChildMain(dir, addr string) {
 	st, err := expstore.Open(filepath.Join(dir, "store"), testSpec(100000), expstore.Options{SegmentRows: 64})
@@ -47,11 +49,7 @@ func spoolKillChildMain(dir, addr string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	srv, err := NewServer(ServerConfig{
-		Provider:     st,
-		Spec:         testSpec(100000),
-		DedupLogPath: filepath.Join(dir, "dedup.log"),
-	})
+	srv, err := NewServer(ServerConfig{Provider: st, Spec: testSpec(100000)})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -186,7 +184,7 @@ func TestSpoolDrainAcrossServerSIGKILL(t *testing.T) {
 		t.Fatalf("OnSpool saw %d diversions, want 3", spooled)
 	}
 
-	// Restart over the same store and dedup log, then drain.
+	// Restart over the same store, then drain.
 	child2 := startChild()
 	defer func() { child2.Process.Kill(); child2.Wait() }()
 	waitStats(t, c, 15*time.Second)
@@ -336,30 +334,32 @@ func TestSpoolFullAppliesBackpressure(t *testing.T) {
 	}
 }
 
+// durableServer serves the store in dir until the returned stop; each call
+// reopens it, as a restarted marl-replayd -dir does.
+func durableServer(t *testing.T, dir string, spec replay.Spec, opts expstore.Options) (*Client, *expstore.Store, func()) {
+	t.Helper()
+	st, err := expstore.Open(dir, spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{Provider: st, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	return fastClient(hs.URL), st, func() { hs.Close(); srv.Close(); st.Close() }
+}
+
 // TestDedupLogSurvivesRestart: the durable idempotency cursor makes
 // redelivery across a server restart a no-op — the window the in-memory
-// map could not cover.
+// map could not cover. The store's segments are the log: each record is an
+// acknowledged batch, actor and sequence included.
 func TestDedupLogSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(4096)
-	storePath := filepath.Join(dir, "store")
-	dedupPath := filepath.Join(dir, "dedup.log")
+	opts := expstore.Options{SegmentRows: 64}
 
-	serve := func() (*Client, func()) {
-		t.Helper()
-		st, err := expstore.Open(storePath, spec, expstore.Options{SegmentRows: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := NewServer(ServerConfig{Provider: st, Spec: spec, DedupLogPath: dedupPath})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := httptest.NewServer(srv)
-		return fastClient(hs.URL), func() { hs.Close(); srv.Close(); st.Close() }
-	}
-
-	c1, stop1 := serve()
+	c1, _, stop1 := durableServer(t, dir, spec, opts)
 	sink1, err := NewRemoteSink(c1, "actor-dedup", spec)
 	if err != nil {
 		t.Fatal(err)
@@ -368,8 +368,12 @@ func TestDedupLogSurvivesRestart(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	addRows(t, sink1, rng, 16) // seqs 1,2 applied and recorded
 	stop1()
+	// A dedup.log left beside the segments by an older build is ignored.
+	if err := os.WriteFile(filepath.Join(dir, "dedup.log"), []byte(`{"actor":"actor-dedup","seq":9,"base":0,"n":8}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	c2, stop2 := serve()
+	c2, _, stop2 := durableServer(t, dir, spec, opts)
 	defer stop2()
 
 	// A fresh sink under the same ID would reuse seq 1 — exactly the
@@ -378,7 +382,7 @@ func TestDedupLogSurvivesRestart(t *testing.T) {
 	// data lands.
 	st2 := waitStats(t, c2, 5*time.Second)
 	if st2.Actors["actor-dedup"] != 2 {
-		t.Fatalf("restarted server reports cursor %d, want 2 (from dedup log)", st2.Actors["actor-dedup"])
+		t.Fatalf("restarted server reports cursor %d, want 2 (from the segments)", st2.Actors["actor-dedup"])
 	}
 
 	sink2, err := NewRemoteSink(c2, "actor-dedup", spec)
@@ -409,84 +413,113 @@ func TestDedupLogSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestCursorOutlivesItsSegment: an actor's cursor survives the retirement
+// of the segment that held its only batch, because each segment's header
+// carries every cursor as of its open.
+func TestCursorOutlivesItsSegment(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(32)
+	opts := expstore.Options{SegmentRows: 8}
+
+	c1, _, stop1 := durableServer(t, dir, spec, opts)
+	rng := rand.New(rand.NewSource(31))
+	sinkA, err := NewRemoteSink(c1, "actor-a", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinkA.MaxBatchRows = 4
+	addRows(t, sinkA, rng, 4) // actor-a's seq 1: rows 0–3
+	sinkB, err := NewRemoteSink(c1, "actor-b", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinkB.MaxBatchRows = 8
+	addRows(t, sinkB, rng, 48) // more than the 32-row capacity
+	stop1()
+	if _, err := os.Stat(filepath.Join(dir, "seg-000000000000.xpk")); !os.IsNotExist(err) {
+		t.Fatalf("the segment holding actor-a's batch was not retired: %v", err)
+	}
+
+	c2, _, stop2 := durableServer(t, dir, spec, opts)
+	defer stop2()
+	st := waitStats(t, c2, 5*time.Second)
+	if st.Actors["actor-a"] != 1 || st.Actors["actor-b"] != 6 || st.Total != 52 {
+		t.Fatalf("after restart: cursors %v, total %d; want actor-a 1, actor-b 6, total 52", st.Actors, st.Total)
+	}
+	redeliver, err := NewRemoteSink(c2, "actor-a", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	redeliver.MaxBatchRows = 4
+	addRows(t, redeliver, rng, 4) // seq 1 again
+	if st := waitStats(t, c2, 5*time.Second); st.Total != 52 || st.Actors["actor-a"] != 1 {
+		t.Fatalf("redelivered batch 1: total %d, cursor %d; want it acknowledged as a duplicate (total 52, cursor 1)", st.Total, st.Actors["actor-a"])
+	}
+}
+
 // TestTornBatchRedeliveryAppliesOnlyMissingRows reproduces the worst
-// SIGKILL window: the kill lands mid-Flush, so the store's own torn-tail
-// recovery keeps a row-aligned prefix of the batch (here 5 of 8 rows) while
-// the batch was never acked — the actor will redeliver it in full. The
-// intent log must classify the batch as partially applied, park the cursor
-// one short, and make the redelivery append only the missing suffix.
+// SIGKILL window: the kill lands while batch 2's record is being written,
+// so the segment ends inside its frame while the batch was never acked —
+// the actor will redeliver it in full. Recovery must drop the torn frame
+// whole and park the cursor at 1, and redelivering batches 2 and 3 must
+// land every row exactly once.
 func TestTornBatchRedeliveryAppliesOnlyMissingRows(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(4096)
-	storePath := filepath.Join(dir, "store")
-	dedupPath := filepath.Join(dir, "dedup.log")
+	opts := expstore.Options{SegmentRows: 64}
+	stride := replay.NewRowLayout(spec).Stride()
 
-	serve := func() (*Client, func()) {
+	// The rows of batches 1, 2 and 3.
+	rng := rand.New(rand.NewSource(29))
+	want := make([]float64, 24*stride)
+	for i := range want {
+		want[i] = rng.NormFloat64()
+	}
+	add := func(sink *RemoteSink, from, to int) {
 		t.Helper()
-		st, err := expstore.Open(storePath, spec, expstore.Options{SegmentRows: 64})
-		if err != nil {
-			t.Fatal(err)
+		for r := from; r < to; r++ {
+			if err := addPacked(sink, want[r*stride:(r+1)*stride]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		srv, err := NewServer(ServerConfig{Provider: st, Spec: spec, DedupLogPath: dedupPath})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := httptest.NewServer(srv)
-		return fastClient(hs.URL), func() { hs.Close(); srv.Close(); st.Close() }
 	}
 
-	// Batch 1 (seq 1, 8 rows) lands normally through a real server.
-	c1, stop1 := serve()
+	// Batches 1 and 2 land through a real server.
+	c1, _, stop1 := durableServer(t, dir, spec, opts)
 	sink1, err := NewRemoteSink(c1, "torn", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink1.MaxBatchRows = 8
-	rng := rand.New(rand.NewSource(29))
-	addRows(t, sink1, rng, 8)
+	add(sink1, 0, 16)
 	stop1()
 
-	// Forge the kill's disk state for batch 2: its intent went durable,
-	// then the torn flush left only 5 of its 8 rows in the store.
-	logF, err := os.OpenFile(dedupPath, os.O_WRONLY|os.O_APPEND, 0o644)
+	// Forge the kill's disk state: the segment ends halfway into batch 2's
+	// frame.
+	seg := filepath.Join(dir, "seg-000000000000.xpk")
+	info, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := logF.WriteString(`{"actor":"torn","seq":2,"base":8,"n":8}` + "\n"); err != nil {
+	frameLen := int64(expstore.AppendHeaderLen(len("torn")) + 8*8*stride + 4)
+	if err := os.Truncate(seg, info.Size()-frameLen/2); err != nil {
 		t.Fatal(err)
 	}
-	logF.Close()
-	st, err := expstore.Open(storePath, spec, expstore.Options{SegmentRows: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := make([]float64, st.Stats().Stride)
-	for i := 0; i < 5; i++ {
-		if err := st.AppendRow(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
 
-	// Recovery must classify batch 2 as torn — cursor parked at 1, the
-	// durable prefix kept — and a second restart over the same log must
-	// reach the same verdict.
+	// Recovery reports cursor 1 and batch 1's rows only, and a second
+	// restart over the truncated segment reaches the same verdict.
 	for i := 0; i < 2; i++ {
-		c, stop := serve()
+		c, _, stop := durableServer(t, dir, spec, opts)
 		stn := waitStats(t, c, 5*time.Second)
-		if stn.Actors["torn"] != 1 || stn.Total != 13 {
-			stop()
-			t.Fatalf("restart %d: cursor=%d total=%d, want cursor 1 total 13", i, stn.Actors["torn"], stn.Total)
-		}
 		stop()
+		if stn.Actors["torn"] != 1 || stn.Total != 8 {
+			t.Fatalf("restart %d: cursor=%d total=%d, want cursor 1 total 8", i, stn.Actors["torn"], stn.Total)
+		}
 	}
 
-	// Redeliver batch 2 in full plus a fresh batch 3: only the 3 missing
-	// rows of 2 and the 8 of 3 may land.
-	c2, stop2 := serve()
+	// Redeliver batch 2 in full plus a fresh batch 3: all 24 rows land,
+	// once each, in order.
+	c2, st, stop2 := durableServer(t, dir, spec, opts)
 	defer stop2()
 	sink2, err := NewRemoteSink(c2, "torn", spec)
 	if err != nil {
@@ -494,12 +527,18 @@ func TestTornBatchRedeliveryAppliesOnlyMissingRows(t *testing.T) {
 	}
 	sink2.MaxBatchRows = 8
 	sink2.SkipTo(waitStats(t, c2, 5*time.Second).Actors["torn"])
-	addRows(t, sink2, rng, 16)
+	add(sink2, 8, 24)
 	fin := waitStats(t, c2, 5*time.Second)
-	if fin.Rows != 24 || fin.Total != 24 {
-		t.Fatalf("after redelivery: rows=%d total=%d, want 24/24 (prefix duplicated or suffix lost)", fin.Rows, fin.Total)
+	if fin.Rows != 24 || fin.Total != 24 || fin.Actors["torn"] != 3 {
+		t.Fatalf("after redelivery: rows=%d total=%d cursor=%d, want 24/24/3", fin.Rows, fin.Total, fin.Actors["torn"])
 	}
-	if fin.Actors["torn"] != 3 {
-		t.Fatalf("cursor=%d after redelivery, want 3", fin.Actors["torn"])
+	idx := make([]int, 24)
+	for i := range idx {
+		idx[i] = i
 	}
+	encoded := make([]byte, 24*stride*8)
+	st.GatherEncodeLE(idx, encoded)
+	got := make([]float64, 24*stride)
+	f64le.Get(got, encoded)
+	sameRowBits(t, "stored rows", got, want)
 }

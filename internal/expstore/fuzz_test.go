@@ -13,10 +13,13 @@ import (
 func FuzzParseSegment(f *testing.F) {
 	spec := replay.Spec{NumAgents: 2, ObsDims: []int{3, 4}, ActDim: 2, Capacity: 16}
 	layout := replay.NewRowLayout(spec)
+	stride := layout.Stride()
 
-	valid := appendSegmentHeader(nil, layout, 7)
-	for seq := uint64(7); seq < 12; seq++ {
-		valid = appendRecord(valid, layout, seq, rowForSeq(layout, seq))
+	valid := appendSegmentHeader(nil, layout, 7, map[string]uint64{"a": 3, "bb": 9})
+	for seq := uint64(7); seq < 12; seq += 2 {
+		rows := append(rowForSeq(layout, seq), rowForSeq(layout, seq+1)...)
+		valid = append(valid, byte(seq), 0, 0, 0, 0, 0, 0, 0)
+		valid = EncodeAppend(valid, Batch{ActorID: "a", BatchSeq: 4 + seq, Rows: rows, N: 2}, stride)
 	}
 	f.Add(valid, true)
 	f.Add(valid, false)
@@ -32,23 +35,25 @@ func FuzzParseSegment(f *testing.F) {
 	f.Add(mutated2, false)
 
 	f.Fuzz(func(t *testing.T, data []byte, tornOK bool) {
-		base, rows, n, goodOff, err := parseSegment(data, layout, tornOK)
+		seg, err := parseSegment(data, layout, tornOK)
 		if err != nil {
 			return
 		}
-		stride := layout.Stride()
-		if len(rows) != n*stride {
-			t.Fatalf("parsed %d rows but %d floats (stride %d)", n, len(rows), stride)
+		if seg.goodOff > len(data) || seg.goodOff < 4 {
+			t.Fatalf("goodOff %d outside [4,%d]", seg.goodOff, len(data))
 		}
-		if goodOff < segHeaderSize(layout) || goodOff > len(data) {
-			t.Fatalf("goodOff %d outside [%d,%d]", goodOff, segHeaderSize(layout), len(data))
+		if !tornOK && seg.goodOff != len(data) {
+			t.Fatalf("sealed parse accepted a torn tail: goodOff %d of %d", seg.goodOff, len(data))
 		}
-		if !tornOK && goodOff != len(data) {
-			t.Fatalf("sealed parse accepted a torn tail: goodOff %d of %d", goodOff, len(data))
+		rows := 0
+		for _, b := range seg.batches {
+			if len(b.Rows) != b.N*stride {
+				t.Fatalf("batch of %d rows carries %d floats (stride %d)", b.N, len(b.Rows), stride)
+			}
+			rows += b.N
 		}
-		if wantRows := (goodOff - segHeaderSize(layout)) / recordSize(layout); wantRows != n {
-			t.Fatalf("goodOff %d implies %d records, decoder returned %d", goodOff, wantRows, n)
+		if rows != seg.rows {
+			t.Fatalf("batches hold %d rows, segment counts %d", rows, seg.rows)
 		}
-		_ = base
 	})
 }

@@ -144,7 +144,6 @@ func TestRingUseAfterClosePanics(t *testing.T) {
 		}
 		uses := map[string]func(){
 			"Append":         func() { ring.Append(make([]float64, stride)) },
-			"Row":            func() { ring.Row(0) },
 			"GatherPacked":   func() { ring.GatherPacked([]int{0}, make([]float64, stride)) },
 			"GatherEncodeLE": func() { ring.GatherEncodeLE([]int{0}, make([]byte, stride*8)) },
 			"SamplePacked": func() {

@@ -1,11 +1,11 @@
 package expstore
 
 // Real-signal crash test: a child process (this test binary re-executed with
-// an env guard) appends self-checking rows to a store, flushing every batch,
-// until the parent SIGKILLs it mid-write. The parent then reopens the store
-// and proves the invariant the segment format promises: recovery keeps a
-// contiguous intact prefix — every row flushed before the kill survives,
-// only the torn tail past the last flush may be dropped — and the store
+// an env guard) appends batches of self-checking rows to a store until the
+// parent SIGKILLs it mid-write. The parent then reopens the store and proves
+// the invariant the segment format promises: recovery keeps a contiguous
+// intact prefix of whole batches — every batch whose Append returned
+// survives, only the one torn at the tail may be dropped — and the store
 // accepts new appends exactly where the prefix ends.
 
 import (
@@ -23,9 +23,9 @@ import (
 
 const (
 	killChildEnv = "EXPSTORE_KILL_CHILD_DIR"
-	// killFlushEvery is the child's flush cadence; everything up to the last
-	// flush must survive the kill.
-	killFlushEvery = 50
+	// killBatchRows is the child's batch size; every batch whose Append
+	// returned must survive the kill.
+	killBatchRows = 50
 )
 
 func killSpec() replay.Spec {
@@ -42,8 +42,8 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// killChildMain appends rows forever, flushing every killFlushEvery rows and
-// reporting durable progress to progress.txt — until SIGKILLed.
+// killChildMain appends batches of killBatchRows rows forever, reporting
+// durable progress to progress.txt — until SIGKILLed.
 func killChildMain(dir string) {
 	s, err := Open(filepath.Join(dir, "store"), killSpec(), Options{SegmentRows: 64})
 	if err != nil {
@@ -51,28 +51,28 @@ func killChildMain(dir string) {
 		os.Exit(1)
 	}
 	layout := s.Layout()
+	stride := layout.Stride()
 	progress := filepath.Join(dir, "progress.txt")
-	for seq := uint64(0); ; seq++ {
-		if err := s.AppendRow(rowForSeq(layout, seq)); err != nil {
+	rows := make([]float64, killBatchRows*stride)
+	for seq := uint64(0); ; seq += killBatchRows {
+		for k := range killBatchRows {
+			copy(rows[k*stride:], rowForSeq(layout, seq+uint64(k)))
+		}
+		b := Batch{ActorID: "kill", BatchSeq: seq/killBatchRows + 1, Rows: rows, N: killBatchRows}
+		if err := s.Append(b, EncodeAppend(nil, b, stride)); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if (seq+1)%killFlushEvery == 0 {
-			if err := s.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			// Publish the durable row count only after the flush: rows up to
-			// here must survive any subsequent kill.
-			tmp := progress + ".tmp"
-			if err := os.WriteFile(tmp, []byte(strconv.FormatUint(seq+1, 10)), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := os.Rename(tmp, progress); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		// Publish the durable row count only after the append: rows up to
+		// here must survive any subsequent kill.
+		tmp := progress + ".tmp"
+		if err := os.WriteFile(tmp, []byte(strconv.FormatUint(seq+killBatchRows, 10)), 0o644); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		if err := os.Rename(tmp, progress); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 	}
 }
@@ -96,7 +96,7 @@ func TestSIGKILLRecoveryKeepsFlushedPrefix(t *testing.T) {
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		if data, err := os.ReadFile(progress); err == nil {
-			if v, err := strconv.ParseUint(string(data), 10, 64); err == nil && v >= 10*killFlushEvery {
+			if v, err := strconv.ParseUint(string(data), 10, 64); err == nil && v >= 10*killBatchRows {
 				durable = v
 				break
 			}
@@ -127,18 +127,21 @@ func TestSIGKILLRecoveryKeepsFlushedPrefix(t *testing.T) {
 	defer s.Close()
 	recovered := s.Total()
 	if recovered < durable {
-		t.Fatalf("recovered %d rows, but %d were flushed before the kill", recovered, durable)
+		t.Fatalf("recovered %d rows, but %d were appended before the kill", recovered, durable)
 	}
-	t.Logf("SIGKILL at ≥%d durable rows; recovered %d (torn tail dropped: unflushed only)", durable, recovered)
+	if recovered%killBatchRows != 0 {
+		t.Fatalf("recovered %d rows, not a whole number of %d-row batches", recovered, killBatchRows)
+	}
+	if c := s.Cursors()["kill"]; c != recovered/killBatchRows {
+		t.Fatalf("recovered cursor %d for %d rows, want %d", c, recovered, recovered/killBatchRows)
+	}
+	t.Logf("SIGKILL at ≥%d durable rows; recovered %d (torn tail dropped: an unacknowledged batch only)", durable, recovered)
 
 	// Every recovered row is intact and in sequence.
 	verifyWindow(t, s, s.Stats().Base, s.RowCount())
 
 	// The reopened store appends exactly where the intact prefix ends.
 	appendSeqs(t, s, recovered, recovered+100)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	verifyWindow(t, s, s.Stats().Base, s.RowCount())
 	if s.Total() != recovered+100 {
 		t.Fatalf("Total = %d after 100 post-recovery appends, want %d", s.Total(), recovered+100)

@@ -1,18 +1,20 @@
 // Package expstore is the persistent half of the experience service: an
 // append-only, crash-recoverable segment store for KV transition rows. One
-// record is one environment step — the key is the global time index, the
+// row is one environment step — the key is the global time index, the
 // value is every agent's transition packed contiguously (replay.RowLayout),
-// preserving the paper's §IV-B2 data layout on disk so the gather of a
+// preserving the paper's §IV-B2 data layout so the gather of a
 // locality-aware draw streams sequential rows.
 //
 // The store keeps two views of the same experience:
 //
 //   - an in-memory Ring of the newest Capacity rows, which samplers gather
 //     from (the hot path — one contiguous copy per row);
-//   - CRC-framed pack files (segments) on disk, rotated at SegmentRows
-//     records and retired once they fall entirely outside the ring window,
-//     which make the experience crash-recoverable: reopening after a kill
-//     drops at most the torn tail of the active segment.
+//   - pack files (segments) on disk holding the acknowledged batches as the
+//     CRC-framed append frames the actors sent (batch.go), rotated at
+//     SegmentRows rows and retired once they fall entirely outside the ring
+//     window, which make the experience and the per-actor idempotency
+//     cursors crash-recoverable: reopening after a kill drops at most one
+//     unacknowledged batch torn at the tail of the active segment.
 //
 // Framing and torn-tail handling follow internal/resilience (MSNP) and the
 // MARB replay serialization: explicit lengths, IEEE CRC32 trailers, and
@@ -71,7 +73,7 @@ func NewRing(spec replay.Spec) *Ring {
 }
 
 // Close releases the ring's storage and empties it. It is idempotent; any
-// later Append, Row or gather panics. The caller must have stopped every
+// later Append or gather panics. The caller must have stopped every
 // reader first.
 func (r *Ring) Close() {
 	r.mem.Close()
@@ -83,7 +85,7 @@ func (r *Ring) Close() {
 func (r *Ring) ArenaBytes() int64 { return r.mem.MappedBytes() }
 
 // slot returns the storage slot of insertion-order index i, which must be
-// inside [0, Len()): gathers and Row check with badIndex first.
+// inside [0, Len()): gathers check with badIndex first.
 func (r *Ring) slot(i int) int {
 	s := r.start + i
 	if s >= r.cap {
@@ -164,26 +166,16 @@ func (r *Ring) Append(row []float64) {
 	runtime.KeepAlive(r) // the finalizer must not unmap data mid-copy
 }
 
-// AppendRow implements Provider.
+// AppendRow is the experience server's volatile write path: Append, for an
+// interface.
 func (r *Ring) AppendRow(row []float64) error {
 	r.Append(row)
 	return nil
 }
 
-// Flush implements Provider; an in-memory ring has nothing to publish.
+// Flush completes the volatile write path; an in-memory ring has nothing
+// to publish.
 func (r *Ring) Flush() error { return nil }
-
-// Row returns the packed row at insertion-order index i, aliasing the
-// ring's storage: valid until the next Append evicts it, and only while the
-// Ring is reachable and open — the collector does not see the alias.
-func (r *Ring) Row(i int) []float64 {
-	if uint(i) >= uint(r.length) {
-		r.badIndex(i)
-	}
-	stride := r.layout.Stride()
-	slot := r.slot(i)
-	return r.data[slot*stride : (slot+1)*stride]
-}
 
 // GatherPacked copies the rows at the given insertion-order indices into
 // dst, emitting one address-trace access per row. dst must hold

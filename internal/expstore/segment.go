@@ -4,30 +4,34 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 
-	"marlperf/internal/f64le"
 	"marlperf/internal/frame"
 	"marlperf/internal/replay"
 )
 
-// Segment file format (little-endian), one file per SegmentRows records:
+// Segment file format (little-endian), sealed at the first batch boundary
+// at or past SegmentRows rows:
 //
 //	header: magic "MXPK" | u32 version | u32 numAgents | u32 actDim |
-//	        per-agent u32 obsDim | u64 baseSeq | u32 CRC32-IEEE(header)
-//	record: u32 payloadLen | u64 seq | stride×f64 row | u32 CRC32-IEEE(frame)
+//	        per-agent u32 obsDim | u64 baseSeq | u32 actors |
+//	        per actor, by ID: u32 idLen | id | u64 cursor |
+//	        u32 CRC32-IEEE(header)
+//	record: u64 seq | append frame (MXAP, batch.go), verbatim
 //
-// payloadLen is fixed for a given layout (8 + stride·8), which doubles as a
-// cheap plausibility check before the CRC. The record CRC covers the length
-// prefix and payload, so a torn or bit-flipped frame — including a torn
-// length prefix — fails verification. seq is the row's global insertion
-// index; record k of a segment must carry seq = baseSeq+k, making any
-// reordering or splice detectable.
+// The cursors are every actor's newest applied batch sequence as of the
+// segment's open, so the oldest retained segment still knows the cursors of
+// batches whose segments retired. A record is one acknowledged batch: seq is
+// the global insertion index of its first row, and record k must start
+// where record k−1 ended, making any reordering or splice detectable. The
+// frame carries its own CRC, so a torn or bit-flipped record fails
+// verification.
 
 const (
 	segMagic   = "MXPK"
-	segVersion = 1
-	// segSuffix names pack files; the 12-digit decimal base sequence keeps
+	segVersion = 2
+	// segPattern names pack files; the 12-digit decimal base sequence keeps
 	// lexical order equal to append order.
 	segPattern = "seg-%012d.xpk"
 )
@@ -37,23 +41,9 @@ const (
 // file creation and the first flush can leave a short or damaged prefix.
 var errTornHeader = errors.New("expstore: torn segment header")
 
-// segHeaderSize returns the encoded header length for a layout.
-func segHeaderSize(layout replay.RowLayout) int {
-	return 4 + 4 + 4 + 4 + 4*layout.Spec().NumAgents + 8 + 4
-}
-
-// recordSize returns the full on-disk frame length for one record.
-func recordSize(layout replay.RowLayout) int {
-	return 4 + recordPayloadLen(layout) + 4
-}
-
-// recordPayloadLen returns the payload byte count (seq + packed row).
-func recordPayloadLen(layout replay.RowLayout) int {
-	return 8 + 8*layout.Stride()
-}
-
-// appendSegmentHeader encodes the segment header for baseSeq into dst.
-func appendSegmentHeader(dst []byte, layout replay.RowLayout, baseSeq uint64) []byte {
+// appendSegmentHeader encodes the header of a segment opening at baseSeq
+// with the given per-actor cursors into dst.
+func appendSegmentHeader(dst []byte, layout replay.RowLayout, baseSeq uint64, cursors map[string]uint64) []byte {
 	start := len(dst)
 	spec := layout.Spec()
 	dst = frame.AppendHeader(dst, segMagic, segVersion)
@@ -63,42 +53,42 @@ func appendSegmentHeader(dst []byte, layout replay.RowLayout, baseSeq uint64) []
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(od))
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, baseSeq)
-	return frame.Seal(dst, start)
-}
-
-// appendRecord encodes one CRC-framed record into dst.
-func appendRecord(dst []byte, layout replay.RowLayout, seq uint64, row []float64) []byte {
-	if len(row) != layout.Stride() {
-		panic(fmt.Sprintf("expstore: appendRecord row of %d floats, want %d", len(row), layout.Stride()))
+	actors := make([]string, 0, len(cursors))
+	for actor := range cursors {
+		actors = append(actors, actor)
 	}
-	start := len(dst)
-	dst = slices.Grow(dst, recordSize(layout))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(recordPayloadLen(layout)))
-	dst = binary.LittleEndian.AppendUint64(dst, seq)
-	dst = f64le.Append(dst, row)
+	slices.Sort(actors)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(actors)))
+	for _, actor := range actors {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(actor)))
+		dst = append(dst, actor...)
+		dst = binary.LittleEndian.AppendUint64(dst, cursors[actor])
+	}
 	return frame.Seal(dst, start)
 }
 
-// parseSegment decodes a full segment image. It returns the header base
-// sequence, the decoded rows packed back-to-back (n rows of layout.Stride()
-// floats), and goodOff, the byte offset just past the last intact record.
+// segment is one parsed segment image.
+type segment struct {
+	baseSeq uint64
+	cursors map[string]uint64 // as of the segment's open
+	batches []Batch           // rows alias the image
+	rows    int
+	goodOff int // byte offset just past the last intact record
+}
+
+// parseSegment decodes a full segment image.
 //
 // With tornOK (the newest segment, where a crash may have cut the file
-// mid-frame) a damaged or short tail simply ends the scan: everything before
-// it is returned and goodOff marks where the file should be truncated. A
-// header that fails verification returns errTornHeader. Without tornOK any
-// damage is corruption and errors out — interior segments were sealed and
-// fully flushed, so nothing may be missing from them.
-func parseSegment(data []byte, layout replay.RowLayout, tornOK bool) (baseSeq uint64, rows []float64, n int, goodOff int, err error) {
+// mid-record) a damaged or short tail simply ends the scan: everything
+// before it is returned and goodOff marks where the file should be
+// truncated. A header cut short or failing its CRC returns errTornHeader.
+// Without tornOK any damage is corruption and errors out — interior
+// segments were sealed and fully flushed, so nothing may be missing from
+// them. Either way a header of another version or spec, and a record that
+// does not start where the one before it ended, are errors.
+func parseSegment(data []byte, layout replay.RowLayout, tornOK bool) (segment, error) {
 	spec := layout.Spec()
-	hs := segHeaderSize(layout)
-	if len(data) < hs {
-		if tornOK {
-			return 0, nil, 0, 0, errTornHeader
-		}
-		return 0, nil, 0, 0, fmt.Errorf("expstore: segment shorter than header (%d < %d bytes)", len(data), hs)
-	}
-	d := frame.NewDecoder(data[:hs])
+	d := frame.NewDecoder(data)
 	d.Header(segMagic, segVersion)
 	if got := d.U32(); d.Err() == nil && got != uint32(spec.NumAgents) {
 		d.Fail("for %d agents, store has %d", got, spec.NumAgents)
@@ -111,44 +101,47 @@ func parseSegment(data []byte, layout replay.RowLayout, tornOK bool) (baseSeq ui
 			d.Fail("obs dim %d for agent %d, store has %d", got, a, od)
 		}
 	}
-	baseSeq = d.U64()
-	if err := d.Err(); err != nil {
-		return 0, nil, 0, 0, fmt.Errorf("expstore: segment: %w", err)
+	seg := segment{baseSeq: d.U64(), cursors: make(map[string]uint64)}
+	for i, actors := 0, int(d.U32()); i < actors && d.Err() == nil; i++ {
+		actor := string(d.Bytes(int(d.U32())))
+		seg.cursors[actor] = d.U64()
 	}
-	if !d.Unseal() {
-		if tornOK {
-			return 0, nil, 0, 0, errTornHeader
+	hs := len(data) - d.Len()
+	if err := d.Err(); err != nil {
+		if tornOK && errors.Is(err, io.ErrUnexpectedEOF) {
+			return segment{}, errTornHeader
 		}
-		return 0, nil, 0, 0, fmt.Errorf("expstore: segment header: %w", d.Err())
+		return segment{}, fmt.Errorf("expstore: segment header: %w", err)
+	}
+	if _, err := frame.Unseal(data[:min(hs+4, len(data))], "segment header"); err != nil {
+		if tornOK {
+			return segment{}, errTornHeader
+		}
+		return segment{}, fmt.Errorf("expstore: %w", err)
 	}
 
 	stride := layout.Stride()
-	size := recordSize(layout)
-	payload := recordPayloadLen(layout)
-	off := hs
-	rows = make([]float64, 0, (len(data)-hs)/size*stride)
+	off := hs + 4
 	for off < len(data) {
-		if len(data)-off < size {
-			break // torn tail: partial frame
+		rec := data[off:]
+		size := appendFrameLen(rec[min(8, len(rec)):], stride)
+		if size < 0 || len(rec) < 8+size {
+			break // torn tail: partial record
 		}
-		rec := data[off : off+size]
-		if got := binary.LittleEndian.Uint32(rec); got != uint32(payload) {
-			break // torn or foreign frame
+		b, err := DecodeAppend(rec[8:8+size], stride, new([]float64))
+		if err != nil {
+			break // damaged record
 		}
-		if _, err := frame.Unseal(rec, "record"); err != nil {
-			break // damaged frame
+		if seq, want := binary.LittleEndian.Uint64(rec), seg.baseSeq+uint64(seg.rows); seq != want {
+			return segment{}, fmt.Errorf("expstore: segment record %d starts at seq %d, want %d", len(seg.batches), seq, want)
 		}
-		seq := binary.LittleEndian.Uint64(rec[4:])
-		if seq != baseSeq+uint64(n) {
-			return baseSeq, nil, 0, 0, fmt.Errorf("expstore: segment record %d carries seq %d, want %d", n, seq, baseSeq+uint64(n))
-		}
-		rows = rows[:(n+1)*stride]
-		f64le.Get(rows[n*stride:], rec[12:])
-		n++
-		off += size
+		seg.batches = append(seg.batches, b)
+		seg.rows += b.N
+		off += 8 + size
 	}
 	if off != len(data) && !tornOK {
-		return baseSeq, nil, 0, 0, fmt.Errorf("expstore: sealed segment damaged at byte %d of %d", off, len(data))
+		return segment{}, fmt.Errorf("expstore: sealed segment damaged at byte %d of %d", off, len(data))
 	}
-	return baseSeq, rows, n, off, nil
+	seg.goodOff = off
+	return seg, nil
 }

@@ -6,18 +6,16 @@ import (
 	"marlperf/internal/replay"
 )
 
-// Provider is the packed-row store contract the experience server serves
-// from, met by the in-memory Ring and the persistent Store: insertion-order
-// row addressing, appends, and the gather of rows whose indices the learner
-// drew (SamplePlan.FillIndices over RowCount) straight into a reply.
+// Provider is the read side the experience server samples from, met by the
+// in-memory Ring and the persistent Store: insertion-order row addressing
+// and the gather of rows whose indices the learner drew
+// (SamplePlan.FillIndices over RowCount) straight into a reply. The two
+// write differently: a Store appends whole batches (Store.Append), a Ring
+// one row at a time (Ring.AppendRow).
 type Provider interface {
 	Layout() replay.RowLayout
 	// RowCount returns the number of sampleable rows.
 	RowCount() int
-	// AppendRow appends one packed row of Layout().Stride() floats.
-	AppendRow(row []float64) error
-	// Flush publishes buffered rows (durability barrier for stores).
-	Flush() error
 	// GatherEncodeLE writes the rows at the given insertion-order indices
 	// into dst as little-endian float64 bytes (len(indices)·Stride()·8 of
 	// them), straight from row storage — the experience server's sample

@@ -2,6 +2,7 @@ package expstore
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -14,14 +15,15 @@ import (
 )
 
 // DefaultSegmentRows is the rotation threshold when Options.SegmentRows is
-// zero: large enough to amortize per-file cost, small enough that a torn
-// tail loses at most one flush interval of one segment.
+// zero: large enough to amortize per-file cost, small enough that retiring
+// whole segments frees disk soon after their rows leave the ring window.
 const DefaultSegmentRows = 4096
 
 // Options tune a Store.
 type Options struct {
-	// SegmentRows is the record count at which the active segment is sealed
-	// and a new one started. Defaults to DefaultSegmentRows.
+	// SegmentRows is the row count at which the active segment is sealed,
+	// at the first batch boundary at or past it; the next batch starts a
+	// new one. Defaults to DefaultSegmentRows.
 	SegmentRows int
 }
 
@@ -32,16 +34,17 @@ type segMeta struct {
 	path    string
 }
 
-// Store is the crash-recoverable experience store: every appended row goes
-// both to an in-memory Ring (the sampling substrate) and to the active
-// CRC-framed segment file. Segments rotate at SegmentRows records and are
-// deleted once every row they hold has been evicted from the ring window,
-// bounding disk use at roughly Capacity rows plus one segment.
+// Store is the crash-recoverable experience store: every acknowledged batch
+// goes both to an in-memory Ring (the sampling substrate) and, as its
+// append frame verbatim, to the active segment file. Segments rotate at
+// SegmentRows rows and are deleted once every row they hold has been
+// evicted from the ring window, bounding disk use at roughly Capacity rows
+// plus one segment.
 //
-// Durability contract: Flush pushes buffered frames to the OS, so rows
-// appended before a Flush survive a SIGKILL of the process. On reopen the
-// newest segment may end in a torn frame from writes after the last flush;
-// recovery truncates it to the last intact record and training resumes.
+// Durability contract: Append returns once the batch's record reached the
+// OS, so a batch appended without error survives a SIGKILL of the process.
+// On reopen the newest segment may end in a torn record, which can only be
+// a batch whose Append never returned; recovery truncates it away whole.
 // Call Sync to additionally fsync for whole-machine crash safety.
 //
 // All methods are safe for concurrent use.
@@ -52,22 +55,22 @@ type Store struct {
 	layout replay.RowLayout
 	opts   Options
 
-	ring   *Ring
-	sealed []segMeta
+	ring    *Ring
+	sealed  []segMeta
+	cursors map[string]uint64 // newest batch sequence appended per actor
 
 	active     *os.File
-	activeBuf  *bufio.Writer
+	activeBuf  *bufio.Writer // its first error sticks, failing every later append
 	activeBase uint64
 	activeRows int
 
 	nextSeq uint64 // global insertion index of the next appended row
-
-	encScratch []byte
 }
 
 // Open loads (or creates) a store in dir for spec. Existing segments are
-// verified and replayed to rebuild the ring: interior segments must be fully
-// intact; the newest segment may carry a torn tail, which is truncated away.
+// verified and replayed to rebuild the ring and the per-actor cursors:
+// interior segments must be fully intact; the newest segment may carry a
+// torn tail, which is truncated away.
 func Open(dir string, spec replay.Spec, opts Options) (*Store, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -79,11 +82,12 @@ func Open(dir string, spec replay.Spec, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("expstore: creating %s: %w", dir, err)
 	}
 	s := &Store{
-		dir:    dir,
-		spec:   spec,
-		layout: replay.NewRowLayout(spec),
-		opts:   opts,
-		ring:   NewRing(spec),
+		dir:     dir,
+		spec:    spec,
+		layout:  replay.NewRowLayout(spec),
+		opts:    opts,
+		ring:    NewRing(spec),
+		cursors: make(map[string]uint64),
 	}
 	if err := s.recover(); err != nil {
 		s.ring.Close()
@@ -93,8 +97,8 @@ func Open(dir string, spec replay.Spec, opts Options) (*Store, error) {
 }
 
 // recover scans the segment chain, verifies it, truncates a torn tail on
-// the newest segment, replays the retained window into the ring, and leaves
-// the store ready to append at nextSeq.
+// the newest segment, replays the retained window into the ring and every
+// record into the cursors, and leaves the store ready to append at nextSeq.
 func (s *Store) recover() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -109,23 +113,19 @@ func (s *Store) recover() error {
 	}
 	sort.Strings(paths) // 12-digit zero-padded base: lexical = append order
 
-	type loaded struct {
-		meta segMeta
-		rows []float64
-		n    int
-	}
-	var segs []loaded
+	var segs []segment
+	var metas []segMeta
 	for i, path := range paths {
 		last := i == len(paths)-1
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("expstore: reading segment: %w", err)
 		}
-		base, rows, n, goodOff, err := parseSegment(data, s.layout, last)
+		seg, err := parseSegment(data, s.layout, last)
 		if errors.Is(err, errTornHeader) {
 			// The newest segment's header never hit disk: the crash landed
-			// between file creation and the first flush. Nothing in it was
-			// ever durable; drop the file and resume from the chain so far.
+			// before its first record was flushed. Nothing in it was ever
+			// acknowledged; drop the file and resume from the chain so far.
 			if rmErr := os.Remove(path); rmErr != nil {
 				return fmt.Errorf("expstore: dropping torn segment: %w", rmErr)
 			}
@@ -134,32 +134,35 @@ func (s *Store) recover() error {
 		if err != nil {
 			return fmt.Errorf("expstore: %s: %w", filepath.Base(path), err)
 		}
-		if len(segs) > 0 {
-			prev := segs[len(segs)-1].meta
-			if base != prev.baseSeq+uint64(prev.rows) {
+		if len(metas) > 0 {
+			prev := metas[len(metas)-1]
+			if seg.baseSeq != prev.baseSeq+uint64(prev.rows) {
 				return fmt.Errorf("expstore: segment chain gap: %s starts at seq %d, previous ends at %d",
-					filepath.Base(path), base, prev.baseSeq+uint64(prev.rows))
+					filepath.Base(path), seg.baseSeq, prev.baseSeq+uint64(prev.rows))
 			}
 		}
-		if last && goodOff < len(data) {
+		if last && seg.goodOff < len(data) {
 			// Torn tail after the last intact record: truncate so the next
-			// append continues a clean frame boundary.
-			if err := os.Truncate(path, int64(goodOff)); err != nil {
+			// append continues a clean record boundary.
+			if err := os.Truncate(path, int64(seg.goodOff)); err != nil {
 				return fmt.Errorf("expstore: truncating torn tail of %s: %w", filepath.Base(path), err)
 			}
 		}
-		segs = append(segs, loaded{meta: segMeta{baseSeq: base, rows: n, path: path}, rows: rows, n: n})
+		segs = append(segs, seg)
+		metas = append(metas, segMeta{baseSeq: seg.baseSeq, rows: seg.rows, path: path})
 	}
 
 	if len(segs) == 0 {
 		return nil
 	}
-	tail := segs[len(segs)-1]
-	s.nextSeq = tail.meta.baseSeq + uint64(tail.meta.rows)
+	tail := metas[len(metas)-1]
+	s.nextSeq = tail.baseSeq + uint64(tail.rows)
 
-	// Replay the newest Capacity rows into the ring, oldest first. Seed the
-	// ring's total so Base() reflects global sequence numbers, then append
-	// the retained window.
+	// The oldest header holds the cursors of every batch before it; the
+	// records carry the rest. Replay the newest Capacity rows into the
+	// ring, oldest first, with the ring's total seeded so Base() reflects
+	// global sequence numbers.
+	s.cursors = segs[0].cursors
 	windowStart := uint64(0)
 	if s.nextSeq > uint64(s.spec.Capacity) {
 		windowStart = s.nextSeq - uint64(s.spec.Capacity)
@@ -167,31 +170,28 @@ func (s *Store) recover() error {
 	s.ring.total = windowStart
 	stride := s.layout.Stride()
 	for _, seg := range segs {
-		for k := 0; k < seg.n; k++ {
-			seq := seg.meta.baseSeq + uint64(k)
-			if seq < windowStart {
-				continue
+		seq := seg.baseSeq
+		for _, b := range seg.batches {
+			s.cursors[b.ActorID] = b.BatchSeq
+			for k := 0; k < b.N; k, seq = k+1, seq+1 {
+				if seq >= windowStart {
+					s.ring.Append(b.Rows[k*stride : (k+1)*stride])
+				}
 			}
-			s.ring.Append(seg.rows[k*stride : (k+1)*stride])
 		}
 	}
 
-	// Reopen the newest segment for appending if it still has room;
-	// otherwise it is sealed and the next append starts a fresh one.
-	if tail.meta.rows < s.opts.SegmentRows {
-		f, err := os.OpenFile(tail.meta.path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("expstore: reopening active segment: %w", err)
-		}
-		s.active = f
-		s.activeBuf = bufio.NewWriter(f)
-		s.activeBase = tail.meta.baseSeq
-		s.activeRows = tail.meta.rows
-		segs = segs[:len(segs)-1]
+	// Reopen the newest segment for appending; if it is full, the next
+	// append seals it.
+	f, err := os.OpenFile(tail.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("expstore: reopening active segment: %w", err)
 	}
-	for _, seg := range segs {
-		s.sealed = append(s.sealed, seg.meta)
-	}
+	s.active = f
+	s.activeBuf = bufio.NewWriter(f)
+	s.activeBase = tail.baseSeq
+	s.activeRows = tail.rows
+	s.sealed = metas[:len(metas)-1]
 	s.retireLocked()
 	return nil
 }
@@ -220,37 +220,44 @@ func (s *Store) SetTracer(t replay.Tracer) {
 	s.ring.SetTracer(t)
 }
 
-// AppendRow appends one packed row (layout.Stride() floats) to the ring and
-// the active segment, rotating and retiring segments as needed. The row is
-// durable against process kill only after the next Flush.
-func (s *Store) AppendRow(row []float64) error {
+// Append writes batch b, decoded from the verified append frame frame, as
+// one record of the active segment and flushes it to the OS; only then do
+// its rows become sampleable and its sequence its actor's cursor. So a
+// batch survives a kill of the process once Append returns nil. After a
+// failed write every later Append fails too: nothing acknowledged can land
+// behind a torn record.
+func (s *Store) Append(b Batch, frame []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(row)
-}
-
-func (s *Store) appendLocked(row []float64) error {
+	if s.active != nil && s.activeRows >= s.opts.SegmentRows {
+		if err := s.sealLocked(); err != nil {
+			return err
+		}
+	}
 	if s.active == nil {
 		if err := s.openSegmentLocked(); err != nil {
 			return err
 		}
 	}
-	s.encScratch = appendRecord(s.encScratch[:0], s.layout, s.nextSeq, row)
-	if _, err := s.activeBuf.Write(s.encScratch); err != nil {
-		return fmt.Errorf("expstore: appending record %d: %w", s.nextSeq, err)
+	var seq [8]byte
+	binary.LittleEndian.PutUint64(seq[:], s.nextSeq)
+	_, _ = s.activeBuf.Write(seq[:]) // bufio keeps a write error for Flush to return
+	_, _ = s.activeBuf.Write(frame)
+	if err := s.activeBuf.Flush(); err != nil {
+		return fmt.Errorf("expstore: appending batch at seq %d: %w", s.nextSeq, err)
 	}
-	s.ring.Append(row)
-	s.nextSeq++
-	s.activeRows++
-	if s.activeRows >= s.opts.SegmentRows {
-		if err := s.sealLocked(); err != nil {
-			return err
-		}
+	stride := s.layout.Stride()
+	for k := 0; k < b.N; k++ {
+		s.ring.Append(b.Rows[k*stride : (k+1)*stride])
 	}
+	s.cursors[b.ActorID] = b.BatchSeq
+	s.nextSeq += uint64(b.N)
+	s.activeRows += b.N
 	return nil
 }
 
-// openSegmentLocked starts a fresh segment at nextSeq.
+// openSegmentLocked starts a fresh segment at nextSeq, its header carrying
+// the cursors so far. The header reaches the OS with the first record.
 func (s *Store) openSegmentLocked() error {
 	path := filepath.Join(s.dir, fmt.Sprintf(segPattern, s.nextSeq))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
@@ -261,26 +268,23 @@ func (s *Store) openSegmentLocked() error {
 	s.activeBuf = bufio.NewWriter(f)
 	s.activeBase = s.nextSeq
 	s.activeRows = 0
-	s.encScratch = appendSegmentHeader(s.encScratch[:0], s.layout, s.nextSeq)
-	if _, err := s.activeBuf.Write(s.encScratch); err != nil {
-		return fmt.Errorf("expstore: writing segment header: %w", err)
-	}
+	_, _ = s.activeBuf.Write(appendSegmentHeader(nil, s.layout, s.nextSeq, s.cursors)) // as in Append
 	return nil
 }
 
-// sealLocked flushes and closes the active segment, records it as sealed,
-// and retires segments that fell out of the ring window.
+// sealLocked closes the full active segment, records it as sealed, and
+// retires segments that fell out of the ring window. Append calls it ahead
+// of the next batch, so a failed close fails a batch nothing of which was
+// written.
 func (s *Store) sealLocked() error {
-	if err := s.activeBuf.Flush(); err != nil {
-		return err
-	}
-	if err := s.active.Close(); err != nil {
-		return err
-	}
+	err := s.active.Close()
 	s.sealed = append(s.sealed, segMeta{baseSeq: s.activeBase, rows: s.activeRows, path: s.active.Name()})
 	s.active = nil
 	s.activeBuf = nil
 	s.retireLocked()
+	if err != nil {
+		return fmt.Errorf("expstore: sealing segment: %w", err)
+	}
 	return nil
 }
 
@@ -304,32 +308,30 @@ func (s *Store) retireLocked() {
 	s.sealed = keep
 }
 
-// Flush pushes buffered frames to the OS, making all appended rows durable
-// against process kill.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.activeBuf == nil {
-		return nil
+// Cursors returns a copy of the newest batch sequence appended per actor,
+// recovered from the segments on Open.
+func (s *Store) Cursors() map[string]uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[string]uint64, len(s.cursors))
+	for actor, seq := range s.cursors {
+		out[actor] = seq
 	}
-	return s.activeBuf.Flush()
+	return out
 }
 
-// Sync flushes and fsyncs the active segment for machine-crash durability.
+// Sync fsyncs the active segment for machine-crash durability.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.activeBuf == nil {
+	if s.active == nil {
 		return nil
-	}
-	if err := s.activeBuf.Flush(); err != nil {
-		return err
 	}
 	return s.active.Sync()
 }
 
-// Close flushes and closes the active segment, then releases the ring. It
-// is idempotent; the store must not be used afterwards (a sample or append
+// Close closes the active segment, then releases the ring. It is
+// idempotent; the store must not be used afterwards (a sample or append
 // panics in the closed ring).
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -337,9 +339,6 @@ func (s *Store) Close() error {
 	defer s.ring.Close()
 	if s.active == nil {
 		return nil
-	}
-	if err := s.activeBuf.Flush(); err != nil {
-		return err
 	}
 	err := s.active.Close()
 	s.active = nil

@@ -26,12 +26,23 @@ func rowForSeq(layout replay.RowLayout, seq uint64) []float64 {
 	return row
 }
 
+// appendSeqs appends rows [from, to) as one-row batches of actor "t", row
+// seq as batch seq+1, so segments seal at exactly SegmentRows rows.
 func appendSeqs(t *testing.T, s *Store, from, to uint64) {
 	t.Helper()
 	for seq := from; seq < to; seq++ {
-		if err := s.AppendRow(rowForSeq(s.Layout(), seq)); err != nil {
-			t.Fatalf("appending row %d: %v", seq, err)
-		}
+		appendBatch(t, s, "t", seq+1, rowForSeq(s.Layout(), seq))
+	}
+}
+
+// appendBatch appends rows (whole rows of s's stride) as actor's batch seq,
+// through the append frame a server would have received.
+func appendBatch(t testing.TB, s *Store, actor string, seq uint64, rows []float64) {
+	t.Helper()
+	stride := s.Layout().Stride()
+	b := Batch{ActorID: actor, BatchSeq: seq, Rows: rows, N: len(rows) / stride}
+	if err := s.Append(b, EncodeAppend(nil, b, stride)); err != nil {
+		t.Fatalf("appending %s's batch %d: %v", actor, seq, err)
 	}
 }
 
@@ -110,9 +121,6 @@ func TestStoreRetiresDeadSegments(t *testing.T) {
 	}
 	defer s.Close()
 	appendSeqs(t, s, 0, 200)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +200,7 @@ func TestStoreRecoveryTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	// The torn record 19 is dropped; rows 0..18 survive intact.
+	// The torn batch of row 19 is dropped whole; rows 0..18 survive intact.
 	verifyWindow(t, s2, 0, 19)
 	// Appends resume at the recovered sequence.
 	appendSeqs(t, s2, 19, 25)
@@ -227,6 +235,37 @@ func TestStoreRecoveryRejectsDamagedSealedSegment(t *testing.T) {
 
 	if _, err := Open(dir, spec, Options{SegmentRows: 8}); err == nil {
 		t.Fatal("damaged sealed segment accepted")
+	}
+}
+
+// A record is stamped with its first row's sequence outside its frame's
+// CRC: one that does not start where the previous record ended is refused,
+// in the newest segment too, rather than truncated as a torn tail.
+func TestStoreRecoveryRejectsOutOfOrderRecord(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(64)
+	s, err := Open(dir, spec, Options{SegmentRows: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendSeqs(t, s, 0, 3)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "seg-000000000000.xpk")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last record is its 8-byte seq and the frame of one row.
+	stride := s.Layout().Stride()
+	last := len(data) - 8 - (AppendHeaderLen(1) + 8*stride + 4)
+	data[last] = 7 // row 2's record now claims seq 7
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, spec, Options{SegmentRows: 100}); err == nil || !strings.Contains(err.Error(), "starts at seq 7, want 2") {
+		t.Fatalf("reopening with an out-of-order record: %v", err)
 	}
 }
 

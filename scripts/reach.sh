@@ -27,7 +27,6 @@ expstore.Source.Flush	the local experience source (see NewSource)
 expstore.Source.Len	the local experience source (see NewSource)
 expstore.Source.Plan	the local experience source (see NewSource)
 expstore.Source.SampleBatch	the local experience source (see NewSource)
-expstore.Ring.Row	test oracle: the segment golden reads the rows it recovered through it
 expstore.Ring.SetTracer	test oracle: the huge-page gather benchmark counts TLB misses through it
 expstore.Store.SetTracer	test oracle: the store's locality trace test records served addresses through it
 expstore.Store.Sync	durability primitive: fsyncs the active segment against a machine crash
@@ -41,6 +40,7 @@ tensor.Matrix.Clone	test oracle: tests keep a copy to compare against
 tensor.Matrix.RandNormal	test oracle: fills the tests' random operands
 tensor.Matrix.Set	test oracle: element writes in tests
 tensor.SliceCols	test oracle: the column range BackwardInputCols is held to
+telemetry.ScanRunLog	test oracle: the torn-tail-tolerant reader the telemetry, cli and root tests read -runlog output with (internal/cli's own tests cannot import clitest)
 EOF
 )
 
