@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-check bench-kernels bench-step bench-residue bench-draw bench-gather bench-workers bench-rollout bench-replay bench-serve cluster-smoke chaos-smoke serve-smoke experiments-small experiments-full clean
+.PHONY: all build test vet race bench bench-check bench-kernels bench-step bench-residue bench-draw bench-gather bench-workers bench-rollout bench-replay cluster-smoke chaos-smoke experiments-small experiments-full clean
 
 all: build vet test
 
@@ -39,8 +39,8 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The three matrix products in GFLOP/s on each body this CPU can run (go,
-# avx2, avx512 — one column each) at the shapes an update, a rollout step and
-# a gateway micro-batch run them at, the output heads included; where the
+# avx2, avx512 — one column each) at the shapes an update and a rollout step
+# run them at, the output heads included; where the
 # multipliers are a hidden layer's output, dense (the plain name: what a
 # change to the zero-skip must not slow), /halfzero and /trained. The bodies
 # take turns rep by rep on the same operands, so host drift hits all alike;
@@ -102,12 +102,6 @@ bench-rollout:
 bench-replay:
 	$(GO) test -run '^$$' -bench ExpServeSample -benchtime 200ms .
 
-# Serving sweep (per-request vs micro-batch × concurrency × window, plus a
-# canary cell); best-of-3 per cell to de-noise shared hosts; writes
-# BENCH_serve.json.
-bench-serve:
-	$(GO) test -run '^$$' -bench '^BenchmarkServe$$' -benchtime 30000x -count 3 .
-
 # Five-process full-loop smoke: replayd + policyd + two actors + learner,
 # race-instrumented, asserting ≥2 policy hot-swaps per actor. The same run
 # captures /tracez from every process, merges them with marl-trace, and
@@ -121,12 +115,6 @@ cluster-smoke:
 # run in process: go test -run FaultSchedules .
 chaos-smoke:
 	bash scripts/chaos_smoke.sh
-
-# Four-process serving smoke: policyd + learner + marl-serve (25% canary) +
-# marl-loadgen; asserts readiness gating, zero load errors, traffic on both
-# canary arms, a clean SIGTERM drain, and a ≥4-process trace stitch.
-serve-smoke:
-	bash scripts/serve_smoke.sh
 
 # Regenerate every paper table/figure (see EXPERIMENTS.md).
 experiments-small:

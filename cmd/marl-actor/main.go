@@ -34,6 +34,7 @@ import (
 	"marlperf/internal/expserve"
 	"marlperf/internal/expshard"
 	"marlperf/internal/mpe"
+	"marlperf/internal/netretry"
 	"marlperf/internal/nn"
 	"marlperf/internal/policysync"
 	"marlperf/internal/profiler"
@@ -131,7 +132,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		return cli.ExitUsage
 	}
 	fabric, err := expserve.NewFabric(groups, expserve.FabricOptions{
-		Client: expserve.ClientOptions{
+		Client: netretry.Options{
 			Registry: registry,
 			Tracer:   tracer,
 		},
@@ -205,7 +206,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	// snapshots in between engine steps.
 	var syncer *policysync.Syncer
 	if *policyAddr != "" {
-		pc := policysync.NewClient(*policyAddr, policysync.ClientOptions{
+		pc := policysync.NewClient(*policyAddr, netretry.Options{
 			Registry: registry,
 			Tracer:   tracer,
 		})

@@ -27,6 +27,7 @@ import (
 	"marlperf/internal/expserve"
 	"marlperf/internal/expshard"
 	"marlperf/internal/mpe"
+	"marlperf/internal/netretry"
 	"marlperf/internal/plot"
 	"marlperf/internal/policysync"
 	"marlperf/internal/profiler"
@@ -440,7 +441,7 @@ func wireExperienceService(tr *core.Trainer, cfg core.Config, plan replay.Sample
 		return nil, err
 	}
 	fabric, err := expserve.NewFabric(groups, expserve.FabricOptions{
-		Client: expserve.ClientOptions{
+		Client: netretry.Options{
 			Registry: reg,
 			Conns:    conns,
 			Tracer:   tracer,
@@ -519,7 +520,7 @@ type outageWindow struct {
 
 func newPolicyPublisher(addr string, every int, obs *cli.Obs, stderr io.Writer) *policyPublisher {
 	return &policyPublisher{
-		client:      policysync.NewClient(addr, policysync.ClientOptions{Registry: obs.Registry, Tracer: obs.Tracer}),
+		client:      policysync.NewClient(addr, netretry.Options{Registry: obs.Registry, Tracer: obs.Tracer}),
 		stderr:      stderr,
 		every:       every,
 		publishedAt: -1,

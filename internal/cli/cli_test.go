@@ -69,9 +69,7 @@ func TestObserveRegistersWhatTheRoleHas(t *testing.T) {
 	for want, role := range map[string]Role{
 		"metrics-addr runlog trace trace-buf trace-out trace-sample": {Proc: "learner", SampleUnit: "update stages", SampleDefault: 1, RunLogRecord: "r"},
 		"metrics-addr runlog trace trace-buf trace-out":              {Proc: "replayd", RunLogRecord: "r"},
-		"metrics-addr trace trace-buf trace-out trace-sample":        {Proc: "marl-serve", SampleUnit: "requests", SampleDefault: 64},
-		"trace trace-buf trace-out trace-sample":                     {Proc: "marl-loadgen", SampleUnit: "responses", SampleDefault: 1, NoMetricsAddr: true},
-		"metrics-addr runlog":                                        {RunLogRecord: "r"},
+		"metrics-addr runlog": {RunLogRecord: "r"},
 	} {
 		fs := flag.NewFlagSet("x", flag.ContinueOnError)
 		Observe(fs, role)

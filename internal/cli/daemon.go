@@ -22,8 +22,7 @@ type Daemon struct {
 	DrainTimeout time.Duration
 	// Drain is what makes stopping this tier safe, and the order is the
 	// tier's: policyd releases its long-polls and then shuts down, replayd
-	// shuts down and then flushes its ingest queue, the gateway answers
-	// what it accepted and then stops listening. ctx expires at
+	// shuts down and then flushes its ingest queue. ctx expires at
 	// DrainTimeout or on a second signal. shutdown stops the listener and
 	// waits under ctx for in-flight requests; when ctx expires first it
 	// closes their connections and returns the error. Whatever Drain does

@@ -30,8 +30,6 @@ type Role struct {
 	// RunLogRecord is what one -runlog line is ("run-event record per
 	// update step"). Empty: nothing writes one and there is no -runlog.
 	RunLogRecord string
-	// NoMetricsAddr marks a client that has nothing to serve.
-	NoMetricsAddr bool
 }
 
 // Obs is a binary's observability: the registry every component reports
@@ -61,9 +59,7 @@ type Obs struct {
 // Observe registers the role's observability flags on fs.
 func Observe(fs *flag.FlagSet, role Role) *Obs {
 	o := &Obs{Role: role, Registry: telemetry.NewRegistry()}
-	if !role.NoMetricsAddr {
-		fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics (Prometheus), /profilez, /tracez, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:9090; empty: disabled)")
-	}
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics (Prometheus), /profilez, /tracez, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:9090; empty: disabled)")
 	if role.RunLogRecord != "" {
 		fs.StringVar(&o.runlogPath, "runlog", "", "append one JSONL "+role.RunLogRecord+" to this file")
 	}

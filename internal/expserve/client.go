@@ -16,7 +16,9 @@ import (
 )
 
 // ClientOptions configure an experience client: the shared retry, breaker,
-// striping and tracing options. Edge defaults to "replay".
+// striping and tracing options. Edge defaults to "replay". It is
+// netretry.Options under another name; outside this package bench/ is its
+// only user, and the binaries name netretry.Options.
 type ClientOptions = netretry.Options
 
 // Client talks to an experience server. Requests may be issued from many

@@ -45,7 +45,8 @@ type segMeta struct {
 // OS, so a batch appended without error survives a SIGKILL of the process.
 // On reopen the newest segment may end in a torn record, which can only be
 // a batch whose Append never returned; recovery truncates it away whole.
-// Call Sync to additionally fsync for whole-machine crash safety.
+// Nothing is fsynced, so an acknowledged batch does not survive a crash of
+// the machine.
 //
 // All methods are safe for concurrent use.
 type Store struct {
@@ -318,16 +319,6 @@ func (s *Store) Cursors() map[string]uint64 {
 		out[actor] = seq
 	}
 	return out
-}
-
-// Sync fsyncs the active segment for machine-crash durability.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.active == nil {
-		return nil
-	}
-	return s.active.Sync()
 }
 
 // Close closes the active segment, then releases the ring. It is

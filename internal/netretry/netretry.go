@@ -1,6 +1,7 @@
 // Package netretry is the single resilience layer and the single option
-// set under every networked client in the system: expserve.ClientOptions
-// and policysync.ClientOptions are aliases of Options. It owns the retry
+// set under every networked client in the system: the binaries pass
+// Options to expserve and policysync, whose ClientOptions aliases remain
+// for bench/. It owns the retry
 // loop (jittered exponential backoff, a per-attempt timeout plus a total
 // retry-deadline budget), a three-state circuit breaker per edge and the
 // connection striping of the data-plane clients. Retry and breaker

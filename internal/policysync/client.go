@@ -14,11 +14,8 @@ import (
 	"marlperf/internal/trace"
 )
 
-// ClientOptions configure a policy client: the shared retry, breaker and
-// tracing options. Edge defaults to "policy". Timeout bounds one round trip
-// on top of any long-poll wait; the Tracer records a span per publish
-// (joined to the tracer's active context — the learner's per-update root)
-// and per fetch that lands a traced snapshot.
+// ClientOptions is netretry.Options under another name. bench/ is its only
+// user; the binaries name netretry.Options.
 type ClientOptions = netretry.Options
 
 // Client talks to a policy distribution server. Safe for sequential use;
@@ -32,7 +29,11 @@ type Client struct {
 }
 
 // NewClient targets baseURL (e.g. "http://127.0.0.1:9400" or a bare
-// "host:port").
+// "host:port") with the shared retry, breaker and tracing options. Edge
+// defaults to "policy". Timeout bounds one round trip on top of any
+// long-poll wait; the Tracer records a span per publish (joined to the
+// tracer's active context — the learner's per-update root) and per fetch
+// that lands a traced snapshot.
 func NewClient(baseURL string, opts ClientOptions) *Client {
 	if opts.Edge == "" {
 		opts.Edge = "policy"
@@ -152,41 +153,5 @@ func (c *Client) Fetch(ctx context.Context, after uint64, wait time.Duration) (*
 		return nil, nil
 	default:
 		return nil, fmt.Errorf("policysync: fetch: server answered %d: %s", status, strings.TrimSpace(string(data)))
-	}
-}
-
-// FetchVersion asks for one exact retained version (the newest or the
-// previous publish — the server's two-deep window). It returns the decoded,
-// version-stamped snapshot, or (nil, nil) when the version is not retained.
-// The canary gateway uses this to backfill its stable arm after starting up
-// against a store that has already published twice.
-func (c *Client) FetchVersion(ctx context.Context, version uint64) (*Snapshot, error) {
-	start := time.Now()
-	status, hdr, data, err := c.doResp(ctx, http.MethodGet, fmt.Sprintf("%s?version=%d", PathPolicy, version), "", nil, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	switch status {
-	case http.StatusOK:
-		snap, err := DecodeSnapshot(data)
-		if err != nil {
-			return nil, err
-		}
-		snap.Version = version
-		if v, ok := etagVersion(hdr.Get("ETag")); ok {
-			snap.Version = v
-		}
-		if pctx, ok := trace.ParseHeader(hdr.Get(trace.HeaderName)); ok {
-			snap.TraceCtx = pctx
-			if sp := c.tracer.StartSpanAt(pctx, "policy-fetch", start); sp.Valid() {
-				snap.TraceCtx = sp.Context()
-				sp.EndArg("version", int64(snap.Version))
-			}
-		}
-		return snap, nil
-	case http.StatusNotFound:
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("policysync: fetch version %d: server answered %d: %s", version, status, strings.TrimSpace(string(data)))
 	}
 }

@@ -105,15 +105,6 @@ func etagVersion(tag string) (uint64, bool) {
 }
 
 func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
-	if q := r.URL.Query().Get("version"); q != "" {
-		v, err := strconv.ParseUint(q, 10, 64)
-		if err != nil || v == 0 {
-			http.Error(w, fmt.Sprintf("bad version %q", q), http.StatusBadRequest)
-			return
-		}
-		s.handlePinnedFetch(w, v)
-		return
-	}
 	after := uint64(0)
 	if tag := r.Header.Get("If-None-Match"); tag != "" {
 		if v, ok := etagVersion(tag); ok {
@@ -172,33 +163,6 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	s.fetchedB.Add(uint64(n))
 }
 
-// handlePinnedFetch answers `GET /v1/policy?version=N`: the exact frame N if
-// the store still holds it (newest or previous publish), 404 otherwise. No
-// long-poll semantics — a pinned version either exists now or never will
-// again. Canary serving uses this to fetch the stable arm after a hot-swap.
-func (s *Server) handlePinnedFetch(w http.ResponseWriter, version uint64) {
-	s.fetches.Inc()
-	start := time.Now()
-	updates, frame, pctx, ok := s.cfg.Store.Pinned(version)
-	if !ok {
-		http.Error(w, fmt.Sprintf("version %d not retained (store keeps the last two)", version), http.StatusNotFound)
-		return
-	}
-	w.Header().Set("ETag", fmt.Sprintf(`"v%d"`, version))
-	w.Header().Set("X-Policy-Version", strconv.FormatUint(version, 10))
-	w.Header().Set("X-Policy-Updates", strconv.FormatUint(updates, 10))
-	if pctx.Valid() {
-		w.Header().Set(trace.HeaderName, trace.FormatHeader(pctx))
-		if sp := s.cfg.Tracer.StartSpanAt(pctx, "fetch-serve", start); sp.Valid() {
-			defer func() { sp.EndArg("version", int64(version)) }()
-		}
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-	n, _ := w.Write(frame)
-	s.fetchedB.Add(uint64(n))
-}
-
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	// The store keeps the frame by reference, so the body gets its own
 	// exact-size allocation rather than a pooled buffer.
@@ -229,9 +193,8 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	version, updates, frame := s.cfg.Store.Latest()
-	prev, _, _ := s.cfg.Store.Previous()
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(statsReply{Version: version, Updates: updates, Bytes: len(frame), Previous: prev})
+	_ = json.NewEncoder(w).Encode(statsReply{Version: version, Updates: updates, Bytes: len(frame)})
 }
 
 // publishReply acknowledges a publish with the assigned serving version.
@@ -239,12 +202,11 @@ type publishReply struct {
 	Version uint64 `json:"version"`
 }
 
-// statsReply is the stats endpoint's JSON document. The previous field is
-// named so no later field contains the substring `"version":` — the cluster
-// smoke script extracts the version with a greedy regex over this document.
+// statsReply is the stats endpoint's JSON document. No field after the
+// first may contain the substring `"version":`: the cluster smoke script
+// extracts the version with a greedy regex over this document.
 type statsReply struct {
-	Version  uint64 `json:"version"`
-	Updates  uint64 `json:"updates"`
-	Bytes    int    `json:"bytes"`
-	Previous uint64 `json:"previous"`
+	Version uint64 `json:"version"`
+	Updates uint64 `json:"updates"`
+	Bytes   int    `json:"bytes"`
 }

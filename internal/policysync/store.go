@@ -24,14 +24,6 @@ type Store struct {
 	notify  chan struct{} // closed and replaced on every publish
 	closed  bool          // set by Close; parked Waits return immediately
 
-	// One-deep history: the snapshot the newest publish displaced. Canary
-	// serving pins the previous version as its stable arm, so the store
-	// keeps exactly the last two frames — older ones are gone for good.
-	prevVersion uint64
-	prevUpdates uint64
-	prevFrame   []byte
-	prevCtx     trace.Context
-
 	// OnPublish, when non-nil, is invoked after every accepted publish
 	// (outside the lock) with the new serving version, the learner's update
 	// count, and the frame size. marl-policyd uses it for its log line.
@@ -79,12 +71,6 @@ func (s *Store) PublishCtx(frame []byte, tctx trace.Context) (uint64, error) {
 
 func (s *Store) install(frame []byte, updates uint64, tctx trace.Context) uint64 {
 	s.mu.Lock()
-	if s.version > 0 {
-		s.prevVersion = s.version
-		s.prevUpdates = s.updates
-		s.prevFrame = s.frame
-		s.prevCtx = s.pubCtx
-	}
 	s.version++
 	version := s.version
 	s.updates = updates
@@ -113,31 +99,6 @@ func (s *Store) Latest() (version, updates uint64, frame []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.version, s.updates, s.frame
-}
-
-// Previous returns the displaced snapshot — the version published just
-// before the newest one — or (0, 0, nil) when fewer than two publishes have
-// happened. The frame must be treated as read-only.
-func (s *Store) Previous() (version, updates uint64, frame []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.prevVersion, s.prevUpdates, s.prevFrame
-}
-
-// Pinned returns the frame for an exact version if the store still holds it
-// (the newest or the previous publish), along with its learner update count
-// and publish-time trace position. ok is false for anything older — the
-// store is a two-deep window, not an archive.
-func (s *Store) Pinned(version uint64) (updates uint64, frame []byte, tctx trace.Context, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case version != 0 && version == s.version:
-		return s.updates, s.frame, s.pubCtx, true
-	case version != 0 && version == s.prevVersion:
-		return s.prevUpdates, s.prevFrame, s.prevCtx, true
-	}
-	return 0, nil, trace.Context{}, false
 }
 
 // PublishContext returns the newest version and the trace position its

@@ -7,20 +7,20 @@ import (
 	"marlperf/internal/tensor"
 )
 
-// ActCore is the batched-forward heart of action selection, shared between
-// the rollout engine (acting for training) and the serving gateway
-// (internal/serve): per-agent observation matrices filled row by row, one
-// batched forward per agent network, and a private copy of the logits.
+// ActCore is the batched-forward heart of action selection: per-agent
+// observation matrices filled row by row, one batched forward per agent
+// network, and a private copy of the logits. The rollout engine acts
+// through it, and so does the benchmark's action gateway (internal/serve),
+// one row at a time.
 //
 // Determinism contract: every output row of a dense layer is computed with
 // the same operation order at any batch size, so the logits for one
-// observation are bit-identical whether it travels alone (rows=1) or
-// coalesced into a larger batch — the property that makes micro-batched
-// serving answers equal per-request answers, and vectorized rollouts equal
+// observation are bit-identical whether it travels alone (rows=1) or in a
+// larger batch — the property that makes vectorized rollouts equal
 // single-env rollouts. Forward never touches an RNG.
 //
 // An ActCore is not safe for concurrent use; one goroutine (the engine's
-// step loop, the gateway's batch loop) must own it.
+// step loop) or one lock holder (the gateway's) must own it.
 type ActCore struct {
 	obsDims []int
 	actDim  int
@@ -130,7 +130,7 @@ func (c *ActCore) AgentLogits(agent int) *tensor.Matrix { return c.logits[agent]
 
 // NetworkDims derives the per-agent observation widths and the shared
 // action width from the networks themselves (first dense layer in, last
-// dense head out) — how a serving gateway learns the contract of a policy
+// dense head out) — how the action gateway learns the contract of a policy
 // snapshot without access to the environment that trained it.
 func NetworkDims(agents []*nn.Network) (obsDims []int, actDim int, err error) {
 	if len(agents) == 0 {
@@ -161,7 +161,7 @@ func NetworkDims(agents []*nn.Network) (obsDims []int, actDim int, err error) {
 
 // CheckAgents verifies the networks' input/output widths, as NetworkDims
 // reads them, against the given per-agent observation widths and action
-// width — the validation both the rollout engine and the serving gateway
+// width — the validation both the rollout engine and the action gateway
 // run before installing a policy.
 func CheckAgents(agents []*nn.Network, obsDims []int, actDim int) error {
 	if len(agents) != len(obsDims) {

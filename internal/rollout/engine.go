@@ -112,7 +112,7 @@ type Engine struct {
 	stepCalls uint64 // Step invocations (trace sampling index)
 
 	// Acting scratch.
-	core      *ActCore         // batched per-agent forwards (shared with internal/serve)
+	core      *ActCore         // batched per-agent forwards
 	obsRow    *tensor.Matrix   // header rebound per (env, agent) in per-env mode
 	probsMat  []*tensor.Matrix // per agent: envs×actDim, one block of exploration draws
 	probs     [][][]float64    // [env][agent]: row env of probsMat[agent]

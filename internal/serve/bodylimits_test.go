@@ -32,7 +32,7 @@ func (zeros) Read(p []byte) (int, error) {
 // it; a frame cut short and a Content-Length that promises more than
 // arrives are 400s.
 func TestBodyLimits(t *testing.T) {
-	g, srv, _ := newTestServer(t, Config{Window: 0})
+	g, srv, _ := newTestServer(t)
 	installV1(t, g)
 	frame := EncodeObsFrame(nil, testObs(1, []int{8, 8, 8}))
 	cases := []struct {
@@ -58,7 +58,7 @@ func TestBodyLimits(t *testing.T) {
 			req.Header.Set("Content-Type", "application/octet-stream")
 			req.ContentLength = tc.declared
 			rec := httptest.NewRecorder()
-			srv.ServeHTTP(rec, req)
+			srv.Handler().ServeHTTP(rec, req)
 			if rec.Code != tc.status {
 				t.Fatalf("status %d (%s), want %d", rec.Code, bytes.TrimSpace(rec.Body.Bytes()), tc.status)
 			}

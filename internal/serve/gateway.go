@@ -1,102 +1,36 @@
-// Package serve is the inference side of the trained system: a micro-
-// batching action gateway that turns policy snapshots flowing out of the
-// training loop (via policysync) into an HTTP "observations in, actions
-// out" service.
+// Package serve is the action gateway the repository benchmark's
+// loop-lockstep workload drives: observations in over HTTP, one greedy
+// action per agent out, answered from the newest installed policy snapshot.
+// No training process uses it — actors act inside their own rollout.Engine
+// — so the package keeps only what bench/ builds against, and goes when
+// bench/ drops its /act leg.
 //
-// The core idea is the same batching economics the paper measures inside
-// the training loop, applied at the serving edge: concurrent /act requests
-// are coalesced into one batched forward pass per agent network instead of
-// one forward per request, trading a bounded queueing window for
-// per-dispatch amortization. Because the batched forward is the rollout
-// engine's own ActCore — dense rows computed in an identical op order at
-// any batch size, no RNG — a coalesced answer is bit-identical to the
-// answer the same observation gets alone. Batching here is purely a
-// throughput decision, never a behavioral one.
-//
-// Snapshot lifecycle: Install hot-swaps the serving head atomically; the
-// displaced head is retained as the stable arm so a weighted canary split
-// can route a deterministic fraction of unpinned traffic to the newest
-// weights while the rest keeps serving the proven ones. Requests may also
-// pin an exact retained version.
+// Each request runs its own one-row forward through rollout.ActCore in the
+// caller's goroutine, under the gateway's mutex; the answer is the argmax of
+// each agent network's logits on the installed weights.
 package serve
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"runtime"
 
 	"marlperf/internal/nn"
 	"marlperf/internal/rollout"
-	"marlperf/internal/telemetry"
 	"marlperf/internal/tensor"
 	"marlperf/internal/trace"
 )
 
 // Config describes a gateway.
 type Config struct {
-	// Window is how long the batch loop holds an incomplete batch open for
-	// more requests after the first one arrives. Zero batches only what is
-	// already queued (no added latency). Negative selects the 2ms default.
+	// Window is read by nothing. It is kept only because bench/ names it
+	// (serve.Config{Window: 0}): a gateway forwards each request as it
+	// arrives, so there is no batch to hold open.
 	Window time.Duration
-	// MaxBatch caps one coalesced forward. Defaults to 64.
-	MaxBatch int
-	// QueueDepth bounds the request queue; enqueues beyond it fail fast
-	// with ErrOverloaded instead of stacking latency. Defaults to 4×MaxBatch.
-	QueueDepth int
-	// CanaryPercent routes this percentage of unpinned requests to the
-	// newest snapshot and the rest to the previous one, once two snapshots
-	// are installed. 0 disables the split (everything serves the newest).
-	CanaryPercent int
-	// Seed makes the canary split deterministic: arm choice is a hash of
-	// (Seed, request sequence number), so a replayed request sequence hits
-	// the same arms. The split never consumes an RNG.
-	Seed int64
-	// Direct disables micro-batching: each request runs its own forward in
-	// the handler goroutine under a mutex. This is the naive per-request
-	// server BenchmarkServe compares the batcher against.
-	Direct bool
-	// Registry receives marl_serve_* metrics; nil keeps a private one.
-	Registry *telemetry.Registry
-	// Tracer, when set and enabled, records act-request and batch-forward
-	// spans parented on the serving snapshot's install position — the
-	// continuation of the learner update → policyd publish → serve install
-	// chain — for requests the sampler selects.
-	Tracer *trace.Tracer
 }
-
-// ErrOverloaded is returned when the request queue is full.
-var ErrOverloaded = fmt.Errorf("serve: request queue full")
 
 // ErrNotReady is returned before the first snapshot install.
 var ErrNotReady = fmt.Errorf("serve: no policy installed yet")
-
-// ErrDraining is returned for requests that arrive after Drain began.
-var ErrDraining = fmt.Errorf("serve: draining")
-
-// snapshot is one installed policy version. Its networks are only read by
-// whichever goroutine holds the forward core at the time, so a hot-swap
-// never tears a forward.
-type snapshot struct {
-	version    uint64
-	updates    uint64
-	agents     []*nn.Network
-	installCtx trace.Context // serve-install span position (zero: untraced)
-}
-
-// actRequest is one enqueued /act call.
-type actRequest struct {
-	snap    *snapshot
-	obs     [][]float64 // [agent][obsDims[agent]]
-	replyCh chan actReply
-}
-
-type actReply struct {
-	actions []int
-	err     error
-}
 
 // Result is one served action vector.
 type Result struct {
@@ -104,515 +38,94 @@ type Result struct {
 	Actions []int
 	// Version is the snapshot version that produced the actions.
 	Version uint64
-	// TraceCtx is the request span position when the request was sampled
-	// into a trace (zero otherwise); servers relay it to the client.
-	TraceCtx trace.Context
 }
 
-// Gateway owns the snapshot window and the batch loop. Safe for concurrent
-// use by any number of request goroutines plus one installer (the syncer).
+// Gateway serves the newest installed snapshot. Safe for concurrent use:
+// installs and forwards take turns on one mutex.
 type Gateway struct {
-	cfg Config
-
 	mu      sync.Mutex
-	head    *snapshot
-	prev    *snapshot
-	obsDims []int
-	actDim  int
-	core    *rollout.ActCore // owned by the batch loop (Direct: by fwdMu)
-	ready   atomic.Bool
-
-	queue    chan *actRequest
-	sendMu   sync.RWMutex // excludes enqueues while Drain closes the queue
-	draining atomic.Bool
-	loopDone chan struct{}
-
-	// reqPool recycles request envelopes (and their reply channels): one
-	// request is owned by exactly one sender until its single reply arrives,
-	// so the envelope is reusable the moment the reply is read.
-	reqPool sync.Pool
-	// batchScratch/groupScratch are owned by the batch loop between
-	// dispatches, so steady-state coalescing allocates nothing.
-	batchScratch []*actRequest
-	groupScratch []*actRequest
-
-	reqSeq atomic.Uint64 // canary-split and trace-sampling sequence
-
-	fwdMu sync.Mutex // Direct mode: serializes handler-side forwards
-
-	requestsC *telemetry.Counter
-	errorsC   *telemetry.Counter
-	batchesC  *telemetry.Counter
-	installsC *telemetry.Counter
-	canaryC   *telemetry.Counter
-	stableC   *telemetry.Counter
-	pinnedC   *telemetry.Counter
-	versionG  *telemetry.Gauge
-	readyG    *telemetry.Gauge
-	batchH    *telemetry.Histogram
-	latencyH  *telemetry.Histogram
+	version uint64           // 0 until the first install
+	core    *rollout.ActCore // nil until the first install fixes the serving shape; bound to the head's networks
 }
 
-// batchSizeBuckets bounds the coalesced-batch-size histogram: powers of two
-// past the 64-request default cap.
-func batchSizeBuckets() []float64 {
-	return []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-}
+// NewGateway returns an empty gateway; Act answers ErrNotReady until the
+// first Install.
+func NewGateway(Config) *Gateway { return &Gateway{} }
 
-// NewGateway validates cfg, registers metrics, and starts the batch loop
-// (unless Direct). Call Drain to stop it.
-func NewGateway(cfg Config) *Gateway {
-	if cfg.Window < 0 {
-		cfg.Window = 2 * time.Millisecond
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.MaxBatch
-	}
-	if cfg.CanaryPercent < 0 {
-		cfg.CanaryPercent = 0
-	} else if cfg.CanaryPercent > 100 {
-		cfg.CanaryPercent = 100
-	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	reg.SetHelp("marl_serve_requests_total", "Action requests accepted by the gateway.")
-	reg.SetHelp("marl_serve_batch_size", "Requests coalesced into one batched forward.")
-	reg.SetHelp("marl_serve_latency_seconds", "Gateway latency from accept to reply, per request.")
-	reg.SetHelp("marl_serve_canary_total", "Unpinned requests routed per canary arm.")
-	g := &Gateway{
-		cfg:       cfg,
-		queue:     make(chan *actRequest, cfg.QueueDepth),
-		loopDone:  make(chan struct{}),
-		requestsC: reg.Counter("marl_serve_requests_total"),
-		errorsC:   reg.Counter("marl_serve_errors_total"),
-		batchesC:  reg.Counter("marl_serve_batches_total"),
-		installsC: reg.Counter("marl_serve_installs_total"),
-		canaryC:   reg.Counter("marl_serve_canary_total", "arm", "canary"),
-		stableC:   reg.Counter("marl_serve_canary_total", "arm", "stable"),
-		pinnedC:   reg.Counter("marl_serve_pinned_total"),
-		versionG:  reg.Gauge("marl_serve_version"),
-		readyG:    reg.Gauge("marl_serve_ready"),
-		batchH:    reg.Histogram("marl_serve_batch_size", batchSizeBuckets()),
-		latencyH:  reg.Histogram("marl_serve_latency_seconds", nil),
-	}
-	if cfg.Direct {
-		close(g.loopDone)
-	} else {
-		go g.batchLoop()
-	}
-	return g
-}
-
-// Install hot-swaps the serving head to the given snapshot, demoting the
-// current head to the stable canary arm. The first install fixes the
-// serving shape and flips the gateway ready; installs with a version not
-// newer than the head are ignored (a restarted syncer may re-deliver). The
-// networks are taken by reference and must not be mutated afterwards.
-func (g *Gateway) Install(version, updates uint64, agents []*nn.Network, tctx trace.Context) error {
-	obsDims, actDim, err := rollout.NetworkDims(agents)
-	if err != nil {
-		return err
-	}
-	sp := g.cfg.Tracer.StartSpan(tctx, "serve-install")
-	installCtx := tctx
-	if sp.Valid() {
-		installCtx = sp.Context()
-	}
-	g.mu.Lock()
-	if g.head != nil {
-		if version <= g.head.version {
-			g.mu.Unlock()
-			sp.EndArg("stale", int64(version))
-			return nil
-		}
-		if err := dimsMatch(g.obsDims, g.actDim, obsDims, actDim); err != nil {
-			g.mu.Unlock()
-			sp.EndArg("error", 1)
-			return err
-		}
-		g.prev = g.head
-	} else {
-		g.obsDims = obsDims
-		g.actDim = actDim
-		g.core = rollout.NewActCore(obsDims, actDim, g.cfg.MaxBatch)
-	}
-	g.head = &snapshot{version: version, updates: updates, agents: agents, installCtx: installCtx}
-	g.mu.Unlock()
-
-	g.ready.Store(true)
-	g.readyG.Set(1)
-	g.installsC.Inc()
-	g.versionG.Set(float64(version))
-	sp.EndArg("version", int64(version))
-	return nil
-}
-
-// InstallPrevious backfills the stable arm with an older retained version —
-// the path a freshly started gateway uses after fetching the previous
-// publish from policyd, so canary routing works from the first install
-// instead of only after the next head swap. No-op unless the version is
-// strictly older than the head and the stable slot is empty.
-func (g *Gateway) InstallPrevious(version, updates uint64, agents []*nn.Network, tctx trace.Context) error {
+// Install makes the given snapshot the serving head. The first install
+// fixes the serving shape; later ones must match it, and one with a version
+// not newer than the head is ignored (a re-delivery). The networks are taken
+// by reference and must not be mutated afterwards. updates and the trace
+// context are not read: the arguments are kept only because bench/ passes
+// them.
+func (g *Gateway) Install(version, updates uint64, agents []*nn.Network, _ trace.Context) error {
 	obsDims, actDim, err := rollout.NetworkDims(agents)
 	if err != nil {
 		return err
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.head == nil || g.prev != nil || version == 0 || version >= g.head.version {
+	if g.core == nil {
+		g.core = rollout.NewActCore(obsDims, actDim, 1)
+	} else if version <= g.version {
 		return nil
 	}
-	if err := dimsMatch(g.obsDims, g.actDim, obsDims, actDim); err != nil {
-		return err
+	if err := g.core.SetAgents(agents); err != nil {
+		return fmt.Errorf("serve: snapshot v%d does not match the serving shape: %w", version, err)
 	}
-	g.prev = &snapshot{version: version, updates: updates, agents: agents, installCtx: tctx}
+	g.version = version
 	return nil
 }
 
-func dimsMatch(wantObs []int, wantAct int, obs []int, act int) error {
-	if len(obs) != len(wantObs) || act != wantAct {
-		return fmt.Errorf("serve: snapshot shape %v/%d does not match serving shape %v/%d", obs, act, wantObs, wantAct)
-	}
-	for i := range obs {
-		if obs[i] != wantObs[i] {
-			return fmt.Errorf("serve: snapshot agent %d obs width %d does not match serving width %d", i, obs[i], wantObs[i])
-		}
-	}
-	return nil
-}
-
-// Ready reports whether a policy is installed.
-func (g *Gateway) Ready() bool { return g.ready.Load() }
-
-// Dims returns the serving observation widths and action width (nil/0
-// before the first install).
-func (g *Gateway) Dims() ([]int, int) {
+// Dims returns the serving observation widths (nil before the first
+// install).
+func (g *Gateway) Dims() []int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.obsDims, g.actDim
+	if g.core == nil {
+		return nil
+	}
+	return g.core.ObsDims()
 }
 
-// Versions returns the head and stable-arm versions (0 when absent).
+// Versions returns the head version (0 before the first install). The
+// second result is always 0: it is kept only because bench/ names it.
 func (g *Gateway) Versions() (head, prev uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.head != nil {
-		head = g.head.version
-	}
-	if g.prev != nil {
-		prev = g.prev.version
-	}
-	return head, prev
+	return g.version, 0
 }
 
-// resolve picks the snapshot for one request: an exact retained version
-// when pinned (version != 0), otherwise the canary split over the request
-// sequence number.
-func (g *Gateway) resolve(version, seq uint64) (*snapshot, error) {
+// Act answers one observation set from the head snapshot. obs must hold one
+// row per agent at the serving widths. The leading argument is not read: it
+// is kept only because bench/ passes it (0).
+func (g *Gateway) Act(_ uint64, obs [][]float64) (Result, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.head == nil {
-		return nil, ErrNotReady
+	if g.core == nil {
+		return Result{}, ErrNotReady
 	}
-	if version != 0 {
-		switch {
-		case version == g.head.version:
-			g.pinnedC.Inc()
-			return g.head, nil
-		case g.prev != nil && version == g.prev.version:
-			g.pinnedC.Inc()
-			return g.prev, nil
-		}
-		var stable uint64
-		if g.prev != nil {
-			stable = g.prev.version
-		}
-		return nil, fmt.Errorf("serve: version %d not retained (serving %d, stable %d)", version, g.head.version, stable)
-	}
-	if g.cfg.CanaryPercent > 0 && g.prev != nil {
-		if canaryArm(uint64(g.cfg.Seed), seq, g.cfg.CanaryPercent) {
-			g.canaryC.Inc()
-			return g.head, nil
-		}
-		g.stableC.Inc()
-		return g.prev, nil
-	}
-	return g.head, nil
-}
-
-// canaryArm reports whether request seq goes to the canary (newest) arm
-// under the given percent, via a seeded integer hash — deterministic for a
-// given (seed, seq), uniform across seq, and RNG-free.
-func canaryArm(seed, seq uint64, percent int) bool {
-	h := mix64(seed ^ mix64(seq+0x9E3779B97F4A7C15))
-	return h%100 < uint64(percent)
-}
-
-// mix64 is the splitmix64 finalizer (the same construction the trace
-// package uses for ID derivation).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
-// Act serves one observation set: resolve the snapshot (pin or canary),
-// then either coalesce through the batch loop or forward directly. obs
-// must hold one row per agent at the serving widths.
-func (g *Gateway) Act(version uint64, obs [][]float64) (Result, error) {
-	start := time.Now()
-	seq := g.reqSeq.Add(1)
-	snap, err := g.resolve(version, seq)
-	if err != nil {
-		g.errorsC.Inc()
-		return Result{}, err
-	}
-	if err := g.checkObs(obs); err != nil {
-		g.errorsC.Inc()
-		return Result{}, err
-	}
-	g.requestsC.Inc()
-
-	// Sampled requests get a span parented on the serving snapshot's
-	// install position — the serving tail of the learner's update trace.
-	var reqSpan trace.Span
-	if g.cfg.Tracer.Enabled() && g.cfg.Tracer.Sampled(seq) && snap.installCtx.Valid() {
-		reqSpan = g.cfg.Tracer.StartSpan(snap.installCtx, "act-request")
-	}
-
-	var actions []int
-	if g.cfg.Direct {
-		actions, err = g.directForward(snap, obs)
-	} else {
-		actions, err = g.batchForward(snap, obs)
-	}
-	if err != nil {
-		g.errorsC.Inc()
-		reqSpan.EndArg("error", 1)
-		return Result{}, err
-	}
-	g.latencyH.Observe(time.Since(start).Seconds())
-	reqSpan.EndArg("version", int64(snap.version))
-	return Result{Actions: actions, Version: snap.version, TraceCtx: reqSpan.Context()}, nil
-}
-
-func (g *Gateway) checkObs(obs [][]float64) error {
-	g.mu.Lock()
-	dims := g.obsDims
-	g.mu.Unlock()
+	dims := g.core.ObsDims()
 	if len(obs) != len(dims) {
-		return fmt.Errorf("serve: request has %d agent observations, policy serves %d agents", len(obs), len(dims))
+		return Result{}, fmt.Errorf("serve: request has %d agent observations, policy serves %d agents", len(obs), len(dims))
 	}
 	for i, row := range obs {
 		if len(row) != dims[i] {
-			return fmt.Errorf("serve: agent %d observation has %d dims, policy wants %d", i, len(row), dims[i])
+			return Result{}, fmt.Errorf("serve: agent %d observation has %d dims, policy wants %d", i, len(row), dims[i])
 		}
-	}
-	return nil
-}
-
-// batchForward enqueues the request and waits for the batch loop's answer.
-// The read lock excludes the enqueue against Drain closing the queue.
-func (g *Gateway) batchForward(snap *snapshot, obs [][]float64) ([]int, error) {
-	req, _ := g.reqPool.Get().(*actRequest)
-	if req == nil {
-		req = &actRequest{replyCh: make(chan actReply, 1)}
-	}
-	req.snap, req.obs = snap, obs
-	g.sendMu.RLock()
-	if g.draining.Load() {
-		g.sendMu.RUnlock()
-		g.putReq(req)
-		return nil, ErrDraining
-	}
-	var enqueued bool
-	select {
-	case g.queue <- req:
-		enqueued = true
-	default:
-	}
-	g.sendMu.RUnlock()
-	if !enqueued {
-		g.putReq(req)
-		return nil, ErrOverloaded
-	}
-	reply := <-req.replyCh
-	g.putReq(req)
-	return reply.actions, reply.err
-}
-
-// putReq returns a request envelope to the pool. Callers must hold the only
-// reference: either the enqueue failed, or the single reply was received
-// (the batch loop never touches a request after replying).
-func (g *Gateway) putReq(req *actRequest) {
-	req.snap, req.obs = nil, nil
-	g.reqPool.Put(req)
-}
-
-// directForward is the per-request baseline: one 1-row forward in the
-// caller's goroutine, serialized by a mutex the way a naive non-batching
-// server would be.
-func (g *Gateway) directForward(snap *snapshot, obs [][]float64) ([]int, error) {
-	g.fwdMu.Lock()
-	defer g.fwdMu.Unlock()
-	if err := g.core.SetAgents(snap.agents); err != nil {
-		return nil, err
 	}
 	g.core.Begin(1)
 	for a, row := range obs {
 		g.core.SetObs(0, a, row)
 	}
 	g.core.Forward()
-	g.batchH.Observe(1)
-	g.batchesC.Inc()
-	return argmaxRow(g.core, 0), nil
-}
-
-func argmaxRow(core *rollout.ActCore, row int) []int {
-	actions := make([]int, core.NumAgents())
+	actions := make([]int, len(obs))
 	for a := range actions {
-		actions[a] = tensor.ArgMax(core.Logits(a, row))
+		actions[a] = tensor.ArgMax(g.core.Logits(a, 0))
 	}
-	return actions
+	return Result{Actions: actions, Version: g.version}, nil
 }
 
-// batchLoop is the single consumer: it pulls the first waiting request,
-// holds the batch open up to Window (or MaxBatch), groups by snapshot —
-// a hot-swap mid-window means two groups, each forwarded on its own
-// weights — and answers every request from one forward per group.
-func (g *Gateway) batchLoop() {
-	defer close(g.loopDone)
-	for {
-		first, ok := <-g.queue
-		if !ok {
-			return
-		}
-		g.forwardBatch(g.collect(first))
-	}
-}
-
-// collect gathers up to MaxBatch requests, waiting at most Window after
-// the first arrival. The returned slice aliases the loop's scratch storage
-// and is only valid until the next collect.
-func (g *Gateway) collect(first *actRequest) []*actRequest {
-	batch := append(g.batchScratch[:0], first)
-	defer func() { g.batchScratch = batch[:0] }()
-	if g.cfg.Window <= 0 {
-		// Zero window: batch what is already queued — but senders that are
-		// runnable and mid-enqueue haven't reached the queue yet (on a
-		// loaded box this loop tends to win the scheduler race and would
-		// dispatch singletons forever). One yield lets that in-flight wave
-		// land; no timers, at most one scheduler pass of added latency.
-		batch = g.drainQueued(batch)
-		if len(batch) < g.cfg.MaxBatch {
-			runtime.Gosched()
-			batch = g.drainQueued(batch)
-		}
-		return batch
-	}
-	timer := time.NewTimer(g.cfg.Window)
-	defer timer.Stop()
-	for len(batch) < g.cfg.MaxBatch {
-		select {
-		case r, ok := <-g.queue:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, r)
-		case <-timer.C:
-			return batch
-		}
-	}
-	return batch
-}
-
-// drainQueued moves already-queued requests into the batch, up to MaxBatch,
-// without blocking.
-func (g *Gateway) drainQueued(batch []*actRequest) []*actRequest {
-	for len(batch) < g.cfg.MaxBatch {
-		select {
-		case r, ok := <-g.queue:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, r)
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// forwardBatch splits the batch into per-snapshot groups and answers each
-// group from one coalesced forward. The partition filters in place (the
-// rest compacts into the batch's own prefix, which only ever lags the read
-// cursor), so steady-state dispatch allocates nothing.
-func (g *Gateway) forwardBatch(batch []*actRequest) {
-	for len(batch) > 0 {
-		snap := batch[0].snap
-		group := g.groupScratch[:0]
-		rest := batch[:0]
-		for _, r := range batch {
-			if r.snap == snap {
-				group = append(group, r)
-			} else {
-				rest = append(rest, r)
-			}
-		}
-		g.forwardGroup(snap, group)
-		g.groupScratch = group[:0]
-		batch = rest
-	}
-}
-
-func (g *Gateway) forwardGroup(snap *snapshot, group []*actRequest) {
-	if err := g.core.SetAgents(snap.agents); err != nil {
-		for _, r := range group {
-			r.replyCh <- actReply{err: err}
-		}
-		return
-	}
-	g.core.Begin(len(group))
-	for row, r := range group {
-		for a, obsRow := range r.obs {
-			g.core.SetObs(row, a, obsRow)
-		}
-	}
-	// One forward span per coalesced batch (not per request), descending
-	// from the snapshot's install position.
-	sp := g.cfg.Tracer.StartSpan(snap.installCtx, "batch-forward")
-	g.core.Forward()
-	sp.EndArg("batch", int64(len(group)))
-	g.batchH.Observe(float64(len(group)))
-	g.batchesC.Inc()
-	for row, r := range group {
-		r.replyCh <- actReply{actions: argmaxRow(g.core, row)}
-	}
-}
-
-// Drain stops accepting new requests, lets queued ones finish, and waits
-// up to timeout for the batch loop to exit. Idempotent.
-func (g *Gateway) Drain(timeout time.Duration) error {
-	if g.draining.Swap(true) {
-		<-g.loopDone
-		return nil
-	}
-	g.readyG.Set(0)
-	g.sendMu.Lock()
-	close(g.queue)
-	g.sendMu.Unlock()
-	select {
-	case <-g.loopDone:
-		return nil
-	case <-time.After(timeout):
-		return fmt.Errorf("serve: batch loop did not drain within %v", timeout)
-	}
-}
+// Drain returns nil: a gateway holds no goroutine or queue to stop. It is
+// kept only because bench/ calls it when it closes the loop.
+func (g *Gateway) Drain(time.Duration) error { return nil }

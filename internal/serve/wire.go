@@ -8,17 +8,13 @@ import (
 	"marlperf/internal/frame"
 )
 
-// Binary /act wire format, for clients that want the zero-parse path:
+// The /act wire format:
 //
-//	request  Content-Type: application/octet-stream
-//	         f64le observation values, all agents concatenated in agent
+//	request  f64le observation values, all agents concatenated in agent
 //	         order — exactly sum(obsDims) values, no framing. The serving
 //	         shape is the frame: a length mismatch is a 400.
 //	reply    "MACT" magic, u64le version, u32le agent count, then one
 //	         u32le greedy action index per agent.
-//
-// The JSON path carries the same payloads as {"obs": [[...], ...]} and
-// {"version": N, "actions": [...]} for humans and scripts.
 
 // actReplyMagic frames a binary action reply.
 const actReplyMagic = "MACT"

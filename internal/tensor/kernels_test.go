@@ -346,7 +346,7 @@ func checkProduct(t testing.TB, paths []string, p product, m, k, n int, z zeros,
 // TestKernelsMatchScalarReference is the contract test for the product
 // kernels, on each body, with a dense and as a column view of two pitches
 // for a × b (alone and as a dense layer's forward) and aᵀ × b. Few rows (one — the acting shape —, three, the
-// gateway's eight, nine: a group of eight and one more for the narrow kernel):
+// vectorized rollout's eight, nine: a group of eight and one more for the narrow kernel):
 // every k remainder against the Go body's four-deep blocks and the vectors of
 // the mask compares, one word of 64 multipliers, one more, two words and two
 // more; every output width that matters to some body — each width of a masked
@@ -488,8 +488,8 @@ func TestAxpy4BlocksStaysInBounds(t *testing.T) {
 }
 
 // TestKernelsBatchInvariant: row i of an m-row product equals the one-row
-// product of row i. The rollout engine's "vectorized ≡ single env" and the
-// serving gateway's "batched ≡ per-request" contracts both rest on this.
+// product of row i. The rollout engine's "vectorized ≡ single env" contract
+// rests on this.
 func TestKernelsBatchInvariant(t *testing.T) {
 	for _, path := range kernelPaths(t) {
 		setKernelPath(t, path)
@@ -767,8 +767,8 @@ func mallocsAt(procs int, f func()) uint64 {
 
 // TestMatMulBiasOneRowDoesNotAllocate: a dense layer's forward runs on the
 // caller's goroutine and touches no heap, on each body and with a second core
-// to spare — for one observation row (the acting forward) and for the serving
-// gateway's 64-row micro-batch.
+// to spare — for one observation row (the acting forward) and for a 64-row
+// batch.
 func TestMatMulBiasOneRowDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, shape := range [][3]int{{1, 18, 64}, {64, 64, 64}} {
@@ -795,7 +795,7 @@ var kernelSink *Matrix
 // the k = 1 outer product the one-output head's backward is), a hidden width
 // of 16 (two masked panels of eight at eight lanes, four of four at four),
 // the one-row acting shapes, and the eight-row shapes the vectorized rollout
-// and the gateway's micro-batches act at. Where the multipliers are a hidden
+// acts at. Where the multipliers are a hidden
 // layer's output in training — k of 16 or more, at batch 1024 or into a head
 // — each shape runs three times: dense (the name alone: the floor no change
 // to the zero-skip may lower), /halfzero and /trained (fillOperand). The

@@ -12,12 +12,13 @@
 #   - the distributed traces stitch: /tracez captures from all five
 #     processes merge (via marl-trace) into ≥1 trace spanning ≥4 distinct
 #     processes;
+#   - actor0's /metrics holds a nonzero marl_policy_act_lag_versions
+#     count (the mean lag is printed: how stale is what the actors ran);
 #   - no process tripped the race detector.
 #
 # Ports/dirs are overridable via REPLAY_PORT / POLICY_PORT / ACTOR0_METRICS_PORT /
 # ACTOR1_METRICS_PORT / OUT; the stitch-width gate via REQUIRE_PROCS (how
-# many distinct processes one merged trace must span), so other topologies
-# (e.g. the serving smoke) can reuse the merge gate at their own width.
+# many distinct processes one merged trace must span).
 #
 # REQUIRE_PROCS also sizes the replay tier: the loop always has four
 # non-replayd processes (policyd, two actors, the learner), so a gate
@@ -131,6 +132,15 @@ for cap in "${caps[@]}"; do
   curl -sf "http://127.0.0.1:$port/tracez" >"$OUT/$name-tracez.json" \
     || { echo "FAIL: capturing /tracez from $name" >&2; exit 1; }
 done
+
+# How stale is what the actors ran: actor0's per-Step histogram of how many
+# versions behind the newest policy it knew of it acted, read while it is up.
+lag=$(curl -sf "http://127.0.0.1:$ACTOR0_METRICS_PORT/metrics" | awk '
+  /^marl_policy_act_lag_versions_sum / { sum = $2 }
+  /^marl_policy_act_lag_versions_count / { n = $2 }
+  END { if (n > 0) printf "%d steps, mean lag %.3f versions", n, sum / n; else exit 1 }') \
+  || { echo "FAIL: actor0 exports no marl_policy_act_lag_versions_count > 0" >&2; exit 1; }
+echo "actor0 acted on policies: $lag"
 
 # Stop the actors; exit 3 (interrupted, flushed) and 0 are both clean.
 for pid in "$A0" "$A1"; do kill -TERM "$pid" 2>/dev/null || true; done

@@ -29,10 +29,8 @@ expstore.Source.Plan	the local experience source (see NewSource)
 expstore.Source.SampleBatch	the local experience source (see NewSource)
 expstore.Ring.SetTracer	test oracle: the huge-page gather benchmark counts TLB misses through it
 expstore.Store.SetTracer	test oracle: the store's locality trace test records served addresses through it
-expstore.Store.Sync	durability primitive: fsyncs the active segment against a machine crash
 policysync.Server.ServeHTTP	interface: called through http.Handler
 profiler.Profile.EventCount	test oracle: tests count profiler events through it
-serve.Server.ServeHTTP	interface: called through http.Handler
 tensor.ApproxEqual	test oracle: the matrix comparison the tests of several packages share
 tensor.FromSlice	test oracle: builds the tests' literal matrices
 tensor.Matrix.At	test oracle: element reads in tests
