@@ -90,7 +90,10 @@ func benchBuffer(b *testing.B, agents, fill int) (*replay.Buffer, []*replay.Agen
 // built after benchBuffer's fill starts with an empty tree and would panic
 // on its first Sample.
 func seedPriorities(buf *replay.Buffer, ps ...replay.PrioritySampler) {
-	idx := buf.InsertionOrderInto(nil)
+	idx := make([]int, buf.Len()) // benchBuffer fills to capacity: slot order is insertion order
+	for i := range idx {
+		idx[i] = i
+	}
 	rng := rand.New(rand.NewSource(99))
 	td := make([]float64, len(idx))
 	for i := range td {

@@ -264,10 +264,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 				break
 			}
 		}
-		if syncer != nil && engineSteps%*syncEvery == 0 {
+		// The newest version the syncer holds is noted before every step
+		// (one atomic load), so the act-lag histogram counts the versions
+		// that land between installs; installing waits for -sync-every.
+		if syncer != nil {
 			if snap := syncer.Latest(); snap != nil {
 				eng.NoteKnownVersion(snap.Version)
-				if snap.Version > eng.PolicyVersion() {
+				if engineSteps%*syncEvery == 0 && snap.Version > eng.PolicyVersion() {
 					if err := eng.InstallCtx(snap.Version, snap.Agents, snap.TraceCtx); err != nil {
 						fmt.Fprintln(stderr, "installing policy:", err)
 						return cli.ExitError

@@ -106,7 +106,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		refs      = fs.Int("refs", 64, "locality sampler: reference points")
 		batch     = fs.Int("batch", 1024, "mini-batch size")
 		buffer    = fs.Int("buffer", 100_000, "replay capacity")
-		kvLayout  = fs.Bool("kv", false, "enable key-value data-layout reorganization")
+		kvLayout  = fs.Bool("kv", false, "store replay rows as the key-value table instead of per-agent buffers")
 		workers   = fs.Int("workers", 0, "update-stage worker pool size (0: GOMAXPROCS); any value is bit-identical for a fixed seed")
 		seed      = fs.Int64("seed", 1, "RNG seed")
 		logEvery  = fs.Int("log-every", 20, "episodes between progress lines")
@@ -675,7 +675,7 @@ func resumeFromStore(store *resilience.Store, tr *core.Trainer, stdout, stderr i
 		return cli.ExitError
 	}
 	fmt.Fprintf(stdout, "resumed from generation %d (%d episodes, %d steps, %d updates, %d stored transitions)\n",
-		seq, tr.EpisodeCount(), tr.TotalSteps(), tr.UpdateCount(), tr.Buffer().Len())
+		seq, tr.EpisodeCount(), tr.TotalSteps(), tr.UpdateCount(), tr.Store().Len())
 	return cli.ExitOK
 }
 

@@ -96,9 +96,10 @@ type Config struct {
 	TargetNoiseStd  float64 // target policy smoothing noise
 	TargetNoiseClip float64 // noise clip bound
 
-	// UseKVLayout enables the transition data-layout reorganization
-	// (§IV-B2): per-update reshaping into the key-value table plus O(m)
-	// gathers.
+	// UseKVLayout stores the replay rows as the key-value table of the
+	// transition data-layout reorganization (§IV-B2) instead of per-agent
+	// buffers: each row is interleaved once, as it is added, and a gather
+	// runs O(m) row copies. The trainer keeps no other copy.
 	UseKVLayout bool
 
 	// UpdateWorkers sizes the per-agent worker pool of the update stage.

@@ -146,8 +146,8 @@ func product(f func(v []int), sizes ...int) {
 }
 
 // inProcessCells is the in-process sampler family's full product: algo ×
-// sampler × env × workers{1, 4} × layout × trace × telemetry, then one
-// snapshots cell per class.
+// sampler × env × workers{1, 4} × layout × trace × telemetry, then a
+// snapshots cell per class and layout.
 func inProcessCells() []matrixCell {
 	var cells []matrixCell
 	product(func(v []int) {
@@ -158,9 +158,9 @@ func inProcessCells() []matrixCell {
 	}, len(matrixAlgos), len(matrixSamplers), len(matrixEnvs), 2, 2, 2, 2)
 	product(func(v []int) {
 		cells = append(cells, matrixCell{
-			algo: matrixAlgos[v[0]], sampler: matrixSamplers[v[1]], env: matrixEnvs[v[2]], workers: 1, snapshots: true,
+			algo: matrixAlgos[v[0]], sampler: matrixSamplers[v[1]], env: matrixEnvs[v[2]], workers: 1, kv: offOn[v[3]], snapshots: true,
 		})
-	}, len(matrixAlgos), len(matrixSamplers), len(matrixEnvs))
+	}, len(matrixAlgos), len(matrixSamplers), len(matrixEnvs), len(offOn))
 	return cells
 }
 
@@ -491,8 +491,8 @@ func restoresNewest(t *testing.T, store *resilience.Store, cfg Config, env mpe.E
 	if !bytes.Equal(trainerStateBytes(t, fresh), ckpt) {
 		t.Fatal("the newest generation restores to another checkpoint")
 	}
-	if hasRows && fresh.Buffer().Len() != int(n)*cfg.MaxEpisodeLen {
-		t.Fatalf("restored %d rows from a %d-byte replay section, want %d", fresh.Buffer().Len(), len(rows), int(n)*cfg.MaxEpisodeLen)
+	if hasRows && fresh.Store().Len() != int(n)*cfg.MaxEpisodeLen {
+		t.Fatalf("restored %d rows from a %d-byte replay section, want %d", fresh.Store().Len(), len(rows), int(n)*cfg.MaxEpisodeLen)
 	}
 }
 

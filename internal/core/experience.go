@@ -96,7 +96,7 @@ func (t *Trainer) setExpErr(err error) {
 // cadence identical.
 func (t *Trainer) updateReady() (bool, error) {
 	if t.expSource == nil {
-		return t.buf.Len() >= t.cfg.WarmupSize, nil
+		return t.store.Len() >= t.cfg.WarmupSize, nil
 	}
 	if t.expSink != nil {
 		if err := t.expSink.Flush(); err != nil {

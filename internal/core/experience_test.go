@@ -52,8 +52,8 @@ func TestSetExperienceServiceRejectsStatefulSamplers(t *testing.T) {
 }
 
 // A trainer drawing from an experience source keeps no local copy of what
-// it collects: every row goes to the sink, and neither the local buffer
-// nor the key-value table grows, across updates and episodes.
+// it collects: every row goes to the sink, and its store (here the
+// key-value table) does not grow, across updates and episodes.
 func TestSetExperienceServiceKeepsNoLocalCopy(t *testing.T) {
 	cfg := expConfig(SamplerUniform)
 	cfg.UseKVLayout = true
@@ -77,10 +77,7 @@ func TestSetExperienceServiceKeepsNoLocalCopy(t *testing.T) {
 	if n, err := src.Len(); err != nil || n != 6*cfg.MaxEpisodeLen {
 		t.Fatalf("sink holds %d rows (%v), want %d", n, err, 6*cfg.MaxEpisodeLen)
 	}
-	if n := tr.Buffer().Len(); n != 0 {
-		t.Errorf("local buffer holds %d rows beside the source", n)
-	}
-	if n := tr.kv.Len(); n != 0 {
+	if n := tr.Store().Len(); n != 0 {
 		t.Errorf("key-value table holds %d rows beside the source", n)
 	}
 }

@@ -25,9 +25,10 @@ func resumeSeed(seed int64, steps int) int64 {
 }
 
 // SnapshotSections returns the trainer's snapshot: its checkpoint and, when
-// no experience source is attached, its replay buffer. A trainer drawing
-// from a source keeps no rows; they live in the source. It reads no RNG, so
-// a run that saves trains the same bytes as one that does not.
+// no experience source is attached, its replay rows as one MARB section,
+// which both layouts write alike. A trainer drawing from a source keeps no
+// rows; they live in the source. It reads no RNG, so a run that saves
+// trains the same bytes as one that does not.
 func (t *Trainer) SnapshotSections() ([]resilience.Section, error) {
 	var ckpt bytes.Buffer
 	if err := t.SaveCheckpoint(&ckpt); err != nil {
@@ -35,11 +36,7 @@ func (t *Trainer) SnapshotSections() ([]resilience.Section, error) {
 	}
 	sections := []resilience.Section{{Kind: resilience.SectionTrainer, Payload: ckpt.Bytes()}}
 	if t.expSource == nil {
-		var rows bytes.Buffer
-		if _, err := t.buf.WriteTo(&rows); err != nil {
-			return nil, err
-		}
-		sections = append(sections, resilience.Section{Kind: resilience.SectionReplay, Payload: rows.Bytes()})
+		sections = append(sections, resilience.Section{Kind: resilience.SectionReplay, Payload: replay.AppendSection(nil, t.store)})
 	}
 	return sections, nil
 }
@@ -51,73 +48,33 @@ func (t *Trainer) SnapshotSections() ([]resilience.Section, error) {
 // experience source refuses a snapshot holding replay rows rather than drop
 // them. Every section is decoded and checked before any is installed, so a
 // refused snapshot leaves the trainer untouched.
+//
+// The replay rows are decoded straight from the section into the trainer's
+// store, oldest first, through its Add: the listeners registered at
+// NewTrainer time stay attached and re-derive their state (priority trees),
+// and no second buffer is built.
 func (t *Trainer) RestoreSnapshot(snap *resilience.Snapshot) error {
 	ckpt, ok := snap.Section(resilience.SectionTrainer)
 	if !ok {
 		return errors.New("core: snapshot has no trainer section")
 	}
-	var rows *replay.Buffer
-	if payload, ok := snap.Section(resilience.SectionReplay); ok {
+	payload, hasRows := snap.Section(resilience.SectionReplay)
+	var rows replay.Section
+	if hasRows {
 		if t.expSource != nil {
 			return errors.New("core: snapshot holds replay rows, and a trainer on an experience source keeps none")
 		}
 		var err error
-		if rows, err = replay.ReadBuffer(bytes.NewReader(payload)); err != nil {
-			return fmt.Errorf("core: snapshot replay section: %w", err)
-		}
-		if err := t.rowsFit(rows.Spec()); err != nil {
-			return err
+		if rows, err = replay.ReadSection(payload, t.store.Spec()); err != nil {
+			return fmt.Errorf("core: restored buffer: %w", err)
 		}
 	}
 	if err := t.LoadCheckpoint(bytes.NewReader(ckpt)); err != nil {
 		return err
 	}
-	if rows != nil {
-		t.restoreExperience(rows)
+	if hasRows {
+		rows.AddTo(t.store)
 	}
 	t.ReseedRNG(resumeSeed(t.cfg.Seed, t.totalSteps))
 	return nil
-}
-
-// rowsFit reports whether rows of spec's shape fit the trainer's buffer.
-func (t *Trainer) rowsFit(spec replay.Spec) error {
-	want := t.buf.Spec()
-	if spec.NumAgents != want.NumAgents || spec.ActDim != want.ActDim {
-		return fmt.Errorf("core: restored buffer shape %d agents × act %d, trainer wants %d × %d",
-			spec.NumAgents, spec.ActDim, want.NumAgents, want.ActDim)
-	}
-	for a, od := range want.ObsDims {
-		if spec.ObsDims[a] != od {
-			return fmt.Errorf("core: restored buffer agent %d obs dim %d, trainer wants %d",
-				a, spec.ObsDims[a], od)
-		}
-	}
-	return nil
-}
-
-// restoreExperience replays every transition stored in src (oldest first),
-// which rowsFit has accepted, through the trainer's live replay path.
-// Re-Adding, instead of swapping the buffer pointer, keeps the sampler
-// listeners registered at NewTrainer time attached, re-derives their state
-// (priority trees, episode runs) and rebuilds the optional key-value table
-// alongside.
-func (t *Trainer) restoreExperience(src *replay.Buffer) {
-	spec := t.buf.Spec()
-	obs := make([][]float64, t.n)
-	act := make([][]float64, t.n)
-	nextObs := make([][]float64, t.n)
-	rew := make([]float64, t.n)
-	done := make([]float64, t.n)
-	for a := 0; a < t.n; a++ {
-		obs[a] = make([]float64, spec.ObsDims[a])
-		nextObs[a] = make([]float64, spec.ObsDims[a])
-		act[a] = make([]float64, spec.ActDim)
-	}
-	for _, idx := range src.InsertionOrder() {
-		src.CopyTransition(idx, obs, act, rew, nextObs, done)
-		t.buf.Add(obs, act, rew, nextObs, done)
-		if t.kv != nil {
-			t.kv.Add(obs, act, rew, nextObs, done)
-		}
-	}
 }

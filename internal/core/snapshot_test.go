@@ -72,7 +72,7 @@ func TestRestoreExperienceRejectsShapeMismatch(t *testing.T) {
 		{Kind: resilience.SectionTrainer, Payload: section(t, takeSnapshot(t, tr), resilience.SectionTrainer)},
 		{Kind: resilience.SectionReplay, Payload: section(t, takeSnapshot(t, other), resilience.SectionReplay)},
 	}}
-	if err := fresh.RestoreSnapshot(mixed); err == nil || !strings.Contains(err.Error(), "restored buffer shape") {
+	if err := fresh.RestoreSnapshot(mixed); err == nil || !strings.Contains(err.Error(), "restored buffer") || !strings.Contains(err.Error(), "shape") {
 		t.Fatalf("mismatched buffer shape: %v", err)
 	}
 	if !bytes.Equal(trainerStateBytes(t, fresh), before) || fresh.Buffer().Len() != 0 {

@@ -35,14 +35,13 @@ type Trainer struct {
 	actDim  int
 
 	agents  []*agentNets
-	buf     *replay.Buffer
-	kv      *replay.KVBuffer
+	store   replay.Store // the one row store: a *replay.Buffer, or a *replay.KVBuffer under UseKVLayout
 	sampler replay.Sampler
 	prof    *profiler.Profile
 
 	// Experience service wiring (see SetExperienceService). When expSource
 	// is set, mini-batches come from it instead of the in-process sampler
-	// and buf stays empty; when expSink is set, every collected transition
+	// and store stays empty; when expSink is set, every collected transition
 	// is published to it.
 	expSource replay.TransitionSource
 	expSink   replay.TransitionSink
@@ -236,19 +235,20 @@ func NewTrainer(cfg Config, env mpe.Env) (*Trainer, error) {
 		ActDim:    t.actDim,
 		Capacity:  cfg.BufferCapacity,
 	}
-	t.buf = replay.NewBuffer(spec)
 	if cfg.UseKVLayout {
-		t.kv = replay.NewKVBuffer(spec)
+		t.store = replay.NewKVBuffer(spec)
+	} else {
+		t.store = replay.NewBuffer(spec)
 	}
 	switch cfg.Sampler {
 	case SamplerUniform:
-		t.sampler = replay.NewUniformSampler(t.buf)
+		t.sampler = replay.NewUniformSampler(t.store)
 	case SamplerLocality:
-		t.sampler = replay.NewLocalitySampler(t.buf, cfg.Neighbors, cfg.Refs)
+		t.sampler = replay.NewLocalitySampler(t.store, cfg.Neighbors, cfg.Refs)
 	case SamplerPER:
-		t.sampler = replay.NewPERSampler(t.buf)
+		t.sampler = replay.NewPERSampler(t.store)
 	case SamplerIPLocality:
-		t.sampler = replay.NewIPLocalitySampler(t.buf, cfg.ISBeta)
+		t.sampler = replay.NewIPLocalitySampler(t.store, cfg.ISBeta)
 	default:
 		return nil, fmt.Errorf("core: unknown sampler %v", cfg.Sampler)
 	}
@@ -282,8 +282,17 @@ func (t *Trainer) Config() Config { return t.cfg }
 // Profile returns the phase-timing profile.
 func (t *Trainer) Profile() *profiler.Profile { return t.prof }
 
-// Buffer returns the baseline replay buffer.
-func (t *Trainer) Buffer() *replay.Buffer { return t.buf }
+// Buffer returns the trainer's per-agent replay buffer, or nil when it
+// stores its rows as the key-value table (UseKVLayout). Store returns
+// either.
+func (t *Trainer) Buffer() *replay.Buffer {
+	buf, _ := t.store.(*replay.Buffer)
+	return buf
+}
+
+// Store returns the trainer's one replay row store: a *replay.Buffer, or a
+// *replay.KVBuffer under UseKVLayout.
+func (t *Trainer) Store() replay.Store { return t.store }
 
 // TotalSteps returns the number of environment steps taken.
 func (t *Trainer) TotalSteps() int { return t.totalSteps }
@@ -417,22 +426,19 @@ func (t *Trainer) interact(timed bool) bool {
 	}
 
 	if t.expSource == nil {
-		// The local buffers are read only by the in-process sampler: a
-		// trainer drawing from an experience source keeps no copy.
+		// The local store is read only by the in-process sampler: a trainer
+		// drawing from an experience source keeps no copy.
 		start := phaseEdge(timed)
-		t.buf.Add(t.obs, t.actionProbs, rewards, nextObs, t.dones)
-		added := phaseEdge(timed)
-		if t.kv != nil {
+		t.store.Add(t.obs, t.actionProbs, rewards, nextObs, t.dones)
+		if timed {
 			// The key-value table is maintained incrementally: every new
 			// transition is reshaped into its interleaved row as it arrives,
 			// which is the layout-reorganization cost in steady-state training.
-			t.kv.Add(t.obs, t.actionProbs, rewards, nextObs, t.dones)
-			if timed {
-				t.prof.Add(profiler.PhaseLayoutReorg, time.Since(added))
+			phase := profiler.PhaseReplayAdd
+			if t.cfg.UseKVLayout {
+				phase = profiler.PhaseLayoutReorg
 			}
-		}
-		if timed {
-			t.prof.Add(profiler.PhaseReplayAdd, added.Sub(start))
+			t.prof.Add(phase, time.Since(start))
 		}
 	}
 	if t.expSink != nil {
@@ -508,7 +514,7 @@ func (t *Trainer) updateWorkerLoop(work <-chan int, s *updateScratch) {
 // cross-agent reads (target actors, replay storage, sum trees) are frozen
 // for the duration of the parallel window.
 func (t *Trainer) UpdateAllTrainers() {
-	if t.expSource == nil && t.buf.Len() < 1 {
+	if t.expSource == nil && t.store.Len() < 1 {
 		panic("core: update with empty replay buffer")
 	}
 	t.updateCount++
@@ -659,11 +665,7 @@ func (t *Trainer) updateAgent(s *updateScratch, i int, delayed bool) {
 		}
 	} else {
 		t.sampler.SampleInto(&s.sample, t.cfg.BatchSize, t.agentRNGs[i])
-		if t.cfg.UseKVLayout {
-			t.kv.GatherAll(s.sample.Indices, s.batches)
-		} else {
-			t.buf.GatherAll(s.sample.Indices, s.batches)
-		}
+		t.store.GatherAll(s.sample.Indices, s.batches)
 	}
 	sampled := time.Now()
 	s.prof.Add(profiler.PhaseSampling, sampled.Sub(start))

@@ -117,12 +117,12 @@ func TestInteractSanitizesDivergedActions(t *testing.T) {
 			p.Data[i] = math.NaN()
 		}
 	}
-	before := tr.buf.Len()
+	before := tr.store.Len()
 	tr.Warmup(20)
-	if tr.buf.Len() <= before {
+	if tr.store.Len() <= before {
 		t.Fatal("warmup added no transitions")
 	}
-	n := tr.buf.Len()
+	n := tr.store.Len()
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
@@ -131,7 +131,7 @@ func TestInteractSanitizesDivergedActions(t *testing.T) {
 	for a := 0; a < tr.n; a++ {
 		dst[a] = replay.NewAgentBatch(n, tr.obsDims[a], tr.actDim)
 	}
-	tr.buf.GatherAll(idx, dst)
+	tr.store.GatherAll(idx, dst)
 	for a, b := range dst {
 		if !finiteSlice(b.Act.Data) {
 			t.Fatalf("agent %d: non-finite action row reached the replay buffer", a)

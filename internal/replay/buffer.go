@@ -85,7 +85,7 @@ func NewAgentBatch(batch, obsDim, actDim int) *AgentBatch {
 // Indices are aligned across agents: index t holds every agent's view of
 // the same environment step.
 type Buffer struct {
-	spec Spec
+	ring
 
 	obs     [][]float64 // [agent][capacity·obsDim]
 	act     [][]float64 // [agent][capacity·actDim]
@@ -93,13 +93,8 @@ type Buffer struct {
 	nextObs [][]float64 // [agent][capacity·obsDim]
 	done    [][]float64 // [agent][capacity]
 
-	length int // number of valid transitions
-	next   int // ring-buffer write cursor
-
 	tracer    Tracer
 	baseAddrs []uint64 // synthetic base address per (agent, field) region
-
-	onAdd []func(idx int) // listeners (prioritized samplers)
 }
 
 // Field identifiers for the synthetic address regions.
@@ -117,7 +112,7 @@ func NewBuffer(spec Spec) *Buffer {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	b := &Buffer{spec: spec}
+	b := &Buffer{ring: ring{spec: spec}}
 	b.obs = make([][]float64, spec.NumAgents)
 	b.act = make([][]float64, spec.NumAgents)
 	b.rew = make([][]float64, spec.NumAgents)
@@ -140,21 +135,8 @@ func NewBuffer(spec Spec) *Buffer {
 	return b
 }
 
-// Spec returns the buffer's shape description.
-func (b *Buffer) Spec() Spec { return b.spec }
-
-// Len returns the number of stored transitions.
-func (b *Buffer) Len() int { return b.length }
-
-// Capacity returns the maximum number of stored transitions.
-func (b *Buffer) Capacity() int { return b.spec.Capacity }
-
 // SetTracer installs (or clears, with nil) the address tracer.
 func (b *Buffer) SetTracer(t Tracer) { b.tracer = t }
-
-// AddListener registers a callback invoked with the slot index of every
-// newly added transition (used by prioritized samplers).
-func (b *Buffer) AddListener(f func(idx int)) { b.onAdd = append(b.onAdd, f) }
 
 // Add stores one environment step for all agents and returns the slot index
 // it was written to. act rows are the ActDim-wide action vectors.
@@ -178,13 +160,7 @@ func (b *Buffer) Add(obs, act [][]float64, rew []float64, nextObs [][]float64, d
 		copy(b.nextObs[a][idx*od:(idx+1)*od], nextObs[a])
 		b.done[a][idx] = done[a]
 	}
-	b.next = (b.next + 1) % b.spec.Capacity
-	if b.length < b.spec.Capacity {
-		b.length++
-	}
-	for _, f := range b.onAdd {
-		f(idx)
-	}
+	b.added(idx)
 	return idx
 }
 
@@ -266,55 +242,5 @@ func (b *Buffer) GatherAll(indices []int, dst []*AgentBatch) {
 	}
 	for a := 0; a < b.spec.NumAgents; a++ {
 		b.Gather(a, indices, dst[a])
-	}
-}
-
-// InsertionOrder returns the stored slot indices ordered oldest-first. A
-// restore that re-Adds in this order keeps the insertion order the plan
-// samplers draw over.
-func (b *Buffer) InsertionOrder() []int {
-	return b.InsertionOrderInto(nil)
-}
-
-// InsertionOrderInto is the allocation-reusing form of InsertionOrder: it
-// fills dst (growing it only when capacity falls short) and returns the
-// resulting slice. Callers polling the order repeatedly pass the previous
-// result back in to avoid churn.
-func (b *Buffer) InsertionOrderInto(dst []int) []int {
-	if cap(dst) < b.length {
-		dst = make([]int, b.length)
-	}
-	dst = dst[:b.length]
-	start := b.oldest()
-	for i := range dst {
-		dst[i] = (start + i) % b.spec.Capacity
-	}
-	return dst
-}
-
-// oldest returns the slot of the oldest stored transition: 0 until the ring
-// fills, then the write cursor.
-func (b *Buffer) oldest() int {
-	if b.length == b.spec.Capacity {
-		return b.next
-	}
-	return 0
-}
-
-// CopyTransition copies slot idx into the supplied per-agent rows, each
-// pre-sized to the spec (obs/nextObs rows ObsDims[a] wide, act rows ActDim
-// wide). Restore paths use it to replay stored experience through another
-// buffer's Add, firing that buffer's listeners.
-func (b *Buffer) CopyTransition(idx int, obs, act [][]float64, rew []float64, nextObs [][]float64, done []float64) {
-	if idx < 0 || idx >= b.length {
-		panic(fmt.Sprintf("replay: CopyTransition index %d outside [0,%d)", idx, b.length))
-	}
-	for a := 0; a < b.spec.NumAgents; a++ {
-		od := b.spec.ObsDims[a]
-		copy(obs[a], b.obs[a][idx*od:(idx+1)*od])
-		copy(act[a], b.act[a][idx*b.spec.ActDim:(idx+1)*b.spec.ActDim])
-		rew[a] = b.rew[a][idx]
-		copy(nextObs[a], b.nextObs[a][idx*od:(idx+1)*od])
-		done[a] = b.done[a][idx]
 	}
 }

@@ -13,7 +13,7 @@ func testSpec(capacity int) Spec {
 // fillBuffer adds n synthetic transitions whose values encode (agent, index)
 // so gathers can be verified exactly. Transition t has obs[a][j] = enc(t,a)+j
 // where enc(t,a) = float64(t*10 + a) * 1000.
-func fillBuffer(b *Buffer, n int) {
+func fillBuffer(b Store, n int) {
 	spec := b.Spec()
 	for t := 0; t < n; t++ {
 		obs := make([][]float64, spec.NumAgents)
@@ -59,8 +59,8 @@ func TestSpecValidate(t *testing.T) {
 
 func TestBufferAddAndLen(t *testing.T) {
 	b := NewBuffer(testSpec(16))
-	if b.Len() != 0 || b.Capacity() != 16 {
-		t.Fatalf("fresh buffer Len=%d Cap=%d", b.Len(), b.Capacity())
+	if b.Len() != 0 || b.Spec().Capacity != 16 {
+		t.Fatalf("fresh buffer Len=%d Cap=%d", b.Len(), b.Spec().Capacity)
 	}
 	fillBuffer(b, 5)
 	if b.Len() != 5 {

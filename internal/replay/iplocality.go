@@ -47,10 +47,10 @@ type IPLocalitySampler struct {
 }
 
 // NewIPLocalitySampler builds the IP sampler sharing priorities with a PER
-// core over buf. β=1 gives full Lemma-1 compensation.
-func NewIPLocalitySampler(buf *Buffer, beta float64) *IPLocalitySampler {
+// core over st. β=1 gives full Lemma-1 compensation.
+func NewIPLocalitySampler(st Store, beta float64) *IPLocalitySampler {
 	return &IPLocalitySampler{
-		per:       NewPERSampler(buf),
+		per:       NewPERSampler(st),
 		Predictor: DefaultNeighborPredictor(),
 		Beta:      beta,
 	}
@@ -65,8 +65,7 @@ func (s *IPLocalitySampler) Name() string { return "ip-locality" }
 // concurrent calls with distinct dst/rng are safe while priority updates
 // are deferred.
 func (s *IPLocalitySampler) SampleInto(dst *Sample, n int, rng *rand.Rand) {
-	buf := s.per.buf
-	length := buf.Len()
+	length := s.per.rows.length
 	if length == 0 {
 		panic("replay: sampling from empty buffer")
 	}

@@ -17,12 +17,10 @@ import (
 // The row shape itself lives in RowLayout, shared with the segment-packed
 // experience store and the actor/learner wire format.
 type KVBuffer struct {
-	spec   Spec
+	ring
 	layout RowLayout
 
-	data   []float64 // capacity·stride, one contiguous allocation
-	length int
-	next   int
+	data []float64 // capacity·stride, one contiguous allocation
 
 	tracer Tracer
 	base   uint64
@@ -30,7 +28,7 @@ type KVBuffer struct {
 
 // NewKVBuffer allocates an empty key-value replay table for spec.
 func NewKVBuffer(spec Spec) *KVBuffer {
-	k := &KVBuffer{spec: spec, layout: NewRowLayout(spec), base: 1 << 40}
+	k := &KVBuffer{ring: ring{spec: spec}, layout: NewRowLayout(spec), base: 1 << 40}
 	k.data = make([]float64, spec.Capacity*k.layout.Stride())
 	return k
 }
@@ -71,20 +69,15 @@ func (k *KVBuffer) ReorganizeFrom(b *Buffer) int {
 }
 
 // Add stores one environment step for all agents directly in interleaved
-// form (the maintained-incrementally mode) and returns the slot index.
+// form (the maintained-incrementally mode), tells the listeners the slot and
+// returns it.
 func (k *KVBuffer) Add(obs, act [][]float64, rew []float64, nextObs [][]float64, done []float64) int {
 	idx := k.next
 	stride := k.layout.Stride()
 	k.layout.PackRow(k.data[idx*stride:(idx+1)*stride], obs, act, rew, nextObs, done)
-	k.next = (k.next + 1) % k.spec.Capacity
-	if k.length < k.spec.Capacity {
-		k.length++
-	}
+	k.added(idx)
 	return idx
 }
-
-// Len returns the number of stored transitions.
-func (k *KVBuffer) Len() int { return k.length }
 
 // Layout returns the shared interleaved row layout.
 func (k *KVBuffer) Layout() RowLayout { return k.layout }

@@ -55,6 +55,13 @@ func (l RowLayout) Spec() Spec { return l.spec }
 // Stride returns the float64 count of one interleaved row.
 func (l RowLayout) Stride() int { return l.stride }
 
+// field returns the offset within a row, and the width, of agent a's field
+// (regionObs … regionDone).
+func (l RowLayout) field(a, f int) (off, width int) {
+	od := l.spec.ObsDims[a]
+	return [numRegions]int{l.obsOff[a], l.actOff[a], l.rewOff[a], l.nxtOff[a], l.dnOff[a]}[f], [numRegions]int{od, l.spec.ActDim, 1, od, 1}[f]
+}
+
 // PackRow interleaves one environment step (per-agent obs/act/rew/nextObs/
 // done) into dst, which must hold Stride() float64s.
 func (l RowLayout) PackRow(dst []float64, obs, act [][]float64, rew []float64, nextObs [][]float64, done []float64) {

@@ -131,7 +131,7 @@ func TestConcurrentSampleWithGatherIsSafe(t *testing.T) {
 	kv := NewKVBuffer(spec)
 	s := NewPERSampler(buf)
 	fillBuffer(buf, 256)
-	fillKVBuffer(kv, 256)
+	fillBuffer(kv, 256)
 	const workers = 6
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -157,24 +157,6 @@ func TestConcurrentSampleWithGatherIsSafe(t *testing.T) {
 	wg.Wait()
 }
 
-// fillKVBuffer mirrors fillBuffer for the key-value layout.
-func fillKVBuffer(k *KVBuffer, n int) {
-	spec := k.spec
-	for t := 0; t < n; t++ {
-		obs := make([][]float64, spec.NumAgents)
-		act := make([][]float64, spec.NumAgents)
-		rew := make([]float64, spec.NumAgents)
-		nextObs := make([][]float64, spec.NumAgents)
-		done := make([]float64, spec.NumAgents)
-		for a := 0; a < spec.NumAgents; a++ {
-			obs[a] = make([]float64, spec.ObsDims[a])
-			nextObs[a] = make([]float64, spec.ObsDims[a])
-			act[a] = make([]float64, spec.ActDim)
-		}
-		k.Add(obs, act, rew, nextObs, done)
-	}
-}
-
 // TestSampleIntoZeroAlloc asserts the steady-state sampling and gather hot
 // paths do not touch the heap once scratch has warmed up.
 func TestSampleIntoZeroAlloc(t *testing.T) {
@@ -198,32 +180,5 @@ func TestSampleIntoZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: %v allocs per sample+gather, want 0", s.Name(), allocs)
 		}
-	}
-}
-
-// TestInsertionOrderIntoReusesStorage covers the allocation fix on the
-// restore path helper.
-func TestInsertionOrderIntoReusesStorage(t *testing.T) {
-	buf := NewBuffer(testSpec(16))
-	fillBuffer(buf, 24) // wraps: oldest at the write cursor
-	want := buf.InsertionOrder()
-	scratch := make([]int, 0, 16)
-	got := buf.InsertionOrderInto(scratch)
-	if len(got) != len(want) {
-		t.Fatalf("InsertionOrderInto len %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if &got[0] != &scratch[:1][0] {
-		t.Fatal("InsertionOrderInto did not reuse caller storage")
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		got = buf.InsertionOrderInto(got)
-	})
-	if allocs != 0 {
-		t.Fatalf("InsertionOrderInto allocates %v per call with warm storage, want 0", allocs)
 	}
 }

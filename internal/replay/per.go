@@ -12,7 +12,7 @@ import (
 // a sum tree; bias is compensated with importance weights
 // w_i = (1/N · 1/P(i))^β, normalized by the max weight.
 type PERSampler struct {
-	buf   *Buffer
+	rows  *ring
 	tree  *SumTree
 	Alpha float64
 	Beta  float64
@@ -37,19 +37,20 @@ func sanitizePriority(td float64) (float64, bool) {
 	return td, false
 }
 
-// NewPERSampler builds a proportional PER sampler over buf with the
+// NewPERSampler builds a proportional PER sampler over st with the
 // standard α=0.6, β=0.4, ε=1e-6 defaults, registering itself so new
 // transitions enter at max priority.
-func NewPERSampler(buf *Buffer) *PERSampler {
+func NewPERSampler(st Store) *PERSampler {
+	rows := st.slots()
 	s := &PERSampler{
-		buf:         buf,
-		tree:        NewSumTree(buf.Capacity()),
+		rows:        rows,
+		tree:        NewSumTree(rows.spec.Capacity),
 		Alpha:       0.6,
 		Beta:        0.4,
 		Eps:         1e-6,
 		maxPriority: 1,
 	}
-	buf.AddListener(s.onAdd)
+	rows.AddListener(s.onAdd)
 	return s
 }
 
@@ -66,7 +67,7 @@ func (s *PERSampler) onAdd(idx int) {
 // importance weights. It only reads the sum tree, so concurrent calls with
 // distinct dst/rng are safe while priority updates are deferred.
 func (s *PERSampler) SampleInto(dst *Sample, n int, rng *rand.Rand) {
-	if s.buf.Len() == 0 {
+	if s.rows.length == 0 {
 		panic("replay: sampling from empty buffer")
 	}
 	total := s.tree.Total()
@@ -76,13 +77,13 @@ func (s *PERSampler) SampleInto(dst *Sample, n int, rng *rand.Rand) {
 	dst.Reset(n)
 	dst.growWeights(n)
 	segment := total / float64(n)
-	length := float64(s.buf.Len())
+	length := float64(s.rows.length)
 	maxW := 0.0
 	for i := 0; i < n; i++ {
 		v := (float64(i) + rng.Float64()) * segment
 		leaf := s.tree.Find(v)
-		if leaf >= s.buf.Len() {
-			leaf = rng.Intn(s.buf.Len())
+		if leaf >= s.rows.length {
+			leaf = rng.Intn(s.rows.length)
 		}
 		dst.Indices = append(dst.Indices, leaf)
 		prob := s.tree.Get(leaf) / total

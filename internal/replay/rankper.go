@@ -18,7 +18,7 @@ import (
 // The rank order is rebuilt lazily: updates mark the order dirty and the
 // next Sample re-sorts, amortizing the O(n log n) cost across the batch.
 type RankPERSampler struct {
-	buf  *Buffer
+	rows *ring
 	Beta float64 // importance-weight compensation
 
 	// mu serializes the lazy rebuild: SampleInto may be called from
@@ -36,15 +36,16 @@ type RankPERSampler struct {
 	sanitized  uint64 // TD errors clamped by sanitizePriority
 }
 
-// NewRankPERSampler builds a rank-based sampler over buf with β=0.4.
-func NewRankPERSampler(buf *Buffer) *RankPERSampler {
+// NewRankPERSampler builds a rank-based sampler over st with β=0.4.
+func NewRankPERSampler(st Store) *RankPERSampler {
+	rows := st.slots()
 	s := &RankPERSampler{
-		buf:        buf,
+		rows:       rows,
 		Beta:       0.4,
-		priorities: make([]float64, buf.Capacity()),
+		priorities: make([]float64, rows.spec.Capacity),
 		maxPri:     1,
 	}
-	buf.AddListener(s.onAdd)
+	rows.AddListener(s.onAdd)
 	return s
 }
 
@@ -58,7 +59,7 @@ func (s *RankPERSampler) onAdd(idx int) {
 
 // rebuild re-sorts the rank order and cumulative masses.
 func (s *RankPERSampler) rebuild() {
-	n := s.buf.Len()
+	n := s.rows.length
 	s.order = s.order[:0]
 	for i := 0; i < n; i++ {
 		s.order = append(s.order, i)
@@ -77,7 +78,7 @@ func (s *RankPERSampler) rebuild() {
 
 // SampleInto implements Sampler with stratified rank-proportional draws.
 func (s *RankPERSampler) SampleInto(dst *Sample, n int, rng *rand.Rand) {
-	length := s.buf.Len()
+	length := s.rows.length
 	if length == 0 {
 		panic("replay: sampling from empty buffer")
 	}

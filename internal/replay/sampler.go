@@ -68,33 +68,33 @@ type PrioritySampler interface {
 	UpdatePriorities(indices []int, tdAbs []float64)
 }
 
-// PlanSampler runs a stateless SamplePlan over a Buffer's insertion order:
+// PlanSampler runs a stateless SamplePlan over a store's insertion order:
 // each draw takes one seed from rng, expands it with SamplePlan.FillIndices
 // into insertion-order indices, and maps each to its slot. A fabric draw or
 // an experience source expands the same seed over the same rows with the
 // same plan, so an in-process run trains on the batches a fabric run does.
 type PlanSampler struct {
-	buf  *Buffer
+	rows *ring
 	plan SamplePlan
 }
 
-// NewUniformSampler returns the MARL baseline over buf: every index is drawn
+// NewUniformSampler returns the MARL baseline over st: every index is drawn
 // i.i.d. uniform, producing the irregular access pattern the paper profiles.
-func NewUniformSampler(buf *Buffer) *PlanSampler {
-	return &PlanSampler{buf: buf, plan: SamplePlan{Strategy: PlanUniform}}
+func NewUniformSampler(st Store) *PlanSampler {
+	return &PlanSampler{rows: st.slots(), plan: SamplePlan{Strategy: PlanUniform}}
 }
 
-// NewLocalitySampler returns the paper's Algorithm 1 over buf: uniform
+// NewLocalitySampler returns the paper's Algorithm 1 over st: uniform
 // reference points each expanded into neighbors consecutive transitions, so
 // the gather stream becomes sequential runs a hardware prefetcher can
 // follow. A batch of n holds ⌈n/neighbors⌉ runs, the last truncated; refs is
 // the nominal run count the name reports. The paper evaluates (16, 64) and
 // (64, 16), both covering the batch size 1024.
-func NewLocalitySampler(buf *Buffer, neighbors, refs int) *PlanSampler {
+func NewLocalitySampler(st Store, neighbors, refs int) *PlanSampler {
 	if neighbors < 1 || refs < 1 {
 		panic(fmt.Sprintf("replay: locality sampler needs positive neighbors/refs, got %d/%d", neighbors, refs))
 	}
-	return &PlanSampler{buf: buf, plan: SamplePlan{Strategy: PlanLocality, Neighbors: neighbors, Refs: refs}}
+	return &PlanSampler{rows: st.slots(), plan: SamplePlan{Strategy: PlanLocality, Neighbors: neighbors, Refs: refs}}
 }
 
 // Name implements Sampler.
@@ -103,7 +103,7 @@ func (s *PlanSampler) Name() string { return s.plan.String() }
 // SampleInto implements Sampler. Its one rng.Int63 is the seed a trainer
 // wired to an experience source draws from the same stream.
 func (s *PlanSampler) SampleInto(dst *Sample, n int, rng *rand.Rand) {
-	length := s.buf.Len()
+	length := s.rows.length
 	if length == 0 {
 		panic("replay: sampling from empty buffer")
 	}
@@ -112,7 +112,7 @@ func (s *PlanSampler) SampleInto(dst *Sample, n int, rng *rand.Rand) {
 	if err := s.plan.FillIndices(dst.Indices, length, rng.Int63()); err != nil {
 		panic(err) // the constructors build only valid plans
 	}
-	oldest, capacity := s.buf.oldest(), s.buf.spec.Capacity
+	oldest, capacity := s.rows.oldest(), s.rows.spec.Capacity
 	for i, k := range dst.Indices {
 		slot := oldest + k // k < Len ≤ capacity: one subtraction wraps it
 		if slot >= capacity {

@@ -1,7 +1,6 @@
 package replay
 
 import (
-	"bytes"
 	"encoding/binary"
 	"strings"
 	"testing"
@@ -9,63 +8,119 @@ import (
 	"marlperf/internal/frame"
 )
 
-func TestBufferRoundTrip(t *testing.T) {
-	b := NewBuffer(testSpec(32))
-	fillBuffer(b, 20)
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+// inOrder gathers every row st holds, oldest first.
+func inOrder(st Store) []*AgentBatch {
+	r := st.slots()
+	idx := make([]int, r.length)
+	for k := range idx {
+		idx[k] = (r.oldest() + k) % r.spec.Capacity
 	}
-	restored, err := ReadBuffer(&buf)
-	if err != nil {
-		t.Fatal(err)
+	dst := batchesFor(r.spec, len(idx))
+	st.GatherAll(idx, dst)
+	return dst
+}
+
+// sameRows fails t unless got and want hold the same rows in the same order.
+func sameRows(t *testing.T, got, want Store) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%d rows, want %d", got.Len(), want.Len())
 	}
-	if restored.Len() != 20 || restored.Capacity() != 32 {
-		t.Fatalf("restored Len=%d Cap=%d", restored.Len(), restored.Capacity())
-	}
-	// Gathers must produce identical batches.
-	indices := []int{0, 7, 19}
-	spec := b.Spec()
-	for a := 0; a < spec.NumAgents; a++ {
-		want := NewAgentBatch(3, spec.ObsDims[a], spec.ActDim)
-		got := NewAgentBatch(3, spec.ObsDims[a], spec.ActDim)
-		b.Gather(a, indices, want)
-		restored.Gather(a, indices, got)
-		for i := range want.Obs.Data {
-			if want.Obs.Data[i] != got.Obs.Data[i] {
-				t.Fatalf("agent %d obs differs after round-trip", a)
-			}
-		}
-		for i := range want.Rew.Data {
-			if want.Rew.Data[i] != got.Rew.Data[i] || want.Done.Data[i] != got.Done.Data[i] {
-				t.Fatalf("agent %d scalars differ after round-trip", a)
+	g, w := inOrder(got), inOrder(want)
+	for a := range w {
+		for _, m := range [][2][]float64{{g[a].Obs.Data, w[a].Obs.Data}, {g[a].Act.Data, w[a].Act.Data},
+			{g[a].Rew.Data, w[a].Rew.Data}, {g[a].NextObs.Data, w[a].NextObs.Data}, {g[a].Done.Data, w[a].Done.Data}} {
+			if !equalFloats(m[0], m[1]) {
+				t.Fatalf("agent %d rows differ", a)
 			}
 		}
 	}
 }
 
-func TestBufferRoundTripContinuesRing(t *testing.T) {
-	b := NewBuffer(testSpec(4))
-	fillBuffer(b, 6) // wrapped: next == 2
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadBuffer(&buf)
+// restored reads data as a section of spec and adds its rows to a fresh
+// store of that spec, of the key-value layout if kv is set.
+func restored(t *testing.T, data []byte, spec Spec, kv bool) Store {
+	t.Helper()
+	sec, err := ReadSection(data, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The next Add must land where the original would have (slot 2).
-	var seen []int
-	restored.AddListener(func(idx int) { seen = append(seen, idx) })
-	fillBuffer(restored, 1)
-	if len(seen) != 1 || seen[0] != 2 {
-		t.Fatalf("restored ring cursor wrong: adds landed at %v, want [2]", seen)
+	var st Store = NewBuffer(spec)
+	if kv {
+		st = NewKVBuffer(spec)
+	}
+	sec.AddTo(st)
+	return st
+}
+
+func TestBufferRoundTrip(t *testing.T) {
+	b := NewBuffer(testSpec(32))
+	fillBuffer(b, 20)
+	// A section appended after other bytes seals only its own.
+	data := AppendSection([]byte("xx"), b)[2:]
+	back := restored(t, data, b.Spec(), false)
+	if back.Len() != 20 || back.Spec().Capacity != 32 {
+		t.Fatalf("restored Len=%d Cap=%d", back.Len(), back.Spec().Capacity)
+	}
+	sameRows(t, back, b)
+}
+
+// The rows of a wrapped ring come back oldest first, so the restored ring
+// continues as the original does: the next add evicts the oldest row.
+func TestBufferRoundTripContinuesRing(t *testing.T) {
+	b := NewBuffer(testSpec(4))
+	fillBuffer(b, 6) // wrapped: next == 2
+	back := restored(t, AppendSection(nil, b), b.Spec(), false)
+	sameRows(t, back, b)
+	more := NewBuffer(testSpec(4))
+	fillBuffer(more, 7)
+	row := inOrder(more)
+	for _, st := range []Store{b, back} {
+		obs, act, nxt := make([][]float64, 3), make([][]float64, 3), make([][]float64, 3)
+		rew, done := make([]float64, 3), make([]float64, 3)
+		for a, r := range row {
+			obs[a], act[a], nxt[a] = r.Obs.Row(3), r.Act.Row(3), r.NextObs.Row(3)
+			rew[a], done[a] = r.Rew.Data[3], r.Done.Data[3]
+		}
+		st.Add(obs, act, rew, nxt, done)
+	}
+	sameRows(t, back, b)
+	sameRows(t, back, more)
+}
+
+// Both layouts write one section for the same rows, byte for byte, and
+// either restores into the other.
+func TestSectionSameAcrossLayouts(t *testing.T) {
+	for _, fill := range []int{0, 5, 8, 19} { // empty, partial, full, wrapped
+		spec := testSpec(8)
+		b, k := NewBuffer(spec), NewKVBuffer(spec)
+		fillBuffer(b, fill)
+		fillBuffer(k, fill)
+		plain, kv := AppendSection(nil, b), AppendSection(nil, k)
+		if string(plain) != string(kv) {
+			t.Fatalf("fill %d: the key-value table writes another section than the buffer", fill)
+		}
+		sameRows(t, restored(t, kv, spec, false), b)
+		sameRows(t, restored(t, plain, spec, true), k)
+	}
+}
+
+// ReadSection is a view: a restore reads the section where it lies.
+func TestReadSectionCopiesNothing(t *testing.T) {
+	b := NewBuffer(testSpec(64))
+	fillBuffer(b, 64)
+	data := AppendSection(nil, b)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := ReadSection(data, b.Spec()); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("ReadSection allocates %v times, want 0", allocs)
 	}
 }
 
 func TestReadBufferRejectsGarbage(t *testing.T) {
-	if _, err := ReadBuffer(strings.NewReader("garbage data here")); err == nil {
+	if _, err := ReadSection([]byte("garbage data here"), testSpec(8)); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -73,45 +128,38 @@ func TestReadBufferRejectsGarbage(t *testing.T) {
 func TestReadBufferRejectsTruncated(t *testing.T) {
 	b := NewBuffer(testSpec(8))
 	fillBuffer(b, 5)
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := AppendSection(nil, b)
 	for _, cut := range []int{2, 8, 20, len(data) / 2} {
-		if _, err := ReadBuffer(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := ReadSection(data[:cut], b.Spec()); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 }
 
-// Sealed, so that the header reaches the plausibility bound instead of
-// failing at the checksum.
+// Sealed, so that the header reaches the shape check instead of failing at
+// the checksum.
 func TestReadBufferRejectsImplausibleHeader(t *testing.T) {
 	hdr := frame.AppendHeader(nil, bufMagic, bufVersion)
 	for _, v := range []uint32{1 << 20, 5, 100} { // absurd agent count
 		hdr = binary.LittleEndian.AppendUint32(hdr, v)
 	}
-	_, err := ReadBuffer(bytes.NewReader(frame.Seal(hdr, 0)))
-	if err == nil || !strings.Contains(err.Error(), "implausible buffer header") {
-		t.Fatalf("implausible header: err = %v, want the plausibility bound", err)
+	_, err := ReadSection(frame.Seal(hdr, 0), testSpec(100))
+	if err == nil || !strings.Contains(err.Error(), "does not fit the store") {
+		t.Fatalf("implausible header: err = %v, want the shape check", err)
 	}
 }
 
 func TestReadBufferRejectsBadVersion(t *testing.T) {
-	if _, err := ReadBuffer(bytes.NewReader(frame.AppendHeader(nil, bufMagic, 99))); err == nil {
+	if _, err := ReadSection(frame.AppendHeader(nil, bufMagic, 99), testSpec(8)); err == nil {
 		t.Fatal("bad version accepted")
 	}
 }
 
 func FuzzReadBuffer(f *testing.F) {
-	b := NewBuffer(testSpec(8))
+	spec := testSpec(8)
+	b := NewBuffer(spec)
 	fillBuffer(b, 5)
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := AppendSection(nil, b)
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte("MARB"))
@@ -120,22 +168,31 @@ func FuzzReadBuffer(f *testing.F) {
 	mutated[10] ^= 0xAA
 	f.Add(mutated)
 	// A header demanding a huge allocation (giant capacity) must be
-	// rejected by the plausibility bounds, not attempted. Sealed, so that
-	// it reaches them.
-	huge := append([]byte(nil), valid[:28+4*b.Spec().NumAgents]...)
+	// refused by the shape check, not attempted. Sealed, so that it
+	// reaches it.
+	hdrLen := 4 * (7 + spec.NumAgents)
+	huge := append([]byte(nil), valid[:hdrLen]...)
 	binary.LittleEndian.PutUint32(huge[16:], 1<<27)
 	huge = frame.Seal(huge, 0)
 	f.Add(huge)
-	if _, err := ReadBuffer(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "implausible buffer storage") {
-		f.Fatalf("the huge-capacity seed does not reach the storage bound: %v", err)
+	if _, err := ReadSection(huge, spec); err == nil || !strings.Contains(err.Error(), "does not fit the store") {
+		f.Fatalf("the huge-capacity seed does not reach the shape check: %v", err)
+	}
+	// A header declaring more rows than the bytes hold. Sealed too.
+	long := append([]byte(nil), valid[:len(valid)-4]...)
+	binary.LittleEndian.PutUint32(long[hdrLen-8:], 7)
+	long = frame.Seal(long, 0)
+	f.Add(long)
+	if _, err := ReadSection(long, spec); err == nil || !strings.Contains(err.Error(), "the header declares") {
+		f.Fatalf("the long seed does not reach the byte count: %v", err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		restored, err := ReadBuffer(bytes.NewReader(data))
+		sec, err := ReadSection(data, spec)
 		if err != nil {
 			return
 		}
-		if restored.Len() > restored.Capacity() {
-			t.Fatal("parsed buffer violates invariants")
-		}
+		st := NewBuffer(spec)
+		sec.AddTo(st)
+		sameRows(t, restored(t, AppendSection(nil, st), spec, true), st)
 	})
 }

@@ -248,7 +248,8 @@ func (e *Engine) InstallCtx(version uint64, agents []*nn.Network, tctx trace.Con
 
 // NoteKnownVersion records the newest policy version this actor has seen
 // (installed or not), updating the staleness gauge. The actor loop calls it
-// on every sync check, so "how far behind am I acting" is always observable.
+// before every Step, so "how far behind am I acting" is always observable,
+// between installs too.
 func (e *Engine) NoteKnownVersion(latest uint64) {
 	if latest > e.knownVer {
 		e.knownVer = latest

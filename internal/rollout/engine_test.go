@@ -8,6 +8,7 @@ import (
 	"marlperf/internal/mpe"
 	"marlperf/internal/nn"
 	"marlperf/internal/policysync"
+	"marlperf/internal/telemetry"
 	"marlperf/internal/trace"
 )
 
@@ -233,6 +234,28 @@ func TestStalenessBound(t *testing.T) {
 		if _, err := eng.Step(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// The act-lag histogram counts how far behind the newest known version a
+// step acts, whether or not that version is installed yet: an engine that
+// knows v+2 while acting on v observes a lag of 2.
+func TestActLagCountsKnownVersions(t *testing.T) {
+	newEnv := func() mpe.Env { return mpe.NewPredatorPrey(3) }
+	reg := telemetry.NewRegistry()
+	eng, err := NewEngine(Config{NewEnv: newEnv, Seed: 3, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Install(5, testPolicy(t, 11, newEnv())); err != nil {
+		t.Fatal(err)
+	}
+	eng.NoteKnownVersion(7)
+	if _, err := eng.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if h := reg.Histogram("marl_policy_act_lag_versions", nil); h.Count() != 1 || h.Sum() != 2 {
+		t.Fatalf("act lag: %d observations summing to %v, want one of 2", h.Count(), h.Sum())
 	}
 }
 
