@@ -45,9 +45,10 @@ bench-check:
 # change to the zero-skip must not slow), /halfzero and /trained. The bodies
 # take turns rep by rep on the same operands, so host drift hits all alike;
 # ten counts, reported as q1 / median / q3 per body: the one-line
-# before/after for a kernel change. Then, dense only, the 24-agent critic's
-# first layer (1024 x 2472 x 64), five counts of five calls: 300 would take
-# minutes on the Go body.
+# before/after for a kernel change. Then the 24-agent critic's first layer
+# (1024 x 2472 x 64) dense, and its weight gradient as nn takes it, a
+# 64 x 2472 result from a half-zero 1024 x 64 gradient, five counts of five
+# calls: 300 would take minutes on the Go body.
 bench-kernels:
 	( $(GO) test -run '^$$' -bench '^BenchmarkKernels$$' -cpu 1 -benchtime 300x -count 10 ./internal/tensor; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkKernelsN24$$' -cpu 1 -benchtime 5x -count 5 ./internal/tensor ) | python3 scripts/bench_quartiles.py

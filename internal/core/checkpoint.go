@@ -33,6 +33,18 @@ const (
 // bytes are built in one buffer, sized up front, that the trainer keeps for
 // the next save.
 func (t *Trainer) SaveCheckpoint(w io.Writer) error {
+	ckpt, err := t.encodeCheckpoint()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(ckpt)
+	return err
+}
+
+// encodeCheckpoint builds the checkpoint SaveCheckpoint writes in the
+// trainer's checkpoint buffer and returns it: the bytes are the trainer's,
+// and the next encode overwrites them.
+func (t *Trainer) encodeCheckpoint() ([]byte, error) {
 	size := 4 + 4 + 1 + 4 + 3*8 + 4 // header, algorithm, agents, counters, trailer
 	for _, ag := range t.agents {
 		for _, part := range ag.networks() {
@@ -49,7 +61,7 @@ func (t *Trainer) SaveCheckpoint(w io.Writer) error {
 		for _, part := range ag.networks() {
 			var err error
 			if buf, err = part.net.AppendBinary(buf); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		for _, o := range ag.optimizers() {
@@ -60,8 +72,7 @@ func (t *Trainer) SaveCheckpoint(w io.Writer) error {
 		buf = binary.LittleEndian.AppendUint64(buf, v)
 	}
 	t.ckpt = frame.Seal(buf, 0)
-	_, err := w.Write(t.ckpt)
-	return err
+	return t.ckpt, nil
 }
 
 // LoadCheckpoint restores state written by SaveCheckpoint into a trainer
@@ -75,6 +86,22 @@ func (t *Trainer) LoadCheckpoint(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
+	return t.decodeCheckpoint(d)
+}
+
+// loadCheckpointBytes is LoadCheckpoint over a checkpoint already in
+// memory, decoded where it lies instead of copied off a reader first.
+func (t *Trainer) loadCheckpointBytes(data []byte) error {
+	d := frame.NewDecoder(data)
+	if !d.Header(checkpointMagic, checkpointVersion) {
+		return fmt.Errorf("core: checkpoint: %w", d.Err())
+	}
+	return t.decodeCheckpoint(d)
+}
+
+// decodeCheckpoint is LoadCheckpoint from d, a decoder past the header.
+// Everything it installs is copied out of d's input.
+func (t *Trainer) decodeCheckpoint(d frame.Decoder) error {
 	d.Unseal()
 	if algo := Algorithm(d.U8()); d.Err() == nil && algo != t.cfg.Algorithm {
 		d.Fail("algorithm %v, trainer has %v", algo, t.cfg.Algorithm)

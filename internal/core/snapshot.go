@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -29,12 +28,17 @@ func resumeSeed(seed int64, steps int) int64 {
 // which both layouts write alike. A trainer drawing from a source keeps no
 // rows; they live in the source. It reads no RNG, so a run that saves
 // trains the same bytes as one that does not.
+//
+// The checkpoint section's payload is the trainer's own checkpoint buffer,
+// not a copy: it stays valid until the trainer next encodes a checkpoint
+// (SaveCheckpoint, SnapshotSections, a Watchdog capture). Write the
+// sections out before then, as resilience.Store.Save does.
 func (t *Trainer) SnapshotSections() ([]resilience.Section, error) {
-	var ckpt bytes.Buffer
-	if err := t.SaveCheckpoint(&ckpt); err != nil {
+	ckpt, err := t.encodeCheckpoint()
+	if err != nil {
 		return nil, err
 	}
-	sections := []resilience.Section{{Kind: resilience.SectionTrainer, Payload: ckpt.Bytes()}}
+	sections := []resilience.Section{{Kind: resilience.SectionTrainer, Payload: ckpt}}
 	if t.expSource == nil {
 		sections = append(sections, resilience.Section{Kind: resilience.SectionReplay, Payload: replay.AppendSection(nil, t.store)})
 	}
@@ -69,7 +73,7 @@ func (t *Trainer) RestoreSnapshot(snap *resilience.Snapshot) error {
 			return fmt.Errorf("core: restored buffer: %w", err)
 		}
 	}
-	if err := t.LoadCheckpoint(bytes.NewReader(ckpt)); err != nil {
+	if err := t.loadCheckpointBytes(ckpt); err != nil {
 		return err
 	}
 	if hasRows {

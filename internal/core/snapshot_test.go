@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -11,14 +12,24 @@ import (
 	"marlperf/internal/resilience"
 )
 
-// takeSnapshot is what a store holds after saving tr: its sections, decoded.
+// takeSnapshot is what a store holds after saving tr: its sections,
+// written out and decoded, so that the snapshot owns its bytes and outlives
+// the trainer's next checkpoint.
 func takeSnapshot(t *testing.T, tr *Trainer) *resilience.Snapshot {
 	t.Helper()
 	sections, err := tr.SnapshotSections()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &resilience.Snapshot{Sections: sections}
+	var buf bytes.Buffer
+	if err := resilience.WriteSnapshot(&buf, sections); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := resilience.ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // section returns snap's payload of kind, failing t when there is none.
@@ -206,4 +217,59 @@ func TestRestoreSnapshotRefusesRowsOnSourcedTrainer(t *testing.T) {
 	if err := sourced().RestoreSnapshot(takeSnapshot(t, local)); err == nil || !strings.Contains(err.Error(), "replay rows") {
 		t.Fatalf("rows restored into a sourced trainer: %v", err)
 	}
+}
+
+// allocatedBy returns the bytes f allocates on the heap.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSnapshotCopiesNoCheckpoint: neither side of a snapshot copies the
+// checkpoint. On predator-prey with six agents (a 4.6 MB checkpoint), a
+// warm save allocates no more than the replay section it encodes, because
+// the checkpoint section is the trainer's own reused buffer; and a restore
+// allocates about one checkpoint — the networks and optimizer moments it
+// decodes — because the section is decoded where it lies, not first copied
+// off a reader.
+func TestSnapshotCopiesNoCheckpoint(t *testing.T) {
+	cfg := DefaultConfig(MADDPG)
+	cfg.BufferCapacity = 1024
+	tr, err := NewTrainer(cfg, mpe.NewPredatorPrey(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Warmup(100)
+	if _, err := tr.SnapshotSections(); err != nil { // sizes the checkpoint buffer
+		t.Fatal(err)
+	}
+	var sections []resilience.Section
+	saved := allocatedBy(func() { sections, err = tr.SnapshotSections() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The replay section is the save's one allocation; under the race
+	// detector slices.Grow allocates it twice, the second time as a
+	// temporary. Either way it is far below the checkpoint a copy would add.
+	ckpt, rows := len(sections[0].Payload), len(sections[1].Payload)
+	if budget := 2*uint64(rows) + 64<<10; saved > budget {
+		t.Errorf("a warm save allocated %d bytes, want at most twice the %d-byte replay section and 64 KiB (checkpoint %d bytes)", saved, rows, ckpt)
+	}
+
+	snap := takeSnapshot(t, tr)
+	fresh, err := NewTrainer(cfg, mpe.NewPredatorPrey(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := allocatedBy(func() { err = fresh.RestoreSnapshot(snap) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if budget := uint64(ckpt) * 3 / 2; restored > budget {
+		t.Errorf("a restore allocated %d bytes, want at most 1.5 checkpoints (%d bytes)", restored, budget)
+	}
+	t.Logf("checkpoint %d bytes, replay section %d bytes; warm save allocated %d, restore %d", ckpt, rows, saved, restored)
 }

@@ -111,7 +111,10 @@ type Trainer struct {
 // The joint inputs are assembled where they are written: agent j's Obs and
 // Act are column views of jointCur's blocks, its NextObs and targetProbs[j]
 // of jointNext's, so a gather fills the critics' inputs directly and target
-// probabilities land in place. Only Rew and Done are matrices of their own.
+// probabilities land in place. Only Rew and Done are matrices of their own,
+// one pair per worker: an update reads only the updated agent's (the
+// target), so only that agent's batch points at the pair and the gather
+// skips every other agent's.
 //
 // A workspace (nn.Network.Bind) reads an agent's weights and accumulates
 // into its gradients through its own batch-sized scratch, so a worker holds
@@ -133,11 +136,26 @@ type updateScratch struct {
 	tCritics    [2]nn.Network
 	jointCur    *tensor.Matrix
 	jointNext   *tensor.Matrix
+	rew, done   *tensor.Matrix // the batch of the agent being updated
 	yTarget     *tensor.Matrix
 	qGrad       *tensor.Matrix
 	gradLogits  *tensor.Matrix
 	tdAbs       []float64
 	prof        profiler.Profile
+}
+
+// jointPitch is the row pitch of the critics' current joint input: whole
+// 64-byte lines, so that the critic's weight gradient, which reads the input
+// a row of vectors at a time (nn.Dense.backwardParams), never splits a load
+// across two lines; and not a multiple of 512 bytes, which would put a
+// column's elements — the multipliers of the actor's weight gradient, read
+// down the same matrix — into a few L1 sets. 63 columns run at 72.
+func jointPitch(width int) int {
+	p := (width + 7) &^ 7
+	if p%64 == 0 {
+		p += 8
+	}
+	return p
 }
 
 func (t *Trainer) newUpdateScratch() *updateScratch {
@@ -147,8 +165,10 @@ func (t *Trainer) newUpdateScratch() *updateScratch {
 		targetProbs: make([]*tensor.Matrix, t.n),
 		actors:      make([]*nn.Network, t.n),
 		tActors:     make([]*nn.Network, t.n),
-		jointCur:    tensor.New(b, t.jointDim),
+		jointCur:    tensor.New(b, jointPitch(t.jointDim)).ColView(0, t.jointDim),
 		jointNext:   tensor.New(b, t.jointDim),
+		rew:         tensor.New(b, 1),
+		done:        tensor.New(b, 1),
 		yTarget:     tensor.New(b, 1),
 		qGrad:       tensor.New(b, 1),
 		gradLogits:  tensor.New(b, t.actDim),
@@ -160,9 +180,7 @@ func (t *Trainer) newUpdateScratch() *updateScratch {
 		s.batches[i] = &replay.AgentBatch{
 			Obs:     s.jointCur.ColView(t.obsOffsets[i], obs),
 			Act:     s.jointCur.ColView(t.actOffsets[i], act),
-			Rew:     tensor.New(b, 1),
 			NextObs: s.jointNext.ColView(t.obsOffsets[i], obs),
-			Done:    tensor.New(b, 1),
 		}
 		s.targetProbs[i] = s.jointNext.ColView(t.actOffsets[i], act)
 		s.actors[i], s.tActors[i] = &nn.Network{}, &nn.Network{}
@@ -648,6 +666,12 @@ func (t *Trainer) updateAgent(s *updateScratch, i int, delayed bool) {
 
 	// ---- Mini-batch sampling phase ----
 	start := time.Now()
+	for j, b := range s.batches {
+		b.Rew, b.Done = nil, nil
+		if j == i {
+			b.Rew, b.Done = s.rew, s.done
+		}
+	}
 	if t.expSource != nil {
 		// Experience-service path: one seed per mini-batch from agent i's
 		// stream; the source (local store or remote service) derives the
@@ -734,10 +758,8 @@ func (t *Trainer) computeTargets(s *updateScratch, i int) {
 			}
 		}
 	}
-	rew := s.batches[i].Rew
-	done := s.batches[i].Done
 	for k := 0; k < b; k++ {
-		s.yTarget.Data[k] = rew.Data[k] + t.cfg.Gamma*(1-done.Data[k])*qNext.Data[k]
+		s.yTarget.Data[k] = s.rew.Data[k] + t.cfg.Gamma*(1-s.done.Data[k])*qNext.Data[k]
 	}
 }
 
@@ -785,14 +807,14 @@ func (t *Trainer) updateActor(s *updateScratch, i int) {
 	logits := actor.Forward(s.batches[i].Obs)
 	probs := tensor.SoftmaxRows(s.batches[i].Act, logits) // agent i's block of jointCur
 
-	critic := s.critic.Bind(ag.critic1)
-	critic.Forward(s.jointCur)
-	// dPLoss/dQ = -1/B for pLoss = -mean(Q).
-	s.qGrad.Fill(-1 / float64(b))
+	// dPLoss/dQ = -1/B for pLoss = -mean(Q): the same in every row, so Q
+	// itself is never read and the critic's forward stops below its head.
 	// Only ∂Q/∂(this agent's action columns of the joint input) is read
 	// here; the critic is not trained in this step, so neither its parameter
 	// gradients nor the other input columns' are computed.
-	gradProbs := critic.BackwardInputCols(s.qGrad, t.actOffsets[i], t.actOffsets[i]+t.actDim)
+	critic := s.critic.Bind(ag.critic1)
+	critic.ForwardHidden(s.jointCur)
+	gradProbs := critic.BackwardInputColsConst(-1/float64(b), t.actOffsets[i], t.actOffsets[i]+t.actDim)
 	nn.SoftmaxBackwardRows(s.gradLogits, probs, gradProbs)
 	// Logit regularizer: +1e-3 · mean(logits²).
 	regScale := 1e-3 * 2 / float64(len(logits.Data))

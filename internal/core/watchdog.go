@@ -120,7 +120,7 @@ func (w *Watchdog) Observe() (*RecoveryEvent, error) {
 		return nil, fmt.Errorf("core: watchdog exhausted %d rollbacks, run keeps diverging: %w",
 			w.rollbacks, unhealthy)
 	}
-	if err := w.tr.LoadCheckpoint(bytes.NewReader(w.good)); err != nil {
+	if err := w.tr.loadCheckpointBytes(w.good); err != nil {
 		return nil, fmt.Errorf("core: watchdog rollback failed: %w", err)
 	}
 	w.rollbacks++

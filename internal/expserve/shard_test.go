@@ -167,6 +167,61 @@ func TestShardedMatchesSingleStoreBitForBit(t *testing.T) {
 	}
 }
 
+// TestShardedSourceSkipsNilRewardsAndDones: a fabric draw into batches
+// whose Rew and Done are nil, but for one agent's, leaves them nil and
+// writes every other field as a draw into full batches does.
+func TestShardedSourceSkipsNilRewardsAndDones(t *testing.T) {
+	spec := testSpec(256)
+	cell := newFabricCell(t, spec, 2, 1, nil)
+	sink, err := NewShardedSink(cell.fabric, "actor-0", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 200; i++ {
+		obs, act, rew, nxt, done := step(rng)
+		if err := sink.Add(obs, act, rew, nxt, done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewShardedSource(cell.fabric, spec, replay.SamplePlan{Strategy: replay.PlanUniform})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch = 64
+	batches := func() []*replay.AgentBatch {
+		return []*replay.AgentBatch{replay.NewAgentBatch(batch, 3, 2), replay.NewAgentBatch(batch, 4, 2)}
+	}
+	for keep := range spec.ObsDims {
+		full, part := batches(), batches()
+		for a, b := range part {
+			if a != keep {
+				b.Rew, b.Done = nil, nil
+			}
+		}
+		idxF, err := src.SampleBatch(batch, 77, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idxP, err := src.SampleBatch(batch, 77, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a, b := range part {
+			if a != keep {
+				if b.Rew != nil || b.Done != nil {
+					t.Fatalf("agent %d's nil Rew/Done were replaced", a)
+				}
+				b.Rew, b.Done = full[a].Rew, full[a].Done
+			}
+		}
+		drawEqual(t, fmt.Sprintf("keeping agent %d's scalars", keep), idxP, idxF, part, full)
+	}
+}
+
 // Replication: every replica of a group receives every routed row, so
 // killing the preferred member mid-stream must not change a single
 // sampled bit — only the marl_shard_replica_reads_total counter.

@@ -40,7 +40,7 @@ func TestBindForwardMatchesSource(t *testing.T) {
 // TestBindBackwardWritesSourceGrads: a backward through a workspace leaves
 // in the source's gradient tensors the bits the source's own backward would
 // leave there — accumulated by BackwardParams, untouched by
-// BackwardInputCols — and never touches the source's scratch.
+// BackwardInput — and never touches the source's scratch.
 func TestBindBackwardWritesSourceGrads(t *testing.T) {
 	widths := []int{7, 9, 6, 3}
 	rng := rand.New(rand.NewSource(4))
@@ -74,9 +74,9 @@ func TestBindBackwardWritesSourceGrads(t *testing.T) {
 
 	ws.Forward(x)
 	ref.Forward(x)
-	requireSameBits(t, "BackwardInputCols", ws.BackwardInputCols(grad, 2, 5), ref.BackwardInputCols(grad, 2, 5).Clone())
+	requireSameBits(t, "BackwardInput", ws.BackwardInput(grad), ref.BackwardInput(grad).Clone())
 	for i, g := range src.Grads() {
-		requireSameBits(t, "source gradient after BackwardInputCols", g, ref.Grads()[i])
+		requireSameBits(t, "source gradient after BackwardInput", g, ref.Grads()[i])
 	}
 
 	for i, l := range src.Layers {

@@ -40,7 +40,7 @@ type Dense struct {
 	out        *tensor.Matrix // forward scratch, resized per batch
 	gradIn     *tensor.Matrix // backward scratch, resized per batch
 	wT         *tensor.Matrix // backward scratch for Wᵀ, rewritten per call: W moves every step
-	gwScratch  *tensor.Matrix // backward scratch for xᵀ·grad
+	gwScratch  *tensor.Matrix // backward scratch for xᵀ·grad, or its transpose
 	sumScratch []float64      // backward scratch for column sums
 }
 
@@ -86,17 +86,32 @@ func (d *Dense) retain(x *tensor.Matrix) {
 
 // BackwardParams accumulates ∂L/∂W and ∂L/∂b only. It panics on a layer
 // without gradients (see Grads).
-func (d *Dense) BackwardParams(grad *tensor.Matrix) {
+func (d *Dense) BackwardParams(grad *tensor.Matrix) { d.backwardParams(grad, false) }
+
+// backwardParams is BackwardParams; gated says that grad went back through
+// a ReLU, so that about half its elements are +0. Then, where the input is
+// wide enough for the zero walk (tensor.WalksZeros), the weight
+// gradient is taken as (gradᵀ·x)ᵀ, so that grad, not the input, supplies
+// the product's multipliers and its zeros are skipped: a fused multiply-add
+// is symmetric in its factors, so each element is the same sum of the same
+// products in the same k order, and the two forms differ only in which
+// products of ±0 they add — which a sum started at +0 cannot show, unless
+// it is −0 from a product that underflowed (kernels.go).
+func (d *Dense) backwardParams(grad *tensor.Matrix, gated bool) {
 	d.checkBackward(grad)
 	if d.gradW == nil {
 		panic("nn: Dense parameter backward through a layer without gradients")
 	}
 	// gradW += xᵀ·grad  (accumulated; ZeroGrads clears between steps)
-	if d.gwScratch == nil {
-		d.gwScratch = tensor.New(d.W.Rows, d.W.Cols)
+	if x := d.lastX; gated && tensor.WalksZeros(x.Cols) {
+		d.gwScratch = tensor.Reshape(d.gwScratch, d.W.Cols, d.W.Rows)
+		tensor.MatMulTransA(d.gwScratch, grad, x)
+		tensor.AddTransposed(d.gradW, d.gwScratch)
+	} else {
+		d.gwScratch = tensor.Reshape(d.gwScratch, d.W.Rows, d.W.Cols)
+		tensor.MatMulTransA(d.gwScratch, x, grad)
+		tensor.Add(d.gradW, d.gradW, d.gwScratch)
 	}
-	tensor.MatMulTransA(d.gwScratch, d.lastX, grad)
-	tensor.Add(d.gradW, d.gradW, d.gwScratch)
 	// gradB += column sums of grad
 	d.sumScratch = grad.SumRows(d.sumScratch)
 	tensor.AXPY(d.gradB.Data, 1, d.sumScratch)

@@ -347,15 +347,29 @@ func requireSameBits(t *testing.T, what string, got, want *tensor.Matrix) {
 // a group of eight and four.
 func TestSelectiveBackwardMatchesBackward(t *testing.T) {
 	for _, rows := range []int{5, 12} {
-		testSelectiveBackward(t, rows)
+		for _, in := range []int{7, 63} {
+			testSelectiveBackward(t, rows, in)
+		}
 	}
 }
 
-func testSelectiveBackward(t *testing.T, rows int) {
+// testSelectiveBackward runs the comparison on a network whose input is in
+// wide: at 7 the first layer's weight gradient is xᵀ·grad in every pass, at
+// 63 the network's own backwards take it as (gradᵀ·x)ᵀ on the resident
+// bodies (tensor.WalksZeros), against the layer-by-layer xᵀ·grad; there the
+// input is a column view, as a critic's joint input is.
+func testSelectiveBackward(t *testing.T, rows, in int) {
 	rng := rand.New(rand.NewSource(22))
-	ref := NewMLP(rng, 7, 9, 6, 3)
-	x, grad := tensor.New(rows, 7), tensor.New(rows, 3)
-	x.RandNormal(rng, 0, 1)
+	ref := NewMLP(rng, in, 9, 6, 3)
+	x, grad := tensor.New(rows, in), tensor.New(rows, 3)
+	if in > 7 {
+		x = tensor.New(rows, in+9).ColView(0, in)
+	}
+	for i := 0; i < rows; i++ {
+		for j := range x.Row(i) {
+			x.Set(i, j, rng.NormFloat64())
+		}
+	}
 	grad.RandNormal(rng, 0, 1)
 	// Non-zero starting gradients: accumulation, not overwrite, is the contract.
 	seedGrads := func(net *Network) {
@@ -366,7 +380,7 @@ func testSelectiveBackward(t *testing.T, rows int) {
 		}
 	}
 
-	byLayer := twin(ref, 7, 9, 6, 3)
+	byLayer := twin(ref, in, 9, 6, 3)
 	seedGrads(byLayer)
 	byLayer.Forward(x)
 	wantIn := grad
@@ -382,7 +396,7 @@ func testSelectiveBackward(t *testing.T, rows int) {
 		requireSameBits(t, "Backward gradient", g, byLayer.Grads()[i])
 	}
 
-	inOnly := twin(ref, 7, 9, 6, 3)
+	inOnly := twin(ref, in, 9, 6, 3)
 	seedGrads(inOnly)
 	before := make([]*tensor.Matrix, len(inOnly.Grads()))
 	for i, g := range inOnly.Grads() {
@@ -390,18 +404,11 @@ func testSelectiveBackward(t *testing.T, rows int) {
 	}
 	inOnly.Forward(x)
 	requireSameBits(t, "BackwardInput result", inOnly.BackwardInput(grad), wantIn)
-	// A column range of the input gradient, computed alone, has the bits of
-	// that range of the whole: ranges at both edges, one inside, one empty.
-	for _, r := range [][2]int{{0, 7}, {0, 1}, {2, 5}, {6, 7}, {3, 3}} {
-		lo, hi := r[0], r[1]
-		want := tensor.SliceCols(tensor.New(rows, hi-lo), wantIn, lo, hi)
-		requireSameBits(t, fmt.Sprintf("BackwardInputCols [%d,%d)", lo, hi), inOnly.BackwardInputCols(grad, lo, hi), want)
-	}
 	for i, g := range inOnly.Grads() {
 		requireSameBits(t, "parameter gradient after BackwardInput", g, before[i])
 	}
 
-	paramsOnly := twin(ref, 7, 9, 6, 3)
+	paramsOnly := twin(ref, in, 9, 6, 3)
 	seedGrads(paramsOnly)
 	paramsOnly.Forward(x)
 	paramsOnly.BackwardParams(grad)
@@ -430,5 +437,44 @@ func TestFusedForwardMatchesLayerByLayer(t *testing.T) {
 	requireSameBits(t, "input gradient after fused forward", fused.Backward(grad), plain.Backward(grad))
 	for i, g := range fused.Grads() {
 		requireSameBits(t, "parameter gradient after fused forward", g, plain.Grads()[i])
+	}
+}
+
+// TestBackwardInputColsConstMatchesBackwardInput: for an output gradient
+// that holds one value in every row, ForwardHidden and
+// BackwardInputColsConst give the bits of Forward and BackwardInput — the
+// last hidden activation, and every column range of the input gradient,
+// computed alone, the bits of that range of the whole: ranges at both edges,
+// one inside, one empty — for a negative, a positive and a zero gradient,
+// and leave the parameter gradients alone.
+func TestBackwardInputColsConstMatchesBackwardInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, widths := range [][]int{{7, 9, 6, 1}, {63, 64, 64, 1}, {5, 8, 1}} {
+		in := widths[0]
+		net := NewMLP(rng, widths...)
+		net.Grads()
+		x := tensor.New(33, in)
+		x.RandNormal(rng, 0, 1)
+		for _, c := range []float64{-1.0 / 33, 0.5, 0} {
+			g := tensor.New(33, 1)
+			g.Fill(c)
+			net.Forward(x)
+			hidden := net.Layers[len(net.Layers)-2].(*ReLU).out.Clone()
+			whole := net.BackwardInput(g).Clone()
+			requireSameBits(t, "ForwardHidden", net.ForwardHidden(x), hidden)
+			for _, r := range [][2]int{{0, in}, {0, 1}, {1, 4}, {in - 2, in}, {3, 3}} {
+				lo, hi := r[0], r[1]
+				want := tensor.SliceCols(tensor.New(33, hi-lo), whole, lo, hi)
+				got := net.BackwardInputColsConst(c, lo, hi)
+				requireSameBits(t, fmt.Sprintf("widths %v c=%v cols [%d,%d)", widths, c, lo, hi), got, want)
+			}
+		}
+		for _, g := range net.Grads() {
+			for _, v := range g.Data {
+				if v != 0 {
+					t.Fatalf("widths %v: an input backward wrote a parameter gradient", widths)
+				}
+			}
+		}
 	}
 }

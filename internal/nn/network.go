@@ -42,8 +42,23 @@ func NewMLP(rng *rand.Rand, widths ...int) *Network {
 // next Forward call. A Dense layer directly followed by a ReLU runs as one
 // fused pass with the same result as the two Forward calls.
 func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {
-	for i := 0; i < len(n.Layers); i++ {
-		if d, ok := n.Layers[i].(*Dense); ok && i+1 < len(n.Layers) {
+	return n.forward(x, len(n.Layers))
+}
+
+// ForwardHidden runs the batch through every layer below the head — the
+// last layer, a Dense directly above a ReLU — and returns that ReLU's
+// output, with the bits Forward leaves there. It is the forward
+// BackwardInputColsConst differentiates: the head's own output is not
+// computed.
+func (n *Network) ForwardHidden(x *tensor.Matrix) *tensor.Matrix {
+	n.head()
+	return n.forward(x, len(n.Layers)-1)
+}
+
+// forward runs x through layers [0, end).
+func (n *Network) forward(x *tensor.Matrix, end int) *tensor.Matrix {
+	for i := 0; i < end; i++ {
+		if d, ok := n.Layers[i].(*Dense); ok && i+1 < end {
 			if r, ok := n.Layers[i+1].(*ReLU); ok {
 				x = d.forwardReLU(x, r)
 				i++
@@ -60,10 +75,26 @@ func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {
 func (n *Network) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	n.Grads()
 	for i := len(n.Layers) - 1; i >= 0; {
-		n.Layers[i].BackwardParams(grad)
+		n.backwardParams(i, grad)
 		grad, i = n.backwardInput(i, grad)
 	}
 	return grad
+}
+
+// backwardParams accumulates layer i's parameter gradients from grad, the
+// gradient at its output. A Dense directly below a ReLU receives the ReLU's
+// gated gradient, about half of it +0, and is told so: its weight gradient
+// then takes its multipliers from grad (Dense.backwardParams). Only the
+// first layer is such a Dense with data below it; the others are handed
+// their inputs, a ReLU's output with the same zeros, as multipliers anyway.
+func (n *Network) backwardParams(i int, grad *tensor.Matrix) {
+	if d, ok := n.Layers[i].(*Dense); ok && i == 0 && len(n.Layers) > 1 {
+		if _, ok := n.Layers[1].(*ReLU); ok {
+			d.backwardParams(grad, true)
+			return
+		}
+	}
+	n.Layers[i].BackwardParams(grad)
 }
 
 // backwardInput takes grad, the gradient at the output of layer i, down
@@ -91,16 +122,44 @@ func (n *Network) BackwardInput(grad *tensor.Matrix) *tensor.Matrix {
 	return grad
 }
 
-// BackwardInputCols returns columns [lo, hi) of what BackwardInput returns,
-// bit for bit, without computing the others: the first layer, which must be
-// a Dense, multiplies by those rows of its weights only. It is for a caller
-// that differentiates with respect to a slice of the input (one agent's
-// action inside the critic's joint input).
-func (n *Network) BackwardInputCols(grad *tensor.Matrix, lo, hi int) *tensor.Matrix {
-	for i := len(n.Layers) - 1; i > 0; {
+// BackwardInputColsConst returns columns [lo, hi) of what BackwardInput
+// returns, bit for bit, for an output gradient that holds c in every row of
+// a one-output head, after ForwardHidden, without computing the others: the
+// first layer, which must be a Dense, multiplies by those rows of its
+// weights only. The head's input gradient is c times its weights in every
+// row, gated row by row by the ReLU below it (tensor.MatMulGatedConst), so
+// neither the head's forward nor a column of c's is computed. It is for a
+// caller that differentiates the mean of the output with respect to a slice
+// of the input (one agent's action inside the critic's joint input).
+func (n *Network) BackwardInputColsConst(c float64, lo, hi int) *tensor.Matrix {
+	d, r := n.head()
+	if d.W.Cols != 1 {
+		panic(fmt.Sprintf("nn: BackwardInputColsConst through a %d-output head", d.W.Cols))
+	}
+	h := r.out
+	if h == nil || h.Cols != d.W.Rows {
+		panic("nn: BackwardInputColsConst before ForwardHidden")
+	}
+	r.gradIn = tensor.Reshape(r.gradIn, h.Rows, h.Cols)
+	grad := tensor.MatMulGatedConst(r.gradIn, c, d.W.Data, h)
+	for i := len(n.Layers) - 3; i > 0; {
 		grad, i = n.backwardInput(i, grad)
 	}
 	return n.Layers[0].(*Dense).backwardInputCols(grad, lo, hi)
+}
+
+// head returns the network's last layer, which must be a Dense directly
+// above a ReLU, and that ReLU.
+func (n *Network) head() (*Dense, *ReLU) {
+	top := len(n.Layers) - 1
+	if top >= 2 {
+		d, ok := n.Layers[top].(*Dense)
+		r, ok2 := n.Layers[top-1].(*ReLU)
+		if ok && ok2 {
+			return d, r
+		}
+	}
+	panic("nn: the network's head is not a Dense above a ReLU")
 }
 
 // BackwardParams accumulates the same parameter gradients as Backward and
@@ -111,11 +170,11 @@ func (n *Network) BackwardParams(grad *tensor.Matrix) {
 	n.Grads()
 	i := len(n.Layers) - 1
 	for i > 0 {
-		n.Layers[i].BackwardParams(grad)
+		n.backwardParams(i, grad)
 		grad, i = n.backwardInput(i, grad)
 	}
 	if i == 0 {
-		n.Layers[0].BackwardParams(grad)
+		n.backwardParams(0, grad)
 	}
 }
 
@@ -228,17 +287,14 @@ func HardCopy(dst, src *Network) {
 
 // SoftUpdate performs the Polyak target update
 // target ← τ·src + (1-τ)·target used by MADDPG and MATD3 (τ=0.01 in the
-// paper's settings).
+// paper's settings), tensor.Polyak on every parameter.
 func SoftUpdate(target, src *Network, tau float64) {
 	tp, sp := target.Params(), src.Params()
 	if len(tp) != len(sp) {
 		panic("nn: SoftUpdate between different architectures")
 	}
 	for i := range tp {
-		td, sd := tp[i].Data, sp[i].Data
-		for j := range td {
-			td[j] = tau*sd[j] + (1-tau)*td[j]
-		}
+		tensor.Polyak(tp[i].Data, sp[i].Data, tau)
 	}
 }
 

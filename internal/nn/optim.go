@@ -41,25 +41,17 @@ func NewAdam(net *Network, lr float64) *Adam {
 	return a
 }
 
-// Step applies one Adam update from the currently accumulated gradients.
-// Gradients are not cleared; call Network.ZeroGrads before the next
-// accumulation.
+// Step applies one Adam update from the currently accumulated gradients
+// (tensor.AdamStep states the arithmetic). Gradients are not cleared; call
+// Network.ZeroGrads before the next accumulation.
 func (a *Adam) Step() {
 	a.t++
-	b1c := 1 - math.Pow(a.Beta1, float64(a.t))
-	b2c := 1 - math.Pow(a.Beta2, float64(a.t))
+	s := tensor.AdamScalars{
+		LR: a.LR, Beta1: a.Beta1, Beta2: a.Beta2, Eps: a.Eps,
+		Correct1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		Correct2: 1 - math.Pow(a.Beta2, float64(a.t)),
+	}
 	for i, p := range a.params {
-		g := a.grads[i].Data
-		m := a.m[i]
-		v := a.v[i]
-		pd := p.Data
-		for j := range pd {
-			gj := g[j]
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*gj
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*gj*gj
-			mh := m[j] / b1c
-			vh := v[j] / b2c
-			pd[j] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
-		}
+		tensor.AdamStep(p.Data, a.grads[i].Data, a.m[i], a.v[i], s)
 	}
 }

@@ -56,7 +56,8 @@ func (s Spec) Validate() error {
 // Every gather in this package and the row splits write Obs, Act and NextObs
 // row by row through their pitch, so they may be column views of wider
 // matrices (the trainer's are its critics' joint inputs); Rew and Done are
-// dense.
+// dense, or both nil: then every gather skips them, reading neither the
+// rewards nor the done flags (an update reads only the updated agent's).
 type AgentBatch struct {
 	Obs     *tensor.Matrix // batch×obsDim
 	Act     *tensor.Matrix // batch×actDim
@@ -194,9 +195,10 @@ func ahead(indices []int, n, length int) int {
 
 // Gather copies the transitions at the given indices from agent a's buffers
 // into dst. This is the per-agent leg of the paper's O(N·m) baseline
-// sampling loop; each index touches five scattered rows, which the loop
-// starts loading gatherLookahead indices ahead. Prefetches are not logical
-// accesses: the tracer sees the five reads of each row and nothing else.
+// sampling loop; each index touches five scattered rows (three when dst's
+// Rew and Done are nil), which the loop starts loading gatherLookahead
+// indices ahead. Prefetches are not logical accesses: the tracer sees the
+// reads of each row, in field order, and nothing else.
 func (b *Buffer) Gather(a int, indices []int, dst *AgentBatch) {
 	od := b.spec.ObsDims[a]
 	ad := b.spec.ActDim
@@ -207,6 +209,7 @@ func (b *Buffer) Gather(a int, indices []int, dst *AgentBatch) {
 		panic(fmt.Sprintf("replay: Gather %d indices into batch of %d", len(indices), dst.Obs.Rows))
 	}
 	obs, act, rew, nextObs, done := b.obs[a], b.act[a], b.rew[a], b.nextObs[a], b.done[a]
+	scalars := dst.Rew != nil
 	for row, idx := range indices {
 		if idx < 0 || idx >= b.length {
 			panic(fmt.Sprintf("replay: Gather index %d outside [0,%d)", idx, b.length))
@@ -214,21 +217,29 @@ func (b *Buffer) Gather(a int, indices []int, dst *AgentBatch) {
 		if next := ahead(indices, row, b.length); next >= 0 {
 			rowmem.Prefetch(obs[next*od : (next+1)*od])
 			rowmem.Prefetch(act[next*ad : (next+1)*ad])
-			rowmem.Prefetch(rew[next : next+1])
 			rowmem.Prefetch(nextObs[next*od : (next+1)*od])
-			rowmem.Prefetch(done[next : next+1])
+			if scalars {
+				rowmem.Prefetch(rew[next : next+1])
+				rowmem.Prefetch(done[next : next+1])
+			}
 		}
 		copy(dst.Obs.Row(row), obs[idx*od:(idx+1)*od])
 		copy(dst.Act.Row(row), act[idx*ad:(idx+1)*ad])
-		dst.Rew.Data[row] = rew[idx]
 		copy(dst.NextObs.Row(row), nextObs[idx*od:(idx+1)*od])
-		dst.Done.Data[row] = done[idx]
+		if scalars {
+			dst.Rew.Data[row] = rew[idx]
+			dst.Done.Data[row] = done[idx]
+		}
 		if b.tracer != nil {
 			b.trace(b.regionBase(a, regionObs)+uint64(idx*od*8), od*8)
 			b.trace(b.regionBase(a, regionAct)+uint64(idx*ad*8), ad*8)
-			b.trace(b.regionBase(a, regionRew)+uint64(idx*8), 8)
+			if scalars {
+				b.trace(b.regionBase(a, regionRew)+uint64(idx*8), 8)
+			}
 			b.trace(b.regionBase(a, regionNextObs)+uint64(idx*od*8), od*8)
-			b.trace(b.regionBase(a, regionDone)+uint64(idx*8), 8)
+			if scalars {
+				b.trace(b.regionBase(a, regionDone)+uint64(idx*8), 8)
+			}
 		}
 	}
 }

@@ -120,6 +120,86 @@ func TestGatherIntoViewsMatchesDense(t *testing.T) {
 	}
 }
 
+// TestGatherSkipsNilRewardsAndDones: a batch whose Rew and Done are nil is
+// gathered without them by Buffer.GatherAll, KVBuffer.GatherAll and
+// RowLayout.SplitRows — nothing is written for them, they stay nil — and
+// every other field, and every field of the batches that do have them, is
+// what a gather into full batches writes. With the tracer on, the baseline
+// buffer reads only the fields it gathers.
+func TestGatherSkipsNilRewardsAndDones(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	spec := Spec{NumAgents: 3, ObsDims: []int{7, 5, 9}, ActDim: 2, Capacity: 200}
+	buf, kv := NewBuffer(spec), NewKVBuffer(spec)
+	for i := 0; i < spec.Capacity; i++ {
+		obs, act, rew, next, done := randomStep(spec, rng)
+		buf.Add(obs, act, rew, next, done)
+		kv.Add(obs, act, rew, next, done)
+	}
+	const n = 97
+	idx := gatherIndices(spec.Capacity, n, rng)
+	rows := make([]float64, n*kv.RowStride())
+	kv.GatherRows(idx, rows)
+	for name, gather := range map[string]func([]*AgentBatch){
+		"Buffer":    func(dst []*AgentBatch) { buf.GatherAll(idx, dst) },
+		"KVBuffer":  func(dst []*AgentBatch) { kv.GatherAll(idx, dst) },
+		"SplitRows": func(dst []*AgentBatch) { kv.Layout().SplitRows(rows, n, dst) },
+	} {
+		full := batchesFor(spec, n)
+		gather(full)
+		for keep := 0; keep < spec.NumAgents; keep++ {
+			part := batchesFor(spec, n)
+			for a, b := range part {
+				if a != keep {
+					b.Rew, b.Done = nil, nil
+				}
+			}
+			gather(part)
+			for a := range part {
+				if a != keep && (part[a].Rew != nil || part[a].Done != nil) {
+					t.Fatalf("%s: agent %d's nil Rew/Done were replaced", name, a)
+				}
+				if !batchEqual(full[a], part[a]) {
+					t.Fatalf("%s keeping agent %d's scalars: agent %d's batch differs from a full gather", name, keep, a)
+				}
+			}
+		}
+	}
+
+	var want recordingTracer
+	for a, od := range spec.ObsDims {
+		for _, i := range idx {
+			want.Access(buf.regionBase(a, regionObs)+uint64(i*od*8), od*8)
+			want.Access(buf.regionBase(a, regionAct)+uint64(i*spec.ActDim*8), spec.ActDim*8)
+			want.Access(buf.regionBase(a, regionNextObs)+uint64(i*od*8), od*8)
+		}
+	}
+	got := &recordingTracer{}
+	buf.SetTracer(got)
+	part := batchesFor(spec, n)
+	for _, b := range part {
+		b.Rew, b.Done = nil, nil
+	}
+	buf.GatherAll(idx, part)
+	sameTrace(t, "Buffer without scalars", got, &want)
+}
+
+// batchEqual reports whether two batches hold the same bits in every field
+// both have.
+func batchEqual(x, y *AgentBatch) bool {
+	same := func(a, b *tensor.Matrix) bool {
+		if a == nil || b == nil {
+			return true
+		}
+		for i := range a.Data {
+			if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return same(x.Obs, y.Obs) && same(x.Act, y.Act) && same(x.Rew, y.Rew) && same(x.NextObs, y.NextObs) && same(x.Done, y.Done)
+}
+
 // randomStep returns one environment step of N(0, 1) values for spec.
 func randomStep(spec Spec, rng *rand.Rand) (obs, act [][]float64, rew []float64, next [][]float64, done []float64) {
 	row := func(n int) []float64 {

@@ -86,7 +86,8 @@ func (l RowLayout) PackRow(dst []float64, obs, act [][]float64, rew []float64, n
 // SplitRowInto scatters one interleaved row into batch row rowN of the
 // per-agent tensors — the per-row leg of the "data reshaping" pass. Obs, Act
 // and NextObs may be column views (the trainer's are views of its critics'
-// joint inputs): each row lands at rowN times its matrix's pitch.
+// joint inputs): each row lands at rowN times its matrix's pitch. A batch
+// whose Rew and Done are nil gets neither.
 func (l RowLayout) SplitRowInto(dst []*AgentBatch, rowN int, row []float64) {
 	if len(dst) != l.spec.NumAgents {
 		panic(fmt.Sprintf("replay: SplitRowInto got %d batches for %d agents", len(dst), l.spec.NumAgents))
@@ -102,9 +103,11 @@ func (l RowLayout) SplitRowInto(dst []*AgentBatch, rowN int, row []float64) {
 		o, c, x := rowN*d.Obs.Pitch(), rowN*d.Act.Pitch(), rowN*d.NextObs.Pitch()
 		copy(d.Obs.Data[o:o+od], row[obs:obs+od])
 		copy(d.Act.Data[c:c+ad], row[act:act+ad])
-		d.Rew.Data[rowN] = row[l.rewOff[a]]
 		copy(d.NextObs.Data[x:x+od], row[nxt:nxt+od])
-		d.Done.Data[rowN] = row[l.dnOff[a]]
+		if d.Rew != nil {
+			d.Rew.Data[rowN] = row[l.rewOff[a]]
+			d.Done.Data[rowN] = row[l.dnOff[a]]
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import "math"
 // FMA, residentRows hands the same rows to assembly that keeps a dst row in
 // registers for its whole sum (rows_amd64.s).
 //
-// Contract, shared by all three products and pinned by kernels_test.go
+// Contract, shared by all the products and pinned by kernels_test.go
 // against the scalar loops they replaced, on every body:
 //
 //   - Every dst element is the sum over the inner index k, in ascending k,
@@ -37,8 +37,9 @@ import "math"
 //     in all three products — is exactly zero, of either sign, is left out of
 //     the sum. Every such product and no other: a NaN or an infinite
 //     multiplier is not a zero. For finite operands the product left out is
-//     ±0, and adding ±0 to a sum that started at +0 (which is never -0) is
-//     the identity, so the rule cannot be seen in the bits: ReLU outputs and
+//     ±0, and adding ±0 to a sum that started at +0 (which is never -0 but
+//     after a non-zero product that underflowed to it) is the identity, so
+//     the rule cannot be seen in the bits: ReLU outputs and
 //     ReLU-masked gradients are zero about half the time, and this is what
 //     lets the kernels do only the other half. For non-finite operands it can
 //     be seen: 0·Inf and 0·NaN would be NaN and never reach the sum, so a
@@ -48,6 +49,32 @@ import "math"
 //     payload, when two different ones meet in a multiply — follows the
 //     operand order of whichever instruction ran, and neither the Go compiler
 //     nor this contract fixes that.
+//   - Which operand supplies the multipliers is the caller's choice where a
+//     product can be taken either way round, and the zeros decide it. A
+//     dense layer's weight gradient xᵀ·grad is also (gradᵀ·x)ᵀ, and where
+//     the layer's input is data and its output feeds a ReLU, grad is
+//     ReLU-gated, about half +0, while x is almost never zero; so nn.Dense
+//     takes gradᵀ·x, whose multipliers are grad's, wherever its rows reach
+//     the wide kernel (WalksZeros: inputs wider than seven vectors), and adds
+//     its transpose into the gradient (AddTransposed). A fused multiply-add
+//     is symmetric in its two factors, so every element is the same sum of
+//     the same products in the same k order either way, and the two forms
+//     differ only in which products of ±0 they leave out: invisible, unless
+//     the running sum is -0, which only a non-zero product that underflowed
+//     past the smallest subnormal can make it. For non-finite operands the
+//     form decides whose zeros hide the other's infinities and NaNs, as the
+//     rule above says of the multiplier.
+//   - A product's multipliers may also be one value shared by every row
+//     (MatMulGatedConst: rowArgs.aStep is 0), the k = 1 product against a
+//     column that holds it in every row, bit for bit.
+//
+// The resident aᵀ × b (matMulTransARows) walks b panel by panel, one panel
+// of at most 64 columns at a time, down each in chunks of 16 KiB
+// (transAChunkFloats), accumulating every dst row over each chunk: the
+// order of the steps into an element is untouched.
+//
+// The optimizer steps (optim.go) are not products: they round every
+// operation, as their Go loops do, and nothing there is fused.
 
 // matMulRows computes rows [lo, hi) of dst = a × b. A non-nil bias (one value
 // per dst column) is added to each finished row — after the whole k sum, as
@@ -77,7 +104,7 @@ func matMulRows(dst, a, b *Matrix, bias []float64, relu bool, gate *Matrix, lo, 
 		arow := a.Row(i)
 		drow := dst.Data[i*n : (i+1)*n]
 		clear(drow)
-		axpy4Blocks(drow, n, arow, 1, b.Data, blocks, 0, 4, 4*n)
+		axpy4Blocks(drow, n, arow, 1, b.Data, n, blocks, 0, 4, 4*n)
 		for k := 4 * blocks; k < inner; k++ {
 			if av := arow[k]; av != 0 {
 				AXPY(drow, av, b.Data[k*n:(k+1)*n])
@@ -101,39 +128,52 @@ func matMulRows(dst, a, b *Matrix, bias []float64, relu bool, gate *Matrix, lo, 
 	}
 }
 
-// transAChunkFloats is how much of b the resident aᵀ × b walks per pass over
-// the dst rows: 16 KiB, so that the chunk and the same rows of a stay in L1
-// while the dst rows stream past them.
-const transAChunkFloats = 2048
+// transAPanel and transAChunkFloats are how the resident aᵀ × b walks b:
+// one panel of at most transAPanel columns at a time, down the whole of b,
+// in chunks of transAChunkFloats (16 KiB; 32 rows of a 64-column panel) per
+// pass over the dst rows. The chunk and the same rows of a stay in L1 while
+// the dst rows stream past them, and a chunk has as many rows at any width
+// of b. Measured against chunks of 32 KiB (whole 64-multiplier words), 16
+// KiB ran the 24-agent critic's weight gradients (1024 × 2472 × 64, both
+// forms) 7–10 % faster and no shape of a three-agent update slower.
+const (
+	transAPanel       = 64
+	transAChunkFloats = 2048
+)
 
 // matMulTransARows computes rows [lo, hi) of dst = aᵀ × b, i.e. the products
 // of columns [lo, hi) of a with b. The shared row index k runs outermost: in
 // the Go body four rows at a time, so that the small dst block stays in L1
 // across the whole batch and a is read along its rows instead of down a
-// column; in the resident bodies a chunk of rows at a time, with each dst row
-// held in registers across the chunk. As in matMulRows, a may be a view.
+// column; in the resident bodies one panel of b's columns at a time and down
+// it one chunk of k at a time (transAPanel, transAChunkFloats), with each dst row held in
+// registers across the chunk. As in matMulRows, a may be a view, and here b
+// may be one too.
 func matMulTransARows(dst, a, b *Matrix, lo, hi int) {
-	outer, ap, n := a.Rows, a.Pitch(), b.Cols
+	outer, ap, n, bp := a.Rows, a.Pitch(), b.Cols, b.Pitch()
 	drows := dst.Data[lo*n : hi*n]
 	if lanes := vectorLanes; lanes != 0 && lo < hi && outer > 0 && n > 0 {
-		chunk := max(1, transAChunkFloats/n)
-		for k := 0; k < outer; k += chunk {
-			p := rowArgs{rows: hi - lo, dStep: n, aStep: 1, aStride: ap, k: min(chunk, outer-k), ldb: n}
-			if k > 0 {
-				p.flags = flagAccumulate
+		for j := 0; j < n; j += transAPanel {
+			w := min(transAPanel, n-j)
+			chunk := max(1, transAChunkFloats/w)
+			for k := 0; k < outer; k += chunk {
+				p := rowArgs{rows: hi - lo, dStep: n, aStep: 1, aStride: ap, k: min(chunk, outer-k), ldb: bp}
+				if k > 0 {
+					p.flags = flagAccumulate
+				}
+				residentRows(lanes, drows[j:], a.Data[k*ap+lo:], b.Data[k*bp+j:], nil, nil, w, p)
 			}
-			residentRows(lanes, drows, a.Data[k*ap+lo:], b.Data[k*n:], nil, nil, n, p)
 		}
 		return
 	}
 	clear(drows)
 	k := 0
 	for ; k+4 <= outer; k += 4 {
-		axpy4Blocks(drows, n, a.Data[k*ap+lo:(k+3)*ap+hi], ap, b.Data[k*n:(k+4)*n], hi-lo, n, 1, 0)
+		axpy4Blocks(drows, n, a.Data[k*ap+lo:(k+3)*ap+hi], ap, b.Data[k*bp:(k+3)*bp+n], bp, hi-lo, n, 1, 0)
 	}
 	for ; k < outer; k++ {
 		arow := a.Row(k)
-		brow := b.Data[k*n : (k+1)*n]
+		brow := b.Row(k)
 		for i := lo; i < hi; i++ {
 			if av := arow[i]; av != 0 {
 				AXPY(dst.Data[i*n:(i+1)*n], av, brow)
@@ -141,6 +181,16 @@ func matMulTransARows(dst, a, b *Matrix, lo, hi int) {
 		}
 	}
 }
+
+// WalksZeros reports whether a product whose dst rows are cols wide skips
+// its zero multipliers without spending a step on them: on the resident
+// bodies, whether the rows are wider than seven vectors, the width at which
+// rowsPanel hands them to the wide kernel, which walks the multipliers'
+// mask of non-zeros (the narrow kernel masks its adds instead); the Go body
+// tests every multiplier at any width. A caller that can put either of two
+// operands in the multipliers' place asks it before putting the one with
+// the zeros there.
+func WalksZeros(cols int) bool { return cols > 7*vectorLanes }
 
 // vectorLanes selects the body of both nests: the float64 lanes of the
 // resident assembly's vectors, 8 (AVX-512) or 4 (AVX2), or 0 for the Go
@@ -238,19 +288,19 @@ func residentRows(lanes int, d, a, b, bias, gate []float64, n int, p rowArgs) {
 //	d[j] = fma(a3, b3[j], fma(a2, b2[j], fma(a1, b1[j], fma(a0, b0[j], d[j])))),  j in [0, n)
 //
 // where a0..a3 = a[0], a[aStride], a[2·aStride], a[3·aStride] and b0..b3 are
-// the four consecutive n-wide rows at the front of b — without the terms
+// the first n elements of b, b[ldb:], b[2·ldb:] and b[3·ldb:] — without the terms
 // whose multiplier is ±0: a step that has all four runs d through them in one
 // pass, any other adds the terms it has one multiplier at a time. Between
 // steps d, a and b move forward by dStep, aStep and bStep elements:
 // matMulRows keeps d and walks four columns of a and four rows of b per step,
 // matMulTransARows keeps b and walks one row of d and one column of a.
-func axpy4Blocks(d []float64, n int, a []float64, aStride int, b []float64, count, dStep, aStep, bStep int) {
+func axpy4Blocks(d []float64, n int, a []float64, aStride int, b []float64, ldb, count, dStep, aStep, bStep int) {
 	if n == 0 {
 		return
 	}
 	for ; count > 0; count-- {
 		a0, a1, a2, a3 := a[0], a[aStride], a[2*aStride], a[3*aStride]
-		dj, b0, b1, b2, b3 := d[:n], b[:n], b[n:][:n], b[2*n:][:n], b[3*n:][:n]
+		dj, b0, b1, b2, b3 := d[:n], b[:n], b[ldb:][:n], b[2*ldb:][:n], b[3*ldb:][:n]
 		// x != 0 is false for -0 and true for a NaN: exactly "not a zero".
 		if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
 			for j, dv := range dj {

@@ -716,7 +716,7 @@ func TestProductsRoundOncePerMultiplyAdd(t *testing.T) {
 			}
 			for _, rows := range []int{1, 9} {
 				for _, n := range []int{1, 5, 64} {
-					chunk := max(1, transAChunkFloats/n)
+					chunk := max(1, transAChunkFloats/min(n, transAPanel))
 					for _, lead := range []int{0, 1, 2, 3, 4, chunk - 1} {
 						for _, zeroLast := range []bool{false, true} {
 							for _, trail := range []int{0, 3} {
@@ -738,6 +738,99 @@ func TestProductsRoundOncePerMultiplyAdd(t *testing.T) {
 									}
 								}
 							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSwappedWeightGradientMatchesTransA: a data-input layer's weight
+// gradient taken as (gradᵀ·x)ᵀ — the form nn uses where WalksZeros says the
+// swapped product's rows reach the wide kernel, so that the ReLU-gated
+// gradient supplies the multipliers — has the bits of xᵀ·grad on every
+// body: at 63 input columns (the three-agent critic: one wide panel at eight
+// lanes, two at four) and at 2 472 (the 24-agent critic: 38 whole panels
+// and a narrow rest), over a batch of four mask words of k and some, with
+// ±0 in both operands and the gradient gated by the ReLU mask of a real
+// forward of x, and with x dense and a column view at each of aPitches (the
+// swapped product takes it as its b). AddTransposed then adds it into a
+// gradient as Add adds xᵀ·grad.
+func TestSwappedWeightGradientMatchesTransA(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const batch, out = 300, 64
+	for _, in := range []int{63, 2472} {
+		x, grad, w := New(batch, in), New(batch, out), New(in, out)
+		fillOperand(x, rng, halfZeros)
+		fillOperand(grad, rng, halfZeros)
+		w.XavierInit(rng, in, out)
+		h := MatMulBias(New(batch, out), x, w, testBias(out), true)
+		ReLUGrad(grad.Data, grad.Data, h.Data)
+		want := New(in, out)
+		refMatMulTransA(want, x, grad)
+		acc := New(in, out)
+		acc.RandNormal(rng, 0, 1)
+		wantAcc := Add(New(in, out), acc, want)
+		for _, extra := range aPitches {
+			xv := x
+			if extra > 0 {
+				xv = viewOf(x, extra)
+			}
+			for _, path := range kernelPaths(t) {
+				setKernelPath(t, path)
+				plain := MatMulTransA(poison(New(in, out)), xv, grad)
+				swapped := MatMulTransA(poison(New(out, in)), grad, xv)
+				for name, got := range map[string]*Matrix{
+					"xᵀ·grad":          plain,
+					"(gradᵀ·x)ᵀ":       TransposeRows(nil, swapped, 0, out),
+					"acc + (gradᵀ·x)ᵀ": AddTransposed(acc.Clone(), swapped),
+				} {
+					ref := want
+					if name == "acc + (gradᵀ·x)ᵀ" {
+						ref = wantAcc
+					}
+					if i, ok := bitsEqual(got, ref); !ok {
+						t.Fatalf("path=%s in=%d pitch +%d: %s element %d = %x, want %x", path, in, extra, name, i, math.Float64bits(got.Data[i]), math.Float64bits(ref.Data[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulGatedConstMatchesMatMulGated: the gated product with one
+// multiplier shared by every row has, on every body, the bits of
+// MatMulGated against a column that holds it in every row — at the narrow
+// and wide kernels' widths, for row counts below, at and past a group of
+// eight, for multipliers of either sign, ±0 among them, and a row that holds
+// ±0, an infinity and a NaN — and allocates nothing.
+func TestMatMulGatedConstMatchesMatMulGated(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{1, 3, 5, 8, 33, 64, 70} {
+		w := New(1, n)
+		w.RandNormal(rng, 0, 1)
+		w.Data[0] = math.Copysign(0, -1)
+		if n > 4 {
+			w.Data[1], w.Data[2], w.Data[3] = 0, math.Inf(-1), math.NaN()
+		}
+		for _, rows := range []int{1, 7, 8, 9, 17} {
+			gate := New(rows, n)
+			fillOperand(gate, rng, halfZeros)
+			ReLUGrad(gate.Data, gate.Data, gate.Data) // what a ReLU retains: +0 or active
+			for _, c := range []float64{-1.0 / 1024, 3, 0, math.Copysign(0, -1)} {
+				col := New(rows, 1)
+				col.Fill(c)
+				for _, path := range kernelPaths(t) {
+					setKernelPath(t, path)
+					want := MatMulGated(poison(New(rows, n)), col, w, gate)
+					got := poison(New(rows, n))
+					if allocs := mallocsAt(2, func() { MatMulGatedConst(got, c, w.Data, gate) }); allocs != 0 {
+						t.Fatalf("path=%s: MatMulGatedConst allocates %d times", path, allocs)
+					}
+					for i := range want.Data {
+						if math.IsNaN(want.Data[i]) != math.IsNaN(got.Data[i]) || !math.IsNaN(got.Data[i]) && math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+							t.Fatalf("path=%s n=%d rows=%d c=%v: element %d = %x, want %x", path, n, rows, c, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 						}
 					}
 				}
@@ -828,17 +921,24 @@ func BenchmarkKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelsN24 is BenchmarkKernels, dense only, at the largest shape
-// an update runs: the first layer of a critic on 24-agent predator-prey
-// (joint input 2472, hidden 64, batch 1024), where the resident kernel
-// streams all of b (1.27 MB) from L2 once per dst row. One call is a third
-// of a GFLOP: `make bench-kernels` runs it at 5x.
+// BenchmarkKernelsN24 is BenchmarkKernels, dense, at the largest shape an
+// update runs: the first layer of a critic on 24-agent predator-prey (joint
+// input 2472, hidden 64, batch 1024), where the resident a × b streams all
+// of b (1.27 MB) from L2 once per dst row; and, half-zero, that layer's
+// weight gradient in the form nn takes it. One call is a third of a GFLOP:
+// `make bench-kernels` runs it at 5x.
 func BenchmarkKernelsN24(b *testing.B) {
 	const m, k, n = 1024, 2472, 64
 	paths := kernelPaths(b)
 	for _, p := range products {
 		b.Run(fmt.Sprintf("%s/%dx%dx%d", p.name, m, k, n), func(b *testing.B) { benchProduct(b, paths, p, m, k, n, dense) })
 	}
+	// The same layer's weight gradient as nn takes it (Dense.backwardParams):
+	// gradᵀ·x, a 64 × 2472 result whose multipliers are the ReLU-gated
+	// gradient, half of them zero. Its GFLOP/s count the skipped steps, so
+	// it compares with TransA above, the xᵀ·grad it replaces.
+	transA := products[len(products)-1]
+	b.Run(fmt.Sprintf("%s/%dx%dx%d/halfzero", transA.name, m, n, k), func(b *testing.B) { benchProduct(b, paths, transA, m, n, k, halfZeros) })
 }
 
 // benchProduct times one product at one shape on each of the given bodies,

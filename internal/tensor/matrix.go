@@ -16,10 +16,10 @@ import (
 // Pitch() apart. The zero value is an empty (0x0) dense matrix.
 //
 // A view is accepted only where DESIGN.md §7 says: At, Set, Row, Pitch,
-// ColView, Overlap and SoftmaxRows, and as the a operand of the products
-// (MatMul, MatMulBias, MatMulGated, MatMulTransA, MatMulTransB). Every other
-// function here panics on one, because it reads Data as Rows·Cols
-// consecutive elements.
+// ColView, Overlap and SoftmaxRows, as the a operand of the products
+// (MatMul, MatMulBias, MatMulGated, MatMulTransA, MatMulTransB) and as the b
+// operand of MatMulTransA. Every other function here panics on one, because
+// it reads Data as Rows·Cols consecutive elements.
 type Matrix struct {
 	Rows, Cols int
 	Data       []float64
@@ -193,7 +193,7 @@ func (m *Matrix) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 // MatMul computes dst = a × b. dst must be a.Rows×b.Cols and must not
 // overlap a or b. It returns dst for chaining. kernels.go states the rounding
 // and zero-skip contract of all three products. In every product a may be a
-// column view; dst and b are dense.
+// column view, and in MatMulTransA b too; dst is dense.
 func MatMul(dst, a, b *Matrix) *Matrix {
 	checkMatMul(dst, a, b)
 	matMulRows(dst, a, b, nil, false, nil, 0, dst.Rows)
@@ -236,8 +236,42 @@ func MatMulGated(dst, a, b, gate *Matrix) *Matrix {
 	return dst
 }
 
+// MatMulGatedConst is MatMulGated(dst, a, w, gate) for a the column that
+// holds c in every row and w one row: each element is fma(c, w[j], +0), or +0
+// where c is a zero, cleared where gate has zero bits — bit for bit, with no
+// column of c's stored or read. With w the weights of a one-output head and
+// c its output gradient, the same in every row, it is the gradient at the
+// head's input taken back through the ReLU below it.
+func MatMulGatedConst(dst *Matrix, c float64, w []float64, gate *Matrix) *Matrix {
+	assertSameShape("MatMulGatedConst gate", gate, dst)
+	if len(w) != dst.Cols {
+		panic(fmt.Sprintf("tensor: MatMulGatedConst row len %d want %d", len(w), dst.Cols))
+	}
+	if overlap(dst.Data, w) {
+		panic("tensor: MatMulGatedConst dst overlaps an operand")
+	}
+	n := dst.Cols
+	if lanes := vectorLanes; lanes != 0 && dst.Rows > 0 && n > 0 {
+		// Every row's multiplier is the one c: a zero step from row to row.
+		mult := [1]float64{c}
+		p := rowArgs{rows: dst.Rows, dStep: n, aStride: 1, k: 1, ldb: n}
+		residentRows(lanes, dst.Data, mult[:], w, nil, gate.Data, n, p)
+		return dst
+	}
+	for i := 0; i < dst.Rows; i++ {
+		drow := dst.Data[i*n : (i+1)*n]
+		clear(drow)
+		if c != 0 {
+			AXPY(drow, c, w)
+		}
+		ReLUGrad(drow, drow, gate.Data[i*n:(i+1)*n])
+	}
+	return dst
+}
+
 // MatMulTransA computes dst = aᵀ × b where a is stored untransposed.
-// dst must be a.Cols×b.Cols and must not overlap a or b.
+// dst must be a.Cols×b.Cols and must not overlap a or b. Both a and b may be
+// column views: the product reads them row by row.
 func MatMulTransA(dst, a, b *Matrix) *Matrix {
 	checkMatMulTransA(dst, a, b)
 	matMulTransARows(dst, a, b, 0, dst.Rows)
@@ -245,7 +279,10 @@ func MatMulTransA(dst, a, b *Matrix) *Matrix {
 }
 
 func checkMatMulTransA(dst, a, b *Matrix) {
-	checkOperands("MatMulTransA", dst, a, b)
+	dst.dense("MatMulTransA")
+	if Overlap(dst, a) || Overlap(dst, b) {
+		panic("tensor: MatMulTransA dst overlaps an operand")
+	}
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransA outer mismatch %dx%d ᵀ× %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -298,6 +335,26 @@ func Add(dst, a, b *Matrix) *Matrix {
 	assertSameShape("Add dst", dst, a)
 	for i := range dst.Data {
 		dst.Data[i] = a.Data[i] + b.Data[i]
+	}
+	return dst
+}
+
+// AddTransposed computes dst += srcᵀ elementwise: dst[i][j] + src[j][i],
+// the bits Add(dst, dst, t) gives for t a transposed copy of src, without
+// the copy. dst must be src.Cols×src.Rows and must not overlap src.
+func AddTransposed(dst, src *Matrix) *Matrix {
+	dst.dense("AddTransposed")
+	src.dense("AddTransposed")
+	if dst.Rows != src.Cols || dst.Cols != src.Rows {
+		panic(fmt.Sprintf("tensor: AddTransposed dst %dx%d want %dx%d", dst.Rows, dst.Cols, src.Cols, src.Rows))
+	}
+	if Overlap(dst, src) {
+		panic("tensor: AddTransposed dst overlaps src")
+	}
+	for i := 0; i < src.Rows; i++ {
+		for j, v := range src.Data[i*src.Cols : (i+1)*src.Cols] {
+			dst.Data[j*dst.Cols+i] += v
+		}
 	}
 	return dst
 }

@@ -87,6 +87,39 @@ func softmaxPass(lanes int, scale bool, x []float64, pitch int, blk []float64, g
 	}
 }
 
+//go:noescape
+func adamVectors8(p *adamArgs)
+
+//go:noescape
+func adamVectors4(p *adamArgs)
+
+// adamVectors runs the resident Adam step of the given width over the p.n
+// elements p describes, a whole number of vectors, at least one.
+func adamVectors(lanes int, p *adamArgs) {
+	if lanes == 8 {
+		adamVectors8(p)
+		return
+	}
+	adamVectors4(p)
+}
+
+//go:noescape
+func polyakVectors8(dst, src *float64, n int, tau, keep float64)
+
+//go:noescape
+func polyakVectors4(dst, src *float64, n int, tau, keep float64)
+
+// polyakVectors runs the resident soft update of the given width over dst
+// and src, of one length, a whole number of vectors, at least one.
+func polyakVectors(lanes int, dst, src []float64, tau float64) {
+	_ = src[len(dst)-1]
+	if lanes == 8 {
+		polyakVectors8(&dst[0], &src[0], len(dst), tau, 1-tau)
+		return
+	}
+	polyakVectors4(&dst[0], &src[0], len(dst), tau, 1-tau)
+}
+
 // cpuVectorLanes returns the widest resident body this CPU and OS can run.
 // Both need FMA: every product step is a fused multiply-add.
 func cpuVectorLanes() int {

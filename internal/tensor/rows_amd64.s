@@ -4,8 +4,9 @@
 // The resident row kernels under both matrix products (kernels.go): one wide
 // body and one narrow body, each a header expanded once per vector width —
 // and, expanded beside them, the packed logarithm under Log (log.go), the
-// packed exponential under Exp (exp.go) and the two passes of the packed row
-// softmax under SoftmaxRows (softmax.go).
+// packed exponential under Exp (exp.go), the two passes of the packed row
+// softmax under SoftmaxRows (softmax.go) and the optimizer steps under
+// AdamStep and Polyak (optim.go).
 // Every body uses registers 0-15 of its width only and ends in VZEROUPPER:
 // the upper halves are clean on return, so the XSAVE a context switch or a
 // signal does keeps skipping them, and the ZMM16-31 block is never dirtied
@@ -159,6 +160,12 @@ TEXT ·softmaxScale8(SB), NOSPLIT, $0-8
 	MOVQ p+0(FP), DX
 #include "softmax_scale_amd64.h"
 
+#define ADAM ·adamVectors8(SB)
+#define POLYAK ·polyakVectors8(SB)
+#include "optim_amd64.h"
+#undef ADAM
+#undef POLYAK
+
 #undef A0
 #undef A1
 #undef A2
@@ -306,6 +313,10 @@ TEXT ·softmaxShift4(SB), NOSPLIT, $0-8
 TEXT ·softmaxScale4(SB), NOSPLIT, $0-8
 	MOVQ p+0(FP), DX
 #include "softmax_scale_amd64.h"
+
+#define ADAM ·adamVectors4(SB)
+#define POLYAK ·polyakVectors4(SB)
+#include "optim_amd64.h"
 
 // math.archLog's constants, by their bits, and what the exponent's trip from
 // integer to double needs: 2^52 and 2^52 + 1022.

@@ -19,3 +19,11 @@ func expVectors(int, []float64, []float64) int {
 func softmaxPass(int, bool, []float64, int, []float64, int, int) {
 	panic("tensor: no packed softmax on this architecture")
 }
+
+func adamVectors(int, *adamArgs) {
+	panic("tensor: no resident Adam step on this architecture")
+}
+
+func polyakVectors(int, []float64, []float64, float64) {
+	panic("tensor: no resident soft update on this architecture")
+}

@@ -37,7 +37,7 @@ tensor.Matrix.At	test oracle: element reads in tests
 tensor.Matrix.Clone	test oracle: tests keep a copy to compare against
 tensor.Matrix.RandNormal	test oracle: fills the tests' random operands
 tensor.Matrix.Set	test oracle: element writes in tests
-tensor.SliceCols	test oracle: the column range BackwardInputCols is held to
+tensor.SliceCols	test oracle: the column range BackwardInputColsConst is held to
 telemetry.ScanRunLog	test oracle: the torn-tail-tolerant reader the telemetry, cli and root tests read -runlog output with (internal/cli's own tests cannot import clitest)
 EOF
 )
